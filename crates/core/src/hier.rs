@@ -358,10 +358,23 @@ where
             }
         }
     };
+    // Both branches move amplitudes through the same run copies; the outer
+    // vector is shared as a raw pointer because the parallel branch hands
+    // disjoint assignments to different threads.
+    let outer_ptr = OuterPtr(outer.amplitudes_mut().as_mut_ptr());
+    let sweep_one = |assignment: usize, inner: &mut StateVector| {
+        // SAFETY: `outer_ptr` addresses the whole outer state the map was
+        // built for, and the index sets of distinct assignments are
+        // disjoint, so no two threads touch the same amplitude.
+        unsafe {
+            map.gather_raw(outer_ptr.get(), assignment, inner);
+            execute(inner);
+            map.scatter_raw(inner, outer_ptr.get(), assignment);
+        }
+    };
     if parallel && assignments >= 2 {
         let threads = rayon::current_num_threads().max(1);
         let per_chunk = (assignments / (threads * 4)).clamp(1, 8);
-        let outer_ptr = OuterPtr(outer.amplitudes_mut().as_mut_ptr());
         let chunks = assignments.div_ceil(per_chunk);
         let done = std::sync::atomic::AtomicU64::new(0);
         (0..chunks).into_par_iter().for_each(|chunk| {
@@ -371,23 +384,10 @@ where
                 return;
             }
             let mut inner = StateVector::uninitialized(map.inner_qubits());
-            let inner_len = inner.len();
             let first = chunk * per_chunk;
             let last = (first + per_chunk).min(assignments);
             for assignment in first..last {
-                // Gather.
-                for j in 0..inner_len {
-                    let idx = map.outer_index(assignment, j);
-                    // SAFETY: outer indices of different assignments are
-                    // disjoint.
-                    inner.amplitudes_mut()[j] = unsafe { outer_ptr.read(idx) };
-                }
-                execute(&mut inner);
-                // Scatter.
-                for j in 0..inner_len {
-                    let idx = map.outer_index(assignment, j);
-                    unsafe { outer_ptr.write(idx, inner.amp(j)) };
-                }
+                sweep_one(assignment, &mut inner);
                 let completed = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                 report(completed);
             }
@@ -398,9 +398,7 @@ where
             if let Some(cancel) = cancel {
                 cancel.check()?;
             }
-            map.gather_into(outer, assignment, &mut inner);
-            execute(&mut inner);
-            map.scatter(&inner, outer, assignment);
+            sweep_one(assignment, &mut inner);
             report(assignment as u64 + 1);
         }
     }
@@ -410,23 +408,18 @@ where
     }
 }
 
-/// Raw-pointer wrapper so the per-assignment closures can write disjoint
-/// regions of the outer vector in parallel.
+/// Raw-pointer wrapper so the per-assignment closures can reach disjoint
+/// regions of the outer vector from several threads.
 #[derive(Clone, Copy)]
 struct OuterPtr(*mut hisvsim_circuit::Complex64);
+// SAFETY: the wrapper only carries the pointer; `sweep_assignments` states
+// why the accesses made through it never overlap.
 unsafe impl Send for OuterPtr {}
 unsafe impl Sync for OuterPtr {}
 impl OuterPtr {
-    /// # Safety
-    /// `idx` must be in bounds and not concurrently accessed by another
-    /// assignment (GatherMap guarantees disjointness across assignments).
-    unsafe fn read(&self, idx: usize) -> hisvsim_circuit::Complex64 {
-        *self.0.add(idx)
-    }
-    /// # Safety
-    /// See [`OuterPtr::read`].
-    unsafe fn write(&self, idx: usize, v: hisvsim_circuit::Complex64) {
-        *self.0.add(idx) = v;
+    /// The pointer, through a method so closures capture the `Sync` wrapper.
+    fn get(&self) -> *mut hisvsim_circuit::Complex64 {
+        self.0
     }
 }
 

@@ -20,10 +20,10 @@
 //!   reordering, no specialisation).
 
 use crate::kernels::{
-    apply_gate_with_matrix_amps, apply_k_qubit, apply_k_qubit_prepared,
-    apply_k_qubit_prepared_amps, apply_single, apply_single_amps, apply_two_qubit_dense,
-    apply_two_qubit_dense_amps, ApplyOptions, SparseRows, MAX_STACK_KERNEL_QUBITS,
+    apply_dense_amps, apply_k_qubit, apply_kind_amps, ApplyOptions, DenseMatrix,
+    MAX_STACK_KERNEL_QUBITS,
 };
+use crate::simd::{Lanes, Pair};
 use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
@@ -286,28 +286,63 @@ pub enum FusedOp {
     },
 }
 
-/// Per-op data derived from the fused form once at build time (sparse rows
+/// Per-op data derived from the fused form once at build time (kernel layout
 /// of dense matrices, block classification of diagonal runs), so the
 /// per-assignment hot loops of the hierarchical engines never re-derive it.
 #[derive(Debug, Clone)]
 enum PreparedOp {
-    Dense(Option<SparseRows>),
+    Dense(DenseMatrix),
     Diagonal(PreparedDiagonal),
     Solo,
 }
 
-fn prepare_op(op: &FusedOp) -> PreparedOp {
+/// Derive an op's kernel data for states of `state_qubits` qubits (what
+/// sizes the diagonal block).
+fn prepare_op(op: &FusedOp, state_qubits: usize) -> PreparedOp {
     match op {
-        FusedOp::Dense(g) => PreparedOp::Dense(SparseRows::build(&g.matrix)),
-        FusedOp::Diagonal { factors, .. } => PreparedOp::Diagonal(prepare_diagonal(factors, None)),
+        FusedOp::Dense(g) => PreparedOp::Dense(DenseMatrix::new(&g.matrix)),
+        FusedOp::Diagonal { factors, .. } => {
+            PreparedOp::Diagonal(prepare_diagonal(factors, None, state_qubits))
+        }
         FusedOp::Solo(..) => PreparedOp::Solo,
+    }
+}
+
+/// An op's operand qubits after the optional translation — on the stack for
+/// every width the kernels run without heap scratch, so translating costs no
+/// allocation per op, per tile or per gather assignment.
+enum Operands {
+    Stack([Qubit; MAX_STACK_KERNEL_QUBITS], usize),
+    Heap(Vec<Qubit>),
+}
+
+impl Operands {
+    fn translate(qubits: &[Qubit], map: Option<&[Qubit]>) -> Self {
+        let target = |&q: &Qubit| map.map_or(q, |m| m[q]);
+        if qubits.len() <= MAX_STACK_KERNEL_QUBITS {
+            let mut stack = [0; MAX_STACK_KERNEL_QUBITS];
+            for (slot, q) in stack.iter_mut().zip(qubits) {
+                *slot = target(q);
+            }
+            Operands::Stack(stack, qubits.len())
+        } else {
+            Operands::Heap(qubits.iter().map(target).collect())
+        }
+    }
+
+    fn as_slice(&self) -> &[Qubit] {
+        match self {
+            Operands::Stack(stack, len) => &stack[..*len],
+            Operands::Heap(heap) => heap,
+        }
     }
 }
 
 impl FusedOp {
     /// Apply this op to a state vector.
     pub fn apply(&self, state: &mut StateVector, opts: &ApplyOptions) {
-        self.apply_inner(state, &prepare_op(self), None, opts);
+        let prep = prepare_op(self, state.num_qubits());
+        self.apply_inner(state, &prep, None, opts);
     }
 
     /// How many original gates this op absorbed.
@@ -339,108 +374,89 @@ impl FusedOp {
         map: Option<&[Qubit]>,
         opts: &ApplyOptions,
     ) {
-        let translate = |qs: &[Qubit]| -> Vec<Qubit> {
-            match map {
-                Some(map) => qs.iter().map(|&q| map[q]).collect(),
-                None => qs.to_vec(),
-            }
-        };
-        match (self, prep) {
-            (FusedOp::Dense(op), PreparedOp::Dense(sparse)) => {
-                match (map, op.qubits.as_slice()) {
-                    (None, &[q]) => apply_dense_one(state, q, &op.matrix, opts),
-                    (None, &[a, b]) => apply_two_qubit_dense(state, a, b, &op.matrix, opts),
-                    (None, qs) => {
-                        apply_k_qubit_prepared(state, qs, &op.matrix, sparse.as_ref(), opts)
-                    }
-                    (Some(map), &[q]) => apply_dense_one(state, map[q], &op.matrix, opts),
-                    (Some(map), &[a, b]) => {
-                        apply_two_qubit_dense(state, map[a], map[b], &op.matrix, opts)
-                    }
-                    // The sparse rows depend only on the matrix, never on the
-                    // qubit targets, so the translated application shares them.
-                    (Some(_), qs) => apply_k_qubit_prepared(
-                        state,
-                        &translate(qs),
-                        &op.matrix,
-                        sparse.as_ref(),
-                        opts,
-                    ),
-                }
-            }
-            (FusedOp::Solo(gate, matrix), _) => match map {
-                None => crate::kernels::apply_gate_with_matrix(state, gate, matrix.as_ref(), opts),
-                Some(_) => {
-                    let remapped = Gate {
-                        kind: gate.kind,
-                        qubits: translate(&gate.qubits),
-                    };
-                    crate::kernels::apply_gate_with_matrix(state, &remapped, matrix.as_ref(), opts)
-                }
-            },
-            (FusedOp::Diagonal { factors, .. }, prep) => {
-                if state.len() < DIAG_BLOCK {
-                    apply_diagonal_small(state, factors, map, opts);
-                    return;
-                }
-                match (map, prep) {
-                    (None, PreparedOp::Diagonal(prepared)) => {
-                        run_prepared_diagonal(state, prepared, opts)
-                    }
-                    // The classification depends on qubit positions, so the
-                    // translated path re-derives it (once per rank per part —
-                    // outside the per-assignment hot loops).
-                    _ => run_prepared_diagonal(state, &prepare_diagonal(factors, map), opts),
-                }
-            }
-            (FusedOp::Dense(_), _) => {
-                // Mismatched prepared data (never produced by FusedCircuit):
-                // derive it and retry through the matched dispatch.
-                self.apply_inner(state, &prepare_op(self), map, opts)
-            }
-        }
+        let state_qubits = state.num_qubits();
+        let item = tile_op(self, prep, map, state_qubits);
+        item.apply(state.amplitudes_mut(), 0, opts);
     }
 }
 
-/// Single-qubit dense dispatch helper.
-fn apply_dense_one(state: &mut StateVector, q: Qubit, m: &UnitaryMatrix, opts: &ApplyOptions) {
-    let mat = [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)];
-    apply_single(state, q, &mat, opts);
-}
-
-/// Block size of the diagonal streaming pass: factors whose qubits all sit
-/// at or above this bit are constant across a block and cost one table
-/// lookup per 64 amplitudes instead of one per amplitude.
-const DIAG_BLOCK_BITS: usize = 6;
-const DIAG_BLOCK: usize = 1 << DIAG_BLOCK_BITS;
-/// Blocks per parallel work item (scratch reuse granularity).
+/// Largest block of the diagonal streaming pass, in index bits: factors whose
+/// qubits all sit at or above the block are constant across it and cost one
+/// table lookup per block instead of one per amplitude. States smaller than
+/// this are one block.
+const DIAG_BLOCK_BITS: usize = 8;
+/// Blocks per parallel work item.
 const DIAG_BLOCKS_PER_CHUNK: usize = 64;
+/// Per-amplitude tables one pass multiplies together; a run with more is
+/// split into several passes (rare: a run needs more than eight factors that
+/// each reach below the block).
+const MAX_STREAMS: usize = 8;
 
-/// High-qubit bit extraction shared by both block-factor kinds.
+/// Table index contributed by the high (block-constant) qubits of a factor.
 #[inline(always)]
-fn hi_sub(hi_bits: &[(usize, usize)], base: usize) -> usize {
+fn hi_sub(hi_bits: &[(Qubit, usize)], base: usize) -> usize {
     let mut sub = 0usize;
-    for &(q, b) in hi_bits {
-        sub |= ((base >> q) & 1) << b;
+    for &(q, shift) in hi_bits {
+        sub |= ((base >> q) & 1) << shift;
     }
     sub
 }
 
-/// A factor whose qubits all sit at or above [`DIAG_BLOCK_BITS`]: constant
-/// across a block — one lookup per 64 amplitudes.
+/// A factor whose qubits all sit at or above the block: one value per block,
+/// `table[hi_sub(hi_bits, base)]`.
 #[derive(Debug, Clone)]
-struct ConstFactor {
-    diag: Vec<Complex64>,
-    hi_bits: Vec<(usize, usize)>,
+struct BlockFactor {
+    table: Vec<Complex64>,
+    hi_bits: Vec<(Qubit, usize)>,
 }
 
-/// A factor touching low qubits: per-amplitude lookup through a 64-entry
-/// low-bit table built once per classification.
+/// A factor (or the fold of several) that varies inside a block, laid out so
+/// each two-amplitude step is one contiguous load: for block base `base` and
+/// step `v` (amplitudes `2v, 2v + 1`) the two phases are
+/// `table[hi_sub(hi_bits, base) + lane0[v]]` and the entry after it. The low
+/// qubits index the table in ascending order with qubit 0 — or a duplicated
+/// dummy bit when the factor does not depend on it — as bit 0, which is what
+/// makes the pair adjacent.
 #[derive(Debug, Clone)]
-struct VarFactor {
-    diag: Vec<Complex64>,
-    hi_bits: Vec<(usize, usize)>,
-    lo_map: Box<[u32; DIAG_BLOCK]>,
+struct Stream {
+    table: Vec<Complex64>,
+    hi_bits: Vec<(Qubit, usize)>,
+    lane0: Vec<u8>,
+    /// Entries per sub-table (one sub-table per assignment of the high
+    /// qubits).
+    width: usize,
+    /// Per sub-table: every entry is exactly one, so the block skips it.
+    identity: Vec<bool>,
+}
+
+impl Stream {
+    fn new(table: Vec<Complex64>, hi_bits: Vec<(Qubit, usize)>, lane0: Vec<u8>) -> Self {
+        let width = table.len() >> hi_bits.len();
+        let identity = table
+            .chunks_exact(width)
+            .map(|sub| sub.iter().all(|&entry| entry == Complex64::ONE))
+            .collect();
+        Self {
+            table,
+            hi_bits,
+            lane0,
+            width,
+            identity,
+        }
+    }
+}
+
+/// Widest sub-table the block phase is folded into (see
+/// [`run_prepared_diagonal_amps`]): every stream of a multi-qubit factor
+/// fits, the low-bit fold of a full-size block does not.
+const MAX_FOLD_WIDTH: usize = 2 << MAX_STACK_KERNEL_QUBITS;
+
+/// One sweep of a diagonal run: every amplitude is multiplied by the product
+/// of the block's constant factors and of at most [`MAX_STREAMS`] streams.
+#[derive(Debug, Clone)]
+struct DiagPass {
+    constant: Vec<BlockFactor>,
+    streams: Vec<Stream>,
 }
 
 /// A diagonal run classified for the block sweep. Built once per
@@ -448,67 +464,123 @@ struct VarFactor {
 /// engines never re-derive it), or per rank translation in the mapped path.
 #[derive(Debug, Clone)]
 struct PreparedDiagonal {
-    constant: Vec<ConstFactor>,
-    varying: Vec<VarFactor>,
+    block_bits: usize,
+    passes: Vec<DiagPass>,
 }
 
-/// Classify a diagonal run's factors for the block sweep, optionally
-/// translating qubits through `map` first (the per-rank path).
-fn prepare_diagonal(factors: &[DiagonalFactor], map: Option<&[Qubit]>) -> PreparedDiagonal {
-    let mut prepared = PreparedDiagonal {
-        constant: Vec::new(),
-        varying: Vec::new(),
-    };
+/// Classify a diagonal run's factors for the block sweep over states of
+/// `state_qubits` qubits, optionally translating qubits through `map` first
+/// (the per-rank path). Factors entirely below the block fold into one
+/// table here, once; factors entirely above it become per-block constants;
+/// the rest become one stream each.
+fn prepare_diagonal(
+    factors: &[DiagonalFactor],
+    map: Option<&[Qubit]>,
+    state_qubits: usize,
+) -> PreparedDiagonal {
+    let block_bits = DIAG_BLOCK_BITS.min(state_qubits).max(1);
+    let block = 1usize << block_bits;
+    let mut constant = Vec::new();
+    let mut streams = Vec::new();
+    let mut low_fold: Option<Vec<Complex64>> = None;
     for factor in factors {
-        let mut hi_bits = Vec::new();
-        let mut lo_map: Option<Box<[u32; DIAG_BLOCK]>> = None;
-        for (b, &q) in factor.qubits.iter().enumerate() {
-            let q = map.map_or(q, |m| m[q]);
-            if q < DIAG_BLOCK_BITS {
-                let map = lo_map.get_or_insert_with(|| Box::new([0u32; DIAG_BLOCK]));
-                for (j, slot) in map.iter_mut().enumerate() {
-                    *slot |= (((j >> q) & 1) as u32) << b;
-                }
-            } else {
-                hi_bits.push((q, b));
+        // (translated qubit, factor table bit), ascending by qubit.
+        let mut bits: Vec<(Qubit, usize)> = factor
+            .qubits
+            .iter()
+            .enumerate()
+            .map(|(b, &q)| (map.map_or(q, |m| m[q]), b))
+            .collect();
+        bits.sort_unstable();
+        let split = bits.partition_point(|&(q, _)| q < block_bits);
+        let (low, high) = bits.split_at(split);
+        // The factor's entry for absolute index `i`.
+        let entry = |i: usize| {
+            let sub = bits
+                .iter()
+                .fold(0, |sub, &(q, b)| sub | ((i >> q) & 1) << b);
+            factor.diag[sub]
+        };
+        if high.is_empty() {
+            let fold = low_fold.get_or_insert_with(|| vec![Complex64::ONE; block]);
+            for (j, slot) in fold.iter_mut().enumerate() {
+                *slot *= entry(j);
             }
+            continue;
         }
-        match lo_map {
-            Some(lo_map) => prepared.varying.push(VarFactor {
-                diag: factor.diag.clone(),
-                hi_bits,
-                lo_map,
-            }),
-            None => prepared.constant.push(ConstFactor {
-                diag: factor.diag.clone(),
-                hi_bits,
-            }),
+        // Index of an absolute position in a table ordered by `qs`.
+        let deposit = |i: usize, qs: &[(Qubit, usize)], first: usize| {
+            qs.iter()
+                .enumerate()
+                .fold(0, |e, (n, &(q, _))| e | ((i >> q) & 1) << (first + n))
+        };
+        // Any index with exactly the given table position set.
+        let scatter = |e: usize, qs: &[(Qubit, usize)], first: usize| {
+            qs.iter()
+                .enumerate()
+                .fold(0, |i, (n, &(q, _))| i | ((e >> (first + n)) & 1) << q)
+        };
+        if low.is_empty() {
+            constant.push(BlockFactor {
+                table: (0..1usize << high.len())
+                    .map(|e| entry(scatter(e, high, 0)))
+                    .collect(),
+                hi_bits: high.iter().enumerate().map(|(n, &(q, _))| (q, n)).collect(),
+            });
+            continue;
+        }
+        // Bit 0 of the stream index is qubit 0, or a dummy when the factor
+        // does not touch it.
+        let dummy = (low[0].0 != 0) as usize;
+        let width_bits = low.len() + dummy;
+        streams.push(Stream::new(
+            (0..1usize << (width_bits + high.len()))
+                .map(|e| entry(scatter(e, low, dummy) | scatter(e, high, width_bits)))
+                .collect(),
+            high.iter()
+                .enumerate()
+                .map(|(n, &(q, _))| (q, width_bits + n))
+                .collect(),
+            (0..block / 2)
+                .map(|v| deposit(2 * v, low, dummy) as u8)
+                .collect(),
+        ));
+    }
+    if let Some(table) = low_fold {
+        let lane0 = (0..block / 2).map(|v| (2 * v) as u8).collect();
+        streams.push(Stream::new(table, Vec::new(), lane0));
+    }
+    // Narrowest first: the block phase folds into the first active stream.
+    streams.sort_by_key(|stream| stream.width);
+    let mut passes: Vec<DiagPass> = Vec::new();
+    let mut streams = streams.into_iter().peekable();
+    loop {
+        passes.push(DiagPass {
+            constant: std::mem::take(&mut constant),
+            streams: streams.by_ref().take(MAX_STREAMS).collect(),
+        });
+        if streams.peek().is_none() {
+            break;
         }
     }
-    prepared
+    PreparedDiagonal { block_bits, passes }
 }
 
-/// Apply a run of diagonal factors in one streaming pass: every amplitude is
-/// read and written exactly once, multiplied by the product of its factors.
+/// Apply a run of diagonal factors as streaming passes: every amplitude is
+/// read and written at most once per pass (one pass unless the run has more
+/// than [`MAX_STREAMS`] streams), multiplied by the product of its factors.
 ///
-/// The per-amplitude work is kept minimal by splitting factors per block of
-/// 64 contiguous amplitudes: factors on high qubits collapse to a single
-/// per-block phase, and the remaining factors index their tables through a
-/// precomputed low-bit lookup (no per-amplitude bit scanning).
-fn run_prepared_diagonal(
-    state: &mut StateVector,
-    prepared: &PreparedDiagonal,
-    opts: &ApplyOptions,
-) {
-    run_prepared_diagonal_amps(state.amplitudes_mut(), 0, prepared, opts);
-}
-
-/// Slice form of [`run_prepared_diagonal`], shared with the cache-blocked
-/// tile executor. `amps.len()` must be a multiple of [`DIAG_BLOCK`] and
-/// `offset` (the slice's absolute start index in the full state — tiles pass
-/// their [`TILE`]-aligned base, whole-state callers pass 0) must be
-/// block-aligned, so every block's phase classification sees the same
-/// absolute base as the untiled sweep and results stay bit-identical.
+/// Per block, streams whose sub-table is all ones drop out, the constant
+/// factors' product folds into the narrowest remaining sub-table (a stack
+/// copy of at most [`MAX_FOLD_WIDTH`] entries), and a block left with
+/// nothing but ones is not touched at all — the controlled-phase cascades of
+/// the QFT leave half their blocks alone.
+///
+/// `amps.len()` must be a multiple of the prepared block and `offset` (the
+/// slice's absolute start index in the full state — tiles pass their
+/// [`TILE`]-aligned base, whole-state callers pass 0) must be block-aligned,
+/// so every block's classification sees the same absolute base as the
+/// untiled sweep and results stay bit-identical.
 fn run_prepared_diagonal_amps(
     amps: &mut [Complex64],
     offset: usize,
@@ -516,117 +588,128 @@ fn run_prepared_diagonal_amps(
     opts: &ApplyOptions,
 ) {
     let len = amps.len();
-    debug_assert!(len >= DIAG_BLOCK);
-    debug_assert_eq!(offset % DIAG_BLOCK, 0);
-    let constant = &prepared.constant;
-    let varying = &prepared.varying;
-
-    let blocks = len >> DIAG_BLOCK_BITS;
+    let block = 1usize << prepared.block_bits;
+    assert!(
+        len >= block && offset % block == 0,
+        "diagonal run prepared for a larger state"
+    );
+    let blocks = len >> prepared.block_bits;
+    let simd = opts.use_simd();
     let amps_ptr = SharedAmpsSlice::new(amps);
-    #[cfg(target_arch = "x86_64")]
-    let use_simd = opts.use_simd();
-    let run_chunk = |first: usize, last: usize| {
-        let mut hi_subs = vec![0usize; varying.len()];
-        for block in first..last {
-            let rel = block << DIAG_BLOCK_BITS;
-            let base = offset + rel;
-            let mut block_phase = Complex64::ONE;
-            for factor in constant {
-                block_phase *= factor.diag[hi_sub(&factor.hi_bits, base)];
-            }
-            for (slot, factor) in hi_subs.iter_mut().zip(varying) {
-                *slot = hi_sub(&factor.hi_bits, base);
-            }
-            // SAFETY: blocks are disjoint contiguous ranges.
-            let amps = unsafe { amps_ptr.slice_mut(rel, DIAG_BLOCK) };
-            #[cfg(target_arch = "x86_64")]
-            if use_simd {
-                // SAFETY: dispatch resolution verified AVX2+FMA support.
-                unsafe { run_diag_block_avx2(amps, block_phase, varying, &hi_subs) };
-                continue;
-            }
-            if varying.is_empty() {
-                for amp in amps {
-                    *amp *= block_phase;
-                }
-            } else {
-                for (j, amp) in amps.iter_mut().enumerate() {
-                    let mut phase = block_phase;
-                    for (factor, &hi) in varying.iter().zip(hi_subs.iter()) {
-                        phase *= factor.diag[hi | factor.lo_map[j] as usize];
+    for pass in &prepared.passes {
+        let run_chunk = |first: usize, last: usize| {
+            let mut folded = [Complex64::ZERO; MAX_FOLD_WIDTH];
+            for index in first..last {
+                let rel = index << prepared.block_bits;
+                let base = offset + rel;
+                let mut block_phase = pass.constant.iter().fold(Complex64::ONE, |phase, factor| {
+                    phase * factor.table[hi_sub(&factor.hi_bits, base)]
+                });
+                let mut active =
+                    [(std::ptr::null::<Complex64>(), std::ptr::null::<u8>()); MAX_STREAMS];
+                let mut count = 0;
+                for stream in &pass.streams {
+                    let start = hi_sub(&stream.hi_bits, base);
+                    if stream.identity[start / stream.width] {
+                        continue;
                     }
-                    *amp *= phase;
+                    let sub = &stream.table[start..start + stream.width];
+                    active[count] = (sub.as_ptr(), stream.lane0.as_ptr());
+                    if count == 0 && block_phase != Complex64::ONE && sub.len() <= MAX_FOLD_WIDTH {
+                        for (slot, &entry) in folded.iter_mut().zip(sub) {
+                            *slot = block_phase * entry;
+                        }
+                        active[0].0 = folded.as_ptr();
+                        block_phase = Complex64::ONE;
+                    }
+                    count += 1;
+                }
+                let block_phase = (block_phase != Complex64::ONE).then_some(block_phase);
+                if count == 0 && block_phase.is_none() {
+                    continue;
+                }
+                // SAFETY: blocks are disjoint contiguous ranges; every
+                // stream's `lane0` holds `block / 2` even indices whose pair
+                // lies inside the sub-table beside it (or its same-size
+                // folded copy); `simd` comes from the dispatch resolution.
+                unsafe {
+                    let amps = amps_ptr.slice_mut(rel, block);
+                    diag_block_on(simd, amps, block_phase, &active[..count]);
                 }
             }
+        };
+        if opts.go_parallel(len) {
+            let chunks = blocks.div_ceil(DIAG_BLOCKS_PER_CHUNK);
+            (0..chunks).into_par_iter().for_each(|c| {
+                let first = c * DIAG_BLOCKS_PER_CHUNK;
+                run_chunk(first, (first + DIAG_BLOCKS_PER_CHUNK).min(blocks));
+            });
+        } else {
+            run_chunk(0, blocks);
         }
-    };
-    if opts.parallel && len >= opts.parallel_threshold {
-        let chunks = blocks.div_ceil(DIAG_BLOCKS_PER_CHUNK);
-        (0..chunks).into_par_iter().for_each(|c| {
-            let first = c * DIAG_BLOCKS_PER_CHUNK;
-            run_chunk(first, (first + DIAG_BLOCKS_PER_CHUNK).min(blocks));
-        });
-    } else {
-        run_chunk(0, blocks);
     }
 }
 
-/// AVX2 twin of the per-block diagonal body: two amplitudes per iteration,
-/// phases chained through [`crate::simd::cmul`] in the exact multiply order
-/// of the scalar loop (`phase = phase * factor[...]`, then
-/// `amp = amp * phase`), so results are bit-identical. [`DIAG_BLOCK`] is
-/// even, so there is never a tail.
+/// A stream as one block sees it: its sub-table and its `lane0` indices.
+type ActiveStream = (*const Complex64, *const u8);
+
+/// Pick the lane instantiation of [`diag_block`].
+unsafe fn diag_block_on(
+    simd: bool,
+    amps: &mut [Complex64],
+    block_phase: Option<Complex64>,
+    streams: &[ActiveStream],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        return diag_block_avx2(amps, block_phase, streams);
+    }
+    let _ = simd;
+    diag_block::<Pair>(amps, block_phase, streams)
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn run_diag_block_avx2(
+unsafe fn diag_block_avx2(
     amps: &mut [Complex64],
-    block_phase: Complex64,
-    varying: &[VarFactor],
-    hi_subs: &[usize],
+    block_phase: Option<Complex64>,
+    streams: &[ActiveStream],
 ) {
-    use crate::simd::{broadcast1, cmul, load2};
-    use std::arch::x86_64::*;
-    let vbase = broadcast1(&block_phase);
-    let ptr = amps.as_mut_ptr();
-    let n = amps.len();
-    let mut j = 0usize;
-    while j < n {
-        let mut vphase = vbase;
-        for (factor, &hi) in varying.iter().zip(hi_subs.iter()) {
-            let d = factor.diag.as_ptr();
-            let vd = load2(
-                d.add(hi | factor.lo_map[j] as usize),
-                d.add(hi | factor.lo_map[j + 1] as usize),
-            );
-            vphase = cmul(vphase, vd);
-        }
-        let vamp = _mm256_loadu_pd(ptr.add(j) as *const f64);
-        _mm256_storeu_pd(ptr.add(j) as *mut f64, cmul(vamp, vphase));
-        j += 2;
-    }
+    diag_block::<crate::simd::Avx2>(amps, block_phase, streams)
 }
 
-/// Streaming pass over states too small for the block sweep, with an
-/// optional qubit translation.
-fn apply_diagonal_small(
-    state: &mut StateVector,
-    factors: &[DiagonalFactor],
-    map: Option<&[Qubit]>,
-    opts: &ApplyOptions,
+/// One block of a diagonal pass, two amplitudes per step: the step's phase
+/// is the block phase (when there is one) times each stream's entry pair, in
+/// stream order, and multiplies the amplitudes last — the same
+/// multiplication order under either instantiation.
+///
+/// # Safety
+/// Each stream's `lane0` must hold `amps.len() / 2` indices `e` with `e` and
+/// `e + 1` inside its sub-table, and there must be a block phase or a
+/// stream; AVX2 must be available for that instantiation.
+#[inline(always)]
+unsafe fn diag_block<L: Lanes>(
+    amps: &mut [Complex64],
+    block_phase: Option<Complex64>,
+    streams: &[ActiveStream],
 ) {
-    let _ = opts;
-    let amps = state.amplitudes_mut();
-    for (i, amp) in amps.iter_mut().enumerate() {
-        let mut phase = Complex64::ONE;
-        for factor in factors {
-            let mut sub = 0usize;
-            for (b, &q) in factor.qubits.iter().enumerate() {
-                let q = map.map_or(q, |m| m[q]);
-                sub |= ((i >> q) & 1) << b;
-            }
-            phase *= factor.diag[sub];
+    let entry =
+        |&(table, lane0): &ActiveStream, v: usize| L::load(table.add(*lane0.add(v) as usize));
+    let (first, rest) = match block_phase {
+        Some(_) => (None, streams),
+        None => (streams.first(), &streams[1..]),
+    };
+    let ptr = amps.as_mut_ptr();
+    for v in 0..amps.len() / 2 {
+        let mut phase = match (block_phase, first) {
+            (Some(phase), _) => L::splat(phase),
+            (None, Some(stream)) => entry(stream, v),
+            (None, None) => unreachable!("caller passes a block phase or a stream"),
+        };
+        for stream in rest {
+            phase = phase.cmul(entry(stream, v));
         }
-        *amp *= phase;
+        L::load(ptr.add(2 * v)).cmul(phase).store(ptr.add(2 * v));
     }
 }
 
@@ -808,7 +891,10 @@ impl FusedCircuit {
         fusion_width: usize,
         strategy: FusionStrategy,
     ) -> Self {
-        let prepared = ops.iter().map(prepare_op).collect();
+        let prepared = ops
+            .iter()
+            .map(|op| prepare_op(op, circuit.num_qubits()))
+            .collect();
         Self {
             num_qubits: circuit.num_qubits(),
             ops,
@@ -1012,7 +1098,7 @@ impl FusedCircuit {
         tracing: bool,
     ) {
         let items: Vec<TileOp<'_>> = (first..last)
-            .map(|idx| tile_op(&self.ops[idx], &self.prepared[idx], map))
+            .map(|idx| tile_op(&self.ops[idx], &self.prepared[idx], map, state.num_qubits()))
             .collect();
         let len = state.len();
         let _g = (tracing && sample_sweep(len)).then(|| {
@@ -1104,71 +1190,39 @@ fn op_tileable(op: &FusedOp, map: Option<&[Qubit]>) -> bool {
     }
 }
 
-/// One op of a tiled run, pre-translated and pre-specialised so the per-tile
-/// loop does no allocation or qubit translation.
+/// One op aimed at a concrete state layout: operands translated, prepared
+/// data resolved, so applying it (to the whole state, or to every tile of a
+/// tiled run) does no allocation or qubit translation.
 enum TileOp<'a> {
-    Single {
-        q: Qubit,
-        m: [Complex64; 4],
-    },
-    TwoDense {
-        a: Qubit,
-        b: Qubit,
-        matrix: &'a UnitaryMatrix,
-    },
-    KDense {
-        qubits: Vec<Qubit>,
-        matrix: &'a UnitaryMatrix,
-        sparse: Option<&'a SparseRows>,
+    Dense {
+        qubits: Operands,
+        matrix: &'a DenseMatrix,
     },
     Solo {
-        gate: Gate,
+        kind: &'a hisvsim_circuit::GateKind,
+        qubits: Operands,
         matrix: Option<&'a UnitaryMatrix>,
     },
     Diag(std::borrow::Cow<'a, PreparedDiagonal>),
 }
 
-/// Specialise one fused op for tile-relative execution, mirroring the
-/// dispatch of [`FusedOp::apply_inner`] exactly (same kernels, same qubit
-/// translation) so tiled and untiled orders agree bitwise.
-fn tile_op<'a>(op: &'a FusedOp, prep: &'a PreparedOp, map: Option<&[Qubit]>) -> TileOp<'a> {
-    let translate = |qs: &[Qubit]| -> Vec<Qubit> {
-        match map {
-            Some(map) => qs.iter().map(|&q| map[q]).collect(),
-            None => qs.to_vec(),
-        }
-    };
+/// Resolve one fused op for execution on a state of `state_qubits` qubits
+/// under the optional translation. Whole-state and tiled sweeps both go
+/// through this, which is why they agree bitwise.
+fn tile_op<'a>(
+    op: &'a FusedOp,
+    prep: &'a PreparedOp,
+    map: Option<&[Qubit]>,
+    state_qubits: usize,
+) -> TileOp<'a> {
     match (op, prep) {
-        (FusedOp::Dense(g), PreparedOp::Dense(sparse)) => {
-            let qubits = translate(&g.qubits);
-            if qubits.len() == 1 {
-                let m = &g.matrix;
-                TileOp::Single {
-                    q: qubits[0],
-                    m: [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)],
-                }
-            } else if qubits.len() == 2 {
-                TileOp::TwoDense {
-                    a: qubits[0],
-                    b: qubits[1],
-                    matrix: &g.matrix,
-                }
-            } else {
-                TileOp::KDense {
-                    qubits,
-                    matrix: &g.matrix,
-                    sparse: sparse.as_ref(),
-                }
-            }
-        }
+        (FusedOp::Dense(g), PreparedOp::Dense(matrix)) => TileOp::Dense {
+            qubits: Operands::translate(&g.qubits, map),
+            matrix,
+        },
         (FusedOp::Solo(gate, matrix), _) => TileOp::Solo {
-            gate: match map {
-                None => gate.clone(),
-                Some(_) => Gate {
-                    kind: gate.kind,
-                    qubits: translate(&gate.qubits),
-                },
-            },
+            kind: &gate.kind,
+            qubits: Operands::translate(&gate.qubits, map),
             matrix: matrix.as_ref(),
         },
         (FusedOp::Diagonal { factors, .. }, prep) => match (map, prep) {
@@ -1176,34 +1230,38 @@ fn tile_op<'a>(op: &'a FusedOp, prep: &'a PreparedOp, map: Option<&[Qubit]>) -> 
                 TileOp::Diag(std::borrow::Cow::Borrowed(prepared))
             }
             // The block classification depends on translated positions;
-            // re-derived once per run, shared by every tile.
-            _ => TileOp::Diag(std::borrow::Cow::Owned(prepare_diagonal(factors, map))),
+            // re-derived once per application (once per rank per part —
+            // outside the per-assignment hot loops), shared by every tile.
+            _ => TileOp::Diag(std::borrow::Cow::Owned(prepare_diagonal(
+                factors,
+                map,
+                state_qubits,
+            ))),
         },
         (FusedOp::Dense(_), _) => {
-            unreachable!("FusedCircuit keeps prepared data index-aligned with ops")
+            unreachable!("prepared data is derived from the op it is paired with")
         }
     }
 }
 
 impl TileOp<'_> {
-    /// Apply this op to one tile starting at absolute amplitude index `base`.
-    /// The tile base is [`TILE`]-aligned and every dense qubit is below
+    /// Apply this op to a slice starting at absolute amplitude index `base`:
+    /// the whole state (`base` 0) or one tile. A tile base is
+    /// [`TILE`]-aligned and every dense qubit of a tiled op is below
     /// [`TILE_BITS`], so tile-relative indexing matches absolute indexing
     /// bit-for-bit; diagonal runs additionally receive `base` so factors on
     /// high qubits classify against the same absolute block bases as the
     /// whole-state sweep.
     fn apply(&self, amps: &mut [Complex64], base: usize, opts: &ApplyOptions) {
         match self {
-            TileOp::Single { q, m } => apply_single_amps(amps, *q, m, opts),
-            TileOp::TwoDense { a, b, matrix } => {
-                apply_two_qubit_dense_amps(amps, *a, *b, matrix, opts)
+            TileOp::Dense { qubits, matrix } => {
+                apply_dense_amps(amps, qubits.as_slice(), matrix, opts)
             }
-            TileOp::KDense {
+            TileOp::Solo {
+                kind,
                 qubits,
                 matrix,
-                sparse,
-            } => apply_k_qubit_prepared_amps(amps, qubits, matrix, *sparse, opts),
-            TileOp::Solo { gate, matrix } => apply_gate_with_matrix_amps(amps, gate, *matrix, opts),
+            } => apply_kind_amps(amps, kind, qubits.as_slice(), *matrix, opts),
             TileOp::Diag(prepared) => run_prepared_diagonal_amps(amps, base, prepared, opts),
         }
     }
@@ -1827,31 +1885,210 @@ mod tests {
         }
     }
 
+    fn assert_bitwise(a: &StateVector, b: &StateVector, what: &str) {
+        for (i, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: amplitude {i} differs, {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// A normalised state with no zero amplitude, so no kernel gets away
+    /// with skipping work.
+    fn dense_state(n: usize, seed: u64) -> StateVector {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let amps = (0..1usize << n)
+            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let mut state = StateVector::from_amplitudes(amps);
+        state.normalize();
+        state
+    }
+
     #[test]
     fn tiled_execution_matches_untiled_bitwise() {
         use crate::simd::KernelDispatch;
-        // 15 qubits = 32768 amplitudes > TILE, so apply_with_map takes the
-        // cache-blocked path; the per-op reference below never tiles.
+        // 17 qubits = two tiles, so apply_with_map takes the cache-blocked
+        // path; the per-op reference below never tiles. The hand-built
+        // circuit puts every op class in and around tiled runs: dense groups
+        // and solo permutation / phase / dense gates below, straddling and
+        // above TILE_BITS, and diagonal runs whose factors sit below the
+        // diagonal block, above the tile, and across both boundaries.
+        let n = TILE_BITS + 1;
+        let top = n - 1;
+        let mut mixed = Circuit::new(n);
+        mixed
+            .h(0)
+            .ry(0.3, 1)
+            .cx(0, 1)
+            .ry(0.2, 3)
+            .cx(1, 3)
+            .h(3)
+            .x(0)
+            .cx(5, 0)
+            .cx(2, 14)
+            .swap(0, 9)
+            .ccx(3, 0, 12)
+            .t(4)
+            .cz(0, 15)
+            .cp(0.4, 6, 11)
+            .h(15)
+            .cx(15, top)
+            .h(top)
+            .cp(0.7, 2, top)
+            .cp(0.2, 9, top)
+            .rz(0.9, 0)
+            .rzz(0.3, 7, 15)
+            .cp(0.5, 15, top)
+            .h(7)
+            .swap(3, top)
+            .rx(0.6, 8)
+            .cx(1, 2)
+            .y(1);
         for circuit in [
-            generators::random_circuit(15, 150, 0xA11CE),
-            generators::by_name("qft", 15),
+            generators::random_circuit(n, 170, 0xA11CE),
+            generators::by_name("qft", n),
+            mixed,
         ] {
             for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
                 let fused = FusedCircuit::with_strategy(&circuit, 3, strategy);
-                let opts = ApplyOptions::default();
-                let tiled = fused.run(&opts);
-                let mut untiled = StateVector::zero_state(15);
-                for op in fused.ops() {
-                    op.apply(&mut untiled, &opts);
+                let init = dense_state(n, 0x711E);
+                let what = format!("{} ({strategy})", circuit.name);
+                let mut tiled = init.clone();
+                fused.apply(&mut tiled, &ApplyOptions::default());
+                for opts in [ApplyOptions::default(), ApplyOptions::sequential()] {
+                    let mut untiled = init.clone();
+                    for op in fused.ops() {
+                        op.apply(&mut untiled, &opts);
+                    }
+                    assert_bitwise(&tiled, &untiled, &format!("{what}: tiled vs untiled"));
+                    let mut scalar = init.clone();
+                    fused.apply(&mut scalar, &opts.with_dispatch(KernelDispatch::Scalar));
+                    assert_bitwise(&tiled, &scalar, &format!("{what}: auto vs scalar"));
                 }
-                for (t, u) in tiled.amplitudes().iter().zip(untiled.amplitudes()) {
-                    assert_eq!(t.re.to_bits(), u.re.to_bits());
-                    assert_eq!(t.im.to_bits(), u.im.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_runs_conform_for_every_factor_placement() {
+        use crate::simd::KernelDispatch;
+        // One run per class of factor placement relative to the diagonal
+        // block (DIAG_BLOCK_BITS): all below, all above, across, on qubit 0,
+        // identity on half the blocks (a controlled-phase cascade), more
+        // streams than one pass holds — on states smaller than, equal to and
+        // larger than one block, with and without a qubit translation.
+        let b = DIAG_BLOCK_BITS;
+        let runs: Vec<(&str, usize, Vec<(f64, Vec<Qubit>)>)> = vec![
+            ("one qubit", 1, vec![(0.3, vec![0])]),
+            (
+                "below the block",
+                3,
+                vec![(0.3, vec![0, 2]), (0.5, vec![1]), (0.2, vec![2, 1])],
+            ),
+            (
+                "exactly one block",
+                b,
+                vec![(0.3, vec![0, b - 1]), (0.9, vec![3])],
+            ),
+            (
+                "above the block",
+                b + 3,
+                vec![(0.4, vec![b, b + 2]), (0.1, vec![b + 1])],
+            ),
+            (
+                "across the block",
+                b + 3,
+                vec![
+                    (0.4, vec![0, b]),
+                    (0.8, vec![b - 1, b + 2]),
+                    (0.3, vec![3, 1]),
+                ],
+            ),
+            (
+                "cascade",
+                b + 4,
+                (0..b + 3)
+                    .map(|c| (0.1 + c as f64 * 0.03, vec![c, b + 3]))
+                    .collect(),
+            ),
+            // Two gates fill a factor (a third would make it six qubits), so
+            // this is ten factors, each across the block.
+            (
+                "many streams",
+                b + 6,
+                (0..20)
+                    .map(|i| (0.2 + i as f64 * 0.05, vec![i % b, b + i % 6]))
+                    .collect(),
+            ),
+        ];
+        for (name, n, gates) in runs {
+            let mut circuit = Circuit::new(n);
+            for (angle, qubits) in &gates {
+                match qubits[..] {
+                    [q] => circuit.rz(*angle, q),
+                    [a, c] => circuit.cp(*angle, a, c),
+                    _ => unreachable!(),
+                };
+            }
+            let fused = FusedCircuit::new(&circuit, 3);
+            assert_eq!(fused.num_ops(), 1, "{name}: a diagonal circuit is one run");
+            if let (FusedOp::Diagonal { factors, .. }, "many streams") = (&fused.ops()[0], name) {
+                assert!(prepare_diagonal(factors, None, n).passes.len() > 1);
+            }
+            // Identity map, and a reversal of the register onto a wider one.
+            let wide = n + 2;
+            let reversed: Vec<Qubit> = (0..n).map(|q| wide - 1 - q).collect();
+            for (map, width) in [(None, n), (Some(&reversed), wide)] {
+                let init = dense_state(width, 0xD1A6 + n as u64);
+                let mut target = Circuit::new(width);
+                for gate in circuit.gates() {
+                    let qubits = gate
+                        .qubits
+                        .iter()
+                        .map(|&q| map.map_or(q, |m| m[q]))
+                        .collect();
+                    target.push(Gate::new(gate.kind, qubits));
                 }
-                let scalar = fused.run(&opts.with_dispatch(KernelDispatch::Scalar));
-                for (t, s) in tiled.amplitudes().iter().zip(scalar.amplitudes()) {
-                    assert_eq!(t.re.to_bits(), s.re.to_bits());
-                    assert_eq!(t.im.to_bits(), s.im.to_bits());
+                let mut expected = init.clone();
+                crate::kernels::apply_circuit_with(
+                    &mut expected,
+                    &target,
+                    &ApplyOptions::sequential(),
+                );
+                let mut first: Option<StateVector> = None;
+                for opts in [
+                    ApplyOptions::sequential(),
+                    ApplyOptions {
+                        parallel_threshold: 1,
+                        ..ApplyOptions::default()
+                    },
+                ] {
+                    for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                        let mut got = init.clone();
+                        let opts = opts.with_dispatch(dispatch);
+                        match map {
+                            None => fused.apply(&mut got, &opts),
+                            Some(map) => fused.apply_mapped(&mut got, map, &opts),
+                        }
+                        let what = format!(
+                            "{name} (mapped={}, parallel={}, {dispatch})",
+                            map.is_some(),
+                            opts.parallel
+                        );
+                        assert!(
+                            got.approx_eq(&expected, 1e-12),
+                            "{what}: max diff {}",
+                            got.max_abs_diff(&expected)
+                        );
+                        match &first {
+                            None => first = Some(got),
+                            Some(first) => assert_bitwise(first, &got, &what),
+                        }
+                    }
                 }
             }
         }

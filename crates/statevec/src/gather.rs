@@ -10,10 +10,17 @@
 //! and the results are scattered back to the same outer positions.
 
 use crate::state::StateVector;
-use hisvsim_circuit::Qubit;
+use hisvsim_circuit::{Complex64, Qubit};
 
 /// Precomputed index arithmetic for moving amplitudes between an outer state
 /// of `n` qubits and an inner state over the working-set qubits `S`.
+///
+/// Amplitudes move in contiguous runs: when the first `r` inner qubits are
+/// the outer qubits `0..r` in order (the usual case — working sets are
+/// sorted, so `r` is the lowest free qubit), inner indices that differ only
+/// in their low `r` bits are adjacent in both vectors and one `memcpy` of
+/// `2^r` amplitudes moves them. The map therefore stores `O(w)` words, not a
+/// `2^w`-entry offset table.
 #[derive(Debug, Clone)]
 pub struct GatherMap {
     outer_qubits: usize,
@@ -21,9 +28,12 @@ pub struct GatherMap {
     part_qubits: Vec<Qubit>,
     /// Outer qubit indices not in the part, ascending.
     free_qubits: Vec<Qubit>,
-    /// Outer-index offset contributed by each inner index (dense table of
-    /// size `2^w`, built incrementally).
-    inner_offsets: Vec<usize>,
+    /// `r`: inner qubit `j` is outer qubit `j` for every `j < run_bits`.
+    run_bits: usize,
+    /// `run_steps[t]`: how far the outer offset moves from run `c` to run
+    /// `c + 1` when `c` ends in exactly `t` one bits (bit `t` of the run
+    /// counter sets, the `t` below it clear), as a wrapping difference.
+    run_steps: Vec<usize>,
 }
 
 impl GatherMap {
@@ -49,19 +59,27 @@ impl GatherMap {
         }
         let free_qubits: Vec<Qubit> = (0..outer_qubits).filter(|&q| !seen[q]).collect();
 
-        // inner_offsets[j] = Σ_{bit b set in j} 2^{part_qubits[b]}
-        let w = part_qubits.len();
-        let mut inner_offsets = vec![0usize; 1 << w];
-        for j in 1..(1usize << w) {
-            let low_bit = j.trailing_zeros() as usize;
-            inner_offsets[j] = inner_offsets[j & (j - 1)] + (1usize << part_qubits[low_bit]);
+        let run_bits = part_qubits
+            .iter()
+            .enumerate()
+            .take_while(|&(j, &q)| j == q)
+            .count();
+        let upper = &part_qubits[run_bits..];
+        let mut below = 0usize;
+        let mut run_steps = Vec::with_capacity(upper.len() + 1);
+        for &q in upper {
+            run_steps.push((1usize << q).wrapping_sub(below));
+            below += 1usize << q;
         }
+        // After the last run there is nowhere to go.
+        run_steps.push(0);
 
         Self {
             outer_qubits,
             part_qubits: part_qubits.to_vec(),
             free_qubits,
-            inner_offsets,
+            run_bits,
+            run_steps,
         }
     }
 
@@ -109,20 +127,34 @@ impl GatherMap {
     /// free-qubit assignment.
     #[inline]
     pub fn outer_index(&self, assignment: usize, inner: usize) -> usize {
-        self.base_index(assignment) + self.inner_offsets[inner]
+        let mut index = self.base_index(assignment);
+        let mut bits = inner;
+        while bits != 0 {
+            let j = bits.trailing_zeros() as usize;
+            index |= 1usize << self.part_qubits[j];
+            bits &= bits - 1;
+        }
+        index
+    }
+
+    /// `(inner offset, outer offset)` of every contiguous run of one
+    /// assignment, in inner order; each run is `1 << run_bits` amplitudes.
+    #[inline]
+    fn runs(&self, assignment: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let run = 1usize << self.run_bits;
+        let mut outer = self.base_index(assignment);
+        (0..1usize << (self.inner_qubits() - self.run_bits)).map(move |c| {
+            let at = outer;
+            outer = outer.wrapping_add(self.run_steps[c.trailing_ones() as usize]);
+            (c * run, at)
+        })
     }
 
     /// Gather the amplitudes for one free-qubit assignment into a fresh inner
     /// state vector (paper Algorithm 1, the *Gather* loop).
     pub fn gather(&self, outer: &StateVector, assignment: usize) -> StateVector {
-        assert_eq!(outer.num_qubits(), self.outer_qubits);
-        let base = self.base_index(assignment);
         let mut inner = StateVector::uninitialized(self.inner_qubits());
-        let outer_amps = outer.amplitudes();
-        let inner_amps = inner.amplitudes_mut();
-        for (j, slot) in inner_amps.iter_mut().enumerate() {
-            *slot = outer_amps[base + self.inner_offsets[j]];
-        }
+        self.gather_into(outer, assignment, &mut inner);
         inner
     }
 
@@ -130,25 +162,63 @@ impl GatherMap {
     /// assignment in the hot loop).
     pub fn gather_into(&self, outer: &StateVector, assignment: usize, inner: &mut StateVector) {
         assert_eq!(outer.num_qubits(), self.outer_qubits);
-        assert_eq!(inner.num_qubits(), self.inner_qubits());
-        let base = self.base_index(assignment);
-        let outer_amps = outer.amplitudes();
-        let inner_amps = inner.amplitudes_mut();
-        for (j, slot) in inner_amps.iter_mut().enumerate() {
-            *slot = outer_amps[base + self.inner_offsets[j]];
-        }
+        // SAFETY: `outer` is a live state of the width this map was built
+        // for, and a shared borrow of it suffices for reading.
+        unsafe { self.gather_raw(outer.amplitudes().as_ptr(), assignment, inner) }
     }
 
     /// Scatter an inner state vector back into the outer state (the *Scatter*
     /// loop of Algorithm 1).
     pub fn scatter(&self, inner: &StateVector, outer: &mut StateVector, assignment: usize) {
         assert_eq!(outer.num_qubits(), self.outer_qubits);
+        // SAFETY: `outer` is exclusively borrowed and of the width this map
+        // was built for.
+        unsafe { self.scatter_raw(inner, outer.amplitudes_mut().as_mut_ptr(), assignment) }
+    }
+
+    /// [`gather_into`](Self::gather_into) from a raw outer buffer, for sweeps
+    /// that share the outer vector between threads (each thread owning its
+    /// own assignments).
+    ///
+    /// # Safety
+    /// `outer` must point at `2^outer_qubits` initialised amplitudes, and no
+    /// other thread may be writing the indices of `assignment` (the index
+    /// sets of distinct assignments are disjoint).
+    pub unsafe fn gather_raw(
+        &self,
+        outer: *const Complex64,
+        assignment: usize,
+        inner: &mut StateVector,
+    ) {
         assert_eq!(inner.num_qubits(), self.inner_qubits());
-        let base = self.base_index(assignment);
-        let inner_amps = inner.amplitudes();
-        let outer_amps = outer.amplitudes_mut();
-        for (j, &amp) in inner_amps.iter().enumerate() {
-            outer_amps[base + self.inner_offsets[j]] = amp;
+        assert!(assignment < 1usize << self.free_qubits.len());
+        let run = 1usize << self.run_bits;
+        let inner = inner.amplitudes_mut();
+        for (at, from) in self.runs(assignment) {
+            let src = std::slice::from_raw_parts(outer.add(from), run);
+            inner[at..at + run].copy_from_slice(src);
+        }
+    }
+
+    /// [`scatter`](Self::scatter) into a raw outer buffer; see
+    /// [`gather_raw`](Self::gather_raw).
+    ///
+    /// # Safety
+    /// `outer` must point at `2^outer_qubits` amplitudes, and no other thread
+    /// may be accessing the indices of `assignment`.
+    pub unsafe fn scatter_raw(
+        &self,
+        inner: &StateVector,
+        outer: *mut Complex64,
+        assignment: usize,
+    ) {
+        assert_eq!(inner.num_qubits(), self.inner_qubits());
+        assert!(assignment < 1usize << self.free_qubits.len());
+        let run = 1usize << self.run_bits;
+        let inner = inner.amplitudes();
+        for (at, to) in self.runs(assignment) {
+            let dst = std::slice::from_raw_parts_mut(outer.add(to), run);
+            dst.copy_from_slice(&inner[at..at + run]);
         }
     }
 
@@ -167,7 +237,7 @@ impl GatherMap {
 mod tests {
     use super::*;
     use crate::kernels::{apply_circuit_with, run_circuit, ApplyOptions};
-    use hisvsim_circuit::{generators, Circuit, Complex64};
+    use hisvsim_circuit::{generators, Circuit};
 
     #[test]
     fn gather_map_basic_indexing() {

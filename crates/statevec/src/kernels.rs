@@ -3,15 +3,20 @@
 //! The paper's Sec. III-A analysis: applying a gate is a sweep of "scoped"
 //! small matrix–vector products over the state vector, with an operational
 //! intensity of 7/16 FLOP/byte — firmly memory bound. The kernels here are
-//! therefore organised around access pattern, not arithmetic:
+//! therefore organised around access pattern, and there is one algorithm per
+//! op class:
 //!
-//! * single-qubit gates use a contiguous two-half block sweep (the pattern of
-//!   Fig. 1), parallelised over blocks with rayon;
-//! * diagonal gates use a pure streaming elementwise pass;
-//! * controlled gates only touch the half of the state where the control bit
-//!   is set;
-//! * arbitrary k-qubit gates fall back to a gather/apply/scatter of 2^k
-//!   amplitudes per index group, parallelised over groups.
+//! * **dense** gates on `k ≤ 5` qubits (optionally controlled) run the
+//!   register-blocked kernel family [`dense_range`]: two index groups per
+//!   work item, column-outer / row-inner accumulation, zero entries skipped;
+//! * **permutation** gates (X, CX, CCX, SWAP, CSWAP) move contiguous runs of
+//!   amplitudes and touch only the half or quarter that changes
+//!   ([`swap_patterns`]);
+//! * **phase** gates (Z, S, T, Rz, CZ, CP, CRz, Rzz, …) multiply only the
+//!   amplitudes whose table entry is not exactly one, in contiguous runs
+//!   ([`scale_by_table`]);
+//! * gates wider than [`MAX_STACK_KERNEL_QUBITS`] fall back to a heap-scratch
+//!   gather/apply/scatter loop.
 //!
 //! All parallel paths partition the amplitude indices into disjoint groups, so
 //! they are data-race free by construction.
@@ -19,15 +24,17 @@
 //! Every kernel exists in two layers: a public `StateVector` entry point and
 //! a `pub(crate)` `*_amps` core over a raw amplitude slice. The slice cores
 //! are what the fused executor's cache-blocked sweep calls per tile (gate
-//! qubits reinterpreted relative to the tile), and they are also where the
-//! SIMD dispatch lives: when [`ApplyOptions::dispatch`] resolves to AVX2 the
-//! hot loops run the vector twins in [`crate::simd`], which replay the
-//! scalar op sequence bit-for-bit.
+//! qubits reinterpreted relative to the tile). The arithmetic kernels are
+//! written once, generic over [`Lanes`], and instantiated for plain
+//! `Complex64` pairs and for AVX2 registers; [`ApplyOptions::dispatch`]
+//! picks the instantiation and both produce the same bits.
 
-use crate::simd::KernelDispatch;
+use crate::simd::{KernelDispatch, Lanes, Pair};
 use crate::state::StateVector;
 use hisvsim_circuit::{Complex64, Gate, GateKind, Qubit, UnitaryMatrix};
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
+use std::ops::Range;
 
 /// Controls how kernels execute.
 #[derive(Debug, Clone, Copy)]
@@ -70,12 +77,11 @@ impl ApplyOptions {
     }
 
     #[inline]
-    fn go_parallel(&self, len: usize) -> bool {
+    pub(crate) fn go_parallel(&self, len: usize) -> bool {
         self.parallel && len >= self.parallel_threshold
     }
 
     /// Whether this application runs the AVX2 kernels.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline]
     pub(crate) fn use_simd(&self) -> bool {
         self.dispatch.use_simd()
@@ -93,9 +99,10 @@ pub fn apply_gate_with(state: &mut StateVector, gate: &Gate, opts: &ApplyOptions
 }
 
 /// True when [`apply_gate_with`]'s dispatch consumes the gate's dense matrix
-/// (as opposed to a matrix-free fast path like X/CX/CZ/SWAP). Callers that
-/// apply the same gate many times (e.g. once per virtual rank) use this to
-/// decide whether precomputing the matrix is worthwhile.
+/// (as opposed to a matrix-free permutation path like X/CX/CCX/SWAP/CSWAP or
+/// CZ's fixed phase table). Callers that apply the same gate many times (e.g.
+/// once per virtual rank) use this to decide whether precomputing the matrix
+/// is worthwhile.
 pub fn uses_dense_matrix(gate: &Gate) -> bool {
     !matches!(
         (&gate.kind, gate.qubits.len()),
@@ -104,6 +111,8 @@ pub fn uses_dense_matrix(gate: &Gate) -> bool {
             | (GateKind::Cx, 2)
             | (GateKind::Cz, 2)
             | (GateKind::Swap, 2)
+            | (GateKind::Ccx, 3)
+            | (GateKind::Cswap, 3)
     )
 }
 
@@ -122,71 +131,80 @@ pub fn apply_gate_with_matrix(
     for &q in &gate.qubits {
         assert!(q < n, "gate touches qubit {q} but the state has {n} qubits");
     }
-    apply_gate_with_matrix_amps(state.amplitudes_mut(), gate, matrix, opts);
+    apply_kind_amps(
+        state.amplitudes_mut(),
+        &gate.kind,
+        &gate.qubits,
+        matrix,
+        opts,
+    );
 }
 
 /// [`apply_gate_with_matrix`] over a raw amplitude slice — a whole state or
-/// an aligned power-of-two tile of one, with gate qubit indices interpreted
-/// relative to the slice. The fused executor's cache-blocked sweep relies on
-/// this to run whole op-runs tile-by-tile.
-pub(crate) fn apply_gate_with_matrix_amps(
+/// an aligned power-of-two tile of one, with the operand qubits interpreted
+/// relative to the slice (and passed separately from the kind, so a
+/// translated application needs no `Gate` of its own). The fused executor's
+/// cache-blocked sweep relies on this to run whole op-runs tile-by-tile.
+pub(crate) fn apply_kind_amps(
     amps: &mut [Complex64],
-    gate: &Gate,
+    kind: &GateKind,
+    qubits: &[Qubit],
     matrix: Option<&UnitaryMatrix>,
     opts: &ApplyOptions,
 ) {
-    debug_assert!(gate.qubits.iter().all(|&q| 1usize << (q + 1) <= amps.len()));
-    // Resolve the dense matrix once up front when this gate's dispatch arm
-    // consumes one; matrix-free fast paths skip the computation entirely.
-    let computed;
-    let m: Option<&UnitaryMatrix> = if uses_dense_matrix(gate) {
-        Some(match matrix {
-            Some(m) => m,
-            None => {
-                computed = gate.kind.matrix();
-                &computed
-            }
-        })
-    } else {
-        None
-    };
-    match (&gate.kind, gate.qubits.as_slice()) {
-        (GateKind::I, _) => {}
-        // Dedicated fast paths for the most common structures.
-        (GateKind::X, &[q]) => apply_x_amps(amps, q, opts),
-        (GateKind::Cx, &[c, t]) => apply_cx_amps(amps, c, t, opts),
-        (GateKind::Cz, &[c, t]) => apply_cz_amps(amps, c, t, opts),
-        (GateKind::Swap, &[a, b]) => apply_swap_amps(amps, a, b, opts),
-        (kind, &[q]) if kind.is_diagonal() => {
-            let m = m.expect("diagonal gate uses a matrix");
-            apply_diagonal_single_amps(amps, q, m.get(0, 0), m.get(1, 1), opts);
+    debug_assert!(qubits.iter().all(|&q| 1usize << (q + 1) <= amps.len()));
+    match (kind, qubits) {
+        (GateKind::I, _) => return,
+        // Permutations move amplitudes and never need a matrix.
+        (GateKind::X, &[q]) => return apply_x_amps(amps, q, opts),
+        (GateKind::Cx, &[c, t]) => return apply_cx_amps(amps, c, t, opts),
+        (GateKind::Swap, &[a, b]) => return apply_swap_amps(amps, a, b, opts),
+        (GateKind::Ccx, &[c0, c1, t]) => {
+            let controls = (1usize << c0) | (1usize << c1);
+            return swap_patterns(amps, qubits, controls, controls | (1usize << t), opts);
         }
-        (_, &[q]) => {
-            let m = m.expect("dense single-qubit gate uses a matrix");
+        (GateKind::Cswap, &[c, a, b]) => {
+            let control = 1usize << c;
+            return swap_patterns(
+                amps,
+                qubits,
+                control | (1usize << a),
+                control | (1usize << b),
+                opts,
+            );
+        }
+        (GateKind::Cz, &[a, b]) => return apply_cz_amps(amps, a, b, opts),
+        _ => {}
+    }
+    // Every remaining arm consumes the dense matrix.
+    let computed;
+    let m = match matrix {
+        Some(m) => m,
+        None => {
+            computed = kind.matrix();
+            &computed
+        }
+    };
+    match qubits {
+        &[q] if kind.is_diagonal() => {
+            apply_diagonal_single_amps(amps, q, m.get(0, 0), m.get(1, 1), opts)
+        }
+        &[q] => {
             let mat = [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)];
             apply_single_amps(amps, q, &mat, opts);
         }
-        (kind, &[c, t]) if kind.num_controls() == 1 => {
-            // Controlled single-qubit gate: apply the 2x2 block on the target
-            // restricted to the control=1 half.
-            let m = m.expect("controlled gate uses a matrix");
-            let mat = [m.get(1, 1), m.get(1, 3), m.get(3, 1), m.get(3, 3)];
-            apply_controlled_single_amps(amps, c, t, &mat, opts);
-        }
-        (kind, &[a, b]) if kind.is_diagonal() => {
-            let m = m.expect("diagonal two-qubit gate uses a matrix");
+        &[a, b] if kind.is_diagonal() => {
             let diag = [m.get(0, 0), m.get(1, 1), m.get(2, 2), m.get(3, 3)];
             apply_diagonal_two_amps(amps, a, b, &diag, opts);
         }
-        (_, &[a, b]) => {
-            let m = m.expect("dense two-qubit gate uses a matrix");
-            apply_two_qubit_dense_amps(amps, a, b, m, opts);
+        &[c, t] if kind.num_controls() == 1 => {
+            // Controlled single-qubit gate: the 2x2 block on the target,
+            // restricted to the control=1 half.
+            let mat = [m.get(1, 1), m.get(1, 3), m.get(3, 1), m.get(3, 3)];
+            apply_controlled_single_amps(amps, c, t, &mat, opts);
         }
-        _ => {
-            let m = m.expect("generic k-qubit gate uses a matrix");
-            let sparse = SparseRows::build(m);
-            apply_k_qubit_prepared_amps(amps, &gate.qubits, m, sparse.as_ref(), opts);
-        }
+        &[a, b] => apply_two_qubit_dense_amps(amps, a, b, m, opts),
+        _ => apply_dense_amps(amps, qubits, &DenseMatrix::new(m), opts),
     }
 }
 
@@ -228,7 +246,7 @@ pub fn run_circuit_with(circuit: &hisvsim_circuit::Circuit, opts: &ApplyOptions)
 }
 
 // ---------------------------------------------------------------------------
-// single-qubit kernels
+// dense entry points
 // ---------------------------------------------------------------------------
 
 /// Apply a dense 2×2 matrix `[m00, m01, m10, m11]` on qubit `q`.
@@ -242,144 +260,9 @@ pub(crate) fn apply_single_amps(
     m: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if opts.use_simd() {
-        apply_single_avx2(amps, q, m, opts);
-        return;
-    }
-    let len = amps.len();
-    let half = 1usize << q;
-    let block = half << 1;
-    let m = *m;
-    let work = move |chunk: &mut [Complex64]| {
-        let (lo, hi) = chunk.split_at_mut(half);
-        for j in 0..half {
-            let a = lo[j];
-            let b = hi[j];
-            lo[j] = Complex64::ZERO.mul_add(m[0], a).mul_add(m[1], b);
-            hi[j] = Complex64::ZERO.mul_add(m[2], a).mul_add(m[3], b);
-        }
-    };
-    if opts.go_parallel(len) && len / block >= 2 {
-        amps.par_chunks_mut(block).for_each(work);
-    } else if opts.go_parallel(len) {
-        // The gate acts on one of the top qubits: only one block exists, so
-        // parallelise the inner loop instead.
-        let (lo, hi) = amps.split_at_mut(half);
-        lo.par_iter_mut().zip(hi.par_iter_mut()).for_each(|(a, b)| {
-            let x = *a;
-            let y = *b;
-            *a = Complex64::ZERO.mul_add(m[0], x).mul_add(m[1], y);
-            *b = Complex64::ZERO.mul_add(m[2], x).mul_add(m[3], y);
-        });
-    } else {
-        amps.chunks_mut(block).for_each(work);
-    }
+    let small = SmallDense::<4, 2>::new(m);
+    dense_sweep(amps, &[q], None, small.view(), opts);
 }
-
-/// AVX2 path of [`apply_single_amps`]: the same block decomposition, with the
-/// inner pair loop vectorised (two amplitude pairs per iteration).
-#[cfg(target_arch = "x86_64")]
-fn apply_single_avx2(amps: &mut [Complex64], q: Qubit, m: &[Complex64; 4], opts: &ApplyOptions) {
-    let len = amps.len();
-    let half = 1usize << q;
-    let block = half << 1;
-    // Sub-chunk size for splitting a single large block across threads; any
-    // even divisor works, bit-identity is per amplitude pair.
-    const SUB: usize = 1 << 12;
-    if q == 0 {
-        // SAFETY (all arms): dispatch verified AVX2+FMA; power-of-two slice
-        // lengths keep every chunk even.
-        if opts.go_parallel(len) && len > SUB {
-            amps.par_chunks_mut(SUB)
-                .for_each(|c| unsafe { crate::simd::apply_single_q0(c, m) });
-        } else {
-            unsafe { crate::simd::apply_single_q0(amps, m) };
-        }
-        return;
-    }
-    if opts.go_parallel(len) && len / block >= 2 {
-        amps.par_chunks_mut(block).for_each(|chunk| {
-            let (lo, hi) = chunk.split_at_mut(half);
-            unsafe { crate::simd::apply_single_pairs(lo, hi, m) };
-        });
-    } else if opts.go_parallel(len) {
-        let (lo, hi) = amps.split_at_mut(half);
-        let lo_ptr = SharedAmps::new(lo);
-        let hi_ptr = SharedAmps::new(hi);
-        let nsub = half.div_ceil(SUB);
-        (0..nsub).into_par_iter().for_each(|s| {
-            let start = s * SUB;
-            let n = SUB.min(half - start);
-            // SAFETY: sub-ranges are disjoint per index; dispatch verified
-            // AVX2+FMA; power-of-two half keeps every sub-range even.
-            unsafe {
-                let l = std::slice::from_raw_parts_mut(lo_ptr.as_ptr().add(start), n);
-                let h = std::slice::from_raw_parts_mut(hi_ptr.as_ptr().add(start), n);
-                crate::simd::apply_single_pairs(l, h, m);
-            }
-        });
-    } else {
-        for chunk in amps.chunks_mut(block) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            unsafe { crate::simd::apply_single_pairs(lo, hi, m) };
-        }
-    }
-}
-
-/// Apply a diagonal single-qubit gate `diag(d0, d1)` on qubit `q`.
-pub fn apply_diagonal_single(
-    state: &mut StateVector,
-    q: Qubit,
-    d0: Complex64,
-    d1: Complex64,
-    opts: &ApplyOptions,
-) {
-    apply_diagonal_single_amps(state.amplitudes_mut(), q, d0, d1, opts);
-}
-
-pub(crate) fn apply_diagonal_single_amps(
-    amps: &mut [Complex64],
-    q: Qubit,
-    d0: Complex64,
-    d1: Complex64,
-    opts: &ApplyOptions,
-) {
-    let len = amps.len();
-    let mask = 1usize << q;
-    let update = move |(i, a): (usize, &mut Complex64)| {
-        *a *= if i & mask == 0 { d0 } else { d1 };
-    };
-    if opts.go_parallel(len) {
-        amps.par_iter_mut().enumerate().for_each(update);
-    } else {
-        amps.iter_mut().enumerate().for_each(update);
-    }
-}
-
-/// Apply a Pauli-X on qubit `q` (pure swap of the two halves of every block).
-pub fn apply_x(state: &mut StateVector, q: Qubit, opts: &ApplyOptions) {
-    apply_x_amps(state.amplitudes_mut(), q, opts);
-}
-
-pub(crate) fn apply_x_amps(amps: &mut [Complex64], q: Qubit, opts: &ApplyOptions) {
-    let len = amps.len();
-    let half = 1usize << q;
-    let block = half << 1;
-    let work = move |chunk: &mut [Complex64]| {
-        let (lo, hi) = chunk.split_at_mut(half);
-        lo.swap_with_slice(hi);
-    };
-    if opts.go_parallel(len) && len / block >= 2 {
-        amps.par_chunks_mut(block).for_each(work);
-    } else {
-        amps.chunks_mut(block).for_each(work);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// controlled / two-qubit kernels
-// ---------------------------------------------------------------------------
 
 /// Apply a 2×2 matrix on `target`, conditioned on `control` being 1.
 pub fn apply_controlled_single(
@@ -399,106 +282,14 @@ pub(crate) fn apply_controlled_single_amps(
     m: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
-    let len = amps.len();
-    let cmask = 1usize << control;
-    let tmask = 1usize << target;
-    let m = *m;
-    let amps_ptr = SharedAmps::new(amps);
-    let groups = len >> 2;
-    let (qa, qb) = (control.min(target), control.max(target));
-    let apply_group = move |k: usize| {
-        // Spread the group index over all non-gate bit positions.
-        let i_base = spread2(k, qa, qb);
-        let i = i_base | cmask; // control bit set, target bit 0
-        let j = i | tmask;
-        // SAFETY: every (i, j) pair is unique across k values because the
-        // gate-qubit bits are fixed and the remaining bits enumerate k.
-        unsafe {
-            let a = amps_ptr.read(i);
-            let b = amps_ptr.read(j);
-            amps_ptr.write(i, Complex64::ZERO.mul_add(m[0], a).mul_add(m[1], b));
-            amps_ptr.write(j, Complex64::ZERO.mul_add(m[2], a).mul_add(m[3], b));
-        }
-    };
-    if opts.go_parallel(len) {
-        (0..groups).into_par_iter().for_each(apply_group);
-    } else {
-        (0..groups).for_each(apply_group);
-    }
-}
-
-/// Apply a CNOT (control, target).
-pub fn apply_cx(state: &mut StateVector, control: Qubit, target: Qubit, opts: &ApplyOptions) {
-    apply_cx_amps(state.amplitudes_mut(), control, target, opts);
-}
-
-pub(crate) fn apply_cx_amps(
-    amps: &mut [Complex64],
-    control: Qubit,
-    target: Qubit,
-    opts: &ApplyOptions,
-) {
-    let x = GateKind::X.matrix();
-    let m = [x.get(0, 0), x.get(0, 1), x.get(1, 0), x.get(1, 1)];
-    apply_controlled_single_amps(amps, control, target, &m, opts);
-}
-
-/// Apply a CZ (symmetric): flip the sign of amplitudes where both bits are 1.
-pub fn apply_cz(state: &mut StateVector, a: Qubit, b: Qubit, opts: &ApplyOptions) {
-    apply_cz_amps(state.amplitudes_mut(), a, b, opts);
-}
-
-pub(crate) fn apply_cz_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &ApplyOptions) {
-    let len = amps.len();
-    let mask = (1usize << a) | (1usize << b);
-    let update = move |(i, amp): (usize, &mut Complex64)| {
-        if i & mask == mask {
-            *amp = -*amp;
-        }
-    };
-    if opts.go_parallel(len) {
-        amps.par_iter_mut().enumerate().for_each(update);
-    } else {
-        amps.iter_mut().enumerate().for_each(update);
-    }
-}
-
-/// Apply a SWAP between qubits `a` and `b`.
-pub fn apply_swap(state: &mut StateVector, a: Qubit, b: Qubit, opts: &ApplyOptions) {
-    apply_swap_amps(state.amplitudes_mut(), a, b, opts);
-}
-
-pub(crate) fn apply_swap_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &ApplyOptions) {
-    let len = amps.len();
-    let amask = 1usize << a;
-    let bmask = 1usize << b;
-    let amps_ptr = SharedAmps::new(amps);
-    let groups = len >> 2;
-    let (qa, qb) = (a.min(b), a.max(b));
-    let apply_group = move |k: usize| {
-        let base = spread2(k, qa, qb);
-        let i = base | amask; // a=1, b=0
-        let j = base | bmask; // a=0, b=1
-                              // SAFETY: disjoint index groups (see apply_controlled_single).
-        unsafe {
-            let x = amps_ptr.read(i);
-            let y = amps_ptr.read(j);
-            amps_ptr.write(i, y);
-            amps_ptr.write(j, x);
-        }
-    };
-    if opts.go_parallel(len) {
-        (0..groups).into_par_iter().for_each(apply_group);
-    } else {
-        (0..groups).for_each(apply_group);
-    }
+    assert_ne!(control, target, "control and target must be distinct");
+    let small = SmallDense::<4, 2>::new(m);
+    dense_sweep(amps, &[target], Some(control), small.view(), opts);
 }
 
 /// Apply a dense 4×4 unitary on qubits `(a, b)` where operand `a` is matrix
 /// bit 0 and operand `b` is matrix bit 1 (the [`GateKind::matrix`]
-/// convention). Indexes with [`spread2`] — the same closed-form bit spread
-/// the swap/controlled kernels use — instead of the generic gather/scatter,
-/// and keeps the 4-amplitude group on the stack.
+/// convention).
 pub fn apply_two_qubit_dense(
     state: &mut StateVector,
     a: Qubit,
@@ -518,56 +309,690 @@ pub(crate) fn apply_two_qubit_dense_amps(
 ) {
     assert_eq!(matrix.dim(), 4, "two-qubit kernel needs a 4x4 matrix");
     assert_ne!(a, b, "two-qubit gate operands must be distinct");
-    let len = amps.len();
-    let amask = 1usize << a;
-    let bmask = 1usize << b;
-    let amps_ptr = SharedAmps::new(amps);
-    let groups = len >> 2;
-    let (qa, qb) = (a.min(b), a.max(b));
-    #[cfg(target_arch = "x86_64")]
-    if opts.use_simd() {
-        // SAFETY: dispatch verified AVX2+FMA; group index sets are disjoint.
-        let tm = unsafe { crate::simd::TwoQubitMat::new(matrix) };
-        let apply_group = move |k: usize| {
-            let base = spread2(k, qa, qb);
-            let idx = [base, base | amask, base | bmask, base | amask | bmask];
-            unsafe { tm.apply_group(amps_ptr.as_ptr(), &idx) };
-        };
-        if opts.go_parallel(len) {
-            (0..groups).into_par_iter().for_each(apply_group);
-        } else {
-            (0..groups).for_each(apply_group);
-        }
-        return;
+    let small = SmallDense::<16, 4>::new(matrix.as_slice());
+    dense_sweep(amps, &[a, b], None, small.view(), opts);
+}
+
+/// Apply an arbitrary `k`-qubit unitary to the given (distinct) qubits.
+///
+/// Operand `qubits[j]` corresponds to bit `j` of the matrix index, matching
+/// [`GateKind::matrix`]'s convention. This convenience entry prepares the
+/// matrix (one small allocation) on every call; the fused executor prepares
+/// each op's matrix once at build time instead.
+pub fn apply_k_qubit(
+    state: &mut StateVector,
+    qubits: &[Qubit],
+    matrix: &UnitaryMatrix,
+    opts: &ApplyOptions,
+) {
+    assert_eq!(matrix.dim(), 1 << qubits.len(), "matrix dimension mismatch");
+    apply_dense_amps(
+        state.amplitudes_mut(),
+        qubits,
+        &DenseMatrix::new(matrix),
+        opts,
+    );
+}
+
+/// Apply a prepared dense matrix to `qubits` of an amplitude slice: the
+/// register-blocked family for `k ≤ 5`, the heap fallback above that.
+pub(crate) fn apply_dense_amps(
+    amps: &mut [Complex64],
+    qubits: &[Qubit],
+    matrix: &DenseMatrix,
+    opts: &ApplyOptions,
+) {
+    let k = qubits.len();
+    assert_eq!(matrix.k, k, "matrix dimension mismatch");
+    assert!(amps.len() >= 1 << k, "state too small for a {k}-qubit gate");
+    if k <= MAX_STACK_KERNEL_QUBITS {
+        dense_sweep(amps, qubits, None, matrix.view(), opts);
+    } else {
+        apply_k_qubit_heap(amps, qubits, &matrix.cols, opts);
     }
-    let mut m = [Complex64::ZERO; 16];
-    m.copy_from_slice(matrix.as_slice());
-    let apply_group = move |k: usize| {
-        let base = spread2(k, qa, qb);
-        // Sub-index `sub` has bit 0 = qubit `a`, bit 1 = qubit `b`.
-        let idx = [base, base | amask, base | bmask, base | amask | bmask];
-        // SAFETY: disjoint index groups (see apply_controlled_single).
-        unsafe {
-            let local = [
-                amps_ptr.read(idx[0]),
-                amps_ptr.read(idx[1]),
-                amps_ptr.read(idx[2]),
-                amps_ptr.read(idx[3]),
-            ];
-            for row in 0..4 {
-                let mut acc = Complex64::ZERO;
-                for (col, &amp) in local.iter().enumerate() {
-                    acc = acc.mul_add(m[row * 4 + col], amp);
+}
+
+// ---------------------------------------------------------------------------
+// the dense kernel family
+// ---------------------------------------------------------------------------
+
+/// Widest gate the register-blocked kernel handles without heap allocation.
+/// Fused groups are kept at or below this width, so the fused execution
+/// pipeline never allocates inside the sweep.
+pub const MAX_STACK_KERNEL_QUBITS: usize = 5;
+const STACK_DIM: usize = 1 << MAX_STACK_KERNEL_QUBITS;
+/// Rows accumulated together: one register per row, so each input amplitude
+/// (and its lane-swapped copy) is loaded once per column of the block.
+const ROW_BLOCK: usize = 8;
+
+/// Groups per work item in the heap-fallback parallel path, so scratch
+/// buffers are reused across many groups instead of reallocated per group.
+const GROUPS_PER_CHUNK: usize = 64;
+
+/// A dense gate matrix laid out for the sweep kernels: entries column-major
+/// (a column is what one input amplitude multiplies), plus one bit mask per
+/// (column, row block) marking the non-zero entries. Fused group matrices are
+/// usually far from dense — controlled factors and permutation structure
+/// leave most entries zero — so skipping zeros cuts the arithmetic directly.
+/// Built once per fused op; the mask depends only on the matrix, never on
+/// where the gate is applied, so every placement of an op skips the same
+/// terms.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseMatrix {
+    k: usize,
+    cols: Vec<Complex64>,
+    masks: Vec<u8>,
+}
+
+impl DenseMatrix {
+    pub(crate) fn new(matrix: &UnitaryMatrix) -> Self {
+        let dim = matrix.dim();
+        assert!(dim.is_power_of_two(), "gate matrices are 2^k square");
+        let mut cols = vec![Complex64::ZERO; dim * dim];
+        let mut masks = vec![0u8; dim * dim.div_ceil(ROW_BLOCK)];
+        fill_dense(matrix.as_slice(), dim, &mut cols, &mut masks);
+        Self {
+            k: dim.trailing_zeros() as usize,
+            cols,
+            masks,
+        }
+    }
+
+    fn view(&self) -> DenseView<'_> {
+        DenseView {
+            cols: &self.cols,
+            masks: &self.masks,
+        }
+    }
+}
+
+/// [`DenseMatrix`] on the stack for the per-call one- and two-qubit entry
+/// points (`N = 4^k` entries, `M = 2^k` masks).
+struct SmallDense<const N: usize, const M: usize> {
+    cols: [Complex64; N],
+    masks: [u8; M],
+}
+
+impl<const N: usize, const M: usize> SmallDense<N, M> {
+    fn new(rows: &[Complex64]) -> Self {
+        let mut small = Self {
+            cols: [Complex64::ZERO; N],
+            masks: [0; M],
+        };
+        fill_dense(rows, M, &mut small.cols, &mut small.masks);
+        small
+    }
+
+    fn view(&self) -> DenseView<'_> {
+        DenseView {
+            cols: &self.cols,
+            masks: &self.masks,
+        }
+    }
+}
+
+/// Borrowed form of a prepared matrix, what the kernels read.
+#[derive(Clone, Copy)]
+struct DenseView<'a> {
+    cols: &'a [Complex64],
+    masks: &'a [u8],
+}
+
+/// Transpose row-major `rows` (`dim × dim`) into `cols` and fill the
+/// non-zero masks: bit `r` of `masks[c * blocks + b]` is set when entry
+/// (row `b * ROW_BLOCK + r`, column `c`) is non-zero.
+fn fill_dense(rows: &[Complex64], dim: usize, cols: &mut [Complex64], masks: &mut [u8]) {
+    assert_eq!(rows.len(), dim * dim, "matrix dimension mismatch");
+    let block = dim.min(ROW_BLOCK);
+    let blocks = dim / block;
+    for c in 0..dim {
+        for r in 0..dim {
+            let v = rows[r * dim + c];
+            cols[c * dim + r] = v;
+            if v != Complex64::ZERO {
+                masks[c * blocks + r / block] |= 1 << (r % block);
+            }
+        }
+    }
+}
+
+/// Where the two groups of a work item sit relative to each other.
+///
+/// A work item is a pair of index groups processed in the two lanes. When
+/// bit 0 of the state index is free (no operand on qubit 0) the groups
+/// `2p, 2p+1` are adjacent in memory and every sub-index is one contiguous
+/// two-amplitude access. When qubit 0 is a *target*, the two sub-indices
+/// that differ in it are adjacent instead, so two groups are loaded as two
+/// contiguous accesses and deinterleaved in registers. Otherwise (qubit 0 is
+/// the control, or the state holds a single group) the lanes are loaded and
+/// stored one amplitude at a time.
+const CONTIG: u8 = 0;
+const Q0: u8 = 1;
+const SPLIT: u8 = 2;
+
+/// Per-application index data of a dense sweep, derived once from the
+/// operand placement.
+struct Placement {
+    /// Targets and control, ascending: the bits a group index skips.
+    fixed: [Qubit; MAX_STACK_KERNEL_QUBITS + 1],
+    nfixed: usize,
+    /// How many of the lowest state bits are fixed (`fixed[i] == i`): bit
+    /// `packed` is the lowest free one, so consecutive groups sit
+    /// `1 << packed` amplitudes apart.
+    packed: usize,
+    /// `offsets[sub]` = state-index bits of matrix sub-index `sub`.
+    offsets: [usize; STACK_DIM],
+    /// Bits forced to one in every touched index (the control).
+    ctrl_mask: usize,
+    /// [`Q0`] only: the matrix bit carried by qubit 0.
+    q0_bit: usize,
+    /// The state holds exactly one group; both lanes process it.
+    single_group: bool,
+}
+
+/// Sweep a prepared `k ≤ 5` dense matrix over `targets` (operand `j` =
+/// matrix bit `j`), restricted to `control = 1` when a control is given.
+fn dense_sweep(
+    amps: &mut [Complex64],
+    targets: &[Qubit],
+    control: Option<Qubit>,
+    m: DenseView<'_>,
+    opts: &ApplyOptions,
+) {
+    let k = targets.len();
+    let dim = 1usize << k;
+    assert!((1..=MAX_STACK_KERNEL_QUBITS).contains(&k));
+    // The kernels index these without bounds checks.
+    assert_eq!(m.cols.len(), dim * dim);
+    assert_eq!(m.masks.len(), dim * dim.div_ceil(ROW_BLOCK));
+
+    let mut pl = Placement {
+        fixed: [0; MAX_STACK_KERNEL_QUBITS + 1],
+        nfixed: k + control.is_some() as usize,
+        packed: 0,
+        offsets: [0; STACK_DIM],
+        ctrl_mask: control.map_or(0, |c| 1usize << c),
+        q0_bit: 0,
+        single_group: false,
+    };
+    pl.fixed[..k].copy_from_slice(targets);
+    if let Some(c) = control {
+        pl.fixed[k] = c;
+    }
+    let fixed = &mut pl.fixed[..pl.nfixed];
+    fixed.sort_unstable();
+    let len = amps.len();
+    assert!(
+        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[fixed.len() - 1] < len,
+        "operands must be distinct qubits of the state"
+    );
+    pl.packed = fixed
+        .iter()
+        .enumerate()
+        .take_while(|&(i, &q)| i == q)
+        .count();
+    sub_offset_table(targets, &mut pl.offsets[..dim]);
+
+    let groups = len >> pl.nfixed;
+    pl.single_group = groups == 1;
+    let mode = if pl.packed == 0 {
+        CONTIG
+    } else if pl.single_group || control == Some(0) {
+        SPLIT
+    } else {
+        pl.q0_bit = targets
+            .iter()
+            .position(|&q| q == 0)
+            .expect("qubit 0 is fixed and is not the control");
+        Q0
+    };
+    let full = ((1u16 << dim.min(ROW_BLOCK)) - 1) as u8;
+    let skip = m.masks.iter().any(|&mask| mask != full);
+    let pairs = (groups / 2).max(1);
+    let simd = opts.use_simd();
+    let ptr = SharedAmps::new(amps);
+    let pl = &pl;
+    for_each_range(pairs, opts.go_parallel(len), |range| {
+        // SAFETY: distinct pairs touch disjoint index groups, all below
+        // `len`; `simd` comes from the dispatch resolution; the matrix
+        // lengths were checked above.
+        unsafe { dense_range_dyn(simd, (k, mode, skip), ptr.as_ptr(), range, pl, m) }
+    });
+}
+
+/// Monomorphise [`dense_range`] on the run-time `(k, mode, skip)`.
+///
+/// # Safety
+/// As [`dense_range`]; `simd` must come from [`ApplyOptions::use_simd`].
+unsafe fn dense_range_dyn(
+    simd: bool,
+    shape: (usize, u8, bool),
+    ptr: *mut Complex64,
+    pairs: Range<usize>,
+    pl: &Placement,
+    m: DenseView<'_>,
+) {
+    macro_rules! arms {
+        ($($k:literal)*) => {
+            match shape {
+                $(
+                    ($k, CONTIG, false) => dense_range_on::<$k, CONTIG, false>(simd, ptr, pairs, pl, m),
+                    ($k, CONTIG, true) => dense_range_on::<$k, CONTIG, true>(simd, ptr, pairs, pl, m),
+                    ($k, Q0, false) => dense_range_on::<$k, Q0, false>(simd, ptr, pairs, pl, m),
+                    ($k, Q0, true) => dense_range_on::<$k, Q0, true>(simd, ptr, pairs, pl, m),
+                    ($k, SPLIT, false) => dense_range_on::<$k, SPLIT, false>(simd, ptr, pairs, pl, m),
+                    ($k, SPLIT, true) => dense_range_on::<$k, SPLIT, true>(simd, ptr, pairs, pl, m),
+                )*
+                _ => unreachable!("dense_sweep checked k and derived the mode"),
+            }
+        };
+    }
+    arms!(1 2 3 4 5)
+}
+
+/// Pick the lane instantiation of [`dense_range`].
+unsafe fn dense_range_on<const K: usize, const MODE: u8, const SKIP: bool>(
+    simd: bool,
+    ptr: *mut Complex64,
+    pairs: Range<usize>,
+    pl: &Placement,
+    m: DenseView<'_>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        return dense_range_avx2::<K, MODE, SKIP>(ptr, pairs, pl, m.cols, m.masks);
+    }
+    let _ = simd;
+    dense_range::<Pair, K, MODE, SKIP>(ptr, pairs, pl, m.cols, m.masks)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dense_range_avx2<const K: usize, const MODE: u8, const SKIP: bool>(
+    ptr: *mut Complex64,
+    pairs: Range<usize>,
+    pl: &Placement,
+    cols: &[Complex64],
+    masks: &[u8],
+) {
+    dense_range::<crate::simd::Avx2, K, MODE, SKIP>(ptr, pairs, pl, cols, masks)
+}
+
+/// The dense kernel over work items `pairs` (item `p` = groups `2p, 2p+1`).
+/// `SKIP` says the matrix has zero entries worth testing the masks for.
+/// (`cols` and `masks` arrive as plain shared slices so the optimiser knows
+/// the stores through `ptr` cannot change them.)
+///
+/// # Safety
+/// `ptr` must address the whole state [`dense_sweep`] derived `pl` for, with
+/// exclusive access to the groups of `pairs`; `cols` must hold `4^K` entries
+/// and `masks` the matching masks; for the AVX2 instantiation the CPU must
+/// support AVX2.
+#[inline(always)]
+unsafe fn dense_range<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>(
+    ptr: *mut Complex64,
+    pairs: Range<usize>,
+    pl: &Placement,
+    cols: &[Complex64],
+    masks: &[u8],
+) {
+    // The lowest free bit is `packed`: that is how far apart the two groups
+    // of a work item sit.
+    let partner = if pl.single_group {
+        0
+    } else {
+        1usize << pl.packed
+    };
+    for base in run_bases(2 * pairs.start, pairs.len(), 2, &pl.fixed[..pl.nfixed]) {
+        let a = base | pl.ctrl_mask;
+        dense_pair::<L, K, MODE, SKIP>(ptr, a, a + partner, pl, cols, masks);
+    }
+}
+
+/// One work item: multiply the matrix into the groups based at `a` and `b`
+/// (`b` is `a + 1`, and unused, under [`CONTIG`]).
+///
+/// Accumulation is column-outer, row-inner: for each input amplitude (a
+/// column) every row of the block takes one multiply-accumulate into its own
+/// register, so there is no dependent chain across a row's terms and the
+/// lane-swapped input is made once per column. Each row still sums its
+/// columns in ascending order starting from zero — the order of the plain
+/// `acc = acc.mul_add(m[row][col], amp[col])` loop.
+#[inline(always)]
+unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>(
+    ptr: *mut Complex64,
+    a: usize,
+    b: usize,
+    pl: &Placement,
+    cols: &[Complex64],
+    masks: &[u8],
+) {
+    let dim = 1usize << K;
+    let block = if dim < ROW_BLOCK { dim } else { ROW_BLOCK };
+    let blocks = dim / block;
+    let off = &pl.offsets;
+    // A one-qubit gate has a single matrix bit; saying so keeps its two
+    // sub-indices compile-time constants.
+    let q0_bit = if K == 1 { 0 } else { pl.q0_bit };
+    let q0 = 1usize << q0_bit;
+    // Sub-index `h` of the half whose qubit-0 bit is clear (Q0 only).
+    let clear_q0 = |h: usize| ((h >> q0_bit) << (q0_bit + 1)) | (h & (q0 - 1));
+
+    let mut input = [MaybeUninit::<L>::uninit(); STACK_DIM];
+    let mut output = [MaybeUninit::<L>::uninit(); STACK_DIM];
+    match MODE {
+        CONTIG => {
+            for s in 0..dim {
+                input[s].write(L::load(ptr.add(a | off[s])));
+            }
+        }
+        Q0 => {
+            for h in 0..dim / 2 {
+                let s = clear_q0(h);
+                let o = *off.get_unchecked(s);
+                let (x, y) = L::transpose(L::load(ptr.add(a | o)), L::load(ptr.add(b | o)));
+                input.get_unchecked_mut(s).write(x);
+                input.get_unchecked_mut(s | q0).write(y);
+            }
+        }
+        _ => {
+            for s in 0..dim {
+                input[s].write(L::load2(ptr.add(a | off[s]), ptr.add(b | off[s])));
+            }
+        }
+    }
+
+    for rb in 0..blocks {
+        let mut acc = [L::zero(); ROW_BLOCK];
+        for c in 0..dim {
+            let v = input[c].assume_init();
+            let vs = v.swapped();
+            let col = cols.as_ptr().add(c * dim + rb * block);
+            if !SKIP {
+                // No zero entries: every row takes every column, and the
+                // first column starts the sum instead of adding to zero.
+                for r in 0..block {
+                    acc[r] = match c {
+                        0 => L::mul(&*col.add(r), v, vs),
+                        _ => acc[r].macc(&*col.add(r), v, vs),
+                    };
                 }
-                amps_ptr.write(idx[row], acc);
+                continue;
+            }
+            let mask = *masks.get_unchecked(c * blocks + rb);
+            for r in 0..block {
+                if mask >> r & 1 != 0 {
+                    acc[r] = acc[r].macc(&*col.add(r), v, vs);
+                }
+            }
+        }
+        for r in 0..block {
+            output[rb * block + r].write(acc[r]);
+        }
+    }
+
+    match MODE {
+        CONTIG => {
+            for s in 0..dim {
+                output[s].assume_init().store(ptr.add(a | off[s]));
+            }
+        }
+        Q0 => {
+            for h in 0..dim / 2 {
+                let s = clear_q0(h);
+                let o = *off.get_unchecked(s);
+                let (x, y) = L::transpose(
+                    output.get_unchecked(s).assume_init(),
+                    output.get_unchecked(s | q0).assume_init(),
+                );
+                x.store(ptr.add(a | o));
+                y.store(ptr.add(b | o));
+            }
+        }
+        _ => {
+            for s in 0..dim {
+                output[s]
+                    .assume_init()
+                    .store2(ptr.add(a | off[s]), ptr.add(b | off[s]));
+            }
+        }
+    }
+}
+
+/// Heap fallback for `k > 5`: one scratch buffer pair per chunk of groups
+/// (and per gate application in the sequential path), never one per group.
+/// Same column-outer accumulation as the register-blocked family, in plain
+/// `Complex64` arithmetic under either dispatch.
+fn apply_k_qubit_heap(
+    amps: &mut [Complex64],
+    qubits: &[Qubit],
+    cols: &[Complex64],
+    opts: &ApplyOptions,
+) {
+    let k = qubits.len();
+    let dim = 1usize << k;
+    let len = amps.len();
+    let groups = len >> k;
+
+    let mut sorted: Vec<Qubit> = qubits.to_vec();
+    sorted.sort_unstable();
+    let mut offsets = vec![0usize; dim];
+    sub_offset_table(qubits, &mut offsets);
+    let sorted = &sorted;
+    let offsets = &offsets;
+
+    let amps_ptr = SharedAmps::new(amps);
+    let run_chunk = |first: usize, last: usize| {
+        let mut input = vec![Complex64::ZERO; dim];
+        let mut output = vec![Complex64::ZERO; dim];
+        for g in first..last {
+            let base = spread_sorted(g, sorted);
+            for (slot, &off) in input.iter_mut().zip(offsets) {
+                // SAFETY: groups are disjoint — all gate-qubit bits are fixed
+                // per sub-index and the base enumerates the remaining bits
+                // uniquely.
+                *slot = unsafe { *amps_ptr.as_ptr().add(base | off) };
+            }
+            output.fill(Complex64::ZERO);
+            for (column, &v) in cols.chunks_exact(dim).zip(&input) {
+                for (acc, &entry) in output.iter_mut().zip(column) {
+                    if entry != Complex64::ZERO {
+                        *acc = acc.mul_add(entry, v);
+                    }
+                }
+            }
+            for (&value, &off) in output.iter().zip(offsets) {
+                // SAFETY: as above.
+                unsafe { *amps_ptr.as_ptr().add(base | off) = value };
             }
         }
     };
     if opts.go_parallel(len) {
-        (0..groups).into_par_iter().for_each(apply_group);
+        let chunks = groups.div_ceil(GROUPS_PER_CHUNK);
+        (0..chunks).into_par_iter().for_each(|c| {
+            let first = c * GROUPS_PER_CHUNK;
+            run_chunk(first, (first + GROUPS_PER_CHUNK).min(groups));
+        });
     } else {
-        (0..groups).for_each(apply_group);
+        run_chunk(0, groups);
     }
+}
+
+// ---------------------------------------------------------------------------
+// permutation gates
+// ---------------------------------------------------------------------------
+
+/// Apply a Pauli-X on qubit `q` (pure swap of the two halves of every block).
+pub fn apply_x(state: &mut StateVector, q: Qubit, opts: &ApplyOptions) {
+    apply_x_amps(state.amplitudes_mut(), q, opts);
+}
+
+pub(crate) fn apply_x_amps(amps: &mut [Complex64], q: Qubit, opts: &ApplyOptions) {
+    swap_patterns(amps, &[q], 0, 1usize << q, opts);
+}
+
+/// Apply a CNOT (control, target).
+pub fn apply_cx(state: &mut StateVector, control: Qubit, target: Qubit, opts: &ApplyOptions) {
+    apply_cx_amps(state.amplitudes_mut(), control, target, opts);
+}
+
+pub(crate) fn apply_cx_amps(
+    amps: &mut [Complex64],
+    control: Qubit,
+    target: Qubit,
+    opts: &ApplyOptions,
+) {
+    let c = 1usize << control;
+    swap_patterns(amps, &[control, target], c, c | (1usize << target), opts);
+}
+
+/// Apply a SWAP between qubits `a` and `b`.
+pub fn apply_swap(state: &mut StateVector, a: Qubit, b: Qubit, opts: &ApplyOptions) {
+    apply_swap_amps(state.amplitudes_mut(), a, b, opts);
+}
+
+pub(crate) fn apply_swap_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &ApplyOptions) {
+    swap_patterns(amps, &[a, b], 1usize << a, 1usize << b, opts);
+}
+
+/// Longest contiguous stretch one work item of the run kernels handles
+/// (64 KiB of amplitudes), so a gate on a high qubit still splits across
+/// threads.
+const PIECE: usize = 1 << 12;
+
+/// The permutation kernel: for every assignment of the qubits *not* in
+/// `qubits`, exchange the amplitude whose `qubits` bits read `set_a` with the
+/// one whose bits read `set_b`. X, CX, CCX, SWAP and CSWAP are all this with
+/// different patterns; only the half or quarter of the state named by the
+/// patterns is touched, in contiguous runs of `2^min(qubits)` amplitudes
+/// (every other amplitude when qubit 0 takes part).
+fn swap_patterns(
+    amps: &mut [Complex64],
+    qubits: &[Qubit],
+    set_a: usize,
+    set_b: usize,
+    opts: &ApplyOptions,
+) {
+    let mut fixed = [0 as Qubit; 3];
+    let fixed = &mut fixed[..qubits.len()];
+    fixed.copy_from_slice(qubits);
+    fixed.sort_unstable();
+    let len = amps.len();
+    assert!(
+        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[fixed.len() - 1] < len,
+        "operands must be distinct qubits of the state"
+    );
+    // With qubit 0 fixed the partners alternate with untouched amplitudes:
+    // enumerate runs over the remaining fixed bits and step by two.
+    let (alternate, skip) = match fixed[0] {
+        0 => (true, &fixed[1..]),
+        _ => (false, &fixed[..]),
+    };
+    let simd = opts.use_simd();
+    let ptr = SharedAmps::new(amps);
+    for_each_run(len, skip, opts.go_parallel(len), |runs, run| {
+        // SAFETY: a run base has the fixed bits clear and `run` does not
+        // carry into them, so both ranges of a run are in bounds, the two
+        // patterns never meet, and distinct runs are disjoint; `run` is even;
+        // `simd` comes from the dispatch resolution.
+        unsafe {
+            let (pa, pb) = (ptr.as_ptr().add(set_a), ptr.as_ptr().add(set_b));
+            swap_runs_on(simd, (pa, pb), alternate, runs, run, skip)
+        }
+    });
+}
+
+/// Pick the lane instantiation of [`swap_runs`].
+unsafe fn swap_runs_on(
+    simd: bool,
+    patterns: (*mut Complex64, *mut Complex64),
+    alternate: bool,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        return swap_runs_avx2(patterns, alternate, runs, run, skip);
+    }
+    let _ = simd;
+    swap_runs::<Pair>(patterns, alternate, runs, run, skip)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn swap_runs_avx2(
+    patterns: (*mut Complex64, *mut Complex64),
+    alternate: bool,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+) {
+    swap_runs::<crate::simd::Avx2>(patterns, alternate, runs, run, skip)
+}
+
+/// For each run of `runs` (see [`for_each_run`]) exchange the `run` (even)
+/// amplitudes at `pa + base` with those at `pb + base` — every other one of
+/// them when `alternate` is set, moved singly; two per step otherwise.
+///
+/// # Safety
+/// Those ranges must be in bounds, disjoint and exclusively owned; AVX2 must
+/// be available for that instantiation.
+#[inline(always)]
+unsafe fn swap_runs<L: Lanes>(
+    (pa, pb): (*mut Complex64, *mut Complex64),
+    alternate: bool,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+) {
+    for base in run_bases(runs.start * run, runs.len(), run, skip) {
+        let (pa, pb) = (pa.add(base), pb.add(base));
+        for j in (0..run).step_by(2) {
+            if alternate {
+                std::ptr::swap(pa.add(j), pb.add(j));
+            } else {
+                let (a, b) = (L::load(pa.add(j)), L::load(pb.add(j)));
+                b.store(pa.add(j));
+                a.store(pb.add(j));
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// phase gates
+// ---------------------------------------------------------------------------
+
+/// Apply a diagonal single-qubit gate `diag(d0, d1)` on qubit `q`.
+pub fn apply_diagonal_single(
+    state: &mut StateVector,
+    q: Qubit,
+    d0: Complex64,
+    d1: Complex64,
+    opts: &ApplyOptions,
+) {
+    apply_diagonal_single_amps(state.amplitudes_mut(), q, d0, d1, opts);
+}
+
+pub(crate) fn apply_diagonal_single_amps(
+    amps: &mut [Complex64],
+    q: Qubit,
+    d0: Complex64,
+    d1: Complex64,
+    opts: &ApplyOptions,
+) {
+    scale_by_table(amps, &[q], &[d0, d1], opts);
+}
+
+/// Apply a CZ (symmetric): flip the sign of amplitudes where both bits are 1.
+pub fn apply_cz(state: &mut StateVector, a: Qubit, b: Qubit, opts: &ApplyOptions) {
+    apply_cz_amps(state.amplitudes_mut(), a, b, opts);
+}
+
+pub(crate) fn apply_cz_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &ApplyOptions) {
+    let one = Complex64::ONE;
+    scale_by_table(amps, &[a, b], &[one, one, one, -one], opts);
 }
 
 /// Apply a diagonal two-qubit gate `diag(d00, d01, d10, d11)` where the digit
@@ -590,34 +1015,122 @@ pub(crate) fn apply_diagonal_two_amps(
     diag: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
+    scale_by_table(amps, &[a, b], diag, opts);
+}
+
+/// The phase kernel: multiply every amplitude by `table[sub]`, `sub` being
+/// its bits at `qubits` (operand `j` = bit `j`). Entries that are exactly one
+/// are skipped, so S/T/P touch half the state and CZ/CP a quarter; the rest
+/// is scaled in contiguous runs, two amplitudes per step.
+fn scale_by_table(
+    amps: &mut [Complex64],
+    qubits: &[Qubit],
+    table: &[Complex64],
+    opts: &ApplyOptions,
+) {
+    let k = qubits.len();
+    debug_assert_eq!(table.len(), 1 << k);
+    let mut fixed = [0 as Qubit; 2];
+    let fixed = &mut fixed[..k];
+    fixed.copy_from_slice(qubits);
+    fixed.sort_unstable();
     let len = amps.len();
-    let amask = 1usize << a;
-    let bmask = 1usize << b;
-    let diag = *diag;
-    let update = move |(i, amp): (usize, &mut Complex64)| {
-        let idx = ((i & amask != 0) as usize) | (((i & bmask != 0) as usize) << 1);
-        *amp *= diag[idx];
+    assert!(
+        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[k - 1] < len,
+        "operands must be distinct qubits of the state"
+    );
+    // When qubit 0 is an operand, neighbouring amplitudes take different
+    // entries: the two lanes carry `table[sub]` and `table[sub | lane_bit]`
+    // and the runs are enumerated over the other operand only.
+    let (lane_bit, skip) = match fixed[0] {
+        0 => (
+            1usize << qubits.iter().position(|&q| q == 0).expect("sorted first"),
+            &fixed[1..],
+        ),
+        _ => (0, &fixed[..]),
     };
-    if opts.go_parallel(len) {
-        amps.par_iter_mut().enumerate().for_each(update);
-    } else {
-        amps.iter_mut().enumerate().for_each(update);
+    let mut offsets = [0usize; 4];
+    sub_offset_table(qubits, &mut offsets[..1 << k]);
+    // The (offset, lane phases) of every sub-index that changes anything.
+    let mut scaled = [(0usize, [Complex64::ONE; 2]); 4];
+    let mut count = 0;
+    for sub in (0..1usize << k).filter(|sub| sub & lane_bit == 0) {
+        let phases = [table[sub], table[sub | lane_bit]];
+        if phases != [Complex64::ONE; 2] {
+            scaled[count] = (offsets[sub], phases);
+            count += 1;
+        }
+    }
+    let scaled = &scaled[..count];
+    let simd = opts.use_simd();
+    let ptr = SharedAmps::new(amps);
+    for_each_run(len, skip, opts.go_parallel(len), |runs, run| {
+        // SAFETY: every `base | offset` starts `run` in-bounds amplitudes no
+        // other (run, sub-index) touches; `run` is even; `simd` comes from
+        // the dispatch resolution.
+        unsafe { scale_runs_on(simd, ptr.as_ptr(), runs, run, skip, scaled) }
+    });
+}
+
+/// Pick the lane instantiation of [`scale_runs`].
+unsafe fn scale_runs_on(
+    simd: bool,
+    ptr: *mut Complex64,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+    scaled: &[(usize, [Complex64; 2])],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        return scale_runs_avx2(ptr, runs, run, skip, scaled);
+    }
+    let _ = simd;
+    scale_runs::<Pair>(ptr, runs, run, skip, scaled)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn scale_runs_avx2(
+    ptr: *mut Complex64,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+    scaled: &[(usize, [Complex64; 2])],
+) {
+    scale_runs::<crate::simd::Avx2>(ptr, runs, run, skip, scaled)
+}
+
+/// For each run of `runs` (see [`for_each_run`]) and each `(offset, phases)`
+/// of `scaled`, multiply the `run` (even) contiguous amplitudes at
+/// `base | offset` by `phases` — lane 0's on the even ones, lane 1's on the
+/// odd ones.
+///
+/// # Safety
+/// Those ranges must be in bounds and exclusively owned; AVX2 must be
+/// available for that instantiation.
+#[inline(always)]
+unsafe fn scale_runs<L: Lanes>(
+    ptr: *mut Complex64,
+    runs: Range<usize>,
+    run: usize,
+    skip: &[Qubit],
+    scaled: &[(usize, [Complex64; 2])],
+) {
+    for base in run_bases(runs.start * run, runs.len(), run, skip) {
+        for (offset, phases) in scaled {
+            let phase = L::load(phases.as_ptr());
+            let p = ptr.add(base | offset);
+            for i in (0..run).step_by(2) {
+                L::load(p.add(i)).cmul(phase).store(p.add(i));
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// generic k-qubit kernel
+// helpers
 // ---------------------------------------------------------------------------
-
-/// Widest gate the stack-buffer kernel handles without heap allocation. Fused
-/// groups are kept at or below this width, so the fused execution pipeline
-/// never allocates inside the sweep.
-pub const MAX_STACK_KERNEL_QUBITS: usize = 5;
-pub(crate) const STACK_DIM: usize = 1 << MAX_STACK_KERNEL_QUBITS;
-
-/// Groups per work item in the heap-fallback parallel path, so scratch
-/// buffers are reused across many groups instead of reallocated per group.
-const GROUPS_PER_CHUNK: usize = 64;
 
 /// Insert zero bits at every (ascending) position in `sorted`, producing a
 /// state index whose gate-qubit bits are 0 and whose other bits enumerate `g`.
@@ -633,8 +1146,7 @@ fn spread_sorted(g: usize, sorted: &[Qubit]) -> usize {
 
 /// Build the sub-index offset table `offsets[sub] = Σ_{bit b set in sub}
 /// 2^{qubits[b]}` so the group loop indexes with a single OR instead of
-/// re-spreading bits per amplitude. Hoisted out of the group loop — computed
-/// once per gate application.
+/// re-spreading bits per amplitude. Computed once per gate application.
 #[inline]
 fn sub_offset_table(qubits: &[Qubit], offsets: &mut [usize]) {
     offsets[0] = 0;
@@ -644,312 +1156,74 @@ fn sub_offset_table(qubits: &[Qubit], offsets: &mut [usize]) {
     }
 }
 
-/// Apply an arbitrary `k`-qubit unitary to the given (distinct) qubits.
-///
-/// Operand `qubits[j]` corresponds to bit `j` of the matrix index, matching
-/// [`GateKind::matrix`]'s convention. The matrix is taken by reference and
-/// never cloned; for `k ≤ 5` the per-group scratch lives on the stack, and
-/// the heap fallback for wider gates reuses one scratch buffer per chunk of
-/// groups rather than allocating per group.
-pub fn apply_k_qubit(
-    state: &mut StateVector,
-    qubits: &[Qubit],
-    matrix: &UnitaryMatrix,
-    opts: &ApplyOptions,
+/// Run `body` over `0..items`: as one range when `parallel` is off, else as
+/// contiguous sub-ranges on the rayon pool (a few per thread).
+fn for_each_range(items: usize, parallel: bool, body: impl Fn(Range<usize>) + Sync) {
+    if !parallel || items < 2 {
+        return body(0..items);
+    }
+    let chunk = items.div_ceil(rayon::current_num_threads() * 4);
+    (0..items.div_ceil(chunk))
+        .into_par_iter()
+        .for_each(|c| body(c * chunk..((c + 1) * chunk).min(items)));
+}
+
+/// Split the indices whose bits at `fixed` (ascending, none of them qubit 0)
+/// are clear into contiguous runs and hand them out as `body(runs, run)`:
+/// run `i` of `runs` covers `run` indices from the base numbered `i * run`
+/// (see [`run_bases`]); `run` is a power of two, at least 2 and at most [`PIECE`],
+/// and never carries into a fixed bit.
+fn for_each_run(
+    len: usize,
+    fixed: &[Qubit],
+    parallel: bool,
+    body: impl Fn(Range<usize>, usize) + Sync,
 ) {
-    let k = qubits.len();
-    assert_eq!(matrix.dim(), 1 << k, "matrix dimension mismatch");
-    let len = state.len();
-    assert!(len >= 1 << k, "state too small for a {k}-qubit gate");
-    let sparse = SparseRows::build(matrix);
-    apply_k_qubit_prepared(state, qubits, matrix, sparse.as_ref(), opts);
+    let run = fixed.first().map_or(len, |&q| 1usize << q).min(PIECE);
+    let runs = (len >> fixed.len()) / run;
+    for_each_range(runs, parallel, |range| body(range, run));
 }
 
-/// [`apply_k_qubit`] with the sparse-row table supplied by the caller, so
-/// fused pipelines that apply the same matrix once per gather assignment
-/// build it once instead of per application. `sparse` must be
-/// `SparseRows::build(matrix)`'s result (None means dense iteration).
-pub(crate) fn apply_k_qubit_prepared(
-    state: &mut StateVector,
-    qubits: &[Qubit],
-    matrix: &UnitaryMatrix,
-    sparse: Option<&SparseRows>,
-    opts: &ApplyOptions,
-) {
-    apply_k_qubit_prepared_amps(state.amplitudes_mut(), qubits, matrix, sparse, opts);
-}
-
-pub(crate) fn apply_k_qubit_prepared_amps(
-    amps: &mut [Complex64],
-    qubits: &[Qubit],
-    matrix: &UnitaryMatrix,
-    sparse: Option<&SparseRows>,
-    opts: &ApplyOptions,
-) {
-    let k = qubits.len();
-    assert_eq!(matrix.dim(), 1 << k, "matrix dimension mismatch");
-    let len = amps.len();
-    assert!(len >= 1 << k, "state too small for a {k}-qubit gate");
-    if k <= MAX_STACK_KERNEL_QUBITS {
-        apply_k_qubit_stack(amps, qubits, matrix, sparse, opts);
-    } else {
-        apply_k_qubit_heap(amps, qubits, matrix, sparse, opts);
-    }
-}
-
-/// Compressed sparse rows of a gate matrix, built once per application
-/// (outside the group loop). Fused group matrices are usually far from
-/// dense — controlled factors and permutation structure leave most entries
-/// zero — so skipping zeros cuts the per-amplitude arithmetic directly.
-#[derive(Debug, Clone)]
-pub(crate) struct SparseRows {
-    row_ptr: Vec<u32>,
-    entries: Vec<(u32, Complex64)>,
-}
-
-impl SparseRows {
-    /// Build when the fill ratio makes sparse iteration worthwhile (below
-    /// 3/4); a near-dense matrix iterates faster as a contiguous slice.
-    pub(crate) fn build(matrix: &UnitaryMatrix) -> Option<Self> {
-        let dim = matrix.dim();
-        let rows = matrix.as_slice();
-        let nnz = rows.iter().filter(|v| **v != Complex64::ZERO).count();
-        if nnz * 4 > dim * dim * 3 {
-            return None;
-        }
-        let mut row_ptr = Vec::with_capacity(dim + 1);
-        let mut entries = Vec::with_capacity(nnz);
-        row_ptr.push(0u32);
-        for row in 0..dim {
-            for col in 0..dim {
-                let v = rows[row * dim + col];
-                if v != Complex64::ZERO {
-                    entries.push((col as u32, v));
-                }
-            }
-            row_ptr.push(entries.len() as u32);
-        }
-        Some(Self { row_ptr, entries })
-    }
-
-    #[inline(always)]
-    pub(crate) fn row(&self, row: usize) -> &[(u32, Complex64)] {
-        &self.entries[self.row_ptr[row] as usize..self.row_ptr[row + 1] as usize]
-    }
-}
-
-/// The allocation-free `k ≤ 5` kernel: stack scratch, hoisted offset table,
-/// sparse-row iteration when the matrix has enough zeros, contiguous dense
-/// rows otherwise. The AVX2 path processes two amplitude groups per work
-/// item (group `2p` in lane pair 0, group `2p+1` in lane pair 1).
-fn apply_k_qubit_stack(
-    amps: &mut [Complex64],
-    qubits: &[Qubit],
-    matrix: &UnitaryMatrix,
-    sparse: Option<&SparseRows>,
-    opts: &ApplyOptions,
-) {
-    let k = qubits.len();
-    let dim = 1usize << k;
-    let len = amps.len();
-    let groups = len >> k;
-
-    let mut sorted: [Qubit; MAX_STACK_KERNEL_QUBITS] = [0; MAX_STACK_KERNEL_QUBITS];
-    sorted[..k].copy_from_slice(qubits);
-    sorted[..k].sort_unstable();
-
-    let mut offsets = [0usize; STACK_DIM];
-    sub_offset_table(qubits, &mut offsets[..dim]);
-
-    let amps_ptr = SharedAmps::new(amps);
-    let rows = matrix.as_slice();
-    // `groups` is a power of two, so `groups >= 2` guarantees the pair loop
-    // covers every group with no tail.
-    #[cfg(target_arch = "x86_64")]
-    if opts.use_simd() && groups >= 2 {
-        let pairs = groups / 2;
-        let apply_pair = move |p: usize| {
-            let g = p * 2;
-            let base_a = spread_sorted(g, &sorted[..k]);
-            let base_b = spread_sorted(g + 1, &sorted[..k]);
-            // SAFETY: dispatch verified AVX2+FMA; the two groups of a pair
-            // are disjoint from each other and from every other pair.
-            unsafe {
-                crate::simd::apply_k_group_pair(
-                    amps_ptr.as_ptr(),
-                    base_a,
-                    base_b,
-                    &offsets[..dim],
-                    rows,
-                    sparse,
-                );
-            }
-        };
-        if opts.go_parallel(len) {
-            (0..pairs).into_par_iter().for_each(apply_pair);
-        } else {
-            (0..pairs).for_each(apply_pair);
-        }
-        return;
-    }
-    let apply_group = |g: usize| {
-        let base = spread_sorted(g, &sorted[..k]);
-        let mut local = [Complex64::ZERO; STACK_DIM];
-        for (sub, slot) in local[..dim].iter_mut().enumerate() {
-            // SAFETY: groups are disjoint — all gate-qubit bits are fixed per
-            // sub-index and the base enumerates the remaining bits uniquely.
-            *slot = unsafe { amps_ptr.read(base | offsets[sub]) };
-        }
-        match sparse {
-            Some(sparse) => {
-                for (row, &off) in offsets[..dim].iter().enumerate() {
-                    let mut acc = Complex64::ZERO;
-                    for &(col, v) in sparse.row(row) {
-                        acc = acc.mul_add(v, local[col as usize]);
-                    }
-                    unsafe { amps_ptr.write(base | off, acc) };
-                }
-            }
-            None => {
-                for row in 0..dim {
-                    let mut acc = Complex64::ZERO;
-                    for (col, &amp) in local[..dim].iter().enumerate() {
-                        acc = acc.mul_add(rows[row * dim + col], amp);
-                    }
-                    unsafe { amps_ptr.write(base | offsets[row], acc) };
-                }
-            }
-        }
-    };
-    if opts.go_parallel(len) {
-        (0..groups).into_par_iter().for_each(apply_group);
-    } else {
-        (0..groups).for_each(apply_group);
-    }
-}
-
-/// Heap fallback for `k > 5`: one scratch buffer per chunk of groups (and per
-/// gate application in the sequential path), never one per group.
-fn apply_k_qubit_heap(
-    amps: &mut [Complex64],
-    qubits: &[Qubit],
-    matrix: &UnitaryMatrix,
-    sparse: Option<&SparseRows>,
-    opts: &ApplyOptions,
-) {
-    let k = qubits.len();
-    let dim = 1usize << k;
-    let len = amps.len();
-    let groups = len >> k;
-
-    let mut sorted: Vec<Qubit> = qubits.to_vec();
-    sorted.sort_unstable();
-    let mut offsets = vec![0usize; dim];
-    sub_offset_table(qubits, &mut offsets);
-    let sorted = &sorted;
-    let offsets = &offsets;
-
-    let amps_ptr = SharedAmps::new(amps);
-    let rows = matrix.as_slice();
-    let run_chunk = |first: usize, last: usize| {
-        let mut local = vec![Complex64::ZERO; dim];
-        for g in first..last {
-            let base = spread_sorted(g, sorted);
-            for (sub, slot) in local.iter_mut().enumerate() {
-                // SAFETY: disjoint groups (see the stack kernel).
-                *slot = unsafe { amps_ptr.read(base | offsets[sub]) };
-            }
-            match sparse {
-                Some(sparse) => {
-                    for (row, &off) in offsets.iter().enumerate() {
-                        let mut acc = Complex64::ZERO;
-                        for &(col, v) in sparse.row(row) {
-                            acc = acc.mul_add(v, local[col as usize]);
-                        }
-                        unsafe { amps_ptr.write(base | off, acc) };
-                    }
-                }
-                None => {
-                    for row in 0..dim {
-                        let mut acc = Complex64::ZERO;
-                        for (col, &amp) in local.iter().enumerate() {
-                            acc = acc.mul_add(rows[row * dim + col], amp);
-                        }
-                        unsafe { amps_ptr.write(base | offsets[row], acc) };
-                    }
-                }
-            }
-        }
-    };
-    if opts.go_parallel(len) {
-        let chunks = groups.div_ceil(GROUPS_PER_CHUNK);
-        (0..chunks).into_par_iter().for_each(|c| {
-            let first = c * GROUPS_PER_CHUNK;
-            run_chunk(first, (first + GROUPS_PER_CHUNK).min(groups));
-        });
-    } else {
-        run_chunk(0, groups);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// helpers
-// ---------------------------------------------------------------------------
-
-/// Insert two zero bits into `k` at positions `qa < qb`, producing a state
-/// index whose bits at `qa` and `qb` are 0 and whose other bits enumerate `k`.
+/// Number the indices whose bits at `fixed` (ascending) are clear in
+/// ascending order; yield `count` of them, starting with number `first` and
+/// taking every `step`-th (a power of two). The bases are a counter over the
+/// free bits: setting the fixed bits before adding lets the carry ripple
+/// across them, clearing them after restores the base.
 #[inline(always)]
-fn spread2(k: usize, qa: Qubit, qb: Qubit) -> usize {
-    debug_assert!(qa < qb);
-    let low = k & ((1usize << qa) - 1);
-    let mid = (k >> qa) & ((1usize << (qb - qa - 1)) - 1);
-    let high = k >> (qb - 1);
-    low | (mid << (qa + 1)) | (high << (qb + 1))
+fn run_bases(
+    first: usize,
+    count: usize,
+    step: usize,
+    fixed: &[Qubit],
+) -> impl Iterator<Item = usize> {
+    let fixed_mask = fixed.iter().fold(0usize, |mask, &q| mask | 1 << q);
+    let step = spread_sorted(step, fixed);
+    std::iter::successors(Some(spread_sorted(first, fixed)), move |&base| {
+        Some(((base | fixed_mask).wrapping_add(step)) & !fixed_mask)
+    })
+    .take(count)
 }
 
 /// A `Sync` wrapper around the amplitude buffer for kernels whose write sets
 /// are disjoint per work item but not expressible as slice chunks.
 #[derive(Clone, Copy)]
-struct SharedAmps {
-    ptr: *mut Complex64,
-    len: usize,
-}
+struct SharedAmps(*mut Complex64);
 
+// SAFETY: the wrapper only carries the pointer across threads; every kernel
+// that dereferences it documents why its work items are disjoint.
 unsafe impl Sync for SharedAmps {}
 unsafe impl Send for SharedAmps {}
 
 impl SharedAmps {
     fn new(slice: &mut [Complex64]) -> Self {
-        Self {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-        }
+        Self(slice.as_mut_ptr())
     }
 
     /// Raw base pointer. Going through a method (rather than the field) keeps
     /// closures capturing the whole `Sync` wrapper, not the bare pointer.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     #[inline(always)]
     fn as_ptr(&self) -> *mut Complex64 {
-        self.ptr
-    }
-
-    /// # Safety
-    /// Caller must guarantee `idx < len` and that no other thread accesses
-    /// `idx` concurrently.
-    #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Complex64 {
-        debug_assert!(idx < self.len);
-        *self.ptr.add(idx)
-    }
-
-    /// # Safety
-    /// Caller must guarantee `idx < len` and that no other thread accesses
-    /// `idx` concurrently.
-    #[inline(always)]
-    unsafe fn write(&self, idx: usize, value: Complex64) {
-        debug_assert!(idx < self.len);
-        *self.ptr.add(idx) = value;
+        self.0
     }
 }
 
@@ -1119,6 +1393,278 @@ mod tests {
         }
     }
 
+    // -- kernel conformance: every kernel × operand-placement class --------
+
+    /// `out = M × gathered vector` per index group, restricted to
+    /// `control = 1` when given — the definition the kernels implement.
+    fn dense_reference(
+        amps: &[Complex64],
+        qubits: &[Qubit],
+        control: Option<Qubit>,
+        m: &UnitaryMatrix,
+    ) -> Vec<Complex64> {
+        let dim = m.dim();
+        let mut out = amps.to_vec();
+        for (i, slot) in out.iter_mut().enumerate() {
+            if control.is_some_and(|c| (i >> c) & 1 == 0) {
+                continue;
+            }
+            let row = (0..qubits.len()).fold(0, |row, j| row | ((i >> qubits[j]) & 1) << j);
+            let base = qubits.iter().fold(i, |base, &q| base & !(1 << q));
+            *slot = Complex64::ZERO;
+            for col in 0..dim {
+                let from =
+                    (0..qubits.len()).fold(base, |from, j| from | ((col >> j) & 1) << qubits[j]);
+                *slot += m.get(row, col) * amps[from];
+            }
+        }
+        out
+    }
+
+    /// Dense (no zero), half-sparse (zeros scattered) and permutation
+    /// matrices of one dimension; none needs to be unitary for a kernel test.
+    fn test_matrices(dim: usize, seed: u64) -> Vec<(&'static str, UnitaryMatrix)> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut entry = || Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let dense: Vec<Complex64> = (0..dim * dim).map(|_| entry()).collect();
+        let sparse = dense
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| match (i * 7 + i / dim) % 2 {
+                0 => v,
+                _ => Complex64::ZERO,
+            })
+            .collect();
+        let mut permutation = vec![Complex64::ZERO; dim * dim];
+        for row in 0..dim {
+            permutation[row * dim + (row * 5 + 3) % dim] = Complex64::ONE;
+        }
+        vec![
+            ("dense", UnitaryMatrix::from_rows(dense)),
+            ("half-sparse", UnitaryMatrix::from_rows(sparse)),
+            ("permutation", UnitaryMatrix::from_rows(permutation)),
+        ]
+    }
+
+    /// Operand placements of a `k`-qubit gate on `n` qubits, one per class
+    /// the kernels branch on: qubit 0 involved (as the first and as the last
+    /// operand), lowest operand 1, adjacent, top qubit, unsorted.
+    fn placements(k: usize, n: usize) -> Vec<Vec<Qubit>> {
+        let mut all: Vec<Vec<Qubit>> = vec![
+            (0..k).collect(),
+            (0..k).rev().collect(),
+            (n - k..n).collect(),
+            (n - k..n).rev().collect(),
+        ];
+        if n > k {
+            all.push((1..=k).collect());
+            let spread: Vec<Qubit> = (0..k).map(|j| (j * (n - 1)) / k.max(2)).collect();
+            if spread.windows(2).all(|w| w[0] < w[1]) {
+                let mut rotated = spread.clone();
+                rotated.rotate_left(1);
+                all.push(spread);
+                all.push(rotated);
+            }
+        }
+        if n > k + 1 {
+            all.push((0..k).map(|j| if j == 0 { 0 } else { j + 1 }).collect());
+            all.push(
+                (0..k)
+                    .map(|j| if j + 1 == k { n - 1 } else { j + 1 })
+                    .collect(),
+            );
+        }
+        all.sort();
+        all.dedup();
+        all
+    }
+
+    fn assert_bitwise(a: &StateVector, b: &StateVector, what: &str) {
+        for (i, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: amplitude {i} differs, {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// Run `apply` under {sequential, parallel} × {auto, scalar}: every
+    /// variant must equal the first bit for bit, and the first must match
+    /// `expected` to 1e-12.
+    fn check_variants(
+        init: &StateVector,
+        expected: &[Complex64],
+        what: &str,
+        apply: impl Fn(&mut StateVector, &ApplyOptions),
+    ) {
+        let mut first: Option<StateVector> = None;
+        for opts in [SEQ, PAR] {
+            for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                let mut got = init.clone();
+                apply(&mut got, &opts.with_dispatch(dispatch));
+                match &first {
+                    None => {
+                        let reference = StateVector::from_amplitudes(expected.to_vec());
+                        assert!(
+                            got.approx_eq(&reference, 1e-12),
+                            "{what}: max diff {}",
+                            got.max_abs_diff(&reference)
+                        );
+                        first = Some(got);
+                    }
+                    Some(first) => assert_bitwise(
+                        first,
+                        &got,
+                        &format!("{what} (parallel={}, {dispatch})", opts.parallel),
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_family_conforms_for_every_width_matrix_and_placement() {
+        for k in 1..=MAX_STACK_KERNEL_QUBITS {
+            // One group, two groups (one work item), and many.
+            for n in [k, k + 1, k + 2, 9] {
+                let init = random_state(n, 0xC0F + (k * 31 + n) as u64);
+                for (kind, matrix) in test_matrices(1 << k, (k * 100 + n) as u64) {
+                    for qubits in placements(k, n) {
+                        let what = format!("{kind} k={k} on {qubits:?} of {n} qubits");
+                        let expected = dense_reference(init.amplitudes(), &qubits, None, &matrix);
+                        check_variants(&init, &expected, &what, |state, opts| {
+                            apply_k_qubit(state, &qubits, &matrix, opts)
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn heap_fallback_conforms_above_the_stack_width() {
+        let k = MAX_STACK_KERNEL_QUBITS + 1;
+        for n in [k, k + 2] {
+            let init = random_state(n, 0x4EA9 + n as u64);
+            for (kind, matrix) in test_matrices(1 << k, n as u64) {
+                let qubits: Vec<Qubit> = (0..k).map(|j| (j * 5 + 1) % n).collect();
+                let mut distinct = qubits.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let qubits = if distinct.len() == k {
+                    qubits
+                } else {
+                    (0..k).rev().collect()
+                };
+                let expected = dense_reference(init.amplitudes(), &qubits, None, &matrix);
+                check_variants(&init, &expected, &format!("{kind} k={k} n={n}"), |s, o| {
+                    apply_k_qubit(s, &qubits, &matrix, o)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn one_and_two_qubit_entry_points_conform_at_every_placement() {
+        for n in [1usize, 2, 3, 8] {
+            let init = random_state(n, 0x51 + n as u64);
+            for (kind, matrix) in test_matrices(2, n as u64) {
+                let m: [Complex64; 4] = matrix.as_slice().try_into().unwrap();
+                for q in 0..n {
+                    let expected = dense_reference(init.amplitudes(), &[q], None, &matrix);
+                    check_variants(
+                        &init,
+                        &expected,
+                        &format!("{kind} single q={q} n={n}"),
+                        |s, o| apply_single(s, q, &m, o),
+                    );
+                    // Control above and below the target, and on qubit 0.
+                    for c in (0..n).filter(|&c| c != q) {
+                        let expected = dense_reference(init.amplitudes(), &[q], Some(c), &matrix);
+                        check_variants(
+                            &init,
+                            &expected,
+                            &format!("{kind} controlled c={c} t={q} n={n}"),
+                            |s, o| apply_controlled_single(s, c, q, &m, o),
+                        );
+                    }
+                }
+            }
+            for (kind, matrix) in test_matrices(4, 40 + n as u64) {
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let expected = dense_reference(init.amplitudes(), &[a, b], None, &matrix);
+                        check_variants(
+                            &init,
+                            &expected,
+                            &format!("{kind} two ({a},{b}) n={n}"),
+                            |s, o| apply_two_qubit_dense(s, a, b, &matrix, o),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permutation_and_phase_gates_conform_at_every_placement() {
+        use GateKind::*;
+        // Every ordered operand tuple of small registers: qubit 0 as any
+        // operand, control above/below target, adjacent and top qubits, and
+        // the single-group sizes (n = arity).
+        for n in [1usize, 2, 3, 4, 6] {
+            let init = random_state(n, 0x9E + n as u64);
+            let mut gates = Vec::new();
+            for a in 0..n {
+                for kind in [X, Z, S, T, Rz(-1.1), P(0.4)] {
+                    gates.push(Gate::new(kind, vec![a]));
+                }
+                for b in (0..n).filter(|&b| b != a) {
+                    for kind in [Cx, Cz, Swap, Cp(0.8), Crz(1.3), Rzz(0.9)] {
+                        gates.push(Gate::new(kind, vec![a, b]));
+                    }
+                    for c in (0..n).filter(|&c| c != a && c != b) {
+                        gates.push(Gate::new(Ccx, vec![a, b, c]));
+                        gates.push(Gate::new(Cswap, vec![a, b, c]));
+                    }
+                }
+            }
+            for gate in gates {
+                let what = format!("{} on {:?} of {n} qubits", gate.kind.name(), gate.qubits);
+                let expected =
+                    dense_reference(init.amplitudes(), &gate.qubits, None, &gate.matrix());
+                check_variants(&init, &expected, &what, |s, o| apply_gate_with(s, &gate, o));
+            }
+        }
+    }
+
+    #[test]
+    fn run_kernels_split_long_runs_across_pieces() {
+        // Gates on high qubits of a state longer than one PIECE per run, so
+        // the piece split and the parallel ranges are both exercised.
+        use GateKind::*;
+        let n = 15;
+        let init = random_state(n, 0x915CE);
+        for gate in [
+            Gate::new(X, vec![14]),
+            Gate::new(Cx, vec![13, 14]),
+            Gate::new(Cx, vec![14, 0]),
+            Gate::new(Swap, vec![13, 14]),
+            Gate::new(Ccx, vec![14, 0, 13]),
+            Gate::new(T, vec![14]),
+            Gate::new(Cp(0.3), vec![14, 13]),
+            Gate::new(Rzz(0.3), vec![0, 14]),
+            Gate::new(H, vec![14]),
+            Gate::new(Ch, vec![14, 13]),
+        ] {
+            let what = format!("{} on {:?}", gate.kind.name(), gate.qubits);
+            let expected = dense_reference(init.amplitudes(), &gate.qubits, None, &gate.matrix());
+            check_variants(&init, &expected, &what, |s, o| apply_gate_with(s, &gate, o));
+        }
+    }
+
     #[test]
     fn top_qubit_gate_uses_split_parallel_path() {
         // Gate on the highest qubit exercises the single-block branch.
@@ -1176,13 +1722,13 @@ mod tests {
     }
 
     #[test]
-    fn spread2_produces_disjoint_groups() {
-        let (qa, qb) = (1usize, 3usize);
+    fn spread_sorted_produces_disjoint_groups() {
+        let fixed = [1usize, 3];
         let mut seen = std::collections::HashSet::new();
-        for k in 0..16 {
-            let base = spread2(k, qa, qb);
-            assert_eq!(base & (1 << qa), 0);
-            assert_eq!(base & (1 << qb), 0);
+        for g in 0..16 {
+            let base = spread_sorted(g, &fixed);
+            assert_eq!(base & (1 << 1), 0);
+            assert_eq!(base & (1 << 3), 0);
             assert!(seen.insert(base), "duplicate base {base}");
         }
     }

@@ -97,265 +97,189 @@ pub fn simd_available() -> bool {
     })
 }
 
+// -- the lane abstraction ------------------------------------------------------
+//
+// Every sweep kernel in `kernels.rs` / `fusion.rs` is written once, generic
+// over [`Lanes`]: a value holding *two* complex amplitudes that supports the
+// handful of operations the kernels need. [`Pair`] instantiates it with plain
+// `Complex64` arithmetic (the forced-scalar path and every non-x86_64
+// target); [`Avx2`] instantiates it with one 256-bit register
+// `[z0.re, z0.im, z1.re, z1.im]`. The scalar reference operations are
+//
+//   macc:  acc + m·z  =  ((acc.re + m.re·z.re) - m.im·z.im,
+//                         (acc.im + m.re·z.im) + m.im·z.re)
+//   mul, cmul:   a·b  =  (a.re·b.re - a.im·b.im,
+//                         a.re·b.im + a.im·b.re)
+//
+// (parenthesisation is the evaluation order of `Complex64::mul_add` and
+// `Complex64::mul`). The vector forms compute each component with exactly one
+// multiply feeding one add/sub per scalar op — `addsub` subtracts in even
+// (re) lanes and adds in odd (im) lanes, which is precisely the sign pattern
+// of both formulas — so every lane rounds identically to the scalar code and
+// the two instantiations of a kernel agree bit for bit.
+
+use hisvsim_circuit::Complex64;
+
+/// Two complex amplitudes processed together; see the module notes above.
+///
+/// # Safety
+/// Every method of the [`Avx2`] instantiation requires AVX2 support, and the
+/// pointer methods require in-bounds, exclusively owned targets — which is
+/// why all of them are `unsafe`; the generic kernels are only reachable
+/// through wrappers that have established both.
+pub(crate) trait Lanes: Copy {
+    /// Both amplitudes zero.
+    unsafe fn zero() -> Self;
+    /// `z` in both lanes.
+    unsafe fn splat(z: Complex64) -> Self;
+    /// `[p[0], p[1]]`.
+    unsafe fn load(p: *const Complex64) -> Self;
+    /// `[*lo, *hi]` from two unrelated addresses.
+    unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self;
+    /// Store to `p[0], p[1]`.
+    unsafe fn store(self, p: *mut Complex64);
+    /// Store lane 0 to `*lo` and lane 1 to `*hi`.
+    unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64);
+    /// `([a0, b0], [a1, b1])` — its own inverse.
+    unsafe fn transpose(a: Self, b: Self) -> (Self, Self);
+    /// Each amplitude with `re` and `im` exchanged (feeds [`Lanes::macc`]).
+    unsafe fn swapped(self) -> Self;
+    /// `self + m·v` per lane; `v_swapped` must be `v.swapped()`, hoisted by
+    /// the caller because one input feeds a whole matrix column.
+    unsafe fn macc(self, m: &Complex64, v: Self, v_swapped: Self) -> Self;
+    /// `m·v` per lane (the first term of a sum that skips the add to zero).
+    unsafe fn mul(m: &Complex64, v: Self, v_swapped: Self) -> Self;
+    /// `self·rhs` per lane.
+    unsafe fn cmul(self, rhs: Self) -> Self;
+}
+
+/// The scalar instantiation of [`Lanes`].
+#[derive(Clone, Copy)]
+pub(crate) struct Pair([Complex64; 2]);
+
+impl Lanes for Pair {
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        Pair([Complex64::ZERO; 2])
+    }
+    #[inline(always)]
+    unsafe fn splat(z: Complex64) -> Self {
+        Pair([z; 2])
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const Complex64) -> Self {
+        Pair([*p, *p.add(1)])
+    }
+    #[inline(always)]
+    unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self {
+        Pair([*lo, *hi])
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Complex64) {
+        *p = self.0[0];
+        *p.add(1) = self.0[1];
+    }
+    #[inline(always)]
+    unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64) {
+        *lo = self.0[0];
+        *hi = self.0[1];
+    }
+    #[inline(always)]
+    unsafe fn transpose(a: Self, b: Self) -> (Self, Self) {
+        (Pair([a.0[0], b.0[0]]), Pair([a.0[1], b.0[1]]))
+    }
+    #[inline(always)]
+    unsafe fn swapped(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    unsafe fn macc(self, m: &Complex64, v: Self, _v_swapped: Self) -> Self {
+        Pair([self.0[0].mul_add(*m, v.0[0]), self.0[1].mul_add(*m, v.0[1])])
+    }
+    #[inline(always)]
+    unsafe fn mul(m: &Complex64, v: Self, _v_swapped: Self) -> Self {
+        Pair([*m * v.0[0], *m * v.0[1]])
+    }
+    #[inline(always)]
+    unsafe fn cmul(self, rhs: Self) -> Self {
+        Pair([self.0[0] * rhs.0[0], self.0[1] * rhs.0[1]])
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::*;
+pub(crate) use avx2::Avx2;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use crate::kernels::{SparseRows, STACK_DIM};
-    use hisvsim_circuit::{Complex64, UnitaryMatrix};
+    use super::Lanes;
+    use hisvsim_circuit::Complex64;
     use std::arch::x86_64::*;
 
-    // -- bit-exact primitives ------------------------------------------------
-    //
-    // A 256-bit vector holds two interleaved complex amplitudes:
-    // `[z0.re, z0.im, z1.re, z1.im]`. The scalar reference operations are
-    //
-    //   mul_add:  acc + m·z  =  ((acc.re + m.re·z.re) - m.im·z.im,
-    //                            (acc.im + m.re·z.im) + m.im·z.re)
-    //   mul:            a·b  =  (a.re·b.re - a.im·b.im,
-    //                            a.re·b.im + a.im·b.re)
-    //
-    // (parenthesisation is the scalar evaluation order in
-    // `hisvsim_circuit::Complex64`). Each component below is computed with
-    // exactly one multiply feeding one add/sub per scalar op — `addsub`
-    // subtracts in even (re) lanes and adds in odd (im) lanes, which is
-    // precisely the sign pattern of both formulas — so every lane rounds
-    // identically to the scalar code. The helpers are `inline(always)` so
-    // they compile inside their `#[target_feature]` callers.
-
-    /// `acc + m·z` per lane pair, with `m` pre-splatted into `m_re`/`m_im`.
-    #[inline(always)]
-    unsafe fn macc(acc: __m256d, m_re: __m256d, m_im: __m256d, vz: __m256d) -> __m256d {
-        let t1 = _mm256_add_pd(acc, _mm256_mul_pd(m_re, vz));
-        let t2 = _mm256_mul_pd(m_im, _mm256_permute_pd(vz, 0b0101));
-        _mm256_addsub_pd(t1, t2)
-    }
-
-    /// `a·b` per lane pair (both operands interleaved complex).
-    #[inline(always)]
-    pub(crate) unsafe fn cmul(va: __m256d, vb: __m256d) -> __m256d {
-        let t1 = _mm256_mul_pd(_mm256_movedup_pd(va), vb);
-        let t2 = _mm256_mul_pd(_mm256_permute_pd(va, 0b1111), _mm256_permute_pd(vb, 0b0101));
-        _mm256_addsub_pd(t1, t2)
-    }
-
-    /// Load two (possibly non-adjacent) amplitudes into one vector:
-    /// lane pair 0 = `*lo`, lane pair 1 = `*hi`.
-    #[inline(always)]
-    pub(crate) unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> __m256d {
-        let l = _mm_loadu_pd(lo as *const f64);
-        let h = _mm_loadu_pd(hi as *const f64);
-        _mm256_insertf128_pd(_mm256_castpd128_pd256(l), h, 1)
-    }
-
-    /// Broadcast one amplitude into both lane pairs (unaligned-safe —
-    /// `Complex64` is only 8-byte aligned, so never form `&__m128d` to it).
-    #[inline(always)]
-    pub(crate) unsafe fn broadcast1(z: *const Complex64) -> __m256d {
-        let v = _mm_loadu_pd(z as *const f64);
-        _mm256_set_m128d(v, v)
-    }
-
-    /// Store the two lane pairs of `v` to two (possibly non-adjacent) slots.
-    #[inline(always)]
-    unsafe fn store2(lo: *mut Complex64, hi: *mut Complex64, v: __m256d) {
-        _mm_storeu_pd(lo as *mut f64, _mm256_castpd256_pd128(v));
-        _mm_storeu_pd(hi as *mut f64, _mm256_extractf128_pd(v, 1));
-    }
-
-    #[inline(always)]
-    unsafe fn splat_re_im(v: Complex64) -> (__m256d, __m256d) {
-        (_mm256_set1_pd(v.re), _mm256_set1_pd(v.im))
-    }
-
-    // -- single-qubit dense kernel ------------------------------------------
-
-    /// AVX2 twin of the scalar `apply_single` pair loop: `new_lo[j] =
-    /// m0·lo[j] + m1·hi[j]`, `new_hi[j] = m2·lo[j] + m3·hi[j]`, two `j` per
-    /// iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support; `lo` and `hi` must have
-    /// equal, even lengths.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn apply_single_pairs(
-        lo: &mut [Complex64],
-        hi: &mut [Complex64],
-        m: &[Complex64; 4],
-    ) {
-        debug_assert_eq!(lo.len(), hi.len());
-        debug_assert_eq!(lo.len() % 2, 0);
-        let (m0re, m0im) = splat_re_im(m[0]);
-        let (m1re, m1im) = splat_re_im(m[1]);
-        let (m2re, m2im) = splat_re_im(m[2]);
-        let (m3re, m3im) = splat_re_im(m[3]);
-        let zero = _mm256_setzero_pd();
-        let n = lo.len();
-        let lo_ptr = lo.as_mut_ptr();
-        let hi_ptr = hi.as_mut_ptr();
-        let mut j = 0usize;
-        while j < n {
-            let va = _mm256_loadu_pd(lo_ptr.add(j) as *const f64);
-            let vb = _mm256_loadu_pd(hi_ptr.add(j) as *const f64);
-            let na = macc(macc(zero, m0re, m0im, va), m1re, m1im, vb);
-            let nb = macc(macc(zero, m2re, m2im, va), m3re, m3im, vb);
-            _mm256_storeu_pd(lo_ptr.add(j) as *mut f64, na);
-            _mm256_storeu_pd(hi_ptr.add(j) as *mut f64, nb);
-            j += 2;
-        }
-    }
-
-    /// Qubit-0 case: the (a, b) pairs are adjacent in memory, so process two
-    /// pairs per iteration by deinterleaving across 128-bit lanes. A trailing
-    /// lone pair (slice length 2) is finished scalar — the vector path
-    /// replays the scalar op sequence, so the seam is invisible.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support; `amps.len()` must be even.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn apply_single_q0(amps: &mut [Complex64], m: &[Complex64; 4]) {
-        debug_assert_eq!(amps.len() % 2, 0);
-        let len = amps.len();
-        let (m0re, m0im) = splat_re_im(m[0]);
-        let (m1re, m1im) = splat_re_im(m[1]);
-        let (m2re, m2im) = splat_re_im(m[2]);
-        let (m3re, m3im) = splat_re_im(m[3]);
-        let zero = _mm256_setzero_pd();
-        let ptr = amps.as_mut_ptr();
-        let mut i = 0usize;
-        while i + 4 <= len {
-            let v0 = _mm256_loadu_pd(ptr.add(i) as *const f64); // [a0, b0]
-            let v1 = _mm256_loadu_pd(ptr.add(i + 2) as *const f64); // [a1, b1]
-            let va = _mm256_permute2f128_pd(v0, v1, 0x20); // [a0, a1]
-            let vb = _mm256_permute2f128_pd(v0, v1, 0x31); // [b0, b1]
-            let na = macc(macc(zero, m0re, m0im, va), m1re, m1im, vb);
-            let nb = macc(macc(zero, m2re, m2im, va), m3re, m3im, vb);
-            _mm256_storeu_pd(ptr.add(i) as *mut f64, _mm256_permute2f128_pd(na, nb, 0x20));
-            _mm256_storeu_pd(
-                ptr.add(i + 2) as *mut f64,
-                _mm256_permute2f128_pd(na, nb, 0x31),
-            );
-            i += 4;
-        }
-        while i + 2 <= len {
-            let a = *ptr.add(i);
-            let b = *ptr.add(i + 1);
-            *ptr.add(i) = Complex64::ZERO.mul_add(m[0], a).mul_add(m[1], b);
-            *ptr.add(i + 1) = Complex64::ZERO.mul_add(m[2], a).mul_add(m[3], b);
-            i += 2;
-        }
-    }
-
-    // -- two-qubit dense kernel ---------------------------------------------
-
-    /// The 4×4 matrix pre-splatted for row-pair accumulation, built once per
-    /// gate application: lane pair 0 carries row `r`, lane pair 1 row `r+1`,
-    /// one `(re, im)` splat vector pair per column.
+    /// The AVX2 instantiation of [`Lanes`]. Loads and stores are unaligned —
+    /// `Complex64` is only 8-byte aligned. The methods are `inline(always)`
+    /// so they compile inside their `#[target_feature]` callers.
     #[derive(Clone, Copy)]
-    pub(crate) struct TwoQubitMat {
-        re01: [__m256d; 4],
-        im01: [__m256d; 4],
-        re23: [__m256d; 4],
-        im23: [__m256d; 4],
-    }
+    pub(crate) struct Avx2(__m256d);
 
-    impl TwoQubitMat {
-        /// # Safety
-        /// Caller must have verified AVX2+FMA support; `matrix` must be 4×4.
-        #[target_feature(enable = "avx2", enable = "fma")]
-        pub(crate) unsafe fn new(matrix: &UnitaryMatrix) -> Self {
-            let m = matrix.as_slice();
-            let mut re01 = [_mm256_setzero_pd(); 4];
-            let mut im01 = [_mm256_setzero_pd(); 4];
-            let mut re23 = [_mm256_setzero_pd(); 4];
-            let mut im23 = [_mm256_setzero_pd(); 4];
-            for c in 0..4 {
-                re01[c] = _mm256_setr_pd(m[c].re, m[c].re, m[4 + c].re, m[4 + c].re);
-                im01[c] = _mm256_setr_pd(m[c].im, m[c].im, m[4 + c].im, m[4 + c].im);
-                re23[c] = _mm256_setr_pd(m[8 + c].re, m[8 + c].re, m[12 + c].re, m[12 + c].re);
-                im23[c] = _mm256_setr_pd(m[8 + c].im, m[8 + c].im, m[12 + c].im, m[12 + c].im);
-            }
-            Self {
-                re01,
-                im01,
-                re23,
-                im23,
-            }
+    impl Lanes for Avx2 {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            Avx2(_mm256_setzero_pd())
         }
-
-        /// Apply the matrix to one 4-amplitude group at `ptr + idx[sub]`,
-        /// columns accumulated in ascending order (the scalar order).
-        ///
-        /// # Safety
-        /// Caller guarantees AVX2+FMA, in-bounds indices, and exclusive
-        /// access to the group (the group partition is disjoint by
-        /// construction).
-        #[target_feature(enable = "avx2", enable = "fma")]
-        pub(crate) unsafe fn apply_group(&self, ptr: *mut Complex64, idx: &[usize; 4]) {
-            let mut acc01 = _mm256_setzero_pd();
-            let mut acc23 = _mm256_setzero_pd();
-            for (col, &i) in idx.iter().enumerate() {
-                let vz = broadcast1(ptr.add(i));
-                acc01 = macc(acc01, self.re01[col], self.im01[col], vz);
-                acc23 = macc(acc23, self.re23[col], self.im23[col], vz);
-            }
-            store2(ptr.add(idx[0]), ptr.add(idx[1]), acc01);
-            store2(ptr.add(idx[2]), ptr.add(idx[3]), acc23);
+        #[inline(always)]
+        unsafe fn splat(z: Complex64) -> Self {
+            Avx2(_mm256_setr_pd(z.re, z.im, z.re, z.im))
         }
-    }
-
-    // -- k-qubit prepared kernel --------------------------------------------
-
-    /// Apply a prepared `k ≤ 5` unitary to a *pair* of amplitude groups at
-    /// once: lane pair 0 is group `base_a`, lane pair 1 group `base_b`. The
-    /// matrix traversal (sparse rows or contiguous dense rows) is identical
-    /// to the scalar kernel's, so the accumulation order matches exactly.
-    ///
-    /// # Safety
-    /// Caller guarantees AVX2+FMA, in-bounds indices for both groups,
-    /// exclusive access to both groups, and `offsets.len()` equal to the
-    /// matrix dimension (≤ `2^MAX_STACK_KERNEL_QUBITS`).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn apply_k_group_pair(
-        ptr: *mut Complex64,
-        base_a: usize,
-        base_b: usize,
-        offsets: &[usize],
-        rows: &[Complex64],
-        sparse: Option<&SparseRows>,
-    ) {
-        let dim = offsets.len();
-        debug_assert!(dim <= STACK_DIM);
-        let mut local = [_mm256_setzero_pd(); STACK_DIM];
-        for (slot, &off) in local[..dim].iter_mut().zip(offsets.iter()) {
-            *slot = load2(ptr.add(base_a | off), ptr.add(base_b | off));
+        #[inline(always)]
+        unsafe fn load(p: *const Complex64) -> Self {
+            Avx2(_mm256_loadu_pd(p as *const f64))
         }
-        match sparse {
-            Some(sparse) => {
-                for (row, &off) in offsets.iter().enumerate() {
-                    let mut acc = _mm256_setzero_pd();
-                    for &(col, v) in sparse.row(row) {
-                        acc = macc(
-                            acc,
-                            _mm256_set1_pd(v.re),
-                            _mm256_set1_pd(v.im),
-                            local[col as usize],
-                        );
-                    }
-                    store2(ptr.add(base_a | off), ptr.add(base_b | off), acc);
-                }
-            }
-            None => {
-                for (row, &off) in offsets.iter().enumerate() {
-                    let mut acc = _mm256_setzero_pd();
-                    for (col, &lv) in local[..dim].iter().enumerate() {
-                        let v = rows[row * dim + col];
-                        acc = macc(acc, _mm256_set1_pd(v.re), _mm256_set1_pd(v.im), lv);
-                    }
-                    store2(ptr.add(base_a | off), ptr.add(base_b | off), acc);
-                }
-            }
+        #[inline(always)]
+        unsafe fn load2(lo: *const Complex64, hi: *const Complex64) -> Self {
+            let l = _mm_loadu_pd(lo as *const f64);
+            let h = _mm_loadu_pd(hi as *const f64);
+            Avx2(_mm256_insertf128_pd(_mm256_castpd128_pd256(l), h, 1))
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut Complex64) {
+            _mm256_storeu_pd(p as *mut f64, self.0)
+        }
+        #[inline(always)]
+        unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64) {
+            _mm_storeu_pd(lo as *mut f64, _mm256_castpd256_pd128(self.0));
+            _mm_storeu_pd(hi as *mut f64, _mm256_extractf128_pd(self.0, 1));
+        }
+        #[inline(always)]
+        unsafe fn transpose(a: Self, b: Self) -> (Self, Self) {
+            (
+                Avx2(_mm256_permute2f128_pd(a.0, b.0, 0x20)),
+                Avx2(_mm256_permute2f128_pd(a.0, b.0, 0x31)),
+            )
+        }
+        #[inline(always)]
+        unsafe fn swapped(self) -> Self {
+            Avx2(_mm256_permute_pd(self.0, 0b0101))
+        }
+        #[inline(always)]
+        unsafe fn macc(self, m: &Complex64, v: Self, v_swapped: Self) -> Self {
+            let t1 = _mm256_add_pd(self.0, _mm256_mul_pd(_mm256_broadcast_sd(&m.re), v.0));
+            let t2 = _mm256_mul_pd(_mm256_broadcast_sd(&m.im), v_swapped.0);
+            Avx2(_mm256_addsub_pd(t1, t2))
+        }
+        #[inline(always)]
+        unsafe fn mul(m: &Complex64, v: Self, v_swapped: Self) -> Self {
+            let t1 = _mm256_mul_pd(_mm256_broadcast_sd(&m.re), v.0);
+            let t2 = _mm256_mul_pd(_mm256_broadcast_sd(&m.im), v_swapped.0);
+            Avx2(_mm256_addsub_pd(t1, t2))
+        }
+        #[inline(always)]
+        unsafe fn cmul(self, rhs: Self) -> Self {
+            let t1 = _mm256_mul_pd(_mm256_movedup_pd(self.0), rhs.0);
+            let t2 = _mm256_mul_pd(
+                _mm256_permute_pd(self.0, 0b1111),
+                _mm256_permute_pd(rhs.0, 0b0101),
+            );
+            Avx2(_mm256_addsub_pd(t1, t2))
         }
     }
 }
