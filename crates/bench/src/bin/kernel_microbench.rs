@@ -1,53 +1,108 @@
-//! Per-kernel microbenchmark: forced-scalar vs auto (SIMD) dispatch for
-//! each sweep kernel the fused executor drives — single-qubit (strided and
-//! q0), two-qubit dense, prepared k-qubit, and the diagonal-run streaming
-//! pass — at 20–24 qubits, reported as effective GB/s and speedup, recorded
-//! in `BENCH_kernels.json`.
+//! Per-kernel microbenchmark: every sweep kernel the engines drive — the
+//! dense family at k = 1..=5 (dense and half-sparse matrices), the
+//! permutation and phase gates, the diagonal-run pass, gather/scatter — next
+//! to an in-place scale of the same slice (the floor any in-place sweep pays),
+//! at 2^16 (one L2 tile), 2^21 and 2^24 amplitudes, forced-scalar vs auto
+//! dispatch, one thread vs the default pool. Recorded in `BENCH_kernels.json`
+//! with a description of the host it ran on.
 //!
 //! ```text
 //! cargo run --release -p hisvsim-bench --bin kernel_microbench [reps] [--profile-out <path>]
+//! cargo run --release -p hisvsim-bench --bin kernel_microbench -- --check
 //! ```
 //!
 //! Default: best-of-3. Each kernel is benchmarked through the public sweep
-//! API (`apply_gate_with` / `FusedCircuit::apply`) so the numbers measure
-//! exactly what the engines execute, dispatch resolution included.
+//! API so the numbers measure exactly what the engines execute, dispatch
+//! resolution included.
+//!
+//! `--check` is the CI ratio guard: at 2^16 amplitudes on one thread, each
+//! kernel's time divided by the in-place scale's time *measured seconds apart
+//! in the same process* must stay under its budget (with
+//! [`CHECK_SLACK`]); the process exits non-zero otherwise. Being a ratio of
+//! two loops over the same L2-resident slice, it does not care how fast the
+//! runner is. It writes no file.
 //!
 //! `--profile-out <path>` additionally emits the measurements as a
-//! [`CostProfile`] in the runtime's warm-start format — drop the file at a
-//! service's `<persist_path>.profile.json` sibling path (or merge it with
-//! `ProfileStore::load_from`) to seed calibrated engine selection from a
-//! controlled benchmark instead of live traffic.
+//! [`CostProfile`](hisvsim_obs::CostProfile) in the runtime's warm-start
+//! format — drop the file at a service's `<persist_path>.profile.json`
+//! sibling path (or merge it with `ProfileStore::load_from`) to seed
+//! calibrated engine selection from a controlled benchmark instead of live
+//! traffic.
 
-use hisvsim_circuit::{Circuit, Complex64};
+use hisvsim_circuit::{Circuit, Complex64, GateKind, Qubit, UnitaryMatrix};
 use hisvsim_statevec::{
-    kernels, simd_available, ApplyOptions, FusedCircuit, FusedOp, FusionStrategy, KernelDispatch,
-    StateVector,
+    kernels, simd_available, ApplyOptions, FusedCircuit, FusedOp, FusionStrategy, GatherMap,
+    KernelDispatch, StateVector,
 };
 use serde::Serialize;
+use serde_json::Value;
 use std::time::Instant;
+
+// The host block and the triad are the ones `hisvsim-bench` writes, so the
+// two ledgers describe a machine the same way.
+#[allow(dead_code)]
+#[path = "hisvsim-bench/host.rs"]
+mod host;
+
+/// What `host.rs` asks of its crate root.
+mod layers {
+    pub fn resolved_kernel_dispatch() -> &'static str {
+        hisvsim_statevec::KernelDispatch::Auto.resolved_name()
+    }
+}
+
+/// How far over its budget a kernel may measure before `--check` fails.
+const CHECK_SLACK: f64 = 1.5;
 
 #[derive(Serialize)]
 struct KernelCase {
     kernel: String,
     qubits: usize,
+    /// `single` (one thread) or `default` (the rayon pool).
+    pool: &'static str,
+    /// Threads that pool has here.
+    threads: usize,
     /// Wall seconds per sweep, forced-scalar dispatch (best of reps).
     scalar_s: f64,
     /// Wall seconds per sweep, auto dispatch (best of reps).
     auto_s: f64,
-    /// Effective scalar bandwidth: amplitudes read + written per sweep.
+    /// Effective scalar bandwidth: bytes read + written per sweep.
     scalar_gbps: f64,
     /// Effective auto-dispatch bandwidth.
     auto_gbps: f64,
     speedup: f64,
+    /// Auto-dispatch cycles per amplitude of the slice at the nominal clock.
+    cycles_per_amp: f64,
+    /// Auto-dispatch time over the in-place scale (the `scale` row) of the
+    /// same slice on the same pool.
+    over_scale: f64,
+    /// What `--check` holds `over_scale` to, on one thread at 2^16 (none for
+    /// the floor itself, nor for SIMD budgets when auto resolves to scalar).
+    budget: Option<f64>,
 }
 
-#[derive(Serialize)]
 struct Report {
+    host: Value,
     reps: usize,
-    /// What `KernelDispatch::Auto` resolves to on this machine.
-    auto_resolves_to: String,
-    simd_available: bool,
+    nominal_ghz: f64,
     kernels: Vec<KernelCase>,
+}
+
+impl Serialize for Report {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("host".into(), self.host.clone()),
+            ("reps".into(), Value::Int(self.reps as i128)),
+            (
+                "auto_resolves_to".into(),
+                Value::Str(KernelDispatch::Auto.resolved_name().into()),
+            ),
+            ("simd_available".into(), Value::Bool(simd_available())),
+            ("nominal_ghz".into(), Value::Float(self.nominal_ghz)),
+            ("check_slack".into(), Value::Float(CHECK_SLACK)),
+            ("kernels".into(), serde_json::to_value(&self.kernels)),
+        ])
+    }
 }
 
 /// A deterministic pseudo-random normalized state (splitmix64 amplitudes),
@@ -70,14 +125,18 @@ fn random_state(num_qubits: usize, seed: u64) -> StateVector {
     state
 }
 
-/// Best-of-`reps` wall time of `f` after one warmup call.
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+/// Best-of-`reps` wall time of `f` after one warmup call. Sweeps over small
+/// slices are repeated inside one timing so the clock reads milliseconds.
+fn time_best<F: FnMut()>(reps: usize, amps: usize, mut f: F) -> f64 {
+    let inner = ((1usize << 21) / amps).max(1);
     f();
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+        for _ in 0..inner {
+            f();
+        }
+        best = best.min(start.elapsed().as_secs_f64() / inner as f64);
     }
     best
 }
@@ -98,139 +157,344 @@ fn single_fused_op(build: impl FnOnce(&mut Circuit), num_qubits: usize, width: u
     fused.ops()[0].clone()
 }
 
-fn bench_case(
-    name: &str,
-    n: usize,
-    reps: usize,
-    state: &mut StateVector,
-    mut sweep: impl FnMut(&mut StateVector, &ApplyOptions),
-) -> KernelCase {
-    // Amplitudes read + written once per sweep: 2 × 16 bytes each.
-    let bytes = (1u64 << n) as f64 * 32.0;
-    let scalar_opts = ApplyOptions::default().with_dispatch(KernelDispatch::Scalar);
-    let auto_opts = ApplyOptions::default().with_dispatch(KernelDispatch::Auto);
-    let scalar_s = time_best(reps, || sweep(state, &scalar_opts));
-    let auto_s = time_best(reps, || sweep(state, &auto_opts));
-    let case = KernelCase {
-        kernel: name.to_string(),
-        qubits: n,
-        scalar_s,
-        auto_s,
-        scalar_gbps: bytes / scalar_s / 1e9,
-        auto_gbps: bytes / auto_s / 1e9,
-        speedup: scalar_s / auto_s,
-    };
-    println!(
-        "{name}@{n}: scalar {scalar_s:.4} s ({:.2} GB/s), auto {auto_s:.4} s ({:.2} GB/s) -> {:.2}x",
-        case.scalar_gbps, case.auto_gbps, case.speedup
-    );
-    case
+/// A `2^k`-dimensional matrix with no zero entry (a Kronecker product of
+/// rotations), or the same with one factor replaced by the identity — half
+/// its entries zero, the fill a group holding a CX typically has.
+fn kron_matrix(k: usize, half_sparse: bool) -> UnitaryMatrix {
+    (1..k).fold(GateKind::Ry(0.7).matrix(), |m, j| {
+        let factor = match (half_sparse, j) {
+            (true, 1) => GateKind::I.matrix(),
+            _ => GateKind::Ry(0.4 + 0.3 * j as f64).matrix(),
+        };
+        m.kron(&factor)
+    })
 }
 
-/// The profile kernel-table name each microbench case measures: the
-/// single-qubit cases exercise the solo sweep, the fused dense cases the
-/// dense group kernel, the diagonal run the streaming diagonal pass —
-/// mirroring the span names the executor's recorder emits.
-fn profile_kernel_name(case: &str) -> &'static str {
-    match case {
-        "single_mid" | "single_q0" => "sweep:solo",
-        "two_qubit_dense" | "k_qubit_prepared" => "sweep:dense",
-        "diagonal_run" => "sweep:diagonal",
-        other => panic!("unmapped microbench case '{other}'"),
+/// One row of the benchmark: a sweep, the bytes it moves per amplitude of
+/// the slice, and the budget its time over the in-place scale is held to.
+struct Kernel {
+    name: String,
+    /// Bytes read + written per amplitude (32 for an in-place sweep).
+    bytes_per_amp: f64,
+    /// `(budget, holds only for the SIMD kernels)`.
+    budget: Option<(f64, bool)>,
+    /// Whether the options change anything (gather/scatter is a plain copy
+    /// loop: one thread, one dispatch).
+    takes_options: bool,
+    sweep: Box<dyn FnMut(&mut StateVector, &ApplyOptions)>,
+}
+
+fn kernel(
+    name: &str,
+    budget: Option<(f64, bool)>,
+    sweep: impl FnMut(&mut StateVector, &ApplyOptions) + 'static,
+) -> Kernel {
+    Kernel {
+        name: name.to_string(),
+        bytes_per_amp: 32.0,
+        budget,
+        takes_options: true,
+        sweep: Box::new(sweep),
     }
 }
 
-fn main() {
+/// Every row, for an `n`-qubit state. Operands sit on qubit 1, the middle
+/// and near the top — no placement a kernel could special-case.
+fn kernels_for(n: usize) -> Vec<Kernel> {
+    let mid = n / 2;
+    let simd = |budget: f64| Some((budget, true));
+    let any = |budget: f64| Some((budget, false));
+    let mut rows = Vec::new();
+
+    // The floor: multiply every amplitude by one constant, through the
+    // phase kernel (a diagonal gate with two equal entries) — the memory
+    // traffic of an in-place sweep with one complex multiply on top, under
+    // the same dispatch and pool as the row it is compared with.
+    let factor = Complex64::cis(0.3);
+    rows.push(kernel("scale", None, move |s, o| {
+        kernels::apply_diagonal_single(s, n - 1, factor, factor, o)
+    }));
+
+    // Dense family. `single_*`, `two_qubit_dense` and `k_qubit_prepared` keep
+    // their names from earlier ledgers; the `k*_dense` / `k*_half` rows are
+    // the whole family on one footing.
+    let gate_on = |kind: GateKind, qubits: Vec<Qubit>| hisvsim_circuit::Gate::new(kind, qubits);
+    let h_mid = gate_on(GateKind::H, vec![mid]);
+    rows.push(kernel("single_mid", simd(2.0), move |s, o| {
+        kernels::apply_gate_with(s, &h_mid, o)
+    }));
+    let h0 = gate_on(GateKind::H, vec![0]);
+    rows.push(kernel("single_q0", simd(2.0), move |s, o| {
+        kernels::apply_gate_with(s, &h0, o)
+    }));
+    let two = single_fused_op(
+        |c| {
+            c.h(1).h(mid).cx(1, mid);
+        },
+        n,
+        2,
+    );
+    rows.push(kernel("two_qubit_dense", simd(3.5), move |s, o| {
+        two.apply(s, o)
+    }));
+    let three = single_fused_op(
+        |c| {
+            c.h(1).h(mid).h(n - 2).cx(1, mid).cx(mid, n - 2);
+        },
+        n,
+        3,
+    );
+    rows.push(kernel("k_qubit_prepared", simd(7.0), move |s, o| {
+        three.apply(s, o)
+    }));
+    let operands = [1, mid, n - 2, 3, mid + 2];
+    for (k, budget) in [(2usize, 3.5), (3, 7.0), (4, 14.0), (5, 28.0)] {
+        for (suffix, half_sparse) in [("dense", false), ("half", true)] {
+            let matrix = kron_matrix(k, half_sparse);
+            let qubits = operands[..k].to_vec();
+            rows.push(kernel(
+                &format!("k{k}_{suffix}"),
+                simd(budget),
+                move |s, o| kernels::apply_k_qubit(s, &qubits, &matrix, o),
+            ));
+        }
+    }
+
+    // Permutations: data movement only, so the budget holds either way.
+    rows.push(kernel("cx", any(1.5), move |s, o| {
+        kernels::apply_cx(s, 1, mid, o)
+    }));
+    rows.push(kernel("x", any(1.5), move |s, o| {
+        kernels::apply_x(s, mid, o)
+    }));
+    rows.push(kernel("swap", any(1.5), move |s, o| {
+        kernels::apply_swap(s, 1, mid, o)
+    }));
+
+    // Phase gates: T leaves half the state alone, Rz none of it.
+    rows.push(kernel("cz", simd(1.5), move |s, o| {
+        kernels::apply_cz(s, 1, mid, o)
+    }));
+    let t = Complex64::cis(std::f64::consts::FRAC_PI_4);
+    rows.push(kernel("diag_single_t", simd(1.5), move |s, o| {
+        kernels::apply_diagonal_single(s, mid, Complex64::ONE, t, o)
+    }));
+    let (d0, d1) = (Complex64::cis(-0.3), Complex64::cis(0.3));
+    rows.push(kernel("diag_single_rz", simd(1.5), move |s, o| {
+        kernels::apply_diagonal_single(s, mid, d0, d1, o)
+    }));
+
+    // Diagonal runs: a collapsed streak of unrelated phase factors, and the
+    // controlled-phase cascade onto one target that the QFT is made of.
+    let diag = single_fused_op(
+        |c| {
+            c.rz(0.3, 1).rz(0.7, mid).cp(0.5, 1, mid).rz(1.1, n - 2);
+        },
+        n,
+        3,
+    );
+    rows.push(kernel("diagonal_run", simd(3.0), move |s, o| {
+        diag.apply(s, o)
+    }));
+    let cascade = single_fused_op(
+        |c| {
+            for q in 0..n - 1 {
+                c.cp(0.1 + 0.01 * q as f64, q, n - 1);
+            }
+        },
+        n,
+        3,
+    );
+    rows.push(kernel("diagonal_cascade", simd(3.0), move |s, o| {
+        cascade.apply(s, o)
+    }));
+
+    // Gather then scatter every assignment of a part that leaves the four
+    // highest qubits free: each amplitude is read and written twice, so two
+    // in-place passes are its floor and the budget allows twice that.
+    let part: Vec<Qubit> = (0..n - 4).collect();
+    let map = GatherMap::new(n, &part);
+    let mut inner = StateVector::zero_state(map.inner_qubits());
+    rows.push(Kernel {
+        bytes_per_amp: 64.0,
+        takes_options: false,
+        ..kernel("gather_scatter", any(4.0), move |s, _| {
+            for assignment in 0..1usize << map.num_free_qubits() {
+                map.gather_into(s, assignment, &mut inner);
+                map.scatter(&inner, s, assignment);
+            }
+        })
+    });
+    rows
+}
+
+/// Nominal clock in GHz: the `@ x.yzGHz` of the model name, else the
+/// `cpu MHz` the kernel reports.
+fn nominal_ghz() -> f64 {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|line| line.starts_with(key))
+            .and_then(|line| line.split_once(':'))
+            .map(|(_, value)| value.trim().to_string())
+    };
+    field("model name")
+        .and_then(|model| {
+            let (_, clock) = model.rsplit_once('@')?;
+            clock.trim().strip_suffix("GHz")?.trim().parse().ok()
+        })
+        .or_else(|| Some(field("cpu MHz")?.parse::<f64>().ok()? / 1000.0))
+        .unwrap_or(1.0)
+}
+
+/// Measure every kernel of an `n`-qubit state under `threads` (1 or the
+/// default pool) and both dispatches.
+fn measure(n: usize, default_pool: bool, reps: usize, ghz: f64) -> Vec<KernelCase> {
+    let amps = 1usize << n;
+    let mut state = random_state(n, 0xBE_4C4 ^ n as u64);
+    let base = if default_pool {
+        ApplyOptions::default()
+    } else {
+        ApplyOptions::sequential()
+    };
+    let threads = if default_pool {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let mut cases: Vec<KernelCase> = Vec::new();
+    for mut row in kernels_for(n) {
+        if default_pool && !row.takes_options {
+            continue;
+        }
+        let mut time = |dispatch| {
+            let opts = base.with_dispatch(dispatch);
+            time_best(reps, amps, || (row.sweep)(&mut state, &opts))
+        };
+        let auto_s = time(KernelDispatch::Auto);
+        let scalar_s = match row.takes_options {
+            true => time(KernelDispatch::Scalar),
+            false => auto_s,
+        };
+        let bytes = amps as f64 * row.bytes_per_amp;
+        // The floor is the first row.
+        let scale_s = cases.first().map_or(auto_s, |scale| scale.auto_s);
+        let case = KernelCase {
+            kernel: row.name,
+            qubits: n,
+            pool: if default_pool { "default" } else { "single" },
+            threads,
+            scalar_s,
+            auto_s,
+            scalar_gbps: bytes / scalar_s / 1e9,
+            auto_gbps: bytes / auto_s / 1e9,
+            speedup: scalar_s / auto_s,
+            cycles_per_amp: auto_s * ghz * 1e9 / amps as f64,
+            over_scale: auto_s / scale_s,
+            budget: row
+                .budget
+                .filter(|&(_, simd_only)| !simd_only || simd_available())
+                .map(|(budget, _)| budget),
+        };
+        println!(
+            "{:18} 2^{n} x{threads}: scalar {:8.3} ms, auto {:8.3} ms ({:6.2} GB/s, {:5.2} cyc/amp) {:5.2}x scalar, {:5.2}x scale{}",
+            case.kernel,
+            scalar_s * 1e3,
+            auto_s * 1e3,
+            case.auto_gbps,
+            case.cycles_per_amp,
+            case.speedup,
+            case.over_scale,
+            case.budget
+                .map_or(String::new(), |b| format!(" (budget {b})")),
+        );
+        cases.push(case);
+    }
+    cases
+}
+
+/// The profile kernel-table name each microbench case measures, mirroring
+/// the span names the executor's recorder emits; `None` for rows that are
+/// not executor sweeps.
+fn profile_kernel_name(case: &str) -> Option<&'static str> {
+    match case {
+        "scale" | "gather_scatter" => None,
+        "two_qubit_dense" | "k_qubit_prepared" => Some("sweep:dense"),
+        "diagonal_run" | "diagonal_cascade" => Some("sweep:diagonal"),
+        name if name.starts_with('k') => Some("sweep:dense"),
+        _ => Some("sweep:solo"),
+    }
+}
+
+/// The CI guard: exit status 1 when a kernel is over budget.
+fn check(reps: usize) -> std::process::ExitCode {
+    let cases = measure(16, false, reps, nominal_ghz());
+    let over: Vec<&KernelCase> = cases
+        .iter()
+        .filter(|case| {
+            case.budget
+                .is_some_and(|budget| case.over_scale > budget * CHECK_SLACK)
+        })
+        .collect();
+    for case in &over {
+        eprintln!(
+            "over budget: {} takes {:.2}x the in-place scale, budget {} (x{CHECK_SLACK} slack)",
+            case.kernel,
+            case.over_scale,
+            case.budget.expect("filtered on it"),
+        );
+    }
+    match over.is_empty() {
+        true => {
+            println!("\nevery kernel is within its budget");
+            std::process::ExitCode::SUCCESS
+        }
+        false => std::process::ExitCode::FAILURE,
+    }
+}
+
+fn main() -> std::process::ExitCode {
     let mut reps: usize = 3;
     let mut profile_out: Option<std::path::PathBuf> = None;
+    let mut check_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--profile-out" {
-            let path = args.next().expect("--profile-out needs a path");
-            profile_out = Some(path.into());
-        } else {
-            reps = arg.parse().expect("reps must be a positive integer");
+        match arg.as_str() {
+            "--profile-out" => {
+                let path = args.next().expect("--profile-out needs a path");
+                profile_out = Some(path.into());
+            }
+            "--check" => check_only = true,
+            _ => reps = arg.parse().expect("reps must be a positive integer"),
         }
     }
     println!(
         "kernel microbenchmark: best of {reps}, auto dispatch resolves to {}\n",
         KernelDispatch::Auto.resolved_name()
     );
+    if check_only {
+        return check(reps);
+    }
 
+    let host = host::Host::detect();
+    let triad = host::triad(host.triad_array_bytes(), host.cores, 2);
+    let ghz = nominal_ghz();
+    println!(
+        "host: {} x{}, L1d {} KiB, L2 {} KiB, LLC {} KiB, nominal {ghz} GHz, triad {:.2} GB/s\n",
+        host.cpu, host.cores, host.l1d_kib, host.l2_kib, host.llc_kib, triad.gbps
+    );
     let mut cases = Vec::new();
-    for n in [20usize, 22, 24] {
-        let mid = n / 2;
-        let mut state = random_state(n, 0xBE_4C4 ^ n as u64);
-
-        // Single-qubit dense sweeps: the strided pair kernel and the
-        // q0-specialised contiguous kernel.
-        let h_mid = {
-            let mut c = Circuit::new(n);
-            c.h(mid);
-            c.gates()[0].clone()
-        };
-        cases.push(bench_case("single_mid", n, reps, &mut state, |s, o| {
-            kernels::apply_gate_with(s, &h_mid, o)
-        }));
-        let h0 = {
-            let mut c = Circuit::new(n);
-            c.h(0);
-            c.gates()[0].clone()
-        };
-        cases.push(bench_case("single_q0", n, reps, &mut state, |s, o| {
-            kernels::apply_gate_with(s, &h0, o)
-        }));
-
-        // Two-qubit dense: a fused {H,H,CX} group on non-adjacent qubits.
-        let two = single_fused_op(
-            |c| {
-                c.h(1).h(mid).cx(1, mid);
-            },
-            n,
-            2,
-        );
-        cases.push(bench_case(
-            "two_qubit_dense",
-            n,
-            reps,
-            &mut state,
-            |s, o| two.apply(s, o),
-        ));
-
-        // Prepared k-qubit (k = 3): the gather/scatter group kernel.
-        let three = single_fused_op(
-            |c| {
-                c.h(1).h(mid).h(n - 2).cx(1, mid).cx(mid, n - 2);
-            },
-            n,
-            3,
-        );
-        cases.push(bench_case(
-            "k_qubit_prepared",
-            n,
-            reps,
-            &mut state,
-            |s, o| three.apply(s, o),
-        ));
-
-        // Diagonal run: a collapsed streak of phase factors streamed in one
-        // pass over the state.
-        let diag = single_fused_op(
-            |c| {
-                c.rz(0.3, 1).rz(0.7, mid).cp(0.5, 1, mid).rz(1.1, n - 2);
-            },
-            n,
-            3,
-        );
-        cases.push(bench_case("diagonal_run", n, reps, &mut state, |s, o| {
-            diag.apply(s, o)
-        }));
+    for n in [16usize, 21, 24] {
+        for default_pool in [false, true] {
+            cases.extend(measure(n, default_pool, reps, ghz));
+        }
     }
 
     let report = Report {
+        host: host.to_value(&triad),
         reps,
-        auto_resolves_to: KernelDispatch::Auto.resolved_name().to_string(),
-        simd_available: simd_available(),
+        nominal_ghz: ghz,
         kernels: cases,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -240,11 +504,14 @@ fn main() {
     if let Some(path) = profile_out {
         // One sweep per measured best time, attributed to both dispatches so
         // a calibrated selector can compare them; band = qubit count, bytes
-        // = one read+write pass over the state.
+        // = one read+write pass over the state. The profile describes the
+        // default pool, which is what the engines sweep with.
         let mut profile = hisvsim_obs::CostProfile::new();
         let auto_name = KernelDispatch::Auto.resolved_name();
-        for case in &report.kernels {
-            let kernel = profile_kernel_name(&case.kernel);
+        for case in report.kernels.iter().filter(|case| case.pool == "default") {
+            let Some(kernel) = profile_kernel_name(&case.kernel) else {
+                continue;
+            };
             let band = case.qubits as u32;
             let bytes = 32u64 << case.qubits;
             profile.absorb_kernel(kernel, "scalar", band, 1, case.scalar_s, bytes);
@@ -253,4 +520,5 @@ fn main() {
         profile.save(&path).expect("write cost profile");
         println!("wrote cost profile to {}", path.display());
     }
+    std::process::ExitCode::SUCCESS
 }

@@ -20,7 +20,7 @@
 //!   reordering, no specialisation).
 
 use crate::kernels::{
-    apply_dense_amps, apply_k_qubit, apply_kind_amps, ApplyOptions, DenseMatrix,
+    apply_dense_amps, apply_k_qubit, apply_kind_amps, ApplyOptions, DenseMasks,
     MAX_STACK_KERNEL_QUBITS,
 };
 use crate::simd::{Lanes, Pair};
@@ -286,12 +286,12 @@ pub enum FusedOp {
     },
 }
 
-/// Per-op data derived from the fused form once at build time (kernel layout
-/// of dense matrices, block classification of diagonal runs), so the
+/// Per-op data derived from the fused form once at build time (zero masks of
+/// dense matrices, block classification of diagonal runs), so the
 /// per-assignment hot loops of the hierarchical engines never re-derive it.
 #[derive(Debug, Clone)]
 enum PreparedOp {
-    Dense(DenseMatrix),
+    Dense(DenseMasks),
     Diagonal(PreparedDiagonal),
     Solo,
 }
@@ -300,7 +300,7 @@ enum PreparedOp {
 /// sizes the diagonal block).
 fn prepare_op(op: &FusedOp, state_qubits: usize) -> PreparedOp {
     match op {
-        FusedOp::Dense(g) => PreparedOp::Dense(DenseMatrix::new(&g.matrix)),
+        FusedOp::Dense(g) => PreparedOp::Dense(DenseMasks::of(&g.matrix)),
         FusedOp::Diagonal { factors, .. } => {
             PreparedOp::Diagonal(prepare_diagonal(factors, None, state_qubits))
         }
@@ -447,8 +447,8 @@ impl Stream {
 }
 
 /// Widest sub-table the block phase is folded into (see
-/// [`run_prepared_diagonal_amps`]): every stream of a multi-qubit factor
-/// fits, the low-bit fold of a full-size block does not.
+/// [`run_prepared_diagonal_amps`]): the stream of any factor the fusion
+/// builders emit (at most [`MAX_STACK_KERNEL_QUBITS`] qubits) fits.
 const MAX_FOLD_WIDTH: usize = 2 << MAX_STACK_KERNEL_QUBITS;
 
 /// One sweep of a diagonal run: every amplitude is multiplied by the product
@@ -470,9 +470,8 @@ struct PreparedDiagonal {
 
 /// Classify a diagonal run's factors for the block sweep over states of
 /// `state_qubits` qubits, optionally translating qubits through `map` first
-/// (the per-rank path). Factors entirely below the block fold into one
-/// table here, once; factors entirely above it become per-block constants;
-/// the rest become one stream each.
+/// (the per-rank path). Factors entirely above the block become per-block
+/// constants; every other factor becomes one stream.
 fn prepare_diagonal(
     factors: &[DiagonalFactor],
     map: Option<&[Qubit]>,
@@ -482,7 +481,6 @@ fn prepare_diagonal(
     let block = 1usize << block_bits;
     let mut constant = Vec::new();
     let mut streams = Vec::new();
-    let mut low_fold: Option<Vec<Complex64>> = None;
     for factor in factors {
         // (translated qubit, factor table bit), ascending by qubit.
         let mut bits: Vec<(Qubit, usize)> = factor
@@ -494,61 +492,42 @@ fn prepare_diagonal(
         bits.sort_unstable();
         let split = bits.partition_point(|&(q, _)| q < block_bits);
         let (low, high) = bits.split_at(split);
-        // The factor's entry for absolute index `i`.
-        let entry = |i: usize| {
+        // Bit 0 of a stream index is qubit 0, or a dummy when the factor
+        // does not touch it (a constant factor has neither).
+        let dummy = low.first().is_some_and(|&(q, _)| q != 0) as usize;
+        let width_bits = low.len() + dummy;
+        // Position of qubit number `n` of `low ++ high` in the new index.
+        let position = |n: usize| n + dummy;
+        // The factor's entry for new-order index `e`.
+        let entry = |e: usize| {
             let sub = bits
                 .iter()
-                .fold(0, |sub, &(q, b)| sub | ((i >> q) & 1) << b);
+                .enumerate()
+                .fold(0, |sub, (n, &(_, b))| sub | ((e >> position(n)) & 1) << b);
             factor.diag[sub]
         };
-        if high.is_empty() {
-            let fold = low_fold.get_or_insert_with(|| vec![Complex64::ONE; block]);
-            for (j, slot) in fold.iter_mut().enumerate() {
-                *slot *= entry(j);
-            }
-            continue;
-        }
-        // Index of an absolute position in a table ordered by `qs`.
-        let deposit = |i: usize, qs: &[(Qubit, usize)], first: usize| {
-            qs.iter()
-                .enumerate()
-                .fold(0, |e, (n, &(q, _))| e | ((i >> q) & 1) << (first + n))
-        };
-        // Any index with exactly the given table position set.
-        let scatter = |e: usize, qs: &[(Qubit, usize)], first: usize| {
-            qs.iter()
-                .enumerate()
-                .fold(0, |i, (n, &(q, _))| i | ((e >> (first + n)) & 1) << q)
-        };
+        let table: Vec<Complex64> = (0..1usize << (width_bits + high.len()))
+            .map(entry)
+            .collect();
+        let hi_bits: Vec<(Qubit, usize)> = high
+            .iter()
+            .enumerate()
+            .map(|(n, &(q, _))| (q, position(low.len() + n)))
+            .collect();
         if low.is_empty() {
-            constant.push(BlockFactor {
-                table: (0..1usize << high.len())
-                    .map(|e| entry(scatter(e, high, 0)))
-                    .collect(),
-                hi_bits: high.iter().enumerate().map(|(n, &(q, _))| (q, n)).collect(),
-            });
+            constant.push(BlockFactor { table, hi_bits });
             continue;
         }
-        // Bit 0 of the stream index is qubit 0, or a dummy when the factor
-        // does not touch it.
-        let dummy = (low[0].0 != 0) as usize;
-        let width_bits = low.len() + dummy;
-        streams.push(Stream::new(
-            (0..1usize << (width_bits + high.len()))
-                .map(|e| entry(scatter(e, low, dummy) | scatter(e, high, width_bits)))
-                .collect(),
-            high.iter()
-                .enumerate()
-                .map(|(n, &(q, _))| (q, width_bits + n))
-                .collect(),
-            (0..block / 2)
-                .map(|v| deposit(2 * v, low, dummy) as u8)
-                .collect(),
-        ));
-    }
-    if let Some(table) = low_fold {
-        let lane0 = (0..block / 2).map(|v| (2 * v) as u8).collect();
-        streams.push(Stream::new(table, Vec::new(), lane0));
+        // Stream index of the even amplitude of every step of a block.
+        let lane0 = (0..block / 2)
+            .map(|v| {
+                low.iter()
+                    .enumerate()
+                    .fold(0, |e, (n, &(q, _))| e | ((2 * v >> q) & 1) << position(n))
+                    as u8
+            })
+            .collect();
+        streams.push(Stream::new(table, hi_bits, lane0));
     }
     // Narrowest first: the block phase folds into the first active stream.
     streams.sort_by_key(|stream| stream.width);
@@ -1196,7 +1175,8 @@ fn op_tileable(op: &FusedOp, map: Option<&[Qubit]>) -> bool {
 enum TileOp<'a> {
     Dense {
         qubits: Operands,
-        matrix: &'a DenseMatrix,
+        matrix: &'a UnitaryMatrix,
+        masks: &'a DenseMasks,
     },
     Solo {
         kind: &'a hisvsim_circuit::GateKind,
@@ -1216,9 +1196,10 @@ fn tile_op<'a>(
     state_qubits: usize,
 ) -> TileOp<'a> {
     match (op, prep) {
-        (FusedOp::Dense(g), PreparedOp::Dense(matrix)) => TileOp::Dense {
+        (FusedOp::Dense(g), PreparedOp::Dense(masks)) => TileOp::Dense {
             qubits: Operands::translate(&g.qubits, map),
-            matrix,
+            matrix: &g.matrix,
+            masks,
         },
         (FusedOp::Solo(gate, matrix), _) => TileOp::Solo {
             kind: &gate.kind,
@@ -1254,9 +1235,11 @@ impl TileOp<'_> {
     /// whole-state sweep.
     fn apply(&self, amps: &mut [Complex64], base: usize, opts: &ApplyOptions) {
         match self {
-            TileOp::Dense { qubits, matrix } => {
-                apply_dense_amps(amps, qubits.as_slice(), matrix, opts)
-            }
+            TileOp::Dense {
+                qubits,
+                matrix,
+                masks,
+            } => apply_dense_amps(amps, qubits.as_slice(), matrix, masks, opts),
             TileOp::Solo {
                 kind,
                 qubits,

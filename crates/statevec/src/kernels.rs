@@ -204,7 +204,7 @@ pub(crate) fn apply_kind_amps(
             apply_controlled_single_amps(amps, c, t, &mat, opts);
         }
         &[a, b] => apply_two_qubit_dense_amps(amps, a, b, m, opts),
-        _ => apply_dense_amps(amps, qubits, &DenseMatrix::new(m), opts),
+        _ => apply_dense_amps(amps, qubits, m, &DenseMasks::of(m), opts),
     }
 }
 
@@ -260,8 +260,7 @@ pub(crate) fn apply_single_amps(
     m: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
-    let small = SmallDense::<4, 2>::new(m);
-    dense_sweep(amps, &[q], None, small.view(), opts);
+    dense_sweep(amps, &[q], None, m, &DenseMasks::of_rows(m, 2).0, opts);
 }
 
 /// Apply a 2×2 matrix on `target`, conditioned on `control` being 1.
@@ -283,8 +282,8 @@ pub(crate) fn apply_controlled_single_amps(
     opts: &ApplyOptions,
 ) {
     assert_ne!(control, target, "control and target must be distinct");
-    let small = SmallDense::<4, 2>::new(m);
-    dense_sweep(amps, &[target], Some(control), small.view(), opts);
+    let masks = DenseMasks::of_rows(m, 2);
+    dense_sweep(amps, &[target], Some(control), m, &masks.0, opts);
 }
 
 /// Apply a dense 4×4 unitary on qubits `(a, b)` where operand `a` is matrix
@@ -309,46 +308,48 @@ pub(crate) fn apply_two_qubit_dense_amps(
 ) {
     assert_eq!(matrix.dim(), 4, "two-qubit kernel needs a 4x4 matrix");
     assert_ne!(a, b, "two-qubit gate operands must be distinct");
-    let small = SmallDense::<16, 4>::new(matrix.as_slice());
-    dense_sweep(amps, &[a, b], None, small.view(), opts);
+    let masks = DenseMasks::of(matrix);
+    dense_sweep(amps, &[a, b], None, matrix.as_slice(), &masks.0, opts);
 }
 
 /// Apply an arbitrary `k`-qubit unitary to the given (distinct) qubits.
 ///
 /// Operand `qubits[j]` corresponds to bit `j` of the matrix index, matching
-/// [`GateKind::matrix`]'s convention. This convenience entry prepares the
-/// matrix (one small allocation) on every call; the fused executor prepares
-/// each op's matrix once at build time instead.
+/// [`GateKind::matrix`]'s convention. This convenience entry scans the
+/// matrix for zeros on every call; the fused executor does that once per op
+/// at build time instead.
 pub fn apply_k_qubit(
     state: &mut StateVector,
     qubits: &[Qubit],
     matrix: &UnitaryMatrix,
     opts: &ApplyOptions,
 ) {
-    assert_eq!(matrix.dim(), 1 << qubits.len(), "matrix dimension mismatch");
     apply_dense_amps(
         state.amplitudes_mut(),
         qubits,
-        &DenseMatrix::new(matrix),
+        matrix,
+        &DenseMasks::of(matrix),
         opts,
     );
 }
 
-/// Apply a prepared dense matrix to `qubits` of an amplitude slice: the
-/// register-blocked family for `k ≤ 5`, the heap fallback above that.
+/// Apply a dense matrix with its prepared zero masks to `qubits` of an
+/// amplitude slice: the register-blocked family for `k ≤ 5`, the heap
+/// fallback above that.
 pub(crate) fn apply_dense_amps(
     amps: &mut [Complex64],
     qubits: &[Qubit],
-    matrix: &DenseMatrix,
+    matrix: &UnitaryMatrix,
+    masks: &DenseMasks,
     opts: &ApplyOptions,
 ) {
     let k = qubits.len();
-    assert_eq!(matrix.k, k, "matrix dimension mismatch");
+    assert_eq!(matrix.dim(), 1 << k, "matrix dimension mismatch");
     assert!(amps.len() >= 1 << k, "state too small for a {k}-qubit gate");
     if k <= MAX_STACK_KERNEL_QUBITS {
-        dense_sweep(amps, qubits, None, matrix.view(), opts);
+        dense_sweep(amps, qubits, None, matrix.as_slice(), &masks.0, opts);
     } else {
-        apply_k_qubit_heap(amps, qubits, &matrix.cols, opts);
+        apply_k_qubit_heap(amps, qubits, matrix.as_slice(), opts);
     }
 }
 
@@ -369,106 +370,70 @@ const ROW_BLOCK: usize = 8;
 /// buffers are reused across many groups instead of reallocated per group.
 const GROUPS_PER_CHUNK: usize = 64;
 
-/// A dense gate matrix laid out for the sweep kernels: entries column-major
-/// (a column is what one input amplitude multiplies), plus one bit mask per
-/// (column, row block) marking the non-zero entries. Fused group matrices are
+/// Where a dense gate matrix has its zeros: one bit mask per (column, row
+/// block), bit `r` of mask `c * blocks + b` set when entry (row
+/// `b * ROW_BLOCK + r`, column `c`) is non-zero. Fused group matrices are
 /// usually far from dense — controlled factors and permutation structure
 /// leave most entries zero — so skipping zeros cuts the arithmetic directly.
-/// Built once per fused op; the mask depends only on the matrix, never on
-/// where the gate is applied, so every placement of an op skips the same
-/// terms.
+/// Built once per fused op; it depends only on the matrix, never on where the
+/// gate is applied, so every placement of an op skips the same terms. (The
+/// entries themselves are read from the row-major matrix: each one is a
+/// scalar broadcast, so their order in memory does not matter.)
 #[derive(Debug, Clone)]
-pub(crate) struct DenseMatrix {
-    k: usize,
-    cols: Vec<Complex64>,
-    masks: Vec<u8>,
+pub(crate) struct DenseMasks(DenseMaskBuf);
+
+/// Masks of up to three-qubit matrices (every per-call entry point, and
+/// every fused group at the default width) sit inline, so taking them costs
+/// no allocation; wider ones go to the heap.
+#[derive(Debug, Clone)]
+enum DenseMaskBuf {
+    Inline([u8; ROW_BLOCK], usize),
+    Heap(Box<[u8]>),
 }
 
-impl DenseMatrix {
-    pub(crate) fn new(matrix: &UnitaryMatrix) -> Self {
-        let dim = matrix.dim();
-        assert!(dim.is_power_of_two(), "gate matrices are 2^k square");
-        let mut cols = vec![Complex64::ZERO; dim * dim];
-        let mut masks = vec![0u8; dim * dim.div_ceil(ROW_BLOCK)];
-        fill_dense(matrix.as_slice(), dim, &mut cols, &mut masks);
-        Self {
-            k: dim.trailing_zeros() as usize,
-            cols,
-            masks,
-        }
-    }
-
-    fn view(&self) -> DenseView<'_> {
-        DenseView {
-            cols: &self.cols,
-            masks: &self.masks,
+impl std::ops::Deref for DenseMaskBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            DenseMaskBuf::Inline(masks, len) => &masks[..*len],
+            DenseMaskBuf::Heap(masks) => masks,
         }
     }
 }
 
-/// [`DenseMatrix`] on the stack for the per-call one- and two-qubit entry
-/// points (`N = 4^k` entries, `M = 2^k` masks).
-struct SmallDense<const N: usize, const M: usize> {
-    cols: [Complex64; N],
-    masks: [u8; M],
-}
+impl DenseMasks {
+    pub(crate) fn of(matrix: &UnitaryMatrix) -> Self {
+        Self::of_rows(matrix.as_slice(), matrix.dim())
+    }
 
-impl<const N: usize, const M: usize> SmallDense<N, M> {
-    fn new(rows: &[Complex64]) -> Self {
-        let mut small = Self {
-            cols: [Complex64::ZERO; N],
-            masks: [0; M],
+    fn of_rows(rows: &[Complex64], dim: usize) -> Self {
+        assert!(
+            dim.is_power_of_two() && rows.len() == dim * dim,
+            "gate matrices are 2^k square"
+        );
+        let block = dim.min(ROW_BLOCK);
+        let blocks = dim / block;
+        let mut inline = [0u8; ROW_BLOCK];
+        let mut heap = Vec::new();
+        let masks: &mut [u8] = if dim * blocks <= inline.len() {
+            &mut inline[..dim * blocks]
+        } else {
+            heap.resize(dim * blocks, 0);
+            &mut heap
         };
-        fill_dense(rows, M, &mut small.cols, &mut small.masks);
-        small
-    }
-
-    fn view(&self) -> DenseView<'_> {
-        DenseView {
-            cols: &self.cols,
-            masks: &self.masks,
-        }
-    }
-}
-
-/// Borrowed form of a prepared matrix, what the kernels read.
-#[derive(Clone, Copy)]
-struct DenseView<'a> {
-    cols: &'a [Complex64],
-    masks: &'a [u8],
-}
-
-/// Transpose row-major `rows` (`dim × dim`) into `cols` and fill the
-/// non-zero masks: bit `r` of `masks[c * blocks + b]` is set when entry
-/// (row `b * ROW_BLOCK + r`, column `c`) is non-zero.
-fn fill_dense(rows: &[Complex64], dim: usize, cols: &mut [Complex64], masks: &mut [u8]) {
-    assert_eq!(rows.len(), dim * dim, "matrix dimension mismatch");
-    let block = dim.min(ROW_BLOCK);
-    let blocks = dim / block;
-    for c in 0..dim {
-        for r in 0..dim {
-            let v = rows[r * dim + c];
-            cols[c * dim + r] = v;
-            if v != Complex64::ZERO {
+        for (i, &entry) in rows.iter().enumerate() {
+            let (r, c) = (i / dim, i % dim);
+            if entry != Complex64::ZERO {
                 masks[c * blocks + r / block] |= 1 << (r % block);
             }
         }
+        Self(if heap.is_empty() {
+            DenseMaskBuf::Inline(inline, dim * blocks)
+        } else {
+            DenseMaskBuf::Heap(heap.into())
+        })
     }
 }
-
-/// Where the two groups of a work item sit relative to each other.
-///
-/// A work item is a pair of index groups processed in the two lanes. When
-/// bit 0 of the state index is free (no operand on qubit 0) the groups
-/// `2p, 2p+1` are adjacent in memory and every sub-index is one contiguous
-/// two-amplitude access. When qubit 0 is a *target*, the two sub-indices
-/// that differ in it are adjacent instead, so two groups are loaded as two
-/// contiguous accesses and deinterleaved in registers. Otherwise (qubit 0 is
-/// the control, or the state holds a single group) the lanes are loaded and
-/// stored one amplitude at a time.
-const CONTIG: u8 = 0;
-const Q0: u8 = 1;
-const SPLIT: u8 = 2;
 
 /// Per-application index data of a dense sweep, derived once from the
 /// operand placement.
@@ -484,8 +449,6 @@ struct Placement {
     offsets: [usize; STACK_DIM],
     /// Bits forced to one in every touched index (the control).
     ctrl_mask: usize,
-    /// [`Q0`] only: the matrix bit carried by qubit 0.
-    q0_bit: usize,
     /// The state holds exactly one group; both lanes process it.
     single_group: bool,
 }
@@ -496,15 +459,16 @@ fn dense_sweep(
     amps: &mut [Complex64],
     targets: &[Qubit],
     control: Option<Qubit>,
-    m: DenseView<'_>,
+    rows: &[Complex64],
+    masks: &[u8],
     opts: &ApplyOptions,
 ) {
     let k = targets.len();
     let dim = 1usize << k;
     assert!((1..=MAX_STACK_KERNEL_QUBITS).contains(&k));
     // The kernels index these without bounds checks.
-    assert_eq!(m.cols.len(), dim * dim);
-    assert_eq!(m.masks.len(), dim * dim.div_ceil(ROW_BLOCK));
+    assert_eq!(rows.len(), dim * dim);
+    assert_eq!(masks.len(), dim * dim.div_ceil(ROW_BLOCK));
 
     let mut pl = Placement {
         fixed: [0; MAX_STACK_KERNEL_QUBITS + 1],
@@ -512,7 +476,6 @@ fn dense_sweep(
         packed: 0,
         offsets: [0; STACK_DIM],
         ctrl_mask: control.map_or(0, |c| 1usize << c),
-        q0_bit: 0,
         single_group: false,
     };
     pl.fixed[..k].copy_from_slice(targets);
@@ -535,19 +498,15 @@ fn dense_sweep(
 
     let groups = len >> pl.nfixed;
     pl.single_group = groups == 1;
-    let mode = if pl.packed == 0 {
-        CONTIG
-    } else if pl.single_group || control == Some(0) {
-        SPLIT
-    } else {
-        pl.q0_bit = targets
-            .iter()
-            .position(|&q| q == 0)
-            .expect("qubit 0 is fixed and is not the control");
-        Q0
-    };
+    // A work item is a pair of index groups processed in the two lanes. When
+    // bit 0 of the state index is free (no operand on qubit 0) the groups
+    // `2p, 2p+1` are adjacent in memory and every sub-index is one
+    // contiguous two-amplitude access. Otherwise — qubit 0 is an operand, or
+    // the state holds a single group — the two lanes are loaded and stored
+    // one amplitude each, which costs load and store slots but no shuffles.
+    let contiguous = pl.packed == 0;
     let full = ((1u16 << dim.min(ROW_BLOCK)) - 1) as u8;
-    let skip = m.masks.iter().any(|&mask| mask != full);
+    let skip = masks.iter().any(|&mask| mask != full);
     let pairs = (groups / 2).max(1);
     let simd = opts.use_simd();
     let ptr = SharedAmps::new(amps);
@@ -556,34 +515,43 @@ fn dense_sweep(
         // SAFETY: distinct pairs touch disjoint index groups, all below
         // `len`; `simd` comes from the dispatch resolution; the matrix
         // lengths were checked above.
-        unsafe { dense_range_dyn(simd, (k, mode, skip), ptr.as_ptr(), range, pl, m) }
+        unsafe {
+            dense_range_dyn(
+                simd,
+                (k, contiguous, skip),
+                ptr.as_ptr(),
+                range,
+                pl,
+                rows,
+                masks,
+            )
+        }
     });
 }
 
-/// Monomorphise [`dense_range`] on the run-time `(k, mode, skip)`.
+/// Monomorphise [`dense_range`] on the run-time `(k, contiguous, skip)`.
 ///
 /// # Safety
 /// As [`dense_range`]; `simd` must come from [`ApplyOptions::use_simd`].
 unsafe fn dense_range_dyn(
     simd: bool,
-    shape: (usize, u8, bool),
+    shape: (usize, bool, bool),
     ptr: *mut Complex64,
     pairs: Range<usize>,
     pl: &Placement,
-    m: DenseView<'_>,
+    rows: &[Complex64],
+    masks: &[u8],
 ) {
     macro_rules! arms {
         ($($k:literal)*) => {
             match shape {
                 $(
-                    ($k, CONTIG, false) => dense_range_on::<$k, CONTIG, false>(simd, ptr, pairs, pl, m),
-                    ($k, CONTIG, true) => dense_range_on::<$k, CONTIG, true>(simd, ptr, pairs, pl, m),
-                    ($k, Q0, false) => dense_range_on::<$k, Q0, false>(simd, ptr, pairs, pl, m),
-                    ($k, Q0, true) => dense_range_on::<$k, Q0, true>(simd, ptr, pairs, pl, m),
-                    ($k, SPLIT, false) => dense_range_on::<$k, SPLIT, false>(simd, ptr, pairs, pl, m),
-                    ($k, SPLIT, true) => dense_range_on::<$k, SPLIT, true>(simd, ptr, pairs, pl, m),
+                    ($k, true, false) => dense_range_on::<$k, true, false>(simd, ptr, pairs, pl, rows, masks),
+                    ($k, true, true) => dense_range_on::<$k, true, true>(simd, ptr, pairs, pl, rows, masks),
+                    ($k, false, false) => dense_range_on::<$k, false, false>(simd, ptr, pairs, pl, rows, masks),
+                    ($k, false, true) => dense_range_on::<$k, false, true>(simd, ptr, pairs, pl, rows, masks),
                 )*
-                _ => unreachable!("dense_sweep checked k and derived the mode"),
+                _ => unreachable!("dense_sweep checked k"),
             }
         };
     }
@@ -591,49 +559,50 @@ unsafe fn dense_range_dyn(
 }
 
 /// Pick the lane instantiation of [`dense_range`].
-unsafe fn dense_range_on<const K: usize, const MODE: u8, const SKIP: bool>(
+unsafe fn dense_range_on<const K: usize, const CONTIG: bool, const SKIP: bool>(
     simd: bool,
     ptr: *mut Complex64,
     pairs: Range<usize>,
     pl: &Placement,
-    m: DenseView<'_>,
+    rows: &[Complex64],
+    masks: &[u8],
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd {
-        return dense_range_avx2::<K, MODE, SKIP>(ptr, pairs, pl, m.cols, m.masks);
+        return dense_range_avx2::<K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks);
     }
     let _ = simd;
-    dense_range::<Pair, K, MODE, SKIP>(ptr, pairs, pl, m.cols, m.masks)
+    dense_range::<Pair, K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dense_range_avx2<const K: usize, const MODE: u8, const SKIP: bool>(
+unsafe fn dense_range_avx2<const K: usize, const CONTIG: bool, const SKIP: bool>(
     ptr: *mut Complex64,
     pairs: Range<usize>,
     pl: &Placement,
-    cols: &[Complex64],
+    rows: &[Complex64],
     masks: &[u8],
 ) {
-    dense_range::<crate::simd::Avx2, K, MODE, SKIP>(ptr, pairs, pl, cols, masks)
+    dense_range::<crate::simd::Avx2, K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks)
 }
 
 /// The dense kernel over work items `pairs` (item `p` = groups `2p, 2p+1`).
 /// `SKIP` says the matrix has zero entries worth testing the masks for.
-/// (`cols` and `masks` arrive as plain shared slices so the optimiser knows
+/// (`rows` and `masks` arrive as plain shared slices so the optimiser knows
 /// the stores through `ptr` cannot change them.)
 ///
 /// # Safety
 /// `ptr` must address the whole state [`dense_sweep`] derived `pl` for, with
-/// exclusive access to the groups of `pairs`; `cols` must hold `4^K` entries
-/// and `masks` the matching masks; for the AVX2 instantiation the CPU must
+/// exclusive access to the groups of `pairs`; `rows` must hold the `4^K`
+/// row-major entries and `masks` their [`DenseMasks`]; for the AVX2 instantiation the CPU must
 /// support AVX2.
 #[inline(always)]
-unsafe fn dense_range<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>(
+unsafe fn dense_range<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: bool>(
     ptr: *mut Complex64,
     pairs: Range<usize>,
     pl: &Placement,
-    cols: &[Complex64],
+    rows: &[Complex64],
     masks: &[u8],
 ) {
     // The lowest free bit is `packed`: that is how far apart the two groups
@@ -645,61 +614,40 @@ unsafe fn dense_range<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool
     };
     for base in run_bases(2 * pairs.start, pairs.len(), 2, &pl.fixed[..pl.nfixed]) {
         let a = base | pl.ctrl_mask;
-        dense_pair::<L, K, MODE, SKIP>(ptr, a, a + partner, pl, cols, masks);
+        dense_pair::<L, K, CONTIG, SKIP>(ptr, a, a + partner, pl, rows, masks);
     }
 }
 
 /// One work item: multiply the matrix into the groups based at `a` and `b`
-/// (`b` is `a + 1`, and unused, under [`CONTIG`]).
+/// (`b` is `a + 1`, and unused, when `CONTIG`).
 ///
 /// Accumulation is column-outer, row-inner: for each input amplitude (a
 /// column) every row of the block takes one multiply-accumulate into its own
 /// register, so there is no dependent chain across a row's terms and the
 /// lane-swapped input is made once per column. Each row still sums its
-/// columns in ascending order starting from zero — the order of the plain
-/// `acc = acc.mul_add(m[row][col], amp[col])` loop.
+/// columns in ascending order — the order of the plain
+/// `acc = acc.mul_add(m[row][col], amp[col])` loop — starting from zero when
+/// zero entries are skipped and from the first column's product otherwise.
 #[inline(always)]
-unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>(
+unsafe fn dense_pair<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: bool>(
     ptr: *mut Complex64,
     a: usize,
     b: usize,
     pl: &Placement,
-    cols: &[Complex64],
+    rows: &[Complex64],
     masks: &[u8],
 ) {
     let dim = 1usize << K;
     let block = if dim < ROW_BLOCK { dim } else { ROW_BLOCK };
     let blocks = dim / block;
     let off = &pl.offsets;
-    // A one-qubit gate has a single matrix bit; saying so keeps its two
-    // sub-indices compile-time constants.
-    let q0_bit = if K == 1 { 0 } else { pl.q0_bit };
-    let q0 = 1usize << q0_bit;
-    // Sub-index `h` of the half whose qubit-0 bit is clear (Q0 only).
-    let clear_q0 = |h: usize| ((h >> q0_bit) << (q0_bit + 1)) | (h & (q0 - 1));
-
     let mut input = [MaybeUninit::<L>::uninit(); STACK_DIM];
     let mut output = [MaybeUninit::<L>::uninit(); STACK_DIM];
-    match MODE {
-        CONTIG => {
-            for s in 0..dim {
-                input[s].write(L::load(ptr.add(a | off[s])));
-            }
-        }
-        Q0 => {
-            for h in 0..dim / 2 {
-                let s = clear_q0(h);
-                let o = *off.get_unchecked(s);
-                let (x, y) = L::transpose(L::load(ptr.add(a | o)), L::load(ptr.add(b | o)));
-                input.get_unchecked_mut(s).write(x);
-                input.get_unchecked_mut(s | q0).write(y);
-            }
-        }
-        _ => {
-            for s in 0..dim {
-                input[s].write(L::load2(ptr.add(a | off[s]), ptr.add(b | off[s])));
-            }
-        }
+    for s in 0..dim {
+        input[s].write(match CONTIG {
+            true => L::load(ptr.add(a | off[s])),
+            false => L::load2(ptr.add(a | off[s]), ptr.add(b | off[s])),
+        });
     }
 
     for rb in 0..blocks {
@@ -707,14 +655,15 @@ unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>
         for c in 0..dim {
             let v = input[c].assume_init();
             let vs = v.swapped();
-            let col = cols.as_ptr().add(c * dim + rb * block);
+            // Entry (row, c) of the block's rows, `dim` apart in memory.
+            let entry = |r: usize| &*rows.as_ptr().add((rb * block + r) * dim + c);
             if !SKIP {
                 // No zero entries: every row takes every column, and the
                 // first column starts the sum instead of adding to zero.
                 for r in 0..block {
                     acc[r] = match c {
-                        0 => L::mul(&*col.add(r), v, vs),
-                        _ => acc[r].macc(&*col.add(r), v, vs),
+                        0 => L::mul(entry(r), v, vs),
+                        _ => acc[r].macc(entry(r), v, vs),
                     };
                 }
                 continue;
@@ -722,7 +671,7 @@ unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>
             let mask = *masks.get_unchecked(c * blocks + rb);
             for r in 0..block {
                 if mask >> r & 1 != 0 {
-                    acc[r] = acc[r].macc(&*col.add(r), v, vs);
+                    acc[r] = acc[r].macc(entry(r), v, vs);
                 }
             }
         }
@@ -731,30 +680,11 @@ unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>
         }
     }
 
-    match MODE {
-        CONTIG => {
-            for s in 0..dim {
-                output[s].assume_init().store(ptr.add(a | off[s]));
-            }
-        }
-        Q0 => {
-            for h in 0..dim / 2 {
-                let s = clear_q0(h);
-                let o = *off.get_unchecked(s);
-                let (x, y) = L::transpose(
-                    output.get_unchecked(s).assume_init(),
-                    output.get_unchecked(s | q0).assume_init(),
-                );
-                x.store(ptr.add(a | o));
-                y.store(ptr.add(b | o));
-            }
-        }
-        _ => {
-            for s in 0..dim {
-                output[s]
-                    .assume_init()
-                    .store2(ptr.add(a | off[s]), ptr.add(b | off[s]));
-            }
+    for s in 0..dim {
+        let out = output[s].assume_init();
+        match CONTIG {
+            true => out.store(ptr.add(a | off[s])),
+            false => out.store2(ptr.add(a | off[s]), ptr.add(b | off[s])),
         }
     }
 }
@@ -766,7 +696,7 @@ unsafe fn dense_pair<L: Lanes, const K: usize, const MODE: u8, const SKIP: bool>
 fn apply_k_qubit_heap(
     amps: &mut [Complex64],
     qubits: &[Qubit],
-    cols: &[Complex64],
+    rows: &[Complex64],
     opts: &ApplyOptions,
 ) {
     let k = qubits.len();
@@ -794,10 +724,10 @@ fn apply_k_qubit_heap(
                 *slot = unsafe { *amps_ptr.as_ptr().add(base | off) };
             }
             output.fill(Complex64::ZERO);
-            for (column, &v) in cols.chunks_exact(dim).zip(&input) {
-                for (acc, &entry) in output.iter_mut().zip(column) {
-                    if entry != Complex64::ZERO {
-                        *acc = acc.mul_add(entry, v);
+            for (c, &v) in input.iter().enumerate() {
+                for (acc, row) in output.iter_mut().zip(rows.chunks_exact(dim)) {
+                    if row[c] != Complex64::ZERO {
+                        *acc = acc.mul_add(row[c], v);
                     }
                 }
             }

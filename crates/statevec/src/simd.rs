@@ -140,8 +140,6 @@ pub(crate) trait Lanes: Copy {
     unsafe fn store(self, p: *mut Complex64);
     /// Store lane 0 to `*lo` and lane 1 to `*hi`.
     unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64);
-    /// `([a0, b0], [a1, b1])` — its own inverse.
-    unsafe fn transpose(a: Self, b: Self) -> (Self, Self);
     /// Each amplitude with `re` and `im` exchanged (feeds [`Lanes::macc`]).
     unsafe fn swapped(self) -> Self;
     /// `self + m·v` per lane; `v_swapped` must be `v.swapped()`, hoisted by
@@ -183,10 +181,6 @@ impl Lanes for Pair {
     unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64) {
         *lo = self.0[0];
         *hi = self.0[1];
-    }
-    #[inline(always)]
-    unsafe fn transpose(a: Self, b: Self) -> (Self, Self) {
-        (Pair([a.0[0], b.0[0]]), Pair([a.0[1], b.0[1]]))
     }
     #[inline(always)]
     unsafe fn swapped(self) -> Self {
@@ -248,13 +242,6 @@ mod avx2 {
         unsafe fn store2(self, lo: *mut Complex64, hi: *mut Complex64) {
             _mm_storeu_pd(lo as *mut f64, _mm256_castpd256_pd128(self.0));
             _mm_storeu_pd(hi as *mut f64, _mm256_extractf128_pd(self.0, 1));
-        }
-        #[inline(always)]
-        unsafe fn transpose(a: Self, b: Self) -> (Self, Self) {
-            (
-                Avx2(_mm256_permute2f128_pd(a.0, b.0, 0x20)),
-                Avx2(_mm256_permute2f128_pd(a.0, b.0, 0x31)),
-            )
         }
         #[inline(always)]
         unsafe fn swapped(self) -> Self {
