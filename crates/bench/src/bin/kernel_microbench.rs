@@ -170,6 +170,9 @@ fn kron_matrix(k: usize, half_sparse: bool) -> UnitaryMatrix {
     })
 }
 
+/// One sweep of a state under the given options.
+type Sweep = Box<dyn FnMut(&mut StateVector, &ApplyOptions)>;
+
 /// One row of the benchmark: a sweep, the bytes it moves per amplitude of
 /// the slice, and the budget its time over the in-place scale is held to.
 struct Kernel {
@@ -181,7 +184,7 @@ struct Kernel {
     /// Whether the options change anything (gather/scatter is a plain copy
     /// loop: one thread, one dispatch).
     takes_options: bool,
-    sweep: Box<dyn FnMut(&mut StateVector, &ApplyOptions)>,
+    sweep: Sweep,
 }
 
 fn kernel(

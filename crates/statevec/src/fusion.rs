@@ -523,7 +523,7 @@ fn prepare_diagonal(
             .map(|v| {
                 low.iter()
                     .enumerate()
-                    .fold(0, |e, (n, &(q, _))| e | ((2 * v >> q) & 1) << position(n))
+                    .fold(0, |e, (n, &(q, _))| e | (((2 * v) >> q) & 1) << position(n))
                     as u8
             })
             .collect();
@@ -569,7 +569,7 @@ fn run_prepared_diagonal_amps(
     let len = amps.len();
     let block = 1usize << prepared.block_bits;
     assert!(
-        len >= block && offset % block == 0,
+        len >= block && offset.is_multiple_of(block),
         "diagonal run prepared for a larger state"
     );
     let blocks = len >> prepared.block_bits;
@@ -1965,7 +1965,9 @@ mod tests {
         // streams than one pass holds — on states smaller than, equal to and
         // larger than one block, with and without a qubit translation.
         let b = DIAG_BLOCK_BITS;
-        let runs: Vec<(&str, usize, Vec<(f64, Vec<Qubit>)>)> = vec![
+        // (name, register width, (angle, operands) of every gate of the run)
+        type Run = (&'static str, usize, Vec<(f64, Vec<Qubit>)>);
+        let runs: Vec<Run> = vec![
             ("one qubit", 1, vec![(0.3, vec![0])]),
             (
                 "below the block",

@@ -15,12 +15,15 @@ use hisvsim_circuit::{Complex64, Qubit};
 /// Precomputed index arithmetic for moving amplitudes between an outer state
 /// of `n` qubits and an inner state over the working-set qubits `S`.
 ///
-/// Amplitudes move in contiguous runs: when the first `r` inner qubits are
-/// the outer qubits `0..r` in order (the usual case — working sets are
-/// sorted, so `r` is the lowest free qubit), inner indices that differ only
-/// in their low `r` bits are adjacent in both vectors and one `memcpy` of
-/// `2^r` amplitudes moves them. The map therefore stores `O(w)` words, not a
-/// `2^w`-entry offset table.
+/// Amplitudes move in *chunks*: the inner vector is cut into pieces of
+/// `2^chunk_bits` amplitudes whose outer positions all lie in one aligned
+/// window of the outer vector. When the low inner qubits are the low outer
+/// qubits in order (the usual case — working sets are sorted, so this holds
+/// up to the lowest free qubit) and that run is long, a chunk is one
+/// contiguous copy; when a free qubit sits low (the QFT's parts leave qubit 0
+/// or 1 free) a chunk is a 256-amplitude window compacted through a small
+/// offset list. Either way the map stores `O(w)` words plus at most 256
+/// offsets, not a `2^w`-entry table.
 #[derive(Debug, Clone)]
 pub struct GatherMap {
     outer_qubits: usize,
@@ -28,13 +31,21 @@ pub struct GatherMap {
     part_qubits: Vec<Qubit>,
     /// Outer qubit indices not in the part, ascending.
     free_qubits: Vec<Qubit>,
-    /// `r`: inner qubit `j` is outer qubit `j` for every `j < run_bits`.
-    run_bits: usize,
-    /// `run_steps[t]`: how far the outer offset moves from run `c` to run
-    /// `c + 1` when `c` ends in exactly `t` one bits (bit `t` of the run
+    /// Inner qubits `0..chunk_bits` are the part's qubits below the window
+    /// size; a chunk is the inner amplitudes that differ only in them.
+    chunk_bits: usize,
+    /// Outer offset of each amplitude of a chunk from the chunk's base; empty
+    /// when those offsets are `0, 1, 2, …` (the chunk is contiguous).
+    chunk_offsets: Vec<u16>,
+    /// `chunk_steps[t]`: how far the outer base moves from chunk `c` to chunk
+    /// `c + 1` when `c` ends in exactly `t` one bits (bit `t` of the chunk
     /// counter sets, the `t` below it clear), as a wrapping difference.
-    run_steps: Vec<usize>,
+    chunk_steps: Vec<usize>,
 }
+
+/// Window (in outer index bits) a chunk is gathered from when the part's low
+/// qubits are not one long contiguous run.
+const WINDOW_BITS: usize = 8;
 
 impl GatherMap {
     /// Build the map for a part whose gates touch `part_qubits` (inner qubit
@@ -59,27 +70,49 @@ impl GatherMap {
         }
         let free_qubits: Vec<Qubit> = (0..outer_qubits).filter(|&q| !seen[q]).collect();
 
-        let run_bits = part_qubits
+        // The window is the contiguous run from qubit 0 when that is long,
+        // and a fixed small window otherwise; the chunk is the leading inner
+        // qubits that fall inside it. Should a later inner qubit fall inside
+        // as well (an unsorted part), chunks degenerate to single amplitudes.
+        let contiguous = part_qubits
             .iter()
             .enumerate()
             .take_while(|&(j, &q)| j == q)
             .count();
-        let upper = &part_qubits[run_bits..];
+        let window_bits = contiguous.max(WINDOW_BITS.min(outer_qubits));
+        let leading = part_qubits.iter().take_while(|&&q| q < window_bits).count();
+        let chunk_bits = match part_qubits[leading..].iter().any(|&q| q < window_bits) {
+            true => 0,
+            false => leading,
+        };
+        let deposit = |index: usize, qubits: &[Qubit]| {
+            qubits
+                .iter()
+                .enumerate()
+                .fold(0, |at, (j, &q)| at | ((index >> j) & 1) << q)
+        };
+        let chunk_offsets = match chunk_bits == contiguous {
+            true => Vec::new(),
+            false => (0..1usize << chunk_bits)
+                .map(|j| deposit(j, &part_qubits[..chunk_bits]) as u16)
+                .collect(),
+        };
         let mut below = 0usize;
-        let mut run_steps = Vec::with_capacity(upper.len() + 1);
-        for &q in upper {
-            run_steps.push((1usize << q).wrapping_sub(below));
+        let mut chunk_steps = Vec::with_capacity(part_qubits.len() - chunk_bits + 1);
+        for &q in &part_qubits[chunk_bits..] {
+            chunk_steps.push((1usize << q).wrapping_sub(below));
             below += 1usize << q;
         }
-        // After the last run there is nowhere to go.
-        run_steps.push(0);
+        // After the last chunk there is nowhere to go.
+        chunk_steps.push(0);
 
         Self {
             outer_qubits,
             part_qubits: part_qubits.to_vec(),
             free_qubits,
-            run_bits,
-            run_steps,
+            chunk_bits,
+            chunk_offsets,
+            chunk_steps,
         }
     }
 
@@ -137,16 +170,16 @@ impl GatherMap {
         index
     }
 
-    /// `(inner offset, outer offset)` of every contiguous run of one
-    /// assignment, in inner order; each run is `1 << run_bits` amplitudes.
+    /// `(inner offset, outer base)` of every chunk of one assignment, in
+    /// inner order.
     #[inline]
-    fn runs(&self, assignment: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let run = 1usize << self.run_bits;
+    fn chunks(&self, assignment: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let chunk = 1usize << self.chunk_bits;
         let mut outer = self.base_index(assignment);
-        (0..1usize << (self.inner_qubits() - self.run_bits)).map(move |c| {
+        (0..1usize << (self.inner_qubits() - self.chunk_bits)).map(move |c| {
             let at = outer;
-            outer = outer.wrapping_add(self.run_steps[c.trailing_ones() as usize]);
-            (c * run, at)
+            outer = outer.wrapping_add(self.chunk_steps[c.trailing_ones() as usize]);
+            (c * chunk, at)
         })
     }
 
@@ -192,11 +225,18 @@ impl GatherMap {
     ) {
         assert_eq!(inner.num_qubits(), self.inner_qubits());
         assert!(assignment < 1usize << self.free_qubits.len());
-        let run = 1usize << self.run_bits;
+        let chunk = 1usize << self.chunk_bits;
         let inner = inner.amplitudes_mut();
-        for (at, from) in self.runs(assignment) {
-            let src = std::slice::from_raw_parts(outer.add(from), run);
-            inner[at..at + run].copy_from_slice(src);
+        for (at, base) in self.chunks(assignment) {
+            let inner = &mut inner[at..at + chunk];
+            let outer = outer.add(base);
+            if self.chunk_offsets.is_empty() {
+                inner.copy_from_slice(std::slice::from_raw_parts(outer, chunk));
+            } else {
+                for (slot, &offset) in inner.iter_mut().zip(&self.chunk_offsets) {
+                    *slot = *outer.add(offset as usize);
+                }
+            }
         }
     }
 
@@ -214,11 +254,18 @@ impl GatherMap {
     ) {
         assert_eq!(inner.num_qubits(), self.inner_qubits());
         assert!(assignment < 1usize << self.free_qubits.len());
-        let run = 1usize << self.run_bits;
+        let chunk = 1usize << self.chunk_bits;
         let inner = inner.amplitudes();
-        for (at, to) in self.runs(assignment) {
-            let dst = std::slice::from_raw_parts_mut(outer.add(to), run);
-            dst.copy_from_slice(&inner[at..at + run]);
+        for (at, base) in self.chunks(assignment) {
+            let inner = &inner[at..at + chunk];
+            let outer = outer.add(base);
+            if self.chunk_offsets.is_empty() {
+                std::slice::from_raw_parts_mut(outer, chunk).copy_from_slice(inner);
+            } else {
+                for (&amp, &offset) in inner.iter().zip(&self.chunk_offsets) {
+                    *outer.add(offset as usize) = amp;
+                }
+            }
         }
     }
 
@@ -268,6 +315,54 @@ mod tests {
             map.scatter(&inner, &mut rebuilt, assignment);
         }
         assert!(rebuilt.approx_eq(&outer, 0.0));
+    }
+
+    #[test]
+    fn gather_and_scatter_follow_outer_index_for_every_part_shape() {
+        // Contiguous prefix (long and short), a free qubit at 0, at 1, in
+        // the middle and at the top, parts wider than the offset window,
+        // and unsorted parts (which fall back to single-amplitude chunks).
+        let n = 11;
+        let without =
+            |free: &[Qubit]| -> Vec<Qubit> { (0..n).filter(|q| !free.contains(q)).collect() };
+        let parts: Vec<Vec<Qubit>> = vec![
+            (0..n).collect(),
+            (0..9).collect(),
+            (0..3).collect(),
+            without(&[0]),
+            without(&[1]),
+            without(&[5]),
+            without(&[n - 1]),
+            without(&[0, 1, 2]),
+            without(&[2, 7, 9]),
+            vec![0, 1, 9, 10],
+            vec![3],
+            vec![4, 0, 2],
+            vec![10, 9, 1, 0],
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 9, 8],
+        ];
+        let amps: Vec<Complex64> = (0..1 << n).map(|i| Complex64::new(i as f64, 0.5)).collect();
+        let outer = StateVector::from_amplitudes(amps);
+        for part in parts {
+            let map = GatherMap::new(n, &part);
+            let mut rebuilt = StateVector::uninitialized(n);
+            let mut inner = StateVector::uninitialized(map.inner_qubits());
+            for assignment in 0..1 << map.num_free_qubits() {
+                map.gather_into(&outer, assignment, &mut inner);
+                for j in 0..inner.len() {
+                    assert_eq!(
+                        inner.amp(j),
+                        outer.amp(map.outer_index(assignment, j)),
+                        "part {part:?}, assignment {assignment}, inner {j}"
+                    );
+                }
+                map.scatter(&inner, &mut rebuilt, assignment);
+            }
+            assert_eq!(
+                rebuilt, outer,
+                "part {part:?}: scatter did not invert gather"
+            );
+        }
     }
 
     #[test]

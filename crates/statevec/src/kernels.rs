@@ -185,25 +185,25 @@ pub(crate) fn apply_kind_amps(
             &computed
         }
     };
-    match qubits {
-        &[q] if kind.is_diagonal() => {
+    match *qubits {
+        [q] if kind.is_diagonal() => {
             apply_diagonal_single_amps(amps, q, m.get(0, 0), m.get(1, 1), opts)
         }
-        &[q] => {
+        [q] => {
             let mat = [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)];
             apply_single_amps(amps, q, &mat, opts);
         }
-        &[a, b] if kind.is_diagonal() => {
+        [a, b] if kind.is_diagonal() => {
             let diag = [m.get(0, 0), m.get(1, 1), m.get(2, 2), m.get(3, 3)];
             apply_diagonal_two_amps(amps, a, b, &diag, opts);
         }
-        &[c, t] if kind.num_controls() == 1 => {
+        [c, t] if kind.num_controls() == 1 => {
             // Controlled single-qubit gate: the 2x2 block on the target,
             // restricted to the control=1 half.
             let mat = [m.get(1, 1), m.get(1, 3), m.get(3, 1), m.get(3, 3)];
             apply_controlled_single_amps(amps, c, t, &mat, opts);
         }
-        &[a, b] => apply_two_qubit_dense_amps(amps, a, b, m, opts),
+        [a, b] => apply_two_qubit_dense_amps(amps, a, b, m, opts),
         _ => apply_dense_amps(amps, qubits, m, &DenseMasks::of(m), opts),
     }
 }
@@ -628,6 +628,9 @@ unsafe fn dense_range<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: 
 /// columns in ascending order — the order of the plain
 /// `acc = acc.mul_add(m[row][col], amp[col])` loop — starting from zero when
 /// zero entries are skipped and from the first column's product otherwise.
+// The counters below index several arrays at once and are compile-time
+// ranges the optimiser unrolls; iterator chains would hide both.
+#[allow(clippy::needless_range_loop)]
 #[inline(always)]
 unsafe fn dense_pair<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: bool>(
     ptr: *mut Complex64,

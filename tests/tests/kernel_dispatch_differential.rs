@@ -206,7 +206,7 @@ fn test_matrix(class: usize, dim: usize, seed: u64) -> UnitaryMatrix {
         let (row, col) = (i / dim, i % dim);
         match class {
             0 => v,
-            1 if (row + col * 3 + (seed as usize & 1)) % 2 == 0 => v,
+            1 if (row + col * 3 + (seed as usize & 1)).is_multiple_of(2) => v,
             2 if col == (row * 5 + 3) % dim => Complex64::ONE,
             _ => Complex64::ZERO,
         }
