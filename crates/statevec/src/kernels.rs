@@ -7,14 +7,14 @@
 //! op class:
 //!
 //! * **dense** gates on `k ≤ 5` qubits (optionally controlled) run the
-//!   register-blocked kernel family [`dense_range`]: two index groups per
+//!   register-blocked kernel family `dense_range`: two index groups per
 //!   work item, column-outer / row-inner accumulation, zero entries skipped;
 //! * **permutation** gates (X, CX, CCX, SWAP, CSWAP) move contiguous runs of
 //!   amplitudes and touch only the half or quarter that changes
-//!   ([`swap_patterns`]);
+//!   (`swap_patterns`);
 //! * **phase** gates (Z, S, T, Rz, CZ, CP, CRz, Rzz, …) multiply only the
 //!   amplitudes whose table entry is not exactly one, in contiguous runs
-//!   ([`scale_by_table`]);
+//!   (`scale_by_table`);
 //! * gates wider than [`MAX_STACK_KERNEL_QUBITS`] fall back to a heap-scratch
 //!   gather/apply/scatter loop.
 //!
@@ -25,7 +25,7 @@
 //! a `pub(crate)` `*_amps` core over a raw amplitude slice. The slice cores
 //! are what the fused executor's cache-blocked sweep calls per tile (gate
 //! qubits reinterpreted relative to the tile). The arithmetic kernels are
-//! written once, generic over [`Lanes`], and instantiated for plain
+//! written once, generic over `simd::Lanes`, and instantiated for plain
 //! `Complex64` pairs and for AVX2 registers; [`ApplyOptions::dispatch`]
 //! picks the instantiation and both produce the same bits.
 

@@ -5,9 +5,9 @@
 //! This crate provides the *computation* half of the paper's simulator:
 //!
 //! * [`state`] — the [`StateVector`] container (2^n complex amplitudes),
-//! * [`kernels`] — gate application (specialised single-qubit, controlled,
-//!   diagonal, swap and generic k-qubit kernels; sequential and rayon-parallel
-//!   paths) plus the flat reference simulator [`kernels::run_circuit`],
+//! * [`kernels`] — gate application (one kernel per op class: dense k ≤ 5,
+//!   permutation, phase; sequential and rayon-parallel paths) plus the flat
+//!   reference simulator [`kernels::run_circuit`],
 //! * [`gather`] — the Gather/Scatter index machinery between outer and inner
 //!   state vectors (paper Algorithm 1),
 //! * [`fusion`] — greedy gate fusion into small dense unitaries (the
@@ -15,8 +15,8 @@
 //! * [`measure`] — probabilities, sampling and expectation values,
 //! * [`interrupt`] — the cooperative [`CancelToken`] the engines poll so a
 //!   long sweep can be abandoned between checkpoints,
-//! * [`simd`] — runtime-dispatched AVX2+FMA kernels with a bit-identical
-//!   scalar fallback, selected per sweep via [`KernelDispatch`].
+//! * [`simd`] — the lane abstraction the kernels are written over (AVX2 or
+//!   scalar, bit-identical), selected per sweep via [`KernelDispatch`].
 //!
 //! The hierarchical, distributed and multi-level engines live in
 //! `hisvsim-core` and are built entirely from these primitives.

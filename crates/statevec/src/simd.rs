@@ -1,17 +1,17 @@
-//! Explicit-width SIMD kernels (x86_64 AVX2+FMA) with runtime dispatch and a
+//! Kernel dispatch, and the two-amplitude lane abstraction every sweep kernel
+//! is written over (x86_64 AVX2+FMA, or plain `Complex64` pairs), under a
 //! bit-identical scalar contract.
 //!
-//! The fused execution pipeline made the scalar complex multiply-accumulate
-//! loops the wall (see `BENCH_fusion.json`); this module claims the hardware
-//! headroom without giving up reproducibility. Every vector routine here
-//! replays the *exact* IEEE-754 operation sequence of its scalar twin in
-//! `kernels.rs`/`fusion.rs` — one multiply, one add/sub per component, in the
-//! same order — so forced-`Scalar` and `Auto` dispatch produce bit-identical
-//! amplitudes. That is why the complex MAC below is built from
-//! `mul`/`add`/`addsub` rather than a true fused `vfmaddsub` (an FMA skips
-//! the intermediate rounding and would diverge from the scalar fallback in
-//! the last ulp). FMA presence is still part of the detection gate so the
-//! dispatch decision matches the CPU generation the kernels were tuned on.
+//! The sweep kernels in `kernels.rs` / `fusion.rs` are generic over
+//! `Lanes`; this module supplies its two instantiations. The AVX2 one
+//! replays the *exact* IEEE-754 operation sequence of the scalar one — one
+//! multiply, one add/sub per component, in the same order — so
+//! forced-`Scalar` and `Auto` dispatch produce bit-identical amplitudes.
+//! That is why the complex MAC below is built from `mul`/`add`/`addsub`
+//! rather than a true fused `vfmaddsub` (an FMA skips the intermediate
+//! rounding and would diverge from the scalar fallback in the last ulp). FMA
+//! presence is still part of the detection gate so the dispatch decision
+//! matches the CPU generation the kernels were tuned on.
 //!
 //! Dispatch is decided once per process ([`simd_available`]): the
 //! `HISVSIM_KERNEL=scalar` environment override (how CI pins the fallback
