@@ -20,10 +20,10 @@
 //!   reordering, no specialisation).
 
 use crate::kernels::{
-    apply_dense_amps, apply_k_qubit, apply_kind_amps, ApplyOptions, DenseMasks,
+    apply_dense_amps, apply_k_qubit, apply_kind_amps, for_each_range, ApplyOptions, DenseMasks,
     MAX_STACK_KERNEL_QUBITS,
 };
-use crate::simd::{Lanes, Pair};
+use crate::simd::{lanes_dispatch, Lanes};
 use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
@@ -385,8 +385,6 @@ impl FusedOp {
 /// table lookup per block instead of one per amplitude. States smaller than
 /// this are one block.
 const DIAG_BLOCK_BITS: usize = 8;
-/// Blocks per parallel work item.
-const DIAG_BLOCKS_PER_CHUNK: usize = 64;
 /// Per-amplitude tables one pass multiplies together; a run with more is
 /// split into several passes (rare: a run needs more than eight factors that
 /// each reach below the block).
@@ -410,7 +408,7 @@ struct BlockFactor {
     hi_bits: Vec<(Qubit, usize)>,
 }
 
-/// A factor (or the fold of several) that varies inside a block, laid out so
+/// A factor that varies inside a block, laid out so
 /// each two-amplitude step is one contiguous load: for block base `base` and
 /// step `v` (amplitudes `2v, 2v + 1`) the two phases are
 /// `table[hi_sub(hi_bits, base) + lane0[v]]` and the entry after it. The low
@@ -576,9 +574,9 @@ fn run_prepared_diagonal_amps(
     let simd = opts.use_simd();
     let amps_ptr = SharedAmpsSlice::new(amps);
     for pass in &prepared.passes {
-        let run_chunk = |first: usize, last: usize| {
+        for_each_range(blocks, opts.go_parallel(len), |range| {
             let mut folded = [Complex64::ZERO; MAX_FOLD_WIDTH];
-            for index in first..last {
+            for index in range {
                 let rel = index << prepared.block_bits;
                 let base = offset + rel;
                 let mut block_phase = pass.constant.iter().fold(Complex64::ONE, |phase, factor| {
@@ -616,45 +614,20 @@ fn run_prepared_diagonal_amps(
                     diag_block_on(simd, amps, block_phase, &active[..count]);
                 }
             }
-        };
-        if opts.go_parallel(len) {
-            let chunks = blocks.div_ceil(DIAG_BLOCKS_PER_CHUNK);
-            (0..chunks).into_par_iter().for_each(|c| {
-                let first = c * DIAG_BLOCKS_PER_CHUNK;
-                run_chunk(first, (first + DIAG_BLOCKS_PER_CHUNK).min(blocks));
-            });
-        } else {
-            run_chunk(0, blocks);
-        }
+        });
     }
 }
 
 /// A stream as one block sees it: its sub-table and its `lane0` indices.
 type ActiveStream = (*const Complex64, *const u8);
 
-/// Pick the lane instantiation of [`diag_block`].
-unsafe fn diag_block_on(
-    simd: bool,
-    amps: &mut [Complex64],
-    block_phase: Option<Complex64>,
-    streams: &[ActiveStream],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        return diag_block_avx2(amps, block_phase, streams);
-    }
-    let _ = simd;
-    diag_block::<Pair>(amps, block_phase, streams)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn diag_block_avx2(
-    amps: &mut [Complex64],
-    block_phase: Option<Complex64>,
-    streams: &[ActiveStream],
-) {
-    diag_block::<crate::simd::Avx2>(amps, block_phase, streams)
+lanes_dispatch! {
+    /// Pick the lane instantiation of [`diag_block`].
+    unsafe fn diag_block_on(
+        amps: &mut [Complex64],
+        block_phase: Option<Complex64>,
+        streams: &[ActiveStream],
+    ) => diag_block
 }
 
 /// One block of a diagonal pass, two amplitudes per step: the step's phase
@@ -1571,6 +1544,7 @@ fn commutes_past(p: &Pending, gate: &Gate, diagonal: bool) -> bool {
 mod tests {
     use super::*;
     use crate::kernels::run_circuit;
+    use crate::kernels::tests::{assert_bitwise, random_state};
     use hisvsim_circuit::generators;
 
     #[test]
@@ -1868,29 +1842,6 @@ mod tests {
         }
     }
 
-    fn assert_bitwise(a: &StateVector, b: &StateVector, what: &str) {
-        for (i, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
-            assert!(
-                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                "{what}: amplitude {i} differs, {x:?} vs {y:?}"
-            );
-        }
-    }
-
-    /// A normalised state with no zero amplitude, so no kernel gets away
-    /// with skipping work.
-    fn dense_state(n: usize, seed: u64) -> StateVector {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let amps = (0..1usize << n)
-            .map(|_| Complex64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let mut state = StateVector::from_amplitudes(amps);
-        state.normalize();
-        state
-    }
-
     #[test]
     fn tiled_execution_matches_untiled_bitwise() {
         use crate::simd::KernelDispatch;
@@ -1938,7 +1889,7 @@ mod tests {
         ] {
             for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
                 let fused = FusedCircuit::with_strategy(&circuit, 3, strategy);
-                let init = dense_state(n, 0x711E);
+                let init = random_state(n, 0x711E);
                 let what = format!("{} ({strategy})", circuit.name);
                 let mut tiled = init.clone();
                 fused.apply(&mut tiled, &ApplyOptions::default());
@@ -2028,7 +1979,7 @@ mod tests {
             let wide = n + 2;
             let reversed: Vec<Qubit> = (0..n).map(|q| wide - 1 - q).collect();
             for (map, width) in [(None, n), (Some(&reversed), wide)] {
-                let init = dense_state(width, 0xD1A6 + n as u64);
+                let init = random_state(width, 0xD1A6 + n as u64);
                 let mut target = Circuit::new(width);
                 for gate in circuit.gates() {
                     let qubits = gate

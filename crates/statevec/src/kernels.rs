@@ -29,7 +29,7 @@
 //! `Complex64` pairs and for AVX2 registers; [`ApplyOptions::dispatch`]
 //! picks the instantiation and both produce the same bits.
 
-use crate::simd::{KernelDispatch, Lanes, Pair};
+use crate::simd::{lanes_dispatch, KernelDispatch, Lanes};
 use crate::state::StateVector;
 use hisvsim_circuit::{Complex64, Gate, GateKind, Qubit, UnitaryMatrix};
 use rayon::prelude::*;
@@ -260,7 +260,14 @@ pub(crate) fn apply_single_amps(
     m: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
-    dense_sweep(amps, &[q], None, m, &DenseMasks::of_rows(m, 2).0, opts);
+    dense_sweep(
+        amps,
+        &[q],
+        None,
+        m,
+        DenseMasks::of_rows(m, 2).as_slice(),
+        opts,
+    );
 }
 
 /// Apply a 2×2 matrix on `target`, conditioned on `control` being 1.
@@ -283,7 +290,7 @@ pub(crate) fn apply_controlled_single_amps(
 ) {
     assert_ne!(control, target, "control and target must be distinct");
     let masks = DenseMasks::of_rows(m, 2);
-    dense_sweep(amps, &[target], Some(control), m, &masks.0, opts);
+    dense_sweep(amps, &[target], Some(control), m, masks.as_slice(), opts);
 }
 
 /// Apply a dense 4×4 unitary on qubits `(a, b)` where operand `a` is matrix
@@ -309,7 +316,14 @@ pub(crate) fn apply_two_qubit_dense_amps(
     assert_eq!(matrix.dim(), 4, "two-qubit kernel needs a 4x4 matrix");
     assert_ne!(a, b, "two-qubit gate operands must be distinct");
     let masks = DenseMasks::of(matrix);
-    dense_sweep(amps, &[a, b], None, matrix.as_slice(), &masks.0, opts);
+    dense_sweep(
+        amps,
+        &[a, b],
+        None,
+        matrix.as_slice(),
+        masks.as_slice(),
+        opts,
+    );
 }
 
 /// Apply an arbitrary `k`-qubit unitary to the given (distinct) qubits.
@@ -347,7 +361,14 @@ pub(crate) fn apply_dense_amps(
     assert_eq!(matrix.dim(), 1 << k, "matrix dimension mismatch");
     assert!(amps.len() >= 1 << k, "state too small for a {k}-qubit gate");
     if k <= MAX_STACK_KERNEL_QUBITS {
-        dense_sweep(amps, qubits, None, matrix.as_slice(), &masks.0, opts);
+        dense_sweep(
+            amps,
+            qubits,
+            None,
+            matrix.as_slice(),
+            masks.as_slice(),
+            opts,
+        );
     } else {
         apply_k_qubit_heap(amps, qubits, matrix.as_slice(), opts);
     }
@@ -366,10 +387,6 @@ const STACK_DIM: usize = 1 << MAX_STACK_KERNEL_QUBITS;
 /// (and its lane-swapped copy) is loaded once per column of the block.
 const ROW_BLOCK: usize = 8;
 
-/// Groups per work item in the heap-fallback parallel path, so scratch
-/// buffers are reused across many groups instead of reallocated per group.
-const GROUPS_PER_CHUNK: usize = 64;
-
 /// Where a dense gate matrix has its zeros: one bit mask per (column, row
 /// block), bit `r` of mask `c * blocks + b` set when entry (row
 /// `b * ROW_BLOCK + r`, column `c`) is non-zero. Fused group matrices are
@@ -379,29 +396,24 @@ const GROUPS_PER_CHUNK: usize = 64;
 /// gate is applied, so every placement of an op skips the same terms. (The
 /// entries themselves are read from the row-major matrix: each one is a
 /// scalar broadcast, so their order in memory does not matter.)
+///
+/// Masks of up to three-qubit matrices (every per-call entry point, and every
+/// fused group at the default width) sit inline, so taking them costs no
+/// allocation; wider ones go to the heap.
 #[derive(Debug, Clone)]
-pub(crate) struct DenseMasks(DenseMaskBuf);
-
-/// Masks of up to three-qubit matrices (every per-call entry point, and
-/// every fused group at the default width) sit inline, so taking them costs
-/// no allocation; wider ones go to the heap.
-#[derive(Debug, Clone)]
-enum DenseMaskBuf {
+pub(crate) enum DenseMasks {
     Inline([u8; ROW_BLOCK], usize),
     Heap(Box<[u8]>),
 }
 
-impl std::ops::Deref for DenseMaskBuf {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
+impl DenseMasks {
+    fn as_slice(&self) -> &[u8] {
         match self {
-            DenseMaskBuf::Inline(masks, len) => &masks[..*len],
-            DenseMaskBuf::Heap(masks) => masks,
+            DenseMasks::Inline(masks, len) => &masks[..*len],
+            DenseMasks::Heap(masks) => masks,
         }
     }
-}
 
-impl DenseMasks {
     pub(crate) fn of(matrix: &UnitaryMatrix) -> Self {
         Self::of_rows(matrix.as_slice(), matrix.dim())
     }
@@ -427,11 +439,11 @@ impl DenseMasks {
                 masks[c * blocks + r / block] |= 1 << (r % block);
             }
         }
-        Self(if heap.is_empty() {
-            DenseMaskBuf::Inline(inline, dim * blocks)
+        if heap.is_empty() {
+            DenseMasks::Inline(inline, dim * blocks)
         } else {
-            DenseMaskBuf::Heap(heap.into())
-        })
+            DenseMasks::Heap(heap.into())
+        }
     }
 }
 
@@ -482,13 +494,9 @@ fn dense_sweep(
     if let Some(c) = control {
         pl.fixed[k] = c;
     }
-    let fixed = &mut pl.fixed[..pl.nfixed];
-    fixed.sort_unstable();
     let len = amps.len();
-    assert!(
-        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[fixed.len() - 1] < len,
-        "operands must be distinct qubits of the state"
-    );
+    let fixed = &mut pl.fixed[..pl.nfixed];
+    sort_operands(fixed, len);
     pl.packed = fixed
         .iter()
         .enumerate()
@@ -558,33 +566,15 @@ unsafe fn dense_range_dyn(
     arms!(1 2 3 4 5)
 }
 
-/// Pick the lane instantiation of [`dense_range`].
-unsafe fn dense_range_on<const K: usize, const CONTIG: bool, const SKIP: bool>(
-    simd: bool,
-    ptr: *mut Complex64,
-    pairs: Range<usize>,
-    pl: &Placement,
-    rows: &[Complex64],
-    masks: &[u8],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        return dense_range_avx2::<K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks);
-    }
-    let _ = simd;
-    dense_range::<Pair, K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dense_range_avx2<const K: usize, const CONTIG: bool, const SKIP: bool>(
-    ptr: *mut Complex64,
-    pairs: Range<usize>,
-    pl: &Placement,
-    rows: &[Complex64],
-    masks: &[u8],
-) {
-    dense_range::<crate::simd::Avx2, K, CONTIG, SKIP>(ptr, pairs, pl, rows, masks)
+lanes_dispatch! {
+    /// Pick the lane instantiation of [`dense_range`].
+    unsafe fn dense_range_on<const K: usize, const CONTIG: bool, const SKIP: bool>(
+        ptr: *mut Complex64,
+        pairs: Range<usize>,
+        pl: &Placement,
+        rows: &[Complex64],
+        masks: &[u8],
+    ) => dense_range
 }
 
 /// The dense kernel over work items `pairs` (item `p` = groups `2p, 2p+1`).
@@ -595,8 +585,8 @@ unsafe fn dense_range_avx2<const K: usize, const CONTIG: bool, const SKIP: bool>
 /// # Safety
 /// `ptr` must address the whole state [`dense_sweep`] derived `pl` for, with
 /// exclusive access to the groups of `pairs`; `rows` must hold the `4^K`
-/// row-major entries and `masks` their [`DenseMasks`]; for the AVX2 instantiation the CPU must
-/// support AVX2.
+/// row-major entries and `masks` their [`DenseMasks`]; for the AVX2
+/// instantiation the CPU must support AVX2.
 #[inline(always)]
 unsafe fn dense_range<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: bool>(
     ptr: *mut Complex64,
@@ -692,8 +682,8 @@ unsafe fn dense_pair<L: Lanes, const K: usize, const CONTIG: bool, const SKIP: b
     }
 }
 
-/// Heap fallback for `k > 5`: one scratch buffer pair per chunk of groups
-/// (and per gate application in the sequential path), never one per group.
+/// Heap fallback for `k > 5`: one scratch buffer pair per range of groups
+/// (per gate application in the sequential path), never one per group.
 /// Same column-outer accumulation as the register-blocked family, in plain
 /// `Complex64` arithmetic under either dispatch.
 fn apply_k_qubit_heap(
@@ -715,10 +705,10 @@ fn apply_k_qubit_heap(
     let offsets = &offsets;
 
     let amps_ptr = SharedAmps::new(amps);
-    let run_chunk = |first: usize, last: usize| {
+    for_each_range(groups, opts.go_parallel(len), |range| {
         let mut input = vec![Complex64::ZERO; dim];
         let mut output = vec![Complex64::ZERO; dim];
-        for g in first..last {
+        for g in range {
             let base = spread_sorted(g, sorted);
             for (slot, &off) in input.iter_mut().zip(offsets) {
                 // SAFETY: groups are disjoint — all gate-qubit bits are fixed
@@ -739,16 +729,7 @@ fn apply_k_qubit_heap(
                 unsafe { *amps_ptr.as_ptr().add(base | off) = value };
             }
         }
-    };
-    if opts.go_parallel(len) {
-        let chunks = groups.div_ceil(GROUPS_PER_CHUNK);
-        (0..chunks).into_par_iter().for_each(|c| {
-            let first = c * GROUPS_PER_CHUNK;
-            run_chunk(first, (first + GROUPS_PER_CHUNK).min(groups));
-        });
-    } else {
-        run_chunk(0, groups);
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -809,12 +790,8 @@ fn swap_patterns(
     let mut fixed = [0 as Qubit; 3];
     let fixed = &mut fixed[..qubits.len()];
     fixed.copy_from_slice(qubits);
-    fixed.sort_unstable();
     let len = amps.len();
-    assert!(
-        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[fixed.len() - 1] < len,
-        "operands must be distinct qubits of the state"
-    );
+    sort_operands(fixed, len);
     // With qubit 0 fixed the partners alternate with untouched amplitudes:
     // enumerate runs over the remaining fixed bits and step by two.
     let (alternate, skip) = match fixed[0] {
@@ -835,37 +812,19 @@ fn swap_patterns(
     });
 }
 
-/// Pick the lane instantiation of [`swap_runs`].
-unsafe fn swap_runs_on(
-    simd: bool,
-    patterns: (*mut Complex64, *mut Complex64),
-    alternate: bool,
-    runs: Range<usize>,
-    run: usize,
-    skip: &[Qubit],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        return swap_runs_avx2(patterns, alternate, runs, run, skip);
-    }
-    let _ = simd;
-    swap_runs::<Pair>(patterns, alternate, runs, run, skip)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn swap_runs_avx2(
-    patterns: (*mut Complex64, *mut Complex64),
-    alternate: bool,
-    runs: Range<usize>,
-    run: usize,
-    skip: &[Qubit],
-) {
-    swap_runs::<crate::simd::Avx2>(patterns, alternate, runs, run, skip)
+lanes_dispatch! {
+    /// Pick the lane instantiation of [`swap_runs`].
+    unsafe fn swap_runs_on(
+        patterns: (*mut Complex64, *mut Complex64),
+        alternate: bool,
+        runs: Range<usize>,
+        run: usize,
+        skip: &[Qubit],
+    ) => swap_runs
 }
 
 /// For each run of `runs` (see [`for_each_run`]) exchange the `run` (even)
-/// amplitudes at `pa + base` with those at `pb + base` — every other one of
+/// amplitudes at `patterns.0 + base` with those at `patterns.1 + base` — every other one of
 /// them when `alternate` is set, moved singly; two per step otherwise.
 ///
 /// # Safety
@@ -873,14 +832,14 @@ unsafe fn swap_runs_avx2(
 /// be available for that instantiation.
 #[inline(always)]
 unsafe fn swap_runs<L: Lanes>(
-    (pa, pb): (*mut Complex64, *mut Complex64),
+    patterns: (*mut Complex64, *mut Complex64),
     alternate: bool,
     runs: Range<usize>,
     run: usize,
     skip: &[Qubit],
 ) {
     for base in run_bases(runs.start * run, runs.len(), run, skip) {
-        let (pa, pb) = (pa.add(base), pb.add(base));
+        let (pa, pb) = (patterns.0.add(base), patterns.1.add(base));
         for j in (0..run).step_by(2) {
             if alternate {
                 std::ptr::swap(pa.add(j), pb.add(j));
@@ -966,12 +925,8 @@ fn scale_by_table(
     let mut fixed = [0 as Qubit; 2];
     let fixed = &mut fixed[..k];
     fixed.copy_from_slice(qubits);
-    fixed.sort_unstable();
     let len = amps.len();
-    assert!(
-        fixed.windows(2).all(|w| w[0] != w[1]) && 1usize << fixed[k - 1] < len,
-        "operands must be distinct qubits of the state"
-    );
+    sort_operands(fixed, len);
     // When qubit 0 is an operand, neighbouring amplitudes take different
     // entries: the two lanes carry `table[sub]` and `table[sub | lane_bit]`
     // and the runs are enumerated over the other operand only.
@@ -1005,33 +960,15 @@ fn scale_by_table(
     });
 }
 
-/// Pick the lane instantiation of [`scale_runs`].
-unsafe fn scale_runs_on(
-    simd: bool,
-    ptr: *mut Complex64,
-    runs: Range<usize>,
-    run: usize,
-    skip: &[Qubit],
-    scaled: &[(usize, [Complex64; 2])],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        return scale_runs_avx2(ptr, runs, run, skip, scaled);
-    }
-    let _ = simd;
-    scale_runs::<Pair>(ptr, runs, run, skip, scaled)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn scale_runs_avx2(
-    ptr: *mut Complex64,
-    runs: Range<usize>,
-    run: usize,
-    skip: &[Qubit],
-    scaled: &[(usize, [Complex64; 2])],
-) {
-    scale_runs::<crate::simd::Avx2>(ptr, runs, run, skip, scaled)
+lanes_dispatch! {
+    /// Pick the lane instantiation of [`scale_runs`].
+    unsafe fn scale_runs_on(
+        ptr: *mut Complex64,
+        runs: Range<usize>,
+        run: usize,
+        skip: &[Qubit],
+        scaled: &[(usize, [Complex64; 2])],
+    ) => scale_runs
 }
 
 /// For each run of `runs` (see [`for_each_run`]) and each `(offset, phases)`
@@ -1065,6 +1002,17 @@ unsafe fn scale_runs<L: Lanes>(
 // helpers
 // ---------------------------------------------------------------------------
 
+/// Sort `operands` ascending and check they are distinct qubits of a state of
+/// `len` amplitudes — what every kernel's index arithmetic relies on.
+fn sort_operands(operands: &mut [Qubit], len: usize) {
+    operands.sort_unstable();
+    assert!(
+        operands.windows(2).all(|w| w[0] != w[1])
+            && operands.last().is_some_and(|&q| 1usize << q < len),
+        "operands must be distinct qubits of the state"
+    );
+}
+
 /// Insert zero bits at every (ascending) position in `sorted`, producing a
 /// state index whose gate-qubit bits are 0 and whose other bits enumerate `g`.
 #[inline(always)]
@@ -1091,7 +1039,7 @@ fn sub_offset_table(qubits: &[Qubit], offsets: &mut [usize]) {
 
 /// Run `body` over `0..items`: as one range when `parallel` is off, else as
 /// contiguous sub-ranges on the rayon pool (a few per thread).
-fn for_each_range(items: usize, parallel: bool, body: impl Fn(Range<usize>) + Sync) {
+pub(crate) fn for_each_range(items: usize, parallel: bool, body: impl Fn(Range<usize>) + Sync) {
     if !parallel || items < 2 {
         return body(0..items);
     }
@@ -1104,8 +1052,8 @@ fn for_each_range(items: usize, parallel: bool, body: impl Fn(Range<usize>) + Sy
 /// Split the indices whose bits at `fixed` (ascending, none of them qubit 0)
 /// are clear into contiguous runs and hand them out as `body(runs, run)`:
 /// run `i` of `runs` covers `run` indices from the base numbered `i * run`
-/// (see [`run_bases`]); `run` is a power of two, at least 2 and at most [`PIECE`],
-/// and never carries into a fixed bit.
+/// (see [`run_bases`]); `run` is a power of two, at least 2 and at most
+/// [`PIECE`], and never carries into a fixed bit.
 fn for_each_run(
     len: usize,
     fixed: &[Qubit],
@@ -1161,7 +1109,7 @@ impl SharedAmps {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hisvsim_circuit::{generators, Circuit};
 
@@ -1207,7 +1155,9 @@ mod tests {
         StateVector::from_amplitudes(out)
     }
 
-    fn random_state(n: usize, seed: u64) -> StateVector {
+    /// A normalised state with no zero amplitude, so no kernel gets away
+    /// with skipping work.
+    pub(crate) fn random_state(n: usize, seed: u64) -> StateVector {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1414,7 +1364,7 @@ mod tests {
         all
     }
 
-    fn assert_bitwise(a: &StateVector, b: &StateVector, what: &str) {
+    pub(crate) fn assert_bitwise(a: &StateVector, b: &StateVector, what: &str) {
         for (i, (x, y)) in a.amplitudes().iter().zip(b.amplitudes()).enumerate() {
             assert!(
                 x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),

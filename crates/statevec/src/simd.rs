@@ -271,6 +271,40 @@ mod avx2 {
     }
 }
 
+/// Define `unsafe fn $on(simd: bool, args…)`, the run-time choice between the
+/// two instantiations of a [`Lanes`]-generic kernel `$kernel::<L, consts…>`:
+/// the AVX2 one through a `#[target_feature]` trampoline (which is what lets
+/// the `inline(always)` kernel and lane methods compile with AVX2 enabled)
+/// when `simd` is set, the scalar one otherwise.
+///
+/// The generated function inherits the kernel's safety contract, plus:
+/// `simd` must come from [`KernelDispatch::use_simd`], which is what makes
+/// entering the AVX2 trampoline sound.
+macro_rules! lanes_dispatch {
+    (
+        $(#[$meta:meta])*
+        unsafe fn $on:ident $(<$(const $g:ident: $gty:ty),+>)? ($($arg:ident: $ty:ty),* $(,)?)
+            => $kernel:ident
+    ) => {
+        $(#[$meta])*
+        unsafe fn $on $(<$(const $g: $gty),+>)? (simd: bool, $($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn avx2 $(<$(const $g: $gty),+>)? ($($arg: $ty),*) {
+                    $kernel::<$crate::simd::Avx2 $($(, $g)+)?>($($arg),*)
+                }
+                if simd {
+                    return avx2 $(::<$($g),+>)? ($($arg),*);
+                }
+            }
+            let _ = simd;
+            $kernel::<$crate::simd::Pair $($(, $g)+)?>($($arg),*)
+        }
+    };
+}
+pub(crate) use lanes_dispatch;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@
 //! fused op.
 
 use hisvsim_circuit::generators;
-use hisvsim_statevec::{ApplyOptions, FusedCircuit, FusionStrategy, StateVector};
+use hisvsim_statevec::{simd_available, ApplyOptions, FusedCircuit, FusionStrategy, StateVector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,6 +39,9 @@ fn allocations_of_apply(fused: &FusedCircuit, qubits: usize) -> usize {
 // One test function: a second one running concurrently would be counted too.
 #[test]
 fn fused_apply_allocates_per_op_not_per_tile() {
+    // The dispatch is resolved once per process, reading the environment:
+    // not a cost of any sweep.
+    let _ = simd_available();
     // Dense groups, solo gates (Toffolis in the adder), diagonal runs (qft).
     for name in ["random", "adder", "qft"] {
         let circuit = match name {
