@@ -16,7 +16,7 @@
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedSinglePlan};
 use crate::metrics::RunReport;
-use hisvsim_circuit::Circuit;
+use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::{
@@ -24,6 +24,7 @@ use hisvsim_statevec::{
     StateVector, DEFAULT_FUSION_WIDTH,
 };
 use rayon::prelude::*;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Configuration of the hierarchical engine.
@@ -212,6 +213,7 @@ impl HierarchicalSimulator {
             .map(|p| p.inner.source_gates() as u64)
             .sum();
         let mut state = StateVector::zero_state(circuit.num_qubits());
+        let scratch = InnerScratch::default();
         let mut gates_done = 0u64;
         for part in &plan.parts {
             control.check()?;
@@ -220,7 +222,7 @@ impl HierarchicalSimulator {
             let on_assignments = |done: u64, total: u64| {
                 control.report_progress(before + part_gates * done / total.max(1), total_gates);
             };
-            execute_part_fused_controlled(
+            execute_part_fused_with_scratch(
                 &mut state,
                 part,
                 self.config.parallel,
@@ -229,6 +231,7 @@ impl HierarchicalSimulator {
                     cancel: &control.cancel,
                     on_assignments: Some(&on_assignments),
                 }),
+                &scratch,
             )?;
             gates_done += part_gates;
             control.report_progress(gates_done, total_gates);
@@ -277,7 +280,8 @@ pub fn execute_part(
         .subcircuit(part_gates)
         .remap_qubits(&map.remap_table(), map.inner_qubits());
     let opts = ApplyOptions::sequential().with_dispatch(dispatch);
-    sweep_assignments(outer, &map, parallel, None, |inner| {
+    let scratch = InnerScratch::default();
+    sweep_assignments(outer, &map, parallel, None, &scratch, |inner| {
         hisvsim_statevec::kernels::apply_circuit_with(inner, &inner_circuit, &opts);
     })
     .expect("uncancellable sweep cannot abort");
@@ -319,12 +323,60 @@ pub fn execute_part_fused_controlled(
     dispatch: KernelDispatch,
     control: Option<&SweepControl<'_>>,
 ) -> Result<(), Cancelled> {
+    let scratch = InnerScratch::default();
+    execute_part_fused_with_scratch(outer, part, parallel, dispatch, control, &scratch)
+}
+
+/// [`execute_part_fused_controlled`] drawing its inner vectors from
+/// `scratch`, so the parts of one run share them.
+fn execute_part_fused_with_scratch(
+    outer: &mut StateVector,
+    part: &FusedPart,
+    parallel: bool,
+    dispatch: KernelDispatch,
+    control: Option<&SweepControl<'_>>,
+    scratch: &InnerScratch,
+) -> Result<(), Cancelled> {
     let map = GatherMap::new(outer.num_qubits(), &part.working_set);
     let inner_circuit: &FusedCircuit = &part.inner;
     let opts = ApplyOptions::sequential().with_dispatch(dispatch);
-    sweep_assignments(outer, &map, parallel, control, |inner| {
+    sweep_assignments(outer, &map, parallel, control, scratch, |inner| {
         inner_circuit.apply(inner, &opts);
     })
+}
+
+/// Inner vectors handed from one sweep to the next for the length of a run.
+///
+/// An allocation this large is mapped, page-faulted and unmapped each time:
+/// with a vector per chunk of every part, a 22-qubit job at limit 21 faulted
+/// 192 MiB of inner vectors in (of 320 MiB in all), and what a fresh page
+/// costs is the least steady thing on a shared host — 1.7 µs in a quiet
+/// guest, many times that after other processes have churned its memory.
+/// The gather overwrites every inner amplitude, so a vector left by an
+/// earlier part — of any width — serves as well as a new one.
+#[derive(Default)]
+struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
+
+impl InnerScratch {
+    /// An inner vector of `qubits` qubits with unspecified contents.
+    fn take(&self, qubits: usize) -> StateVector {
+        let kept = self.0.lock().expect("scratch lock poisoned").pop();
+        match kept {
+            Some(mut amps) => {
+                amps.resize(1usize << qubits, Complex64::ZERO);
+                StateVector::from_amplitudes(amps)
+            }
+            None => StateVector::uninitialized(qubits),
+        }
+    }
+
+    /// Keep `inner` for the next taker.
+    fn give(&self, inner: StateVector) {
+        self.0
+            .lock()
+            .expect("scratch lock poisoned")
+            .push(inner.into_amplitudes());
+    }
 }
 
 /// The Gather–Execute–Scatter sweep shared by the fused and unfused part
@@ -342,6 +394,7 @@ fn sweep_assignments<F>(
     map: &GatherMap,
     parallel: bool,
     control: Option<&SweepControl<'_>>,
+    scratch: &InnerScratch,
     execute: F,
 ) -> Result<(), Cancelled>
 where
@@ -383,7 +436,7 @@ where
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 return;
             }
-            let mut inner = StateVector::uninitialized(map.inner_qubits());
+            let mut inner = scratch.take(map.inner_qubits());
             let first = chunk * per_chunk;
             let last = (first + per_chunk).min(assignments);
             for assignment in first..last {
@@ -391,9 +444,10 @@ where
                 let completed = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
                 report(completed);
             }
+            scratch.give(inner);
         });
     } else {
-        let mut inner = StateVector::uninitialized(map.inner_qubits());
+        let mut inner = scratch.take(map.inner_qubits());
         for assignment in 0..assignments {
             if let Some(cancel) = cancel {
                 cancel.check()?;
@@ -401,6 +455,7 @@ where
             sweep_one(assignment, &mut inner);
             report(assignment as u64 + 1);
         }
+        scratch.give(inner);
     }
     match cancel {
         Some(cancel) => cancel.check(),
@@ -411,14 +466,14 @@ where
 /// Raw-pointer wrapper so the per-assignment closures can reach disjoint
 /// regions of the outer vector from several threads.
 #[derive(Clone, Copy)]
-struct OuterPtr(*mut hisvsim_circuit::Complex64);
+struct OuterPtr(*mut Complex64);
 // SAFETY: the wrapper only carries the pointer; `sweep_assignments` states
 // why the accesses made through it never overlap.
 unsafe impl Send for OuterPtr {}
 unsafe impl Sync for OuterPtr {}
 impl OuterPtr {
     /// The pointer, through a method so closures capture the `Sync` wrapper.
-    fn get(&self) -> *mut hisvsim_circuit::Complex64 {
+    fn get(&self) -> *mut Complex64 {
         self.0
     }
 }
@@ -474,6 +529,21 @@ mod tests {
             let circuit = generators::by_name(name, 10);
             check_against_flat(&circuit, 5, Strategy::DagP, true);
         }
+    }
+
+    #[test]
+    fn inner_scratch_hands_a_kept_vector_out_at_the_asked_width() {
+        let scratch = InnerScratch::default();
+        let first = scratch.take(6);
+        let kept = first.amplitudes().as_ptr();
+        scratch.give(first);
+        let narrower = scratch.take(4);
+        assert_eq!(narrower.num_qubits(), 4);
+        assert_eq!(narrower.amplitudes().as_ptr(), kept);
+        scratch.give(narrower);
+        let wider = scratch.take(6);
+        assert_eq!(wider.len(), 64);
+        assert_eq!(wider.amplitudes().as_ptr(), kept);
     }
 
     #[test]
