@@ -3,8 +3,11 @@
 //! permutation and phase gates, the diagonal-run pass, gather/scatter — next
 //! to an in-place scale of the same slice (the floor any in-place sweep pays),
 //! at 2^16 (one L2 tile), 2^21 and 2^24 amplitudes, forced-scalar vs auto
-//! dispatch, one thread vs the default pool. Recorded in `BENCH_kernels.json`
-//! with a description of the host it ran on.
+//! dispatch, one thread vs the default pool; and the distributed engines'
+//! part-switch exchange (`DistState::redistribute`) at 2^20 amplitudes per
+//! rank on 2 and 4 thread-world ranks, next to as many threads gathering and
+//! scattering one such slice each. Recorded in `BENCH_kernels.json` with a description of the host it
+//! ran on.
 //!
 //! ```text
 //! cargo run --release -p hisvsim-bench --bin kernel_microbench [reps] [--profile-out <path>]
@@ -20,7 +23,8 @@
 //! in the same process* must stay under its budget (with
 //! [`CHECK_SLACK`]); the process exits non-zero otherwise. Being a ratio of
 //! two loops over the same L2-resident slice, it does not care how fast the
-//! runner is. It writes no file.
+//! runner is. The exchange rows are held the same way to a multiple of the
+//! gather/scatter beside them. It writes no file.
 //!
 //! `--profile-out <path>` additionally emits the measurements as a
 //! [`CostProfile`](hisvsim_obs::CostProfile) in the runtime's warm-start
@@ -30,6 +34,8 @@
 //! traffic.
 
 use hisvsim_circuit::{Circuit, Complex64, GateKind, Qubit, UnitaryMatrix};
+use hisvsim_cluster::{run_spmd, NetworkModel};
+use hisvsim_core::DistState;
 use hisvsim_statevec::{
     kernels, simd_available, ApplyOptions, FusedCircuit, FusedOp, FusionStrategy, GatherMap,
     KernelDispatch, StateVector,
@@ -81,11 +87,37 @@ struct KernelCase {
     budget: Option<f64>,
 }
 
+/// One part-switch exchange of the distributed engines.
+#[derive(Serialize)]
+struct ExchangeCase {
+    exchange: &'static str,
+    /// Qubits of each rank's slice.
+    local_qubits: usize,
+    ranks: usize,
+    /// Wall seconds of one `DistState::redistribute`, first rank in to last
+    /// rank out, best of reps (the ranks are threads of this process sharing
+    /// its cores).
+    seconds: f64,
+    /// Cycles per amplitude of one rank's slice at the nominal clock.
+    cycles_per_amp: f64,
+    /// Wall seconds of `ranks` threads each gathering and scattering one such
+    /// slice at the same time, first in to last out, best of reps.
+    gather_scatter_s: f64,
+    /// `seconds` over `gather_scatter_s`.
+    over_gather_scatter: f64,
+    /// What `--check` holds `over_gather_scatter` to; none where the ranks
+    /// outnumber the host's cores (ranks wait for each other at the
+    /// all-to-all, so taking turns costs them more than it costs independent
+    /// gather/scatters).
+    budget: Option<f64>,
+}
+
 struct Report {
     host: Value,
     reps: usize,
     nominal_ghz: f64,
     kernels: Vec<KernelCase>,
+    exchanges: Vec<ExchangeCase>,
 }
 
 impl Serialize for Report {
@@ -101,6 +133,7 @@ impl Serialize for Report {
             ("nominal_ghz".into(), Value::Float(self.nominal_ghz)),
             ("check_slack".into(), Value::Float(CHECK_SLACK)),
             ("kernels".into(), serde_json::to_value(&self.kernels)),
+            ("exchanges".into(), serde_json::to_value(&self.exchanges)),
         ])
     }
 }
@@ -312,23 +345,27 @@ fn kernels_for(n: usize) -> Vec<Kernel> {
         cascade.apply(s, o)
     }));
 
-    // Gather then scatter every assignment of a part that leaves the four
-    // highest qubits free: each amplitude is read and written twice, so two
-    // in-place passes are its floor and the budget allows twice that.
+    rows.push(gather_scatter(n));
+    rows
+}
+
+/// Gather then scatter every assignment of a part that leaves the four
+/// highest qubits free: each amplitude is read and written twice, so two
+/// in-place passes are its floor and the budget allows twice that.
+fn gather_scatter(n: usize) -> Kernel {
     let part: Vec<Qubit> = (0..n - 4).collect();
     let map = GatherMap::new(n, &part);
     let mut inner = StateVector::zero_state(map.inner_qubits());
-    rows.push(Kernel {
+    Kernel {
         bytes_per_amp: 64.0,
         takes_options: false,
-        ..kernel("gather_scatter", any(4.0), move |s, _| {
+        ..kernel("gather_scatter", Some((4.0, false)), move |s, _| {
             for assignment in 0..1usize << map.num_free_qubits() {
                 map.gather_into(s, assignment, &mut inner);
                 map.scatter(&inner, s, assignment);
             }
         })
-    });
-    rows
+    }
 }
 
 /// Nominal clock in GHz: the `@ x.yzGHz` of the model name, else the
@@ -417,6 +454,138 @@ fn measure(n: usize, default_pool: bool, reps: usize, ghz: f64) -> Vec<KernelCas
     cases
 }
 
+/// Slice width of the exchange rows.
+const EXCHANGE_LOCAL_QUBITS: usize = 20;
+
+/// An exchange may take this many gather/scatters of the same slices on the
+/// same threads: it packs and unpacks every amplitude once, as a
+/// gather/scatter does, but through buffers that leave the cache in between
+/// and amplitude by amplitude where that copies whole runs.
+const EXCHANGE_BUDGET: f64 = 3.0;
+
+/// When one thread started and finished one repetition.
+type Lap = (Instant, Instant);
+
+/// Best over the repetitions of the time from the first thread's start to
+/// the last thread's finish — threads that wait for a core count as still
+/// running.
+fn best_span(per_thread: &[Vec<Lap>]) -> f64 {
+    (0..per_thread[0].len())
+        .map(|rep| {
+            let laps = per_thread.iter().map(|laps| laps[rep]);
+            let first = laps.clone().map(|(start, _)| start).min().expect("threads");
+            let last = laps.map(|(_, end)| end).max().expect("threads");
+            (last - first).as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One `DistState::redistribute` from layout `from` to layout `to` on a
+/// thread world of `ranks` ranks, first rank in to last rank out, best of
+/// `reps`. The way back to `from` is not timed.
+fn time_redistribute(ranks: usize, reps: usize, from: &[usize], to: &[usize]) -> f64 {
+    let per_rank = run_spmd::<Complex64, Vec<Lap>, _>(ranks, NetworkModel::ideal(), |mut comm| {
+        let mut state = DistState::new(&mut comm, from.len());
+        // One untimed round first: the send buffers are allocated by it.
+        (0..=reps)
+            .map(|_| {
+                state.redistribute(from.to_vec());
+                let start = Instant::now();
+                state.redistribute(to.to_vec());
+                (start, Instant::now())
+            })
+            .skip(1)
+            .collect()
+    });
+    best_span(&per_rank)
+}
+
+/// The floor beside it: `threads` threads at once, each gathering and
+/// scattering a slice of its own — the same memory, cores and neighbours the
+/// ranks of an exchange share, so the ratio of the two does not move with
+/// them.
+fn time_gather_scatter(threads: usize, reps: usize) -> f64 {
+    let l = EXCHANGE_LOCAL_QUBITS;
+    let together = std::sync::Barrier::new(threads);
+    let per_thread: Vec<Vec<Lap>> = std::thread::scope(|scope| {
+        let sweeps: Vec<_> = (0..threads)
+            .map(|thread| {
+                let together = &together;
+                scope.spawn(move || {
+                    let mut slice = random_state(l, 0xE8C4 + thread as u64);
+                    let mut row = gather_scatter(l);
+                    let opts = ApplyOptions::sequential();
+                    (0..=reps)
+                        .map(|_| {
+                            together.wait();
+                            let start = Instant::now();
+                            (row.sweep)(&mut slice, &opts);
+                            (start, Instant::now())
+                        })
+                        .skip(1)
+                        .collect()
+                })
+            })
+            .collect();
+        sweeps
+            .into_iter()
+            .map(|sweep| sweep.join().expect("gather/scatter thread panicked"))
+            .collect()
+    });
+    best_span(&per_thread)
+}
+
+/// The exchange rows: the swap `ensure_local` makes for a part that leaves
+/// out qubit 0 (the lowest slice bit trades places with a rank bit, what the
+/// QFT's two wide parts ask for), and the return to the identity layout from
+/// the three-cycle of positions a QFT run ends in.
+fn measure_exchanges(reps: usize, ghz: f64) -> Vec<ExchangeCase> {
+    let l = EXCHANGE_LOCAL_QUBITS;
+    let amps = 1usize << l;
+    let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+    let mut cases = Vec::new();
+    for ranks in [2usize, 4] {
+        let n = l + ranks.trailing_zeros() as usize;
+        let gather_scatter_s = time_gather_scatter(ranks, reps);
+        println!(
+            "{:22} 2^{l} x{ranks} threads: {:6.3} ms",
+            "gather_scatter",
+            gather_scatter_s * 1e3
+        );
+        let identity: Vec<usize> = (0..n).collect();
+        let mut swapped = identity.clone();
+        swapped.swap(0, l);
+        let mut cycled = identity.clone();
+        (cycled[0], cycled[1], cycled[l - 2], cycled[l]) = (1, l - 2, l, 0);
+        for (exchange, from, to) in [
+            ("redistribute_swap1", &identity, &swapped),
+            ("redistribute_identity", &cycled, &identity),
+        ] {
+            let seconds = time_redistribute(ranks, reps, from, to);
+            let case = ExchangeCase {
+                exchange,
+                local_qubits: l,
+                ranks,
+                seconds,
+                cycles_per_amp: seconds * ghz * 1e9 / amps as f64,
+                gather_scatter_s,
+                over_gather_scatter: seconds / gather_scatter_s,
+                budget: (ranks <= cores).then_some(EXCHANGE_BUDGET),
+            };
+            println!(
+                "{exchange:22} 2^{l} x{ranks} ranks: {:8.3} ms ({:5.2} cyc/amp) {:5.2}x gather_scatter{}",
+                seconds * 1e3,
+                case.cycles_per_amp,
+                case.over_gather_scatter,
+                case.budget
+                    .map_or(String::new(), |b| format!(" (budget {b})")),
+            );
+            cases.push(case);
+        }
+    }
+    cases
+}
+
 /// The profile kernel-table name each microbench case measures, mirroring
 /// the span names the executor's recorder emits; `None` for rows that are
 /// not executor sweeps.
@@ -430,27 +599,37 @@ fn profile_kernel_name(case: &str) -> Option<&'static str> {
     }
 }
 
-/// The CI guard: exit status 1 when a kernel is over budget.
+/// The CI guard: exit status 1 when a kernel or an exchange is over budget.
 fn check(reps: usize) -> std::process::ExitCode {
-    let cases = measure(16, false, reps, nominal_ghz());
-    let over: Vec<&KernelCase> = cases
-        .iter()
-        .filter(|case| {
-            case.budget
-                .is_some_and(|budget| case.over_scale > budget * CHECK_SLACK)
-        })
-        .collect();
-    for case in &over {
-        eprintln!(
-            "over budget: {} takes {:.2}x the in-place scale, budget {} (x{CHECK_SLACK} slack)",
-            case.kernel,
-            case.over_scale,
-            case.budget.expect("filtered on it"),
-        );
+    let ghz = nominal_ghz();
+    let cases = measure(16, false, reps, ghz);
+    let exchanges = measure_exchanges(reps, ghz);
+    let mut over = Vec::new();
+    for case in &cases {
+        if let Some(budget) = case.budget.filter(|b| case.over_scale > b * CHECK_SLACK) {
+            over.push(format!(
+                "{} takes {:.2}x the in-place scale, budget {budget}",
+                case.kernel, case.over_scale
+            ));
+        }
+    }
+    for case in &exchanges {
+        if let Some(budget) = case
+            .budget
+            .filter(|b| case.over_gather_scatter > b * CHECK_SLACK)
+        {
+            over.push(format!(
+                "{} on {} ranks takes {:.2}x a gather/scatter of the slices, budget {budget}",
+                case.exchange, case.ranks, case.over_gather_scatter
+            ));
+        }
+    }
+    for line in &over {
+        eprintln!("over budget: {line} (x{CHECK_SLACK} slack)");
     }
     match over.is_empty() {
         true => {
-            println!("\nevery kernel is within its budget");
+            println!("\nevery kernel and exchange is within its budget");
             std::process::ExitCode::SUCCESS
         }
         false => std::process::ExitCode::FAILURE,
@@ -494,11 +673,15 @@ fn main() -> std::process::ExitCode {
         }
     }
 
+    println!();
+    let exchanges = measure_exchanges(reps, ghz);
+
     let report = Report {
         host: host.to_value(&triad),
         reps,
         nominal_ghz: ghz,
         kernels: cases,
+        exchanges,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

@@ -365,6 +365,7 @@ fn apply_diagonal_with_fixed_bits<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
     prepared: &PreparedGate,
 ) {
+    let _span = hisvsim_obs::span("kernel", "local");
     let start = Instant::now();
     let gate = &prepared.gate;
     // CZ (a matrix-free fast-path kind) is not prepared; compute on demand.

@@ -12,6 +12,7 @@
 //! The same [`DistState`] machinery backs the IQS-style baseline
 //! ([`crate::baseline`]) and the multi-level engine ([`crate::multilevel`]).
 
+use crate::exchange::ExchangePlan;
 use crate::exec::{ExecControl, StepGate};
 use crate::fusedplan::{FusedPart, FusedSinglePlan};
 use crate::metrics::RunReport;
@@ -84,6 +85,9 @@ pub struct DistState<'a, C: RankComm<Complex64>> {
     /// Kernel dispatch for every local sweep ([`KernelDispatch::Auto`] by
     /// default; forced scalar for differential validation).
     dispatch: KernelDispatch,
+    /// The buffers the last exchange received, kept to be the next one's
+    /// send buffers: their pages are already faulted in.
+    spare: Vec<Vec<Complex64>>,
 }
 
 impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
@@ -112,6 +116,9 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             "more rank bits ({p}) than qubits ({num_qubits})"
         );
         let l = num_qubits - p;
+        // Zeroing the slice faults its pages in: at small widths a
+        // noticeable share of a rank's wall, so it gets a span of its own.
+        let init = hisvsim_obs::span("kernel", "init").bytes(16 << l);
         let mut local = match recycled {
             Some(mut amps) if amps.len() == 1usize << l => {
                 amps.fill(Complex64::ZERO);
@@ -122,6 +129,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         if comm.rank() == 0 {
             local.amplitudes_mut()[0] = Complex64::ONE;
         }
+        drop(init);
         Self {
             comm,
             local,
@@ -132,6 +140,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             exchanges: 0,
             exchange_tag: TAG_EXCHANGE,
             dispatch: KernelDispatch::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -258,7 +267,41 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// Redistribute the state to a new layout (a permutation of qubit
     /// positions). Collective: every rank must call this with the same
     /// target layout.
+    ///
+    /// The change is a permutation of index bits, so what leaves for one peer
+    /// is a sub-cube of the old slice and what arrives from one is a sub-cube
+    /// of the new (see [`crate::exchange`]): each peer's buffer is packed in
+    /// ascending old-offset order with run copies, the buffers cross in one
+    /// all-to-all-v, and the old slice is overwritten with what came back.
+    /// The received buffers are kept as the next exchange's send buffers.
     pub fn redistribute(&mut self, new_layout: Vec<usize>) {
+        assert_eq!(new_layout.len(), self.n);
+        if new_layout == self.layout {
+            return;
+        }
+        let slice_bytes = std::mem::size_of_val(self.local.amplitudes()) as u64;
+        let _span = hisvsim_obs::span("comm", "redistribute").bytes(slice_bytes);
+        let plan = ExchangePlan::new(&self.layout, &new_layout, self.l, self.comm.rank());
+        let send = {
+            let _pack = hisvsim_obs::span("comm", "pack").bytes(slice_bytes);
+            plan.pack(self.local.amplitudes(), self.comm.size(), &mut self.spare)
+        };
+        self.exchange_tag += 1;
+        let received = self.comm.alltoallv(send, self.exchange_tag);
+        {
+            let _unpack = hisvsim_obs::span("comm", "unpack").bytes(slice_bytes);
+            plan.unpack(&received, self.local.amplitudes_mut());
+        }
+        self.spare = received;
+        self.layout = new_layout;
+        self.exchanges += 1;
+    }
+
+    /// [`DistState::redistribute`] as it was before the exchange was planned
+    /// as a bit permutation: one pass over the qubits per amplitude and a
+    /// sort of the `2^l` origins. The reference of the differential tests.
+    #[cfg(test)]
+    fn redistribute_reference(&mut self, new_layout: Vec<usize>) {
         assert_eq!(new_layout.len(), self.n);
         if new_layout == self.layout {
             return;
@@ -334,6 +377,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// Apply a prepared gate list (see [`prepare_gates`]) whose qubits are
     /// all local. The precomputed matrices are shared by every rank.
     pub fn apply_prepared_local(&mut self, gates: &[PreparedGate]) {
+        let _span = hisvsim_obs::span("kernel", "local");
         let start = Instant::now();
         let opts = self.opts();
         for prepared in gates {
@@ -356,6 +400,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// the circuit touches must be local. Used by the IQS-style baseline for
     /// its communication-free segments.
     pub fn apply_fused_local(&mut self, fused: &FusedCircuit) {
+        let _span = hisvsim_obs::span("kernel", "local");
         let start = Instant::now();
         let opts = self.opts();
         fused.apply_mapped(&mut self.local, &self.layout, &opts);
@@ -367,6 +412,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// this rank's current layout without any re-fusion. Every working-set
     /// qubit must already be local (see [`DistState::ensure_local`]).
     pub fn apply_fused_part(&mut self, part: &FusedPart) {
+        let _span = hisvsim_obs::span("kernel", "local");
         let start = Instant::now();
         let map: Vec<usize> = part
             .working_set
@@ -933,6 +979,238 @@ mod tests {
         for amps in outcomes {
             let got = StateVector::from_amplitudes(amps);
             assert!(got.approx_eq(&expected, 1e-9));
+        }
+    }
+
+    /// A communicator that keeps a copy of every `alltoallv` send list
+    /// before passing it on.
+    struct Recording<C> {
+        inner: C,
+        sent: Vec<Vec<Vec<Complex64>>>,
+    }
+
+    impl<C: RankComm<Complex64>> RankComm<Complex64> for Recording<C> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn network(&self) -> NetworkModel {
+            self.inner.network()
+        }
+        fn stats(&self) -> CommStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&mut self) {
+            self.inner.reset_stats()
+        }
+        fn send(&mut self, to: usize, tag: u64, payload: Vec<Complex64>) {
+            self.inner.send(to, tag, payload)
+        }
+        fn recv(&mut self, from: usize, tag: u64) -> Vec<Complex64> {
+            self.inner.recv(from, tag)
+        }
+        fn barrier(&mut self) {
+            self.inner.barrier()
+        }
+        fn vote_any(&mut self, flag: bool) -> bool {
+            self.inner.vote_any(flag)
+        }
+        fn alltoallv(&mut self, send_bufs: Vec<Vec<Complex64>>, tag: u64) -> Vec<Vec<Complex64>> {
+            self.sent.push(send_bufs.clone());
+            self.inner.alltoallv(send_bufs, tag)
+        }
+    }
+
+    /// What one rank saw of a chain of exchanges: its slice after every one
+    /// (the return to the identity layout last), every send list, and the
+    /// exchanges counted before that return.
+    #[derive(Debug, PartialEq)]
+    struct Witness {
+        slices: Vec<Vec<Complex64>>,
+        sent: Vec<Vec<Vec<Complex64>>>,
+        exchanges: usize,
+    }
+
+    /// Drive every rank of `world` through `layouts` and back to the
+    /// identity, with the reference body or with the planned exchange (whose
+    /// last step is `finish_rank` itself).
+    fn exchange_chain<C: RankComm<Complex64> + Send>(
+        world: Vec<C>,
+        n: usize,
+        layouts: &[Vec<usize>],
+        reference: bool,
+    ) -> Vec<Witness> {
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = world
+                .into_iter()
+                .map(|inner| {
+                    scope.spawn(move || {
+                        let mut comm = Recording {
+                            inner,
+                            sent: Vec::new(),
+                        };
+                        let mut state = DistState::new(&mut comm, n);
+                        let first = state.rank() << state.local_qubits();
+                        for (off, amp) in state.local.amplitudes_mut().iter_mut().enumerate() {
+                            *amp = Complex64::new((first + off) as f64, -0.5);
+                        }
+                        let mut slices = Vec::new();
+                        for layout in layouts {
+                            match reference {
+                                true => state.redistribute_reference(layout.clone()),
+                                false => state.redistribute(layout.clone()),
+                            }
+                            assert_eq!(state.layout(), layout);
+                            slices.push(state.local.amplitudes().to_vec());
+                        }
+                        // `finish_rank` reports the exchanges before its own.
+                        let exchanges = state.exchanges;
+                        match reference {
+                            true => {
+                                state.redistribute_reference((0..n).collect());
+                                slices.push(state.local.amplitudes().to_vec());
+                            }
+                            false => {
+                                let outcome = state.finish_rank();
+                                assert_eq!(outcome.exchanges, exchanges);
+                                slices.push(outcome.local);
+                            }
+                        }
+                        Witness {
+                            slices,
+                            sent: comm.sent,
+                            exchanges,
+                        }
+                    })
+                })
+                .collect();
+            ranks
+                .into_iter()
+                .map(|rank| rank.join().expect("rank body panicked"))
+                .collect()
+        })
+    }
+
+    /// `steps` pseudo-random permutations of `0..n` (splitmix64 shuffles).
+    fn random_layouts(n: usize, steps: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = s;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        (0..steps)
+            .map(|_| {
+                let mut layout: Vec<usize> = (0..n).collect();
+                for i in (1..n).rev() {
+                    layout.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                layout
+            })
+            .collect()
+    }
+
+    /// The planned exchange against the reference on both transports: every
+    /// rank's slice after every step, and every per-peer message, bit for bit.
+    fn assert_matches_reference(ranks: usize, n: usize, layouts: &[Vec<usize>], tcp: bool) {
+        let run = |reference: bool| match tcp {
+            false => exchange_chain(
+                hisvsim_cluster::world(ranks, NetworkModel::ideal()),
+                n,
+                layouts,
+                reference,
+            ),
+            true => exchange_chain(
+                hisvsim_net::tcp_world(ranks, NetworkModel::ideal()).expect("loopback mesh"),
+                n,
+                layouts,
+                reference,
+            ),
+        };
+        let (expected, got) = (run(true), run(false));
+        for (rank, (expected, got)) in expected.iter().zip(&got).enumerate() {
+            assert_eq!(
+                got, expected,
+                "rank {rank} of {ranks}, {n} qubits, layouts {layouts:?}, tcp {tcp}"
+            );
+        }
+        // Back under the identity layout the slices are the state in order.
+        for (rank, witness) in got.iter().enumerate() {
+            let first = rank * (1usize << n) / ranks;
+            let last = witness.slices.last().expect("the return to identity");
+            assert!(last
+                .iter()
+                .enumerate()
+                .all(|(off, amp)| amp.re == (first + off) as f64));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn planned_exchange_matches_the_reference_on_the_thread_world(
+            log_ranks in 0usize..4,
+            extra in 0usize..8,
+            steps in 1usize..5,
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = (log_ranks + extra).clamp(1, 10);
+            assert_matches_reference(1 << log_ranks, n, &random_layouts(n, steps, seed), false);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn planned_exchange_matches_the_reference_over_tcp(
+            log_ranks in 0usize..4,
+            extra in 0usize..8,
+            steps in 1usize..4,
+            seed in proptest::any::<u64>(),
+        ) {
+            let n = (log_ranks + extra).clamp(1, 10);
+            assert_matches_reference(1 << log_ranks, n, &random_layouts(n, steps, seed), true);
+        }
+    }
+
+    #[test]
+    fn ensure_local_chains_match_the_reference() {
+        // What the engines do: swaps that bring a working set in, three or
+        // more in a row, then `finish_rank`. The layouts are the ones
+        // `ensure_local` picks for these working sets.
+        for (ranks, n) in [(2usize, 6usize), (4, 7), (8, 9)] {
+            let l = n - ranks.trailing_zeros() as usize;
+            let working_sets: Vec<Vec<usize>> = vec![
+                (n - l..n).collect(),
+                (0..l).collect(),
+                (0..n).step_by(2).take(l).collect(),
+                vec![n - 1, 0],
+            ];
+            let layouts: Vec<Vec<usize>> = run_spmd::<Complex64, Vec<Vec<usize>>, _>(
+                ranks,
+                NetworkModel::ideal(),
+                |mut comm| {
+                    let mut state = DistState::new(&mut comm, n);
+                    working_sets
+                        .iter()
+                        .map(|set| {
+                            state.ensure_local(set);
+                            state.layout().to_vec()
+                        })
+                        .collect()
+                },
+            )
+            .swap_remove(0);
+            assert!(layouts.windows(2).filter(|pair| pair[0] != pair[1]).count() >= 2);
+            for tcp in [false, true] {
+                assert_matches_reference(ranks, n, &layouts, tcp);
+            }
         }
     }
 

@@ -47,6 +47,7 @@
 
 pub mod baseline;
 pub mod dist;
+mod exchange;
 pub mod exec;
 pub mod fusedplan;
 pub mod gpu;

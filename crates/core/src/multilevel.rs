@@ -347,6 +347,7 @@ fn execute_second_level_fused<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
     second: &[FusedSecondPart],
 ) {
+    let _span = hisvsim_obs::span("kernel", "local");
     let start = Instant::now();
     let l = state.local_qubits();
     let opts = ApplyOptions::sequential().with_dispatch(state.kernel_dispatch());
@@ -377,6 +378,7 @@ fn execute_second_level<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
     second_lists: &[Vec<Gate>],
 ) {
+    let _span = hisvsim_obs::span("kernel", "local");
     let start = Instant::now();
     let l = state.local_qubits();
     let opts = ApplyOptions::sequential().with_dispatch(state.kernel_dispatch());

@@ -20,12 +20,12 @@ use crate::launcher::{
 use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
-use crate::wire::{read_frame, recv_json, send_json};
+use crate::wire::{read_items_frame, recv_json, send_json};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
-use hisvsim_statevec::{amplitudes_from_le_bytes, StateVector};
+use hisvsim_statevec::StateVector;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -478,13 +478,12 @@ impl WorkerPool {
                     return Err(NetError::Worker(format!("rank {rank}: {message}")));
                 }
             }
-            let (tag, bytes) = read_frame(stream)?;
+            let (tag, local) = read_items_frame::<hisvsim_circuit::Complex64>(stream)?;
             if tag != AMPS_TAG {
                 return Err(NetError::Protocol(format!(
                     "expected the amplitude frame, got tag {tag:#x}"
                 )));
             }
-            let local = amplitudes_from_le_bytes(&bytes);
             if local.len() != report.amp_count {
                 return Err(NetError::Protocol(format!(
                     "rank {rank} announced {} amplitudes but sent {}",

@@ -15,7 +15,9 @@
 //! no shared-memory `Barrier` to lean on, so it is a gather–release through
 //! rank 0 on a reserved tag namespace.
 
-use crate::wire::{decode_items, encode_items, read_frame, write_frame, WireItem};
+use crate::wire::{
+    decode_items, items_as_wire_bytes, read_frame, read_items_frame_into, write_frame, WireItem,
+};
 use hisvsim_cluster::{CommStats, NetworkModel, RankComm, VOTE_EPOCH_MASK, VOTE_NS};
 use std::collections::VecDeque;
 use std::io;
@@ -192,9 +194,8 @@ impl<T: WireItem> TcpComm<T> {
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes as u64;
         self.stats.modeled_time_s += self.net.message_time(bytes);
-        let encoded = encode_items(&payload);
         let stream = self.streams[to].as_mut().expect("no stream to peer");
-        if let Err(e) = write_frame(stream, tag, &encoded) {
+        if let Err(e) = write_frame(stream, tag, &items_as_wire_bytes(&payload)) {
             peer_lost(to, "sending a message", e);
         }
     }
@@ -208,11 +209,18 @@ impl<T: WireItem> TcpComm<T> {
     /// deadlocks regardless of payload size (the failure mode of a naive
     /// send-all-then-receive schedule).
     ///
+    /// The incoming payload is received into the buffer the outgoing one
+    /// leaves in: chunk `k` arrives only after chunk `k` has been written to
+    /// the socket, and lands on the same item range, so an exchange of equal
+    /// sizes (every redistribution between two ranks) allocates nothing and
+    /// touches no fresh page.
+    ///
     /// Charges the same logical accounting as a single message: one
     /// `messages_sent`, the payload bytes, one α–β `message_time`.
     fn exchange_chunked(&mut self, peer: usize, tag: u64, payload: Vec<T>) -> Vec<T> {
         debug_assert_ne!(peer, self.rank);
-        let bytes = payload.len() * T::WIRE_SIZE;
+        let my_count = payload.len();
+        let bytes = my_count * T::WIRE_SIZE;
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += bytes as u64;
         self.stats.modeled_time_s += self.net.message_time(bytes);
@@ -220,7 +228,7 @@ impl<T: WireItem> TcpComm<T> {
         let items_per_chunk = (CHUNK_BYTES / T::WIRE_SIZE).max(1);
         {
             let stream = self.streams[peer].as_mut().expect("no stream to peer");
-            if let Err(e) = write_frame(stream, tag, &(payload.len() as u64).to_le_bytes()) {
+            if let Err(e) = write_frame(stream, tag, &(my_count as u64).to_le_bytes()) {
                 peer_lost(peer, "sending an exchange header", e);
             }
         }
@@ -231,31 +239,45 @@ impl<T: WireItem> TcpComm<T> {
         let header = self.read_matching_raw(peer, tag);
         assert_eq!(header.len(), 8, "malformed exchange header from peer");
         let their_count = u64::from_le_bytes(header[..].try_into().expect("header width")) as usize;
-        let mut incoming: Vec<T> = Vec::with_capacity(their_count);
-        let my_chunks = payload.len().div_ceil(items_per_chunk);
+        let mut buffer = payload;
+        buffer.reserve_exact(their_count.saturating_sub(my_count));
+        let my_chunks = my_count.div_ceil(items_per_chunk);
         let their_chunks = their_count.div_ceil(items_per_chunk);
+        let stream = self.streams[peer].as_mut().expect("no stream to peer");
         for step in 0..my_chunks.max(their_chunks) {
+            let first = step * items_per_chunk;
             if step < my_chunks {
-                let first = step * items_per_chunk;
-                let last = (first + items_per_chunk).min(payload.len());
-                let encoded = encode_items(&payload[first..last]);
-                let stream = self.streams[peer].as_mut().expect("no stream to peer");
-                if let Err(e) = write_frame(stream, tag, &encoded) {
+                let last = (first + items_per_chunk).min(my_count);
+                let chunk = items_as_wire_bytes(&buffer[first..last]);
+                if let Err(e) = write_frame(stream, tag, &chunk) {
                     peer_lost(peer, "sending an exchange chunk", e);
                 }
             }
             if step < their_chunks {
-                let stream = self.streams[peer].as_mut().expect("no stream to peer");
-                let (got_tag, chunk) = match read_frame(stream) {
-                    Ok(frame) => frame,
-                    Err(e) => peer_lost(peer, "receiving an exchange chunk", e),
+                let last = (first + items_per_chunk).min(their_count);
+                let got_tag = if last <= buffer.len() {
+                    read_items_frame_into(stream, &mut buffer[first..last])
+                } else {
+                    // Past the end of what we had to send (all of it is on
+                    // the wire by now): the chunk is appended.
+                    read_frame(stream).map(|(got_tag, chunk)| {
+                        buffer.truncate(first);
+                        buffer
+                            .extend(decode_items::<T>(&chunk).expect("malformed chunk from peer"));
+                        got_tag
+                    })
                 };
-                assert_eq!(got_tag, tag, "stray frame inside a pairwise exchange");
-                incoming.extend(decode_items::<T>(&chunk).expect("malformed chunk from peer"));
+                match got_tag {
+                    Ok(got_tag) => {
+                        assert_eq!(got_tag, tag, "stray frame inside a pairwise exchange")
+                    }
+                    Err(e) => peer_lost(peer, "receiving an exchange chunk", e),
+                }
             }
         }
-        assert_eq!(incoming.len(), their_count, "peer sent a short exchange");
-        incoming
+        buffer.truncate(their_count);
+        assert_eq!(buffer.len(), their_count, "peer sent a short exchange");
+        buffer
     }
 
     /// Read raw frames from `from`'s stream until one carries `tag`,
@@ -555,6 +577,49 @@ mod tests {
                         assert!(buf.iter().all(|&v| v == from as u64 * 10 + me));
                     }
                     assert_eq!(comm.stats().bytes_sent, (ITEMS * 8) as u64);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn uneven_exchanges_reuse_the_send_buffer_without_mixing_payloads() {
+        // The incoming payload lands in the buffer the outgoing one leaves:
+        // shorter, longer, empty and chunk-straddling sizes in both
+        // directions, each item naming its sender and its index.
+        let chunk = CHUNK_BYTES / 8;
+        let sizes = [
+            (0, 5),
+            (5, 0),
+            (3, chunk + 1),
+            (chunk + 1, 3),
+            (2 * chunk, 2 * chunk),
+            (chunk - 1, 3 * chunk + 7),
+            (3 * chunk + 7, chunk),
+        ];
+        let world = tcp_world::<u64>(2, NetworkModel::ideal()).unwrap();
+        let handles: Vec<_> = world
+            .into_iter()
+            .map(|mut comm| {
+                thread::spawn(move || {
+                    let me = comm.rank();
+                    for (round, &(from0, from1)) in sizes.iter().enumerate() {
+                        let (mine, theirs) = match me {
+                            0 => (from0, from1),
+                            _ => (from1, from0),
+                        };
+                        let payload = |rank: usize, len: usize| -> Vec<u64> {
+                            (0..len as u64).map(|i| (rank as u64) << 32 | i).collect()
+                        };
+                        let mut send = vec![Vec::new(), Vec::new()];
+                        send[1 - me] = payload(me, mine);
+                        let recv = comm.alltoallv(send, round as u64);
+                        assert_eq!(recv[1 - me], payload(1 - me, theirs), "round {round}");
+                        assert!(recv[me].is_empty());
+                    }
                 })
             })
             .collect();

@@ -12,9 +12,18 @@
 //! Amplitude payloads use the same IEEE-754 little-endian layout as
 //! [`hisvsim_statevec::amplitudes_to_le_bytes`], so the decode of an encode
 //! is bit-exact and a multi-process run can promise bit-identical results.
+//!
+//! On a little-endian target the items of this module already sit in memory
+//! as their wire encoding, so a payload is sent straight from the item slice
+//! and received straight into one ([`items_as_wire_bytes`],
+//! [`read_items_frame_into`]); a big-endian target, and any [`WireItem`]
+//! implemented elsewhere, goes item by item. The bytes on the wire are the
+//! same either way.
 
 use hisvsim_circuit::Complex64;
 use serde::{Deserialize, Serialize};
+use std::any::TypeId;
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload (64 GiB would be a 32-qubit
@@ -79,29 +88,99 @@ impl WireItem for Complex64 {
     }
 }
 
+/// True when a `[T]` in memory is, byte for byte, its wire encoding: a
+/// little-endian target and one of this module's own fixed-width types
+/// (integers, `f64`, and the `repr(C)` pair of `f64` that is [`Complex64`]),
+/// none of which has padding or a bit pattern that is not a value.
+fn is_wire_layout<T: WireItem>() -> bool {
+    let own = [
+        TypeId::of::<u8>(),
+        TypeId::of::<u32>(),
+        TypeId::of::<u64>(),
+        TypeId::of::<f64>(),
+        TypeId::of::<usize>(),
+        TypeId::of::<Complex64>(),
+    ];
+    cfg!(target_endian = "little")
+        && std::mem::size_of::<T>() == T::WIRE_SIZE
+        && own.contains(&TypeId::of::<T>())
+}
+
+/// `items` as raw bytes, when those are their wire encoding.
+fn wire_view<T: WireItem>(items: &[T]) -> Option<&[u8]> {
+    // SAFETY: `is_wire_layout` admits only padding-free plain-data types, so
+    // every byte of the slice is initialised; `u8` has no alignment to meet,
+    // and the view borrows `items` for its whole lifetime.
+    is_wire_layout::<T>().then(|| unsafe {
+        std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items))
+    })
+}
+
+/// `items` as writable raw bytes, when those are their wire encoding.
+fn wire_view_mut<T: WireItem>(items: &mut [T]) -> Option<&mut [u8]> {
+    // SAFETY: as in `wire_view`; in addition every bit pattern is a value of
+    // the admitted types, so no write through the view can leave an invalid
+    // item behind, and the view holds the only borrow of `items`.
+    is_wire_layout::<T>().then(|| unsafe {
+        std::slice::from_raw_parts_mut(
+            items.as_mut_ptr().cast::<u8>(),
+            std::mem::size_of_val(items),
+        )
+    })
+}
+
+/// The payload bytes of `items`: the slice itself where memory already holds
+/// the wire encoding, an item-by-item encoding otherwise.
+pub(crate) fn items_as_wire_bytes<T: WireItem>(items: &[T]) -> Cow<'_, [u8]> {
+    match wire_view(items) {
+        Some(bytes) => Cow::Borrowed(bytes),
+        None => {
+            let mut out = Vec::with_capacity(items.len() * T::WIRE_SIZE);
+            for item in items {
+                item.write_le(&mut out);
+            }
+            Cow::Owned(out)
+        }
+    }
+}
+
 /// Encode a slice of items into one payload buffer.
 pub fn encode_items<T: WireItem>(items: &[T]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(items.len() * T::WIRE_SIZE);
-    for item in items {
-        item.write_le(&mut out);
-    }
-    out
+    items_as_wire_bytes(items).into_owned()
+}
+
+/// Error for a payload whose length is not a whole number of items.
+fn misaligned<T: WireItem>(len: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "payload of {len} bytes is not a multiple of the {}-byte item width",
+            T::WIRE_SIZE
+        ),
+    )
+}
+
+/// `count` items of a wire-layout type, every byte zero (a value of each of
+/// them), to be overwritten through [`wire_view_mut`].
+fn zeroed_items<T: WireItem>(count: usize) -> Vec<T> {
+    debug_assert!(is_wire_layout::<T>());
+    vec![T::read_le(&[0u8; 16][..T::WIRE_SIZE]); count]
 }
 
 /// Decode a payload buffer back into items. Errors on a length that is not
 /// a multiple of the item width.
 pub fn decode_items<T: WireItem>(bytes: &[u8]) -> io::Result<Vec<T>> {
     if !bytes.len().is_multiple_of(T::WIRE_SIZE) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "payload of {} bytes is not a multiple of the {}-byte item width",
-                bytes.len(),
-                T::WIRE_SIZE
-            ),
-        ));
+        return Err(misaligned::<T>(bytes.len()));
     }
-    Ok(bytes.chunks_exact(T::WIRE_SIZE).map(T::read_le).collect())
+    if !is_wire_layout::<T>() {
+        return Ok(bytes.chunks_exact(T::WIRE_SIZE).map(T::read_le).collect());
+    }
+    let mut items = zeroed_items::<T>(bytes.len() / T::WIRE_SIZE);
+    wire_view_mut(&mut items)
+        .expect("a wire-layout type")
+        .copy_from_slice(bytes);
+    Ok(items)
 }
 
 /// Write one `[len][tag][payload]` frame: header, then the payload
@@ -117,8 +196,8 @@ pub fn write_frame(stream: &mut impl Write, tag: u64, payload: &[u8]) -> io::Res
     stream.write_all(payload)
 }
 
-/// Read one frame, returning `(tag, payload)`.
-pub fn read_frame(stream: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
+/// Read one frame header, returning `(tag, payload length)`.
+fn read_header(stream: &mut impl Read) -> io::Result<(u64, usize)> {
     let mut header = [0u8; 16];
     stream.read_exact(&mut header)?;
     let len = u64::from_le_bytes(header[0..8].try_into().expect("header width"));
@@ -129,9 +208,58 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
+    Ok((tag, len as usize))
+}
+
+/// Read one frame, returning `(tag, payload)`.
+pub fn read_frame(stream: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
+    let (tag, len) = read_header(stream)?;
+    let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
     Ok((tag, payload))
+}
+
+/// Read one frame whose payload is exactly `out.len()` items over `out` —
+/// straight off the stream where memory holds the wire encoding — returning
+/// its tag.
+pub(crate) fn read_items_frame_into<T: WireItem>(
+    stream: &mut impl Read,
+    out: &mut [T],
+) -> io::Result<u64> {
+    let (tag, len) = read_header(stream)?;
+    if len != out.len() * T::WIRE_SIZE {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes where {} items were due", out.len()),
+        ));
+    }
+    match wire_view_mut(out) {
+        Some(view) => stream.read_exact(view)?,
+        None => {
+            let mut payload = vec![0u8; len];
+            stream.read_exact(&mut payload)?;
+            for (item, encoded) in out.iter_mut().zip(payload.chunks_exact(T::WIRE_SIZE)) {
+                *item = T::read_le(encoded);
+            }
+        }
+    }
+    Ok(tag)
+}
+
+/// Read one frame of items, returning `(tag, items)`.
+pub(crate) fn read_items_frame<T: WireItem>(stream: &mut impl Read) -> io::Result<(u64, Vec<T>)> {
+    let (tag, len) = read_header(stream)?;
+    if !len.is_multiple_of(T::WIRE_SIZE) {
+        return Err(misaligned::<T>(len));
+    }
+    if !is_wire_layout::<T>() {
+        let mut payload = vec![0u8; len];
+        stream.read_exact(&mut payload)?;
+        return Ok((tag, decode_items(&payload)?));
+    }
+    let mut items = zeroed_items::<T>(len / T::WIRE_SIZE);
+    stream.read_exact(wire_view_mut(&mut items).expect("a wire-layout type"))?;
+    Ok((tag, items))
 }
 
 /// Tag marking a JSON control frame.
@@ -205,6 +333,85 @@ mod tests {
             decode_items::<Complex64>(&hisvsim_statevec::amplitudes_to_le_bytes(&amps)).unwrap(),
             amps
         );
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // The bytes on the wire, whichever path wrote them: IEEE-754 doubles
+        // and integers least-significant byte first, `re` before `im`.
+        let amps = [Complex64::new(1.0, -2.0), Complex64::new(0.5, 0.0)];
+        #[rustfmt::skip]
+        let golden = [
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0xC0,
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode_items(&amps), golden);
+        assert_eq!(&*items_as_wire_bytes(&amps), &golden[..]);
+        // The per-item path (what a big-endian target runs) writes the same.
+        let mut per_item = Vec::new();
+        amps.iter().for_each(|amp| amp.write_le(&mut per_item));
+        assert_eq!(per_item, golden);
+        assert_eq!(decode_items::<Complex64>(&golden).unwrap(), amps);
+
+        assert_eq!(encode_items(&[0x0102_0304u32]), [4, 3, 2, 1]);
+        assert_eq!(encode_items(&[0x0102u64]), [2, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encode_items(&[0x0102usize]), [2, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encode_items(&[-2.0f64]), [0, 0, 0, 0, 0, 0, 0, 0xC0]);
+        assert_eq!(encode_items(&[7u8, 9]), [7, 9]);
+
+        // A whole frame: length, tag, payload.
+        let mut frame = Vec::new();
+        write_frame(&mut frame, 0x5101, &items_as_wire_bytes(&amps[..1])).unwrap();
+        #[rustfmt::skip]
+        let golden_frame = [
+            16, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x51, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0xC0,
+        ];
+        assert_eq!(frame, golden_frame);
+    }
+
+    #[test]
+    fn item_frames_are_read_in_place_and_checked() {
+        let amps: Vec<Complex64> = (0..5).map(|i| Complex64::new(i as f64, -0.25)).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 3, &items_as_wire_bytes(&amps)).unwrap();
+        write_frame(&mut buf, 4, &items_as_wire_bytes(&amps)).unwrap();
+        write_frame(&mut buf, 5, &[0u8; 24]).unwrap();
+        let mut cursor = &buf[..];
+        assert_eq!(
+            read_items_frame::<Complex64>(&mut cursor).unwrap(),
+            (3, amps.clone())
+        );
+        let mut out = vec![Complex64::ZERO; 5];
+        assert_eq!(read_items_frame_into(&mut cursor, &mut out).unwrap(), 4);
+        assert_eq!(out, amps);
+        // 24 bytes are not a whole number of amplitudes.
+        assert!(read_items_frame::<Complex64>(&mut cursor).is_err());
+        // A frame of the wrong size for the buffer is refused, not truncated.
+        let mut cursor = &buf[..];
+        assert!(read_items_frame_into(&mut cursor, &mut out[..4]).is_err());
+    }
+
+    /// A `WireItem` from outside the module: always the per-item path.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Flagged(u32);
+
+    impl WireItem for Flagged {
+        const WIRE_SIZE: usize = 4;
+        fn write_le(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&(!self.0).to_le_bytes());
+        }
+        fn read_le(bytes: &[u8]) -> Self {
+            Flagged(!u32::from_le_bytes(bytes.try_into().unwrap()))
+        }
+    }
+
+    #[test]
+    fn foreign_items_keep_their_own_codec() {
+        let items = [Flagged(1), Flagged(0xFFFF_FFFE)];
+        let bytes = encode_items(&items);
+        assert_eq!(bytes, [0xFE, 0xFF, 0xFF, 0xFF, 1, 0, 0, 0]);
+        assert_eq!(decode_items::<Flagged>(&bytes).unwrap(), items);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
 use crate::tcp::{PeerLost, TcpComm};
-use crate::wire::{recv_json, send_json, write_frame};
+use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::RankComm;
 use hisvsim_core::{
@@ -26,7 +26,6 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
 use hisvsim_runtime::{EngineKind, PersistedPlan};
-use hisvsim_statevec::amplitudes_to_le_bytes;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{TcpListener, TcpStream};
@@ -369,11 +368,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         profile,
                     },
                 )?;
-                write_frame(
-                    &mut control,
-                    AMPS_TAG,
-                    &amplitudes_to_le_bytes(&outcome.local),
-                )?;
+                write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&outcome.local))?;
                 // Keep the slice allocation resident for the next job of
                 // the batch (zero-filled on reuse, so results never
                 // depend on it).

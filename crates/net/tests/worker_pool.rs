@@ -102,8 +102,11 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
     let pool = pool(workers);
     // Heavy enough to make mid-sweep timing meaningful on both debug and
     // release builds; the baseline engine votes before every step, so the
-    // cancel latency bound is one step, a small fraction of the run.
-    let heavy = baseline_job("qft", 18);
+    // cancel latency bound is one step — a small fraction of the run for a
+    // circuit that comes back to the rank qubit layer after layer (a QFT
+    // touches it first and then is one long local step, which only looked
+    // like many while its two exchanges took most of the run).
+    let heavy = baseline_job("ising", 18);
 
     // Warm the world up and measure the uncancelled wall.
     let uncancelled_start = Instant::now();

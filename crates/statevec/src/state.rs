@@ -172,13 +172,29 @@ impl StateVector {
 /// amplitude, `re` then `im`, each an IEEE-754 f64. Bit-exact — the decode
 /// of an encode reproduces the identical amplitudes, which is what lets a
 /// multi-process run promise bit-identical results to an in-process one.
+///
+/// On a little-endian target that is the amplitudes' own memory, copied in
+/// one piece; elsewhere each component is converted.
 pub fn amplitudes_to_le_bytes(amps: &[Complex64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(amps.len() * 16);
-    for amp in amps {
-        out.extend_from_slice(&amp.re.to_le_bytes());
-        out.extend_from_slice(&amp.im.to_le_bytes());
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: `Complex64` is `repr(C)` with two `f64` fields — 16 bytes,
+        // no padding — so the slice is `16 * len` initialised bytes, and `u8`
+        // has no alignment to meet.
+        let bytes = unsafe {
+            std::slice::from_raw_parts(amps.as_ptr().cast::<u8>(), std::mem::size_of_val(amps))
+        };
+        bytes.to_vec()
     }
-    out
+    #[cfg(not(target_endian = "little"))]
+    {
+        let mut out = Vec::with_capacity(amps.len() * 16);
+        for amp in amps {
+            out.extend_from_slice(&amp.re.to_le_bytes());
+            out.extend_from_slice(&amp.im.to_le_bytes());
+        }
+        out
+    }
 }
 
 /// Decode amplitudes from [`amplitudes_to_le_bytes`] output. Panics if the
@@ -189,6 +205,25 @@ pub fn amplitudes_from_le_bytes(bytes: &[u8]) -> Vec<Complex64> {
         "amplitude byte stream length {} is not a multiple of 16",
         bytes.len()
     );
+    #[cfg(target_endian = "little")]
+    {
+        let count = bytes.len() / 16;
+        let mut amps = Vec::<Complex64>::with_capacity(count);
+        // SAFETY: the capacity spans `count` amplitudes, which is
+        // `bytes.len()` bytes, in a fresh allocation that cannot overlap
+        // `bytes`; every bit pattern is an `f64`, so after the copy the first
+        // `count` amplitudes are initialised.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                bytes.as_ptr(),
+                amps.as_mut_ptr().cast::<u8>(),
+                bytes.len(),
+            );
+            amps.set_len(count);
+        }
+        amps
+    }
+    #[cfg(not(target_endian = "little"))]
     bytes
         .chunks_exact(16)
         .map(|chunk| {
@@ -262,6 +297,20 @@ mod tests {
         let back = StateVector::from_le_bytes(&bytes);
         // Bit-exact, not approx: the wire format must not perturb results.
         assert_eq!(sv, back);
+    }
+
+    #[test]
+    fn le_bytes_are_pinned() {
+        // The wire layout, whichever path wrote it: `re` then `im`, each an
+        // IEEE-754 double, least-significant byte first.
+        let amps = [Complex64::new(1.0, -2.0), Complex64::new(0.5, 0.0)];
+        #[rustfmt::skip]
+        let golden = [
+            0, 0, 0, 0, 0, 0, 0xF0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0xC0,
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(amplitudes_to_le_bytes(&amps), golden);
+        assert_eq!(amplitudes_from_le_bytes(&golden), amps);
     }
 
     #[test]
