@@ -115,8 +115,7 @@ pub trait RankComm<T: Send + 'static> {
     ///
     /// Like `barrier`, a vote is control traffic, not payload traffic:
     /// only its blocking wall time is charged to [`CommStats`], so the
-    /// accounting of a cancellable schedule stays identical to the plain
-    /// one.
+    /// bytes and messages a run reports are its schedule's payload alone.
     fn vote_any(&mut self, flag: bool) -> bool;
 
     /// All-to-all-v: `send_bufs[i]` goes to rank `i`; returns `recv[i]` =
@@ -331,8 +330,7 @@ impl<T: Send + 'static> RankComm<T> for LocalComm<T> {
     /// Gather–release OR through rank 0 on the [`VOTE_NS`] namespace. The
     /// control frames are not payload traffic: stats are restored to their
     /// pre-vote values and only the blocking wall time is charged, exactly
-    /// like `barrier`, so cancellable and plain schedules account
-    /// identically.
+    /// like `barrier`.
     fn vote_any(&mut self, flag: bool) -> bool {
         if self.size == 1 {
             return flag;

@@ -5,7 +5,7 @@
 //! in `hisvsim-core` pass a closure that owns one rank's slice of the state
 //! vector and communicates through the [`LocalComm`](crate::comm::LocalComm)
 //! handed to it. The multi-process equivalent is `hisvsim-net`'s
-//! `ClusterLauncher`, which drives the same engine bodies over `TcpComm`.
+//! `WorkerPool`, which drives the same engine bodies over `TcpComm`.
 
 use crate::comm::{world, LocalComm};
 use crate::netmodel::NetworkModel;

@@ -14,14 +14,13 @@
 //! communication is accounted by the same network model as HiSVSIM's and the
 //! comparison isolates the effect of the execution schedule.
 
-use crate::dist::{aggregate_outcomes, DistState, PreparedGate, RankOutcome};
-use crate::exec::{ExecControl, StepGate};
+use crate::dist::{run_thread_world, DistState, PreparedGate, RankOutcome};
+use crate::exec::ExecControl;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
-use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
+use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_statevec::{
-    CancelToken, Cancelled, FusedCircuit, FusionStrategy, KernelDispatch, StateVector,
-    DEFAULT_FUSION_WIDTH,
+    Cancelled, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::time::Instant;
 
@@ -32,10 +31,10 @@ pub struct BaselineConfig {
     pub num_ranks: usize,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for runs of communication-free local gates
-    /// (0 disables fusion). Fusion only reorganises rank-local computation;
-    /// the communication schedule — the quantity the baseline exists to
-    /// model — is untouched.
+    /// Gate-fusion width for runs of communication-free local gates (at
+    /// least 1). Fusion only reorganises rank-local computation; the
+    /// communication schedule — the quantity the baseline exists to model —
+    /// is untouched.
     pub fusion: usize,
     /// How fusion groups are discovered within each local segment (window
     /// scan, DAG antichains, or auto selection).
@@ -64,9 +63,10 @@ impl BaselineConfig {
         self
     }
 
-    /// Use a different fusion width (0 = unfused).
+    /// Use a different fusion width (0 is taken as 1: the engines have no
+    /// unfused path).
     pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion;
+        self.fusion = fusion.max(1);
         self
     }
 
@@ -93,37 +93,61 @@ enum BaselineStep {
     Distributed(PreparedGate),
 }
 
-/// Split the circuit into fused local segments and per-gate distributed
-/// steps. Under the baseline's static mapping, qubits `0..l` are local on
-/// every rank and the layout is the identity at every step boundary, so the
-/// split is a pure function of the circuit — computed once, shared by all
-/// ranks.
-fn plan_baseline_steps(
-    circuit: &Circuit,
-    local_qubits: usize,
-    fusion: usize,
-    strategy: FusionStrategy,
-) -> Vec<BaselineStep> {
-    let mut steps = Vec::new();
-    let mut segment = Circuit::new(circuit.num_qubits());
-    let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
-        if !segment.is_empty() {
-            let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
-            steps.push(BaselineStep::LocalFused(FusedCircuit::with_strategy(
-                &gates, fusion, strategy,
-            )));
-        }
-    };
-    for gate in circuit.gates() {
-        if fusion > 0 && gate.qubits.iter().all(|&q| q < local_qubits) {
-            segment.push(gate.clone());
-        } else {
-            flush(&mut segment, &mut steps);
-            steps.push(BaselineStep::Distributed(PreparedGate::new(gate)));
+impl BaselineStep {
+    /// Circuit gates this step executes.
+    fn gates(&self) -> u64 {
+        match self {
+            BaselineStep::LocalFused(fused) => fused.source_gates() as u64,
+            BaselineStep::Distributed(_) => 1,
         }
     }
-    flush(&mut segment, &mut steps);
-    steps
+}
+
+/// The baseline's schedule for one circuit on one world size: fused local
+/// segments and per-gate distributed steps. Under the static mapping, qubits
+/// `0..l` are local on every rank and the layout is the identity at every
+/// step boundary, so the split is a pure function of the circuit — built
+/// once by the caller of [`run_baseline_rank`] (the thread world for all its
+/// ranks, a worker process once per job) and read by every rank.
+pub struct BaselineSchedule {
+    num_qubits: usize,
+    ranks: usize,
+    steps: Vec<BaselineStep>,
+}
+
+impl BaselineSchedule {
+    /// Split `circuit` for a world of `ranks` ranks (a power of two), fusing
+    /// each communication-free run at width `fusion` (≥ 1) under `strategy`.
+    pub fn build(circuit: &Circuit, ranks: usize, fusion: usize, strategy: FusionStrategy) -> Self {
+        assert!(ranks.is_power_of_two(), "rank count must be a power of two");
+        let local_qubits = circuit
+            .num_qubits()
+            .saturating_sub(ranks.trailing_zeros() as usize);
+        let mut steps = Vec::new();
+        let mut segment = Circuit::new(circuit.num_qubits());
+        let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
+            if !segment.is_empty() {
+                let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
+                steps.push(BaselineStep::LocalFused(FusedCircuit::with_strategy(
+                    &gates, fusion, strategy,
+                )));
+            }
+        };
+        for gate in circuit.gates() {
+            if gate.qubits.iter().all(|&q| q < local_qubits) {
+                segment.push(gate.clone());
+            } else {
+                flush(&mut segment, &mut steps);
+                steps.push(BaselineStep::Distributed(PreparedGate::new(gate)));
+            }
+        }
+        flush(&mut segment, &mut steps);
+        Self {
+            num_qubits: circuit.num_qubits(),
+            ranks,
+            steps,
+        }
+    }
 }
 
 /// Result of a baseline run.
@@ -156,136 +180,66 @@ impl IqsBaseline {
             .expect("an inert control cannot cancel")
     }
 
-    /// [`IqsBaseline::run`] under an [`ExecControl`]: a [`StepGate`] keeps
-    /// the per-rank cancel/continue decisions consistent before every
-    /// schedule step (fused local segment or distributed gate — the
-    /// latter's exchanges are the collective boundary), so a cancelled run
-    /// drains without deadlock; rank 0 reports gate-level progress.
+    /// [`IqsBaseline::run`] under an [`ExecControl`]: the schedule is built
+    /// once, then [`run_baseline_rank`] runs on every rank of a thread world.
     pub fn run_controlled(
         &self,
         circuit: &Circuit,
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
-        assert!(
-            self.config.num_ranks.is_power_of_two(),
-            "rank count must be a power of two"
-        );
-        let p = self.config.num_ranks.trailing_zeros() as usize;
-        let local_qubits = circuit.num_qubits().saturating_sub(p);
-        let steps = plan_baseline_steps(
+        let schedule = BaselineSchedule::build(
             circuit,
-            local_qubits,
+            self.config.num_ranks,
             self.config.fusion,
             self.config.fusion_strategy,
         );
-        let total_gates: u64 = steps
-            .iter()
-            .map(|s| match s {
-                BaselineStep::LocalFused(fused) => fused.source_gates() as u64,
-                BaselineStep::Distributed(_) => 1,
-            })
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
-        let start = Instant::now();
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
+        let (state, report) = run_thread_world(
             self.config.num_ranks,
             self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                let mut gates_done = 0u64;
-                for (index, step) in steps.iter().enumerate() {
-                    if step_gate.cancelled_at(index) {
-                        return None;
-                    }
-                    match step {
-                        BaselineStep::LocalFused(fused) => {
-                            state.apply_fused_local(fused);
-                            gates_done += fused.source_gates() as u64;
-                        }
-                        BaselineStep::Distributed(gate) => {
-                            apply_prepared_gate_distributed(&mut state, gate);
-                            gates_done += 1;
-                        }
-                    }
-                    if state.rank() == 0 {
-                        control.report_progress(gates_done, total_gates);
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let (state, report) = aggregate_outcomes("iqs-baseline", "-", circuit, 1, outcomes, wall);
+            "iqs-baseline",
+            "-",
+            circuit,
+            1,
+            |comm| run_baseline_rank(comm, &schedule, self.config.kernel_dispatch, control, None),
+        )?;
         Ok(BaselineRun { state, report })
     }
 }
 
-/// Execute one rank of the IQS-style baseline against `comm` — the SPMD
-/// body shared by the in-process engine and `hisvsim-net`'s remote process
-/// workers. The step schedule is a pure function of the circuit, so every
-/// rank (thread or process) derives the identical schedule independently.
+/// Execute one rank of the IQS-style baseline against `comm`: the one rank
+/// body of the baseline, run by the thread world and by `hisvsim-net`'s
+/// worker processes alike.
+///
+/// The ranks vote ([`DistState::vote_cancelled`]) before every schedule step
+/// (fused local segment or distributed gate — the latter's exchanges are the
+/// collective boundary), so a fired token stops all ranks at the same step
+/// without stranding any inside a collective. Rank 0 reports gate-level
+/// progress. `recycled` optionally reuses a previous run's local-slice
+/// allocation.
 pub fn run_baseline_rank<C: RankComm<Complex64>>(
     comm: &mut C,
-    circuit: &Circuit,
-    fusion: usize,
-    strategy: FusionStrategy,
+    schedule: &BaselineSchedule,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    assert!(
-        comm.size().is_power_of_two(),
-        "rank count must be a power of two"
-    );
-    let p = comm.size().trailing_zeros() as usize;
-    let local_qubits = circuit.num_qubits().saturating_sub(p);
-    let steps = plan_baseline_steps(circuit, local_qubits, fusion, strategy);
-    let mut state = DistState::new(comm, circuit.num_qubits());
-    state.set_kernel_dispatch(dispatch);
-    for step in &steps {
-        match step {
-            BaselineStep::LocalFused(fused) => state.apply_fused_local(fused),
-            BaselineStep::Distributed(gate) => apply_prepared_gate_distributed(&mut state, gate),
-        }
-    }
-    state.finish_rank()
-}
-
-/// [`run_baseline_rank`] with cooperative cancellation: the ranks run a
-/// cancel vote before every step (the same checkpoint placement the
-/// in-process engine's `StepGate` uses), so a fired [`CancelToken`] stops
-/// all ranks at the same step boundary without stranding any rank inside
-/// a collective. `recycled` optionally reuses a previous run's local-slice
-/// allocation.
-pub fn run_baseline_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    circuit: &Circuit,
-    fusion: usize,
-    strategy: FusionStrategy,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
-    assert!(
-        comm.size().is_power_of_two(),
-        "rank count must be a power of two"
+    assert_eq!(
+        comm.size(),
+        schedule.ranks,
+        "the schedule was built for another world size"
     );
-    let p = comm.size().trailing_zeros() as usize;
-    let local_qubits = circuit.num_qubits().saturating_sub(p);
-    let steps = plan_baseline_steps(circuit, local_qubits, fusion, strategy);
-    let mut state = DistState::new_reusing(comm, circuit.num_qubits(), recycled);
+    let mut state = DistState::new_reusing(comm, schedule.num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
-    for step in &steps {
-        if state.vote_cancelled(cancel) {
-            return Err(Cancelled);
-        }
+    let total_gates: u64 = schedule.steps.iter().map(BaselineStep::gates).sum();
+    let mut gates_done = 0u64;
+    for step in &schedule.steps {
+        state.vote_cancelled(&control.cancel)?;
         match step {
             BaselineStep::LocalFused(fused) => state.apply_fused_local(fused),
             BaselineStep::Distributed(gate) => apply_prepared_gate_distributed(&mut state, gate),
         }
+        gates_done += step.gates();
+        state.report_progress(control, gates_done, total_gates);
     }
     Ok(state.finish_rank())
 }
@@ -542,15 +496,16 @@ mod tests {
         for name in ["ising", "qft", "adder"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            let unfused = IqsBaseline::new(BaselineConfig::new(4).with_fusion(0)).run(&circuit);
+            // 0 is taken as 1: one sweep per gate group.
+            let narrow = IqsBaseline::new(BaselineConfig::new(4).with_fusion(0)).run(&circuit);
             let fused = IqsBaseline::new(BaselineConfig::new(4)).run(&circuit);
-            assert!(unfused.state.approx_eq(&expected, 1e-9));
+            assert!(narrow.state.approx_eq(&expected, 1e-9));
             assert!(fused.state.approx_eq(&expected, 1e-9));
-            assert_eq!(fused.report.num_exchanges, unfused.report.num_exchanges);
-            assert_eq!(fused.report.comm.bytes_sent, unfused.report.comm.bytes_sent);
+            assert_eq!(fused.report.num_exchanges, narrow.report.num_exchanges);
+            assert_eq!(fused.report.comm.bytes_sent, narrow.report.comm.bytes_sent);
             assert_eq!(
                 fused.report.comm.messages_sent,
-                unfused.report.comm.messages_sent
+                narrow.report.comm.messages_sent
             );
         }
     }

@@ -13,11 +13,11 @@
 //! ([`crate::baseline`]) and the multi-level engine ([`crate::multilevel`]).
 
 use crate::exchange::ExchangePlan;
-use crate::exec::{ExecControl, StepGate};
+use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedSinglePlan};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, UnitaryMatrix};
-use hisvsim_cluster::{run_spmd, CommStats, NetworkModel, RankComm};
+use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::kernels::{apply_gate_with_matrix, uses_dense_matrix};
@@ -160,9 +160,21 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// contributes its local cancel flag and all ranks receive the OR, so
     /// an SPMD schedule stops either on every rank at the same step or on
     /// none — the only way to cancel mid-schedule without stranding a rank
-    /// inside a collective.
-    pub fn vote_cancelled(&mut self, cancel: &CancelToken) -> bool {
-        self.comm.vote_any(cancel.is_cancelled())
+    /// inside a collective. The checkpoint of every rank body:
+    /// `Err(Cancelled)` on all ranks once any rank's token has fired.
+    pub fn vote_cancelled(&mut self, cancel: &CancelToken) -> Result<(), Cancelled> {
+        match self.comm.vote_any(cancel.is_cancelled()) {
+            true => Err(Cancelled),
+            false => Ok(()),
+        }
+    }
+
+    /// Report `(gates_done, gates_total)` to the control's progress sink,
+    /// from rank 0 only: every rank walks the same schedule.
+    pub fn report_progress(&self, control: &ExecControl, gates_done: u64, gates_total: u64) {
+        if self.comm.rank() == 0 {
+            control.report_progress(gates_done, gates_total);
+        }
     }
 
     /// Apply options for rank-local sweeps (sequential: parallelism lives at
@@ -506,7 +518,6 @@ pub fn aggregate_outcomes(
     wall_time_s: f64,
 ) -> (StateVector, RunReport) {
     let num_ranks = outcomes.len();
-    let mut amps = Vec::with_capacity(1usize << circuit.num_qubits());
     let mut compute_max = 0.0f64;
     let mut comm_sum = CommStats::default();
     let mut comm_max = 0.0f64;
@@ -519,9 +530,15 @@ pub fn aggregate_outcomes(
         comm_sum = comm_sum.merged(outcome.comm);
         exchanges = exchanges.max(outcome.exchanges);
     }
-    for outcome in outcomes {
-        amps.extend(outcome.local);
-    }
+    let mut slices = outcomes.into_iter().map(|outcome| outcome.local);
+    let amps = if num_ranks == 1 {
+        // The one rank's slice is the state: moved, not copied.
+        slices.next().expect("one outcome")
+    } else {
+        let mut amps = Vec::with_capacity(1usize << circuit.num_qubits());
+        slices.for_each(|slice| amps.extend(slice));
+        amps
+    };
     let state = StateVector::from_amplitudes(amps);
     let mut report = RunReport::single_node(
         engine,
@@ -541,52 +558,61 @@ pub fn aggregate_outcomes(
     (state, report)
 }
 
-/// Execute one rank of a prefused single-level plan against `comm` — the
-/// SPMD body shared by the in-process engine
-/// ([`DistributedSimulator::run_with_fused_plan`]) and `hisvsim-net`'s
-/// remote process workers. The arithmetic and communication schedule are
-/// identical on every [`RankComm`] implementation, so a process-backed run
-/// is bit-identical to the channel-world run of the same plan.
+/// Run `body` as every rank of a thread world and aggregate the outcomes
+/// (see [`aggregate_outcomes`]): how each SPMD engine executes in-process.
+/// The bodies vote at their checkpoints, so all ranks return `Ok` or all
+/// return `Cancelled`.
+pub(crate) fn run_thread_world<F>(
+    num_ranks: usize,
+    network: NetworkModel,
+    engine: &str,
+    strategy: &str,
+    circuit: &Circuit,
+    num_parts: usize,
+    body: F,
+) -> Result<(StateVector, RunReport), Cancelled>
+where
+    F: Fn(&mut LocalComm<Complex64>) -> Result<RankOutcome, Cancelled> + Sync,
+{
+    let start = Instant::now();
+    let outcomes = run_spmd(num_ranks, network, |mut comm| body(&mut comm));
+    let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let wall = start.elapsed().as_secs_f64();
+    Ok(aggregate_outcomes(
+        engine, strategy, circuit, num_parts, outcomes, wall,
+    ))
+}
+
+/// Execute one rank of a prefused single-level plan against `comm`: the one
+/// rank body of the distributed engine, run by the thread world
+/// ([`DistributedSimulator::run_with_fused_plan_controlled`]) and by
+/// `hisvsim-net`'s worker processes alike, so a process-backed run is
+/// bit-identical to the channel-world run of the same plan by construction.
+///
+/// Before every part the ranks vote ([`DistState::vote_cancelled`]), so a
+/// token fired on any rank stops *all* ranks at the same part boundary:
+/// cancel latency is bounded by one part's duration and no rank is stranded
+/// inside a collective. Rank 0 reports `(gates_done, gates_total)` after
+/// each part. `recycled` optionally reuses a previous run's local-slice
+/// allocation (see [`DistState::new_reusing`]).
 pub fn run_fused_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
     plan: &FusedSinglePlan,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    let mut state = DistState::new(comm, num_qubits);
-    state.set_kernel_dispatch(dispatch);
-    for part in &plan.parts {
-        state.ensure_local(&part.working_set);
-        state.apply_fused_part(part);
-    }
-    state.finish_rank()
-}
-
-/// [`run_fused_plan_rank`] with cooperative cancellation: before every
-/// part the ranks run a cancel vote ([`DistState::vote_cancelled`]), so a
-/// [`CancelToken`] fired on any rank stops *all* ranks at the same part
-/// boundary — cancel latency is bounded by one part's duration, and no
-/// rank is ever stranded inside a collective. `recycled` optionally reuses
-/// a previous run's local-slice allocation (see
-/// [`DistState::new_reusing`]). The vote is charged like a barrier (wall
-/// time only), so an uncancelled run reports the same [`CommStats`] as
-/// the plain body.
-pub fn run_fused_plan_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    num_qubits: usize,
-    plan: &FusedSinglePlan,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
+    let total_gates = plan.total_source_gates();
+    let mut gates_done = 0u64;
     for part in &plan.parts {
-        if state.vote_cancelled(cancel) {
-            return Err(Cancelled);
-        }
+        state.vote_cancelled(&control.cancel)?;
         state.ensure_local(&part.working_set);
         state.apply_fused_part(part);
+        gates_done += part.inner.source_gates() as u64;
+        state.report_progress(control, gates_done, total_gates);
     }
     Ok(state.finish_rank())
 }
@@ -603,7 +629,7 @@ pub struct DistConfig {
     pub limit: Option<usize>,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for each part's inner circuit (0 disables fusion).
+    /// Gate-fusion width for each part's inner circuit (at least 1).
     pub fusion: usize,
     /// How fusion groups are discovered (window scan, DAG antichains, or
     /// auto selection).
@@ -646,9 +672,10 @@ impl DistConfig {
         self
     }
 
-    /// Use a different fusion width (0 = unfused).
+    /// Use a different fusion width (0 is taken as 1: the engines have no
+    /// unfused path).
     pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion;
+        self.fusion = fusion.max(1);
         self
     }
 
@@ -709,77 +736,23 @@ impl DistributedSimulator {
         Ok(self.run_with_partition(circuit, &dag, partition))
     }
 
-    /// Run `circuit` against a precomputed partition *plan* (e.g. one served
-    /// by the runtime's plan cache), rebuilding only the DAG.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &Partition) -> DistRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
-    /// Run with an externally supplied (validated) partition. Fuses each
-    /// part's inner circuit once — shared by every virtual rank — unless
-    /// `config.fusion` is 0.
+    /// Run with an externally supplied (validated) partition: fuse each
+    /// part's inner circuit once — shared by every virtual rank — then
+    /// [`Self::run_with_fused_plan`].
     pub fn run_with_partition(
         &self,
         circuit: &Circuit,
         dag: &CircuitDag,
         partition: Partition,
     ) -> DistRun {
-        if self.config.fusion > 0 {
-            let plan = FusedSinglePlan::build_with_strategy(
-                circuit,
-                dag,
-                partition,
-                self.config.fusion,
-                self.config.fusion_strategy,
-            );
-            return self.run_with_fused_plan(circuit, &plan);
-        }
-        let order = partition.execution_order(dag);
-        let parts = partition.gates_by_part();
-        // Pre-compute the per-part gate lists (with their dense matrices) and
-        // working sets once; every rank executes the same schedule, so each
-        // gate's matrix is evaluated once overall instead of once per rank.
-        let schedule: Vec<(Vec<PreparedGate>, Vec<usize>)> = order
-            .iter()
-            .map(|&part| {
-                let gates: Vec<PreparedGate> = parts[part]
-                    .iter()
-                    .map(|&g| PreparedGate::new(&circuit.gates()[g]))
-                    .collect();
-                let ws: Vec<usize> = dag.working_set_of_gates(&parts[part]).into_iter().collect();
-                (gates, ws)
-            })
-            .collect();
-
-        let start = Instant::now();
-        let outcomes = run_spmd::<Complex64, RankOutcome, _>(
-            self.config.num_ranks,
-            self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                for (gates, working_set) in &schedule {
-                    state.ensure_local(working_set);
-                    state.apply_prepared_local(gates);
-                }
-                state.finish_rank()
-            },
-        );
-        let wall = start.elapsed().as_secs_f64();
-        let (state, report) = aggregate_outcomes(
-            "dist",
-            self.config.strategy.name(),
+        let plan = FusedSinglePlan::build_with_strategy(
             circuit,
-            partition.num_parts(),
-            outcomes,
-            wall,
-        );
-        DistRun {
-            state,
-            report,
+            dag,
             partition,
-        }
+            self.config.fusion,
+            self.config.fusion_strategy,
+        );
+        self.run_with_fused_plan(circuit, &plan)
     }
 
     /// Run against a prefused plan: each part's fused inner circuit was built
@@ -790,58 +763,26 @@ impl DistributedSimulator {
     }
 
     /// [`DistributedSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: a [`StepGate`] lets every virtual rank observe the
-    /// same cancel/continue decision before each part switch (the engine's
-    /// collective boundary), so a cancelled run drains without deadlock;
-    /// rank 0 reports `(gates_done, gates_total)` after each part.
+    /// [`ExecControl`]: [`run_fused_plan_rank`] on every rank of a thread
+    /// world.
     pub fn run_with_fused_plan_controlled(
         &self,
         circuit: &Circuit,
         plan: &FusedSinglePlan,
         control: &ExecControl,
     ) -> Result<DistRun, Cancelled> {
-        let start = Instant::now();
-        let total_gates: u64 = plan
-            .parts
-            .iter()
-            .map(|p| p.inner.source_gates() as u64)
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
+        let (state, report) = run_thread_world(
             self.config.num_ranks,
             self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                let mut gates_done = 0u64;
-                for (step, part) in plan.parts.iter().enumerate() {
-                    if step_gate.cancelled_at(step) {
-                        return None;
-                    }
-                    state.ensure_local(&part.working_set);
-                    state.apply_fused_part(part);
-                    gates_done += part.inner.source_gates() as u64;
-                    if state.rank() == 0 {
-                        control.report_progress(gates_done, total_gates);
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        // The StepGate guarantees agreement: all ranks completed, or none.
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let (state, report) = aggregate_outcomes(
             "dist",
             self.config.strategy.name(),
             circuit,
             plan.partition.num_parts(),
-            outcomes,
-            wall,
-        );
+            |comm| {
+                let dispatch = self.config.kernel_dispatch;
+                run_fused_plan_rank(comm, circuit.num_qubits(), plan, dispatch, control, None)
+            },
+        )?;
         Ok(DistRun {
             state,
             report,
@@ -938,22 +879,40 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_distributed_runs_agree() {
+    fn fusion_width_never_changes_the_exchange_schedule() {
         for name in ["qft", "ising"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            let unfused = DistributedSimulator::new(DistConfig::new(4).with_fusion(0))
+            // 0 is taken as 1: there is no unfused engine path.
+            let narrow = DistributedSimulator::new(DistConfig::new(4).with_fusion(0))
                 .run(&circuit)
                 .unwrap();
-            let fused = DistributedSimulator::new(DistConfig::new(4).with_fusion(4))
+            let wide = DistributedSimulator::new(DistConfig::new(4).with_fusion(4))
                 .run(&circuit)
                 .unwrap();
-            assert!(unfused.state.approx_eq(&expected, 1e-9));
-            assert!(fused.state.approx_eq(&expected, 1e-9));
+            assert!(narrow.state.approx_eq(&expected, 1e-9));
+            assert!(wide.state.approx_eq(&expected, 1e-9));
             // Fusion reorganises rank-local compute only: identical schedule.
-            assert_eq!(fused.report.num_exchanges, unfused.report.num_exchanges);
-            assert_eq!(fused.report.comm.bytes_sent, unfused.report.comm.bytes_sent);
+            assert_eq!(wide.report.num_exchanges, narrow.report.num_exchanges);
+            assert_eq!(wide.report.comm.bytes_sent, narrow.report.comm.bytes_sent);
         }
+    }
+
+    #[test]
+    fn a_single_rank_outcome_is_moved_into_the_state() {
+        let circuit = generators::by_name("bv", 6);
+        let local = vec![Complex64::ONE; 64];
+        let kept = local.as_ptr();
+        let outcome = RankOutcome {
+            rank: 0,
+            compute_time_s: 0.0,
+            comm: CommStats::default(),
+            exchanges: 0,
+            local,
+        };
+        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, vec![outcome], 0.0);
+        assert_eq!(state.amplitudes().as_ptr(), kept);
+        assert_eq!(report.num_ranks, 1);
     }
 
     #[test]

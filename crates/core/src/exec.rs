@@ -1,41 +1,42 @@
 //! Execution control for long-running engine loops: cooperative
 //! cancellation and progress reporting.
 //!
-//! Every engine's fused execution path has a `*_controlled` entry point
-//! taking an [`ExecControl`]. The control carries a
-//! [`CancelToken`](hisvsim_statevec::CancelToken) the loops poll at their
-//! checkpoints (part switches, gather assignments, baseline schedule steps)
-//! and an optional progress sink invoked with `(gates_done, gates_total)`
-//! after each completed part — the signal the service layer turns into
-//! `Executing { gates_done / total }` events.
+//! Every engine's fused execution path runs under an [`ExecControl`]. The
+//! control carries a [`CancelToken`] the loops consult at their checkpoints
+//! (part switches, gather assignments, baseline schedule steps) and an
+//! optional progress sink invoked with `(gates_done, gates_total)` after each
+//! completed part — the signal the service layer turns into
+//! `Executing { gates_done / total }` events. The default control is inert,
+//! and an inert run is the same run: same arithmetic, same schedule, same
+//! collectives.
 //!
-//! ## Cancelling an SPMD engine without deadlocking it
+//! ## Cancelling an SPMD engine: the vote
 //!
-//! The distributed engines run one thread per virtual rank, and the ranks
-//! meet in collectives (`ensure_local` redistributions, the final
-//! assembly). A naive per-rank poll of the token deadlocks: rank A may
-//! observe the cancellation *before* part `i` and return, while rank B
-//! polled an instant earlier, saw nothing, and is now blocked in part `i`'s
-//! all-to-all waiting for A. [`StepGate`] solves this without extra
-//! communication by memoizing one decision per schedule step: the first
-//! rank to reach step `i` samples the token, and every other rank reuses
-//! that decision — so either every rank enters step `i` or none does. The
-//! ranks share an address space (they are threads), which is what makes the
-//! shared memoization table a legal "broadcast".
+//! The distributed engines run one rank per thread or per worker process,
+//! and the ranks meet in collectives (`ensure_local` redistributions, the
+//! return to the identity layout). A rank that polled the token on its own
+//! could leave before part `i` while a peer, which polled an instant
+//! earlier, waits for it inside part `i`'s all-to-all. So at every
+//! checkpoint the ranks *vote*
+//! ([`DistState::vote_cancelled`](crate::dist::DistState::vote_cancelled),
+//! a boolean OR over [`RankComm::vote_any`](hisvsim_cluster::RankComm::vote_any)):
+//! each contributes what its own token says and all receive the same
+//! answer, so every rank enters step `i` or none does. The vote travels over
+//! the communicator, which is why one rank body per engine serves the thread
+//! world and the process world alike; on a one-rank world it returns at once.
+//! It is control traffic: like a barrier it is charged as wall time only,
+//! never as bytes or messages.
 
 use hisvsim_statevec::{CancelToken, Cancelled};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Progress callback: `(gates_done, gates_total)`.
 pub type ProgressFn = dyn Fn(u64, u64) + Send + Sync;
 
 /// Cancellation + progress plumbing for one engine run.
 ///
-/// The default control is inert (never cancelled, no progress sink), and
-/// the uncontrolled engine entry points use exactly that — so their
-/// behaviour, results and communication schedules are bit-identical to the
-/// pre-control code.
+/// The default control is inert (never cancelled, no progress sink); the
+/// uncontrolled engine entry points run under exactly that.
 #[derive(Clone, Default)]
 pub struct ExecControl {
     /// The cooperative cancellation flag the loops poll.
@@ -87,36 +88,6 @@ impl std::fmt::Debug for ExecControl {
     }
 }
 
-/// A per-step cancellation agreement for SPMD execution (see the module
-/// docs): all ranks observe the *same* cancel/continue decision at every
-/// schedule step, so a cancelled run never strands a rank inside a
-/// collective.
-pub struct StepGate {
-    token: CancelToken,
-    decisions: Mutex<Vec<Option<bool>>>,
-}
-
-impl StepGate {
-    /// A gate polling `token`.
-    pub fn new(token: CancelToken) -> Self {
-        Self {
-            token,
-            decisions: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Should execution stop before schedule step `step`? The first caller
-    /// per step samples the token; later callers (other ranks) reuse that
-    /// decision. Every rank must query steps in the same ascending order.
-    pub fn cancelled_at(&self, step: usize) -> bool {
-        let mut decisions = self.decisions.lock().expect("step gate poisoned");
-        if decisions.len() <= step {
-            decisions.resize(step + 1, None);
-        }
-        *decisions[step].get_or_insert_with(|| self.token.is_cancelled())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,55 +108,5 @@ mod tests {
             ExecControl::new().with_progress(move |done, _| seen2.store(done, Ordering::SeqCst));
         ctrl.report_progress(17, 100);
         assert_eq!(seen.load(Ordering::SeqCst), 17);
-    }
-
-    #[test]
-    fn step_gate_decisions_are_memoized_and_consistent() {
-        let token = CancelToken::new();
-        let gate = StepGate::new(token.clone());
-        assert!(!gate.cancelled_at(0));
-        token.cancel();
-        // Step 0 was decided before the cancellation: still false for every
-        // later "rank" asking about step 0.
-        assert!(!gate.cancelled_at(0));
-        // A new step observes the cancellation, for everyone.
-        assert!(gate.cancelled_at(1));
-        assert!(gate.cancelled_at(1));
-    }
-
-    #[test]
-    fn step_gate_agrees_across_racing_threads() {
-        // 8 threads walk 64 steps; the token is cancelled mid-walk. All
-        // threads must stop at the same step.
-        let token = CancelToken::new();
-        let gate = StepGate::new(token.clone());
-        let stops: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let gate = &gate;
-                let token = &token;
-                let stops = &stops;
-                scope.spawn(move || {
-                    for step in 0..64 {
-                        if t == 0 && step == 20 {
-                            token.cancel();
-                        }
-                        if gate.cancelled_at(step) {
-                            stops.lock().unwrap().push(step);
-                            return;
-                        }
-                        std::thread::yield_now();
-                    }
-                    stops.lock().unwrap().push(64);
-                });
-            }
-        });
-        let stops = stops.into_inner().unwrap();
-        assert_eq!(stops.len(), 8);
-        assert!(
-            stops.iter().all(|&s| s == stops[0]),
-            "ranks stopped at different steps: {stops:?}"
-        );
-        assert!(stops[0] <= 64);
     }
 }

@@ -48,23 +48,6 @@ pub struct FusedSinglePlan {
 }
 
 impl FusedSinglePlan {
-    /// Fuse every part of `partition` at `fusion_width` (≥ 1) with the
-    /// window scanner.
-    pub fn build(
-        circuit: &Circuit,
-        dag: &CircuitDag,
-        partition: Partition,
-        fusion_width: usize,
-    ) -> Self {
-        Self::build_with_strategy(
-            circuit,
-            dag,
-            partition,
-            fusion_width,
-            FusionStrategy::Window,
-        )
-    }
-
     /// Fuse every part of `partition` at `fusion_width` (≥ 1) under the
     /// given [`FusionStrategy`] (`Auto` resolves independently per part:
     /// each part's inner circuit decides from its own window histogram).
@@ -104,6 +87,13 @@ impl FusedSinglePlan {
     /// the predicted-cost side of the runtime's decision verdicts.
     pub fn total_fused_ops(&self) -> usize {
         self.parts.iter().map(|p| p.inner.num_ops()).sum()
+    }
+
+    /// Circuit gates across every part: the total the engines report
+    /// progress against.
+    pub fn total_source_gates(&self) -> u64 {
+        let gates = self.parts.iter().map(|p| p.inner.source_gates());
+        gates.sum::<usize>() as u64
     }
 }
 
@@ -177,17 +167,6 @@ pub struct FusedTwoLevelPlan {
 }
 
 impl FusedTwoLevelPlan {
-    /// Fuse every second-level part of `ml` at `fusion_width` (≥ 1) with
-    /// the window scanner.
-    pub fn build(
-        circuit: &Circuit,
-        dag: &CircuitDag,
-        ml: MultilevelPartition,
-        fusion_width: usize,
-    ) -> Self {
-        Self::build_with_strategy(circuit, dag, ml, fusion_width, FusionStrategy::Window)
-    }
-
     /// Fuse every second-level part of `ml` at `fusion_width` (≥ 1) under
     /// the given [`FusionStrategy`].
     pub fn build_with_strategy(
@@ -242,6 +221,13 @@ impl FusedTwoLevelPlan {
             .map(|p| p.second.iter().map(|s| s.inner.num_ops()).sum::<usize>())
             .sum()
     }
+
+    /// Circuit gates across every second-level part (see
+    /// [`FusedSinglePlan::total_source_gates`]).
+    pub fn total_source_gates(&self) -> u64 {
+        let seconds = self.parts.iter().flat_map(|p| &p.second);
+        seconds.map(|s| s.inner.source_gates()).sum::<usize>() as u64
+    }
 }
 
 #[cfg(test)]
@@ -255,9 +241,9 @@ mod tests {
         let circuit = generators::by_name("qft", 9);
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = Strategy::DagP.partition(&dag, 5).unwrap();
-        let plan = FusedSinglePlan::build(&circuit, &dag, partition, 3);
-        let fused_gates: usize = plan.parts.iter().map(|p| p.inner.source_gates()).sum();
-        assert_eq!(fused_gates, circuit.num_gates());
+        let plan =
+            FusedSinglePlan::build_with_strategy(&circuit, &dag, partition, 3, Default::default());
+        assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
         for part in &plan.parts {
             assert!(part.working_set.len() <= 5);
             assert_eq!(part.inner.num_qubits(), part.working_set.len());
@@ -271,14 +257,9 @@ mod tests {
         let ml = MultilevelPartitioner::default()
             .partition(&dag, 6, 3)
             .unwrap();
-        let plan = FusedTwoLevelPlan::build(&circuit, &dag, ml, 3);
-        let fused_gates: usize = plan
-            .parts
-            .iter()
-            .flat_map(|p| p.second.iter())
-            .map(|s| s.inner.source_gates())
-            .sum();
-        assert_eq!(fused_gates, circuit.num_gates());
+        let plan =
+            FusedTwoLevelPlan::build_with_strategy(&circuit, &dag, ml, 3, Default::default());
+        assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
         for part in &plan.parts {
             for second in &part.second {
                 // Second-level working sets are within the first-level one.

@@ -14,7 +14,7 @@
 //! paper's Table II quantifies.
 
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedPart, FusedSinglePlan};
+use crate::fusedplan::FusedSinglePlan;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_dag::{CircuitDag, Partition};
@@ -38,8 +38,7 @@ pub struct HierConfig {
     /// assignments with rayon (each assignment's inner vector is
     /// independent).
     pub parallel: bool,
-    /// Gate-fusion width for the inner circuits (0 disables fusion and
-    /// restores the one-pass-per-gate execution of the unfused engine).
+    /// Gate-fusion width for the inner circuits (at least 1).
     pub fusion: usize,
     /// How fusion groups are discovered (window scan, DAG antichains, or
     /// auto selection).
@@ -75,9 +74,10 @@ impl HierConfig {
         self
     }
 
-    /// Same configuration with a different fusion width (0 = unfused).
+    /// Same configuration with a different fusion width (0 is taken as 1,
+    /// one sweep per gate group: the engines have no unfused path).
     pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion;
+        self.fusion = fusion.max(1);
         self
     }
 
@@ -131,58 +131,23 @@ impl HierarchicalSimulator {
         Ok(self.run_with_partition(circuit, &dag, partition))
     }
 
-    /// Run `circuit` against a precomputed partition *plan* (e.g. one served
-    /// by the runtime's plan cache), rebuilding only the DAG — which is cheap
-    /// next to partitioning. The plan must belong to this circuit's
-    /// structure; [`Partition::validate`] is the caller's tool when the plan
-    /// comes from an untrusted source.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &Partition) -> HierRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
     /// Run `circuit` with an externally supplied partition (used by the
-    /// benchmark harness to reuse one partition across repetitions). Fuses
-    /// each part's inner circuit first unless `config.fusion` is 0.
+    /// benchmark harness to reuse one partition across repetitions): fuse
+    /// each part's inner circuit, then [`Self::run_with_fused_plan`].
     pub fn run_with_partition(
         &self,
         circuit: &Circuit,
         dag: &CircuitDag,
         partition: Partition,
     ) -> HierRun {
-        if self.config.fusion > 0 {
-            let plan = FusedSinglePlan::build_with_strategy(
-                circuit,
-                dag,
-                partition,
-                self.config.fusion,
-                self.config.fusion_strategy,
-            );
-            return self.run_with_fused_plan(circuit, &plan);
-        }
-        let start = Instant::now();
-        let mut state = StateVector::zero_state(circuit.num_qubits());
-        let order = partition.execution_order(dag);
-        let parts = partition.gates_by_part();
-
-        for &part in &order {
-            execute_part(
-                &mut state,
-                circuit,
-                dag,
-                &parts[part],
-                self.config.parallel,
-                self.config.kernel_dispatch,
-            );
-        }
-
-        let elapsed = start.elapsed().as_secs_f64();
-        let report = self.make_report(circuit, partition.num_parts(), elapsed);
-        HierRun {
-            state,
-            report,
+        let plan = FusedSinglePlan::build_with_strategy(
+            circuit,
+            dag,
             partition,
-        }
+            self.config.fusion,
+            self.config.fusion_strategy,
+        );
+        self.run_with_fused_plan(circuit, &plan)
     }
 
     /// Run `circuit` against a prefused plan (e.g. one served by the
@@ -207,11 +172,7 @@ impl HierarchicalSimulator {
         control: &ExecControl,
     ) -> Result<HierRun, Cancelled> {
         let start = Instant::now();
-        let total_gates: u64 = plan
-            .parts
-            .iter()
-            .map(|p| p.inner.source_gates() as u64)
-            .sum();
+        let total_gates = plan.total_source_gates();
         let mut state = StateVector::zero_state(circuit.num_qubits());
         let scratch = InnerScratch::default();
         let mut gates_done = 0u64;
@@ -222,15 +183,16 @@ impl HierarchicalSimulator {
             let on_assignments = |done: u64, total: u64| {
                 control.report_progress(before + part_gates * done / total.max(1), total_gates);
             };
-            execute_part_fused_with_scratch(
+            execute_part(
                 &mut state,
-                part,
+                &part.working_set,
+                &part.inner,
                 self.config.parallel,
                 self.config.kernel_dispatch,
-                Some(&SweepControl {
-                    cancel: &control.cancel,
+                SweepControl {
+                    cancel: Some(&control.cancel),
                     on_assignments: Some(&on_assignments),
-                }),
+                },
                 &scratch,
             )?;
             gates_done += part_gates;
@@ -260,89 +222,16 @@ impl HierarchicalSimulator {
     }
 }
 
-/// Execute one part against the outer state via Gather–Execute–Scatter
-/// (Algorithm 1). Exposed for reuse by the distributed engines, which run the
-/// same loop on each rank's local slice.
-pub fn execute_part(
-    outer: &mut StateVector,
-    circuit: &Circuit,
-    dag: &CircuitDag,
-    part_gates: &[usize],
-    parallel: bool,
-    dispatch: KernelDispatch,
-) {
-    if part_gates.is_empty() {
-        return;
-    }
-    let working_set: Vec<usize> = dag.working_set_of_gates(part_gates).into_iter().collect();
-    let map = GatherMap::new(outer.num_qubits(), &working_set);
-    let inner_circuit = circuit
-        .subcircuit(part_gates)
-        .remap_qubits(&map.remap_table(), map.inner_qubits());
-    let opts = ApplyOptions::sequential().with_dispatch(dispatch);
-    let scratch = InnerScratch::default();
-    sweep_assignments(outer, &map, parallel, None, &scratch, |inner| {
-        hisvsim_statevec::kernels::apply_circuit_with(inner, &inner_circuit, &opts);
-    })
-    .expect("uncancellable sweep cannot abort");
-}
-
-/// Execute one prefused part via Gather–Execute–Scatter: the same sweep as
-/// [`execute_part`], but the inner circuit is already fused (one pass per
-/// fused op instead of per gate) and the parallel path reuses one inner
-/// buffer per chunk of assignments instead of allocating per assignment.
-pub fn execute_part_fused(
-    outer: &mut StateVector,
-    part: &FusedPart,
-    parallel: bool,
-    dispatch: KernelDispatch,
-) {
-    execute_part_fused_controlled(outer, part, parallel, dispatch, None)
-        .expect("uncancellable sweep cannot abort");
-}
-
-/// Per-sweep control plumbing: the cancel token polled between gather
-/// assignments, plus an optional throttled assignment-progress callback
-/// called with `(assignments_done, assignments_total)` — at most ~32 times
-/// per sweep, so a wide single-part job still streams progress.
-pub struct SweepControl<'a> {
+/// Per-sweep control plumbing: a cancel token polled between gather
+/// assignments, and a throttled assignment-progress callback called with
+/// `(assignments_done, assignments_total)` — at most ~32 times per sweep, so
+/// a wide single-part job still streams progress. The default has neither.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SweepControl<'a> {
     /// Polled between assignments (sequential) / chunks (parallel).
-    pub cancel: &'a CancelToken,
+    pub(crate) cancel: Option<&'a CancelToken>,
     /// Throttled sub-part progress sink.
-    pub on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
-}
-
-/// [`execute_part_fused`] with an optional [`SweepControl`]: the cancel
-/// token is polled between gather assignments and assignment progress is
-/// reported through the control. On cancellation the outer vector is left
-/// partially updated — the caller abandons it.
-pub fn execute_part_fused_controlled(
-    outer: &mut StateVector,
-    part: &FusedPart,
-    parallel: bool,
-    dispatch: KernelDispatch,
-    control: Option<&SweepControl<'_>>,
-) -> Result<(), Cancelled> {
-    let scratch = InnerScratch::default();
-    execute_part_fused_with_scratch(outer, part, parallel, dispatch, control, &scratch)
-}
-
-/// [`execute_part_fused_controlled`] drawing its inner vectors from
-/// `scratch`, so the parts of one run share them.
-fn execute_part_fused_with_scratch(
-    outer: &mut StateVector,
-    part: &FusedPart,
-    parallel: bool,
-    dispatch: KernelDispatch,
-    control: Option<&SweepControl<'_>>,
-    scratch: &InnerScratch,
-) -> Result<(), Cancelled> {
-    let map = GatherMap::new(outer.num_qubits(), &part.working_set);
-    let inner_circuit: &FusedCircuit = &part.inner;
-    let opts = ApplyOptions::sequential().with_dispatch(dispatch);
-    sweep_assignments(outer, &map, parallel, control, scratch, |inner| {
-        inner_circuit.apply(inner, &opts);
-    })
+    pub(crate) on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
 }
 
 /// Inner vectors handed from one sweep to the next for the length of a run.
@@ -355,7 +244,7 @@ fn execute_part_fused_with_scratch(
 /// The gather overwrites every inner amplitude, so a vector left by an
 /// earlier part — of any width — serves as well as a new one.
 #[derive(Default)]
-struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
+pub(crate) struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
 
 impl InnerScratch {
     /// An inner vector of `qubits` qubits with unspecified contents.
@@ -379,9 +268,17 @@ impl InnerScratch {
     }
 }
 
-/// The Gather–Execute–Scatter sweep shared by the fused and unfused part
-/// executors: run `execute` against the inner vector of every free-qubit
-/// assignment of `map`.
+/// Execute one prefused part against `outer` via Gather–Execute–Scatter
+/// (Algorithm 1): for every assignment of the free qubits, gather the inner
+/// vector over `working_set` (positions in `outer`; fused qubit `j` is
+/// `working_set[j]`), apply `inner_circuit`, scatter back. The one part
+/// executor: the single-node engine runs it on the whole state, the
+/// multi-level engine on a rank's slice with `parallel = false`.
+///
+/// `control`'s token, if any, is polled between assignments and progress is
+/// reported to its sink; on cancellation the outer vector is left partially
+/// updated and the caller abandons it. Inner vectors come from `scratch`, so
+/// the parts of one run share them.
 ///
 /// Each assignment touches a disjoint set of outer indices (guaranteed by
 /// [`GatherMap`]), so the parallel path shares the outer vector through a
@@ -389,23 +286,23 @@ impl InnerScratch {
 /// parts with few assignments still use every core, while each chunk reuses
 /// one inner scratch buffer (the gather overwrites every inner amplitude,
 /// making reuse safe).
-fn sweep_assignments<F>(
+pub(crate) fn execute_part(
     outer: &mut StateVector,
-    map: &GatherMap,
+    working_set: &[usize],
+    inner_circuit: &FusedCircuit,
     parallel: bool,
-    control: Option<&SweepControl<'_>>,
+    dispatch: KernelDispatch,
+    control: SweepControl<'_>,
     scratch: &InnerScratch,
-    execute: F,
-) -> Result<(), Cancelled>
-where
-    F: Fn(&mut StateVector) + Sync,
-{
+) -> Result<(), Cancelled> {
+    let map = GatherMap::new(outer.num_qubits(), working_set);
+    let opts = ApplyOptions::sequential().with_dispatch(dispatch);
     let assignments = 1usize << map.num_free_qubits();
-    let cancel = control.map(|c| c.cancel);
+    let cancel = control.cancel;
     // Throttle sub-part progress to ~32 reports per sweep.
     let progress_step = (assignments as u64 / 32).max(1);
     let report = |done: u64| {
-        if let Some(on) = control.and_then(|c| c.on_assignments) {
+        if let Some(on) = control.on_assignments {
             if done.is_multiple_of(progress_step) {
                 on(done, assignments as u64);
             }
@@ -421,7 +318,7 @@ where
         // disjoint, so no two threads touch the same amplitude.
         unsafe {
             map.gather_raw(outer_ptr.get(), assignment, inner);
-            execute(inner);
+            inner_circuit.apply(inner, &opts);
             map.scatter_raw(inner, outer_ptr.get(), assignment);
         }
     };
@@ -457,17 +354,14 @@ where
         }
         scratch.give(inner);
     }
-    match cancel {
-        Some(cancel) => cancel.check(),
-        None => Ok(()),
-    }
+    cancel.map_or(Ok(()), CancelToken::check)
 }
 
 /// Raw-pointer wrapper so the per-assignment closures can reach disjoint
 /// regions of the outer vector from several threads.
 #[derive(Clone, Copy)]
 struct OuterPtr(*mut Complex64);
-// SAFETY: the wrapper only carries the pointer; `sweep_assignments` states
+// SAFETY: the wrapper only carries the pointer; `execute_part` states
 // why the accesses made through it never overlap.
 unsafe impl Send for OuterPtr {}
 unsafe impl Sync for OuterPtr {}
@@ -587,20 +481,16 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_execution_agree() {
+    fn every_fusion_width_agrees_with_flat() {
         for name in ["qft", "adder", "ising", "qaoa"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            let unfused = HierarchicalSimulator::new(HierConfig::new(5).with_fusion(0))
-                .run(&circuit)
-                .unwrap();
-            for width in [1usize, 3, 5] {
-                let fused = HierarchicalSimulator::new(HierConfig::new(5).with_fusion(width))
-                    .run(&circuit)
-                    .unwrap();
+            // 0 is taken as 1: there is no unfused engine path.
+            for width in [0usize, 1, 3, 5] {
+                let sim = HierarchicalSimulator::new(HierConfig::new(5).with_fusion(width));
+                assert_eq!(sim.config().fusion, width.max(1));
+                let fused = sim.run(&circuit).unwrap();
                 assert!(fused.state.approx_eq(&expected, 1e-9));
-                assert!(fused.state.approx_eq(&unfused.state, 1e-9));
-                assert_eq!(fused.report.num_parts, unfused.report.num_parts);
             }
         }
     }
@@ -612,7 +502,13 @@ mod tests {
         let sim = HierarchicalSimulator::new(HierConfig::new(5));
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = sim.config().strategy.partition(&dag, 5).unwrap();
-        let plan = FusedSinglePlan::build(&circuit, &dag, partition, sim.config().fusion);
+        let plan = FusedSinglePlan::build_with_strategy(
+            &circuit,
+            &dag,
+            partition,
+            sim.config().fusion,
+            sim.config().fusion_strategy,
+        );
         let via_plan = sim.run_with_fused_plan(&circuit, &plan);
         let inline = sim.run(&circuit).unwrap();
         // Same partition, same fused ops, same execution order: bit-identical.

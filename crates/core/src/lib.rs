@@ -25,10 +25,21 @@
 //! `hisvsim-runtime` crate layers a concurrent batch scheduler on top:
 //! engine auto-selection per job (`EngineSelector`), partition-plan caching
 //! keyed by `Circuit::fingerprint` (`PlanCache`), and a worker pool with a
-//! bounded number of resident state vectors (`Scheduler`). Each engine
-//! exposes a `run_with_plan` entry point so a cached plan skips DAG
-//! partitioning entirely; `run` remains the single-shot path that plans
-//! internally.
+//! bounded number of resident state vectors (`Scheduler`). A cached plan is
+//! a prefused one ([`fusedplan`]): each engine's `run_with_fused_plan` (and
+//! `_controlled`, under an [`ExecControl`]) executes it with no DAG build,
+//! partitioning or fusion left to do; `run` remains the single-shot path
+//! that plans internally, and `run_with_partition` fuses a given partition
+//! first. There is no unfused engine path.
+//!
+//! ## One rank body per distributed engine
+//!
+//! [`run_fused_plan_rank`], [`run_two_level_plan_rank`] and
+//! [`run_baseline_rank`] are the only SPMD loops: the thread world
+//! (`run_spmd` inside the engines above) and `hisvsim-net`'s worker
+//! processes both call them, with an inert or a live control, so the two
+//! worlds agree bit for bit by construction. Cancellation is agreed by a
+//! collective vote at every checkpoint (see [`exec`]).
 //!
 //! ## Example
 //!
@@ -56,20 +67,17 @@ pub mod metrics;
 pub mod multilevel;
 pub mod profile;
 
-pub use baseline::{
-    run_baseline_rank, run_baseline_rank_cancellable, BaselineConfig, BaselineRun, IqsBaseline,
-};
+pub use baseline::{run_baseline_rank, BaselineConfig, BaselineRun, BaselineSchedule, IqsBaseline};
 pub use dist::{
-    aggregate_outcomes, prepare_gates, run_fused_plan_rank, run_fused_plan_rank_cancellable,
-    DistConfig, DistRun, DistState, DistributedSimulator, PreparedGate, RankOutcome,
+    aggregate_outcomes, prepare_gates, run_fused_plan_rank, DistConfig, DistRun, DistState,
+    DistributedSimulator, PreparedGate, RankOutcome,
 };
-pub use exec::{ExecControl, StepGate};
+pub use exec::ExecControl;
 pub use fusedplan::{FusedMlPart, FusedPart, FusedSecondPart, FusedSinglePlan, FusedTwoLevelPlan};
 pub use gpu::{estimate_hybrid, GpuModel, HybridEstimate};
-pub use hier::{HierConfig, HierRun, HierarchicalSimulator, SweepControl};
+pub use hier::{HierConfig, HierRun, HierarchicalSimulator};
 pub use hisvsim_statevec::{CancelToken, Cancelled};
 pub use metrics::RunReport;
 pub use multilevel::{
-    run_two_level_plan_rank, run_two_level_plan_rank_cancellable, MultilevelConfig, MultilevelRun,
-    MultilevelSimulator,
+    run_two_level_plan_rank, MultilevelConfig, MultilevelRun, MultilevelSimulator,
 };

@@ -9,17 +9,17 @@
 //! the same Gather–Execute–Scatter loop the single-node engine uses, just
 //! against the rank's local slice instead of the whole state.
 
-use crate::dist::{aggregate_outcomes, DistState, RankOutcome};
-use crate::exec::{ExecControl, StepGate};
+use crate::dist::{run_thread_world, DistState, RankOutcome};
+use crate::exec::ExecControl;
 use crate::fusedplan::{FusedSecondPart, FusedTwoLevelPlan};
+use crate::hier::{execute_part, InnerScratch, SweepControl};
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64, Gate};
-use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
+use hisvsim_circuit::{Circuit, Complex64};
+use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartition, MultilevelPartitioner, PartitionBuildError};
 use hisvsim_statevec::{
-    ApplyOptions, CancelToken, Cancelled, FusionStrategy, GatherMap, KernelDispatch, StateVector,
-    DEFAULT_FUSION_WIDTH,
+    Cancelled, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::time::Instant;
 
@@ -35,8 +35,7 @@ pub struct MultilevelConfig {
     pub second_limit: usize,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for the second-level inner circuits (0 disables
-    /// fusion).
+    /// Gate-fusion width for the second-level inner circuits (at least 1).
     pub fusion: usize,
     /// How fusion groups are discovered (window scan, DAG antichains, or
     /// auto selection).
@@ -66,9 +65,10 @@ impl MultilevelConfig {
         self
     }
 
-    /// Use a different fusion width (0 = unfused).
+    /// Use a different fusion width (0 is taken as 1: the engines have no
+    /// unfused path).
     pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion;
+        self.fusion = fusion.max(1);
         self
     }
 
@@ -125,84 +125,25 @@ impl MultilevelSimulator {
         Ok(self.run_with_partition(circuit, &dag, ml))
     }
 
-    /// Run `circuit` against a precomputed two-level partition *plan* (e.g.
-    /// one served by the runtime's plan cache), rebuilding only the DAG.
-    pub fn run_with_plan(&self, circuit: &Circuit, plan: &MultilevelPartition) -> MultilevelRun {
-        let dag = CircuitDag::from_circuit(circuit);
-        self.run_with_partition(circuit, &dag, plan.clone())
-    }
-
-    /// Run with an externally supplied two-level partition. Fuses each
+    /// Run with an externally supplied two-level partition: fuse each
     /// second-level part once — shared by every virtual rank and every
-    /// gather assignment — unless `config.fusion` is 0.
+    /// gather assignment — then [`Self::run_with_fused_plan`].
     pub fn run_with_partition(
         &self,
         circuit: &Circuit,
         dag: &CircuitDag,
         ml: MultilevelPartition,
     ) -> MultilevelRun {
-        if self.config.fusion > 0 {
-            let plan = FusedTwoLevelPlan::build_with_strategy(
-                circuit,
-                dag,
-                ml,
-                self.config.fusion,
-                self.config.fusion_strategy,
-            );
-            return self.run_with_fused_plan(circuit, &plan);
-        }
-        // Build the per-first-level-part schedule: the first-level execution
-        // order and, within each part, the second-level gate lists in their
-        // own topological order.
-        let first_order = ml.first.execution_order(dag);
-        let schedule: Vec<(Vec<usize>, Vec<Vec<Gate>>)> = first_order
-            .iter()
-            .map(|&part| {
-                let working_set: Vec<usize> = dag
-                    .working_set_of_gates(&ml.first.gates_by_part()[part])
-                    .into_iter()
-                    .collect();
-                let second_lists: Vec<Vec<Gate>> = ml
-                    .second_level_gate_lists(dag, part)
-                    .into_iter()
-                    .map(|gates| gates.iter().map(|&g| circuit.gates()[g].clone()).collect())
-                    .collect();
-                (working_set, second_lists)
-            })
-            .collect();
-
-        let start = Instant::now();
-        let outcomes = run_spmd::<Complex64, RankOutcome, _>(
-            self.config.num_ranks,
-            self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                for (working_set, second_lists) in &schedule {
-                    state.ensure_local(working_set);
-                    execute_second_level(&mut state, second_lists);
-                }
-                state.finish_rank()
-            },
-        );
-        let wall = start.elapsed().as_secs_f64();
-        let (state, report) = aggregate_outcomes(
-            "multilevel",
-            "dagP",
+        let plan = FusedTwoLevelPlan::build_with_strategy(
             circuit,
-            ml.num_first_level_parts(),
-            outcomes,
-            wall,
+            dag,
+            ml,
+            self.config.fusion,
+            self.config.fusion_strategy,
         );
-        MultilevelRun {
-            state,
-            report,
-            partition: ml,
-        }
+        self.run_with_fused_plan(circuit, &plan)
     }
-}
 
-impl MultilevelSimulator {
     /// Run against a prefused two-level plan: the second-level inner circuits
     /// were fused once at plan time and are shared read-only by every rank
     /// and every gather assignment.
@@ -216,71 +157,26 @@ impl MultilevelSimulator {
     }
 
     /// [`MultilevelSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: a [`StepGate`] keeps every virtual rank's
-    /// cancel/continue decisions consistent at *every* checkpoint — before
-    /// each first-level part switch (the collective boundary) and between
-    /// rank-local second-level parts — so a cancelled run drains without
-    /// deadlock. Rank 0 reports `(gates_done, gates_total)` per
-    /// second-level part.
+    /// [`ExecControl`]: [`run_two_level_plan_rank`] on every rank of a thread
+    /// world.
     pub fn run_with_fused_plan_controlled(
         &self,
         circuit: &Circuit,
         plan: &FusedTwoLevelPlan,
         control: &ExecControl,
     ) -> Result<MultilevelRun, Cancelled> {
-        let start = Instant::now();
-        let total_gates: u64 = plan
-            .parts
-            .iter()
-            .flat_map(|p| p.second.iter())
-            .map(|s| s.inner.source_gates() as u64)
-            .sum();
-        let step_gate = StepGate::new(control.cancel.clone());
-        let outcomes = run_spmd::<Complex64, Option<RankOutcome>, _>(
+        let (state, report) = run_thread_world(
             self.config.num_ranks,
             self.config.network,
-            |mut comm| {
-                let mut state = DistState::new(&mut comm, circuit.num_qubits());
-                state.set_kernel_dispatch(self.config.kernel_dispatch);
-                // Checkpoint numbering walked identically by every rank:
-                // one step per first-level part switch, one per
-                // second-level part.
-                let mut step = 0usize;
-                let mut gates_done = 0u64;
-                for part in &plan.parts {
-                    if step_gate.cancelled_at(step) {
-                        return None;
-                    }
-                    step += 1;
-                    state.ensure_local(&part.working_set);
-                    for second in &part.second {
-                        if step_gate.cancelled_at(step) {
-                            return None;
-                        }
-                        step += 1;
-                        execute_second_level_fused(&mut state, std::slice::from_ref(second));
-                        gates_done += second.inner.source_gates() as u64;
-                        if state.rank() == 0 {
-                            control.report_progress(gates_done, total_gates);
-                        }
-                    }
-                }
-                Some(state.finish_rank())
-            },
-        );
-        let outcomes: Option<Vec<RankOutcome>> = outcomes.into_iter().collect();
-        let Some(outcomes) = outcomes else {
-            return Err(Cancelled);
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let (state, report) = aggregate_outcomes(
             "multilevel",
             "dagP",
             circuit,
             plan.ml.num_first_level_parts(),
-            outcomes,
-            wall,
-        );
+            |comm| {
+                let dispatch = self.config.kernel_dispatch;
+                run_two_level_plan_rank(comm, circuit.num_qubits(), plan, dispatch, control, None)
+            },
+        )?;
         Ok(MultilevelRun {
             state,
             report,
@@ -289,141 +185,75 @@ impl MultilevelSimulator {
     }
 }
 
-/// Execute one rank of a prefused two-level plan against `comm` — the SPMD
-/// body shared by the in-process engine and `hisvsim-net`'s remote process
-/// workers.
+/// Execute one rank of a prefused two-level plan against `comm`: the one
+/// rank body of the multi-level engine, run by the thread world and by
+/// `hisvsim-net`'s worker processes alike.
+///
+/// The ranks vote ([`DistState::vote_cancelled`]) before every first-level
+/// part switch (the collective boundary) and before every rank-local
+/// second-level part, so a fired token stops all ranks at the same step
+/// without stranding any inside a collective. Rank 0 reports
+/// `(gates_done, gates_total)` per second-level part. `recycled` optionally
+/// reuses a previous run's local-slice allocation.
 pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
     plan: &FusedTwoLevelPlan,
     dispatch: KernelDispatch,
-) -> RankOutcome {
-    let mut state = DistState::new(comm, num_qubits);
-    state.set_kernel_dispatch(dispatch);
-    for part in &plan.parts {
-        state.ensure_local(&part.working_set);
-        execute_second_level_fused(&mut state, &part.second);
-    }
-    state.finish_rank()
-}
-
-/// [`run_two_level_plan_rank`] with cooperative cancellation: the ranks
-/// vote before every first-level part switch and before every second-level
-/// part — the same checkpoint numbering the in-process engine's `StepGate`
-/// walks — so a fired [`CancelToken`] stops all ranks at the same step
-/// without stranding any rank inside a collective. `recycled` optionally
-/// reuses a previous run's local-slice allocation.
-pub fn run_two_level_plan_rank_cancellable<C: RankComm<Complex64>>(
-    comm: &mut C,
-    num_qubits: usize,
-    plan: &FusedTwoLevelPlan,
-    dispatch: KernelDispatch,
-    cancel: &CancelToken,
+    control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
+    let scratch = InnerScratch::default();
+    let total_gates = plan.total_source_gates();
+    let mut gates_done = 0u64;
     for part in &plan.parts {
-        if state.vote_cancelled(cancel) {
-            return Err(Cancelled);
-        }
+        state.vote_cancelled(&control.cancel)?;
         state.ensure_local(&part.working_set);
         for second in &part.second {
-            if state.vote_cancelled(cancel) {
-                return Err(Cancelled);
-            }
-            execute_second_level_fused(&mut state, std::slice::from_ref(second));
+            state.vote_cancelled(&control.cancel)?;
+            execute_second_part(&mut state, second, &scratch);
+            gates_done += second.inner.source_gates() as u64;
+            state.report_progress(control, gates_done, total_gates);
         }
     }
     Ok(state.finish_rank())
 }
 
-/// Execute prefused second-level parts against the rank's local slice: for
-/// each part, translate its global working set to local positions under the
-/// current layout, then Gather–Execute–Scatter with the shared fused inner
-/// circuit (fused qubit `j` of the plan is inner qubit `j` of the gather by
-/// construction).
-fn execute_second_level_fused<C: RankComm<Complex64>>(
+/// Execute one prefused second-level part against the rank's local slice:
+/// translate its global working set to local positions under the current
+/// layout, then run the single-node part executor on the slice (fused qubit
+/// `j` of the plan is inner qubit `j` of the gather by construction). The
+/// sweep gets no token: a rank leaves the schedule only by a vote.
+fn execute_second_part<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
-    second: &[FusedSecondPart],
+    second: &FusedSecondPart,
+    scratch: &InnerScratch,
 ) {
     let _span = hisvsim_obs::span("kernel", "local");
     let start = Instant::now();
     let l = state.local_qubits();
-    let opts = ApplyOptions::sequential().with_dispatch(state.kernel_dispatch());
-    let mut working_positions: Vec<usize> = Vec::new();
-    for part in second {
-        working_positions.clear();
-        working_positions.extend(part.working_set.iter().map(|&q| {
+    let positions: Vec<usize> = second
+        .working_set
+        .iter()
+        .map(|&q| {
             let pos = state.position(q);
             debug_assert!(pos < l, "second-level part touches a non-local qubit");
             pos
-        }));
-        let map = GatherMap::new(l, &working_positions);
-        let mut inner = StateVector::uninitialized(map.inner_qubits());
-        let local = state.local_state_mut();
-        for assignment in 0..(1usize << map.num_free_qubits()) {
-            map.gather_into(local, assignment, &mut inner);
-            part.inner.apply(&mut inner, &opts);
-            map.scatter(&inner, local, assignment);
-        }
-    }
-    state.add_compute_time(start.elapsed().as_secs_f64());
-}
-
-/// Execute the second-level parts of one first-level part against the rank's
-/// local slice via Gather–Execute–Scatter (positions, not qubit ids, are the
-/// local "qubits" here).
-fn execute_second_level<C: RankComm<Complex64>>(
-    state: &mut DistState<'_, C>,
-    second_lists: &[Vec<Gate>],
-) {
-    let _span = hisvsim_obs::span("kernel", "local");
-    let start = Instant::now();
-    let l = state.local_qubits();
-    let opts = ApplyOptions::sequential().with_dispatch(state.kernel_dispatch());
-    for gates in second_lists {
-        if gates.is_empty() {
-            continue;
-        }
-        // Remap gates onto local positions and collect the working set in
-        // position space.
-        let mut working_positions: Vec<usize> = Vec::new();
-        let remapped: Vec<Gate> = gates
-            .iter()
-            .map(|gate| {
-                let qubits: Vec<usize> = gate
-                    .qubits
-                    .iter()
-                    .map(|&q| {
-                        let pos = state.position(q);
-                        debug_assert!(pos < l, "second-level gate touches a non-local qubit");
-                        if !working_positions.contains(&pos) {
-                            working_positions.push(pos);
-                        }
-                        pos
-                    })
-                    .collect();
-                Gate {
-                    kind: gate.kind,
-                    qubits,
-                }
-            })
-            .collect();
-
-        let map = GatherMap::new(l, &working_positions);
-        let remap_table = map.remap_table();
-        let inner_gates: Vec<Gate> = remapped.iter().map(|g| g.remap(&remap_table)).collect();
-        let mut inner = StateVector::uninitialized(map.inner_qubits());
-        let local = state.local_state_mut();
-        for assignment in 0..(1usize << map.num_free_qubits()) {
-            map.gather_into(local, assignment, &mut inner);
-            for gate in &inner_gates {
-                hisvsim_statevec::kernels::apply_gate_with(&mut inner, gate, &opts);
-            }
-            map.scatter(&inner, local, assignment);
-        }
-    }
+        })
+        .collect();
+    let dispatch = state.kernel_dispatch();
+    execute_part(
+        state.local_state_mut(),
+        &positions,
+        &second.inner,
+        false,
+        dispatch,
+        SweepControl::default(),
+        scratch,
+    )
+    .expect("a sweep without a token cannot be cancelled");
     state.add_compute_time(start.elapsed().as_secs_f64());
 }
 

@@ -2,7 +2,7 @@
 //! self-contained multi-process smoke check.
 //!
 //! ```text
-//! hisvsim-net worker <control_addr> <rank>        # spawned by ClusterLauncher
+//! hisvsim-net worker <control_addr> <rank>        # spawned by WorkerPool
 //! hisvsim-net smoke [qubits] [workers] [--trace <path>]
 //! ```
 //!
@@ -21,7 +21,7 @@
 use hisvsim_circuit::generators;
 use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
-use hisvsim_net::{execute_local_reference, ClusterLauncher, RankSummary, ShippedJob};
+use hisvsim_net::{execute_local_reference, RankSummary, ShippedJob, WorkerPool};
 use hisvsim_obs::log;
 use hisvsim_partition::Strategy;
 use hisvsim_runtime::{EngineKind, PersistedPlan};
@@ -107,7 +107,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     }
     let network = NetworkModel::hdr100();
     let launcher =
-        ClusterLauncher::with_worker_binary(workers, std::env::current_exe().expect("current exe"))
+        WorkerPool::with_worker_binary(workers, std::env::current_exe().expect("current exe"))
             .with_network(network);
     let circuit = generators::qft(qubits);
     let dag = CircuitDag::from_circuit(&circuit);

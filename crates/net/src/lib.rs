@@ -19,9 +19,8 @@
 //! * [`worker`] — the `hisvsim-net worker` process body: a resident
 //!   command loop running the exact engine rank bodies the in-process
 //!   world runs, with a warm plan cache and recycled amplitude slices,
-//! * [`pool`] — [`WorkerPool`] (alias [`ClusterLauncher`]): spawn N
-//!   workers **once**, then ship `Run` frames and gather slices and stats
-//!   per job, with mid-sweep cooperative cancellation (`Cancel { epoch }`
+//! * [`pool`] — [`WorkerPool`]: spawn N workers **once**, then ship `Run`
+//!   frames and gather slices and stats per job, with mid-sweep cooperative cancellation (`Cancel { epoch }`
 //!   → a cancel *vote* across the ranks); implements the runtime's
 //!   [`ProcessBackend`](hisvsim_runtime::ProcessBackend) so a
 //!   [`SimJob`](hisvsim_runtime::SimJob) can request
@@ -44,7 +43,7 @@ pub mod wire;
 pub mod worker;
 
 pub use launcher::{execute_local_reference, find_worker_binary, NetError, RankSummary};
-pub use pool::{ClusterLauncher, WorkerPool};
+pub use pool::WorkerPool;
 pub use proto::{LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello};
 pub use tcp::{tcp_world, PeerLost, TcpComm};
 pub use wire::WireItem;

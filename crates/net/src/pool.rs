@@ -103,10 +103,6 @@ pub struct WorkerPool {
     metrics: PoolMetrics,
 }
 
-/// The historical name: the pool supersedes the one-shot launcher but
-/// keeps its construction and execution surface verbatim.
-pub type ClusterLauncher = WorkerPool;
-
 impl WorkerPool {
     /// A pool of `workers` processes (a power of two), discovering the
     /// worker binary automatically (see [`find_worker_binary`]).

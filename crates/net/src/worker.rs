@@ -19,9 +19,8 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::RankComm;
 use hisvsim_core::{
-    run_baseline_rank_cancellable, run_fused_plan_rank_cancellable,
-    run_two_level_plan_rank_cancellable, CancelToken, Cancelled, FusedSinglePlan,
-    FusedTwoLevelPlan, RankOutcome,
+    run_baseline_rank, run_fused_plan_rank, run_two_level_plan_rank, BaselineSchedule, CancelToken,
+    Cancelled, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
@@ -109,9 +108,8 @@ fn plan_key(job: &ShippedJob) -> u64 {
 /// single dispatch point shared by worker processes (over
 /// [`TcpComm`]) and the in-process reference executor (over
 /// [`LocalComm`](hisvsim_cluster::LocalComm)) — which is what makes the two
-/// runs bit-identical by construction. Runs the cancellable rank bodies
-/// with an inert token, so its schedule (cancel votes included) matches
-/// [`execute_shipped_rank_controlled`] exactly.
+/// runs bit-identical by construction. Runs the engines' rank bodies with an
+/// inert token.
 pub fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
     comm: &mut C,
@@ -135,18 +133,15 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     let fusion = job.fusion.max(1);
     let strategy = job.strategy;
     let dispatch = job.dispatch;
+    let control = &ExecControl::new().with_cancel(cancel.clone());
     let cancelled = |_: Cancelled| NetError::Cancelled;
     match job.engine {
-        EngineKind::Baseline => run_baseline_rank_cancellable(
-            comm,
-            &job.circuit,
-            fusion,
-            strategy,
-            dispatch,
-            cancel,
-            recycled,
-        )
-        .map_err(cancelled),
+        EngineKind::Baseline => {
+            // Baseline ships no plan: the schedule is derived here, once per
+            // job, from the circuit and the world size.
+            let schedule = BaselineSchedule::build(&job.circuit, comm.size(), fusion, strategy);
+            run_baseline_rank(comm, &schedule, dispatch, control, recycled).map_err(cancelled)
+        }
         EngineKind::Hier | EngineKind::Dist => {
             let Some(PersistedPlan::Single(partition)) = &job.plan else {
                 return Err(NetError::Protocol(format!(
@@ -170,15 +165,8 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
             let BuiltPlan::Single(plan) = plan else {
                 return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
             };
-            run_fused_plan_rank_cancellable(
-                comm,
-                job.circuit.num_qubits(),
-                &plan,
-                dispatch,
-                cancel,
-                recycled,
-            )
-            .map_err(cancelled)
+            let qubits = job.circuit.num_qubits();
+            run_fused_plan_rank(comm, qubits, &plan, dispatch, control, recycled).map_err(cancelled)
         }
         EngineKind::Multilevel => {
             let Some(PersistedPlan::Two(ml)) = &job.plan else {
@@ -202,15 +190,9 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
             let BuiltPlan::Two(plan) = plan else {
                 return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
             };
-            run_two_level_plan_rank_cancellable(
-                comm,
-                job.circuit.num_qubits(),
-                &plan,
-                dispatch,
-                cancel,
-                recycled,
-            )
-            .map_err(cancelled)
+            let qubits = job.circuit.num_qubits();
+            run_two_level_plan_rank(comm, qubits, &plan, dispatch, control, recycled)
+                .map_err(cancelled)
         }
     }
 }

@@ -201,9 +201,9 @@ fn vote_any_agrees_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) {
         // Back to no: the epoch counter keeps rounds apart, so a fresh
         // round is not contaminated by earlier vote frames.
         assert!(!comm.vote_any(false));
-        // Like barriers, votes are control traffic, not payload traffic —
-        // otherwise comm stats of the cancellable and plain rank bodies
-        // would stop being comparable for the same schedule.
+        // Like barriers, votes are control traffic, not payload traffic:
+        // the rank bodies vote at every checkpoint, and the bytes and
+        // messages they report must stay the schedule's own.
         let stats = comm.stats();
         assert_eq!(stats.messages_sent, 0, "votes are not payload traffic");
         assert_eq!(stats.bytes_sent, 0);

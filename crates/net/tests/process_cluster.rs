@@ -5,7 +5,7 @@
 use hisvsim_circuit::generators;
 use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
-use hisvsim_net::{execute_local_reference, ClusterLauncher, ShippedJob};
+use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_runtime::{Backend, EngineKind, PersistedPlan, Scheduler, SchedulerConfig, SimJob};
 use hisvsim_runtime::{EngineSelector, PlanEffort};
@@ -14,8 +14,8 @@ use hisvsim_statevec::{run_circuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn launcher(workers: usize) -> ClusterLauncher {
-    ClusterLauncher::with_worker_binary(workers, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")))
+fn launcher(workers: usize) -> WorkerPool {
+    WorkerPool::with_worker_binary(workers, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")))
         .with_network(NetworkModel::hdr100())
 }
 
@@ -132,7 +132,7 @@ fn shipped_dag_strategy_runs_bit_identical_across_transports() {
 
 #[test]
 fn scheduler_routes_process_backend_jobs_through_the_launcher() {
-    let backend: Arc<ClusterLauncher> = Arc::new(launcher(4));
+    let backend: Arc<WorkerPool> = Arc::new(launcher(4));
     let scheduler = Scheduler::new(
         SchedulerConfig::default()
             .with_selector(EngineSelector::scaled(4, 8))
@@ -204,7 +204,7 @@ fn too_small_circuit_is_rejected_before_any_worker_launches() {
 fn crashed_worker_fails_the_launch_instead_of_hanging() {
     // A "worker binary" that exits immediately: the launcher must surface
     // a Worker error promptly (liveness polling), not block in accept.
-    let bad = ClusterLauncher::with_worker_binary(2, PathBuf::from("/bin/false"))
+    let bad = WorkerPool::with_worker_binary(2, PathBuf::from("/bin/false"))
         .with_network(NetworkModel::ideal());
     let job = single_level_job(EngineKind::Dist, 8, 2);
     let start = std::time::Instant::now();

@@ -625,7 +625,13 @@ mod tests {
                     panic!("expected a single-level persisted plan");
                 };
                 let dag = CircuitDag::from_circuit(&circuit);
-                let plan = hisvsim_core::FusedSinglePlan::build(&circuit, &dag, partition, 3);
+                let plan = hisvsim_core::FusedSinglePlan::build_with_strategy(
+                    &circuit,
+                    &dag,
+                    partition,
+                    3,
+                    Default::default(),
+                );
                 Ok((CachedPlan::Single(Arc::new(plan)), PlanSource::Warm))
             })
             .unwrap();
@@ -670,7 +676,13 @@ mod tests {
         };
         cache
             .get_or_plan(key, || {
-                let plan = hisvsim_core::FusedTwoLevelPlan::build(&circuit, &dag, ml.clone(), 3);
+                let plan = hisvsim_core::FusedTwoLevelPlan::build_with_strategy(
+                    &circuit,
+                    &dag,
+                    ml.clone(),
+                    3,
+                    Default::default(),
+                );
                 Ok(CachedPlan::Two(Arc::new(plan)))
             })
             .unwrap();

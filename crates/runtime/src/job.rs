@@ -21,7 +21,7 @@ pub enum Backend {
     /// Real OS processes over the TCP transport: the job's partition plan
     /// is shipped to worker processes through the registered
     /// [`ProcessBackend`](crate::pool::ProcessBackend) (see
-    /// `hisvsim_net::ClusterLauncher`). Requires
+    /// `hisvsim_net::WorkerPool`). Requires
     /// [`SchedulerConfig::with_process_backend`](crate::scheduler::SchedulerConfig::with_process_backend).
     Process,
 }

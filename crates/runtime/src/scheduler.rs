@@ -52,7 +52,7 @@ pub struct SchedulerConfig {
     pub retain_states: bool,
     /// The multi-process execution backend jobs with
     /// [`Backend::Process`](crate::job::Backend::Process) run on (e.g.
-    /// `hisvsim_net::ClusterLauncher`); `None` rejects such jobs.
+    /// `hisvsim_net::WorkerPool`); `None` rejects such jobs.
     pub process_backend: Option<Arc<dyn ProcessBackend>>,
     /// The measured-cost profile the runner consults for calibrated
     /// engine/strategy decisions and feeds with per-job phase timings.

@@ -762,7 +762,7 @@ impl SimService {
     }
 
     /// The measured-cost profile store the worker-pool core calibrates
-    /// from. Shared (`Arc`): hand it to a `ClusterLauncher` profile sink,
+    /// from. Shared (`Arc`): hand it to a `WorkerPool` profile sink,
     /// freeze it for reproducible decisions, or inspect its snapshot.
     pub fn profile_store(&self) -> Arc<hisvsim_obs::ProfileStore> {
         Arc::clone(&self.inner.runner.config().profile)

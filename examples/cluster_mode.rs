@@ -5,7 +5,7 @@
 //! 1. **Process-backed execution.** A QFT job runs twice through the
 //!    runtime scheduler — once on the in-process channel world, once on a
 //!    4-worker localhost process cluster (`Backend::Process` via
-//!    `hisvsim-net`'s `ClusterLauncher`) — and the amplitudes are compared
+//!    `hisvsim-net`'s `WorkerPool`) — and the amplitudes are compared
 //!    **bit for bit**.
 //! 2. **Remote plan shipping.** The process run reuses the exact partition
 //!    the plan cache holds: partitions travel over the control channel in
@@ -19,7 +19,7 @@
 //! `HISVSIM_CLUSTER_WORKERS` the worker count (default 4).
 
 use hisvsim_circuit::generators;
-use hisvsim_net::ClusterLauncher;
+use hisvsim_net::WorkerPool;
 use hisvsim_runtime::{Backend, EngineKind, EngineSelector, Scheduler, SchedulerConfig, SimJob};
 use hisvsim_service::prelude::*;
 use std::sync::Arc;
@@ -35,7 +35,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 fn main() {
     let qubits = env_usize("HISVSIM_CLUSTER_QUBITS", 16);
     let workers = env_usize("HISVSIM_CLUSTER_WORKERS", 4);
-    let launcher = match ClusterLauncher::new(workers) {
+    let launcher = match WorkerPool::new(workers) {
         Ok(launcher) => Arc::new(launcher),
         Err(e) => {
             eprintln!("cluster_mode: {e}");
@@ -50,7 +50,7 @@ fn main() {
 
 /// Parts 1 + 2: the same job through both backends, bit-identical results,
 /// the plan shipped from the shared cache.
-fn process_vs_local(launcher: &Arc<ClusterLauncher>, qubits: usize) {
+fn process_vs_local(launcher: &Arc<WorkerPool>, qubits: usize) {
     let scheduler = Scheduler::new(
         SchedulerConfig::default()
             .with_selector(EngineSelector::scaled(4, 8))
@@ -96,7 +96,7 @@ fn process_vs_local(launcher: &Arc<ClusterLauncher>, qubits: usize) {
 }
 
 /// Part 3: the launcher behind the job service — deadlines and metrics.
-fn service_with_deadline_and_metrics(launcher: &Arc<ClusterLauncher>, qubits: usize) {
+fn service_with_deadline_and_metrics(launcher: &Arc<WorkerPool>, qubits: usize) {
     let service = SimService::start(
         ServiceConfig::new().with_scheduler(
             SchedulerConfig::default()

@@ -1,6 +1,6 @@
 //! Shared helpers for the cross-crate integration tests, including the
 //! cross-engine differential harness backing the DAG-fusion work: every
-//! engine × every fusion strategy × fused/flat, checked against the flat
+//! engine × every fusion strategy × fusion width, checked against the flat
 //! reference and for bitwise run-to-run reproducibility.
 
 use hisvsim_circuit::{generators, Circuit};
@@ -39,9 +39,10 @@ pub fn small_suite(width: usize) -> Vec<Circuit> {
 
 /// The cross-engine differential harness.
 ///
-/// For every `(strategy, width)` combination — width `0` means fusion off
-/// (the flat per-gate execution path) — run the circuit through **all four
-/// engines** (baseline, hier, dist, multilevel) and demand:
+/// For every `(strategy, width)` combination (widths ≥ 1: the engines have
+/// no unfused path, width 1 is one sweep per gate group) run the circuit
+/// through **all four engines** (baseline, hier, dist, multilevel) and
+/// demand:
 ///
 /// 1. **agreement with the flat reference** within [`TOL`] — fusion (either
 ///    strategy) reorders commuting floating-point work, so exact equality

@@ -2,14 +2,19 @@
 //! paper's evaluation section measures must move in the right direction in
 //! this reproduction (HiSVSIM communicates less than the baseline, dagP
 //! communicates no more than Nat, communication volume falls as ranks grow,
-//! the multi-level engine adds no communication).
+//! the multi-level engine adds no communication) — and a run under a live
+//! execution control is the same run, message for message.
 
 use hisvsim_circuit::generators;
 use hisvsim_core::{
-    BaselineConfig, DistConfig, DistributedSimulator, IqsBaseline, MultilevelConfig,
-    MultilevelSimulator,
+    BaselineConfig, CancelToken, DistConfig, DistributedSimulator, ExecControl, FusedSinglePlan,
+    FusedTwoLevelPlan, IqsBaseline, MultilevelConfig, MultilevelSimulator, RunReport,
 };
-use hisvsim_partition::Strategy;
+use hisvsim_dag::CircuitDag;
+use hisvsim_partition::{MultilevelPartitioner, Strategy};
+use hisvsim_statevec::{FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn hisvsim_moves_fewer_bytes_than_the_baseline_on_comm_heavy_circuits() {
@@ -102,4 +107,87 @@ fn improvement_factor_over_baseline_is_positive_for_comm_bound_runs() {
         factor >= 1.0,
         "expected a communication-side improvement, got factor {factor}"
     );
+}
+
+/// `live(control)` under a live token and a counting sink must compute and
+/// send exactly what the inert run did, and report progress up to the last
+/// gate.
+fn assert_same_run(
+    engine: &str,
+    gates: u64,
+    inert: (StateVector, RunReport),
+    live: impl FnOnce(&ExecControl) -> (StateVector, RunReport),
+) {
+    let reports = Arc::new(AtomicU64::new(0));
+    let last = Arc::new(AtomicU64::new(0));
+    let (count, done) = (Arc::clone(&reports), Arc::clone(&last));
+    let control = ExecControl::new()
+        .with_cancel(CancelToken::new())
+        .with_progress(move |gates_done, gates_total| {
+            assert!(gates_done <= gates_total);
+            count.fetch_add(1, Ordering::SeqCst);
+            done.store(gates_done, Ordering::SeqCst);
+        });
+    let (live_state, live) = live(&control);
+    let (inert_state, inert) = inert;
+    assert_eq!(live_state, inert_state, "{engine}: states differ");
+    assert_eq!(live.comm.bytes_sent, inert.comm.bytes_sent, "{engine}");
+    assert_eq!(
+        live.comm.messages_sent, inert.comm.messages_sent,
+        "{engine}"
+    );
+    assert_eq!(live.num_exchanges, inert.num_exchanges, "{engine}");
+    assert!(inert.comm.bytes_sent > 0, "{engine}: nothing was exchanged");
+    assert!(reports.load(Ordering::SeqCst) >= 2, "{engine}: no progress");
+    assert_eq!(last.load(Ordering::SeqCst), gates, "{engine}");
+}
+
+#[test]
+fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
+    // Every SPMD engine has one rank body; the uncontrolled entry points run
+    // it under an inert control. A live token and a progress sink must change
+    // nothing that is computed or sent: same bits, same bytes, same messages,
+    // same exchanges (the cancel votes are control traffic, charged as wall
+    // time only).
+    let ranks = 4;
+    let circuit = &generators::by_name("qaoa", 10);
+    let gates = circuit.num_gates() as u64;
+    let dag = CircuitDag::from_circuit(circuit);
+    let local = circuit.num_qubits() - 2;
+    let (width, strategy) = (DEFAULT_FUSION_WIDTH, FusionStrategy::default());
+
+    let partition = Strategy::DagP.partition(&dag, local).unwrap();
+    let plan = &FusedSinglePlan::build_with_strategy(circuit, &dag, partition, width, strategy);
+    let dist = DistributedSimulator::new(DistConfig::new(ranks));
+    let inert = dist.run_with_fused_plan(circuit, plan);
+    assert_same_run("dist", gates, (inert.state, inert.report), |control| {
+        let live = dist.run_with_fused_plan_controlled(circuit, plan, control);
+        let live = live.expect("the token is never fired");
+        (live.state, live.report)
+    });
+
+    let ml = MultilevelPartitioner::default()
+        .partition(&dag, local, 4)
+        .unwrap();
+    let plan = &FusedTwoLevelPlan::build_with_strategy(circuit, &dag, ml, width, strategy);
+    let multilevel = MultilevelSimulator::new(MultilevelConfig::new(ranks, 4));
+    let inert = multilevel.run_with_fused_plan(circuit, plan);
+    assert_same_run(
+        "multilevel",
+        gates,
+        (inert.state, inert.report),
+        |control| {
+            let live = multilevel.run_with_fused_plan_controlled(circuit, plan, control);
+            let live = live.expect("the token is never fired");
+            (live.state, live.report)
+        },
+    );
+
+    let baseline = IqsBaseline::new(BaselineConfig::new(ranks));
+    let inert = baseline.run(circuit);
+    assert_same_run("baseline", gates, (inert.state, inert.report), |control| {
+        let live = baseline.run_controlled(circuit, control);
+        let live = live.expect("the token is never fired");
+        (live.state, live.report)
+    });
 }

@@ -9,7 +9,7 @@
 
 use hisvsim_circuit::{generators, Complex64};
 use hisvsim_cluster::{run_spmd, NetworkModel};
-use hisvsim_core::{run_fused_plan_rank, FusedSinglePlan, RankOutcome};
+use hisvsim_core::{run_fused_plan_rank, ExecControl, FusedSinglePlan, RankOutcome};
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::Strategy;
@@ -56,7 +56,16 @@ fn spans_cover_a_distributed_run() {
     // part of the rank's wall.
     run_spmd::<Complex64, RankOutcome, _>(RANKS, NetworkModel::ideal(), |mut comm| {
         let _rank = hisvsim_obs::span("test", "rank");
-        run_fused_plan_rank(&mut comm, n, &plan, KernelDispatch::default())
+        let control = ExecControl::default();
+        run_fused_plan_rank(
+            &mut comm,
+            n,
+            &plan,
+            KernelDispatch::default(),
+            &control,
+            None,
+        )
+        .expect("an inert control cannot cancel")
     });
     hisvsim_obs::set_enabled(false);
     let spans = hisvsim_obs::drain();
