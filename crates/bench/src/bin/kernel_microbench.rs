@@ -10,7 +10,7 @@
 //! ran on.
 //!
 //! ```text
-//! cargo run --release -p hisvsim-bench --bin kernel_microbench [reps] [--profile-out <path>]
+//! cargo run --release -p hisvsim-bench --bin kernel_microbench [reps]
 //! cargo run --release -p hisvsim-bench --bin kernel_microbench -- --check
 //! ```
 //!
@@ -25,13 +25,6 @@
 //! two loops over the same L2-resident slice, it does not care how fast the
 //! runner is. The exchange rows are held the same way to a multiple of the
 //! gather/scatter beside them. It writes no file.
-//!
-//! `--profile-out <path>` additionally emits the measurements as a
-//! [`CostProfile`](hisvsim_obs::CostProfile) in the runtime's warm-start
-//! format — drop the file at a service's `<persist_path>.profile.json`
-//! sibling path (or merge it with `ProfileStore::load_from`) to seed
-//! calibrated engine selection from a controlled benchmark instead of live
-//! traffic.
 
 use hisvsim_circuit::{Circuit, Complex64, GateKind, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, NetworkModel};
@@ -586,19 +579,6 @@ fn measure_exchanges(reps: usize, ghz: f64) -> Vec<ExchangeCase> {
     cases
 }
 
-/// The profile kernel-table name each microbench case measures, mirroring
-/// the span names the executor's recorder emits; `None` for rows that are
-/// not executor sweeps.
-fn profile_kernel_name(case: &str) -> Option<&'static str> {
-    match case {
-        "scale" | "gather_scatter" => None,
-        "two_qubit_dense" | "k_qubit_prepared" => Some("sweep:dense"),
-        "diagonal_run" | "diagonal_cascade" => Some("sweep:diagonal"),
-        name if name.starts_with('k') => Some("sweep:dense"),
-        _ => Some("sweep:solo"),
-    }
-}
-
 /// The CI guard: exit status 1 when a kernel or an exchange is over budget.
 fn check(reps: usize) -> std::process::ExitCode {
     let ghz = nominal_ghz();
@@ -638,15 +618,9 @@ fn check(reps: usize) -> std::process::ExitCode {
 
 fn main() -> std::process::ExitCode {
     let mut reps: usize = 3;
-    let mut profile_out: Option<std::path::PathBuf> = None;
     let mut check_only = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--profile-out" => {
-                let path = args.next().expect("--profile-out needs a path");
-                profile_out = Some(path.into());
-            }
             "--check" => check_only = true,
             _ => reps = arg.parse().expect("reps must be a positive integer"),
         }
@@ -686,25 +660,5 @@ fn main() -> std::process::ExitCode {
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!("\nwrote BENCH_kernels.json");
-
-    if let Some(path) = profile_out {
-        // One sweep per measured best time, attributed to both dispatches so
-        // a calibrated selector can compare them; band = qubit count, bytes
-        // = one read+write pass over the state. The profile describes the
-        // default pool, which is what the engines sweep with.
-        let mut profile = hisvsim_obs::CostProfile::new();
-        let auto_name = KernelDispatch::Auto.resolved_name();
-        for case in report.kernels.iter().filter(|case| case.pool == "default") {
-            let Some(kernel) = profile_kernel_name(&case.kernel) else {
-                continue;
-            };
-            let band = case.qubits as u32;
-            let bytes = 32u64 << case.qubits;
-            profile.absorb_kernel(kernel, "scalar", band, 1, case.scalar_s, bytes);
-            profile.absorb_kernel(kernel, auto_name, band, 1, case.auto_s, bytes);
-        }
-        profile.save(&path).expect("write cost profile");
-        println!("wrote cost profile to {}", path.display());
-    }
     std::process::ExitCode::SUCCESS
 }

@@ -10,10 +10,10 @@
 //! |---|---|
 //! | `GET /metrics` | The unified registry in Prometheus text format (strict-parser clean) |
 //! | `GET /healthz` | Liveness: `200 ok` while the process serves |
-//! | `GET /readyz` | Readiness JSON: worker pool up, plan-cache / profile warm state |
+//! | `GET /readyz` | Readiness JSON: worker pool up, plan-cache warm state |
 //! | `GET /jobs/<id>` | Status JSON: phase, progress, `EngineDecision` audit, predicted-vs-measured verdict |
 //! | `GET /jobs/<id>/trace` | Chrome trace-event JSON (Perfetto-compatible) of the job's merged timeline + spans |
-//! | `GET /jobs/<id>/profile` | The job's measured `CostProfile` delta as JSON |
+//! | `GET /jobs/<id>/profile` | The job's measured `CostProfile` as JSON |
 //!
 //! The server instruments itself into the registry it serves
 //! (`hisvsim_http_requests_total{endpoint,code}` and the

@@ -325,8 +325,8 @@ fn artifact_response(service: &SimService, id: u64, artifact: Option<String>) ->
 }
 
 /// Readiness: the worker pool must be up; the warm-state fields report
-/// how much of the plan-cache / measured-profile substrate a restart has
-/// already recovered (informational — a cold cache is still ready).
+/// how much of the plan cache a restart has already recovered
+/// (informational — a cold cache is still ready).
 fn readyz(service: &SimService) -> Response {
     let stats = service.stats();
     let cache = service.cache_stats();
@@ -346,10 +346,6 @@ fn readyz(service: &SimService) -> Response {
         (
             "plan_cache_warm".to_string(),
             Value::Bool(cache.entries > 0),
-        ),
-        (
-            "profile_warm".to_string(),
-            Value::Bool(service.profile_store().warm()),
         ),
     ]));
     if ready {

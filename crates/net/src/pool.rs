@@ -98,7 +98,6 @@ pub struct WorkerPool {
     network: NetworkModel,
     worker_bin: PathBuf,
     handshake_timeout: Duration,
-    profile: Option<Arc<hisvsim_obs::ProfileStore>>,
     inner: Mutex<PoolInner>,
     metrics: PoolMetrics,
 }
@@ -128,7 +127,6 @@ impl WorkerPool {
             network: NetworkModel::hdr100(),
             worker_bin,
             handshake_timeout: Duration::from_secs(60),
-            profile: None,
             inner: Mutex::new(PoolInner {
                 world: None,
                 next_epoch: 0,
@@ -140,17 +138,6 @@ impl WorkerPool {
     /// Use a different network model for the workers' accounting.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
         self.network = network;
-        self
-    }
-
-    /// Fold every rank's measured-cost delta
-    /// ([`RankReport::profile`]) into this store at gather time —
-    /// typically the same store the scheduler's
-    /// [`SchedulerConfig`](hisvsim_runtime::SchedulerConfig) calibrates
-    /// from, closing the loop across process boundaries. Deltas only flow
-    /// when tracing is on (the workers aggregate from their own spans).
-    pub fn with_profile_store(mut self, store: Arc<hisvsim_obs::ProfileStore>) -> Self {
-        self.profile = Some(store);
         self
     }
 
@@ -492,11 +479,6 @@ impl WorkerPool {
             for mut span in report.spans {
                 span.pid = rank as u32 + 1;
                 hisvsim_obs::record(span);
-            }
-            // Fold the rank's measured-cost delta into the profile sink
-            // (a no-op when the store is frozen or no sink is wired).
-            if let Some(store) = &self.profile {
-                store.merge(&report.profile);
             }
             log::debug(
                 LOG_TARGET,

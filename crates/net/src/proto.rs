@@ -17,7 +17,7 @@
 
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::{CommStats, NetworkModel};
-use hisvsim_obs::{CostProfile, SpanRecord};
+use hisvsim_obs::SpanRecord;
 use hisvsim_runtime::{EngineKind, FusionStrategy, KernelDispatch, PersistedPlan};
 use serde::{Deserialize, Serialize};
 
@@ -151,10 +151,4 @@ pub struct RankReport {
     /// [`ShippedJob::trace`] was set). `pid`/`tid` are worker-local; the
     /// launcher re-lanes them to `pid = rank + 1` when merging.
     pub spans: Vec<SpanRecord>,
-    /// This rank's measured-cost delta (kernel/collective/phase cells
-    /// aggregated from its own spans; empty unless [`ShippedJob::trace`]
-    /// was set). [`CostProfile::merge`] is cell-wise additive, so the
-    /// launcher folds every rank's delta into its profile store without
-    /// double counting.
-    pub profile: CostProfile,
 }

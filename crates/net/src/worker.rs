@@ -316,25 +316,10 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         ("plan_cache_misses", &cache_misses.to_string()),
                     ],
                 );
-                // Aggregate this rank's measured-cost delta from its own
-                // spans before shipping both back: the spans feed the
-                // pool's merged timeline, the delta feeds its profile
-                // store (cell-wise additive merge). The worker never sees
-                // the pool's profile — calibration happens on the pool
-                // side only, so shipped jobs stay deterministic.
-                let (spans, profile) = if job.trace {
-                    let spans = hisvsim_obs::drain();
-                    let mut profile = hisvsim_obs::CostProfile::new();
-                    profile.absorb_spans(&spans, job.dispatch.resolved_name());
-                    profile.absorb_phase(
-                        job.engine.name(),
-                        "execute",
-                        outcome.compute_time_s,
-                        outcome.local.len() as u64 * 32,
-                    );
-                    (spans, profile)
+                let spans = if job.trace {
+                    hisvsim_obs::drain()
                 } else {
-                    (Vec::new(), hisvsim_obs::CostProfile::new())
+                    Vec::new()
                 };
                 send_json(
                     &mut control,
@@ -347,7 +332,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         exchanges: outcome.exchanges,
                         amp_count: outcome.local.len(),
                         spans,
-                        profile,
                     },
                 )?;
                 write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&outcome.local))?;
@@ -376,7 +360,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         exchanges: 0,
                         amp_count: 0,
                         spans: Vec::new(),
-                        profile: hisvsim_obs::CostProfile::new(),
                     },
                 )?;
             }
@@ -431,7 +414,6 @@ fn report_failure<C: RankComm<Complex64>>(
             exchanges: 0,
             amp_count: 0,
             spans: Vec::new(),
-            profile: hisvsim_obs::CostProfile::new(),
         },
     )?;
     Ok(())

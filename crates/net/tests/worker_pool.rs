@@ -291,12 +291,18 @@ fn deadline_cancels_a_process_job_mid_sweep_through_the_service() {
         ),
     );
 
-    // Calibrate: how long does the heavy job take uncancelled?
+    // A circuit that comes back to the rank qubit layer after layer, so the
+    // baseline schedule has many steps and a vote between each (a QFT is
+    // one long local step; see `cancel_mid_sweep_is_bounded...`).
     let heavy = || {
-        SimJob::new(generators::qft(18))
+        SimJob::new(generators::by_name("ising", 18))
             .with_engine(EngineKind::Baseline)
             .with_backend(Backend::Process)
     };
+    // Calibrate the uncancelled wall on a second, warm run: the first one
+    // also pays for spawning the world and faulting in the rank slices, and
+    // 0.8x of that would be met by a warm run that was never cancelled.
+    service.submit(heavy()).wait().unwrap();
     let uncancelled_start = Instant::now();
     service.submit(heavy()).wait().unwrap();
     let uncancelled = uncancelled_start.elapsed();

@@ -21,9 +21,8 @@
 //!
 //! - [`profile`]: measured-cost aggregation. A [`CostProfile`] folds
 //!   drained spans and job phase timings into per-kernel/per-collective
-//!   bandwidth tables that the runtime's engine selector and fusion
-//!   strategy resolver consult in place of their static models —
-//!   observability closing the loop into placement decisions.
+//!   bandwidth tables, served per completed job; an output, never an
+//!   input to a placement decision.
 
 pub mod log;
 pub mod metrics;
@@ -32,9 +31,7 @@ pub mod trace;
 
 pub use log::{log_enabled, set_max_level, Level};
 pub use metrics::{validate_prometheus, Counter, Gauge, Histogram, Registry, BUCKET_BOUNDS};
-pub use profile::{
-    CollectiveCost, CostProfile, KernelCost, PhaseCost, ProfileMode, ProfileStore, PROFILE_VERSION,
-};
+pub use profile::{CollectiveCost, CostProfile, KernelCost, PhaseCost, PROFILE_VERSION};
 pub use trace::{
     chrome_trace_json, drain, dropped, enabled, instant, now_us, record, set_enabled, span,
     SpanGuard, SpanRecord,

@@ -1,5 +1,5 @@
-//! Measured-cost profiles: the calibration substrate that turns the span
-//! recorder from a passive log into an input for placement decisions.
+//! Measured-cost profiles: what a job's spans and phase timings say its
+//! kernels, collectives and phases cost.
 //!
 //! A [`CostProfile`] aggregates drained [`SpanRecord`]s (and directly
 //! reported phase timings) into three tables:
@@ -13,45 +13,19 @@
 //! - **phases** — per (engine, phase) wall-second totals from the job
 //!   runner's always-on timeline.
 //!
-//! Profiles are plain serde structs: JSON-persistable next to the
-//! plan-cache snapshot, and mergeable across runs and ranks (workers ship
-//! their deltas back in `RankReport.profile`; [`CostProfile::merge`] folds
-//! them in). The derived signals ([`CostProfile::cache_qubits`],
-//! [`CostProfile::exchange_seconds`], [`CostProfile::pass_cost`],
-//! [`CostProfile::sustained_gbps`]) each return `Option` — `None` means
-//! "not enough measured data, fall back to the model", so a cold profile
-//! reproduces the uncalibrated behaviour exactly.
-//!
-//! **Safety invariant:** nothing in this module ever touches amplitude
-//! math. A profile may change *which* engine or fusion strategy runs; the
-//! fused forms any engine executes remain pure functions of
-//! (circuit, width, resolved strategy). [`ProfileMode::Frozen`] pins the
-//! consulted profile so the *decisions* are reproducible too.
+//! A profile is an output only: the service builds one per completed job
+//! and serves it as JSON (`GET /jobs/<id>/profile`). Nothing reads one back
+//! to make a decision — a job's engine, plan and fused form are functions
+//! of the job alone.
 
 use crate::trace::SpanRecord;
-use serde::{Deserialize, Serialize};
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::RwLock;
+use serde::Serialize;
 
-/// Current on-disk profile format version.
+/// Version of the profile JSON document.
 pub const PROFILE_VERSION: u32 = 1;
 
-/// Qubit bands below this are too small for a sweep's wall time to say
-/// anything about memory-system behaviour (microsecond timings, cache
-/// warm-up noise); the cache-size cliff detector ignores them.
-const MIN_CALIBRATION_BAND: u32 = 16;
-
-/// A band's measurements must cover at least this many bytes before the
-/// cliff detector trusts its bandwidth figure.
-const MIN_BAND_BYTES: u64 = 1 << 20;
-
-/// Bandwidth dropping below this fraction of the running small-band peak
-/// marks the cache-residency cliff.
-const CLIFF_RATIO: f64 = 0.6;
-
 /// Aggregated cost of one sweep kernel at one (dispatch, qubit band) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KernelCost {
     /// Kernel name as recorded by the sweep span (`sweep:dense`, …).
     pub kernel: String,
@@ -79,7 +53,7 @@ impl KernelCost {
 }
 
 /// Aggregated cost of one collective operation kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CollectiveCost {
     /// Collective name as recorded by the comm span (`alltoallv`, `recv`).
     pub collective: String,
@@ -104,7 +78,7 @@ impl CollectiveCost {
 }
 
 /// Aggregated wall time of one (engine, phase) pair from job timelines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseCost {
     /// Engine name (`baseline`, `hier`, `dist`, `multilevel`).
     pub engine: String,
@@ -118,11 +92,10 @@ pub struct PhaseCost {
     pub bytes: u64,
 }
 
-/// Measured costs aggregated from spans and phase timings — the persisted,
-/// mergeable unit of calibration data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Measured costs aggregated from spans and phase timings.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostProfile {
-    /// On-disk format version ([`PROFILE_VERSION`]).
+    /// Document format version ([`PROFILE_VERSION`]).
     pub version: u32,
     /// Per-kernel cells, kept sorted by (kernel, dispatch, band).
     pub kernels: Vec<KernelCost>,
@@ -147,11 +120,6 @@ impl CostProfile {
             collectives: Vec::new(),
             phases: Vec::new(),
         }
-    }
-
-    /// Whether any measurement has been absorbed.
-    pub fn is_warm(&self) -> bool {
-        !self.kernels.is_empty() || !self.collectives.is_empty() || !self.phases.is_empty()
     }
 
     /// Fold a batch of drained spans in. Kernel sweep spans (category
@@ -179,8 +147,7 @@ impl CostProfile {
         }
     }
 
-    /// Fold one kernel measurement in directly (used by the microbench's
-    /// `--profile-out` path as well as [`CostProfile::absorb_spans`]).
+    /// Fold one kernel measurement in directly.
     pub fn absorb_kernel(
         &mut self,
         kernel: &str,
@@ -259,289 +226,9 @@ impl CostProfile {
         }
     }
 
-    /// Fold another profile's cells into this one (cell-wise sum). Used to
-    /// merge worker deltas into the launcher's profile and a persisted
-    /// profile into a live store; commutative and associative over the
-    /// aggregated sums.
-    pub fn merge(&mut self, other: &CostProfile) {
-        for k in &other.kernels {
-            self.absorb_kernel(&k.kernel, &k.dispatch, k.band, k.sweeps, k.seconds, k.bytes);
-        }
-        for c in &other.collectives {
-            self.absorb_collective(&c.collective, c.ops, c.seconds, c.bytes);
-        }
-        for p in &other.phases {
-            if let Some(cell) = self
-                .phases
-                .iter_mut()
-                .find(|q| q.engine == p.engine && q.phase == p.phase)
-            {
-                cell.count += p.count;
-                cell.seconds += p.seconds;
-                cell.bytes += p.bytes;
-            } else {
-                self.phases.push(p.clone());
-                self.phases
-                    .sort_by(|a, b| (&a.engine, &a.phase).cmp(&(&b.engine, &b.phase)));
-            }
-        }
-    }
-
-    /// Measured effective bandwidth of `kernel` at `band` in GB/s, across
-    /// all dispatches (bytes-weighted).
-    pub fn kernel_gbps(&self, kernel: &str, band: u32) -> Option<f64> {
-        let (bytes, seconds) = self
-            .kernels
-            .iter()
-            .filter(|k| k.kernel == kernel && k.band == band)
-            .fold((0u64, 0.0f64), |(b, s), k| (b + k.bytes, s + k.seconds));
-        if seconds > 0.0 && bytes > 0 {
-            Some(bytes as f64 / seconds / 1e9)
-        } else {
-            None
-        }
-    }
-
-    /// Bytes-weighted sustained sweep bandwidth in GB/s over every kernel
-    /// cell, or `None` with fewer than ~1 MiB of measured traffic.
-    pub fn sustained_gbps(&self) -> Option<f64> {
-        let (bytes, seconds) = self
-            .kernels
-            .iter()
-            .fold((0u64, 0.0f64), |(b, s), k| (b + k.bytes, s + k.seconds));
-        if seconds > 0.0 && bytes >= MIN_BAND_BYTES {
-            Some(bytes as f64 / seconds / 1e9)
-        } else {
-            None
-        }
-    }
-
-    /// The measured cache-residency cliff: the largest qubit band whose
-    /// sweeps still run at near-peak bandwidth. Walks the per-band
-    /// bandwidths (bands ≥ 16 qubits with ≥ 1 MiB of traffic; at least
-    /// three such bands required) and reports the band just below the
-    /// first drop under [`CLIFF_RATIO`] × the running peak. `None` when
-    /// the data shows no cliff — the modelled `cache_qubits` stands.
-    pub fn cache_qubits(&self) -> Option<u32> {
-        let mut bands: Vec<u32> = self
-            .kernels
-            .iter()
-            .filter(|k| k.band >= MIN_CALIBRATION_BAND)
-            .map(|k| k.band)
-            .collect();
-        bands.sort_unstable();
-        bands.dedup();
-        let cells: Vec<(u32, f64)> = bands
-            .into_iter()
-            .filter_map(|band| {
-                let (bytes, seconds) = self
-                    .kernels
-                    .iter()
-                    .filter(|k| k.band == band)
-                    .fold((0u64, 0.0f64), |(b, s), k| (b + k.bytes, s + k.seconds));
-                (bytes >= MIN_BAND_BYTES && seconds > 0.0)
-                    .then(|| (band, bytes as f64 / seconds / 1e9))
-            })
-            .collect();
-        if cells.len() < 3 {
-            return None;
-        }
-        let mut peak = cells[0].1;
-        for window in cells.windows(2) {
-            let (_, prev_gbps) = window[0];
-            let (band, gbps) = window[1];
-            peak = peak.max(prev_gbps);
-            if gbps < CLIFF_RATIO * peak {
-                return Some(band - 1);
-            }
-        }
-        None
-    }
-
-    /// Predicted wall seconds to move `bytes` through the measured
-    /// collective path (effective bandwidth with latency amortised in).
-    /// `None` below ~64 KiB of measured collective traffic.
-    pub fn exchange_seconds(&self, bytes: usize) -> Option<f64> {
-        let (total_bytes, seconds) = self
-            .collectives
-            .iter()
-            .filter(|c| c.collective == "alltoallv" || c.collective == "recv")
-            .fold((0u64, 0.0f64), |(b, s), c| (b + c.bytes, s + c.seconds));
-        if seconds > 0.0 && total_bytes >= 1 << 16 {
-            Some(bytes as f64 * seconds / total_bytes as f64)
-        } else {
-            None
-        }
-    }
-
-    /// The measured memory-pass cost in the fusion cost model's units
-    /// (the static model pins it at 2.0). Derived from the per-amplitude
-    /// wall-time ratio `r` between dense two-qubit-class sweeps
-    /// (modelled `pass + 4`) and diagonal runs (modelled `pass + 1`):
-    /// `pass = (4 - r) / (r - 1)`, clamped to `[0.5, 16]`. A coarse,
-    /// deliberately stable estimate — it only ever adjudicates the
-    /// window-vs-DAG `Auto` comparison, never the executed fused forms.
-    pub fn pass_cost(&self) -> Option<f64> {
-        let per_amp = |kernel: &str| -> Option<f64> {
-            let (bytes, seconds) = self
-                .kernels
-                .iter()
-                .filter(|k| k.kernel == kernel)
-                .fold((0u64, 0.0f64), |(b, s), k| (b + k.bytes, s + k.seconds));
-            let amps = bytes / 32;
-            (amps >= 1 << 12 && seconds > 0.0).then(|| seconds / amps as f64)
-        };
-        let dense = per_amp("sweep:dense")?;
-        let diagonal = per_amp("sweep:diagonal")?;
-        if diagonal <= 0.0 {
-            return None;
-        }
-        let r = dense / diagonal;
-        let pass = if r > 1.0 { (4.0 - r) / (r - 1.0) } else { 16.0 };
-        Some(pass.clamp(0.5, 16.0))
-    }
-
     /// Serialise to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("profile serialisation cannot fail")
-    }
-
-    /// Parse a profile from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let profile: CostProfile = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if profile.version != PROFILE_VERSION {
-            return Err(format!(
-                "unsupported profile version {} (expected {PROFILE_VERSION})",
-                profile.version
-            ));
-        }
-        Ok(profile)
-    }
-
-    /// Write the profile as JSON to `path`.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Load a profile from a JSON file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        Self::from_json(&text)
-    }
-}
-
-/// How a [`ProfileStore`] treats new measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProfileMode {
-    /// Absorb every measurement; decisions calibrate as data accumulates.
-    Adaptive,
-    /// The profile is read-only: decisions stay reproducible because the
-    /// consulted data never changes mid-run. Absorb calls are no-ops.
-    Frozen,
-}
-
-/// Shared, thread-safe holder of a [`CostProfile`] plus its
-/// [`ProfileMode`]. One store is injected per scheduler configuration (no
-/// process-global state), so tests and co-resident services never leak
-/// calibration into each other.
-#[derive(Debug)]
-pub struct ProfileStore {
-    frozen: AtomicBool,
-    profile: RwLock<CostProfile>,
-}
-
-impl Default for ProfileStore {
-    fn default() -> Self {
-        Self::new(ProfileMode::Adaptive)
-    }
-}
-
-impl ProfileStore {
-    /// An empty store in the given mode.
-    pub fn new(mode: ProfileMode) -> Self {
-        ProfileStore {
-            frozen: AtomicBool::new(mode == ProfileMode::Frozen),
-            profile: RwLock::new(CostProfile::new()),
-        }
-    }
-
-    /// A store pre-seeded with `profile`.
-    pub fn with_profile(mode: ProfileMode, profile: CostProfile) -> Self {
-        ProfileStore {
-            frozen: AtomicBool::new(mode == ProfileMode::Frozen),
-            profile: RwLock::new(profile),
-        }
-    }
-
-    /// The store's current mode.
-    pub fn mode(&self) -> ProfileMode {
-        if self.frozen.load(Ordering::Relaxed) {
-            ProfileMode::Frozen
-        } else {
-            ProfileMode::Adaptive
-        }
-    }
-
-    /// Switch modes (freezing pins the profile as-is).
-    pub fn set_mode(&self, mode: ProfileMode) {
-        self.frozen
-            .store(mode == ProfileMode::Frozen, Ordering::Relaxed);
-    }
-
-    /// Whether the held profile has any measurements.
-    pub fn warm(&self) -> bool {
-        self.profile.read().unwrap().is_warm()
-    }
-
-    /// A point-in-time copy of the held profile.
-    pub fn snapshot(&self) -> CostProfile {
-        self.profile.read().unwrap().clone()
-    }
-
-    /// Absorb drained spans (no-op when frozen). See
-    /// [`CostProfile::absorb_spans`].
-    pub fn absorb_spans(&self, spans: &[SpanRecord], dispatch: &str) {
-        if self.mode() == ProfileMode::Frozen {
-            return;
-        }
-        self.profile.write().unwrap().absorb_spans(spans, dispatch);
-    }
-
-    /// Absorb one job phase's wall time (no-op when frozen).
-    pub fn absorb_phase(&self, engine: &str, phase: &str, seconds: f64, bytes: u64) {
-        if self.mode() == ProfileMode::Frozen {
-            return;
-        }
-        self.profile
-            .write()
-            .unwrap()
-            .absorb_phase(engine, phase, seconds, bytes);
-    }
-
-    /// Merge another profile in (no-op when frozen). Used for worker
-    /// deltas and persisted-profile warm starts.
-    pub fn merge(&self, other: &CostProfile) {
-        if self.mode() == ProfileMode::Frozen {
-            return;
-        }
-        self.profile.write().unwrap().merge(other);
-    }
-
-    /// Merge a persisted profile from `path` into the store, regardless of
-    /// mode (loading *is* how a frozen store gets its pinned data).
-    /// Returns whether the file existed and parsed.
-    pub fn load_from(&self, path: &Path) -> Result<bool, String> {
-        if !path.exists() {
-            return Ok(false);
-        }
-        let loaded = CostProfile::load(path)?;
-        self.profile.write().unwrap().merge(&loaded);
-        Ok(true)
-    }
-
-    /// Persist the held profile as JSON to `path`.
-    pub fn save_to(&self, path: &Path) -> std::io::Result<()> {
-        self.profile.read().unwrap().save(path)
     }
 }
 
@@ -596,105 +283,5 @@ mod tests {
         assert_eq!(dense.bytes, 2 * (1u64 << 20) * 32);
         assert_eq!(profile.collectives.len(), 1);
         assert_eq!(profile.collectives[0].ops, 1);
-        assert!(profile.is_warm());
-    }
-
-    #[test]
-    fn cache_qubits_finds_the_bandwidth_cliff() {
-        let mut profile = CostProfile::new();
-        // Near-peak through band 21, cliff at 22: sized so bytes/seconds
-        // gives ~100, ~95, ~90 GB/s then ~40 GB/s.
-        for (band, gbps) in [(19u32, 100.0), (20, 95.0), (21, 90.0), (22, 40.0)] {
-            let bytes = 64u64 << band;
-            profile.absorb_kernel(
-                "sweep:dense",
-                "avx2",
-                band,
-                1,
-                bytes as f64 / (gbps * 1e9),
-                bytes,
-            );
-        }
-        assert_eq!(profile.cache_qubits(), Some(21));
-    }
-
-    #[test]
-    fn cache_qubits_needs_enough_bands_and_ignores_tiny_ones() {
-        let mut profile = CostProfile::new();
-        // Plenty of small-band cells: all below the calibration floor.
-        for band in [6u32, 8, 10, 12] {
-            profile.absorb_kernel("sweep:dense", "scalar", band, 10, 0.5, 4 << 20);
-        }
-        assert_eq!(profile.cache_qubits(), None);
-        // Two qualifying bands are still not enough to call a cliff.
-        profile.absorb_kernel("sweep:dense", "avx2", 18, 1, 0.01, 64 << 18);
-        profile.absorb_kernel("sweep:dense", "avx2", 20, 1, 0.10, 64 << 20);
-        assert_eq!(profile.cache_qubits(), None);
-    }
-
-    #[test]
-    fn exchange_model_scales_with_bytes() {
-        let mut profile = CostProfile::new();
-        profile.absorb_collective("alltoallv", 4, 0.1, 1 << 28);
-        let t1 = profile.exchange_seconds(1 << 20).unwrap();
-        let t2 = profile.exchange_seconds(1 << 21).unwrap();
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
-        // Effective bandwidth: 2^28 bytes / 0.1 s.
-        let expected = (1u64 << 20) as f64 * 0.1 / (1u64 << 28) as f64;
-        assert!((t1 - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pass_cost_inverts_the_static_model() {
-        let mut profile = CostProfile::new();
-        // Build per-amp times with ratio r = 2 => pass = (4-2)/(2-1) = 2.0.
-        let amps = 1u64 << 20;
-        profile.absorb_kernel("sweep:dense", "avx2", 20, 1, 2e-3, amps * 32);
-        profile.absorb_kernel("sweep:diagonal", "avx2", 20, 1, 1e-3, amps * 32);
-        let pass = profile.pass_cost().unwrap();
-        assert!((pass - 2.0).abs() < 1e-9, "pass = {pass}");
-        // Dense no slower than diagonal per amp: clamps to the ceiling.
-        let mut flat = CostProfile::new();
-        flat.absorb_kernel("sweep:dense", "avx2", 20, 1, 1e-3, amps * 32);
-        flat.absorb_kernel("sweep:diagonal", "avx2", 20, 1, 1e-3, amps * 32);
-        assert_eq!(flat.pass_cost(), Some(16.0));
-    }
-
-    #[test]
-    fn merge_is_cellwise_sum_and_json_round_trips_exactly() {
-        let mut a = CostProfile::new();
-        a.absorb_kernel("sweep:dense", "avx2", 20, 3, 0.25, 96 << 20);
-        a.absorb_phase("hier", "execute", 0.125, 1 << 24);
-        let mut b = CostProfile::new();
-        b.absorb_kernel("sweep:dense", "avx2", 20, 1, 0.75, 32 << 20);
-        b.absorb_kernel("sweep:solo", "scalar", 18, 2, 0.5, 16 << 18);
-        b.absorb_collective("recv", 5, 0.01, 1 << 20);
-        b.absorb_phase("hier", "execute", 0.375, 1 << 24);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is order-independent");
-        assert_eq!(ab.kernels[0].sweeps, 4);
-        assert_eq!(ab.kernels[0].seconds, 1.0);
-        assert_eq!(ab.phases[0].count, 2);
-
-        let back = CostProfile::from_json(&ab.to_json()).unwrap();
-        assert_eq!(ab, back, "f64 JSON round-trip is exact");
-    }
-
-    #[test]
-    fn frozen_store_never_mutates() {
-        let store = ProfileStore::new(ProfileMode::Frozen);
-        store.absorb_phase("hier", "execute", 1.0, 0);
-        store.absorb_spans(&[sweep_span("sweep:dense", 10, 1 << 16)], "scalar");
-        let mut delta = CostProfile::new();
-        delta.absorb_kernel("sweep:dense", "avx2", 20, 1, 0.1, 32 << 20);
-        store.merge(&delta);
-        assert!(!store.warm());
-        store.set_mode(ProfileMode::Adaptive);
-        store.merge(&delta);
-        assert!(store.warm());
     }
 }

@@ -155,15 +155,15 @@ impl SimJob {
 }
 
 /// Predicted-vs-measured audit record for one job's execute phase: what
-/// the cost model (static or calibrated) expected the execution to cost
-/// against what the wall clock measured. The ratio is exported as the
+/// the static cost model expected the execution to cost against what the
+/// wall clock measured. The ratio is exported as the
 /// `hisvsim_selector_misprediction_ratio` histogram so model drift is
 /// visible on `/metrics`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecisionVerdict {
     /// Modelled execute-phase seconds: swept amplitude bytes over the
-    /// profiled (or nominal) sweep bandwidth, plus the decision's
-    /// per-exchange estimate times the exchanges the run performed.
+    /// nominal sweep bandwidth, plus the decision's per-exchange estimate
+    /// times the exchanges the run performed.
     /// Deliberately coarse — its job is trend visibility, not accuracy.
     pub predicted_execute_s: f64,
     /// Wall-clock seconds of the execute phase.
@@ -193,9 +193,8 @@ pub struct JobResult {
     /// Engine that executed the job.
     pub engine: EngineKind,
     /// The full selector verdict behind the engine choice — limit, rank
-    /// count, exchange estimate, whether measured signals calibrated it,
-    /// and the human-readable `reason` — so reports can show *why* a job
-    /// landed where it did, not just where.
+    /// count, exchange estimate and the human-readable `reason` — so
+    /// reports can show *why* a job landed where it did, not just where.
     pub decision: EngineDecision,
     /// Predicted-vs-measured cost audit for the execute phase.
     pub verdict: DecisionVerdict,

@@ -33,15 +33,13 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::{
-    measure, CancelToken, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, SweepCosts,
-    DEFAULT_FUSION_WIDTH,
+    measure, CancelToken, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Sweep bandwidth (GB/s) the decision-verdict predictor assumes before any
-/// measured profile exists — a round figure for one socket's sustained
-/// streaming bandwidth; a warm profile replaces it with the measured value.
+/// Sweep bandwidth (GB/s) the decision-verdict predictor assumes: a round
+/// figure for one socket's sustained streaming bandwidth.
 const NOMINAL_SWEEP_GBPS: f64 = 20.0;
 
 /// A plain counting semaphore (std has none until `Semaphore` stabilises).
@@ -359,23 +357,7 @@ impl JobRunner {
         if control.cancel.is_cancelled() {
             return Err(JobError::Cancelled);
         }
-        // A warm measured-cost profile calibrates the engine decision (and
-        // the Auto-strategy resolution below); cold, both reduce exactly to
-        // the static models. The snapshot pins one consistent view for the
-        // whole job even while concurrent jobs keep feeding the store.
-        let profile = self
-            .config
-            .profile
-            .warm()
-            .then(|| self.config.profile.snapshot());
-        let mut decision = match &profile {
-            Some(profile) => {
-                self.config
-                    .selector
-                    .decide_with_profile(&job.circuit, job.engine, profile)
-            }
-            None => self.config.selector.decide(&job.circuit, job.engine),
-        };
+        let mut decision = self.config.selector.decide(&job.circuit, job.engine);
         if let Some(limit) = job.limit {
             decision.limit = limit;
             if decision.engine == EngineKind::Multilevel {
@@ -441,26 +423,7 @@ impl JobRunner {
             decision.second_limit = decision.second_limit.min(decision.limit);
         }
         let fusion = job.fusion.unwrap_or(DEFAULT_FUSION_WIDTH).max(1);
-        // With a warm profile, `Auto` resolves to an explicit strategy
-        // *here* using the measured pass cost, and the explicit strategy is
-        // what enters the plan key and (for process jobs) the wire. The
-        // candidate fused forms themselves are always built with the static
-        // model, so the resolved strategy reproduces bit-identical fused
-        // schedules everywhere — calibration picks between forms, it never
-        // alters one.
-        let mut strategy = job.fusion_strategy;
-        if strategy == FusionStrategy::Auto {
-            if let Some(pass) = profile.as_ref().and_then(|p| p.pass_cost()) {
-                let resolved =
-                    FusedCircuit::resolve_auto_with(&job.circuit, fusion, &SweepCosts { pass });
-                decision.calibrated = true;
-                decision.reason.push_str(&format!(
-                    "; auto fusion -> {} (measured pass cost {pass:.2})",
-                    resolved.name()
-                ));
-                strategy = resolved;
-            }
-        }
+        let strategy = job.fusion_strategy;
         let dispatch = job.kernel_dispatch;
 
         // Each phase is recorded twice on the shared obs clock: into the
@@ -572,8 +535,8 @@ impl JobRunner {
         );
 
         // Predicted-vs-measured audit: the swept amplitude traffic over the
-        // profiled (or nominal) sweep bandwidth, plus the decision's
-        // exchange estimate per redistribution the run actually performed.
+        // nominal sweep bandwidth, plus the decision's exchange estimate per
+        // redistribution the run actually performed.
         let state_bytes = (32u128 << job.circuit.num_qubits()) as f64;
         let sweeps = match &plan {
             Some(CachedPlan::Single(p)) => p.total_fused_ops(),
@@ -582,12 +545,8 @@ impl JobRunner {
             // the raw gate count a (pessimistic) sweep stand-in.
             None => job.circuit.num_gates(),
         };
-        let sweep_gbps = profile
-            .as_ref()
-            .and_then(|p| p.sustained_gbps())
-            .unwrap_or(NOMINAL_SWEEP_GBPS);
         let verdict = crate::job::DecisionVerdict {
-            predicted_execute_s: sweeps as f64 * state_bytes / (sweep_gbps * 1e9)
+            predicted_execute_s: sweeps as f64 * state_bytes / (NOMINAL_SWEEP_GBPS * 1e9)
                 + decision.est_exchange_s * report.num_exchanges as f64,
             measured_execute_s,
         };
@@ -614,28 +573,12 @@ impl JobRunner {
             .map(|&q| (q, measure::expectation_z(&state, q)))
             .collect();
         drop(post_span);
-        let post_s = post_start.elapsed().as_secs_f64();
         phase(
             "postprocess",
             post_ts,
             &post_start,
             format!("{} shots, {} observables", job.shots, job.observables.len()),
         );
-
-        // Feed the per-engine phase breakdown back into the profile store
-        // (a no-op under `ProfileMode::Frozen`). Kernel and collective cells
-        // are fed separately from drained recorder spans — phases are cheap
-        // enough to absorb unconditionally.
-        let engine_name = decision.engine.name();
-        let profile_store = &self.config.profile;
-        profile_store.absorb_phase(engine_name, "plan", plan_time_s, 0);
-        profile_store.absorb_phase(
-            engine_name,
-            "execute",
-            measured_execute_s,
-            (32u128 << job.circuit.num_qubits()).min(u64::MAX as u128) as u64,
-        );
-        profile_store.absorb_phase(engine_name, "postprocess", post_s, 0);
 
         Ok(JobResult {
             job_index,

@@ -25,7 +25,6 @@ use crate::job::{JobResult, SimJob};
 use crate::planner::PlanEffort;
 use crate::pool::{JobControl, JobError, JobRunner, ProcessBackend, Semaphore};
 use crate::selector::{EngineKind, EngineSelector};
-use hisvsim_obs::{ProfileMode, ProfileStore};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -54,13 +53,6 @@ pub struct SchedulerConfig {
     /// [`Backend::Process`](crate::job::Backend::Process) run on (e.g.
     /// `hisvsim_net::WorkerPool`); `None` rejects such jobs.
     pub process_backend: Option<Arc<dyn ProcessBackend>>,
-    /// The measured-cost profile the runner consults for calibrated
-    /// engine/strategy decisions and feeds with per-job phase timings.
-    /// Each config gets its own store by default (no process-global
-    /// calibration state); share one `Arc` to pool measurements across
-    /// schedulers, or freeze it ([`ProfileMode::Frozen`]) to pin
-    /// decisions.
-    pub profile: Arc<ProfileStore>,
 }
 
 impl Default for SchedulerConfig {
@@ -77,7 +69,6 @@ impl Default for SchedulerConfig {
             selector: EngineSelector::default(),
             retain_states: true,
             process_backend: None,
-            profile: Arc::new(ProfileStore::default()),
         }
     }
 }
@@ -95,8 +86,6 @@ impl std::fmt::Debug for SchedulerConfig {
                 "process_backend",
                 &self.process_backend.as_ref().map(|b| b.ranks()),
             )
-            .field("profile_mode", &self.profile.mode())
-            .field("profile_warm", &self.profile.warm())
             .finish()
     }
 }
@@ -136,20 +125,6 @@ impl SchedulerConfig {
     /// [`Backend::Process`](crate::job::Backend::Process) jobs.
     pub fn with_process_backend(mut self, backend: Arc<dyn ProcessBackend>) -> Self {
         self.process_backend = Some(backend);
-        self
-    }
-
-    /// Builder: share an existing measured-cost profile store (e.g. one
-    /// pre-seeded from a persisted profile or a microbench run).
-    pub fn with_profile_store(mut self, profile: Arc<ProfileStore>) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Builder: set the profile mode on the current store
-    /// ([`ProfileMode::Frozen`] pins calibrated decisions).
-    pub fn with_profile_mode(self, mode: ProfileMode) -> Self {
-        self.profile.set_mode(mode);
         self
     }
 }

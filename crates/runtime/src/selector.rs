@@ -84,14 +84,9 @@ pub struct EngineDecision {
     /// Second-level limit (only meaningful for [`EngineKind::Multilevel`]).
     pub second_limit: usize,
     /// Modelled seconds for one full-state redistribution at this size —
-    /// the `netmodel` signal backing the dist/multilevel choice. Replaced
-    /// by the measured collective bandwidth when a warm profile is used.
+    /// the `netmodel` signal backing the dist/multilevel choice.
     pub est_exchange_s: f64,
-    /// Whether any measured-cost signal replaced a modelled one in this
-    /// decision (see [`EngineSelector::decide_with_profile`]).
-    pub calibrated: bool,
     /// Human-readable justification, surfaced by the batch report.
-    /// Calibrated decisions are prefixed with the measured signals used.
     pub reason: String,
 }
 
@@ -152,7 +147,8 @@ impl EngineSelector {
         let arity_floor = circuit.gates().iter().map(|g| g.arity()).max().unwrap_or(1);
         let cache_limit = self.cache_qubits.clamp(arity_floor, n.max(1));
 
-        let engine = forced.unwrap_or_else(|| self.auto_engine(n));
+        let auto = self.auto_engine(n);
+        let engine = forced.unwrap_or(auto);
 
         // Rank count: one rank per node_qubits-sized slice, capped.
         let ranks = if matches!(engine, EngineKind::Dist | EngineKind::Multilevel) {
@@ -182,6 +178,24 @@ impl EngineSelector {
             .message_time(((16u128 << n) / ranks.max(1) as u128) as usize);
 
         let reason = match engine {
+            // A forced engine must not inherit the rationale of a choice the
+            // selector did not make: state the override and the derived
+            // parameters only.
+            _ if engine != auto => {
+                let parameters = match engine {
+                    EngineKind::Baseline => "one rank, no partitioning".to_string(),
+                    EngineKind::Hier => format!("gather/execute/scatter at limit {limit}"),
+                    EngineKind::Dist | EngineKind::Multilevel => format!(
+                        "{ranks} ranks, {local}-qubit local slices, limits {limit}/{second_limit} \
+                         (~{est_exchange_s:.1e} s/exchange)"
+                    ),
+                };
+                format!(
+                    "{engine} forced by the job; the selector would have picked {auto} for \
+                     2^{n} amplitudes (LLC budget {} qubits, node budget {} qubits); {parameters}",
+                    self.cache_qubits, self.node_qubits
+                )
+            }
             EngineKind::Baseline => format!(
                 "2^{n} amplitudes fit the {}-qubit LLC budget; no hierarchy needed",
                 self.cache_qubits
@@ -211,43 +225,8 @@ impl EngineSelector {
             ranks,
             second_limit,
             est_exchange_s,
-            calibrated: false,
             reason,
         }
-    }
-
-    /// [`EngineSelector::decide`], but with the static model signals
-    /// replaced by profile-derived ones wherever the profile has enough
-    /// data: the measured cache-residency cliff stands in for
-    /// `cache_qubits`, and the measured collective bandwidth stands in
-    /// for the `netmodel` exchange estimate. Signals the profile cannot
-    /// support fall back to the models, so a cold profile reproduces
-    /// [`EngineSelector::decide`] exactly (including `calibrated: false`).
-    pub fn decide_with_profile(
-        &self,
-        circuit: &Circuit,
-        forced: Option<EngineKind>,
-        profile: &hisvsim_obs::CostProfile,
-    ) -> EngineDecision {
-        let mut signals: Vec<&'static str> = Vec::new();
-        let mut effective = self.clone();
-        if let Some(measured) = profile.cache_qubits() {
-            // The cache budget can never exceed the node budget.
-            effective.cache_qubits = (measured as usize).min(effective.node_qubits);
-            signals.push("cache=measured");
-        }
-        let mut decision = effective.decide(circuit, forced);
-        let slice_bytes =
-            ((16u128 << circuit.num_qubits()) / decision.ranks.max(1) as u128) as usize;
-        if let Some(seconds) = profile.exchange_seconds(slice_bytes) {
-            decision.est_exchange_s = seconds;
-            signals.push("exchange=measured");
-        }
-        if !signals.is_empty() {
-            decision.calibrated = true;
-            decision.reason = format!("calibrated[{}]: {}", signals.join(","), decision.reason);
-        }
-        decision
     }
 
     fn auto_engine(&self, n: usize) -> EngineKind {
@@ -346,6 +325,39 @@ mod tests {
     }
 
     #[test]
+    fn a_forced_engine_does_not_borrow_the_auto_rationale() {
+        // 16 qubits fit the default 21-qubit LLC budget: auto picks baseline.
+        let s = EngineSelector::default();
+        let circuit = generators::qft(16);
+        let auto = s.decide(&circuit, None);
+        assert_eq!(auto.engine, EngineKind::Baseline);
+        assert!(auto.reason.contains("fit the 21-qubit LLC budget"));
+        // Forcing the engine the selector picks anyway keeps its rationale.
+        assert_eq!(
+            s.decide(&circuit, Some(EngineKind::Baseline)).reason,
+            auto.reason
+        );
+
+        // Each forced decision names the override and its own parameters.
+        for engine in [EngineKind::Hier, EngineKind::Dist] {
+            let forced = s.decide(&circuit, Some(engine));
+            let parameter = match engine {
+                EngineKind::Hier => format!("at limit {}", forced.limit),
+                _ => format!("{} ranks", forced.ranks),
+            };
+            let reason = &forced.reason;
+            assert!(
+                reason.starts_with(&format!(
+                    "{engine} forced by the job; the selector would have picked baseline"
+                )),
+                "{reason}"
+            );
+            assert!(!reason.contains("exceed"), "{reason}");
+            assert!(reason.contains(&parameter), "{reason}");
+        }
+    }
+
+    #[test]
     fn limits_never_drop_below_gate_arity() {
         // The adder family contains Toffolis (arity 3).
         let s = EngineSelector::scaled(2, 5);
@@ -369,55 +381,6 @@ mod tests {
                 d.ranks
             );
         }
-    }
-
-    #[test]
-    fn calibrated_decide_uses_measured_signals_and_cold_falls_back() {
-        use hisvsim_obs::CostProfile;
-
-        let s = EngineSelector::scaled(18, 26);
-        let circuit = generators::qft(20);
-
-        // Cold profile: identical to the uncalibrated decision.
-        let cold = s.decide_with_profile(&circuit, None, &CostProfile::new());
-        let plain = s.decide(&circuit, None);
-        assert!(!cold.calibrated);
-        assert_eq!(cold.engine, plain.engine);
-        assert_eq!(cold.reason, plain.reason);
-
-        // Warm profile: near-peak bandwidth through band 21, cliff at 22
-        // → measured cache budget 21 qubits, so the 20-qubit job now fits
-        // the cache and lands on the baseline engine.
-        let mut profile = CostProfile::new();
-        for (band, gbps) in [(19u32, 100.0), (20, 95.0), (21, 90.0), (22, 40.0)] {
-            let bytes = 64u64 << band;
-            profile.absorb_kernel(
-                "sweep:dense",
-                "avx2",
-                band,
-                1,
-                bytes as f64 / (gbps * 1e9),
-                bytes,
-            );
-        }
-        let warm = s.decide_with_profile(&circuit, None, &profile);
-        assert_eq!(plain.engine, EngineKind::Hier);
-        assert_eq!(warm.engine, EngineKind::Baseline);
-        assert!(warm.calibrated);
-        assert!(
-            warm.reason.starts_with("calibrated[cache=measured]"),
-            "reason: {}",
-            warm.reason
-        );
-
-        // Measured collective bandwidth replaces the netmodel estimate.
-        profile.absorb_collective("alltoallv", 4, 0.1, 1 << 28);
-        let dist = s.decide_with_profile(&circuit, Some(EngineKind::Dist), &profile);
-        assert!(dist.calibrated);
-        assert!(dist.reason.contains("exchange=measured"), "{}", dist.reason);
-        let slice_bytes = ((16u128 << 20) / dist.ranks as u128) as f64;
-        let expected = slice_bytes * 0.1 / (1u64 << 28) as f64;
-        assert!((dist.est_exchange_s - expected).abs() < 1e-12);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct JobArtifacts {
     /// with [`ServiceConfig::with_trace_artifacts`](crate::ServiceConfig::with_trace_artifacts)
     /// and the recorder was enabled.
     pub spans: Vec<SpanRecord>,
-    /// The measured-cost delta this job contributed: its phase timings
-    /// plus whatever kernel/collective cells its drained spans carried.
+    /// The job's measured costs: its phase timings plus whatever
+    /// kernel/collective cells its drained spans carried.
     pub profile_delta: Option<CostProfile>,
 }
 

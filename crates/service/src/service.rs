@@ -42,10 +42,9 @@ pub struct ServiceConfig {
     /// profile delta retained per terminal job for later download).
     pub artifact_capacity: usize,
     /// When true, each completed job drains the global span recorder into
-    /// its own artifact (and absorbs the spans into the profile store on
-    /// the caller's behalf). Off by default because the drain is
-    /// process-wide: callers that drain the recorder themselves
-    /// ([`SimService::absorb_trace`], timeline exporters) would race it.
+    /// its own artifact. Off by default because the drain is process-wide:
+    /// callers that drain the recorder themselves (timeline exporters)
+    /// would race it.
     pub trace_artifacts: bool,
 }
 
@@ -223,7 +222,6 @@ struct ServiceMetrics {
     job_wall_seconds: Arc<Histogram>,
     job_plan_seconds: Arc<Histogram>,
     selector_misprediction_ratio: Arc<Histogram>,
-    selector_calibrated_total: Arc<Counter>,
     comm_bytes_total: Arc<Counter>,
     comm_messages_total: Arc<Counter>,
     comm_wall_seconds_total: Arc<Counter>,
@@ -244,12 +242,7 @@ impl ServiceMetrics {
             selector_misprediction_ratio: registry.histogram(
                 "hisvsim_selector_misprediction_ratio",
                 "Measured-over-predicted execute seconds per completed job (1.0 = perfect \
-                 cost model; drift here says the profile or the static model is stale).",
-            ),
-            selector_calibrated_total: registry.counter(
-                "hisvsim_selector_calibrated_decisions_total",
-                "Completed jobs whose engine or fusion-strategy decision used \
-                 measured-profile signals instead of the static model.",
+                 cost model; drift here says the static model is stale).",
             ),
             comm_bytes_total: registry.counter(
                 "hisvsim_comm_bytes_sent_total",
@@ -278,9 +271,6 @@ impl ServiceMetrics {
         if result.verdict.predicted_execute_s > 0.0 {
             self.selector_misprediction_ratio
                 .observe(result.verdict.ratio());
-        }
-        if result.decision.calibrated {
-            self.selector_calibrated_total.add(1.0);
         }
         let comm = result.comm_stats();
         self.comm_bytes_total.add(comm.bytes_sent as f64);
@@ -361,14 +351,6 @@ impl SimService {
             if path.exists() {
                 // A corrupt snapshot degrades to a cold start.
                 let _ = runner.cache().load_snapshot(path);
-            }
-            // The measured-cost profile lives next to the plan snapshot and
-            // warms the same way: a restarted service resumes calibrated
-            // decisions immediately (a corrupt or missing profile degrades
-            // to the static cost model, never to an error).
-            let profile_path = profile_path_for(path);
-            if profile_path.exists() {
-                let _ = runner.config().profile.load_from(&profile_path);
             }
         }
         let worker_count = config.scheduler.workers.max(1);
@@ -634,15 +616,6 @@ impl SimService {
             "Completed-job artifacts dropped by the LRU bound.",
             self.inner.artifacts.evicted(),
         );
-        gauge(
-            "hisvsim_profile_warm",
-            "1 when the measured-cost profile has cells (calibrated decisions possible).",
-            if self.inner.runner.config().profile.warm() {
-                1.0
-            } else {
-                0.0
-            },
-        );
         if let Some(pool) = self
             .inner
             .runner
@@ -761,28 +734,6 @@ impl SimService {
         self.inner.artifacts.get(id).and_then(|a| a.profile_json())
     }
 
-    /// The measured-cost profile store the worker-pool core calibrates
-    /// from. Shared (`Arc`): hand it to a `WorkerPool` profile sink,
-    /// freeze it for reproducible decisions, or inspect its snapshot.
-    pub fn profile_store(&self) -> Arc<hisvsim_obs::ProfileStore> {
-        Arc::clone(&self.inner.runner.config().profile)
-    }
-
-    /// Drain the global span recorder into the profile store and return how
-    /// many spans were absorbed. **Consumes the trace buffer** — callers
-    /// that also export timelines should export first, then absorb. Spans
-    /// are attributed to the machine's resolved auto kernel dispatch;
-    /// forced-scalar experiments should keep tracing off or freeze the
-    /// profile so their sweeps do not dilute the auto-dispatch cells.
-    pub fn absorb_trace(&self) -> usize {
-        let spans = hisvsim_obs::drain();
-        self.inner.runner.config().profile.absorb_spans(
-            &spans,
-            hisvsim_statevec::KernelDispatch::Auto.resolved_name(),
-        );
-        spans.len()
-    }
-
     /// Timer threads the deadline machinery has ever spawned: `0` before
     /// the first [`SimJob::with_deadline`] submission, `1` after — never
     /// more, regardless of how many deadlined jobs are in flight (they all
@@ -791,21 +742,13 @@ impl SimService {
         self.inner.deadlines.threads_spawned.load(Ordering::SeqCst)
     }
 
-    /// Write the plan-cache snapshot and the measured-cost profile now
-    /// (requires persistence to be configured). Returns the number of
-    /// persisted plans; the profile lands at the sibling
-    /// `<persist_path>.profile.json` path.
+    /// Write the plan-cache snapshot now (requires persistence to be
+    /// configured). Returns the number of persisted plans.
     pub fn persist_plans(&self) -> std::io::Result<usize> {
         let path = self.persist_path.as_ref().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no persist_path configured")
         })?;
-        let count = self.inner.runner.cache().save_snapshot(path)?;
-        self.inner
-            .runner
-            .config()
-            .profile
-            .save_to(&profile_path_for(path))?;
-        Ok(count)
+        self.inner.runner.cache().save_snapshot(path)
     }
 
     /// Drain the queue, join the workers and persist the plan cache (when
@@ -850,12 +793,6 @@ impl SimService {
         }
         if let Some(path) = &self.persist_path {
             let _ = self.inner.runner.cache().save_snapshot(path);
-            let _ = self
-                .inner
-                .runner
-                .config()
-                .profile
-                .save_to(&profile_path_for(path));
         }
         // Workers and timer are gone, so no job can reach the backend any
         // more: tear its resident worker world down cleanly (a no-op for
@@ -864,13 +801,6 @@ impl SimService {
             backend.shutdown();
         }
     }
-}
-
-/// The measured-cost profile's on-disk home: a sibling of the plan-cache
-/// snapshot (`plans.json` → `plans.profile.json`), so the two warm-start
-/// artifacts travel together.
-fn profile_path_for(persist_path: &std::path::Path) -> PathBuf {
-    persist_path.with_extension("profile.json")
 }
 
 impl Drop for SimService {
@@ -1187,10 +1117,8 @@ fn run_one(inner: &Inner, queued: QueuedJob) {
 
 /// Assemble the artifact record for a job that ran (or died) on a worker.
 /// With [`ServiceConfig::trace_artifacts`] on and the recorder enabled,
-/// the global span buffer is drained here: the spans land in the artifact
-/// *and* are absorbed into the profile store (exactly what a manual
-/// [`SimService::absorb_trace`] would have done — the calibration loop
-/// keeps learning, per job instead of per scrape).
+/// the global span buffer is drained here and the spans land in the
+/// artifact.
 fn build_artifacts(
     inner: &Inner,
     id: u64,
@@ -1206,12 +1134,7 @@ fn build_artifacts(
     };
     match outcome {
         Ok(result) => {
-            let dispatch = result.kernel_dispatch.resolved_name();
-            if !spans.is_empty() {
-                inner.runner.config().profile.absorb_spans(&spans, dispatch);
-            }
-            // The job's own measured-cost contribution, mirroring what the
-            // runner fed the shared store: phase timings from the worker
+            // The job's own measured costs: phase timings from the worker
             // timeline, kernel/collective cells from the drained spans.
             let mut delta = CostProfile::new();
             let engine = result.engine.name();
@@ -1224,9 +1147,7 @@ fn build_artifacts(
                     _ => {}
                 }
             }
-            if !spans.is_empty() {
-                delta.absorb_spans(&spans, dispatch);
-            }
+            delta.absorb_spans(&spans, result.kernel_dispatch.resolved_name());
             JobArtifacts {
                 id,
                 circuit,

@@ -771,34 +771,6 @@ impl FusedCircuit {
         }
     }
 
-    /// Resolve [`FusionStrategy::Auto`] to an explicit strategy under the
-    /// given cost model, without keeping the built forms. With
-    /// [`SweepCosts::default`] this returns exactly what
-    /// [`FusedCircuit::with_strategy`] would resolve `Auto` to; with
-    /// measured costs the window-vs-DAG adjudication uses the machine's
-    /// observed pass cost instead of the static constant. Both candidate
-    /// forms are still *built* with the static model — only the
-    /// comparison between them is calibrated — so the returned explicit
-    /// strategy reproduces bit-identical fused forms everywhere,
-    /// including on remote workers that never see the profile.
-    pub fn resolve_auto_with(
-        circuit: &Circuit,
-        max_fused_qubits: usize,
-        costs: &SweepCosts,
-    ) -> FusionStrategy {
-        let window = Self::new(circuit, max_fused_qubits);
-        if !window.window_histogram_degenerated() {
-            return FusionStrategy::Window;
-        }
-        let dag = CircuitDag::from_circuit(circuit);
-        let dag_form = Self::from_dag(circuit, &dag, max_fused_qubits);
-        if dag_form.estimated_sweep_cost_with(costs) < window.estimated_sweep_cost_with(costs) {
-            FusionStrategy::Dag
-        } else {
-            FusionStrategy::Window
-        }
-    }
-
     /// Fuse `circuit` by covering its gate-dependency DAG with antichain
     /// groups ([`hisvsim_dag::antichain_fusion_groups`]): gates with no
     /// dependency path between them commute structurally, so no matrix
@@ -875,19 +847,12 @@ impl FusedCircuit {
     /// terms, same units as the fusion cost model). Used to compare the
     /// window and DAG forms under [`FusionStrategy::Auto`].
     fn estimated_sweep_cost(&self) -> f64 {
-        self.estimated_sweep_cost_with(&SweepCosts::default())
-    }
-
-    /// [`Self::estimated_sweep_cost`] under an explicit (possibly
-    /// measured) cost model. Evaluates an already-built fused form — it
-    /// never changes the form itself.
-    pub fn estimated_sweep_cost_with(&self, costs: &SweepCosts) -> f64 {
         self.ops
             .iter()
             .map(|op| match op {
-                FusedOp::Dense(g) => costs.pass + (1u64 << g.qubits.len()) as f64,
-                FusedOp::Solo(gate, _) => solo_cost_with(gate, costs.pass),
-                FusedOp::Diagonal { factors, .. } => costs.pass + 0.5 * factors.len() as f64,
+                FusedOp::Dense(g) => PASS + (1u64 << g.qubits.len()) as f64,
+                FusedOp::Solo(gate, _) => solo_cost(gate),
+                FusedOp::Diagonal { factors, .. } => PASS + 0.5 * factors.len() as f64,
             })
             .sum()
     }
@@ -1227,30 +1192,6 @@ impl TileOp<'_> {
 /// once, relative to one complex multiply-add per amplitude.
 const PASS: f64 = 2.0;
 
-/// Tunable constants of the sweep cost model. The default reproduces the
-/// static model ([`PASS`] = 2.0) exactly; a measured-cost profile can
-/// supply a calibrated `pass` instead.
-///
-/// **Scope guard:** calibrated costs only ever adjudicate *between* fused
-/// forms (the [`FusionStrategy::Auto`] window-vs-DAG comparison, via
-/// [`FusedCircuit::resolve_auto_with`]). The forms themselves — group
-/// boundaries, demotion decisions, widen allowances — are always built
-/// with the static model, so a fused circuit stays a pure function of
-/// (circuit, width, resolved strategy) and every engine, local or remote,
-/// derives bit-identical schedules with or without a profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepCosts {
-    /// Cost of one streaming pass over the state relative to one complex
-    /// multiply-add per amplitude.
-    pub pass: f64,
-}
-
-impl Default for SweepCosts {
-    fn default() -> Self {
-        SweepCosts { pass: PASS }
-    }
-}
-
 /// Process-wide count of fused groups demoted back to their member gates
 /// because the modelled fused sweep cost exceeded the sum of the members'
 /// solo costs (see [`emit_dense_group`]). Monotonic; the service layer syncs
@@ -1271,23 +1212,18 @@ pub fn fusion_fallback_count() -> u64 {
 /// (memory-traffic) term. Only relative magnitudes matter: the fusion
 /// builder compares this against the arithmetic a wider dense group adds.
 fn solo_cost(gate: &Gate) -> f64 {
-    solo_cost_with(gate, PASS)
-}
-
-/// [`solo_cost`] with an explicit pass cost (see [`SweepCosts`]).
-fn solo_cost_with(gate: &Gate, pass: f64) -> f64 {
     use hisvsim_circuit::GateKind::*;
     match (&gate.kind, gate.arity()) {
         (I, _) => 0.0,
-        (X, 1) => pass,
-        (Cx, 2) | (Swap, 2) => 0.5 * pass + 0.5,
-        (Cz, 2) => pass + 0.5,
-        (kind, 1) if kind.is_diagonal() => pass + 1.0,
-        (_, 1) => pass + 2.0,
-        (kind, 2) if kind.num_controls() == 1 => 0.5 * pass + 1.0,
-        (kind, 2) if kind.is_diagonal() => pass + 1.0,
-        (_, 2) => pass + 4.0,
-        (_, k) => pass + (1u64 << k) as f64,
+        (X, 1) => PASS,
+        (Cx, 2) | (Swap, 2) => 0.5 * PASS + 0.5,
+        (Cz, 2) => PASS + 0.5,
+        (kind, 1) if kind.is_diagonal() => PASS + 1.0,
+        (_, 1) => PASS + 2.0,
+        (kind, 2) if kind.num_controls() == 1 => 0.5 * PASS + 1.0,
+        (kind, 2) if kind.is_diagonal() => PASS + 1.0,
+        (_, 2) => PASS + 4.0,
+        (_, k) => PASS + (1u64 << k) as f64,
     }
 }
 

@@ -44,7 +44,7 @@ pub mod measure;
 pub mod simd;
 pub mod state;
 
-pub use fusion::{FusedCircuit, FusedOp, FusionStrategy, SweepCosts, DEFAULT_FUSION_WIDTH};
+pub use fusion::{FusedCircuit, FusedOp, FusionStrategy, DEFAULT_FUSION_WIDTH};
 pub use gather::GatherMap;
 pub use interrupt::{CancelToken, Cancelled};
 pub use kernels::{apply_circuit, apply_gate, run_circuit, ApplyOptions};

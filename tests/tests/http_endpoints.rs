@@ -7,7 +7,7 @@
 use hisvsim_circuit::generators;
 use hisvsim_http::{client, HttpServer};
 use hisvsim_obs::validate_prometheus;
-use hisvsim_runtime::{EngineSelector, SchedulerConfig, SimJob};
+use hisvsim_runtime::{EngineKind, EngineSelector, SchedulerConfig, SimJob};
 use hisvsim_service::prelude::*;
 use std::sync::Arc;
 
@@ -94,8 +94,11 @@ fn bad_requests_get_bounded_error_codes() {
 fn traced_job_trace_round_trips_as_chrome_trace_json() {
     hisvsim_obs::set_enabled(true);
     let service = Arc::new(SimService::start(service(1).with_trace_artifacts(true)));
+    // Distributed over thread ranks, so the job has collectives as well as
+    // kernel sweeps to measure.
     let handle = service.submit(
-        SimJob::new(generators::qft(8))
+        SimJob::new(generators::qft(10))
+            .with_engine(EngineKind::Dist)
             .with_shots(16)
             .with_observables(vec![0]),
     );
@@ -154,9 +157,30 @@ fn traced_job_trace_round_trips_as_chrome_trace_json() {
 
     let profile = client::http_get(addr, &format!("/jobs/{id}/profile")).expect("GET profile");
     assert_eq!(profile.status, 200);
+    let profile = serde_json::value_from_str(&profile.body_string()).expect("profile is JSON");
+    let cells = |table: &str, key: &str| -> Vec<String> {
+        profile
+            .get_field(table)
+            .and_then(|t| t.as_array())
+            .unwrap_or_else(|| panic!("profile has no `{table}` table"))
+            .iter()
+            .filter_map(|cell| cell.get_field(key)?.as_str().map(str::to_string))
+            .collect()
+    };
     assert!(
-        serde_json::value_from_str(&profile.body_string()).is_ok(),
-        "profile delta must be JSON"
+        cells("kernels", "kernel")
+            .iter()
+            .any(|k| k.starts_with("sweep:")),
+        "a traced job's profile must carry kernel cells"
+    );
+    assert!(
+        cells("collectives", "collective").contains(&"alltoallv".to_string()),
+        "a traced distributed job's profile must carry collective cells"
+    );
+    assert_eq!(
+        cells("phases", "phase"),
+        ["execute", "plan", "postprocess"],
+        "the profile must carry one cell per runner phase"
     );
     server.shutdown();
 }

@@ -58,15 +58,10 @@ fn metrics_text_is_valid_prometheus_exposition() {
         "hisvsim_job_plan_seconds_sum",
         "hisvsim_comm_bytes_sent_total",
         "hisvsim_comm_wall_seconds_total",
-        // The measured-cost loop's audit series: predicted-vs-measured
-        // ratio per job, calibrated-decision counter (0 here — phase
-        // timings alone trip no calibration signal), profile warmth (1 —
-        // the jobs above fed the store their own phase measurements), and
-        // the tracer's drop counter.
+        // The cost model's audit series (predicted-vs-measured ratio per
+        // job) and the tracer's drop counter.
         "hisvsim_selector_misprediction_ratio_bucket",
         "hisvsim_selector_misprediction_ratio_count 3",
-        "hisvsim_selector_calibrated_decisions_total 0",
-        "hisvsim_profile_warm 1",
         "hisvsim_obs_spans_dropped_total",
     ] {
         assert!(

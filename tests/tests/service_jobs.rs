@@ -214,6 +214,58 @@ fn persisted_then_reloaded_plan_cache_is_bit_identical_and_replans_nothing() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A job's plan is a function of the job: with the span recorder on and
+/// per-job trace artifacts kept (what `hisvsim-http serve --trace` runs), a
+/// repeated job keeps hitting the plan it planned first, whatever the
+/// process measured in between. 16 qubits, so every sweep is a recorded
+/// span; the QAOA in the middle adds diagonal-run measurements to the QFT's
+/// dense ones.
+#[test]
+fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
+    hisvsim_obs::set_enabled(true);
+    let service = SimService::start(
+        ServiceConfig::new()
+            .with_scheduler(SchedulerConfig::default().with_workers(1))
+            .with_trace_artifacts(true),
+    );
+    let qft = || SimJob::new(generators::qft(16)).with_engine(EngineKind::Hier);
+    let run = |job: SimJob| service.submit(job).wait().expect("job must complete");
+    let first = run(qft());
+    let second = run(qft());
+    // No engine forced: 16 qubits fit the default LLC budget, so this one
+    // runs on the baseline engine and plans nothing.
+    let other = run(SimJob::new(generators::by_name("qaoa", 16)));
+    let last = run(qft());
+    hisvsim_obs::set_enabled(false);
+
+    assert_eq!(
+        [
+            first.plan_cache_hit,
+            second.plan_cache_hit,
+            last.plan_cache_hit
+        ],
+        [false, true, true],
+        "the repeated job must plan once and hit ever after"
+    );
+    assert_eq!(
+        format!("{:?}", first.decision),
+        format!("{:?}", last.decision),
+        "the same job got a different decision later in the process"
+    );
+    assert_eq!(other.engine, EngineKind::Baseline);
+    assert!(
+        last.verdict.measured_execute_s > 0.0 && last.verdict.predicted_execute_s > 0.0,
+        "the audit trail must carry a predicted-vs-measured verdict"
+    );
+    let cache = service.cache_stats();
+    assert_eq!(
+        (cache.misses, cache.entries),
+        (1, 1),
+        "one planned circuit, one miss, one entry"
+    );
+    service.shutdown().unwrap();
+}
+
 /// The CI smoke test (run under `timeout`): submit a batch, cancel half
 /// mid-flight, assert every job reaches a terminal state and the service
 /// drains cleanly on shutdown.
