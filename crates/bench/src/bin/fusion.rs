@@ -2,8 +2,13 @@
 //! the end-to-end speedup of the fused flat simulator and of the
 //! hierarchical engine (which only runs fused) over the flat gate-by-gate
 //! reference, verifies every result against that reference, and records
-//! everything in `BENCH_fusion.json` so the perf trajectory of the
-//! execution path has data points.
+//! everything in `BENCH_fusion.json` — one run per width, a re-run replacing
+//! the run of its width — so the perf trajectory of the execution path has
+//! data points. The hier rows are taken at two limits (`qubits − 4`, and 16:
+//! an inner vector of one L2 tile) and say how many parts the engine
+//! gathered and how many it swept in place; the flat fused rows are the same
+//! circuit with nothing gathered, which is what the paper's claim is read
+//! against (README, "Reproducing the paper's artifacts").
 //!
 //! ```text
 //! cargo run --release -p hisvsim-bench --bin fusion [qubits] [reps] [family]
@@ -20,13 +25,15 @@
 //! motivates the auto default.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::{HierConfig, HierarchicalSimulator};
+use hisvsim_core::hier::{part_mode, PartMode};
+use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 use hisvsim_statevec::{
     kernels, ApplyOptions, FusedCircuit, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use serde::Serialize;
+use serde_json::Value;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -50,6 +57,10 @@ struct HierResult {
     qubits: usize,
     limit: usize,
     num_parts: usize,
+    /// Parts the engine gathered into inner vectors (Algorithm 1) …
+    gathered_parts: usize,
+    /// … and parts it swept in place on the outer state.
+    in_place_parts: usize,
     strategy: String,
     fusion_width: usize,
     /// The flat simulator applying the circuit gate by gate (the same
@@ -205,28 +216,39 @@ fn hier_cases(reference: &Reference, limit: usize, reps: usize, width: usize) ->
                     .with_fusion(width)
                     .with_fusion_strategy(strategy),
             );
+            let plan = FusedSinglePlan::build_with_strategy(
+                circuit,
+                &dag,
+                partition.clone(),
+                width,
+                strategy,
+            );
+            let gathered_parts = plan
+                .parts
+                .iter()
+                .filter(|p| part_mode(n, &p.working_set, &p.inner) == PartMode::Gather)
+                .count();
             let mut fused_state = None;
             let fused_s = time_best(reps, || {
-                fused_state = Some(
-                    fused_sim
-                        .run_with_partition(circuit, &dag, partition.clone())
-                        .state,
-                );
+                fused_state = Some(fused_sim.run_with_fused_plan(circuit, &plan).state);
             });
             let max_abs_diff = fused_state
                 .expect("at least one rep")
                 .max_abs_diff(&reference.state);
             println!(
-                "hier {name}@{n} [{strategy}] (limit {limit}, {} parts): flat gate by gate \
-                 {flat_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x (max diff {max_abs_diff:.2e})",
-                partition.num_parts(),
+                "hier {name}@{n} [{strategy}] (limit {limit}, {} parts, {gathered_parts} gathered): \
+                 flat gate by gate {flat_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x \
+                 (max diff {max_abs_diff:.2e})",
+                plan.parts.len(),
                 flat_s / fused_s
             );
             HierResult {
                 circuit: name.to_string(),
                 qubits: n,
                 limit,
-                num_parts: partition.num_parts(),
+                num_parts: plan.parts.len(),
+                gathered_parts,
+                in_place_parts: plan.parts.len() - gathered_parts,
                 strategy: strategy.name().to_string(),
                 fusion_width: width,
                 flat_gate_by_gate_s: flat_s,
@@ -236,6 +258,33 @@ fn hier_cases(reference: &Reference, limit: usize, reps: usize, width: usize) ->
             }
         })
         .collect()
+}
+
+/// Every run in `BENCH_fusion.json`, ascending by width.
+struct Ledger(Vec<Value>);
+
+impl Serialize for Ledger {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("runs".to_string(), Value::Array(self.0.clone()))])
+    }
+}
+
+/// `BENCH_fusion.json` with this run in place of the earlier run of the same
+/// width.
+fn ledger_with(report: &Report) -> Ledger {
+    let width_of = |run: &Value| match run.get_field("qubits") {
+        Some(Value::Int(qubits)) => *qubits,
+        _ => -1,
+    };
+    let mut runs: Vec<Value> = std::fs::read_to_string("BENCH_fusion.json")
+        .ok()
+        .and_then(|text| serde_json::value_from_str(&text).ok())
+        .and_then(|ledger| Some(ledger.get_field("runs")?.as_array()?.to_vec()))
+        .unwrap_or_default();
+    runs.retain(|run| width_of(run) != report.qubits as i128);
+    runs.push(serde_json::to_value(report));
+    runs.sort_by_key(width_of);
+    Ledger(runs)
 }
 
 fn width_sweep(name: &str, n: usize, reps: usize) -> Vec<SweepPoint> {
@@ -308,12 +357,19 @@ fn main() {
         })
         .collect();
 
-    let limit = qubits.saturating_sub(4).max(4);
+    // The paper's shape (a part a few qubits narrower than the state), and
+    // an inner vector of one L2 tile.
+    let mut limits = vec![qubits.saturating_sub(4).max(4)];
+    if 16 < limits[0] {
+        limits.push(16);
+    }
     let (mut flat, mut hier) = (Vec::new(), Vec::new());
     for name in families.iter().copied() {
         let reference = flat_reference(name, qubits, reps);
         flat.extend(flat_cases(&reference, reps, width));
-        hier.extend(hier_cases(&reference, limit, reps, width));
+        for &limit in &limits {
+            hier.extend(hier_cases(&reference, limit, reps, width));
+        }
     }
     let sweep = width_sweep("qft", sweep_qubits, reps);
 
@@ -327,9 +383,9 @@ fn main() {
         width_sweep: sweep,
     };
     if family == "all" {
-        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        let json = serde_json::to_string_pretty(&ledger_with(&report)).expect("serialize ledger");
         std::fs::write("BENCH_fusion.json", &json).expect("write BENCH_fusion.json");
-        println!("\nwrote BENCH_fusion.json");
+        println!("\nwrote the {qubits}-qubit run into BENCH_fusion.json");
     } else {
         println!("\nfamily filter active ({family}): BENCH_fusion.json left untouched");
     }

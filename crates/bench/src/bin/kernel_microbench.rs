@@ -6,8 +6,10 @@
 //! dispatch, one thread vs the default pool; and the distributed engines'
 //! part-switch exchange (`DistState::redistribute`) at 2^20 amplitudes per
 //! rank on 2 and 4 thread-world ranks, next to as many threads gathering and
-//! scattering one such slice each. Recorded in `BENCH_kernels.json` with a description of the host it
-//! ran on.
+//! scattering one such slice each; and the crossover that
+//! `ApplyOptions::default().parallel_threshold` is set from — a few kernels
+//! forced onto the pool next to one thread at 2^14..2^20 amplitudes. Recorded
+//! in `BENCH_kernels.json` with a description of the host it ran on.
 //!
 //! ```text
 //! cargo run --release -p hisvsim-bench --bin kernel_microbench [reps]
@@ -24,7 +26,9 @@
 //! [`CHECK_SLACK`]); the process exits non-zero otherwise. Being a ratio of
 //! two loops over the same L2-resident slice, it does not care how fast the
 //! runner is. The exchange rows are held the same way to a multiple of the
-//! gather/scatter beside them. It writes no file.
+//! gather/scatter beside them, and a default-options sweep at exactly
+//! `parallel_threshold` amplitudes to the same sweep on one thread (the
+//! threshold is where the pool stops losing). It writes no file.
 
 use hisvsim_circuit::{Circuit, Complex64, GateKind, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, NetworkModel};
@@ -105,12 +109,29 @@ struct ExchangeCase {
     budget: Option<f64>,
 }
 
+/// One kernel at one width, on the pool and on one thread: the rows
+/// `ApplyOptions::default().parallel_threshold` is decided from.
+#[derive(Serialize)]
+struct ThresholdCase {
+    kernel: String,
+    qubits: usize,
+    /// Threads the pool has here.
+    threads: usize,
+    /// Wall seconds per sweep under `ApplyOptions::sequential()`.
+    sequential_s: f64,
+    /// Wall seconds per sweep with `parallel_threshold: 1` (always the pool).
+    pool_s: f64,
+    /// `pool_s` over `sequential_s`: above 1 the pool loses at this width.
+    pool_over_sequential: f64,
+}
+
 struct Report {
     host: Value,
     reps: usize,
     nominal_ghz: f64,
     kernels: Vec<KernelCase>,
     exchanges: Vec<ExchangeCase>,
+    thresholds: Vec<ThresholdCase>,
 }
 
 impl Serialize for Report {
@@ -127,6 +148,11 @@ impl Serialize for Report {
             ("check_slack".into(), Value::Float(CHECK_SLACK)),
             ("kernels".into(), serde_json::to_value(&self.kernels)),
             ("exchanges".into(), serde_json::to_value(&self.exchanges)),
+            (
+                "parallel_threshold".into(),
+                Value::Int(ApplyOptions::default().parallel_threshold as i128),
+            ),
+            ("thresholds".into(), serde_json::to_value(&self.thresholds)),
         ])
     }
 }
@@ -579,12 +605,73 @@ fn measure_exchanges(reps: usize, ghz: f64) -> Vec<ExchangeCase> {
     cases
 }
 
-/// The CI guard: exit status 1 when a kernel or an exchange is over budget.
+/// The kernels the threshold rows time: the floor, the commonest dense
+/// widths and the diagonal run.
+const THRESHOLD_KERNELS: [&str; 4] = ["scale", "single_mid", "k_qubit_prepared", "diagonal_run"];
+
+/// Time the [`THRESHOLD_KERNELS`] of an `n`-qubit state under `pool` options
+/// and on one thread. These sweeps take well under a millisecond and a thread
+/// spawn on a shared guest varies by more than that, so each is the best of
+/// eight rounds of the usual repetitions, the two taking turns round by round
+/// so that both see the same host states.
+fn measure_threshold(n: usize, pool: ApplyOptions, reps: usize) -> Vec<ThresholdCase> {
+    let amps = 1usize << n;
+    let mut state = random_state(n, 0x7E5 ^ n as u64);
+    let sequential = ApplyOptions::sequential();
+    let mut cases = Vec::new();
+    for mut row in kernels_for(n) {
+        if !THRESHOLD_KERNELS.contains(&row.name.as_str()) {
+            continue;
+        }
+        let (mut sequential_s, mut pool_s) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..8 {
+            let one = time_best(reps, amps, || (row.sweep)(&mut state, &sequential));
+            sequential_s = sequential_s.min(one);
+            pool_s = pool_s.min(time_best(reps, amps, || (row.sweep)(&mut state, &pool)));
+        }
+        let case = ThresholdCase {
+            kernel: row.name,
+            qubits: n,
+            threads: rayon::current_num_threads(),
+            sequential_s,
+            pool_s,
+            pool_over_sequential: pool_s / sequential_s,
+        };
+        println!(
+            "{:18} 2^{n}: one thread {:8.1} us, pool x{} {:8.1} us -> {:5.2}x",
+            case.kernel,
+            sequential_s * 1e6,
+            case.threads,
+            pool_s * 1e6,
+            case.pool_over_sequential
+        );
+        cases.push(case);
+    }
+    cases
+}
+
+/// The CI guard: exit status 1 when a kernel or an exchange is over budget,
+/// or when the default options lose to one thread at the width where they
+/// first go parallel.
 fn check(reps: usize) -> std::process::ExitCode {
     let ghz = nominal_ghz();
     let cases = measure(16, false, reps, ghz);
+    let defaults = ApplyOptions::default();
+    let at_threshold = measure_threshold(
+        defaults.parallel_threshold.trailing_zeros() as usize,
+        defaults,
+        reps,
+    );
     let exchanges = measure_exchanges(reps, ghz);
     let mut over = Vec::new();
+    for case in &at_threshold {
+        if case.pool_over_sequential > CHECK_SLACK {
+            over.push(format!(
+                "{} at parallel_threshold (2^{}) takes {:.2}x its one-thread time on the pool",
+                case.kernel, case.qubits, case.pool_over_sequential
+            ));
+        }
+    }
     for case in &cases {
         if let Some(budget) = case.budget.filter(|b| case.over_scale > b * CHECK_SLACK) {
             over.push(format!(
@@ -609,7 +696,7 @@ fn check(reps: usize) -> std::process::ExitCode {
     }
     match over.is_empty() {
         true => {
-            println!("\nevery kernel and exchange is within its budget");
+            println!("\nevery kernel, exchange and the parallel threshold is within its budget");
             std::process::ExitCode::SUCCESS
         }
         false => std::process::ExitCode::FAILURE,
@@ -650,12 +737,22 @@ fn main() -> std::process::ExitCode {
     println!();
     let exchanges = measure_exchanges(reps, ghz);
 
+    println!();
+    let forced = ApplyOptions {
+        parallel_threshold: 1,
+        ..ApplyOptions::default()
+    };
+    let thresholds = (14usize..=20)
+        .flat_map(|n| measure_threshold(n, forced, reps))
+        .collect();
+
     let report = Report {
         host: host.to_value(&triad),
         reps,
         nominal_ghz: ghz,
         kernels: cases,
         exchanges,
+        thresholds,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

@@ -2,16 +2,32 @@
 //! of Sec. III-B/C and Algorithm 1.
 //!
 //! The circuit is partitioned into acyclic parts; parts are executed in a
-//! topological order of the quotient graph. For each part, an *inner* state
-//! vector over the part's working-set qubits is created, and for every
+//! topological order of the quotient graph. Algorithm 1 runs each part on an
+//! *inner* state vector over the part's working-set qubits: for every
 //! assignment of the remaining (free) qubits the corresponding amplitudes are
 //! gathered from the *outer* state vector, the part's gates (remapped onto
 //! the inner register) are applied, and the results are scattered back.
 //!
-//! Because the inner state vector is sized to fit a faster memory level, the
-//! repeated passes over the outer vector are the only DRAM-bound phase; the
-//! gate arithmetic itself runs cache-resident — the locality argument the
-//! paper's Table II quantifies.
+//! The move pays when the part then makes many passes over an inner vector
+//! that sits in a faster memory level than the outer one: a gather and a
+//! scatter stream the outer state once each, about the price of
+//! [`GATHER_PASSES`] in-place sweeps. It is a pure loss when the part makes
+//! fewer passes than that, when the inner vector *is* the outer one, or when
+//! the outer state is already cache-resident. So [`part_mode`] decides per
+//! part, from the plan alone, whether to gather at all; a part that does not
+//! runs in place through [`FusedCircuit::apply_mapped`] on the outer state.
+//! Nor is a gathered part's arithmetic cache-resident by construction: a
+//! 21-qubit inner vector is 32 MiB, past L2 here, and what keeps its sweeps
+//! cheap is the fused executor's L2 tiling. Measured on the reference host
+//! (README, "Reproducing the paper's artifacts"): at 22 qubits, where the
+//! whole state fits the last-level cache, gathering a wide part never beats
+//! sweeping in place; at 25 qubits it does on deep circuits.
+//!
+//! The two modes apply the same fused ops to the same amplitudes, but a
+//! diagonal run folds its factors per 2^8-amplitude block of whichever vector
+//! it sweeps, so a factor that sits inside a block in one mode and across the
+//! block boundary in the other multiplies in a different order: states agree
+//! to the last bit or two (2e-18 on `random(22, 528)`), not always bitwise.
 
 use crate::exec::ExecControl;
 use crate::fusedplan::FusedSinglePlan;
@@ -19,11 +35,13 @@ use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
+use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{
     ApplyOptions, CancelToken, Cancelled, FusedCircuit, FusionStrategy, GatherMap, KernelDispatch,
     StateVector, DEFAULT_FUSION_WIDTH,
 };
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -34,9 +52,9 @@ pub struct HierConfig {
     pub limit: usize,
     /// Partitioning strategy.
     pub strategy: Strategy,
-    /// Parallelise the gather–execute–scatter loop over free-qubit
-    /// assignments with rayon (each assignment's inner vector is
-    /// independent).
+    /// Use the rayon pool: a gathered part splits its free-qubit assignments
+    /// across threads (each assignment's inner vector is independent), a
+    /// part run in place sweeps with the default [`ApplyOptions`].
     pub parallel: bool,
     /// Gate-fusion width for the inner circuits (at least 1).
     pub fusion: usize,
@@ -160,11 +178,13 @@ impl HierarchicalSimulator {
 
     /// [`HierarchicalSimulator::run_with_fused_plan`] under an
     /// [`ExecControl`]: the sweep polls the control's cancel token between
-    /// parts *and* between gather assignments (so even a single-part run of
-    /// a wide circuit stops within one assignment), and reports
-    /// `(gates_done, gates_total)` after each completed part plus — for
-    /// long parts — at sub-part granularity, interpolated from the
-    /// fraction of gather assignments swept.
+    /// parts and, within a part, between gather assignments or — for a part
+    /// run in place: at most [`GATHER_PASSES`] sweeps of a large state, one
+    /// sub-millisecond part of a small one, or a part over every qubit,
+    /// which is a single assignment either way — before and after it. It
+    /// reports `(gates_done, gates_total)` after each completed part
+    /// plus, for gathered parts, at sub-part granularity, interpolated from
+    /// the fraction of gather assignments swept.
     pub fn run_with_fused_plan_controlled(
         &self,
         circuit: &Circuit,
@@ -174,7 +194,6 @@ impl HierarchicalSimulator {
         let start = Instant::now();
         let total_gates = plan.total_source_gates();
         let mut state = StateVector::zero_state(circuit.num_qubits());
-        let scratch = InnerScratch::default();
         let mut gates_done = 0u64;
         for part in &plan.parts {
             control.check()?;
@@ -193,7 +212,6 @@ impl HierarchicalSimulator {
                     cancel: Some(&control.cancel),
                     on_assignments: Some(&on_assignments),
                 },
-                &scratch,
             )?;
             gates_done += part_gates;
             control.report_progress(gates_done, total_gates);
@@ -228,13 +246,71 @@ impl HierarchicalSimulator {
 /// a wide single-part job still streams progress. The default has neither.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SweepControl<'a> {
-    /// Polled between assignments (sequential) / chunks (parallel).
+    /// Polled between assignments (sequential) / chunks (parallel), and
+    /// before and after a part run in place.
     pub(crate) cancel: Option<&'a CancelToken>,
-    /// Throttled sub-part progress sink.
+    /// Throttled sub-part progress sink (gathered parts only).
     pub(crate) on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
 }
 
-/// Inner vectors handed from one sweep to the next for the length of a run.
+/// Whole-state passes a part may make in place before gathering it is
+/// considered: a gather plus a scatter move 64 B per amplitude at the
+/// ledger's `statevec.gather_scatter_gbps` (≈ 26 GB/s), a sweep 32 B at
+/// `statevec.fused_apply_gbps` (46–53 GB/s) — four sweeps for the price of
+/// the round trip, before the inner sweeps themselves are paid.
+const GATHER_PASSES: usize = 4;
+
+/// How [`execute_part`] runs a part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartMode {
+    /// Algorithm 1: gather every assignment's inner vector, run, scatter.
+    Gather,
+    /// Sweep the outer state itself through the qubit translation.
+    InPlace,
+}
+
+impl PartMode {
+    /// `gather` / `in_place`: the `mode` of the part span and of
+    /// `hisvsim_hier_parts_total`.
+    pub fn name(self) -> &'static str {
+        match self {
+            PartMode::Gather => "gather",
+            PartMode::InPlace => "in_place",
+        }
+    }
+}
+
+/// Whether a part over `working_set` of an `outer_qubits`-qubit state is
+/// gathered: a function of the plan and the state's width alone — not of the
+/// thread count, `parallel` or the host — so every rank, world and repeat of
+/// a job decides alike. A part runs in place when it has no free qubits (the
+/// gather would be an identity copy), when the outer state fits one
+/// [`TILE`] (it is L2-resident already), or when it would make at most
+/// [`GATHER_PASSES`] passes over it ([`FusedCircuit::passes_mapped`]).
+/// Wide many-pass parts gather as Algorithm 1 says; whether *they* should is
+/// a host question (ROADMAP item 6).
+pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircuit) -> PartMode {
+    if working_set.len() >= outer_qubits
+        || 1usize << outer_qubits <= TILE
+        || inner.passes_mapped(outer_qubits, working_set) <= GATHER_PASSES
+    {
+        PartMode::InPlace
+    } else {
+        PartMode::Gather
+    }
+}
+
+/// Parts executed process-wide, indexed by [`PartMode`]
+/// (`hisvsim_hier_parts_total`).
+static PARTS_EXECUTED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
+
+/// How many parts this process has executed in `mode`. Monotonic; the
+/// service syncs it into the metrics registry at scrape time.
+pub fn parts_executed(mode: PartMode) -> u64 {
+    PARTS_EXECUTED[mode as usize].load(Ordering::Relaxed)
+}
+
+/// Inner vectors kept between gathered parts.
 ///
 /// An allocation this large is mapped, page-faulted and unmapped each time:
 /// with a vector per chunk of every part, a 22-qubit job at limit 21 faulted
@@ -242,9 +318,14 @@ pub(crate) struct SweepControl<'a> {
 /// costs is the least steady thing on a shared host — 1.7 µs in a quiet
 /// guest, many times that after other processes have churned its memory.
 /// The gather overwrites every inner amplitude, so a vector left by an
-/// earlier part — of any width — serves as well as a new one.
-#[derive(Default)]
-pub(crate) struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
+/// earlier part — of any width, of any job — serves as well as a new one.
+struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
+
+/// The process's one pool: a warm service or worker faults its inner vectors
+/// in once, not once per job. It keeps at most
+/// `rayon::current_num_threads()` vectors (what one parallel sweep uses), at
+/// the widest width asked so far — the bytes [`scratch_kept`] reports.
+static SCRATCH: InnerScratch = InnerScratch(Mutex::new(Vec::new()));
 
 impl InnerScratch {
     /// An inner vector of `qubits` qubits with unspecified contents.
@@ -259,33 +340,44 @@ impl InnerScratch {
         }
     }
 
-    /// Keep `inner` for the next taker.
+    /// Keep `inner` for the next taker, unless a sweep's worth is kept
+    /// already.
     fn give(&self, inner: StateVector) {
-        self.0
-            .lock()
-            .expect("scratch lock poisoned")
-            .push(inner.into_amplitudes());
+        let most = rayon::current_num_threads();
+        let mut kept = self.0.lock().expect("scratch lock poisoned");
+        if kept.len() < most {
+            kept.push(inner.into_amplitudes());
+        }
     }
 }
 
-/// Execute one prefused part against `outer` via Gather–Execute–Scatter
-/// (Algorithm 1): for every assignment of the free qubits, gather the inner
-/// vector over `working_set` (positions in `outer`; fused qubit `j` is
-/// `working_set[j]`), apply `inner_circuit`, scatter back. The one part
-/// executor: the single-node engine runs it on the whole state, the
-/// multi-level engine on a rank's slice with `parallel = false`.
+/// Inner vectors (count, bytes) the process keeps for the next gathered part
+/// (`hisvsim_hier_scratch_bytes`; vectors in use by a running part are not
+/// counted).
+pub fn scratch_kept() -> (usize, u64) {
+    let kept = SCRATCH.0.lock().expect("scratch lock poisoned");
+    let bytes = kept
+        .iter()
+        .map(|amps| (amps.capacity() * std::mem::size_of::<Complex64>()) as u64)
+        .sum();
+    (kept.len(), bytes)
+}
+
+/// Execute one prefused part against `outer`: fused qubit `j` of
+/// `inner_circuit` is outer qubit `working_set[j]`. The one part executor:
+/// the single-node engine runs it on the whole state, the multi-level engine
+/// on a rank's slice with `parallel = false`.
 ///
-/// `control`'s token, if any, is polled between assignments and progress is
-/// reported to its sink; on cancellation the outer vector is left partially
-/// updated and the caller abandons it. Inner vectors come from `scratch`, so
-/// the parts of one run share them.
+/// [`part_mode`] picks between Gather–Execute–Scatter (Algorithm 1,
+/// [`gather_part`]) and sweeping `outer` in place through the translation;
+/// `parallel` only says whether the chosen mode may use the pool. The part
+/// leaves one `part` span (`mode=… ws=… passes=…`, the passes being those of
+/// the in-place form) and a tick in [`parts_executed`].
 ///
-/// Each assignment touches a disjoint set of outer indices (guaranteed by
-/// [`GatherMap`]), so the parallel path shares the outer vector through a
-/// raw pointer and splits assignments into chunks — several per thread, so
-/// parts with few assignments still use every core, while each chunk reuses
-/// one inner scratch buffer (the gather overwrites every inner amplitude,
-/// making reuse safe).
+/// `control`'s token, if any, is polled between assignments (before and
+/// after an in-place part) and progress is reported to its sink; on
+/// cancellation the outer vector is left partially updated and the caller
+/// abandons it.
 pub(crate) fn execute_part(
     outer: &mut StateVector,
     working_set: &[usize],
@@ -293,7 +385,58 @@ pub(crate) fn execute_part(
     parallel: bool,
     dispatch: KernelDispatch,
     control: SweepControl<'_>,
-    scratch: &InnerScratch,
+) -> Result<(), Cancelled> {
+    let mode = part_mode(outer.num_qubits(), working_set, inner_circuit);
+    let _span = hisvsim_obs::enabled().then(|| {
+        hisvsim_obs::span("kernel", "part").detail(format!(
+            "mode={} ws={} passes={}",
+            mode.name(),
+            working_set.len(),
+            inner_circuit.passes_mapped(outer.num_qubits(), working_set)
+        ))
+    });
+    PARTS_EXECUTED[mode as usize].fetch_add(1, Ordering::Relaxed);
+    match mode {
+        PartMode::Gather => gather_part(
+            outer,
+            working_set,
+            inner_circuit,
+            parallel,
+            dispatch,
+            control,
+        ),
+        PartMode::InPlace => {
+            let check = || control.cancel.map_or(Ok(()), CancelToken::check);
+            check()?;
+            let opts = if parallel {
+                ApplyOptions::default()
+            } else {
+                ApplyOptions::sequential()
+            };
+            inner_circuit.apply_mapped(outer, working_set, &opts.with_dispatch(dispatch));
+            check()
+        }
+    }
+}
+
+/// Gather–Execute–Scatter (Algorithm 1): for every assignment of the free
+/// qubits, gather the inner vector over `working_set`, apply
+/// `inner_circuit`, scatter back. Inner vectors come from the process-wide
+/// [`SCRATCH`] pool.
+///
+/// Each assignment touches a disjoint set of outer indices (guaranteed by
+/// [`GatherMap`]), so the parallel path shares the outer vector through a
+/// raw pointer and splits assignments into chunks — several per thread, so
+/// parts with few assignments still use every core, while each chunk reuses
+/// one inner scratch buffer (the gather overwrites every inner amplitude,
+/// making reuse safe).
+fn gather_part(
+    outer: &mut StateVector,
+    working_set: &[usize],
+    inner_circuit: &FusedCircuit,
+    parallel: bool,
+    dispatch: KernelDispatch,
+    control: SweepControl<'_>,
 ) -> Result<(), Cancelled> {
     let map = GatherMap::new(outer.num_qubits(), working_set);
     let opts = ApplyOptions::sequential().with_dispatch(dispatch);
@@ -326,25 +469,25 @@ pub(crate) fn execute_part(
         let threads = rayon::current_num_threads().max(1);
         let per_chunk = (assignments / (threads * 4)).clamp(1, 8);
         let chunks = assignments.div_ceil(per_chunk);
-        let done = std::sync::atomic::AtomicU64::new(0);
+        let done = AtomicU64::new(0);
         (0..chunks).into_par_iter().for_each(|chunk| {
             // A cancelled sweep skips remaining chunks (rayon offers no
             // early exit); the partial outer state is abandoned anyway.
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 return;
             }
-            let mut inner = scratch.take(map.inner_qubits());
+            let mut inner = SCRATCH.take(map.inner_qubits());
             let first = chunk * per_chunk;
             let last = (first + per_chunk).min(assignments);
             for assignment in first..last {
                 sweep_one(assignment, &mut inner);
-                let completed = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                 report(completed);
             }
-            scratch.give(inner);
+            SCRATCH.give(inner);
         });
     } else {
-        let mut inner = scratch.take(map.inner_qubits());
+        let mut inner = SCRATCH.take(map.inner_qubits());
         for assignment in 0..assignments {
             if let Some(cancel) = cancel {
                 cancel.check()?;
@@ -352,7 +495,7 @@ pub(crate) fn execute_part(
             sweep_one(assignment, &mut inner);
             report(assignment as u64 + 1);
         }
-        scratch.give(inner);
+        SCRATCH.give(inner);
     }
     cancel.map_or(Ok(()), CancelToken::check)
 }
@@ -375,6 +518,7 @@ impl OuterPtr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fusedplan::FusedSinglePlan;
     use hisvsim_circuit::generators;
     use hisvsim_statevec::run_circuit;
 
@@ -427,7 +571,7 @@ mod tests {
 
     #[test]
     fn inner_scratch_hands_a_kept_vector_out_at_the_asked_width() {
-        let scratch = InnerScratch::default();
+        let scratch = InnerScratch(Mutex::new(Vec::new()));
         let first = scratch.take(6);
         let kept = first.amplitudes().as_ptr();
         scratch.give(first);
@@ -438,6 +582,48 @@ mod tests {
         let wider = scratch.take(6);
         assert_eq!(wider.len(), 64);
         assert_eq!(wider.amplitudes().as_ptr(), kept);
+    }
+
+    #[test]
+    fn in_place_and_gathered_execution_of_a_part_agree() {
+        let dispatch = KernelDispatch::default();
+        for name in generators::FAMILY_NAMES {
+            for n in 10usize..=12 {
+                let circuit = generators::by_name(name, n);
+                let dag = CircuitDag::from_circuit(&circuit);
+                let partition = Strategy::DagP.partition(&dag, n - 3).unwrap();
+                let plan = FusedSinglePlan::build_with_strategy(
+                    &circuit,
+                    &dag,
+                    partition,
+                    DEFAULT_FUSION_WIDTH,
+                    FusionStrategy::default(),
+                );
+                let mut gathered = StateVector::zero_state(n);
+                let mut in_place = StateVector::zero_state(n);
+                for part in &plan.parts {
+                    gather_part(
+                        &mut gathered,
+                        &part.working_set,
+                        &part.inner,
+                        n % 2 == 0,
+                        dispatch,
+                        SweepControl::default(),
+                    )
+                    .unwrap();
+                    let opts = ApplyOptions::sequential().with_dispatch(dispatch);
+                    part.inner
+                        .apply_mapped(&mut in_place, &part.working_set, &opts);
+                }
+                // The same ops on the same amplitudes; a diagonal run may
+                // fold its factors in another order (module doc).
+                let diff = gathered.max_abs_diff(&in_place);
+                assert!(diff < 1e-12, "{name}@{n}: modes differ by {diff}");
+                if *name == "qft" {
+                    assert_eq!(gathered, in_place, "qft@{n}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -497,7 +683,6 @@ mod tests {
 
     #[test]
     fn prefused_plan_execution_matches_planning_inline() {
-        use crate::fusedplan::FusedSinglePlan;
         let circuit = generators::by_name("grover", 9);
         let sim = HierarchicalSimulator::new(HierConfig::new(5));
         let dag = CircuitDag::from_circuit(&circuit);

@@ -12,7 +12,7 @@
 use crate::dist::{run_thread_world, DistState, RankOutcome};
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedSecondPart, FusedTwoLevelPlan};
-use crate::hier::{execute_part, InnerScratch, SweepControl};
+use crate::hier::{execute_part, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
@@ -205,7 +205,6 @@ pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
 ) -> Result<RankOutcome, Cancelled> {
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
-    let scratch = InnerScratch::default();
     let total_gates = plan.total_source_gates();
     let mut gates_done = 0u64;
     for part in &plan.parts {
@@ -213,7 +212,7 @@ pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
         state.ensure_local(&part.working_set);
         for second in &part.second {
             state.vote_cancelled(&control.cancel)?;
-            execute_second_part(&mut state, second, &scratch);
+            execute_second_part(&mut state, second);
             gates_done += second.inner.source_gates() as u64;
             state.report_progress(control, gates_done, total_gates);
         }
@@ -229,7 +228,6 @@ pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
 fn execute_second_part<C: RankComm<Complex64>>(
     state: &mut DistState<'_, C>,
     second: &FusedSecondPart,
-    scratch: &InnerScratch,
 ) {
     let _span = hisvsim_obs::span("kernel", "local");
     let start = Instant::now();
@@ -251,7 +249,6 @@ fn execute_second_part<C: RankComm<Complex64>>(
         false,
         dispatch,
         SweepControl::default(),
-        scratch,
     )
     .expect("a sweep without a token cannot be cancelled");
     state.add_compute_time(start.elapsed().as_secs_f64());

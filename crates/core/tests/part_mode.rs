@@ -1,0 +1,101 @@
+//! The part executor's gather-or-in-place decision is a function of the plan
+//! and the state's width alone: a table of what it answers on the two
+//! circuits the benchmark runs through the hier engine, and that the thread
+//! count and `parallel` change nothing.
+
+use hisvsim_circuit::{generators, Circuit};
+use hisvsim_core::hier::{part_mode, parts_executed, PartMode};
+use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
+use hisvsim_dag::CircuitDag;
+use hisvsim_partition::Strategy;
+use hisvsim_statevec::{FusionStrategy, DEFAULT_FUSION_WIDTH};
+
+fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
+    let dag = CircuitDag::from_circuit(circuit);
+    let partition = Strategy::DagP
+        .partition(&dag, limit)
+        .expect("the limit admits every gate");
+    FusedSinglePlan::build_with_strategy(
+        circuit,
+        &dag,
+        partition,
+        DEFAULT_FUSION_WIDTH,
+        FusionStrategy::default(),
+    )
+}
+
+fn modes(circuit: &Circuit, plan: &FusedSinglePlan) -> Vec<PartMode> {
+    plan.parts
+        .iter()
+        .map(|part| part_mode(circuit.num_qubits(), &part.working_set, &part.inner))
+        .collect()
+}
+
+#[test]
+fn decision_table() {
+    use PartMode::{Gather, InPlace};
+    // large_qft: two wide many-pass parts, then four gates on four qubits.
+    let qft = generators::qft(22);
+    let qft_plan = plan(&qft, 21);
+    assert_eq!(modes(&qft, &qft_plan), [Gather, Gather, InPlace]);
+    // plan_cold: an 11-qubit state is one tile, whatever the parts look like.
+    let random = generators::random_circuit(11, 3000, 7);
+    let random_plan = plan(&random, 8);
+    assert!(random_plan.parts.len() > 10);
+    assert!(modes(&random, &random_plan).iter().all(|&m| m == InPlace));
+    // A part with no free qubits is never copied into a second vector.
+    let whole = plan(&qft, 22);
+    assert_eq!(modes(&qft, &whole), [InPlace]);
+
+    // Not a function of the pool.
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builds");
+    assert_eq!(
+        one_thread.install(|| modes(&qft, &qft_plan)),
+        modes(&qft, &qft_plan)
+    );
+}
+
+/// What a run executes is what the table says, with `parallel` on or off and
+/// on one thread: the process-wide tallies move by exactly the table's
+/// counts. One test function owns the tallies' deltas, so it runs its
+/// variants in sequence.
+#[test]
+fn runs_execute_the_decided_modes() {
+    // 17 qubits: above one tile, so both modes occur.
+    let circuit = generators::by_name("qaoa", 17);
+    let plan = plan(&circuit, 12);
+    let decided = modes(&circuit, &plan);
+    let count = |mode| decided.iter().filter(|&&m| m == mode).count() as u64;
+    assert!(count(PartMode::Gather) > 0 && count(PartMode::InPlace) > 0);
+
+    let tallies = || {
+        (
+            parts_executed(PartMode::Gather),
+            parts_executed(PartMode::InPlace),
+        )
+    };
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builds");
+    let mut states = Vec::new();
+    for (parallel, pinned) in [(true, false), (false, false), (true, true)] {
+        let sim = HierarchicalSimulator::new(HierConfig::new(12).with_parallel(parallel));
+        let before = tallies();
+        let run = match pinned {
+            true => one_thread.install(|| sim.run_with_fused_plan(&circuit, &plan)),
+            false => sim.run_with_fused_plan(&circuit, &plan),
+        };
+        let after = tallies();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (count(PartMode::Gather), count(PartMode::InPlace)),
+            "parallel={parallel} pinned={pinned}"
+        );
+        states.push(run.state);
+    }
+    assert!(states.windows(2).all(|pair| pair[0] == pair[1]));
+}

@@ -25,6 +25,7 @@ use hisvsim_http::{client, HttpServer};
 use hisvsim_obs::log;
 use hisvsim_runtime::{SchedulerConfig, SimJob};
 use hisvsim_service::prelude::*;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -117,7 +118,12 @@ fn serve(args: &[String]) -> ExitCode {
     // Machine-greppable readiness line (CI waits for the port anyway; the
     // address line is for humans and logs).
     println!("hisvsim-http: listening on http://{}", server.local_addr());
-    println!("hisvsim-http: demo jobs 0..{jobs} completed; try /metrics, /jobs/0/trace");
+    // A launcher that reads the address and then closes the pipe must not
+    // take the server down: this line is for humans only.
+    let _ = writeln!(
+        std::io::stdout(),
+        "hisvsim-http: demo jobs 0..{jobs} completed; try /metrics, /jobs/0/trace"
+    );
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }

@@ -1,0 +1,69 @@
+//! The part executor decides gather-or-in-place from the plan alone, so the
+//! thread world and a worker-process world of one multilevel job decide every
+//! second-level part alike: with the recorder on, each rank leaves one `part`
+//! span per part (`mode=… ws=… passes=…`), the workers ship theirs back, and
+//! the two worlds' spans read the same. Alone in its test binary because the
+//! span recorder is process-global.
+
+use hisvsim_circuit::generators;
+use hisvsim_cluster::NetworkModel;
+use hisvsim_dag::CircuitDag;
+use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
+use hisvsim_partition::MultilevelPartitioner;
+use hisvsim_runtime::{EngineKind, PersistedPlan};
+use hisvsim_statevec::{FusionStrategy, DEFAULT_FUSION_WIDTH};
+use std::path::PathBuf;
+
+/// The `part` spans recorded since the last drain, as sorted details.
+fn drained_parts() -> Vec<String> {
+    let mut parts: Vec<String> = hisvsim_obs::drain()
+        .into_iter()
+        .filter(|span| span.cat == "kernel" && span.name == "part")
+        .map(|span| span.detail)
+        .collect();
+    parts.sort();
+    parts
+}
+
+#[test]
+fn thread_and_process_worlds_decide_every_part_alike() {
+    let workers = 2;
+    // 18 local qubits: above one tile, so parts of both modes occur.
+    let circuit = generators::by_name("qaoa", 19);
+    let dag = CircuitDag::from_circuit(&circuit);
+    let ml = MultilevelPartitioner::default()
+        .partition(&dag, 18, 12)
+        .expect("qaoa partitions at these limits");
+    let job = ShippedJob {
+        engine: EngineKind::Multilevel,
+        circuit,
+        fusion: DEFAULT_FUSION_WIDTH,
+        strategy: FusionStrategy::default(),
+        dispatch: Default::default(),
+        plan: Some(PersistedPlan::Two(ml)),
+        trace: true,
+    };
+    let pool =
+        WorkerPool::with_worker_binary(workers, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")));
+
+    hisvsim_obs::set_enabled(true);
+    let _ = hisvsim_obs::drain();
+    let (threads_state, _) =
+        execute_local_reference(&job, workers, NetworkModel::ideal()).expect("thread world runs");
+    let on_threads = drained_parts();
+    let (processes_state, _) = pool.execute(&job).expect("process world runs");
+    let on_processes = drained_parts();
+    hisvsim_obs::set_enabled(false);
+
+    assert!(on_threads
+        .iter()
+        .any(|part| part.starts_with("mode=gather ")));
+    assert!(on_threads
+        .iter()
+        .any(|part| part.starts_with("mode=in_place ")));
+    assert_eq!(on_threads, on_processes);
+    assert_eq!(
+        threads_state, processes_state,
+        "and so the states agree bit for bit"
+    );
+}

@@ -3,6 +3,7 @@
 
 use crate::artifacts::{ArtifactStore, JobArtifacts, JobStatusReport, DEFAULT_ARTIFACT_CAPACITY};
 use crate::handle::{JobEvent, JobFailure, JobHandle, JobPriority, JobShared, JobStatus};
+use hisvsim_core::hier::PartMode;
 use hisvsim_obs::log;
 use hisvsim_obs::{CostProfile, Counter, Histogram, Registry, SpanRecord};
 use hisvsim_runtime::pool::{JobControl, JobError, JobRunner, Semaphore};
@@ -557,6 +558,16 @@ impl SimService {
              were emitted in their cheaper solo form instead (process-wide).",
             hisvsim_statevec::fusion::fusion_fallback_count(),
         );
+        for mode in [PartMode::Gather, PartMode::InPlace] {
+            reg.labeled_counter(
+                "hisvsim_hier_parts_total",
+                "Parts run by the part executor (hier engine and the multi-level engine's \
+                 second level), by whether they were gathered into an inner vector or swept \
+                 in place (process-wide).",
+                &[("mode", mode.name())],
+            )
+            .set(hisvsim_core::hier::parts_executed(mode) as f64);
+        }
         counter(
             "hisvsim_obs_spans_dropped_total",
             "Trace spans discarded because a thread's ring buffer was full (process-wide; \
@@ -566,6 +577,12 @@ impl SimService {
         let gauge = |name: &str, help: &str, value: f64| {
             reg.gauge(name, help).set(value);
         };
+        gauge(
+            "hisvsim_hier_scratch_bytes",
+            "Bytes of inner vectors kept between gathered parts (process-wide; they stay \
+             allocated at the widest width a job has asked for).",
+            hisvsim_core::hier::scratch_kept().1 as f64,
+        );
         gauge(
             "hisvsim_service_queue_depth",
             "Jobs currently waiting in the priority queue.",

@@ -974,31 +974,60 @@ impl FusedCircuit {
         opts: &ApplyOptions,
         tracing: bool,
     ) {
+        for (ops, tiled) in self.tile_segments(map) {
+            if tiled {
+                self.apply_tiled_run(state, ops.start, ops.end, map, opts, tracing);
+            } else {
+                let idx = ops.start;
+                self.apply_one(
+                    state,
+                    &self.ops[idx],
+                    &self.prepared[idx],
+                    map,
+                    opts,
+                    tracing,
+                );
+            }
+        }
+    }
+
+    /// The passes [`apply_tiled`](Self::apply_tiled) makes over a state under
+    /// `map`, in order: each maximal run of ≥ 2 consecutive tileable ops
+    /// (`true`: one streaming pass carries the whole run), and every other op
+    /// on its own (`false`: one whole-state sweep — a non-tileable op, or a
+    /// lone tileable one, which gains nothing from tiling).
+    fn tile_segments<'a>(
+        &'a self,
+        map: Option<&'a [Qubit]>,
+    ) -> impl Iterator<Item = (std::ops::Range<usize>, bool)> + 'a {
         let mut i = 0usize;
-        while i < self.ops.len() {
+        std::iter::from_fn(move || {
+            if i >= self.ops.len() {
+                return None;
+            }
             let mut j = i;
             while j < self.ops.len() && op_tileable(&self.ops[j], map) {
                 j += 1;
             }
-            if j - i >= 2 {
-                self.apply_tiled_run(state, i, j, map, opts, tracing);
-                i = j;
-            } else {
-                // A non-tileable op (j == i) or a lone tileable one: run it
-                // as a whole-state sweep.
-                let end = j.max(i + 1);
-                for idx in i..end {
-                    self.apply_one(
-                        state,
-                        &self.ops[idx],
-                        &self.prepared[idx],
-                        map,
-                        opts,
-                        tracing,
-                    );
-                }
-                i = end;
-            }
+            let tiled = j - i >= 2;
+            let end = if tiled { j } else { i + 1 };
+            let segment = (i..end, tiled);
+            i = end;
+            Some(segment)
+        })
+    }
+
+    /// How many times [`apply_mapped`](Self::apply_mapped) streams a state of
+    /// `state_qubits` qubits through memory under `map`: one pass per op on a
+    /// state of at most one [`TILE`], else one per tiled run and one per
+    /// other op — the segmentation the executor itself walks, so the count
+    /// is exact (with the recorder on, it is the number of `kernel` spans the
+    /// application leaves on a state above one tile).
+    pub fn passes_mapped(&self, state_qubits: usize, map: &[Qubit]) -> usize {
+        if 1usize << state_qubits <= TILE {
+            self.ops.len()
+        } else {
+            self.tile_segments(Some(map)).count()
         }
     }
 
@@ -1088,8 +1117,9 @@ fn sample_sweep(amps: usize) -> bool {
 /// boundary than a 256 KiB tile would — every extra tileable qubit lets
 /// more dense ops join tiled runs instead of forcing whole-state sweeps.
 const TILE_BITS: usize = 16;
-/// One tile of the cache-blocked sweep, in amplitudes.
-const TILE: usize = 1 << TILE_BITS;
+/// One tile of the cache-blocked sweep, in amplitudes: a state no larger
+/// than this is swept op by op and stays L2-resident between the sweeps.
+pub const TILE: usize = 1 << TILE_BITS;
 
 /// Whether an op can execute inside one tile. Dense ops qualify when every
 /// (translated) qubit sits below [`TILE_BITS`], so they never pair amplitudes

@@ -43,6 +43,13 @@ pub struct ApplyOptions {
     pub parallel: bool,
     /// Minimum number of amplitudes before the parallel path is taken;
     /// below this the sequential loop is faster than the fork/join overhead.
+    /// The default is the crossover `BENCH_kernels.json` records
+    /// (`thresholds`: the pool spawns and joins a thread per segment, 100–200 µs
+    /// a sweep, so on two cores it takes 3.7–15× one thread's time at 2^14 and
+    /// 1.3–4.7× at 2^16; at 2^18 dense sweeps win but streaming ones still
+    /// lose 1.1–1.25×; 2^19 is the first width where no row loses); a
+    /// persistent pool (ROADMAP item 2) lowers it again.
+    /// `kernel_microbench --check` fails when the pool loses at this width.
     pub parallel_threshold: usize,
     /// Which kernel implementation to run (SIMD when available vs forced
     /// scalar). Both produce bit-identical amplitudes.
@@ -53,7 +60,7 @@ impl Default for ApplyOptions {
     fn default() -> Self {
         Self {
             parallel: true,
-            parallel_threshold: 1 << 14,
+            parallel_threshold: 1 << 19,
             dispatch: KernelDispatch::Auto,
         }
     }

@@ -11,9 +11,10 @@ use hisvsim_circuit::Qubit;
 use rand::Rng;
 use rayon::prelude::*;
 
-/// Below this many amplitudes the sequential loops win (same threshold
-/// rationale as `kernels::ApplyOptions::parallel_threshold`).
-const PARALLEL_THRESHOLD: usize = 1 << 14;
+/// Below this many amplitudes the sequential loops win: the same measured
+/// crossover as `kernels::ApplyOptions::parallel_threshold` (the
+/// `thresholds` rows of `BENCH_kernels.json`).
+const PARALLEL_THRESHOLD: usize = 1 << 19;
 
 /// Probability that measuring `qubit` yields 1.
 pub fn probability_of_one(state: &StateVector, qubit: Qubit) -> f64 {
@@ -163,7 +164,7 @@ pub fn marginal_probabilities(state: &StateVector, qubits: &[Qubit]) -> Vec<f64>
 mod tests {
     use super::*;
     use crate::kernels::run_circuit;
-    use hisvsim_circuit::{generators, Circuit};
+    use hisvsim_circuit::{generators, Circuit, Complex64};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -229,10 +230,14 @@ mod tests {
 
     #[test]
     fn probabilities_parallel_path_matches_sequential() {
-        // 15 qubits crosses PARALLEL_THRESHOLD (2^14).
-        let sv = run_circuit(&generators::qft(15));
+        // Exactly PARALLEL_THRESHOLD amplitudes: the smallest state that
+        // takes the parallel path.
+        let amps = (0..PARALLEL_THRESHOLD)
+            .map(|i| Complex64::new(i as f64 * 1e-6, 1.0 - i as f64 * 2e-6))
+            .collect();
+        let sv = StateVector::from_amplitudes(amps);
         let probs = probabilities(&sv);
-        assert_eq!(probs.len(), 1 << 15);
+        assert_eq!(probs.len(), PARALLEL_THRESHOLD);
         for (i, &p) in probs.iter().enumerate() {
             assert_eq!(p, sv.amp(i).norm_sqr());
         }

@@ -102,7 +102,9 @@ fn submit_poll_progress() {
 
 /// Part 2: cancel a large in-flight job between fused parts.
 fn cancel_in_flight() {
-    let qubits = env_usize("HISVSIM_SERVICE_QUBITS", 28);
+    // At least 20 qubits: a narrower job (a 16-qubit state is one L2 tile
+    // and is swept in place, ~3 ms) can finish before the cancel lands.
+    let qubits = env_usize("HISVSIM_SERVICE_QUBITS", 28).max(20);
     let limit = env_usize(
         "HISVSIM_SERVICE_LIMIT",
         qubits.saturating_sub(8).clamp(5, 21),

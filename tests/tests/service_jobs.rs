@@ -18,12 +18,16 @@ fn service(workers: usize) -> SimService {
     SimService::start(ServiceConfig::new().with_scheduler(scaled_config(workers)))
 }
 
-/// A job big enough that cancellation lands mid-execution: a wide QFT
-/// forced onto the hierarchical engine with a tight limit, so the run
-/// spans many parts × many gather assignments (each a cancellation
-/// checkpoint).
+/// A job big enough that cancellation and the 150–200 ms deadlines below
+/// land mid-execution in every profile tier-1 runs under: a wide QFT forced
+/// onto the hierarchical engine with a tight limit, so the run spans many
+/// parts (each a cancellation checkpoint). At 20 qubits it takes ~2 s in a
+/// debug build under forced-scalar dispatch, its fastest tier-1 profile
+/// (16 qubits, which used to gather 2^11 assignments per part, is 0.12 s
+/// there now that a state of one tile is swept in place). No test lets it
+/// run to the end.
 fn long_job() -> SimJob {
-    SimJob::new(generators::qft(16))
+    SimJob::new(generators::qft(20))
         .with_engine(EngineKind::Hier)
         .with_limit(5)
 }
@@ -111,6 +115,46 @@ fn cancel_after_complete_is_a_noop() {
     let again = handle.wait().expect("outcome must be stable");
     assert_eq!(result.counts, again.counts);
     assert_eq!(service.stats().cancelled, 0);
+}
+
+#[test]
+fn the_state_is_handed_to_the_first_waiter_and_the_rest_is_stable() {
+    let service = service(2);
+    let job = SimJob::new(generators::qft(9))
+        .with_shots(32)
+        .with_observables(vec![0, 3]);
+    let handle = service.submit(job);
+    let first = handle.wait().expect("job succeeded");
+    let state = first
+        .state
+        .as_ref()
+        .expect("the first wait carries the state");
+    assert_eq!(state.num_qubits(), 9);
+    for _ in 0..2 {
+        let again = handle.wait().expect("outcome must be stable");
+        assert!(
+            again.state.is_none(),
+            "the state moved out with the first wait"
+        );
+        assert_eq!(again.counts, first.counts);
+        assert_eq!(again.z_expectations, first.z_expectations);
+        assert_eq!(
+            format!("{:?}", again.timeline()),
+            format!("{:?}", first.timeline())
+        );
+        assert_eq!(
+            format!("{:?}", again.decision),
+            format!("{:?}", first.decision)
+        );
+    }
+    // A failed job has no state to hand over and every wait says the same.
+    let bad = service.submit(
+        SimJob::new(generators::adder(8))
+            .with_engine(EngineKind::Hier)
+            .with_limit(2),
+    );
+    let failure = bad.wait().unwrap_err();
+    assert_eq!(bad.wait().unwrap_err(), failure);
 }
 
 #[test]
