@@ -25,7 +25,7 @@
 //! motivates the auto default.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, PartMode};
+use hisvsim_core::hier::{plan_modes, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
@@ -223,10 +223,9 @@ fn hier_cases(reference: &Reference, limit: usize, reps: usize, width: usize) ->
                 width,
                 strategy,
             );
-            let gathered_parts = plan
-                .parts
+            let gathered_parts = plan_modes(n, &plan)
                 .iter()
-                .filter(|p| part_mode(n, &p.working_set, &p.inner) == PartMode::Gather)
+                .filter(|&&mode| mode == PartMode::Gather)
                 .count();
             let mut fused_state = None;
             let fused_s = time_best(reps, || {

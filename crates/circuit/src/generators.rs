@@ -67,9 +67,11 @@ pub fn qaoa(n: usize, layers: usize, seed: u64) -> Circuit {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::named(format!("qaoa{n}"), n);
     // Random graph: ring plus ~n/2 random chords (keeps degree low but
-    // non-trivial, similar to the MaxCut instances in QASMBench).
+    // non-trivial, similar to the MaxCut instances in QASMBench) — capped at
+    // the pairs the ring leaves open, or the rejection loop below could never
+    // finish: the ring on 3 vertices is already complete.
     let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-    let extra = n / 2;
+    let extra = (n / 2).min(n * (n - 1) / 2 - n);
     let mut added = 0;
     while added < extra {
         let a = rng.gen_range(0..n);
@@ -634,6 +636,55 @@ mod tests {
         let two = qaoa(10, 2, 1);
         assert!(two.num_gates() > one.num_gates());
         assert_eq!(one.num_qubits(), 10);
+    }
+
+    #[test]
+    fn qaoa_places_only_the_chords_the_ring_leaves_room_for() {
+        // The ring on 3 vertices is complete: no chord fits, and the
+        // generator used to look for one forever.
+        let fingerprints = [
+            None,
+            Some(0x8b5b_eb09_b03d_013d_u64),
+            Some(0xf9d5_0dee_3228_a7bd),
+            Some(0x768f_66da_d9c3_11bf),
+            Some(0x35cc_1b25_0597_3a37),
+            Some(0xde46_b234_ac36_0f85),
+        ];
+        for (n, pinned) in (3usize..=8).zip(fingerprints) {
+            let c = qaoa(n, 2, 7);
+            let edges = n + (n / 2).min(n * (n - 1) / 2 - n);
+            assert_eq!(c.num_gates(), n + 2 * (3 * edges + n), "qaoa{n}");
+            // Widths that always terminated keep their gate sequence.
+            if let Some(fingerprint) = pinned {
+                assert_eq!(c.fingerprint(), fingerprint, "qaoa{n}");
+            }
+        }
+
+        // qaoa(10, 2, 7), gate for gate: the ring, then the five chords in
+        // the order drawn; the fingerprint pins the two angles per layer.
+        let c = qaoa(10, 2, 7);
+        let chords = [(4, 7), (3, 6), (2, 8), (0, 4), (1, 7)];
+        let edges: Vec<(usize, usize)> = (0..10).map(|i| (i, (i + 1) % 10)).chain(chords).collect();
+        let mut gates = c.gates().iter();
+        let mut expect = |kind: &str, qubits: &[usize]| {
+            let gate = gates.next().expect("the circuit ended early");
+            assert_eq!((gate.kind.name(), &gate.qubits[..]), (kind, qubits));
+        };
+        for q in 0..10 {
+            expect("h", &[q]);
+        }
+        for _layer in 0..2 {
+            for &(a, b) in &edges {
+                expect("cx", &[a, b]);
+                expect("rz", &[b]);
+                expect("cx", &[a, b]);
+            }
+            for q in 0..10 {
+                expect("rx", &[q]);
+            }
+        }
+        assert!(gates.next().is_none());
+        assert_eq!(c.fingerprint(), 0x5e47_c88f_7f17_e139);
     }
 
     #[test]

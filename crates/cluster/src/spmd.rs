@@ -1,5 +1,6 @@
 //! The SPMD harness: run the same closure on every virtual rank, each on its
-//! own OS thread, and collect the per-rank return values.
+//! own OS thread (a world of one runs on the caller's), and collect the
+//! per-rank return values.
 //!
 //! This is the reproduction's stand-in for `mpirun`: the distributed engines
 //! in `hisvsim-core` pass a closure that owns one rank's slice of the state
@@ -12,7 +13,8 @@ use crate::netmodel::NetworkModel;
 use std::thread;
 
 /// Run `body` once per rank on `num_ranks` threads and return the per-rank
-/// results in rank order.
+/// results in rank order. A world of one has nobody to run beside, so its
+/// body runs on the calling thread: no spawn, no join.
 ///
 /// `num_ranks` must be a power of two — the same constraint the paper's
 /// distributed design imposes on the MPI world size (Sec. III-D).
@@ -27,7 +29,11 @@ where
         num_ranks.is_power_of_two(),
         "the distributed layout requires a power-of-two rank count, got {num_ranks}"
     );
-    let comms = world::<T>(num_ranks, net);
+    let mut comms = world::<T>(num_ranks, net);
+    if num_ranks == 1 {
+        let comm = comms.pop().expect("a world of one has one comm");
+        return vec![body(comm)];
+    }
     let body = &body;
     thread::scope(|scope| {
         let handles: Vec<_> = comms
@@ -71,6 +77,21 @@ mod tests {
         let results: Vec<usize> =
             run_spmd::<u8, _, _>(4, NetworkModel::ideal(), |comm| shared[comm.rank()]);
         assert_eq!(results, shared);
+    }
+
+    #[test]
+    fn a_world_of_one_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        let ids =
+            |ranks| run_spmd::<u8, _, _>(ranks, NetworkModel::ideal(), |_| thread::current().id());
+        assert_eq!(ids(1), vec![caller]);
+        for ranks in [2usize, 4] {
+            let ids = ids(ranks);
+            assert_eq!(ids.len(), ranks);
+            assert!(!ids.contains(&caller), "{ranks} ranks");
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), ranks, "one thread per rank");
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! the outer state is already cache-resident. So [`part_mode`] decides per
 //! part, from the plan alone, whether to gather at all; a part that does not
 //! runs in place through [`FusedCircuit::apply_mapped`] on the outer state.
+//! A plan of one part ([`plan_modes`]) always does: it is flat fused
+//! execution, which is what the runtime's selector gives every circuit that
+//! fits the cache budget.
 //! Nor is a gathered part's arithmetic cache-resident by construction: a
 //! 21-qubit inner vector is 32 MiB, past L2 here, and what keeps its sweeps
 //! cheap is the fused executor's L2 tiling. Measured on the reference host
@@ -180,8 +183,8 @@ impl HierarchicalSimulator {
     /// [`ExecControl`]: the sweep polls the control's cancel token between
     /// parts and, within a part, between gather assignments or — for a part
     /// run in place: at most [`GATHER_PASSES`] sweeps of a large state, one
-    /// sub-millisecond part of a small one, or a part over every qubit,
-    /// which is a single assignment either way — before and after it. It
+    /// sub-millisecond part of a small one, or a plan's only part, which the
+    /// flat engines sweep as one step too — before and after it. It
     /// reports `(gates_done, gates_total)` after each completed part
     /// plus, for gathered parts, at sub-part granularity, interpolated from
     /// the fraction of gather assignments swept.
@@ -195,7 +198,8 @@ impl HierarchicalSimulator {
         let total_gates = plan.total_source_gates();
         let mut state = StateVector::zero_state(circuit.num_qubits());
         let mut gates_done = 0u64;
-        for part in &plan.parts {
+        let modes = plan_modes(circuit.num_qubits(), plan);
+        for (part, mode) in plan.parts.iter().zip(modes) {
             control.check()?;
             let part_gates = part.inner.source_gates() as u64;
             let before = gates_done;
@@ -206,6 +210,7 @@ impl HierarchicalSimulator {
                 &mut state,
                 &part.working_set,
                 &part.inner,
+                mode,
                 self.config.parallel,
                 self.config.kernel_dispatch,
                 SweepControl {
@@ -300,6 +305,21 @@ pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircui
     }
 }
 
+/// How the hier engine runs each part of `plan` on an `outer_qubits`-qubit
+/// state: [`part_mode`] part by part, except that a plan's only part runs in
+/// place. The qubits such a part leaves free are idle in the whole circuit,
+/// so gathering would move every amplitude to shorten the inner vectors by
+/// the idle qubits and buy nothing else.
+pub fn plan_modes(outer_qubits: usize, plan: &FusedSinglePlan) -> Vec<PartMode> {
+    match plan.parts.as_slice() {
+        [_] => vec![PartMode::InPlace],
+        parts => parts
+            .iter()
+            .map(|part| part_mode(outer_qubits, &part.working_set, &part.inner))
+            .collect(),
+    }
+}
+
 /// Parts executed process-wide, indexed by [`PartMode`]
 /// (`hisvsim_hier_parts_total`).
 static PARTS_EXECUTED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
@@ -368,9 +388,10 @@ pub fn scratch_kept() -> (usize, u64) {
 /// the single-node engine runs it on the whole state, the multi-level engine
 /// on a rank's slice with `parallel = false`.
 ///
-/// [`part_mode`] picks between Gather–Execute–Scatter (Algorithm 1,
-/// [`gather_part`]) and sweeping `outer` in place through the translation;
-/// `parallel` only says whether the chosen mode may use the pool. The part
+/// `mode` (the caller's [`plan_modes`] or [`part_mode`]) picks between
+/// Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and sweeping `outer`
+/// in place through the translation; `parallel` only says whether the chosen
+/// mode may use the pool. The part
 /// leaves one `part` span (`mode=… ws=… passes=…`, the passes being those of
 /// the in-place form) and a tick in [`parts_executed`].
 ///
@@ -382,11 +403,11 @@ pub(crate) fn execute_part(
     outer: &mut StateVector,
     working_set: &[usize],
     inner_circuit: &FusedCircuit,
+    mode: PartMode,
     parallel: bool,
     dispatch: KernelDispatch,
     control: SweepControl<'_>,
 ) -> Result<(), Cancelled> {
-    let mode = part_mode(outer.num_qubits(), working_set, inner_circuit);
     let _span = hisvsim_obs::enabled().then(|| {
         hisvsim_obs::span("kernel", "part").detail(format!(
             "mode={} ws={} passes={}",

@@ -12,7 +12,7 @@
 use crate::dist::{run_thread_world, DistState, RankOutcome};
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedSecondPart, FusedTwoLevelPlan};
-use crate::hier::{execute_part, SweepControl};
+use crate::hier::{execute_part, part_mode, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
@@ -242,10 +242,12 @@ fn execute_second_part<C: RankComm<Complex64>>(
         })
         .collect();
     let dispatch = state.kernel_dispatch();
+    let mode = part_mode(l, &positions, &second.inner);
     execute_part(
         state.local_state_mut(),
         &positions,
         &second.inner,
+        mode,
         false,
         dispatch,
         SweepControl::default(),

@@ -6,7 +6,7 @@
 //! large enough to be an amplitude vector.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, scratch_kept, PartMode};
+use hisvsim_core::hier::{plan_modes, scratch_kept, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
@@ -99,10 +99,7 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     // first run allocates an inner vector, its second finds it in the pool.
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
-    assert!(parts
-        .parts
-        .iter()
-        .any(|p| part_mode(QUBITS, &p.working_set, &p.inner) == PartMode::Gather));
+    assert!(plan_modes(QUBITS, &parts).contains(&PartMode::Gather));
     let sequential = HierarchicalSimulator::new(HierConfig::new(LIMIT).with_parallel(false));
     let (first, cold) = vectors_of(|| sequential.run_with_fused_plan(&qaoa, &parts));
     assert_eq!(

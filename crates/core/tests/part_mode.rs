@@ -1,14 +1,17 @@
 //! The part executor's gather-or-in-place decision is a function of the plan
 //! and the state's width alone: a table of what it answers on the two
-//! circuits the benchmark runs through the hier engine, and that the thread
-//! count and `parallel` change nothing.
+//! circuits the benchmark runs through the hier engine, that the thread
+//! count and `parallel` change nothing, and that a plan of one part — what
+//! the runtime gives every default-routed small circuit — never gathers.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, parts_executed, PartMode};
+use hisvsim_core::hier::{part_mode, parts_executed, plan_modes, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{FusionStrategy, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::{
+    ApplyOptions, FusedCircuit, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH,
+};
 
 fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     let dag = CircuitDag::from_circuit(circuit);
@@ -25,10 +28,15 @@ fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
 }
 
 fn modes(circuit: &Circuit, plan: &FusedSinglePlan) -> Vec<PartMode> {
-    plan.parts
-        .iter()
-        .map(|part| part_mode(circuit.num_qubits(), &part.working_set, &part.inner))
-        .collect()
+    plan_modes(circuit.num_qubits(), plan)
+}
+
+/// Parts this process has executed so far: (gathered, in place).
+fn tallies() -> (u64, u64) {
+    (
+        parts_executed(PartMode::Gather),
+        parts_executed(PartMode::InPlace),
+    )
 }
 
 #[test]
@@ -71,12 +79,6 @@ fn runs_execute_the_decided_modes() {
     let count = |mode| decided.iter().filter(|&&m| m == mode).count() as u64;
     assert!(count(PartMode::Gather) > 0 && count(PartMode::InPlace) > 0);
 
-    let tallies = || {
-        (
-            parts_executed(PartMode::Gather),
-            parts_executed(PartMode::InPlace),
-        )
-    };
     let one_thread = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -98,4 +100,35 @@ fn runs_execute_the_decided_modes() {
         states.push(run.state);
     }
     assert!(states.windows(2).all(|pair| pair[0] == pair[1]));
+
+    a_plans_only_part_runs_in_place();
+}
+
+/// A plan's only part runs in place even where the part rule alone would
+/// gather it: 18 qubits, the top one idle, many passes. The gather could only
+/// have dropped the idle qubit. Called by the one test that owns the tallies.
+fn a_plans_only_part_runs_in_place() {
+    let mut idle_top = Circuit::named("qaoa17+idle", 18);
+    for gate in generators::by_name("qaoa", 17).gates() {
+        idle_top.push(gate.clone());
+    }
+    let whole = plan(&idle_top, 18);
+    assert_eq!(whole.parts.len(), 1);
+    let only = &whole.parts[0];
+    assert_eq!(only.working_set.len(), 17);
+    assert_eq!(
+        part_mode(18, &only.working_set, &only.inner),
+        PartMode::Gather,
+        "the part rule alone would move every amplitude"
+    );
+    assert_eq!(modes(&idle_top, &whole), [PartMode::InPlace]);
+    let before = tallies();
+    let run =
+        HierarchicalSimulator::new(HierConfig::new(18)).run_with_fused_plan(&idle_top, &whole);
+    let after = tallies();
+    assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
+    let mut flat = StateVector::zero_state(18);
+    FusedCircuit::with_strategy(&idle_top, DEFAULT_FUSION_WIDTH, FusionStrategy::default())
+        .apply(&mut flat, &ApplyOptions::default());
+    assert_eq!(run.state, flat, "one in-place part is flat fused execution");
 }

@@ -8,7 +8,7 @@
 //! | Module | What it provides |
 //! |---|---|
 //! | [`job`] | the [`SimJob`](job::SimJob) / [`JobResult`](job::JobResult) batch model (circuit + shots + observables + engine preference) |
-//! | [`selector`] | [`EngineSelector`](selector::EngineSelector): picks baseline/hier/dist/multilevel per job from qubit count and the `memmodel`/`netmodel` cost signals |
+//! | [`selector`] | [`EngineSelector`](selector::EngineSelector): picks hier/dist/multilevel per job (the baseline only when forced) from qubit count and the `memmodel`/`netmodel` cost signals |
 //! | [`planner`] | [`Planner`](planner::Planner): configurable-effort partition planning (single `dagP` call → full strategy portfolio) |
 //! | [`cache`] | [`PlanCache`](cache::PlanCache): memoizes plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint), with in-flight deduplication, hit/miss accounting and disk snapshots for warm restarts |
 //! | [`pool`] | [`JobRunner`](pool::JobRunner): the reusable plan–execute worker-pool core (residency [`Semaphore`](pool::Semaphore), per-job [`JobControl`](pool::JobControl) cancellation + phase callbacks) |

@@ -346,6 +346,12 @@ impl JobRunner {
     /// cache-miss planning of one job overlaps the (memory-bounded)
     /// simulation of others. A cancelled job releases its permit on the way
     /// out (RAII), so the slot is immediately reusable.
+    ///
+    /// A hier job — every default-routed circuit one node holds — executes
+    /// on the calling thread, which is also where its progress callbacks
+    /// fire: within the cache budget the plan is one part swept in place, so
+    /// a warm small job neither fuses nor spawns. Worlds of two ranks and up
+    /// run their ranks on threads of their own.
     pub fn execute_job(
         &self,
         job_index: usize,
@@ -541,8 +547,9 @@ impl JobRunner {
         let sweeps = match &plan {
             Some(CachedPlan::Single(p)) => p.total_fused_ops(),
             Some(CachedPlan::Two(p)) => p.total_fused_ops(),
-            // Baseline plans nothing up front; its internal fusion makes
-            // the raw gate count a (pessimistic) sweep stand-in.
+            // Only a forced baseline job has no plan: the comparison engine
+            // fuses inside its own run, so the raw gate count stands in
+            // (pessimistically) for its sweeps.
             None => job.circuit.num_gates(),
         };
         let verdict = crate::job::DecisionVerdict {
@@ -600,8 +607,10 @@ impl JobRunner {
 
     /// Obtain the fused partition plan for a decision: from the in-memory
     /// cache when enabled, by re-fusing a disk-persisted partition on a warm
-    /// start, or planned from scratch. Baseline runs unpartitioned (its
-    /// fused segments are derived inside the engine).
+    /// start, or planned from scratch. Every auto-selected engine takes one
+    /// — a circuit within the cache budget gets a one-part plan, so its
+    /// fusion is cached like any partition. Only the forced baseline, the
+    /// paper's comparison engine, runs unplanned and fuses per job.
     fn obtain_plan(
         &self,
         circuit: &Circuit,

@@ -310,7 +310,8 @@ mod tests {
     #[test]
     fn every_engine_choice_matches_the_flat_reference() {
         let scheduler = Scheduler::new(scaled_config());
-        // Widths walking the selector ladder: baseline, hier, multilevel.
+        // Widths walking the selector ladder: hier over the whole circuit
+        // (one part), hier at the cache limit, multilevel.
         let jobs: Vec<SimJob> = [4usize, 6, 9]
             .iter()
             .map(|&n| SimJob::new(generators::qft(n)))
@@ -320,12 +321,11 @@ mod tests {
         let engines: Vec<EngineKind> = batch.results.iter().map(|r| r.engine).collect();
         assert_eq!(
             engines,
-            vec![
-                EngineKind::Baseline,
-                EngineKind::Hier,
-                EngineKind::Multilevel
-            ]
+            vec![EngineKind::Hier, EngineKind::Hier, EngineKind::Multilevel]
         );
+        let parts: Vec<usize> = batch.results.iter().map(|r| r.report.num_parts).collect();
+        assert_eq!(parts[0], 1, "a circuit within the cache budget is one part");
+        assert!(parts[1] > 1, "past the budget the circuit is partitioned");
         for (result, expected) in batch.results.iter().zip(&expected) {
             assert!(
                 result.state.as_ref().unwrap().approx_eq(expected, 1e-9),

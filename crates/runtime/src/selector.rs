@@ -1,17 +1,21 @@
-//! Engine auto-selection: given a job's circuit, pick the engine (baseline /
-//! hierarchical / distributed / multi-level) and its structural parameters
+//! Engine auto-selection: given a job's circuit, pick the engine
+//! (hierarchical / distributed / multi-level) and its structural parameters
 //! (working-set limit, rank count, second-level limit) from the memory- and
 //! network-model cost signals the workspace already has.
 //!
 //! The decision mirrors the paper's own sizing argument:
 //!
 //! * a state vector that fits the last-level cache needs no hierarchy at all
-//!   → run the plain baseline engine on one rank;
+//!   → `hier` at limit `n`: the plan is one part over the whole circuit,
+//!   fused once, cached, and swept in place on the caller's thread;
 //! * a state vector that fits one node but not the LLC benefits from the
 //!   Gather–Execute–Scatter hierarchy → `hier` with the cache-derived limit;
 //! * anything larger must be distributed; if the per-rank slice itself
 //!   still dwarfs the LLC, the two-level engine additionally reorganises the
 //!   rank-local computation → `multilevel`, otherwise `dist`.
+//!
+//! The IQS-style baseline is the paper's comparison engine, not a rung of
+//! this ladder: it runs only when a job forces it.
 
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::NetworkModel;
@@ -21,8 +25,8 @@ use serde::{Deserialize, Serialize};
 /// Which engine executes a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum EngineKind {
-    /// The IQS-style static-mapping engine on one rank — effectively the
-    /// flat simulator, with the same report plumbing as the other engines.
+    /// The IQS-style static-mapping engine on one rank: the paper's flat
+    /// comparison target. Never auto-selected; a job forces it.
     Baseline,
     /// The single-node hierarchical Gather–Execute–Scatter engine.
     Hier,
@@ -178,10 +182,31 @@ impl EngineSelector {
             .message_time(((16u128 << n) / ranks.max(1) as u128) as usize);
 
         let reason = match engine {
+            EngineKind::Hier if engine == auto && n <= self.cache_qubits => format!(
+                "2^{n} amplitudes fit the {}-qubit LLC budget; one part, swept in place",
+                self.cache_qubits
+            ),
+            EngineKind::Hier if engine == auto => format!(
+                "2^{n} amplitudes exceed the {}-qubit LLC budget but fit one node \
+                 ({} qubits); gather/execute/scatter at limit {limit}",
+                self.cache_qubits, self.node_qubits
+            ),
+            EngineKind::Dist if engine == auto => format!(
+                "2^{n} amplitudes exceed one node ({} qubits); {ranks} ranks, \
+                 local slice ({local} qubits) is cache-friendly enough \
+                 (~{:.1e} s/exchange)",
+                self.node_qubits, est_exchange_s
+            ),
+            EngineKind::Multilevel if engine == auto => format!(
+                "2^{n} amplitudes exceed one node ({} qubits) and the {local}-qubit \
+                 local slice still dwarfs the {}-qubit LLC budget; two-level \
+                 partitioning (~{:.1e} s/exchange)",
+                self.node_qubits, self.cache_qubits, est_exchange_s
+            ),
             // A forced engine must not inherit the rationale of a choice the
             // selector did not make: state the override and the derived
             // parameters only.
-            _ if engine != auto => {
+            _ => {
                 let parameters = match engine {
                     EngineKind::Baseline => "one rank, no partitioning".to_string(),
                     EngineKind::Hier => format!("gather/execute/scatter at limit {limit}"),
@@ -196,27 +221,6 @@ impl EngineSelector {
                     self.cache_qubits, self.node_qubits
                 )
             }
-            EngineKind::Baseline => format!(
-                "2^{n} amplitudes fit the {}-qubit LLC budget; no hierarchy needed",
-                self.cache_qubits
-            ),
-            EngineKind::Hier => format!(
-                "2^{n} amplitudes exceed the {}-qubit LLC budget but fit one node \
-                 ({} qubits); gather/execute/scatter at limit {limit}",
-                self.cache_qubits, self.node_qubits
-            ),
-            EngineKind::Dist => format!(
-                "2^{n} amplitudes exceed one node ({} qubits); {ranks} ranks, \
-                 local slice ({local} qubits) is cache-friendly enough \
-                 (~{:.1e} s/exchange)",
-                self.node_qubits, est_exchange_s
-            ),
-            EngineKind::Multilevel => format!(
-                "2^{n} amplitudes exceed one node ({} qubits) and the {local}-qubit \
-                 local slice still dwarfs the {}-qubit LLC budget; two-level \
-                 partitioning (~{:.1e} s/exchange)",
-                self.node_qubits, self.cache_qubits, est_exchange_s
-            ),
         };
 
         EngineDecision {
@@ -229,10 +233,11 @@ impl EngineSelector {
         }
     }
 
+    /// The ladder: one node holds the state ⇒ `hier` (one in-place part
+    /// when the state also fits the LLC budget, since the limit is then
+    /// `n`), else the distributed engines.
     fn auto_engine(&self, n: usize) -> EngineKind {
-        if n <= self.cache_qubits {
-            EngineKind::Baseline
-        } else if n <= self.node_qubits {
+        if n <= self.node_qubits {
             EngineKind::Hier
         } else {
             let local = n - n
@@ -297,11 +302,18 @@ mod tests {
     #[test]
     fn scaled_selector_walks_the_engine_ladder() {
         let s = EngineSelector::scaled(4, 8);
+        // Fits the cache budget: hier over the whole circuit, one rank.
+        let small = s.decide(&generators::qft(4), None);
         assert_eq!(
-            s.decide(&generators::qft(4), None).engine,
-            EngineKind::Baseline
+            (small.engine, small.limit, small.ranks),
+            (EngineKind::Hier, 4, 1)
         );
-        assert_eq!(s.decide(&generators::qft(6), None).engine, EngineKind::Hier);
+        // Past the cache budget, within the node: hier at the cache limit.
+        let wide = s.decide(&generators::qft(6), None);
+        assert_eq!(
+            (wide.engine, wide.limit, wide.ranks),
+            (EngineKind::Hier, 4, 1)
+        );
         // 9 qubits: 2 ranks → 8 local qubits > cache+1 → multilevel.
         assert_eq!(
             s.decide(&generators::qft(9), None).engine,
@@ -313,6 +325,11 @@ mod tests {
             s2.decide(&generators::qft(9), None).engine,
             EngineKind::Dist
         );
+        // The comparison engine is no rung: no width auto-selects it.
+        for n in 1..=12 {
+            let auto = s.decide(&generators::qft(n), None).engine;
+            assert_ne!(auto, EngineKind::Baseline, "{n} qubits");
+        }
     }
 
     #[test]
@@ -326,35 +343,55 @@ mod tests {
 
     #[test]
     fn a_forced_engine_does_not_borrow_the_auto_rationale() {
-        // 16 qubits fit the default 21-qubit LLC budget: auto picks baseline.
+        // 16 qubits fit the default 21-qubit LLC budget: auto picks hier
+        // over the whole circuit.
         let s = EngineSelector::default();
         let circuit = generators::qft(16);
         let auto = s.decide(&circuit, None);
-        assert_eq!(auto.engine, EngineKind::Baseline);
-        assert!(auto.reason.contains("fit the 21-qubit LLC budget"));
+        assert_eq!((auto.engine, auto.limit), (EngineKind::Hier, 16));
+        assert!(auto
+            .reason
+            .contains("fit the 21-qubit LLC budget; one part, swept in place"));
         // Forcing the engine the selector picks anyway keeps its rationale.
         assert_eq!(
-            s.decide(&circuit, Some(EngineKind::Baseline)).reason,
+            s.decide(&circuit, Some(EngineKind::Hier)).reason,
             auto.reason
         );
+        // Past the budget the same engine states the other rationale.
+        let wide = s.decide(&generators::qft(22), None);
+        assert_eq!((wide.engine, wide.limit), (EngineKind::Hier, 21));
+        assert!(wide.reason.contains("exceed the 21-qubit LLC budget"));
 
         // Each forced decision names the override and its own parameters.
-        for engine in [EngineKind::Hier, EngineKind::Dist] {
+        for engine in [EngineKind::Baseline, EngineKind::Dist] {
             let forced = s.decide(&circuit, Some(engine));
             let parameter = match engine {
-                EngineKind::Hier => format!("at limit {}", forced.limit),
+                EngineKind::Baseline => "one rank, no partitioning".to_string(),
                 _ => format!("{} ranks", forced.ranks),
             };
             let reason = &forced.reason;
             assert!(
                 reason.starts_with(&format!(
-                    "{engine} forced by the job; the selector would have picked baseline"
+                    "{engine} forced by the job; the selector would have picked hier"
                 )),
                 "{reason}"
             );
             assert!(!reason.contains("exceed"), "{reason}");
+            assert!(!reason.contains("swept in place"), "{reason}");
             assert!(reason.contains(&parameter), "{reason}");
         }
+        // Hier forced where the ladder would distribute.
+        let forced =
+            EngineSelector::scaled(4, 8).decide(&generators::qft(10), Some(EngineKind::Hier));
+        let reason = &forced.reason;
+        assert!(
+            reason.starts_with("hier forced by the job; the selector would have picked multilevel"),
+            "{reason}"
+        );
+        assert!(
+            reason.contains(&format!("at limit {}", forced.limit)),
+            "{reason}"
+        );
     }
 
     #[test]

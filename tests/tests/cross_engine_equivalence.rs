@@ -2,8 +2,10 @@
 //! (hierarchical single-node, distributed, multi-level, IQS-style baseline)
 //! must produce the same final state as the flat reference simulator, for
 //! every benchmark family, every partitioning strategy, and a range of rank
-//! counts and working-set limits.
+//! counts and working-set limits. The route the runtime gives a small circuit
+//! by default is held to more: bit-identity with the flat fused executor.
 
+use hisvsim_circuit::generators;
 use hisvsim_core::{
     BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
     IqsBaseline, MultilevelConfig, MultilevelSimulator,
@@ -11,6 +13,10 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_integration_tests::{assert_states_match, reference_state, small_suite};
 use hisvsim_partition::Strategy;
+use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
+use hisvsim_statevec::{
+    ApplyOptions, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
+};
 
 #[test]
 fn hierarchical_engine_matches_reference_for_all_strategies() {
@@ -103,4 +109,57 @@ fn engines_agree_with_each_other_on_a_deep_circuit() {
     ] {
         assert_states_match(label, state, &expected);
     }
+}
+
+/// The guard on the runtime's first rung: a circuit within the cache budget is
+/// routed to a cached one-part plan swept in place, which has to be the flat
+/// fused executor to the bit — as the forced comparison engine on one rank
+/// is. Every family plus a random circuit, 4..=16 qubits.
+fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch) {
+    let runner = JobRunner::new(SchedulerConfig::default());
+    let residency = Semaphore::new(1);
+    let run = |job: SimJob| {
+        let result = runner
+            .execute_job(
+                0,
+                job.with_kernel_dispatch(dispatch),
+                &residency,
+                &JobControl::new(),
+            )
+            .expect("the job runs");
+        (result.engine, result.state.expect("states are retained"))
+    };
+    let opts = ApplyOptions::default().with_dispatch(dispatch);
+    for n in 4usize..=16 {
+        let mut circuits = small_suite(n);
+        circuits.push(generators::random_circuit(n, 12 * n, n as u64));
+        for circuit in circuits {
+            let label = format!("{} dispatch={dispatch:?}", circuit.name);
+            let mut flat = StateVector::zero_state(n);
+            FusedCircuit::with_strategy(&circuit, DEFAULT_FUSION_WIDTH, FusionStrategy::default())
+                .apply(&mut flat, &opts);
+            let (engine, routed) = run(SimJob::new(circuit.clone()));
+            assert_eq!(engine, EngineKind::Hier, "{label}");
+            assert_eq!(
+                routed, flat,
+                "{label}: the default route left the flat result"
+            );
+            let (engine, forced) = run(SimJob::new(circuit).with_engine(EngineKind::Baseline));
+            assert_eq!(engine, EngineKind::Baseline, "{label}");
+            assert_eq!(
+                forced, flat,
+                "{label}: the comparison engine left the flat result"
+            );
+        }
+    }
+}
+
+#[test]
+fn default_route_is_flat_fusion_bit_for_bit_under_auto_dispatch() {
+    default_route_forced_baseline_and_flat_fusion_agree(KernelDispatch::Auto);
+}
+
+#[test]
+fn default_route_is_flat_fusion_bit_for_bit_under_scalar_dispatch() {
+    default_route_forced_baseline_and_flat_fusion_agree(KernelDispatch::Scalar);
 }

@@ -11,7 +11,7 @@ use hisvsim_runtime::prelude::*;
 /// families, some repeated (templated), some random.
 fn heterogeneous_jobs() -> Vec<SimJob> {
     let mut jobs = vec![
-        SimJob::new(generators::qft(4)),              // baseline tier
+        SimJob::new(generators::qft(4)),              // one-part hier tier
         SimJob::new(generators::by_name("ising", 7)), // hier tier
         SimJob::new(generators::qft(9)),              // distributed tier
         SimJob::new(generators::qft(9)),              // repeat: plan cache hit

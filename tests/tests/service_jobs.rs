@@ -262,8 +262,9 @@ fn persisted_then_reloaded_plan_cache_is_bit_identical_and_replans_nothing() {
 /// per-job trace artifacts kept (what `hisvsim-http serve --trace` runs), a
 /// repeated job keeps hitting the plan it planned first, whatever the
 /// process measured in between. 16 qubits, so every sweep is a recorded
-/// span; the QAOA in the middle adds diagonal-run measurements to the QFT's
-/// dense ones.
+/// span; the QAOA in the middle (forced onto the comparison engine, which
+/// plans nothing) adds diagonal-run measurements to the QFT's dense ones, and
+/// the same QFT with no engine forced meets the same decision and plan.
 #[test]
 fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
     hisvsim_obs::set_enabled(true);
@@ -276,10 +277,14 @@ fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
     let run = |job: SimJob| service.submit(job).wait().expect("job must complete");
     let first = run(qft());
     let second = run(qft());
-    // No engine forced: 16 qubits fit the default LLC budget, so this one
-    // runs on the baseline engine and plans nothing.
-    let other = run(SimJob::new(generators::by_name("qaoa", 16)));
+    // The comparison engine in between: forced, it fuses inside its own run
+    // and neither consults nor fills the plan cache.
+    let other = run(SimJob::new(generators::by_name("qaoa", 16)).with_engine(EngineKind::Baseline));
     let last = run(qft());
+    // No engine forced: 16 qubits fit the default LLC budget, so the
+    // selector gives the same circuit the decision the forced jobs got, and
+    // their plan.
+    let unforced = run(SimJob::new(generators::qft(16)));
     hisvsim_obs::set_enabled(false);
 
     assert_eq!(
@@ -297,6 +302,13 @@ fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
         "the same job got a different decision later in the process"
     );
     assert_eq!(other.engine, EngineKind::Baseline);
+    assert!(!other.plan_cache_hit);
+    assert_eq!(
+        format!("{:?}", unforced.decision),
+        format!("{:?}", last.decision),
+        "forcing the engine the selector picks anyway changed the decision"
+    );
+    assert!(unforced.plan_cache_hit);
     assert!(
         last.verdict.measured_execute_s > 0.0 && last.verdict.predicted_execute_s > 0.0,
         "the audit trail must carry a predicted-vs-measured verdict"
