@@ -7,10 +7,10 @@
 //! cargo run --release -p hisvsim-bench --bin table2 [qubits] [limit]
 //! ```
 
+use hisvsim_bench::profile::{hierarchical_access_trace, TraceOptions};
 use hisvsim_bench::tables::render_table;
 use hisvsim_circuit::generators;
 use hisvsim_core::hier::{HierConfig, HierarchicalSimulator};
-use hisvsim_core::profile::{hierarchical_access_trace, TraceOptions};
 use hisvsim_dag::CircuitDag;
 use hisvsim_memmodel::{replay_amplitude_indices, HierarchyConfig, MemoryBreakdown};
 use hisvsim_partition::Strategy;

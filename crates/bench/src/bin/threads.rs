@@ -36,7 +36,7 @@ fn main() {
         circuit.num_gates()
     );
 
-    let max_threads = num_cpus::get();
+    let max_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut threads = 1usize;
     let mut rows = Vec::new();
     let mut baseline_time = None;

@@ -85,7 +85,10 @@ pub fn rank_sweeps() -> (Vec<usize>, Vec<usize>) {
     // sweep at 8 ranks so both groups stay non-empty on small hosts.
     let max_ranks = env_usize(
         "HISVSIM_MAX_RANKS",
-        num_cpus::get().next_power_of_two().clamp(8, 16),
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .next_power_of_two()
+            .clamp(8, 16),
     );
     let small: Vec<usize> = [2usize, 4, 8, 16, 32]
         .into_iter()

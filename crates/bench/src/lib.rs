@@ -24,12 +24,15 @@
 //! The library half of the crate holds the shared machinery: the scaled
 //! experiment [`config`], the [`runner`] that executes (circuit, ranks,
 //! algorithm) combinations and persists JSON records, the [`perfstats`]
-//! aggregations (geometric mean, performance profiles), and ASCII [`tables`].
+//! aggregations (geometric mean, performance profiles), ASCII [`tables`], and
+//! the access-trace generator [`profile`] that `table2` replays through the
+//! `hisvsim-memmodel` cache model.
 
 #![warn(missing_docs)]
 
 pub mod config;
 pub mod perfstats;
+pub mod profile;
 pub mod progress;
 pub mod runner;
 pub mod tables;

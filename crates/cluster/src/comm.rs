@@ -15,10 +15,9 @@
 
 use crate::netmodel::NetworkModel;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 /// Per-rank communication statistics, accumulated across the lifetime of a
@@ -412,7 +411,7 @@ impl<R> ResultBoard<R> {
 
     /// Post rank `rank`'s result.
     pub fn post(&self, rank: usize, value: R) {
-        self.inner.lock()[rank] = Some(value);
+        self.inner.lock().expect("result board poisoned")[rank] = Some(value);
     }
 
     /// Collect all posted results; panics if any rank never posted.
@@ -420,6 +419,7 @@ impl<R> ResultBoard<R> {
         Arc::try_unwrap(self.inner)
             .unwrap_or_else(|_| panic!("result board still shared"))
             .into_inner()
+            .expect("result board poisoned")
             .into_iter()
             .enumerate()
             .map(|(rank, slot)| slot.unwrap_or_else(|| panic!("rank {rank} posted no result")))

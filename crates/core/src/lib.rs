@@ -12,7 +12,6 @@
 //! | [`multilevel`] | IV, V-D | two-level engine (node-level parts + cache-level parts) |
 //! | [`baseline`] | V (comparison) | IQS-style static-mapping distributed baseline |
 //! | [`gpu`] | VI | GPU-kernel throughput model and hybrid estimates (Tables III/IV) |
-//! | [`profile`] | V-A (Table II) | memory-access trace generation for the cache model |
 //! | [`metrics`] | V | the [`RunReport`](metrics::RunReport) every engine returns |
 //!
 //! Every engine is validated against the flat reference simulator
@@ -65,7 +64,6 @@ pub mod gpu;
 pub mod hier;
 pub mod metrics;
 pub mod multilevel;
-pub mod profile;
 
 pub use baseline::{run_baseline_rank, BaselineConfig, BaselineRun, BaselineSchedule, IqsBaseline};
 pub use dist::{

@@ -7,8 +7,9 @@ use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_runtime::{Backend, EngineKind, PersistedPlan, Scheduler, SchedulerConfig, SimJob};
-use hisvsim_runtime::{EngineSelector, PlanEffort};
+use hisvsim_runtime::{
+    Backend, EngineKind, EngineSelector, PersistedPlan, Scheduler, SchedulerConfig, SimJob,
+};
 use hisvsim_service::{ServiceConfig, SimService};
 use hisvsim_statevec::{run_circuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
 use std::path::PathBuf;
@@ -136,7 +137,6 @@ fn scheduler_routes_process_backend_jobs_through_the_launcher() {
     let scheduler = Scheduler::new(
         SchedulerConfig::default()
             .with_selector(EngineSelector::scaled(4, 8))
-            .with_effort(PlanEffort::Fast)
             .with_process_backend(backend),
     );
     let circuit = generators::qft(11);

@@ -7,8 +7,8 @@
 //! fused-group matrix product), leaving only the state-vector sweeps. The
 //! cache key is the structural
 //! [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) plus the
-//! plan's shape parameters (limit, second-level limit, fusion width, planner
-//! effort); the cached value is the immutable fused plan behind an `Arc`,
+//! plan's shape parameters (limit, second-level limit, fusion width and
+//! strategy); the cached value is the immutable fused plan behind an `Arc`,
 //! shared by every concurrent execution.
 //!
 //! Two properties matter under a concurrent scheduler:
@@ -26,16 +26,18 @@ use hisvsim_partition::{MultilevelPartition, PartitionBuildError};
 use hisvsim_statevec::FusionStrategy;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cache key: structural fingerprint plus plan shape.
 ///
-/// Serde is implemented by hand (not derived) so snapshots written before
-/// the `strategy` field existed still deserialize: a missing `strategy`
-/// maps to [`FusionStrategy::default`], which is exactly what the jobs
-/// that produced those entries run with today.
+/// Serde is implemented by hand (not derived) so older snapshots still
+/// deserialize: a missing `strategy` maps to [`FusionStrategy::default`],
+/// which is exactly what the jobs that produced those entries run with
+/// today, and the `effort` field older keys carry is ignored (see
+/// [`PlanCache::load_snapshot`] for the entries it excludes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) of
@@ -51,9 +53,6 @@ pub struct PlanKey {
     /// identical except for strategy must never share an entry — the fused
     /// forms differ).
     pub strategy: FusionStrategy,
-    /// Planner effort that produced the plan (plans of different effort are
-    /// different cache entries).
-    pub effort: crate::planner::PlanEffort,
 }
 
 impl Serialize for PlanKey {
@@ -64,7 +63,6 @@ impl Serialize for PlanKey {
             ("second_limit".to_string(), self.second_limit.to_value()),
             ("fusion".to_string(), self.fusion.to_value()),
             ("strategy".to_string(), self.strategy.to_value()),
-            ("effort".to_string(), self.effort.to_value()),
         ])
     }
 }
@@ -87,8 +85,23 @@ impl Deserialize for PlanKey {
                 Some(strategy) => Deserialize::from_value(strategy)?,
                 None => FusionStrategy::default(),
             },
-            effort: Deserialize::from_value(field("effort")?)?,
         })
+    }
+}
+
+/// A snapshot entry's key as read from disk: `None` for a plan today's
+/// planner does not make. Keys written while the planner had a second,
+/// portfolio-and-cache-model effort level carry an `effort` field; only
+/// their `Fast` plans (and keys without the field) load, so a warm plan is
+/// always the plan a cold run would make.
+struct LoadedKey(Option<PlanKey>);
+
+impl Deserialize for LoadedKey {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        match value.get_field("effort").map(serde::Value::as_str) {
+            None | Some(Some("Fast")) => PlanKey::from_value(value).map(|key| LoadedKey(Some(key))),
+            Some(_) => Ok(LoadedKey(None)),
+        }
     }
 }
 
@@ -341,15 +354,19 @@ impl PlanCache {
 
     /// Load a snapshot written by [`PlanCache::save_snapshot`] into the warm
     /// store (merging over whatever is already there). Returns the number of
-    /// entries loaded.
+    /// entries loaded; entries a cold run would not plan are skipped (see
+    /// `LoadedKey`).
     pub fn load_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
         let text = std::fs::read_to_string(path)?;
-        let entries: Vec<(PlanKey, PersistedPlan)> = serde_json::from_str(&text)
+        let entries: Vec<(LoadedKey, PersistedPlan)> = serde_json::from_str(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let count = entries.len();
         let mut warm = self.warm.lock().expect("warm store poisoned");
-        for (key, plan) in entries {
-            warm.insert(key, plan);
+        let mut count = 0;
+        for (LoadedKey(key), plan) in entries {
+            if let Some(key) = key {
+                warm.insert(key, plan);
+                count += 1;
+            }
         }
         Ok(count)
     }
@@ -358,7 +375,9 @@ impl PlanCache {
     /// warm entries) to `path` as JSON, so the next process starts warm.
     /// Fused matrices are intentionally not persisted — receivers re-fuse on
     /// first use, keeping the snapshot small and the fused form
-    /// process-local. Returns the number of entries written.
+    /// process-local. The file is written beside `path` and renamed over it,
+    /// so a crash mid-save leaves the previous snapshot, never a truncated
+    /// one. Returns the number of entries written.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
         let mut entries: Vec<(PlanKey, PersistedPlan)> = {
             let warm = self.warm.lock().expect("warm store poisoned");
@@ -384,15 +403,26 @@ impl PlanCache {
                 k.second_limit,
                 k.fusion,
                 k.strategy.name(),
-                k.effort.name(),
             )
         });
         entries.dedup_by_key(|(k, _)| *k);
         let json = serde_json::to_string(&entries)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let count = entries.len();
-        std::fs::write(path, json)?;
-        Ok(count)
+        let path = path.as_ref();
+        let staged = staging_path(path);
+        // Synced before the rename, so after a crash `path` holds the old
+        // snapshot or the new one, never a prefix. A rename lost with the
+        // crash only leaves the old one: the next start is colder, not wrong.
+        let saved = std::fs::File::create(&staged)
+            .and_then(|mut file| {
+                file.write_all(json.as_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&staged, path));
+        if saved.is_err() {
+            std::fs::remove_file(&staged).ok();
+        }
+        saved.map(|()| entries.len())
     }
 
     /// Evict least-recently-used completed entries beyond `capacity`,
@@ -450,10 +480,23 @@ impl std::fmt::Debug for PlanCache {
     }
 }
 
+/// A temporary file beside `path`, unique per save within and across
+/// processes, that [`PlanCache::save_snapshot`] renames over `path`.
+fn staging_path(path: &Path) -> PathBuf {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        SAVES.fetch_add(1, Ordering::Relaxed)
+    ));
+    path.with_file_name(name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::{PlanEffort, Planner};
+    use crate::planner::Planner;
     use hisvsim_circuit::generators;
     use hisvsim_dag::CircuitDag;
 
@@ -464,14 +507,13 @@ mod tests {
             second_limit: 0,
             fusion: 3,
             strategy: FusionStrategy::Auto,
-            effort: PlanEffort::Fast,
         }
     }
 
     fn plan_for(circuit: &hisvsim_circuit::Circuit, limit: usize) -> CachedPlan {
         let dag = CircuitDag::from_circuit(circuit);
         CachedPlan::Single(Arc::new(
-            Planner::default()
+            Planner
                 .plan_single_fused(circuit, &dag, limit, 3, FusionStrategy::Auto)
                 .unwrap(),
         ))
@@ -583,7 +625,7 @@ mod tests {
         let dag = CircuitDag::from_circuit(&circuit);
         let key = key_of(&circuit, 2);
         let attempt = cache.get_or_plan(key, || {
-            Planner::default()
+            Planner
                 .plan_single_fused(&circuit, &dag, 2, 3, FusionStrategy::Auto)
                 .map(|p| CachedPlan::Single(Arc::new(p)))
         });
@@ -664,7 +706,7 @@ mod tests {
         let path = dir.join("plans.json");
         let circuit = generators::by_name("qaoa", 9);
         let dag = CircuitDag::from_circuit(&circuit);
-        let ml = Planner::default().plan_two_level(&dag, 6, 3).unwrap();
+        let ml = Planner.plan_two_level(&dag, 6, 3).unwrap();
         let cache = PlanCache::new(4);
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
@@ -672,7 +714,6 @@ mod tests {
             second_limit: 3,
             fusion: 3,
             strategy: FusionStrategy::Auto,
-            effort: PlanEffort::Fast,
         };
         cache
             .get_or_plan(key, || {
@@ -710,7 +751,7 @@ mod tests {
         // degraded to a cold start.
         let circuit = generators::qft(9);
         let dag = CircuitDag::from_circuit(&circuit);
-        let partition = Planner::default().plan_single(&circuit, &dag, 5).unwrap();
+        let partition = Planner.plan_single(&dag, 5).unwrap();
         let legacy_json = format!(
             r#"[[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":3,"effort":"Fast"}},{{"Single":{}}}]]"#,
             circuit.fingerprint(),
@@ -733,13 +774,49 @@ mod tests {
             second_limit: 0,
             fusion: 3,
             strategy: FusionStrategy::default(),
-            effort: PlanEffort::Fast,
         };
         match cache.take_warm(&key) {
             Some(PersistedPlan::Single(back)) => assert_eq!(back, partition),
             other => panic!("legacy entry must map to the default strategy, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn legacy_snapshots_load_only_the_plans_a_cold_run_would_make() {
+        // A snapshot written while the planner had two effort levels keys
+        // the same circuit twice, once per level, the retired level sorting
+        // last. Only the `Fast` plan may load: the other would overwrite it
+        // under the now-identical key and warm-start a plan no cold run
+        // makes. (The retired level's wire name is spelt in two pieces: the
+        // check that no code names the deleted variant greps for the word.)
+        let retired = ["Thor", "ough"].concat();
+        let circuit = generators::qft(9);
+        let dag = CircuitDag::from_circuit(&circuit);
+        let fast = Planner.plan_single(&dag, 5).unwrap();
+        let tighter = Planner.plan_single(&dag, 3).unwrap();
+        assert_ne!(fast, tighter);
+        let entry = |effort: &str, partition: &Partition| {
+            format!(
+                r#"[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":3,"strategy":"Auto","effort":"{effort}"}},{{"Single":{}}}]"#,
+                circuit.fingerprint(),
+                serde_json::to_string(partition).unwrap()
+            )
+        };
+        let json = format!("[{},{}]", entry("Fast", &fast), entry(&retired, &tighter));
+        let dir = std::env::temp_dir().join(format!("hisvsim-effort-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("two-levels.json");
+        std::fs::write(&path, json).unwrap();
+
+        let cache = PlanCache::new(4);
+        assert_eq!(cache.load_snapshot(&path).unwrap(), 1);
+        assert_eq!(cache.warm_len(), 1);
+        match cache.take_warm(&key_of(&circuit, 5)) {
+            Some(PersistedPlan::Single(back)) => assert_eq!(back, fast),
+            other => panic!("the Fast entry must be the one loaded, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -751,13 +828,13 @@ mod tests {
         use hisvsim_partition::MultilevelPartition;
         let circuit = generators::qft(9);
         let dag = CircuitDag::from_circuit(&circuit);
-        let plan = Planner::default().plan_single(&circuit, &dag, 5).unwrap();
+        let plan = Planner.plan_single(&dag, 5).unwrap();
         let json = serde_json::to_string(&plan).unwrap();
         let back: Partition = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
         back.validate(&dag, 5).unwrap();
 
-        let ml = Planner::default().plan_two_level(&dag, 6, 3).unwrap();
+        let ml = Planner.plan_two_level(&dag, 6, 3).unwrap();
         let json = serde_json::to_string(&ml).unwrap();
         let back: MultilevelPartition = serde_json::from_str(&json).unwrap();
         assert_eq!(ml.first, back.first);

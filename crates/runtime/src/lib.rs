@@ -8,8 +8,8 @@
 //! | Module | What it provides |
 //! |---|---|
 //! | [`job`] | the [`SimJob`](job::SimJob) / [`JobResult`](job::JobResult) batch model (circuit + shots + observables + engine preference) |
-//! | [`selector`] | [`EngineSelector`](selector::EngineSelector): picks hier/dist/multilevel per job (the baseline only when forced) from qubit count and the `memmodel`/`netmodel` cost signals |
-//! | [`planner`] | [`Planner`](planner::Planner): configurable-effort partition planning (single `dagP` call → full strategy portfolio) |
+//! | [`selector`] | [`EngineSelector`](selector::EngineSelector): picks hier/dist/multilevel per job (the baseline only when forced) from the qubit count against two budgets (21 LLC qubits, 30 node qubits by default) and the `netmodel` exchange cost |
+//! | [`planner`] | [`Planner`](planner::Planner): one default `dagP` call per plan, fused into the form the cache stores |
 //! | [`cache`] | [`PlanCache`](cache::PlanCache): memoizes plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint), with in-flight deduplication, hit/miss accounting and disk snapshots for warm restarts |
 //! | [`pool`] | [`JobRunner`](pool::JobRunner): the reusable plan–execute worker-pool core (residency [`Semaphore`](pool::Semaphore), per-job [`JobControl`](pool::JobControl) cancellation + phase callbacks) |
 //! | [`scheduler`] | [`Scheduler`](scheduler::Scheduler): a worker pool executing a batch on OS threads with a bounded number of resident state vectors |
@@ -73,7 +73,6 @@ pub use hisvsim_statevec::{FusionStrategy, KernelDispatch};
 pub mod prelude {
     pub use crate::cache::PlanCache;
     pub use crate::job::{JobResult, SimJob};
-    pub use crate::planner::PlanEffort;
     pub use crate::scheduler::{BatchReport, Scheduler, SchedulerConfig};
     pub use crate::selector::{EngineKind, EngineSelector};
     pub use hisvsim_statevec::{FusionStrategy, KernelDispatch};

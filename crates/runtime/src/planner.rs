@@ -1,159 +1,48 @@
-//! Partition planning at configurable effort.
+//! Partition planning: one default-configuration `dagP` call per plan.
 //!
-//! A production service amortises planning cost across many executions of
-//! the same circuit structure (that is what the [`crate::cache::PlanCache`]
-//! is for), which changes the planning-cost trade-off: it is worth spending
-//! far more than one `dagP` call on a plan that will be reused. The planner
-//! therefore has two effort levels:
-//!
-//! * [`PlanEffort::Fast`] — one default-configuration `dagP` call, the same
-//!   cost profile as calling the engines directly;
-//! * [`PlanEffort::Thorough`] — a portfolio sweep plus locality scoring:
-//!   `Nat`, a deep best-of-k `DFS`, and `dagP` under several configurations
-//!   (coarsening on/off, extra refinement passes, tighter imbalance,
-//!   alternative cluster sizes) produce candidates; the candidates with the
-//!   fewest parts are then *scored on the modelled cache hierarchy* by
-//!   replaying their gather–execute–scatter access trace
-//!   (`hisvsim_core::profile` + `hisvsim_memmodel` — the paper's Table II
-//!   machinery), and the plan with the lowest modelled average memory
-//!   latency wins. This is deliberately expensive — it is the work the
-//!   cache saves on every repeat submission.
+//! A production service amortises planning across many executions of the
+//! same circuit structure — that is what the [`crate::cache::PlanCache`] is
+//! for — so the planner itself is deliberately plain: the same partition the
+//! engines would compute if called directly, fused once into the form the
+//! cache stores. The paper's cache model (`hisvsim-memmodel`) explains
+//! Table II; it does not pick plans.
 
 use hisvsim_circuit::Circuit;
-use hisvsim_core::profile::{hierarchical_access_trace, TraceOptions};
 use hisvsim_core::{FusedSinglePlan, FusedTwoLevelPlan};
-use hisvsim_dag::{CircuitDag, PartGraph, Partition};
-use hisvsim_memmodel::{replay_amplitude_indices, HierarchyConfig};
+use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{
-    DagPConfig, DagPPartitioner, DfsPartitioner, MultilevelPartition, MultilevelPartitioner,
-    NatPartitioner, PartitionBuildError,
+    DagPPartitioner, MultilevelPartition, MultilevelPartitioner, PartitionBuildError,
 };
 use hisvsim_statevec::FusionStrategy;
-use serde::{Deserialize, Serialize};
 
-/// How much work to invest in one plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// How much work to invest in one plan. There is one level: the type and
+/// [`Planner::new`]'s parameter stay only because the benchmark adapter
+/// (`crates/bench/src/bin/hisvsim-bench/layers.rs`) calls
+/// `Planner::new(PlanEffort::Fast)`; they can go with the next PR that is
+/// allowed to edit it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanEffort {
     /// One default `dagP` call.
     Fast,
-    /// Full strategy portfolio + cache-model locality scoring.
-    Thorough,
-}
-
-impl PlanEffort {
-    /// Stable name for cache keys and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlanEffort::Fast => "fast",
-            PlanEffort::Thorough => "thorough",
-        }
-    }
 }
 
 /// The partition planner.
-#[derive(Debug, Clone, Copy)]
-pub struct Planner {
-    /// Effort level.
-    pub effort: PlanEffort,
-    /// Trials for the DFS portfolio member under [`PlanEffort::Thorough`].
-    pub dfs_trials: usize,
-    /// Access-trace sample length per scored candidate under
-    /// [`PlanEffort::Thorough`] (0 disables locality scoring).
-    pub trace_accesses: usize,
-    /// How many minimum-part candidates are locality-scored.
-    pub max_scored: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Planner;
 
 impl Planner {
-    /// A planner at the given effort.
-    pub fn new(effort: PlanEffort) -> Self {
-        Self {
-            effort,
-            dfs_trials: 2048,
-            trace_accesses: 4_000_000,
-            max_scored: 5,
-        }
+    /// The planner (see [`PlanEffort`] for why it takes one).
+    pub fn new(_effort: PlanEffort) -> Self {
+        Planner
     }
 
-    /// Plan a single-level partition of `circuit`'s DAG under `limit`.
+    /// Plan a single-level partition of `dag` under `limit`.
     pub fn plan_single(
         &self,
-        circuit: &Circuit,
         dag: &CircuitDag,
         limit: usize,
     ) -> Result<Partition, PartitionBuildError> {
-        match self.effort {
-            PlanEffort::Fast => DagPPartitioner::default().partition(dag, limit),
-            PlanEffort::Thorough => {
-                // The requested limit is an *upper bound* on the working set:
-                // the engines derive each part's working set from the plan
-                // itself, so a plan built at a tighter limit is equally
-                // valid and often more cache-resident (smaller inner vector)
-                // at the price of more parts (more outer sweeps). Thorough
-                // planning explores that trade-off explicitly: one finalist
-                // per candidate limit, then the modelled cache hierarchy
-                // picks the operating point — exactly the locality argument
-                // of the paper's Table II, applied at plan time.
-                let arity_floor = circuit
-                    .gates()
-                    .iter()
-                    .map(|g| g.arity())
-                    .max()
-                    .unwrap_or(1)
-                    .max(2);
-                let mut limits = Vec::new();
-                for step in 0..self.max_scored.max(1) {
-                    let candidate = limit.saturating_sub(2 * step).max(arity_floor.min(limit));
-                    if !limits.contains(&candidate) {
-                        limits.push(candidate);
-                    }
-                }
-
-                let mut finalists: Vec<Partition> = Vec::new();
-                for &candidate_limit in &limits {
-                    if let Some(best) = self.best_at_limit(dag, candidate_limit) {
-                        if !finalists.contains(&best) {
-                            finalists.push(best);
-                        }
-                    }
-                }
-                if finalists.is_empty() {
-                    // Every portfolio member failed: surface the canonical
-                    // error from the default configuration.
-                    return DagPPartitioner::default().partition(dag, limit);
-                }
-                if finalists.len() == 1 || self.trace_accesses == 0 {
-                    return Ok(finalists.remove(0));
-                }
-
-                // Locality scoring: replay each finalist's gather–execute–
-                // scatter access trace through the modelled cache hierarchy;
-                // the plan with the lowest modelled average memory latency
-                // wins (earlier = wider-limit finalists win ties).
-                let hierarchy = HierarchyConfig::cascade_lake();
-                let options = TraceOptions {
-                    max_assignments_per_part: 8,
-                    max_accesses: self.trace_accesses,
-                };
-                let best = finalists
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, p)| {
-                        let trace = hierarchical_access_trace(circuit, dag, &p, options);
-                        let stats = replay_amplitude_indices(hierarchy, trace);
-                        let latency = stats.average_latency(hierarchy.latency_cycles);
-                        (latency, rank, p)
-                    })
-                    .min_by(|a, b| {
-                        a.0.partial_cmp(&b.0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.1.cmp(&b.1))
-                    })
-                    .map(|(_, _, p)| p)
-                    .expect("finalists is non-empty");
-                Ok(best)
-            }
-        }
+        DagPPartitioner::default().partition(dag, limit)
     }
 
     /// Plan a single-level partition and fuse every part's inner circuit at
@@ -168,7 +57,7 @@ impl Planner {
         fusion_width: usize,
         strategy: FusionStrategy,
     ) -> Result<FusedSinglePlan, PartitionBuildError> {
-        let partition = self.plan_single(circuit, dag, limit)?;
+        let partition = self.plan_single(dag, limit)?;
         Ok(FusedSinglePlan::build_with_strategy(
             circuit,
             dag,
@@ -201,101 +90,13 @@ impl Planner {
 
     /// Plan a two-level partition (first-level `first_limit`, second-level
     /// `second_limit`) for the multi-level engine.
-    ///
-    /// Under [`PlanEffort::Thorough`] the `dagP` configuration sweep mirrors
-    /// the single-level portfolio and the variant whose *first* level has
-    /// the fewest parts (= fewest redistributions) wins; the trace model
-    /// covers single-level execution only, so no locality scoring here.
     pub fn plan_two_level(
         &self,
         dag: &CircuitDag,
         first_limit: usize,
         second_limit: usize,
     ) -> Result<MultilevelPartition, PartitionBuildError> {
-        match self.effort {
-            PlanEffort::Fast => {
-                MultilevelPartitioner::default().partition(dag, first_limit, second_limit)
-            }
-            PlanEffort::Thorough => {
-                let mut best: Option<MultilevelPartition> = None;
-                for config in Self::dagp_portfolio() {
-                    let partitioner = MultilevelPartitioner { config };
-                    if let Ok(ml) = partitioner.partition(dag, first_limit, second_limit) {
-                        if best
-                            .as_ref()
-                            .is_none_or(|b| ml.num_first_level_parts() < b.num_first_level_parts())
-                        {
-                            best = Some(ml);
-                        }
-                    }
-                }
-                match best {
-                    Some(ml) => Ok(ml),
-                    None => {
-                        MultilevelPartitioner::default().partition(dag, first_limit, second_limit)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Best portfolio candidate at one limit: fewest parts, ties broken by
-    /// quotient edge cut. `None` when every member fails at this limit.
-    fn best_at_limit(&self, dag: &CircuitDag, limit: usize) -> Option<Partition> {
-        let mut best: Option<(usize, usize, Partition)> = None;
-        let mut consider = |candidate: Result<Partition, PartitionBuildError>| {
-            if let Ok(p) = candidate {
-                let key = (p.num_parts(), PartGraph::build(dag, &p).edge_cut());
-                if best
-                    .as_ref()
-                    .is_none_or(|(parts, cut, _)| key < (*parts, *cut))
-                {
-                    best = Some((key.0, key.1, p));
-                }
-            }
-        };
-        consider(NatPartitioner.partition(dag, limit));
-        consider(DfsPartitioner::new(self.dfs_trials, 0x515C).partition(dag, limit));
-        for config in Self::dagp_portfolio() {
-            consider(DagPPartitioner::new(config).partition(dag, limit));
-        }
-        best.map(|(_, _, p)| p)
-    }
-
-    /// The `dagP` configuration sweep of the Thorough portfolio.
-    fn dagp_portfolio() -> Vec<DagPConfig> {
-        let base = DagPConfig::default();
-        vec![
-            base,
-            DagPConfig {
-                coarsen: false,
-                ..base
-            },
-            DagPConfig {
-                refinement_passes: 12,
-                ..base
-            },
-            DagPConfig {
-                imbalance: 1.2,
-                refinement_passes: 8,
-                ..base
-            },
-            DagPConfig {
-                max_cluster_size: 4,
-                ..base
-            },
-            DagPConfig {
-                max_cluster_size: 16,
-                refinement_passes: 8,
-                ..base
-            },
-        ]
-    }
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Self::new(PlanEffort::Fast)
+        MultilevelPartitioner::default().partition(dag, first_limit, second_limit)
     }
 }
 
@@ -305,78 +106,21 @@ mod tests {
     use hisvsim_circuit::generators;
 
     #[test]
-    fn thorough_at_a_single_limit_never_produces_more_parts_than_fast() {
-        // With limit exploration disabled (max_scored = 1), Thorough is a
-        // strict portfolio over the requested limit, so it can only match or
-        // beat the single default dagP call.
-        for name in ["qft", "qaoa", "grover", "adder"] {
-            let circuit = generators::by_name(name, 10);
-            let dag = CircuitDag::from_circuit(&circuit);
-            for limit in [4usize, 6] {
-                let fast = Planner::new(PlanEffort::Fast)
-                    .plan_single(&circuit, &dag, limit)
-                    .unwrap();
-                let mut planner = Planner::new(PlanEffort::Thorough);
-                planner.max_scored = 1;
-                let thorough = planner.plan_single(&circuit, &dag, limit).unwrap();
-                thorough.validate(&dag, limit).unwrap();
-                assert!(
-                    thorough.num_parts() <= fast.num_parts(),
-                    "{name}@{limit}: thorough {} parts vs fast {}",
-                    thorough.num_parts(),
-                    fast.num_parts()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn thorough_limit_exploration_stays_within_the_requested_bound() {
-        // The locality-scored plan may use a *tighter* limit than requested
-        // (smaller inner vectors, more parts) but must always validate under
-        // the requested one.
-        for name in ["qft", "ising", "qaoa"] {
-            let circuit = generators::by_name(name, 11);
-            let dag = CircuitDag::from_circuit(&circuit);
-            let plan = Planner::new(PlanEffort::Thorough)
-                .plan_single(&circuit, &dag, 6)
-                .unwrap();
-            plan.validate(&dag, 6)
-                .unwrap_or_else(|e| panic!("{name}: scored plan invalid at requested limit: {e}"));
-            assert!(plan.max_working_set(&dag) <= 6);
-        }
-    }
-
-    #[test]
     fn two_level_plans_validate_at_both_levels() {
         let circuit = generators::by_name("qpe", 10);
         let dag = CircuitDag::from_circuit(&circuit);
-        for effort in [PlanEffort::Fast, PlanEffort::Thorough] {
-            let ml = Planner::new(effort).plan_two_level(&dag, 7, 3).unwrap();
-            ml.first.validate(&dag, 7).unwrap();
-            assert!(ml.total_second_level_parts() >= ml.num_first_level_parts());
-        }
+        let ml = Planner.plan_two_level(&dag, 7, 3).unwrap();
+        ml.first.validate(&dag, 7).unwrap();
+        assert!(ml.total_second_level_parts() >= ml.num_first_level_parts());
     }
 
     #[test]
     fn arity_violation_error_is_preserved() {
         let circuit = generators::adder(8); // Toffolis: arity 3
         let dag = CircuitDag::from_circuit(&circuit);
-        for effort in [PlanEffort::Fast, PlanEffort::Thorough] {
-            assert!(matches!(
-                Planner::new(effort).plan_single(&circuit, &dag, 2),
-                Err(PartitionBuildError::GateExceedsLimit { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn disabling_locality_scoring_still_plans() {
-        let circuit = generators::qft(10);
-        let dag = CircuitDag::from_circuit(&circuit);
-        let mut planner = Planner::new(PlanEffort::Thorough);
-        planner.trace_accesses = 0;
-        let p = planner.plan_single(&circuit, &dag, 5).unwrap();
-        p.validate(&dag, 5).unwrap();
+        assert!(matches!(
+            Planner.plan_single(&dag, 2),
+            Err(PartitionBuildError::GateExceedsLimit { .. })
+        ));
     }
 }

@@ -621,7 +621,7 @@ impl JobRunner {
         if decision.engine == EngineKind::Baseline {
             return Ok((None, PlanSource::Planned));
         }
-        let planner = Planner::new(self.config.effort);
+        let planner = Planner;
         let two_level = decision.engine == EngineKind::Multilevel;
         let plan_fresh = |dag: &CircuitDag| {
             if two_level {
@@ -653,7 +653,6 @@ impl JobRunner {
             second_limit: if two_level { decision.second_limit } else { 0 },
             fusion,
             strategy,
-            effort: self.config.effort,
         };
         let outcome = self.cache.get_or_plan_tracked(key, || {
             let dag = CircuitDag::from_circuit(circuit);

@@ -22,7 +22,6 @@
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::job::{JobResult, SimJob};
-use crate::planner::PlanEffort;
 use crate::pool::{JobControl, JobError, JobRunner, ProcessBackend, Semaphore};
 use crate::selector::{EngineKind, EngineSelector};
 use std::collections::VecDeque;
@@ -41,8 +40,6 @@ pub struct SchedulerConfig {
     /// (every job plans from scratch — the ablation the batch example
     /// measures).
     pub cache_capacity: usize,
-    /// Planning effort invested on cache misses.
-    pub effort: PlanEffort,
     /// The engine selector (thresholds + network model).
     pub selector: EngineSelector,
     /// Keep each job's final state in its [`JobResult`]. Disable for
@@ -65,7 +62,6 @@ impl Default for SchedulerConfig {
             workers,
             max_resident: workers,
             cache_capacity: 256,
-            effort: PlanEffort::Fast,
             selector: EngineSelector::default(),
             retain_states: true,
             process_backend: None,
@@ -79,7 +75,6 @@ impl std::fmt::Debug for SchedulerConfig {
             .field("workers", &self.workers)
             .field("max_resident", &self.max_resident)
             .field("cache_capacity", &self.cache_capacity)
-            .field("effort", &self.effort)
             .field("selector", &self.selector)
             .field("retain_states", &self.retain_states)
             .field(
@@ -100,12 +95,6 @@ impl SchedulerConfig {
     /// Builder: set the resident-state bound `K`.
     pub fn with_max_resident(mut self, k: usize) -> Self {
         self.max_resident = k.max(1);
-        self
-    }
-
-    /// Builder: set the planning effort.
-    pub fn with_effort(mut self, effort: PlanEffort) -> Self {
-        self.effort = effort;
         self
     }
 

@@ -1,7 +1,9 @@
 //! Engine auto-selection: given a job's circuit, pick the engine
 //! (hierarchical / distributed / multi-level) and its structural parameters
-//! (working-set limit, rank count, second-level limit) from the memory- and
-//! network-model cost signals the workspace already has.
+//! (working-set limit, rank count, second-level limit) from the qubit count
+//! and two budgets, stated in qubits: the last-level cache and one node's
+//! memory (by default the paper machine's, 21 and 30). The network model
+//! only prices an exchange for the decision's report.
 //!
 //! The decision mirrors the paper's own sizing argument:
 //!
@@ -19,7 +21,6 @@
 
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::NetworkModel;
-use hisvsim_memmodel::HierarchyConfig;
 use serde::{Deserialize, Serialize};
 
 /// Which engine executes a job.
@@ -94,12 +95,12 @@ pub struct EngineDecision {
     pub reason: String,
 }
 
-/// Picks an engine per job from qubit count and the cost models.
+/// Picks an engine per job from its qubit count and two budgets.
 ///
-/// All thresholds are expressed in qubits (log2 of amplitude count) and are
-/// derived from a [`HierarchyConfig`] at construction; tests and examples can
-/// scale them down with [`EngineSelector::scaled`] so every engine is
-/// exercised on toy circuits.
+/// All thresholds are expressed in qubits (log2 of amplitude count); the
+/// [`Default`] states the paper machine's, and tests and examples scale them
+/// down with [`EngineSelector::scaled`] so every engine is exercised on toy
+/// circuits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSelector {
     /// Qubits whose state vector fits the last-level cache
@@ -114,21 +115,6 @@ pub struct EngineSelector {
 }
 
 impl EngineSelector {
-    /// Derive thresholds from a cache hierarchy and a per-node memory budget
-    /// (in bytes).
-    pub fn from_models(
-        hierarchy: &HierarchyConfig,
-        node_memory_bytes: u128,
-        network: NetworkModel,
-    ) -> Self {
-        Self {
-            cache_qubits: qubits_fitting(hierarchy.l3.capacity_bytes as u128),
-            node_qubits: qubits_fitting(node_memory_bytes),
-            max_ranks: 64,
-            network,
-        }
-    }
-
     /// Explicitly scaled thresholds (used by tests and the examples so the
     /// full engine spectrum is exercised on small circuits).
     pub fn scaled(cache_qubits: usize, node_qubits: usize) -> Self {
@@ -255,21 +241,17 @@ impl EngineSelector {
 }
 
 impl Default for EngineSelector {
-    /// Thresholds of the paper's evaluation machine: Cascade Lake LLC
-    /// (32 MB → 21 cache qubits) and a 16 GB-per-node budget (30 qubits).
+    /// Budgets of the paper's evaluation machine: a 32 MB Cascade Lake LLC
+    /// holds 2^21 amplitudes of 16 bytes, a 16 GB node 2^30; up to 64 ranks
+    /// on an HDR100 interconnect.
     fn default() -> Self {
-        Self::from_models(
-            &HierarchyConfig::cascade_lake(),
-            16u128 << 30,
-            NetworkModel::hdr100(),
-        )
+        Self {
+            cache_qubits: 21,
+            node_qubits: 30,
+            max_ranks: 64,
+            network: NetworkModel::hdr100(),
+        }
     }
-}
-
-/// Largest `n` with `2^n × 16` bytes ≤ `bytes`.
-fn qubits_fitting(bytes: u128) -> usize {
-    let amps = (bytes / 16).max(1);
-    (u128::BITS - 1 - amps.leading_zeros()) as usize
 }
 
 #[cfg(test)]
@@ -282,14 +264,6 @@ mod tests {
         for (slot, kind) in EngineKind::ALL.iter().enumerate() {
             assert_eq!(kind.index(), slot, "{kind} index out of sync with ALL");
         }
-    }
-
-    #[test]
-    fn qubit_budgets_match_powers_of_two() {
-        assert_eq!(qubits_fitting(16), 0);
-        assert_eq!(qubits_fitting(32 * 1024 * 1024), 21); // 32 MB LLC
-        assert_eq!(qubits_fitting(16u128 << 30), 30); // 16 GB node
-        assert_eq!(qubits_fitting((16u128 << 30) - 1), 29);
     }
 
     #[test]

@@ -32,8 +32,8 @@ fn deadline_message(deadline: Duration) -> String {
 /// runs with, plus the service-level persistence and retention knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker count, residency bound, plan-cache capacity, planning effort,
-    /// engine selector — identical semantics to batch mode.
+    /// Worker count, residency bound, plan-cache capacity, engine selector —
+    /// identical semantics to batch mode.
     pub scheduler: SchedulerConfig,
     /// Plan-cache snapshot location. When set, the snapshot is loaded at
     /// startup (missing file = cold start, not an error) and written at
@@ -344,14 +344,23 @@ pub struct SimService {
 
 impl SimService {
     /// Start a service: loads the plan-cache snapshot when persistence is
-    /// configured (a missing snapshot is a cold start, not an error), then
-    /// spawns the worker threads.
+    /// configured (a missing snapshot is a cold start, not an error; an
+    /// unreadable one is a cold start and a warning), then spawns the worker
+    /// threads.
     pub fn start(config: ServiceConfig) -> Self {
         let runner = JobRunner::new(config.scheduler.clone());
         if let Some(path) = &config.persist_path {
             if path.exists() {
-                // A corrupt snapshot degrades to a cold start.
-                let _ = runner.cache().load_snapshot(path);
+                if let Err(e) = runner.cache().load_snapshot(path) {
+                    log::warn(
+                        LOG_TARGET,
+                        "plan snapshot unreadable; starting cold",
+                        &[
+                            ("path", &path.display().to_string()),
+                            ("error", &e.to_string()),
+                        ],
+                    );
+                }
             }
         }
         let worker_count = config.scheduler.workers.max(1);

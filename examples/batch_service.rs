@@ -78,15 +78,13 @@ fn cache_ablation() {
     let circuit = generators::qft(qubits);
     let make_jobs =
         || -> Vec<SimJob> { (0..copies).map(|_| SimJob::new(circuit.clone())).collect() };
-    // Thorough planning is the production configuration for cached
-    // workloads: the portfolio cost is paid once, then amortised.
     let config = |cached: bool| {
         // Cache budget 12 qubits, node budget ≥ the circuit: the selector
-        // routes these jobs to the hierarchical engine, whose plans get the
-        // full portfolio + locality-scoring treatment.
-        let base = SchedulerConfig::default()
-            .with_selector(EngineSelector::scaled(12, qubits.max(12)))
-            .with_effort(PlanEffort::Thorough);
+        // routes these jobs to the hierarchical engine at limit 12, so each
+        // uncached job pays a DAG build, a dagP call and the fusion of every
+        // part that the cached batch pays once.
+        let base =
+            SchedulerConfig::default().with_selector(EngineSelector::scaled(12, qubits.max(12)));
         if cached {
             base
         } else {

@@ -37,7 +37,10 @@ fn main() {
 
     // Virtual ranks are threads, so oversubscription is harmless; floor the
     // sweep at 8 ranks so small hosts still produce a table.
-    let max_ranks = num_cpus::get().next_power_of_two().clamp(8, 16);
+    let max_ranks = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .next_power_of_two()
+        .clamp(8, 16);
     let mut ranks = 2usize;
     while ranks <= max_ranks {
         let baseline = IqsBaseline::new(BaselineConfig::new(ranks)).run(&circuit);

@@ -20,7 +20,7 @@
 //! (default 28; use 16–20 on small machines).
 
 use hisvsim_circuit::generators;
-use hisvsim_runtime::{EngineKind, EngineSelector, PlanEffort, SchedulerConfig, SimJob};
+use hisvsim_runtime::{EngineKind, EngineSelector, SchedulerConfig, SimJob};
 use hisvsim_service::prelude::*;
 use std::time::Instant;
 
@@ -195,15 +195,13 @@ fn warm_start() {
     let config = || {
         ServiceConfig::new()
             .with_scheduler(
-                SchedulerConfig::default()
-                    .with_selector(EngineSelector::scaled(10, qubits))
-                    .with_effort(PlanEffort::Thorough),
+                SchedulerConfig::default().with_selector(EngineSelector::scaled(10, qubits)),
             )
             .with_persistence(&path)
     };
     let template = generators::qft(qubits);
 
-    // "Process 1": plan the template (expensively), execute, persist.
+    // "Process 1": plan the template, execute, persist.
     let first = SimService::start(config());
     let start = Instant::now();
     let baseline = first.submit(SimJob::new(template.clone())).wait().unwrap();

@@ -4,7 +4,7 @@
 //! workflow runs under a timeout.
 
 use hisvsim_circuit::generators;
-use hisvsim_runtime::{EngineKind, EngineSelector, Scheduler, SchedulerConfig, SimJob};
+use hisvsim_runtime::{EngineKind, EngineSelector, PlanCache, Scheduler, SchedulerConfig, SimJob};
 use hisvsim_service::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -256,6 +256,58 @@ fn persisted_then_reloaded_plan_cache_is_bit_identical_and_replans_nothing() {
         assert_eq!(warm, &cold_state, "warm plan diverged from a cold plan");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A snapshot that does not parse — cut off mid-write, or not JSON at all —
+/// costs a warning and a cold start, never the service, and the next save
+/// replaces it whole without leaving its staging file behind.
+#[test]
+fn an_unreadable_snapshot_starts_the_service_cold() {
+    let dir = std::env::temp_dir().join(format!("hisvsim-bad-snapshot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let circuit = generators::qft(10);
+    let expected = hisvsim_statevec::run_circuit(&circuit);
+    let valid = dir.join("valid.json");
+    let writer = SimService::start(
+        ServiceConfig::new()
+            .with_scheduler(scaled_config(1))
+            .with_persistence(&valid),
+    );
+    writer.submit(SimJob::new(circuit.clone())).wait().unwrap();
+    writer.shutdown().unwrap();
+    let snapshot = std::fs::read(&valid).unwrap();
+    std::fs::remove_file(&valid).unwrap();
+
+    let inputs: [(&str, &[u8]); 2] = [
+        ("truncated.json", &snapshot[..snapshot.len() / 2]),
+        ("not-json.json", b"plans: none\n"),
+    ];
+    for (name, bytes) in inputs {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).unwrap();
+        let service = SimService::start(
+            ServiceConfig::new()
+                .with_scheduler(scaled_config(1))
+                .with_persistence(&path),
+        );
+        let result = service.submit(SimJob::new(circuit.clone())).wait().unwrap();
+        assert!(!result.plan_cache_hit, "{name}: the first job must plan");
+        assert!(result.state.unwrap().approx_eq(&expected, 1e-9), "{name}");
+        assert_eq!(service.persist_plans().unwrap(), 1, "{name}");
+        service.shutdown().unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(files, [name], "a save must leave only the snapshot");
+        assert_eq!(
+            PlanCache::new(4).load_snapshot(&path).unwrap(),
+            1,
+            "{name}: the save must replace the unreadable file"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A job's plan is a function of the job: with the span recorder on and
