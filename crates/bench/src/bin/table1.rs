@@ -60,5 +60,8 @@ fn main() {
             &rows
         )
     );
-    println!("Reproduction widths come from HISVSIM_SMALL_QUBITS / HISVSIM_LARGE_QUBITS (see EXPERIMENTS.md).");
+    println!(
+        "Reproduction widths come from HISVSIM_SMALL_QUBITS / HISVSIM_LARGE_QUBITS \
+         (see the README, \"Reproducing the paper's artifacts\")."
+    );
 }

@@ -5,9 +5,10 @@
 //! (1024 MPI ranks). This reproduction runs the same circuit families and the
 //! same sweeps on one machine, scaled so a full regeneration finishes in
 //! minutes: circuit widths come from the environment (defaults below) and the
-//! virtual-rank sweep is capped by the host's core count. EXPERIMENTS.md
-//! records the mapping from each paper configuration to the reproduction
-//! configuration actually used.
+//! virtual-rank sweep is capped by the host's core count. The `table1` binary
+//! prints the mapping from each paper configuration to the reproduction
+//! configuration actually used; the README's "Reproducing the paper's
+//! artifacts" names the variables.
 
 use hisvsim_circuit::generators::{self, BenchConfig};
 use hisvsim_circuit::Circuit;

@@ -1,6 +1,7 @@
 //! Experiment execution: run one (circuit, rank-count, algorithm)
 //! combination, collect an [`ExperimentRecord`], and persist record sets as
-//! JSON under the results directory so EXPERIMENTS.md can reference them.
+//! JSON under the results directory (README, "Reproducing the paper's
+//! artifacts").
 
 use crate::config::{results_dir, SuiteEntry};
 use hisvsim_circuit::Circuit;
@@ -116,8 +117,8 @@ impl ExperimentRecord {
 /// keeps the communication-to-computation balance — the quantity all of
 /// Figs. 5–9 are about — representative of the paper's cluster instead of
 /// letting the (relatively) slow local compute swamp it. The factor is the
-/// same for every algorithm, so it cancels in the relative comparisons; see
-/// EXPERIMENTS.md ("Calibration").
+/// same for every algorithm, so it cancels in the relative comparisons. The
+/// README's "Reproducing the paper's artifacts" lists the variable.
 pub fn experiment_network() -> NetworkModel {
     let scale: f64 = std::env::var("HISVSIM_NET_SCALE")
         .ok()

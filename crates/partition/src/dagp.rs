@@ -19,9 +19,25 @@
 //!    merged working set stays within `Lm` and the merge keeps the quotient
 //!    graph acyclic, further reducing the part count.
 //!
-//! All phases operate on working sets computed from in-edge labels and the
-//! entry nodes contained in a part, exactly the incremental bookkeeping the
-//! paper describes.
+//! The bookkeeping is flat and allocated once per call. The recursion
+//! reorders one buffer of gate vertices in place; every subset it hands down
+//! is a contiguous slice of that buffer in circuit order, which is a
+//! topological order of the induced subgraph. A bisection marks its subset,
+//! and each vertex's side, in one per-vertex mark array. Working sets (of a
+//! subset, of an open cluster, of a part in the merge phase) are qubit
+//! bitsets, so a merge candidate's merged size and overlap are popcounts.
+//! Per-qubit gate counts on either side of a split keep the shared-qubit
+//! objective exact as vertices move.
+//!
+//! Cost per phase on the `plan_cold` probe (`random_circuit(11, 3000)` at
+//! limit 8: ~330 bisections, ~110 parts), release build, one thread:
+//!
+//! | phase | ms |
+//! |---|---|
+//! | recursive bisection: coarsening ~0.4, split scan ~0.5, refinement ~0.4, fit tests ~0.1 | 1.5–2.1 |
+//! | ready-list packing | 0.23–0.38 |
+//! | merge phase: every pair of parts scored by popcounts, sorted, tested for acyclicity | 0.17–0.26 |
+//! | `Partition::validate` | 0.28–0.43 |
 
 use crate::error::PartitionBuildError;
 use hisvsim_dag::{CircuitDag, NodeId, Partition};
@@ -39,7 +55,8 @@ pub struct DagPConfig {
     /// Enable the acyclic agglomerative coarsening phase.
     pub coarsen: bool,
     /// Enable the final merge phase (the paper's addition). Disabling it is
-    /// the ablation reported in EXPERIMENTS.md.
+    /// the ablation the `ablation_merge` binary reports (README,
+    /// "Reproducing the paper's artifacts").
     pub merge: bool,
     /// Maximum nodes per coarse cluster.
     pub max_cluster_size: usize,
@@ -64,6 +81,112 @@ pub struct DagPPartitioner {
     pub config: DagPConfig,
 }
 
+/// A vertex outside the subset being bisected.
+const OUT: u8 = 0;
+/// A vertex of the subset on the early side of the split.
+const EARLY: u8 = 1;
+/// A vertex of the subset on the late side of the split.
+const LATE: u8 = 2;
+
+/// A set of qubits as a bitset, with its size kept.
+struct QubitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl QubitSet {
+    fn new(num_qubits: usize) -> Self {
+        Self {
+            words: vec![0; num_qubits.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// The working set of `nodes`.
+    fn of(dag: &CircuitDag, nodes: &[NodeId]) -> Self {
+        let mut set = Self::new(dag.num_qubits());
+        for &n in nodes {
+            set.extend(dag.qubits_of(n));
+        }
+        set
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    fn contains(&self, q: usize) -> bool {
+        self.words[q / 64] >> (q % 64) & 1 == 1
+    }
+
+    fn extend(&mut self, qubits: &[usize]) {
+        for &q in qubits {
+            let bit = 1u64 << (q % 64);
+            let word = &mut self.words[q / 64];
+            if *word & bit == 0 {
+                *word |= bit;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// `|self ∪ other|` and `|self ∩ other|`.
+    fn union_and_overlap(&self, other: &Self) -> (usize, usize) {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .fold((0, 0), |(u, i), (a, b)| {
+                (
+                    u + (a | b).count_ones() as usize,
+                    i + (a & b).count_ones() as usize,
+                )
+            })
+    }
+}
+
+/// The buffers the recursive bisection reuses from one call to the next.
+struct Scratch {
+    /// Per vertex: [`OUT`], or the side of the subset being bisected it is on.
+    side: Vec<u8>,
+    /// The working set being measured: a subset's, or an open cluster's.
+    qubits: QubitSet,
+    /// End offset of each coarse cluster in the order being bisected.
+    cluster_ends: Vec<usize>,
+    /// Per-qubit gate counts on the early side of a split.
+    early_counts: Vec<usize>,
+    /// Per-qubit gate counts on the late side of a split.
+    late_counts: Vec<usize>,
+    /// The late side, while a bisection reorders its subset in place.
+    late: Vec<NodeId>,
+}
+
+impl Scratch {
+    fn new(dag: &CircuitDag) -> Self {
+        let nq = dag.num_qubits();
+        Self {
+            side: vec![OUT; dag.num_nodes()],
+            qubits: QubitSet::new(nq),
+            cluster_ends: Vec::new(),
+            early_counts: vec![0; nq],
+            late_counts: vec![0; nq],
+            late: Vec::new(),
+        }
+    }
+
+    /// True when the working set of `nodes` has at most `limit` qubits.
+    fn fits(&mut self, dag: &CircuitDag, nodes: &[NodeId], limit: usize) -> bool {
+        self.qubits.clear();
+        for &n in nodes {
+            self.qubits.extend(dag.qubits_of(n));
+            if self.qubits.len > limit {
+                return false;
+            }
+        }
+        true
+    }
+}
+
 impl DagPPartitioner {
     /// A dagP partitioner with an explicit configuration.
     pub fn new(config: DagPConfig) -> Self {
@@ -80,7 +203,8 @@ impl DagPPartitioner {
         if limit == 0 {
             return Err(PartitionBuildError::InvalidLimit(limit));
         }
-        for node in dag.natural_gate_order() {
+        let mut order: Vec<NodeId> = dag.natural_gate_order();
+        for &node in &order {
             let arity = dag.qubits_of(node).len();
             if arity > limit {
                 return Err(PartitionBuildError::GateExceedsLimit {
@@ -90,17 +214,15 @@ impl DagPPartitioner {
                 });
             }
         }
-        if dag.num_gate_nodes() == 0 {
+        if order.is_empty() {
             return Ok(Partition::from_gate_assignment(Vec::new()));
         }
 
         // Phase 1+2: recursive bisection until every subgraph fits. The
-        // recursion's leaf sequence is a topological order of the gates in
-        // which qubit-related gates sit next to each other (each bisection
-        // minimises the qubits shared across the split).
-        let all: Vec<NodeId> = dag.natural_gate_order();
-        let mut leaves: Vec<Vec<NodeId>> = Vec::new();
-        self.recurse(dag, all, limit, &mut leaves);
+        // recursion reorders `order` into its leaf sequence: a topological
+        // order of the gates in which qubit-related gates sit next to each
+        // other (each bisection minimises the qubits shared across the split).
+        self.recurse(dag, &mut order, limit, &mut Scratch::new(dag));
 
         // Pack gates into parts with a ready-list greedy: always prefer the
         // ready gate that adds the fewest new qubits to the open part, using
@@ -109,8 +231,7 @@ impl DagPPartitioner {
         // together); the packing fills each part to the working-set limit —
         // the recursion alone leaves parts half-full because it only
         // balances node counts.
-        let bisection_order: Vec<NodeId> = leaves.iter().flatten().copied().collect();
-        let mut parts = pack_ready_greedy(dag, &bisection_order, limit);
+        let mut parts = pack_ready_greedy(dag, &order, limit);
 
         // Phase 3: merge.
         if self.config.merge {
@@ -130,127 +251,120 @@ impl DagPPartitioner {
         Ok(partition)
     }
 
-    fn recurse(
-        &self,
-        dag: &CircuitDag,
-        nodes: Vec<NodeId>,
-        limit: usize,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        if nodes.is_empty() {
+    /// Bisect `nodes` until every piece fits `limit`, leaving the pieces in
+    /// place, in order.
+    fn recurse(&self, dag: &CircuitDag, nodes: &mut [NodeId], limit: usize, scratch: &mut Scratch) {
+        if nodes.is_empty() || scratch.fits(dag, nodes, limit) {
             return;
         }
-        if dag.working_set(&nodes).len() <= limit {
-            out.push(nodes);
-            return;
-        }
-        let (a, b) = self.bisect(dag, &nodes);
-        // A bisection that fails to split (degenerate) falls back to halving
-        // the topological order, which always makes progress for |nodes| > 1.
-        if a.is_empty() || b.is_empty() {
-            let mid = nodes.len() / 2;
-            let (left, right) = nodes.split_at(mid.max(1));
-            self.recurse(dag, left.to_vec(), limit, out);
-            self.recurse(dag, right.to_vec(), limit, out);
-            return;
-        }
-        self.recurse(dag, a, limit, out);
-        self.recurse(dag, b, limit, out);
+        let early = self.bisect(dag, nodes, scratch);
+        // A bisection that fails to split (degenerate) leaves `nodes` as it
+        // was; fall back to halving the topological order, which always makes
+        // progress for |nodes| > 1.
+        let mid = if early == 0 || early == nodes.len() {
+            (nodes.len() / 2).max(1)
+        } else {
+            early
+        };
+        let (left, right) = nodes.split_at_mut(mid);
+        self.recurse(dag, left, limit, scratch);
+        self.recurse(dag, right, limit, scratch);
     }
 
-    /// Bisect a subset of gate vertices into an "early" and a "late" side
-    /// such that all induced edges point early → late.
-    fn bisect(&self, dag: &CircuitDag, nodes: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
+    /// Bisect `nodes` (in circuit order, hence a topological order of the
+    /// subgraph they induce) into an "early" and a "late" side such that all
+    /// induced edges point early → late. Reorders `nodes` in place, early
+    /// side first, each side keeping its order, and returns the early side's
+    /// length.
+    fn bisect(&self, dag: &CircuitDag, nodes: &mut [NodeId], scratch: &mut Scratch) -> usize {
         if nodes.len() < 2 {
-            return (nodes.to_vec(), Vec::new());
+            return nodes.len();
         }
-        let in_subset: BTreeSet<NodeId> = nodes.iter().copied().collect();
-
-        // The subset listed in natural order is a topological order of the
-        // induced subgraph (a subsequence of a topological order is one).
-        let order: Vec<NodeId> = dag
-            .natural_gate_order()
-            .into_iter()
-            .filter(|n| in_subset.contains(n))
-            .collect();
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "not in circuit order"
+        );
 
         // --- coarsening ---------------------------------------------------
-        let clusters: Vec<Vec<NodeId>> = if self.config.coarsen {
-            coarsen_order(dag, &order, self.config.max_cluster_size)
+        scratch.cluster_ends.clear();
+        if self.config.coarsen {
+            coarsen_order(dag, nodes, self.config.max_cluster_size, scratch);
         } else {
-            order.iter().map(|&n| vec![n]).collect()
-        };
+            scratch.cluster_ends.extend(1..=nodes.len());
+        }
 
         // --- initial split ------------------------------------------------
-        let split_cluster = self.best_split(dag, &clusters, &in_subset);
-        let mut side = vec![false; dag.num_nodes()]; // false = early, true = late
-        for (ci, cluster) in clusters.iter().enumerate() {
-            for &n in cluster {
-                side[n] = ci >= split_cluster;
-            }
+        let split_cluster = self.best_split(dag, nodes, scratch);
+        let boundary = scratch.cluster_ends[split_cluster - 1];
+        for (i, &n) in nodes.iter().enumerate() {
+            scratch.side[n] = if i < boundary { EARLY } else { LATE };
         }
 
         // --- refinement ---------------------------------------------------
-        self.refine(dag, &order, &in_subset, &mut side);
+        self.refine(dag, nodes, scratch);
 
-        let mut early = Vec::new();
-        let mut late = Vec::new();
-        for &n in &order {
-            if side[n] {
-                late.push(n);
+        // Stable in-place split; every vertex leaves the subset again.
+        scratch.late.clear();
+        let mut early = 0;
+        for i in 0..nodes.len() {
+            let n = nodes[i];
+            if scratch.side[n] == LATE {
+                scratch.late.push(n);
             } else {
-                early.push(n);
+                nodes[early] = n;
+                early += 1;
             }
+            scratch.side[n] = OUT;
         }
-        (early, late)
+        nodes[early..].copy_from_slice(&scratch.late);
+        early
     }
 
     /// Scan all cluster split points and return the one whose two sides share
     /// the fewest qubits, among splits within the imbalance tolerance
-    /// (falling back to the most balanced point if none qualify).
+    /// (falling back to the most balanced point if none qualify). Split `s`
+    /// puts clusters `0..s` early.
     ///
     /// Shared qubits — not raw edge cut — is the quantity that drives the
     /// final part count: every qubit appearing on both sides must be loaded
     /// into (at least) one extra part downstream, so minimising it is the
     /// working-set analogue of the original algorithm's edge-cut objective.
-    fn best_split(
-        &self,
-        dag: &CircuitDag,
-        clusters: &[Vec<NodeId>],
-        _in_subset: &BTreeSet<NodeId>,
-    ) -> usize {
-        let total_nodes: usize = clusters.iter().map(|c| c.len()).sum();
+    fn best_split(&self, dag: &CircuitDag, nodes: &[NodeId], scratch: &mut Scratch) -> usize {
+        let total_nodes = nodes.len();
         let ideal = total_nodes as f64 / 2.0;
         let max_side = (ideal * self.config.imbalance).ceil() as usize;
 
-        // Per-qubit gate counts of each cluster, so prefix/suffix qubit sets
+        // Per-qubit gate counts of each side, so the number of shared qubits
         // can be maintained incrementally across split points.
-        let nq = dag.num_qubits();
-        let mut suffix_counts = vec![0usize; nq];
-        for cluster in clusters {
-            for &n in cluster {
-                for &q in dag.qubits_of(n) {
-                    suffix_counts[q] += 1;
-                }
+        let Scratch {
+            cluster_ends,
+            early_counts: prefix_counts,
+            late_counts: suffix_counts,
+            ..
+        } = scratch;
+        prefix_counts.fill(0);
+        suffix_counts.fill(0);
+        for &n in nodes {
+            for &q in dag.qubits_of(n) {
+                suffix_counts[q] += 1;
             }
         }
-        let mut prefix_counts = vec![0usize; nq];
 
         let mut best: Option<(usize, usize, usize)> = None; // (shared, balance distance, split)
         let mut fallback: Option<(usize, usize)> = None; // (balance distance, split)
+        let mut shared = 0usize;
         let mut prefix_nodes = 0usize;
-        for split in 1..clusters.len() {
-            for &n in &clusters[split - 1] {
+        for split in 1..cluster_ends.len() {
+            for &n in &nodes[prefix_nodes..cluster_ends[split - 1]] {
                 for &q in dag.qubits_of(n) {
+                    let was_shared = prefix_counts[q] > 0 && suffix_counts[q] > 0;
                     prefix_counts[q] += 1;
                     suffix_counts[q] -= 1;
+                    shared = shared + usize::from(suffix_counts[q] > 0) - usize::from(was_shared);
                 }
             }
-            prefix_nodes += clusters[split - 1].len();
+            prefix_nodes = cluster_ends[split - 1];
             let suffix_nodes = total_nodes - prefix_nodes;
-            let shared = (0..nq)
-                .filter(|&q| prefix_counts[q] > 0 && suffix_counts[q] > 0)
-                .count();
             let distance = prefix_nodes.abs_diff(suffix_nodes);
             let balanced = prefix_nodes <= max_side && suffix_nodes <= max_side;
             if balanced && best.is_none_or(|(s, d, _)| shared < s || (shared == s && distance < d))
@@ -269,27 +383,26 @@ impl DagPPartitioner {
     /// Boundary refinement: move vertices across the split when it lowers the
     /// number of qubits shared by the two sides, keeping all induced edges
     /// early → late and respecting the imbalance bound.
-    fn refine(
-        &self,
-        dag: &CircuitDag,
-        order: &[NodeId],
-        in_subset: &BTreeSet<NodeId>,
-        side: &mut [bool],
-    ) {
+    fn refine(&self, dag: &CircuitDag, order: &[NodeId], scratch: &mut Scratch) {
+        let Scratch {
+            side,
+            early_counts,
+            late_counts,
+            ..
+        } = scratch;
         let total = order.len();
         let ideal = total as f64 / 2.0;
         let max_side = (ideal * self.config.imbalance).ceil() as usize;
-        let mut late_count = order.iter().filter(|&&n| side[n]).count();
+        let mut late_count = order.iter().filter(|&&n| side[n] == LATE).count();
 
         // Per-qubit gate counts on each side, maintained across moves.
-        let nq = dag.num_qubits();
-        let mut early_counts = vec![0usize; nq];
-        let mut late_counts = vec![0usize; nq];
+        early_counts.fill(0);
+        late_counts.fill(0);
         for &n in order {
-            let counts = if side[n] {
-                &mut late_counts
+            let counts = if side[n] == LATE {
+                &mut *late_counts
             } else {
-                &mut early_counts
+                &mut *early_counts
             };
             for &q in dag.qubits_of(n) {
                 counts[q] += 1;
@@ -299,18 +412,15 @@ impl DagPPartitioner {
         for _ in 0..self.config.refinement_passes {
             let mut moved = false;
             for &n in order {
-                let currently_late = side[n];
+                let currently_late = side[n] == LATE;
                 // Feasibility: moving early→late requires no successor on the
                 // early side; late→early requires no predecessor on the late
-                // side (otherwise an edge would point late → early).
+                // side (otherwise an edge would point late → early). Vertices
+                // outside the subset are `OUT`, on neither side.
                 let feasible = if currently_late {
-                    dag.predecessors(n)
-                        .iter()
-                        .all(|&(p, _)| !in_subset.contains(&p) || !side[p])
+                    dag.predecessors(n).iter().all(|&(p, _)| side[p] != LATE)
                 } else {
-                    dag.successors(n)
-                        .iter()
-                        .all(|&(s, _)| !in_subset.contains(&s) || side[s])
+                    dag.successors(n).iter().all(|&(s, _)| side[s] != EARLY)
                 };
                 if !feasible {
                     continue;
@@ -328,9 +438,9 @@ impl DagPPartitioner {
                 // Gain: change in the number of qubits shared between the two
                 // sides if `n` switches sides.
                 let (from_counts, to_counts) = if currently_late {
-                    (&late_counts, &early_counts)
+                    (&mut *late_counts, &mut *early_counts)
                 } else {
-                    (&early_counts, &late_counts)
+                    (&mut *early_counts, &mut *late_counts)
                 };
                 let mut gain: isize = 0;
                 for &q in dag.qubits_of(n) {
@@ -346,16 +456,11 @@ impl DagPPartitioner {
                     }
                 }
                 if gain > 0 {
-                    side[n] = !currently_late;
+                    side[n] = if currently_late { EARLY } else { LATE };
                     late_count = new_late;
                     for &q in dag.qubits_of(n) {
-                        if currently_late {
-                            late_counts[q] -= 1;
-                            early_counts[q] += 1;
-                        } else {
-                            early_counts[q] -= 1;
-                            late_counts[q] += 1;
-                        }
+                        from_counts[q] -= 1;
+                        to_counts[q] += 1;
                     }
                     moved = true;
                 }
@@ -370,28 +475,26 @@ impl DagPPartitioner {
 /// Contract contiguous runs of the topological order into clusters of at most
 /// `max_size` vertices, preferring to extend a cluster while the next vertex
 /// shares a qubit with it (acyclic by construction: clusters are contiguous
-/// segments of a topological order).
-fn coarsen_order(dag: &CircuitDag, order: &[NodeId], max_size: usize) -> Vec<Vec<NodeId>> {
-    let mut clusters: Vec<Vec<NodeId>> = Vec::new();
-    let mut current: Vec<NodeId> = Vec::new();
-    let mut current_qubits: BTreeSet<usize> = BTreeSet::new();
-    for &n in order {
+/// segments of a topological order). Appends each cluster's end offset to
+/// `scratch.cluster_ends`.
+fn coarsen_order(dag: &CircuitDag, order: &[NodeId], max_size: usize, scratch: &mut Scratch) {
+    let current_qubits = &mut scratch.qubits;
+    current_qubits.clear();
+    let mut current_len = 0usize;
+    for (i, &n) in order.iter().enumerate() {
         let qs = dag.qubits_of(n);
-        let shares = qs.iter().any(|q| current_qubits.contains(q));
-        if current.is_empty() || (shares && current.len() < max_size) {
-            current.push(n);
-            current_qubits.extend(qs.iter().copied());
-        } else {
-            clusters.push(std::mem::take(&mut current));
+        let shares = qs.iter().any(|&q| current_qubits.contains(q));
+        if current_len > 0 && !(shares && current_len < max_size) {
+            scratch.cluster_ends.push(i);
             current_qubits.clear();
-            current.push(n);
-            current_qubits.extend(qs.iter().copied());
+            current_len = 0;
         }
+        current_len += 1;
+        current_qubits.extend(qs);
     }
-    if !current.is_empty() {
-        clusters.push(current);
+    if current_len > 0 {
+        scratch.cluster_ends.push(order.len());
     }
-    clusters
 }
 
 /// Greedy ready-list packing.
@@ -495,7 +598,7 @@ fn merge_parts(dag: &CircuitDag, mut parts: Vec<Vec<NodeId>>, limit: usize) -> V
         if parts.len() <= 1 {
             return parts;
         }
-        let working_sets: Vec<BTreeSet<usize>> = parts.iter().map(|p| dag.working_set(p)).collect();
+        let working_sets: Vec<QubitSet> = parts.iter().map(|p| QubitSet::of(dag, p)).collect();
 
         // Quotient adjacency indexed exactly by our `parts` positions (a
         // plain `PartGraph` would renumber parts by first appearance, which
@@ -507,24 +610,18 @@ fn merge_parts(dag: &CircuitDag, mut parts: Vec<Vec<NodeId>>, limit: usize) -> V
         let mut candidates: Vec<(usize, usize, usize, usize)> = Vec::new(); // (overlap, merged_ws, a, b)
         for a in 0..parts.len() {
             for b in a + 1..parts.len() {
-                let merged: BTreeSet<usize> =
-                    working_sets[a].union(&working_sets[b]).copied().collect();
-                if merged.len() > limit {
-                    continue;
+                let (merged, overlap) = working_sets[a].union_and_overlap(&working_sets[b]);
+                if merged <= limit {
+                    candidates.push((overlap, merged, a, b));
                 }
-                let overlap = working_sets[a].intersection(&working_sets[b]).count();
-                candidates.push((overlap, merged.len(), a, b));
             }
         }
         candidates.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
 
-        let mut merged_pair: Option<(usize, usize)> = None;
-        for &(_, _, a, b) in &candidates {
-            if merge_keeps_acyclic(&succ, a, b) {
-                merged_pair = Some((a, b));
-                break;
-            }
-        }
+        let merged_pair = candidates
+            .iter()
+            .map(|&(_, _, a, b)| (a, b))
+            .find(|&(a, b)| merge_keeps_acyclic(&succ, a, b));
         match merged_pair {
             Some((a, b)) => {
                 let moved = std::mem::take(&mut parts[b]);
