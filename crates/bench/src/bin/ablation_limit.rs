@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md): sweep of the working-set limit `Lm` — the knob that
+//! Ablation (README, "Reproducing the paper's artifacts"): sweep of the working-set limit `Lm` — the knob that
 //! trades part count (communication) against inner-state-vector size
 //! (locality) — for the single-node hierarchical engine.
 //!

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md): the dagP merge phase — the phase the paper *adds* to
+//! Ablation (README, "Reproducing the paper's artifacts"): the dagP merge phase — the phase the paper *adds* to
 //! the original acyclic partitioner — with and without, measured by part
 //! count and distributed communication volume.
 //!

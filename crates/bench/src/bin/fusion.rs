@@ -1,6 +1,6 @@
-//! The fused-pipeline acceptance benchmark: measures, per fusion *strategy*,
-//! the end-to-end speedup of the fused flat simulator and of the
-//! hierarchical engine (which only runs fused) over the flat gate-by-gate
+//! The fused-pipeline acceptance benchmark: measures the end-to-end speedup
+//! of the fused flat simulator and of the hierarchical engine (which only
+//! runs fused) over the flat gate-by-gate
 //! reference, verifies every result against that reference, and records
 //! everything in `BENCH_fusion.json` — one run per width, a re-run replacing
 //! the run of its width — so the perf trajectory of the execution path has
@@ -18,20 +18,22 @@
 //! one circuit family — handy for re-measuring a single row without paying
 //! for the whole matrix.
 //!
-//! Defaults: 24 qubits, 3 repetitions (best-of). Families: the QFT (layered
-//! — the window scanner's best case) and the deep `random` interleaved
-//! family (depth ≥ 64 at the default size — the workload DAG fusion closes).
-//! A width sweep at a smaller size maps the fusion-width curve that
-//! motivates the auto default.
+//! Defaults: 24 qubits, 3 repetitions (best-of). Families: the QFT (layered:
+//! mergeable gates sit close together) and the deep `random` interleaved
+//! family (depth ≥ 64 at the default size: mergeable gates sit far apart in
+//! program order). A width sweep at a smaller size maps the fusion-width
+//! curve behind [`DEFAULT_FUSION_WIDTH`].
+//!
+//! Runs written before fusion had one form also carry a `strategy` column
+//! (`window` or `dag`) and `auto_picks`: the evidence that DAG grouping is
+//! never the slower form (README, "Fusion").
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::hier::{plan_modes, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{
-    kernels, ApplyOptions, FusedCircuit, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH,
-};
+use hisvsim_statevec::{kernels, ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH};
 use serde::Serialize;
 use serde_json::Value;
 use std::time::Instant;
@@ -42,7 +44,6 @@ struct FlatResult {
     qubits: usize,
     gates: usize,
     depth: usize,
-    strategy: String,
     fusion_width: usize,
     fused_ops: usize,
     unfused_s: f64,
@@ -61,7 +62,6 @@ struct HierResult {
     gathered_parts: usize,
     /// … and parts it swept in place on the outer state.
     in_place_parts: usize,
-    strategy: String,
     fusion_width: usize,
     /// The flat simulator applying the circuit gate by gate (the same
     /// measurement as the flat rows' `unfused_s`): the engine has no
@@ -83,20 +83,10 @@ struct SweepPoint {
 }
 
 #[derive(Serialize)]
-struct AutoPick {
-    circuit: String,
-    qubits: usize,
-    resolved: String,
-}
-
-#[derive(Serialize)]
 struct Report {
     qubits: usize,
     reps: usize,
     default_fusion_width: usize,
-    /// What `FusionStrategy::Auto` resolves to per family at the default
-    /// width (window for layered circuits, dag for deep interleaved ones).
-    auto_picks: Vec<AutoPick>,
     flat: Vec<FlatResult>,
     hier: Vec<HierResult>,
     width_sweep: Vec<SweepPoint>,
@@ -104,8 +94,7 @@ struct Report {
 
 /// Benchmark circuits: the layered QFT and the deep `random` interleaved
 /// family. The random instance is deepened until its circuit depth reaches
-/// 64 (at 24 qubits: ~48·n gates), the regime where the bounded fusion
-/// window degenerates.
+/// 64 (at 24 qubits: ~48·n gates).
 fn circuit_by_name(name: &str, n: usize) -> Circuit {
     match name {
         "random" => {
@@ -159,47 +148,40 @@ fn flat_reference(name: &'static str, n: usize, reps: usize) -> Reference {
     }
 }
 
-fn flat_cases(reference: &Reference, reps: usize, width: usize) -> Vec<FlatResult> {
+fn flat_case(reference: &Reference, reps: usize, width: usize) -> FlatResult {
     let Reference { name, circuit, .. } = reference;
     let n = circuit.num_qubits();
     let unfused_s = reference.time_s;
     let opts = ApplyOptions::default();
-
-    [FusionStrategy::Window, FusionStrategy::Dag]
-        .into_iter()
-        .map(|strategy| {
-            let fused = FusedCircuit::with_strategy(circuit, width, strategy);
-            let mut fused_state = StateVector::zero_state(n);
-            let fused_s = time_best(reps, || {
-                fused_state = StateVector::zero_state(n);
-                fused.apply(&mut fused_state, &opts);
-            });
-            let max_abs_diff = fused_state.max_abs_diff(&reference.state);
-            println!(
-                "flat {name}@{n} [{strategy}]: unfused {unfused_s:.3} s, fused(w={width}) \
-                 {fused_s:.3} s -> {:.2}x (max diff {max_abs_diff:.2e}, {} ops for {} gates)",
-                unfused_s / fused_s,
-                fused.num_ops(),
-                circuit.num_gates()
-            );
-            FlatResult {
-                circuit: name.to_string(),
-                qubits: n,
-                gates: circuit.num_gates(),
-                depth: circuit.depth(),
-                strategy: strategy.name().to_string(),
-                fusion_width: width,
-                fused_ops: fused.num_ops(),
-                unfused_s,
-                fused_s,
-                speedup: unfused_s / fused_s,
-                max_abs_diff,
-            }
-        })
-        .collect()
+    let fused = FusedCircuit::new(circuit, width);
+    let mut fused_state = StateVector::zero_state(n);
+    let fused_s = time_best(reps, || {
+        fused_state = StateVector::zero_state(n);
+        fused.apply(&mut fused_state, &opts);
+    });
+    let max_abs_diff = fused_state.max_abs_diff(&reference.state);
+    println!(
+        "flat {name}@{n}: unfused {unfused_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x \
+         (max diff {max_abs_diff:.2e}, {} ops for {} gates)",
+        unfused_s / fused_s,
+        fused.num_ops(),
+        circuit.num_gates()
+    );
+    FlatResult {
+        circuit: name.to_string(),
+        qubits: n,
+        gates: circuit.num_gates(),
+        depth: circuit.depth(),
+        fusion_width: width,
+        fused_ops: fused.num_ops(),
+        unfused_s,
+        fused_s,
+        speedup: unfused_s / fused_s,
+        max_abs_diff,
+    }
 }
 
-fn hier_cases(reference: &Reference, limit: usize, reps: usize, width: usize) -> Vec<HierResult> {
+fn hier_case(reference: &Reference, limit: usize, reps: usize, width: usize) -> HierResult {
     let Reference { name, circuit, .. } = reference;
     let n = circuit.num_qubits();
     let flat_s = reference.time_s;
@@ -207,56 +189,39 @@ fn hier_cases(reference: &Reference, limit: usize, reps: usize, width: usize) ->
     let partition = Strategy::DagP
         .partition(&dag, limit)
         .expect("partitioning failed");
-
-    [FusionStrategy::Window, FusionStrategy::Dag]
-        .into_iter()
-        .map(|strategy| {
-            let fused_sim = HierarchicalSimulator::new(
-                HierConfig::new(limit)
-                    .with_fusion(width)
-                    .with_fusion_strategy(strategy),
-            );
-            let plan = FusedSinglePlan::build_with_strategy(
-                circuit,
-                &dag,
-                partition.clone(),
-                width,
-                strategy,
-            );
-            let gathered_parts = plan_modes(n, &plan)
-                .iter()
-                .filter(|&&mode| mode == PartMode::Gather)
-                .count();
-            let mut fused_state = None;
-            let fused_s = time_best(reps, || {
-                fused_state = Some(fused_sim.run_with_fused_plan(circuit, &plan).state);
-            });
-            let max_abs_diff = fused_state
-                .expect("at least one rep")
-                .max_abs_diff(&reference.state);
-            println!(
-                "hier {name}@{n} [{strategy}] (limit {limit}, {} parts, {gathered_parts} gathered): \
-                 flat gate by gate {flat_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x \
-                 (max diff {max_abs_diff:.2e})",
-                plan.parts.len(),
-                flat_s / fused_s
-            );
-            HierResult {
-                circuit: name.to_string(),
-                qubits: n,
-                limit,
-                num_parts: plan.parts.len(),
-                gathered_parts,
-                in_place_parts: plan.parts.len() - gathered_parts,
-                strategy: strategy.name().to_string(),
-                fusion_width: width,
-                flat_gate_by_gate_s: flat_s,
-                fused_s,
-                speedup_vs_flat_gate_by_gate: flat_s / fused_s,
-                max_abs_diff,
-            }
-        })
-        .collect()
+    let fused_sim = HierarchicalSimulator::new(HierConfig::new(limit));
+    let plan =
+        FusedSinglePlan::build_with_strategy(circuit, &dag, partition, width, Default::default());
+    let gathered_parts = plan_modes(n, &plan)
+        .iter()
+        .filter(|&&mode| mode == PartMode::Gather)
+        .count();
+    let mut fused_state = None;
+    let fused_s = time_best(reps, || {
+        fused_state = Some(fused_sim.run_with_fused_plan(circuit, &plan).state);
+    });
+    let max_abs_diff = fused_state
+        .expect("at least one rep")
+        .max_abs_diff(&reference.state);
+    println!(
+        "hier {name}@{n} (limit {limit}, {} parts, {gathered_parts} gathered): flat gate by gate \
+         {flat_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x (max diff {max_abs_diff:.2e})",
+        plan.parts.len(),
+        flat_s / fused_s
+    );
+    HierResult {
+        circuit: name.to_string(),
+        qubits: n,
+        limit,
+        num_parts: plan.parts.len(),
+        gathered_parts,
+        in_place_parts: plan.parts.len() - gathered_parts,
+        fusion_width: width,
+        flat_gate_by_gate_s: flat_s,
+        fused_s,
+        speedup_vs_flat_gate_by_gate: flat_s / fused_s,
+        max_abs_diff,
+    }
 }
 
 /// Every run in `BENCH_fusion.json`, ascending by width.
@@ -295,14 +260,13 @@ fn width_sweep(name: &str, n: usize, reps: usize) -> Vec<SweepPoint> {
     });
     (1usize..=5)
         .map(|width| {
-            let fused = FusedCircuit::with_strategy(&circuit, width, FusionStrategy::Auto);
+            let fused = FusedCircuit::new(&circuit, width);
             let time_s = time_best(reps, || {
                 let mut state = StateVector::zero_state(n);
                 fused.apply(&mut state, &opts);
             });
             println!(
-                "sweep {name}@{n} w={width} [{}]: {time_s:.3} s ({:.2}x vs flat, {} ops)",
-                fused.strategy(),
+                "sweep {name}@{n} w={width}: {time_s:.3} s ({:.2}x vs flat, {} ops)",
                 flat_s / time_s,
                 fused.num_ops()
             );
@@ -338,23 +302,6 @@ fn main() {
     let sweep_qubits = qubits.saturating_sub(2).max(16);
 
     println!("fused-pipeline benchmark: {qubits} qubits, best of {reps}\n");
-    let auto_picks = families
-        .iter()
-        .copied()
-        .map(|name| {
-            let circuit = circuit_by_name(name, 16.min(qubits));
-            let resolved = FusedCircuit::with_strategy(&circuit, width, FusionStrategy::Auto)
-                .strategy()
-                .name()
-                .to_string();
-            println!("auto {name}: resolves to {resolved}");
-            AutoPick {
-                circuit: name.to_string(),
-                qubits: 16.min(qubits),
-                resolved,
-            }
-        })
-        .collect();
 
     // The paper's shape (a part a few qubits narrower than the state), and
     // an inner vector of one L2 tile.
@@ -365,9 +312,9 @@ fn main() {
     let (mut flat, mut hier) = (Vec::new(), Vec::new());
     for name in families.iter().copied() {
         let reference = flat_reference(name, qubits, reps);
-        flat.extend(flat_cases(&reference, reps, width));
+        flat.push(flat_case(&reference, reps, width));
         for &limit in &limits {
-            hier.extend(hier_cases(&reference, limit, reps, width));
+            hier.push(hier_case(&reference, limit, reps, width));
         }
     }
     let sweep = width_sweep("qft", sweep_qubits, reps);
@@ -376,7 +323,6 @@ fn main() {
         qubits,
         reps,
         default_fusion_width: width,
-        auto_picks,
         flat,
         hier,
         width_sweep: sweep,
@@ -392,17 +338,16 @@ fn main() {
     for result in &report.flat {
         assert!(
             result.max_abs_diff < 1e-9,
-            "{} [{}]: fused flat result diverged",
-            result.circuit,
-            result.strategy
+            "{}: fused flat result diverged",
+            result.circuit
         );
     }
     for result in &report.hier {
         assert!(
             result.max_abs_diff < 1e-9,
-            "{} [{}]: fused hier result diverged",
+            "{} (limit {}): fused hier result diverged",
             result.circuit,
-            result.strategy
+            result.limit
         );
     }
 }

@@ -34,8 +34,8 @@ use hisvsim_circuit::{Circuit, Complex64, GateKind, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, NetworkModel};
 use hisvsim_core::DistState;
 use hisvsim_statevec::{
-    kernels, simd_available, ApplyOptions, FusedCircuit, FusedOp, FusionStrategy, GatherMap,
-    KernelDispatch, StateVector,
+    kernels, simd_available, ApplyOptions, FusedCircuit, FusedOp, GatherMap, KernelDispatch,
+    StateVector,
 };
 use serde::Serialize;
 use serde_json::Value;
@@ -199,7 +199,7 @@ fn time_best<F: FnMut()>(reps: usize, amps: usize, mut f: F) -> f64 {
 fn single_fused_op(build: impl FnOnce(&mut Circuit), num_qubits: usize, width: usize) -> FusedOp {
     let mut circuit = Circuit::new(num_qubits);
     build(&mut circuit);
-    let fused = FusedCircuit::with_strategy(&circuit, width, FusionStrategy::Window);
+    let fused = FusedCircuit::new(&circuit, width);
     assert_eq!(
         fused.num_ops(),
         1,

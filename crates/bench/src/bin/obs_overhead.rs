@@ -22,7 +22,7 @@
 //! on/off wall times are printed for the record.
 
 use hisvsim_circuit::generators;
-use hisvsim_statevec::{ApplyOptions, FusedCircuit, FusionStrategy, StateVector};
+use hisvsim_statevec::{ApplyOptions, FusedCircuit, StateVector};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         .and_then(|a| a.parse().ok())
         .unwrap_or(5);
     let circuit = generators::qft(QUBITS);
-    let fused = FusedCircuit::with_strategy(&circuit, 3, FusionStrategy::Window);
+    let fused = FusedCircuit::new(&circuit, 3);
     let opts = ApplyOptions::default();
     let run = || {
         let mut state = StateVector::zero_state(QUBITS);

@@ -1,7 +1,7 @@
 //! Table III — QAOA partitioning breakdown (parts, qubits, gates per part)
 //! under the three strategies, plus the modelled single-GPU kernel time per
 //! part (the paper measures HyQuas on a V100; here the calibrated throughput
-//! model stands in — see DESIGN.md).
+//! model stands in — see README, "Reproducing the paper's artifacts").
 //!
 //! ```text
 //! cargo run --release -p hisvsim-bench --bin table3 [qubits] [gpus]

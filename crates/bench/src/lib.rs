@@ -2,7 +2,8 @@
 //!
 //! The benchmark harness that regenerates every table and figure of the
 //! HiSVSIM paper at reproduction scale. Each table/figure has its own binary
-//! (see the `src/bin` directory and the experiment index in DESIGN.md):
+//! (see the `src/bin` directory and the README section "Reproducing the
+//! paper's artifacts"):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -18,8 +19,8 @@
 //! | `fig10`  | Fig. 10 — single-level vs multi-level runtime |
 //! | `optimality` | Sec. V-A — dagP part count vs exact optimum |
 //! | `threads` | Sec. V-A — single-node thread strong scaling |
-//! | `ablation_merge` | DESIGN.md ablation — dagP with/without the merge phase |
-//! | `ablation_limit` | DESIGN.md ablation — part count & runtime vs working-set limit |
+//! | `ablation_merge` | ablation — dagP with/without the merge phase |
+//! | `ablation_limit` | ablation — part count & runtime vs working-set limit |
 //!
 //! The library half of the crate holds the shared machinery: the scaled
 //! experiment [`config`], the [`runner`] that executes (circuit, ranks,

@@ -8,8 +8,10 @@
 //! owns its slice of the state vector, communication moves real data through
 //! lock-free channels (so the exchange pattern and volume are exact), and a
 //! latency–bandwidth [`NetworkModel`] charges every transfer the wire time it
-//! would have cost on the real fabric. See DESIGN.md for the substitution
-//! argument.
+//! would have cost on the real fabric. The README section "Reproducing the
+//! paper's artifacts" gives the substitution argument (the modelled network
+//! is slowed so a one-thread rank keeps the paper's communication-to-
+//! computation balance).
 //!
 //! * [`netmodel`] — the α–β interconnect model (HDR-100 constants included),
 //! * [`comm`] — the [`RankComm`] trait (tagged send/recv, barrier,

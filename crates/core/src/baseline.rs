@@ -20,7 +20,7 @@ use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
 use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_statevec::{
-    Cancelled, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
+    Cancelled, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::time::Instant;
 
@@ -31,28 +31,17 @@ pub struct BaselineConfig {
     pub num_ranks: usize,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for runs of communication-free local gates (at
-    /// least 1). Fusion only reorganises rank-local computation; the
-    /// communication schedule — the quantity the baseline exists to model —
-    /// is untouched.
-    pub fusion: usize,
-    /// How fusion groups are discovered within each local segment (window
-    /// scan, DAG antichains, or auto selection).
-    pub fusion_strategy: FusionStrategy,
     /// Kernel dispatch for every rank-local sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl BaselineConfig {
-    /// A baseline over `num_ranks` ranks with the HDR-100 network model and
-    /// the default fusion width.
+    /// A baseline over `num_ranks` ranks with the HDR-100 network model.
     pub fn new(num_ranks: usize) -> Self {
         Self {
             num_ranks,
             network: NetworkModel::hdr100(),
-            fusion: DEFAULT_FUSION_WIDTH,
-            fusion_strategy: FusionStrategy::default(),
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -60,19 +49,6 @@ impl BaselineConfig {
     /// Use a different network model.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
         self.network = network;
-        self
-    }
-
-    /// Use a different fusion width (0 is taken as 1: the engines have no
-    /// unfused path).
-    pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion.max(1);
-        self
-    }
-
-    /// Use a different fusion strategy (see [`FusionStrategy`]).
-    pub fn with_fusion_strategy(mut self, strategy: FusionStrategy) -> Self {
-        self.fusion_strategy = strategy;
         self
     }
 
@@ -86,7 +62,9 @@ impl BaselineConfig {
 /// One step of the baseline's precomputed schedule, shared by all ranks.
 enum BaselineStep {
     /// A maximal run of gates that are purely local under the static
-    /// (identity) layout, fused into one pipeline.
+    /// (identity) layout, fused into one pipeline. Fusion only reorganises
+    /// rank-local computation; the communication schedule — the quantity
+    /// the baseline exists to model — is untouched.
     LocalFused(FusedCircuit),
     /// A gate needing the distributed special cases (remote diagonal, remote
     /// control, or a paid exchange), with its matrix prepared once.
@@ -117,8 +95,8 @@ pub struct BaselineSchedule {
 
 impl BaselineSchedule {
     /// Split `circuit` for a world of `ranks` ranks (a power of two), fusing
-    /// each communication-free run at width `fusion` (≥ 1) under `strategy`.
-    pub fn build(circuit: &Circuit, ranks: usize, fusion: usize, strategy: FusionStrategy) -> Self {
+    /// each communication-free run at [`DEFAULT_FUSION_WIDTH`].
+    pub fn build(circuit: &Circuit, ranks: usize) -> Self {
         assert!(ranks.is_power_of_two(), "rank count must be a power of two");
         let local_qubits = circuit
             .num_qubits()
@@ -128,8 +106,9 @@ impl BaselineSchedule {
         let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
             if !segment.is_empty() {
                 let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
-                steps.push(BaselineStep::LocalFused(FusedCircuit::with_strategy(
-                    &gates, fusion, strategy,
+                steps.push(BaselineStep::LocalFused(FusedCircuit::new(
+                    &gates,
+                    DEFAULT_FUSION_WIDTH,
                 )));
             }
         };
@@ -187,12 +166,7 @@ impl IqsBaseline {
         circuit: &Circuit,
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
-        let schedule = BaselineSchedule::build(
-            circuit,
-            self.config.num_ranks,
-            self.config.fusion,
-            self.config.fusion_strategy,
-        );
+        let schedule = BaselineSchedule::build(circuit, self.config.num_ranks);
         let (state, report) = run_thread_world(
             self.config.num_ranks,
             self.config.network,
@@ -492,21 +466,34 @@ mod tests {
     fn fusion_never_changes_the_baseline_communication_schedule() {
         // The baseline exists to model a static-mapping simulator's
         // communication; fused local segments must leave every comm counter
-        // untouched while still matching the flat reference.
+        // where the gate-by-gate schedule puts it, while still matching the
+        // flat reference.
         for name in ["ising", "qft", "adder"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            // 0 is taken as 1: one sweep per gate group.
-            let narrow = IqsBaseline::new(BaselineConfig::new(4).with_fusion(0)).run(&circuit);
+            let gate_by_gate = |comm: &mut hisvsim_cluster::LocalComm<Complex64>| {
+                let mut state = DistState::new(comm, circuit.num_qubits());
+                for gate in circuit.gates() {
+                    apply_gate_distributed(&mut state, gate);
+                }
+                Ok(state.finish_rank())
+            };
+            let (unfused_state, unfused) = run_thread_world(
+                4,
+                NetworkModel::hdr100(),
+                "-",
+                "-",
+                &circuit,
+                1,
+                gate_by_gate,
+            )
+            .expect("nothing cancels");
             let fused = IqsBaseline::new(BaselineConfig::new(4)).run(&circuit);
-            assert!(narrow.state.approx_eq(&expected, 1e-9));
+            assert!(unfused_state.approx_eq(&expected, 1e-9));
             assert!(fused.state.approx_eq(&expected, 1e-9));
-            assert_eq!(fused.report.num_exchanges, narrow.report.num_exchanges);
-            assert_eq!(fused.report.comm.bytes_sent, narrow.report.comm.bytes_sent);
-            assert_eq!(
-                fused.report.comm.messages_sent,
-                narrow.report.comm.messages_sent
-            );
+            assert_eq!(fused.report.num_exchanges, unfused.num_exchanges);
+            assert_eq!(fused.report.comm.bytes_sent, unfused.comm.bytes_sent);
+            assert_eq!(fused.report.comm.messages_sent, unfused.comm.messages_sent);
         }
     }
 

@@ -22,10 +22,7 @@ use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::kernels::{apply_gate_with_matrix, uses_dense_matrix};
 use hisvsim_statevec::FusedCircuit;
-use hisvsim_statevec::{
-    ApplyOptions, CancelToken, Cancelled, FusionStrategy, KernelDispatch, StateVector,
-    DEFAULT_FUSION_WIDTH,
-};
+use hisvsim_statevec::{ApplyOptions, CancelToken, Cancelled, KernelDispatch, StateVector};
 use std::time::Instant;
 
 /// A gate bundled with its precomputed dense matrix (when its kernel path
@@ -629,27 +626,19 @@ pub struct DistConfig {
     pub limit: Option<usize>,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for each part's inner circuit (at least 1).
-    pub fusion: usize,
-    /// How fusion groups are discovered (window scan, DAG antichains, or
-    /// auto selection).
-    pub fusion_strategy: FusionStrategy,
     /// Kernel dispatch for every rank-local sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl DistConfig {
-    /// A configuration with dagP partitioning, the HDR-100 network model and
-    /// the default fusion width.
+    /// A configuration with dagP partitioning and the HDR-100 network model.
     pub fn new(num_ranks: usize) -> Self {
         Self {
             num_ranks,
             strategy: Strategy::DagP,
             limit: None,
             network: NetworkModel::hdr100(),
-            fusion: DEFAULT_FUSION_WIDTH,
-            fusion_strategy: FusionStrategy::default(),
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -669,19 +658,6 @@ impl DistConfig {
     /// Use a different network model.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
         self.network = network;
-        self
-    }
-
-    /// Use a different fusion width (0 is taken as 1: the engines have no
-    /// unfused path).
-    pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion.max(1);
-        self
-    }
-
-    /// Use a different fusion strategy (see [`FusionStrategy`]).
-    pub fn with_fusion_strategy(mut self, strategy: FusionStrategy) -> Self {
-        self.fusion_strategy = strategy;
         self
     }
 
@@ -745,13 +721,7 @@ impl DistributedSimulator {
         dag: &CircuitDag,
         partition: Partition,
     ) -> DistRun {
-        let plan = FusedSinglePlan::build_with_strategy(
-            circuit,
-            dag,
-            partition,
-            self.config.fusion,
-            self.config.fusion_strategy,
-        );
+        let plan = FusedSinglePlan::new(circuit, dag, partition);
         self.run_with_fused_plan(circuit, &plan)
     }
 
@@ -883,13 +853,20 @@ mod tests {
         for name in ["qft", "ising"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            // 0 is taken as 1: there is no unfused engine path.
-            let narrow = DistributedSimulator::new(DistConfig::new(4).with_fusion(0))
-                .run(&circuit)
-                .unwrap();
-            let wide = DistributedSimulator::new(DistConfig::new(4).with_fusion(4))
-                .run(&circuit)
-                .unwrap();
+            let dag = CircuitDag::from_circuit(&circuit);
+            let partition = Strategy::DagP.partition(&dag, 7).unwrap();
+            let sim = DistributedSimulator::new(DistConfig::new(4));
+            let at = |width| {
+                let plan = FusedSinglePlan::build_with_strategy(
+                    &circuit,
+                    &dag,
+                    partition.clone(),
+                    width,
+                    Default::default(),
+                );
+                sim.run_with_fused_plan(&circuit, &plan)
+            };
+            let (narrow, wide) = (at(1), at(4));
             assert!(narrow.state.approx_eq(&expected, 1e-9));
             assert!(wide.state.approx_eq(&expected, 1e-9));
             // Fusion reorganises rank-local compute only: identical schedule.

@@ -5,7 +5,7 @@
 //! runtime caches it); gate fusion is too. This module moves fusion to plan
 //! time so it is amortised exactly like partitioning: a plan served from a
 //! warm cache carries the fused matrices with it, and the engines execute
-//! parts without touching `gate.matrix()` or the fusion scanner again.
+//! parts without touching `gate.matrix()` or the fusion grouping again.
 //!
 //! The fused inner circuits live in *working-set-relative* qubit space
 //! (fused qubit `j` = `working_set[j]`), which makes one plan reusable by
@@ -20,7 +20,7 @@
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::MultilevelPartition;
-use hisvsim_statevec::{FusedCircuit, FusionStrategy};
+use hisvsim_statevec::{FusedCircuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
 
 /// One part of a [`FusedSinglePlan`]: its working set and prefused gates.
 #[derive(Debug, Clone)]
@@ -40,46 +40,37 @@ pub struct FusedSinglePlan {
     pub partition: Partition,
     /// Prefused parts in topological execution order (empty parts skipped).
     pub parts: Vec<FusedPart>,
-    /// The fusion width the inner circuits were fused at.
-    pub fusion_width: usize,
-    /// The fusion strategy the inner circuits were built with (as
-    /// requested; `Auto` resolves per part).
-    pub strategy: FusionStrategy,
 }
 
 impl FusedSinglePlan {
-    /// Fuse every part of `partition` at `fusion_width` (≥ 1) under the
-    /// given [`FusionStrategy`] (`Auto` resolves independently per part:
-    /// each part's inner circuit decides from its own window histogram).
+    /// Fuse every part of `partition` at [`DEFAULT_FUSION_WIDTH`].
+    pub fn new(circuit: &Circuit, dag: &CircuitDag, partition: Partition) -> Self {
+        Self::build_with_strategy(
+            circuit,
+            dag,
+            partition,
+            DEFAULT_FUSION_WIDTH,
+            FusionStrategy::default(),
+        )
+    }
+
+    /// Fuse every part of `partition` at `fusion_width` (≥ 1); see
+    /// [`FusionStrategy`] for why the strategy parameter is still here.
     pub fn build_with_strategy(
         circuit: &Circuit,
         dag: &CircuitDag,
         partition: Partition,
         fusion_width: usize,
-        strategy: FusionStrategy,
+        _strategy: FusionStrategy,
     ) -> Self {
         let order = partition.execution_order(dag);
         let gates_by_part = partition.gates_by_part();
         let parts = order
             .iter()
             .filter(|&&part| !gates_by_part[part].is_empty())
-            .map(|&part| {
-                fuse_part(
-                    circuit,
-                    dag,
-                    part,
-                    &gates_by_part[part],
-                    fusion_width,
-                    strategy,
-                )
-            })
+            .map(|&part| fuse_part(circuit, dag, part, &gates_by_part[part], fusion_width))
             .collect();
-        Self {
-            partition,
-            parts,
-            fusion_width,
-            strategy,
-        }
+        Self { partition, parts }
     }
 
     /// Total fused sweeps across every part — the sweep count a full
@@ -104,10 +95,9 @@ fn fuse_part(
     part: usize,
     part_gates: &[usize],
     fusion_width: usize,
-    strategy: FusionStrategy,
 ) -> FusedPart {
     let working_set: Vec<Qubit> = dag.working_set_of_gates(part_gates).into_iter().collect();
-    let inner = fuse_gate_list(circuit, part_gates, &working_set, fusion_width, strategy);
+    let inner = fuse_gate_list(circuit, part_gates, &working_set, fusion_width);
     FusedPart {
         part,
         working_set,
@@ -121,7 +111,6 @@ fn fuse_gate_list(
     gate_indices: &[usize],
     working_set: &[Qubit],
     fusion_width: usize,
-    strategy: FusionStrategy,
 ) -> FusedCircuit {
     let mut map = vec![None; circuit.num_qubits()];
     for (inner, &outer) in working_set.iter().enumerate() {
@@ -130,7 +119,7 @@ fn fuse_gate_list(
     let inner_circuit = circuit
         .subcircuit(gate_indices)
         .remap_qubits(&map, working_set.len());
-    FusedCircuit::with_strategy(&inner_circuit, fusion_width, strategy)
+    FusedCircuit::new(&inner_circuit, fusion_width)
 }
 
 /// One second-level part of a [`FusedTwoLevelPlan`]'s first-level part.
@@ -160,21 +149,28 @@ pub struct FusedTwoLevelPlan {
     pub ml: MultilevelPartition,
     /// Prefused first-level parts in execution order.
     pub parts: Vec<FusedMlPart>,
-    /// The fusion width the inner circuits were fused at.
-    pub fusion_width: usize,
-    /// The fusion strategy the inner circuits were built with.
-    pub strategy: FusionStrategy,
 }
 
 impl FusedTwoLevelPlan {
-    /// Fuse every second-level part of `ml` at `fusion_width` (≥ 1) under
-    /// the given [`FusionStrategy`].
+    /// Fuse every second-level part of `ml` at [`DEFAULT_FUSION_WIDTH`].
+    pub fn new(circuit: &Circuit, dag: &CircuitDag, ml: MultilevelPartition) -> Self {
+        Self::build_with_strategy(
+            circuit,
+            dag,
+            ml,
+            DEFAULT_FUSION_WIDTH,
+            FusionStrategy::default(),
+        )
+    }
+
+    /// Fuse every second-level part of `ml` at `fusion_width` (≥ 1); see
+    /// [`FusionStrategy`] for why the strategy parameter is still here.
     pub fn build_with_strategy(
         circuit: &Circuit,
         dag: &CircuitDag,
         ml: MultilevelPartition,
         fusion_width: usize,
-        strategy: FusionStrategy,
+        _strategy: FusionStrategy,
     ) -> Self {
         let first_order = ml.first.execution_order(dag);
         let first_parts = ml.first.gates_by_part();
@@ -193,7 +189,7 @@ impl FusedTwoLevelPlan {
                     .map(|gates| {
                         let ws: Vec<Qubit> = dag.working_set_of_gates(&gates).into_iter().collect();
                         FusedSecondPart {
-                            inner: fuse_gate_list(circuit, &gates, &ws, fusion_width, strategy),
+                            inner: fuse_gate_list(circuit, &gates, &ws, fusion_width),
                             working_set: ws,
                         }
                     })
@@ -205,12 +201,7 @@ impl FusedTwoLevelPlan {
                 }
             })
             .collect();
-        Self {
-            ml,
-            parts,
-            fusion_width,
-            strategy,
-        }
+        Self { ml, parts }
     }
 
     /// Total fused sweeps across every second-level part (see
@@ -241,8 +232,7 @@ mod tests {
         let circuit = generators::by_name("qft", 9);
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = Strategy::DagP.partition(&dag, 5).unwrap();
-        let plan =
-            FusedSinglePlan::build_with_strategy(&circuit, &dag, partition, 3, Default::default());
+        let plan = FusedSinglePlan::new(&circuit, &dag, partition);
         assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
         for part in &plan.parts {
             assert!(part.working_set.len() <= 5);
@@ -257,8 +247,7 @@ mod tests {
         let ml = MultilevelPartitioner::default()
             .partition(&dag, 6, 3)
             .unwrap();
-        let plan =
-            FusedTwoLevelPlan::build_with_strategy(&circuit, &dag, ml, 3, Default::default());
+        let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml);
         assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
         for part in &plan.parts {
             for second in &part.second {

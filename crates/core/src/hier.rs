@@ -40,8 +40,7 @@ use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{
-    ApplyOptions, CancelToken, Cancelled, FusedCircuit, FusionStrategy, GatherMap, KernelDispatch,
-    StateVector, DEFAULT_FUSION_WIDTH,
+    ApplyOptions, CancelToken, Cancelled, FusedCircuit, GatherMap, KernelDispatch, StateVector,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,26 +58,19 @@ pub struct HierConfig {
     /// across threads (each assignment's inner vector is independent), a
     /// part run in place sweeps with the default [`ApplyOptions`].
     pub parallel: bool,
-    /// Gate-fusion width for the inner circuits (at least 1).
-    pub fusion: usize,
-    /// How fusion groups are discovered (window scan, DAG antichains, or
-    /// auto selection).
-    pub fusion_strategy: FusionStrategy,
     /// Kernel dispatch for every inner-state sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl HierConfig {
-    /// A configuration with the given limit, dagP strategy, parallel
-    /// execution, default fusion width.
+    /// A configuration with the given limit, dagP strategy and parallel
+    /// execution.
     pub fn new(limit: usize) -> Self {
         Self {
             limit,
             strategy: Strategy::DagP,
             parallel: true,
-            fusion: DEFAULT_FUSION_WIDTH,
-            fusion_strategy: FusionStrategy::default(),
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -92,20 +84,6 @@ impl HierConfig {
     /// Same configuration with parallelism switched on or off.
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Same configuration with a different fusion width (0 is taken as 1,
-    /// one sweep per gate group: the engines have no unfused path).
-    pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion.max(1);
-        self
-    }
-
-    /// Same configuration with a different fusion strategy (see
-    /// [`FusionStrategy`]).
-    pub fn with_fusion_strategy(mut self, strategy: FusionStrategy) -> Self {
-        self.fusion_strategy = strategy;
         self
     }
 
@@ -161,13 +139,7 @@ impl HierarchicalSimulator {
         dag: &CircuitDag,
         partition: Partition,
     ) -> HierRun {
-        let plan = FusedSinglePlan::build_with_strategy(
-            circuit,
-            dag,
-            partition,
-            self.config.fusion,
-            self.config.fusion_strategy,
-        );
+        let plan = FusedSinglePlan::new(circuit, dag, partition);
         self.run_with_fused_plan(circuit, &plan)
     }
 
@@ -613,13 +585,7 @@ mod tests {
                 let circuit = generators::by_name(name, n);
                 let dag = CircuitDag::from_circuit(&circuit);
                 let partition = Strategy::DagP.partition(&dag, n - 3).unwrap();
-                let plan = FusedSinglePlan::build_with_strategy(
-                    &circuit,
-                    &dag,
-                    partition,
-                    DEFAULT_FUSION_WIDTH,
-                    FusionStrategy::default(),
-                );
+                let plan = FusedSinglePlan::new(&circuit, &dag, partition);
                 let mut gathered = StateVector::zero_state(n);
                 let mut in_place = StateVector::zero_state(n);
                 for part in &plan.parts {
@@ -692,11 +658,18 @@ mod tests {
         for name in ["qft", "adder", "ising", "qaoa"] {
             let circuit = generators::by_name(name, 9);
             let expected = run_circuit(&circuit);
-            // 0 is taken as 1: there is no unfused engine path.
-            for width in [0usize, 1, 3, 5] {
-                let sim = HierarchicalSimulator::new(HierConfig::new(5).with_fusion(width));
-                assert_eq!(sim.config().fusion, width.max(1));
-                let fused = sim.run(&circuit).unwrap();
+            let dag = CircuitDag::from_circuit(&circuit);
+            let partition = Strategy::DagP.partition(&dag, 5).unwrap();
+            let sim = HierarchicalSimulator::new(HierConfig::new(5));
+            for width in [1usize, 3, 5] {
+                let plan = FusedSinglePlan::build_with_strategy(
+                    &circuit,
+                    &dag,
+                    partition.clone(),
+                    width,
+                    Default::default(),
+                );
+                let fused = sim.run_with_fused_plan(&circuit, &plan);
                 assert!(fused.state.approx_eq(&expected, 1e-9));
             }
         }
@@ -708,13 +681,7 @@ mod tests {
         let sim = HierarchicalSimulator::new(HierConfig::new(5));
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = sim.config().strategy.partition(&dag, 5).unwrap();
-        let plan = FusedSinglePlan::build_with_strategy(
-            &circuit,
-            &dag,
-            partition,
-            sim.config().fusion,
-            sim.config().fusion_strategy,
-        );
+        let plan = FusedSinglePlan::new(&circuit, &dag, partition);
         let via_plan = sim.run_with_fused_plan(&circuit, &plan);
         let inline = sim.run(&circuit).unwrap();
         // Same partition, same fused ops, same execution order: bit-identical.

@@ -16,7 +16,7 @@
 //!
 //! Every engine is validated against the flat reference simulator
 //! (`hisvsim_statevec::run_circuit`) — the correctness anchor described in
-//! DESIGN.md.
+//! the README section "Engine entry points".
 //!
 //! ## The layer above: the batch runtime
 //!

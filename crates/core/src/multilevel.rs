@@ -18,9 +18,7 @@ use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartition, MultilevelPartitioner, PartitionBuildError};
-use hisvsim_statevec::{
-    Cancelled, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
-};
+use hisvsim_statevec::{Cancelled, KernelDispatch, StateVector};
 use std::time::Instant;
 
 /// Configuration of the multi-level engine.
@@ -35,26 +33,18 @@ pub struct MultilevelConfig {
     pub second_limit: usize,
     /// Interconnect model for communication-time accounting.
     pub network: NetworkModel,
-    /// Gate-fusion width for the second-level inner circuits (at least 1).
-    pub fusion: usize,
-    /// How fusion groups are discovered (window scan, DAG antichains, or
-    /// auto selection).
-    pub fusion_strategy: FusionStrategy,
     /// Kernel dispatch for every rank-local sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl MultilevelConfig {
-    /// A configuration with the HDR-100 network model and the default fusion
-    /// width.
+    /// A configuration with the HDR-100 network model.
     pub fn new(num_ranks: usize, second_limit: usize) -> Self {
         Self {
             num_ranks,
             second_limit,
             network: NetworkModel::hdr100(),
-            fusion: DEFAULT_FUSION_WIDTH,
-            fusion_strategy: FusionStrategy::default(),
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -62,19 +52,6 @@ impl MultilevelConfig {
     /// Use a different network model.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
         self.network = network;
-        self
-    }
-
-    /// Use a different fusion width (0 is taken as 1: the engines have no
-    /// unfused path).
-    pub fn with_fusion(mut self, fusion: usize) -> Self {
-        self.fusion = fusion.max(1);
-        self
-    }
-
-    /// Use a different fusion strategy (see [`FusionStrategy`]).
-    pub fn with_fusion_strategy(mut self, strategy: FusionStrategy) -> Self {
-        self.fusion_strategy = strategy;
         self
     }
 
@@ -134,13 +111,7 @@ impl MultilevelSimulator {
         dag: &CircuitDag,
         ml: MultilevelPartition,
     ) -> MultilevelRun {
-        let plan = FusedTwoLevelPlan::build_with_strategy(
-            circuit,
-            dag,
-            ml,
-            self.config.fusion,
-            self.config.fusion_strategy,
-        );
+        let plan = FusedTwoLevelPlan::new(circuit, dag, ml);
         self.run_with_fused_plan(circuit, &plan)
     }
 

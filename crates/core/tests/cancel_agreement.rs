@@ -17,7 +17,7 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_statevec::{run_circuit, FusionStrategy, KernelDispatch, StateVector};
+use hisvsim_statevec::{run_circuit, KernelDispatch, StateVector};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -37,25 +37,18 @@ impl Schedule {
     fn build(engine: &str, circuit: &Circuit, ranks: usize) -> Self {
         let dag = CircuitDag::from_circuit(circuit);
         let local = QUBITS - ranks.trailing_zeros() as usize;
-        let (width, strategy) = (2, FusionStrategy::default());
         match engine {
             "dist" => {
                 let partition = Strategy::DagP.partition(&dag, local.min(5)).unwrap();
-                Schedule::Dist(FusedSinglePlan::build_with_strategy(
-                    circuit, &dag, partition, width, strategy,
-                ))
+                Schedule::Dist(FusedSinglePlan::new(circuit, &dag, partition))
             }
             "multilevel" => {
                 let ml = MultilevelPartitioner::default()
                     .partition(&dag, local.min(6), 3)
                     .unwrap();
-                Schedule::Multilevel(FusedTwoLevelPlan::build_with_strategy(
-                    circuit, &dag, ml, width, strategy,
-                ))
+                Schedule::Multilevel(FusedTwoLevelPlan::new(circuit, &dag, ml))
             }
-            "baseline" => {
-                Schedule::Baseline(BaselineSchedule::build(circuit, ranks, width, strategy))
-            }
+            "baseline" => Schedule::Baseline(BaselineSchedule::build(circuit, ranks)),
             other => panic!("unknown engine {other}"),
         }
     }

@@ -11,7 +11,7 @@ use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 use hisvsim_statevec::{
-    simd_available, ApplyOptions, FusedCircuit, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH,
+    simd_available, ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,13 +57,7 @@ fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     let partition = Strategy::DagP
         .partition(&dag, limit)
         .expect("the limit admits every gate");
-    FusedSinglePlan::build_with_strategy(
-        circuit,
-        &dag,
-        partition,
-        DEFAULT_FUSION_WIDTH,
-        FusionStrategy::default(),
-    )
+    FusedSinglePlan::new(circuit, &dag, partition)
 }
 
 /// Vector-sized allocations made while `run` runs.
@@ -90,8 +84,7 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
         "limit = n must allocate the state and nothing else"
     );
     let mut flat = StateVector::zero_state(QUBITS);
-    FusedCircuit::with_strategy(&qft, DEFAULT_FUSION_WIDTH, FusionStrategy::default())
-        .apply(&mut flat, &ApplyOptions::default());
+    FusedCircuit::new(&qft, DEFAULT_FUSION_WIDTH).apply(&mut flat, &ApplyOptions::default());
     assert_eq!(run.state, flat);
     assert_eq!(scratch_kept(), (0, 0), "nothing gathered yet");
 

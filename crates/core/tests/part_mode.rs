@@ -9,22 +9,14 @@ use hisvsim_core::hier::{part_mode, parts_executed, plan_modes, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{
-    ApplyOptions, FusedCircuit, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH,
-};
+use hisvsim_statevec::{ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH};
 
 fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     let dag = CircuitDag::from_circuit(circuit);
     let partition = Strategy::DagP
         .partition(&dag, limit)
         .expect("the limit admits every gate");
-    FusedSinglePlan::build_with_strategy(
-        circuit,
-        &dag,
-        partition,
-        DEFAULT_FUSION_WIDTH,
-        FusionStrategy::default(),
-    )
+    FusedSinglePlan::new(circuit, &dag, partition)
 }
 
 fn modes(circuit: &Circuit, plan: &FusedSinglePlan) -> Vec<PartMode> {
@@ -128,7 +120,6 @@ fn a_plans_only_part_runs_in_place() {
     let after = tallies();
     assert_eq!((after.0 - before.0, after.1 - before.1), (0, 1));
     let mut flat = StateVector::zero_state(18);
-    FusedCircuit::with_strategy(&idle_top, DEFAULT_FUSION_WIDTH, FusionStrategy::default())
-        .apply(&mut flat, &ApplyOptions::default());
+    FusedCircuit::new(&idle_top, DEFAULT_FUSION_WIDTH).apply(&mut flat, &ApplyOptions::default());
     assert_eq!(run.state, flat, "one in-place part is flat fused execution");
 }

@@ -10,7 +10,7 @@ use hisvsim_circuit::generators;
 use hisvsim_core::FusedSinglePlan;
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{ApplyOptions, FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::{ApplyOptions, StateVector};
 
 #[test]
 fn predicted_passes_are_the_recorded_kernel_spans() {
@@ -23,13 +23,7 @@ fn predicted_passes_are_the_recorded_kernel_spans() {
             let partition = Strategy::DagP
                 .partition(&dag, limit)
                 .expect("the limit admits every gate");
-            let plan = FusedSinglePlan::build_with_strategy(
-                &circuit,
-                &dag,
-                partition,
-                DEFAULT_FUSION_WIDTH,
-                FusionStrategy::default(),
-            );
+            let plan = FusedSinglePlan::new(&circuit, &dag, partition);
             let mut state = StateVector::zero_state(n);
             for part in &plan.parts {
                 let predicted = part.inner.passes_mapped(n, &part.working_set);

@@ -1,14 +1,13 @@
 //! DAG-driven fusion grouping: cover the gate-dependency DAG with a minimal
 //! sequence of executable clusters ("fusion groups").
 //!
-//! The sliding-window fusion scanner in `hisvsim-statevec` can only merge
-//! gates that sit within a bounded reordering distance of each other in
-//! *program order*. Deep interleaved circuits — the `random` benchmark
-//! family — bury mergeable gates hundreds of positions apart, where no
-//! window reaches. The dependency DAG makes those merges visible
-//! structurally: two gates with no path between them form an **antichain**
-//! and commute by construction (a shared qubit would have created an edge),
-//! so no matrix commutation check is ever needed.
+//! A program-order scanner can only merge gates that sit within a bounded
+//! reordering distance of each other. Deep interleaved circuits — the
+//! `random` benchmark family — bury mergeable gates hundreds of positions
+//! apart, where no window reaches. The dependency DAG makes those merges
+//! visible structurally: two gates with no path between them form an
+//! **antichain** and commute by construction (a shared qubit would have
+//! created an edge), so no matrix commutation check is ever needed.
 //!
 //! [`antichain_fusion_groups`] grows groups greedily along the Kahn ready
 //! frontier: a group absorbs any *ready* gate (all dependency predecessors
@@ -188,12 +187,11 @@ pub fn antichain_fusion_groups(
 }
 
 /// Whether a ready `gate` may be absorbed by `group` under the width cap
-/// and the caller's cost allowance. Mirrors the window scanner's rules:
-/// diagonal runs absorb any diagonal gate; a dense group absorbs a diagonal
-/// gate only when it adds no qubits (the matrix product keeps its
-/// dimension), and a non-diagonal gate only when the widened kernel's extra
-/// per-amplitude arithmetic (`2^union − 2^current`) stays within the gate's
-/// standalone cost.
+/// and the caller's cost allowance: diagonal runs absorb any diagonal gate;
+/// a dense group absorbs a diagonal gate only when it adds no qubits (the
+/// matrix product keeps its dimension), and a non-diagonal gate only when
+/// the widened kernel's extra per-amplitude arithmetic
+/// (`2^union − 2^current`) stays within the gate's standalone cost.
 fn can_join(
     group: &FusionGroup,
     dag: &CircuitDag,

@@ -13,8 +13,8 @@
 //!   [`MemoryBreakdown`](replay::MemoryBreakdown) report row.
 //!
 //! The simulation engines in `hisvsim-core` produce the (sampled) amplitude
-//! address streams; this crate only ranks their locality. See DESIGN.md for
-//! why this substitution preserves the paper's comparison.
+//! address streams; this crate only ranks their locality. The README's
+//! "Layout" table records where the substitute is used.
 //!
 //! ## Example
 //!

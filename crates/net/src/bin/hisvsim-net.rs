@@ -25,7 +25,6 @@ use hisvsim_net::{execute_local_reference, RankSummary, ShippedJob, WorkerPool};
 use hisvsim_obs::log;
 use hisvsim_partition::Strategy;
 use hisvsim_runtime::{EngineKind, PersistedPlan};
-use hisvsim_statevec::{FusionStrategy, DEFAULT_FUSION_WIDTH};
 use std::process::ExitCode;
 
 const LOG_TARGET: &str = "hisvsim-net";
@@ -113,16 +112,10 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     let dag = CircuitDag::from_circuit(&circuit);
     let local_qubits = qubits - workers.trailing_zeros() as usize;
 
-    for (engine, strategy) in [
-        (EngineKind::Hier, FusionStrategy::Window),
-        (EngineKind::Hier, FusionStrategy::Dag),
-        (EngineKind::Dist, FusionStrategy::Window),
-        (EngineKind::Dist, FusionStrategy::Dag),
-    ] {
+    for engine in [EngineKind::Hier, EngineKind::Dist] {
         // Hier ships its single-level plan through the distributed rank
         // body, so both engines' plans must fit a worker's local slice.
-        // Both fusion strategies are exercised: workers re-fuse the shipped
-        // partition with the shipped strategy, and both must reproduce the
+        // Workers re-fuse the shipped partition, and must reproduce the
         // in-process run bit for bit.
         let partition = {
             let _plan = hisvsim_obs::span("job", "plan")
@@ -134,8 +127,6 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
         let job = ShippedJob {
             engine,
             circuit: circuit.clone(),
-            fusion: DEFAULT_FUSION_WIDTH,
-            strategy,
             dispatch: Default::default(),
             plan: Some(PersistedPlan::Single(partition)),
             trace: tracing,
@@ -168,7 +159,6 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
                 "smoke process run diverged from the in-process run",
                 &[
                     ("engine", engine.name()),
-                    ("strategy", strategy.name()),
                     (
                         "max_abs_diff",
                         &format!("{:.3e}", state.max_abs_diff(&reference)),
@@ -178,7 +168,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "smoke {engine}/{strategy}: qft-{qubits} on {workers} worker processes: bit-identical \
+            "smoke {engine}: qft-{qubits} on {workers} worker processes: bit-identical \
              to the in-process run ({} parts, {} exchanges, {:.1} MiB moved, wall {:.2}s)",
             report.num_parts,
             report.num_exchanges,

@@ -567,8 +567,6 @@ impl ProcessBackend for WorkerPool {
         let job = ShippedJob {
             engine: request.engine,
             circuit: request.circuit.clone(),
-            fusion: request.fusion,
-            strategy: request.strategy,
             dispatch: request.dispatch,
             plan: request.plan,
             trace: hisvsim_obs::enabled(),

@@ -18,16 +18,19 @@
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::{CommStats, NetworkModel};
 use hisvsim_obs::SpanRecord;
-use hisvsim_runtime::{EngineKind, FusionStrategy, KernelDispatch, PersistedPlan};
+use hisvsim_runtime::{EngineKind, KernelDispatch, PersistedPlan};
 use serde::{Deserialize, Serialize};
 
 /// Tag of the raw amplitude-slice frame a worker sends after its report.
 pub const AMPS_TAG: u64 = 0x414D_5053_0000_0001;
 
 /// The job a launcher ships to every worker: engine choice, the circuit,
-/// the fusion width to re-fuse at, and the partition plan in its wire shape
-/// (`None` for the unpartitioned baseline engine, which derives its own
-/// schedule from the circuit).
+/// and the partition plan in its wire shape (`None` for the unpartitioned
+/// baseline engine, which derives its own schedule from the circuit). Every
+/// worker re-fuses the partition at
+/// [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]: fusion is deterministic, so
+/// every rank derives the identical fused schedule independently, and the
+/// fused matrices never travel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShippedJob {
     /// Which engine's rank body the workers run. [`EngineKind::Hier`] runs
@@ -36,13 +39,6 @@ pub struct ShippedJob {
     pub engine: EngineKind,
     /// The circuit to simulate.
     pub circuit: Circuit,
-    /// Gate-fusion width each worker re-fuses the shipped partition at.
-    pub fusion: usize,
-    /// Fusion strategy each worker re-fuses with. The scan is
-    /// deterministic, so every rank derives the identical fused schedule
-    /// independently — shipping the knob (not the fused matrices) keeps the
-    /// wire shape small and the fused form process-local.
-    pub strategy: FusionStrategy,
     /// Kernel dispatch every rank applies to its local sweeps. The launcher
     /// and workers are the same binary, so this wire-shape change never
     /// meets an older peer.

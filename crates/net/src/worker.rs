@@ -25,6 +25,7 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
 use hisvsim_runtime::{EngineKind, PersistedPlan};
+use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{TcpListener, TcpStream};
@@ -35,11 +36,11 @@ use std::sync::{Arc, Mutex};
 const LOG_TARGET: &str = "hisvsim-net::worker";
 
 /// A resident worker's warm plan cache: fused plans keyed by everything
-/// that determines them (circuit fingerprint, engine, fusion width,
-/// strategy, and the shipped partition itself), so a repeated fingerprint
-/// re-fuses nothing. Fusion is deterministic, which makes a cache hit
-/// bit-identical to a rebuild — reuse changes *when* work happens, never
-/// what it produces. Bounded FIFO, sized for parameter-sweep batches.
+/// that determines them (circuit fingerprint, engine, and the shipped
+/// partition itself), so a repeated fingerprint re-fuses nothing. Fusion is
+/// deterministic, which makes a cache hit bit-identical to a rebuild — reuse
+/// changes *when* work happens, never what it produces. Bounded FIFO, sized
+/// for parameter-sweep batches.
 pub struct WorkerPlanCache {
     plans: HashMap<u64, BuiltPlan>,
     order: VecDeque<u64>,
@@ -94,8 +95,6 @@ fn plan_key(job: &ShippedJob) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     job.circuit.fingerprint().hash(&mut hasher);
     job.engine.name().hash(&mut hasher);
-    job.fusion.hash(&mut hasher);
-    job.strategy.name().hash(&mut hasher);
     // The shipped partition travels in its (deterministic) wire shape;
     // hashing it covers plans that differ only in their working-set limit.
     serde_json::to_string(&job.plan)
@@ -130,8 +129,6 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     plans: &mut WorkerPlanCache,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, NetError> {
-    let fusion = job.fusion.max(1);
-    let strategy = job.strategy;
     let dispatch = job.dispatch;
     let control = &ExecControl::new().with_cancel(cancel.clone());
     let cancelled = |_: Cancelled| NetError::Cancelled;
@@ -139,7 +136,7 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
         EngineKind::Baseline => {
             // Baseline ships no plan: the schedule is derived here, once per
             // job, from the circuit and the world size.
-            let schedule = BaselineSchedule::build(&job.circuit, comm.size(), fusion, strategy);
+            let schedule = BaselineSchedule::build(&job.circuit, comm.size());
             run_baseline_rank(comm, &schedule, dispatch, control, recycled).map_err(cancelled)
         }
         EngineKind::Hier | EngineKind::Dist => {
@@ -151,15 +148,12 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
                 )));
             };
             let plan = plans.get_or_build(plan_key(job), || {
-                let _fuse = hisvsim_obs::span("job", "fuse")
-                    .detail(format!("{} gates, width {fusion}", job.circuit.num_gates()));
+                let _fuse = fuse_span(job);
                 let dag = CircuitDag::from_circuit(&job.circuit);
-                BuiltPlan::Single(Arc::new(FusedSinglePlan::build_with_strategy(
+                BuiltPlan::Single(Arc::new(FusedSinglePlan::new(
                     &job.circuit,
                     &dag,
                     partition.clone(),
-                    fusion,
-                    strategy,
                 )))
             });
             let BuiltPlan::Single(plan) = plan else {
@@ -176,15 +170,12 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
                 )));
             };
             let plan = plans.get_or_build(plan_key(job), || {
-                let _fuse = hisvsim_obs::span("job", "fuse")
-                    .detail(format!("{} gates, width {fusion}", job.circuit.num_gates()));
+                let _fuse = fuse_span(job);
                 let dag = CircuitDag::from_circuit(&job.circuit);
-                BuiltPlan::Two(Arc::new(FusedTwoLevelPlan::build_with_strategy(
+                BuiltPlan::Two(Arc::new(FusedTwoLevelPlan::new(
                     &job.circuit,
                     &dag,
                     ml.clone(),
-                    fusion,
-                    strategy,
                 )))
             });
             let BuiltPlan::Two(plan) = plan else {
@@ -195,6 +186,14 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
                 .map_err(cancelled)
         }
     }
+}
+
+/// The span a plan-cache miss re-fuses under.
+fn fuse_span(job: &ShippedJob) -> hisvsim_obs::SpanGuard {
+    hisvsim_obs::span("job", "fuse").detail(format!(
+        "{} gates, width {DEFAULT_FUSION_WIDTH}",
+        job.circuit.num_gates()
+    ))
 }
 
 fn plan_shape(plan: &PersistedPlan) -> &'static str {

@@ -11,7 +11,6 @@ use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::MultilevelPartitioner;
 use hisvsim_runtime::{EngineKind, PersistedPlan};
-use hisvsim_statevec::{FusionStrategy, DEFAULT_FUSION_WIDTH};
 use std::path::PathBuf;
 
 /// The `part` spans recorded since the last drain, as sorted details.
@@ -37,8 +36,6 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     let job = ShippedJob {
         engine: EngineKind::Multilevel,
         circuit,
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy: FusionStrategy::default(),
         dispatch: Default::default(),
         plan: Some(PersistedPlan::Two(ml)),
         trace: true,

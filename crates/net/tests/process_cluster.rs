@@ -2,7 +2,7 @@
 //! `hisvsim-net` binary on localhost, compared bit-for-bit against the
 //! in-process channel world and the flat reference simulator.
 
-use hisvsim_circuit::generators;
+use hisvsim_circuit::{generators, Circuit};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
@@ -11,7 +11,7 @@ use hisvsim_runtime::{
     Backend, EngineKind, EngineSelector, PersistedPlan, Scheduler, SchedulerConfig, SimJob,
 };
 use hisvsim_service::{ServiceConfig, SimService};
-use hisvsim_statevec::{run_circuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::run_circuit;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -21,24 +21,16 @@ fn launcher(workers: usize) -> WorkerPool {
 }
 
 fn single_level_job(engine: EngineKind, qubits: usize, workers: usize) -> ShippedJob {
-    single_level_job_with_strategy(engine, qubits, workers, FusionStrategy::Auto)
+    single_level_job_of(engine, generators::qft(qubits), workers)
 }
 
-fn single_level_job_with_strategy(
-    engine: EngineKind,
-    qubits: usize,
-    workers: usize,
-    strategy: FusionStrategy,
-) -> ShippedJob {
-    let circuit = generators::qft(qubits);
+fn single_level_job_of(engine: EngineKind, circuit: Circuit, workers: usize) -> ShippedJob {
     let dag = CircuitDag::from_circuit(&circuit);
-    let local = qubits - workers.trailing_zeros() as usize;
+    let local = circuit.num_qubits() - workers.trailing_zeros() as usize;
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
     ShippedJob {
         engine,
         circuit,
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy,
         dispatch: Default::default(),
         plan: Some(PersistedPlan::Single(partition)),
         trace: false,
@@ -78,8 +70,6 @@ fn process_baseline_and_multilevel_match_the_flat_simulator() {
     let baseline = ShippedJob {
         engine: EngineKind::Baseline,
         circuit: generators::by_name("ising", 9),
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy: FusionStrategy::Auto,
         dispatch: Default::default(),
         plan: None,
         trace: false,
@@ -99,8 +89,6 @@ fn process_baseline_and_multilevel_match_the_flat_simulator() {
     let job = ShippedJob {
         engine: EngineKind::Multilevel,
         circuit,
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy: FusionStrategy::Auto,
         dispatch: Default::default(),
         plan: Some(PersistedPlan::Two(ml)),
         trace: false,
@@ -113,22 +101,23 @@ fn process_baseline_and_multilevel_match_the_flat_simulator() {
 
 #[test]
 fn shipped_dag_strategy_runs_bit_identical_across_transports() {
-    // A worker re-fuses the shipped partition with the shipped strategy;
-    // the fusion scan is deterministic, so the TCP-process run and the
-    // in-process channel-world run of the same job must agree bit for bit
-    // under the DAG strategy exactly as under the window strategy.
+    // A worker re-fuses the shipped partition; DAG grouping is
+    // deterministic, so the TCP-process run and the in-process channel-world
+    // run of the same job must agree bit for bit — here on a deep random
+    // circuit, where the grouping reorders gates far across program order.
     let workers = 4;
-    for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
-        let job = single_level_job_with_strategy(EngineKind::Dist, 11, workers, strategy);
-        let (state, _) = launcher(workers).execute(&job).unwrap();
-        let (reference, _) =
-            execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
-        assert_eq!(
-            state, reference,
-            "{strategy:?}: process run must be bit-identical to the local world"
-        );
-        assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
-    }
+    let job = single_level_job_of(
+        EngineKind::Dist,
+        generators::random_circuit(11, 200, 0xD1FF),
+        workers,
+    );
+    let (state, _) = launcher(workers).execute(&job).unwrap();
+    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
+    assert_eq!(
+        state, reference,
+        "process run must be bit-identical to the local world"
+    );
+    assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
 }
 
 #[test]

@@ -14,7 +14,7 @@ use hisvsim_runtime::{
     Backend, EngineKind, EngineSelector, PersistedPlan, SchedulerConfig, SimJob,
 };
 use hisvsim_service::{ServiceConfig, SimService, DEADLINE_EXCEEDED};
-use hisvsim_statevec::{run_circuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::run_circuit;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,8 +32,6 @@ fn single_level_job(engine: EngineKind, qubits: usize, workers: usize) -> Shippe
     ShippedJob {
         engine,
         circuit,
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy: FusionStrategy::Auto,
         dispatch: Default::default(),
         plan: Some(PersistedPlan::Single(partition)),
         trace: false,
@@ -44,8 +42,6 @@ fn baseline_job(name: &str, qubits: usize) -> ShippedJob {
     ShippedJob {
         engine: EngineKind::Baseline,
         circuit: generators::by_name(name, qubits),
-        fusion: DEFAULT_FUSION_WIDTH,
-        strategy: FusionStrategy::Auto,
         dispatch: Default::default(),
         plan: None,
         trace: false,

@@ -3,13 +3,13 @@
 //! DAG construction + acyclic partitioning is a pure function of circuit
 //! *structure*, and so is gate fusion — which is why the cache stores the
 //! plan in its *fused* form ([`FusedSinglePlan`] / [`FusedTwoLevelPlan`]):
-//! a warm hit skips partitioning *and* fusion (the greedy scan plus every
+//! a warm hit skips partitioning *and* fusion (the grouping plus every
 //! fused-group matrix product), leaving only the state-vector sweeps. The
 //! cache key is the structural
 //! [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) plus the
-//! plan's shape parameters (limit, second-level limit, fusion width and
-//! strategy); the cached value is the immutable fused plan behind an `Arc`,
-//! shared by every concurrent execution.
+//! plan's shape parameters (limit and second-level limit; every plan is
+//! fused at [`DEFAULT_FUSION_WIDTH`]); the cached value is the immutable
+//! fused plan behind an `Arc`, shared by every concurrent execution.
 //!
 //! Two properties matter under a concurrent scheduler:
 //!
@@ -23,22 +23,16 @@
 use hisvsim_core::{FusedSinglePlan, FusedTwoLevelPlan};
 use hisvsim_dag::Partition;
 use hisvsim_partition::{MultilevelPartition, PartitionBuildError};
-use hisvsim_statevec::FusionStrategy;
+use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Cache key: structural fingerprint plus plan shape.
-///
-/// Serde is implemented by hand (not derived) so older snapshots still
-/// deserialize: a missing `strategy` maps to [`FusionStrategy::default`],
-/// which is exactly what the jobs that produced those entries run with
-/// today, and the `effort` field older keys carry is ignored (see
-/// [`PlanCache::load_snapshot`] for the entries it excludes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PlanKey {
     /// [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) of
     /// the job's circuit.
@@ -47,60 +41,35 @@ pub struct PlanKey {
     pub limit: usize,
     /// Second-level limit; 0 for single-level plans.
     pub second_limit: usize,
-    /// Gate-fusion width the plan's inner circuits were fused at.
-    pub fusion: usize,
-    /// Fusion strategy the plan's inner circuits were built with (jobs
-    /// identical except for strategy must never share an entry — the fused
-    /// forms differ).
-    pub strategy: FusionStrategy,
-}
-
-impl Serialize for PlanKey {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("fingerprint".to_string(), self.fingerprint.to_value()),
-            ("limit".to_string(), self.limit.to_value()),
-            ("second_limit".to_string(), self.second_limit.to_value()),
-            ("fusion".to_string(), self.fusion.to_value()),
-            ("strategy".to_string(), self.strategy.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PlanKey {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            value
-                .get_field(name)
-                .ok_or_else(|| serde::Error::missing_field(name))
-        };
-        Ok(PlanKey {
-            fingerprint: Deserialize::from_value(field("fingerprint")?)?,
-            limit: Deserialize::from_value(field("limit")?)?,
-            second_limit: Deserialize::from_value(field("second_limit")?)?,
-            fusion: Deserialize::from_value(field("fusion")?)?,
-            // Snapshots written before the strategy knob existed have no
-            // field here; they belong to the default strategy.
-            strategy: match value.get_field("strategy") {
-                Some(strategy) => Deserialize::from_value(strategy)?,
-                None => FusionStrategy::default(),
-            },
-        })
-    }
 }
 
 /// A snapshot entry's key as read from disk: `None` for a plan today's
-/// planner does not make. Keys written while the planner had a second,
-/// portfolio-and-cache-model effort level carry an `effort` field; only
-/// their `Fast` plans (and keys without the field) load, so a warm plan is
-/// always the plan a cold run would make.
+/// runtime does not make. Older keys carry fields the key has since lost,
+/// and the derived [`PlanKey`] reader ignores them; this filter keeps only
+/// the entries a cold run would plan:
+/// * `effort` (a planner level that no longer exists): only `Fast`, or no
+///   field, loads;
+/// * `fusion` (a per-job width): only [`DEFAULT_FUSION_WIDTH`], or no
+///   field, loads;
+/// * `strategy` (a per-job fusion form): ignored — the partition does not
+///   depend on it, so the entries a snapshot holds per strategy are one
+///   plan under one key (see [`PlanCache::load_snapshot`]).
 struct LoadedKey(Option<PlanKey>);
 
 impl Deserialize for LoadedKey {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        match value.get_field("effort").map(serde::Value::as_str) {
-            None | Some(Some("Fast")) => PlanKey::from_value(value).map(|key| LoadedKey(Some(key))),
-            Some(_) => Ok(LoadedKey(None)),
+        let fast = matches!(
+            value.get_field("effort").map(serde::Value::as_str),
+            None | Some(Some("Fast"))
+        );
+        let default_width = match value.get_field("fusion") {
+            Some(fusion) => usize::from_value(fusion)? == DEFAULT_FUSION_WIDTH,
+            None => true,
+        };
+        if fast && default_width {
+            PlanKey::from_value(value).map(|key| LoadedKey(Some(key)))
+        } else {
+            Ok(LoadedKey(None))
         }
     }
 }
@@ -354,21 +323,21 @@ impl PlanCache {
 
     /// Load a snapshot written by [`PlanCache::save_snapshot`] into the warm
     /// store (merging over whatever is already there). Returns the number of
-    /// entries loaded; entries a cold run would not plan are skipped (see
-    /// `LoadedKey`).
+    /// keys loaded; entries a cold run would not plan are skipped (see
+    /// `LoadedKey`), and of several entries that read as one key (an older
+    /// snapshot's per-strategy copies of one plan) the first is kept.
     pub fn load_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
         let text = std::fs::read_to_string(path)?;
         let entries: Vec<(LoadedKey, PersistedPlan)> = serde_json::from_str(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let mut warm = self.warm.lock().expect("warm store poisoned");
-        let mut count = 0;
+        let mut loaded = HashSet::new();
         for (LoadedKey(key), plan) in entries {
-            if let Some(key) = key {
+            if let Some(key) = key.filter(|key| loaded.insert(*key)) {
                 warm.insert(key, plan);
-                count += 1;
             }
         }
-        Ok(count)
+        Ok(loaded.len())
     }
 
     /// Persist every completed entry's partition (plus any still-unpromoted
@@ -396,15 +365,7 @@ impl PlanCache {
         }
         // Deterministic order keeps snapshots diffable (the full key sorts,
         // so identical keys are adjacent for the dedup below).
-        entries.sort_by_key(|(k, _)| {
-            (
-                k.fingerprint,
-                k.limit,
-                k.second_limit,
-                k.fusion,
-                k.strategy.name(),
-            )
-        });
+        entries.sort_by_key(|(k, _)| (k.fingerprint, k.limit, k.second_limit));
         entries.dedup_by_key(|(k, _)| *k);
         let json = serde_json::to_string(&entries)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -498,6 +459,7 @@ mod tests {
     use super::*;
     use crate::planner::Planner;
     use hisvsim_circuit::generators;
+    use hisvsim_core::{FusedSinglePlan, FusedTwoLevelPlan};
     use hisvsim_dag::CircuitDag;
 
     fn key_of(circuit: &hisvsim_circuit::Circuit, limit: usize) -> PlanKey {
@@ -505,18 +467,13 @@ mod tests {
             fingerprint: circuit.fingerprint(),
             limit,
             second_limit: 0,
-            fusion: 3,
-            strategy: FusionStrategy::Auto,
         }
     }
 
     fn plan_for(circuit: &hisvsim_circuit::Circuit, limit: usize) -> CachedPlan {
         let dag = CircuitDag::from_circuit(circuit);
-        CachedPlan::Single(Arc::new(
-            Planner
-                .plan_single_fused(circuit, &dag, limit, 3, FusionStrategy::Auto)
-                .unwrap(),
-        ))
+        let partition = Planner.plan_single(&dag, limit).unwrap();
+        CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, &dag, partition)))
     }
 
     #[test]
@@ -626,8 +583,8 @@ mod tests {
         let key = key_of(&circuit, 2);
         let attempt = cache.get_or_plan(key, || {
             Planner
-                .plan_single_fused(&circuit, &dag, 2, 3, FusionStrategy::Auto)
-                .map(|p| CachedPlan::Single(Arc::new(p)))
+                .plan_single(&dag, 2)
+                .map(|p| CachedPlan::Single(Arc::new(FusedSinglePlan::new(&circuit, &dag, p))))
         });
         assert!(attempt.is_err());
         assert_eq!(cache.stats().entries, 0);
@@ -667,13 +624,7 @@ mod tests {
                     panic!("expected a single-level persisted plan");
                 };
                 let dag = CircuitDag::from_circuit(&circuit);
-                let plan = hisvsim_core::FusedSinglePlan::build_with_strategy(
-                    &circuit,
-                    &dag,
-                    partition,
-                    3,
-                    Default::default(),
-                );
+                let plan = FusedSinglePlan::new(&circuit, &dag, partition);
                 Ok((CachedPlan::Single(Arc::new(plan)), PlanSource::Warm))
             })
             .unwrap();
@@ -712,18 +663,10 @@ mod tests {
             fingerprint: circuit.fingerprint(),
             limit: 6,
             second_limit: 3,
-            fusion: 3,
-            strategy: FusionStrategy::Auto,
         };
         cache
             .get_or_plan(key, || {
-                let plan = hisvsim_core::FusedTwoLevelPlan::build_with_strategy(
-                    &circuit,
-                    &dag,
-                    ml.clone(),
-                    3,
-                    Default::default(),
-                );
+                let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml.clone());
                 Ok(CachedPlan::Two(Arc::new(plan)))
             })
             .unwrap();
@@ -744,42 +687,63 @@ mod tests {
     }
 
     #[test]
-    fn legacy_snapshots_without_a_strategy_field_still_load() {
-        // Snapshots written before `PlanKey.strategy` existed must keep
-        // warm-starting: a missing field maps to the default strategy
-        // (what those jobs run with today), not a load error silently
-        // degraded to a cold start.
+    fn older_snapshots_collapse_every_fusion_strategy_to_one_warm_entry() {
+        // Snapshots written while jobs chose a fusion strategy and width key
+        // one circuit once per (width, strategy) they ran with. The strategy
+        // never changed the partition, so those entries are one plan today:
+        // they load as one warm entry, and the warm run neither plans nor
+        // changes a bit. A width other than the default is not what a cold
+        // run fuses at, so its entry is skipped even when it comes first
+        // and holds another partition.
+        use crate::scheduler::{Scheduler, SchedulerConfig};
+        use crate::selector::EngineKind;
+        use crate::SimJob;
         let circuit = generators::qft(9);
-        let dag = CircuitDag::from_circuit(&circuit);
-        let partition = Planner.plan_single(&dag, 5).unwrap();
-        let legacy_json = format!(
-            r#"[[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":3,"effort":"Fast"}},{{"Single":{}}}]]"#,
-            circuit.fingerprint(),
-            serde_json::to_string(&partition).unwrap()
-        );
-        let dir = std::env::temp_dir().join(format!("hisvsim-legacy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        std::fs::write(&path, legacy_json).unwrap();
-
-        let cache = PlanCache::new(4);
-        assert_eq!(
-            cache.load_snapshot(&path).unwrap(),
-            1,
-            "legacy snapshot must load"
-        );
-        let key = PlanKey {
-            fingerprint: circuit.fingerprint(),
-            limit: 5,
-            second_limit: 0,
-            fusion: 3,
-            strategy: FusionStrategy::default(),
+        let job = || {
+            SimJob::new(circuit.clone())
+                .with_engine(EngineKind::Hier)
+                .with_limit(5)
         };
-        match cache.take_warm(&key) {
-            Some(PersistedPlan::Single(back)) => assert_eq!(back, partition),
-            other => panic!("legacy entry must map to the default strategy, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
+        let cold = Scheduler::new(SchedulerConfig::default()).run_batch(vec![job()]);
+        assert_eq!(cold.stats.cache.misses, 1);
+
+        let dag = CircuitDag::from_circuit(&circuit);
+        let planned = Planner.plan_single(&dag, 5).unwrap();
+        let tighter = Planner.plan_single(&dag, 3).unwrap();
+        assert_ne!(planned, tighter);
+        let entry = |fusion: usize, strategy: &str, partition: &Partition| {
+            format!(
+                r#"[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":{fusion},"strategy":"{strategy}"}},{{"Single":{}}}]"#,
+                circuit.fingerprint(),
+                serde_json::to_string(partition).unwrap()
+            )
+        };
+        let json = format!(
+            "[{},{},{},{}]",
+            entry(2, "Auto", &tighter),
+            entry(3, "Auto", &planned),
+            entry(3, "Dag", &planned),
+            entry(3, "Window", &planned)
+        );
+        let dir = std::env::temp_dir().join(format!("hisvsim-strategies-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("per-strategy.json");
+        std::fs::write(&path, json).unwrap();
+
+        let warm = Scheduler::new(SchedulerConfig::default());
+        assert_eq!(warm.cache().load_snapshot(&path).unwrap(), 1);
+        assert_eq!(warm.cache().warm_len(), 1);
+        let batch = warm.run_batch(vec![job()]);
+        assert_eq!(
+            (batch.stats.cache.misses, batch.stats.cache.warm_hits),
+            (0, 1),
+            "the collapsed entry must serve the job without planning"
+        );
+        assert_eq!(
+            batch.results[0].state, cold.results[0].state,
+            "a warm run must be bit-identical to a cold run"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,7 +6,7 @@ use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_cluster::CommStats;
 use hisvsim_core::RunReport;
 use hisvsim_obs::SpanRecord;
-use hisvsim_statevec::{FusionStrategy, KernelDispatch, StateVector};
+use hisvsim_statevec::{KernelDispatch, StateVector};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -41,16 +41,6 @@ pub struct SimJob {
     pub engine: Option<EngineKind>,
     /// Working-set limit override; `None` uses the selector's limit.
     pub limit: Option<usize>,
-    /// Gate-fusion width override (≥ 1); `None` uses the runtime's auto
-    /// default ([`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]). Width 1 still
-    /// merges runs of same-wire gates and collapses diagonal runs; 3–4 is
-    /// the CPU sweet spot.
-    pub fusion: Option<usize>,
-    /// How fusion groups are discovered: the bounded-window scanner, the
-    /// DAG antichain grouper, or [`FusionStrategy::Auto`] (window unless
-    /// its group-size histogram degenerates). Part of the plan-cache key —
-    /// jobs differing only in strategy never share a cached plan.
-    pub fusion_strategy: FusionStrategy,
     /// Kernel dispatch for every sweep the job runs:
     /// [`KernelDispatch::Auto`] (runtime-detected SIMD) or
     /// [`KernelDispatch::Scalar`] (the bit-identical portable fallback).
@@ -76,8 +66,6 @@ impl SimJob {
             observables: Vec::new(),
             engine: None,
             limit: None,
-            fusion: None,
-            fusion_strategy: FusionStrategy::default(),
             kernel_dispatch: KernelDispatch::default(),
             seed: 0,
             backend: Backend::Local,
@@ -106,21 +94,6 @@ impl SimJob {
     /// Force a specific working-set limit.
     pub fn with_limit(mut self, limit: usize) -> Self {
         self.limit = Some(limit);
-        self
-    }
-
-    /// Force a specific gate-fusion width (≥ 1).
-    pub fn with_fusion(mut self, fusion: usize) -> Self {
-        assert!(fusion >= 1, "fusion width must be at least 1");
-        self.fusion = Some(fusion);
-        self
-    }
-
-    /// Use a specific fusion strategy (see [`FusionStrategy`]). The
-    /// strategy is part of the plan-cache key, and process-backed jobs ship
-    /// it to their workers, which re-fuse with the same strategy.
-    pub fn with_fusion_strategy(mut self, strategy: FusionStrategy) -> Self {
-        self.fusion_strategy = strategy;
         self
     }
 

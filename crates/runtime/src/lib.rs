@@ -64,10 +64,9 @@ pub use pool::{
 pub use scheduler::{BatchReport, BatchStats, Scheduler, SchedulerConfig};
 pub use selector::{EngineDecision, EngineKind, EngineSelector};
 
-// The strategy and dispatch knobs travel with jobs (and, for strategy, plan
-// keys); re-exported so service and net layers need not depend on
-// `hisvsim-statevec` directly for them.
-pub use hisvsim_statevec::{FusionStrategy, KernelDispatch};
+// The dispatch knob travels with jobs; re-exported so service and net layers
+// need not depend on `hisvsim-statevec` directly for it.
+pub use hisvsim_statevec::KernelDispatch;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -75,7 +74,7 @@ pub mod prelude {
     pub use crate::job::{JobResult, SimJob};
     pub use crate::scheduler::{BatchReport, Scheduler, SchedulerConfig};
     pub use crate::selector::{EngineKind, EngineSelector};
-    pub use hisvsim_statevec::{FusionStrategy, KernelDispatch};
+    pub use hisvsim_statevec::KernelDispatch;
 }
 
 #[cfg(test)]

@@ -46,9 +46,10 @@ impl Planner {
     }
 
     /// Plan a single-level partition and fuse every part's inner circuit at
-    /// `fusion_width` — the form the runtime caches, so repeat submissions
-    /// amortise fusion (the greedy scan and every fused-matrix product)
-    /// exactly like they amortise partitioning.
+    /// `fusion_width` — the form the runtime caches (at
+    /// [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]), so repeat submissions
+    /// amortise fusion exactly like they amortise partitioning. See
+    /// [`FusionStrategy`] for why the strategy parameter is still here.
     pub fn plan_single_fused(
         &self,
         circuit: &Circuit,

@@ -32,9 +32,7 @@ use hisvsim_core::{
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
-use hisvsim_statevec::{
-    measure, CancelToken, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
-};
+use hisvsim_statevec::{measure, CancelToken, KernelDispatch, StateVector};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -212,10 +210,11 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// Everything a process backend needs to execute one job on a worker
-/// cluster: the circuit, the engine choice, the fusion width to re-fuse at,
-/// the network model for accounting, and the *partition* of the plan in its
-/// wire shape ([`PersistedPlan`]) — fused matrices stay process-local by
-/// design, so receivers re-fuse (`None` for the unpartitioned baseline).
+/// cluster: the circuit, the engine choice, the network model for
+/// accounting, and the *partition* of the plan in its wire shape
+/// ([`PersistedPlan`]) — fused matrices stay process-local by design, so
+/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`] (`None`
+/// for the unpartitioned baseline).
 pub struct ProcessRequest<'a> {
     /// The circuit to simulate.
     pub circuit: &'a Circuit,
@@ -223,11 +222,6 @@ pub struct ProcessRequest<'a> {
     /// single-level plan through the distributed rank body — the plan shape
     /// is shared, only the driver differs.
     pub engine: EngineKind,
-    /// Gate-fusion width workers re-fuse the shipped partition at.
-    pub fusion: usize,
-    /// Fusion strategy workers re-fuse with (the scan is deterministic, so
-    /// every worker derives the identical fused schedule independently).
-    pub strategy: FusionStrategy,
     /// Interconnect model for per-transfer accounting on the workers.
     pub network: NetworkModel,
     /// Kernel dispatch every worker rank applies to its local sweeps —
@@ -428,8 +422,6 @@ impl JobRunner {
             decision.limit = decision.limit.min(local.max(1));
             decision.second_limit = decision.second_limit.min(decision.limit);
         }
-        let fusion = job.fusion.unwrap_or(DEFAULT_FUSION_WIDTH).max(1);
-        let strategy = job.fusion_strategy;
         let dispatch = job.kernel_dispatch;
 
         // Each phase is recorded twice on the shared obs clock: into the
@@ -458,7 +450,7 @@ impl JobRunner {
         let (plan, source) = {
             let _span = hisvsim_obs::span("job", "plan")
                 .detail(format!("#{job_index} {}", job.circuit.name));
-            self.obtain_plan(&job.circuit, &decision, fusion, strategy)
+            self.obtain_plan(&job.circuit, &decision)
                 .map_err(|error| JobError::PlanFailed {
                     circuit: job.circuit.name.clone(),
                     engine: decision.engine,
@@ -497,8 +489,6 @@ impl JobRunner {
                 let request = ProcessRequest {
                     circuit: &job.circuit,
                     engine: decision.engine,
-                    fusion,
-                    strategy,
                     network: self.config.selector.network,
                     dispatch,
                     plan: plan.as_ref().map(CachedPlan::to_persisted),
@@ -520,15 +510,7 @@ impl JobRunner {
                 outcome
             }
             None => self
-                .simulate(
-                    &job.circuit,
-                    &decision,
-                    fusion,
-                    strategy,
-                    dispatch,
-                    plan.as_ref(),
-                    &exec,
-                )
+                .simulate(&job.circuit, &decision, dispatch, plan.as_ref(), &exec)
                 .map_err(|_| JobError::Cancelled)?,
         };
         drop(exec_span);
@@ -615,8 +597,6 @@ impl JobRunner {
         &self,
         circuit: &Circuit,
         decision: &EngineDecision,
-        fusion: usize,
-        strategy: FusionStrategy,
     ) -> Result<(Option<CachedPlan>, PlanSource), PartitionBuildError> {
         if decision.engine == EngineKind::Baseline {
             return Ok((None, PlanSource::Planned));
@@ -626,19 +606,12 @@ impl JobRunner {
         let plan_fresh = |dag: &CircuitDag| {
             if two_level {
                 planner
-                    .plan_two_level_fused(
-                        circuit,
-                        dag,
-                        decision.limit,
-                        decision.second_limit,
-                        fusion,
-                        strategy,
-                    )
-                    .map(|ml| CachedPlan::Two(Arc::new(ml)))
+                    .plan_two_level(dag, decision.limit, decision.second_limit)
+                    .map(|ml| CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml))))
             } else {
                 planner
-                    .plan_single_fused(circuit, dag, decision.limit, fusion, strategy)
-                    .map(|p| CachedPlan::Single(Arc::new(p)))
+                    .plan_single(dag, decision.limit)
+                    .map(|p| CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, dag, p))))
             }
         };
 
@@ -651,8 +624,6 @@ impl JobRunner {
             fingerprint: circuit.fingerprint(),
             limit: decision.limit,
             second_limit: if two_level { decision.second_limit } else { 0 },
-            fusion,
-            strategy,
         };
         let outcome = self.cache.get_or_plan_tracked(key, || {
             let dag = CircuitDag::from_circuit(circuit);
@@ -665,17 +636,13 @@ impl JobRunner {
                     PersistedPlan::Single(partition)
                         if !two_level && partition.validate(&dag, decision.limit).is_ok() =>
                     {
-                        let plan = FusedSinglePlan::build_with_strategy(
-                            circuit, &dag, partition, fusion, strategy,
-                        );
+                        let plan = FusedSinglePlan::new(circuit, &dag, partition);
                         return Ok((CachedPlan::Single(Arc::new(plan)), PlanSource::Warm));
                     }
                     PersistedPlan::Two(ml)
                         if two_level && ml.validate(&dag, decision.limit).is_ok() =>
                     {
-                        let plan = FusedTwoLevelPlan::build_with_strategy(
-                            circuit, &dag, ml, fusion, strategy,
-                        );
+                        let plan = FusedTwoLevelPlan::new(circuit, &dag, ml);
                         return Ok((CachedPlan::Two(Arc::new(plan)), PlanSource::Warm));
                     }
                     // Shape mismatch or a stale/invalid snapshot entry:
@@ -690,13 +657,10 @@ impl JobRunner {
 
     /// Run the chosen engine against the precomputed fused plan, under the
     /// given execution control.
-    #[allow(clippy::too_many_arguments)]
     fn simulate(
         &self,
         circuit: &Circuit,
         decision: &EngineDecision,
-        fusion: usize,
-        strategy: FusionStrategy,
         dispatch: KernelDispatch,
         plan: Option<&CachedPlan>,
         exec: &ExecControl,
@@ -706,8 +670,6 @@ impl JobRunner {
             EngineKind::Baseline => IqsBaseline::new(
                 BaselineConfig::new(decision.ranks)
                     .with_network(network)
-                    .with_fusion(fusion)
-                    .with_fusion_strategy(strategy)
                     .with_kernel_dispatch(dispatch),
             )
             .run_controlled(circuit, exec)

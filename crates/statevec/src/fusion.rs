@@ -10,11 +10,12 @@
 //!
 //! Two fusion forms live here:
 //!
-//! * [`FusedCircuit`] — the engine-facing pipeline: commutation-aware
-//!   grouping into cost-model-gated dense groups, width-unlimited diagonal
-//!   runs executed as one blocked streaming pass, and solo fast-path gates,
-//!   with per-op kernel data (sparse rows, block classification) derived
-//!   once at build time. Every engine executes circuits through this form.
+//! * [`FusedCircuit`] — the engine-facing pipeline: grouping along
+//!   antichains of the gate-dependency DAG into cost-model-gated dense
+//!   groups, width-unlimited diagonal runs executed as one blocked streaming
+//!   pass, and solo fast-path gates, with per-op kernel data (sparse rows,
+//!   block classification) derived once at build time. Every engine
+//!   executes circuits through this form, fused at [`DEFAULT_FUSION_WIDTH`].
 //! * [`fuse_circuit`] — the minimal adjacent-only greedy scanner, kept as a
 //!   simple reference implementation and test oracle (dense groups only, no
 //!   reordering, no specialisation).
@@ -28,65 +29,29 @@ use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The default fusion width engines use when the caller does not pick one.
+/// The fusion width every engine, the runtime and the workers fuse at.
 ///
 /// Wider groups cut the number of state-vector sweeps but pay `2^k`
 /// multiply-adds per gathered amplitude, so the CPU sweet spot sits at 3–4;
-/// 3 is the conservative default (the `fusion_sweep` bench maps the curve).
+/// 3 is the conservative choice (the `fusion` bench's width sweep maps the
+/// curve).
 pub const DEFAULT_FUSION_WIDTH: usize = 3;
 
-/// How fusion groups are discovered.
-///
-/// Both strategies produce the same executable form ([`FusedCircuit`]) and
-/// are gated by the same per-amplitude cost model and width caps — they
-/// differ only in *which* gates they can see as mergeable:
-///
-/// * [`Window`](FusionStrategy::Window) — the program-order scanner with a
-///   bounded set of open groups (cheap, and near-optimal for layered
-///   circuits like the QFT, where mergeable gates sit close together);
-/// * [`Dag`](FusionStrategy::Dag) — grouping along antichains of the
-///   gate-dependency DAG ([`hisvsim_dag::antichain_fusion_groups`]): gates
-///   with no dependency path between them commute structurally, so deep
-///   interleaved circuits form large groups the window can never reach;
-/// * [`Auto`](FusionStrategy::Auto) — run the window pass, and fall back to
-///   the DAG pass when the window's group-size histogram degenerates (mean
-///   absorbed gates per sweep below [`AUTO_DEGENERATE_MEAN_GATES`], or
-///   mostly singleton groups), keeping whichever form models cheaper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// How fusion groups are discovered. There is one way, DAG antichain
+/// grouping ([`FusedCircuit::new`]); the type and the `strategy` parameter
+/// of [`FusedCircuit::with_strategy`] (and of the plan builders and planner
+/// above this crate) stay only because the benchmark adapter
+/// (`crates/bench/src/bin/hisvsim-bench/layers.rs`) passes
+/// `FusionStrategy::default()`; they can go with the next PR that is allowed
+/// to edit it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FusionStrategy {
-    /// Bounded-window program-order scanning (the PR 2 pipeline).
-    Window,
     /// DAG-driven antichain grouping over the gate-dependency graph.
-    Dag,
-    /// Window first; switch to Dag when the window's group-size histogram
-    /// degenerates and the DAG form models cheaper.
     #[default]
-    Auto,
+    Dag,
 }
-
-impl FusionStrategy {
-    /// Stable lowercase name (cache keys, reports, JSON).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FusionStrategy::Window => "window",
-            FusionStrategy::Dag => "dag",
-            FusionStrategy::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for FusionStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Mean source gates per fused sweep below which [`FusionStrategy::Auto`]
-/// considers the window pass degenerate and tries the DAG pass instead.
-pub const AUTO_DEGENERATE_MEAN_GATES: f64 = 4.0;
 
 /// One fused operation: a dense unitary over a small set of qubits.
 #[derive(Debug, Clone)]
@@ -706,78 +671,41 @@ pub struct FusedCircuit {
     prepared: Vec<PreparedOp>,
     fusion_width: usize,
     source_gates: usize,
-    /// The *resolved* strategy that produced the ops (never `Auto`).
-    strategy: FusionStrategy,
 }
 
 impl FusedCircuit {
-    /// Fuse `circuit` at the given width (≥ 1) with the window scanner
-    /// (equivalent to [`FusedCircuit::with_strategy`] at
-    /// [`FusionStrategy::Window`]). Dense groups are capped at
+    /// Fuse `circuit` at the given width (≥ 1) by covering its
+    /// gate-dependency DAG with antichain groups (see
+    /// [`FusedCircuit::from_dag`]). Dense groups are capped at
     /// `max_fused_qubits`; runs of diagonal gates collapse into single
-    /// streaming passes with no width limit. Grouping is commutation-aware:
-    /// a gate may join an earlier open group when it commutes with every
-    /// group in between (disjoint qubits, or diagonal-past-diagonal), so
-    /// interleaved circuits fuse as well as layered ones — within the
-    /// bounded window.
+    /// streaming passes with no width limit. The fused form is a pure
+    /// function of circuit and width — the property the plan cache, the SPMD
+    /// engines and the process workers all rely on.
     pub fn new(circuit: &Circuit, max_fused_qubits: usize) -> Self {
-        assert!(max_fused_qubits >= 1, "fusion width must be at least 1");
-        let mut builder = Builder {
+        Self::from_dag(
             circuit,
-            width: max_fused_qubits,
-            ops: Vec::new(),
-            pending: Vec::new(),
-        };
-        for (index, gate) in circuit.gates().iter().enumerate() {
-            builder.push(index, gate);
-        }
-        builder.flush_all();
-        Self::from_ops(
-            circuit,
-            builder.ops,
+            &CircuitDag::from_circuit(circuit),
             max_fused_qubits,
-            FusionStrategy::Window,
         )
     }
 
-    /// Fuse `circuit` under the given [`FusionStrategy`]. `Auto` resolves to
-    /// either window or DAG fusion deterministically (same circuit, width
-    /// and strategy ⇒ identical fused form — the property the plan cache,
-    /// the SPMD engines and the process workers all rely on).
+    /// [`FusedCircuit::new`]; see [`FusionStrategy`] for why the strategy
+    /// parameter is still here.
     pub fn with_strategy(
         circuit: &Circuit,
         max_fused_qubits: usize,
-        strategy: FusionStrategy,
+        _strategy: FusionStrategy,
     ) -> Self {
-        match strategy {
-            FusionStrategy::Window => Self::new(circuit, max_fused_qubits),
-            FusionStrategy::Dag => {
-                let dag = CircuitDag::from_circuit(circuit);
-                Self::from_dag(circuit, &dag, max_fused_qubits)
-            }
-            FusionStrategy::Auto => {
-                let window = Self::new(circuit, max_fused_qubits);
-                if !window.window_histogram_degenerated() {
-                    return window;
-                }
-                let dag = CircuitDag::from_circuit(circuit);
-                let dag_form = Self::from_dag(circuit, &dag, max_fused_qubits);
-                if dag_form.estimated_sweep_cost() < window.estimated_sweep_cost() {
-                    dag_form
-                } else {
-                    window
-                }
-            }
-        }
+        Self::new(circuit, max_fused_qubits)
     }
 
-    /// Fuse `circuit` by covering its gate-dependency DAG with antichain
-    /// groups ([`hisvsim_dag::antichain_fusion_groups`]): gates with no
-    /// dependency path between them commute structurally, so no matrix
-    /// commutation check is needed, and mergeable gates arbitrarily far
-    /// apart in program order still land in one group. The same
-    /// per-amplitude cost model and width caps gate group growth as in the
-    /// window scanner.
+    /// [`FusedCircuit::new`] over an already built DAG of `circuit`: the
+    /// DAG is covered with antichain groups
+    /// ([`hisvsim_dag::antichain_fusion_groups`]). Gates with no dependency
+    /// path between them commute structurally, so no matrix commutation
+    /// check is needed, and mergeable gates arbitrarily far apart in program
+    /// order still land in one group. A per-amplitude cost model and the
+    /// width cap gate group growth.
     pub fn from_dag(circuit: &Circuit, dag: &CircuitDag, max_fused_qubits: usize) -> Self {
         assert!(max_fused_qubits >= 1, "fusion width must be at least 1");
         let classes: Vec<GateClass> = circuit
@@ -804,17 +732,6 @@ impl FusedCircuit {
                 emit_dense_group(circuit, group.gates, group.qubits, &mut ops);
             }
         }
-        Self::from_ops(circuit, ops, max_fused_qubits, FusionStrategy::Dag)
-    }
-
-    /// Assemble the executable form from built ops (derives the prepared
-    /// per-op data once).
-    fn from_ops(
-        circuit: &Circuit,
-        ops: Vec<FusedOp>,
-        fusion_width: usize,
-        strategy: FusionStrategy,
-    ) -> Self {
         let prepared = ops
             .iter()
             .map(|op| prepare_op(op, circuit.num_qubits()))
@@ -823,44 +740,9 @@ impl FusedCircuit {
             num_qubits: circuit.num_qubits(),
             ops,
             prepared,
-            fusion_width,
+            fusion_width: max_fused_qubits,
             source_gates: circuit.num_gates(),
-            strategy,
         }
-    }
-
-    /// Whether the window pass's group-size histogram is degenerate: few
-    /// gates absorbed per sweep on average, or mostly singleton groups —
-    /// the signature of a deep interleaved circuit the bounded window
-    /// cannot reorder across. [`FusionStrategy::Auto`] uses this to decide
-    /// when the DAG pass is worth building.
-    fn window_histogram_degenerated(&self) -> bool {
-        if self.ops.is_empty() {
-            return false;
-        }
-        let mean = self.source_gates as f64 / self.ops.len() as f64;
-        let singletons = self.ops.iter().filter(|op| op.fused_count() == 1).count();
-        mean < AUTO_DEGENERATE_MEAN_GATES || singletons * 2 > self.ops.len()
-    }
-
-    /// Modelled per-amplitude cost of executing all ops (sweep + arithmetic
-    /// terms, same units as the fusion cost model). Used to compare the
-    /// window and DAG forms under [`FusionStrategy::Auto`].
-    fn estimated_sweep_cost(&self) -> f64 {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                FusedOp::Dense(g) => PASS + (1u64 << g.qubits.len()) as f64,
-                FusedOp::Solo(gate, _) => solo_cost(gate),
-                FusedOp::Diagonal { factors, .. } => PASS + 0.5 * factors.len() as f64,
-            })
-            .sum()
-    }
-
-    /// The resolved strategy that produced this fused form (never
-    /// [`FusionStrategy::Auto`]: auto resolves at construction).
-    pub fn strategy(&self) -> FusionStrategy {
-        self.strategy
     }
 
     /// Number of qubits of the source circuit.
@@ -1259,8 +1141,7 @@ fn solo_cost(gate: &Gate) -> f64 {
 
 /// Fold `gate` (diagonal) into a run's factor list: coalesce into the
 /// youngest factor while its qubit union stays small (bounded arithmetic
-/// per amplitude), otherwise open a new factor. Shared by the window
-/// scanner's open diagonal runs and the DAG grouper's emitted runs.
+/// per amplitude), otherwise open a new factor.
 fn absorb_diagonal_gate(factors: &mut Vec<DiagonalFactor>, gate: &Gate) {
     let matrix = gate.matrix();
     let cap = MAX_STACK_KERNEL_QUBITS.max(gate.arity());
@@ -1287,7 +1168,7 @@ fn absorb_diagonal_gate(factors: &mut Vec<DiagonalFactor>, gate: &Gate) {
 
 /// Emit a dense group as a fused op: a lone gate keeps its specialised
 /// fast path ([`FusedOp::Solo`]), multi-gate groups multiply into one
-/// matrix. Shared by both fusion strategies.
+/// matrix.
 ///
 /// Cost guard: a group the model says is *slower* fused than unfused (e.g.
 /// two fast-path CX gates whose dense 4×4 form costs `PASS + 4` against two
@@ -1329,181 +1210,6 @@ fn emit_dense_group(
         matrix,
         fused_count: indices.len(),
     }));
-}
-
-/// How many groups stay open at once. Bounds the commutation scan and the
-/// reordering distance; flushed oldest-first beyond this.
-const MAX_PENDING: usize = 8;
-
-/// One open (still absorbing) group of the fusion scan.
-enum Pending {
-    /// A dense group: source gate indices and the qubit union.
-    Dense {
-        indices: Vec<usize>,
-        qubits: Vec<Qubit>,
-    },
-    /// A diagonal run: coalesced factors, absorbed-gate count, qubit union.
-    Diag {
-        factors: Vec<DiagonalFactor>,
-        count: usize,
-        qubits: Vec<Qubit>,
-    },
-}
-
-impl Pending {
-    fn qubits(&self) -> &[Qubit] {
-        match self {
-            Pending::Dense { qubits, .. } => qubits,
-            Pending::Diag { qubits, .. } => qubits,
-        }
-    }
-}
-
-/// Scan state for [`FusedCircuit::new`]: an ordered list of open groups.
-/// A gate may join any group it can reach by commuting past every younger
-/// group (checked at join time; see `commutes_past`), which lets interleaved
-/// circuits build long diagonal runs and full dense groups.
-struct Builder<'a> {
-    circuit: &'a Circuit,
-    width: usize,
-    ops: Vec<FusedOp>,
-    pending: Vec<Pending>,
-}
-
-impl Builder<'_> {
-    fn push(&mut self, index: usize, gate: &Gate) {
-        let diagonal = gate.kind.is_diagonal();
-        // Width only limits dense groups; diagonal runs are width-free, so a
-        // wide diagonal gate still joins (or opens) a run.
-        let oversized = !diagonal && gate.arity() > self.width;
-
-        // Scan open groups young-to-old for one this gate can join; stop at
-        // the first group it cannot commute past.
-        if !oversized {
-            let mut target = None;
-            for i in (0..self.pending.len()).rev() {
-                if self.can_join(&self.pending[i], gate, diagonal) {
-                    target = Some(i);
-                    break;
-                }
-                if !commutes_past(&self.pending[i], gate, diagonal) {
-                    break;
-                }
-            }
-            if let Some(i) = target {
-                self.join(i, index, gate, diagonal);
-                return;
-            }
-        }
-
-        // No reachable group: open a new one (always order-correct at the
-        // end of the list).
-        let group = if diagonal {
-            Pending::Diag {
-                factors: vec![DiagonalFactor::from_gate(&gate.qubits, &gate.matrix())],
-                count: 1,
-                qubits: gate.qubits.clone(),
-            }
-        } else {
-            Pending::Dense {
-                indices: vec![index],
-                qubits: gate.qubits.clone(),
-            }
-        };
-        self.pending.push(group);
-        if self.pending.len() > MAX_PENDING {
-            let oldest = self.pending.remove(0);
-            self.emit(oldest);
-        }
-    }
-
-    /// Whether `gate` may be absorbed by group `p`.
-    fn can_join(&self, p: &Pending, gate: &Gate, diagonal: bool) -> bool {
-        match p {
-            // Diagonal runs absorb any diagonal gate (no width limit).
-            Pending::Diag { .. } => diagonal,
-            Pending::Dense { indices, qubits } => {
-                if diagonal {
-                    // Absorbing a diagonal into a dense group is free only
-                    // when it adds no qubits (the matrix product keeps its
-                    // dimension); otherwise the streaming run is cheaper.
-                    return gate.qubits.iter().all(|q| qubits.contains(q));
-                }
-                let extra = gate.qubits.iter().filter(|q| !qubits.contains(q)).count();
-                let union = qubits.len() + extra;
-                if union > self.width {
-                    return false;
-                }
-                // Widening multiplies the dense kernel's per-amplitude
-                // arithmetic by 2 per added qubit; only pay that when it
-                // undercuts the gate's standalone sweep (a CX — nearly free
-                // on its own — never inflates a group, dense rotations fuse
-                // eagerly).
-                let widen_cost = ((1u64 << union) - (1u64 << qubits.len())) as f64;
-                !indices.is_empty() && widen_cost <= solo_cost(gate)
-            }
-        }
-    }
-
-    /// Absorb `gate` into group `i`.
-    fn join(&mut self, i: usize, index: usize, gate: &Gate, diagonal: bool) {
-        match &mut self.pending[i] {
-            Pending::Dense { indices, qubits } => {
-                for &q in &gate.qubits {
-                    if !qubits.contains(&q) {
-                        qubits.push(q);
-                    }
-                }
-                indices.push(index);
-            }
-            Pending::Diag {
-                factors,
-                count,
-                qubits,
-            } => {
-                debug_assert!(diagonal);
-                absorb_diagonal_gate(factors, gate);
-                *count += 1;
-                for &q in &gate.qubits {
-                    if !qubits.contains(&q) {
-                        qubits.push(q);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Emit a closed group as a fused op.
-    fn emit(&mut self, group: Pending) {
-        match group {
-            Pending::Dense { indices, qubits } => {
-                emit_dense_group(self.circuit, indices, qubits, &mut self.ops);
-            }
-            Pending::Diag { factors, count, .. } => {
-                self.ops.push(FusedOp::Diagonal {
-                    factors,
-                    fused_count: count,
-                });
-            }
-        }
-    }
-
-    /// Close every open group in order.
-    fn flush_all(&mut self) {
-        for group in std::mem::take(&mut self.pending) {
-            self.emit(group);
-        }
-    }
-}
-
-/// Whether `gate` commutes with every gate of group `p` (so it may be
-/// reordered before the whole group): disjoint qubits always commute, and
-/// diagonal gates commute with diagonal runs regardless of overlap.
-fn commutes_past(p: &Pending, gate: &Gate, diagonal: bool) -> bool {
-    if diagonal && matches!(p, Pending::Diag { .. }) {
-        return true;
-    }
-    gate.qubits.iter().all(|q| !p.qubits().contains(q))
 }
 
 #[cfg(test)]
@@ -1707,12 +1413,15 @@ mod tests {
 
     #[test]
     fn dag_fusion_matches_unfused_across_suite_and_widths() {
+        // Every width the fused form takes, 1 to 5, on one prebuilt DAG per
+        // circuit: the engines fuse at DEFAULT_FUSION_WIDTH only, so this is
+        // where the other widths stay covered.
         for name in generators::FAMILY_NAMES {
             let circuit = generators::by_name(name, 8);
+            let dag = CircuitDag::from_circuit(&circuit);
             let expected = run_circuit(&circuit);
-            for width in [1usize, 2, 3, 5] {
-                let fused = FusedCircuit::with_strategy(&circuit, width, FusionStrategy::Dag);
-                assert_eq!(fused.strategy(), FusionStrategy::Dag);
+            for width in 1usize..=5 {
+                let fused = FusedCircuit::from_dag(&circuit, &dag, width);
                 let total: usize = fused.ops().iter().map(|op| op.fused_count()).sum();
                 assert_eq!(total, circuit.num_gates(), "{name}: gates lost");
                 for opts in [ApplyOptions::sequential(), ApplyOptions::default()] {
@@ -1731,10 +1440,11 @@ mod tests {
     fn dag_fusion_random_interleaved_circuits_match() {
         for seed in 0..8 {
             let circuit = generators::random_circuit(7, 90, seed);
+            let dag = CircuitDag::from_circuit(&circuit);
             let expected = run_circuit(&circuit);
             for width in [2usize, 3, 4] {
-                let got = FusedCircuit::with_strategy(&circuit, width, FusionStrategy::Dag)
-                    .run(&ApplyOptions::sequential());
+                let got =
+                    FusedCircuit::from_dag(&circuit, &dag, width).run(&ApplyOptions::sequential());
                 assert!(
                     got.approx_eq(&expected, 1e-9),
                     "seed {seed} width {width}: max diff {}",
@@ -1746,37 +1456,18 @@ mod tests {
 
     #[test]
     fn dag_fusion_needs_fewer_sweeps_on_interleaved_circuits() {
-        // The gap the DAG strategy exists to close: on deep interleaved
-        // circuits the bounded window strands mergeable gates in separate
-        // groups, the dependency frontier does not.
+        // On deep interleaved circuits, fusing only adjacent gates strands
+        // mergeable gates in separate groups; the dependency frontier does
+        // not.
         let circuit = generators::random_circuit(16, 400, 0x5EED);
-        let window = FusedCircuit::new(&circuit, 3);
-        let dag = FusedCircuit::with_strategy(&circuit, 3, FusionStrategy::Dag);
+        let adjacent = fuse_circuit(&circuit, 3);
+        let dag = FusedCircuit::new(&circuit, 3);
         assert!(
-            dag.num_ops() < window.num_ops(),
-            "dag {} ops vs window {} ops",
+            dag.num_ops() < adjacent.len(),
+            "dag {} ops vs adjacent-only {} ops",
             dag.num_ops(),
-            window.num_ops()
+            adjacent.len()
         );
-    }
-
-    #[test]
-    fn auto_keeps_window_on_layered_circuits_and_resolves_deterministically() {
-        // The QFT fuses densely under the window already; Auto must keep it.
-        let qft = generators::by_name("qft", 10);
-        let auto = FusedCircuit::with_strategy(&qft, 3, FusionStrategy::Auto);
-        assert_eq!(auto.strategy(), FusionStrategy::Window);
-
-        // Auto is deterministic and always matches the reference.
-        let circuit = generators::random_circuit(8, 120, 3);
-        let a = FusedCircuit::with_strategy(&circuit, 3, FusionStrategy::Auto);
-        let b = FusedCircuit::with_strategy(&circuit, 3, FusionStrategy::Auto);
-        assert_eq!(a.strategy(), b.strategy());
-        assert_eq!(a.num_ops(), b.num_ops());
-        let expected = run_circuit(&circuit);
-        assert!(a
-            .run(&ApplyOptions::sequential())
-            .approx_eq(&expected, 1e-9));
     }
 
     #[test]
@@ -1784,8 +1475,8 @@ mod tests {
         let circuit = generators::random_circuit(7, 60, 11);
         let dag = CircuitDag::from_circuit(&circuit);
         let via_dag = FusedCircuit::from_dag(&circuit, &dag, 3);
-        let via_strategy = FusedCircuit::with_strategy(&circuit, 3, FusionStrategy::Dag);
-        assert_eq!(via_dag.num_ops(), via_strategy.num_ops());
+        let fresh = FusedCircuit::new(&circuit, 3);
+        assert_eq!(via_dag.num_ops(), fresh.num_ops());
         let expected = run_circuit(&circuit);
         assert!(via_dag
             .run(&ApplyOptions::sequential())
@@ -1853,22 +1544,20 @@ mod tests {
             generators::by_name("qft", n),
             mixed,
         ] {
-            for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
-                let fused = FusedCircuit::with_strategy(&circuit, 3, strategy);
-                let init = random_state(n, 0x711E);
-                let what = format!("{} ({strategy})", circuit.name);
-                let mut tiled = init.clone();
-                fused.apply(&mut tiled, &ApplyOptions::default());
-                for opts in [ApplyOptions::default(), ApplyOptions::sequential()] {
-                    let mut untiled = init.clone();
-                    for op in fused.ops() {
-                        op.apply(&mut untiled, &opts);
-                    }
-                    assert_bitwise(&tiled, &untiled, &format!("{what}: tiled vs untiled"));
-                    let mut scalar = init.clone();
-                    fused.apply(&mut scalar, &opts.with_dispatch(KernelDispatch::Scalar));
-                    assert_bitwise(&tiled, &scalar, &format!("{what}: auto vs scalar"));
+            let fused = FusedCircuit::new(&circuit, 3);
+            let init = random_state(n, 0x711E);
+            let what = &circuit.name;
+            let mut tiled = init.clone();
+            fused.apply(&mut tiled, &ApplyOptions::default());
+            for opts in [ApplyOptions::default(), ApplyOptions::sequential()] {
+                let mut untiled = init.clone();
+                for op in fused.ops() {
+                    op.apply(&mut untiled, &opts);
                 }
+                assert_bitwise(&tiled, &untiled, &format!("{what}: tiled vs untiled"));
+                let mut scalar = init.clone();
+                fused.apply(&mut scalar, &opts.with_dispatch(KernelDispatch::Scalar));
+                assert_bitwise(&tiled, &scalar, &format!("{what}: auto vs scalar"));
             }
         }
     }

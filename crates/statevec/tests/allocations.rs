@@ -5,7 +5,7 @@
 //! fused op.
 
 use hisvsim_circuit::generators;
-use hisvsim_statevec::{simd_available, ApplyOptions, FusedCircuit, FusionStrategy, StateVector};
+use hisvsim_statevec::{simd_available, ApplyOptions, FusedCircuit, StateVector};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -48,19 +48,17 @@ fn fused_apply_allocates_per_op_not_per_tile() {
             "random" => generators::random_circuit(16, 90, 0xA110C),
             _ => generators::by_name(name, 12),
         };
-        for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
-            let fused = FusedCircuit::with_strategy(&circuit, 3, strategy);
-            let two_tiles = allocations_of_apply(&fused, 17);
-            let four_tiles = allocations_of_apply(&fused, 18);
-            assert_eq!(
-                two_tiles, four_tiles,
-                "{name} ({strategy}): allocations grew with the number of tiles"
-            );
-            assert!(
-                two_tiles <= fused.num_ops(),
-                "{name} ({strategy}): {two_tiles} allocations for {} ops",
-                fused.num_ops()
-            );
-        }
+        let fused = FusedCircuit::new(&circuit, 3);
+        let two_tiles = allocations_of_apply(&fused, 17);
+        let four_tiles = allocations_of_apply(&fused, 18);
+        assert_eq!(
+            two_tiles, four_tiles,
+            "{name}: allocations grew with the number of tiles"
+        );
+        assert!(
+            two_tiles <= fused.num_ops(),
+            "{name}: {two_tiles} allocations for {} ops",
+            fused.num_ops()
+        );
     }
 }

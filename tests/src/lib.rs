@@ -1,14 +1,14 @@
 //! Shared helpers for the cross-crate integration tests, including the
 //! cross-engine differential harness backing the DAG-fusion work: every
-//! engine × every fusion strategy × fusion width, checked against the flat
-//! reference and for bitwise run-to-run reproducibility.
+//! engine, checked against the flat reference and for bitwise run-to-run
+//! and dispatch reproducibility.
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{
     BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
     IqsBaseline, MultilevelConfig, MultilevelSimulator,
 };
-use hisvsim_statevec::{run_circuit, FusionStrategy, KernelDispatch, StateVector};
+use hisvsim_statevec::{run_circuit, KernelDispatch, StateVector};
 use proptest::prelude::*;
 
 /// Tolerance used when comparing engine outputs against the flat reference.
@@ -39,20 +39,20 @@ pub fn small_suite(width: usize) -> Vec<Circuit> {
 
 /// The cross-engine differential harness.
 ///
-/// For every `(strategy, width)` combination (widths ≥ 1: the engines have
-/// no unfused path, width 1 is one sweep per gate group) run the circuit
-/// through **all four engines** (baseline, hier, dist, multilevel) and
+/// Run the circuit through **all four engines** (baseline, hier, dist,
+/// multilevel), each fusing at
+/// [`DEFAULT_FUSION_WIDTH`](hisvsim_statevec::DEFAULT_FUSION_WIDTH), and
 /// demand:
 ///
-/// 1. **agreement with the flat reference** within [`TOL`] — fusion (either
-///    strategy) reorders commuting floating-point work, so exact equality
-///    with the unfused stream is not defined, but the amplitudes must agree
-///    to reference precision;
-/// 2. **bitwise determinism** — the same engine, width and strategy run
-///    twice produces *bit-identical* amplitudes. This is the property the
-///    plan cache, the SPMD rank bodies, and the process workers (which
-///    re-fuse the shipped partition independently) all build on: fusion is
-///    a pure function, so a DAG-fused job is exactly reproducible anywhere;
+/// 1. **agreement with the flat reference** within [`TOL`] — fusion
+///    reorders commuting floating-point work, so exact equality with the
+///    unfused stream is not defined, but the amplitudes must agree to
+///    reference precision;
+/// 2. **bitwise determinism** — the same engine run twice produces
+///    *bit-identical* amplitudes. This is the property the plan cache, the
+///    SPMD rank bodies, and the process workers (which re-fuse the shipped
+///    partition independently) all build on: fusion is a pure function, so
+///    a fused job is exactly reproducible anywhere;
 /// 3. **dispatch bit-identity** — forced-scalar and auto kernel dispatch
 ///    produce *bit-identical* amplitudes. The SIMD kernels replay the exact
 ///    scalar operation sequence (no true FMA contraction), so on AVX2
@@ -62,93 +62,66 @@ pub fn small_suite(width: usize) -> Vec<Circuit> {
 /// Engines run at a limit derived from the circuit (at least the largest
 /// gate arity), with 4 virtual ranks for dist and 2 for multilevel —
 /// circuits need ≥ 6 qubits so every rank keeps a wide-enough local slice.
-pub fn assert_all_engines_bit_identical(
-    circuit: &Circuit,
-    widths: &[usize],
-    strategies: &[FusionStrategy],
-) {
+/// The fusion widths other than the default are covered where fusion
+/// lives, in `hisvsim-statevec`'s own tests.
+pub fn assert_all_engines_bit_identical(circuit: &Circuit) {
     let n = circuit.num_qubits();
     assert!(n >= 6, "harness circuits need ≥ 6 qubits, got {n}");
     let expected = reference_state(circuit);
     let arity_floor = circuit.gates().iter().map(|g| g.arity()).max().unwrap_or(1);
     let limit = (n / 2).max(arity_floor).max(3).min(n);
 
-    for &strategy in strategies {
-        for &width in widths {
-            for engine in ["baseline", "hier", "dist", "multilevel"] {
-                let label = format!(
-                    "{} engine={engine} strategy={} width={width}",
-                    circuit.name,
-                    strategy.name()
-                );
-                let run = |dispatch: KernelDispatch, pass: usize| -> StateVector {
-                    match engine {
-                        "baseline" => {
-                            IqsBaseline::new(
-                                BaselineConfig::new(2)
-                                    .with_fusion(width)
-                                    .with_fusion_strategy(strategy)
-                                    .with_kernel_dispatch(dispatch),
-                            )
-                            .run(circuit)
-                            .state
-                        }
-                        "hier" => {
-                            HierarchicalSimulator::new(
-                                HierConfig::new(limit)
-                                    .with_fusion(width)
-                                    .with_fusion_strategy(strategy)
-                                    .with_kernel_dispatch(dispatch),
-                            )
-                            .run(circuit)
-                            .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
-                            .state
-                        }
-                        "dist" => {
-                            DistributedSimulator::new(
-                                DistConfig::new(4)
-                                    .with_fusion(width)
-                                    .with_fusion_strategy(strategy)
-                                    .with_kernel_dispatch(dispatch),
-                            )
-                            .run(circuit)
-                            .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
-                            .state
-                        }
-                        "multilevel" => {
-                            MultilevelSimulator::new(
-                                MultilevelConfig::new(2, limit)
-                                    .with_fusion(width)
-                                    .with_fusion_strategy(strategy)
-                                    .with_kernel_dispatch(dispatch),
-                            )
-                            .run(circuit)
-                            .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
-                            .state
-                        }
-                        _ => unreachable!(),
-                    }
-                };
-                let scalar = run(KernelDispatch::Scalar, 1);
-                assert_states_match(&label, &scalar, &expected);
-                let second = run(KernelDispatch::Scalar, 2);
-                assert_eq!(
-                    scalar, second,
-                    "{label}: two runs of the identical configuration must be bit-identical"
-                );
-                let auto = run(KernelDispatch::Auto, 1);
-                assert_eq!(
-                    scalar, auto,
-                    "{label}: forced-scalar and auto kernel dispatch must be bit-identical"
-                );
+    for engine in ["baseline", "hier", "dist", "multilevel"] {
+        let label = format!("{} engine={engine}", circuit.name);
+        let run = |dispatch: KernelDispatch, pass: usize| -> StateVector {
+            match engine {
+                "baseline" => {
+                    IqsBaseline::new(BaselineConfig::new(2).with_kernel_dispatch(dispatch))
+                        .run(circuit)
+                        .state
+                }
+                "hier" => {
+                    HierarchicalSimulator::new(
+                        HierConfig::new(limit).with_kernel_dispatch(dispatch),
+                    )
+                    .run(circuit)
+                    .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
+                    .state
+                }
+                "dist" => {
+                    DistributedSimulator::new(DistConfig::new(4).with_kernel_dispatch(dispatch))
+                        .run(circuit)
+                        .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
+                        .state
+                }
+                "multilevel" => {
+                    MultilevelSimulator::new(
+                        MultilevelConfig::new(2, limit).with_kernel_dispatch(dispatch),
+                    )
+                    .run(circuit)
+                    .unwrap_or_else(|e| panic!("{label} (pass {pass}): {e}"))
+                    .state
+                }
+                _ => unreachable!(),
             }
-        }
+        };
+        let scalar = run(KernelDispatch::Scalar, 1);
+        assert_states_match(&label, &scalar, &expected);
+        let second = run(KernelDispatch::Scalar, 2);
+        assert_eq!(
+            scalar, second,
+            "{label}: two runs of the identical configuration must be bit-identical"
+        );
+        let auto = run(KernelDispatch::Auto, 1);
+        assert_eq!(
+            scalar, auto,
+            "{label}: forced-scalar and auto kernel dispatch must be bit-identical"
+        );
     }
 }
 
 /// Build one member of the `random` interleaved family: the benchmark
-/// workload whose mergeable gates are buried far apart in program order
-/// (where window fusion degenerates and DAG fusion must not).
+/// workload whose mergeable gates are buried far apart in program order.
 pub fn random_interleaved(qubits: usize, gates: usize, seed: u64) -> Circuit {
     generators::random_circuit(qubits, gates, seed)
 }
@@ -164,8 +137,7 @@ pub fn prop_random_interleaved() -> impl Strategy<Value = Circuit> {
 
 /// A denser variant biased toward long dependency chains: interleaves a
 /// round-robin entangling layer with random single-qubit rotations, so
-/// every qubit pair's gates are separated by a full register sweep —
-/// maximally hostile to the bounded fusion window.
+/// every qubit pair's gates are separated by a full register sweep.
 pub fn prop_layered_interleaved() -> impl Strategy<Value = Circuit> {
     (6usize..9, 2usize..6, any::<u64>()).prop_map(|(qubits, rounds, seed)| {
         let mut circuit = Circuit::named(format!("interleaved{qubits}x{rounds}"), qubits);

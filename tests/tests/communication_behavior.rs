@@ -12,7 +12,7 @@ use hisvsim_core::{
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_statevec::{FusionStrategy, StateVector, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::StateVector;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -154,10 +154,9 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
     let gates = circuit.num_gates() as u64;
     let dag = CircuitDag::from_circuit(circuit);
     let local = circuit.num_qubits() - 2;
-    let (width, strategy) = (DEFAULT_FUSION_WIDTH, FusionStrategy::default());
 
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
-    let plan = &FusedSinglePlan::build_with_strategy(circuit, &dag, partition, width, strategy);
+    let plan = &FusedSinglePlan::new(circuit, &dag, partition);
     let dist = DistributedSimulator::new(DistConfig::new(ranks));
     let inert = dist.run_with_fused_plan(circuit, plan);
     assert_same_run("dist", gates, (inert.state, inert.report), |control| {
@@ -169,7 +168,7 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
     let ml = MultilevelPartitioner::default()
         .partition(&dag, local, 4)
         .unwrap();
-    let plan = &FusedTwoLevelPlan::build_with_strategy(circuit, &dag, ml, width, strategy);
+    let plan = &FusedTwoLevelPlan::new(circuit, &dag, ml);
     let multilevel = MultilevelSimulator::new(MultilevelConfig::new(ranks, 4));
     let inert = multilevel.run_with_fused_plan(circuit, plan);
     assert_same_run(

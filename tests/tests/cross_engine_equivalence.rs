@@ -15,7 +15,7 @@ use hisvsim_integration_tests::{assert_states_match, reference_state, small_suit
 use hisvsim_partition::Strategy;
 use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
 use hisvsim_statevec::{
-    ApplyOptions, FusedCircuit, FusionStrategy, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
+    ApplyOptions, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 
 #[test]
@@ -136,8 +136,7 @@ fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch)
         for circuit in circuits {
             let label = format!("{} dispatch={dispatch:?}", circuit.name);
             let mut flat = StateVector::zero_state(n);
-            FusedCircuit::with_strategy(&circuit, DEFAULT_FUSION_WIDTH, FusionStrategy::default())
-                .apply(&mut flat, &opts);
+            FusedCircuit::new(&circuit, DEFAULT_FUSION_WIDTH).apply(&mut flat, &opts);
             let (engine, routed) = run(SimJob::new(circuit.clone()));
             assert_eq!(engine, EngineKind::Hier, "{label}");
             assert_eq!(

@@ -13,7 +13,7 @@ use hisvsim_core::{run_fused_plan_rank, ExecControl, FusedSinglePlan, RankOutcom
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{FusionStrategy, KernelDispatch, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::KernelDispatch;
 
 const RANKS: usize = 2;
 
@@ -41,13 +41,7 @@ fn spans_cover_a_distributed_run() {
     let partition = Strategy::DagP
         .partition(&dag, n - RANKS.trailing_zeros() as usize)
         .expect("qft partitions at the local width");
-    let plan = FusedSinglePlan::build_with_strategy(
-        &circuit,
-        &dag,
-        partition,
-        DEFAULT_FUSION_WIDTH,
-        FusionStrategy::default(),
-    );
+    let plan = FusedSinglePlan::new(&circuit, &dag, partition);
     assert!(plan.parts.len() >= 2, "the run must switch parts");
 
     hisvsim_obs::set_enabled(true);

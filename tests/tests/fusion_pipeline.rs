@@ -44,28 +44,27 @@ proptest! {
     #[test]
     fn every_engine_runs_fused_by_default_and_matches_flat(
         (qubits, gates, seed) in circuit_params(),
-        width in 1usize..5,
     ) {
         let circuit = generators::random_circuit(qubits, gates, seed);
         let expected = run_circuit(&circuit);
         let limit = (qubits / 2).max(3).min(qubits);
 
-        let hier = HierarchicalSimulator::new(HierConfig::new(limit).with_fusion(width))
+        let hier = HierarchicalSimulator::new(HierConfig::new(limit))
             .run(&circuit)
             .unwrap();
         prop_assert!(hier.state.approx_eq(&expected, 1e-9), "hier diverged");
 
-        let dist = DistributedSimulator::new(DistConfig::new(4).with_fusion(width))
+        let dist = DistributedSimulator::new(DistConfig::new(4))
             .run(&circuit)
             .unwrap();
         prop_assert!(dist.state.approx_eq(&expected, 1e-9), "dist diverged");
 
-        let ml = MultilevelSimulator::new(MultilevelConfig::new(2, limit).with_fusion(width))
+        let ml = MultilevelSimulator::new(MultilevelConfig::new(2, limit))
             .run(&circuit)
             .unwrap();
         prop_assert!(ml.state.approx_eq(&expected, 1e-9), "multilevel diverged");
 
-        let baseline = IqsBaseline::new(BaselineConfig::new(2).with_fusion(width)).run(&circuit);
+        let baseline = IqsBaseline::new(BaselineConfig::new(2)).run(&circuit);
         prop_assert!(baseline.state.approx_eq(&expected, 1e-9), "baseline diverged");
     }
 }
@@ -103,76 +102,5 @@ fn warm_plan_cache_results_are_bit_identical_to_cold() {
             .as_ref()
             .unwrap()
             .approx_eq(&run_circuit(&circuit), 1e-9));
-    }
-}
-
-/// Stale-plan hazard regression: two jobs identical except for their fusion
-/// *strategy* must never share a `PlanCache` entry — a window-fused plan
-/// served to a Dag job (or vice versa) would silently execute the wrong
-/// fused form. Extends the fusion-width cache-key test below to the
-/// strategy axis.
-#[test]
-fn fusion_strategy_is_part_of_the_cache_key() {
-    let scheduler = Scheduler::new(
-        SchedulerConfig::default()
-            .with_workers(2)
-            .with_selector(EngineSelector::scaled(4, 8)),
-    );
-    let circuit = generators::random_circuit(8, 90, 0xD1FF);
-    let expected = run_circuit(&circuit);
-    let job = |strategy| {
-        SimJob::new(circuit.clone())
-            .with_fusion(3)
-            .with_fusion_strategy(strategy)
-    };
-    let batch = scheduler.run_batch(vec![
-        job(hisvsim_runtime::FusionStrategy::Window),
-        job(hisvsim_runtime::FusionStrategy::Dag),
-        job(hisvsim_runtime::FusionStrategy::Window),
-        job(hisvsim_runtime::FusionStrategy::Dag),
-    ]);
-    let hits: Vec<bool> = batch.results.iter().map(|r| r.plan_cache_hit).collect();
-    assert_eq!(
-        hits.iter().filter(|&&h| h).count(),
-        2,
-        "only the repeated (circuit, strategy) pairs may hit: {hits:?}"
-    );
-    // The two strategies planned separately: two misses, two hits.
-    assert_eq!(
-        batch.stats.cache.misses, 2,
-        "strategies must not share an entry"
-    );
-    for result in &batch.results {
-        assert!(result.state.as_ref().unwrap().approx_eq(&expected, 1e-9));
-    }
-    // Same strategy twice ⇒ the very same cached plan ⇒ bit-identical.
-    assert_eq!(batch.results[0].state, batch.results[2].state);
-    assert_eq!(batch.results[1].state, batch.results[3].state);
-}
-
-/// Different fusion widths are distinct cache entries (no cross-width
-/// contamination) and all match the reference.
-#[test]
-fn fusion_width_is_part_of_the_cache_key() {
-    let scheduler = Scheduler::new(
-        SchedulerConfig::default()
-            .with_workers(2)
-            .with_selector(EngineSelector::scaled(4, 8)),
-    );
-    let circuit = generators::by_name("qaoa", 7);
-    let expected = run_circuit(&circuit);
-    let batch = scheduler.run_batch(vec![
-        SimJob::new(circuit.clone()).with_fusion(2),
-        SimJob::new(circuit.clone()).with_fusion(4),
-        SimJob::new(circuit.clone()).with_fusion(2),
-    ]);
-    let hits: Vec<bool> = batch.results.iter().map(|r| r.plan_cache_hit).collect();
-    assert_eq!(
-        hits.iter().filter(|&&h| h).count(),
-        1,
-        "only the repeated (circuit, width) pair may hit: {hits:?}"
-    );
-    for result in &batch.results {
-        assert!(result.state.as_ref().unwrap().approx_eq(&expected, 1e-9));
     }
 }

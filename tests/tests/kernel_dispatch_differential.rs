@@ -7,17 +7,14 @@
 //! initial states, not just `|0…0⟩`. This suite pins that claim for every
 //! kernel the sweeps dispatch to: the specialised per-gate paths (flat
 //! execution across all benchmark families), and the fused paths (two-qubit
-//! dense, prepared k-qubit, diagonal runs, cache-blocked tiling) under both
-//! fusion strategies.
+//! dense, prepared k-qubit, diagonal runs, cache-blocked tiling).
 //!
 //! On machines without AVX2+FMA both dispatches resolve to scalar and the
 //! suite degenerates to a determinism check — still meaningful, never wrong.
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_integration_tests::{prop_layered_interleaved, prop_random_interleaved};
-use hisvsim_statevec::{
-    kernels, ApplyOptions, FusedCircuit, FusionStrategy, KernelDispatch, StateVector,
-};
+use hisvsim_statevec::{kernels, ApplyOptions, FusedCircuit, KernelDispatch, StateVector};
 use proptest::prelude::*;
 
 /// A deterministic pseudo-random normalized state (splitmix64 amplitudes).
@@ -66,20 +63,16 @@ fn assert_dispatch_bit_identical(circuit: &Circuit, seed: u64) {
 
     // Fused paths: two-qubit dense, prepared k-qubit, diagonal-run and
     // (for large enough states) cache-blocked tiled sweeps.
-    for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
-        let fused = FusedCircuit::with_strategy(circuit, 3, strategy);
-        let mut scalar = base.clone();
-        fused.apply(&mut scalar, &scalar_opts());
-        let mut auto = base.clone();
-        fused.apply(&mut auto, &auto_opts());
-        assert_eq!(
-            scalar,
-            auto,
-            "{}: fused ({}) sweep diverges between Scalar and Auto dispatch",
-            circuit.name,
-            strategy.name()
-        );
-    }
+    let fused = FusedCircuit::new(circuit, 3);
+    let mut scalar = base.clone();
+    fused.apply(&mut scalar, &scalar_opts());
+    let mut auto = base.clone();
+    fused.apply(&mut auto, &auto_opts());
+    assert_eq!(
+        scalar, auto,
+        "{}: fused sweep diverges between Scalar and Auto dispatch",
+        circuit.name
+    );
 }
 
 /// Every benchmark family — QFT's controlled phases and Hadamards, QAOA's
@@ -343,7 +336,7 @@ fn dense_kernels_conform_for_every_width_fill_and_state_size() {
 }
 
 /// A circuit over two tiles (17 qubits) whose ops sit below, across and above
-/// the tile boundary: all of (a)–(d), for both fusion strategies.
+/// the tile boundary: all of (a)–(d).
 #[test]
 fn fused_ops_around_the_tile_boundary_conform_tiled_and_untiled() {
     let n = 17;
@@ -376,17 +369,15 @@ fn fused_ops_around_the_tile_boundary_conform_tiled_and_untiled() {
     for gate in circuit.gates() {
         expected = naive_apply(expected.amplitudes(), &gate.qubits, &gate.matrix());
     }
-    for strategy in [FusionStrategy::Window, FusionStrategy::Dag] {
-        let fused = FusedCircuit::with_strategy(&circuit, 3, strategy);
-        let what = format!("tile-boundary circuit ({})", strategy.name());
-        let tiled = assert_sweep_conforms(&init, &expected, &what, |s, o| fused.apply(s, o));
-        let untiled = assert_sweep_conforms(&init, &expected, &what, |s, o| {
-            for op in fused.ops() {
-                op.apply(s, o);
-            }
-        });
-        assert_eq!(tiled, untiled, "{what}: tiled and untiled sweeps differ");
-    }
+    let fused = FusedCircuit::new(&circuit, 3);
+    let what = "tile-boundary circuit";
+    let tiled = assert_sweep_conforms(&init, &expected, what, |s, o| fused.apply(s, o));
+    let untiled = assert_sweep_conforms(&init, &expected, what, |s, o| {
+        for op in fused.ops() {
+            op.apply(s, o);
+        }
+    });
+    assert_eq!(tiled, untiled, "{what}: tiled and untiled sweeps differ");
 }
 
 proptest! {
