@@ -11,17 +11,23 @@
 //!
 //! The routes are the default one (`SimJob::new` through
 //! `Scheduler::run_batch`: hier at limit n, one part swept in place), the
-//! distributed engine forced at 2 and 4 ranks, the multilevel engine at 2
-//! ranks, and the flat `IqsBaseline` comparator at 2 ranks.
+//! distributed engine forced at 1, 2 and 4 ranks, the multilevel engine at 2
+//! ranks, and the flat `IqsBaseline` comparator at 2 ranks. At 14 qubits
+//! and below the state is one tile and every part runs in place, so the
+//! rows that pin gathered parts are wider: `hier12` (every family at 17
+//! qubits, limit 12), `dist1` at the same width and limit (bit-identical to
+//! `hier12`), and `multilevel2` on three circuits at 19 qubits with second
+//! limit 12.
 //!
 //! An intended change to the amplitudes re-blesses the file with
 //! `cargo test -p hisvsim-integration-tests --test golden_states -- --ignored bless`;
 //! the diff then shows exactly the rows it moved.
 
 use hisvsim_circuit::{generators, Circuit};
+use hisvsim_core::hier::{parts_executed, PartMode};
 use hisvsim_core::{
-    BaselineConfig, DistConfig, DistributedSimulator, IqsBaseline, MultilevelConfig,
-    MultilevelSimulator,
+    BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
+    IqsBaseline, MultilevelConfig, MultilevelSimulator,
 };
 use hisvsim_runtime::{Scheduler, SchedulerConfig, SimJob};
 use hisvsim_statevec::{run_circuit, StateVector};
@@ -29,6 +35,13 @@ use hisvsim_statevec::{run_circuit, StateVector};
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_states.txt");
 
 const WIDTHS: [usize; 3] = [8, 11, 14];
+
+/// Two tiles: the narrowest state whose parts may gather.
+const WIDE: usize = 17;
+/// Working-set limit of the wide rows (and second limit of the widest).
+const WIDE_LIMIT: usize = 12;
+/// Width of the wide multilevel rows: 18 local qubits on each of 2 ranks.
+const WIDEST: usize = 19;
 
 /// FNV-1a over the little-endian bytes of every amplitude's `to_bits`.
 fn fnv64(state: &StateVector) -> u64 {
@@ -45,12 +58,21 @@ fn fnv64(state: &StateVector) -> u64 {
 }
 
 fn line(route: &str, circuit: &Circuit, state: &StateVector) -> String {
-    let expected = run_circuit(circuit);
+    line_against(route, circuit, state, &run_circuit(circuit))
+}
+
+/// [`line`] against a reference state computed once for several routes.
+fn line_against(
+    route: &str,
+    circuit: &Circuit,
+    state: &StateVector,
+    expected: &StateVector,
+) -> String {
     assert!(
-        state.approx_eq(&expected, 1e-10),
+        state.approx_eq(expected, 1e-10),
         "{route} {}: max |Δ| {:.3e} from run_circuit",
         circuit.name,
-        state.max_abs_diff(&expected)
+        state.max_abs_diff(expected)
     );
     format!(
         "{route} {} {} -> {:016x} {:.17e}",
@@ -61,10 +83,10 @@ fn line(route: &str, circuit: &Circuit, state: &StateVector) -> String {
     )
 }
 
-fn circuits() -> Vec<Circuit> {
+fn families(widths: &[usize]) -> Vec<Circuit> {
     let mut out = Vec::new();
     for name in generators::FAMILY_NAMES {
-        for n in WIDTHS {
+        for &n in widths {
             let mut circuit = generators::by_name(name, n);
             circuit.name = name.to_string();
             out.push(circuit);
@@ -73,9 +95,32 @@ fn circuits() -> Vec<Circuit> {
     out
 }
 
+/// The wide multilevel circuits: two families and a deep random one.
+fn widest_circuits() -> Vec<Circuit> {
+    let mut random = generators::random_circuit(WIDEST, 24 * WIDEST, 19);
+    random.name = "random".to_string();
+    let mut out: Vec<Circuit> = ["qft", "qaoa"]
+        .into_iter()
+        .map(|name| {
+            let mut circuit = generators::by_name(name, WIDEST);
+            circuit.name = name.to_string();
+            circuit
+        })
+        .collect();
+    out.push(random);
+    out
+}
+
+/// Parts gathered process-wide while `rows` runs, with what it returns.
+fn gathering<T>(rows: impl FnOnce() -> T) -> (T, u64) {
+    let before = parts_executed(PartMode::Gather);
+    let out = rows();
+    (out, parts_executed(PartMode::Gather) - before)
+}
+
 /// Every case of the corpus, in file order.
 fn corpus() -> Vec<String> {
-    let circuits = circuits();
+    let circuits = families(&WIDTHS);
     let mut lines = Vec::new();
 
     let scheduler = Scheduler::new(SchedulerConfig::default());
@@ -104,6 +149,46 @@ fn corpus() -> Vec<String> {
     for circuit in &circuits {
         let run = IqsBaseline::new(BaselineConfig::new(2)).run(circuit);
         lines.push(line("baseline2", circuit, &run.state));
+    }
+
+    let wide = families(&[WIDE]);
+    let wide_expected: Vec<StateVector> = wide.iter().map(run_circuit).collect();
+    let (hier, gathered) = gathering(|| {
+        let sim = HierarchicalSimulator::new(HierConfig::new(WIDE_LIMIT));
+        let runs = wide
+            .iter()
+            .map(|circuit| sim.run(circuit).expect("hier12 plans"));
+        runs.map(|run| run.state).collect::<Vec<_>>()
+    });
+    assert!(gathered > 0, "the hier12 rows gather no part");
+    for ((circuit, state), expected) in wide.iter().zip(&hier).zip(&wide_expected) {
+        lines.push(line_against("hier12", circuit, state, expected));
+    }
+    for circuit in &circuits {
+        let run = DistributedSimulator::new(DistConfig::new(1))
+            .run(circuit)
+            .unwrap_or_else(|e| panic!("dist1 {}: {e}", circuit.name));
+        lines.push(line("dist1", circuit, &run.state));
+    }
+    for ((circuit, expected), hier) in wide.iter().zip(&wide_expected).zip(&hier) {
+        let run = DistributedSimulator::new(DistConfig::new(1).with_limit(WIDE_LIMIT))
+            .run(circuit)
+            .unwrap_or_else(|e| panic!("dist1 {}: {e}", circuit.name));
+        // A one-rank world runs a single-level plan as hier does.
+        assert_eq!(&run.state, hier, "dist1 {} is not hier12", circuit.name);
+        lines.push(line_against("dist1", circuit, &run.state, expected));
+    }
+    let widest = widest_circuits();
+    let (states, gathered) = gathering(|| {
+        let sim = MultilevelSimulator::new(MultilevelConfig::new(2, WIDE_LIMIT));
+        let runs = widest
+            .iter()
+            .map(|circuit| sim.run(circuit).expect("multilevel2 plans"));
+        runs.map(|run| run.state).collect::<Vec<_>>()
+    });
+    assert!(gathered > 0, "the wide multilevel2 rows gather no part");
+    for (circuit, state) in widest.iter().zip(&states) {
+        lines.push(line("multilevel2", circuit, state));
     }
     lines
 }
