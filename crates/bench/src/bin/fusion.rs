@@ -29,7 +29,7 @@
 //! never the slower form (README, "Fusion").
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{plan_modes, PartMode};
+use hisvsim_core::hier::{parts_executed, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
@@ -192,14 +192,13 @@ fn hier_case(reference: &Reference, limit: usize, reps: usize, width: usize) -> 
     let fused_sim = HierarchicalSimulator::new(HierConfig::new(limit));
     let plan =
         FusedSinglePlan::build_with_strategy(circuit, &dag, partition, width, Default::default());
-    let gathered_parts = plan_modes(n, &plan)
-        .iter()
-        .filter(|&&mode| mode == PartMode::Gather)
-        .count();
+    let gathered_before = parts_executed(PartMode::Gather);
     let mut fused_state = None;
     let fused_s = time_best(reps, || {
         fused_state = Some(fused_sim.run_with_fused_plan(circuit, &plan).state);
     });
+    // Every rep runs the same parts in the same modes.
+    let gathered_parts = (parts_executed(PartMode::Gather) - gathered_before) as usize / reps;
     let max_abs_diff = fused_state
         .expect("at least one rep")
         .max_abs_diff(&reference.state);

@@ -25,6 +25,10 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(qubits / 2);
     let cache = HierarchyConfig::cascade_lake();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("thread pool");
 
     println!("Table II — memory access breakdown (cache-model substitute for VTune)\n");
     println!("circuits at {qubits} qubits, working-set limit Lm = {limit}, Cascade-Lake-like cache model\n");
@@ -37,13 +41,11 @@ fn main() {
             let partition = strategy
                 .partition(&dag, limit)
                 .expect("partitioning failed");
-            // Measured execution time of the hierarchical engine.
-            let run = HierarchicalSimulator::new(
-                HierConfig::new(limit)
-                    .with_strategy(strategy)
-                    .with_parallel(false),
-            )
-            .run_with_partition(&circuit, &dag, partition.clone());
+            // Measured execution time of the hierarchical engine, on one
+            // thread.
+            let sim = HierarchicalSimulator::new(HierConfig::new(limit).with_strategy(strategy));
+            let run =
+                one_thread.install(|| sim.run_with_partition(&circuit, &dag, partition.clone()));
 
             // Modelled memory behaviour of the same execution order.
             let trace = hierarchical_access_trace(

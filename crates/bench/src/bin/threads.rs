@@ -45,11 +45,7 @@ fn main() {
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let sim = HierarchicalSimulator::new(
-            HierConfig::new(limit)
-                .with_strategy(Strategy::DagP)
-                .with_parallel(true),
-        );
+        let sim = HierarchicalSimulator::new(HierConfig::new(limit).with_strategy(Strategy::DagP));
         let start = Instant::now();
         let run = pool.install(|| sim.run_with_partition(&circuit, &dag, partition.clone()));
         let elapsed = start.elapsed().as_secs_f64();

@@ -14,7 +14,7 @@
 //! communication is accounted by the same network model as HiSVSIM's and the
 //! comparison isolates the effect of the execution schedule.
 
-use crate::dist::{run_thread_world, DistState, PreparedGate, RankOutcome};
+use crate::dist::{run_thread_world, DistState, PreparedGate, RankOutcome, RunSpec};
 use crate::exec::ExecControl;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
@@ -167,15 +167,12 @@ impl IqsBaseline {
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
         let schedule = BaselineSchedule::build(circuit, self.config.num_ranks);
-        let (state, report) = run_thread_world(
-            self.config.num_ranks,
-            self.config.network,
-            "iqs-baseline",
-            "-",
-            circuit,
-            1,
-            |comm| run_baseline_rank(comm, &schedule, self.config.kernel_dispatch, control, None),
-        )?;
+        let c = self.config;
+        let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
+        let spec = RunSpec::new("iqs-baseline", "-", ranks, c.network, dispatch);
+        let (state, report) = run_thread_world(spec, circuit, 1, |comm| {
+            run_baseline_rank(comm, &schedule, dispatch, control, None)
+        })?;
         Ok(BaselineRun { state, report })
     }
 }
@@ -478,16 +475,9 @@ mod tests {
                 }
                 Ok(state.finish_rank())
             };
-            let (unfused_state, unfused) = run_thread_world(
-                4,
-                NetworkModel::hdr100(),
-                "-",
-                "-",
-                &circuit,
-                1,
-                gate_by_gate,
-            )
-            .expect("nothing cancels");
+            let spec = RunSpec::new("-", "-", 4, NetworkModel::hdr100(), Default::default());
+            let (unfused_state, unfused) =
+                run_thread_world(spec, &circuit, 1, gate_by_gate).expect("nothing cancels");
             let fused = IqsBaseline::new(BaselineConfig::new(4)).run(&circuit);
             assert!(unfused_state.approx_eq(&expected, 1e-9));
             assert!(fused.state.approx_eq(&expected, 1e-9));

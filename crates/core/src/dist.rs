@@ -9,12 +9,17 @@
 //! redistribution (an all-to-all-v over the virtual interconnect), instead of
 //! the per-gate exchanges a circuit-agnostic simulator needs.
 //!
-//! The same [`DistState`] machinery backs the IQS-style baseline
-//! ([`crate::baseline`]) and the multi-level engine ([`crate::multilevel`]).
+//! The module also holds the one rank body every planned engine runs,
+//! [`run_plan_rank`]: the distributed engine is its single-level plan on R
+//! ranks, the multi-level engine ([`crate::multilevel`]) its two-level plan,
+//! and the single-node engine ([`crate::hier`]) its single-level plan on a
+//! world of one. The same [`DistState`] machinery also backs the IQS-style
+//! baseline ([`crate::baseline`]).
 
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedPart, FusedSinglePlan};
+use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
+use crate::hier::{execute_part, part_mode, PartMode, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
@@ -146,11 +151,6 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// changes results — only how they are computed).
     pub fn set_kernel_dispatch(&mut self, dispatch: KernelDispatch) {
         self.dispatch = dispatch;
-    }
-
-    /// The kernel dispatch local sweeps run under.
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
     }
 
     /// Collective cancel agreement (see [`RankComm::vote_any`]): every rank
@@ -416,25 +416,41 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         self.compute_time_s += start.elapsed().as_secs_f64();
     }
 
-    /// Apply one prefused part to the local slice: fused qubit `j` is aimed
-    /// at `layout[working_set[j]]`, so the shared fused matrices run against
-    /// this rank's current layout without any re-fusion. Every working-set
-    /// qubit must already be local (see [`DistState::ensure_local`]).
-    pub fn apply_fused_part(&mut self, part: &FusedPart) {
-        let _span = hisvsim_obs::span("kernel", "local");
+    /// Run one prefused part on the local slice through the part executor:
+    /// fused qubit `j` is aimed at `layout[working_set[j]]`, so the shared
+    /// fused matrices run against this rank's current layout without any
+    /// re-fusion. Every working-set qubit must already be local (see
+    /// [`DistState::ensure_local`]). A step's `only` part runs in place;
+    /// otherwise [`part_mode`] decides. A world of one sweeps on the pool.
+    fn run_part(
+        &mut self,
+        part: &FusedPart,
+        only: bool,
+        sweep: SweepControl<'_>,
+    ) -> Result<(), Cancelled> {
+        let positions: Vec<usize> = part.working_set.iter().map(|&q| self.layout[q]).collect();
+        debug_assert!(
+            positions.iter().all(|&pos| pos < self.l),
+            "fused part touches a non-local qubit"
+        );
+        let mode = match only {
+            true => PartMode::InPlace,
+            false => part_mode(self.l, &positions, &part.inner),
+        };
+        let parallel = self.comm.size() == 1;
         let start = Instant::now();
-        let map: Vec<usize> = part
-            .working_set
-            .iter()
-            .map(|&q| {
-                let pos = self.layout[q];
-                debug_assert!(pos < self.l, "fused part touches a non-local qubit");
-                pos
-            })
-            .collect();
-        let opts = self.opts();
-        part.inner.apply_mapped(&mut self.local, &map, &opts);
+        let (local, inner) = (&mut self.local, &part.inner);
+        execute_part(
+            local,
+            &positions,
+            inner,
+            mode,
+            parallel,
+            self.dispatch,
+            sweep,
+        )?;
         self.compute_time_s += start.elapsed().as_secs_f64();
+        Ok(())
     }
 
     /// Record externally-performed local computation time (used by engines
@@ -555,15 +571,48 @@ pub fn aggregate_outcomes(
     (state, report)
 }
 
-/// Run `body` as every rank of a thread world and aggregate the outcomes
-/// (see [`aggregate_outcomes`]): how each SPMD engine executes in-process.
-/// The bodies vote at their checkpoints, so all ranks return `Ok` or all
-/// return `Cancelled`.
+/// How a thread world runs in-process ([`run_plan`]), and what its report
+/// is called.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Engine name the report carries (`hier`, `dist`, `multilevel`).
+    pub engine: &'a str,
+    /// Partitioning strategy name the report carries.
+    pub strategy: &'a str,
+    /// Ranks of the thread world (a power of two); one is the hier shape.
+    pub ranks: usize,
+    /// Interconnect model for communication-time accounting.
+    pub network: NetworkModel,
+    /// Kernel dispatch of every sweep.
+    pub dispatch: KernelDispatch,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A spec with every field given, in declaration order.
+    pub fn new(
+        engine: &'a str,
+        strategy: &'a str,
+        ranks: usize,
+        network: NetworkModel,
+        dispatch: KernelDispatch,
+    ) -> Self {
+        Self {
+            engine,
+            strategy,
+            ranks,
+            network,
+            dispatch,
+        }
+    }
+}
+
+/// Run `body` as every rank of the thread world `spec` describes and
+/// aggregate the outcomes (see [`aggregate_outcomes`]): how each SPMD body
+/// executes in-process, on the calling thread for a world of one. The
+/// bodies vote at their checkpoints, so all ranks return `Ok` or all return
+/// `Cancelled`.
 pub(crate) fn run_thread_world<F>(
-    num_ranks: usize,
-    network: NetworkModel,
-    engine: &str,
-    strategy: &str,
+    spec: RunSpec<'_>,
     circuit: &Circuit,
     num_parts: usize,
     body: F,
@@ -572,44 +621,92 @@ where
     F: Fn(&mut LocalComm<Complex64>) -> Result<RankOutcome, Cancelled> + Sync,
 {
     let start = Instant::now();
-    let outcomes = run_spmd(num_ranks, network, |mut comm| body(&mut comm));
+    let outcomes = run_spmd(spec.ranks, spec.network, |mut comm| body(&mut comm));
     let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
     let wall = start.elapsed().as_secs_f64();
+    let (engine, strategy) = (spec.engine, spec.strategy);
     Ok(aggregate_outcomes(
         engine, strategy, circuit, num_parts, outcomes, wall,
     ))
 }
 
-/// Execute one rank of a prefused single-level plan against `comm`: the one
-/// rank body of the distributed engine, run by the thread world
-/// ([`DistributedSimulator::run_with_fused_plan_controlled`]) and by
+/// Run `plan` as every rank of a thread world ([`run_plan_rank`]) and
+/// aggregate the outcomes into the state and a report: how every planned
+/// engine executes in-process.
+pub fn run_plan(
+    circuit: &Circuit,
+    plan: FusedPlan<'_>,
+    spec: RunSpec<'_>,
+    control: &ExecControl,
+) -> Result<(StateVector, RunReport), Cancelled> {
+    let qubits = circuit.num_qubits();
+    run_thread_world(spec, circuit, plan.num_parts(), |comm| {
+        run_plan_rank(comm, qubits, plan, spec.dispatch, control, None)
+    })
+}
+
+/// Execute one rank of a fused plan against `comm`: the one rank body of
+/// every planned engine, run by the thread world ([`run_plan`]) and by
 /// `hisvsim-net`'s worker processes alike, so a process-backed run is
-/// bit-identical to the channel-world run of the same plan by construction.
+/// bit-identical to the thread-world run of the same plan by construction.
 ///
-/// Before every part the ranks vote ([`DistState::vote_cancelled`]), so a
-/// token fired on any rank stops *all* ranks at the same part boundary:
-/// cancel latency is bounded by one part's duration and no rank is stranded
-/// inside a collective. Rank 0 reports `(gates_done, gates_total)` after
-/// each part. `recycled` optionally reuses a previous run's local-slice
-/// allocation (see [`DistState::new_reusing`]).
-pub fn run_fused_plan_rank<C: RankComm<Complex64>>(
+/// The rank walks the plan's steps for its world size
+/// ([`FusedPlan::steps`]). For each it brings the step's working set into
+/// its local slice ([`DistState::ensure_local`], the only collective), then
+/// runs the step's parts through the part executor: a step's only part in
+/// place, every other where [`part_mode`] says — a function of the plan and
+/// the slice width alone, so every rank and world decides alike.
+///
+/// The ranks vote ([`DistState::vote_cancelled`]) before every step and
+/// before every part of a step but its first, so there is one vote per part
+/// and every progress report but the last is followed by one: a token fired
+/// on any rank stops all of them at the same part boundary, and none is
+/// stranded inside a collective. Rank 0 reports `(gates_done, gates_total)`
+/// after each part.
+///
+/// A world of one is the hier engine: it sweeps on the pool and hands its
+/// token and sub-part progress to the sweep, so a gathered part also stops
+/// between assignments and reports as it goes. More ranks sweep
+/// sequentially (their parallelism is the ranks) and without a token: a rank
+/// leaves the schedule only by a vote. `recycled` optionally reuses a
+/// previous run's local-slice allocation (see [`DistState::new_reusing`]).
+pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
-    plan: &FusedSinglePlan,
+    plan: FusedPlan<'_>,
     dispatch: KernelDispatch,
     control: &ExecControl,
     recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
+    let world_of_one = comm.size() == 1;
+    let steps = plan.steps(comm.size());
     let mut state = DistState::new_reusing(comm, num_qubits, recycled);
     state.set_kernel_dispatch(dispatch);
     let total_gates = plan.total_source_gates();
     let mut gates_done = 0u64;
-    for part in &plan.parts {
+    for step in steps {
         state.vote_cancelled(&control.cancel)?;
-        state.ensure_local(&part.working_set);
-        state.apply_fused_part(part);
-        gates_done += part.inner.source_gates() as u64;
-        state.report_progress(control, gates_done, total_gates);
+        state.ensure_local(step.working_set);
+        for (index, part) in step.parts.iter().enumerate() {
+            if index > 0 {
+                state.vote_cancelled(&control.cancel)?;
+            }
+            let part_gates = part.inner.source_gates() as u64;
+            let before = gates_done;
+            let on_assignments = |done: u64, total: u64| {
+                control.report_progress(before + part_gates * done / total.max(1), total_gates);
+            };
+            let sweep = match world_of_one {
+                true => SweepControl {
+                    cancel: Some(&control.cancel),
+                    on_assignments: Some(&on_assignments),
+                },
+                false => SweepControl::default(),
+            };
+            state.run_part(part, step.parts.len() == 1, sweep)?;
+            gates_done += part_gates;
+            state.report_progress(control, gates_done, total_gates);
+        }
     }
     Ok(state.finish_rank())
 }
@@ -727,37 +824,20 @@ impl DistributedSimulator {
 
     /// Run against a prefused plan: each part's fused inner circuit was built
     /// once (at plan time) and is shared read-only by every virtual rank.
+    /// [`run_plan_rank`] on every rank of a thread world.
     pub fn run_with_fused_plan(&self, circuit: &Circuit, plan: &FusedSinglePlan) -> DistRun {
-        self.run_with_fused_plan_controlled(circuit, plan, &ExecControl::default())
-            .expect("an inert control cannot cancel")
-    }
-
-    /// [`DistributedSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: [`run_fused_plan_rank`] on every rank of a thread
-    /// world.
-    pub fn run_with_fused_plan_controlled(
-        &self,
-        circuit: &Circuit,
-        plan: &FusedSinglePlan,
-        control: &ExecControl,
-    ) -> Result<DistRun, Cancelled> {
-        let (state, report) = run_thread_world(
-            self.config.num_ranks,
-            self.config.network,
-            "dist",
-            self.config.strategy.name(),
-            circuit,
-            plan.partition.num_parts(),
-            |comm| {
-                let dispatch = self.config.kernel_dispatch;
-                run_fused_plan_rank(comm, circuit.num_qubits(), plan, dispatch, control, None)
-            },
-        )?;
-        Ok(DistRun {
+        let c = self.config;
+        let (strategy, dispatch) = (c.strategy.name(), c.kernel_dispatch);
+        let spec = RunSpec::new("dist", strategy, c.num_ranks, c.network, dispatch);
+        let inert = ExecControl::default();
+        let (state, report) = run_plan(circuit, FusedPlan::Single(plan), spec, &inert)
+            .expect("an inert control cannot cancel");
+        let partition = plan.partition.clone();
+        DistRun {
             state,
             report,
-            partition: plan.partition.clone(),
-        })
+            partition,
+        }
     }
 }
 

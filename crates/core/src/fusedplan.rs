@@ -8,24 +8,28 @@
 //! parts without touching `gate.matrix()` or the fusion grouping again.
 //!
 //! The fused inner circuits live in *working-set-relative* qubit space
-//! (fused qubit `j` = `working_set[j]`), which makes one plan reusable by
-//! both hierarchies:
+//! (fused qubit `j` = `working_set[j]`), so every rank runs the same fused
+//! matrices whatever its current layout: it aims fused qubit `j` at
+//! `layout[working_set[j]]`, either gathering an inner vector over those
+//! positions or sweeping its slice in place through them.
 //!
-//! * the single-node engine gathers an inner vector whose qubit `j` *is*
-//!   `working_set[j]` — the fused circuit applies directly;
-//! * the distributed engines translate `j → layout[working_set[j]]` with
-//!   [`FusedCircuit::apply_mapped`], so every virtual rank shares the same
-//!   fused matrices regardless of its current layout.
+//! Both plan shapes run as a list of [`PlanStep`]s ([`FusedPlan::steps`]): a
+//! working set the rank brings into its local slice, then the parts that run
+//! inside it. That list is what the one rank body
+//! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks.
 
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::MultilevelPartition;
 use hisvsim_statevec::{FusedCircuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
 
-/// One part of a [`FusedSinglePlan`]: its working set and prefused gates.
+/// One fused part: its working set and prefused gates. The parts of a
+/// [`FusedSinglePlan`] and the second-level parts of a [`FusedTwoLevelPlan`]
+/// alike.
 #[derive(Debug, Clone)]
 pub struct FusedPart {
-    /// The part id in the underlying partition.
+    /// The part id: in the partition for a single-level part, in its
+    /// first-level part's execution order for a second-level one.
     pub part: usize,
     /// Outer qubit backing each inner (fused) qubit position, ascending.
     pub working_set: Vec<Qubit>,
@@ -72,20 +76,6 @@ impl FusedSinglePlan {
             .collect();
         Self { partition, parts }
     }
-
-    /// Total fused sweeps across every part — the sweep count a full
-    /// execution of this plan performs over its (part-local) states. Feeds
-    /// the predicted-cost side of the runtime's decision verdicts.
-    pub fn total_fused_ops(&self) -> usize {
-        self.parts.iter().map(|p| p.inner.num_ops()).sum()
-    }
-
-    /// Circuit gates across every part: the total the engines report
-    /// progress against.
-    pub fn total_source_gates(&self) -> u64 {
-        let gates = self.parts.iter().map(|p| p.inner.source_gates());
-        gates.sum::<usize>() as u64
-    }
 }
 
 /// Fuse one part's gates in working-set-relative space.
@@ -97,38 +87,18 @@ fn fuse_part(
     fusion_width: usize,
 ) -> FusedPart {
     let working_set: Vec<Qubit> = dag.working_set_of_gates(part_gates).into_iter().collect();
-    let inner = fuse_gate_list(circuit, part_gates, &working_set, fusion_width);
-    FusedPart {
-        part,
-        working_set,
-        inner,
-    }
-}
-
-/// Remap `gate_indices` of `circuit` onto `working_set` positions and fuse.
-fn fuse_gate_list(
-    circuit: &Circuit,
-    gate_indices: &[usize],
-    working_set: &[Qubit],
-    fusion_width: usize,
-) -> FusedCircuit {
     let mut map = vec![None; circuit.num_qubits()];
     for (inner, &outer) in working_set.iter().enumerate() {
         map[outer] = Some(inner);
     }
     let inner_circuit = circuit
-        .subcircuit(gate_indices)
+        .subcircuit(part_gates)
         .remap_qubits(&map, working_set.len());
-    FusedCircuit::new(&inner_circuit, fusion_width)
-}
-
-/// One second-level part of a [`FusedTwoLevelPlan`]'s first-level part.
-#[derive(Debug, Clone)]
-pub struct FusedSecondPart {
-    /// Global qubits backing the second-level inner register, ascending.
-    pub working_set: Vec<Qubit>,
-    /// The second-level gates, remapped onto `working_set` and fused.
-    pub inner: FusedCircuit,
+    FusedPart {
+        part,
+        inner: FusedCircuit::new(&inner_circuit, fusion_width),
+        working_set,
+    }
 }
 
 /// One first-level part of a [`FusedTwoLevelPlan`].
@@ -139,7 +109,7 @@ pub struct FusedMlPart {
     /// The first-level working set (the qubits the rank must hold locally).
     pub working_set: Vec<Qubit>,
     /// Prefused second-level parts, in their topological order.
-    pub second: Vec<FusedSecondPart>,
+    pub second: Vec<FusedPart>,
 }
 
 /// A two-level partition plan with prefused second-level parts.
@@ -186,13 +156,8 @@ impl FusedTwoLevelPlan {
                     .second_level_gate_lists(dag, part)
                     .into_iter()
                     .filter(|gates| !gates.is_empty())
-                    .map(|gates| {
-                        let ws: Vec<Qubit> = dag.working_set_of_gates(&gates).into_iter().collect();
-                        FusedSecondPart {
-                            inner: fuse_gate_list(circuit, &gates, &ws, fusion_width),
-                            working_set: ws,
-                        }
-                    })
+                    .enumerate()
+                    .map(|(second, gates)| fuse_part(circuit, dag, second, &gates, fusion_width))
                     .collect();
                 FusedMlPart {
                     part,
@@ -203,21 +168,84 @@ impl FusedTwoLevelPlan {
             .collect();
         Self { ml, parts }
     }
+}
 
-    /// Total fused sweeps across every second-level part (see
-    /// [`FusedSinglePlan::total_fused_ops`]).
-    pub fn total_fused_ops(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|p| p.second.iter().map(|s| s.inner.num_ops()).sum::<usize>())
-            .sum()
+/// A fused plan of either shape: what the one rank body runs.
+#[derive(Debug, Clone, Copy)]
+pub enum FusedPlan<'a> {
+    /// A single-level plan (the hier and dist engines').
+    Single(&'a FusedSinglePlan),
+    /// A two-level plan (the multilevel engine's).
+    Two(&'a FusedTwoLevelPlan),
+}
+
+/// One step of a rank's schedule: the qubits the rank brings into its local
+/// slice, then the parts that run inside it with no exchange between them.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanStep<'a> {
+    /// Qubits every part of the step needs local.
+    pub working_set: &'a [Qubit],
+    /// The step's parts, in execution order.
+    pub parts: &'a [FusedPart],
+}
+
+impl<'a> FusedPlan<'a> {
+    /// The steps a world of `ranks` ranks runs the plan in: a function of
+    /// the plan's shape and the world size alone. A two-level plan takes one
+    /// step per first-level part. A single-level plan takes one step per part
+    /// on several ranks, and one step holding every part on a world of one,
+    /// where every qubit is local and no part switch needs an exchange.
+    pub fn steps(self, ranks: usize) -> Vec<PlanStep<'a>> {
+        match self {
+            FusedPlan::Single(plan) if ranks == 1 => vec![PlanStep {
+                working_set: &[],
+                parts: &plan.parts,
+            }],
+            FusedPlan::Single(plan) => plan
+                .parts
+                .iter()
+                .map(|part| PlanStep {
+                    working_set: &part.working_set,
+                    parts: std::slice::from_ref(part),
+                })
+                .collect(),
+            FusedPlan::Two(plan) => plan
+                .parts
+                .iter()
+                .map(|part| PlanStep {
+                    working_set: &part.working_set,
+                    parts: &part.second,
+                })
+                .collect(),
+        }
     }
 
-    /// Circuit gates across every second-level part (see
-    /// [`FusedSinglePlan::total_source_gates`]).
-    pub fn total_source_gates(&self) -> u64 {
-        let seconds = self.parts.iter().flat_map(|p| &p.second);
-        seconds.map(|s| s.inner.source_gates()).sum::<usize>() as u64
+    /// Every part the plan runs, in execution order: on any world, each part
+    /// is in exactly one step.
+    fn parts(self) -> impl Iterator<Item = &'a FusedPart> {
+        self.steps(1).into_iter().flat_map(|step| step.parts)
+    }
+
+    /// (First-level) parts of the partition: the `num_parts` of a report.
+    pub fn num_parts(self) -> usize {
+        match self {
+            FusedPlan::Single(plan) => plan.partition.num_parts(),
+            FusedPlan::Two(plan) => plan.ml.num_first_level_parts(),
+        }
+    }
+
+    /// Fused sweeps across every part — the sweep count a full execution of
+    /// the plan performs over its (part-local) states. Feeds the
+    /// predicted-cost side of the runtime's decision verdicts.
+    pub fn total_fused_ops(self) -> usize {
+        self.parts().map(|part| part.inner.num_ops()).sum()
+    }
+
+    /// Circuit gates across every part: the total the engines report
+    /// progress against.
+    pub fn total_source_gates(self) -> u64 {
+        let gates = self.parts().map(|part| part.inner.source_gates());
+        gates.sum::<usize>() as u64
     }
 }
 
@@ -233,7 +261,8 @@ mod tests {
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = Strategy::DagP.partition(&dag, 5).unwrap();
         let plan = FusedSinglePlan::new(&circuit, &dag, partition);
-        assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
+        let gates = FusedPlan::Single(&plan).total_source_gates();
+        assert_eq!(gates, circuit.num_gates() as u64);
         for part in &plan.parts {
             assert!(part.working_set.len() <= 5);
             assert_eq!(part.inner.num_qubits(), part.working_set.len());
@@ -248,7 +277,8 @@ mod tests {
             .partition(&dag, 6, 3)
             .unwrap();
         let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml);
-        assert_eq!(plan.total_source_gates(), circuit.num_gates() as u64);
+        let gates = FusedPlan::Two(&plan).total_source_gates();
+        assert_eq!(gates, circuit.num_gates() as u64);
         for part in &plan.parts {
             for second in &part.second {
                 // Second-level working sets are within the first-level one.
@@ -256,6 +286,38 @@ mod tests {
                     .working_set
                     .iter()
                     .all(|q| part.working_set.contains(q)));
+            }
+        }
+    }
+
+    #[test]
+    fn the_step_shape_follows_the_plan_and_the_world_size() {
+        let circuit = generators::by_name("qaoa", 9);
+        let dag = CircuitDag::from_circuit(&circuit);
+        let partition = Strategy::DagP.partition(&dag, 5).unwrap();
+        let single = FusedSinglePlan::new(&circuit, &dag, partition);
+        assert!(single.parts.len() > 1);
+        let one = FusedPlan::Single(&single).steps(1);
+        assert_eq!(one.len(), 1, "a world of one runs every part in one step");
+        assert!(one[0].working_set.is_empty());
+        assert_eq!(one[0].parts.len(), single.parts.len());
+        let many = FusedPlan::Single(&single).steps(4);
+        assert_eq!(many.len(), single.parts.len());
+        for (step, part) in many.iter().zip(&single.parts) {
+            assert_eq!(step.working_set, part.working_set);
+            assert_eq!(step.parts.len(), 1);
+        }
+
+        let ml = MultilevelPartitioner::default()
+            .partition(&dag, 6, 3)
+            .unwrap();
+        let two = FusedTwoLevelPlan::new(&circuit, &dag, ml);
+        for ranks in [1, 4] {
+            let steps = FusedPlan::Two(&two).steps(ranks);
+            assert_eq!(steps.len(), two.parts.len());
+            for (step, part) in steps.iter().zip(&two.parts) {
+                assert_eq!(step.working_set, part.working_set);
+                assert_eq!(step.parts.len(), part.second.len());
             }
         }
     }

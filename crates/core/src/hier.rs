@@ -16,9 +16,8 @@
 //! the outer state is already cache-resident. So [`part_mode`] decides per
 //! part, from the plan alone, whether to gather at all; a part that does not
 //! runs in place through [`FusedCircuit::apply_mapped`] on the outer state.
-//! A plan of one part ([`plan_modes`]) always does: it is flat fused
-//! execution, which is what the runtime's selector gives every circuit that
-//! fits the cache budget.
+//! A plan of one part always does: it is flat fused execution, which is what
+//! the runtime's selector gives every circuit that fits the cache budget.
 //! Nor is a gathered part's arithmetic cache-resident by construction: a
 //! 21-qubit inner vector is 32 MiB, past L2 here, and what keeps its sweeps
 //! cheap is the fused executor's L2 tiling. Measured on the reference host
@@ -31,11 +30,21 @@
 //! it sweeps, so a factor that sits inside a block in one mode and across the
 //! block boundary in the other multiplies in a different order: states agree
 //! to the last bit or two (2e-18 on `random(22, 528)`), not always bitwise.
+//!
+//! The engine is the one rank body ([`run_plan_rank`]) on a world of one
+//! rank: a single-level plan there is one step holding every part, and the
+//! body's mode rule — a step's only part runs in place, [`part_mode`]
+//! decides the rest — is the rule above. This module owns the part executor
+//! (`execute_part`) that body runs every part of every engine through.
 
+#[cfg(doc)]
+use crate::dist::run_plan_rank;
+use crate::dist::{run_plan, RunSpec};
 use crate::exec::ExecControl;
-use crate::fusedplan::FusedSinglePlan;
+use crate::fusedplan::{FusedPlan, FusedSinglePlan};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
+use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::fusion::TILE;
@@ -45,7 +54,6 @@ use hisvsim_statevec::{
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Configuration of the hierarchical engine.
 #[derive(Debug, Clone, Copy)]
@@ -54,23 +62,21 @@ pub struct HierConfig {
     pub limit: usize,
     /// Partitioning strategy.
     pub strategy: Strategy,
-    /// Use the rayon pool: a gathered part splits its free-qubit assignments
-    /// across threads (each assignment's inner vector is independent), a
-    /// part run in place sweeps with the default [`ApplyOptions`].
-    pub parallel: bool,
     /// Kernel dispatch for every inner-state sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl HierConfig {
-    /// A configuration with the given limit, dagP strategy and parallel
-    /// execution.
+    /// A configuration with the given limit and dagP strategy. The engine
+    /// sweeps on the rayon pool it is called in: a gathered part splits its
+    /// free-qubit assignments across the pool's threads, a part run in place
+    /// sweeps with the default [`ApplyOptions`]. Install a one-thread pool
+    /// to run it on one thread.
     pub fn new(limit: usize) -> Self {
         Self {
             limit,
             strategy: Strategy::DagP,
-            parallel: true,
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -78,12 +84,6 @@ impl HierConfig {
     /// Same configuration with a different strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Same configuration with parallelism switched on or off.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -145,75 +145,21 @@ impl HierarchicalSimulator {
 
     /// Run `circuit` against a prefused plan (e.g. one served by the
     /// runtime's plan cache): no DAG rebuild, no partitioning, no fusion —
-    /// only the gather–execute–scatter sweeps remain.
+    /// only the gather–execute–scatter sweeps remain, run by the one rank
+    /// body on a world of one.
     pub fn run_with_fused_plan(&self, circuit: &Circuit, plan: &FusedSinglePlan) -> HierRun {
-        self.run_with_fused_plan_controlled(circuit, plan, &ExecControl::default())
-            .expect("an inert control cannot cancel")
-    }
-
-    /// [`HierarchicalSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: the sweep polls the control's cancel token between
-    /// parts and, within a part, between gather assignments or — for a part
-    /// run in place: at most [`GATHER_PASSES`] sweeps of a large state, one
-    /// sub-millisecond part of a small one, or a plan's only part, which the
-    /// flat engines sweep as one step too — before and after it. It
-    /// reports `(gates_done, gates_total)` after each completed part
-    /// plus, for gathered parts, at sub-part granularity, interpolated from
-    /// the fraction of gather assignments swept.
-    pub fn run_with_fused_plan_controlled(
-        &self,
-        circuit: &Circuit,
-        plan: &FusedSinglePlan,
-        control: &ExecControl,
-    ) -> Result<HierRun, Cancelled> {
-        let start = Instant::now();
-        let total_gates = plan.total_source_gates();
-        let mut state = StateVector::zero_state(circuit.num_qubits());
-        let mut gates_done = 0u64;
-        let modes = plan_modes(circuit.num_qubits(), plan);
-        for (part, mode) in plan.parts.iter().zip(modes) {
-            control.check()?;
-            let part_gates = part.inner.source_gates() as u64;
-            let before = gates_done;
-            let on_assignments = |done: u64, total: u64| {
-                control.report_progress(before + part_gates * done / total.max(1), total_gates);
-            };
-            execute_part(
-                &mut state,
-                &part.working_set,
-                &part.inner,
-                mode,
-                self.config.parallel,
-                self.config.kernel_dispatch,
-                SweepControl {
-                    cancel: Some(&control.cancel),
-                    on_assignments: Some(&on_assignments),
-                },
-            )?;
-            gates_done += part_gates;
-            control.report_progress(gates_done, total_gates);
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        let report = self.make_report(circuit, plan.partition.num_parts(), elapsed);
-        Ok(HierRun {
+        let c = self.config;
+        let network = NetworkModel::ideal();
+        let spec = RunSpec::new("hier", c.strategy.name(), 1, network, c.kernel_dispatch);
+        let inert = ExecControl::default();
+        let (state, report) = run_plan(circuit, FusedPlan::Single(plan), spec, &inert)
+            .expect("an inert control cannot cancel");
+        let partition = plan.partition.clone();
+        HierRun {
             state,
             report,
-            partition: plan.partition.clone(),
-        })
-    }
-
-    fn make_report(&self, circuit: &Circuit, num_parts: usize, elapsed: f64) -> RunReport {
-        let mut report = RunReport::single_node(
-            "hier",
-            self.config.strategy.name(),
-            circuit.name.clone(),
-            circuit.num_qubits(),
-            circuit.num_gates(),
-        );
-        report.num_parts = num_parts;
-        report.total_time_s = elapsed;
-        report.compute_time_s = elapsed;
-        report
+            partition,
+        }
     }
 }
 
@@ -274,21 +220,6 @@ pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircui
         PartMode::InPlace
     } else {
         PartMode::Gather
-    }
-}
-
-/// How the hier engine runs each part of `plan` on an `outer_qubits`-qubit
-/// state: [`part_mode`] part by part, except that a plan's only part runs in
-/// place. The qubits such a part leaves free are idle in the whole circuit,
-/// so gathering would move every amplitude to shorten the inner vectors by
-/// the idle qubits and buy nothing else.
-pub fn plan_modes(outer_qubits: usize, plan: &FusedSinglePlan) -> Vec<PartMode> {
-    match plan.parts.as_slice() {
-        [_] => vec![PartMode::InPlace],
-        parts => parts
-            .iter()
-            .map(|part| part_mode(outer_qubits, &part.working_set, &part.inner))
-            .collect(),
     }
 }
 
@@ -357,12 +288,13 @@ pub fn scratch_kept() -> (usize, u64) {
 
 /// Execute one prefused part against `outer`: fused qubit `j` of
 /// `inner_circuit` is outer qubit `working_set[j]`. The one part executor:
-/// the single-node engine runs it on the whole state, the multi-level engine
-/// on a rank's slice with `parallel = false`.
+/// the one rank body runs every part of every planned engine through it, on
+/// the whole state on a world of one, on a rank's slice with
+/// `parallel = false` on more ranks.
 ///
-/// `mode` (the caller's [`plan_modes`] or [`part_mode`]) picks between
-/// Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and sweeping `outer`
-/// in place through the translation; `parallel` only says whether the chosen
+/// `mode` (the body's rule: a step's only part in place, else [`part_mode`])
+/// picks between Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and
+/// sweeping `outer` in place through the translation; `parallel` only says whether the chosen
 /// mode may use the pool. The part
 /// leaves one `part` span (`mode=… ws=… passes=…`, the passes being those of
 /// the in-place form) and a tick in [`parts_executed`].
@@ -517,12 +449,13 @@ mod tests {
 
     fn check_against_flat(circuit: &Circuit, limit: usize, strategy: Strategy, parallel: bool) {
         let expected = run_circuit(circuit);
-        let sim = HierarchicalSimulator::new(
-            HierConfig::new(limit)
-                .with_strategy(strategy)
-                .with_parallel(parallel),
-        );
-        let run = sim.run(circuit).unwrap();
+        let sim = HierarchicalSimulator::new(HierConfig::new(limit).with_strategy(strategy));
+        let threads = if parallel { 0 } else { 1 };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("the pool builds");
+        let run = pool.install(|| sim.run(circuit)).unwrap();
         assert!(
             run.state.approx_eq(&expected, 1e-9),
             "{} limit={limit} strategy={} parallel={parallel}: hierarchical result diverges (max diff {})",

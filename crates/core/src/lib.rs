@@ -25,20 +25,29 @@
 //! engine auto-selection per job (`EngineSelector`), partition-plan caching
 //! keyed by `Circuit::fingerprint` (`PlanCache`), and a worker pool with a
 //! bounded number of resident state vectors (`Scheduler`). A cached plan is
-//! a prefused one ([`fusedplan`]): each engine's `run_with_fused_plan` (and
-//! `_controlled`, under an [`ExecControl`]) executes it with no DAG build,
-//! partitioning or fusion left to do; `run` remains the single-shot path
-//! that plans internally, and `run_with_partition` fuses a given partition
-//! first. There is no unfused engine path.
+//! a prefused one ([`fusedplan`]): [`run_plan`] executes it under an
+//! [`ExecControl`] with no DAG build, partitioning or fusion left to do.
+//! Each engine's `run_with_fused_plan` is that call under an inert control;
+//! `run` remains the single-shot path that plans internally, and
+//! `run_with_partition` fuses a given partition first. There is no unfused
+//! engine path.
 //!
-//! ## One rank body per distributed engine
+//! ## One rank body
 //!
-//! [`run_fused_plan_rank`], [`run_two_level_plan_rank`] and
-//! [`run_baseline_rank`] are the only SPMD loops: the thread world
-//! (`run_spmd` inside the engines above) and `hisvsim-net`'s worker
-//! processes both call them, with an inert or a live control, so the two
-//! worlds agree bit for bit by construction. Cancellation is agreed by a
-//! collective vote at every checkpoint (see [`exec`]).
+//! Every planned engine runs one SPMD loop, [`run_plan_rank`]: for each step
+//! of the plan ([`FusedPlan::steps`]) it votes, brings the step's working
+//! set into the rank's slice and runs the step's parts through the part
+//! executor ([`hier`]). The engines are its shapes: `multilevel` takes one
+//! step per first-level part; `dist` on R > 1 ranks one step per part, each
+//! part alone in its step and so swept in place; `hier` is a single-level
+//! plan on a world of one, where every part shares one step and the part
+//! executor gathers the parts [`hier::part_mode`] says to. The comparison
+//! baseline keeps a body of its own, [`run_baseline_rank`]. The thread world
+//! ([`run_plan`], on the calling thread for one rank) and `hisvsim-net`'s
+//! worker processes both call these bodies, with an inert or a live
+//! control, so the two worlds agree bit for bit by construction.
+//! Cancellation is agreed by a collective vote at every checkpoint (see
+//! [`exec`]).
 //!
 //! ## Example
 //!
@@ -67,15 +76,15 @@ pub mod multilevel;
 
 pub use baseline::{run_baseline_rank, BaselineConfig, BaselineRun, BaselineSchedule, IqsBaseline};
 pub use dist::{
-    aggregate_outcomes, prepare_gates, run_fused_plan_rank, DistConfig, DistRun, DistState,
-    DistributedSimulator, PreparedGate, RankOutcome,
+    aggregate_outcomes, prepare_gates, run_plan, run_plan_rank, DistConfig, DistRun, DistState,
+    DistributedSimulator, PreparedGate, RankOutcome, RunSpec,
 };
 pub use exec::ExecControl;
-pub use fusedplan::{FusedMlPart, FusedPart, FusedSecondPart, FusedSinglePlan, FusedTwoLevelPlan};
+pub use fusedplan::{
+    FusedMlPart, FusedPart, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanStep,
+};
 pub use gpu::{estimate_hybrid, GpuModel, HybridEstimate};
 pub use hier::{HierConfig, HierRun, HierarchicalSimulator};
 pub use hisvsim_statevec::{CancelToken, Cancelled};
 pub use metrics::RunReport;
-pub use multilevel::{
-    run_two_level_plan_rank, MultilevelConfig, MultilevelRun, MultilevelSimulator,
-};
+pub use multilevel::{MultilevelConfig, MultilevelRun, MultilevelSimulator};

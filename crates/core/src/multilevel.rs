@@ -7,19 +7,19 @@
 //! executed between two touches of the rank-local slice fit a cache-sized
 //! inner state vector. Within a rank the second-level parts are executed with
 //! the same Gather–Execute–Scatter loop the single-node engine uses, just
-//! against the rank's local slice instead of the whole state.
+//! against the rank's local slice instead of the whole state: one step of
+//! the one rank body ([`run_plan_rank`](crate::dist::run_plan_rank)) per
+//! first-level part.
 
-use crate::dist::{run_thread_world, DistState, RankOutcome};
+use crate::dist::{run_plan, RunSpec};
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedSecondPart, FusedTwoLevelPlan};
-use crate::hier::{execute_part, part_mode, SweepControl};
+use crate::fusedplan::{FusedPlan, FusedTwoLevelPlan};
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64};
-use hisvsim_cluster::{NetworkModel, RankComm};
+use hisvsim_circuit::Circuit;
+use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartition, MultilevelPartitioner, PartitionBuildError};
-use hisvsim_statevec::{Cancelled, KernelDispatch, StateVector};
-use std::time::Instant;
+use hisvsim_statevec::{KernelDispatch, StateVector};
 
 /// Configuration of the multi-level engine.
 #[derive(Debug, Clone, Copy)]
@@ -123,108 +123,19 @@ impl MultilevelSimulator {
         circuit: &Circuit,
         plan: &FusedTwoLevelPlan,
     ) -> MultilevelRun {
-        self.run_with_fused_plan_controlled(circuit, plan, &ExecControl::default())
-            .expect("an inert control cannot cancel")
-    }
-
-    /// [`MultilevelSimulator::run_with_fused_plan`] under an
-    /// [`ExecControl`]: [`run_two_level_plan_rank`] on every rank of a thread
-    /// world.
-    pub fn run_with_fused_plan_controlled(
-        &self,
-        circuit: &Circuit,
-        plan: &FusedTwoLevelPlan,
-        control: &ExecControl,
-    ) -> Result<MultilevelRun, Cancelled> {
-        let (state, report) = run_thread_world(
-            self.config.num_ranks,
-            self.config.network,
-            "multilevel",
-            "dagP",
-            circuit,
-            plan.ml.num_first_level_parts(),
-            |comm| {
-                let dispatch = self.config.kernel_dispatch;
-                run_two_level_plan_rank(comm, circuit.num_qubits(), plan, dispatch, control, None)
-            },
-        )?;
-        Ok(MultilevelRun {
+        let c = self.config;
+        let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
+        let spec = RunSpec::new("multilevel", "dagP", ranks, c.network, dispatch);
+        let inert = ExecControl::default();
+        let (state, report) = run_plan(circuit, FusedPlan::Two(plan), spec, &inert)
+            .expect("an inert control cannot cancel");
+        let partition = plan.ml.clone();
+        MultilevelRun {
             state,
             report,
-            partition: plan.ml.clone(),
-        })
-    }
-}
-
-/// Execute one rank of a prefused two-level plan against `comm`: the one
-/// rank body of the multi-level engine, run by the thread world and by
-/// `hisvsim-net`'s worker processes alike.
-///
-/// The ranks vote ([`DistState::vote_cancelled`]) before every first-level
-/// part switch (the collective boundary) and before every rank-local
-/// second-level part, so a fired token stops all ranks at the same step
-/// without stranding any inside a collective. Rank 0 reports
-/// `(gates_done, gates_total)` per second-level part. `recycled` optionally
-/// reuses a previous run's local-slice allocation.
-pub fn run_two_level_plan_rank<C: RankComm<Complex64>>(
-    comm: &mut C,
-    num_qubits: usize,
-    plan: &FusedTwoLevelPlan,
-    dispatch: KernelDispatch,
-    control: &ExecControl,
-    recycled: Option<Vec<Complex64>>,
-) -> Result<RankOutcome, Cancelled> {
-    let mut state = DistState::new_reusing(comm, num_qubits, recycled);
-    state.set_kernel_dispatch(dispatch);
-    let total_gates = plan.total_source_gates();
-    let mut gates_done = 0u64;
-    for part in &plan.parts {
-        state.vote_cancelled(&control.cancel)?;
-        state.ensure_local(&part.working_set);
-        for second in &part.second {
-            state.vote_cancelled(&control.cancel)?;
-            execute_second_part(&mut state, second);
-            gates_done += second.inner.source_gates() as u64;
-            state.report_progress(control, gates_done, total_gates);
+            partition,
         }
     }
-    Ok(state.finish_rank())
-}
-
-/// Execute one prefused second-level part against the rank's local slice:
-/// translate its global working set to local positions under the current
-/// layout, then run the single-node part executor on the slice (fused qubit
-/// `j` of the plan is inner qubit `j` of the gather by construction). The
-/// sweep gets no token: a rank leaves the schedule only by a vote.
-fn execute_second_part<C: RankComm<Complex64>>(
-    state: &mut DistState<'_, C>,
-    second: &FusedSecondPart,
-) {
-    let _span = hisvsim_obs::span("kernel", "local");
-    let start = Instant::now();
-    let l = state.local_qubits();
-    let positions: Vec<usize> = second
-        .working_set
-        .iter()
-        .map(|&q| {
-            let pos = state.position(q);
-            debug_assert!(pos < l, "second-level part touches a non-local qubit");
-            pos
-        })
-        .collect();
-    let dispatch = state.kernel_dispatch();
-    let mode = part_mode(l, &positions, &second.inner);
-    execute_part(
-        state.local_state_mut(),
-        &positions,
-        &second.inner,
-        mode,
-        false,
-        dispatch,
-        SweepControl::default(),
-    )
-    .expect("a sweep without a token cannot be cancelled");
-    state.add_compute_time(start.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]

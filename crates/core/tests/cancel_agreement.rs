@@ -1,18 +1,19 @@
-//! Cancel agreement through the one rank body of each distributed engine, on
-//! both worlds: a token fired while the ranks race through their schedule
-//! stops every rank at the same checkpoint or none of them, the world it ran
-//! on is left with nothing pending, and the next run is correct.
+//! Cancel agreement through the rank bodies — the one every planned engine
+//! runs, and the baseline's — on both worlds: a token fired while the ranks
+//! race through their schedule stops every rank at the same checkpoint or
+//! none of them, the world it ran on is left with nothing pending, and the
+//! next run is correct.
 //!
-//! The thread world shares one token between its ranks (what
-//! `run_with_fused_plan_controlled` does); the TCP world gives every rank a
-//! token of its own and fires one of them (what a `Cancel` frame reaching one
-//! worker first does).
+//! The thread world shares one token between its ranks (what `run_plan`
+//! does); the TCP world gives every rank a token of its own and fires one of
+//! them (what a `Cancel` frame reaching one worker first does). A thread
+//! world of one rank running a single-level plan is the hier engine.
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{world, NetworkModel, RankComm};
 use hisvsim_core::{
-    run_baseline_rank, run_fused_plan_rank, run_two_level_plan_rank, BaselineSchedule, CancelToken,
-    Cancelled, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
+    run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled, ExecControl,
+    FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
@@ -60,11 +61,16 @@ impl Schedule {
     ) -> Result<RankOutcome, Cancelled> {
         let dispatch = KernelDispatch::default();
         match self {
-            Schedule::Dist(plan) => {
-                run_fused_plan_rank(comm, QUBITS, plan, dispatch, control, None)
-            }
+            Schedule::Dist(plan) => run_plan_rank(
+                comm,
+                QUBITS,
+                FusedPlan::Single(plan),
+                dispatch,
+                control,
+                None,
+            ),
             Schedule::Multilevel(plan) => {
-                run_two_level_plan_rank(comm, QUBITS, plan, dispatch, control, None)
+                run_plan_rank(comm, QUBITS, FusedPlan::Two(plan), dispatch, control, None)
             }
             Schedule::Baseline(schedule) => {
                 run_baseline_rank(comm, schedule, dispatch, control, None)
@@ -96,13 +102,15 @@ fn run_world<C: RankComm<Complex64> + Send>(
     })
 }
 
-/// The two worlds under test.
+/// The worlds under test.
 #[derive(Clone, Copy, Debug)]
 enum World {
     /// Four thread-world ranks sharing one token.
     Local,
     /// Two TCP ranks with a token each.
     Tcp,
+    /// One thread-world rank: the hier shape for a single-level plan.
+    One,
 }
 
 impl World {
@@ -110,13 +118,14 @@ impl World {
         match self {
             World::Local => 4,
             World::Tcp => 2,
+            World::One => 1,
         }
     }
 
     /// One control per rank, and the token `victim` observes.
     fn controls(self, victim: usize) -> (Vec<ExecControl>, CancelToken) {
         match self {
-            World::Local => {
+            World::Local | World::One => {
                 let control = ExecControl::new();
                 let token = control.cancel.clone();
                 (vec![control; self.ranks()], token)
@@ -138,7 +147,9 @@ impl World {
     ) -> Vec<Result<RankOutcome, Cancelled>> {
         let net = NetworkModel::ideal();
         match self {
-            World::Local => run_world(world(self.ranks(), net), schedule, controls, meanwhile),
+            World::Local | World::One => {
+                run_world(world(self.ranks(), net), schedule, controls, meanwhile)
+            }
             World::Tcp => {
                 let mesh = tcp_world(self.ranks(), net).expect("loopback mesh");
                 run_world(mesh, schedule, controls, meanwhile)
@@ -229,10 +240,11 @@ fn racing_cancel_is_all_or_none(engine: &'static str) {
 /// Rank 0's sink fires the token from inside its report of step `k`: the
 /// vote before step `k + 1` is the first to see it, so every rank stops there
 /// and the report of step `k` is the last.
-fn cancel_from_the_sink_stops_at_the_next_checkpoint(engine: &'static str) {
+fn cancel_from_the_sink_stops_at_the_next_checkpoint(engine: &'static str, worlds: &[World]) {
+    let worlds = worlds.to_vec();
     within(Duration::from_secs(120), move || {
         let circuit = generators::qft(QUBITS);
-        for world in [World::Local, World::Tcp] {
+        for world in worlds {
             let schedule = Schedule::build(engine, &circuit, world.ranks());
             let steps = Arc::new(AtomicUsize::new(0));
             let counter = Arc::clone(&steps);
@@ -290,6 +302,9 @@ fn baseline_racing_cancel_is_all_or_none_on_both_worlds() {
 #[test]
 fn a_cancel_fired_after_step_k_stops_every_engine_at_step_k_plus_one() {
     for engine in ["dist", "multilevel", "baseline"] {
-        cancel_from_the_sink_stops_at_the_next_checkpoint(engine);
+        cancel_from_the_sink_stops_at_the_next_checkpoint(engine, &[World::Local, World::Tcp]);
     }
+    // The hier shape: every part of the plan in one step, a vote between
+    // parts.
+    cancel_from_the_sink_stops_at_the_next_checkpoint("dist", &[World::One]);
 }

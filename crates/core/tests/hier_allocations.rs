@@ -6,8 +6,8 @@
 //! large enough to be an amplitude vector.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{plan_modes, scratch_kept, PartMode};
-use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
+use hisvsim_core::hier::{part_mode, scratch_kept, PartMode};
+use hisvsim_core::{FusedPart, FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 use hisvsim_statevec::{
@@ -92,9 +92,19 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     // first run allocates an inner vector, its second finds it in the pool.
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
-    assert!(plan_modes(QUBITS, &parts).contains(&PartMode::Gather));
-    let sequential = HierarchicalSimulator::new(HierConfig::new(LIMIT).with_parallel(false));
-    let (first, cold) = vectors_of(|| sequential.run_with_fused_plan(&qaoa, &parts));
+    assert!(parts.parts.len() > 1);
+    let gathers = |part: &FusedPart| part_mode(QUBITS, &part.working_set, &part.inner);
+    assert!(parts
+        .parts
+        .iter()
+        .any(|part| gathers(part) == PartMode::Gather));
+    let sim = HierarchicalSimulator::new(HierConfig::new(LIMIT));
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builds");
+    let sequential = || one_thread.install(|| sim.run_with_fused_plan(&qaoa, &parts));
+    let (first, cold) = vectors_of(sequential);
     assert_eq!(
         cold, 2,
         "the state and the first gathered part's inner vector"
@@ -104,7 +114,7 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
         kept == 1 && bytes >= VECTOR_BYTES as u64,
         "{kept} kept, {bytes} B"
     );
-    let (second, warm) = vectors_of(|| sequential.run_with_fused_plan(&qaoa, &parts));
+    let (second, warm) = vectors_of(sequential);
     assert_eq!(
         warm, 1,
         "a warm run allocates its state and no inner vector"
@@ -113,7 +123,6 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
 
     // Two runs at once take more vectors than the pool keeps: it never grows
     // past what one parallel sweep uses.
-    let sim = HierarchicalSimulator::new(HierConfig::new(LIMIT));
     let together = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         for _ in 0..2 {

@@ -1,12 +1,12 @@
 //! The part executor's gather-or-in-place decision is a function of the plan
 //! and the state's width alone: a table of what it answers on the two
 //! circuits the benchmark runs through the hier engine, that the thread
-//! count and `parallel` change nothing, and that a plan of one part — what
-//! the runtime gives every default-routed small circuit — never gathers.
+//! count changes nothing, and that a plan of one part — what the runtime
+//! gives every default-routed small circuit — never gathers.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, parts_executed, plan_modes, PartMode};
-use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
+use hisvsim_core::hier::{part_mode, parts_executed, PartMode};
+use hisvsim_core::{FusedPlan, FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 use hisvsim_statevec::{ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH};
@@ -19,8 +19,19 @@ fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     FusedSinglePlan::new(circuit, &dag, partition)
 }
 
+/// The one rank body's rule on the hier engine's world of one: a step's
+/// only part runs in place, [`part_mode`] decides the others.
 fn modes(circuit: &Circuit, plan: &FusedSinglePlan) -> Vec<PartMode> {
-    plan_modes(circuit.num_qubits(), plan)
+    let n = circuit.num_qubits();
+    let steps = FusedPlan::Single(plan).steps(1);
+    let step_modes = steps.iter().map(|step| match step.parts {
+        [_] => vec![PartMode::InPlace],
+        parts => parts
+            .iter()
+            .map(|part| part_mode(n, &part.working_set, &part.inner))
+            .collect(),
+    });
+    step_modes.flatten().collect()
 }
 
 /// Parts this process has executed so far: (gathered, in place).
@@ -58,10 +69,10 @@ fn decision_table() {
     );
 }
 
-/// What a run executes is what the table says, with `parallel` on or off and
-/// on one thread: the process-wide tallies move by exactly the table's
-/// counts. One test function owns the tallies' deltas, so it runs its
-/// variants in sequence.
+/// What a run executes is what the table says, on the default pool and on
+/// one thread: the process-wide tallies move by exactly the table's counts.
+/// One test function owns the tallies' deltas, so it runs its variants in
+/// sequence.
 #[test]
 fn runs_execute_the_decided_modes() {
     // 17 qubits: above one tile, so both modes occur.
@@ -76,8 +87,8 @@ fn runs_execute_the_decided_modes() {
         .build()
         .expect("the pool builds");
     let mut states = Vec::new();
-    for (parallel, pinned) in [(true, false), (false, false), (true, true)] {
-        let sim = HierarchicalSimulator::new(HierConfig::new(12).with_parallel(parallel));
+    let sim = HierarchicalSimulator::new(HierConfig::new(12));
+    for pinned in [false, true] {
         let before = tallies();
         let run = match pinned {
             true => one_thread.install(|| sim.run_with_fused_plan(&circuit, &plan)),
@@ -87,7 +98,7 @@ fn runs_execute_the_decided_modes() {
         assert_eq!(
             (after.0 - before.0, after.1 - before.1),
             (count(PartMode::Gather), count(PartMode::InPlace)),
-            "parallel={parallel} pinned={pinned}"
+            "pinned={pinned}"
         );
         states.push(run.state);
     }

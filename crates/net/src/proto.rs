@@ -33,9 +33,10 @@ pub const AMPS_TAG: u64 = 0x414D_5053_0000_0001;
 /// fused matrices never travel.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShippedJob {
-    /// Which engine's rank body the workers run. [`EngineKind::Hier`] runs
-    /// its single-level plan through the distributed rank body — plan
-    /// shapes are shared between the two engines, only the driver differs.
+    /// The engine the job runs: [`EngineKind::Baseline`] runs the
+    /// baseline's own rank body, every other engine the one rank body, whose
+    /// steps follow from the shipped plan's shape and the world size alone —
+    /// beyond that the engine only names the report.
     pub engine: EngineKind,
     /// The circuit to simulate.
     pub circuit: Circuit,

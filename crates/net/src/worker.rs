@@ -4,7 +4,7 @@
 //! pool, joins the TCP mesh **once**, then serves jobs from a persistent
 //! command loop — re-fusing each shipped partition locally (with a warm
 //! plan cache, so a repeated fingerprint re-fuses nothing), running the
-//! *same* engine rank bodies the in-process world runs, and streaming its
+//! *same* rank bodies the in-process world runs, and streaming its
 //! identity-layout slice back per job. A reader thread drains
 //! [`WorkerCommand`] frames concurrently, so a `Cancel { epoch }` reaches
 //! the running job's [`CancelToken`] mid-sweep; the rank bodies observe it
@@ -19,12 +19,12 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::RankComm;
 use hisvsim_core::{
-    run_baseline_rank, run_fused_plan_rank, run_two_level_plan_rank, BaselineSchedule, CancelToken,
-    Cancelled, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
+    run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled, ExecControl,
+    FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
-use hisvsim_runtime::{EngineKind, PersistedPlan};
+use hisvsim_runtime::{CachedPlan, EngineKind, PersistedPlan};
 use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -36,23 +36,17 @@ use std::sync::{Arc, Mutex};
 const LOG_TARGET: &str = "hisvsim-net::worker";
 
 /// A resident worker's warm plan cache: fused plans keyed by everything
-/// that determines them (circuit fingerprint, engine, and the shipped
-/// partition itself), so a repeated fingerprint re-fuses nothing. Fusion is
+/// that determines them (circuit fingerprint and the shipped partition
+/// itself), so a repeated fingerprint re-fuses nothing. Fusion is
 /// deterministic, which makes a cache hit bit-identical to a rebuild — reuse
 /// changes *when* work happens, never what it produces. Bounded FIFO, sized
 /// for parameter-sweep batches.
 pub struct WorkerPlanCache {
-    plans: HashMap<u64, BuiltPlan>,
+    plans: HashMap<u64, CachedPlan>,
     order: VecDeque<u64>,
     capacity: usize,
     hits: u64,
     misses: u64,
-}
-
-#[derive(Clone)]
-enum BuiltPlan {
-    Single(Arc<FusedSinglePlan>),
-    Two(Arc<FusedTwoLevelPlan>),
 }
 
 impl WorkerPlanCache {
@@ -72,7 +66,7 @@ impl WorkerPlanCache {
         (self.hits, self.misses)
     }
 
-    fn get_or_build(&mut self, key: u64, build: impl FnOnce() -> BuiltPlan) -> BuiltPlan {
+    fn get_or_build(&mut self, key: u64, build: impl FnOnce() -> CachedPlan) -> CachedPlan {
         if let Some(plan) = self.plans.get(&key) {
             self.hits += 1;
             return plan.clone();
@@ -94,7 +88,6 @@ impl WorkerPlanCache {
 fn plan_key(job: &ShippedJob) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     job.circuit.fingerprint().hash(&mut hasher);
-    job.engine.name().hash(&mut hasher);
     // The shipped partition travels in its (deterministic) wire shape;
     // hashing it covers plans that differ only in their working-set limit.
     serde_json::to_string(&job.plan)
@@ -107,7 +100,7 @@ fn plan_key(job: &ShippedJob) -> u64 {
 /// single dispatch point shared by worker processes (over
 /// [`TcpComm`]) and the in-process reference executor (over
 /// [`LocalComm`](hisvsim_cluster::LocalComm)) — which is what makes the two
-/// runs bit-identical by construction. Runs the engines' rank bodies with an
+/// runs bit-identical by construction. Runs the rank bodies with an
 /// inert token.
 pub fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
@@ -132,74 +125,38 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     let dispatch = job.dispatch;
     let control = &ExecControl::new().with_cancel(cancel.clone());
     let cancelled = |_: Cancelled| NetError::Cancelled;
-    match job.engine {
-        EngineKind::Baseline => {
-            // Baseline ships no plan: the schedule is derived here, once per
-            // job, from the circuit and the world size.
-            let schedule = BaselineSchedule::build(&job.circuit, comm.size());
-            run_baseline_rank(comm, &schedule, dispatch, control, recycled).map_err(cancelled)
-        }
-        EngineKind::Hier | EngineKind::Dist => {
-            let Some(PersistedPlan::Single(partition)) = &job.plan else {
-                return Err(NetError::Protocol(format!(
-                    "engine {} needs a single-level plan, got {:?}",
-                    job.engine,
-                    job.plan.as_ref().map(plan_shape)
-                )));
-            };
-            let plan = plans.get_or_build(plan_key(job), || {
-                let _fuse = fuse_span(job);
-                let dag = CircuitDag::from_circuit(&job.circuit);
-                BuiltPlan::Single(Arc::new(FusedSinglePlan::new(
-                    &job.circuit,
-                    &dag,
-                    partition.clone(),
-                )))
-            });
-            let BuiltPlan::Single(plan) = plan else {
-                return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
-            };
-            let qubits = job.circuit.num_qubits();
-            run_fused_plan_rank(comm, qubits, &plan, dispatch, control, recycled).map_err(cancelled)
-        }
-        EngineKind::Multilevel => {
-            let Some(PersistedPlan::Two(ml)) = &job.plan else {
-                return Err(NetError::Protocol(format!(
-                    "engine multilevel needs a two-level plan, got {:?}",
-                    job.plan.as_ref().map(plan_shape)
-                )));
-            };
-            let plan = plans.get_or_build(plan_key(job), || {
-                let _fuse = fuse_span(job);
-                let dag = CircuitDag::from_circuit(&job.circuit);
-                BuiltPlan::Two(Arc::new(FusedTwoLevelPlan::new(
-                    &job.circuit,
-                    &dag,
-                    ml.clone(),
-                )))
-            });
-            let BuiltPlan::Two(plan) = plan else {
-                return Err(NetError::Protocol("plan cache shape mismatch".to_string()));
-            };
-            let qubits = job.circuit.num_qubits();
-            run_two_level_plan_rank(comm, qubits, &plan, dispatch, control, recycled)
-                .map_err(cancelled)
-        }
+    if job.engine == EngineKind::Baseline {
+        // Baseline ships no plan: the schedule is derived here, once per
+        // job, from the circuit and the world size.
+        let schedule = BaselineSchedule::build(&job.circuit, comm.size());
+        return run_baseline_rank(comm, &schedule, dispatch, control, recycled).map_err(cancelled);
     }
+    let Some(shipped) = &job.plan else {
+        return Err(NetError::Protocol(format!(
+            "engine {} needs a plan, got none",
+            job.engine
+        )));
+    };
+    // The plan's shape, not the engine, decides the steps.
+    let plan = plans.get_or_build(plan_key(job), || fuse_shipped(job, shipped));
+    let qubits = job.circuit.num_qubits();
+    run_plan_rank(comm, qubits, plan.fused(), dispatch, control, recycled).map_err(cancelled)
 }
 
-/// The span a plan-cache miss re-fuses under.
-fn fuse_span(job: &ShippedJob) -> hisvsim_obs::SpanGuard {
-    hisvsim_obs::span("job", "fuse").detail(format!(
-        "{} gates, width {DEFAULT_FUSION_WIDTH}",
-        job.circuit.num_gates()
-    ))
-}
-
-fn plan_shape(plan: &PersistedPlan) -> &'static str {
-    match plan {
-        PersistedPlan::Single(_) => "single-level",
-        PersistedPlan::Two(_) => "two-level",
+/// Re-fuse a shipped partition (a plan-cache miss), under a `fuse` span.
+fn fuse_shipped(job: &ShippedJob, shipped: &PersistedPlan) -> CachedPlan {
+    let gates = job.circuit.num_gates();
+    let _fuse = hisvsim_obs::span("job", "fuse")
+        .detail(format!("{gates} gates, width {DEFAULT_FUSION_WIDTH}"));
+    let (circuit, dag) = (&job.circuit, CircuitDag::from_circuit(&job.circuit));
+    match shipped {
+        PersistedPlan::Single(partition) => {
+            let plan = FusedSinglePlan::new(circuit, &dag, partition.clone());
+            CachedPlan::Single(Arc::new(plan))
+        }
+        PersistedPlan::Two(ml) => {
+            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, &dag, ml.clone())))
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! * **Bounded size** — entries are evicted least-recently-used once
 //!   `capacity` is exceeded; pending (in-flight) entries are never evicted.
 
-use hisvsim_core::{FusedSinglePlan, FusedTwoLevelPlan};
+use hisvsim_core::{FusedPlan, FusedSinglePlan, FusedTwoLevelPlan};
 use hisvsim_dag::Partition;
 use hisvsim_partition::{MultilevelPartition, PartitionBuildError};
 use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
@@ -85,20 +85,11 @@ pub enum CachedPlan {
 }
 
 impl CachedPlan {
-    /// The single-level plan, panicking on shape mismatch (the key's
-    /// `second_limit` field makes mismatches impossible within the runtime).
-    pub fn expect_single(&self) -> &Arc<FusedSinglePlan> {
+    /// The plan as the one rank body takes it.
+    pub fn fused(&self) -> FusedPlan<'_> {
         match self {
-            CachedPlan::Single(p) => p,
-            CachedPlan::Two(_) => panic!("expected a single-level plan"),
-        }
-    }
-
-    /// The two-level plan, panicking on shape mismatch.
-    pub fn expect_two(&self) -> &Arc<FusedTwoLevelPlan> {
-        match self {
-            CachedPlan::Two(p) => p,
-            CachedPlan::Single(_) => panic!("expected a two-level plan"),
+            CachedPlan::Single(plan) => FusedPlan::Single(plan),
+            CachedPlan::Two(plan) => FusedPlan::Two(plan),
         }
     }
 
@@ -462,6 +453,13 @@ mod tests {
     use hisvsim_core::{FusedSinglePlan, FusedTwoLevelPlan};
     use hisvsim_dag::CircuitDag;
 
+    fn single(plan: &CachedPlan) -> &Arc<FusedSinglePlan> {
+        match plan {
+            CachedPlan::Single(plan) => plan,
+            CachedPlan::Two(_) => panic!("expected a single-level plan"),
+        }
+    }
+
     fn key_of(circuit: &hisvsim_circuit::Circuit, limit: usize) -> PlanKey {
         PlanKey {
             fingerprint: circuit.fingerprint(),
@@ -491,7 +489,7 @@ mod tests {
             .unwrap();
         assert!(hit2, "identical resubmission must hit");
         // The very same Arc is shared, so the executed plan is identical.
-        assert!(Arc::ptr_eq(first.expect_single(), second.expect_single()));
+        assert!(Arc::ptr_eq(single(&first), single(&second)));
 
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -631,10 +629,7 @@ mod tests {
         assert_eq!(source, PlanSource::Warm);
         assert_eq!(second_cache.warm_len(), 0, "warm entry must be promoted");
         // The re-fused plan executes the identical partition.
-        assert_eq!(
-            original.expect_single().partition,
-            rebuilt.expect_single().partition
-        );
+        assert_eq!(single(&original).partition, single(&rebuilt).partition);
         let stats = second_cache.stats();
         assert_eq!(
             (stats.warm_hits, stats.misses, stats.hits),

@@ -26,9 +26,8 @@ use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{
-    BaselineConfig, DistConfig, DistributedSimulator, ExecControl, FusedSinglePlan,
-    FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, IqsBaseline, MultilevelConfig,
-    MultilevelSimulator, RunReport,
+    run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
+    RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -218,9 +217,10 @@ impl std::error::Error for JobError {}
 pub struct ProcessRequest<'a> {
     /// The circuit to simulate.
     pub circuit: &'a Circuit,
-    /// The engine whose rank body the workers run. `Hier` executes its
-    /// single-level plan through the distributed rank body — the plan shape
-    /// is shared, only the driver differs.
+    /// The engine the job runs: the workers run the baseline's own body for
+    /// `Baseline`, and the one rank body for the others, whose steps follow
+    /// from the shipped plan's shape and the world size alone — the engine
+    /// only names the report.
     pub engine: EngineKind,
     /// Interconnect model for per-transfer accounting on the workers.
     pub network: NetworkModel,
@@ -527,8 +527,7 @@ impl JobRunner {
         // redistribution the run actually performed.
         let state_bytes = (32u128 << job.circuit.num_qubits()) as f64;
         let sweeps = match &plan {
-            Some(CachedPlan::Single(p)) => p.total_fused_ops(),
-            Some(CachedPlan::Two(p)) => p.total_fused_ops(),
+            Some(plan) => plan.fused().total_fused_ops(),
             // Only a forced baseline job has no plan: the comparison engine
             // fuses inside its own run, so the raw gate count stands in
             // (pessimistically) for its sweeps.
@@ -674,36 +673,11 @@ impl JobRunner {
             )
             .run_controlled(circuit, exec)
             .map(|run| (run.state, run.report)),
-            EngineKind::Hier => {
-                let plan = plan.expect("hier engine needs a plan").expect_single();
-                let sim = HierarchicalSimulator::new(
-                    HierConfig::new(decision.limit)
-                        .with_strategy(Strategy::DagP)
-                        .with_kernel_dispatch(dispatch),
-                );
-                sim.run_with_fused_plan_controlled(circuit, plan, exec)
-                    .map(|run| (run.state, run.report))
-            }
-            EngineKind::Dist => {
-                let plan = plan.expect("dist engine needs a plan").expect_single();
-                let sim = DistributedSimulator::new(
-                    DistConfig::new(decision.ranks)
-                        .with_limit(decision.limit)
-                        .with_network(network)
-                        .with_kernel_dispatch(dispatch),
-                );
-                sim.run_with_fused_plan_controlled(circuit, plan, exec)
-                    .map(|run| (run.state, run.report))
-            }
-            EngineKind::Multilevel => {
-                let plan = plan.expect("multilevel engine needs a plan").expect_two();
-                let sim = MultilevelSimulator::new(
-                    MultilevelConfig::new(decision.ranks, decision.second_limit)
-                        .with_network(network)
-                        .with_kernel_dispatch(dispatch),
-                );
-                sim.run_with_fused_plan_controlled(circuit, plan, exec)
-                    .map(|run| (run.state, run.report))
+            engine => {
+                let plan = plan.expect("a planned engine needs a plan");
+                let (name, strategy) = (engine.name(), Strategy::DagP.name());
+                let spec = RunSpec::new(name, strategy, decision.ranks, network, dispatch);
+                run_plan(circuit, plan.fused(), spec, exec)
             }
         }
     }

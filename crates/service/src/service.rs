@@ -570,9 +570,9 @@ impl SimService {
         for mode in [PartMode::Gather, PartMode::InPlace] {
             reg.labeled_counter(
                 "hisvsim_hier_parts_total",
-                "Parts run by the part executor (hier engine and the multi-level engine's \
-                 second level), by whether they were gathered into an inner vector or swept \
-                 in place (process-wide).",
+                "Parts run by the part executor, which runs every part of every planned \
+                 engine (hier, dist and multilevel), by whether they were gathered into an \
+                 inner vector or swept in place (process-wide).",
                 &[("mode", mode.name())],
             )
             .set(hisvsim_core::hier::parts_executed(mode) as f64);

@@ -6,9 +6,11 @@
 //! execution control is the same run, message for message.
 
 use hisvsim_circuit::generators;
+use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{
-    BaselineConfig, CancelToken, DistConfig, DistributedSimulator, ExecControl, FusedSinglePlan,
-    FusedTwoLevelPlan, IqsBaseline, MultilevelConfig, MultilevelSimulator, RunReport,
+    run_plan, BaselineConfig, CancelToken, DistConfig, DistributedSimulator, ExecControl,
+    FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline, MultilevelConfig,
+    MultilevelSimulator, RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
@@ -144,25 +146,31 @@ fn assert_same_run(
 
 #[test]
 fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
-    // Every SPMD engine has one rank body; the uncontrolled entry points run
-    // it under an inert control. A live token and a progress sink must change
-    // nothing that is computed or sent: same bits, same bytes, same messages,
-    // same exchanges (the cancel votes are control traffic, charged as wall
-    // time only).
+    // Every planned engine runs one rank body; the engines' own entry points
+    // run it under an inert control. A live token and a progress sink must
+    // change nothing that is computed or sent: same bits, same bytes, same
+    // messages, same exchanges (the cancel votes are control traffic,
+    // charged as wall time only).
     let ranks = 4;
     let circuit = &generators::by_name("qaoa", 10);
     let gates = circuit.num_gates() as u64;
     let dag = CircuitDag::from_circuit(circuit);
     let local = circuit.num_qubits() - 2;
+    let spec = |engine| RunSpec {
+        engine,
+        strategy: "dagP",
+        ranks,
+        network: NetworkModel::hdr100(),
+        dispatch: Default::default(),
+    };
 
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
     let plan = &FusedSinglePlan::new(circuit, &dag, partition);
-    let dist = DistributedSimulator::new(DistConfig::new(ranks));
-    let inert = dist.run_with_fused_plan(circuit, plan);
+    let inert =
+        DistributedSimulator::new(DistConfig::new(ranks)).run_with_fused_plan(circuit, plan);
     assert_same_run("dist", gates, (inert.state, inert.report), |control| {
-        let live = dist.run_with_fused_plan_controlled(circuit, plan, control);
-        let live = live.expect("the token is never fired");
-        (live.state, live.report)
+        let live = run_plan(circuit, FusedPlan::Single(plan), spec("dist"), control);
+        live.expect("the token is never fired")
     });
 
     let ml = MultilevelPartitioner::default()
@@ -176,9 +184,8 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         gates,
         (inert.state, inert.report),
         |control| {
-            let live = multilevel.run_with_fused_plan_controlled(circuit, plan, control);
-            let live = live.expect("the token is never fired");
-            (live.state, live.report)
+            let live = run_plan(circuit, FusedPlan::Two(plan), spec("multilevel"), control);
+            live.expect("the token is never fired")
         },
     );
 

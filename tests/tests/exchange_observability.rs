@@ -1,15 +1,15 @@
 //! A distributed run must be accounted for: with the recorder on, the spans
-//! of local compute (`kernel`: one `local` span per part, sweeps inside it), of collectives and of the part-switch
-//! exchanges around them (`comm`: `redistribute` with its `pack`, `alltoallv`
-//! and `unpack` inside) cover nearly all of every rank's wall time. Before the
-//! exchange had a span of its own, nine tenths of a distributed run showed up
-//! in no figure at all.
+//! of local compute (`kernel`: one `part` span per part), of collectives and
+//! of the part-switch exchanges around them (`comm`: one `vote` per part, and
+//! `redistribute` with its `pack`, `alltoallv` and `unpack` inside) cover
+//! nearly all of every rank's wall time. Before the exchange had a span of
+//! its own, nine tenths of a distributed run showed up in no figure at all.
 //!
 //! One test only: the recorder is process-wide.
 
 use hisvsim_circuit::{generators, Complex64};
 use hisvsim_cluster::{run_spmd, NetworkModel};
-use hisvsim_core::{run_fused_plan_rank, ExecControl, FusedSinglePlan, RankOutcome};
+use hisvsim_core::{run_plan_rank, ExecControl, FusedPlan, FusedSinglePlan, RankOutcome};
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::Strategy;
@@ -51,10 +51,10 @@ fn spans_cover_a_distributed_run() {
     run_spmd::<Complex64, RankOutcome, _>(RANKS, NetworkModel::ideal(), |mut comm| {
         let _rank = hisvsim_obs::span("test", "rank");
         let control = ExecControl::default();
-        run_fused_plan_rank(
+        run_plan_rank(
             &mut comm,
             n,
-            &plan,
+            FusedPlan::Single(&plan),
             KernelDispatch::default(),
             &control,
             None,
@@ -73,6 +73,18 @@ fn spans_cover_a_distributed_run() {
             .filter(on_thread)
             .filter(|span| span.cat == "kernel" || span.cat == "comm")
             .collect();
+        // The one rank body's schedule: a vote before every part, then the
+        // part's sweep.
+        let count = |cat: &str, name: &str| {
+            let of = |span: &&&SpanRecord| span.cat == cat && span.name == name;
+            accounted.iter().filter(of).count()
+        };
+        assert_eq!(count("comm", "vote"), plan.parts.len(), "one vote per part");
+        assert_eq!(
+            count("kernel", "part"),
+            plan.parts.len(),
+            "one sweep per part"
+        );
         let exchanges: Vec<&&SpanRecord> = accounted
             .iter()
             .filter(|span| span.name == "redistribute")

@@ -24,7 +24,7 @@ proptest! {
         let circuit = generators::random_circuit(qubits, gates, seed);
         let limit = (qubits / limit_frac).max(2);
         let expected = run_circuit(&circuit);
-        let run = HierarchicalSimulator::new(HierConfig::new(limit).with_parallel(false))
+        let run = HierarchicalSimulator::new(HierConfig::new(limit))
             .run(&circuit)
             .unwrap();
         prop_assert!(run.state.approx_eq(&expected, 1e-9),
