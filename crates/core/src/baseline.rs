@@ -171,7 +171,7 @@ impl IqsBaseline {
         let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
         let spec = RunSpec::new("iqs-baseline", "-", ranks, c.network, dispatch);
         let (state, report) = run_thread_world(spec, circuit, 1, |comm| {
-            run_baseline_rank(comm, &schedule, dispatch, control, None)
+            run_baseline_rank(comm, &schedule, dispatch, control)
         })?;
         Ok(BaselineRun { state, report })
     }
@@ -185,21 +185,19 @@ impl IqsBaseline {
 /// (fused local segment or distributed gate — the latter's exchanges are the
 /// collective boundary), so a fired token stops all ranks at the same step
 /// without stranding any inside a collective. Rank 0 reports gate-level
-/// progress. `recycled` optionally reuses a previous run's local-slice
-/// allocation.
+/// progress.
 pub fn run_baseline_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     schedule: &BaselineSchedule,
     dispatch: KernelDispatch,
     control: &ExecControl,
-    recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
     assert_eq!(
         comm.size(),
         schedule.ranks,
         "the schedule was built for another world size"
     );
-    let mut state = DistState::new_reusing(comm, schedule.num_qubits, recycled);
+    let mut state = DistState::new(comm, schedule.num_qubits);
     state.set_kernel_dispatch(dispatch);
     let total_gates: u64 = schedule.steps.iter().map(BaselineStep::gates).sum();
     let mut gates_done = 0u64;

@@ -16,6 +16,7 @@
 //! world of one. The same [`DistState`] machinery also backs the IQS-style
 //! baseline ([`crate::baseline`]).
 
+use crate::buffers;
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
@@ -87,29 +88,13 @@ pub struct DistState<'a, C: RankComm<Complex64>> {
     /// Kernel dispatch for every local sweep ([`KernelDispatch::Auto`] by
     /// default; forced scalar for differential validation).
     dispatch: KernelDispatch,
-    /// The buffers the last exchange received, kept to be the next one's
-    /// send buffers: their pages are already faulted in.
-    spare: Vec<Vec<Complex64>>,
 }
 
 impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// Initialise the distributed `|0…0⟩` state over the communicator's
     /// ranks. The rank count must be a power of two not exceeding `2^n`.
+    /// The slice comes from the [`buffers`] pool.
     pub fn new(comm: &'a mut C, num_qubits: usize) -> Self {
-        Self::new_reusing(comm, num_qubits, None)
-    }
-
-    /// [`DistState::new`], optionally recycling a previous run's local
-    /// slice allocation (e.g. the slice a persistent worker kept resident
-    /// after shipping its amplitudes). A buffer of the wrong length is
-    /// silently dropped and a fresh slice allocated; a reused buffer is
-    /// zero-filled first, so the initial state is identical either way —
-    /// only the allocation (and its page faults) is saved.
-    pub fn new_reusing(
-        comm: &'a mut C,
-        num_qubits: usize,
-        recycled: Option<Vec<Complex64>>,
-    ) -> Self {
         let ranks = comm.size();
         assert!(ranks.is_power_of_two());
         let p = ranks.trailing_zeros() as usize;
@@ -118,23 +103,20 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             "more rank bits ({p}) than qubits ({num_qubits})"
         );
         let l = num_qubits - p;
-        // Zeroing the slice faults its pages in: at small widths a
-        // noticeable share of a rank's wall, so it gets a span of its own.
+        // Zeroed once, kept or fresh; a fresh slice faults its pages in here,
+        // at small widths a noticeable share of a rank's wall, so it gets a
+        // span of its own.
         let init = hisvsim_obs::span("kernel", "init").bytes(16 << l);
-        let mut local = match recycled {
-            Some(mut amps) if amps.len() == 1usize << l => {
-                amps.fill(Complex64::ZERO);
-                StateVector::from_amplitudes(amps)
-            }
-            _ => StateVector::uninitialized(l),
-        };
+        let mut amps = buffers::take(1 << l);
+        amps.clear();
+        amps.resize(1 << l, Complex64::ZERO);
         if comm.rank() == 0 {
-            local.amplitudes_mut()[0] = Complex64::ONE;
+            amps[0] = Complex64::ONE;
         }
         drop(init);
         Self {
             comm,
-            local,
+            local: StateVector::from_amplitudes(amps),
             layout: (0..num_qubits).collect(),
             n: num_qubits,
             l,
@@ -142,8 +124,13 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             exchanges: 0,
             exchange_tag: TAG_EXCHANGE,
             dispatch: KernelDispatch::default(),
-            spare: Vec::new(),
         }
+    }
+
+    /// This rank's slice, moved out; a one-amplitude placeholder (too small
+    /// for the pool to keep) stays behind.
+    fn take_local(&mut self) -> Vec<Complex64> {
+        std::mem::replace(&mut self.local, StateVector::zero_state(0)).into_amplitudes()
     }
 
     /// Select the kernel dispatch every subsequent local sweep uses (the
@@ -282,7 +269,8 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// of the new (see [`crate::exchange`]): each peer's buffer is packed in
     /// ascending old-offset order with run copies, the buffers cross in one
     /// all-to-all-v, and the old slice is overwritten with what came back.
-    /// The received buffers are kept as the next exchange's send buffers.
+    /// The send buffers come from the process's pool and the received ones
+    /// go back to it, to be the next exchange's.
     pub fn redistribute(&mut self, new_layout: Vec<usize>) {
         assert_eq!(new_layout.len(), self.n);
         if new_layout == self.layout {
@@ -293,7 +281,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         let plan = ExchangePlan::new(&self.layout, &new_layout, self.l, self.comm.rank());
         let send = {
             let _pack = hisvsim_obs::span("comm", "pack").bytes(slice_bytes);
-            plan.pack(self.local.amplitudes(), self.comm.size(), &mut self.spare)
+            plan.pack(self.local.amplitudes(), self.comm.size())
         };
         self.exchange_tag += 1;
         let received = self.comm.alltoallv(send, self.exchange_tag);
@@ -301,7 +289,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             let _unpack = hisvsim_obs::span("comm", "unpack").bytes(slice_bytes);
             plan.unpack(&received, self.local.amplitudes_mut());
         }
-        self.spare = received;
+        received.into_iter().for_each(buffers::give);
         self.layout = new_layout;
         self.exchanges += 1;
     }
@@ -482,7 +470,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             compute_time_s,
             comm: comm_stats,
             exchanges,
-            local: self.local.into_amplitudes(),
+            local: self.take_local(),
         }
     }
 
@@ -505,6 +493,14 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     }
 }
 
+impl<C: RankComm<Complex64>> Drop for DistState<'_, C> {
+    /// A state dropped unfinished — a cancelled job's — gives its slice back
+    /// to the pool, so the next job finds it there.
+    fn drop(&mut self) {
+        buffers::give(self.take_local());
+    }
+}
+
 /// Per-rank outcome of a distributed run, returned by the SPMD body.
 #[derive(Debug, Clone)]
 pub struct RankOutcome {
@@ -521,7 +517,9 @@ pub struct RankOutcome {
     pub local: Vec<Complex64>,
 }
 
-/// Aggregate per-rank outcomes into a [`RunReport`] and the full state.
+/// Aggregate per-rank outcomes into a [`RunReport`] and the full state. A
+/// lone rank's slice becomes the state; more ranks' slices are copied into
+/// it in rank order and given back to the buffer pool.
 pub fn aggregate_outcomes(
     engine: &str,
     strategy: &str,
@@ -549,7 +547,10 @@ pub fn aggregate_outcomes(
         slices.next().expect("one outcome")
     } else {
         let mut amps = Vec::with_capacity(1usize << circuit.num_qubits());
-        slices.for_each(|slice| amps.extend(slice));
+        for slice in slices {
+            amps.extend_from_slice(&slice);
+            buffers::give(slice);
+        }
         amps
     };
     let state = StateVector::from_amplitudes(amps);
@@ -641,7 +642,7 @@ pub fn run_plan(
 ) -> Result<(StateVector, RunReport), Cancelled> {
     let qubits = circuit.num_qubits();
     run_thread_world(spec, circuit, plan.num_parts(), |comm| {
-        run_plan_rank(comm, qubits, plan, spec.dispatch, control, None)
+        run_plan_rank(comm, qubits, plan, spec.dispatch, control)
     })
 }
 
@@ -668,19 +669,17 @@ pub fn run_plan(
 /// token and sub-part progress to the sweep, so a gathered part also stops
 /// between assignments and reports as it goes. More ranks sweep
 /// sequentially (their parallelism is the ranks) and without a token: a rank
-/// leaves the schedule only by a vote. `recycled` optionally reuses a
-/// previous run's local-slice allocation (see [`DistState::new_reusing`]).
+/// leaves the schedule only by a vote.
 pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     num_qubits: usize,
     plan: FusedPlan<'_>,
     dispatch: KernelDispatch,
     control: &ExecControl,
-    recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, Cancelled> {
     let world_of_one = comm.size() == 1;
     let steps = plan.steps(comm.size());
-    let mut state = DistState::new_reusing(comm, num_qubits, recycled);
+    let mut state = DistState::new(comm, num_qubits);
     state.set_kernel_dispatch(dispatch);
     let total_gates = plan.total_source_gates();
     let mut gates_done = 0u64;
@@ -1087,6 +1086,7 @@ mod tests {
                             true => {
                                 state.redistribute_reference((0..n).collect());
                                 slices.push(state.local.amplitudes().to_vec());
+                                drop(state);
                             }
                             false => {
                                 let outcome = state.finish_rank();

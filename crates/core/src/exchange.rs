@@ -16,6 +16,7 @@
 //!
 //! [`DistState::redistribute`]: crate::dist::DistState::redistribute
 
+use crate::buffers;
 use hisvsim_circuit::Complex64;
 
 /// A leading run of in-place bits shorter than this is walked through the
@@ -198,22 +199,14 @@ impl ExchangePlan {
 
     /// The send buffers of `alltoallv` for a world of `size` ranks: each
     /// peer's amplitudes in ascending old-offset order, nothing for the ranks
-    /// this one sends nothing to. Buffers of the right size are taken from
-    /// `spare`, the others it holds are freed.
-    pub(crate) fn pack(
-        &self,
-        slice: &[Complex64],
-        size: usize,
-        spare: &mut Vec<Vec<Complex64>>,
-    ) -> Vec<Vec<Complex64>> {
-        let len = self.message_len;
-        spare.retain(|buffer| (len..2 * len).contains(&buffer.capacity()));
+    /// this one sends nothing to. The buffers come from the process's pool
+    /// ([`buffers::take`]).
+    pub(crate) fn pack(&self, slice: &[Complex64], size: usize) -> Vec<Vec<Complex64>> {
         let mut send: Vec<Vec<Complex64>> = (0..size).map(|_| Vec::new()).collect();
         for &(peer, _) in &self.outgoing {
-            send[peer] = spare.pop().unwrap_or_else(|| Vec::with_capacity(len));
+            send[peer] = buffers::take(self.message_len);
             send[peer].clear();
         }
-        spare.clear();
         // Row by row across the peers: when the evicted bits are low, the
         // peers' rows interleave in the slice and share its cache lines.
         for row in 0..self.pack.rows() {

@@ -37,6 +37,7 @@
 //! decides the rest — is the rule above. This module owns the part executor
 //! (`execute_part`) that body runs every part of every engine through.
 
+use crate::buffers;
 #[cfg(doc)]
 use crate::dist::run_plan_rank;
 use crate::dist::{run_plan, RunSpec};
@@ -53,7 +54,6 @@ use hisvsim_statevec::{
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Configuration of the hierarchical engine.
 #[derive(Debug, Clone, Copy)]
@@ -233,57 +233,14 @@ pub fn parts_executed(mode: PartMode) -> u64 {
     PARTS_EXECUTED[mode as usize].load(Ordering::Relaxed)
 }
 
-/// Inner vectors kept between gathered parts.
-///
-/// An allocation this large is mapped, page-faulted and unmapped each time:
-/// with a vector per chunk of every part, a 22-qubit job at limit 21 faulted
-/// 192 MiB of inner vectors in (of 320 MiB in all), and what a fresh page
-/// costs is the least steady thing on a shared host — 1.7 µs in a quiet
-/// guest, many times that after other processes have churned its memory.
-/// The gather overwrites every inner amplitude, so a vector left by an
-/// earlier part — of any width, of any job — serves as well as a new one.
-struct InnerScratch(Mutex<Vec<Vec<Complex64>>>);
-
-/// The process's one pool: a warm service or worker faults its inner vectors
-/// in once, not once per job. It keeps at most
-/// `rayon::current_num_threads()` vectors (what one parallel sweep uses), at
-/// the widest width asked so far — the bytes [`scratch_kept`] reports.
-static SCRATCH: InnerScratch = InnerScratch(Mutex::new(Vec::new()));
-
-impl InnerScratch {
-    /// An inner vector of `qubits` qubits with unspecified contents.
-    fn take(&self, qubits: usize) -> StateVector {
-        let kept = self.0.lock().expect("scratch lock poisoned").pop();
-        match kept {
-            Some(mut amps) => {
-                amps.resize(1usize << qubits, Complex64::ZERO);
-                StateVector::from_amplitudes(amps)
-            }
-            None => StateVector::uninitialized(qubits),
-        }
-    }
-
-    /// Keep `inner` for the next taker, unless a sweep's worth is kept
-    /// already.
-    fn give(&self, inner: StateVector) {
-        let most = rayon::current_num_threads();
-        let mut kept = self.0.lock().expect("scratch lock poisoned");
-        if kept.len() < most {
-            kept.push(inner.into_amplitudes());
-        }
-    }
-}
-
-/// Inner vectors (count, bytes) the process keeps for the next gathered part
-/// (`hisvsim_hier_scratch_bytes`; vectors in use by a running part are not
-/// counted).
-pub fn scratch_kept() -> (usize, u64) {
-    let kept = SCRATCH.0.lock().expect("scratch lock poisoned");
-    let bytes = kept
-        .iter()
-        .map(|amps| (amps.capacity() * std::mem::size_of::<Complex64>()) as u64)
-        .sum();
-    (kept.len(), bytes)
+/// An inner vector of `qubits` qubits from the process's buffer pool, with
+/// unspecified contents: the gather overwrites every amplitude, so a vector
+/// left by an earlier part or job — of this width or a wider one — serves as
+/// well as a new one.
+fn take_inner(qubits: usize) -> StateVector {
+    let mut amps = buffers::take_scratch(1 << qubits);
+    amps.resize(1 << qubits, Complex64::ZERO);
+    StateVector::from_amplitudes(amps)
 }
 
 /// Execute one prefused part against `outer`: fused qubit `j` of
@@ -346,8 +303,8 @@ pub(crate) fn execute_part(
 
 /// Gather–Execute–Scatter (Algorithm 1): for every assignment of the free
 /// qubits, gather the inner vector over `working_set`, apply
-/// `inner_circuit`, scatter back. Inner vectors come from the process-wide
-/// [`SCRATCH`] pool.
+/// `inner_circuit`, scatter back. Inner vectors are taken from the process's
+/// buffer pool ([`buffers`]) and given back, cancelled or not.
 ///
 /// Each assignment touches a disjoint set of outer indices (guaranteed by
 /// [`GatherMap`]), so the parallel path shares the outer vector through a
@@ -401,7 +358,7 @@ fn gather_part(
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 return;
             }
-            let mut inner = SCRATCH.take(map.inner_qubits());
+            let mut inner = take_inner(map.inner_qubits());
             let first = chunk * per_chunk;
             let last = (first + per_chunk).min(assignments);
             for assignment in first..last {
@@ -409,18 +366,18 @@ fn gather_part(
                 let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                 report(completed);
             }
-            SCRATCH.give(inner);
+            buffers::give(inner.into_amplitudes());
         });
     } else {
-        let mut inner = SCRATCH.take(map.inner_qubits());
+        let mut inner = take_inner(map.inner_qubits());
         for assignment in 0..assignments {
-            if let Some(cancel) = cancel {
-                cancel.check()?;
+            if cancel.is_some_and(|c| c.is_cancelled()) {
+                break;
             }
             sweep_one(assignment, &mut inner);
             report(assignment as u64 + 1);
         }
-        SCRATCH.give(inner);
+        buffers::give(inner.into_amplitudes());
     }
     cancel.map_or(Ok(()), CancelToken::check)
 }
@@ -493,21 +450,6 @@ mod tests {
             let circuit = generators::by_name(name, 10);
             check_against_flat(&circuit, 5, Strategy::DagP, true);
         }
-    }
-
-    #[test]
-    fn inner_scratch_hands_a_kept_vector_out_at_the_asked_width() {
-        let scratch = InnerScratch(Mutex::new(Vec::new()));
-        let first = scratch.take(6);
-        let kept = first.amplitudes().as_ptr();
-        scratch.give(first);
-        let narrower = scratch.take(4);
-        assert_eq!(narrower.num_qubits(), 4);
-        assert_eq!(narrower.amplitudes().as_ptr(), kept);
-        scratch.give(narrower);
-        let wider = scratch.take(6);
-        assert_eq!(wider.len(), 64);
-        assert_eq!(wider.amplitudes().as_ptr(), kept);
     }
 
     #[test]

@@ -61,20 +61,13 @@ impl Schedule {
     ) -> Result<RankOutcome, Cancelled> {
         let dispatch = KernelDispatch::default();
         match self {
-            Schedule::Dist(plan) => run_plan_rank(
-                comm,
-                QUBITS,
-                FusedPlan::Single(plan),
-                dispatch,
-                control,
-                None,
-            ),
+            Schedule::Dist(plan) => {
+                run_plan_rank(comm, QUBITS, FusedPlan::Single(plan), dispatch, control)
+            }
             Schedule::Multilevel(plan) => {
-                run_plan_rank(comm, QUBITS, FusedPlan::Two(plan), dispatch, control, None)
+                run_plan_rank(comm, QUBITS, FusedPlan::Two(plan), dispatch, control)
             }
-            Schedule::Baseline(schedule) => {
-                run_baseline_rank(comm, schedule, dispatch, control, None)
-            }
+            Schedule::Baseline(schedule) => run_baseline_rank(comm, schedule, dispatch, control),
         }
     }
 }

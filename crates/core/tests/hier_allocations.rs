@@ -1,20 +1,30 @@
-//! What the hier engine allocates for its vectors: a part with no free
-//! qubits runs on the state itself, a plan's second run finds its inner
-//! vectors in the process-wide pool, and the pool keeps no more of them than
-//! one parallel sweep uses. A counting global allocator (this test binary
-//! only, after `crates/statevec/tests/allocations.rs`) counts the requests
-//! large enough to be an amplitude vector.
+//! What the engines allocate for their vectors once the process's buffer pool
+//! is warm: a warm job allocates the state it hands to its caller and
+//! nothing else — in place or gathered on a world of one, on two thread-world
+//! ranks, after a cancelled job too — and a worker's rank body over TCP,
+//! which gives its slice back once shipped, allocates nothing at all. A
+//! counting global allocator (this test binary only, after
+//! `crates/statevec/tests/allocations.rs`) counts the requests large enough
+//! to be an amplitude vector.
 
-use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, scratch_kept, PartMode};
-use hisvsim_core::{FusedPart, FusedSinglePlan, HierConfig, HierarchicalSimulator};
+use hisvsim_circuit::{generators, Circuit, Complex64};
+use hisvsim_cluster::{NetworkModel, RankComm};
+use hisvsim_core::hier::{part_mode, PartMode};
+use hisvsim_core::{
+    buffers, run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPart, FusedPlan,
+    FusedSinglePlan, FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, RunSpec,
+};
 use hisvsim_dag::CircuitDag;
-use hisvsim_partition::Strategy;
+use hisvsim_net::tcp_world;
+use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_statevec::{
-    simd_available, ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH,
+    simd_available, ApplyOptions, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Width of the states; two tiles, so parts may gather.
 const QUBITS: usize = 17;
@@ -52,6 +62,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The counter is process-wide: a test counts only while it holds this.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     let dag = CircuitDag::from_circuit(circuit);
     let partition = Strategy::DagP
@@ -67,9 +86,30 @@ fn vectors_of<T>(run: impl FnOnce() -> T) -> (T, usize) {
     (out, VECTORS.load(Ordering::Relaxed) - before)
 }
 
-// One test function: a second one running concurrently would be counted too.
+/// A control whose token fires at the run's first progress report.
+fn cancelling() -> ExecControl {
+    let token = CancelToken::new();
+    let fire = token.clone();
+    ExecControl::new()
+        .with_cancel(token)
+        .with_progress(move |_, _| fire.cancel())
+}
+
+/// Run `plan` on a thread world of `ranks`.
+fn job(
+    circuit: &Circuit,
+    plan: FusedPlan<'_>,
+    ranks: usize,
+    control: &ExecControl,
+) -> Result<StateVector, Cancelled> {
+    let dispatch = KernelDispatch::default();
+    let spec = RunSpec::new("test", "dagP", ranks, NetworkModel::ideal(), dispatch);
+    run_plan(circuit, plan, spec, control).map(|(state, _)| state)
+}
+
 #[test]
 fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
+    let _serial = serial();
     let _ = simd_available();
 
     // A single part over every qubit: the state is the only vector, and the
@@ -86,10 +126,10 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     let mut flat = StateVector::zero_state(QUBITS);
     FusedCircuit::new(&qft, DEFAULT_FUSION_WIDTH).apply(&mut flat, &ApplyOptions::default());
     assert_eq!(run.state, flat);
-    assert_eq!(scratch_kept(), (0, 0), "nothing gathered yet");
 
-    // A plan with a gathered part, on one thread so the count is exact: its
-    // first run allocates an inner vector, its second finds it in the pool.
+    // A plan with a gathered part, on one thread so the count is exact: once
+    // a run has left its inner vector in the pool, a run allocates its state
+    // and nothing else.
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
     assert!(parts.parts.len() > 1);
@@ -98,40 +138,117 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
         .parts
         .iter()
         .any(|part| gathers(part) == PartMode::Gather));
-    let sim = HierarchicalSimulator::new(HierConfig::new(LIMIT));
     let one_thread = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("the pool builds");
-    let sequential = || one_thread.install(|| sim.run_with_fused_plan(&qaoa, &parts));
-    let (first, cold) = vectors_of(sequential);
-    assert_eq!(
-        cold, 2,
-        "the state and the first gathered part's inner vector"
-    );
-    let (kept, bytes) = scratch_kept();
-    assert!(
-        kept == 1 && bytes >= VECTOR_BYTES as u64,
-        "{kept} kept, {bytes} B"
-    );
-    let (second, warm) = vectors_of(sequential);
+    let control = ExecControl::default();
+    let sequential = |control: &ExecControl| {
+        one_thread.install(|| job(&qaoa, FusedPlan::Single(&parts), 1, control))
+    };
+    let first = sequential(&control).expect("an inert control cannot cancel");
+    assert!(buffers::retained_bytes() >= VECTOR_BYTES as u64);
+    let (second, warm) = vectors_of(|| sequential(&control));
     assert_eq!(
         warm, 1,
         "a warm run allocates its state and no inner vector"
     );
-    assert_eq!(first.state, second.state);
+    assert_eq!(second.as_ref(), Ok(&first));
 
-    // Two runs at once take more vectors than the pool keeps: it never grows
-    // past what one parallel sweep uses.
-    let together = std::sync::Barrier::new(2);
+    // A run cancelled inside a gathered part gives back its inner vector and
+    // its state: the next run finds both and allocates nothing.
+    assert_eq!(sequential(&cancelling()), Err(Cancelled));
+    let (next, after_cancel) = vectors_of(|| sequential(&control));
+    assert_eq!(
+        after_cancel, 0,
+        "the cancelled run's slice is the next state"
+    );
+    assert_eq!(next.as_ref(), Ok(&first));
+    let (_, warm) = vectors_of(|| sequential(&control));
+    assert_eq!(warm, 1);
+
+    // Two runs at once, each sweeping on the default pool: the same state.
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
-                together.wait();
-                let run = sim.run_with_fused_plan(&qaoa, &parts);
-                assert_eq!(run.state, first.state);
+                let run = job(&qaoa, FusedPlan::Single(&parts), 1, &control);
+                assert_eq!(run.as_ref(), Ok(&first));
             });
         }
     });
-    assert!(scratch_kept().0 <= rayon::current_num_threads());
+}
+
+#[test]
+fn a_warm_two_rank_thread_world_allocates_only_the_state_it_hands_over() {
+    let _serial = serial();
+    let circuit = generators::qft(QUBITS);
+    let dist = plan(&circuit, QUBITS - 1);
+    let dag = CircuitDag::from_circuit(&circuit);
+    let ml = MultilevelPartitioner::default()
+        .partition(&dag, QUBITS - 1, LIMIT)
+        .expect("the limits admit every gate");
+    let multilevel = FusedTwoLevelPlan::new(&circuit, &dag, ml);
+    let inert = ExecControl::default();
+    for (engine, plan) in [
+        ("dist", FusedPlan::Single(&dist)),
+        ("multilevel", FusedPlan::Two(&multilevel)),
+    ] {
+        let first = job(&circuit, plan, 2, &inert).expect("an inert control cannot cancel");
+        let (second, warm) = vectors_of(|| job(&circuit, plan, 2, &inert));
+        assert_eq!(warm, 1, "{engine}: slices and messages come from the pool");
+        assert_eq!(second.as_ref(), Ok(&first), "{engine}");
+
+        // A cancelled job gives its slices back: the next one is as warm.
+        assert_eq!(job(&circuit, plan, 2, &cancelling()), Err(Cancelled));
+        let (next, after_cancel) = vectors_of(|| job(&circuit, plan, 2, &inert));
+        assert_eq!(after_cancel, 1, "{engine}: the job after a cancelled one");
+        assert_eq!(next.as_ref(), Ok(&first), "{engine}");
+    }
+}
+
+#[test]
+fn a_warm_worker_rank_body_allocates_nothing_once_its_slice_is_given_back() {
+    let _serial = serial();
+    let circuit = generators::qft(QUBITS);
+    let dist = plan(&circuit, QUBITS - 1);
+    let mut mesh = tcp_world::<Complex64>(2, NetworkModel::ideal()).expect("loopback mesh");
+    // What `run_worker` does per job on every rank: run the rank body and,
+    // once the slice is shipped (here: hashed), give it back. `fire` cancels
+    // rank 0's token at its first report; the vote stops both ranks.
+    let mut run = |fire: bool| -> Vec<Result<u64, Cancelled>> {
+        std::thread::scope(|scope| {
+            let ranks: Vec<_> = (mesh.iter_mut())
+                .map(|comm| {
+                    let dist = &dist;
+                    scope.spawn(move || {
+                        comm.begin_job();
+                        let control = match fire && comm.rank() == 0 {
+                            true => cancelling(),
+                            false => ExecControl::default(),
+                        };
+                        let plan = FusedPlan::Single(dist);
+                        let outcome =
+                            run_plan_rank(comm, QUBITS, plan, Default::default(), &control)?;
+                        let mut shipped = DefaultHasher::new();
+                        for amp in &outcome.local {
+                            (amp.re.to_bits(), amp.im.to_bits()).hash(&mut shipped);
+                        }
+                        buffers::give(outcome.local);
+                        Ok(shipped.finish())
+                    })
+                })
+                .collect();
+            (ranks.into_iter())
+                .map(|rank| rank.join().expect("rank body panicked"))
+                .collect()
+        })
+    };
+    let first = run(false);
+    let (second, warm) = vectors_of(|| run(false));
+    assert_eq!(warm, 0, "a warm rank body allocates no vector");
+    assert_eq!(second, first);
+    assert!(run(true).iter().all(Result::is_err));
+    let (next, after_cancel) = vectors_of(|| run(false));
+    assert_eq!(after_cancel, 0, "the job after a cancelled one");
+    assert_eq!(next, first);
 }

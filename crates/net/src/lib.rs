@@ -18,7 +18,7 @@
 //!   matrices never travel, workers re-fuse locally,
 //! * [`worker`] — the `hisvsim-net worker` process body: a resident
 //!   command loop running the exact engine rank bodies the in-process
-//!   world runs, with a warm plan cache and recycled amplitude slices,
+//!   world runs, with a warm plan cache and a warm buffer pool,
 //! * [`pool`] — [`WorkerPool`]: spawn N workers **once**, then ship `Run`
 //!   frames and gather slices and stats per job, with mid-sweep cooperative cancellation (`Cancel { epoch }`
 //!   → a cancel *vote* across the ranks); implements the runtime's

@@ -9,7 +9,7 @@
 //! Residency is what the paper's batch workloads want: after the first
 //! job warms the world up, a batch of repeats pays zero spawn/rendezvous
 //! cost, each worker's plan cache answers repeated fingerprints without
-//! re-fusing, and the per-rank amplitude slices recycle their allocations.
+//! re-fusing, and amplitude buffers come warm from each process's pool.
 //! Failure policy is crash-only: any rank failure drops the whole world
 //! (the next job respawns it); a cooperative cancel keeps it warm, because
 //! the cancel *vote* guarantees no rank was mid-collective.
@@ -20,9 +20,10 @@ use crate::launcher::{
 use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
-use crate::wire::{read_items_frame, recv_json, send_json};
+use crate::wire::{read_items_frame_into, recv_json, send_json};
+use hisvsim_circuit::Complex64;
 use hisvsim_cluster::NetworkModel;
-use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
+use hisvsim_core::{aggregate_outcomes, buffers, CancelToken, RankOutcome, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
 use hisvsim_statevec::StateVector;
@@ -280,7 +281,7 @@ impl WorkerPool {
             })
         };
 
-        let gathered = self.gather(&mut inner, epoch);
+        let gathered = self.gather(&mut inner, epoch, job.circuit.num_qubits());
         done.store(true, Ordering::Release);
         canceller.join().expect("canceller thread panicked");
 
@@ -423,13 +424,14 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Gather per-rank reports (and identity-layout slices on success).
-    /// Before each blocking read, wait for readability while polling
-    /// worker liveness — a crashed worker fails the gather promptly
-    /// instead of wedging the pool on a stream that will never produce
-    /// bytes.
-    fn gather(&self, inner: &mut PoolInner, epoch: u64) -> Result<Gathered, NetError> {
+    /// Gather per-rank reports (and, on success, identity-layout slices of an
+    /// `n`-qubit state, read into buffers from the pool). Before each
+    /// blocking read, wait for readability while polling worker liveness — a
+    /// crashed worker fails the gather promptly instead of wedging the pool
+    /// on a stream that will never produce bytes.
+    fn gather(&self, inner: &mut PoolInner, epoch: u64, n: usize) -> Result<Gathered, NetError> {
         let _gather = hisvsim_obs::span("cluster", "gather");
+        let amp_count = 1 << n.saturating_sub(self.workers.trailing_zeros() as usize);
         let World {
             guard, controls, ..
         } = inner.world.as_mut().expect("world ensured by caller");
@@ -461,17 +463,19 @@ impl WorkerPool {
                     return Err(NetError::Worker(format!("rank {rank}: {message}")));
                 }
             }
-            let (tag, local) = read_items_frame::<hisvsim_circuit::Complex64>(stream)?;
+            // The length came off the wire: check it before allocating.
+            if report.amp_count != amp_count {
+                return Err(NetError::Protocol(format!(
+                    "rank {rank} announced {} amplitudes for a slice of {amp_count}",
+                    report.amp_count
+                )));
+            }
+            let mut local = buffers::take(amp_count);
+            local.resize(amp_count, Complex64::ZERO);
+            let tag = read_items_frame_into(stream, &mut local)?;
             if tag != AMPS_TAG {
                 return Err(NetError::Protocol(format!(
                     "expected the amplitude frame, got tag {tag:#x}"
-                )));
-            }
-            if local.len() != report.amp_count {
-                return Err(NetError::Protocol(format!(
-                    "rank {rank} announced {} amplitudes but sent {}",
-                    report.amp_count,
-                    local.len()
                 )));
             }
             // Splice the worker's spans into the pool's timeline, one
@@ -587,5 +591,76 @@ impl ProcessBackend for WorkerPool {
 
     fn pool_stats(&self) -> Option<ProcessPoolStats> {
         Some(self.metrics())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{items_as_wire_bytes, write_frame};
+
+    /// One rank's report, as a worker sends it after a job at epoch 7.
+    fn report(amp_count: usize) -> RankReport {
+        RankReport {
+            rank: 0,
+            epoch: 7,
+            status: RankStatus::Ok,
+            compute_time_s: 0.0,
+            comm: Default::default(),
+            exchanges: 0,
+            amp_count,
+            spans: Vec::new(),
+        }
+    }
+
+    /// Gather the answer of a world of one rank from whatever `worker` wrote
+    /// to its control stream, for a job of `qubits` qubits.
+    fn gather_from(
+        worker: impl FnOnce(&mut TcpStream),
+        qubits: usize,
+    ) -> Result<Gathered, NetError> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
+        let mut stream =
+            TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (control, _) = listener.accept().expect("accept");
+        worker(&mut stream);
+        let pool = WorkerPool::with_worker_binary(1, PathBuf::from("unused"));
+        let world = World {
+            guard: ChildGuard::new(),
+            controls: vec![control],
+            network: NetworkModel::ideal(),
+        };
+        let mut inner = PoolInner {
+            world: Some(world),
+            next_epoch: 8,
+        };
+        pool.gather(&mut inner, 7, qubits)
+    }
+
+    #[test]
+    fn a_report_announcing_another_slice_length_is_refused_before_allocating() {
+        let amps: Vec<Complex64> = (0..1024).map(|i| Complex64::new(i as f64, 0.5)).collect();
+        let honest = gather_from(
+            |stream| {
+                send_json(stream, &report(amps.len())).unwrap();
+                write_frame(stream, AMPS_TAG, &items_as_wire_bytes(&amps)).unwrap();
+            },
+            10,
+        );
+        let Ok(Gathered::Done(outcomes, _)) = honest else {
+            panic!("an honest report is gathered");
+        };
+        assert_eq!(outcomes[0].local, amps);
+
+        // 2^40 amplitudes would be a 16 TiB buffer: refused from the report
+        // alone, with no frame read and nothing allocated.
+        let lying = gather_from(|stream| send_json(stream, &report(1 << 40)).unwrap(), 10);
+        let Err(NetError::Protocol(message)) = lying else {
+            panic!("a lying report must be a protocol error");
+        };
+        assert!(
+            message.contains("announced 1099511627776 amplitudes"),
+            "{message}"
+        );
     }
 }

@@ -149,34 +149,21 @@ pub fn encode_items<T: WireItem>(items: &[T]) -> Vec<u8> {
     items_as_wire_bytes(items).into_owned()
 }
 
-/// Error for a payload whose length is not a whole number of items.
-fn misaligned<T: WireItem>(len: usize) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "payload of {len} bytes is not a multiple of the {}-byte item width",
-            T::WIRE_SIZE
-        ),
-    )
-}
-
-/// `count` items of a wire-layout type, every byte zero (a value of each of
-/// them), to be overwritten through [`wire_view_mut`].
-fn zeroed_items<T: WireItem>(count: usize) -> Vec<T> {
-    debug_assert!(is_wire_layout::<T>());
-    vec![T::read_le(&[0u8; 16][..T::WIRE_SIZE]); count]
-}
-
 /// Decode a payload buffer back into items. Errors on a length that is not
 /// a multiple of the item width.
 pub fn decode_items<T: WireItem>(bytes: &[u8]) -> io::Result<Vec<T>> {
-    if !bytes.len().is_multiple_of(T::WIRE_SIZE) {
-        return Err(misaligned::<T>(bytes.len()));
+    let (len, width) = (bytes.len(), T::WIRE_SIZE);
+    if !len.is_multiple_of(width) {
+        let message =
+            format!("payload of {len} bytes is not a multiple of the {width}-byte item width");
+        return Err(io::Error::new(io::ErrorKind::InvalidData, message));
     }
     if !is_wire_layout::<T>() {
-        return Ok(bytes.chunks_exact(T::WIRE_SIZE).map(T::read_le).collect());
+        return Ok(bytes.chunks_exact(width).map(T::read_le).collect());
     }
-    let mut items = zeroed_items::<T>(bytes.len() / T::WIRE_SIZE);
+    // Every byte zero is a value of each wire-layout type; all are
+    // overwritten through the view.
+    let mut items = vec![T::read_le(&[0u8; 16][..width]); len / width];
     wire_view_mut(&mut items)
         .expect("a wire-layout type")
         .copy_from_slice(bytes);
@@ -244,22 +231,6 @@ pub(crate) fn read_items_frame_into<T: WireItem>(
         }
     }
     Ok(tag)
-}
-
-/// Read one frame of items, returning `(tag, items)`.
-pub(crate) fn read_items_frame<T: WireItem>(stream: &mut impl Read) -> io::Result<(u64, Vec<T>)> {
-    let (tag, len) = read_header(stream)?;
-    if !len.is_multiple_of(T::WIRE_SIZE) {
-        return Err(misaligned::<T>(len));
-    }
-    if !is_wire_layout::<T>() {
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload)?;
-        return Ok((tag, decode_items(&payload)?));
-    }
-    let mut items = zeroed_items::<T>(len / T::WIRE_SIZE);
-    stream.read_exact(wire_view_mut(&mut items).expect("a wire-layout type"))?;
-    Ok((tag, items))
 }
 
 /// Tag marking a JSON control frame.
@@ -374,19 +345,11 @@ mod tests {
     fn item_frames_are_read_in_place_and_checked() {
         let amps: Vec<Complex64> = (0..5).map(|i| Complex64::new(i as f64, -0.25)).collect();
         let mut buf = Vec::new();
-        write_frame(&mut buf, 3, &items_as_wire_bytes(&amps)).unwrap();
         write_frame(&mut buf, 4, &items_as_wire_bytes(&amps)).unwrap();
-        write_frame(&mut buf, 5, &[0u8; 24]).unwrap();
         let mut cursor = &buf[..];
-        assert_eq!(
-            read_items_frame::<Complex64>(&mut cursor).unwrap(),
-            (3, amps.clone())
-        );
         let mut out = vec![Complex64::ZERO; 5];
         assert_eq!(read_items_frame_into(&mut cursor, &mut out).unwrap(), 4);
         assert_eq!(out, amps);
-        // 24 bytes are not a whole number of amplitudes.
-        assert!(read_items_frame::<Complex64>(&mut cursor).is_err());
         // A frame of the wrong size for the buffer is refused, not truncated.
         let mut cursor = &buf[..];
         assert!(read_items_frame_into(&mut cursor, &mut out[..4]).is_err());

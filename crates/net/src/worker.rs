@@ -5,7 +5,9 @@
 //! command loop — re-fusing each shipped partition locally (with a warm
 //! plan cache, so a repeated fingerprint re-fuses nothing), running the
 //! *same* rank bodies the in-process world runs, and streaming its
-//! identity-layout slice back per job. A reader thread drains
+//! identity-layout slice back per job, then giving it to the process's
+//! [`buffers`] pool beside the exchange's: a warm worker's next job
+//! allocates no amplitude buffer at all. A reader thread drains
 //! [`WorkerCommand`] frames concurrently, so a `Cancel { epoch }` reaches
 //! the running job's [`CancelToken`] mid-sweep; the rank bodies observe it
 //! at their collective cancel-vote checkpoints.
@@ -19,8 +21,8 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::RankComm;
 use hisvsim_core::{
-    run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled, ExecControl,
-    FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
+    buffers, run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled,
+    ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
@@ -107,20 +109,18 @@ pub fn execute_shipped_rank<C: RankComm<Complex64>>(
     comm: &mut C,
 ) -> Result<RankOutcome, NetError> {
     let mut plans = WorkerPlanCache::new(1);
-    execute_shipped_rank_controlled(job, comm, &CancelToken::new(), &mut plans, None)
+    execute_shipped_rank_controlled(job, comm, &CancelToken::new(), &mut plans)
 }
 
 /// [`execute_shipped_rank`] with the resident-worker machinery threaded
 /// through: a [`CancelToken`] the rank bodies vote on at their cooperative
-/// checkpoints (all ranks stop together or not at all), a warm
-/// [`WorkerPlanCache`] so a repeated fingerprint re-fuses nothing, and an
-/// optional recycled local-slice allocation from the previous job.
+/// checkpoints (all ranks stop together or not at all), and a warm
+/// [`WorkerPlanCache`] so a repeated fingerprint re-fuses nothing.
 pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     job: &ShippedJob,
     comm: &mut C,
     cancel: &CancelToken,
     plans: &mut WorkerPlanCache,
-    recycled: Option<Vec<Complex64>>,
 ) -> Result<RankOutcome, NetError> {
     let dispatch = job.dispatch;
     let control = &ExecControl::new().with_cancel(cancel.clone());
@@ -129,7 +129,7 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
         // Baseline ships no plan: the schedule is derived here, once per
         // job, from the circuit and the world size.
         let schedule = BaselineSchedule::build(&job.circuit, comm.size());
-        return run_baseline_rank(comm, &schedule, dispatch, control, recycled).map_err(cancelled);
+        return run_baseline_rank(comm, &schedule, dispatch, control).map_err(cancelled);
     }
     let Some(shipped) = &job.plan else {
         return Err(NetError::Protocol(format!(
@@ -140,7 +140,7 @@ pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
     // The plan's shape, not the engine, decides the steps.
     let plan = plans.get_or_build(plan_key(job), || fuse_shipped(job, shipped));
     let qubits = job.circuit.num_qubits();
-    run_plan_rank(comm, qubits, plan.fused(), dispatch, control, recycled).map_err(cancelled)
+    run_plan_rank(comm, qubits, plan.fused(), dispatch, control).map_err(cancelled)
 }
 
 /// Re-fuse a shipped partition (a plan-cache miss), under a `fuse` span.
@@ -243,7 +243,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
     });
 
     let mut plans = WorkerPlanCache::new(16);
-    let mut resident: Option<Vec<Complex64>> = None;
     while let Ok(Some((epoch, job, token))) = command_rx.recv() {
         // Per-job recorder hygiene on a resident worker: drop any stale
         // spans a previous job left in the ring, and track this job's
@@ -254,7 +253,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         comm.reset_stats();
         comm.begin_job();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_shipped_rank_controlled(&job, &mut comm, &token, &mut plans, resident.take())
+            execute_shipped_rank_controlled(&job, &mut comm, &token, &mut plans)
         }));
         cancels.lock().expect("cancel map poisoned").remove(&epoch);
         let (cache_hits, cache_misses) = plans.stats();
@@ -291,10 +290,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                     },
                 )?;
                 write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&outcome.local))?;
-                // Keep the slice allocation resident for the next job of
-                // the batch (zero-filled on reuse, so results never
-                // depend on it).
-                resident = Some(outcome.local);
+                buffers::give(outcome.local);
             }
             Ok(Err(NetError::Cancelled)) => {
                 log::debug(

@@ -51,7 +51,7 @@ fn baseline_job(name: &str, qubits: usize) -> ShippedJob {
 /// The headline reuse guarantee: a batch of jobs runs on ONE worker world
 /// (zero respawns after warm-up), every result bit-identical to the
 /// fresh-launch in-process reference, across engines and circuits — so
-/// residency (kept mesh, warm plan cache, recycled slices) changes *when*
+/// residency (kept mesh, warm plan cache, pooled buffers) changes *when*
 /// work happens, never what it produces.
 #[test]
 fn eight_job_batch_reuses_one_world_and_stays_bit_identical() {

@@ -131,8 +131,10 @@ mod tests {
         // single worker serialises execution, so if High truly overtakes,
         // it must be *finished* by the time Normal starts planning.
         let service = scaled_service(1);
+        // Wide enough to still be running when the cancel lands, with the
+        // kernels optimised even in the debug profile.
         let blocker = service.submit(
-            SimJob::new(generators::qft(12))
+            SimJob::new(generators::qft(20))
                 .with_engine(EngineKind::Hier)
                 .with_limit(5),
         );

@@ -587,10 +587,10 @@ impl SimService {
             reg.gauge(name, help).set(value);
         };
         gauge(
-            "hisvsim_hier_scratch_bytes",
-            "Bytes of inner vectors kept between gathered parts (process-wide; they stay \
-             allocated at the widest width a job has asked for).",
-            hisvsim_core::hier::scratch_kept().1 as f64,
+            "hisvsim_buffer_pool_bytes",
+            "Bytes of amplitude buffers (rank slices, exchange messages, inner vectors) the \
+             process keeps between uses (process-wide; buffers in use are not counted).",
+            hisvsim_core::buffers::retained_bytes() as f64,
         );
         gauge(
             "hisvsim_service_queue_depth",

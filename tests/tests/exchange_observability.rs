@@ -57,7 +57,6 @@ fn spans_cover_a_distributed_run() {
             FusedPlan::Single(&plan),
             KernelDispatch::default(),
             &control,
-            None,
         )
         .expect("an inert control cannot cancel")
     });

@@ -63,11 +63,11 @@ fn metrics_text_is_valid_prometheus_exposition() {
         "hisvsim_selector_misprediction_ratio_bucket",
         "hisvsim_selector_misprediction_ratio_count 3",
         "hisvsim_obs_spans_dropped_total",
-        // The part executor's decision (one series per mode) and the inner
-        // vectors it keeps between gathered parts.
+        // The part executor's decision (one series per mode) and the bytes
+        // the buffer pool keeps between uses.
         "hisvsim_hier_parts_total{mode=\"gather\"}",
         "hisvsim_hier_parts_total{mode=\"in_place\"}",
-        "hisvsim_hier_scratch_bytes",
+        "hisvsim_buffer_pool_bytes",
     ] {
         assert!(
             text.contains(series),

@@ -21,13 +21,12 @@ fn service(workers: usize) -> SimService {
 /// A job big enough that cancellation and the 150–200 ms deadlines below
 /// land mid-execution in every profile tier-1 runs under: a wide QFT forced
 /// onto the hierarchical engine with a tight limit, so the run spans many
-/// parts (each a cancellation checkpoint). At 20 qubits it takes ~2 s in a
-/// debug build under forced-scalar dispatch, its fastest tier-1 profile
-/// (16 qubits, which used to gather 2^11 assignments per part, is 0.12 s
-/// there now that a state of one tile is swept in place). No test lets it
-/// run to the end.
+/// parts (each a cancellation checkpoint). The kernels are optimised in the
+/// debug profile too, so tier-1 runs it at close to release speed: 0.55–0.8 s
+/// at 22 qubits on a two-vCPU guest, where 20 qubits took only 0.13–0.15 s.
+/// No test lets it run to the end.
 fn long_job() -> SimJob {
-    SimJob::new(generators::qft(20))
+    SimJob::new(generators::qft(22))
         .with_engine(EngineKind::Hier)
         .with_limit(5)
 }
