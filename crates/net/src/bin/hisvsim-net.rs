@@ -6,36 +6,46 @@
 //! hisvsim-net smoke [qubits] [workers] [--trace <path>]
 //! ```
 //!
-//! `smoke` runs QFT-n under the `hier` and `dist` engines on a localhost
-//! process cluster and demands the assembled amplitudes be **bit-identical**
-//! to the in-process channel-world run of the same shipped plan. With
-//! `--trace <path>` the launcher records its own spans, collects every
-//! worker's span buffer over the control channel, and writes one merged
-//! Chrome trace JSON (open in `chrome://tracing` or Perfetto).
+//! `smoke` runs QFT-n's plan once on a localhost process cluster and
+//! demands the assembled amplitudes be **bit-identical** to the in-process
+//! channel-world run of the same shipped plan. With `--trace <path>` the
+//! launcher records its own spans, collects every worker's span buffer over
+//! the control channel, and writes one merged Chrome trace JSON (open in
+//! `chrome://tracing` or Perfetto).
 //!
 //! Failure diagnostics go through the structured logger
 //! ([`hisvsim_obs::log`]): JSON lines on stderr, filtered by
 //! `HISVSIM_LOG` (launcher/worker lifecycle events surface at
-//! `HISVSIM_LOG=debug`). Success output stays on stdout.
+//! `HISVSIM_LOG=debug`, the per-rank figures among them in the pool's
+//! `rank gathered` lines). Success output stays on stdout.
 
 use hisvsim_circuit::generators;
 use hisvsim_cluster::NetworkModel;
+use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
-use hisvsim_net::{execute_local_reference, RankSummary, ShippedJob, WorkerPool};
+use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_obs::log;
 use hisvsim_partition::Strategy;
-use hisvsim_runtime::{EngineKind, PersistedPlan};
+use hisvsim_runtime::PersistedPlan;
 use std::process::ExitCode;
 
 const LOG_TARGET: &str = "hisvsim-net";
+
+const USAGE: &str = "usage: hisvsim-net worker <control_addr> <rank>\n       \
+                     hisvsim-net smoke [qubits] [workers: a power of two] [--trace <path>]";
+
+/// Print the usage line and fail.
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
+    ExitCode::FAILURE
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
         Some("worker") => {
             let (Some(control_addr), Some(rank)) = (args.get(2), args.get(3)) else {
-                eprintln!("usage: hisvsim-net worker <control_addr> <rank>");
-                return ExitCode::FAILURE;
+                return usage();
             };
             let rank: usize = match rank.parse() {
                 Ok(rank) => rank,
@@ -77,106 +87,86 @@ fn main() -> ExitCode {
                     positional.push(arg.clone());
                 }
             }
-            let qubits: usize = positional
-                .first()
-                .map(|s| s.parse().expect("qubits must be an integer"))
-                .unwrap_or(20);
-            let workers: usize = positional
-                .get(1)
-                .map(|s| s.parse().expect("workers must be an integer"))
-                .unwrap_or(4);
-            smoke(qubits, workers, trace_path.as_deref())
+            let arg = |index: usize, default: usize| {
+                positional.get(index).map_or(Ok(default), |s| s.parse())
+            };
+            match (arg(0, 20), arg(1, 4)) {
+                // Each worker's slice must hold a two-qubit gate.
+                (Ok(qubits), Ok(workers))
+                    if positional.len() <= 2
+                        && workers.is_power_of_two()
+                        && qubits >= workers.trailing_zeros() as usize + 2 =>
+                {
+                    smoke(qubits, workers, trace_path.as_deref())
+                }
+                _ => usage(),
+            }
         }
-        _ => {
-            eprintln!("usage: hisvsim-net <worker|smoke> ...");
-            ExitCode::FAILURE
-        }
+        _ => usage(),
     }
 }
 
-/// Launch `workers` processes on localhost, run QFT-`qubits` under the
-/// hier and dist engines, and verify bit-identical amplitudes against the
-/// in-process reference run of the identical shipped plan. Prints a
-/// per-rank comm-stats table for every run; with `trace_path`, also writes
-/// a merged launcher+workers Chrome trace and validates its contents.
+/// Launch `workers` processes on localhost, run QFT-`qubits`'s plan once,
+/// and verify bit-identical amplitudes against the in-process reference run
+/// of the identical shipped plan; with `trace_path`, also write a merged
+/// launcher+workers Chrome trace and validate its contents.
 fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     let tracing = trace_path.is_some();
     if tracing {
         hisvsim_obs::set_enabled(true);
     }
-    let network = NetworkModel::hdr100();
-    let launcher =
-        WorkerPool::with_worker_binary(workers, std::env::current_exe().expect("current exe"))
-            .with_network(network);
+    let pool =
+        WorkerPool::with_worker_binary(workers, std::env::current_exe().expect("current exe"));
     let circuit = generators::qft(qubits);
     let dag = CircuitDag::from_circuit(&circuit);
     let local_qubits = qubits - workers.trailing_zeros() as usize;
 
-    for engine in [EngineKind::Hier, EngineKind::Dist] {
-        // Hier ships its single-level plan through the distributed rank
-        // body, so both engines' plans must fit a worker's local slice.
-        // Workers re-fuse the shipped partition, and must reproduce the
-        // in-process run bit for bit.
-        let partition = {
-            let _plan = hisvsim_obs::span("job", "plan")
-                .detail(format!("qft-{qubits} into {workers} parts"));
-            Strategy::DagP
-                .partition(&dag, local_qubits)
-                .expect("partitioning QFT cannot fail at the local-qubit limit")
-        };
-        let job = ShippedJob {
-            engine,
-            circuit: circuit.clone(),
-            dispatch: Default::default(),
-            plan: Some(PersistedPlan::Single(partition)),
-            trace: tracing,
-        };
-        let (state, report, ranks) = match launcher.execute_detailed(&job, network) {
-            Ok(result) => result,
-            Err(e) => {
-                log::error(
-                    LOG_TARGET,
-                    "smoke process run failed",
-                    &[("engine", engine.name()), ("error", &e.to_string())],
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let (reference, _) = match execute_local_reference(&job, workers, network) {
-            Ok(result) => result,
-            Err(e) => {
-                log::error(
-                    LOG_TARGET,
-                    "smoke reference run failed",
-                    &[("engine", engine.name()), ("error", &e.to_string())],
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        if state != reference {
+    // The plan must fit a worker's local slice; workers re-fuse the shipped
+    // partition and must reproduce the in-process run bit for bit.
+    let partition = {
+        let _plan =
+            hisvsim_obs::span("job", "plan").detail(format!("qft-{qubits} into {workers} parts"));
+        Strategy::DagP
+            .partition(&dag, local_qubits)
+            .expect("partitioning QFT cannot fail at the local-qubit limit")
+    };
+    let job = ShippedJob {
+        circuit,
+        dispatch: Default::default(),
+        plan: PersistedPlan::Single(partition),
+        trace: tracing,
+    };
+    let (state, report) = match pool.execute(&job, &CancelToken::new()) {
+        Ok(result) => result,
+        Err(e) => {
             log::error(
                 LOG_TARGET,
-                "smoke process run diverged from the in-process run",
-                &[
-                    ("engine", engine.name()),
-                    (
-                        "max_abs_diff",
-                        &format!("{:.3e}", state.max_abs_diff(&reference)),
-                    ),
-                ],
+                "smoke process run failed",
+                &[("error", &e.to_string())],
             );
             return ExitCode::FAILURE;
         }
-        println!(
-            "smoke {engine}: qft-{qubits} on {workers} worker processes: bit-identical \
-             to the in-process run ({} parts, {} exchanges, {:.1} MiB moved, wall {:.2}s)",
-            report.num_parts,
-            report.num_exchanges,
-            report.comm.bytes_sent as f64 / (1024.0 * 1024.0),
-            report.total_time_s,
+    };
+    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100());
+    if state != reference {
+        log::error(
+            LOG_TARGET,
+            "smoke process run diverged from the in-process run",
+            &[(
+                "max_abs_diff",
+                &format!("{:.3e}", state.max_abs_diff(&reference)),
+            )],
         );
-        print_rank_table(&ranks);
+        return ExitCode::FAILURE;
     }
+    println!(
+        "smoke: qft-{qubits} on {workers} worker processes: bit-identical to the \
+         in-process run ({} parts, {} exchanges, {:.1} MiB moved, wall {:.2}s)",
+        report.num_parts,
+        report.num_exchanges,
+        report.comm.bytes_sent as f64 / (1024.0 * 1024.0),
+        report.total_time_s,
+    );
     if let Some(path) = trace_path {
         let spans = hisvsim_obs::drain();
         if let Err(msg) = validate_cluster_spans(&spans, workers) {
@@ -203,25 +193,6 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     }
     println!("smoke: OK");
     ExitCode::SUCCESS
-}
-
-/// Per-rank comm-stats summary of one process-cluster run.
-fn print_rank_table(ranks: &[RankSummary]) {
-    println!(
-        "  {:>4}  {:>10}  {:>11}  {:>10}  {:>9}  {:>9}",
-        "rank", "compute_s", "comm_wall_s", "sent_MiB", "messages", "exchanges"
-    );
-    for r in ranks {
-        println!(
-            "  {:>4}  {:>10.3}  {:>11.3}  {:>10.1}  {:>9}  {:>9}",
-            r.rank,
-            r.compute_time_s,
-            r.comm.wall_time_s,
-            r.comm.bytes_sent as f64 / (1024.0 * 1024.0),
-            r.comm.messages_sent,
-            r.exchanges,
-        );
-    }
 }
 
 /// Check the merged span set covers the whole cluster: launcher spans on

@@ -13,40 +13,39 @@
 //!   the same [`CommStats`](hisvsim_cluster::CommStats) accounting),
 //! * [`proto`] — the pool↔worker control protocol: an epoch-tagged
 //!   [`WorkerCommand`] stream over a persistent channel; [`ShippedJob`]
-//!   carries the circuit plus the partition in its
-//!   [`PersistedPlan`](hisvsim_runtime::PersistedPlan) wire shape — fused
-//!   matrices never travel, workers re-fuse locally,
+//!   carries only what decides the result — the circuit, the kernel
+//!   dispatch and the partition in its
+//!   [`PersistedPlan`](hisvsim_runtime::PersistedPlan) wire shape (fused
+//!   matrices never travel, workers re-fuse locally),
 //! * [`worker`] — the `hisvsim-net worker` process body: a resident
-//!   command loop running the exact engine rank bodies the in-process
-//!   world runs, with a warm plan cache and a warm buffer pool,
+//!   command loop running the one rank body the in-process world runs
+//!   (`run_plan_rank`), with a warm plan cache and a warm buffer pool; and
+//!   [`execute_local_reference`], the same body on threads,
 //! * [`pool`] — [`WorkerPool`]: spawn N workers **once**, then ship `Run`
-//!   frames and gather slices and stats per job, with mid-sweep cooperative cancellation (`Cancel { epoch }`
-//!   → a cancel *vote* across the ranks); implements the runtime's
-//!   [`ProcessBackend`](hisvsim_runtime::ProcessBackend) so a
+//!   frames and gather slices and stats per job through one entry point,
+//!   [`WorkerPool::execute`], with mid-sweep cooperative cancellation
+//!   (`Cancel { epoch }` → a cancel *vote* across the ranks) and one
+//!   failure path (the world is dropped and respawned); implements the
+//!   runtime's [`ProcessBackend`](hisvsim_runtime::ProcessBackend) so a
 //!   [`SimJob`](hisvsim_runtime::SimJob) can request
-//!   [`Backend::Process`](hisvsim_runtime::Backend::Process),
-//! * [`launcher`] — shared launch plumbing (worker-binary discovery,
-//!   child-process guard, liveness-aware socket helpers) and the
-//!   in-process reference executor.
+//!   [`Backend::Process`](hisvsim_runtime::Backend::Process). The launch
+//!   plumbing (worker-binary discovery, child-process guard,
+//!   liveness-aware socket helpers) lives there too.
 //!
-//! Because every transport implements one trait and the rank bodies are
+//! Because every transport implements one trait and the rank body is
 //! shared, a process-backed run is **bit-identical** to the in-process run
 //! of the same plan — the acceptance bar the `smoke` subcommand checks.
 
 #![warn(missing_docs)]
 
-pub mod launcher;
 pub mod pool;
 pub mod proto;
 pub mod tcp;
 pub mod wire;
 pub mod worker;
 
-pub use launcher::{execute_local_reference, find_worker_binary, NetError, RankSummary};
-pub use pool::WorkerPool;
+pub use pool::{find_worker_binary, NetError, WorkerPool};
 pub use proto::{LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello};
 pub use tcp::{tcp_world, PeerLost, TcpComm};
 pub use wire::WireItem;
-pub use worker::{
-    execute_shipped_rank, execute_shipped_rank_controlled, run_worker, WorkerPlanCache,
-};
+pub use worker::{execute_local_reference, run_worker};

@@ -4,19 +4,18 @@
 //! resident connections — the multi-process `mpirun` of this reproduction
 //! grown into a job server, and the
 //! [`ProcessBackend`] the runtime's scheduler drives for
-//! [`Backend::Process`](hisvsim_runtime::Backend::Process) jobs.
+//! [`Backend::Process`](hisvsim_runtime::Backend::Process) jobs. The launch
+//! plumbing lives here too: the error type, worker-binary discovery, the
+//! child-process guard and the liveness-aware socket helpers.
 //!
 //! Residency is what the paper's batch workloads want: after the first
 //! job warms the world up, a batch of repeats pays zero spawn/rendezvous
 //! cost, each worker's plan cache answers repeated fingerprints without
 //! re-fusing, and amplitude buffers come warm from each process's pool.
-//! Failure policy is crash-only: any rank failure drops the whole world
+//! Failure policy is crash-only: any failure of a job drops the whole world
 //! (the next job respawns it); a cooperative cancel keeps it warm, because
 //! the cancel *vote* guarantees no rank was mid-collective.
 
-use crate::launcher::{
-    accept_with_deadline, await_readable, find_worker_binary, ChildGuard, NetError, RankSummary,
-};
 use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
@@ -27,34 +26,89 @@ use hisvsim_core::{aggregate_outcomes, buffers, CancelToken, RankOutcome, RunRep
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
 use hisvsim_statevec::StateVector;
+use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 const LOG_TARGET: &str = "hisvsim-net::pool";
 
 /// How often the canceller thread polls the job's [`CancelToken`]. The
 /// end-to-end cancel latency is this poll interval plus one cancel-vote
-/// interval on the workers (one fused part / one baseline step).
+/// interval on the workers (one fused part).
 const CANCEL_POLL: Duration = Duration::from_millis(5);
 
 /// How long [`WorkerPool::shutdown`] waits for workers to honour the
 /// `Shutdown` frame before killing them.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
+/// Errors of the pool/worker pipeline.
+#[derive(Debug)]
+pub enum NetError {
+    /// Socket or process I/O failed.
+    Io(io::Error),
+    /// The control protocol was violated (bad frame, wrong rank or epoch).
+    Protocol(String),
+    /// A worker process exited abnormally.
+    Worker(String),
+    /// Every rank agreed to stop at a cancel-vote checkpoint; the job
+    /// produced no result but the worker world is still healthy.
+    Cancelled,
+}
+
+impl From<io::Error> for NetError {
+    fn from(e: io::Error) -> Self {
+        NetError::Io(e)
+    }
+}
+
+impl std::fmt::Display for NetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NetError::Io(e) => write!(f, "i/o error: {e}"),
+            NetError::Protocol(msg) => write!(f, "protocol error: {msg}"),
+            NetError::Worker(msg) => write!(f, "worker failed: {msg}"),
+            NetError::Cancelled => write!(f, "job cancelled"),
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
+
+/// Locate the `hisvsim-net` worker binary: the `HISVSIM_NET_WORKER`
+/// environment variable wins; otherwise walk up from the current
+/// executable's directory (covers `target/<profile>/`,
+/// `target/<profile>/deps/` for test binaries, and
+/// `target/<profile>/examples/`).
+pub fn find_worker_binary() -> Option<PathBuf> {
+    if let Ok(path) = std::env::var("HISVSIM_NET_WORKER") {
+        let path = PathBuf::from(path);
+        if path.is_file() {
+            return Some(path);
+        }
+    }
+    let exe = std::env::current_exe().ok()?;
+    let name = format!("hisvsim-net{}", std::env::consts::EXE_SUFFIX);
+    let mut dir = exe.parent()?;
+    for _ in 0..3 {
+        let candidate = dir.join(&name);
+        if candidate.is_file() {
+            return Some(candidate);
+        }
+        dir = dir.parent()?;
+    }
+    None
+}
+
 /// A resident worker world: the child processes plus one control stream
 /// per rank. The TCP mesh between the workers stays up for the world's
-/// whole lifetime.
+/// whole lifetime, on the network model the pool spawned it with.
 struct World {
     guard: ChildGuard,
     controls: Vec<TcpStream>,
-    /// The interconnect model the world was launched with; a job asking
-    /// for a different model forces a respawn (the model is baked into
-    /// each worker's transport accounting at mesh time).
-    network: NetworkModel,
 }
 
 struct PoolInner {
@@ -73,14 +127,6 @@ struct PoolMetrics {
     jobs_cancelled: AtomicU64,
     jobs_failed: AtomicU64,
     launch_micros_total: AtomicU64,
-}
-
-/// What one gather produced, before metrics/aggregation.
-enum Gathered {
-    /// Every rank reported [`RankStatus::Ok`].
-    Done(Vec<RankOutcome>, Vec<RankSummary>),
-    /// Every rank reported [`RankStatus::Cancelled`].
-    Cancelled,
 }
 
 /// Spawns `workers` processes of the `hisvsim-net` binary in worker mode
@@ -136,7 +182,8 @@ impl WorkerPool {
         }
     }
 
-    /// Use a different network model for the workers' accounting.
+    /// The network model of the workers' transport accounting (default
+    /// [`NetworkModel::hdr100`]), baked into the mesh when the world spawns.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
         self.network = network;
         self
@@ -175,140 +222,30 @@ impl WorkerPool {
     }
 
     /// Execute `job` on the resident worker world (spawning it on the
-    /// first call), and assemble the full state plus the aggregated run
-    /// report (per-rank comm stats merged exactly like the in-process
-    /// engines').
-    pub fn execute(&self, job: &ShippedJob) -> Result<(StateVector, RunReport), NetError> {
-        self.execute_with_network(job, self.network)
-    }
-
-    /// [`WorkerPool::execute`] with an explicit network model. A model
-    /// different from the resident world's forces a respawn (the model is
-    /// baked into each worker's transport at mesh time).
-    pub fn execute_with_network(
+    /// first call, or after a failure dropped it), and assemble the full
+    /// state plus the aggregated run report (per-rank comm stats merged
+    /// exactly like the in-process engines').
+    ///
+    /// While the job runs, a canceller thread polls `cancel` and, once it
+    /// fires, ships `Cancel { epoch }` to every rank: the workers stop
+    /// together at their next cancel-vote checkpoint (mid-sweep, not at the
+    /// job boundary) and the call returns [`NetError::Cancelled`] with the
+    /// world still warm. Any other error fails the job on one path: the
+    /// world is dropped (its state is unknowable) and counted in
+    /// `jobs_failed`, and the next job respawns it at a fresh epoch.
+    pub fn execute(
         &self,
         job: &ShippedJob,
-        network: NetworkModel,
-    ) -> Result<(StateVector, RunReport), NetError> {
-        self.execute_detailed(job, network)
-            .map(|(state, report, _)| (state, report))
-    }
-
-    /// [`WorkerPool::execute_with_network`], additionally returning the
-    /// per-rank stats that [`aggregate_outcomes`] would otherwise fold
-    /// away (for the smoke command's per-rank table and any caller that
-    /// wants rank-resolved comm accounting).
-    pub fn execute_detailed(
-        &self,
-        job: &ShippedJob,
-        network: NetworkModel,
-    ) -> Result<(StateVector, RunReport, Vec<RankSummary>), NetError> {
-        self.execute_detailed_cancellable(job, network, &CancelToken::new())
-    }
-
-    /// [`WorkerPool::execute_detailed`] under a [`CancelToken`]: while the
-    /// job runs, a canceller thread polls the token and, once it fires,
-    /// ships `Cancel { epoch }` to every rank. The workers stop together
-    /// at their next cancel-vote checkpoint (mid-sweep, not at the job
-    /// boundary) and the call returns [`NetError::Cancelled`] with the
-    /// world still warm.
-    pub fn execute_detailed_cancellable(
-        &self,
-        job: &ShippedJob,
-        network: NetworkModel,
         cancel: &CancelToken,
-    ) -> Result<(StateVector, RunReport, Vec<RankSummary>), NetError> {
+    ) -> Result<(StateVector, RunReport), NetError> {
         // One job at a time: the lock *is* the job queue (SPMD — every
         // rank participates in every job, so there is nothing to overlap).
         let mut inner = self.inner.lock().expect("pool lock poisoned");
         self.metrics.jobs_run.fetch_add(1, Ordering::Relaxed);
-        if inner
-            .world
-            .as_ref()
-            .is_some_and(|world| world.network != network)
-        {
-            log::info(
-                LOG_TARGET,
-                "network model changed; respawning the worker world",
-                &[],
-            );
-            inner.world = None;
-        }
-        if inner.world.is_some() {
-            self.metrics
-                .jobs_reused_world
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.spawn_world(&mut inner, network)?;
-        }
         let epoch = inner.next_epoch;
         inner.next_epoch += 1;
-
-        // Ship the job (plan partitions + circuit; workers re-fuse
-        // locally, or answer from their warm plan cache).
-        let ship_start = Instant::now();
-        {
-            let _ship = hisvsim_obs::span("cluster", "ship");
-            let world = inner.world.as_mut().expect("world ensured above");
-            for stream in &mut world.controls {
-                send_json(stream, &WorkerCommand::Run(epoch, job.clone()))?;
-            }
-        }
-
-        // The canceller: polls the token, and once it fires ships one
-        // `Cancel { epoch }` frame per rank on cloned control handles.
-        // Spawned strictly after the `Run` frames, so TCP ordering
-        // guarantees no worker can see the cancel before its job.
-        let done = Arc::new(AtomicBool::new(false));
-        let canceller = {
-            let world = inner.world.as_ref().expect("world ensured above");
-            let mut streams = Vec::with_capacity(world.controls.len());
-            for stream in &world.controls {
-                streams.push(stream.try_clone()?);
-            }
-            let done = Arc::clone(&done);
-            let token = cancel.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    if token.is_cancelled() {
-                        for stream in &mut streams {
-                            let _ = send_json(stream, &WorkerCommand::Cancel(epoch));
-                        }
-                        return;
-                    }
-                    std::thread::sleep(CANCEL_POLL);
-                }
-            })
-        };
-
-        let gathered = self.gather(&mut inner, epoch, job.circuit.num_qubits());
-        done.store(true, Ordering::Release);
-        canceller.join().expect("canceller thread panicked");
-
-        match gathered {
-            Ok(Gathered::Done(outcomes, summaries)) => {
-                let wall = ship_start.elapsed().as_secs_f64();
-                log::info(
-                    LOG_TARGET,
-                    "job complete",
-                    &[
-                        ("epoch", &epoch.to_string()),
-                        ("workers", &self.workers.to_string()),
-                        ("circuit", &job.circuit.name),
-                        ("wall_s", &format!("{wall:.3}")),
-                    ],
-                );
-                let (state, report) = aggregate_outcomes(
-                    job.engine.name(),
-                    "process",
-                    &job.circuit,
-                    job.num_parts(),
-                    outcomes,
-                    wall,
-                );
-                Ok((state, report, summaries))
-            }
-            Ok(Gathered::Cancelled) => {
+        match self.run_job(&mut inner.world, epoch, job, cancel) {
+            Err(NetError::Cancelled) => {
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 log::info(
                     LOG_TARGET,
@@ -318,10 +255,7 @@ impl WorkerPool {
                 Err(NetError::Cancelled)
             }
             Err(e) => {
-                // Crash-only: any failure mid-gather leaves the mesh state
-                // unknowable, so the whole world goes down with the job
-                // (ChildGuard's drop kills survivors). The next job
-                // respawns a fresh world at a fresh epoch.
+                // Crash-only: ChildGuard's drop kills the survivors.
                 self.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
                 inner.world = None;
                 log::error(
@@ -331,14 +265,93 @@ impl WorkerPool {
                 );
                 Err(e)
             }
+            done => done,
         }
     }
 
-    /// Spawn the worker processes and run the rendezvous, leaving a fresh
-    /// resident [`World`] in `inner`. The elapsed launch time is accounted
-    /// in [`WorkerPool::metrics`] — deliberately *not* in any job's wall
-    /// time (jobs are timed ship-to-gather only).
-    fn spawn_world(&self, inner: &mut PoolInner, network: NetworkModel) -> Result<(), NetError> {
+    /// Everything one job does between taking the lock and its outcome:
+    /// ensure a world, ship the `Run` frames, gather under the canceller,
+    /// aggregate. Every error leaves through the one match in
+    /// [`WorkerPool::execute`].
+    fn run_job(
+        &self,
+        world: &mut Option<World>,
+        epoch: u64,
+        job: &ShippedJob,
+        cancel: &CancelToken,
+    ) -> Result<(StateVector, RunReport), NetError> {
+        if world.is_some() {
+            self.metrics
+                .jobs_reused_world
+                .fetch_add(1, Ordering::Relaxed);
+        } else {
+            *world = Some(self.spawn_world(epoch)?);
+        }
+        let world = world.as_mut().expect("world ensured above");
+
+        // Ship the job (plan partitions + circuit; workers re-fuse
+        // locally, or answer from their warm plan cache).
+        let ship_start = Instant::now();
+        {
+            let _ship = hisvsim_obs::span("cluster", "ship");
+            let run = WorkerCommand::Run(epoch, job.clone());
+            for stream in &mut world.controls {
+                send_json(stream, &run)?;
+            }
+        }
+
+        // The canceller: polls the token, and once it fires ships one
+        // `Cancel { epoch }` frame per rank on cloned control handles.
+        // Spawned strictly after the `Run` frames, so TCP ordering
+        // guarantees no worker can see the cancel before its job.
+        let mut streams = Vec::with_capacity(world.controls.len());
+        for stream in &world.controls {
+            streams.push(stream.try_clone()?);
+        }
+        let done = AtomicBool::new(false);
+        let outcomes = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    if cancel.is_cancelled() {
+                        for stream in &mut streams {
+                            let _ = send_json(stream, &WorkerCommand::Cancel(epoch));
+                        }
+                        return;
+                    }
+                    std::thread::sleep(CANCEL_POLL);
+                }
+            });
+            let gathered = world.gather(epoch, job.circuit.num_qubits());
+            done.store(true, Ordering::Release);
+            gathered
+        })?;
+
+        let wall = ship_start.elapsed().as_secs_f64();
+        log::info(
+            LOG_TARGET,
+            "job complete",
+            &[
+                ("epoch", &epoch.to_string()),
+                ("workers", &self.workers.to_string()),
+                ("circuit", &job.circuit.name),
+                ("wall_s", &format!("{wall:.3}")),
+            ],
+        );
+        Ok(aggregate_outcomes(
+            job.engine_name(),
+            "process",
+            &job.circuit,
+            job.num_parts(),
+            outcomes,
+            wall,
+        ))
+    }
+
+    /// Spawn the worker processes and run the rendezvous, returning a fresh
+    /// resident [`World`] whose first `Run` carries `epoch`. The elapsed
+    /// launch time is accounted in [`WorkerPool::metrics`] — deliberately
+    /// *not* in any job's wall time (jobs are timed ship-to-gather only).
+    fn spawn_world(&self, epoch: u64) -> Result<World, NetError> {
         let launch_start = Instant::now();
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let control_addr = listener.local_addr()?.to_string();
@@ -348,7 +361,7 @@ impl WorkerPool {
             &[
                 ("workers", &self.workers.to_string()),
                 ("control", &control_addr),
-                ("base_epoch", &inner.next_epoch.to_string()),
+                ("base_epoch", &epoch.to_string()),
             ],
         );
         let mut guard = ChildGuard::new();
@@ -396,8 +409,8 @@ impl WorkerPool {
                     rank,
                     size: self.workers,
                     peers: peers.clone(),
-                    network,
-                    epoch: inner.next_epoch,
+                    network: self.network,
+                    epoch,
                 },
             )?;
         }
@@ -416,30 +429,56 @@ impl WorkerPool {
                 ("launch_s", &format!("{launch_s:.3}")),
             ],
         );
-        inner.world = Some(World {
+        Ok(World {
             guard,
             controls: controls.into_iter().map(|(stream, _)| stream).collect(),
-            network,
-        });
-        Ok(())
+        })
     }
 
+    /// Tear the resident world down cleanly: ship every rank a `Shutdown`
+    /// frame, give them [`SHUTDOWN_GRACE`] to exit, then kill any
+    /// stragglers. Idempotent; the next job after a shutdown simply
+    /// respawns the world.
+    pub fn shutdown(&self) {
+        let Ok(mut inner) = self.inner.lock() else {
+            return;
+        };
+        let Some(mut world) = inner.world.take() else {
+            return;
+        };
+        log::info(
+            LOG_TARGET,
+            "shutting worker world down",
+            &[("workers", &world.controls.len().to_string())],
+        );
+        for stream in &mut world.controls {
+            let _ = send_json(stream, &WorkerCommand::Shutdown);
+        }
+        if !world
+            .guard
+            .wait_all_with_deadline(Instant::now() + SHUTDOWN_GRACE)
+        {
+            log::warn(LOG_TARGET, "workers ignored shutdown; killing them", &[]);
+        }
+        // ChildGuard::drop reaps (and kills, if needed) the children.
+    }
+}
+
+impl World {
     /// Gather per-rank reports (and, on success, identity-layout slices of an
-    /// `n`-qubit state, read into buffers from the pool). Before each
-    /// blocking read, wait for readability while polling worker liveness — a
-    /// crashed worker fails the gather promptly instead of wedging the pool
-    /// on a stream that will never produce bytes.
-    fn gather(&self, inner: &mut PoolInner, epoch: u64, n: usize) -> Result<Gathered, NetError> {
+    /// `n`-qubit state, read into buffers from the pool); a unanimous cancel
+    /// is [`NetError::Cancelled`]. Before each blocking read, wait for
+    /// readability while polling worker liveness — a crashed worker fails
+    /// the gather promptly instead of wedging the pool on a stream that will
+    /// never produce bytes.
+    fn gather(&mut self, epoch: u64, n: usize) -> Result<Vec<RankOutcome>, NetError> {
         let _gather = hisvsim_obs::span("cluster", "gather");
-        let amp_count = 1 << n.saturating_sub(self.workers.trailing_zeros() as usize);
-        let World {
-            guard, controls, ..
-        } = inner.world.as_mut().expect("world ensured by caller");
-        let mut outcomes = Vec::with_capacity(controls.len());
-        let mut summaries = Vec::with_capacity(controls.len());
+        let ranks = self.controls.len();
+        let amp_count = 1 << n.saturating_sub(ranks.trailing_zeros() as usize);
+        let mut outcomes = Vec::with_capacity(ranks);
         let mut cancelled_ranks = 0usize;
-        for (rank, stream) in controls.iter_mut().enumerate() {
-            await_readable(stream, guard)?;
+        for (rank, stream) in self.controls.iter_mut().enumerate() {
+            await_readable(stream, &mut self.guard)?;
             let report: RankReport = recv_json(stream)?;
             if report.rank != rank {
                 return Err(NetError::Protocol(format!(
@@ -493,14 +532,11 @@ impl WorkerPool {
                     ("amps", &report.amp_count.to_string()),
                     ("exchanges", &report.exchanges.to_string()),
                     ("compute_s", &format!("{:.3}", report.compute_time_s)),
+                    ("comm_wall_s", &format!("{:.3}", report.comm.wall_time_s)),
+                    ("bytes_sent", &report.comm.bytes_sent.to_string()),
+                    ("messages_sent", &report.comm.messages_sent.to_string()),
                 ],
             );
-            summaries.push(RankSummary {
-                rank,
-                compute_time_s: report.compute_time_s,
-                comm: report.comm,
-                exchanges: report.exchanges,
-            });
             outcomes.push(RankOutcome {
                 rank,
                 compute_time_s: report.compute_time_s,
@@ -509,46 +545,15 @@ impl WorkerPool {
                 local,
             });
         }
-        if cancelled_ranks == controls.len() {
-            return Ok(Gathered::Cancelled);
-        }
-        if cancelled_ranks > 0 {
+        match cancelled_ranks {
+            0 => Ok(outcomes),
+            all if all == ranks => Err(NetError::Cancelled),
             // The cancel vote guarantees unanimity; a split means the
             // protocol was violated somewhere.
-            return Err(NetError::Protocol(format!(
-                "{cancelled_ranks}/{} ranks cancelled while the rest completed",
-                controls.len()
-            )));
+            some => Err(NetError::Protocol(format!(
+                "{some}/{ranks} ranks cancelled while the rest completed"
+            ))),
         }
-        Ok(Gathered::Done(outcomes, summaries))
-    }
-
-    /// Tear the resident world down cleanly: ship every rank a `Shutdown`
-    /// frame, give them [`SHUTDOWN_GRACE`] to exit, then kill any
-    /// stragglers. Idempotent; the next job after a shutdown simply
-    /// respawns the world.
-    pub fn shutdown(&self) {
-        let Ok(mut inner) = self.inner.lock() else {
-            return;
-        };
-        let Some(mut world) = inner.world.take() else {
-            return;
-        };
-        log::info(
-            LOG_TARGET,
-            "shutting worker world down",
-            &[("workers", &world.controls.len().to_string())],
-        );
-        for stream in &mut world.controls {
-            let _ = send_json(stream, &WorkerCommand::Shutdown);
-        }
-        if !world
-            .guard
-            .wait_all_with_deadline(Instant::now() + SHUTDOWN_GRACE)
-        {
-            log::warn(LOG_TARGET, "workers ignored shutdown; killing them", &[]);
-        }
-        // ChildGuard::drop reaps (and kills, if needed) the children.
     }
 }
 
@@ -569,20 +574,15 @@ impl ProcessBackend for WorkerPool {
         cancel: &CancelToken,
     ) -> Result<(StateVector, RunReport), ProcessError> {
         let job = ShippedJob {
-            engine: request.engine,
             circuit: request.circuit.clone(),
             dispatch: request.dispatch,
             plan: request.plan,
             trace: hisvsim_obs::enabled(),
         };
-        match self.execute_detailed_cancellable(&job, request.network, cancel) {
-            Ok((state, mut report, _)) => {
-                report.engine = request.engine.name().to_string();
-                Ok((state, report))
-            }
-            Err(NetError::Cancelled) => Err(ProcessError::Cancelled),
-            Err(e) => Err(ProcessError::Failed(e.to_string())),
-        }
+        WorkerPool::execute(self, &job, cancel).map_err(|e| match e {
+            NetError::Cancelled => ProcessError::Cancelled,
+            e => ProcessError::Failed(e.to_string()),
+        })
     }
 
     fn shutdown(&self) {
@@ -592,6 +592,139 @@ impl ProcessBackend for WorkerPool {
     fn pool_stats(&self) -> Option<ProcessPoolStats> {
         Some(self.metrics())
     }
+}
+
+/// Kills any still-running children on drop, so a failed launch (or a
+/// dropped pool) never leaves orphan workers behind.
+struct ChildGuard {
+    children: Vec<(usize, Child)>,
+}
+
+impl ChildGuard {
+    fn new() -> Self {
+        Self {
+            children: Vec::new(),
+        }
+    }
+
+    /// A worker that already exited with failure, if any (non-blocking).
+    fn any_failed(&mut self) -> Option<String> {
+        for (rank, child) in &mut self.children {
+            if let Ok(Some(status)) = child.try_wait() {
+                if !status.success() {
+                    return Some(format!("worker rank {rank} exited with {status}"));
+                }
+            }
+        }
+        None
+    }
+
+    /// The operating-system process ids of the live children (for tests
+    /// that kill a worker mid-job).
+    fn pids(&self) -> Vec<u32> {
+        self.children.iter().map(|(_, child)| child.id()).collect()
+    }
+
+    /// Poll until every child has exited (any status) or the deadline
+    /// passes; returns whether all exited. Leftovers are killed by drop.
+    fn wait_all_with_deadline(&mut self, deadline: Instant) -> bool {
+        loop {
+            let all_done = self
+                .children
+                .iter_mut()
+                .all(|(_, child)| matches!(child.try_wait(), Ok(Some(_))));
+            if all_done {
+                return true;
+            }
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+}
+
+impl Drop for ChildGuard {
+    fn drop(&mut self) {
+        for (_, child) in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Block until `stream` has readable bytes (or EOF), polling worker
+/// liveness every half second so a crashed worker turns into a prompt
+/// [`NetError::Worker`] instead of an indefinite blocking read. `peek`
+/// consumes nothing, so the frame reader's byte accounting is untouched.
+/// A worker that is alive but wedged still blocks — the launch-level
+/// `timeout` guard in CI (and the transport's deadlock-free collectives)
+/// are the lines of defence there.
+fn await_readable(stream: &TcpStream, guard: &mut ChildGuard) -> Result<(), NetError> {
+    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    let mut probe = [0u8; 1];
+    let result = loop {
+        match stream.peek(&mut probe) {
+            // Readable data or EOF: hand off to the real reader (EOF
+            // surfaces there as UnexpectedEof with the rank attached).
+            Ok(_) => break Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if let Some(failure) = guard.any_failed() {
+                    log::error(
+                        LOG_TARGET,
+                        "worker died during gather",
+                        &[("error", &failure)],
+                    );
+                    break Err(NetError::Worker(failure));
+                }
+            }
+            Err(e) => break Err(e.into()),
+        }
+    };
+    stream.set_read_timeout(None)?;
+    result
+}
+
+/// Accept one connection, polling so a crashed worker fails the launch
+/// promptly instead of hanging the accept loop forever.
+fn accept_with_deadline(
+    listener: &TcpListener,
+    deadline: Instant,
+    guard: &mut ChildGuard,
+) -> Result<TcpStream, NetError> {
+    listener.set_nonblocking(true)?;
+    let result = loop {
+        match listener.accept() {
+            Ok((stream, _)) => break Ok(stream),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if let Some(failure) = guard.any_failed() {
+                    log::error(
+                        LOG_TARGET,
+                        "worker died during rendezvous",
+                        &[("error", &failure)],
+                    );
+                    break Err(NetError::Worker(failure));
+                }
+                if Instant::now() > deadline {
+                    log::error(LOG_TARGET, "rendezvous timed out", &[]);
+                    break Err(NetError::Protocol(
+                        "timed out waiting for workers to check in".to_string(),
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => break Err(e.into()),
+        }
+    };
+    listener.set_nonblocking(false)?;
+    let stream = result?;
+    stream.set_nonblocking(false)?;
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -618,23 +751,17 @@ mod tests {
     fn gather_from(
         worker: impl FnOnce(&mut TcpStream),
         qubits: usize,
-    ) -> Result<Gathered, NetError> {
+    ) -> Result<Vec<RankOutcome>, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
         let mut stream =
             TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
         let (control, _) = listener.accept().expect("accept");
         worker(&mut stream);
-        let pool = WorkerPool::with_worker_binary(1, PathBuf::from("unused"));
-        let world = World {
+        let mut world = World {
             guard: ChildGuard::new(),
             controls: vec![control],
-            network: NetworkModel::ideal(),
         };
-        let mut inner = PoolInner {
-            world: Some(world),
-            next_epoch: 8,
-        };
-        pool.gather(&mut inner, 7, qubits)
+        world.gather(7, qubits)
     }
 
     #[test]
@@ -647,7 +774,7 @@ mod tests {
             },
             10,
         );
-        let Ok(Gathered::Done(outcomes, _)) = honest else {
+        let Ok(outcomes) = honest else {
             panic!("an honest report is gathered");
         };
         assert_eq!(outcomes[0].local, amps);

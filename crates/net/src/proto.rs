@@ -18,50 +18,48 @@
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::{CommStats, NetworkModel};
 use hisvsim_obs::SpanRecord;
-use hisvsim_runtime::{EngineKind, KernelDispatch, PersistedPlan};
+use hisvsim_runtime::{KernelDispatch, PersistedPlan};
 use serde::{Deserialize, Serialize};
 
 /// Tag of the raw amplitude-slice frame a worker sends after its report.
 pub const AMPS_TAG: u64 = 0x414D_5053_0000_0001;
 
-/// The job a launcher ships to every worker: engine choice, the circuit,
-/// and the partition plan in its wire shape (`None` for the unpartitioned
-/// baseline engine, which derives its own schedule from the circuit). Every
-/// worker re-fuses the partition at
-/// [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]: fusion is deterministic, so
-/// every rank derives the identical fused schedule independently, and the
-/// fused matrices never travel.
+/// The job the pool ships to every worker: the circuit and the partition
+/// plan in its wire shape — exactly what decides the result. Every worker
+/// re-fuses the partition at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]:
+/// fusion is deterministic, so every rank derives the identical fused
+/// schedule independently, and the fused matrices never travel. The plan's
+/// shape and the world size alone decide the steps of the one rank body.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShippedJob {
-    /// The engine the job runs: [`EngineKind::Baseline`] runs the
-    /// baseline's own rank body, every other engine the one rank body, whose
-    /// steps follow from the shipped plan's shape and the world size alone —
-    /// beyond that the engine only names the report.
-    pub engine: EngineKind,
     /// The circuit to simulate.
     pub circuit: Circuit,
-    /// Kernel dispatch every rank applies to its local sweeps. The launcher
-    /// and workers are the same binary, so this wire-shape change never
-    /// meets an older peer.
+    /// Kernel dispatch every rank applies to its local sweeps.
     pub dispatch: KernelDispatch,
     /// The partition to execute ([`PersistedPlan::Single`] for hier/dist,
-    /// [`PersistedPlan::Two`] for multilevel, `None` for baseline).
-    pub plan: Option<PersistedPlan>,
+    /// [`PersistedPlan::Two`] for multilevel).
+    pub plan: PersistedPlan,
     /// When true, workers enable their span recorder and ship the buffered
-    /// spans back in [`RankReport::spans`], so the launcher can merge every
-    /// rank into one timeline. (The launcher and workers are the same
-    /// binary, so this wire-shape change never meets an older peer.)
+    /// spans back in [`RankReport::spans`], so the pool can merge every
+    /// rank into one timeline.
     pub trace: bool,
 }
 
 impl ShippedJob {
-    /// Number of (first-level) parts the shipped plan executes (1 for the
-    /// unpartitioned baseline).
+    /// Number of (first-level) parts the shipped plan executes.
     pub fn num_parts(&self) -> usize {
         match &self.plan {
-            Some(PersistedPlan::Single(partition)) => partition.num_parts(),
-            Some(PersistedPlan::Two(ml)) => ml.num_first_level_parts(),
-            None => 1,
+            PersistedPlan::Single(partition) => partition.num_parts(),
+            PersistedPlan::Two(ml) => ml.num_first_level_parts(),
+        }
+    }
+
+    /// The engine name a report of this job carries, read off the plan's
+    /// shape: a single-level plan on a multi-rank world is `dist`.
+    pub(crate) fn engine_name(&self) -> &'static str {
+        match &self.plan {
+            PersistedPlan::Single(_) => "dist",
+            PersistedPlan::Two(_) => "multilevel",
         }
     }
 }
@@ -120,9 +118,9 @@ pub enum RankStatus {
     /// All ranks agreed to cancel at a vote checkpoint; the mesh is clean
     /// and the worker stays resident. No amplitude frame follows.
     Cancelled,
-    /// The rank body failed (peer loss, protocol violation, panic); the
-    /// mesh state is undefined, the worker exits after reporting, and the
-    /// pool respawns the world. No amplitude frame follows.
+    /// The rank body failed (peer loss or a panic); the mesh state is
+    /// undefined, the worker exits after reporting, and the pool respawns
+    /// the world. No amplitude frame follows.
     Failed(String),
 }
 
@@ -146,6 +144,6 @@ pub struct RankReport {
     pub amp_count: usize,
     /// This rank's buffered trace spans (empty unless
     /// [`ShippedJob::trace`] was set). `pid`/`tid` are worker-local; the
-    /// launcher re-lanes them to `pid = rank + 1` when merging.
+    /// pool re-lanes them to `pid = rank + 1` when merging.
     pub spans: Vec<SpanRecord>,
 }

@@ -4,36 +4,38 @@
 //! pool, joins the TCP mesh **once**, then serves jobs from a persistent
 //! command loop — re-fusing each shipped partition locally (with a warm
 //! plan cache, so a repeated fingerprint re-fuses nothing), running the
-//! *same* rank bodies the in-process world runs, and streaming its
+//! *same* rank body the in-process world runs, and streaming its
 //! identity-layout slice back per job, then giving it to the process's
 //! [`buffers`] pool beside the exchange's: a warm worker's next job
 //! allocates no amplitude buffer at all. A reader thread drains
 //! [`WorkerCommand`] frames concurrently, so a `Cancel { epoch }` reaches
-//! the running job's [`CancelToken`] mid-sweep; the rank bodies observe it
-//! at their collective cancel-vote checkpoints.
+//! the running job's [`CancelToken`] mid-sweep; the rank body observes it
+//! at its collective cancel-vote checkpoints. The module also holds the
+//! in-process reference executor, which runs that body on threads.
 
-use crate::launcher::NetError;
+use crate::pool::NetError;
 use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
 use crate::tcp::{PeerLost, TcpComm};
 use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
-use hisvsim_cluster::RankComm;
+use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_core::{
-    buffers, run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled,
-    ExecControl, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
+    aggregate_outcomes, buffers, run_plan_rank, CancelToken, Cancelled, ExecControl,
+    FusedSinglePlan, FusedTwoLevelPlan, RankOutcome, RunReport,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
-use hisvsim_runtime::{CachedPlan, EngineKind, PersistedPlan};
-use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
+use hisvsim_runtime::{CachedPlan, PersistedPlan};
+use hisvsim_statevec::{StateVector, DEFAULT_FUSION_WIDTH};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 const LOG_TARGET: &str = "hisvsim-net::worker";
 
@@ -43,7 +45,7 @@ const LOG_TARGET: &str = "hisvsim-net::worker";
 /// deterministic, which makes a cache hit bit-identical to a rebuild — reuse
 /// changes *when* work happens, never what it produces. Bounded FIFO, sized
 /// for parameter-sweep batches.
-pub struct WorkerPlanCache {
+pub(crate) struct WorkerPlanCache {
     plans: HashMap<u64, CachedPlan>,
     order: VecDeque<u64>,
     capacity: usize,
@@ -98,58 +100,60 @@ fn plan_key(job: &ShippedJob) -> u64 {
     hasher.finish()
 }
 
-/// Execute one rank of a shipped job on any [`RankComm`] world. This is the
-/// single dispatch point shared by worker processes (over
-/// [`TcpComm`]) and the in-process reference executor (over
-/// [`LocalComm`](hisvsim_cluster::LocalComm)) — which is what makes the two
-/// runs bit-identical by construction. Runs the rank bodies with an
-/// inert token.
-pub fn execute_shipped_rank<C: RankComm<Complex64>>(
-    job: &ShippedJob,
-    comm: &mut C,
-) -> Result<RankOutcome, NetError> {
-    let mut plans = WorkerPlanCache::new(1);
-    execute_shipped_rank_controlled(job, comm, &CancelToken::new(), &mut plans)
-}
-
-/// [`execute_shipped_rank`] with the resident-worker machinery threaded
-/// through: a [`CancelToken`] the rank bodies vote on at their cooperative
-/// checkpoints (all ranks stop together or not at all), and a warm
-/// [`WorkerPlanCache`] so a repeated fingerprint re-fuses nothing.
-pub fn execute_shipped_rank_controlled<C: RankComm<Complex64>>(
+/// Execute one rank of a shipped job on any [`RankComm`] world: the one
+/// rank body ([`run_plan_rank`]) over the shipped plan, re-fused through
+/// `plans` (a warm [`WorkerPlanCache`] re-fuses a repeated fingerprint not
+/// at all), voting on `cancel` at its checkpoints — all ranks stop together
+/// or not at all. Worker processes run it over [`TcpComm`] and
+/// [`execute_local_reference`] over
+/// [`LocalComm`](hisvsim_cluster::LocalComm), which is what makes the two
+/// runs bit-identical by construction.
+pub(crate) fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
     comm: &mut C,
     cancel: &CancelToken,
     plans: &mut WorkerPlanCache,
-) -> Result<RankOutcome, NetError> {
-    let dispatch = job.dispatch;
-    let control = &ExecControl::new().with_cancel(cancel.clone());
-    let cancelled = |_: Cancelled| NetError::Cancelled;
-    if job.engine == EngineKind::Baseline {
-        // Baseline ships no plan: the schedule is derived here, once per
-        // job, from the circuit and the world size.
-        let schedule = BaselineSchedule::build(&job.circuit, comm.size());
-        return run_baseline_rank(comm, &schedule, dispatch, control).map_err(cancelled);
-    }
-    let Some(shipped) = &job.plan else {
-        return Err(NetError::Protocol(format!(
-            "engine {} needs a plan, got none",
-            job.engine
-        )));
-    };
-    // The plan's shape, not the engine, decides the steps.
-    let plan = plans.get_or_build(plan_key(job), || fuse_shipped(job, shipped));
+) -> Result<RankOutcome, Cancelled> {
+    let plan = plans.get_or_build(plan_key(job), || fuse_shipped(job));
+    let control = ExecControl::new().with_cancel(cancel.clone());
     let qubits = job.circuit.num_qubits();
-    run_plan_rank(comm, qubits, plan.fused(), dispatch, control).map_err(cancelled)
+    run_plan_rank(comm, qubits, plan.fused(), job.dispatch, &control)
+}
+
+/// Execute a [`ShippedJob`] on the *in-process* channel world — the
+/// reference a process run is compared against. Runs the identical rank
+/// body (`execute_shipped_rank`) over
+/// [`LocalComm`](hisvsim_cluster::LocalComm) under an inert token, so the
+/// two runs are bit-identical whenever the transport moves bytes faithfully.
+pub fn execute_local_reference(
+    job: &ShippedJob,
+    ranks: usize,
+    network: NetworkModel,
+) -> (StateVector, RunReport) {
+    let start = Instant::now();
+    let outcomes = run_spmd::<Complex64, RankOutcome, _>(ranks, network, |mut comm| {
+        let mut plans = WorkerPlanCache::new(1);
+        execute_shipped_rank(job, &mut comm, &CancelToken::new(), &mut plans)
+            .expect("an inert token never cancels")
+    });
+    let wall = start.elapsed().as_secs_f64();
+    aggregate_outcomes(
+        job.engine_name(),
+        "process",
+        &job.circuit,
+        job.num_parts(),
+        outcomes,
+        wall,
+    )
 }
 
 /// Re-fuse a shipped partition (a plan-cache miss), under a `fuse` span.
-fn fuse_shipped(job: &ShippedJob, shipped: &PersistedPlan) -> CachedPlan {
+fn fuse_shipped(job: &ShippedJob) -> CachedPlan {
     let gates = job.circuit.num_gates();
     let _fuse = hisvsim_obs::span("job", "fuse")
         .detail(format!("{gates} gates, width {DEFAULT_FUSION_WIDTH}"));
     let (circuit, dag) = (&job.circuit, CircuitDag::from_circuit(&job.circuit));
-    match shipped {
+    match &job.plan {
         PersistedPlan::Single(partition) => {
             let plan = FusedSinglePlan::new(circuit, &dag, partition.clone());
             CachedPlan::Single(Arc::new(plan))
@@ -253,7 +257,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         comm.reset_stats();
         comm.begin_job();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_shipped_rank_controlled(&job, &mut comm, &token, &mut plans)
+            execute_shipped_rank(&job, &mut comm, &token, &mut plans)
         }));
         cancels.lock().expect("cancel map poisoned").remove(&epoch);
         let (cache_hits, cache_misses) = plans.stats();
@@ -292,7 +296,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                 write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&outcome.local))?;
                 buffers::give(outcome.local);
             }
-            Ok(Err(NetError::Cancelled)) => {
+            Ok(Err(Cancelled)) => {
                 log::debug(
                     LOG_TARGET,
                     "job cancelled at a vote checkpoint",
@@ -314,15 +318,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         spans: Vec::new(),
                     },
                 )?;
-            }
-            Ok(Err(e)) => {
-                // A protocol-level failure (bad plan shape): the job
-                // cannot run, and whether the mesh was touched is
-                // unknowable from here — report and exit, letting the
-                // pool respawn the world.
-                let message = e.to_string();
-                let _ = report_failure(&mut control, rank, epoch, &comm, &message);
-                return Err(NetError::Worker(message));
             }
             Err(payload) => {
                 // Peer loss or a rank-body panic mid-collective: the mesh

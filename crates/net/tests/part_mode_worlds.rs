@@ -7,10 +7,11 @@
 
 use hisvsim_circuit::generators;
 use hisvsim_cluster::NetworkModel;
+use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::MultilevelPartitioner;
-use hisvsim_runtime::{EngineKind, PersistedPlan};
+use hisvsim_runtime::PersistedPlan;
 use std::path::PathBuf;
 
 /// The `part` spans recorded since the last drain, as sorted details.
@@ -34,10 +35,9 @@ fn thread_and_process_worlds_decide_every_part_alike() {
         .partition(&dag, 18, 12)
         .expect("qaoa partitions at these limits");
     let job = ShippedJob {
-        engine: EngineKind::Multilevel,
         circuit,
         dispatch: Default::default(),
-        plan: Some(PersistedPlan::Two(ml)),
+        plan: PersistedPlan::Two(ml),
         trace: true,
     };
     let pool =
@@ -45,10 +45,11 @@ fn thread_and_process_worlds_decide_every_part_alike() {
 
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
-    let (threads_state, _) =
-        execute_local_reference(&job, workers, NetworkModel::ideal()).expect("thread world runs");
+    let (threads_state, _) = execute_local_reference(&job, workers, NetworkModel::ideal());
     let on_threads = drained_parts();
-    let (processes_state, _) = pool.execute(&job).expect("process world runs");
+    let (processes_state, _) = pool
+        .execute(&job, &CancelToken::new())
+        .expect("process world runs");
     let on_processes = drained_parts();
     hisvsim_obs::set_enabled(false);
 

@@ -4,46 +4,59 @@
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_cluster::NetworkModel;
+use hisvsim_core::{CancelToken, RunReport};
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_runtime::{
-    Backend, EngineKind, EngineSelector, PersistedPlan, Scheduler, SchedulerConfig, SimJob,
+    Backend, EngineKind, EngineSelector, JobControl, JobError, JobRunner, PersistedPlan, Scheduler,
+    SchedulerConfig, Semaphore, SimJob,
 };
 use hisvsim_service::{ServiceConfig, SimService};
-use hisvsim_statevec::run_circuit;
+use hisvsim_statevec::{run_circuit, StateVector};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn launcher(workers: usize) -> WorkerPool {
     WorkerPool::with_worker_binary(workers, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")))
-        .with_network(NetworkModel::hdr100())
 }
 
-fn single_level_job(engine: EngineKind, qubits: usize, workers: usize) -> ShippedJob {
-    single_level_job_of(engine, generators::qft(qubits), workers)
+fn single_level_job(qubits: usize, workers: usize) -> ShippedJob {
+    single_level_job_of(generators::qft(qubits), workers)
 }
 
-fn single_level_job_of(engine: EngineKind, circuit: Circuit, workers: usize) -> ShippedJob {
+fn single_level_job_of(circuit: Circuit, workers: usize) -> ShippedJob {
     let dag = CircuitDag::from_circuit(&circuit);
     let local = circuit.num_qubits() - workers.trailing_zeros() as usize;
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
     ShippedJob {
-        engine,
         circuit,
         dispatch: Default::default(),
-        plan: Some(PersistedPlan::Single(partition)),
+        plan: PersistedPlan::Single(partition),
         trace: false,
     }
+}
+
+/// Run `job` on a fresh `workers`-process pool under an inert token.
+fn run_on_processes(job: &ShippedJob, workers: usize) -> (StateVector, RunReport) {
+    launcher(workers).execute(job, &CancelToken::new()).unwrap()
+}
+
+/// The same job on the in-process channel world.
+fn reference(job: &ShippedJob, workers: usize) -> StateVector {
+    execute_local_reference(job, workers, NetworkModel::hdr100()).0
 }
 
 #[test]
 fn four_process_dist_run_is_bit_identical_to_in_process() {
     let workers = 4;
-    let job = single_level_job(EngineKind::Dist, 12, workers);
-    let (state, report) = launcher(workers).execute(&job).unwrap();
-    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference, "process run must be bit-identical");
+    let job = single_level_job(12, workers);
+    let (state, report) = run_on_processes(&job, workers);
+    assert_eq!(
+        state,
+        reference(&job, workers),
+        "process run must be bit-identical"
+    );
     assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
     assert_eq!(report.num_ranks, workers);
     assert!(report.comm.bytes_sent > 0, "4 ranks must exchange state");
@@ -53,33 +66,20 @@ fn four_process_dist_run_is_bit_identical_to_in_process() {
     );
 }
 
+/// A hier job's single-level plan ships like a dist one: on a world of
+/// several processes it runs one step per part.
 #[test]
 fn four_process_hier_plan_is_bit_identical_to_in_process() {
     let workers = 4;
-    let job = single_level_job(EngineKind::Hier, 11, workers);
-    let (state, _) = launcher(workers).execute(&job).unwrap();
-    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference);
+    let job = single_level_job(11, workers);
+    let (state, _) = run_on_processes(&job, workers);
+    assert_eq!(state, reference(&job, workers));
     assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
 }
 
 #[test]
-fn process_baseline_and_multilevel_match_the_flat_simulator() {
+fn process_multilevel_matches_the_flat_simulator() {
     let workers = 2;
-    // Baseline ships no plan; workers derive the static-mapping schedule.
-    let baseline = ShippedJob {
-        engine: EngineKind::Baseline,
-        circuit: generators::by_name("ising", 9),
-        dispatch: Default::default(),
-        plan: None,
-        trace: false,
-    };
-    let (state, _) = launcher(workers).execute(&baseline).unwrap();
-    let (reference, _) =
-        execute_local_reference(&baseline, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference);
-    assert!(state.approx_eq(&run_circuit(&baseline.circuit), 1e-9));
-
     // Multilevel ships a two-level partition.
     let circuit = generators::by_name("qaoa", 9);
     let dag = CircuitDag::from_circuit(&circuit);
@@ -87,15 +87,13 @@ fn process_baseline_and_multilevel_match_the_flat_simulator() {
         .partition(&dag, 8, 3)
         .unwrap();
     let job = ShippedJob {
-        engine: EngineKind::Multilevel,
         circuit,
         dispatch: Default::default(),
-        plan: Some(PersistedPlan::Two(ml)),
+        plan: PersistedPlan::Two(ml),
         trace: false,
     };
-    let (state, _) = launcher(workers).execute(&job).unwrap();
-    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference);
+    let (state, _) = run_on_processes(&job, workers);
+    assert_eq!(state, reference(&job, workers));
     assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
 }
 
@@ -106,15 +104,11 @@ fn shipped_dag_strategy_runs_bit_identical_across_transports() {
     // run of the same job must agree bit for bit — here on a deep random
     // circuit, where the grouping reorders gates far across program order.
     let workers = 4;
-    let job = single_level_job_of(
-        EngineKind::Dist,
-        generators::random_circuit(11, 200, 0xD1FF),
-        workers,
-    );
-    let (state, _) = launcher(workers).execute(&job).unwrap();
-    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100()).unwrap();
+    let job = single_level_job_of(generators::random_circuit(11, 200, 0xD1FF), workers);
+    let (state, _) = run_on_processes(&job, workers);
     assert_eq!(
-        state, reference,
+        state,
+        reference(&job, workers),
         "process run must be bit-identical to the local world"
     );
     assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
@@ -189,15 +183,36 @@ fn too_small_circuit_is_rejected_before_any_worker_launches() {
 }
 
 #[test]
+fn forced_baseline_process_job_is_rejected_before_any_worker_launches() {
+    // The workers run the one rank body over a shipped plan; the flat
+    // baseline takes none, so the runner refuses it before the pool spawns.
+    let pool = Arc::new(launcher(2));
+    let runner = JobRunner::new(
+        SchedulerConfig::default()
+            .with_selector(EngineSelector::scaled(4, 8))
+            .with_process_backend(Arc::clone(&pool) as _),
+    );
+    let job = SimJob::new(generators::by_name("ising", 9))
+        .with_engine(EngineKind::Baseline)
+        .with_backend(Backend::Process);
+    let err = runner
+        .execute_job(0, job, &Semaphore::new(1), &JobControl::new())
+        .unwrap_err();
+    assert!(matches!(err, JobError::Backend { .. }), "got: {err}");
+    assert_eq!(pool.metrics().worlds_spawned, 0);
+    assert_eq!(pool.metrics().jobs_run, 0);
+}
+
+#[test]
 #[cfg(unix)]
 fn crashed_worker_fails_the_launch_instead_of_hanging() {
     // A "worker binary" that exits immediately: the launcher must surface
     // a Worker error promptly (liveness polling), not block in accept.
     let bad = WorkerPool::with_worker_binary(2, PathBuf::from("/bin/false"))
         .with_network(NetworkModel::ideal());
-    let job = single_level_job(EngineKind::Dist, 8, 2);
+    let job = single_level_job(8, 2);
     let start = std::time::Instant::now();
-    let err = bad.execute(&job).unwrap_err();
+    let err = bad.execute(&job, &CancelToken::new()).unwrap_err();
     assert!(
         start.elapsed() < std::time::Duration::from_secs(30),
         "launch failure took too long"

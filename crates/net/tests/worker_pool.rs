@@ -4,7 +4,7 @@
 //! (warm plan cache, per-job trace state), and crash recovery (a killed
 //! rank fails its job but leaves the pool usable).
 
-use hisvsim_circuit::generators;
+use hisvsim_circuit::{generators, Circuit};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
@@ -14,38 +14,52 @@ use hisvsim_runtime::{
     Backend, EngineKind, EngineSelector, PersistedPlan, SchedulerConfig, SimJob,
 };
 use hisvsim_service::{ServiceConfig, SimService, DEADLINE_EXCEEDED};
-use hisvsim_statevec::run_circuit;
+use hisvsim_statevec::{run_circuit, StateVector};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn pool(workers: usize) -> WorkerPool {
     WorkerPool::with_worker_binary(workers, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")))
-        .with_network(NetworkModel::hdr100())
 }
 
-fn single_level_job(engine: EngineKind, qubits: usize, workers: usize) -> ShippedJob {
-    let circuit = generators::qft(qubits);
+/// `circuit`'s dagP plan at working-set `limit`.
+fn plan_job(circuit: Circuit, limit: usize) -> ShippedJob {
     let dag = CircuitDag::from_circuit(&circuit);
-    let local = qubits - workers.trailing_zeros() as usize;
-    let partition = Strategy::DagP.partition(&dag, local).unwrap();
+    let partition = Strategy::DagP.partition(&dag, limit).unwrap();
     ShippedJob {
-        engine,
         circuit,
         dispatch: Default::default(),
-        plan: Some(PersistedPlan::Single(partition)),
+        plan: PersistedPlan::Single(partition),
         trace: false,
     }
 }
 
-fn baseline_job(name: &str, qubits: usize) -> ShippedJob {
-    ShippedJob {
-        engine: EngineKind::Baseline,
-        circuit: generators::by_name(name, qubits),
-        dispatch: Default::default(),
-        plan: None,
-        trace: false,
-    }
+/// `name(qubits)`'s plan at the widest limit a worker's slice holds.
+fn dist_job(name: &str, qubits: usize, workers: usize) -> ShippedJob {
+    plan_job(
+        generators::by_name(name, qubits),
+        qubits - workers.trailing_zeros() as usize,
+    )
+}
+
+/// A plan whose parts are a small fraction of its run each: `qft(20)` at
+/// limit 8 is 25 dagP parts, so one cancel-vote interval is ~1/25 of it,
+/// and the run (~0.2 s on 2 debug-build workers) dwarfs the fixed cancel
+/// latencies (the pool's 5 ms poll, the service's timer).
+fn heavy_job() -> ShippedJob {
+    plan_job(generators::qft(20), 8)
+}
+
+/// Run `job` on the pool under an inert token.
+fn run(pool: &WorkerPool, job: &ShippedJob) -> Result<StateVector, NetError> {
+    pool.execute(job, &CancelToken::new())
+        .map(|(state, _)| state)
+}
+
+/// The same job on the in-process channel world.
+fn reference(job: &ShippedJob, workers: usize) -> StateVector {
+    execute_local_reference(job, workers, NetworkModel::hdr100()).0
 }
 
 /// The headline reuse guarantee: a batch of jobs runs on ONE worker world
@@ -58,20 +72,20 @@ fn eight_job_batch_reuses_one_world_and_stays_bit_identical() {
     let workers = 4;
     let pool = pool(workers);
     let jobs = [
-        single_level_job(EngineKind::Dist, 12, workers),
-        single_level_job(EngineKind::Hier, 11, workers),
-        single_level_job(EngineKind::Dist, 12, workers), // repeat fingerprint
-        baseline_job("ising", 10),
-        single_level_job(EngineKind::Dist, 10, workers),
-        single_level_job(EngineKind::Hier, 11, workers), // repeat fingerprint
-        baseline_job("qaoa", 10),
-        single_level_job(EngineKind::Dist, 12, workers), // repeat fingerprint
+        dist_job("qft", 12, workers),
+        dist_job("qft", 11, workers),
+        dist_job("qft", 12, workers), // repeat fingerprint
+        dist_job("ising", 10, workers),
+        dist_job("qft", 10, workers),
+        dist_job("qft", 11, workers), // repeat fingerprint
+        dist_job("qaoa", 10, workers),
+        dist_job("qft", 12, workers), // repeat fingerprint
     ];
     for (index, job) in jobs.iter().enumerate() {
-        let (state, report) = pool.execute(job).unwrap();
-        let (reference, _) = execute_local_reference(job, workers, NetworkModel::hdr100()).unwrap();
+        let (state, report) = pool.execute(job, &CancelToken::new()).unwrap();
         assert_eq!(
-            state, reference,
+            state,
+            reference(job, workers),
             "job {index} on the resident world must be bit-identical to a fresh launch"
         );
         assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
@@ -97,16 +111,13 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
     let workers = 2;
     let pool = pool(workers);
     // Heavy enough to make mid-sweep timing meaningful on both debug and
-    // release builds; the baseline engine votes before every step, so the
-    // cancel latency bound is one step — a small fraction of the run for a
-    // circuit that comes back to the rank qubit layer after layer (a QFT
-    // touches it first and then is one long local step, which only looked
-    // like many while its two exchanges took most of the run).
-    let heavy = baseline_job("ising", 18);
+    // release builds; the rank body votes before every part, so the cancel
+    // latency bound is one part — a small fraction of the run.
+    let heavy = heavy_job();
 
     // Warm the world up and measure the uncancelled wall.
     let uncancelled_start = Instant::now();
-    pool.execute(&heavy).unwrap();
+    run(&pool, &heavy).unwrap();
     let uncancelled = uncancelled_start.elapsed();
 
     // Same job again, cancelling from another thread mid-sweep.
@@ -120,9 +131,7 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
         })
     };
     let cancelled_start = Instant::now();
-    let err = pool
-        .execute_detailed_cancellable(&heavy, NetworkModel::hdr100(), &cancel)
-        .unwrap_err();
+    let err = pool.execute(&heavy, &cancel).unwrap_err();
     let elapsed = cancelled_start.elapsed();
     firer.join().unwrap();
     assert!(matches!(err, NetError::Cancelled), "got: {err}");
@@ -145,23 +154,21 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
 
     // The world is genuinely usable afterwards: the next job reuses it and
     // still matches the reference bit for bit.
-    let small = single_level_job(EngineKind::Dist, 11, workers);
-    let (state, _) = pool.execute(&small).unwrap();
-    let (reference, _) = execute_local_reference(&small, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference);
+    let small = dist_job("qft", 11, workers);
+    assert_eq!(run(&pool, &small).unwrap(), reference(&small, workers));
     assert_eq!(pool.metrics().worlds_spawned, 1);
 }
 
-/// An inert token must cost nothing observable: `execute` (which runs
-/// under a token nobody fires) cancels nothing and completes normally —
-/// guarding against the canceller thread misfiring.
+/// An inert token must cost nothing observable: a job under a token nobody
+/// fires cancels nothing and completes normally — guarding against the
+/// canceller thread misfiring.
 #[test]
 fn uncancelled_jobs_never_observe_the_cancel_machinery() {
     let workers = 2;
     let pool = pool(workers);
-    let job = single_level_job(EngineKind::Dist, 10, workers);
+    let job = dist_job("qft", 10, workers);
     for _ in 0..3 {
-        pool.execute(&job).unwrap();
+        run(&pool, &job).unwrap();
     }
     let metrics = pool.metrics();
     assert_eq!(metrics.jobs_cancelled, 0);
@@ -176,12 +183,12 @@ fn uncancelled_jobs_never_observe_the_cancel_machinery() {
 fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
     let workers = 2;
     let pool = pool(workers);
-    let mut job = single_level_job(EngineKind::Dist, 12, workers);
+    let mut job = dist_job("qft", 12, workers);
     job.trace = true;
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
 
-    let (first, _) = pool.execute(&job).unwrap();
+    let first = run(&pool, &job).unwrap();
     let spans = hisvsim_obs::drain();
     let worker_fuses = |spans: &[hisvsim_obs::SpanRecord]| {
         spans
@@ -195,7 +202,7 @@ fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
         "a cold worker must re-fuse the shipped partition once per rank"
     );
 
-    let (second, _) = pool.execute(&job).unwrap();
+    let second = run(&pool, &job).unwrap();
     let spans = hisvsim_obs::drain();
     assert_eq!(
         worker_fuses(&spans),
@@ -208,7 +215,7 @@ fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
     // same resident worker must ship no spans at all (recorder disabled
     // and ring drained between jobs).
     job.trace = false;
-    pool.execute(&job).unwrap();
+    run(&pool, &job).unwrap();
     let spans = hisvsim_obs::drain();
     assert!(
         spans.iter().all(|s| s.pid == 0),
@@ -231,11 +238,11 @@ fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
 fn killed_worker_mid_job_fails_the_job_but_the_pool_recovers() {
     let workers = 2;
     let pool = Arc::new(pool(workers));
-    let heavy = baseline_job("qft", 18);
+    let heavy = heavy_job();
 
     // Warm up (and measure, to place the kill mid-job on any machine).
     let warmup_start = Instant::now();
-    pool.execute(&heavy).unwrap();
+    run(&pool, &heavy).unwrap();
     let heavy_wall = warmup_start.elapsed();
     let pids = pool.worker_pids();
     assert_eq!(pids.len(), workers);
@@ -243,7 +250,7 @@ fn killed_worker_mid_job_fails_the_job_but_the_pool_recovers() {
     let runner = {
         let pool = Arc::clone(&pool);
         let heavy = heavy.clone();
-        std::thread::spawn(move || pool.execute(&heavy).map(|_| ()))
+        std::thread::spawn(move || run(&pool, &heavy).map(|_| ()))
     };
     std::thread::sleep(heavy_wall / 4);
     let killed = std::process::Command::new("kill")
@@ -264,11 +271,44 @@ fn killed_worker_mid_job_fails_the_job_but_the_pool_recovers() {
 
     // The pool recovers: the next job respawns a fresh world (at a fresh
     // epoch) and produces the right answer.
-    let small = single_level_job(EngineKind::Dist, 11, workers);
-    let (state, _) = pool.execute(&small).unwrap();
-    let (reference, _) = execute_local_reference(&small, workers, NetworkModel::hdr100()).unwrap();
-    assert_eq!(state, reference);
+    let small = dist_job("qft", 11, workers);
+    assert_eq!(run(&pool, &small).unwrap(), reference(&small, workers));
     assert_eq!(pool.metrics().worlds_spawned, 2);
+}
+
+/// A worker that dies while the pool is idle fails the next job on the one
+/// failure path — the dead world is dropped and counted — so the job after
+/// it respawns the world instead of shipping into a broken pipe forever.
+#[test]
+#[cfg(unix)]
+fn a_worker_killed_between_jobs_fails_one_job_and_the_next_respawns_the_world() {
+    let workers = 2;
+    let pool = pool(workers);
+    let job = dist_job("qft", 11, workers);
+    run(&pool, &job).unwrap();
+    let pids = pool.worker_pids();
+    let killed = std::process::Command::new("kill")
+        .args(["-9", &pids[0].to_string()])
+        .status()
+        .unwrap();
+    assert!(killed.success());
+    // Let the kernel close the dead rank's sockets before the next ship.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let err = run(&pool, &job).expect_err("a job on a world with a dead rank must fail");
+    assert!(
+        !matches!(err, NetError::Cancelled),
+        "a dead rank is a failure, not a cancellation"
+    );
+    assert_eq!(pool.metrics().jobs_failed, 1);
+
+    assert_eq!(run(&pool, &job).unwrap(), reference(&job, workers));
+    let metrics = pool.metrics();
+    assert_eq!(
+        metrics.worlds_spawned, 2,
+        "the dead world must be respawned"
+    );
+    assert_eq!(metrics.jobs_failed, 1);
 }
 
 /// The full wiring: `SimJob::with_deadline` on a process-backed job kills
@@ -287,12 +327,12 @@ fn deadline_cancels_a_process_job_mid_sweep_through_the_service() {
         ),
     );
 
-    // A circuit that comes back to the rank qubit layer after layer, so the
-    // baseline schedule has many steps and a vote between each (a QFT is
-    // one long local step; see `cancel_mid_sweep_is_bounded...`).
+    // The heavy plan of `cancel_mid_sweep_is_bounded...`: 25 parts with a
+    // vote before each.
     let heavy = || {
-        SimJob::new(generators::by_name("ising", 18))
-            .with_engine(EngineKind::Baseline)
+        SimJob::new(generators::qft(20))
+            .with_engine(EngineKind::Dist)
+            .with_limit(8)
             .with_backend(Backend::Process)
     };
     // Calibrate the uncancelled wall on a second, warm run: the first one

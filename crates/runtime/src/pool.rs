@@ -24,7 +24,6 @@ use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::Circuit;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{
     run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
     RunReport, RunSpec,
@@ -180,8 +179,9 @@ pub enum JobError {
         /// The underlying planning error.
         error: PartitionBuildError,
     },
-    /// The job requested [`Backend::Process`] but no process backend is
-    /// registered, or the launcher/worker pipeline failed.
+    /// [`Backend::Process`] cannot serve the job (no backend registered,
+    /// the unplanned baseline, a circuit too small for the world), or the
+    /// launcher/worker pipeline failed.
     Backend {
         /// Human-readable failure description.
         message: String,
@@ -208,27 +208,19 @@ impl std::fmt::Display for JobError {
 
 impl std::error::Error for JobError {}
 
-/// Everything a process backend needs to execute one job on a worker
-/// cluster: the circuit, the engine choice, the network model for
-/// accounting, and the *partition* of the plan in its wire shape
-/// ([`PersistedPlan`]) — fused matrices stay process-local by design, so
-/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`] (`None`
-/// for the unpartitioned baseline).
+/// What decides the result of one job on a worker cluster: the circuit,
+/// the kernel dispatch and the *partition* of the plan in its wire shape
+/// ([`PersistedPlan`]). Fused matrices stay process-local by design, so
+/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]; the
+/// network model is the backend's, and the runner names the engine.
 pub struct ProcessRequest<'a> {
     /// The circuit to simulate.
     pub circuit: &'a Circuit,
-    /// The engine the job runs: the workers run the baseline's own body for
-    /// `Baseline`, and the one rank body for the others, whose steps follow
-    /// from the shipped plan's shape and the world size alone — the engine
-    /// only names the report.
-    pub engine: EngineKind,
-    /// Interconnect model for per-transfer accounting on the workers.
-    pub network: NetworkModel,
     /// Kernel dispatch every worker rank applies to its local sweeps —
     /// shipped so a forced-scalar job stays forced-scalar across processes.
     pub dispatch: KernelDispatch,
     /// The partition to ship (exactly the plan-cache snapshot wire shape).
-    pub plan: Option<PersistedPlan>,
+    pub plan: PersistedPlan,
 }
 
 /// How a process backend's execution of one request ended without a
@@ -365,10 +357,13 @@ impl JobRunner {
             }
         }
         // A process-backed job runs on the launcher's worker world, not the
-        // selector's virtual rank count — and *every* engine's plan (hier
-        // included, since its single-level plan executes through the
-        // distributed rank body on workers) must fit a worker's local slice.
+        // selector's virtual rank count, and ships its plan: the flat
+        // baseline, which takes none, runs in-process only.
         let process = if job.backend == Backend::Process {
+            if decision.engine == EngineKind::Baseline {
+                let message = format!("job '{}' forces the unplanned baseline", job.circuit.name);
+                return Err(JobError::Backend { message });
+            }
             let backend = self
                 .config
                 .process_backend
@@ -408,16 +403,17 @@ impl JobRunner {
                     ),
                 });
             }
-            decision.limit = decision.limit.min(local.max(1));
-            decision.second_limit = decision.second_limit.min(decision.limit);
             Some(backend)
         } else {
             None
         };
-        // A distributed plan must fit each rank's local slice; mirror the
-        // clamp `DistributedSimulator::run` applies so an explicit per-job
-        // limit override cannot push a working set past the local width.
-        if matches!(decision.engine, EngineKind::Dist | EngineKind::Multilevel) {
+        // A distributed plan must fit each rank's local slice — a process
+        // job's whatever its engine, since a hier plan runs through the
+        // distributed rank body on the workers. This mirrors the clamp
+        // `DistributedSimulator::run` applies, so an explicit per-job limit
+        // override cannot push a working set past the local width.
+        let distributed = matches!(decision.engine, EngineKind::Dist | EngineKind::Multilevel);
+        if process.is_some() || distributed {
             let local = job.circuit.num_qubits() - decision.ranks.trailing_zeros() as usize;
             decision.limit = decision.limit.min(local.max(1));
             decision.second_limit = decision.second_limit.min(decision.limit);
@@ -488,17 +484,20 @@ impl JobRunner {
             Some(backend) => {
                 let request = ProcessRequest {
                     circuit: &job.circuit,
-                    engine: decision.engine,
-                    network: self.config.selector.network,
                     dispatch,
-                    plan: plan.as_ref().map(CachedPlan::to_persisted),
+                    plan: plan
+                        .as_ref()
+                        .expect("a process job is never the unplanned baseline")
+                        .to_persisted(),
                 };
-                let outcome = backend
-                    .execute(request, &control.cancel)
-                    .map_err(|e| match e {
-                        ProcessError::Cancelled => JobError::Cancelled,
-                        ProcessError::Failed(message) => JobError::Backend { message },
-                    })?;
+                let (state, mut report) =
+                    backend
+                        .execute(request, &control.cancel)
+                        .map_err(|e| match e {
+                            ProcessError::Cancelled => JobError::Cancelled,
+                            ProcessError::Failed(message) => JobError::Backend { message },
+                        })?;
+                report.engine = decision.engine.name().to_string();
                 // The backend polls the token itself (remote ranks stop at
                 // their cancel-vote checkpoints); this check only honours a
                 // cancellation that raced the final gather.
@@ -507,7 +506,7 @@ impl JobRunner {
                     job.circuit.num_gates() as u64,
                     job.circuit.num_gates() as u64,
                 );
-                outcome
+                (state, report)
             }
             None => self
                 .simulate(&job.circuit, &decision, dispatch, plan.as_ref(), &exec)
