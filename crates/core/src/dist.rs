@@ -16,7 +16,6 @@
 //! world of one. The same [`DistState`] machinery also backs the IQS-style
 //! baseline ([`crate::baseline`]).
 
-use crate::buffers;
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
@@ -27,8 +26,9 @@ use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::kernels::{apply_gate_with_matrix, uses_dense_matrix};
-use hisvsim_statevec::FusedCircuit;
-use hisvsim_statevec::{ApplyOptions, CancelToken, Cancelled, KernelDispatch, StateVector};
+use hisvsim_statevec::{
+    buffers, ApplyOptions, CancelToken, Cancelled, FusedCircuit, KernelDispatch, StateVector,
+};
 use std::time::Instant;
 
 /// A gate bundled with its precomputed dense matrix (when its kernel path
@@ -93,7 +93,8 @@ pub struct DistState<'a, C: RankComm<Complex64>> {
 impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// Initialise the distributed `|0…0⟩` state over the communicator's
     /// ranks. The rank count must be a power of two not exceeding `2^n`.
-    /// The slice comes from the [`buffers`] pool.
+    /// The slice comes from the [`buffers`] pool and goes back to it when
+    /// the state is dropped unfinished (a cancelled job's).
     pub fn new(comm: &'a mut C, num_qubits: usize) -> Self {
         let ranks = comm.size();
         assert!(ranks.is_power_of_two());
@@ -107,16 +108,14 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         // at small widths a noticeable share of a rank's wall, so it gets a
         // span of its own.
         let init = hisvsim_obs::span("kernel", "init").bytes(16 << l);
-        let mut amps = buffers::take(1 << l);
-        amps.clear();
-        amps.resize(1 << l, Complex64::ZERO);
+        let mut local = StateVector::uninitialized(l);
         if comm.rank() == 0 {
-            amps[0] = Complex64::ONE;
+            local.amplitudes_mut()[0] = Complex64::ONE;
         }
         drop(init);
         Self {
             comm,
-            local: StateVector::from_amplitudes(amps),
+            local,
             layout: (0..num_qubits).collect(),
             n: num_qubits,
             l,
@@ -125,12 +124,6 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             exchange_tag: TAG_EXCHANGE,
             dispatch: KernelDispatch::default(),
         }
-    }
-
-    /// This rank's slice, moved out; a one-amplitude placeholder (too small
-    /// for the pool to keep) stays behind.
-    fn take_local(&mut self) -> Vec<Complex64> {
-        std::mem::replace(&mut self.local, StateVector::zero_state(0)).into_amplitudes()
     }
 
     /// Select the kernel dispatch every subsequent local sweep uses (the
@@ -470,34 +463,8 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             compute_time_s,
             comm: comm_stats,
             exchanges,
-            local: self.take_local(),
+            local: self.local.into_amplitudes(),
         }
-    }
-
-    /// Gather the full state onto every rank (in standard qubit order) and
-    /// return it. Intended for validation and result extraction at the sizes
-    /// this reproduction simulates.
-    pub fn assemble_full_state(&mut self) -> StateVector {
-        // First return to the identity layout so slices concatenate in
-        // standard order.
-        self.redistribute((0..self.n).collect());
-        let slices = self.comm.allgather(
-            self.local.amplitudes().to_vec(),
-            self.exchange_tag + 0x10_000,
-        );
-        let mut amps = Vec::with_capacity(1usize << self.n);
-        for slice in slices {
-            amps.extend(slice);
-        }
-        StateVector::from_amplitudes(amps)
-    }
-}
-
-impl<C: RankComm<Complex64>> Drop for DistState<'_, C> {
-    /// A state dropped unfinished — a cancelled job's — gives its slice back
-    /// to the pool, so the next job finds it there.
-    fn drop(&mut self) {
-        buffers::give(self.take_local());
     }
 }
 
@@ -518,8 +485,8 @@ pub struct RankOutcome {
 }
 
 /// Aggregate per-rank outcomes into a [`RunReport`] and the full state. A
-/// lone rank's slice becomes the state; more ranks' slices are copied into
-/// it in rank order and given back to the buffer pool.
+/// lone rank's slice becomes the state; more ranks' slices are copied in
+/// rank order into a state from the buffer pool and given back to it.
 pub fn aggregate_outcomes(
     engine: &str,
     strategy: &str,
@@ -546,7 +513,8 @@ pub fn aggregate_outcomes(
         // The one rank's slice is the state: moved, not copied.
         slices.next().expect("one outcome")
     } else {
-        let mut amps = Vec::with_capacity(1usize << circuit.num_qubits());
+        let mut amps = buffers::take(1 << circuit.num_qubits());
+        amps.clear();
         for slice in slices {
             amps.extend_from_slice(&slice);
             buffers::give(slice);
@@ -973,28 +941,24 @@ mod tests {
 
     #[test]
     fn dist_state_redistribute_is_a_permutation() {
-        // Drive DistState directly: scatter a recognisable pattern, swap two
-        // qubits across the local/process boundary, and verify the state is
-        // the same logical vector.
+        // Drive DistState directly: move each gate's qubits local on demand
+        // (a worst-case per-gate schedule, swapping qubits across the
+        // local/process boundary), then assemble the slices as a served job
+        // does and verify the state is the same logical vector.
         let circuit = generators::random_circuit(6, 30, 7);
         let expected = run_circuit(&circuit);
         let gates: Vec<Gate> = circuit.gates().to_vec();
-        let outcomes =
-            run_spmd::<Complex64, Vec<Complex64>, _>(4, NetworkModel::ideal(), |mut comm| {
-                let mut state = DistState::new(&mut comm, 6);
-                // Apply all gates by making each gate's qubits local on demand
-                // (a worst-case per-gate schedule).
-                for gate in &gates {
-                    state.ensure_local(&gate.qubits);
-                    state.apply_gates_local(std::slice::from_ref(gate));
-                }
-                let full = state.assemble_full_state();
-                full.into_amplitudes()
-            });
-        for amps in outcomes {
-            let got = StateVector::from_amplitudes(amps);
-            assert!(got.approx_eq(&expected, 1e-9));
-        }
+        let outcomes = run_spmd(4, NetworkModel::ideal(), |mut comm| {
+            let mut state = DistState::new(&mut comm, 6);
+            for gate in &gates {
+                state.ensure_local(&gate.qubits);
+                state.apply_gates_local(std::slice::from_ref(gate));
+            }
+            assert!(state.exchanges > 0, "the schedule crosses the boundary");
+            state.finish_rank()
+        });
+        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0);
+        assert!(got.approx_eq(&expected, 1e-9));
     }
 
     /// A communicator that keeps a copy of every `alltoallv` send list

@@ -16,8 +16,8 @@
 //!
 //! [`DistState::redistribute`]: crate::dist::DistState::redistribute
 
-use crate::buffers;
 use hisvsim_circuit::Complex64;
+use hisvsim_statevec::buffers;
 
 /// A leading run of in-place bits shorter than this is walked through the
 /// tables instead: a `memcpy` call per few amplitudes costs more than it

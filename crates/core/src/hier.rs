@@ -37,7 +37,6 @@
 //! decides the rest — is the rule above. This module owns the part executor
 //! (`execute_part`) that body runs every part of every engine through.
 
-use crate::buffers;
 #[cfg(doc)]
 use crate::dist::run_plan_rank;
 use crate::dist::{run_plan, RunSpec};
@@ -50,7 +49,8 @@ use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{
-    ApplyOptions, CancelToken, Cancelled, FusedCircuit, GatherMap, KernelDispatch, StateVector,
+    buffers, ApplyOptions, CancelToken, Cancelled, FusedCircuit, GatherMap, KernelDispatch,
+    StateVector,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -233,12 +233,13 @@ pub fn parts_executed(mode: PartMode) -> u64 {
     PARTS_EXECUTED[mode as usize].load(Ordering::Relaxed)
 }
 
-/// An inner vector of `qubits` qubits from the process's buffer pool, with
-/// unspecified contents: the gather overwrites every amplitude, so a vector
-/// left by an earlier part or job — of this width or a wider one — serves as
-/// well as a new one.
-fn take_inner(qubits: usize) -> StateVector {
-    let mut amps = buffers::take_scratch(1 << qubits);
+/// An inner vector of `qubits` qubits for an outer state of `outer_qubits`,
+/// from the process's buffer pool, with unspecified contents: the gather
+/// overwrites every amplitude, so a vector left by an earlier part or job —
+/// of this width or a wider one narrower than the outer state — serves as
+/// well as a new one. Dropping it gives it back.
+fn take_inner(qubits: usize, outer_qubits: usize) -> StateVector {
+    let mut amps = buffers::take_scratch(1 << qubits, 1 << outer_qubits);
     amps.resize(1 << qubits, Complex64::ZERO);
     StateVector::from_amplitudes(amps)
 }
@@ -320,7 +321,8 @@ fn gather_part(
     dispatch: KernelDispatch,
     control: SweepControl<'_>,
 ) -> Result<(), Cancelled> {
-    let map = GatherMap::new(outer.num_qubits(), working_set);
+    let outer_qubits = outer.num_qubits();
+    let map = GatherMap::new(outer_qubits, working_set);
     let opts = ApplyOptions::sequential().with_dispatch(dispatch);
     let assignments = 1usize << map.num_free_qubits();
     let cancel = control.cancel;
@@ -358,7 +360,7 @@ fn gather_part(
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 return;
             }
-            let mut inner = take_inner(map.inner_qubits());
+            let mut inner = take_inner(map.inner_qubits(), outer_qubits);
             let first = chunk * per_chunk;
             let last = (first + per_chunk).min(assignments);
             for assignment in first..last {
@@ -366,10 +368,9 @@ fn gather_part(
                 let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                 report(completed);
             }
-            buffers::give(inner.into_amplitudes());
         });
     } else {
-        let mut inner = take_inner(map.inner_qubits());
+        let mut inner = take_inner(map.inner_qubits(), outer_qubits);
         for assignment in 0..assignments {
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 break;
@@ -377,7 +378,6 @@ fn gather_part(
             sweep_one(assignment, &mut inner);
             report(assignment as u64 + 1);
         }
-        buffers::give(inner.into_amplitudes());
     }
     cancel.map_or(Ok(()), CancelToken::check)
 }

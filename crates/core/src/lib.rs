@@ -13,7 +13,6 @@
 //! | [`baseline`] | V (comparison) | IQS-style static-mapping distributed baseline |
 //! | [`gpu`] | VI | GPU-kernel throughput model and hybrid estimates (Tables III/IV) |
 //! | [`metrics`] | V | the [`RunReport`](metrics::RunReport) every engine returns |
-//! | [`buffers`] | — | the one pool every amplitude buffer comes from and returns to |
 //!
 //! Every engine is validated against the flat reference simulator
 //! (`hisvsim_statevec::run_circuit`) — the correctness anchor described in
@@ -66,7 +65,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod buffers;
 pub mod dist;
 mod exchange;
 pub mod exec;

@@ -1,9 +1,11 @@
 //! What the engines allocate for their vectors once the process's buffer pool
-//! is warm: a warm job allocates the state it hands to its caller and
-//! nothing else — in place or gathered on a world of one, on two thread-world
-//! ranks, after a cancelled job too — and a worker's rank body over TCP,
-//! which gives its slice back once shipped, allocates nothing at all. A
-//! counting global allocator (this test binary only, after
+//! is warm. A job's state comes from the pool and goes back to it when its
+//! caller drops it, so a warm job whose caller dropped the previous result
+//! allocates no vector at all — in place or gathered on a world of one, on
+//! two thread-world ranks, after a cancelled job too — and neither does a
+//! worker's rank body over TCP, which gives its slice back once shipped. A
+//! result its caller still holds is never handed out again. A counting
+//! global allocator (this test binary only, after
 //! `crates/statevec/tests/allocations.rs`) counts the requests large enough
 //! to be an amplitude vector.
 
@@ -11,14 +13,15 @@ use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_core::hier::{part_mode, PartMode};
 use hisvsim_core::{
-    buffers, run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPart, FusedPlan,
+    run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPart, FusedPlan,
     FusedSinglePlan, FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_statevec::{
-    simd_available, ApplyOptions, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
+    buffers, simd_available, ApplyOptions, FusedCircuit, KernelDispatch, StateVector,
+    DEFAULT_FUSION_WIDTH,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::hash_map::DefaultHasher;
@@ -107,6 +110,19 @@ fn job(
     run_plan(circuit, plan, spec, control).map(|(state, _)| state)
 }
 
+/// Take every kept buffer an inner vector of `LIMIT` qubits under a
+/// `QUBITS`-qubit state could be given, until the pool makes a fresh one.
+fn drain_inner_widths() -> Vec<Vec<Complex64>> {
+    let mut out = Vec::new();
+    loop {
+        let (buffer, fresh) = vectors_of(|| buffers::take_scratch(1 << LIMIT, 1 << QUBITS));
+        if fresh > 0 {
+            return out;
+        }
+        out.push(buffer);
+    }
+}
+
 #[test]
 fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     let _serial = serial();
@@ -119,17 +135,41 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     assert_eq!(whole.parts.len(), 1);
     let sim = HierarchicalSimulator::new(HierConfig::new(QUBITS));
     let (run, vectors) = vectors_of(|| sim.run_with_fused_plan(&qft, &whole));
-    assert_eq!(
-        vectors, 1,
+    assert!(
+        vectors <= 1,
         "limit = n must allocate the state and nothing else"
     );
     let mut flat = StateVector::zero_state(QUBITS);
     FusedCircuit::new(&qft, DEFAULT_FUSION_WIDTH).apply(&mut flat, &ApplyOptions::default());
     assert_eq!(run.state, flat);
+    drop(run);
+    let (_, warm) = vectors_of(|| sim.run_with_fused_plan(&qft, &whole));
+    assert_eq!(warm, 0, "the dropped result is the next job's state");
+
+    // A result its caller holds is never handed out again: hold every result
+    // until a job finds no kept state of its width and allocates its own.
+    let mut held = Vec::new();
+    let mut allocated = 0;
+    while allocated == 0 && held.len() < 8 {
+        let (run, vectors) = vectors_of(|| sim.run_with_fused_plan(&qft, &whole));
+        assert!(vectors <= 1, "a held result costs its state at most");
+        held.push(run.state);
+        allocated = vectors;
+    }
+    assert_eq!(allocated, 1, "the pool ran dry of states at some point");
+    let mut at: Vec<_> = held
+        .iter()
+        .map(|state| state.amplitudes().as_ptr())
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    assert_eq!(at.len(), held.len(), "two held results share a buffer");
+    assert!(held.iter().all(|state| *state == flat));
+    drop(held);
 
     // A plan with a gathered part, on one thread so the count is exact: once
-    // a run has left its inner vector in the pool, a run allocates its state
-    // and nothing else.
+    // a run has left its inner vector and its result in the pool, a run
+    // allocates nothing.
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
     assert!(parts.parts.len() > 1);
@@ -147,12 +187,10 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
         one_thread.install(|| job(&qaoa, FusedPlan::Single(&parts), 1, control))
     };
     let first = sequential(&control).expect("an inert control cannot cancel");
+    drop(sequential(&control));
     assert!(buffers::retained_bytes() >= VECTOR_BYTES as u64);
     let (second, warm) = vectors_of(|| sequential(&control));
-    assert_eq!(
-        warm, 1,
-        "a warm run allocates its state and no inner vector"
-    );
+    assert_eq!(warm, 0, "a warm run allocates no state and no inner vector");
     assert_eq!(second.as_ref(), Ok(&first));
 
     // A run cancelled inside a gathered part gives back its inner vector and
@@ -164,8 +202,19 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
         "the cancelled run's slice is the next state"
     );
     assert_eq!(next.as_ref(), Ok(&first));
+
+    // An inner vector never takes a kept state: with two states kept and
+    // every buffer of the inner widths out, a run takes one state and
+    // allocates a fresh inner vector, and the other state stays for the
+    // next run.
+    drop((second, next));
+    let out = drain_inner_widths();
+    let (third, fresh) = vectors_of(|| sequential(&control));
+    assert_eq!(fresh, 1, "only the inner vector is new");
+    assert_eq!(third.as_ref(), Ok(&first));
     let (_, warm) = vectors_of(|| sequential(&control));
-    assert_eq!(warm, 1);
+    assert_eq!(warm, 0, "the spare state served the next run");
+    out.into_iter().for_each(buffers::give);
 
     // Two runs at once, each sweeping on the default pool: the same state.
     std::thread::scope(|scope| {
@@ -179,7 +228,7 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
 }
 
 #[test]
-fn a_warm_two_rank_thread_world_allocates_only_the_state_it_hands_over() {
+fn a_warm_two_rank_thread_world_allocates_nothing_once_its_last_result_is_dropped() {
     let _serial = serial();
     let circuit = generators::qft(QUBITS);
     let dist = plan(&circuit, QUBITS - 1);
@@ -194,14 +243,19 @@ fn a_warm_two_rank_thread_world_allocates_only_the_state_it_hands_over() {
         ("multilevel", FusedPlan::Two(&multilevel)),
     ] {
         let first = job(&circuit, plan, 2, &inert).expect("an inert control cannot cancel");
+        drop(job(&circuit, plan, 2, &inert));
         let (second, warm) = vectors_of(|| job(&circuit, plan, 2, &inert));
-        assert_eq!(warm, 1, "{engine}: slices and messages come from the pool");
+        assert_eq!(
+            warm, 0,
+            "{engine}: state, slices and messages come from the pool"
+        );
         assert_eq!(second.as_ref(), Ok(&first), "{engine}");
+        drop(second);
 
         // A cancelled job gives its slices back: the next one is as warm.
         assert_eq!(job(&circuit, plan, 2, &cancelling()), Err(Cancelled));
         let (next, after_cancel) = vectors_of(|| job(&circuit, plan, 2, &inert));
-        assert_eq!(after_cancel, 1, "{engine}: the job after a cancelled one");
+        assert_eq!(after_cancel, 0, "{engine}: the job after a cancelled one");
         assert_eq!(next.as_ref(), Ok(&first), "{engine}");
     }
 }

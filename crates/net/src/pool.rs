@@ -22,10 +22,10 @@ use crate::proto::{
 use crate::wire::{read_items_frame_into, recv_json, send_json};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::NetworkModel;
-use hisvsim_core::{aggregate_outcomes, buffers, CancelToken, RankOutcome, RunReport};
+use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
-use hisvsim_statevec::StateVector;
+use hisvsim_statevec::{buffers, StateVector};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -198,11 +198,24 @@ fn read_header(stream: &mut impl Read) -> io::Result<(u64, usize)> {
     Ok((tag, len as usize))
 }
 
-/// Read one frame, returning `(tag, payload)`.
+/// Read one frame, returning `(tag, payload)`. The length came off the
+/// wire: it is reserved fallibly and only what arrives is written, so a
+/// header announcing more than the host can hold, or more than follows, is
+/// an error rather than an abort or a zero-filled block.
 pub fn read_frame(stream: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
     let (tag, len) = read_header(stream)?;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    payload.try_reserve_exact(len).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::OutOfMemory,
+            format!("frame of {len} bytes: {e}"),
+        )
+    })?;
+    (&mut *stream).take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        let message = format!("frame of {len} bytes ended after {}", payload.len());
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, message));
+    }
     Ok((tag, payload))
 }
 
@@ -285,6 +298,29 @@ mod tests {
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), (7, b"hello".to_vec()));
         assert_eq!(read_frame(&mut cursor).unwrap(), (9, Vec::new()));
+    }
+
+    #[test]
+    fn a_lying_frame_length_is_an_error_not_an_abort() {
+        // A header announcing 64 GiB, then the end of the stream: what any
+        // process that reaches a rendezvous or mesh listener can send.
+        let mut lying = Vec::new();
+        lying.extend_from_slice(&(1u64 << 36).to_le_bytes());
+        lying.extend_from_slice(&JSON_TAG.to_le_bytes());
+        let err = read_frame(&mut &lying[..]).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof | io::ErrorKind::OutOfMemory
+            ),
+            "{err}"
+        );
+        // A frame cut short is the same error, whatever its length.
+        let mut short = Vec::new();
+        write_frame(&mut short, 7, b"hello").unwrap();
+        short.truncate(short.len() - 2);
+        let err = read_frame(&mut &short[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -22,13 +22,13 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_core::{
-    aggregate_outcomes, buffers, run_plan_rank, CancelToken, Cancelled, ExecControl,
-    FusedSinglePlan, FusedTwoLevelPlan, RankOutcome, RunReport,
+    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedSinglePlan,
+    FusedTwoLevelPlan, RankOutcome, RunReport,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
 use hisvsim_runtime::{CachedPlan, PersistedPlan};
-use hisvsim_statevec::{StateVector, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::{buffers, StateVector, DEFAULT_FUSION_WIDTH};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::{TcpListener, TcpStream};

@@ -253,6 +253,10 @@ impl JobHandle {
     /// every later call returns the same result with `state: None`, the
     /// shape a result has under `retain_states = false`. Everything else —
     /// counts, expectations, timeline, decision — is cloned on every call.
+    /// Dropping the state gives its buffer back to the process's pool
+    /// (`hisvsim_statevec::buffers`), so a caller that drops each result
+    /// before its next job lets that job zero the buffer instead of
+    /// faulting a fresh one in.
     pub fn wait(&self) -> Result<JobResult, JobFailure> {
         let mut state = self.shared.state.lock().expect("job state poisoned");
         while state.outcome.is_none() {

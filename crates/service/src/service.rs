@@ -588,9 +588,9 @@ impl SimService {
         };
         gauge(
             "hisvsim_buffer_pool_bytes",
-            "Bytes of amplitude buffers (rank slices, exchange messages, inner vectors) the \
-             process keeps between uses (process-wide; buffers in use are not counted).",
-            hisvsim_core::buffers::retained_bytes() as f64,
+            "Bytes of amplitude buffers (states, rank slices, exchange messages, inner vectors) \
+             the process keeps between uses (process-wide; buffers in use are not counted).",
+            hisvsim_statevec::buffers::retained_bytes() as f64,
         );
         gauge(
             "hisvsim_service_queue_depth",

@@ -1,10 +1,14 @@
-//! The process's one pool of amplitude buffers: every rank slice, exchange
-//! message and inner vector is taken from it and given back to it, so a warm
-//! service, worker or launcher faults its buffers in once, not once per job
-//! (a fresh page is the least steady cost on a shared host). Only the state
-//! handed to a caller does not come back. A fresh buffer is made only when
-//! no kept one fits, so the pool never holds more buffers of one capacity
-//! than were in use at once. A kept buffer still holds what its last user
+//! The process's one pool of amplitude buffers: every state vector, rank
+//! slice, exchange message and inner vector is taken from it and given back
+//! to it, so a warm service, worker or launcher faults its buffers in once,
+//! not once per job (a fresh page is the least steady cost on a shared
+//! host). A [`StateVector`](crate::StateVector) gives its buffer back when it
+//! is dropped, the one handed to a caller included; a buffer moved out of a
+//! state or taken here is its owner's to give back. A fresh buffer is made
+//! only when no kept one fits, so the pool never holds more buffers of one
+//! capacity than were in use at once (a state built from a caller's vector,
+//! [`StateVector::from_amplitudes`](crate::StateVector::from_amplitudes),
+//! brings that vector in). A kept buffer still holds what its last user
 //! left: every taker overwrites, clears or zero-fills it before reading.
 
 use hisvsim_circuit::Complex64;
@@ -60,9 +64,11 @@ pub fn take(len: usize) -> Vec<Complex64> {
 }
 
 /// [`take`] for a buffer given back before its taker returns (an inner
-/// vector): any wider kept buffer serves too.
-pub fn take_scratch(len: usize) -> Vec<Complex64> {
-    POOL.take(len, usize::MAX)
+/// vector): any wider kept buffer narrower than `below` serves too. An inner
+/// vector passes its outer state's length, so it never takes a kept state of
+/// that width — the next job's — when its own width's buffers are out.
+pub fn take_scratch(len: usize, below: usize) -> Vec<Complex64> {
+    POOL.take(len, below)
 }
 
 /// Keep `buffer` for the next taker it fits.
@@ -102,8 +108,11 @@ mod tests {
         assert!(fresh.capacity() >= PAGE && fresh.is_empty());
         assert_ne!(fresh.as_ptr(), wide);
         assert_eq!(pool.retained_bytes(), 3 * MIN_KEPT_BYTES as u64);
-        // Scratch is served by any wider buffer.
-        let taken = pool.take(PAGE, usize::MAX);
+        // Scratch is served by any wider buffer below its bound.
+        let bounded = pool.take(PAGE, 3 * PAGE);
+        assert_ne!(bounded.as_ptr(), wide);
+        assert_eq!(pool.retained_bytes(), 3 * MIN_KEPT_BYTES as u64);
+        let taken = pool.take(PAGE, 4 * PAGE);
         assert_eq!(taken.as_ptr(), wide);
         assert_eq!(pool.retained_bytes(), 0);
 

@@ -5,6 +5,8 @@
 //! This crate provides the *computation* half of the paper's simulator:
 //!
 //! * [`state`] — the [`StateVector`] container (2^n complex amplitudes),
+//! * [`buffers`] — the one pool every amplitude buffer, states included,
+//!   comes from and returns to,
 //! * [`kernels`] — gate application (one kernel per op class: dense k ≤ 5,
 //!   permutation, phase; sequential and rayon-parallel paths) plus the flat
 //!   reference simulator [`kernels::run_circuit`],
@@ -36,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod buffers;
 pub mod fusion;
 pub mod gather;
 pub mod interrupt;

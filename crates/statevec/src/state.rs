@@ -1,6 +1,7 @@
 //! The dense state-vector container and basic linear-algebra operations on
 //! quantum states.
 
+use crate::buffers;
 use hisvsim_circuit::Complex64;
 use serde::{Deserialize, Serialize};
 
@@ -9,7 +10,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// Each amplitude is 16 bytes, so the memory footprint is `2^{n+4}` bytes —
 /// the quantity the paper's Table I reports per benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A state owns its buffer's round trip through the process's [`buffers`]
+/// pool: [`zero_state`](Self::zero_state), [`uninitialized`](Self::uninitialized)
+/// and `clone` take their buffer from it, and a dropped state gives its
+/// buffer back, the one handed to a caller included.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct StateVector {
     num_qubits: usize,
     amps: Vec<Complex64>,
@@ -18,13 +24,9 @@ pub struct StateVector {
 impl StateVector {
     /// The all-zeros computational basis state `|0…0⟩`.
     pub fn zero_state(num_qubits: usize) -> Self {
-        assert!(
-            num_qubits < usize::BITS as usize - 4,
-            "state of {num_qubits} qubits cannot be indexed on this platform"
-        );
-        let mut amps = vec![Complex64::ZERO; 1usize << num_qubits];
-        amps[0] = Complex64::ONE;
-        Self { num_qubits, amps }
+        let mut sv = Self::uninitialized(num_qubits);
+        sv.amps[0] = Complex64::ONE;
+        sv
     }
 
     /// A computational basis state `|index⟩`.
@@ -36,6 +38,7 @@ impl StateVector {
     }
 
     /// Build a state from raw amplitudes; the length must be a power of two.
+    /// The buffer joins the pool when the state is dropped.
     pub fn from_amplitudes(amps: Vec<Complex64>) -> Self {
         assert!(
             amps.len().is_power_of_two(),
@@ -46,12 +49,18 @@ impl StateVector {
     }
 
     /// An unnormalised state of all-zero amplitudes, used as a scratch target
-    /// for gather/scatter and distributed exchanges.
+    /// for gather/scatter and distributed exchanges. A kept buffer is zeroed
+    /// in place; a fresh one faults its pages in here.
     pub fn uninitialized(num_qubits: usize) -> Self {
-        Self {
-            num_qubits,
-            amps: vec![Complex64::ZERO; 1usize << num_qubits],
-        }
+        assert!(
+            num_qubits < usize::BITS as usize - 4,
+            "state of {num_qubits} qubits cannot be indexed on this platform"
+        );
+        let len = 1usize << num_qubits;
+        let mut amps = buffers::take(len);
+        amps.clear();
+        amps.resize(len, Complex64::ZERO);
+        Self { num_qubits, amps }
     }
 
     /// Number of qubits.
@@ -84,9 +93,10 @@ impl StateVector {
         &mut self.amps
     }
 
-    /// Consume the state and return its amplitudes.
-    pub fn into_amplitudes(self) -> Vec<Complex64> {
-        self.amps
+    /// Consume the state and return its amplitudes: the buffer leaves the
+    /// state, and its new owner answers for it (see [`buffers::give`]).
+    pub fn into_amplitudes(mut self) -> Vec<Complex64> {
+        std::mem::take(&mut self.amps)
     }
 
     /// Encode the amplitudes as little-endian bytes (`re`, `im` f64 pairs)
@@ -165,6 +175,26 @@ impl StateVector {
     /// True when every amplitude is finite (no NaN/Inf crept in).
     pub fn is_finite(&self) -> bool {
         self.amps.iter().all(|a| a.is_finite())
+    }
+}
+
+impl Clone for StateVector {
+    /// A copy in a buffer from the pool.
+    fn clone(&self) -> Self {
+        let mut amps = buffers::take(self.amps.len());
+        amps.clear();
+        amps.extend_from_slice(&self.amps);
+        Self {
+            num_qubits: self.num_qubits,
+            amps,
+        }
+    }
+}
+
+impl Drop for StateVector {
+    /// The buffer goes back to the pool, for the next state or part.
+    fn drop(&mut self) {
+        buffers::give(std::mem::take(&mut self.amps));
     }
 }
 
