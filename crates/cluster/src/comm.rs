@@ -14,9 +14,9 @@
 //! written against the trait run unchanged on either world.
 
 use crate::netmodel::NetworkModel;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
@@ -184,7 +184,7 @@ pub fn world<T: Send + 'static>(size: usize, net: NetworkModel) -> Vec<LocalComm
     let mut senders = Vec::with_capacity(size);
     let mut receivers = Vec::with_capacity(size);
     for _ in 0..size {
-        let (s, r) = unbounded();
+        let (s, r) = channel();
         senders.push(s);
         receivers.push(r);
     }

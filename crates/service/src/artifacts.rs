@@ -9,8 +9,9 @@
 //! job's measured [`CostProfile`] delta *after* completion without pinning
 //! result state vectors in memory.
 
+use crate::handle::JobFailure;
 use hisvsim_obs::{chrome_trace_json, CostProfile, SpanRecord};
-use hisvsim_runtime::{DecisionVerdict, EngineDecision};
+use hisvsim_runtime::{DecisionVerdict, EngineDecision, JobResult};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -60,6 +61,67 @@ pub struct JobArtifacts {
 }
 
 impl JobArtifacts {
+    /// The record of a job that ended with `outcome`. `spans` are the
+    /// recorder spans drained for it (empty unless a worker ran it with
+    /// [`ServiceConfig::trace_artifacts`](crate::ServiceConfig::trace_artifacts)
+    /// on); a successful run also gets its profile delta, built from its
+    /// phase timeline (the execute phase streams `state_bytes`) and those
+    /// spans.
+    pub(crate) fn new(
+        id: u64,
+        circuit: String,
+        gates_total: u64,
+        state_bytes: u64,
+        outcome: &Result<JobResult, JobFailure>,
+        spans: Vec<SpanRecord>,
+    ) -> Self {
+        let mut artifacts = JobArtifacts {
+            id,
+            circuit,
+            gates_total,
+            outcome: String::new(),
+            failure: None,
+            decision: None,
+            verdict: None,
+            wall_time_s: None,
+            plan_time_s: None,
+            plan_cache_hit: None,
+            timeline: Vec::new(),
+            spans,
+            profile_delta: None,
+        };
+        match outcome {
+            Ok(result) => {
+                let mut delta = CostProfile::new();
+                let engine = result.engine.name();
+                for span in &result.timeline {
+                    let seconds = span.dur_us as f64 / 1e6;
+                    match span.name.as_str() {
+                        "plan" => delta.absorb_phase(engine, "plan", seconds, 0),
+                        "execute" => delta.absorb_phase(engine, "execute", seconds, state_bytes),
+                        "postprocess" => delta.absorb_phase(engine, "postprocess", seconds, 0),
+                        _ => {}
+                    }
+                }
+                delta.absorb_spans(&artifacts.spans, result.kernel_dispatch.resolved_name());
+                artifacts.outcome = "done".to_string();
+                artifacts.decision = Some(result.decision.clone());
+                artifacts.verdict = Some(result.verdict.clone());
+                artifacts.wall_time_s = Some(result.wall_time_s);
+                artifacts.plan_time_s = Some(result.plan_time_s);
+                artifacts.plan_cache_hit = Some(result.plan_cache_hit);
+                artifacts.timeline = result.timeline.clone();
+                artifacts.profile_delta = Some(delta);
+            }
+            Err(JobFailure::Cancelled) => artifacts.outcome = "cancelled".to_string(),
+            Err(JobFailure::Failed(message)) => {
+                artifacts.outcome = "failed".to_string();
+                artifacts.failure = Some(message.clone());
+            }
+        }
+        artifacts
+    }
+
     /// The job's merged timeline + recorder spans as a Chrome trace-event
     /// JSON document (Perfetto-compatible), sorted chronologically.
     pub fn trace_json(&self) -> String {

@@ -1,11 +1,16 @@
 //! The client side of a submitted job: status snapshots, the progress
 //! event stream, blocking waits and cancellation.
 
-use crossbeam::channel::{Receiver, Sender};
-use hisvsim_runtime::JobResult;
+use crate::artifacts::{ArtifactStore, JobArtifacts};
+use crate::service::{deadline_message, ServiceStats, LOG_TARGET};
+use hisvsim_obs::{log, SpanRecord};
+use hisvsim_runtime::{JobResult, SimJob};
 use hisvsim_statevec::CancelToken;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::time::Duration;
 
 /// Scheduling priority of a submitted job. Higher priorities are popped
 /// first; within a priority the queue is FIFO.
@@ -109,25 +114,54 @@ impl std::fmt::Display for JobFailure {
 
 impl std::error::Error for JobFailure {}
 
+/// What every job of one service shares: the counters and gauges a job's
+/// terminal transition moves, the artifact store it lands in, and the
+/// registry of live jobs it leaves.
+pub(crate) struct JobBook {
+    /// Counters and gauges, moved together under one lock, so every
+    /// snapshot satisfies `submitted == queue_depth + running + completed
+    /// + cancelled + failed`.
+    stats: Mutex<ServiceStats>,
+    /// Terminal-job artifacts, bounded LRU.
+    pub(crate) artifacts: ArtifactStore,
+    /// Jobs submitted and not yet ended, by id, for status queries. Weak,
+    /// so the registry never extends a job's lifetime.
+    pub(crate) live: Mutex<HashMap<u64, Weak<JobShared>>>,
+}
+
+impl JobBook {
+    pub(crate) fn new(artifact_capacity: usize) -> Self {
+        Self {
+            stats: Mutex::new(ServiceStats::default()),
+            artifacts: ArtifactStore::new(artifact_capacity),
+            live: Mutex::new(HashMap::new()),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> MutexGuard<'_, ServiceStats> {
+        self.stats.lock().expect("service stats poisoned")
+    }
+}
+
 /// The state shared between a [`JobHandle`] and the worker executing the
 /// job.
 pub(crate) struct JobShared {
     pub(crate) id: u64,
+    pub(crate) circuit: String,
+    pub(crate) gates_total: u64,
+    state_bytes: u64,
+    deadline: Option<Duration>,
     pub(crate) cancel: CancelToken,
     pub(crate) state: Mutex<JobState>,
-    pub(crate) finished: Condvar,
+    finished: Condvar,
     /// Event sender; dropped at the terminal transition so the stream
     /// disconnects once drained.
-    pub(crate) events: Mutex<Option<Sender<JobEvent>>>,
+    events: Mutex<Option<Sender<JobEvent>>>,
     /// Set by the service's deadline timer before it fires the cancel
-    /// token, so a deadline-cancelled run surfaces as `Failed
-    /// { DeadlineExceeded }` rather than `Cancelled`.
+    /// token, so a cancellation surfaces as `Failed { DeadlineExceeded }`
+    /// rather than `Cancelled`.
     pub(crate) deadline_fired: AtomicBool,
-    /// Service-wide count of jobs finalized *while still queued* (handle
-    /// cancel, deadline expiry) and not yet lazily dropped by a worker.
-    /// Shared with the service so `stats()` can report an honest queue
-    /// depth as `heap len − this`, without locking per-job state.
-    pub(crate) finalized_queued: Arc<AtomicU64>,
+    book: Arc<JobBook>,
 }
 
 pub(crate) struct JobState {
@@ -136,9 +170,21 @@ pub(crate) struct JobState {
 }
 
 impl JobShared {
-    pub(crate) fn new(id: u64, events: Sender<JobEvent>, finalized_queued: Arc<AtomicU64>) -> Self {
-        Self {
+    /// Enter `job` into `book` as queued: it takes the next id, is counted
+    /// as submitted and queued, and is registered live.
+    pub(crate) fn submit(book: &Arc<JobBook>, job: &SimJob, events: Sender<JobEvent>) -> Arc<Self> {
+        let id = {
+            let mut stats = book.stats();
+            stats.submitted += 1;
+            stats.queue_depth += 1;
+            stats.submitted - 1
+        };
+        let shared = Arc::new(Self {
             id,
+            circuit: job.circuit.name.clone(),
+            gates_total: job.circuit.num_gates() as u64,
+            state_bytes: (32u128 << job.circuit.num_qubits()).min(u64::MAX as u128) as u64,
+            deadline: job.deadline,
             cancel: CancelToken::new(),
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
@@ -147,8 +193,13 @@ impl JobShared {
             finished: Condvar::new(),
             events: Mutex::new(Some(events)),
             deadline_fired: AtomicBool::new(false),
-            finalized_queued,
-        }
+            book: Arc::clone(book),
+        });
+        book.live
+            .lock()
+            .expect("live map poisoned")
+            .insert(id, Arc::downgrade(&shared));
+        shared
     }
 
     /// Emit an event to the stream (dropped silently once the handle's
@@ -168,62 +219,138 @@ impl JobShared {
         }
     }
 
-    /// Terminal transition: record the outcome exactly once, emit the
-    /// matching event, close the stream and wake every waiter. Returns
-    /// false if the job was already finalized (e.g. cancel-after-complete).
-    pub(crate) fn finalize(&self, outcome: Result<JobResult, JobFailure>) -> bool {
-        self.finalize_impl(outcome, false)
+    /// A worker claims the job it popped: false if the job already ended
+    /// in the queue (its transition counted and stored it; the heap entry
+    /// is just dropped), else the job moves from the queued gauge to the
+    /// running one, under the lock [`JobShared::finish`] decides by.
+    pub(crate) fn claim(&self) -> bool {
+        let mut state = self.state.lock().expect("job state poisoned");
+        if state.outcome.is_some() {
+            return false;
+        }
+        state.status = JobStatus::Planning;
+        let mut stats = self.book.stats();
+        stats.queue_depth -= 1;
+        stats.running += 1;
+        true
     }
 
-    /// [`JobShared::finalize`], but only if the job is still *queued*
-    /// (never claimed by a worker). The status check and the terminal
-    /// transition happen under one lock hold, so the caller's
-    /// finalized-while-queued accounting is exact even against a racing
-    /// claim — a worker marks the job claimed under the same lock.
-    pub(crate) fn finalize_queued(&self, outcome: Result<JobResult, JobFailure>) -> bool {
-        self.finalize_impl(outcome, true)
-    }
-
-    fn finalize_impl(&self, outcome: Result<JobResult, JobFailure>, only_if_queued: bool) -> bool {
-        let event = {
-            let mut state = self.state.lock().expect("job state poisoned");
-            if state.outcome.is_some() {
-                return false;
-            }
-            if only_if_queued && state.status != JobStatus::Queued {
-                return false;
-            }
-            let (status, event) = match &outcome {
-                Ok(_) => (JobStatus::Done, JobEvent::Done),
-                Err(JobFailure::Cancelled) => (JobStatus::Cancelled, JobEvent::Cancelled),
-                Err(JobFailure::Failed(message)) => (
-                    JobStatus::Failed,
-                    JobEvent::Failed {
-                        message: message.clone(),
-                    },
-                ),
-            };
-            state.status = status;
-            state.outcome = Some(outcome);
-            event
+    /// The terminal transition, the one place a job ends. `claimed` says
+    /// the caller is the worker that claimed the job; a handle's cancel or
+    /// the deadline timer passes false and wins only while the job is
+    /// still queued. Under the job's state lock the winner (outcome unset)
+    /// moves the job off its gauge onto exactly one counter (plus
+    /// `deadline_exceeded` when the deadline turned a cancellation into a
+    /// failure), stores its artifact, sets the outcome, sends the terminal
+    /// event and closes the stream; then waiters wake. So counters,
+    /// artifact and stream are final the moment [`JobHandle::wait`]
+    /// returns. A losing call changes nothing.
+    pub(crate) fn finish(
+        &self,
+        outcome: Result<JobResult, JobFailure>,
+        spans: Vec<SpanRecord>,
+        claimed: bool,
+    ) {
+        let mut state = self.state.lock().expect("job state poisoned");
+        if state.outcome.is_some() || (!claimed && state.status != JobStatus::Queued) {
+            return;
+        }
+        let deadline_hit = matches!(outcome, Err(JobFailure::Cancelled))
+            && self.deadline_fired.load(Ordering::SeqCst);
+        let outcome = if deadline_hit {
+            Err(JobFailure::Failed(deadline_message(
+                self.deadline.unwrap_or_default(),
+            )))
+        } else {
+            outcome
         };
-        // Send the terminal event and close the stream under one lock hold,
-        // so a racing phase emit can land before the terminal event but
-        // never after it (the sender is gone); receivers observe disconnect
-        // after draining.
+        let (status, event) = match &outcome {
+            Ok(_) => (JobStatus::Done, JobEvent::Done),
+            Err(JobFailure::Cancelled) => (JobStatus::Cancelled, JobEvent::Cancelled),
+            Err(JobFailure::Failed(message)) => (
+                JobStatus::Failed,
+                JobEvent::Failed {
+                    message: message.clone(),
+                },
+            ),
+        };
         {
-            let mut sink = self.events.lock().expect("event sink poisoned");
-            if let Some(sender) = sink.take() {
-                let _ = sender.send(event);
+            let mut stats = self.book.stats();
+            if claimed {
+                stats.running -= 1;
+            } else {
+                stats.queue_depth -= 1;
+            }
+            match status {
+                JobStatus::Done => stats.completed += 1,
+                JobStatus::Cancelled => stats.cancelled += 1,
+                _ => stats.failed += 1,
+            }
+            if deadline_hit {
+                stats.deadline_exceeded += 1;
             }
         }
+        self.book.artifacts.insert(JobArtifacts::new(
+            self.id,
+            self.circuit.clone(),
+            self.gates_total,
+            self.state_bytes,
+            &outcome,
+            spans,
+        ));
+        // A job a worker ran is logged; one that ended in the queue is not
+        // (a burst of expiries would flood the log).
+        if claimed {
+            log_outcome(self.id, &self.circuit, &outcome);
+        }
+        state.status = status;
+        state.outcome = Some(outcome);
+        // The sender goes with the terminal event: a racing phase emit can
+        // land before it but never after it.
+        if let Some(sender) = self.events.lock().expect("event sink poisoned").take() {
+            let _ = sender.send(event);
+        }
+        drop(state);
         self.finished.notify_all();
-        true
+        // After the state lock: `job_status` takes the live map first.
+        self.book
+            .live
+            .lock()
+            .expect("live map poisoned")
+            .remove(&self.id);
+    }
+}
+
+fn log_outcome(id: u64, circuit: &str, outcome: &Result<JobResult, JobFailure>) {
+    let id = id.to_string();
+    match outcome {
+        Ok(result) => log::info(
+            LOG_TARGET,
+            "job done",
+            &[
+                ("job", &id),
+                ("circuit", circuit),
+                ("engine", result.engine.name()),
+                ("wall_s", &format!("{:.3}", result.wall_time_s)),
+            ],
+        ),
+        Err(JobFailure::Cancelled) => log::info(
+            LOG_TARGET,
+            "job cancelled",
+            &[("job", &id), ("circuit", circuit)],
+        ),
+        Err(JobFailure::Failed(message)) => log::warn(
+            LOG_TARGET,
+            "job failed",
+            &[("job", &id), ("circuit", circuit), ("error", message)],
+        ),
     }
 }
 
 /// A non-blocking handle to a submitted job: poll it, wait on it, cancel
-/// it, or follow its progress event stream.
+/// it, or follow its progress event stream. `Send` but not `Sync` (the
+/// stream's receiver is single-consumer): move it to the thread that
+/// follows the job.
 pub struct JobHandle {
     pub(crate) shared: Arc<JobShared>,
     pub(crate) events: Receiver<JobEvent>,
@@ -278,33 +405,24 @@ impl JobHandle {
         }
     }
 
-    /// Request cooperative cancellation. A queued job is finalized
-    /// immediately; a running job stops at its next checkpoint (between
-    /// fused parts / gather assignments), releasing its residency slot.
-    /// Cancelling a finished job is a no-op.
+    /// Request cooperative cancellation. A job still queued ends here, in
+    /// its terminal transition: counted, its artifact stored and its
+    /// stream closed before this returns. A running job stops at its next
+    /// checkpoint (between fused parts / gather assignments) and ends on
+    /// its worker, releasing its residency slot. Cancelling a finished job
+    /// is a no-op. When the job's deadline has fired, the cancellation
+    /// surfaces as `Failed { DeadlineExceeded }`.
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
-        // Fast path: a job still in the queue is finalized here and never
-        // claimed (workers skip jobs with an outcome); it stays in the
-        // heap until lazily dropped, so the phantom-entry counter feeding
-        // the service's queue-depth gauge is bumped. Running jobs are
-        // finalized by their worker at the next checkpoint.
-        // Pre-bump so the gauge is consistent the instant a `wait()` on
-        // this job returns (finalize wakes waiters); undo on the paths
-        // that did not actually finalize a queued entry.
-        self.shared.finalized_queued.fetch_add(1, Ordering::Relaxed);
-        if !self.shared.finalize_queued(Err(JobFailure::Cancelled)) {
-            self.shared.finalized_queued.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.shared
+            .finish(Err(JobFailure::Cancelled), Vec::new(), false);
     }
 
     /// The progress event stream (see [`JobEvent`] for the order). Events
     /// are buffered from submission, so a late subscriber still sees the
     /// full history; the channel disconnects after the terminal event.
-    /// Each event is delivered to exactly one receiver — clone intended
-    /// for a single consumer.
-    pub fn progress(&self) -> Receiver<JobEvent> {
-        self.events.clone()
+    pub fn progress(&self) -> &Receiver<JobEvent> {
+        &self.events
     }
 }
 

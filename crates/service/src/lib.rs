@@ -111,7 +111,7 @@ mod tests {
 
         // The stream buffers from submission: Queued first, Done last,
         // Planning/PlanReady/Executing in between, then disconnect.
-        let events: Vec<JobEvent> = handle.progress().try_iter_all();
+        let events: Vec<JobEvent> = handle.progress().try_iter().collect();
         assert_eq!(events.first(), Some(&JobEvent::Queued));
         assert_eq!(events.last(), Some(&JobEvent::Done));
         assert!(events.contains(&JobEvent::Planning));
@@ -191,18 +191,5 @@ mod tests {
         let ok = service.submit(SimJob::new(generators::qft(6)));
         ok.wait().expect("worker must survive a failed job");
         assert_eq!(service.stats().failed, 1);
-    }
-
-    trait TryIterAll {
-        fn try_iter_all(&self) -> Vec<JobEvent>;
-    }
-    impl TryIterAll for crossbeam::channel::Receiver<JobEvent> {
-        fn try_iter_all(&self) -> Vec<JobEvent> {
-            let mut out = Vec::new();
-            while let Ok(event) = self.try_recv() {
-                out.push(event);
-            }
-            out
-        }
     }
 }

@@ -1,17 +1,17 @@
 //! The long-lived job service: a priority queue in front of the runtime's
 //! worker-pool core.
 
-use crate::artifacts::{ArtifactStore, JobArtifacts, JobStatusReport, DEFAULT_ARTIFACT_CAPACITY};
-use crate::handle::{JobEvent, JobFailure, JobHandle, JobPriority, JobShared, JobStatus};
+use crate::artifacts::{JobArtifacts, JobStatusReport, DEFAULT_ARTIFACT_CAPACITY};
+use crate::handle::{JobBook, JobEvent, JobFailure, JobHandle, JobPriority, JobShared, JobStatus};
 use hisvsim_core::hier::PartMode;
 use hisvsim_obs::log;
-use hisvsim_obs::{CostProfile, Counter, Histogram, Registry, SpanRecord};
+use hisvsim_obs::{Counter, Histogram, Registry};
 use hisvsim_runtime::pool::{JobControl, JobError, JobRunner, Semaphore};
 use hisvsim_runtime::{CacheStats, PlanCache, SchedulerConfig, SimJob};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 /// deadline timer fired (distinguishes it from an explicit `cancel()`).
 pub const DEADLINE_EXCEEDED: &str = "DeadlineExceeded";
 
-const LOG_TARGET: &str = "hisvsim-service";
+pub(crate) const LOG_TARGET: &str = "hisvsim-service";
 
-fn deadline_message(deadline: Duration) -> String {
+pub(crate) fn deadline_message(deadline: Duration) -> String {
     format!(
         "{DEADLINE_EXCEEDED}: job exceeded its {:.3}s deadline",
         deadline.as_secs_f64()
@@ -96,7 +96,10 @@ impl ServiceConfig {
     }
 }
 
-/// Lifetime counters of a service instance.
+/// Lifetime counters and current gauges of a service instance. A job's
+/// terminal transition moves it off a gauge and onto one counter in the
+/// same step, so every snapshot holds `submitted == queue_depth + running +
+/// completed + cancelled + failed` exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs accepted by [`SimService::submit`].
@@ -111,25 +114,26 @@ pub struct ServiceStats {
     /// Jobs whose deadline timer fired before they completed (a subset of
     /// `failed`).
     pub deadline_exceeded: u64,
-    /// Jobs currently waiting to run. Entries that were finalized while
-    /// queued (handle cancel, deadline expiry) but not yet lazily dropped
-    /// by a worker are *not* counted — they can never run, and reporting
-    /// them would show operators a phantom backlog.
+    /// Jobs waiting to run: submitted, not claimed by a worker and not
+    /// ended. A job cancelled or timed out in the queue leaves this gauge
+    /// in its terminal transition, though its heap entry stays until a
+    /// worker pops and drops it.
     pub queue_depth: usize,
+    /// Jobs claimed by a worker and not yet ended.
+    pub running: usize,
 }
 
 /// A queued job: max-heap ordering is priority first, FIFO within a
-/// priority (lower sequence number wins).
+/// priority (lower id wins).
 struct QueuedJob {
     priority: JobPriority,
-    seq: u64,
     job: SimJob,
     shared: Arc<JobShared>,
 }
 
 impl PartialEq for QueuedJob {
     fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
+        self.shared.id == other.shared.id
     }
 }
 impl Eq for QueuedJob {}
@@ -142,21 +146,19 @@ impl Ord for QueuedJob {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.priority
             .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
+            .then(other.shared.id.cmp(&self.shared.id))
     }
 }
 
-/// One armed deadline: when it is due, how long the job was given (for the
-/// failure message), and the job it belongs to. The job reference is weak:
-/// the heap is not rebalanced when a job finalizes, and a strong reference
-/// would pin the finished job's outcome (including a possibly huge result
+/// One armed deadline: when it is due and the job it belongs to. The job
+/// reference is weak: the heap is not rebalanced when a job ends, and a
+/// strong reference would pin the finished job's outcome (including a possibly huge result
 /// state vector) until the entry's due time. Live jobs are kept alive by
 /// the queue / their worker / their handle; an entry that no longer
 /// upgrades belongs to a job nobody can observe anymore and fires as a
 /// no-op.
 struct DeadlineEntry {
     due: Instant,
-    deadline: Duration,
     job_id: u64,
     shared: std::sync::Weak<JobShared>,
 }
@@ -185,14 +187,10 @@ impl Ord for DeadlineEntry {
 }
 
 /// The deadline min-heap owned by the service's single timer thread.
-///
-/// Every armed deadline used to park one watcher thread until its job
-/// finalized — 200 deadlined jobs meant 200 sleeping threads. Now
-/// [`Inner::arm_deadline`] pushes an entry here and at most **one** timer
-/// thread (spawned lazily on the first armed deadline) sleeps until the
-/// earliest due time, pops everything expired, and fires each exactly like
-/// the old per-job watcher did. Entries whose job finished in time are
-/// discarded when popped.
+/// [`arm_deadline`] pushes an entry here and at most **one** timer thread
+/// (spawned lazily on the first armed deadline) sleeps until the earliest
+/// due time, pops everything expired, and fires each. Entries whose job
+/// finished in time are discarded when popped.
 struct DeadlineQueue {
     heap: Mutex<BinaryHeap<DeadlineEntry>>,
     /// Wakes the timer for a new earliest deadline or for shutdown.
@@ -281,17 +279,6 @@ impl ServiceMetrics {
     }
 }
 
-/// What the service knows about a job that has not yet reached its
-/// artifact: enough to answer a status query while it is queued or
-/// running. The `shared` reference is weak so the registry never extends a
-/// job's lifetime; entries are removed when the job's terminal artifact is
-/// stored.
-struct LiveJob {
-    circuit: String,
-    gates_total: u64,
-    shared: Weak<JobShared>,
-}
-
 struct Inner {
     runner: JobRunner,
     metrics: ServiceMetrics,
@@ -300,25 +287,14 @@ struct Inner {
     worker_count: usize,
     /// Resident-state-vector slot capacity backing `residency`.
     resident_capacity: usize,
-    /// Completed-job artifacts, bounded LRU.
-    artifacts: ArtifactStore,
+    /// Counters, gauges, artifacts and live jobs, shared with every job.
+    book: Arc<JobBook>,
     /// Per-job drain of the span recorder into artifacts (see
     /// [`ServiceConfig::trace_artifacts`]).
     trace_artifacts: bool,
-    /// Jobs submitted but not yet folded into an artifact, keyed by id.
-    live: Mutex<HashMap<u64, LiveJob>>,
     queue: Mutex<BinaryHeap<QueuedJob>>,
     queue_ready: Condvar,
     shutdown: AtomicBool,
-    next_seq: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    /// Jobs finalized while still in the heap (handle cancel, deadline
-    /// expiry) awaiting their lazy drop; shared into every `JobShared`.
-    finalized_queued: Arc<AtomicU64>,
     /// The armed-deadline min-heap (one timer thread for all jobs).
     deadlines: DeadlineQueue,
     /// The timer thread, spawned on the first armed deadline and joined at
@@ -371,19 +347,11 @@ impl SimService {
             metrics: ServiceMetrics::new(Registry::new()),
             worker_count,
             resident_capacity,
-            artifacts: ArtifactStore::new(config.artifact_capacity),
+            book: Arc::new(JobBook::new(config.artifact_capacity)),
             trace_artifacts: config.trace_artifacts,
-            live: Mutex::new(HashMap::new()),
             queue: Mutex::new(BinaryHeap::new()),
             queue_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            next_seq: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            finalized_queued: Arc::new(AtomicU64::new(0)),
             deadlines: DeadlineQueue::default(),
             timer: Mutex::new(None),
         });
@@ -421,29 +389,15 @@ impl SimService {
     /// token is raised and the outcome surfaces as
     /// `Failed { DeadlineExceeded }` rather than `Cancelled`.
     pub fn submit_with_priority(&self, job: SimJob, priority: JobPriority) -> JobHandle {
-        let seq = self.inner.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        let (sender, receiver) = crossbeam::channel::unbounded();
-        let shared = Arc::new(JobShared::new(
-            seq,
-            sender,
-            Arc::clone(&self.inner.finalized_queued),
-        ));
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let shared = JobShared::submit(&self.inner.book, &job, sender);
         shared.emit(JobEvent::Queued);
         let handle = JobHandle {
             shared: Arc::clone(&shared),
             events: receiver,
         };
-        self.inner.live.lock().expect("live map poisoned").insert(
-            seq,
-            LiveJob {
-                circuit: job.circuit.name.clone(),
-                gates_total: job.circuit.num_gates() as u64,
-                shared: Arc::downgrade(&shared),
-            },
-        );
         if let Some(deadline) = job.deadline {
-            arm_deadline(&self.inner, Arc::clone(&shared), deadline);
+            arm_deadline(&self.inner, &shared, deadline);
         }
         self.inner
             .queue
@@ -451,7 +405,6 @@ impl SimService {
             .expect("job queue poisoned")
             .push(QueuedJob {
                 priority,
-                seq,
                 job,
                 shared,
             });
@@ -470,23 +423,9 @@ impl SimService {
         self.inner.runner.cache().stats()
     }
 
-    /// Lifetime service counters.
+    /// A consistent snapshot of the service's counters and gauges.
     pub fn stats(&self) -> ServiceStats {
-        // Honest backlog without an O(queue) scan: heap length minus the
-        // entries already finalized in place (they can never run; workers
-        // drop them lazily on pop). Saturating: the two reads are not one
-        // atomic snapshot, so a racing pop may transiently skew them.
-        let queue_len = self.inner.queue.lock().expect("job queue poisoned").len();
-        let queue_depth =
-            queue_len.saturating_sub(self.inner.finalized_queued.load(Ordering::Relaxed) as usize);
-        ServiceStats {
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            completed: self.inner.completed.load(Ordering::Relaxed),
-            cancelled: self.inner.cancelled.load(Ordering::Relaxed),
-            failed: self.inner.failed.load(Ordering::Relaxed),
-            deadline_exceeded: self.inner.deadline_exceeded.load(Ordering::Relaxed),
-            queue_depth,
-        }
+        *self.inner.book.stats()
     }
 
     /// The unified obs registry backing [`SimService::metrics_text`].
@@ -612,14 +551,10 @@ impl SimService {
             "Worker threads draining the priority queue.",
             self.inner.worker_count as f64,
         );
-        let in_flight = s
-            .submitted
-            .saturating_sub(s.completed + s.cancelled + s.failed)
-            .saturating_sub(s.queue_depth as u64);
         gauge(
             "hisvsim_service_jobs_in_flight",
             "Jobs claimed by a worker and not yet terminal.",
-            in_flight as f64,
+            s.running as f64,
         );
         let (slots_in_use, slots_capacity) = self.resident_slots();
         gauge(
@@ -635,12 +570,12 @@ impl SimService {
         gauge(
             "hisvsim_service_job_artifacts_retained",
             "Completed-job artifacts currently held in the bounded LRU.",
-            self.inner.artifacts.len() as f64,
+            self.inner.book.artifacts.len() as f64,
         );
         counter(
             "hisvsim_service_job_artifacts_evicted_total",
             "Completed-job artifacts dropped by the LRU bound.",
-            self.inner.artifacts.evicted(),
+            self.inner.book.artifacts.evicted(),
         );
         if let Some(pool) = self
             .inner
@@ -705,28 +640,37 @@ impl SimService {
     /// from their retained artifacts. `None` when the id was never
     /// submitted or its artifact has been evicted.
     pub fn job_status(&self, id: u64) -> Option<JobStatusReport> {
-        if let Some(artifacts) = self.inner.artifacts.get(id) {
+        if let Some(artifacts) = self.inner.book.artifacts.get(id) {
             return Some(JobStatusReport::from_artifacts(&artifacts));
         }
-        let live = self.inner.live.lock().expect("live map poisoned");
-        let entry = live.get(&id)?;
-        let shared = entry.shared.upgrade()?;
+        // The live map's lock is released before the job's state lock is
+        // taken: a terminal transition drops the live entry after its own
+        // state lock.
+        let shared = self
+            .inner
+            .book
+            .live
+            .lock()
+            .expect("live map poisoned")
+            .get(&id)?
+            .upgrade()?;
         let status = shared.state.lock().expect("job state poisoned").status;
+        let total = shared.gates_total;
         let (phase, gates_done, gates_total) = match status {
-            JobStatus::Queued => ("queued", 0, entry.gates_total),
-            JobStatus::Planning => ("planning", 0, entry.gates_total),
-            JobStatus::PlanReady => ("plan_ready", 0, entry.gates_total),
+            JobStatus::Queued => ("queued", 0, total),
+            JobStatus::Planning => ("planning", 0, total),
+            JobStatus::PlanReady => ("plan_ready", 0, total),
             JobStatus::Executing {
                 gates_done,
                 gates_total,
             } => ("executing", gates_done, gates_total),
-            JobStatus::Done => ("done", entry.gates_total, entry.gates_total),
-            JobStatus::Cancelled => ("cancelled", 0, entry.gates_total),
-            JobStatus::Failed => ("failed", 0, entry.gates_total),
+            JobStatus::Done => ("done", total, total),
+            JobStatus::Cancelled => ("cancelled", 0, total),
+            JobStatus::Failed => ("failed", 0, total),
         };
         Some(JobStatusReport {
             id,
-            circuit: entry.circuit.clone(),
+            circuit: shared.circuit.clone(),
             phase: phase.to_string(),
             gates_done,
             gates_total,
@@ -744,20 +688,25 @@ impl SimService {
     /// decision audit, profile delta). `None` while the job is still live,
     /// or once the LRU evicted it.
     pub fn job_artifacts(&self, id: u64) -> Option<JobArtifacts> {
-        self.inner.artifacts.get(id)
+        self.inner.book.artifacts.get(id)
     }
 
     /// A terminal job's merged timeline + recorder spans as Chrome
     /// trace-event JSON (see [`JobArtifacts::trace_json`]).
     pub fn job_trace_json(&self, id: u64) -> Option<String> {
-        self.inner.artifacts.get(id).map(|a| a.trace_json())
+        self.inner.book.artifacts.get(id).map(|a| a.trace_json())
     }
 
-    /// A terminal job's measured [`CostProfile`] delta as JSON. `None`
-    /// when the job is not terminal/retained *or* completed without a
-    /// profile delta (cancelled or failed before executing).
+    /// A terminal job's measured [`CostProfile`](hisvsim_obs::CostProfile)
+    /// delta as JSON. `None` when the job is not terminal/retained *or*
+    /// completed without a profile delta (cancelled or failed before
+    /// executing).
     pub fn job_profile_json(&self, id: u64) -> Option<String> {
-        self.inner.artifacts.get(id).and_then(|a| a.profile_json())
+        self.inner
+            .book
+            .artifacts
+            .get(id)
+            .and_then(|a| a.profile_json())
     }
 
     /// Timer threads the deadline machinery has ever spawned: `0` before
@@ -841,12 +790,11 @@ impl Drop for SimService {
 /// deadline min-heap and make sure the (single) timer thread exists. No
 /// per-job thread is spawned — 200 deadlined jobs still park exactly one
 /// watcher.
-fn arm_deadline(inner: &Arc<Inner>, shared: Arc<JobShared>, deadline: Duration) {
+fn arm_deadline(inner: &Arc<Inner>, shared: &Arc<JobShared>, deadline: Duration) {
     let entry = DeadlineEntry {
         due: Instant::now() + deadline,
-        deadline,
         job_id: shared.id,
-        shared: Arc::downgrade(&shared),
+        shared: Arc::downgrade(shared),
     };
     inner
         .deadlines
@@ -889,14 +837,14 @@ fn deadline_timer_loop(inner: &Inner) {
             }
             Some(due) if due <= now => {
                 let entry = heap.pop().expect("peeked entry present");
-                // A dead weak reference means the job finalized and every
+                // A dead weak reference means the job ended and every
                 // observer dropped it — nothing left to fire.
                 if let Some(shared) = entry.shared.upgrade() {
-                    // Fire outside the heap lock: finalization takes the
-                    // job's state lock and wakes waiters, neither of which
-                    // should serialise against `arm_deadline` pushes.
+                    // Fire outside the heap lock: the terminal transition
+                    // takes the job's state lock and wakes waiters, neither
+                    // of which should serialise against `arm_deadline`.
                     drop(heap);
-                    fire_deadline(inner, &shared, entry.deadline);
+                    fire_deadline(&shared);
                     heap = inner.deadlines.heap.lock().expect("deadline heap poisoned");
                 }
             }
@@ -912,43 +860,19 @@ fn deadline_timer_loop(inner: &Inner) {
     }
 }
 
-/// Fire one expired deadline; semantics identical to the old per-job
-/// watcher. If the job is still live, mark the deadline as fired and raise
-/// the job's cancel token. A job still in the queue is finalized here
-/// directly (workers skip finalized jobs); a running job stops at its next
-/// cooperative checkpoint and its worker converts the cancellation into
-/// `Failed { DeadlineExceeded }`; a job that already finished is a no-op.
-fn fire_deadline(inner: &Inner, shared: &Arc<JobShared>, deadline: Duration) {
-    {
-        let state = shared.state.lock().expect("job state poisoned");
-        if state.outcome.is_some() {
-            return; // finished within the deadline
-        }
-    }
-    shared
-        .deadline_fired
-        .store(true, std::sync::atomic::Ordering::SeqCst);
+/// Fire one expired deadline: mark it fired and raise the job's cancel
+/// token. A job still queued ends here as `Failed { DeadlineExceeded }`; a
+/// running one stops at its next checkpoint and its worker's transition
+/// turns the cancellation into the same failure; a finished job is
+/// untouched.
+fn fire_deadline(shared: &JobShared) {
+    shared.deadline_fired.store(true, Ordering::SeqCst);
     shared.cancel.cancel();
-    // A still-queued job is finalized here (`finalize_queued` decides
-    // queued-ness and the terminal transition atomically, so the
-    // phantom-queue counter stays exact against a racing worker
-    // claim); a claimed job stops at its next cooperative checkpoint
-    // and its worker converts the cancellation into DeadlineExceeded.
-    // Count before finalizing (finalize wakes waiters, and the stats
-    // must already reflect the job the moment a `wait()` on it
-    // returns); undo if the job was not finalized here after all.
-    inner.failed.fetch_add(1, Ordering::Relaxed);
-    inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    inner.finalized_queued.fetch_add(1, Ordering::Relaxed);
-    if !shared.finalize_queued(Err(JobFailure::Failed(deadline_message(deadline)))) {
-        inner.failed.fetch_sub(1, Ordering::Relaxed);
-        inner.deadline_exceeded.fetch_sub(1, Ordering::Relaxed);
-        inner.finalized_queued.fetch_sub(1, Ordering::Relaxed);
-    }
+    shared.finish(Err(JobFailure::Cancelled), Vec::new(), false);
 }
 
 /// Worker body: pop the highest-priority job, run it through the pool core
-/// with the handle's cancel token and event callbacks wired in, finalize.
+/// with the handle's cancel token and event callbacks wired in, end it.
 /// Exits once shutdown is flagged *and* the queue is drained.
 fn worker_loop(inner: &Inner) {
     loop {
@@ -972,57 +896,11 @@ fn worker_loop(inner: &Inner) {
 }
 
 fn run_one(inner: &Inner, queued: QueuedJob) {
-    let QueuedJob {
-        seq, job, shared, ..
-    } = queued;
-    let circuit_name = job.circuit.name.clone();
-    let gates_total = job.circuit.num_gates() as u64;
-    let state_bytes = (32u128 << job.circuit.num_qubits()).min(u64::MAX as u128) as u64;
-    // Claim: a job finalized while queued (handle cancel, or the deadline
-    // timer) is skipped entirely. A handle-cancelled job is counted here
-    // (its `cancel()` fast path does not touch the service counters); a
-    // deadline-failed job was already counted by its timer. A live job is
-    // marked claimed under the same lock hold, so `finalize_queued` (the
-    // only source of phantom-queue entries) can never fire after this
-    // point — the counter stays exact in every interleaving.
-    {
-        let mut state = shared.state.lock().expect("job state poisoned");
-        if let Some(outcome) = &state.outcome {
-            // The phantom entry has now left the heap.
-            inner.finalized_queued.fetch_sub(1, Ordering::Relaxed);
-            if matches!(outcome, Err(JobFailure::Cancelled)) {
-                inner.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            let (outcome_name, failure) = match outcome {
-                Ok(_) => ("done", None),
-                Err(JobFailure::Cancelled) => ("cancelled", None),
-                Err(JobFailure::Failed(message)) => ("failed", Some(message.clone())),
-            };
-            drop(state);
-            store_artifacts(
-                inner,
-                JobArtifacts {
-                    id: seq,
-                    circuit: circuit_name,
-                    gates_total,
-                    outcome: outcome_name.to_string(),
-                    failure,
-                    decision: None,
-                    verdict: None,
-                    wall_time_s: None,
-                    plan_time_s: None,
-                    plan_cache_hit: None,
-                    timeline: Vec::new(),
-                    spans: Vec::new(),
-                    profile_delta: None,
-                },
-            );
-            return;
-        }
-        state.status = JobStatus::Planning;
+    let QueuedJob { job, shared, .. } = queued;
+    // A job that ended in the queue already counted and stored itself.
+    if !shared.claim() {
+        return;
     }
-
-    let job_deadline = job.deadline;
     let control = {
         let (planning, plan_ready, executing) = (
             Arc::clone(&shared),
@@ -1056,21 +934,13 @@ fn run_one(inner: &Inner, queued: QueuedJob) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         inner
             .runner
-            .execute_job(seq as usize, job, &inner.residency, &control)
+            .execute_job(shared.id as usize, job, &inner.residency, &control)
     }));
-    // A cancellation whose origin was the job's deadline timer surfaces as
-    // DeadlineExceeded, not as a user cancellation.
-    let deadline_hit = shared
-        .deadline_fired
-        .load(std::sync::atomic::Ordering::SeqCst);
     let outcome = match outcome {
         Ok(Ok(result)) => {
             inner.metrics.observe_job(&result);
             Ok(result)
         }
-        Ok(Err(JobError::Cancelled)) if deadline_hit => Err(JobFailure::Failed(deadline_message(
-            job_deadline.unwrap_or_default(),
-        ))),
         Ok(Err(JobError::Cancelled)) => Err(JobFailure::Cancelled),
         Ok(Err(error)) => Err(JobFailure::Failed(error.to_string())),
         Err(panic) => {
@@ -1082,141 +952,12 @@ fn run_one(inner: &Inner, queued: QueuedJob) {
             Err(JobFailure::Failed(message))
         }
     };
-    let is_deadline_failure = deadline_hit
-        && matches!(&outcome, Err(JobFailure::Failed(m)) if m.starts_with(DEADLINE_EXCEEDED));
-    let counter = match &outcome {
-        Ok(_) => &inner.completed,
-        Err(JobFailure::Cancelled) => &inner.cancelled,
-        Err(JobFailure::Failed(_)) => &inner.failed,
-    };
-    // Count before finalizing, so the stats already reflect this job the
-    // moment a `wait()` on it returns.
-    counter.fetch_add(1, Ordering::Relaxed);
-    if is_deadline_failure {
-        inner.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-    match &outcome {
-        Ok(result) => log::info(
-            LOG_TARGET,
-            "job done",
-            &[
-                ("job", &seq.to_string()),
-                ("circuit", &circuit_name),
-                ("engine", result.engine.name()),
-                ("wall_s", &format!("{:.3}", result.wall_time_s)),
-            ],
-        ),
-        Err(JobFailure::Cancelled) => log::info(
-            LOG_TARGET,
-            "job cancelled",
-            &[("job", &seq.to_string()), ("circuit", &circuit_name)],
-        ),
-        Err(JobFailure::Failed(message)) => log::warn(
-            LOG_TARGET,
-            "job failed",
-            &[
-                ("job", &seq.to_string()),
-                ("circuit", &circuit_name),
-                ("error", message),
-            ],
-        ),
-    }
-    // Fold the run into the artifact store before waking waiters, so a
-    // `wait()` returning means the job's trace/status are downloadable.
-    store_artifacts(
-        inner,
-        build_artifacts(inner, seq, circuit_name, gates_total, state_bytes, &outcome),
-    );
-    if !shared.finalize(outcome) {
-        // Unreachable under the claim protocol: once this worker marked
-        // the job claimed, the only external finalizers (handle cancel,
-        // deadline timer) go through `finalize_queued`, which refuses
-        // claimed jobs. Kept as a defensive counter rollback so a future
-        // finalizer that breaks the invariant cannot inflate the stats.
-        counter.fetch_sub(1, Ordering::Relaxed);
-        if is_deadline_failure {
-            inner.deadline_exceeded.fetch_sub(1, Ordering::Relaxed);
-        }
-        debug_assert!(false, "a claimed job was finalized by someone else");
-    }
-}
-
-/// Assemble the artifact record for a job that ran (or died) on a worker.
-/// With [`ServiceConfig::trace_artifacts`] on and the recorder enabled,
-/// the global span buffer is drained here and the spans land in the
-/// artifact.
-fn build_artifacts(
-    inner: &Inner,
-    id: u64,
-    circuit: String,
-    gates_total: u64,
-    state_bytes: u64,
-    outcome: &Result<hisvsim_runtime::JobResult, JobFailure>,
-) -> JobArtifacts {
-    let spans: Vec<SpanRecord> = if inner.trace_artifacts && hisvsim_obs::enabled() {
+    // With `trace_artifacts` on, the recorder's spans go into this job's
+    // artifact.
+    let spans = if inner.trace_artifacts && hisvsim_obs::enabled() {
         hisvsim_obs::drain()
     } else {
         Vec::new()
     };
-    match outcome {
-        Ok(result) => {
-            // The job's own measured costs: phase timings from the worker
-            // timeline, kernel/collective cells from the drained spans.
-            let mut delta = CostProfile::new();
-            let engine = result.engine.name();
-            for span in &result.timeline {
-                let seconds = span.dur_us as f64 / 1e6;
-                match span.name.as_str() {
-                    "plan" => delta.absorb_phase(engine, "plan", seconds, 0),
-                    "execute" => delta.absorb_phase(engine, "execute", seconds, state_bytes),
-                    "postprocess" => delta.absorb_phase(engine, "postprocess", seconds, 0),
-                    _ => {}
-                }
-            }
-            delta.absorb_spans(&spans, result.kernel_dispatch.resolved_name());
-            JobArtifacts {
-                id,
-                circuit,
-                gates_total,
-                outcome: "done".to_string(),
-                failure: None,
-                decision: Some(result.decision.clone()),
-                verdict: Some(result.verdict.clone()),
-                wall_time_s: Some(result.wall_time_s),
-                plan_time_s: Some(result.plan_time_s),
-                plan_cache_hit: Some(result.plan_cache_hit),
-                timeline: result.timeline.clone(),
-                spans,
-                profile_delta: Some(delta),
-            }
-        }
-        Err(failure) => {
-            let (outcome_name, message) = match failure {
-                JobFailure::Cancelled => ("cancelled", None),
-                JobFailure::Failed(message) => ("failed", Some(message.clone())),
-            };
-            JobArtifacts {
-                id,
-                circuit,
-                gates_total,
-                outcome: outcome_name.to_string(),
-                failure: message,
-                decision: None,
-                verdict: None,
-                wall_time_s: None,
-                plan_time_s: None,
-                plan_cache_hit: None,
-                timeline: Vec::new(),
-                spans,
-                profile_delta: None,
-            }
-        }
-    }
-}
-
-/// Fold a terminal job into the artifact store and drop its live entry.
-fn store_artifacts(inner: &Inner, artifacts: JobArtifacts) {
-    let id = artifacts.id;
-    inner.artifacts.insert(artifacts);
-    inner.live.lock().expect("live map poisoned").remove(&id);
+    shared.finish(outcome, spans, true);
 }

@@ -31,6 +31,31 @@ fn long_job() -> SimJob {
         .with_limit(5)
 }
 
+/// Block until a worker has claimed `handle`'s job (its `Planning` event).
+fn await_planning(handle: &JobHandle) {
+    let events = handle.progress();
+    loop {
+        match events.recv().expect("stream must not end before Planning") {
+            JobEvent::Planning => return,
+            _ => continue,
+        }
+    }
+}
+
+/// The `hisvsim_service_jobs_in_flight` gauge reads exactly `expected`.
+fn assert_in_flight(service: &SimService, expected: u64) {
+    let text = service.metrics_text();
+    let line = format!("hisvsim_service_jobs_in_flight {expected}");
+    assert!(
+        text.lines().any(|l| l == line),
+        "expected `{line}` in:\n{}",
+        text.lines()
+            .filter(|l| l.starts_with("hisvsim_service_jobs_in_flight"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+}
+
 #[test]
 fn in_flight_cancellation_stops_mid_execution_with_ordered_events() {
     let service = service(1);
@@ -85,10 +110,22 @@ fn cancelled_job_releases_its_resident_state_slot() {
 fn cancelling_a_queued_job_never_runs_it() {
     let service = service(1);
     let blocker = service.submit(long_job());
+    await_planning(&blocker);
     let queued = service.submit(SimJob::new(generators::qft(7)));
     queued.cancel();
     assert_eq!(queued.poll(), JobStatus::Cancelled);
     assert!(matches!(queued.wait(), Err(JobFailure::Cancelled)));
+    // Counted, off the queue and downloadable the moment `wait()` returns,
+    // with the blocker still running.
+    let stats = service.stats();
+    assert_eq!(stats.cancelled, 1);
+    assert_eq!(stats.queue_depth, 0);
+    assert_in_flight(&service, 1);
+    let artifacts = service
+        .job_artifacts(queued.id())
+        .expect("a job cancelled while queued has its artifact");
+    assert_eq!(artifacts.outcome, "cancelled");
+    assert!(service.job_trace_json(queued.id()).is_some());
     // The queued job's stream holds Queued then Cancelled — no Planning.
     let events: Vec<JobEvent> = {
         let rx = queued.progress();
@@ -526,6 +563,7 @@ fn deadline_expires_while_queued_behind_other_work() {
     // while it still sits in the queue.
     let service = service(1);
     let blocker = service.submit(long_job());
+    await_planning(&blocker);
     let deadlined =
         service.submit(SimJob::new(generators::qft(7)).with_deadline(Duration::from_millis(100)));
     match deadlined.wait() {
@@ -534,9 +572,19 @@ fn deadline_expires_while_queued_behind_other_work() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    // The finalized entry still sits in the heap until a worker skips it,
-    // but it is not backlog: the metrics must not report a phantom queue.
-    assert_eq!(service.stats().queue_depth, 0);
+    // The ended entry still sits in the heap until a worker skips it, but
+    // it is not backlog, and the job is counted and downloadable the
+    // moment `wait()` returns, with the blocker still running.
+    let stats = service.stats();
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.queue_depth, 0);
+    assert_in_flight(&service, 1);
+    let artifacts = service
+        .job_artifacts(deadlined.id())
+        .expect("a job timed out while queued has its artifact");
+    assert_eq!(artifacts.outcome, "failed");
+    assert!(service.job_trace_json(deadlined.id()).is_some());
     blocker.cancel();
     let _ = blocker.wait();
     let stats = service.stats();
@@ -583,5 +631,126 @@ fn metrics_text_exposes_service_and_cache_counters() {
     assert!(text.contains("hisvsim_plan_cache_misses_total 1"));
     assert!(text.contains("hisvsim_plan_cache_hits_total 1"));
     assert!(text.contains("hisvsim_plan_cache_hit_rate 0.5"));
+    service.shutdown().unwrap();
+}
+
+/// Counter conservation under the deadline / cancel / complete race: a few
+/// hundred small jobs with random short deadlines (or none) on two
+/// workers, a thread cancelling a random third of them after a random
+/// pause, and a sampler checking that every stats snapshot conserves jobs
+/// exactly. After the drain, every job's artifact agrees with its `wait()`.
+#[test]
+fn counters_conserve_every_job_under_racing_deadlines_and_cancels() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    const JOBS: usize = 300;
+    let service = SimService::start(
+        ServiceConfig::new()
+            .with_scheduler(scaled_config(2))
+            .with_artifact_capacity(JOBS),
+    );
+    let conserved = |stats: ServiceStats| {
+        assert_eq!(
+            stats.submitted,
+            (stats.queue_depth + stats.running) as u64
+                + stats.completed
+                + stats.cancelled
+                + stats.failed,
+            "a stats snapshot lost or doubled a job: {stats:?}"
+        );
+        assert!(stats.deadline_exceeded <= stats.failed, "{stats:?}");
+    };
+    let done = AtomicBool::new(false);
+    let started = Instant::now();
+    let handles = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut samples = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                conserved(service.stats());
+                samples += 1;
+                std::thread::yield_now();
+            }
+            samples
+        });
+        let (to_canceller, received) = mpsc::channel::<JobHandle>();
+        let canceller = scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(0xca9ce1);
+            let mut handles = Vec::new();
+            for handle in received {
+                if rng.gen_bool(1.0 / 3.0) {
+                    std::thread::sleep(Duration::from_micros(rng.gen_range(0..200u64)));
+                    handle.cancel();
+                }
+                handles.push(handle);
+            }
+            handles
+        });
+        let mut rng = StdRng::seed_from_u64(0xdead11);
+        for i in 0..JOBS {
+            let mut job = SimJob::new(generators::qft(rng.gen_range(6..13usize))).with_shots(4);
+            if rng.gen_bool(0.7) {
+                job = job.with_deadline(Duration::from_micros(rng.gen_range(0..20_000u64)));
+            }
+            to_canceller.send(service.submit(job)).unwrap();
+            if i % 16 == 0 {
+                conserved(service.stats());
+            }
+        }
+        drop(to_canceller);
+        let handles = canceller.join().unwrap();
+        for handle in &handles {
+            let _ = handle.wait();
+        }
+        done.store(true, Ordering::SeqCst);
+        assert!(sampler.join().unwrap() > 0);
+        handles
+    });
+
+    let stats = service.stats();
+    conserved(stats);
+    assert_eq!(stats.submitted, JOBS as u64);
+    assert_eq!((stats.queue_depth, stats.running), (0, 0));
+    let (mut completed, mut cancelled, mut failed) = (0, 0, 0);
+    for handle in &handles {
+        let artifacts = service
+            .job_artifacts(handle.id())
+            .unwrap_or_else(|| panic!("job {} has no artifact", handle.id()));
+        match handle.wait() {
+            Ok(_) => {
+                completed += 1;
+                assert_eq!(artifacts.outcome, "done");
+            }
+            Err(JobFailure::Cancelled) => {
+                cancelled += 1;
+                assert_eq!(artifacts.outcome, "cancelled");
+            }
+            Err(JobFailure::Failed(message)) => {
+                failed += 1;
+                assert!(message.starts_with(hisvsim_service::DEADLINE_EXCEEDED));
+                assert_eq!(artifacts.outcome, "failed");
+                assert_eq!(artifacts.failure.as_deref(), Some(message.as_str()));
+            }
+        }
+    }
+    assert_eq!(
+        (stats.completed, stats.cancelled, stats.failed),
+        (completed, cancelled, failed)
+    );
+    assert_eq!(
+        stats.deadline_exceeded, failed,
+        "every failure was a deadline"
+    );
+    assert!(
+        completed > 0 && cancelled > 0 && failed > 0,
+        "every ending must be exercised: {stats:?}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the soak must stay cheap ({:?})",
+        started.elapsed()
+    );
     service.shutdown().unwrap();
 }
