@@ -1,6 +1,7 @@
 //! Per-kernel microbenchmark: every sweep kernel the engines drive — the
 //! dense family at k = 1..=5 (dense and half-sparse matrices), the
-//! permutation and phase gates, the diagonal-run pass, gather/scatter — next
+//! permutation and phase gates, the qubit reversal
+//! (`StateVector::permute_qubits`), the diagonal-run pass, gather/scatter — next
 //! to an in-place scale of the same slice (the floor any in-place sweep pays),
 //! at 2^16 (one L2 tile), 2^21 and 2^24 amplitudes, forced-scalar vs auto
 //! dispatch, one thread vs the default pool; and the distributed engines'
@@ -324,6 +325,18 @@ fn kernels_for(n: usize) -> Vec<Kernel> {
     }));
     rows.push(kernel("swap", any(1.5), move |s, o| {
         kernels::apply_swap(s, 1, mid, o)
+    }));
+    // The qubit reversal a relabeled QFT ends with: one pass through two
+    // tile buffers, the buffers transposed. It takes no options: it sweeps on
+    // the pool it is called in, so a one-thread row installs one thread.
+    let reversal: Vec<Qubit> = (0..n).rev().collect();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool");
+    rows.push(kernel("permute", any(4.0), move |s, o| match o.parallel {
+        true => s.permute_qubits(&reversal),
+        false => one_thread.install(|| s.permute_qubits(&reversal)),
     }));
 
     // Phase gates: T leaves half the state alone, Rz none of it.

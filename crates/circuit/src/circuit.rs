@@ -3,6 +3,7 @@
 
 use crate::gate::{Gate, GateKind, Qubit};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -243,6 +244,35 @@ impl Circuit {
         out
     }
 
+    /// The circuit with every SWAP dropped, and where it leaves each qubit.
+    ///
+    /// A SWAP moves no information, only labels: C₁ · SWAP(a, b) · C₂ equals
+    /// C₁ · C₂′ · SWAP(a, b), where C₂′ is C₂ with `a` and `b` exchanged. So
+    /// each SWAP is dropped and its two qubits exchanged in every later gate.
+    /// The returned `perm[q]` is the position the relabeled circuit leaves
+    /// qubit `q` at, which is what
+    /// `StateVector::permute_qubits(&perm)` takes to put the qubits back: the
+    /// relabeled state so permuted is this circuit's state. CSWAP stays a
+    /// gate, and the name is kept. A circuit with no SWAP comes back borrowed,
+    /// with the identity.
+    pub fn relabel_swaps(&self) -> (Cow<'_, Circuit>, Vec<Qubit>) {
+        let mut perm: Vec<Qubit> = (0..self.num_qubits).collect();
+        if !self.gates.iter().any(|g| g.kind == GateKind::Swap) {
+            return (Cow::Borrowed(self), perm);
+        }
+        let mut relabeled = Circuit::named(self.name.clone(), self.num_qubits);
+        for g in &self.gates {
+            match g.kind {
+                GateKind::Swap => perm.swap(g.qubits[0], g.qubits[1]),
+                kind => relabeled.gates.push(Gate {
+                    kind,
+                    qubits: g.qubits.iter().map(|&q| perm[q]).collect(),
+                }),
+            }
+        }
+        (Cow::Owned(relabeled), perm)
+    }
+
     /// A 64-bit *structural* fingerprint of the circuit: two circuits get the
     /// same fingerprint iff they have the same width and the same gate
     /// sequence (kinds, parameters bit-for-bit, and operand qubits).
@@ -431,6 +461,58 @@ mod tests {
         let mut y = Circuit::new(2);
         y.rz(0.5, 0);
         assert_ne!(x.fingerprint(), y.fingerprint());
+    }
+
+    #[test]
+    fn relabel_swaps_drops_swaps_and_renames_later_operands() {
+        let mut c = Circuit::named("chain", 4);
+        c.h(0)
+            .swap(0, 1)
+            .cx(1, 2)
+            .swap(1, 2)
+            .swap(2, 3)
+            .add(GateKind::Cswap, &[3, 0, 2]);
+        c.rz(0.5, 3);
+        let (relabeled, perm) = c.relabel_swaps();
+        assert!(matches!(relabeled, Cow::Owned(_)));
+        assert_eq!(relabeled.name, "chain");
+        assert_eq!(relabeled.num_qubits(), 4);
+        // What starts on qubit 0 moves to 1, 2, then 3; relabeled, it stays
+        // put, so qubit 3 is left at position 0.
+        assert_eq!(perm, vec![1, 2, 3, 0]);
+        let gates: Vec<(GateKind, Vec<Qubit>)> = relabeled
+            .gates()
+            .iter()
+            .map(|g| (g.kind, g.qubits.clone()))
+            .collect();
+        assert_eq!(
+            gates,
+            vec![
+                (GateKind::H, vec![0]),
+                (GateKind::Cx, vec![0, 2]),
+                (GateKind::Cswap, vec![0, 1, 3]),
+                (GateKind::Rz(0.5), vec![0]),
+            ],
+            "a CSWAP stays a gate; only its operands are renamed"
+        );
+    }
+
+    #[test]
+    fn relabel_swaps_borrows_a_circuit_without_swaps() {
+        let mut c = Circuit::new(3);
+        c.h(0).add(GateKind::Cswap, &[0, 1, 2]);
+        let (relabeled, perm) = c.relabel_swaps();
+        assert!(matches!(relabeled, Cow::Borrowed(r) if std::ptr::eq(r, &c)));
+        assert_eq!(perm, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn relabeling_the_qft_leaves_the_qubits_reversed() {
+        let qft = crate::generators::qft(7);
+        let (relabeled, perm) = qft.relabel_swaps();
+        assert_eq!(relabeled.num_gates(), qft.num_gates() - 3);
+        assert_eq!(perm, vec![6, 5, 4, 3, 2, 1, 0]);
+        assert_eq!(relabeled.gates(), &qft.gates()[..qft.num_gates() - 3]);
     }
 
     #[test]

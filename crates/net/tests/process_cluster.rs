@@ -12,7 +12,7 @@ use hisvsim_runtime::{
     Backend, EngineKind, EngineSelector, JobControl, JobError, JobRunner, PersistedPlan, Scheduler,
     SchedulerConfig, Semaphore, SimJob,
 };
-use hisvsim_service::{ServiceConfig, SimService};
+use hisvsim_service::{JobEvent, ServiceConfig, SimService};
 use hisvsim_statevec::{run_circuit, StateVector};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -138,6 +138,42 @@ fn scheduler_routes_process_backend_jobs_through_the_launcher() {
     assert_eq!(process.report.num_ranks, 4);
     assert_eq!(process.report.strategy, "process");
     assert!(process.comm_stats().bytes_sent > 0);
+}
+
+/// A process job ships the circuit without its SWAPs and the launcher
+/// permutes the gathered state back: the result is the submitted circuit's,
+/// and progress reads the submitted gate count from the first event to the
+/// last, as on the thread world.
+#[test]
+fn a_relabeled_process_job_returns_the_submitted_state_and_gate_count() {
+    let service = SimService::start(
+        ServiceConfig::new().with_scheduler(
+            SchedulerConfig::default()
+                .with_selector(EngineSelector::scaled(4, 8))
+                .with_process_backend(Arc::new(launcher(2))),
+        ),
+    );
+    let circuit = generators::qft(12);
+    let total = circuit.num_gates() as u64;
+    let expected = run_circuit(&circuit);
+    let handle = service.submit(SimJob::new(circuit).with_backend(Backend::Process));
+    let result = handle.wait().expect("the process job completes");
+    assert!(result.state.unwrap().approx_eq(&expected, 1e-10));
+    let progress: Vec<(u64, u64)> = handle
+        .progress()
+        .iter()
+        .filter_map(|event| match event {
+            JobEvent::Executing {
+                gates_done,
+                gates_total,
+            } => Some((gates_done, gates_total)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(progress, vec![(0, total), (total, total)]);
+    let status = service.job_status(handle.id()).expect("a retained status");
+    assert_eq!((status.gates_done, status.gates_total), (total, total));
+    service.shutdown().unwrap();
 }
 
 #[test]

@@ -693,15 +693,17 @@ mod tests {
         use crate::scheduler::{Scheduler, SchedulerConfig};
         use crate::selector::EngineKind;
         use crate::SimJob;
-        let circuit = generators::qft(9);
+        let submitted = generators::qft(9);
         let job = || {
-            SimJob::new(circuit.clone())
+            SimJob::new(submitted.clone())
                 .with_engine(EngineKind::Hier)
                 .with_limit(5)
         };
         let cold = Scheduler::new(SchedulerConfig::default()).run_batch(vec![job()]);
         assert_eq!(cold.stats.cache.misses, 1);
 
+        // The runner plans, and keys, the circuit with its SWAPs relabeled.
+        let (circuit, _) = submitted.relabel_swaps();
         let dag = CircuitDag::from_circuit(&circuit);
         let planned = Planner.plan_single(&dag, 5).unwrap();
         let tighter = Planner.plan_single(&dag, 3).unwrap();

@@ -124,7 +124,8 @@ pub struct JobControl {
     /// (in-memory or disk-warm).
     pub on_plan_ready: Option<Arc<dyn Fn(bool) + Send + Sync>>,
     /// Fired when execution starts and after each completed part, with
-    /// `(gates_done, gates_total)`.
+    /// `(gates_done, gates_total)` counted in the submitted circuit's gates
+    /// (its relabeled SWAPs are done when the final permutation is).
     pub on_executing: Option<Arc<dyn Fn(u64, u64) + Send + Sync>>,
 }
 
@@ -349,7 +350,14 @@ impl JobRunner {
         if control.cancel.is_cancelled() {
             return Err(JobError::Cancelled);
         }
-        let mut decision = self.config.selector.decide(&job.circuit, job.engine);
+        // A SWAP is a relabeling: from here on everything (the selector, the
+        // plan key, the planner, a shipped request) sees the circuit without
+        // its SWAPs, and one permutation of the final state puts the qubits
+        // back. Progress still counts the submitted gates; the dropped SWAPs
+        // are done when the permutation is.
+        let (circuit, perm) = job.circuit.relabel_swaps();
+        let gates_total = job.circuit.num_gates() as u64;
+        let mut decision = self.config.selector.decide(&circuit, job.engine);
         if let Some(limit) = job.limit {
             decision.limit = limit;
             if decision.engine == EngineKind::Multilevel {
@@ -361,7 +369,7 @@ impl JobRunner {
         // baseline, which takes none, runs in-process only.
         let process = if job.backend == Backend::Process {
             if decision.engine == EngineKind::Baseline {
-                let message = format!("job '{}' forces the unplanned baseline", job.circuit.name);
+                let message = format!("job '{}' forces the unplanned baseline", circuit.name);
                 return Err(JobError::Backend { message });
             }
             let backend = self
@@ -372,7 +380,7 @@ impl JobRunner {
                     message: format!(
                         "job '{}' requested Backend::Process but no process backend is \
                              registered (SchedulerConfig::with_process_backend)",
-                        job.circuit.name
+                        circuit.name
                     ),
                 })?;
             let ranks = backend.ranks();
@@ -382,24 +390,18 @@ impl JobRunner {
             );
             decision.ranks = ranks;
             let rank_bits = ranks.trailing_zeros() as usize;
-            let arity_floor = job
-                .circuit
-                .gates()
-                .iter()
-                .map(|g| g.arity())
-                .max()
-                .unwrap_or(1);
-            let local = job.circuit.num_qubits().saturating_sub(rank_bits);
+            let arity_floor = circuit.gates().iter().map(|g| g.arity()).max().unwrap_or(1);
+            let local = circuit.num_qubits().saturating_sub(rank_bits);
             // Reject undistributable jobs here with a clear error instead
             // of launching workers whose rank bodies would assert and die.
-            if job.circuit.num_qubits() < rank_bits || local < arity_floor {
+            if circuit.num_qubits() < rank_bits || local < arity_floor {
                 return Err(JobError::Backend {
                     message: format!(
                         "circuit '{}' ({} qubits, max gate arity {arity_floor}) is too small \
                          for the {ranks}-worker world: each worker needs at least \
                          {arity_floor} local qubit(s), got {local}",
-                        job.circuit.name,
-                        job.circuit.num_qubits(),
+                        circuit.name,
+                        circuit.num_qubits(),
                     ),
                 });
             }
@@ -414,7 +416,7 @@ impl JobRunner {
         // override cannot push a working set past the local width.
         let distributed = matches!(decision.engine, EngineKind::Dist | EngineKind::Multilevel);
         if process.is_some() || distributed {
-            let local = job.circuit.num_qubits() - decision.ranks.trailing_zeros() as usize;
+            let local = circuit.num_qubits() - decision.ranks.trailing_zeros() as usize;
             decision.limit = decision.limit.min(local.max(1));
             decision.second_limit = decision.second_limit.min(decision.limit);
         }
@@ -444,11 +446,11 @@ impl JobRunner {
         let plan_ts = hisvsim_obs::now_us();
         let plan_start = Instant::now();
         let (plan, source) = {
-            let _span = hisvsim_obs::span("job", "plan")
-                .detail(format!("#{job_index} {}", job.circuit.name));
-            self.obtain_plan(&job.circuit, &decision)
+            let _span =
+                hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
+            self.obtain_plan(&circuit, &decision)
                 .map_err(|error| JobError::PlanFailed {
-                    circuit: job.circuit.name.clone(),
+                    circuit: circuit.name.clone(),
                     engine: decision.engine,
                     limit: decision.limit,
                     error,
@@ -464,11 +466,11 @@ impl JobRunner {
         let _permit = residency
             .acquire_cancellable(&control.cancel)
             .map_err(|_| JobError::Cancelled)?;
-        control.notify_executing(0, job.circuit.num_gates() as u64);
+        control.notify_executing(0, gates_total);
         let exec = {
             let mut exec = ExecControl::new().with_cancel(control.cancel.clone());
             if let Some(on_executing) = control.on_executing.clone() {
-                exec = exec.with_progress(move |done, total| on_executing(done, total));
+                exec = exec.with_progress(move |done, _| on_executing(done, gates_total));
             }
             exec
         };
@@ -476,14 +478,14 @@ impl JobRunner {
         let exec_start = Instant::now();
         let exec_span = hisvsim_obs::span("job", "execute").detail(format!(
             "#{job_index} {} on {} ({} ranks)",
-            job.circuit.name,
+            circuit.name,
             decision.engine.name(),
             decision.ranks
         ));
-        let (state, report) = match &process {
+        let (mut state, report) = match &process {
             Some(backend) => {
                 let request = ProcessRequest {
-                    circuit: &job.circuit,
+                    circuit: &circuit,
                     dispatch,
                     plan: plan
                         .as_ref()
@@ -502,16 +504,18 @@ impl JobRunner {
                 // their cancel-vote checkpoints); this check only honours a
                 // cancellation that raced the final gather.
                 control.cancel.check().map_err(|_| JobError::Cancelled)?;
-                control.notify_executing(
-                    job.circuit.num_gates() as u64,
-                    job.circuit.num_gates() as u64,
-                );
                 (state, report)
             }
             None => self
-                .simulate(&job.circuit, &decision, dispatch, plan.as_ref(), &exec)
+                .simulate(&circuit, &decision, dispatch, plan.as_ref(), &exec)
                 .map_err(|_| JobError::Cancelled)?,
         };
+        state.permute_qubits(&perm);
+        // The engines report the relabeled circuit's gates; a process run
+        // reports none.
+        if process.is_some() || circuit.num_gates() as u64 != gates_total {
+            control.notify_executing(gates_total, gates_total);
+        }
         drop(exec_span);
         let measured_execute_s = exec_start.elapsed().as_secs_f64();
         phase(
@@ -524,13 +528,13 @@ impl JobRunner {
         // Predicted-vs-measured audit: the swept amplitude traffic over the
         // nominal sweep bandwidth, plus the decision's exchange estimate per
         // redistribution the run actually performed.
-        let state_bytes = (32u128 << job.circuit.num_qubits()) as f64;
+        let state_bytes = (32u128 << circuit.num_qubits()) as f64;
         let sweeps = match &plan {
             Some(plan) => plan.fused().total_fused_ops(),
             // Only a forced baseline job has no plan: the comparison engine
             // fuses inside its own run, so the raw gate count stands in
             // (pessimistically) for its sweeps.
-            None => job.circuit.num_gates(),
+            None => circuit.num_gates(),
         };
         let verdict = crate::job::DecisionVerdict {
             predicted_execute_s: sweeps as f64 * state_bytes / (NOMINAL_SWEEP_GBPS * 1e9)
@@ -569,7 +573,7 @@ impl JobRunner {
 
         Ok(JobResult {
             job_index,
-            circuit_name: job.circuit.name.clone(),
+            circuit_name: circuit.name.clone(),
             engine: decision.engine,
             decision,
             verdict,

@@ -1095,7 +1095,7 @@ fn run_bases(
 /// A `Sync` wrapper around the amplitude buffer for kernels whose write sets
 /// are disjoint per work item but not expressible as slice chunks.
 #[derive(Clone, Copy)]
-struct SharedAmps(*mut Complex64);
+pub(crate) struct SharedAmps(*mut Complex64);
 
 // SAFETY: the wrapper only carries the pointer across threads; every kernel
 // that dereferences it documents why its work items are disjoint.
@@ -1103,14 +1103,14 @@ unsafe impl Sync for SharedAmps {}
 unsafe impl Send for SharedAmps {}
 
 impl SharedAmps {
-    fn new(slice: &mut [Complex64]) -> Self {
+    pub(crate) fn new(slice: &mut [Complex64]) -> Self {
         Self(slice.as_mut_ptr())
     }
 
     /// Raw base pointer. Going through a method (rather than the field) keeps
     /// closures capturing the whole `Sync` wrapper, not the bare pointer.
     #[inline(always)]
-    fn as_ptr(&self) -> *mut Complex64 {
+    pub(crate) fn as_ptr(&self) -> *mut Complex64 {
         self.0
     }
 }

@@ -5,6 +5,8 @@
 //! This crate provides the *computation* half of the paper's simulator:
 //!
 //! * [`state`] — the [`StateVector`] container (2^n complex amplitudes),
+//!   with [`StateVector::permute_qubits`], the in-place qubit permutation a
+//!   circuit's relabeled SWAPs leave to do,
 //! * [`buffers`] — the one pool every amplitude buffer, states included,
 //!   comes from and returns to,
 //! * [`kernels`] — gate application (one kernel per op class: dense k ≤ 5,
@@ -44,6 +46,7 @@ pub mod gather;
 pub mod interrupt;
 pub mod kernels;
 pub mod measure;
+mod permute;
 pub mod simd;
 pub mod state;
 

@@ -5,7 +5,7 @@
 //! counts and working-set limits. The route the runtime gives a small circuit
 //! by default is held to more: bit-identity with the flat fused executor.
 
-use hisvsim_circuit::generators;
+use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{
     BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
     IqsBaseline, MultilevelConfig, MultilevelSimulator,
@@ -114,7 +114,10 @@ fn engines_agree_with_each_other_on_a_deep_circuit() {
 /// The guard on the runtime's first rung: a circuit within the cache budget is
 /// routed to a cached one-part plan swept in place, which has to be the flat
 /// fused executor to the bit — as the forced comparison engine on one rank
-/// is. Every family plus a random circuit, 4..=16 qubits.
+/// is. The runner relabels a circuit's SWAPs away at intake and permutes the
+/// qubits back at the end, so the flat result is that of the relabeled
+/// circuit, permuted; it stays within 1e-10 of the unrelabeled circuit's.
+/// Every family plus a random circuit, 4..=16 qubits.
 fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch) {
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
@@ -135,8 +138,18 @@ fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch)
         circuits.push(generators::random_circuit(n, 12 * n, n as u64));
         for circuit in circuits {
             let label = format!("{} dispatch={dispatch:?}", circuit.name);
-            let mut flat = StateVector::zero_state(n);
-            FusedCircuit::new(&circuit, DEFAULT_FUSION_WIDTH).apply(&mut flat, &opts);
+            let flat_of = |circuit: &Circuit| {
+                let mut flat = StateVector::zero_state(n);
+                FusedCircuit::new(circuit, DEFAULT_FUSION_WIDTH).apply(&mut flat, &opts);
+                flat
+            };
+            let (relabeled, perm) = circuit.relabel_swaps();
+            let mut flat = flat_of(&relabeled);
+            flat.permute_qubits(&perm);
+            assert!(
+                flat.approx_eq(&flat_of(&circuit), 1e-10),
+                "{label}: relabeling the SWAPs moved the flat result"
+            );
             let (engine, routed) = run(SimJob::new(circuit.clone()));
             assert_eq!(engine, EngineKind::Hier, "{label}");
             assert_eq!(

@@ -754,3 +754,40 @@ fn counters_conserve_every_job_under_racing_deadlines_and_cancels() {
     );
     service.shutdown().unwrap();
 }
+
+/// Every `Executing` event of a job carries the submitted circuit's gate
+/// count, though the runner drops the QFT's SWAPs at intake: they count as
+/// done when the final permutation runs, so the last event, the status and
+/// the artifact all read `gates_done == gates_total`.
+#[test]
+fn a_relabeled_job_reports_the_submitted_gates_to_the_end() {
+    let service = SimService::start(ServiceConfig::new());
+    let circuit = generators::qft(12);
+    let total = circuit.num_gates() as u64;
+    assert!(circuit.relabel_swaps().0.num_gates() < circuit.num_gates());
+    let handle = service.submit(SimJob::new(circuit));
+    handle.wait().expect("the job completes");
+    let progress: Vec<(u64, u64)> = handle
+        .progress()
+        .iter()
+        .filter_map(|event| match event {
+            JobEvent::Executing {
+                gates_done,
+                gates_total,
+            } => Some((gates_done, gates_total)),
+            _ => None,
+        })
+        .collect();
+    assert!(progress.len() >= 2, "{progress:?}");
+    assert!(progress.iter().all(|&(_, t)| t == total), "{progress:?}");
+    assert!(
+        progress.windows(2).all(|w| w[0].0 <= w[1].0),
+        "{progress:?}"
+    );
+    assert_eq!(progress.last(), Some(&(total, total)));
+    let status = service.job_status(handle.id()).expect("a retained status");
+    assert_eq!((status.gates_done, status.gates_total), (total, total));
+    let artifacts = service.job_artifacts(handle.id()).expect("an artifact");
+    assert_eq!(artifacts.gates_total, total);
+    service.shutdown().unwrap();
+}
