@@ -17,7 +17,7 @@
 use crate::dist::{run_thread_world, DistState, PreparedGate, RankOutcome, RunSpec};
 use crate::exec::ExecControl;
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
+use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind, Qubit};
 use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_statevec::{
     Cancelled, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
@@ -155,21 +155,27 @@ impl IqsBaseline {
     /// cases everywhere else. The schedule (with its fused matrices) is
     /// computed once and shared by every rank.
     pub fn run(&self, circuit: &Circuit) -> BaselineRun {
-        self.run_controlled(circuit, &ExecControl::default())
+        self.run_controlled(circuit, None, &ExecControl::default())
             .expect("an inert control cannot cancel")
     }
 
-    /// [`IqsBaseline::run`] under an [`ExecControl`]: the schedule is built
-    /// once, then [`run_baseline_rank`] runs on every rank of a thread world.
+    /// [`IqsBaseline::run`] under an [`ExecControl`], handing the state back
+    /// with its qubits where `perm` wants them (see [`RunSpec::perm`]): the
+    /// schedule is built once, then [`run_baseline_rank`] runs on every rank
+    /// of a thread world.
     pub fn run_controlled(
         &self,
         circuit: &Circuit,
+        perm: Option<&[Qubit]>,
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
         let schedule = BaselineSchedule::build(circuit, self.config.num_ranks);
         let c = self.config;
         let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
-        let spec = RunSpec::new("iqs-baseline", "-", ranks, c.network, dispatch);
+        let spec = RunSpec {
+            perm,
+            ..RunSpec::new("iqs-baseline", "-", ranks, c.network, dispatch)
+        };
         let (state, report) = run_thread_world(spec, circuit, 1, |comm| {
             run_baseline_rank(comm, &schedule, dispatch, control)
         })?;
@@ -428,6 +434,23 @@ mod tests {
         assert!(run1.report.comm.bytes_sent > 0);
         assert_eq!(run3.report.comm.bytes_sent, 3 * run1.report.comm.bytes_sent);
         assert_eq!(run3.report.num_exchanges, 3 * run1.report.num_exchanges);
+    }
+
+    #[test]
+    fn the_comparator_exchanges_exactly_as_a_static_mapping_does() {
+        // A static mapping pays a swap in and a swap back per remote-target
+        // gate: each sends what changes rank, and the layout ends where it
+        // began.
+        let run = check(&generators::by_name("ising", 10), 4);
+        let report = &run.report;
+        assert_eq!(
+            (
+                report.num_exchanges,
+                report.comm.bytes_sent,
+                report.comm.messages_sent
+            ),
+            (40, 376_832, 480)
+        );
     }
 
     #[test]

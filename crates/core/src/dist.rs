@@ -21,7 +21,7 @@ use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
 use crate::hier::{execute_part, part_mode, PartMode, SweepControl};
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64, Gate, UnitaryMatrix};
+use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -214,7 +214,30 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
 
     /// Make every qubit in `qubits` local, redistributing the state if
     /// needed. Panics if more than `l` qubits are requested.
+    ///
+    /// Each qubit that comes in trades places with a local qubit that is not
+    /// needed, and every other qubit keeps its position, so the sub-cube of
+    /// the slice that stays on this rank stays where it is (see
+    /// [`crate::exchange`]) and only what changes rank moves.
     pub fn ensure_local(&mut self, qubits: &[usize]) {
+        if let Some(layout) = self.local_layout(qubits) {
+            self.redistribute(layout);
+        }
+    }
+
+    /// Take the layout [`DistState::ensure_local`] would make for `qubits`
+    /// without moving any data: `|0…0⟩` is the same state in every layout.
+    /// Only for a state no gate or exchange has touched yet.
+    fn start_local(&mut self, qubits: &[usize]) {
+        debug_assert_eq!(self.exchanges, 0, "a layout is free only before any work");
+        if let Some(layout) = self.local_layout(qubits) {
+            self.layout = layout;
+        }
+    }
+
+    /// The layout that makes every qubit in `qubits` local, or `None` when
+    /// they all are already.
+    fn local_layout(&self, qubits: &[usize]) -> Option<Vec<usize>> {
         assert!(
             qubits.len() <= self.l,
             "cannot make {} qubits local with only {} local positions",
@@ -222,7 +245,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             self.l
         );
         if self.all_local(qubits) {
-            return;
+            return None;
         }
         let mut new_layout = self.layout.clone();
         // Local positions whose qubit is not needed, available for eviction.
@@ -250,7 +273,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
                 new_layout[q] = target;
             }
         }
-        self.redistribute(new_layout);
+        Some(new_layout)
     }
 
     /// Redistribute the state to a new layout (a permutation of qubit
@@ -262,8 +285,10 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// of the new (see [`crate::exchange`]): each peer's buffer is packed in
     /// ascending old-offset order with run copies, the buffers cross in one
     /// all-to-all-v, and the old slice is overwritten with what came back.
-    /// The send buffers come from the process's pool and the received ones
-    /// go back to it, to be the next exchange's.
+    /// A sub-cube that stays on this rank at the same offsets (the rest of
+    /// every swap [`DistState::ensure_local`] makes) is neither packed nor
+    /// sent. The send buffers come from the process's pool and the received
+    /// ones go back to it, to be the next exchange's.
     pub fn redistribute(&mut self, new_layout: Vec<usize>) {
         assert_eq!(new_layout.len(), self.n);
         if new_layout == self.layout {
@@ -272,14 +297,15 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         let slice_bytes = std::mem::size_of_val(self.local.amplitudes()) as u64;
         let _span = hisvsim_obs::span("comm", "redistribute").bytes(slice_bytes);
         let plan = ExchangePlan::new(&self.layout, &new_layout, self.l, self.comm.rank());
+        let moved_bytes = (plan.moved_amplitudes() * std::mem::size_of::<Complex64>()) as u64;
         let send = {
-            let _pack = hisvsim_obs::span("comm", "pack").bytes(slice_bytes);
+            let _pack = hisvsim_obs::span("comm", "pack").bytes(moved_bytes);
             plan.pack(self.local.amplitudes(), self.comm.size())
         };
         self.exchange_tag += 1;
         let received = self.comm.alltoallv(send, self.exchange_tag);
         {
-            let _unpack = hisvsim_obs::span("comm", "unpack").bytes(slice_bytes);
+            let _unpack = hisvsim_obs::span("comm", "unpack").bytes(moved_bytes);
             plan.unpack(&received, self.local.amplitudes_mut());
         }
         received.into_iter().for_each(buffers::give);
@@ -440,29 +466,23 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         self.compute_time_s += seconds;
     }
 
-    /// Finish a rank's execution: snapshot the metrics *before* the final
-    /// redistribution (result extraction is not part of the simulated
-    /// execution the paper times), return to the identity layout and hand
-    /// back this rank's slice as a [`RankOutcome`]. The single epilogue
-    /// shared by every SPMD engine.
+    /// Finish a rank's execution: hand back this rank's slice in the layout
+    /// the run ends in, with that layout, as a [`RankOutcome`]. The single
+    /// epilogue shared by every SPMD engine; it moves no data.
     ///
-    /// Under the identity layout each rank's local slice *is* its
-    /// contiguous piece of the standard-order state, so no gather is needed
-    /// — the caller (in-process aggregator or remote launcher) concatenates
-    /// the slices in rank order. This replaced an `allgather` of the full
-    /// state onto every rank, which moved `ranks×` more data for the same
-    /// result and made remote result collection quadratic.
-    pub fn finish_rank(mut self) -> RankOutcome {
-        let rank = self.comm.rank();
-        let compute_time_s = self.compute_time_s;
-        let exchanges = self.exchanges;
-        let comm_stats = self.comm_stats();
-        self.redistribute((0..self.n).collect());
+    /// The slices in rank order are the state with its qubits at the
+    /// layout's positions, so no gather and no exchange is needed: the caller
+    /// (in-process aggregator or remote launcher) concatenates them and puts
+    /// the qubits in order with one permutation ([`aggregate_outcomes`]),
+    /// where a return to the identity layout here would cost one more
+    /// exchange per job.
+    pub fn finish_rank(self) -> RankOutcome {
         RankOutcome {
-            rank,
-            compute_time_s,
-            comm: comm_stats,
-            exchanges,
+            rank: self.comm.rank(),
+            compute_time_s: self.compute_time_s,
+            comm: self.comm.stats(),
+            exchanges: self.exchanges,
+            layout: self.layout,
             local: self.local.into_amplitudes(),
         }
     }
@@ -479,14 +499,26 @@ pub struct RankOutcome {
     pub comm: CommStats,
     /// Number of redistributions this rank participated in.
     pub exchanges: usize,
-    /// This rank's final local slice (identity layout), used to assemble the
+    /// The layout the rank ended in (`layout[q]` = bit position of qubit
+    /// `q`), the same on every rank.
+    pub layout: Vec<usize>,
+    /// This rank's final local slice under `layout`, used to assemble the
     /// full state.
     pub local: Vec<Complex64>,
 }
 
 /// Aggregate per-rank outcomes into a [`RunReport`] and the full state. A
 /// lone rank's slice becomes the state; more ranks' slices are copied in
-/// rank order into a state from the buffer pool and given back to it.
+/// rank order into a state from the buffer pool and given back to it. One
+/// [`StateVector::permute_qubits`] then moves qubit `q` from where the ranks
+/// left it to where `perm` wants it: position `perm[q]` as
+/// `StateVector::permute_qubits(perm)` reads it (the `perm` of
+/// `Circuit::relabel_swaps`), or position `q` for `None`. The pass is the
+/// ranks' final layout composed with `perm`, and none when that is the
+/// identity.
+///
+/// Panics unless every outcome carries the same layout, a permutation of
+/// the circuit's qubits.
 pub fn aggregate_outcomes(
     engine: &str,
     strategy: &str,
@@ -494,7 +526,17 @@ pub fn aggregate_outcomes(
     num_parts: usize,
     outcomes: Vec<RankOutcome>,
     wall_time_s: f64,
+    perm: Option<&[Qubit]>,
 ) -> (StateVector, RunReport) {
+    let layout = outcomes.first().expect("at least one rank").layout.clone();
+    assert!(
+        outcomes.iter().all(|outcome| outcome.layout == layout),
+        "the ranks ended in different layouts"
+    );
+    let order: Vec<Qubit> = match perm {
+        Some(perm) => perm.iter().map(|&q| layout[q]).collect(),
+        None => layout,
+    };
     let num_ranks = outcomes.len();
     let mut compute_max = 0.0f64;
     let mut comm_sum = CommStats::default();
@@ -521,7 +563,8 @@ pub fn aggregate_outcomes(
         }
         amps
     };
-    let state = StateVector::from_amplitudes(amps);
+    let mut state = StateVector::from_amplitudes(amps);
+    state.permute_qubits(&order);
     let mut report = RunReport::single_node(
         engine,
         strategy,
@@ -554,10 +597,14 @@ pub struct RunSpec<'a> {
     pub network: NetworkModel,
     /// Kernel dispatch of every sweep.
     pub dispatch: KernelDispatch,
+    /// Where the caller wants the qubits of the state handed back (see
+    /// [`aggregate_outcomes`]); `None` is the standard order.
+    pub perm: Option<&'a [Qubit]>,
 }
 
 impl<'a> RunSpec<'a> {
-    /// A spec with every field given, in declaration order.
+    /// A spec handing back the state in the standard order, every other
+    /// field given in declaration order.
     pub fn new(
         engine: &'a str,
         strategy: &'a str,
@@ -571,7 +618,15 @@ impl<'a> RunSpec<'a> {
             ranks,
             network,
             dispatch,
+            perm: None,
         }
+    }
+
+    /// Hand the state back with qubit `q` at position `perm[q]` as
+    /// `StateVector::permute_qubits(perm)` reads it.
+    pub fn with_perm(mut self, perm: &'a [Qubit]) -> Self {
+        self.perm = Some(perm);
+        self
     }
 }
 
@@ -595,7 +650,7 @@ where
     let wall = start.elapsed().as_secs_f64();
     let (engine, strategy) = (spec.engine, spec.strategy);
     Ok(aggregate_outcomes(
-        engine, strategy, circuit, num_parts, outcomes, wall,
+        engine, strategy, circuit, num_parts, outcomes, wall, spec.perm,
     ))
 }
 
@@ -624,7 +679,10 @@ pub fn run_plan(
 /// its local slice ([`DistState::ensure_local`], the only collective), then
 /// runs the step's parts through the part executor: a step's only part in
 /// place, every other where [`part_mode`] says — a function of the plan and
-/// the slice width alone, so every rank and world decides alike.
+/// the slice width alone, so every rank and world decides alike. The first
+/// step's layout costs no exchange: before the first gate the state is
+/// `|0…0⟩`, the same in every layout. The rank hands back its slice in the
+/// layout it ends in ([`DistState::finish_rank`]).
 ///
 /// The ranks vote ([`DistState::vote_cancelled`]) before every step and
 /// before every part of a step but its first, so there is one vote per part
@@ -651,9 +709,12 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
     state.set_kernel_dispatch(dispatch);
     let total_gates = plan.total_source_gates();
     let mut gates_done = 0u64;
-    for step in steps {
+    for (number, step) in steps.into_iter().enumerate() {
         state.vote_cancelled(&control.cancel)?;
-        state.ensure_local(step.working_set);
+        match number {
+            0 => state.start_local(step.working_set),
+            _ => state.ensure_local(step.working_set),
+        }
         for (index, part) in step.parts.iter().enumerate() {
             if index > 0 {
                 state.vote_cancelled(&control.cancel)?;
@@ -932,9 +993,11 @@ mod tests {
             compute_time_s: 0.0,
             comm: CommStats::default(),
             exchanges: 0,
+            layout: (0..6).collect(),
             local,
         };
-        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, vec![outcome], 0.0);
+        let outcomes = vec![outcome];
+        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0, None);
         assert_eq!(state.amplitudes().as_ptr(), kept);
         assert_eq!(report.num_ranks, 1);
     }
@@ -957,8 +1020,36 @@ mod tests {
             assert!(state.exchanges > 0, "the schedule crosses the boundary");
             state.finish_rank()
         });
-        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0);
+        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0, None);
         assert!(got.approx_eq(&expected, 1e-9));
+    }
+
+    #[test]
+    fn the_ranks_layout_and_the_callers_permutation_are_one_pass() {
+        // qft(9) ends in SWAPs; relabeled, its state wants their permutation
+        // on top of wherever the ranks leave the qubits.
+        let circuit = generators::qft(9);
+        let (relabeled, perm) = circuit.relabel_swaps();
+        let dag = CircuitDag::from_circuit(&relabeled);
+        let partition = Strategy::DagP.partition(&dag, 7).unwrap();
+        let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
+        let plan = FusedPlan::Single(&plan);
+        let inert = ExecControl::default();
+        let layouts = run_spmd(4, NetworkModel::ideal(), |mut comm| {
+            let outcome = run_plan_rank(&mut comm, 9, plan, KernelDispatch::default(), &inert);
+            outcome.expect("an inert control cannot cancel").layout
+        });
+        let identity: Vec<usize> = (0..9).collect();
+        assert_ne!(layouts[0], identity, "the ranks end away from the identity");
+        assert!(layouts.iter().all(|layout| *layout == layouts[0]));
+
+        let spec = RunSpec::new("dist", "dagP", 4, NetworkModel::ideal(), Default::default());
+        let run = |spec| run_plan(&relabeled, plan, spec, &inert).expect("nothing cancels");
+        let (mut two_passes, _) = run(spec);
+        two_passes.permute_qubits(&perm);
+        let (one_pass, _) = run(spec.with_perm(&perm));
+        assert_eq!(one_pass, two_passes);
+        assert!(one_pass.approx_eq(&run_circuit(&circuit), 1e-10));
     }
 
     /// A communicator that keeps a copy of every `alltoallv` send list
@@ -1002,9 +1093,8 @@ mod tests {
         }
     }
 
-    /// What one rank saw of a chain of exchanges: its slice after every one
-    /// (the return to the identity layout last), every send list, and the
-    /// exchanges counted before that return.
+    /// What one rank saw of a chain of exchanges: its slice after every one,
+    /// every send list, and the exchanges counted.
     #[derive(Debug, PartialEq)]
     struct Witness {
         slices: Vec<Vec<Complex64>>,
@@ -1012,9 +1102,9 @@ mod tests {
         exchanges: usize,
     }
 
-    /// Drive every rank of `world` through `layouts` and back to the
-    /// identity, with the reference body or with the planned exchange (whose
-    /// last step is `finish_rank` itself).
+    /// Drive every rank of `world` through `layouts`, with the reference body
+    /// or with the planned exchange. The planned chain ends in `finish_rank`,
+    /// which hands back the last slice and layout as they are.
     fn exchange_chain<C: RankComm<Complex64> + Send>(
         world: Vec<C>,
         n: usize,
@@ -1044,18 +1134,14 @@ mod tests {
                             assert_eq!(state.layout(), layout);
                             slices.push(state.local.amplitudes().to_vec());
                         }
-                        // `finish_rank` reports the exchanges before its own.
                         let exchanges = state.exchanges;
                         match reference {
-                            true => {
-                                state.redistribute_reference((0..n).collect());
-                                slices.push(state.local.amplitudes().to_vec());
-                                drop(state);
-                            }
+                            true => drop(state),
                             false => {
                                 let outcome = state.finish_rank();
                                 assert_eq!(outcome.exchanges, exchanges);
-                                slices.push(outcome.local);
+                                assert_eq!(Some(&outcome.layout), layouts.last());
+                                assert_eq!(Some(&outcome.local), slices.last());
                             }
                         }
                         Witness {
@@ -1071,6 +1157,83 @@ mod tests {
                 .map(|rank| rank.join().expect("rank body panicked"))
                 .collect()
         })
+    }
+
+    /// Whether every amplitude that stays on `rank` when an `n`-qubit layout
+    /// changes from `old` to `new` keeps its offset in an `l`-bit slice: the
+    /// sub-cube the planned exchange neither packs nor sends.
+    fn stays_in_place(old: &[usize], new: &[usize], l: usize, rank: usize) -> bool {
+        (0..1usize << l).all(|off| {
+            let from = (rank << l) | off;
+            let to = old
+                .iter()
+                .zip(new)
+                .fold(0, |to, (&o, &n)| to | ((from >> o) & 1) << n);
+            to >> l != rank || to == from
+        })
+    }
+
+    /// The planned exchange against the reference on both transports, over
+    /// `layouts` and back to the identity: every rank's slice after every
+    /// step, and every message between distinct ranks, bit for bit. A rank's
+    /// message to itself is the reference's, or nothing when its sub-cube
+    /// stays in place.
+    fn assert_matches_reference(ranks: usize, n: usize, layouts: &[Vec<usize>], tcp: bool) {
+        let identity: Vec<usize> = (0..n).collect();
+        let chain: Vec<Vec<usize>> = layouts
+            .iter()
+            .chain(std::iter::once(&identity))
+            .cloned()
+            .collect();
+        let run = |reference: bool| match tcp {
+            false => exchange_chain(
+                hisvsim_cluster::world(ranks, NetworkModel::ideal()),
+                n,
+                &chain,
+                reference,
+            ),
+            true => exchange_chain(
+                hisvsim_net::tcp_world(ranks, NetworkModel::ideal()).expect("loopback mesh"),
+                n,
+                &chain,
+                reference,
+            ),
+        };
+        // The layout changes that exchanged, in order.
+        let changes: Vec<(&Vec<usize>, &Vec<usize>)> = std::iter::once(&identity)
+            .chain(&chain)
+            .zip(&chain)
+            .filter(|(old, new)| old != new)
+            .collect();
+        let l = n - ranks.trailing_zeros() as usize;
+        let (expected, got) = (run(true), run(false));
+        for (rank, (expected, got)) in expected.iter().zip(&got).enumerate() {
+            let context =
+                format!("rank {rank} of {ranks}, {n} qubits, layouts {layouts:?}, tcp {tcp}");
+            assert_eq!(got.slices, expected.slices, "{context}");
+            assert_eq!(got.exchanges, changes.len(), "{context}");
+            assert_eq!(expected.exchanges, changes.len(), "{context}");
+            assert_eq!(got.sent.len(), changes.len(), "{context}");
+            let messages = got.sent.iter().zip(&expected.sent).zip(&changes);
+            for ((got, expected), (old, new)) in messages {
+                for peer in 0..ranks {
+                    if peer == rank && stays_in_place(old, new, l, rank) {
+                        assert!(got[peer].is_empty(), "in place but packed: {context}");
+                    } else {
+                        assert_eq!(got[peer], expected[peer], "{context}");
+                    }
+                }
+            }
+        }
+        // Back under the identity layout the slices are the state in order.
+        for (rank, witness) in got.iter().enumerate() {
+            let first = rank * (1usize << n) / ranks;
+            let last = witness.slices.last().expect("the return to identity");
+            assert!(last
+                .iter()
+                .enumerate()
+                .all(|(off, amp)| amp.re == (first + off) as f64));
+        }
     }
 
     /// `steps` pseudo-random permutations of `0..n` (splitmix64 shuffles).
@@ -1092,41 +1255,6 @@ mod tests {
                 layout
             })
             .collect()
-    }
-
-    /// The planned exchange against the reference on both transports: every
-    /// rank's slice after every step, and every per-peer message, bit for bit.
-    fn assert_matches_reference(ranks: usize, n: usize, layouts: &[Vec<usize>], tcp: bool) {
-        let run = |reference: bool| match tcp {
-            false => exchange_chain(
-                hisvsim_cluster::world(ranks, NetworkModel::ideal()),
-                n,
-                layouts,
-                reference,
-            ),
-            true => exchange_chain(
-                hisvsim_net::tcp_world(ranks, NetworkModel::ideal()).expect("loopback mesh"),
-                n,
-                layouts,
-                reference,
-            ),
-        };
-        let (expected, got) = (run(true), run(false));
-        for (rank, (expected, got)) in expected.iter().zip(&got).enumerate() {
-            assert_eq!(
-                got, expected,
-                "rank {rank} of {ranks}, {n} qubits, layouts {layouts:?}, tcp {tcp}"
-            );
-        }
-        // Back under the identity layout the slices are the state in order.
-        for (rank, witness) in got.iter().enumerate() {
-            let first = rank * (1usize << n) / ranks;
-            let last = witness.slices.last().expect("the return to identity");
-            assert!(last
-                .iter()
-                .enumerate()
-                .all(|(off, amp)| amp.re == (first + off) as f64));
-        }
     }
 
     proptest::proptest! {
@@ -1163,7 +1291,8 @@ mod tests {
     fn ensure_local_chains_match_the_reference() {
         // What the engines do: swaps that bring a working set in, three or
         // more in a row, then `finish_rank`. The layouts are the ones
-        // `ensure_local` picks for these working sets.
+        // `ensure_local` picks for these working sets; the way back to the
+        // identity is only the check's.
         for (ranks, n) in [(2usize, 6usize), (4, 7), (8, 9)] {
             let l = n - ranks.trailing_zeros() as usize;
             let working_sets: Vec<Vec<usize>> = vec![
@@ -1188,6 +1317,18 @@ mod tests {
             )
             .swap_remove(0);
             assert!(layouts.windows(2).filter(|pair| pair[0] != pair[1]).count() >= 2);
+            // Every swap `ensure_local` makes leaves each rank's staying
+            // sub-cube in place.
+            let identity: Vec<usize> = (0..n).collect();
+            for pair in std::iter::once(&identity)
+                .chain(&layouts)
+                .collect::<Vec<_>>()
+                .windows(2)
+            {
+                for rank in 0..ranks {
+                    assert!(stays_in_place(pair[0], pair[1], l, rank), "{pair:?}");
+                }
+            }
             for tcp in [false, true] {
                 assert_matches_reference(ranks, n, &layouts, tcp);
             }

@@ -14,7 +14,14 @@
 //! slice bits, and through two small offset tables (one lookup per half of the
 //! remaining bits) above that.
 //!
+//! The message a rank sends itself is skipped when it would land on the
+//! offsets it is read from: when the kept positions do not move and this
+//! rank's own amplitudes are selected by the same bits before and after.
+//! Every swap [`DistState::ensure_local`] makes is such a change, so a rank
+//! packs, sends and unpacks only the sub-cubes that change rank.
+//!
 //! [`DistState::redistribute`]: crate::dist::DistState::redistribute
+//! [`DistState::ensure_local`]: crate::dist::DistState::ensure_local
 
 use hisvsim_circuit::Complex64;
 use hisvsim_statevec::buffers;
@@ -123,10 +130,11 @@ pub(crate) struct ExchangePlan {
     /// Message ↔ new slice.
     unpack: SubcubeMap,
     /// `(destination rank, base offset in the old slice)` of every message
-    /// sent, the message to this rank itself included.
+    /// sent, the message to this rank itself included unless it stays in
+    /// place.
     outgoing: Vec<(usize, usize)>,
     /// `(source rank, base offset in the new slice)` of every message
-    /// received.
+    /// received, likewise.
     incoming: Vec<(usize, usize)>,
 }
 
@@ -173,34 +181,53 @@ impl ExchangePlan {
         let arriving_from = rank_bits(&arriving);
         let arriving_to = moved(&arriving);
         let peers = 0..1usize << evicted.len();
+        let mut outgoing: Vec<(usize, usize)> = peers
+            .clone()
+            .map(|v| {
+                (
+                    destination_fixed | deposit(v, &evicted_to),
+                    deposit(v, &evicted),
+                )
+            })
+            .collect();
+        let mut incoming: Vec<(usize, usize)> = peers
+            .map(|v| {
+                (
+                    source_fixed | deposit(v, &arriving_from),
+                    deposit(v, &arriving_to),
+                )
+            })
+            .collect();
+        // The message to itself is read from and written to the same offsets
+        // when the kept positions stay put and both ends put it at one base.
+        let own_base = |messages: &[(usize, usize)]| {
+            let own = messages.iter().find(|&&(peer, _)| peer == rank);
+            own.map(|&(_, base)| base)
+        };
+        let kept_in_place = kept.iter().all(|&pos| to[pos] == pos);
+        if kept_in_place && own_base(&outgoing) == own_base(&incoming) {
+            outgoing.retain(|&(peer, _)| peer != rank);
+            incoming.retain(|&(peer, _)| peer != rank);
+        }
         Self {
             message_len: 1usize << kept.len(),
             pack: SubcubeMap::new(&kept),
             unpack: SubcubeMap::new(&moved(&kept)),
-            outgoing: peers
-                .clone()
-                .map(|v| {
-                    (
-                        destination_fixed | deposit(v, &evicted_to),
-                        deposit(v, &evicted),
-                    )
-                })
-                .collect(),
-            incoming: peers
-                .map(|v| {
-                    (
-                        source_fixed | deposit(v, &arriving_from),
-                        deposit(v, &arriving_to),
-                    )
-                })
-                .collect(),
+            outgoing,
+            incoming,
         }
+    }
+
+    /// Amplitudes this rank packs, and unpacks: the slice less the sub-cube
+    /// that stays in place.
+    pub(crate) fn moved_amplitudes(&self) -> usize {
+        self.outgoing.len() * self.message_len
     }
 
     /// The send buffers of `alltoallv` for a world of `size` ranks: each
     /// peer's amplitudes in ascending old-offset order, nothing for the ranks
-    /// this one sends nothing to. The buffers come from the process's pool
-    /// ([`buffers::take`]).
+    /// this one sends nothing to (itself, when its sub-cube stays in place).
+    /// The buffers come from the process's pool ([`buffers::take`]).
     pub(crate) fn pack(&self, slice: &[Complex64], size: usize) -> Vec<Vec<Complex64>> {
         let mut send: Vec<Vec<Complex64>> = (0..size).map(|_| Vec::new()).collect();
         for &(peer, _) in &self.outgoing {
@@ -297,6 +324,29 @@ mod tests {
             let mut sources: Vec<usize> = plan.incoming.iter().map(|&(s, _)| s).collect();
             sources.sort_unstable();
             assert_eq!(sources, vec![b2 | b0 << 2, b2 | 2 | b0 << 2]);
+        }
+    }
+
+    #[test]
+    fn a_swap_sends_only_what_changes_rank() {
+        // 3 slice bits, 2 rank bits: slice bit 0 trades places with rank bit
+        // 0, the kept bits stay, so every rank trades half its slice with its
+        // partner and keeps the other half where it is.
+        let old = [0, 1, 2, 3, 4];
+        let swap = [3, 1, 2, 0, 4];
+        for rank in 0..4usize {
+            let plan = ExchangePlan::new(&old, &swap, 3, rank);
+            assert_eq!(plan.outgoing, vec![(rank ^ 1, (!rank & 1))]);
+            assert_eq!(plan.incoming, vec![(rank ^ 1, (!rank & 1))]);
+            assert_eq!(plan.moved_amplitudes(), 4);
+        }
+        // Kept bits that trade places move the own sub-cube too.
+        let crossed = [3, 2, 1, 0, 4];
+        for rank in 0..4usize {
+            let plan = ExchangePlan::new(&old, &crossed, 3, rank);
+            assert!(plan.outgoing.iter().any(|&(peer, _)| peer == rank));
+            assert!(plan.incoming.iter().any(|&(peer, _)| peer == rank));
+            assert_eq!(plan.moved_amplitudes(), 8);
         }
     }
 

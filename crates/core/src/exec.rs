@@ -13,10 +13,10 @@
 //! ## Cancelling an SPMD engine: the vote
 //!
 //! The engines run one rank per thread or per worker process, and the ranks
-//! meet in collectives (`ensure_local` redistributions, the return to the
-//! identity layout). A rank that polled the token on its own could leave
-//! before part `i` while a peer, which polled an instant earlier, waits for
-//! it inside part `i`'s all-to-all. So at every checkpoint the ranks *vote*
+//! meet in collectives (the `ensure_local` redistributions). A rank that
+//! polled the token on its own could leave before part `i` while a peer,
+//! which polled an instant earlier, waits for it inside part `i`'s
+//! all-to-all. So at every checkpoint the ranks *vote*
 //! ([`DistState::vote_cancelled`](crate::dist::DistState::vote_cancelled),
 //! a boolean OR over [`RankComm::vote_any`](hisvsim_cluster::RankComm::vote_any)):
 //! each contributes what its own token says and all receive the same

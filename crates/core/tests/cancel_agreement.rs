@@ -151,11 +151,16 @@ impl World {
     }
 }
 
-/// All ranks finished: their slices, in rank order, are the state.
+/// All ranks finished: their slices, in rank order, are the state under
+/// the layout they ended in.
 fn assemble(outcomes: Vec<Result<RankOutcome, Cancelled>>) -> Option<StateVector> {
     let slices: Result<Vec<RankOutcome>, Cancelled> = outcomes.into_iter().collect();
-    let amps = slices.ok()?.into_iter().flat_map(|outcome| outcome.local);
-    Some(StateVector::from_amplitudes(amps.collect()))
+    let slices = slices.ok()?;
+    let layout = slices[0].layout.clone();
+    let amps = slices.into_iter().flat_map(|outcome| outcome.local);
+    let mut state = StateVector::from_amplitudes(amps.collect());
+    state.permute_qubits(&layout);
+    Some(state)
 }
 
 fn splitmix(seed: u64) -> u64 {

@@ -1,6 +1,7 @@
 //! Allocation budget of the part-switch exchange: one
-//! `DistState::redistribute` allocates its send buffers — one per peer, a
-//! slice's worth of bytes between them — and a few small tables, and nothing
+//! `DistState::redistribute` allocates its send buffers — one per peer it
+//! sends to, exactly the bytes that leave the rank between them: none for
+//! the sub-cube that stays in place — and a few small tables, and nothing
 //! that grows with the slice beyond that: no per-amplitude index vector, no
 //! second slice. A counting global allocator (this test binary only, after
 //! `crates/statevec/tests/allocations.rs`) keeps per-thread tallies, so each
@@ -21,12 +22,22 @@ struct Tally {
     bytes: usize,
     /// The largest single request within the window being measured.
     largest: usize,
+    /// Bytes in requests of [`BUFFER_FLOOR`] or more: amplitude buffers, not
+    /// offset tables.
+    buffer_bytes: usize,
 }
+
+/// The smallest request counted as an amplitude buffer. The exchanges below
+/// send 2^14 amplitudes or more per peer and build tables of 2^8 offsets or
+/// fewer.
+const BUFFER_FLOOR: usize = 16 << 10;
 
 thread_local! {
     // Const-initialised and without a destructor: touching it never
     // allocates, which an allocator's own bookkeeping must not.
-    static TALLY: Cell<Tally> = const { Cell::new(Tally { allocations: 0, bytes: 0, largest: 0 }) };
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally { allocations: 0, bytes: 0, largest: 0, buffer_bytes: 0 })
+    };
 }
 
 fn note(size: usize) {
@@ -37,6 +48,9 @@ fn note(size: usize) {
         t.allocations += 1;
         t.bytes += size;
         t.largest = t.largest.max(size);
+        if size >= BUFFER_FLOOR {
+            t.buffer_bytes += size;
+        }
         tally.set(t);
     });
 }
@@ -75,6 +89,7 @@ fn allocated_by(work: impl FnOnce()) -> Tally {
         allocations: after.allocations - before.allocations,
         bytes: after.bytes - before.bytes,
         largest: after.largest,
+        buffer_bytes: after.buffer_bytes - before.buffer_bytes,
     }
 }
 
@@ -100,10 +115,17 @@ fn one_exchange_allocates_its_send_buffers_and_little_else() {
                 let back = allocated_by(|| state.redistribute((0..n).collect()));
                 (first, back)
             });
+        // A rank keeps the sub-cube whose rank bits are its own, in place,
+        // and sends the rest: (R - 1) / R of its slice.
+        let departing = slice_bytes / ranks * (ranks - 1);
         for (rank, (first, back)) in tallies.into_iter().enumerate() {
+            assert_eq!(
+                first.buffer_bytes, departing,
+                "rank {rank} of {ranks}: buffers for the slice of {slice_bytes} bytes"
+            );
             assert!(
-                first.bytes >= slice_bytes && first.bytes <= 2 * slice_bytes,
-                "rank {rank} of {ranks}: {} bytes allocated for a slice of {slice_bytes}",
+                first.bytes < departing + slice_bytes / 8,
+                "rank {rank} of {ranks}: {} bytes allocated to send {departing}",
                 first.bytes
             );
             assert!(

@@ -136,7 +136,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
         plan: PersistedPlan::Single(partition),
         trace: tracing,
     };
-    let (state, report) = match pool.execute(&job, &CancelToken::new()) {
+    let (state, report) = match pool.execute(&job, None, &CancelToken::new()) {
         Ok(result) => result,
         Err(e) => {
             log::error(
@@ -147,6 +147,9 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The trace is the process run's: the in-process reference, which runs
+    // its ranks and its permutation on this process too, stays out of it.
+    hisvsim_obs::set_enabled(false);
     let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100());
     if state != reference {
         log::error(

@@ -20,7 +20,7 @@ use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
 use crate::wire::{read_items_frame_into, recv_json, send_json};
-use hisvsim_circuit::Complex64;
+use hisvsim_circuit::{Complex64, Qubit};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
 use hisvsim_obs::log;
@@ -224,7 +224,10 @@ impl WorkerPool {
     /// Execute `job` on the resident worker world (spawning it on the
     /// first call, or after a failure dropped it), and assemble the full
     /// state plus the aggregated run report (per-rank comm stats merged
-    /// exactly like the in-process engines').
+    /// exactly like the in-process engines'). The state comes back with its
+    /// qubits where `perm` wants them, in the standard order for `None` (see
+    /// [`aggregate_outcomes`]): one pass on the launcher that also undoes the
+    /// ranks' final layout. `perm` stays on the launcher.
     ///
     /// While the job runs, a canceller thread polls `cancel` and, once it
     /// fires, ships `Cancel { epoch }` to every rank: the workers stop
@@ -236,6 +239,7 @@ impl WorkerPool {
     pub fn execute(
         &self,
         job: &ShippedJob,
+        perm: Option<&[Qubit]>,
         cancel: &CancelToken,
     ) -> Result<(StateVector, RunReport), NetError> {
         // One job at a time: the lock *is* the job queue (SPMD — every
@@ -244,7 +248,7 @@ impl WorkerPool {
         self.metrics.jobs_run.fetch_add(1, Ordering::Relaxed);
         let epoch = inner.next_epoch;
         inner.next_epoch += 1;
-        match self.run_job(&mut inner.world, epoch, job, cancel) {
+        match self.run_job(&mut inner.world, epoch, job, perm, cancel) {
             Err(NetError::Cancelled) => {
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 log::info(
@@ -278,6 +282,7 @@ impl WorkerPool {
         world: &mut Option<World>,
         epoch: u64,
         job: &ShippedJob,
+        perm: Option<&[Qubit]>,
         cancel: &CancelToken,
     ) -> Result<(StateVector, RunReport), NetError> {
         if world.is_some() {
@@ -344,6 +349,7 @@ impl WorkerPool {
             job.num_parts(),
             outcomes,
             wall,
+            perm,
         ))
     }
 
@@ -465,9 +471,9 @@ impl WorkerPool {
 }
 
 impl World {
-    /// Gather per-rank reports (and, on success, identity-layout slices of an
-    /// `n`-qubit state, read into buffers from the pool); a unanimous cancel
-    /// is [`NetError::Cancelled`]. Before each blocking read, wait for
+    /// Gather per-rank reports (and, on success, the slices of an `n`-qubit
+    /// state under the one layout every rank reports, read into buffers from
+    /// the pool); a unanimous cancel is [`NetError::Cancelled`]. Before each blocking read, wait for
     /// readability while polling worker liveness — a crashed worker fails
     /// the gather promptly instead of wedging the pool on a stream that will
     /// never produce bytes.
@@ -475,7 +481,7 @@ impl World {
         let _gather = hisvsim_obs::span("cluster", "gather");
         let ranks = self.controls.len();
         let amp_count = 1 << n.saturating_sub(ranks.trailing_zeros() as usize);
-        let mut outcomes = Vec::with_capacity(ranks);
+        let mut outcomes: Vec<RankOutcome> = Vec::with_capacity(ranks);
         let mut cancelled_ranks = 0usize;
         for (rank, stream) in self.controls.iter_mut().enumerate() {
             await_readable(stream, &mut self.guard)?;
@@ -507,6 +513,22 @@ impl World {
                 return Err(NetError::Protocol(format!(
                     "rank {rank} announced {} amplitudes for a slice of {amp_count}",
                     report.amp_count
+                )));
+            }
+            // So did the layout the slices are assembled under.
+            if !is_permutation(&report.layout, n) {
+                return Err(NetError::Protocol(format!(
+                    "rank {rank} reported layout {:?}, not a permutation of 0..{n}",
+                    report.layout
+                )));
+            }
+            if let Some(first) = outcomes
+                .first()
+                .filter(|first| first.layout != report.layout)
+            {
+                return Err(NetError::Protocol(format!(
+                    "rank {rank} reported layout {:?}, rank {} {:?}",
+                    report.layout, first.rank, first.layout
                 )));
             }
             let mut local = buffers::take(amp_count);
@@ -542,6 +564,7 @@ impl World {
                 compute_time_s: report.compute_time_s,
                 comm: report.comm,
                 exchanges: report.exchanges,
+                layout: report.layout,
                 local,
             });
         }
@@ -555,6 +578,15 @@ impl World {
             ))),
         }
     }
+}
+
+/// Whether `layout` puts `n` qubits on `n` distinct positions below `n`.
+fn is_permutation(layout: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    layout.len() == n
+        && layout
+            .iter()
+            .all(|&pos| pos < n && !std::mem::replace(&mut seen[pos], true))
 }
 
 impl Drop for WorkerPool {
@@ -579,7 +611,7 @@ impl ProcessBackend for WorkerPool {
             plan: request.plan,
             trace: hisvsim_obs::enabled(),
         };
-        WorkerPool::execute(self, &job, cancel).map_err(|e| match e {
+        WorkerPool::execute(self, &job, Some(request.perm), cancel).map_err(|e| match e {
             NetError::Cancelled => ProcessError::Cancelled,
             e => ProcessError::Failed(e.to_string()),
         })
@@ -732,48 +764,59 @@ mod tests {
     use super::*;
     use crate::wire::{items_as_wire_bytes, write_frame};
 
-    /// One rank's report, as a worker sends it after a job at epoch 7.
-    fn report(amp_count: usize) -> RankReport {
+    /// Rank `rank`'s report, as a worker sends it after a job at epoch 7.
+    fn report(rank: usize, amp_count: usize, layout: Vec<usize>) -> RankReport {
         RankReport {
-            rank: 0,
+            rank,
             epoch: 7,
             status: RankStatus::Ok,
             compute_time_s: 0.0,
             comm: Default::default(),
             exchanges: 0,
+            layout,
             amp_count,
             spans: Vec::new(),
         }
     }
 
-    /// Gather the answer of a world of one rank from whatever `worker` wrote
-    /// to its control stream, for a job of `qubits` qubits.
-    fn gather_from(
-        worker: impl FnOnce(&mut TcpStream),
-        qubits: usize,
-    ) -> Result<Vec<RankOutcome>, NetError> {
+    /// What rank `r` writes to its control stream: `writes[r]`.
+    type Write<'a> = Box<dyn FnOnce(&mut TcpStream) + 'a>;
+
+    /// Gather the answer of a world of `writes.len()` ranks for a job of
+    /// `qubits` qubits, each rank having written its part and hung up.
+    fn gather_from(writes: Vec<Write<'_>>, qubits: usize) -> Result<Vec<RankOutcome>, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
-        let mut stream =
-            TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
-        let (control, _) = listener.accept().expect("accept");
-        worker(&mut stream);
+        let mut controls = Vec::new();
+        for write in writes {
+            let mut stream =
+                TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+            let (control, _) = listener.accept().expect("accept");
+            write(&mut stream);
+            controls.push(control);
+        }
         let mut world = World {
             guard: ChildGuard::new(),
-            controls: vec![control],
+            controls,
         };
         world.gather(7, qubits)
     }
 
+    /// A rank that sends `report` and, after it, `amps`.
+    fn answers<'a>(report: RankReport, amps: &'a [Complex64]) -> Write<'a> {
+        Box::new(move |stream| {
+            send_json(stream, &report).unwrap();
+            write_frame(stream, AMPS_TAG, &items_as_wire_bytes(amps)).unwrap();
+        })
+    }
+
+    fn numbered(len: usize) -> Vec<Complex64> {
+        (0..len).map(|i| Complex64::new(i as f64, 0.5)).collect()
+    }
+
     #[test]
     fn a_report_announcing_another_slice_length_is_refused_before_allocating() {
-        let amps: Vec<Complex64> = (0..1024).map(|i| Complex64::new(i as f64, 0.5)).collect();
-        let honest = gather_from(
-            |stream| {
-                send_json(stream, &report(amps.len())).unwrap();
-                write_frame(stream, AMPS_TAG, &items_as_wire_bytes(&amps)).unwrap();
-            },
-            10,
-        );
+        let amps = numbered(1024);
+        let honest = gather_from(vec![answers(report(0, 1024, (0..10).collect()), &amps)], 10);
         let Ok(outcomes) = honest else {
             panic!("an honest report is gathered");
         };
@@ -781,7 +824,8 @@ mod tests {
 
         // 2^40 amplitudes would be a 16 TiB buffer: refused from the report
         // alone, with no frame read and nothing allocated.
-        let lying = gather_from(|stream| send_json(stream, &report(1 << 40)).unwrap(), 10);
+        let lying = report(0, 1 << 40, (0..10).collect());
+        let lying = gather_from(vec![Box::new(|s| send_json(s, &lying).unwrap())], 10);
         let Err(NetError::Protocol(message)) = lying else {
             panic!("a lying report must be a protocol error");
         };
@@ -789,5 +833,43 @@ mod tests {
             message.contains("announced 1099511627776 amplitudes"),
             "{message}"
         );
+    }
+
+    #[test]
+    fn a_layout_that_is_no_permutation_or_not_the_others_is_refused_before_the_amplitudes() {
+        // Each lying rank sends its report and hangs up without the
+        // amplitude frame: reading it would fail as I/O, not as protocol.
+        let lies = |layout: Vec<usize>| -> Write<'static> {
+            let report = report(0, 1024, layout);
+            Box::new(move |stream| send_json(stream, &report).unwrap())
+        };
+        let mut repeated: Vec<usize> = (0..10).collect();
+        repeated[9] = 8;
+        for layout in [repeated, (0..9).collect(), (1..11).collect()] {
+            let Err(NetError::Protocol(message)) = gather_from(vec![lies(layout)], 10) else {
+                panic!("a foreign layout must be a protocol error");
+            };
+            assert!(message.contains("not a permutation of 0..10"), "{message}");
+        }
+
+        // Two ranks, each layout a permutation, but not the same one.
+        let amps = numbered(512);
+        let mut swapped: Vec<usize> = (0..10).collect();
+        swapped.swap(0, 9);
+        let honest = answers(report(0, 512, swapped.clone()), &amps);
+        let other = report(1, 512, (0..10).collect());
+        let other: Write<'_> = Box::new(move |stream| send_json(stream, &other).unwrap());
+        let Err(NetError::Protocol(message)) = gather_from(vec![honest, other], 10) else {
+            panic!("ranks in different layouts must be a protocol error");
+        };
+        assert!(message.contains("rank 1 reported layout"), "{message}");
+
+        // The same layout on both is gathered, and carried.
+        let both = vec![
+            answers(report(0, 512, swapped.clone()), &amps),
+            answers(report(1, 512, swapped.clone()), &amps),
+        ];
+        let outcomes = gather_from(both, 10).expect("one layout on every rank");
+        assert!(outcomes.iter().all(|outcome| outcome.layout == swapped));
     }
 }

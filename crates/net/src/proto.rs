@@ -118,9 +118,10 @@ pub enum RankStatus {
     /// All ranks agreed to cancel at a vote checkpoint; the mesh is clean
     /// and the worker stays resident. No amplitude frame follows.
     Cancelled,
-    /// The rank body failed (peer loss or a panic); the mesh state is
-    /// undefined, the worker exits after reporting, and the pool respawns
-    /// the world. No amplitude frame follows.
+    /// The rank body failed (peer loss or a panic), or the shipped plan does
+    /// not validate; the mesh state is undefined, the worker exits after
+    /// reporting, and the pool respawns the world. No amplitude frame
+    /// follows.
     Failed(String),
 }
 
@@ -140,6 +141,9 @@ pub struct RankReport {
     pub comm: CommStats,
     /// Number of state redistributions this rank participated in.
     pub exchanges: usize,
+    /// The layout the rank's slice is in (`layout[q]` = bit position of
+    /// qubit `q`), the same on every rank; empty unless the rank finished.
+    pub layout: Vec<usize>,
     /// Amplitudes in the raw frame that follows.
     pub amp_count: usize,
     /// This rank's buffered trace spans (empty unless

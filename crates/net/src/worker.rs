@@ -2,12 +2,12 @@
 //!
 //! A worker is one rank of the process cluster: it checks in with the
 //! pool, joins the TCP mesh **once**, then serves jobs from a persistent
-//! command loop — re-fusing each shipped partition locally (with a warm
-//! plan cache, so a repeated fingerprint re-fuses nothing), running the
-//! *same* rank body the in-process world runs, and streaming its
-//! identity-layout slice back per job, then giving it to the process's
-//! [`buffers`] pool beside the exchange's: a warm worker's next job
-//! allocates no amplitude buffer at all. A reader thread drains
+//! command loop — checking and re-fusing each shipped partition locally
+//! (with a warm plan cache, so a repeated fingerprint re-fuses nothing),
+//! running the *same* rank body the in-process world runs, and streaming
+//! its slice back per job in the layout the body ended in, then giving it
+//! to the process's [`buffers`] pool beside the exchange's: a warm worker's
+//! next job allocates no amplitude buffer at all. A reader thread drains
 //! [`WorkerCommand`] frames concurrently, so a `Cancel { epoch }` reaches
 //! the running job's [`CancelToken`] mid-sweep; the rank body observes it
 //! at its collective cancel-vote checkpoints. The module also holds the
@@ -70,13 +70,17 @@ impl WorkerPlanCache {
         (self.hits, self.misses)
     }
 
-    fn get_or_build(&mut self, key: u64, build: impl FnOnce() -> CachedPlan) -> CachedPlan {
+    fn get_or_build(
+        &mut self,
+        key: u64,
+        build: impl FnOnce() -> Result<CachedPlan, String>,
+    ) -> Result<CachedPlan, String> {
         if let Some(plan) = self.plans.get(&key) {
             self.hits += 1;
-            return plan.clone();
+            return Ok(plan.clone());
         }
         self.misses += 1;
-        let plan = build();
+        let plan = build()?;
         if self.plans.len() >= self.capacity {
             if let Some(evicted) = self.order.pop_front() {
                 self.plans.remove(&evicted);
@@ -84,7 +88,7 @@ impl WorkerPlanCache {
         }
         self.plans.insert(key, plan.clone());
         self.order.push_back(key);
-        plan
+        Ok(plan)
     }
 }
 
@@ -100,21 +104,49 @@ fn plan_key(job: &ShippedJob) -> u64 {
     hasher.finish()
 }
 
-/// Execute one rank of a shipped job on any [`RankComm`] world: the one
-/// rank body ([`run_plan_rank`]) over the shipped plan, re-fused through
+/// The fused plan of a shipped job for a world of `ranks` ranks, from
 /// `plans` (a warm [`WorkerPlanCache`] re-fuses a repeated fingerprint not
-/// at all), voting on `cancel` at its checkpoints — all ranks stop together
-/// or not at all. Worker processes run it over [`TcpComm`] and
+/// at all). A miss first checks the shipped partition against the circuit
+/// at the world's local width, with the `validate` the runtime applies to a
+/// warm snapshot: a shipped plan is no more trusted than a persisted one.
+fn shipped_plan(
+    job: &ShippedJob,
+    ranks: usize,
+    plans: &mut WorkerPlanCache,
+) -> Result<CachedPlan, String> {
+    plans.get_or_build(plan_key(job), || {
+        let qubits = job.circuit.num_qubits();
+        let local = qubits
+            .checked_sub(ranks.trailing_zeros() as usize)
+            .ok_or_else(|| format!("{qubits} qubits cannot spread over {ranks} ranks"))?;
+        let dag = CircuitDag::from_circuit(&job.circuit);
+        let valid = match &job.plan {
+            PersistedPlan::Single(partition) => partition
+                .validate(&dag, local)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            PersistedPlan::Two(ml) => ml.validate(&dag, local),
+        };
+        valid.map_err(|e| {
+            format!("the shipped plan does not validate at {local} local qubits: {e}")
+        })?;
+        Ok(fuse_shipped(job, &dag))
+    })
+}
+
+/// Execute one rank of a shipped job on any [`RankComm`] world: the one
+/// rank body ([`run_plan_rank`]) over the job's fused `plan`, voting on
+/// `cancel` at its checkpoints — all ranks stop together or not at all.
+/// Worker processes run it over [`TcpComm`] and
 /// [`execute_local_reference`] over
 /// [`LocalComm`](hisvsim_cluster::LocalComm), which is what makes the two
 /// runs bit-identical by construction.
-pub(crate) fn execute_shipped_rank<C: RankComm<Complex64>>(
+fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
+    plan: &CachedPlan,
     comm: &mut C,
     cancel: &CancelToken,
-    plans: &mut WorkerPlanCache,
 ) -> Result<RankOutcome, Cancelled> {
-    let plan = plans.get_or_build(plan_key(job), || fuse_shipped(job));
     let control = ExecControl::new().with_cancel(cancel.clone());
     let qubits = job.circuit.num_qubits();
     run_plan_rank(comm, qubits, plan.fused(), job.dispatch, &control)
@@ -125,15 +157,18 @@ pub(crate) fn execute_shipped_rank<C: RankComm<Complex64>>(
 /// body (`execute_shipped_rank`) over
 /// [`LocalComm`](hisvsim_cluster::LocalComm) under an inert token, so the
 /// two runs are bit-identical whenever the transport moves bytes faithfully.
+/// The state comes back in the standard qubit order. Panics if the shipped
+/// plan does not validate, where a worker would fail the job.
 pub fn execute_local_reference(
     job: &ShippedJob,
     ranks: usize,
     network: NetworkModel,
 ) -> (StateVector, RunReport) {
     let start = Instant::now();
+    let plan = shipped_plan(job, ranks, &mut WorkerPlanCache::new(1))
+        .unwrap_or_else(|message| panic!("{message}"));
     let outcomes = run_spmd::<Complex64, RankOutcome, _>(ranks, network, |mut comm| {
-        let mut plans = WorkerPlanCache::new(1);
-        execute_shipped_rank(job, &mut comm, &CancelToken::new(), &mut plans)
+        execute_shipped_rank(job, &plan, &mut comm, &CancelToken::new())
             .expect("an inert token never cancels")
     });
     let wall = start.elapsed().as_secs_f64();
@@ -144,22 +179,24 @@ pub fn execute_local_reference(
         job.num_parts(),
         outcomes,
         wall,
+        None,
     )
 }
 
-/// Re-fuse a shipped partition (a plan-cache miss), under a `fuse` span.
-fn fuse_shipped(job: &ShippedJob) -> CachedPlan {
+/// Re-fuse a shipped partition (a plan-cache miss) over the circuit's
+/// `dag`, under a `fuse` span.
+fn fuse_shipped(job: &ShippedJob, dag: &CircuitDag) -> CachedPlan {
     let gates = job.circuit.num_gates();
     let _fuse = hisvsim_obs::span("job", "fuse")
         .detail(format!("{gates} gates, width {DEFAULT_FUSION_WIDTH}"));
-    let (circuit, dag) = (&job.circuit, CircuitDag::from_circuit(&job.circuit));
+    let circuit = &job.circuit;
     match &job.plan {
         PersistedPlan::Single(partition) => {
-            let plan = FusedSinglePlan::new(circuit, &dag, partition.clone());
+            let plan = FusedSinglePlan::new(circuit, dag, partition.clone());
             CachedPlan::Single(Arc::new(plan))
         }
         PersistedPlan::Two(ml) => {
-            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, &dag, ml.clone())))
+            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml.clone())))
         }
     }
 }
@@ -256,9 +293,14 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         hisvsim_obs::set_enabled(job.trace);
         comm.reset_stats();
         comm.begin_job();
+        // A plan that does not validate fails the job like a rank body that
+        // panics: every rank checks the same job alike, so all of them
+        // refuse it before any collective.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            execute_shipped_rank(&job, &mut comm, &token, &mut plans)
-        }));
+            shipped_plan(&job, spec.size, &mut plans)
+                .map(|plan| execute_shipped_rank(&job, &plan, &mut comm, &token))
+        }))
+        .unwrap_or_else(|payload| Err(describe_panic(payload)));
         cancels.lock().expect("cancel map poisoned").remove(&epoch);
         let (cache_hits, cache_misses) = plans.stats();
         match result {
@@ -289,6 +331,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         compute_time_s: outcome.compute_time_s,
                         comm: outcome.comm,
                         exchanges: outcome.exchanges,
+                        layout: outcome.layout,
                         amp_count: outcome.local.len(),
                         spans,
                     },
@@ -314,17 +357,17 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         compute_time_s: 0.0,
                         comm: comm.stats(),
                         exchanges: 0,
+                        layout: Vec::new(),
                         amp_count: 0,
                         spans: Vec::new(),
                     },
                 )?;
             }
-            Err(payload) => {
-                // Peer loss or a rank-body panic mid-collective: the mesh
-                // state is undefined. Report the failure so the pool can
-                // fail this job promptly, then exit — the pool respawns
-                // the world for the next job.
-                let message = describe_panic(payload);
+            Err(message) => {
+                // Peer loss, a rank-body panic mid-collective or a refused
+                // plan: the mesh state is undefined. Report the failure so
+                // the pool can fail this job promptly, then exit — the pool
+                // respawns the world for the next job.
                 log::error(
                     LOG_TARGET,
                     "rank body failed",
@@ -359,6 +402,7 @@ fn report_failure<C: RankComm<Complex64>>(
             compute_time_s: 0.0,
             comm: comm.stats(),
             exchanges: 0,
+            layout: Vec::new(),
             amp_count: 0,
             spans: Vec::new(),
         },

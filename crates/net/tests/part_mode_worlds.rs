@@ -48,7 +48,7 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     let (threads_state, _) = execute_local_reference(&job, workers, NetworkModel::ideal());
     let on_threads = drained_parts();
     let (processes_state, _) = pool
-        .execute(&job, &CancelToken::new())
+        .execute(&job, None, &CancelToken::new())
         .expect("process world runs");
     let on_processes = drained_parts();
     hisvsim_obs::set_enabled(false);

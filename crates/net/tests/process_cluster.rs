@@ -5,8 +5,8 @@
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{CancelToken, RunReport};
-use hisvsim_dag::CircuitDag;
-use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
+use hisvsim_dag::{CircuitDag, Partition};
+use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_runtime::{
     Backend, EngineKind, EngineSelector, JobControl, JobError, JobRunner, PersistedPlan, Scheduler,
@@ -39,7 +39,9 @@ fn single_level_job_of(circuit: Circuit, workers: usize) -> ShippedJob {
 
 /// Run `job` on a fresh `workers`-process pool under an inert token.
 fn run_on_processes(job: &ShippedJob, workers: usize) -> (StateVector, RunReport) {
-    launcher(workers).execute(job, &CancelToken::new()).unwrap()
+    launcher(workers)
+        .execute(job, None, &CancelToken::new())
+        .unwrap()
 }
 
 /// The same job on the in-process channel world.
@@ -248,7 +250,7 @@ fn crashed_worker_fails_the_launch_instead_of_hanging() {
         .with_network(NetworkModel::ideal());
     let job = single_level_job(8, 2);
     let start = std::time::Instant::now();
-    let err = bad.execute(&job, &CancelToken::new()).unwrap_err();
+    let err = bad.execute(&job, None, &CancelToken::new()).unwrap_err();
     assert!(
         start.elapsed() < std::time::Duration::from_secs(30),
         "launch failure took too long"
@@ -301,4 +303,41 @@ fn restarted_launcher_service_reuses_shipped_plans_with_zero_replans() {
     assert_eq!(state1, state2);
     assert!(state1.approx_eq(&expected, 1e-9));
     std::fs::remove_file(&snapshot).ok();
+}
+
+#[test]
+fn a_shipped_plan_that_does_not_validate_fails_the_job_on_the_workers() {
+    // H(0), CX(0,1), H(1) with the outer gates in one part and the CX in
+    // another: each part needs the other first. Fused as it came, the plan
+    // would run in some order and hand back a wrong state; the workers check
+    // it as the runtime checks a persisted snapshot and refuse it.
+    let mut circuit = Circuit::new(4);
+    circuit.h(0).cx(0, 1).h(1);
+    let cyclic = ShippedJob {
+        circuit,
+        dispatch: Default::default(),
+        plan: PersistedPlan::Single(Partition::from_gate_assignment(vec![0, 1, 0])),
+        trace: false,
+    };
+    let pool = launcher(2);
+    let err = pool
+        .execute(&cyclic, None, &CancelToken::new())
+        .unwrap_err();
+    let message = err.to_string();
+    assert!(
+        matches!(err, NetError::Worker(_)) && message.contains("does not validate"),
+        "got: {message}"
+    );
+    // A part wider than a worker's slice is refused the same way.
+    let mut too_wide = single_level_job(8, 1);
+    too_wide.plan = PersistedPlan::Single(Partition::single_part(too_wide.circuit.num_gates()));
+    let err = pool
+        .execute(&too_wide, None, &CancelToken::new())
+        .unwrap_err();
+    assert!(err.to_string().contains("at 7 local qubits"), "got: {err}");
+    // The world is respawned for the next job.
+    let job = single_level_job(8, 2);
+    let (state, _) = pool.execute(&job, None, &CancelToken::new()).unwrap();
+    assert_eq!(state, reference(&job, 2));
+    assert_eq!(pool.metrics().jobs_failed, 2);
 }

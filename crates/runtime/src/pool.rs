@@ -23,7 +23,7 @@ use crate::job::{Backend, JobResult, SimJob};
 use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
-use hisvsim_circuit::Circuit;
+use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_core::{
     run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
     RunReport, RunSpec,
@@ -222,6 +222,10 @@ pub struct ProcessRequest<'a> {
     pub dispatch: KernelDispatch,
     /// The partition to ship (exactly the plan-cache snapshot wire shape).
     pub plan: PersistedPlan,
+    /// Where the launcher puts the qubits of the state it hands back
+    /// (`StateVector::permute_qubits(perm)`, composed with the ranks' final
+    /// layout into one pass). Launcher-side only: it is never shipped.
+    pub perm: &'a [Qubit],
 }
 
 /// How a process backend's execution of one request ended without a
@@ -280,7 +284,8 @@ pub trait ProcessBackend: Send + Sync {
     /// plan limits so every shipped working set fits a worker's local slice.
     fn ranks(&self) -> usize;
 
-    /// Execute the request on the worker cluster. The backend is expected
+    /// Execute the request on the worker cluster and hand the state back
+    /// permuted by the request's `perm`. The backend is expected
     /// to poll `cancel` and propagate it to the remote ranks, stopping
     /// them at a cooperative checkpoint *mid-job* — not merely at the next
     /// job boundary.
@@ -352,9 +357,10 @@ impl JobRunner {
         }
         // A SWAP is a relabeling: from here on everything (the selector, the
         // plan key, the planner, a shipped request) sees the circuit without
-        // its SWAPs, and one permutation of the final state puts the qubits
-        // back. Progress still counts the submitted gates; the dropped SWAPs
-        // are done when the permutation is.
+        // its SWAPs, and the engine hands the state back permuted by `perm`,
+        // in the one pass that also undoes its ranks' final layout. Progress
+        // still counts the submitted gates; the dropped SWAPs are done when
+        // the permutation is.
         let (circuit, perm) = job.circuit.relabel_swaps();
         let gates_total = job.circuit.num_gates() as u64;
         let mut decision = self.config.selector.decide(&circuit, job.engine);
@@ -482,7 +488,7 @@ impl JobRunner {
             decision.engine.name(),
             decision.ranks
         ));
-        let (mut state, report) = match &process {
+        let (state, report) = match &process {
             Some(backend) => {
                 let request = ProcessRequest {
                     circuit: &circuit,
@@ -491,6 +497,7 @@ impl JobRunner {
                         .as_ref()
                         .expect("a process job is never the unplanned baseline")
                         .to_persisted(),
+                    perm: &perm,
                 };
                 let (state, mut report) =
                     backend
@@ -507,10 +514,9 @@ impl JobRunner {
                 (state, report)
             }
             None => self
-                .simulate(&circuit, &decision, dispatch, plan.as_ref(), &exec)
+                .simulate(&circuit, &decision, dispatch, plan.as_ref(), &perm, &exec)
                 .map_err(|_| JobError::Cancelled)?,
         };
-        state.permute_qubits(&perm);
         // The engines report the relabeled circuit's gates; a process run
         // reports none.
         if process.is_some() || circuit.num_gates() as u64 != gates_total {
@@ -658,13 +664,14 @@ impl JobRunner {
     }
 
     /// Run the chosen engine against the precomputed fused plan, under the
-    /// given execution control.
+    /// given execution control, handing the state back permuted by `perm`.
     fn simulate(
         &self,
         circuit: &Circuit,
         decision: &EngineDecision,
         dispatch: KernelDispatch,
         plan: Option<&CachedPlan>,
+        perm: &[Qubit],
         exec: &ExecControl,
     ) -> Result<(StateVector, RunReport), hisvsim_statevec::Cancelled> {
         let network = self.config.selector.network;
@@ -674,12 +681,13 @@ impl JobRunner {
                     .with_network(network)
                     .with_kernel_dispatch(dispatch),
             )
-            .run_controlled(circuit, exec)
+            .run_controlled(circuit, Some(perm), exec)
             .map(|run| (run.state, run.report)),
             engine => {
                 let plan = plan.expect("a planned engine needs a plan");
                 let (name, strategy) = (engine.name(), Strategy::DagP.name());
-                let spec = RunSpec::new(name, strategy, decision.ranks, network, dispatch);
+                let spec =
+                    RunSpec::new(name, strategy, decision.ranks, network, dispatch).with_perm(perm);
                 run_plan(circuit, plan.fused(), spec, exec)
             }
         }

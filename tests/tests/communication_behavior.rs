@@ -14,6 +14,7 @@ use hisvsim_core::{
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
+use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
 use hisvsim_statevec::StateVector;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -162,6 +163,7 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         ranks,
         network: NetworkModel::hdr100(),
         dispatch: Default::default(),
+        perm: None,
     };
 
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
@@ -192,8 +194,45 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
     let baseline = IqsBaseline::new(BaselineConfig::new(ranks));
     let inert = baseline.run(circuit);
     assert_same_run("baseline", gates, (inert.state, inert.report), |control| {
-        let live = baseline.run_controlled(circuit, control);
+        let live = baseline.run_controlled(circuit, None, control);
         let live = live.expect("the token is never fired");
         (live.state, live.report)
     });
+}
+
+#[test]
+fn a_job_on_two_ranks_exchanges_only_what_changes_rank() {
+    // Through the runner on a thread world of two ranks: the first part's
+    // layout is free (|0…0⟩ is the same in every layout), each part switch
+    // sends half of each rank's slice to the other rank and keeps the rest
+    // in place, and the ranks hand back their slices without returning to
+    // the identity layout. The same holds for both planned engines.
+    const MIB: u64 = 1 << 20;
+    let runner = JobRunner::new(SchedulerConfig::default());
+    let residency = Semaphore::new(1);
+    let cases = [
+        (generators::qft(21), 2, 32 * MIB, 4),
+        (generators::random_circuit(21, 300, 3), 2, 32 * MIB, 4),
+        (generators::by_name("qaoa", 18), 2, 4 * MIB, 4),
+    ];
+    for (circuit, exchanges, bytes, messages) in cases {
+        for engine in [EngineKind::Dist, EngineKind::Multilevel] {
+            let job = SimJob::new(circuit.clone()).with_engine(engine);
+            let result = runner
+                .execute_job(0, job, &residency, &JobControl::new())
+                .expect("the job runs");
+            assert_eq!(result.decision.ranks, 2, "{} on {engine}", circuit.name);
+            let report = &result.report;
+            assert_eq!(
+                (
+                    report.num_exchanges,
+                    report.comm.bytes_sent,
+                    report.comm.messages_sent
+                ),
+                (exchanges, bytes, messages),
+                "{} on {engine}",
+                circuit.name
+            );
+        }
+    }
 }

@@ -88,7 +88,7 @@ fn spans_cover_a_distributed_run() {
             .iter()
             .filter(|span| span.name == "redistribute")
             .collect();
-        assert!(exchanges.len() >= 2, "part switches and the return home");
+        assert!(exchanges.len() >= 2, "the run switches parts twice or more");
         for exchange in exchanges {
             let end = exchange.ts_us + exchange.dur_us;
             assert_eq!(exchange.bytes, 16 << (n - 1), "bytes are the slice's");
