@@ -19,7 +19,7 @@
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
-use crate::hier::{execute_part, part_mode, PartMode, SweepControl};
+use crate::hier::{execute_part, step_part_mode, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
@@ -428,7 +428,8 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// fused matrices run against this rank's current layout without any
     /// re-fusion. Every working-set qubit must already be local (see
     /// [`DistState::ensure_local`]). A step's `only` part runs in place;
-    /// otherwise [`part_mode`] decides. A world of one sweeps on the pool.
+    /// otherwise [`part_mode`](crate::hier::part_mode) decides
+    /// ([`step_part_mode`]). A world of one sweeps on the pool.
     fn run_part(
         &mut self,
         part: &FusedPart,
@@ -440,10 +441,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             positions.iter().all(|&pos| pos < self.l),
             "fused part touches a non-local qubit"
         );
-        let mode = match only {
-            true => PartMode::InPlace,
-            false => part_mode(self.l, &positions, &part.inner),
-        };
+        let mode = step_part_mode(only, self.l, &positions, &part.inner);
         let parallel = self.comm.size() == 1;
         let start = Instant::now();
         let (local, inner) = (&mut self.local, &part.inner);
@@ -678,11 +676,11 @@ pub fn run_plan(
 /// ([`FusedPlan::steps`]). For each it brings the step's working set into
 /// its local slice ([`DistState::ensure_local`], the only collective), then
 /// runs the step's parts through the part executor: a step's only part in
-/// place, every other where [`part_mode`] says — a function of the plan and
-/// the slice width alone, so every rank and world decides alike. The first
-/// step's layout costs no exchange: before the first gate the state is
-/// `|0…0⟩`, the same in every layout. The rank hands back its slice in the
-/// layout it ends in ([`DistState::finish_rank`]).
+/// place, every other where [`part_mode`](crate::hier::part_mode) says — a
+/// function of the plan and the slice width alone, so every rank and world
+/// decides alike. The first step's layout costs no exchange: before the
+/// first gate the state is `|0…0⟩`, the same in every layout. The rank hands
+/// back its slice in the layout it ends in ([`DistState::finish_rank`]).
 ///
 /// The ranks vote ([`DistState::vote_cancelled`]) before every step and
 /// before every part of a step but its first, so there is one vote per part

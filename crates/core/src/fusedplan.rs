@@ -18,6 +18,7 @@
 //! inside it. That list is what the one rank body
 //! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks.
 
+use crate::hier::{part_passes, step_part_mode};
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::MultilevelPartition;
@@ -234,11 +235,22 @@ impl<'a> FusedPlan<'a> {
         }
     }
 
-    /// Fused sweeps across every part — the sweep count a full execution of
-    /// the plan performs over its (part-local) states. Feeds the
+    /// Passes over memory a world of one makes running the plan on a
+    /// `num_qubits`-qubit state: per part, those of the mode the rank body
+    /// runs it in ([`step_part_mode`],
+    /// [`PartPasses::in_mode`](crate::hier::PartPasses::in_mode)). Feeds the
     /// predicted-cost side of the runtime's decision verdicts.
-    pub fn total_fused_ops(self) -> usize {
-        self.parts().map(|part| part.inner.num_ops()).sum()
+    pub fn passes(self, num_qubits: usize) -> usize {
+        let step_passes = |step: PlanStep<'a>| -> usize {
+            let only = step.parts.len() == 1;
+            let part_passes = |part: &FusedPart| {
+                let (set, inner) = (&part.working_set, &part.inner);
+                let mode = step_part_mode(only, num_qubits, set, inner);
+                part_passes(num_qubits, set, inner).in_mode(mode)
+            };
+            step.parts.iter().map(part_passes).sum()
+        };
+        self.steps(1).into_iter().map(step_passes).sum()
     }
 
     /// Circuit gates across every part: the total the engines report

@@ -17,7 +17,9 @@
 //! part, from the plan alone, whether to gather at all; a part that does not
 //! runs in place through [`FusedCircuit::apply_mapped`] on the outer state.
 //! A plan of one part always does: it is flat fused execution, which is what
-//! the runtime's selector gives every circuit that fits the cache budget.
+//! the runtime's selector gives every circuit that fits the cache budget,
+//! and what the runtime's runner gives a wider one when gathering shortens
+//! none of its parts ([`PartPasses::gather_shortens`]).
 //! Nor is a gathered part's arithmetic cache-resident by construction: a
 //! 21-qubit inner vector is 32 MiB, past L2 here, and what keeps its sweeps
 //! cheap is the fused executor's L2 tiling. Measured on the reference host
@@ -163,25 +165,31 @@ impl HierarchicalSimulator {
     }
 }
 
-/// Per-sweep control plumbing: a cancel token polled between gather
-/// assignments, and a throttled assignment-progress callback called with
-/// `(assignments_done, assignments_total)` — at most ~32 times per sweep, so
-/// a wide single-part job still streams progress. The default has neither.
+/// Per-sweep control plumbing: a cancel token polled inside a part, and a
+/// throttled sub-part progress callback called with `(done, total)` in the
+/// part's own units — gather assignments, or passes in place — at most ~32
+/// times per part, so a wide single-part job still streams progress. The
+/// default has neither.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SweepControl<'a> {
-    /// Polled between assignments (sequential) / chunks (parallel), and
-    /// before and after a part run in place.
+    /// Polled between assignments (sequential) / chunks (parallel) of a
+    /// gathered part, and before, between and after the passes of a part
+    /// run in place (between them only above one [`TILE`]).
     pub(crate) cancel: Option<&'a CancelToken>,
-    /// Throttled sub-part progress sink (gathered parts only).
+    /// Throttled sub-part progress sink.
     pub(crate) on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
 }
 
-/// Whole-state passes a part may make in place before gathering it is
-/// considered: a gather plus a scatter move 64 B per amplitude at the
-/// ledger's `statevec.gather_scatter_gbps` (≈ 26 GB/s), a sweep 32 B at
+/// The gather–scatter round trip's price in whole-state passes: a gather
+/// plus a scatter move 64 B per amplitude at the ledger's
+/// `statevec.gather_scatter_gbps` (≈ 26 GB/s), a sweep 32 B at
 /// `statevec.fused_apply_gbps` (46–53 GB/s) — four sweeps for the price of
-/// the round trip, before the inner sweeps themselves are paid.
-const GATHER_PASSES: usize = 4;
+/// the round trip, before the inner sweeps themselves are paid. A part
+/// making at most this many passes in place is never gathered
+/// ([`part_mode`]), and gathering shortens a part only if its gathered
+/// passes plus this are fewer than its passes in place
+/// ([`PartPasses::gather_shortens`]).
+pub const GATHER_PASSES: usize = 4;
 
 /// How [`execute_part`] runs a part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,6 +231,78 @@ pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircui
     }
 }
 
+/// The passes over memory one part makes in each of its two forms, counted
+/// from the plan alone ([`FusedCircuit::passes_mapped`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartPasses {
+    /// Passes over the outer state when the part is swept in place.
+    pub in_place: usize,
+    /// Passes over memory of the gathered inner vectors, the round trip
+    /// itself not counted: `inner.passes_mapped(k, 0..k)` for a
+    /// `k`-qubit working set, 0 when one inner vector fits a [`TILE`] (it is
+    /// swept in L2). `None` when the part has no free qubit and so no
+    /// gathered form.
+    pub gathered: Option<usize>,
+}
+
+/// The [`PartPasses`] of a part over `working_set` of an
+/// `outer_qubits`-qubit state.
+pub fn part_passes(outer_qubits: usize, working_set: &[usize], inner: &FusedCircuit) -> PartPasses {
+    let k = working_set.len();
+    let gathered = (k < outer_qubits).then(|| match 1usize << k <= TILE {
+        true => 0,
+        false => inner.passes_mapped(k, &(0..k).collect::<Vec<_>>()),
+    });
+    PartPasses {
+        in_place: inner.passes_mapped(outer_qubits, working_set),
+        gathered,
+    }
+}
+
+impl PartPasses {
+    /// Whether gathering shortens the part: its gathered passes plus the
+    /// round trip ([`GATHER_PASSES`]) are fewer than its passes in place.
+    /// Never for a part with no free qubit.
+    pub fn gather_shortens(self) -> bool {
+        self.gathered
+            .is_some_and(|gathered| gathered + GATHER_PASSES < self.in_place)
+    }
+
+    /// The passes the part makes in `mode`, the round trip counted as
+    /// [`GATHER_PASSES`] passes.
+    pub fn in_mode(self, mode: PartMode) -> usize {
+        match (mode, self.gathered) {
+            (PartMode::Gather, Some(gathered)) => gathered + GATHER_PASSES,
+            _ => self.in_place,
+        }
+    }
+}
+
+impl std::fmt::Display for PartPasses {
+    /// `12 passes in place against 10 + 4 gathered`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} passes in place", self.in_place)?;
+        match self.gathered {
+            Some(gathered) => write!(f, " against {gathered} + {GATHER_PASSES} gathered"),
+            None => f.write_str(" and no free qubit"),
+        }
+    }
+}
+
+/// How the one rank body runs a part: a step's `only` part in place (there
+/// is nothing to gather between), every other as [`part_mode`] says.
+pub fn step_part_mode(
+    only: bool,
+    outer_qubits: usize,
+    working_set: &[usize],
+    inner: &FusedCircuit,
+) -> PartMode {
+    match only {
+        true => PartMode::InPlace,
+        false => part_mode(outer_qubits, working_set, inner),
+    }
+}
+
 /// Parts executed process-wide, indexed by [`PartMode`]
 /// (`hisvsim_hier_parts_total`).
 static PARTS_EXECUTED: [AtomicU64; 2] = [AtomicU64::new(0), AtomicU64::new(0)];
@@ -254,13 +334,14 @@ fn take_inner(qubits: usize, outer_qubits: usize) -> StateVector {
 /// picks between Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and
 /// sweeping `outer` in place through the translation; `parallel` only says whether the chosen
 /// mode may use the pool. The part
-/// leaves one `part` span (`mode=… ws=… passes=…`, the passes being those of
-/// the in-place form) and a tick in [`parts_executed`].
+/// leaves one `part` span (`mode=… ws=… passes=… gathered=…`: the
+/// [`PartPasses`] of both forms, `gathered` absent for a part with no free
+/// qubit) and a tick in [`parts_executed`].
 ///
-/// `control`'s token, if any, is polled between assignments (before and
-/// after an in-place part) and progress is reported to its sink; on
-/// cancellation the outer vector is left partially updated and the caller
-/// abandons it.
+/// `control`'s token, if any, is polled between assignments of a gathered
+/// part, and before, between and after the passes of an in-place one; its
+/// sink hears the same points, at most ~32 times a part. On cancellation
+/// the outer vector is left partially updated and the caller abandons it.
 pub(crate) fn execute_part(
     outer: &mut StateVector,
     working_set: &[usize],
@@ -271,11 +352,14 @@ pub(crate) fn execute_part(
     control: SweepControl<'_>,
 ) -> Result<(), Cancelled> {
     let _span = hisvsim_obs::enabled().then(|| {
+        let passes = part_passes(outer.num_qubits(), working_set, inner_circuit);
+        let gathered = passes.gathered.map(|g| format!(" gathered={g}"));
         hisvsim_obs::span("kernel", "part").detail(format!(
-            "mode={} ws={} passes={}",
+            "mode={} ws={} passes={}{}",
             mode.name(),
             working_set.len(),
-            inner_circuit.passes_mapped(outer.num_qubits(), working_set)
+            passes.in_place,
+            gathered.unwrap_or_default()
         ))
     });
     PARTS_EXECUTED[mode as usize].fetch_add(1, Ordering::Relaxed);
@@ -296,7 +380,16 @@ pub(crate) fn execute_part(
             } else {
                 ApplyOptions::sequential()
             };
-            inner_circuit.apply_mapped(outer, working_set, &opts.with_dispatch(dispatch));
+            let opts = opts.with_dispatch(dispatch);
+            inner_circuit.apply_mapped_by_pass(outer, working_set, &opts, |done, total| {
+                // At most 32 reports a part.
+                if let Some(on) = control.on_assignments {
+                    if done.is_multiple_of(total.div_ceil(32)) {
+                        on(done as u64, total as u64);
+                    }
+                }
+                check()
+            })?;
             check()
         }
     }
@@ -486,6 +579,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn gathering_shortens_a_part_only_by_more_than_the_round_trip() {
+        // Sixteen unfusable gates on high qubits: in place, none tiles.
+        let mut circuit = Circuit::new(17);
+        for _ in 0..8 {
+            circuit.cx(16, 15).cx(15, 16);
+        }
+        let inner = FusedCircuit::new(&circuit, 1);
+        // A 17-qubit inner vector of an 18-qubit state is past one tile.
+        let wide = part_passes(18, &(1..18).collect::<Vec<_>>(), &inner);
+        assert_eq!(wide.in_place, 16);
+        assert!(wide.gathered.is_some_and(|g| g > 0));
+        // A tile-sized inner vector is swept in L2: 0 passes over memory.
+        let mut narrow = Circuit::new(16);
+        for _ in 0..8 {
+            narrow.cx(15, 14).cx(14, 15);
+        }
+        let narrow = FusedCircuit::new(&narrow, 1);
+        let tile = part_passes(18, &(2..18).collect::<Vec<_>>(), &narrow);
+        assert_eq!((tile.in_place, tile.gathered), (16, Some(0)));
+        assert!(tile.gather_shortens());
+        // No free qubit, no gathered form, whatever the passes.
+        let whole = part_passes(17, &(0..17).collect::<Vec<_>>(), &inner);
+        assert_eq!(whole.gathered, None);
+        assert!(!whole.gather_shortens());
+        // The round trip must be beaten, not matched.
+        let at = |in_place, gathered| PartPasses {
+            in_place,
+            gathered: Some(gathered),
+        };
+        assert!(!at(14, 10).gather_shortens());
+        assert!(at(15, 10).gather_shortens());
+        assert_eq!(at(14, 10).in_mode(PartMode::Gather), 14);
+        assert_eq!(
+            at(12, 10).to_string(),
+            "12 passes in place against 10 + 4 gathered"
+        );
     }
 
     #[test]

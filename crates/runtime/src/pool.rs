@@ -24,12 +24,14 @@ use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::{Circuit, Qubit};
+use hisvsim_core::hier::{part_passes, PartMode};
 use hisvsim_core::{
     run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
     RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
+use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{measure, CancelToken, KernelDispatch, StateVector};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -342,8 +344,10 @@ impl JobRunner {
     /// A hier job — every default-routed circuit one node holds — executes
     /// on the calling thread, which is also where its progress callbacks
     /// fire: within the cache budget the plan is one part swept in place, so
-    /// a warm small job neither fuses nor spawns. Worlds of two ranks and up
-    /// run their ranks on threads of their own.
+    /// a warm small job neither fuses nor spawns. Past the budget the
+    /// selector's limit is a proposal the plan's own pass counts can turn
+    /// down (`plan_job`). Worlds of two ranks and up run their ranks on
+    /// threads of their own.
     pub fn execute_job(
         &self,
         job_index: usize,
@@ -454,7 +458,8 @@ impl JobRunner {
         let (plan, source) = {
             let _span =
                 hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
-            self.obtain_plan(&circuit, &decision)
+            let own_limit = job.limit.is_none();
+            self.plan_job(&circuit, &mut decision, own_limit)
                 .map_err(|error| JobError::PlanFailed {
                     circuit: circuit.name.clone(),
                     engine: decision.engine,
@@ -536,7 +541,7 @@ impl JobRunner {
         // redistribution the run actually performed.
         let state_bytes = (32u128 << circuit.num_qubits()) as f64;
         let sweeps = match &plan {
-            Some(plan) => plan.fused().total_fused_ops(),
+            Some(plan) => plan.fused().passes(circuit.num_qubits()),
             // Only a forced baseline job has no plan: the comparison engine
             // fuses inside its own run, so the raw gate count stands in
             // (pessimistically) for its sweeps.
@@ -593,6 +598,68 @@ impl JobRunner {
             kernel_dispatch: dispatch,
             timeline,
         })
+    }
+
+    /// The plan a job runs, and `decision` brought in line with it. A hier
+    /// job on a world of one at the selector's own limit, over a state above
+    /// one [`TILE`], keeps that limit's plan only if gathering shortens at
+    /// least one of its parts (an exact count over the fused plan,
+    /// [`PartPasses`](hisvsim_core::hier::PartPasses)). Otherwise the
+    /// hierarchy buys nothing: the job is planned, cached and keyed at limit
+    /// `n` — one part, swept in place — and `decision` says so, with the
+    /// counts that decided. Both plans stay cached (and snapshotted), so a
+    /// repeat plans nothing: the verdict is read off the cached proposal
+    /// each time.
+    fn plan_job(
+        &self,
+        circuit: &Circuit,
+        decision: &mut EngineDecision,
+        own_limit: bool,
+    ) -> Result<(Option<CachedPlan>, PlanSource), PartitionBuildError> {
+        let proposed = self.obtain_plan(circuit, decision)?;
+        let n = circuit.num_qubits();
+        let ruled = own_limit
+            && decision.engine == EngineKind::Hier
+            && decision.ranks == 1
+            && decision.limit < n
+            && 1usize << n > TILE;
+        if !ruled {
+            return Ok(proposed);
+        }
+        let (Some(CachedPlan::Single(plan)), proposed_source) = &proposed else {
+            return Ok(proposed);
+        };
+        // The part gathering helps most (or hurts least) decides.
+        let Some((index, passes)) = plan
+            .parts
+            .iter()
+            .map(|part| part_passes(n, &part.working_set, &part.inner))
+            .enumerate()
+            .min_by_key(|(_, passes)| {
+                passes.in_mode(PartMode::Gather) as i64 - passes.in_place as i64
+            })
+        else {
+            return Ok(proposed);
+        };
+        let (limit, parts) = (decision.limit, plan.parts.len());
+        if passes.gather_shortens() {
+            decision.reason += &format!(
+                "; gathering shortens part {} of {parts}: {passes}",
+                index + 1
+            );
+            return Ok(proposed);
+        }
+        decision.limit = n;
+        decision.reason = format!(
+            "2^{n} amplitudes exceed the {}-qubit LLC budget, but gathering shortens no part \
+             of the limit-{limit} plan (closest, part {} of {parts}: {passes}); one part at \
+             limit {n}, swept in place",
+            self.config.selector.cache_qubits,
+            index + 1
+        );
+        let proposed_source = *proposed_source;
+        let (plan, source) = self.obtain_plan(circuit, decision)?;
+        Ok((plan, colder(proposed_source, source)))
     }
 
     /// Obtain the fused partition plan for a decision: from the in-memory
@@ -691,6 +758,16 @@ impl JobRunner {
                 run_plan(circuit, plan.fused(), spec, exec)
             }
         }
+    }
+}
+
+/// The provenance of a job whose plan took two lookups: planned if either
+/// was, else rebuilt from disk if either was, else a memory hit.
+fn colder(a: PlanSource, b: PlanSource) -> PlanSource {
+    match (a, b) {
+        (PlanSource::Planned, _) | (_, PlanSource::Planned) => PlanSource::Planned,
+        (PlanSource::Warm, _) | (_, PlanSource::Warm) => PlanSource::Warm,
+        _ => PlanSource::Memory,
     }
 }
 

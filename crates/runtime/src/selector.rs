@@ -10,8 +10,11 @@
 //! * a state vector that fits the last-level cache needs no hierarchy at all
 //!   → `hier` at limit `n`: the plan is one part over the whole circuit,
 //!   fused once, cached, and swept in place on the caller's thread;
-//! * a state vector that fits one node but not the LLC benefits from the
-//!   Gather–Execute–Scatter hierarchy → `hier` with the cache-derived limit;
+//! * a state vector that fits one node but not the LLC may benefit from the
+//!   Gather–Execute–Scatter hierarchy → `hier` with the cache-derived limit,
+//!   a proposal: the runner keeps it only if gathering shortens one of the
+//!   plan's parts, counted exactly, and otherwise runs the job at limit `n`
+//!   (`JobRunner::execute_job`);
 //! * anything larger must be distributed; if the per-rank slice itself
 //!   still dwarfs the LLC, the two-level engine additionally reorganises the
 //!   rank-local computation → `multilevel`, otherwise `dist`.

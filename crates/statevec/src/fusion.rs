@@ -29,6 +29,7 @@ use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
 use rayon::prelude::*;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The fusion width every engine, the runtime and the workers fuse at.
@@ -778,7 +779,7 @@ impl FusedCircuit {
             self.num_qubits,
             state.num_qubits()
         );
-        self.apply_with_map(state, None, opts);
+        let Ok(()) = self.apply_with_map(state, None, opts, |_, _| Ok::<(), Infallible>(()));
     }
 
     /// Apply with a qubit translation: fused qubit `q` acts on state qubit
@@ -788,30 +789,53 @@ impl FusedCircuit {
     /// runs additionally re-classify their small tables per call, since the
     /// block split depends on the translated positions).
     pub fn apply_mapped(&self, state: &mut StateVector, map: &[Qubit], opts: &ApplyOptions) {
+        let Ok(()) = self.apply_mapped_by_pass(state, map, opts, |_, _| Ok::<(), Infallible>(()));
+    }
+
+    /// [`apply_mapped`](Self::apply_mapped) that can stop between passes.
+    /// On a state above one [`TILE`] it calls `after_pass(done, total)`
+    /// after each of the `total` passes [`passes_mapped`](Self::passes_mapped)
+    /// counts, and an `Err` from it ends the application there, with the
+    /// state partially updated. A state of at most one tile is swept op by
+    /// op without a call: its whole application is one short L2-resident
+    /// run.
+    pub fn apply_mapped_by_pass<E>(
+        &self,
+        state: &mut StateVector,
+        map: &[Qubit],
+        opts: &ApplyOptions,
+        after_pass: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         assert!(
             map.len() >= self.num_qubits,
             "qubit map covers {} qubits, fused circuit has {}",
             map.len(),
             self.num_qubits
         );
-        self.apply_with_map(state, Some(map), opts);
+        self.apply_with_map(state, Some(map), opts, after_pass)
     }
 
     /// Shared sweep loop behind [`apply`](Self::apply) and
-    /// [`apply_mapped`](Self::apply_mapped), with sampled per-sweep trace
-    /// spans: when the recorder is enabled, full-size sweeps (≥ 2^16
-    /// amplitudes) are always recorded and small inner-state sweeps (the
-    /// hierarchical engines run millions of them) are sampled 1-in-64 to
-    /// keep the tracing overhead off the hot path.
-    fn apply_with_map(&self, state: &mut StateVector, map: Option<&[Qubit]>, opts: &ApplyOptions) {
+    /// [`apply_mapped_by_pass`](Self::apply_mapped_by_pass), with sampled
+    /// per-sweep trace spans: when the recorder is enabled, full-size sweeps
+    /// (≥ 2^16 amplitudes) are always recorded and small inner-state sweeps
+    /// (the hierarchical engines run millions of them) are sampled 1-in-64
+    /// to keep the tracing overhead off the hot path.
+    fn apply_with_map<E>(
+        &self,
+        state: &mut StateVector,
+        map: Option<&[Qubit]>,
+        opts: &ApplyOptions,
+        after_pass: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
         let tracing = hisvsim_obs::enabled();
         if state.len() > TILE {
-            self.apply_tiled(state, map, opts, tracing);
-            return;
+            return self.apply_tiled(state, map, opts, tracing, after_pass);
         }
         for (op, prep) in self.ops.iter().zip(&self.prepared) {
             self.apply_one(state, op, prep, map, opts, tracing);
         }
+        Ok(())
     }
 
     /// One whole-state sweep with the sampled trace span.
@@ -848,15 +872,18 @@ impl FusedCircuit {
     /// with absolute indexing for every qubit below [`TILE_BITS`], and
     /// diagonal runs receive the tile's absolute base so high-qubit factors
     /// classify exactly as in the untiled order — the per-amplitude
-    /// arithmetic is bit-identical either way.
-    fn apply_tiled(
+    /// arithmetic is bit-identical either way. `after_pass(done, total)`
+    /// follows every pass; an `Err` stops the sweep.
+    fn apply_tiled<E>(
         &self,
         state: &mut StateVector,
         map: Option<&[Qubit]>,
         opts: &ApplyOptions,
         tracing: bool,
-    ) {
-        for (ops, tiled) in self.tile_segments(map) {
+        mut after_pass: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let total = self.tile_segments(map).count();
+        for (done, (ops, tiled)) in self.tile_segments(map).enumerate() {
             if tiled {
                 self.apply_tiled_run(state, ops.start, ops.end, map, opts, tracing);
             } else {
@@ -870,7 +897,9 @@ impl FusedCircuit {
                     tracing,
                 );
             }
+            after_pass(done + 1, total)?;
         }
+        Ok(())
     }
 
     /// The passes [`apply_tiled`](Self::apply_tiled) makes over a state under

@@ -1,9 +1,11 @@
 //! An oracle that shares nothing with the kernels: the QFT of a basis state
 //! |x⟩ in closed form, amplitude k = e^{2πi·x·k/2ⁿ}/√2ⁿ, computed by a plain
 //! `f64` loop, against `generators::qft(n)` after X gates prepare |x⟩,
-//! submitted through `JobRunner`'s default route. At 20 qubits that route is
-//! one part swept in place; at 22 it is `large_qft`'s: limit 21, a gathered
-//! part, and the permutation the relabeled SWAPs leave.
+//! submitted through `JobRunner`. On the default route it is one part swept
+//! in place at 20 qubits, and at 22 too (`large_qft`'s): the selector's
+//! limit-21 plan has no part that gathering shortens, so the job runs at
+//! limit 22 with the permutation the relabeled SWAPs leave. A job forcing
+//! limit 21 at 22 qubits keeps that plan and its gathered part.
 //!
 //! Tolerance: 1e-14 per real and imaginary part. Each amplitude has
 //! magnitude 2^-n/2 (about 1e-3 at 20 qubits, 5e-4 at 22), so a slipped
@@ -48,15 +50,19 @@ fn qft_of_basis(n: usize, x: u64) -> Circuit {
 fn the_default_route_computes_the_closed_form_qft() {
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
-    for (n, x, limit, gathers) in [(20, 0x9_3C5Au64, 20, false), (22, 0x2D_B1E7, 21, true)] {
+    let rows = [
+        (20, 0x9_3C5Au64, None, 20, false),
+        (22, 0x2D_B1E7, None, 22, false),
+        (22, 0x1E_83C5, Some(21), 21, true),
+    ];
+    for (n, x, forced, limit, gathers) in rows {
         let before = parts_executed(PartMode::Gather);
+        let mut job = SimJob::new(qft_of_basis(n, x));
+        if let Some(forced) = forced {
+            job = job.with_limit(forced);
+        }
         let result = runner
-            .execute_job(
-                0,
-                SimJob::new(qft_of_basis(n, x)),
-                &residency,
-                &JobControl::new(),
-            )
+            .execute_job(0, job, &residency, &JobControl::new())
             .expect("the job runs");
         assert_eq!(
             (result.engine, result.decision.limit),
