@@ -18,8 +18,8 @@
 
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedPart, FusedPlan, FusedSinglePlan};
-use crate::hier::{execute_part, step_part_mode, SweepControl};
+use crate::fusedplan::{FusedPlan, FusedSinglePlan, PlanSchedule};
+use crate::hier::{execute_part, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
@@ -213,67 +213,12 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     }
 
     /// Make every qubit in `qubits` local, redistributing the state if
-    /// needed. Panics if more than `l` qubits are requested.
-    ///
-    /// Each qubit that comes in trades places with a local qubit that is not
-    /// needed, and every other qubit keeps its position, so the sub-cube of
-    /// the slice that stays on this rank stays where it is (see
-    /// [`crate::exchange`]) and only what changes rank moves.
+    /// needed, by the swaps `local_layout` picks. Panics if more than `l`
+    /// qubits are requested.
     pub fn ensure_local(&mut self, qubits: &[usize]) {
-        if let Some(layout) = self.local_layout(qubits) {
+        if let Some(layout) = local_layout(&self.layout, self.l, qubits) {
             self.redistribute(layout);
         }
-    }
-
-    /// Take the layout [`DistState::ensure_local`] would make for `qubits`
-    /// without moving any data: `|0…0⟩` is the same state in every layout.
-    /// Only for a state no gate or exchange has touched yet.
-    fn start_local(&mut self, qubits: &[usize]) {
-        debug_assert_eq!(self.exchanges, 0, "a layout is free only before any work");
-        if let Some(layout) = self.local_layout(qubits) {
-            self.layout = layout;
-        }
-    }
-
-    /// The layout that makes every qubit in `qubits` local, or `None` when
-    /// they all are already.
-    fn local_layout(&self, qubits: &[usize]) -> Option<Vec<usize>> {
-        assert!(
-            qubits.len() <= self.l,
-            "cannot make {} qubits local with only {} local positions",
-            qubits.len(),
-            self.l
-        );
-        if self.all_local(qubits) {
-            return None;
-        }
-        let mut new_layout = self.layout.clone();
-        // Local positions whose qubit is not needed, available for eviction.
-        let needed: Vec<bool> = {
-            let mut v = vec![false; self.n];
-            for &q in qubits {
-                v[q] = true;
-            }
-            v
-        };
-        let qubit_at_position = |layout: &[usize], pos: usize| -> usize {
-            layout
-                .iter()
-                .position(|&p| p == pos)
-                .expect("layout is a permutation")
-        };
-        let mut free_local: Vec<usize> = (0..self.l)
-            .filter(|&pos| !needed[qubit_at_position(&new_layout, pos)])
-            .collect();
-        for &q in qubits {
-            if new_layout[q] >= self.l {
-                let target = free_local.pop().expect("enough local positions");
-                let evicted = qubit_at_position(&new_layout, target);
-                new_layout[evicted] = new_layout[q];
-                new_layout[q] = target;
-            }
-        }
-        Some(new_layout)
     }
 
     /// Redistribute the state to a new layout (a permutation of qubit
@@ -423,41 +368,6 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         self.compute_time_s += start.elapsed().as_secs_f64();
     }
 
-    /// Run one prefused part on the local slice through the part executor:
-    /// fused qubit `j` is aimed at `layout[working_set[j]]`, so the shared
-    /// fused matrices run against this rank's current layout without any
-    /// re-fusion. Every working-set qubit must already be local (see
-    /// [`DistState::ensure_local`]). A step's `only` part runs in place;
-    /// otherwise [`part_mode`](crate::hier::part_mode) decides
-    /// ([`step_part_mode`]). A world of one sweeps on the pool.
-    fn run_part(
-        &mut self,
-        part: &FusedPart,
-        only: bool,
-        sweep: SweepControl<'_>,
-    ) -> Result<(), Cancelled> {
-        let positions: Vec<usize> = part.working_set.iter().map(|&q| self.layout[q]).collect();
-        debug_assert!(
-            positions.iter().all(|&pos| pos < self.l),
-            "fused part touches a non-local qubit"
-        );
-        let mode = step_part_mode(only, self.l, &positions, &part.inner);
-        let parallel = self.comm.size() == 1;
-        let start = Instant::now();
-        let (local, inner) = (&mut self.local, &part.inner);
-        execute_part(
-            local,
-            &positions,
-            inner,
-            mode,
-            parallel,
-            self.dispatch,
-            sweep,
-        )?;
-        self.compute_time_s += start.elapsed().as_secs_f64();
-        Ok(())
-    }
-
     /// Record externally-performed local computation time (used by engines
     /// that drive the local slice directly, e.g. the multi-level engine).
     pub fn add_compute_time(&mut self, seconds: f64) {
@@ -484,6 +394,49 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             local: self.local.into_amplitudes(),
         }
     }
+}
+
+/// The layout that makes every qubit in `qubits` local in an `l`-qubit
+/// slice, from `layout` (`layout[q]` = position of qubit `q`), or `None`
+/// when they all are already: the one swap rule, of [`FusedPlan::schedule`]
+/// and [`DistState::ensure_local`] alike. Panics if more than `l` qubits are
+/// requested. Each qubit that comes in trades places with a local qubit that
+/// is not needed and every other qubit keeps its position, so the sub-cube
+/// of a slice that stays on its rank stays where it is (see
+/// [`crate::exchange`]) and only what changes rank moves.
+pub(crate) fn local_layout(layout: &[usize], l: usize, qubits: &[usize]) -> Option<Vec<usize>> {
+    assert!(
+        qubits.len() <= l,
+        "cannot make {} qubits local with only {l} local positions",
+        qubits.len()
+    );
+    if qubits.iter().all(|&q| layout[q] < l) {
+        return None;
+    }
+    let mut new_layout = layout.to_vec();
+    // Local positions whose qubit is not needed, available for eviction.
+    let mut needed = vec![false; layout.len()];
+    for &q in qubits {
+        needed[q] = true;
+    }
+    let qubit_at_position = |layout: &[usize], pos: usize| -> usize {
+        layout
+            .iter()
+            .position(|&p| p == pos)
+            .expect("layout is a permutation")
+    };
+    let mut free_local: Vec<usize> = (0..l)
+        .filter(|&pos| !needed[qubit_at_position(&new_layout, pos)])
+        .collect();
+    for &q in qubits {
+        if new_layout[q] >= l {
+            let target = free_local.pop().expect("enough local positions");
+            let evicted = qubit_at_position(&new_layout, target);
+            new_layout[evicted] = new_layout[q];
+            new_layout[q] = target;
+        }
+    }
+    Some(new_layout)
 }
 
 /// Per-rank outcome of a distributed run, returned by the SPMD body.
@@ -652,87 +605,76 @@ where
     ))
 }
 
-/// Run `plan` as every rank of a thread world ([`run_plan_rank`]) and
-/// aggregate the outcomes into the state and a report: how every planned
-/// engine executes in-process.
+/// Run `schedule` as every rank of a thread world of `spec.ranks`, the
+/// world it was compiled for ([`run_plan_rank`]), and aggregate the outcomes
+/// into the state and a report: how every planned engine runs in-process.
 pub fn run_plan(
     circuit: &Circuit,
-    plan: FusedPlan<'_>,
+    schedule: &PlanSchedule<'_>,
     spec: RunSpec<'_>,
     control: &ExecControl,
 ) -> Result<(StateVector, RunReport), Cancelled> {
-    let qubits = circuit.num_qubits();
-    run_thread_world(spec, circuit, plan.num_parts(), |comm| {
-        run_plan_rank(comm, qubits, plan, spec.dispatch, control)
+    run_thread_world(spec, circuit, schedule.plan.num_parts(), |comm| {
+        run_plan_rank(comm, schedule, spec.dispatch, control)
     })
 }
 
-/// Execute one rank of a fused plan against `comm`: the one rank body of
+/// Execute one rank of a compiled plan against `comm`: the one rank body of
 /// every planned engine, run by the thread world ([`run_plan`]) and by
 /// `hisvsim-net`'s worker processes alike, so a process-backed run is
 /// bit-identical to the thread-world run of the same plan by construction.
 ///
-/// The rank walks the plan's steps for its world size
-/// ([`FusedPlan::steps`]). For each it brings the step's working set into
-/// its local slice ([`DistState::ensure_local`], the only collective), then
-/// runs the step's parts through the part executor: a step's only part in
-/// place, every other where [`part_mode`](crate::hier::part_mode) says — a
-/// function of the plan and the slice width alone, so every rank and world
-/// decides alike. The first step's layout costs no exchange: before the
-/// first gate the state is `|0…0⟩`, the same in every layout. The rank hands
-/// back its slice in the layout it ends in ([`DistState::finish_rank`]).
+/// The rank starts in the schedule's first layout and walks its entries
+/// ([`FusedPlan::schedule`]): a vote ([`DistState::vote_cancelled`]), the
+/// entry's redistribution if it has one, then the part in the entry's form.
+/// A token fired on any rank so stops all of them at the same part boundary,
+/// none stranded inside a collective. Rank 0 reports `(gates_done,
+/// gates_total)` after each part. The rank hands back its slice in the
+/// layout it ends in ([`DistState::finish_rank`]).
 ///
-/// The ranks vote ([`DistState::vote_cancelled`]) before every step and
-/// before every part of a step but its first, so there is one vote per part
-/// and every progress report but the last is followed by one: a token fired
-/// on any rank stops all of them at the same part boundary, and none is
-/// stranded inside a collective. Rank 0 reports `(gates_done, gates_total)`
-/// after each part.
-///
-/// A world of one is the hier engine: it sweeps on the pool and hands its
-/// token and sub-part progress to the sweep, so a gathered part also stops
-/// between assignments and reports as it goes. More ranks sweep
-/// sequentially (their parallelism is the ranks) and without a token: a rank
-/// leaves the schedule only by a vote.
+/// A world of one (the hier engine) sweeps on the pool and hands its token
+/// and sub-part progress to the sweep. More ranks sweep sequentially and
+/// without a token: a rank leaves the schedule only by a vote.
 pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
-    num_qubits: usize,
-    plan: FusedPlan<'_>,
+    schedule: &PlanSchedule<'_>,
     dispatch: KernelDispatch,
     control: &ExecControl,
 ) -> Result<RankOutcome, Cancelled> {
+    assert_eq!(
+        comm.size(),
+        schedule.ranks,
+        "the schedule was compiled for another world size"
+    );
     let world_of_one = comm.size() == 1;
-    let steps = plan.steps(comm.size());
-    let mut state = DistState::new(comm, num_qubits);
+    let mut state = DistState::new(comm, schedule.num_qubits);
     state.set_kernel_dispatch(dispatch);
-    let total_gates = plan.total_source_gates();
+    // Nothing has touched the `|0…0⟩` state yet: any layout is free.
+    state.layout.clone_from(&schedule.start);
+    let total_gates = schedule.total_source_gates();
     let mut gates_done = 0u64;
-    for (number, step) in steps.into_iter().enumerate() {
+    for entry in &schedule.entries {
         state.vote_cancelled(&control.cancel)?;
-        match number {
-            0 => state.start_local(step.working_set),
-            _ => state.ensure_local(step.working_set),
+        if let Some(layout) = &entry.exchange {
+            state.redistribute(layout.clone());
         }
-        for (index, part) in step.parts.iter().enumerate() {
-            if index > 0 {
-                state.vote_cancelled(&control.cancel)?;
-            }
-            let part_gates = part.inner.source_gates() as u64;
-            let before = gates_done;
-            let on_assignments = |done: u64, total: u64| {
-                control.report_progress(before + part_gates * done / total.max(1), total_gates);
-            };
-            let sweep = match world_of_one {
-                true => SweepControl {
-                    cancel: Some(&control.cancel),
-                    on_assignments: Some(&on_assignments),
-                },
-                false => SweepControl::default(),
-            };
-            state.run_part(part, step.parts.len() == 1, sweep)?;
-            gates_done += part_gates;
-            state.report_progress(control, gates_done, total_gates);
-        }
+        let part_gates = entry.part.inner.source_gates() as u64;
+        let before = gates_done;
+        let on_assignments = |done: u64, total: u64| {
+            control.report_progress(before + part_gates * done / total.max(1), total_gates);
+        };
+        let sweep = match world_of_one {
+            true => SweepControl {
+                cancel: Some(&control.cancel),
+                on_assignments: Some(&on_assignments),
+            },
+            false => SweepControl::default(),
+        };
+        let start = Instant::now();
+        execute_part(&mut state.local, entry, world_of_one, dispatch, sweep)?;
+        state.compute_time_s += start.elapsed().as_secs_f64();
+        gates_done += part_gates;
+        state.report_progress(control, gates_done, total_gates);
     }
     Ok(state.finish_rank())
 }
@@ -856,8 +798,9 @@ impl DistributedSimulator {
         let (strategy, dispatch) = (c.strategy.name(), c.kernel_dispatch);
         let spec = RunSpec::new("dist", strategy, c.num_ranks, c.network, dispatch);
         let inert = ExecControl::default();
-        let (state, report) = run_plan(circuit, FusedPlan::Single(plan), spec, &inert)
-            .expect("an inert control cannot cancel");
+        let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), c.num_ranks);
+        let (state, report) =
+            run_plan(circuit, &schedule, spec, &inert).expect("an inert control cannot cancel");
         let partition = plan.partition.clone();
         DistRun {
             state,
@@ -1031,10 +974,11 @@ mod tests {
         let dag = CircuitDag::from_circuit(&relabeled);
         let partition = Strategy::DagP.partition(&dag, 7).unwrap();
         let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
-        let plan = FusedPlan::Single(&plan);
+        let schedule = FusedPlan::Single(&plan).schedule(9, 4);
         let inert = ExecControl::default();
         let layouts = run_spmd(4, NetworkModel::ideal(), |mut comm| {
-            let outcome = run_plan_rank(&mut comm, 9, plan, KernelDispatch::default(), &inert);
+            let dispatch = KernelDispatch::default();
+            let outcome = run_plan_rank(&mut comm, &schedule, dispatch, &inert);
             outcome.expect("an inert control cannot cancel").layout
         });
         let identity: Vec<usize> = (0..9).collect();
@@ -1042,7 +986,7 @@ mod tests {
         assert!(layouts.iter().all(|layout| *layout == layouts[0]));
 
         let spec = RunSpec::new("dist", "dagP", 4, NetworkModel::ideal(), Default::default());
-        let run = |spec| run_plan(&relabeled, plan, spec, &inert).expect("nothing cancels");
+        let run = |spec| run_plan(&relabeled, &schedule, spec, &inert).expect("nothing cancels");
         let (mut two_passes, _) = run(spec);
         two_passes.permute_qubits(&perm);
         let (one_pass, _) = run(spec.with_perm(&perm));

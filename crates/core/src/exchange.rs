@@ -17,8 +17,9 @@
 //! The message a rank sends itself is skipped when it would land on the
 //! offsets it is read from: when the kept positions do not move and this
 //! rank's own amplitudes are selected by the same bits before and after.
-//! Every swap [`DistState::ensure_local`] makes is such a change, so a rank
-//! packs, sends and unpacks only the sub-cubes that change rank.
+//! Every swap a plan's schedule or [`DistState::ensure_local`] makes is such
+//! a change, so a rank packs, sends and unpacks only the sub-cubes that
+//! change rank.
 //!
 //! [`DistState::redistribute`]: crate::dist::DistState::redistribute
 //! [`DistState::ensure_local`]: crate::dist::DistState::ensure_local

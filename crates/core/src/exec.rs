@@ -13,14 +13,14 @@
 //! ## Cancelling an SPMD engine: the vote
 //!
 //! The engines run one rank per thread or per worker process, and the ranks
-//! meet in collectives (the `ensure_local` redistributions). A rank that
+//! meet in collectives (the redistributions between parts). A rank that
 //! polled the token on its own could leave before part `i` while a peer,
 //! which polled an instant earlier, waits for it inside part `i`'s
 //! all-to-all. So at every checkpoint the ranks *vote*
 //! ([`DistState::vote_cancelled`](crate::dist::DistState::vote_cancelled),
 //! a boolean OR over [`RankComm::vote_any`](hisvsim_cluster::RankComm::vote_any)):
 //! each contributes what its own token says and all receive the same
-//! answer, so every rank enters step `i` or none does. The vote travels over
+//! answer, so every rank enters part `i` or none does. The vote travels over
 //! the communicator, which is why the rank bodies serve the thread world and
 //! the process world alike; on a one-rank world — the hier engine — it
 //! returns at once and is a poll of the token.

@@ -13,12 +13,15 @@
 //! `layout[working_set[j]]`, either gathering an inner vector over those
 //! positions or sweeping its slice in place through them.
 //!
-//! Both plan shapes run as a list of [`PlanStep`]s ([`FusedPlan::steps`]): a
-//! working set the rank brings into its local slice, then the parts that run
-//! inside it. That list is what the one rank body
-//! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks.
+//! Both plan shapes compile, for one state width and world size, into one
+//! [`PlanSchedule`] ([`FusedPlan::schedule`]): every part with the layout the
+//! rank takes before it, the positions its qubits sit at, its passes and the
+//! form it runs in. That list is what the one rank body
+//! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks, and what the
+//! runtime's route and cost verdict read.
 
-use crate::hier::{part_passes, step_part_mode};
+use crate::dist::local_layout;
+use crate::hier::{part_mode, part_passes, PartMode, PartPasses, GATHER_PASSES};
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::MultilevelPartition;
@@ -180,53 +183,7 @@ pub enum FusedPlan<'a> {
     Two(&'a FusedTwoLevelPlan),
 }
 
-/// One step of a rank's schedule: the qubits the rank brings into its local
-/// slice, then the parts that run inside it with no exchange between them.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanStep<'a> {
-    /// Qubits every part of the step needs local.
-    pub working_set: &'a [Qubit],
-    /// The step's parts, in execution order.
-    pub parts: &'a [FusedPart],
-}
-
 impl<'a> FusedPlan<'a> {
-    /// The steps a world of `ranks` ranks runs the plan in: a function of
-    /// the plan's shape and the world size alone. A two-level plan takes one
-    /// step per first-level part. A single-level plan takes one step per part
-    /// on several ranks, and one step holding every part on a world of one,
-    /// where every qubit is local and no part switch needs an exchange.
-    pub fn steps(self, ranks: usize) -> Vec<PlanStep<'a>> {
-        match self {
-            FusedPlan::Single(plan) if ranks == 1 => vec![PlanStep {
-                working_set: &[],
-                parts: &plan.parts,
-            }],
-            FusedPlan::Single(plan) => plan
-                .parts
-                .iter()
-                .map(|part| PlanStep {
-                    working_set: &part.working_set,
-                    parts: std::slice::from_ref(part),
-                })
-                .collect(),
-            FusedPlan::Two(plan) => plan
-                .parts
-                .iter()
-                .map(|part| PlanStep {
-                    working_set: &part.working_set,
-                    parts: &part.second,
-                })
-                .collect(),
-        }
-    }
-
-    /// Every part the plan runs, in execution order: on any world, each part
-    /// is in exactly one step.
-    fn parts(self) -> impl Iterator<Item = &'a FusedPart> {
-        self.steps(1).into_iter().flat_map(|step| step.parts)
-    }
-
     /// (First-level) parts of the partition: the `num_parts` of a report.
     pub fn num_parts(self) -> usize {
         match self {
@@ -235,30 +192,122 @@ impl<'a> FusedPlan<'a> {
         }
     }
 
-    /// Passes over memory a world of one makes running the plan on a
-    /// `num_qubits`-qubit state: per part, those of the mode the rank body
-    /// runs it in ([`step_part_mode`],
-    /// [`PartPasses::in_mode`](crate::hier::PartPasses::in_mode)). Feeds the
-    /// predicted-cost side of the runtime's decision verdicts.
-    pub fn passes(self, num_qubits: usize) -> usize {
-        let step_passes = |step: PlanStep<'a>| -> usize {
-            let only = step.parts.len() == 1;
-            let part_passes = |part: &FusedPart| {
-                let (set, inner) = (&part.working_set, &part.inner);
-                let mode = step_part_mode(only, num_qubits, set, inner);
-                part_passes(num_qubits, set, inner).in_mode(mode)
-            };
-            step.parts.iter().map(part_passes).sum()
+    /// Compile the plan for a `num_qubits`-qubit state on `ranks` ranks (a
+    /// power of two): a function of these alone, so every rank, worker and
+    /// repeat of a job runs the same schedule. The parts run in groups with
+    /// no exchange between them: a two-level plan's first-level parts, a
+    /// single-level plan's parts one by one on several ranks and all at once
+    /// on a world of one. Before a group the ranks swap its working set into
+    /// their slices (the swaps `DistState::ensure_local` makes), the first
+    /// group's layout free, since `|0…0⟩` is the same in every layout. A
+    /// group's only part runs in place; [`part_mode`] decides every other.
+    pub fn schedule(self, num_qubits: usize, ranks: usize) -> PlanSchedule<'a> {
+        let local = (num_qubits.checked_sub(ranks.trailing_zeros() as usize))
+            .filter(|_| ranks.is_power_of_two())
+            .expect("a power-of-two rank count of at most 2^num_qubits");
+        let groups: Vec<(&'a [Qubit], &'a [FusedPart])> = match self {
+            FusedPlan::Single(plan) if ranks == 1 => vec![(&[], &plan.parts)],
+            FusedPlan::Single(plan) => (plan.parts.iter())
+                .map(|part| (&part.working_set[..], std::slice::from_ref(part)))
+                .collect(),
+            FusedPlan::Two(plan) => (plan.parts.iter())
+                .map(|part| (&part.working_set[..], &part.second[..]))
+                .collect(),
         };
-        self.steps(1).into_iter().map(step_passes).sum()
+        let mut layout: Vec<usize> = (0..num_qubits).collect();
+        let mut entries: Vec<ScheduleEntry<'a>> = Vec::new();
+        for (needed, parts) in groups {
+            let mut exchange = local_layout(&layout, local, needed);
+            if let Some(next) = &exchange {
+                layout.clone_from(next);
+            }
+            for part in parts {
+                let positions: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
+                debug_assert!(positions.iter().all(|&pos| pos < local));
+                let mode = match parts.len() {
+                    1 => PartMode::InPlace,
+                    _ => part_mode(local, &positions, &part.inner),
+                };
+                entries.push(ScheduleEntry {
+                    part,
+                    exchange: exchange.take(),
+                    passes: part_passes(local, &positions, &part.inner),
+                    positions,
+                    mode,
+                });
+            }
+        }
+        // The first layout is the one the ranks start in, with no exchange.
+        let first = entries.first_mut().and_then(|entry| entry.exchange.take());
+        let start = first.unwrap_or_else(|| (0..num_qubits).collect());
+        PlanSchedule {
+            plan: self,
+            num_qubits,
+            ranks,
+            start,
+            entries,
+        }
+    }
+}
+
+/// A plan compiled for one state width and world size
+/// ([`FusedPlan::schedule`]): what every rank walks, one entry per part.
+#[derive(Debug, Clone)]
+pub struct PlanSchedule<'a> {
+    /// The plan it was compiled from.
+    pub plan: FusedPlan<'a>,
+    /// Qubits of the state.
+    pub num_qubits: usize,
+    /// Ranks of the world it runs on.
+    pub ranks: usize,
+    /// The layout the ranks start in (`start[q]` = position of qubit `q`).
+    pub start: Vec<usize>,
+    /// The parts in execution order.
+    pub entries: Vec<ScheduleEntry<'a>>,
+}
+
+impl PlanSchedule<'_> {
+    /// Qubits of each rank's slice.
+    pub fn local_qubits(&self) -> usize {
+        self.num_qubits - self.ranks.trailing_zeros() as usize
     }
 
     /// Circuit gates across every part: the total the engines report
     /// progress against.
-    pub fn total_source_gates(self) -> u64 {
-        let gates = self.parts().map(|part| part.inner.source_gates());
+    pub fn total_source_gates(&self) -> u64 {
+        let gates = self.entries.iter().map(|e| e.part.inner.source_gates());
         gates.sum::<usize>() as u64
     }
+
+    /// Redistributions every rank makes.
+    pub fn exchanges(&self) -> usize {
+        self.entries.iter().filter(|e| e.exchange.is_some()).count()
+    }
+
+    /// Passes over memory each rank makes, every part in its form, a
+    /// gathered part's round trip counted as [`GATHER_PASSES`].
+    pub fn passes(&self) -> usize {
+        let passes = self.entries.iter().map(|entry| match entry.mode {
+            PartMode::Gather => entry.passes.gathered.map_or(0, |g| g + GATHER_PASSES),
+            PartMode::InPlace => entry.passes.in_place,
+        });
+        passes.sum()
+    }
+}
+
+/// One part of a [`PlanSchedule`] and how it runs.
+#[derive(Debug, Clone)]
+pub struct ScheduleEntry<'a> {
+    /// The part.
+    pub part: &'a FusedPart,
+    /// The layout the ranks redistribute to before the part, if any.
+    pub exchange: Option<Vec<usize>>,
+    /// Slice position of each working-set qubit (of fused qubit `j`).
+    pub positions: Vec<usize>,
+    /// The part's passes over the slice in both forms.
+    pub passes: PartPasses,
+    /// The form the part runs in.
+    pub mode: PartMode,
 }
 
 #[cfg(test)]
@@ -273,7 +322,7 @@ mod tests {
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = Strategy::DagP.partition(&dag, 5).unwrap();
         let plan = FusedSinglePlan::new(&circuit, &dag, partition);
-        let gates = FusedPlan::Single(&plan).total_source_gates();
+        let gates = FusedPlan::Single(&plan).schedule(9, 1).total_source_gates();
         assert_eq!(gates, circuit.num_gates() as u64);
         for part in &plan.parts {
             assert!(part.working_set.len() <= 5);
@@ -289,7 +338,7 @@ mod tests {
             .partition(&dag, 6, 3)
             .unwrap();
         let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml);
-        let gates = FusedPlan::Two(&plan).total_source_gates();
+        let gates = FusedPlan::Two(&plan).schedule(9, 2).total_source_gates();
         assert_eq!(gates, circuit.num_gates() as u64);
         for part in &plan.parts {
             for second in &part.second {
@@ -303,34 +352,65 @@ mod tests {
     }
 
     #[test]
-    fn the_step_shape_follows_the_plan_and_the_world_size() {
+    fn the_schedule_follows_the_plan_and_the_world_size() {
         let circuit = generators::by_name("qaoa", 9);
         let dag = CircuitDag::from_circuit(&circuit);
         let partition = Strategy::DagP.partition(&dag, 5).unwrap();
         let single = FusedSinglePlan::new(&circuit, &dag, partition);
         assert!(single.parts.len() > 1);
-        let one = FusedPlan::Single(&single).steps(1);
-        assert_eq!(one.len(), 1, "a world of one runs every part in one step");
-        assert!(one[0].working_set.is_empty());
-        assert_eq!(one[0].parts.len(), single.parts.len());
-        let many = FusedPlan::Single(&single).steps(4);
-        assert_eq!(many.len(), single.parts.len());
-        for (step, part) in many.iter().zip(&single.parts) {
-            assert_eq!(step.working_set, part.working_set);
-            assert_eq!(step.parts.len(), 1);
+        // A world of one: every qubit local, no layout change at all.
+        let one = FusedPlan::Single(&single).schedule(9, 1);
+        assert_eq!(one.entries.len(), single.parts.len());
+        assert_eq!(one.start, (0..9).collect::<Vec<_>>());
+        assert_eq!(one.exchanges(), 0);
+        for (entry, part) in one.entries.iter().zip(&single.parts) {
+            assert_eq!(entry.positions, part.working_set);
         }
+        // Four ranks: one part at a time, each alone and so in place, every
+        // working set local under its layout, and the first layout free.
+        let many = FusedPlan::Single(&single).schedule(9, 4);
+        assert_eq!(many.local_qubits(), 7);
+        assert!(many.entries[0].exchange.is_none());
+        let mut layout = many.start.clone();
+        for (entry, part) in many.entries.iter().zip(&single.parts) {
+            if let Some(next) = &entry.exchange {
+                assert_ne!(*next, layout);
+                layout.clone_from(next);
+            }
+            let at: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
+            assert_eq!(entry.positions, at);
+            assert!(at.iter().all(|&pos| pos < 7));
+            assert_eq!(entry.mode, PartMode::InPlace);
+        }
+        let in_place = many.entries.iter().map(|entry| entry.passes.in_place);
+        assert_eq!(many.passes(), in_place.sum::<usize>());
 
         let ml = MultilevelPartitioner::default()
             .partition(&dag, 6, 3)
             .unwrap();
         let two = FusedTwoLevelPlan::new(&circuit, &dag, ml);
+        // An exchange can only open a first-level part, and a world of one
+        // makes none.
+        let opening: Vec<usize> = two
+            .parts
+            .iter()
+            .scan(0, |at, part| {
+                let first = *at;
+                *at += part.second.len();
+                Some(first)
+            })
+            .collect();
         for ranks in [1, 4] {
-            let steps = FusedPlan::Two(&two).steps(ranks);
-            assert_eq!(steps.len(), two.parts.len());
-            for (step, part) in steps.iter().zip(&two.parts) {
-                assert_eq!(step.working_set, part.working_set);
-                assert_eq!(step.parts.len(), part.second.len());
+            let schedule = FusedPlan::Two(&two).schedule(9, ranks);
+            let entries = &schedule.entries;
+            assert_eq!(
+                entries.len(),
+                two.parts.iter().map(|p| p.second.len()).sum()
+            );
+            for (index, entry) in entries.iter().enumerate() {
+                assert!(entry.exchange.is_none() || opening[1..].contains(&index));
             }
+            assert_eq!(schedule.exchanges() == 0, ranks == 1);
         }
     }
 }

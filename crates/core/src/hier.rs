@@ -33,17 +33,16 @@
 //! block boundary in the other multiplies in a different order: states agree
 //! to the last bit or two (2e-18 on `random(22, 528)`), not always bitwise.
 //!
-//! The engine is the one rank body ([`run_plan_rank`]) on a world of one
-//! rank: a single-level plan there is one step holding every part, and the
-//! body's mode rule — a step's only part runs in place, [`part_mode`]
-//! decides the rest — is the rule above. This module owns the part executor
-//! (`execute_part`) that body runs every part of every engine through.
+//! The engine is the one rank body ([`run_plan_rank`]) over the plan's
+//! schedule ([`FusedPlan::schedule`]) on a world of one. This module owns
+//! the part executor (`execute_part`) it runs every part of every engine
+//! through.
 
 #[cfg(doc)]
 use crate::dist::run_plan_rank;
 use crate::dist::{run_plan, RunSpec};
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedPlan, FusedSinglePlan};
+use crate::fusedplan::{FusedPlan, FusedSinglePlan, ScheduleEntry};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_cluster::NetworkModel;
@@ -154,8 +153,9 @@ impl HierarchicalSimulator {
         let network = NetworkModel::ideal();
         let spec = RunSpec::new("hier", c.strategy.name(), 1, network, c.kernel_dispatch);
         let inert = ExecControl::default();
-        let (state, report) = run_plan(circuit, FusedPlan::Single(plan), spec, &inert)
-            .expect("an inert control cannot cancel");
+        let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), 1);
+        let (state, report) =
+            run_plan(circuit, &schedule, spec, &inert).expect("an inert control cannot cancel");
         let partition = plan.partition.clone();
         HierRun {
             state,
@@ -214,12 +214,25 @@ impl PartMode {
 /// Whether a part over `working_set` of an `outer_qubits`-qubit state is
 /// gathered: a function of the plan and the state's width alone — not of the
 /// thread count, `parallel` or the host — so every rank, world and repeat of
-/// a job decides alike. A part runs in place when it has no free qubits (the
-/// gather would be an identity copy), when the outer state fits one
-/// [`TILE`] (it is L2-resident already), or when it would make at most
-/// [`GATHER_PASSES`] passes over it ([`FusedCircuit::passes_mapped`]).
-/// Wide many-pass parts gather as Algorithm 1 says; whether *they* should is
-/// a host question (ROADMAP item 6).
+/// a job decides alike. The plan's schedule ([`FusedPlan::schedule`]) asks
+/// it for every part that shares its exchange-free group with another. A
+/// part runs in place when it has no free qubits (the gather would be an
+/// identity copy), when the outer state fits one [`TILE`] (it is
+/// L2-resident already), or when it would make at most [`GATHER_PASSES`]
+/// passes over it ([`FusedCircuit::passes_mapped`]). Wide many-pass parts
+/// gather as Algorithm 1 says; whether *they* should is a host question
+/// (ROADMAP item 6).
+///
+/// This rule is not the route's ([`PartPasses::gather_shortens`], which
+/// keeps a hierarchy only where gathering makes fewer passes than sweeping
+/// in place), and merging the two on pass counts alone is slower. Running
+/// `large_random`'s plan (relabeled `random_circuit(22, 528, 1)` at limit
+/// 21) with its parts 2 and 4 in place, the form `gather_shortens` prefers
+/// (51 passes in place against 51 + 4 gathered, and 10 against 9 + 4), lost
+/// 10, 10 and 11 of 12 interleaved rounds in three probes on a 2-vCPU Xeon
+/// guest (medians 667 → 904, 631 → 727 and 639 → 694 ms: +35, +15 and
+/// +9 %; states equal within 1e-10). Passes count bytes streamed, not where
+/// they stream from or what they compute.
 pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircuit) -> PartMode {
     if working_set.len() >= outer_qubits
         || 1usize << outer_qubits <= TILE
@@ -267,15 +280,6 @@ impl PartPasses {
         self.gathered
             .is_some_and(|gathered| gathered + GATHER_PASSES < self.in_place)
     }
-
-    /// The passes the part makes in `mode`, the round trip counted as
-    /// [`GATHER_PASSES`] passes.
-    pub fn in_mode(self, mode: PartMode) -> usize {
-        match (mode, self.gathered) {
-            (PartMode::Gather, Some(gathered)) => gathered + GATHER_PASSES,
-            _ => self.in_place,
-        }
-    }
 }
 
 impl std::fmt::Display for PartPasses {
@@ -286,20 +290,6 @@ impl std::fmt::Display for PartPasses {
             Some(gathered) => write!(f, " against {gathered} + {GATHER_PASSES} gathered"),
             None => f.write_str(" and no free qubit"),
         }
-    }
-}
-
-/// How the one rank body runs a part: a step's `only` part in place (there
-/// is nothing to gather between), every other as [`part_mode`] says.
-pub fn step_part_mode(
-    only: bool,
-    outer_qubits: usize,
-    working_set: &[usize],
-    inner: &FusedCircuit,
-) -> PartMode {
-    match only {
-        true => PartMode::InPlace,
-        false => part_mode(outer_qubits, working_set, inner),
     }
 }
 
@@ -324,19 +314,18 @@ fn take_inner(qubits: usize, outer_qubits: usize) -> StateVector {
     StateVector::from_amplitudes(amps)
 }
 
-/// Execute one prefused part against `outer`: fused qubit `j` of
-/// `inner_circuit` is outer qubit `working_set[j]`. The one part executor:
-/// the one rank body runs every part of every planned engine through it, on
-/// the whole state on a world of one, on a rank's slice with
-/// `parallel = false` on more ranks.
+/// Execute one scheduled part against `outer`: fused qubit `j` of the part
+/// is outer position `entry.positions[j]`. The one part executor: the one
+/// rank body runs every part of every planned engine through it, on the
+/// whole state on a world of one, on a rank's slice with `parallel = false`
+/// on more ranks.
 ///
-/// `mode` (the body's rule: a step's only part in place, else [`part_mode`])
-/// picks between Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and
-/// sweeping `outer` in place through the translation; `parallel` only says whether the chosen
-/// mode may use the pool. The part
-/// leaves one `part` span (`mode=… ws=… passes=… gathered=…`: the
-/// [`PartPasses`] of both forms, `gathered` absent for a part with no free
-/// qubit) and a tick in [`parts_executed`].
+/// The entry's form ([`FusedPlan::schedule`]) picks between
+/// Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and sweeping
+/// `outer` in place through the translation; `parallel` only says whether
+/// that form may use the pool. The part leaves one `part` span (`mode=…
+/// ws=… passes=… gathered=…`: the entry's [`PartPasses`], `gathered` absent
+/// for a part with no free qubit) and a tick in [`parts_executed`].
 ///
 /// `control`'s token, if any, is polled between assignments of a gathered
 /// part, and before, between and after the passes of an in-place one; its
@@ -344,15 +333,14 @@ fn take_inner(qubits: usize, outer_qubits: usize) -> StateVector {
 /// the outer vector is left partially updated and the caller abandons it.
 pub(crate) fn execute_part(
     outer: &mut StateVector,
-    working_set: &[usize],
-    inner_circuit: &FusedCircuit,
-    mode: PartMode,
+    entry: &ScheduleEntry<'_>,
     parallel: bool,
     dispatch: KernelDispatch,
     control: SweepControl<'_>,
 ) -> Result<(), Cancelled> {
+    let (working_set, inner_circuit, mode) = (&entry.positions[..], &entry.part.inner, entry.mode);
     let _span = hisvsim_obs::enabled().then(|| {
-        let passes = part_passes(outer.num_qubits(), working_set, inner_circuit);
+        let passes = entry.passes;
         let gathered = passes.gathered.map(|g| format!(" gathered={g}"));
         hisvsim_obs::span("kernel", "part").detail(format!(
             "mode={} ws={} passes={}{}",
@@ -613,7 +601,6 @@ mod tests {
         };
         assert!(!at(14, 10).gather_shortens());
         assert!(at(15, 10).gather_shortens());
-        assert_eq!(at(14, 10).in_mode(PartMode::Gather), 14);
         assert_eq!(
             at(12, 10).to_string(),
             "12 passes in place against 10 + 4 gathered"

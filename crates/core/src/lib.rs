@@ -25,8 +25,8 @@
 //! engine auto-selection per job (`EngineSelector`), partition-plan caching
 //! keyed by `Circuit::fingerprint` (`PlanCache`), and a worker pool with a
 //! bounded number of resident state vectors (`Scheduler`). A cached plan is
-//! a prefused one ([`fusedplan`]): [`run_plan`] executes it under an
-//! [`ExecControl`] with no DAG build, partitioning or fusion left to do.
+//! a prefused one ([`fusedplan`]): [`run_plan`] executes its schedule under
+//! an [`ExecControl`] with no DAG build, partitioning or fusion left to do.
 //! Each engine's `run_with_fused_plan` is that call under an inert control;
 //! `run` remains the single-shot path that plans internally, and
 //! `run_with_partition` fuses a given partition first. There is no unfused
@@ -34,20 +34,18 @@
 //!
 //! ## One rank body
 //!
-//! Every planned engine runs one SPMD loop, [`run_plan_rank`]: for each step
-//! of the plan ([`FusedPlan::steps`]) it votes, brings the step's working
-//! set into the rank's slice and runs the step's parts through the part
-//! executor ([`hier`]). The engines are its shapes: `multilevel` takes one
-//! step per first-level part; `dist` on R > 1 ranks one step per part, each
-//! part alone in its step and so swept in place; `hier` is a single-level
-//! plan on a world of one, where every part shares one step and the part
-//! executor gathers the parts [`hier::part_mode`] says to. The comparison
-//! baseline keeps a body of its own, [`run_baseline_rank`]. The thread world
-//! ([`run_plan`], on the calling thread for one rank) and `hisvsim-net`'s
-//! worker processes both call these bodies, with an inert or a live
-//! control, so the two worlds agree bit for bit by construction.
-//! Cancellation is agreed by a collective vote at every checkpoint (see
-//! [`exec`]).
+//! Every planned engine runs one SPMD loop, [`run_plan_rank`], over the
+//! plan compiled for its width and world ([`FusedPlan::schedule`]): per
+//! part, a vote, the layout change the schedule fixed for it, and the part
+//! through the part executor ([`hier`]) in the form the schedule fixed. The
+//! engines are its shapes: `multilevel` changes layout at most once per
+//! first-level part, `dist` on R > 1 ranks once per part, each swept in
+//! place, and `hier` is a single-level plan on a world of one, which gathers
+//! the parts [`hier::part_mode`] says to. The comparison baseline keeps a
+//! body of its own, [`run_baseline_rank`]. The thread world ([`run_plan`])
+//! and `hisvsim-net`'s worker processes both call these bodies, so the two
+//! worlds agree bit for bit by construction. Cancellation is agreed by a
+//! collective vote at every checkpoint (see [`exec`]).
 //!
 //! ## Example
 //!
@@ -81,7 +79,8 @@ pub use dist::{
 };
 pub use exec::ExecControl;
 pub use fusedplan::{
-    FusedMlPart, FusedPart, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanStep,
+    FusedMlPart, FusedPart, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule,
+    ScheduleEntry,
 };
 pub use gpu::{estimate_hybrid, GpuModel, HybridEstimate};
 pub use hier::{HierConfig, HierRun, HierarchicalSimulator};

@@ -7,9 +7,9 @@
 //! executed between two touches of the rank-local slice fit a cache-sized
 //! inner state vector. Within a rank the second-level parts are executed with
 //! the same Gather–Execute–Scatter loop the single-node engine uses, just
-//! against the rank's local slice instead of the whole state: one step of
-//! the one rank body ([`run_plan_rank`](crate::dist::run_plan_rank)) per
-//! first-level part.
+//! against the rank's local slice instead of the whole state: the one rank
+//! body ([`run_plan_rank`](crate::dist::run_plan_rank)) switches layout at
+//! most once per first-level part.
 
 use crate::dist::{run_plan, RunSpec};
 use crate::exec::ExecControl;
@@ -127,8 +127,9 @@ impl MultilevelSimulator {
         let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
         let spec = RunSpec::new("multilevel", "dagP", ranks, c.network, dispatch);
         let inert = ExecControl::default();
-        let (state, report) = run_plan(circuit, FusedPlan::Two(plan), spec, &inert)
-            .expect("an inert control cannot cancel");
+        let schedule = FusedPlan::Two(plan).schedule(circuit.num_qubits(), ranks);
+        let (state, report) =
+            run_plan(circuit, &schedule, spec, &inert).expect("an inert control cannot cancel");
         let partition = plan.ml.clone();
         MultilevelRun {
             state,

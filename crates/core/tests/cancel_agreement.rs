@@ -62,10 +62,12 @@ impl Schedule {
         let dispatch = KernelDispatch::default();
         match self {
             Schedule::Dist(plan) => {
-                run_plan_rank(comm, QUBITS, FusedPlan::Single(plan), dispatch, control)
+                let schedule = FusedPlan::Single(plan).schedule(QUBITS, comm.size());
+                run_plan_rank(comm, &schedule, dispatch, control)
             }
             Schedule::Multilevel(plan) => {
-                run_plan_rank(comm, QUBITS, FusedPlan::Two(plan), dispatch, control)
+                let schedule = FusedPlan::Two(plan).schedule(QUBITS, comm.size());
+                run_plan_rank(comm, &schedule, dispatch, control)
             }
             Schedule::Baseline(schedule) => run_baseline_rank(comm, schedule, dispatch, control),
         }

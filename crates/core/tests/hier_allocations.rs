@@ -11,10 +11,10 @@
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
-use hisvsim_core::hier::{part_mode, PartMode};
+use hisvsim_core::hier::PartMode;
 use hisvsim_core::{
-    run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPart, FusedPlan,
-    FusedSinglePlan, FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, RunSpec,
+    run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPlan, FusedSinglePlan,
+    FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
@@ -107,7 +107,8 @@ fn job(
 ) -> Result<StateVector, Cancelled> {
     let dispatch = KernelDispatch::default();
     let spec = RunSpec::new("test", "dagP", ranks, NetworkModel::ideal(), dispatch);
-    run_plan(circuit, plan, spec, control).map(|(state, _)| state)
+    let schedule = plan.schedule(circuit.num_qubits(), ranks);
+    run_plan(circuit, &schedule, spec, control).map(|(state, _)| state)
 }
 
 /// Take every kept buffer an inner vector of `LIMIT` qubits under a
@@ -173,11 +174,11 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
     assert!(parts.parts.len() > 1);
-    let gathers = |part: &FusedPart| part_mode(QUBITS, &part.working_set, &part.inner);
-    assert!(parts
-        .parts
+    let schedule = FusedPlan::Single(&parts).schedule(QUBITS, 1);
+    assert!(schedule
+        .entries
         .iter()
-        .any(|part| gathers(part) == PartMode::Gather));
+        .any(|entry| entry.mode == PartMode::Gather));
     let one_thread = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -265,6 +266,7 @@ fn a_warm_worker_rank_body_allocates_nothing_once_its_slice_is_given_back() {
     let _serial = serial();
     let circuit = generators::qft(QUBITS);
     let dist = plan(&circuit, QUBITS - 1);
+    let schedule = FusedPlan::Single(&dist).schedule(QUBITS, 2);
     let mut mesh = tcp_world::<Complex64>(2, NetworkModel::ideal()).expect("loopback mesh");
     // What `run_worker` does per job on every rank: run the rank body and,
     // once the slice is shipped (here: hashed), give it back. `fire` cancels
@@ -273,16 +275,14 @@ fn a_warm_worker_rank_body_allocates_nothing_once_its_slice_is_given_back() {
         std::thread::scope(|scope| {
             let ranks: Vec<_> = (mesh.iter_mut())
                 .map(|comm| {
-                    let dist = &dist;
+                    let schedule = &schedule;
                     scope.spawn(move || {
                         comm.begin_job();
                         let control = match fire && comm.rank() == 0 {
                             true => cancelling(),
                             false => ExecControl::default(),
                         };
-                        let plan = FusedPlan::Single(dist);
-                        let outcome =
-                            run_plan_rank(comm, QUBITS, plan, Default::default(), &control)?;
+                        let outcome = run_plan_rank(comm, schedule, Default::default(), &control)?;
                         let mut shipped = DefaultHasher::new();
                         for amp in &outcome.local {
                             (amp.re.to_bits(), amp.im.to_bits()).hash(&mut shipped);

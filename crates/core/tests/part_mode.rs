@@ -1,12 +1,13 @@
-//! The part executor's gather-or-in-place decision is a function of the plan
-//! and the state's width alone: a table of what it answers on the two
-//! circuits the benchmark runs through the hier engine, that the thread
-//! count changes nothing, and that a plan of one part — what the runtime
-//! gives every default-routed small circuit — never gathers.
+//! The part executor's gather-or-in-place decision is a function of the plan,
+//! the state's width and the world size alone, fixed when the plan compiles
+//! into its schedule (`FusedPlan::schedule`): a table of what the schedule
+//! says, exactly, on the plans the benchmark runs, that the thread count
+//! changes nothing, and that a plan of one part — what the runtime gives
+//! every default-routed small circuit — never gathers.
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::hier::{part_mode, parts_executed, PartMode};
-use hisvsim_core::{FusedPlan, FusedSinglePlan, HierConfig, HierarchicalSimulator};
+use hisvsim_core::{FusedPlan, FusedSinglePlan, HierConfig, HierarchicalSimulator, PlanSchedule};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 use hisvsim_statevec::{ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH};
@@ -19,19 +20,17 @@ fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
     FusedSinglePlan::new(circuit, &dag, partition)
 }
 
-/// The one rank body's rule on the hier engine's world of one: a step's
-/// only part runs in place, [`part_mode`] decides the others.
+/// The forms the hier engine's world of one runs `plan`'s parts in.
 fn modes(circuit: &Circuit, plan: &FusedSinglePlan) -> Vec<PartMode> {
-    let n = circuit.num_qubits();
-    let steps = FusedPlan::Single(plan).steps(1);
-    let step_modes = steps.iter().map(|step| match step.parts {
-        [_] => vec![PartMode::InPlace],
-        parts => parts
-            .iter()
-            .map(|part| part_mode(n, &part.working_set, &part.inner))
-            .collect(),
-    });
-    step_modes.flatten().collect()
+    let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), 1);
+    schedule.entries.iter().map(|entry| entry.mode).collect()
+}
+
+/// Per part: its form, its passes in place and its gathered passes.
+fn shape(schedule: &PlanSchedule<'_>) -> Vec<(PartMode, usize, Option<usize>)> {
+    (schedule.entries.iter())
+        .map(|entry| (entry.mode, entry.passes.in_place, entry.passes.gathered))
+        .collect()
 }
 
 /// Parts this process has executed so far: (gathered, in place).
@@ -57,6 +56,43 @@ fn decision_table() {
     // A part with no free qubits is never copied into a second vector.
     let whole = plan(&qft, 22);
     assert_eq!(modes(&qft, &whole), [InPlace]);
+
+    // The plans the benchmark runs, SWAPs relabeled as the runner does.
+    // large_random keeps its limit-21 plan, and the executor gathers every
+    // part, where the route's count would keep parts 2 and 4 in place.
+    let random = generators::random_circuit(22, 528, 1);
+    let (random, _) = random.relabel_swaps();
+    let random_plan = plan(&random, 21);
+    let schedule = FusedPlan::Single(&random_plan).schedule(22, 1);
+    assert_eq!(
+        shape(&schedule),
+        [
+            (Gather, 20, Some(15)),
+            (Gather, 51, Some(51)),
+            (Gather, 47, Some(40)),
+            (Gather, 10, Some(9)),
+        ]
+    );
+    assert_eq!(schedule.passes(), 15 + 51 + 40 + 9 + 4 * 4);
+    assert_eq!(schedule.exchanges(), 0);
+    // large_qft runs at limit 22: one part, in place.
+    let (qft, _) = qft.relabel_swaps();
+    let qft_plan = plan(&qft, 22);
+    let schedule = FusedPlan::Single(&qft_plan).schedule(22, 1);
+    assert_eq!(shape(&schedule), [(InPlace, 12, None)]);
+    assert_eq!(schedule.passes(), 12);
+    // cluster_qft's dist plan on two ranks: every part alone between
+    // exchanges, so in place, and the first layout free.
+    let qft = generators::qft(21);
+    let (qft, _) = qft.relabel_swaps();
+    let qft_plan = plan(&qft, 20);
+    let schedule = FusedPlan::Single(&qft_plan).schedule(21, 2);
+    let forms: Vec<(PartMode, usize)> = (schedule.entries.iter())
+        .map(|entry| (entry.mode, entry.passes.in_place))
+        .collect();
+    assert_eq!(forms, [(InPlace, 9), (InPlace, 1), (InPlace, 1)]);
+    assert_eq!(schedule.exchanges(), 2);
+    assert_eq!(schedule.passes(), 11);
 
     // Not a function of the pool.
     let one_thread = rayon::ThreadPoolBuilder::new()

@@ -4,16 +4,16 @@
 //! them relabeled away (`Circuit::relabel_swaps`), which leaves one
 //! permutation pass at the end. The count per part is
 //! `FusedCircuit::passes_mapped`, exact by `part_passes.rs`; whether a part
-//! gathers is `hier::part_mode`, the executor's own rule for a step of more
-//! than one part.
+//! gathers is what the plan's schedule on the hier engine's world of one
+//! says (`FusedPlan::schedule`).
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{part_mode, PartMode};
-use hisvsim_core::FusedSinglePlan;
+use hisvsim_core::hier::PartMode;
+use hisvsim_core::{FusedPlan, FusedSinglePlan};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
 
-/// `(passes, gathered parts)` of `circuit`'s dagP plan at `limit`.
+/// `(passes in place, gathered parts)` of `circuit`'s dagP plan at `limit`.
 fn passes(circuit: &Circuit, limit: usize) -> (usize, usize) {
     let n = circuit.num_qubits();
     let dag = CircuitDag::from_circuit(circuit);
@@ -21,15 +21,12 @@ fn passes(circuit: &Circuit, limit: usize) -> (usize, usize) {
         .partition(&dag, limit)
         .expect("the limit admits every gate");
     let plan = FusedSinglePlan::new(circuit, &dag, partition);
-    let passes = (plan.parts.iter())
-        .map(|part| part.inner.passes_mapped(n, &part.working_set))
-        .sum();
-    let gathered = match plan.parts.len() {
-        1 => 0,
-        _ => (plan.parts.iter())
-            .filter(|part| part_mode(n, &part.working_set, &part.inner) == PartMode::Gather)
-            .count(),
-    };
+    let schedule = FusedPlan::Single(&plan).schedule(n, 1);
+    let entries = schedule.entries.iter();
+    let passes = entries.clone().map(|entry| entry.passes.in_place).sum();
+    let gathered = entries
+        .filter(|entry| entry.mode == PartMode::Gather)
+        .count();
     (passes, gathered)
 }
 

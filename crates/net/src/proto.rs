@@ -29,7 +29,8 @@ pub const AMPS_TAG: u64 = 0x414D_5053_0000_0001;
 /// re-fuses the partition at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]:
 /// fusion is deterministic, so every rank derives the identical fused
 /// schedule independently, and the fused matrices never travel. The plan's
-/// shape and the world size alone decide the steps of the one rank body.
+/// shape and the world size alone decide the schedule the one rank body
+/// walks (`FusedPlan::schedule`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShippedJob {
     /// The circuit to simulate.

@@ -135,7 +135,8 @@ fn shipped_plan(
 }
 
 /// Execute one rank of a shipped job on any [`RankComm`] world: the one
-/// rank body ([`run_plan_rank`]) over the job's fused `plan`, voting on
+/// rank body ([`run_plan_rank`]) over the schedule the rank compiles from
+/// the job's fused `plan` for its world size, voting on
 /// `cancel` at its checkpoints — all ranks stop together or not at all.
 /// Worker processes run it over [`TcpComm`] and
 /// [`execute_local_reference`] over
@@ -148,8 +149,8 @@ fn execute_shipped_rank<C: RankComm<Complex64>>(
     cancel: &CancelToken,
 ) -> Result<RankOutcome, Cancelled> {
     let control = ExecControl::new().with_cancel(cancel.clone());
-    let qubits = job.circuit.num_qubits();
-    run_plan_rank(comm, qubits, plan.fused(), job.dispatch, &control)
+    let schedule = plan.fused().schedule(job.circuit.num_qubits(), comm.size());
+    run_plan_rank(comm, &schedule, job.dispatch, &control)
 }
 
 /// Execute a [`ShippedJob`] on the *in-process* channel world — the

@@ -95,10 +95,7 @@ impl CachedPlan {
 
     /// Number of (first-level) parts — the quantity planning minimises.
     pub fn num_parts(&self) -> usize {
-        match self {
-            CachedPlan::Single(p) => p.partition.num_parts(),
-            CachedPlan::Two(plan) => plan.ml.num_first_level_parts(),
-        }
+        self.fused().num_parts()
     }
 
     /// The plan's partition skeleton in its disk/wire shape — what the

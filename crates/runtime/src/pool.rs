@@ -24,10 +24,10 @@ use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::{Circuit, Qubit};
-use hisvsim_core::hier::{part_passes, PartMode};
+use hisvsim_core::hier::{PartPasses, GATHER_PASSES};
 use hisvsim_core::{
     run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
-    RunReport, RunSpec,
+    PlanSchedule, RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -346,7 +346,7 @@ impl JobRunner {
     /// fire: within the cache budget the plan is one part swept in place, so
     /// a warm small job neither fuses nor spawns. Past the budget the
     /// selector's limit is a proposal the plan's own pass counts can turn
-    /// down (`plan_job`). Worlds of two ranks and up run their ranks on
+    /// down (`reroutes`). Worlds of two ranks and up run their ranks on
     /// threads of their own.
     pub fn execute_job(
         &self,
@@ -455,18 +455,34 @@ impl JobRunner {
         control.notify_planning();
         let plan_ts = hisvsim_obs::now_us();
         let plan_start = Instant::now();
-        let (plan, source) = {
-            let _span =
-                hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
-            let own_limit = job.limit.is_none();
-            self.plan_job(&circuit, &mut decision, own_limit)
-                .map_err(|error| JobError::PlanFailed {
-                    circuit: circuit.name.clone(),
-                    engine: decision.engine,
-                    limit: decision.limit,
-                    error,
-                })?
+        // The plan's schedule on the job's world, compiled once, is what the
+        // route, the verdict and the run read; a route that turns the
+        // proposal down (`reroutes`) takes the plan at limit `n` instead.
+        let plan_span =
+            hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
+        let failed = |decision: &EngineDecision, error| JobError::PlanFailed {
+            circuit: circuit.name.clone(),
+            engine: decision.engine,
+            limit: decision.limit,
+            error,
         };
+        let (n, ranks) = (circuit.num_qubits(), decision.ranks);
+        let (proposal, proposed_source) =
+            (self.obtain_plan(&circuit, &decision)).map_err(|error| failed(&decision, error))?;
+        let proposed = schedule_of(&proposal, n, ranks);
+        let own_limit = job.limit.is_none();
+        let rerouted;
+        let (plan, schedule, source) =
+            match self.reroutes(&circuit, &mut decision, own_limit, proposed.as_ref()) {
+                false => (&proposal, proposed, proposed_source),
+                true => {
+                    rerouted = (self.obtain_plan(&circuit, &decision))
+                        .map_err(|error| failed(&decision, error))?;
+                    let source = colder(proposed_source, rerouted.1);
+                    (&rerouted.0, schedule_of(&rerouted.0, n, ranks), source)
+                }
+            };
+        drop(plan_span);
         let plan_time_s = plan_start.elapsed().as_secs_f64();
         phase("plan", plan_ts, &plan_start, format!("{source:?}"));
         control.notify_plan_ready(source.is_hit());
@@ -519,7 +535,7 @@ impl JobRunner {
                 (state, report)
             }
             None => self
-                .simulate(&circuit, &decision, dispatch, plan.as_ref(), &perm, &exec)
+                .simulate(&circuit, &decision, dispatch, &schedule, &perm, &exec)
                 .map_err(|_| JobError::Cancelled)?,
         };
         // The engines report the relabeled circuit's gates; a process run
@@ -536,19 +552,19 @@ impl JobRunner {
             format!("{} ranks, {}", decision.ranks, decision.engine.name()),
         );
 
-        // Predicted-vs-measured audit: the swept amplitude traffic over the
-        // nominal sweep bandwidth, plus the decision's exchange estimate per
-        // redistribution the run actually performed.
-        let state_bytes = (32u128 << circuit.num_qubits()) as f64;
-        let sweeps = match &plan {
-            Some(plan) => plan.fused().passes(circuit.num_qubits()),
+        // Predicted-vs-measured audit: each rank's passes over its slice in
+        // the schedule over the nominal sweep bandwidth, plus the decision's
+        // exchange estimate per redistribution the run actually performed.
+        let (sweeps, swept_qubits) = match &schedule {
+            Some(schedule) => (schedule.passes(), schedule.local_qubits()),
             // Only a forced baseline job has no plan: the comparison engine
-            // fuses inside its own run, so the raw gate count stands in
-            // (pessimistically) for its sweeps.
-            None => circuit.num_gates(),
+            // fuses inside its own run, so the raw gate count over the whole
+            // state stands in (pessimistically) for its sweeps.
+            None => (circuit.num_gates(), circuit.num_qubits()),
         };
+        let slice_bytes = (32u128 << swept_qubits) as f64;
         let verdict = crate::job::DecisionVerdict {
-            predicted_execute_s: sweeps as f64 * state_bytes / (NOMINAL_SWEEP_GBPS * 1e9)
+            predicted_execute_s: sweeps as f64 * slice_bytes / (NOMINAL_SWEEP_GBPS * 1e9)
                 + decision.est_exchange_s * report.num_exchanges as f64,
             measured_execute_s,
         };
@@ -600,54 +616,48 @@ impl JobRunner {
         })
     }
 
-    /// The plan a job runs, and `decision` brought in line with it. A hier
-    /// job on a world of one at the selector's own limit, over a state above
-    /// one [`TILE`], keeps that limit's plan only if gathering shortens at
-    /// least one of its parts (an exact count over the fused plan,
-    /// [`PartPasses`](hisvsim_core::hier::PartPasses)). Otherwise the
-    /// hierarchy buys nothing: the job is planned, cached and keyed at limit
-    /// `n` — one part, swept in place — and `decision` says so, with the
-    /// counts that decided. Both plans stay cached (and snapshotted), so a
-    /// repeat plans nothing: the verdict is read off the cached proposal
-    /// each time.
-    fn plan_job(
+    /// Whether a job turns down the selector's proposal, with `decision`
+    /// brought in line. A hier job on a world of one at the selector's own
+    /// limit, over a state above one [`TILE`], keeps that limit's plan only
+    /// if gathering shortens one of its parts, by the exact [`PartPasses`]
+    /// of the proposal's schedule. Otherwise the job is planned, cached and
+    /// keyed at limit `n` — one part, swept in place — and `decision` says
+    /// so, with the counts that decided. Both plans stay cached (and
+    /// snapshotted), so a repeat plans nothing.
+    fn reroutes(
         &self,
         circuit: &Circuit,
         decision: &mut EngineDecision,
         own_limit: bool,
-    ) -> Result<(Option<CachedPlan>, PlanSource), PartitionBuildError> {
-        let proposed = self.obtain_plan(circuit, decision)?;
+        proposed: Option<&PlanSchedule<'_>>,
+    ) -> bool {
         let n = circuit.num_qubits();
         let ruled = own_limit
             && decision.engine == EngineKind::Hier
             && decision.ranks == 1
             && decision.limit < n
             && 1usize << n > TILE;
-        if !ruled {
-            return Ok(proposed);
-        }
-        let (Some(CachedPlan::Single(plan)), proposed_source) = &proposed else {
-            return Ok(proposed);
+        let Some(schedule) = proposed.filter(|_| ruled) else {
+            return false;
         };
         // The part gathering helps most (or hurts least) decides.
-        let Some((index, passes)) = plan
-            .parts
-            .iter()
-            .map(|part| part_passes(n, &part.working_set, &part.inner))
-            .enumerate()
-            .min_by_key(|(_, passes)| {
-                passes.in_mode(PartMode::Gather) as i64 - passes.in_place as i64
-            })
-        else {
-            return Ok(proposed);
+        let gain = |passes: &PartPasses| {
+            (passes.gathered).map_or(0, |g| (g + GATHER_PASSES) as i64 - passes.in_place as i64)
         };
-        let (limit, parts) = (decision.limit, plan.parts.len());
+        let Some((index, passes)) = (schedule.entries.iter())
+            .map(|entry| entry.passes)
+            .enumerate()
+            .min_by_key(|(_, passes)| gain(passes))
+        else {
+            return false;
+        };
+        let (limit, parts) = (decision.limit, schedule.entries.len());
         if passes.gather_shortens() {
             decision.reason += &format!(
                 "; gathering shortens part {} of {parts}: {passes}",
                 index + 1
             );
-            return Ok(proposed);
+            return false;
         }
         decision.limit = n;
         decision.reason = format!(
@@ -657,9 +667,7 @@ impl JobRunner {
             self.config.selector.cache_qubits,
             index + 1
         );
-        let proposed_source = *proposed_source;
-        let (plan, source) = self.obtain_plan(circuit, decision)?;
-        Ok((plan, colder(proposed_source, source)))
+        true
     }
 
     /// Obtain the fused partition plan for a decision: from the in-memory
@@ -730,14 +738,14 @@ impl JobRunner {
         outcome.map(|(plan, source)| (Some(plan), source))
     }
 
-    /// Run the chosen engine against the precomputed fused plan, under the
+    /// Run the chosen engine over the job's compiled schedule, under the
     /// given execution control, handing the state back permuted by `perm`.
     fn simulate(
         &self,
         circuit: &Circuit,
         decision: &EngineDecision,
         dispatch: KernelDispatch,
-        plan: Option<&CachedPlan>,
+        schedule: &Option<PlanSchedule<'_>>,
         perm: &[Qubit],
         exec: &ExecControl,
     ) -> Result<(StateVector, RunReport), hisvsim_statevec::Cancelled> {
@@ -751,14 +759,20 @@ impl JobRunner {
             .run_controlled(circuit, Some(perm), exec)
             .map(|run| (run.state, run.report)),
             engine => {
-                let plan = plan.expect("a planned engine needs a plan");
+                let schedule = schedule.as_ref().expect("a planned engine needs a plan");
                 let (name, strategy) = (engine.name(), Strategy::DagP.name());
                 let spec =
                     RunSpec::new(name, strategy, decision.ranks, network, dispatch).with_perm(perm);
-                run_plan(circuit, plan.fused(), spec, exec)
+                run_plan(circuit, schedule, spec, exec)
             }
         }
     }
+}
+
+/// The schedule of `plan` on `n` qubits and `ranks` ranks; none for the
+/// unplanned baseline.
+fn schedule_of(plan: &Option<CachedPlan>, n: usize, ranks: usize) -> Option<PlanSchedule<'_>> {
+    plan.as_ref().map(|plan| plan.fused().schedule(n, ranks))
 }
 
 /// The provenance of a job whose plan took two lookups: planned if either
@@ -855,6 +869,32 @@ mod tests {
             .execute_job(0, SimJob::new(generators::qft(7)), &residency, &control)
             .unwrap();
         assert_eq!(phase.load(Ordering::SeqCst), 3, "executing never reported");
+    }
+
+    #[test]
+    fn the_verdict_predicts_the_schedule_the_ranks_run() {
+        // A forced-dist qft(21) runs on two ranks, each sweeping a 20-qubit
+        // slice: the prediction is that schedule's passes over one slice, not
+        // a world of one's over the whole state.
+        let runner = JobRunner::new(SchedulerConfig::default());
+        let residency = Semaphore::new(1);
+        let circuit = generators::qft(21);
+        let job = SimJob::new(circuit.clone()).with_engine(EngineKind::Dist);
+        let result = runner
+            .execute_job(0, job, &residency, &JobControl::new())
+            .unwrap();
+        let decision = &result.decision;
+        assert_eq!((decision.ranks, decision.limit), (2, 20));
+        let (relabeled, _) = circuit.relabel_swaps();
+        let dag = CircuitDag::from_circuit(&relabeled);
+        let partition = Planner.plan_single(&dag, decision.limit).unwrap();
+        let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
+        let schedule = hisvsim_core::FusedPlan::Single(&plan).schedule(21, 2);
+        assert_eq!((schedule.passes(), schedule.exchanges()), (11, 2));
+        assert_eq!(result.report.num_exchanges, 2);
+        let sweeps = 11.0 * (32u64 << 20) as f64 / (NOMINAL_SWEEP_GBPS * 1e9);
+        let exchanges = decision.est_exchange_s * 2.0;
+        assert_eq!(result.verdict.predicted_execute_s, sweeps + exchanges);
     }
 
     #[test]

@@ -171,7 +171,8 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
     let inert =
         DistributedSimulator::new(DistConfig::new(ranks)).run_with_fused_plan(circuit, plan);
     assert_same_run("dist", gates, (inert.state, inert.report), |control| {
-        let live = run_plan(circuit, FusedPlan::Single(plan), spec("dist"), control);
+        let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), ranks);
+        let live = run_plan(circuit, &schedule, spec("dist"), control);
         live.expect("the token is never fired")
     });
 
@@ -186,7 +187,8 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         gates,
         (inert.state, inert.report),
         |control| {
-            let live = run_plan(circuit, FusedPlan::Two(plan), spec("multilevel"), control);
+            let schedule = FusedPlan::Two(plan).schedule(circuit.num_qubits(), ranks);
+            let live = run_plan(circuit, &schedule, spec("multilevel"), control);
             live.expect("the token is never fired")
         },
     );

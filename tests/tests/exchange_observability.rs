@@ -44,6 +44,8 @@ fn spans_cover_a_distributed_run() {
     let plan = FusedSinglePlan::new(&circuit, &dag, partition);
     assert!(plan.parts.len() >= 2, "the run must switch parts");
 
+    let schedule = FusedPlan::Single(&plan).schedule(n, RANKS);
+
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
     // The outcome (the rank's slice) is returned, so that freeing it is not
@@ -51,14 +53,8 @@ fn spans_cover_a_distributed_run() {
     run_spmd::<Complex64, RankOutcome, _>(RANKS, NetworkModel::ideal(), |mut comm| {
         let _rank = hisvsim_obs::span("test", "rank");
         let control = ExecControl::default();
-        run_plan_rank(
-            &mut comm,
-            n,
-            FusedPlan::Single(&plan),
-            KernelDispatch::default(),
-            &control,
-        )
-        .expect("an inert control cannot cancel")
+        run_plan_rank(&mut comm, &schedule, KernelDispatch::default(), &control)
+            .expect("an inert control cannot cancel")
     });
     hisvsim_obs::set_enabled(false);
     let spans = hisvsim_obs::drain();
