@@ -14,7 +14,7 @@
 //! communication is accounted by the same network model as HiSVSIM's and the
 //! comparison isolates the effect of the execution schedule.
 
-use crate::dist::{run_thread_world, DistState, PreparedGate, RankOutcome, RunSpec};
+use crate::dist::{run_thread_world, DistState, PreparedGate, Progress, RankOutcome, RunSpec};
 use crate::exec::ExecControl;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind, Qubit};
@@ -22,6 +22,7 @@ use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_statevec::{
     Cancelled, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of the IQS-style baseline.
@@ -62,10 +63,11 @@ impl BaselineConfig {
 /// One step of the baseline's precomputed schedule, shared by all ranks.
 enum BaselineStep {
     /// A maximal run of gates that are purely local under the static
-    /// (identity) layout, fused into one pipeline. Fusion only reorganises
+    /// (identity) layout, fused into one pipeline, with its passes over a
+    /// rank's slice ([`FusedCircuit::passes`]). Fusion only reorganises
     /// rank-local computation; the communication schedule — the quantity
     /// the baseline exists to model — is untouched.
-    LocalFused(FusedCircuit),
+    LocalFused(FusedCircuit, Vec<Range<usize>>),
     /// A gate needing the distributed special cases (remote diagonal, remote
     /// control, or a paid exchange), with its matrix prepared once.
     Distributed(PreparedGate),
@@ -75,7 +77,7 @@ impl BaselineStep {
     /// Circuit gates this step executes.
     fn gates(&self) -> u64 {
         match self {
-            BaselineStep::LocalFused(fused) => fused.source_gates() as u64,
+            BaselineStep::LocalFused(fused, _) => fused.source_gates() as u64,
             BaselineStep::Distributed(_) => 1,
         }
     }
@@ -90,6 +92,8 @@ impl BaselineStep {
 pub struct BaselineSchedule {
     num_qubits: usize,
     ranks: usize,
+    /// The static layout, the identity: where every step starts and ends.
+    layout: Vec<usize>,
     steps: Vec<BaselineStep>,
 }
 
@@ -101,15 +105,15 @@ impl BaselineSchedule {
         let local_qubits = circuit
             .num_qubits()
             .saturating_sub(ranks.trailing_zeros() as usize);
+        let layout: Vec<usize> = (0..circuit.num_qubits()).collect();
         let mut steps = Vec::new();
         let mut segment = Circuit::new(circuit.num_qubits());
         let flush = |segment: &mut Circuit, steps: &mut Vec<BaselineStep>| {
             if !segment.is_empty() {
                 let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
-                steps.push(BaselineStep::LocalFused(FusedCircuit::new(
-                    &gates,
-                    DEFAULT_FUSION_WIDTH,
-                )));
+                let fused = FusedCircuit::new(&gates, DEFAULT_FUSION_WIDTH);
+                let passes = fused.passes(local_qubits, Some(&layout)).collect();
+                steps.push(BaselineStep::LocalFused(fused, passes));
             }
         };
         for gate in circuit.gates() {
@@ -124,6 +128,7 @@ impl BaselineSchedule {
         Self {
             num_qubits: circuit.num_qubits(),
             ranks,
+            layout,
             steps,
         }
     }
@@ -189,9 +194,11 @@ impl IqsBaseline {
 ///
 /// The ranks vote ([`DistState::vote_cancelled`]) before every schedule step
 /// (fused local segment or distributed gate — the latter's exchanges are the
-/// collective boundary), so a fired token stops all ranks at the same step
-/// without stranding any inside a collective. Rank 0 reports gate-level
-/// progress.
+/// collective boundary) and, on a slice above one tile, between the passes
+/// of a fused segment, as the planned engines' rank body does
+/// ([`run_plan_rank`](crate::dist::run_plan_rank)). So a fired token stops
+/// all ranks at the same checkpoint, within one pass, without stranding any
+/// inside a collective. Rank 0 reports gate-level progress after each.
 pub fn run_baseline_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     schedule: &BaselineSchedule,
@@ -205,16 +212,24 @@ pub fn run_baseline_rank<C: RankComm<Complex64>>(
     );
     let mut state = DistState::new(comm, schedule.num_qubits);
     state.set_kernel_dispatch(dispatch);
-    let total_gates: u64 = schedule.steps.iter().map(BaselineStep::gates).sum();
-    let mut gates_done = 0u64;
+    let mut progress = Progress {
+        control,
+        done: 0,
+        total: schedule.steps.iter().map(BaselineStep::gates).sum(),
+    };
     for step in &schedule.steps {
         state.vote_cancelled(&control.cancel)?;
         match step {
-            BaselineStep::LocalFused(fused) => state.apply_fused_local(fused),
-            BaselineStep::Distributed(gate) => apply_prepared_gate_distributed(&mut state, gate),
+            BaselineStep::LocalFused(fused, passes) => {
+                debug_assert_eq!(state.layout(), schedule.layout);
+                state.sweep_passes(fused, &schedule.layout, passes, false, &mut progress)?;
+            }
+            BaselineStep::Distributed(gate) => {
+                apply_prepared_gate_distributed(&mut state, gate);
+                progress.done += 1;
+                state.report_progress(control, progress.done, progress.total);
+            }
         }
-        gates_done += step.gates();
-        state.report_progress(control, gates_done, total_gates);
     }
     Ok(state.finish_rank())
 }

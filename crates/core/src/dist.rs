@@ -19,16 +19,19 @@
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPlan, FusedSinglePlan, PlanSchedule};
-use crate::hier::{execute_part, SweepControl};
+use crate::hier::{gather_part, open_part, PartMode, SweepControl};
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
+use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::kernels::{apply_gate_with_matrix, uses_dense_matrix};
 use hisvsim_statevec::{
-    buffers, ApplyOptions, CancelToken, Cancelled, FusedCircuit, KernelDispatch, StateVector,
+    buffers, ApplyOptions, CancelToken, Cancelled, FusedCircuit, FusedOp, KernelDispatch,
+    StateVector,
 };
+use std::ops::Range;
 use std::time::Instant;
 
 /// A gate bundled with its precomputed dense matrix (when its kernel path
@@ -356,16 +359,43 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         self.compute_time_s += start.elapsed().as_secs_f64();
     }
 
-    /// Apply a fused circuit expressed in *global qubit ids* to the local
-    /// slice, translating each qubit through the current layout. Every qubit
-    /// the circuit touches must be local. Used by the IQS-style baseline for
-    /// its communication-free segments.
-    pub fn apply_fused_local(&mut self, fused: &FusedCircuit) {
-        let _span = hisvsim_obs::span("kernel", "local");
-        let start = Instant::now();
-        let opts = self.opts();
-        fused.apply_mapped(&mut self.local, &self.layout, &opts);
-        self.compute_time_s += start.elapsed().as_secs_f64();
+    /// Sweep `fused` over the slice through `map`, one of `passes` (its
+    /// [`FusedCircuit::passes`] for this slice and `map`) at a time, on the
+    /// pool if `parallel`. Above one [`TILE`] every pass is a checkpoint:
+    /// rank 0 reports `progress` after it and the ranks vote before the
+    /// next. A slice of at most one tile is one checkpoint. The vote before
+    /// the first pass is the caller's.
+    pub(crate) fn sweep_passes(
+        &mut self,
+        fused: &FusedCircuit,
+        map: &[usize],
+        passes: &[Range<usize>],
+        parallel: bool,
+        progress: &mut Progress<'_>,
+    ) -> Result<(), Cancelled> {
+        let opts = match parallel {
+            true => ApplyOptions::default(),
+            false => ApplyOptions::sequential(),
+        };
+        let opts = opts.with_dispatch(self.dispatch);
+        let per_checkpoint = match self.local.len() > TILE {
+            true => 1,
+            false => passes.len().max(1),
+        };
+        for (index, checkpoint) in passes.chunks(per_checkpoint).enumerate() {
+            if index > 0 {
+                self.vote_cancelled(&progress.control.cancel)?;
+            }
+            let start = Instant::now();
+            for pass in checkpoint {
+                fused.apply_pass(&mut self.local, pass.clone(), Some(map), &opts);
+                let gates = fused.ops()[pass.clone()].iter().map(FusedOp::fused_count);
+                progress.done += gates.sum::<usize>() as u64;
+            }
+            self.compute_time_s += start.elapsed().as_secs_f64();
+            self.report_progress(progress.control, progress.done, progress.total);
+        }
+        Ok(())
     }
 
     /// Record externally-performed local computation time (used by engines
@@ -619,6 +649,14 @@ pub fn run_plan(
     })
 }
 
+/// A rank body's gates done out of the run's total, and the control it
+/// votes and reports under.
+pub(crate) struct Progress<'c> {
+    pub(crate) control: &'c ExecControl,
+    pub(crate) done: u64,
+    pub(crate) total: u64,
+}
+
 /// Execute one rank of a compiled plan against `comm`: the one rank body of
 /// every planned engine, run by the thread world ([`run_plan`]) and by
 /// `hisvsim-net`'s worker processes alike, so a process-backed run is
@@ -627,14 +665,16 @@ pub fn run_plan(
 /// The rank starts in the schedule's first layout and walks its entries
 /// ([`FusedPlan::schedule`]): a vote ([`DistState::vote_cancelled`]), the
 /// entry's redistribution if it has one, then the part in the entry's form.
-/// A token fired on any rank so stops all of them at the same part boundary,
-/// none stranded inside a collective. Rank 0 reports `(gates_done,
-/// gates_total)` after each part. The rank hands back its slice in the
-/// layout it ends in ([`DistState::finish_rank`]).
+/// An in-place part is walked one listed pass at a time: on a slice above
+/// one [`TILE`] each pass is a checkpoint, a vote before it and rank 0's
+/// progress report after it. A token fired on any rank so stops all of them
+/// at the same checkpoint, within one pass, none stranded inside a
+/// collective. The rank hands back its slice in the layout it ends in
+/// ([`DistState::finish_rank`]).
 ///
-/// A world of one (the hier engine) sweeps on the pool and hands its token
-/// and sub-part progress to the sweep. More ranks sweep sequentially and
-/// without a token: a rank leaves the schedule only by a vote.
+/// A world of one (the hier engine) sweeps on the pool, and polls its token
+/// and reports between the assignments of a gathered part too. More ranks
+/// sweep sequentially, a gathered part one checkpoint.
 pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     schedule: &PlanSchedule<'_>,
@@ -651,17 +691,28 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
     state.set_kernel_dispatch(dispatch);
     // Nothing has touched the `|0…0⟩` state yet: any layout is free.
     state.layout.clone_from(&schedule.start);
-    let total_gates = schedule.total_source_gates();
-    let mut gates_done = 0u64;
+    let mut progress = Progress {
+        control,
+        done: 0,
+        total: schedule.total_source_gates(),
+    };
     for entry in &schedule.entries {
         state.vote_cancelled(&control.cancel)?;
         if let Some(layout) = &entry.exchange {
             state.redistribute(layout.clone());
         }
-        let part_gates = entry.part.inner.source_gates() as u64;
-        let before = gates_done;
+        let _part = open_part(entry);
+        let (inner, positions) = (&entry.part.inner, &entry.positions);
+        if entry.mode == PartMode::InPlace {
+            let passes = &entry.in_place;
+            state.sweep_passes(inner, positions, passes, world_of_one, &mut progress)?;
+            continue;
+        }
+        // A gathered part. Only a world of one, with no peer waiting on its
+        // votes, polls the token and reports between assignments.
+        let (before, part_gates) = (progress.done, inner.source_gates() as u64);
         let on_assignments = |done: u64, total: u64| {
-            control.report_progress(before + part_gates * done / total.max(1), total_gates);
+            control.report_progress(before + part_gates * done / total.max(1), progress.total);
         };
         let sweep = match world_of_one {
             true => SweepControl {
@@ -671,10 +722,17 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
             false => SweepControl::default(),
         };
         let start = Instant::now();
-        execute_part(&mut state.local, entry, world_of_one, dispatch, sweep)?;
+        gather_part(
+            &mut state.local,
+            positions,
+            inner,
+            world_of_one,
+            dispatch,
+            sweep,
+        )?;
         state.compute_time_s += start.elapsed().as_secs_f64();
-        gates_done += part_gates;
-        state.report_progress(control, gates_done, total_gates);
+        progress.done += part_gates;
+        state.report_progress(control, progress.done, progress.total);
     }
     Ok(state.finish_rank())
 }

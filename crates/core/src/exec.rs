@@ -3,12 +3,15 @@
 //!
 //! Every engine's fused execution path runs under an [`ExecControl`]. The
 //! control carries a [`CancelToken`] the loops consult at their checkpoints
-//! (part switches, gather assignments, baseline schedule steps) and an
-//! optional progress sink invoked with `(gates_done, gates_total)` after each
-//! completed part — the signal the service layer turns into
-//! `Executing { gates_done / total }` events. The default control is inert,
-//! and an inert run is the same run: same arithmetic, same schedule, same
-//! collectives.
+//! and an optional progress sink invoked with `(gates_done, gates_total)`
+//! after each — the signal the service layer turns into
+//! `Executing { gates_done / total }` events. A checkpoint is a pass over a
+//! slice above one tile (2^16 amplitudes), else a whole part, baseline
+//! segment or distributed gate, so a fired token stops a run within one
+//! pass; a world of one also polls between a gathered part's assignments.
+//! The sink never hears a count below one it has heard. The default control
+//! is inert, and an inert run is the same run: same arithmetic, same
+//! schedule, same collectives.
 //!
 //! ## Cancelling an SPMD engine: the vote
 //!
@@ -28,7 +31,7 @@
 //! never as bytes or messages.
 
 use hisvsim_statevec::{CancelToken, Cancelled};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Progress callback: `(gates_done, gates_total)`.
 pub type ProgressFn = dyn Fn(u64, u64) + Send + Sync;
@@ -41,7 +44,9 @@ pub type ProgressFn = dyn Fn(u64, u64) + Send + Sync;
 pub struct ExecControl {
     /// The cooperative cancellation flag the loops poll.
     pub cancel: CancelToken,
-    progress: Option<Arc<ProgressFn>>,
+    /// The sink, behind the highest `gates_done` it has heard, which every
+    /// clone of the control shares.
+    progress: Option<Arc<(Mutex<u64>, Box<ProgressFn>)>>,
 }
 
 impl ExecControl {
@@ -57,19 +62,25 @@ impl ExecControl {
     }
 
     /// Attach a progress sink called with `(gates_done, gates_total)` after
-    /// each completed part / schedule step.
+    /// each checkpoint.
     pub fn with_progress<F>(mut self, progress: F) -> Self
     where
         F: Fn(u64, u64) + Send + Sync + 'static,
     {
-        self.progress = Some(Arc::new(progress));
+        self.progress = Some(Arc::new((Mutex::new(0), Box::new(progress))));
         self
     }
 
-    /// Report progress to the sink, if any.
+    /// Report progress to the sink, if any, unless `gates_done` is below the
+    /// highest count already reported: the threads of a gathered part report
+    /// concurrently, and a report one of them overtook is dropped.
     pub fn report_progress(&self, gates_done: u64, gates_total: u64) {
-        if let Some(sink) = &self.progress {
-            sink(gates_done, gates_total);
+        if let Some((high, sink)) = self.progress.as_deref() {
+            let mut high = high.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+            if gates_done >= *high {
+                *high = gates_done;
+                sink(gates_done, gates_total);
+            }
         }
     }
 
@@ -108,5 +119,18 @@ mod tests {
             ExecControl::new().with_progress(move |done, _| seen2.store(done, Ordering::SeqCst));
         ctrl.report_progress(17, 100);
         assert_eq!(seen.load(Ordering::SeqCst), 17);
+    }
+
+    #[test]
+    fn a_report_below_the_highest_one_is_dropped() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let ctrl = ExecControl::new().with_progress(move |done, _| sink.lock().unwrap().push(done));
+        // Every clone shares the mark: a rank's control is a clone.
+        let clone = ctrl.clone();
+        for (control, done) in [(&ctrl, 3), (&clone, 7), (&ctrl, 5), (&clone, 7), (&ctrl, 9)] {
+            control.report_progress(done, 10);
+        }
+        assert_eq!(*seen.lock().unwrap(), [3, 7, 7, 9]);
     }
 }

@@ -15,17 +15,18 @@
 //!
 //! Both plan shapes compile, for one state width and world size, into one
 //! [`PlanSchedule`] ([`FusedPlan::schedule`]): every part with the layout the
-//! rank takes before it, the positions its qubits sit at, its passes and the
-//! form it runs in. That list is what the one rank body
+//! rank takes before it, the positions its qubits sit at, its passes in place
+//! (the op ranges the rank sweeps one at a time) and the form it runs in. That list is what the one rank body
 //! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks, and what the
 //! runtime's route and cost verdict read.
 
 use crate::dist::local_layout;
-use crate::hier::{part_mode, part_passes, PartMode, PartPasses, GATHER_PASSES};
+use crate::hier::{part_mode, PartMode, PartPasses, GATHER_PASSES};
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::MultilevelPartition;
 use hisvsim_statevec::{FusedCircuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
+use std::ops::Range;
 
 /// One fused part: its working set and prefused gates. The parts of a
 /// [`FusedSinglePlan`] and the second-level parts of a [`FusedTwoLevelPlan`]
@@ -199,8 +200,11 @@ impl<'a> FusedPlan<'a> {
     /// single-level plan's parts one by one on several ranks and all at once
     /// on a world of one. Before a group the ranks swap its working set into
     /// their slices (the swaps `DistState::ensure_local` makes), the first
-    /// group's layout free, since `|0…0⟩` is the same in every layout. A
-    /// group's only part runs in place; [`part_mode`] decides every other.
+    /// group's layout free, since `|0…0⟩` is the same in every layout. Each
+    /// part's passes in place are listed here, once
+    /// ([`FusedCircuit::passes`]), and everything that counts passes reads
+    /// that list. A group's only part runs in place; [`part_mode`] decides
+    /// every other.
     pub fn schedule(self, num_qubits: usize, ranks: usize) -> PlanSchedule<'a> {
         let local = (num_qubits.checked_sub(ranks.trailing_zeros() as usize))
             .filter(|_| ranks.is_power_of_two())
@@ -224,15 +228,19 @@ impl<'a> FusedPlan<'a> {
             for part in parts {
                 let positions: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
                 debug_assert!(positions.iter().all(|&pos| pos < local));
+                let in_place: Vec<Range<usize>> =
+                    part.inner.passes(local, Some(&positions)).collect();
+                let passes = PartPasses::new(local, &part.inner, &in_place);
                 let mode = match parts.len() {
                     1 => PartMode::InPlace,
-                    _ => part_mode(local, &positions, &part.inner),
+                    _ => part_mode(local, passes),
                 };
                 entries.push(ScheduleEntry {
                     part,
                     exchange: exchange.take(),
-                    passes: part_passes(local, &positions, &part.inner),
                     positions,
+                    in_place,
+                    passes,
                     mode,
                 });
             }
@@ -289,7 +297,7 @@ impl PlanSchedule<'_> {
     pub fn passes(&self) -> usize {
         let passes = self.entries.iter().map(|entry| match entry.mode {
             PartMode::Gather => entry.passes.gathered.map_or(0, |g| g + GATHER_PASSES),
-            PartMode::InPlace => entry.passes.in_place,
+            PartMode::InPlace => entry.in_place.len(),
         });
         passes.sum()
     }
@@ -304,7 +312,11 @@ pub struct ScheduleEntry<'a> {
     pub exchange: Option<Vec<usize>>,
     /// Slice position of each working-set qubit (of fused qubit `j`).
     pub positions: Vec<usize>,
-    /// The part's passes over the slice in both forms.
+    /// The part's passes over the slice in place, in order: ranges of its
+    /// fused ops, one sweep each ([`FusedCircuit::passes`] under
+    /// `positions`). What the rank body walks when the part runs in place.
+    pub in_place: Vec<Range<usize>>,
+    /// The part's passes over the slice in both forms, `in_place` counted.
     pub passes: PartPasses,
     /// The form the part runs in.
     pub mode: PartMode,

@@ -15,7 +15,8 @@
 //! fewer passes than that, when the inner vector *is* the outer one, or when
 //! the outer state is already cache-resident. So [`part_mode`] decides per
 //! part, from the plan alone, whether to gather at all; a part that does not
-//! runs in place through [`FusedCircuit::apply_mapped`] on the outer state.
+//! sweeps the outer state in place, one of its scheduled passes
+//! ([`FusedCircuit::passes`], listed once in the plan's schedule) at a time.
 //! A plan of one part always does: it is flat fused execution, which is what
 //! the runtime's selector gives every circuit that fits the cache budget,
 //! and what the runtime's runner gives a wider one when gathering shortens
@@ -34,9 +35,11 @@
 //! to the last bit or two (2e-18 on `random(22, 528)`), not always bitwise.
 //!
 //! The engine is the one rank body ([`run_plan_rank`]) over the plan's
-//! schedule ([`FusedPlan::schedule`]) on a world of one. This module owns
-//! the part executor (`execute_part`) it runs every part of every engine
-//! through.
+//! schedule ([`FusedPlan::schedule`]) on a world of one. That body walks an
+//! in-place part pass by pass, a checkpoint between passes above one
+//! [`TILE`]; this module owns what it runs a gathered part through
+//! (`gather_part`), and the `part` span and tally every part leaves
+//! (`open_part`).
 
 #[cfg(doc)]
 use crate::dist::run_plan_rank;
@@ -47,6 +50,7 @@ use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64};
 use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::{CircuitDag, Partition};
+use hisvsim_obs::SpanGuard;
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{
@@ -54,6 +58,7 @@ use hisvsim_statevec::{
     StateVector,
 };
 use rayon::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the hierarchical engine.
@@ -165,16 +170,13 @@ impl HierarchicalSimulator {
     }
 }
 
-/// Per-sweep control plumbing: a cancel token polled inside a part, and a
-/// throttled sub-part progress callback called with `(done, total)` in the
-/// part's own units — gather assignments, or passes in place — at most ~32
-/// times per part, so a wide single-part job still streams progress. The
-/// default has neither.
+/// A gathered part's control plumbing: a cancel token polled inside the
+/// part, and a throttled sub-part progress callback called with `(done,
+/// total)` gather assignments at most ~32 times per part. The default has
+/// neither.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct SweepControl<'a> {
-    /// Polled between assignments (sequential) / chunks (parallel) of a
-    /// gathered part, and before, between and after the passes of a part
-    /// run in place (between them only above one [`TILE`]).
+    /// Polled between assignments (sequential) / chunks (parallel).
     pub(crate) cancel: Option<&'a CancelToken>,
     /// Throttled sub-part progress sink.
     pub(crate) on_assignments: Option<&'a (dyn Fn(u64, u64) + Sync)>,
@@ -191,7 +193,7 @@ pub(crate) struct SweepControl<'a> {
 /// ([`PartPasses::gather_shortens`]).
 pub const GATHER_PASSES: usize = 4;
 
-/// How [`execute_part`] runs a part.
+/// How a scheduled part runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartMode {
     /// Algorithm 1: gather every assignment's inner vector, run, scatter.
@@ -219,7 +221,7 @@ impl PartMode {
 /// part runs in place when it has no free qubits (the gather would be an
 /// identity copy), when the outer state fits one [`TILE`] (it is
 /// L2-resident already), or when it would make at most [`GATHER_PASSES`]
-/// passes over it ([`FusedCircuit::passes_mapped`]). Wide many-pass parts
+/// passes over it in place. Wide many-pass parts
 /// gather as Algorithm 1 says; whether *they* should is a host question
 /// (ROADMAP item 6).
 ///
@@ -233,46 +235,44 @@ impl PartMode {
 /// guest (medians 667 → 904, 631 → 727 and 639 → 694 ms: +35, +15 and
 /// +9 %; states equal within 1e-10). Passes count bytes streamed, not where
 /// they stream from or what they compute.
-pub fn part_mode(outer_qubits: usize, working_set: &[usize], inner: &FusedCircuit) -> PartMode {
-    if working_set.len() >= outer_qubits
-        || 1usize << outer_qubits <= TILE
-        || inner.passes_mapped(outer_qubits, working_set) <= GATHER_PASSES
-    {
-        PartMode::InPlace
-    } else {
-        PartMode::Gather
+pub fn part_mode(outer_qubits: usize, passes: PartPasses) -> PartMode {
+    match passes.gathered {
+        Some(_) if 1usize << outer_qubits > TILE && passes.in_place > GATHER_PASSES => {
+            PartMode::Gather
+        }
+        _ => PartMode::InPlace,
     }
 }
 
 /// The passes over memory one part makes in each of its two forms, counted
-/// from the plan alone ([`FusedCircuit::passes_mapped`]).
+/// from the plan alone ([`FusedCircuit::passes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartPasses {
     /// Passes over the outer state when the part is swept in place.
     pub in_place: usize,
     /// Passes over memory of the gathered inner vectors, the round trip
-    /// itself not counted: `inner.passes_mapped(k, 0..k)` for a
-    /// `k`-qubit working set, 0 when one inner vector fits a [`TILE`] (it is
-    /// swept in L2). `None` when the part has no free qubit and so no
-    /// gathered form.
+    /// itself not counted: `inner.passes(k, None)` for a `k`-qubit working
+    /// set, 0 when one inner vector fits a [`TILE`] (it is swept in L2).
+    /// `None` when the part has no free qubit and so no gathered form.
     pub gathered: Option<usize>,
 }
 
-/// The [`PartPasses`] of a part over `working_set` of an
-/// `outer_qubits`-qubit state.
-pub fn part_passes(outer_qubits: usize, working_set: &[usize], inner: &FusedCircuit) -> PartPasses {
-    let k = working_set.len();
-    let gathered = (k < outer_qubits).then(|| match 1usize << k <= TILE {
-        true => 0,
-        false => inner.passes_mapped(k, &(0..k).collect::<Vec<_>>()),
-    });
-    PartPasses {
-        in_place: inner.passes_mapped(outer_qubits, working_set),
-        gathered,
-    }
-}
-
 impl PartPasses {
+    /// The passes of a part fused as `inner` (over its whole working set)
+    /// on an `outer_qubits`-qubit state, whose passes in place are
+    /// `in_place` ([`FusedCircuit::passes`] under the part's positions).
+    pub fn new(outer_qubits: usize, inner: &FusedCircuit, in_place: &[Range<usize>]) -> Self {
+        let k = inner.num_qubits();
+        let gathered = (k < outer_qubits).then(|| match 1usize << k <= TILE {
+            true => 0,
+            false => inner.passes(k, None).count(),
+        });
+        Self {
+            in_place: in_place.len(),
+            gathered,
+        }
+    }
+
     /// Whether gathering shortens the part: its gathered passes plus the
     /// round trip ([`GATHER_PASSES`]) are fewer than its passes in place.
     /// Never for a part with no free qubit.
@@ -314,73 +314,24 @@ fn take_inner(qubits: usize, outer_qubits: usize) -> StateVector {
     StateVector::from_amplitudes(amps)
 }
 
-/// Execute one scheduled part against `outer`: fused qubit `j` of the part
-/// is outer position `entry.positions[j]`. The one part executor: the one
-/// rank body runs every part of every planned engine through it, on the
-/// whole state on a world of one, on a rank's slice with `parallel = false`
-/// on more ranks.
-///
-/// The entry's form ([`FusedPlan::schedule`]) picks between
-/// Gather–Execute–Scatter (Algorithm 1, [`gather_part`]) and sweeping
-/// `outer` in place through the translation; `parallel` only says whether
-/// that form may use the pool. The part leaves one `part` span (`mode=…
-/// ws=… passes=… gathered=…`: the entry's [`PartPasses`], `gathered` absent
-/// for a part with no free qubit) and a tick in [`parts_executed`].
-///
-/// `control`'s token, if any, is polled between assignments of a gathered
-/// part, and before, between and after the passes of an in-place one; its
-/// sink hears the same points, at most ~32 times a part. On cancellation
-/// the outer vector is left partially updated and the caller abandons it.
-pub(crate) fn execute_part(
-    outer: &mut StateVector,
-    entry: &ScheduleEntry<'_>,
-    parallel: bool,
-    dispatch: KernelDispatch,
-    control: SweepControl<'_>,
-) -> Result<(), Cancelled> {
-    let (working_set, inner_circuit, mode) = (&entry.positions[..], &entry.part.inner, entry.mode);
-    let _span = hisvsim_obs::enabled().then(|| {
+/// Open one scheduled part: a tick in [`parts_executed`] for its form, and
+/// while the recorder is on its `part` span (`mode=… ws=… passes=…
+/// gathered=…`: the entry's [`PartPasses`], `gathered` absent for a part
+/// with no free qubit), which the caller holds while the part runs. Every
+/// part of every planned engine opens here, once per schedule entry.
+pub(crate) fn open_part(entry: &ScheduleEntry<'_>) -> Option<SpanGuard> {
+    PARTS_EXECUTED[entry.mode as usize].fetch_add(1, Ordering::Relaxed);
+    hisvsim_obs::enabled().then(|| {
         let passes = entry.passes;
         let gathered = passes.gathered.map(|g| format!(" gathered={g}"));
         hisvsim_obs::span("kernel", "part").detail(format!(
             "mode={} ws={} passes={}{}",
-            mode.name(),
-            working_set.len(),
+            entry.mode.name(),
+            entry.positions.len(),
             passes.in_place,
             gathered.unwrap_or_default()
         ))
-    });
-    PARTS_EXECUTED[mode as usize].fetch_add(1, Ordering::Relaxed);
-    match mode {
-        PartMode::Gather => gather_part(
-            outer,
-            working_set,
-            inner_circuit,
-            parallel,
-            dispatch,
-            control,
-        ),
-        PartMode::InPlace => {
-            let check = || control.cancel.map_or(Ok(()), CancelToken::check);
-            check()?;
-            let opts = if parallel {
-                ApplyOptions::default()
-            } else {
-                ApplyOptions::sequential()
-            };
-            let opts = opts.with_dispatch(dispatch);
-            inner_circuit.apply_mapped_by_pass(outer, working_set, &opts, |done, total| {
-                // At most 32 reports a part.
-                if let Some(on) = control.on_assignments {
-                    if done.is_multiple_of(total.div_ceil(32)) {
-                        on(done as u64, total as u64);
-                    }
-                }
-                check()
-            })?;
-            check()
-        }
-    }
+    })
 }
 
 /// Gather–Execute–Scatter (Algorithm 1): for every assignment of the free
@@ -394,7 +345,11 @@ pub(crate) fn execute_part(
 /// parts with few assignments still use every core, while each chunk reuses
 /// one inner scratch buffer (the gather overwrites every inner amplitude,
 /// making reuse safe).
-fn gather_part(
+///
+/// `control`'s token, if any, is polled between assignments; its sink hears
+/// the same points, at most ~32 times a part. On cancellation the outer
+/// vector is left partially updated and the caller abandons it.
+pub(crate) fn gather_part(
     outer: &mut StateVector,
     working_set: &[usize],
     inner_circuit: &FusedCircuit,
@@ -467,7 +422,7 @@ fn gather_part(
 /// regions of the outer vector from several threads.
 #[derive(Clone, Copy)]
 struct OuterPtr(*mut Complex64);
-// SAFETY: the wrapper only carries the pointer; `execute_part` states
+// SAFETY: the wrapper only carries the pointer; `gather_part` states
 // why the accesses made through it never overlap.
 unsafe impl Send for OuterPtr {}
 unsafe impl Sync for OuterPtr {}
@@ -577,8 +532,13 @@ mod tests {
             circuit.cx(16, 15).cx(15, 16);
         }
         let inner = FusedCircuit::new(&circuit, 1);
+        let part_passes = |outer: usize, working_set: Range<usize>, inner: &FusedCircuit| {
+            let positions: Vec<usize> = working_set.collect();
+            let in_place: Vec<_> = inner.passes(outer, Some(&positions)).collect();
+            PartPasses::new(outer, inner, &in_place)
+        };
         // A 17-qubit inner vector of an 18-qubit state is past one tile.
-        let wide = part_passes(18, &(1..18).collect::<Vec<_>>(), &inner);
+        let wide = part_passes(18, 1..18, &inner);
         assert_eq!(wide.in_place, 16);
         assert!(wide.gathered.is_some_and(|g| g > 0));
         // A tile-sized inner vector is swept in L2: 0 passes over memory.
@@ -587,11 +547,11 @@ mod tests {
             narrow.cx(15, 14).cx(14, 15);
         }
         let narrow = FusedCircuit::new(&narrow, 1);
-        let tile = part_passes(18, &(2..18).collect::<Vec<_>>(), &narrow);
+        let tile = part_passes(18, 2..18, &narrow);
         assert_eq!((tile.in_place, tile.gathered), (16, Some(0)));
         assert!(tile.gather_shortens());
         // No free qubit, no gathered form, whatever the passes.
-        let whole = part_passes(17, &(0..17).collect::<Vec<_>>(), &inner);
+        let whole = part_passes(17, 0..17, &inner);
         assert_eq!(whole.gathered, None);
         assert!(!whole.gather_shortens());
         // The round trip must be beaten, not matched.

@@ -8,49 +8,81 @@
 //! does); the TCP world gives every rank a token of its own and fires one of
 //! them (what a `Cancel` frame reaching one worker first does). A thread
 //! world of one rank running a single-level plan is the hier engine.
+//!
+//! On slices above one tile (2^16 amplitudes) every pass is a checkpoint, so
+//! the stop lands within one pass, an exact count of progress reports.
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{world, NetworkModel, RankComm};
+use hisvsim_core::hier::PartMode;
 use hisvsim_core::{
     run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled, ExecControl,
-    FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, RankOutcome,
+    FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RankOutcome,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
+use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{run_circuit, KernelDispatch, StateVector};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const QUBITS: usize = 10;
+/// Slices of 18 and 17 qubits on 2 and 4 ranks: above one tile.
+const WIDE: usize = 19;
 const ROUNDS: u64 = 50;
 
-/// One engine's schedule for one world size, with the rank body that runs it.
-enum Schedule {
+/// One engine's plan for one circuit and world size, with the rank body
+/// that runs it.
+struct Schedule {
+    qubits: usize,
+    plan: Plan,
+}
+
+enum Plan {
     Dist(FusedSinglePlan),
     Multilevel(FusedTwoLevelPlan),
     Baseline(BaselineSchedule),
 }
 
 impl Schedule {
-    /// Small limits, so the schedule has many checkpoints to stop at.
+    /// Small limits on a narrow circuit, so the schedule has many
+    /// checkpoints to stop at; on a wide one, parts of the slice's width
+    /// (second-level parts four qubits narrower), so in-place parts make
+    /// several passes each.
     fn build(engine: &str, circuit: &Circuit, ranks: usize) -> Self {
+        let qubits = circuit.num_qubits();
         let dag = CircuitDag::from_circuit(circuit);
-        let local = QUBITS - ranks.trailing_zeros() as usize;
-        match engine {
+        let local = qubits - ranks.trailing_zeros() as usize;
+        // The dist limit, and the multilevel engine's two.
+        let (limit, first, second) = match qubits > QUBITS {
+            true => (local, local, local - 4),
+            false => (local.min(5), local.min(6), 3),
+        };
+        let plan = match engine {
             "dist" => {
-                let partition = Strategy::DagP.partition(&dag, local.min(5)).unwrap();
-                Schedule::Dist(FusedSinglePlan::new(circuit, &dag, partition))
+                let partition = Strategy::DagP.partition(&dag, limit).unwrap();
+                Plan::Dist(FusedSinglePlan::new(circuit, &dag, partition))
             }
             "multilevel" => {
                 let ml = MultilevelPartitioner::default()
-                    .partition(&dag, local.min(6), 3)
+                    .partition(&dag, first, second)
                     .unwrap();
-                Schedule::Multilevel(FusedTwoLevelPlan::new(circuit, &dag, ml))
+                Plan::Multilevel(FusedTwoLevelPlan::new(circuit, &dag, ml))
             }
-            "baseline" => Schedule::Baseline(BaselineSchedule::build(circuit, ranks)),
+            "baseline" => Plan::Baseline(BaselineSchedule::build(circuit, ranks)),
             other => panic!("unknown engine {other}"),
+        };
+        Self { qubits, plan }
+    }
+
+    /// The planned engines' compiled schedule for `ranks` ranks.
+    fn compiled(&self, ranks: usize) -> Option<PlanSchedule<'_>> {
+        match &self.plan {
+            Plan::Dist(plan) => Some(FusedPlan::Single(plan).schedule(self.qubits, ranks)),
+            Plan::Multilevel(plan) => Some(FusedPlan::Two(plan).schedule(self.qubits, ranks)),
+            Plan::Baseline(_) => None,
         }
     }
 
@@ -60,18 +92,24 @@ impl Schedule {
         control: &ExecControl,
     ) -> Result<RankOutcome, Cancelled> {
         let dispatch = KernelDispatch::default();
-        match self {
-            Schedule::Dist(plan) => {
-                let schedule = FusedPlan::Single(plan).schedule(QUBITS, comm.size());
-                run_plan_rank(comm, &schedule, dispatch, control)
-            }
-            Schedule::Multilevel(plan) => {
-                let schedule = FusedPlan::Two(plan).schedule(QUBITS, comm.size());
-                run_plan_rank(comm, &schedule, dispatch, control)
-            }
-            Schedule::Baseline(schedule) => run_baseline_rank(comm, schedule, dispatch, control),
+        match (&self.plan, self.compiled(comm.size())) {
+            (Plan::Baseline(schedule), _) => run_baseline_rank(comm, schedule, dispatch, control),
+            (_, Some(schedule)) => run_plan_rank(comm, &schedule, dispatch, control),
+            (_, None) => unreachable!("a planned engine compiles"),
         }
     }
+}
+
+/// The checkpoints a planned engine's rank body makes, each ending in rank
+/// 0's report: one per pass of an in-place part on a slice above one tile,
+/// one per part otherwise.
+fn checkpoints(schedule: &PlanSchedule<'_>) -> usize {
+    let above_a_tile = 1usize << schedule.local_qubits() > TILE;
+    let per_entry = schedule.entries.iter().map(|entry| match entry.mode {
+        PartMode::InPlace if above_a_tile => entry.in_place.len(),
+        _ => 1,
+    });
+    per_entry.sum()
 }
 
 /// Run every rank of `world` on its own thread, rank `r` under `controls[r]`,
@@ -100,32 +138,29 @@ fn run_world<C: RankComm<Complex64> + Send>(
 /// The worlds under test.
 #[derive(Clone, Copy, Debug)]
 enum World {
-    /// Four thread-world ranks sharing one token.
-    Local,
-    /// Two TCP ranks with a token each.
-    Tcp,
-    /// One thread-world rank: the hier shape for a single-level plan.
-    One,
+    /// Thread-world ranks sharing one token; one rank is the hier shape for
+    /// a single-level plan.
+    Local(usize),
+    /// TCP ranks with a token each.
+    Tcp(usize),
 }
 
 impl World {
     fn ranks(self) -> usize {
         match self {
-            World::Local => 4,
-            World::Tcp => 2,
-            World::One => 1,
+            World::Local(ranks) | World::Tcp(ranks) => ranks,
         }
     }
 
     /// One control per rank, and the token `victim` observes.
     fn controls(self, victim: usize) -> (Vec<ExecControl>, CancelToken) {
         match self {
-            World::Local | World::One => {
+            World::Local(_) => {
                 let control = ExecControl::new();
                 let token = control.cancel.clone();
                 (vec![control; self.ranks()], token)
             }
-            World::Tcp => {
+            World::Tcp(_) => {
                 let controls: Vec<ExecControl> =
                     (0..self.ranks()).map(|_| ExecControl::new()).collect();
                 let token = controls[victim].cancel.clone();
@@ -142,10 +177,8 @@ impl World {
     ) -> Vec<Result<RankOutcome, Cancelled>> {
         let net = NetworkModel::ideal();
         match self {
-            World::Local | World::One => {
-                run_world(world(self.ranks(), net), schedule, controls, meanwhile)
-            }
-            World::Tcp => {
+            World::Local(ranks) => run_world(world(ranks, net), schedule, controls, meanwhile),
+            World::Tcp(_) => {
                 let mesh = tcp_world(self.ranks(), net).expect("loopback mesh");
                 run_world(mesh, schedule, controls, meanwhile)
             }
@@ -196,7 +229,7 @@ fn racing_cancel_is_all_or_none(engine: &'static str) {
     within(Duration::from_secs(240), move || {
         let circuit = generators::qft(QUBITS);
         let expected = run_circuit(&circuit);
-        for world in [World::Local, World::Tcp] {
+        for world in [World::Local(4), World::Tcp(2)] {
             let schedule = Schedule::build(engine, &circuit, world.ranks());
             let inert = || world.controls(0).0;
             let start = Instant::now();
@@ -239,11 +272,16 @@ fn racing_cancel_is_all_or_none(engine: &'static str) {
 
 /// Rank 0's sink fires the token from inside its report of step `k`: the
 /// vote before step `k + 1` is the first to see it, so every rank stops there
-/// and the report of step `k` is the last.
-fn cancel_from_the_sink_stops_at_the_next_checkpoint(engine: &'static str, worlds: &[World]) {
+/// and the report of step `k` is the last. A planned engine's uncancelled
+/// run reports once per checkpoint its schedule makes.
+fn cancel_from_the_sink_stops_at_the_next_checkpoint(
+    engine: &'static str,
+    qubits: usize,
+    worlds: &[World],
+) {
     let worlds = worlds.to_vec();
     within(Duration::from_secs(120), move || {
-        let circuit = generators::qft(QUBITS);
+        let circuit = generators::qft(qubits);
         for world in worlds {
             let schedule = Schedule::build(engine, &circuit, world.ranks());
             let steps = Arc::new(AtomicUsize::new(0));
@@ -255,6 +293,12 @@ fn cancel_from_the_sink_stops_at_the_next_checkpoint(engine: &'static str, world
             assert!(assemble(world.run(&schedule, &controls, || ())).is_some());
             let total = steps.load(Ordering::SeqCst);
             assert!(total >= 4, "{engine} {world:?}: only {total} steps");
+            if let Some(compiled) = schedule.compiled(world.ranks()) {
+                assert_eq!(total, checkpoints(&compiled), "{engine} {world:?}");
+                // Above one tile some part stops between its passes.
+                let entries = compiled.entries.len();
+                assert!(qubits == QUBITS || total > entries, "{engine} {world:?}");
+            }
 
             for k in [0, total / 2, total - 2] {
                 let (mut controls, token) = world.controls(0);
@@ -301,10 +345,24 @@ fn baseline_racing_cancel_is_all_or_none_on_both_worlds() {
 
 #[test]
 fn a_cancel_fired_after_step_k_stops_every_engine_at_step_k_plus_one() {
+    let worlds = [World::Local(4), World::Tcp(2)];
     for engine in ["dist", "multilevel", "baseline"] {
-        cancel_from_the_sink_stops_at_the_next_checkpoint(engine, &[World::Local, World::Tcp]);
+        cancel_from_the_sink_stops_at_the_next_checkpoint(engine, QUBITS, &worlds);
     }
     // The hier shape: every part of the plan in one step, a vote between
     // parts.
-    cancel_from_the_sink_stops_at_the_next_checkpoint("dist", &[World::One]);
+    cancel_from_the_sink_stops_at_the_next_checkpoint("dist", QUBITS, &[World::Local(1)]);
+}
+
+#[test]
+fn above_one_tile_a_cancel_stops_every_rank_within_one_pass() {
+    let worlds = [
+        World::Local(2),
+        World::Local(4),
+        World::Tcp(2),
+        World::Tcp(4),
+    ];
+    for engine in ["dist", "multilevel", "baseline"] {
+        cancel_from_the_sink_stops_at_the_next_checkpoint(engine, WIDE, &worlds);
+    }
 }

@@ -155,8 +155,9 @@ fn a_plans_only_part_runs_in_place() {
     assert_eq!(whole.parts.len(), 1);
     let only = &whole.parts[0];
     assert_eq!(only.working_set.len(), 17);
+    let schedule = FusedPlan::Single(&whole).schedule(18, 1);
     assert_eq!(
-        part_mode(18, &only.working_set, &only.inner),
+        part_mode(18, schedule.entries[0].passes),
         PartMode::Gather,
         "the part rule alone would move every amplitude"
     );

@@ -1,7 +1,7 @@
-//! Predicted count == measured count: the passes
-//! `FusedCircuit::passes_mapped` says a part makes over the outer state are
-//! the `kernel` spans the recorder holds after the part ran in place — every
-//! sweep of 2^16 amplitudes or more is recorded, and a tiled run is one span.
+//! Predicted count == measured count: the passes `FusedCircuit::passes`
+//! lists for a part over the outer state are the `kernel` spans the recorder
+//! holds after the part ran in place — every sweep of 2^16 amplitudes or
+//! more is recorded, and a tiled run is one span.
 //! `hier::part_mode` gathers or not on this number, so it has to be exact.
 //!
 //! One test only: the recorder is process-wide.
@@ -26,7 +26,7 @@ fn predicted_passes_are_the_recorded_kernel_spans() {
             let plan = FusedSinglePlan::new(&circuit, &dag, partition);
             let mut state = StateVector::zero_state(n);
             for part in &plan.parts {
-                let predicted = part.inner.passes_mapped(n, &part.working_set);
+                let predicted = part.inner.passes(n, Some(&part.working_set)).count();
                 hisvsim_obs::set_enabled(true);
                 let _ = hisvsim_obs::drain();
                 part.inner

@@ -2,10 +2,10 @@
 //! (`qft(22)` at the selector's limit 21, three dagP parts) and the one-part
 //! plan at limit `n`, with the final SWAPs swept as amplitude moves and with
 //! them relabeled away (`Circuit::relabel_swaps`), which leaves one
-//! permutation pass at the end. The count per part is
-//! `FusedCircuit::passes_mapped`, exact by `part_passes.rs`; whether a part
-//! gathers is what the plan's schedule on the hier engine's world of one
-//! says (`FusedPlan::schedule`).
+//! permutation pass at the end. The count per part is the length of the
+//! pass list the schedule holds for it (`FusedCircuit::passes`), exact by
+//! `schedule.rs`; whether a part gathers is what the plan's schedule on the
+//! hier engine's world of one says (`FusedPlan::schedule`).
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::hier::PartMode;

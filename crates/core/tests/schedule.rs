@@ -1,9 +1,12 @@
 //! A compiled schedule is the run: for single-level and two-level plans on
 //! worlds of 1, 2 and 4 ranks, the exchanges `FusedPlan::schedule` predicts
 //! are the ones the run reports, every rank leaves one `part` span per entry
-//! in the entry's form, and each in-place part's predicted passes are the
-//! sweep spans the recorder holds for it (every sweep of 2^16 amplitudes or
-//! more is recorded, so every slice here is at least that wide).
+//! in the entry's form, and each in-place part's listed passes are the
+//! sweep spans the recorder holds for it, its tiled runs the `sweep:tiled`
+//! ones (every sweep of 2^16 amplitudes or more is recorded, so every slice
+//! here is at least that wide). `hier::part_mode` gathers or not on this
+//! count, so it has to be exact; single-level plans of 17-qubit circuits on
+//! one rank, two tiles wide, check it at several limits.
 //!
 //! One test only: the recorder is process-wide.
 
@@ -25,8 +28,9 @@ const QUBITS: usize = 18;
 const LIMIT: usize = 16;
 
 /// Check one run of `schedule` against the spans it left; returns the
-/// entries it checked in each form, (gathered, in place).
-fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize, usize) {
+/// entries it checked in each form, (gathered, in place), and the tiled runs
+/// the in-place ones made.
+fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize, usize, usize) {
     let ranks = schedule.ranks;
     let spec = RunSpec::new(
         engine,
@@ -56,6 +60,7 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
     }
     assert_eq!(parts.len(), ranks, "{context}");
     let mut forms = (0, 0);
+    let mut tiled = 0;
     for (tid, mut rank_parts) in parts {
         rank_parts.sort_by_key(|span| span.ts_us);
         assert_eq!(rank_parts.len(), schedule.entries.len(), "{context}");
@@ -70,14 +75,28 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
             let until = rank_parts
                 .get(index + 1)
                 .map_or(u64::MAX, |next| next.ts_us);
-            let sweeps = (spans.iter())
+            let sweeps: Vec<&str> = (spans.iter())
                 .filter(|s| s.tid == tid && s.cat == "kernel" && s.name.starts_with("sweep"))
                 .filter(|s| (span.ts_us..until).contains(&s.ts_us))
-                .count();
-            assert_eq!(sweeps, entry.passes.in_place, "{context}, part {index}");
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(
+                sweeps.len(),
+                entry.passes.in_place,
+                "{context}, part {index}"
+            );
+            assert_eq!(entry.in_place.len(), entry.passes.in_place, "{context}");
+            assert!(
+                entry.passes.in_place <= entry.part.inner.num_ops(),
+                "{context}"
+            );
+            let runs = sweeps.iter().filter(|&&name| name == "sweep:tiled").count();
+            let listed = entry.in_place.iter().filter(|pass| pass.len() > 1).count();
+            assert_eq!(runs, listed, "{context}, part {index}: {sweeps:?}");
+            tiled += runs;
         }
     }
-    forms
+    (forms.0, forms.1, tiled)
 }
 
 #[test]
@@ -103,7 +122,7 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
                 ("multilevel", FusedPlan::Two(&two)),
             ] {
                 let schedule = plan.schedule(QUBITS, ranks);
-                let (gathered, in_place) = check(&circuit, &schedule, engine);
+                let (gathered, in_place, _) = check(&circuit, &schedule, engine);
                 exchanges += schedule.exchanges();
                 forms = (forms.0 + gathered, forms.1 + in_place);
             }
@@ -114,4 +133,22 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
         exchanges > 0 && forms.0 > 0 && forms.1 > 0,
         "{exchanges} {forms:?}"
     );
+
+    // One rank, two tiles: the tiled segmentation is what is counted.
+    let n = 17;
+    let mut tiled = 0;
+    for circuit in [generators::qft(n), generators::random_circuit(n, 120, 7)] {
+        let dag = CircuitDag::from_circuit(&circuit);
+        for limit in [8, 12, 17] {
+            let partition = Strategy::DagP
+                .partition(&dag, limit)
+                .expect("admits every gate");
+            let plan = FusedSinglePlan::new(&circuit, &dag, partition);
+            let schedule = FusedPlan::Single(&plan).schedule(n, 1);
+            let (_, in_place, runs) = check(&circuit, &schedule, "hier");
+            assert!(in_place > 0, "{} at limit {limit}", circuit.name);
+            tiled += runs;
+        }
+    }
+    assert!(tiled > 0, "no part exercised a tiled run");
 }

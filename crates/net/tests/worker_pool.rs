@@ -111,8 +111,9 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
     let workers = 2;
     let pool = pool(workers);
     // Heavy enough to make mid-sweep timing meaningful on both debug and
-    // release builds; the rank body votes before every part, so the cancel
-    // latency bound is one part — a small fraction of the run.
+    // release builds; the rank body votes before every part, and between
+    // passes on a slice above one tile, so the cancel latency bound is one
+    // pass — a small fraction of the run.
     let heavy = heavy_job();
 
     // Warm the world up and measure the uncancelled wall.

@@ -29,7 +29,7 @@ use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
 use rayon::prelude::*;
-use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The fusion width every engine, the runtime and the workers fuse at.
@@ -771,7 +771,8 @@ impl FusedCircuit {
         self.fusion_width
     }
 
-    /// Apply the fused circuit to a state vector.
+    /// Apply the fused circuit to a state vector: every pass of
+    /// [`passes`](Self::passes), in order.
     pub fn apply(&self, state: &mut StateVector, opts: &ApplyOptions) {
         assert!(
             self.num_qubits <= state.num_qubits(),
@@ -779,194 +780,127 @@ impl FusedCircuit {
             self.num_qubits,
             state.num_qubits()
         );
-        let Ok(()) = self.apply_with_map(state, None, opts, |_, _| Ok::<(), Infallible>(()));
+        for pass in self.passes(state.num_qubits(), None) {
+            self.apply_pass(state, pass, None, opts);
+        }
     }
 
     /// Apply with a qubit translation: fused qubit `q` acts on state qubit
     /// `map[q]`. Lets the distributed engines share one fused circuit across
     /// every rank and layout: the fused matrices and their sparse rows are
     /// never recomputed — only qubit references are translated (diagonal
-    /// runs additionally re-classify their small tables per call, since the
+    /// runs additionally re-classify their small tables per pass, since the
     /// block split depends on the translated positions).
     pub fn apply_mapped(&self, state: &mut StateVector, map: &[Qubit], opts: &ApplyOptions) {
-        let Ok(()) = self.apply_mapped_by_pass(state, map, opts, |_, _| Ok::<(), Infallible>(()));
-    }
-
-    /// [`apply_mapped`](Self::apply_mapped) that can stop between passes.
-    /// On a state above one [`TILE`] it calls `after_pass(done, total)`
-    /// after each of the `total` passes [`passes_mapped`](Self::passes_mapped)
-    /// counts, and an `Err` from it ends the application there, with the
-    /// state partially updated. A state of at most one tile is swept op by
-    /// op without a call: its whole application is one short L2-resident
-    /// run.
-    pub fn apply_mapped_by_pass<E>(
-        &self,
-        state: &mut StateVector,
-        map: &[Qubit],
-        opts: &ApplyOptions,
-        after_pass: impl FnMut(usize, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
         assert!(
             map.len() >= self.num_qubits,
             "qubit map covers {} qubits, fused circuit has {}",
             map.len(),
             self.num_qubits
         );
-        self.apply_with_map(state, Some(map), opts, after_pass)
-    }
-
-    /// Shared sweep loop behind [`apply`](Self::apply) and
-    /// [`apply_mapped_by_pass`](Self::apply_mapped_by_pass), with sampled
-    /// per-sweep trace spans: when the recorder is enabled, full-size sweeps
-    /// (≥ 2^16 amplitudes) are always recorded and small inner-state sweeps
-    /// (the hierarchical engines run millions of them) are sampled 1-in-64
-    /// to keep the tracing overhead off the hot path.
-    fn apply_with_map<E>(
-        &self,
-        state: &mut StateVector,
-        map: Option<&[Qubit]>,
-        opts: &ApplyOptions,
-        after_pass: impl FnMut(usize, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let tracing = hisvsim_obs::enabled();
-        if state.len() > TILE {
-            return self.apply_tiled(state, map, opts, tracing, after_pass);
-        }
-        for (op, prep) in self.ops.iter().zip(&self.prepared) {
-            self.apply_one(state, op, prep, map, opts, tracing);
-        }
-        Ok(())
-    }
-
-    /// One whole-state sweep with the sampled trace span.
-    fn apply_one(
-        &self,
-        state: &mut StateVector,
-        op: &FusedOp,
-        prep: &PreparedOp,
-        map: Option<&[Qubit]>,
-        opts: &ApplyOptions,
-        tracing: bool,
-    ) {
-        if tracing && sample_sweep(state.len()) {
-            // Amplitudes read + written once per sweep (2 × 16 bytes each):
-            // the byte count the cost profiler turns into effective GB/s.
-            let _g = hisvsim_obs::span("kernel", op.span_name())
-                .detail(format!("{} gates, {} amps", op.fused_count(), state.len()))
-                .bytes(state.len() as u64 * 32);
-            op.apply_inner(state, prep, map, opts);
-        } else {
-            op.apply_inner(state, prep, map, opts);
+        for pass in self.passes(state.num_qubits(), Some(map)) {
+            self.apply_pass(state, pass, Some(map), opts);
         }
     }
 
-    /// Cache-blocked sweep order for states larger than one [`TILE`]: maximal
-    /// runs of ≥ 2 consecutive tileable ops (see [`op_tileable`] — dense ops
-    /// whose (translated) qubits all sit below [`TILE_BITS`], plus diagonal
-    /// runs at *any* qubits) are executed tile-by-tile — each 1 MiB tile of
-    /// amplitudes streams through the whole run while L2-resident, instead of
-    /// the run streaming the whole state from memory once per op. Dense ops
-    /// touching higher qubits (or lone tileable ops, which gain nothing) fall
-    /// through to the ordinary whole-state sweep. Tile bases are
-    /// [`TILE`]-aligned, so relative bit indexing inside a tile coincides
-    /// with absolute indexing for every qubit below [`TILE_BITS`], and
-    /// diagonal runs receive the tile's absolute base so high-qubit factors
-    /// classify exactly as in the untiled order — the per-amplitude
-    /// arithmetic is bit-identical either way. `after_pass(done, total)`
-    /// follows every pass; an `Err` stops the sweep.
-    fn apply_tiled<E>(
-        &self,
-        state: &mut StateVector,
-        map: Option<&[Qubit]>,
-        opts: &ApplyOptions,
-        tracing: bool,
-        mut after_pass: impl FnMut(usize, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let total = self.tile_segments(map).count();
-        for (done, (ops, tiled)) in self.tile_segments(map).enumerate() {
-            if tiled {
-                self.apply_tiled_run(state, ops.start, ops.end, map, opts, tracing);
-            } else {
-                let idx = ops.start;
-                self.apply_one(
-                    state,
-                    &self.ops[idx],
-                    &self.prepared[idx],
-                    map,
-                    opts,
-                    tracing,
-                );
-            }
-            after_pass(done + 1, total)?;
-        }
-        Ok(())
-    }
-
-    /// The passes [`apply_tiled`](Self::apply_tiled) makes over a state under
-    /// `map`, in order: each maximal run of ≥ 2 consecutive tileable ops
-    /// (`true`: one streaming pass carries the whole run), and every other op
-    /// on its own (`false`: one whole-state sweep — a non-tileable op, or a
-    /// lone tileable one, which gains nothing from tiling).
-    fn tile_segments<'a>(
+    /// The passes the circuit makes over a state of `state_qubits` qubits
+    /// under the optional translation, in order, as ranges of
+    /// [`ops`](Self::ops): the one segmentation every application walks.
+    ///
+    /// A state of at most one [`TILE`] is swept op by op, one op per pass.
+    /// A larger one is swept in cache-blocked order: each maximal run of ≥ 2
+    /// consecutive tileable ops (dense ops whose translated qubits all sit
+    /// below the tile's 16 bits, plus diagonal runs at *any* qubits) is one
+    /// pass, in which each 1 MiB tile streams through the whole run while
+    /// L2-resident, instead of the run streaming the whole state from memory
+    /// once per op. Every other op (one touching a higher qubit, or a lone
+    /// tileable op, which gains nothing) is a whole-state sweep of its own.
+    /// With the recorder on, a state above one tile leaves exactly one
+    /// `kernel` span per pass.
+    pub fn passes<'a>(
         &'a self,
+        state_qubits: usize,
         map: Option<&'a [Qubit]>,
-    ) -> impl Iterator<Item = (std::ops::Range<usize>, bool)> + 'a {
-        let mut i = 0usize;
+    ) -> impl Iterator<Item = Range<usize>> + 'a {
+        let tiles = 1usize << state_qubits > TILE;
+        let mut start = 0usize;
         std::iter::from_fn(move || {
-            if i >= self.ops.len() {
-                return None;
-            }
-            let mut j = i;
-            while j < self.ops.len() && op_tileable(&self.ops[j], map) {
-                j += 1;
-            }
-            let tiled = j - i >= 2;
-            let end = if tiled { j } else { i + 1 };
-            let segment = (i..end, tiled);
-            i = end;
-            Some(segment)
+            let rest = self.ops.get(start..).filter(|rest| !rest.is_empty())?;
+            let run = match tiles {
+                true => (rest.iter()).take_while(|op| op_tileable(op, map)).count(),
+                false => 0,
+            };
+            let pass = start..start + run.max(1);
+            start = pass.end;
+            Some(pass)
         })
     }
 
-    /// How many times [`apply_mapped`](Self::apply_mapped) streams a state of
-    /// `state_qubits` qubits through memory under `map`: one pass per op on a
-    /// state of at most one [`TILE`], else one per tiled run and one per
-    /// other op — the segmentation the executor itself walks, so the count
-    /// is exact (with the recorder on, it is the number of `kernel` spans the
-    /// application leaves on a state above one tile).
-    pub fn passes_mapped(&self, state_qubits: usize, map: &[Qubit]) -> usize {
-        if 1usize << state_qubits <= TILE {
-            self.ops.len()
-        } else {
-            self.tile_segments(Some(map)).count()
+    /// Apply one pass of [`passes`](Self::passes) for this state's width
+    /// and the same translation: a single op is one whole-state sweep, a
+    /// longer range one tiled run. Tile bases are [`TILE`]-aligned, so
+    /// relative bit indexing inside a tile coincides with absolute indexing
+    /// for every qubit below the tile's bits, and diagonal runs receive the
+    /// tile's absolute base so high-qubit factors classify exactly as in the
+    /// untiled order — the per-amplitude arithmetic is bit-identical either
+    /// way.
+    ///
+    /// With the recorder enabled the pass leaves a sampled `kernel` span:
+    /// full-size sweeps (≥ 2^16 amplitudes) are always recorded, and small
+    /// inner-state sweeps (the hierarchical engines run millions of them)
+    /// 1-in-64, to keep the tracing overhead off the hot path.
+    pub fn apply_pass(
+        &self,
+        state: &mut StateVector,
+        pass: Range<usize>,
+        map: Option<&[Qubit]>,
+        opts: &ApplyOptions,
+    ) {
+        let tracing = hisvsim_obs::enabled();
+        if pass.len() == 1 {
+            let idx = pass.start;
+            let (op, prep) = (&self.ops[idx], &self.prepared[idx]);
+            if tracing && sample_sweep(state.len()) {
+                // Amplitudes read + written once per sweep (2 × 16 bytes
+                // each): the byte count the cost profiler turns into
+                // effective GB/s.
+                let _g = hisvsim_obs::span("kernel", op.span_name())
+                    .detail(format!("{} gates, {} amps", op.fused_count(), state.len()))
+                    .bytes(state.len() as u64 * 32);
+                op.apply_inner(state, prep, map, opts);
+            } else {
+                op.apply_inner(state, prep, map, opts);
+            }
+            return;
         }
+        assert!(
+            state.len() > TILE,
+            "a tiled pass needs a state above one tile"
+        );
+        debug_assert!(self.ops[pass.clone()].iter().all(|op| op_tileable(op, map)));
+        self.apply_tiled_run(state, pass, map, opts, tracing);
     }
 
-    /// Execute ops `first..last` (all tileable) tile-by-tile. Per-run
+    /// Execute the ops of `run` (all tileable) tile-by-tile. Per-run
     /// translation and specialisation happen once up front; the per-tile loop
     /// allocates nothing.
     fn apply_tiled_run(
         &self,
         state: &mut StateVector,
-        first: usize,
-        last: usize,
+        run: Range<usize>,
         map: Option<&[Qubit]>,
         opts: &ApplyOptions,
         tracing: bool,
     ) {
-        let items: Vec<TileOp<'_>> = (first..last)
+        let items: Vec<TileOp<'_>> = run
+            .clone()
             .map(|idx| tile_op(&self.ops[idx], &self.prepared[idx], map, state.num_qubits()))
             .collect();
         let len = state.len();
         let _g = (tracing && sample_sweep(len)).then(|| {
-            let gates: usize = self.ops[first..last].iter().map(FusedOp::fused_count).sum();
+            let gates: usize = self.ops[run.clone()].iter().map(FusedOp::fused_count).sum();
             hisvsim_obs::span("kernel", "sweep:tiled")
-                .detail(format!(
-                    "{} ops, {} gates, {} amps",
-                    last - first,
-                    gates,
-                    len
-                ))
+                .detail(format!("{} ops, {} gates, {} amps", run.len(), gates, len))
                 // One streaming pass over the state carries the whole run.
                 .bytes(len as u64 * 32)
         });
@@ -1531,8 +1465,8 @@ mod tests {
     #[test]
     fn tiled_execution_matches_untiled_bitwise() {
         use crate::simd::KernelDispatch;
-        // 17 qubits = two tiles, so apply_with_map takes the cache-blocked
-        // path; the per-op reference below never tiles. The hand-built
+        // 17 qubits = two tiles, so `passes` segments the ops into tiled
+        // runs; the per-op reference below never tiles. The hand-built
         // circuit puts every op class in and around tiled runs: dense groups
         // and solo permutation / phase / dense gates below, straddling and
         // above TILE_BITS, and diagonal runs whose factors sit below the
@@ -1576,6 +1510,15 @@ mod tests {
             let fused = FusedCircuit::new(&circuit, 3);
             let init = random_state(n, 0x711E);
             let what = &circuit.name;
+            // The passes cover every op once, in order; only a state above
+            // one tile has runs.
+            let passes: Vec<Range<usize>> = fused.passes(n, None).collect();
+            assert!(passes.iter().any(|pass| pass.len() > 1), "{what}");
+            let ends = passes.iter().map(|pass| pass.end);
+            let starts = std::iter::once(0).chain(ends);
+            assert!(passes.iter().zip(starts).all(|(pass, at)| pass.start == at));
+            assert_eq!(passes.last().map(|pass| pass.end), Some(fused.num_ops()));
+            assert!(fused.passes(TILE_BITS, None).all(|pass| pass.len() == 1));
             let mut tiled = init.clone();
             fused.apply(&mut tiled, &ApplyOptions::default());
             for opts in [ApplyOptions::default(), ApplyOptions::sequential()] {

@@ -1,6 +1,7 @@
 //! A default-routed job of one in-place part stays cancellable: above one
-//! tile the part executor polls the token between the passes
-//! `FusedCircuit::passes_mapped` counts and reports progress there. A default
+//! tile the rank body walks the passes its schedule lists for the part
+//! (`FusedCircuit::passes`), a vote before each and a progress report after
+//! it, on every world and here on a world of one. A default
 //! `qft(20)` (one part at limit 20) cancelled from its progress sink after
 //! its first pass ends `Cancelled` having run at most two passes, counted as
 //! the sweep spans the recorder holds (one per pass on a state above one

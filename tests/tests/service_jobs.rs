@@ -791,3 +791,48 @@ fn a_relabeled_job_reports_the_submitted_gates_to_the_end() {
     assert_eq!(artifacts.gates_total, total);
     service.shutdown().unwrap();
 }
+
+/// A world-of-one job whose gathered parts run on the pool reports from
+/// whichever thread finishes a chunk of assignments. Reports that cross are
+/// dropped, never delivered late: the job's `Executing` events, and so its
+/// status, never go backwards.
+#[test]
+fn a_gathered_job_reports_progress_that_never_decreases() {
+    use hisvsim_core::hier::PartMode;
+    use hisvsim_core::{FusedPlan, FusedSinglePlan};
+    use hisvsim_dag::CircuitDag;
+    use hisvsim_partition::Strategy;
+
+    let (n, limit) = (18, 14);
+    let circuit = generators::random_circuit(n, 400, 3);
+    let total = circuit.num_gates() as u64;
+    // The plan the runner makes for the forced limit gathers some part.
+    let (relabeled, _) = circuit.relabel_swaps();
+    let dag = CircuitDag::from_circuit(&relabeled);
+    let partition = Strategy::DagP
+        .partition(&dag, limit)
+        .expect("admits every gate");
+    let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
+    let schedule = FusedPlan::Single(&plan).schedule(n, 1);
+    assert!(
+        (schedule.entries.iter()).any(|entry| entry.mode == PartMode::Gather),
+        "no part gathers"
+    );
+
+    let service = SimService::start(ServiceConfig::new());
+    let job = SimJob::new(circuit)
+        .with_engine(EngineKind::Hier)
+        .with_limit(limit);
+    let handle = service.submit(job);
+    handle.wait().expect("the job completes");
+    let done: Vec<u64> = (handle.progress().iter())
+        .filter_map(|event| match event {
+            JobEvent::Executing { gates_done, .. } => Some(gates_done),
+            _ => None,
+        })
+        .collect();
+    assert!(done.len() > schedule.entries.len(), "{done:?}");
+    assert!(done.windows(2).all(|w| w[0] <= w[1]), "{done:?}");
+    assert_eq!(done.last(), Some(&total));
+    service.shutdown().unwrap();
+}
