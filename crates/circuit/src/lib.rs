@@ -13,8 +13,7 @@
 //! * [`circuit`] — the [`Circuit`](circuit::Circuit) IR and builder,
 //! * [`qasm`] — an OpenQASM 2.0 reader/writer for the QASMBench subset,
 //! * [`generators`] — re-implementations of the paper's 13 benchmark circuit
-//!   configurations (Table I), parameterised by width,
-//! * [`decompose`] — decomposition of ≥3-qubit gates into 1–2 qubit gates.
+//!   configurations (Table I), parameterised by width.
 //!
 //! ## Example
 //!
@@ -30,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod circuit;
-pub mod decompose;
 pub mod gate;
 pub mod generators;
 pub mod math;

@@ -4,20 +4,20 @@
 //! interface for other simulators to use as a library", Sec. III-D) — plus
 //! the in-process implementation, [`LocalComm`].
 //!
-//! [`LocalComm`] is the virtual-MPI communicator this reproduction started
-//! with: ranks are threads, messages are typed vectors moved through
-//! lock-free channels, and every transfer is charged to the
-//! [`NetworkModel`](crate::netmodel::NetworkModel) so engines can report
-//! modelled communication time alongside the real data movement. The
-//! `hisvsim-net` crate provides the second implementation, `TcpComm`, which
-//! moves the same messages between OS processes over TCP sockets; engines
-//! written against the trait run unchanged on either world.
+//! A transport implements a handful of primitives: post a tagged frame to a
+//! rank, take the first frame from a rank whose tag matches, and swap
+//! payloads with one peer. Every collective, and every charge to the
+//! [`NetworkModel`](crate::netmodel::NetworkModel), is a provided method of
+//! the trait, written once here, so the transports account identically by
+//! construction. [`LocalComm`] is the virtual-MPI communicator this
+//! reproduction started with: ranks are threads and frames move through
+//! channels. The `hisvsim-net` crate provides the second transport,
+//! `TcpComm`, which moves the same frames between OS processes over TCP
+//! sockets; engines written against the trait run unchanged on either world.
 
 use crate::netmodel::NetworkModel;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 /// Per-rank communication statistics, accumulated across the lifetime of a
@@ -49,34 +49,54 @@ impl CommStats {
     }
 }
 
-/// Reserved tag namespace for [`RankComm::vote_any`] rounds: the tag is
-/// `VOTE_NS | (epoch << 1) | flag`, with the epoch masked to
-/// [`VOTE_EPOCH_MASK`] so the round counter can never escape the
-/// namespace. Engines must keep their payload tags out of this range
+/// Tag namespace of the vote rounds behind [`RankComm::vote_any`] and
+/// [`RankComm::barrier`]: the tag is `VOTE_NS | (round << 1) | flag`, with
+/// the round masked to [`VOTE_ROUND_MASK`] so the counter can never escape
+/// the namespace. Engines must keep their payload tags out of this range
 /// (they do — engine tags are small constants).
-pub const VOTE_NS: u64 = 0xCA4C_0000_0000_0000;
+const VOTE_NS: u64 = 0xCA4C_0000_0000_0000;
 
-/// Largest vote epoch before the counter wraps (47 bits: the low bit of
+/// Largest vote round before the counter wraps (47 bits: the low bit of
 /// the tag carries the flag, the top 16 bits are the namespace).
-pub const VOTE_EPOCH_MASK: u64 = (1 << 47) - 1;
+const VOTE_ROUND_MASK: u64 = (1 << 47) - 1;
+
+/// What an endpoint keeps between calls: its accounting and its vote round
+/// counter.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Endpoint {
+    /// Communication statistics accumulated so far.
+    pub stats: CommStats,
+    /// Vote round counter (all ranks agree by construction: rounds are
+    /// collective).
+    pub vote_round: u64,
+}
 
 /// The rank-communication trait every distributed engine is written against.
 ///
+/// A transport implements the primitives — `rank`, `size`, `network`, its
+/// [`Endpoint`], an uncharged [`post`](RankComm::post), a stash-aware
+/// [`take`](RankComm::take) and, where posting can block, a pairwise
+/// [`swap`](RankComm::swap) — and inherits everything else.
 /// Implementations: [`LocalComm`] (threads + channels, this crate) and
-/// `hisvsim_net::TcpComm` (processes + sockets). A communicator endpoint may
-/// only be driven from one thread at a time, like an MPI rank.
+/// `hisvsim_net::TcpComm` (processes + sockets). An endpoint may only be
+/// driven from one thread at a time, like an MPI rank, and every world is
+/// a power of two ranks.
 ///
-/// Contract shared by all implementations:
+/// The provided methods hold the contract and its accounting:
 ///
 /// * `send`/`recv` match on `(from, tag)`; out-of-order messages from the
-///   same peer are stashed until a matching `recv`.
-/// * Sending to self is allowed, delivered through a local queue, and
-///   charged zero network time.
+///   same peer wait in the transport's stash until a matching `recv`.
+/// * A message to another rank charges one message, its payload bytes and
+///   the model's `message_time`; a message to self is delivered through a
+///   local queue and charged nothing.
 /// * Collectives (`barrier`, `alltoallv`, `allgather`, `vote_any`) are
 ///   called by every rank with matching arguments; their entire blocking
 ///   span is charged to [`CommStats::wall_time_s`] — not just the inner
 ///   receive waits — so `comm_ratio()` stays honest for collective-heavy
 ///   schedules.
+/// * Votes and barriers are control traffic: their frames are posted
+///   uncharged, so the bytes and messages a run reports are its schedule's
+///   payload alone.
 pub trait RankComm<T: Send + 'static> {
     /// This rank's id (0-based).
     fn rank(&self) -> usize;
@@ -87,40 +107,102 @@ pub trait RankComm<T: Send + 'static> {
     /// The network model used for accounting.
     fn network(&self) -> NetworkModel;
 
+    /// This endpoint's statistics and vote round counter.
+    fn endpoint(&self) -> &Endpoint;
+
+    /// Mutable access to [`RankComm::endpoint`].
+    fn endpoint_mut(&mut self) -> &mut Endpoint;
+
+    /// Hand `payload` to rank `to` under `tag`, uncharged. A frame posted to
+    /// self is queued locally.
+    fn post(&mut self, to: usize, tag: u64, payload: Vec<T>);
+
+    /// Block until a frame from `from` whose tag matches `tag` under `mask`
+    /// (`frame_tag & mask == tag`) arrives, and return its tag and payload,
+    /// uncharged. Frames that do not match wait in a stash, which is
+    /// searched first, oldest frame first.
+    fn take(&mut self, from: usize, tag: u64, mask: u64) -> (u64, Vec<T>);
+
+    /// Swap payloads with `peer` (not this rank), uncharged: both ends call
+    /// it with the same tag at the same step of their schedule. The default
+    /// posts then takes, which is all a transport whose posts never block
+    /// needs.
+    fn swap(&mut self, peer: usize, tag: u64, payload: Vec<T>) -> Vec<T> {
+        self.post(peer, tag, payload);
+        self.take(peer, tag, !0).1
+    }
+
     /// Communication statistics accumulated so far by this rank.
-    fn stats(&self) -> CommStats;
+    fn stats(&self) -> CommStats {
+        self.endpoint().stats
+    }
 
     /// Reset this rank's statistics (e.g. between warm-up and measurement).
-    fn reset_stats(&mut self);
+    fn reset_stats(&mut self) {
+        self.endpoint_mut().stats = CommStats::default();
+    }
 
     /// Send `payload` to rank `to` with a tag.
-    fn send(&mut self, to: usize, tag: u64, payload: Vec<T>);
+    fn send(&mut self, to: usize, tag: u64, payload: Vec<T>) {
+        assert!(to < self.size(), "destination rank {to} out of range");
+        charge(self, to, payload.len());
+        self.post(to, tag, payload);
+    }
 
     /// Blocking receive of the next message from `from` with tag `tag`.
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<T>;
+    fn recv(&mut self, from: usize, tag: u64) -> Vec<T> {
+        assert!(from < self.size(), "source rank {from} out of range");
+        let span = hisvsim_obs::span("comm", "recv");
+        let start = Instant::now();
+        let (_, payload) = self.take(from, tag, !0);
+        self.endpoint_mut().stats.wall_time_s += start.elapsed().as_secs_f64();
+        let _span = span.bytes(bytes_of::<T>(payload.len()));
+        payload
+    }
 
-    /// Synchronise all ranks.
-    fn barrier(&mut self);
+    /// Synchronise all ranks: a vote whose answer is dropped.
+    fn barrier(&mut self) {
+        vote_round(self, "barrier", false);
+    }
 
     /// Collective boolean OR: every rank contributes `flag` and every rank
     /// receives the OR of all contributions. This is the agreement
     /// primitive cooperative cancellation is built on — a rank may only
     /// stop an SPMD schedule when *all* ranks agree to stop at the same
     /// step, otherwise the survivors deadlock in the next collective
-    /// waiting on the rank that left. Implemented as a gather–release
-    /// through rank 0 on the reserved [`VOTE_NS`] tag namespace, with the
-    /// flag carried in the tag's low bit (no payload travels, so it works
-    /// for any `T`).
-    ///
-    /// Like `barrier`, a vote is control traffic, not payload traffic:
-    /// only its blocking wall time is charged to [`CommStats`], so the
-    /// bytes and messages a run reports are its schedule's payload alone.
-    fn vote_any(&mut self, flag: bool) -> bool;
+    /// waiting on the rank that left. A gather–release through rank 0 on
+    /// the reserved vote tag namespace, with the flag carried in the tag's
+    /// low bit (no payload travels, so it works for any `T`).
+    fn vote_any(&mut self, flag: bool) -> bool {
+        vote_round(self, "vote", flag)
+    }
 
     /// All-to-all-v: `send_bufs[i]` goes to rank `i`; returns `recv[i]` =
-    /// the buffer rank `i` sent to this rank. The self slot is moved, not
-    /// copied, and charged no network time.
-    fn alltoallv(&mut self, send_bufs: Vec<Vec<T>>, tag: u64) -> Vec<Vec<T>>;
+    /// the buffer rank `i` sent to this rank. The self slot stays in place
+    /// and is charged nothing.
+    ///
+    /// The schedule is pairwise XOR rounds: in round `r` every rank swaps
+    /// with rank `^ r` — a perfect matching per round, so both ends of every
+    /// pair are in the same [`swap`](RankComm::swap) at the same time.
+    fn alltoallv(&mut self, mut send_bufs: Vec<Vec<T>>, tag: u64) -> Vec<Vec<T>> {
+        let (rank, size) = (self.rank(), self.size());
+        assert_eq!(
+            send_bufs.len(),
+            size,
+            "alltoallv needs one send buffer per rank"
+        );
+        let send_bytes = bytes_of::<T>(send_bufs.iter().map(Vec::len).sum());
+        let _span = hisvsim_obs::span("comm", "alltoallv").bytes(send_bytes);
+        let start = Instant::now();
+        for round in 1..size {
+            let peer = rank ^ round;
+            let outgoing = std::mem::take(&mut send_bufs[peer]);
+            charge(self, peer, outgoing.len());
+            send_bufs[peer] = self.swap(peer, tag, outgoing);
+        }
+        self.endpoint_mut().stats.wall_time_s += start.elapsed().as_secs_f64();
+        send_bufs
+    }
 
     /// All-gather: every rank contributes `payload`; returns all
     /// contributions indexed by rank.
@@ -131,6 +213,59 @@ pub trait RankComm<T: Send + 'static> {
         let bufs: Vec<Vec<T>> = (0..self.size()).map(|_| payload.clone()).collect();
         self.alltoallv(bufs, tag)
     }
+}
+
+/// Payload bytes of `items` items.
+fn bytes_of<T>(items: usize) -> u64 {
+    (items * std::mem::size_of::<T>()) as u64
+}
+
+/// Charge one message of `items` items to rank `to`: nothing if `to` is
+/// this rank, else one message, its bytes and the model's wire time.
+fn charge<T: Send + 'static, C: RankComm<T> + ?Sized>(comm: &mut C, to: usize, items: usize) {
+    if to == comm.rank() {
+        return;
+    }
+    let bytes = bytes_of::<T>(items);
+    let wire_time = comm.network().message_time(bytes as usize);
+    let stats = &mut comm.endpoint_mut().stats;
+    stats.messages_sent += 1;
+    stats.bytes_sent += bytes;
+    stats.modeled_time_s += wire_time;
+}
+
+/// One gather–release OR through rank 0, charged as the wall time of a
+/// span named `name`. A world of one returns `flag` at once.
+fn vote_round<T: Send + 'static, C: RankComm<T> + ?Sized>(
+    comm: &mut C,
+    name: &'static str,
+    flag: bool,
+) -> bool {
+    let (rank, size) = (comm.rank(), comm.size());
+    if size == 1 {
+        return flag;
+    }
+    let _span = hisvsim_obs::span("comm", name);
+    let start = Instant::now();
+    let endpoint = comm.endpoint_mut();
+    let base = VOTE_NS | (endpoint.vote_round << 1);
+    endpoint.vote_round = (endpoint.vote_round + 1) & VOTE_ROUND_MASK;
+    let voted = |(tag, _): (u64, Vec<T>)| tag & 1 == 1;
+    let agreed = if rank == 0 {
+        let mut agreed = flag;
+        for from in 1..size {
+            agreed |= voted(comm.take(from, base, !1));
+        }
+        for to in 1..size {
+            comm.post(to, base | agreed as u64, Vec::new());
+        }
+        agreed
+    } else {
+        comm.post(0, base | flag as u64, Vec::new());
+        voted(comm.take(0, base, !1))
+    };
+    comm.endpoint_mut().stats.wall_time_s += start.elapsed().as_secs_f64();
+    agreed
 }
 
 /// Scalar collectives available on any communicator of `f64` payloads.
@@ -154,42 +289,31 @@ struct Envelope<T> {
 
 /// One rank's endpoint of the in-process (thread world) communicator.
 ///
-/// Cloneable senders to every rank plus this rank's receive queue. A rank may
-/// only be driven from one thread at a time (like an MPI rank).
+/// Cloneable senders to every rank plus this rank's receive queue. A post
+/// never blocks, so the default [`RankComm::swap`] serves it.
 pub struct LocalComm<T: Send + 'static> {
     rank: usize,
     size: usize,
     net: NetworkModel,
     senders: Vec<Sender<Envelope<T>>>,
     receiver: Receiver<Envelope<T>>,
-    /// Out-of-order messages waiting for a matching recv.
+    /// Out-of-order frames waiting for a matching take.
     stash: Vec<Envelope<T>>,
-    barrier: Arc<Barrier>,
-    /// Vote round counter (all ranks agree by construction: votes are
-    /// collective).
-    vote_epoch: u64,
-    /// Shared across ranks: total modelled time units (nanoseconds) spent by
-    /// the slowest rank is derived by the caller from per-rank stats; this
-    /// counter just feeds global sanity checks in tests.
-    global_bytes: Arc<AtomicU64>,
-    stats: CommStats,
+    endpoint: Endpoint,
 }
 
 /// Build a communicator world of `size` ranks over the given network model.
 ///
-/// Returns one [`LocalComm`] per rank; hand each to its own thread (see
-/// [`crate::spmd::run_spmd`] for the scoped-thread harness).
+/// `size` must be a power of two. Returns one [`LocalComm`] per rank; hand
+/// each to its own thread (see [`crate::spmd::run_spmd`] for the
+/// scoped-thread harness).
 pub fn world<T: Send + 'static>(size: usize, net: NetworkModel) -> Vec<LocalComm<T>> {
     assert!(size > 0, "a communicator needs at least one rank");
-    let mut senders = Vec::with_capacity(size);
-    let mut receivers = Vec::with_capacity(size);
-    for _ in 0..size {
-        let (s, r) = channel();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let barrier = Arc::new(Barrier::new(size));
-    let global_bytes = Arc::new(AtomicU64::new(0));
+    assert!(
+        size.is_power_of_two(),
+        "a world needs a power-of-two rank count, got {size}"
+    );
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..size).map(|_| channel()).unzip();
     receivers
         .into_iter()
         .enumerate()
@@ -200,83 +324,9 @@ pub fn world<T: Send + 'static>(size: usize, net: NetworkModel) -> Vec<LocalComm
             senders: senders.clone(),
             receiver,
             stash: Vec::new(),
-            barrier: Arc::clone(&barrier),
-            vote_epoch: 0,
-            global_bytes: Arc::clone(&global_bytes),
-            stats: CommStats::default(),
+            endpoint: Endpoint::default(),
         })
         .collect()
-}
-
-impl<T: Send + 'static> LocalComm<T> {
-    /// Total payload bytes sent across *all* ranks of the world so far.
-    pub fn global_bytes_sent(&self) -> u64 {
-        self.global_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Send without wall-time accounting (the caller owns the timing
-    /// window, e.g. a collective charging its whole span once).
-    fn send_inner(&mut self, to: usize, tag: u64, payload: Vec<T>) {
-        assert!(to < self.size, "destination rank {to} out of range");
-        let bytes = payload.len() * std::mem::size_of::<T>();
-        if to != self.rank {
-            self.stats.messages_sent += 1;
-            self.stats.bytes_sent += bytes as u64;
-            self.stats.modeled_time_s += self.net.message_time(bytes);
-            self.global_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-        self.senders[to]
-            .send(Envelope {
-                from: self.rank,
-                tag,
-                payload,
-            })
-            .expect("receiver side of the communicator was dropped");
-    }
-
-    /// Receive without wall-time accounting (see [`LocalComm::send_inner`]).
-    fn recv_inner(&mut self, from: usize, tag: u64) -> Vec<T> {
-        // Check the stash first.
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag == tag)
-        {
-            return self.stash.swap_remove(pos).payload;
-        }
-        loop {
-            let env = self
-                .receiver
-                .recv()
-                .expect("all senders of the communicator were dropped");
-            if env.from == from && env.tag == tag {
-                return env.payload;
-            }
-            self.stash.push(env);
-        }
-    }
-
-    /// Receive one vote frame from `from`: any tag whose epoch bits match
-    /// `base` (the low bit carries the sender's flag).
-    fn recv_vote_inner(&mut self, from: usize, base: u64) -> bool {
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|e| e.from == from && e.tag & !1 == base)
-        {
-            return self.stash.swap_remove(pos).tag & 1 == 1;
-        }
-        loop {
-            let env = self
-                .receiver
-                .recv()
-                .expect("all senders of the communicator were dropped");
-            if env.from == from && env.tag & !1 == base {
-                return env.tag & 1 == 1;
-            }
-            self.stash.push(env);
-        }
-    }
 }
 
 impl<T: Send + 'static> RankComm<T> for LocalComm<T> {
@@ -296,140 +346,49 @@ impl<T: Send + 'static> RankComm<T> for LocalComm<T> {
     }
 
     #[inline]
-    fn stats(&self) -> CommStats {
-        self.stats
+    fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
-    fn reset_stats(&mut self) {
-        self.stats = CommStats::default();
+    #[inline]
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.endpoint
     }
 
-    /// Send `payload` to rank `to` with a tag. Sending to self is allowed
-    /// (delivered through the same queue) and charged zero network time.
-    fn send(&mut self, to: usize, tag: u64, payload: Vec<T>) {
-        self.send_inner(to, tag, payload);
+    fn post(&mut self, to: usize, tag: u64, payload: Vec<T>) {
+        self.senders[to]
+            .send(Envelope {
+                from: self.rank,
+                tag,
+                payload,
+            })
+            .expect("receiver side of the communicator was dropped");
     }
 
-    fn recv(&mut self, from: usize, tag: u64) -> Vec<T> {
-        let span = hisvsim_obs::span("comm", "recv");
-        let start = Instant::now();
-        let payload = self.recv_inner(from, tag);
-        self.stats.wall_time_s += start.elapsed().as_secs_f64();
-        let _span = span.bytes((payload.len() * std::mem::size_of::<T>()) as u64);
-        payload
-    }
-
-    fn barrier(&mut self) {
-        let _span = hisvsim_obs::span("comm", "barrier");
-        let start = Instant::now();
-        self.barrier.wait();
-        self.stats.wall_time_s += start.elapsed().as_secs_f64();
-    }
-
-    /// Gather–release OR through rank 0 on the [`VOTE_NS`] namespace. The
-    /// control frames are not payload traffic: stats are restored to their
-    /// pre-vote values and only the blocking wall time is charged, exactly
-    /// like `barrier`.
-    fn vote_any(&mut self, flag: bool) -> bool {
-        if self.size == 1 {
-            return flag;
-        }
-        let _span = hisvsim_obs::span("comm", "vote");
-        let start = Instant::now();
-        let payload_stats = self.stats;
-        let base = VOTE_NS | (self.vote_epoch << 1);
-        self.vote_epoch = (self.vote_epoch + 1) & VOTE_EPOCH_MASK;
-        let agreed = if self.rank == 0 {
-            let mut agreed = flag;
-            for from in 1..self.size {
-                agreed |= self.recv_vote_inner(from, base);
-            }
-            for to in 1..self.size {
-                self.send_inner(to, base | agreed as u64, Vec::new());
-            }
-            agreed
-        } else {
-            self.send_inner(0, base | flag as u64, Vec::new());
-            self.recv_vote_inner(0, base)
+    fn take(&mut self, from: usize, tag: u64, mask: u64) -> (u64, Vec<T>) {
+        let matches = |e: &Envelope<T>| e.from == from && e.tag & mask == tag;
+        let env = match self.stash.iter().position(matches) {
+            Some(pos) => self.stash.remove(pos),
+            None => loop {
+                let env = self
+                    .receiver
+                    .recv()
+                    .expect("all senders of the communicator were dropped");
+                if matches(&env) {
+                    break env;
+                }
+                self.stash.push(env);
+            },
         };
-        self.stats = payload_stats;
-        self.stats.wall_time_s += start.elapsed().as_secs_f64();
-        agreed
-    }
-
-    /// All-to-all-v over the channel world.
-    ///
-    /// The modelled time charged to this rank is the serial injection of its
-    /// outgoing messages (see
-    /// [`NetworkModel::alltoallv_time`](crate::netmodel::NetworkModel::alltoallv_time));
-    /// the wall time charged is the full span of the collective — injection
-    /// plus every blocking receive — not just the receive waits.
-    fn alltoallv(&mut self, send_bufs: Vec<Vec<T>>, tag: u64) -> Vec<Vec<T>> {
-        assert_eq!(
-            send_bufs.len(),
-            self.size,
-            "alltoallv needs one send buffer per rank"
-        );
-        let send_bytes = send_bufs.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<T>();
-        let _span = hisvsim_obs::span("comm", "alltoallv").bytes(send_bytes as u64);
-        let start = Instant::now();
-        let mut recv: Vec<Option<Vec<T>>> = (0..self.size).map(|_| None).collect();
-        for (to, buf) in send_bufs.into_iter().enumerate() {
-            if to == self.rank {
-                recv[to] = Some(buf);
-            } else {
-                self.send_inner(to, tag, buf);
-            }
-        }
-        let (rank, size) = (self.rank, self.size);
-        for from in (0..size).filter(|&from| from != rank) {
-            let payload = self.recv_inner(from, tag);
-            recv[from] = Some(payload);
-        }
-        self.stats.wall_time_s += start.elapsed().as_secs_f64();
-        recv.into_iter().map(|b| b.unwrap()).collect()
-    }
-}
-
-/// A shared accumulator for collecting per-rank results from SPMD closures
-/// without a channel round-trip (the engines use it to return per-rank
-/// timings).
-#[derive(Debug, Clone, Default)]
-pub struct ResultBoard<R> {
-    inner: Arc<Mutex<Vec<Option<R>>>>,
-}
-
-impl<R> ResultBoard<R> {
-    /// A board with one slot per rank.
-    pub fn new(size: usize) -> Self {
-        let mut v = Vec::with_capacity(size);
-        v.resize_with(size, || None);
-        Self {
-            inner: Arc::new(Mutex::new(v)),
-        }
-    }
-
-    /// Post rank `rank`'s result.
-    pub fn post(&self, rank: usize, value: R) {
-        self.inner.lock().expect("result board poisoned")[rank] = Some(value);
-    }
-
-    /// Collect all posted results; panics if any rank never posted.
-    pub fn collect(self) -> Vec<R> {
-        Arc::try_unwrap(self.inner)
-            .unwrap_or_else(|_| panic!("result board still shared"))
-            .into_inner()
-            .expect("result board poisoned")
-            .into_iter()
-            .enumerate()
-            .map(|(rank, slot)| slot.unwrap_or_else(|| panic!("rank {rank} posted no result")))
-            .collect()
+        (env.tag, env.payload)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -495,14 +454,14 @@ mod tests {
 
     #[test]
     fn allreduce_sums_across_ranks() {
-        let size = 3;
+        let size = 4;
         let ranks = world::<f64>(size, NetworkModel::ideal());
         let handles: Vec<_> = ranks
             .into_iter()
             .map(|mut comm| thread::spawn(move || comm.allreduce_sum((comm.rank() + 1) as f64, 5)))
             .collect();
         for h in handles {
-            assert_eq!(h.join().unwrap(), 6.0);
+            assert_eq!(h.join().unwrap(), 10.0);
         }
     }
 
@@ -579,20 +538,6 @@ mod tests {
         assert_eq!(m.messages_sent, 5);
         assert_eq!(m.bytes_sent, 150);
         assert!((m.modeled_time_s - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn result_board_collects_per_rank_values() {
-        let board = ResultBoard::<usize>::new(3);
-        let clones: Vec<_> = (0..3).map(|r| (r, board.clone())).collect();
-        let handles: Vec<_> = clones
-            .into_iter()
-            .map(|(r, b)| thread::spawn(move || b.post(r, r * 10)))
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(board.collect(), vec![0, 10, 20]);
     }
 
     #[test]

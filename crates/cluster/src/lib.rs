@@ -8,16 +8,19 @@
 //! owns its slice of the state vector, communication moves real data through
 //! lock-free channels (so the exchange pattern and volume are exact), and a
 //! latency–bandwidth [`NetworkModel`] charges every transfer the wire time it
-//! would have cost on the real fabric. The README section "Reproducing the
+//! would have cost on the real fabric — charged once, by the [`RankComm`]
+//! trait, whichever transport moved the bytes. The README section "Reproducing the
 //! paper's artifacts" gives the substitution argument (the modelled network
 //! is slowed so a one-thread rank keeps the paper's communication-to-
 //! computation balance).
 //!
 //! * [`netmodel`] — the α–β interconnect model (HDR-100 constants included),
-//! * [`comm`] — the [`RankComm`] trait (tagged send/recv, barrier,
-//!   alltoallv, allgather, allreduce, per-rank [`CommStats`] accounting)
-//!   and its in-process implementation [`LocalComm`] — the `hisvsim-net`
-//!   crate adds `TcpComm`, the multi-process transport over sockets,
+//! * [`comm`] — the [`RankComm`] trait: a transport supplies tagged
+//!   post/take primitives, and the trait writes the collectives (send/recv,
+//!   barrier, vote, alltoallv, allgather, allreduce) and their per-rank
+//!   [`CommStats`] accounting once — its in-process implementation is
+//!   [`LocalComm`], and the `hisvsim-net` crate adds `TcpComm`, the
+//!   multi-process transport over sockets,
 //! * [`spmd`] — [`run_spmd`]: the `mpirun` stand-in running one closure per
 //!   rank on scoped threads.
 //!
@@ -39,8 +42,6 @@ pub mod comm;
 pub mod netmodel;
 pub mod spmd;
 
-pub use comm::{
-    world, CommStats, LocalComm, RankComm, ResultBoard, ScalarComm, VOTE_EPOCH_MASK, VOTE_NS,
-};
+pub use comm::{world, CommStats, Endpoint, LocalComm, RankComm, ScalarComm};
 pub use netmodel::NetworkModel;
 pub use spmd::run_spmd;

@@ -33,16 +33,6 @@ impl NetworkModel {
         }
     }
 
-    /// A model with several MPI ranks sharing one HDR-100 port (the paper's
-    /// 2- and 4-rank-per-node configurations for the ≥ 35-qubit circuits).
-    pub fn hdr100_shared(ranks_per_node: usize) -> Self {
-        assert!(ranks_per_node >= 1);
-        Self {
-            injection_share: 1.0 / ranks_per_node as f64,
-            ..Self::hdr100()
-        }
-    }
-
     /// An idealised zero-cost network, useful in unit tests that only check
     /// data movement correctness.
     pub fn ideal() -> Self {
@@ -59,18 +49,6 @@ impl NetworkModel {
             return 0.0;
         }
         self.latency_s + bytes as f64 / (self.bandwidth_bytes_per_s * self.injection_share)
-    }
-
-    /// Modelled time for one rank's side of an all-to-all exchange in which
-    /// it sends `bytes_per_peer[i]` to peer `i` (its own slot ignored):
-    /// messages are injected serially through its NIC share.
-    pub fn alltoallv_time(&self, bytes_per_peer: &[usize], self_rank: usize) -> f64 {
-        bytes_per_peer
-            .iter()
-            .enumerate()
-            .filter(|&(peer, &b)| peer != self_rank && b > 0)
-            .map(|(_, &b)| self.message_time(b))
-            .sum()
     }
 }
 
@@ -96,16 +74,11 @@ mod tests {
     #[test]
     fn shared_injection_slows_each_rank() {
         let full = NetworkModel::hdr100();
-        let quarter = NetworkModel::hdr100_shared(4);
+        let quarter = NetworkModel {
+            injection_share: 0.25,
+            ..full
+        };
         assert!(quarter.message_time(1 << 20) > full.message_time(1 << 20));
-    }
-
-    #[test]
-    fn alltoallv_skips_self_and_empty_slots() {
-        let net = NetworkModel::hdr100();
-        let t = net.alltoallv_time(&[100, 0, 100, 100], 0);
-        // Rank 0 sends to peers 2 and 3 only (slot 0 is self, slot 1 empty).
-        assert!((t - 2.0 * net.message_time(100)).abs() < 1e-15);
     }
 
     #[test]

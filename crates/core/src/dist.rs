@@ -872,6 +872,7 @@ impl DistributedSimulator {
 mod tests {
     use super::*;
     use hisvsim_circuit::generators;
+    use hisvsim_cluster::Endpoint;
     use hisvsim_statevec::run_circuit;
 
     fn check(circuit: &Circuit, ranks: usize, strategy: Strategy) -> DistRun {
@@ -1069,23 +1070,20 @@ mod tests {
         fn network(&self) -> NetworkModel {
             self.inner.network()
         }
-        fn stats(&self) -> CommStats {
-            self.inner.stats()
+        fn endpoint(&self) -> &Endpoint {
+            self.inner.endpoint()
         }
-        fn reset_stats(&mut self) {
-            self.inner.reset_stats()
+        fn endpoint_mut(&mut self) -> &mut Endpoint {
+            self.inner.endpoint_mut()
         }
-        fn send(&mut self, to: usize, tag: u64, payload: Vec<Complex64>) {
-            self.inner.send(to, tag, payload)
+        fn post(&mut self, to: usize, tag: u64, payload: Vec<Complex64>) {
+            self.inner.post(to, tag, payload)
         }
-        fn recv(&mut self, from: usize, tag: u64) -> Vec<Complex64> {
-            self.inner.recv(from, tag)
+        fn take(&mut self, from: usize, tag: u64, mask: u64) -> (u64, Vec<Complex64>) {
+            self.inner.take(from, tag, mask)
         }
-        fn barrier(&mut self) {
-            self.inner.barrier()
-        }
-        fn vote_any(&mut self, flag: bool) -> bool {
-            self.inner.vote_any(flag)
+        fn swap(&mut self, peer: usize, tag: u64, payload: Vec<Complex64>) -> Vec<Complex64> {
+            self.inner.swap(peer, tag, payload)
         }
         fn alltoallv(&mut self, send_bufs: Vec<Vec<Complex64>>, tag: u64) -> Vec<Vec<Complex64>> {
             self.sent.push(send_bufs.clone());

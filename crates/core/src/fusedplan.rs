@@ -346,9 +346,7 @@ mod tests {
     fn two_level_plan_covers_every_gate_exactly_once() {
         let circuit = generators::by_name("qaoa", 9);
         let dag = CircuitDag::from_circuit(&circuit);
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 6, 3)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 6, 3).unwrap();
         let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml);
         let gates = FusedPlan::Two(&plan).schedule(9, 2).total_source_gates();
         assert_eq!(gates, circuit.num_gates() as u64);
@@ -397,9 +395,7 @@ mod tests {
         let in_place = many.entries.iter().map(|entry| entry.passes.in_place);
         assert_eq!(many.passes(), in_place.sum::<usize>());
 
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 6, 3)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 6, 3).unwrap();
         let two = FusedTwoLevelPlan::new(&circuit, &dag, ml);
         // An exchange can only open a first-level part, and a world of one
         // makes none.

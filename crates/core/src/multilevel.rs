@@ -98,7 +98,7 @@ impl MultilevelSimulator {
         let second_limit = self.config.second_limit.min(first_limit).max(1);
 
         let dag = CircuitDag::from_circuit(circuit);
-        let ml = MultilevelPartitioner::default().partition(&dag, first_limit, second_limit)?;
+        let ml = MultilevelPartitioner.partition(&dag, first_limit, second_limit)?;
         Ok(self.run_with_partition(circuit, &dag, ml))
     }
 

@@ -66,7 +66,7 @@ impl Schedule {
                 Plan::Dist(FusedSinglePlan::new(circuit, &dag, partition))
             }
             "multilevel" => {
-                let ml = MultilevelPartitioner::default()
+                let ml = MultilevelPartitioner
                     .partition(&dag, first, second)
                     .unwrap();
                 Plan::Multilevel(FusedTwoLevelPlan::new(circuit, &dag, ml))

@@ -234,7 +234,7 @@ fn a_warm_two_rank_thread_world_allocates_nothing_once_its_last_result_is_droppe
     let circuit = generators::qft(QUBITS);
     let dist = plan(&circuit, QUBITS - 1);
     let dag = CircuitDag::from_circuit(&circuit);
-    let ml = MultilevelPartitioner::default()
+    let ml = MultilevelPartitioner
         .partition(&dag, QUBITS - 1, LIMIT)
         .expect("the limits admit every gate");
     let multilevel = FusedTwoLevelPlan::new(&circuit, &dag, ml);

@@ -112,7 +112,7 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
             .partition(&dag, LIMIT)
             .expect("admits every gate");
         let single = FusedSinglePlan::new(&circuit, &dag, partition);
-        let ml = (MultilevelPartitioner::default())
+        let ml = MultilevelPartitioner
             .partition(&dag, LIMIT, 12)
             .expect("admits every gate");
         let two = FusedTwoLevelPlan::new(&circuit, &dag, ml);

@@ -8,9 +8,10 @@
 //!
 //! * [`wire`] — length-prefixed frames and little-endian item codecs
 //!   (hand-rolled: the vendor set has no network serialization crates),
-//! * [`tcp`] — [`TcpComm`]: the full-mesh TCP implementation of `RankComm`
-//!   (rendezvous handshake, per-peer tag stash, gather–release barrier,
-//!   the same [`CommStats`](hisvsim_cluster::CommStats) accounting),
+//! * [`tcp`] — [`TcpComm`]: the full-mesh TCP transport behind `RankComm`
+//!   (rendezvous handshake, per-peer tag stash, chunked pairwise swap; the
+//!   collectives and their [`CommStats`](hisvsim_cluster::CommStats)
+//!   accounting are the trait's own),
 //! * [`proto`] — the pool↔worker control protocol: an epoch-tagged
 //!   [`WorkerCommand`] stream over a persistent channel; [`ShippedJob`]
 //!   carries only what decides the result — the circuit, the kernel

@@ -5,7 +5,7 @@
 //! single-rank worlds, and deep out-of-order tag stashing.
 
 use hisvsim_cluster::{world, NetworkModel, RankComm};
-use hisvsim_net::tcp_world;
+use hisvsim_net::{tcp_world, TcpComm};
 use std::thread;
 
 /// Drive every rank of a pre-built world on its own thread.
@@ -136,10 +136,9 @@ fn out_of_order_stash_exhaustion_tcp() {
 }
 
 fn barrier_charges_no_payload_traffic_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) {
-    // LocalComm's barrier is a shared-memory Barrier and charges nothing;
-    // TcpComm's gather–release control frames are an implementation detail
-    // and must not show up either — otherwise comm stats of the two worlds
-    // stop being comparable for the same schedule.
+    // A barrier's gather–release frames are control traffic and must not
+    // show up in the stats — otherwise a schedule's reported traffic would
+    // depend on how often it synchronises.
     drive(worlds, |comm| {
         comm.barrier();
         comm.barrier();
@@ -228,4 +227,116 @@ fn vote_any_single_rank_is_its_own_majority() {
         assert!(!comm.vote_any(false));
         assert_eq!(comm.stats().messages_sent, 0);
     });
+}
+
+/// One scripted rank body touching every charged path: point-to-point sends
+/// (one to self, two read out of order), an uneven `alltoallv` (empty, self
+/// and multi-chunk slots), an `allgather`, then a vote with each flag and a
+/// barrier, which must leave bytes and messages as they were.
+fn charge_script<C: RankComm<u64>>(comm: &mut C) {
+    let (me, size) = (comm.rank(), comm.size());
+    let (next, prev) = ((me + 1) % size, (me + size - 1) % size);
+    comm.send(next, 10, vec![me as u64; me + 1]);
+    comm.send(me, 11, vec![7; 3]);
+    comm.send(prev, 13, vec![13; 2]);
+    comm.send(prev, 12, vec![12; 5]);
+    assert_eq!(comm.recv(me, 11), vec![7; 3]);
+    assert_eq!(comm.recv(prev, 10), vec![prev as u64; prev + 1]);
+    assert_eq!(comm.recv(next, 12), vec![12; 5]);
+    assert_eq!(comm.recv(next, 13), vec![13; 2]);
+
+    // 0, 10 000 or 20 000 items a slot: empty, within and past one chunk.
+    let slot =
+        |from: usize, to: usize| vec![(from * size + to) as u64; (from + 2 * to) % 3 * 10_000];
+    let recv = comm.alltoallv((0..size).map(|to| slot(me, to)).collect(), 20);
+    for (from, buf) in recv.iter().enumerate() {
+        assert_eq!(*buf, slot(from, me), "from {from}");
+    }
+    let all = comm.allgather(vec![me as u64; me + 1], 21);
+    for (from, buf) in all.iter().enumerate() {
+        assert_eq!(*buf, vec![from as u64; from + 1]);
+    }
+
+    let payload = comm.stats();
+    assert!(!comm.vote_any(false));
+    assert!(comm.vote_any(me == 0));
+    assert!(comm.vote_any(true));
+    comm.barrier();
+    let after = comm.stats();
+    assert_eq!(
+        after.messages_sent, payload.messages_sent,
+        "control traffic"
+    );
+    assert_eq!(after.bytes_sent, payload.bytes_sent, "control traffic");
+    assert_eq!(
+        after.modeled_time_s, payload.modeled_time_s,
+        "control traffic"
+    );
+}
+
+/// Every rank's `(messages_sent, bytes_sent, modeled_time_s)` after
+/// [`charge_script`].
+fn charges_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) -> Vec<(u64, u64, f64)> {
+    let handles: Vec<_> = worlds
+        .into_iter()
+        .map(|mut comm| {
+            thread::spawn(move || {
+                charge_script(&mut comm);
+                let stats = comm.stats();
+                (stats.messages_sent, stats.bytes_sent, stats.modeled_time_s)
+            })
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
+}
+
+/// [`charge_script`]'s charges per rank on 2 and 4 ranks over
+/// `NetworkModel::hdr100()`, as each transport charged them when it kept
+/// its own accounting.
+const PINNED_2: [(u64, u64, f64); 2] = [(5, 160_072, 2.030576e-5), (5, 80_088, 1.390704e-5)];
+const PINNED_4: [(u64, u64, f64); 4] = [
+    (9, 240_088, 3.120704e-5),
+    (9, 320_120, 3.91096e-5),
+    (9, 400_152, 4.551216e-5),
+    (9, 240_184, 3.121472e-5),
+];
+
+#[test]
+fn both_transports_charge_the_same_for_the_same_script() {
+    let net = NetworkModel::hdr100();
+    for (size, pinned) in [(2usize, &PINNED_2[..]), (4, &PINNED_4[..])] {
+        let local = charges_on(world::<u64>(size, net));
+        let tcp = charges_on(tcp_world::<u64>(size, net).unwrap());
+        assert_eq!(local, tcp, "{size} ranks");
+        for (rank, &(messages, bytes, modeled)) in local.iter().enumerate() {
+            let (pinned_messages, pinned_bytes, pinned_modeled) = pinned[rank];
+            assert_eq!(
+                (messages, bytes),
+                (pinned_messages, pinned_bytes),
+                "rank {rank} of {size}"
+            );
+            assert!(
+                (modeled - pinned_modeled).abs() <= 1e-12 * pinned_modeled,
+                "rank {rank} of {size}: modelled {modeled} s, pinned {pinned_modeled} s"
+            );
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "power-of-two")]
+fn a_thread_world_of_three_is_refused() {
+    let _ = world::<u64>(3, NetworkModel::ideal());
+}
+
+#[test]
+fn a_tcp_world_of_three_is_refused() {
+    assert!(tcp_world::<u64>(3, NetworkModel::ideal()).is_err());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let peers = vec![listener.local_addr().unwrap().to_string(); 3];
+    let refused = TcpComm::<u64>::connect_mesh(0, 3, NetworkModel::ideal(), listener, &peers);
+    assert_eq!(
+        refused.err().map(|e| e.kind()),
+        Some(std::io::ErrorKind::InvalidData)
+    );
 }

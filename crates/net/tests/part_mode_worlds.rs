@@ -31,7 +31,7 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     // 18 local qubits: above one tile, so parts of both modes occur.
     let circuit = generators::by_name("qaoa", 19);
     let dag = CircuitDag::from_circuit(&circuit);
-    let ml = MultilevelPartitioner::default()
+    let ml = MultilevelPartitioner
         .partition(&dag, 18, 12)
         .expect("qaoa partitions at these limits");
     let job = ShippedJob {

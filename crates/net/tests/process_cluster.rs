@@ -85,9 +85,7 @@ fn process_multilevel_matches_the_flat_simulator() {
     // Multilevel ships a two-level partition.
     let circuit = generators::by_name("qaoa", 9);
     let dag = CircuitDag::from_circuit(&circuit);
-    let ml = MultilevelPartitioner::default()
-        .partition(&dag, 8, 3)
-        .unwrap();
+    let ml = MultilevelPartitioner.partition(&dag, 8, 3).unwrap();
     let job = ShippedJob {
         circuit,
         dispatch: Default::default(),

@@ -43,33 +43,33 @@ use crate::error::PartitionBuildError;
 use hisvsim_dag::{CircuitDag, NodeId, Partition};
 use std::collections::BTreeSet;
 
-/// Tunable parameters of the dagP strategy.
+/// Maximum allowed imbalance between the two sides of a bisection,
+/// expressed as the larger side divided by the ideal half size. The paper
+/// uses ε ≤ 1.5 because part-size balance is not critical.
+const IMBALANCE: f64 = 1.5;
+
+/// Boundary-refinement passes per bisection.
+const REFINEMENT_PASSES: usize = 4;
+
+/// Maximum nodes per coarse cluster.
+const MAX_CLUSTER_SIZE: usize = 8;
+
+/// The phases of the dagP strategy that can be switched off.
 #[derive(Debug, Clone, Copy)]
 pub struct DagPConfig {
-    /// Maximum allowed imbalance between the two sides of a bisection,
-    /// expressed as the larger side divided by the ideal half size. The paper
-    /// uses ε ≤ 1.5 because part-size balance is not critical.
-    pub imbalance: f64,
-    /// Number of boundary-refinement passes per bisection.
-    pub refinement_passes: usize,
     /// Enable the acyclic agglomerative coarsening phase.
     pub coarsen: bool,
     /// Enable the final merge phase (the paper's addition). Disabling it is
     /// the ablation the `ablation_merge` binary reports (README,
     /// "Reproducing the paper's artifacts").
     pub merge: bool,
-    /// Maximum nodes per coarse cluster.
-    pub max_cluster_size: usize,
 }
 
 impl Default for DagPConfig {
     fn default() -> Self {
         Self {
-            imbalance: 1.5,
-            refinement_passes: 4,
             coarsen: true,
             merge: true,
-            max_cluster_size: 8,
         }
     }
 }
@@ -288,7 +288,7 @@ impl DagPPartitioner {
         // --- coarsening ---------------------------------------------------
         scratch.cluster_ends.clear();
         if self.config.coarsen {
-            coarsen_order(dag, nodes, self.config.max_cluster_size, scratch);
+            coarsen_order(dag, nodes, MAX_CLUSTER_SIZE, scratch);
         } else {
             scratch.cluster_ends.extend(1..=nodes.len());
         }
@@ -332,7 +332,7 @@ impl DagPPartitioner {
     fn best_split(&self, dag: &CircuitDag, nodes: &[NodeId], scratch: &mut Scratch) -> usize {
         let total_nodes = nodes.len();
         let ideal = total_nodes as f64 / 2.0;
-        let max_side = (ideal * self.config.imbalance).ceil() as usize;
+        let max_side = (ideal * IMBALANCE).ceil() as usize;
 
         // Per-qubit gate counts of each side, so the number of shared qubits
         // can be maintained incrementally across split points.
@@ -392,7 +392,7 @@ impl DagPPartitioner {
         } = scratch;
         let total = order.len();
         let ideal = total as f64 / 2.0;
-        let max_side = (ideal * self.config.imbalance).ceil() as usize;
+        let max_side = (ideal * IMBALANCE).ceil() as usize;
         let mut late_count = order.iter().filter(|&&n| side[n] == LATE).count();
 
         // Per-qubit gate counts on each side, maintained across moves.
@@ -409,7 +409,7 @@ impl DagPPartitioner {
             }
         }
 
-        for _ in 0..self.config.refinement_passes {
+        for _ in 0..REFINEMENT_PASSES {
             let mut moved = false;
             for &n in order {
                 let currently_late = side[n] == LATE;

@@ -12,7 +12,7 @@
 //! level is the identity for that part (the paper notes those circuits show
 //! no difference between single- and multi-level execution).
 
-use crate::dagp::{DagPConfig, DagPPartitioner};
+use crate::dagp::DagPPartitioner;
 use crate::error::PartitionBuildError;
 use hisvsim_circuit::Circuit;
 use hisvsim_dag::{CircuitDag, Partition};
@@ -150,11 +150,8 @@ fn sub_circuit_dag(dag: &CircuitDag, gates: &[usize]) -> CircuitDag {
 }
 
 /// The two-level partitioner: dagP at both levels.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MultilevelPartitioner {
-    /// dagP configuration used at both levels.
-    pub config: DagPConfig,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct MultilevelPartitioner;
 
 impl MultilevelPartitioner {
     /// Partition `dag` with a first-level limit (`first_limit`, e.g. the
@@ -170,7 +167,7 @@ impl MultilevelPartitioner {
             second_limit <= first_limit,
             "second-level limit {second_limit} must not exceed first-level limit {first_limit}"
         );
-        let partitioner = DagPPartitioner::new(self.config);
+        let partitioner = DagPPartitioner::default();
         let first = partitioner.partition(dag, first_limit)?;
         let mut second = Vec::with_capacity(first.num_parts());
         for gates in first.gates_by_part() {
@@ -202,9 +199,7 @@ mod tests {
     fn two_level_partition_respects_both_limits() {
         let c = generators::by_name("qft", 12);
         let dag = CircuitDag::from_circuit(&c);
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 8, 4)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 8, 4).unwrap();
         // First level obeys the first limit.
         assert!(ml.first.max_working_set(&dag) <= 8);
         // Each second-level part obeys the second limit.
@@ -226,9 +221,7 @@ mod tests {
     fn second_level_lists_cover_each_first_level_part_exactly() {
         let c = generators::by_name("qaoa", 10);
         let dag = CircuitDag::from_circuit(&c);
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 7, 3)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 7, 3).unwrap();
         for (p, (gates, _)) in ml.second.iter().enumerate() {
             let mut covered: Vec<usize> = ml
                 .second_level_gate_lists(&dag, p)
@@ -246,9 +239,7 @@ mod tests {
     fn degenerate_when_second_limit_equals_first() {
         let c = generators::by_name("bv", 10);
         let dag = CircuitDag::from_circuit(&c);
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 6, 6)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 6, 6).unwrap();
         assert!(ml.is_degenerate());
         assert_eq!(ml.total_second_level_parts(), ml.num_first_level_parts());
     }
@@ -258,16 +249,14 @@ mod tests {
     fn second_limit_above_first_is_rejected() {
         let c = generators::cat_state(6);
         let dag = CircuitDag::from_circuit(&c);
-        let _ = MultilevelPartitioner::default().partition(&dag, 3, 5);
+        let _ = MultilevelPartitioner.partition(&dag, 3, 5);
     }
 
     #[test]
     fn multilevel_counts_are_consistent() {
         let c = generators::by_name("qpe", 12);
         let dag = CircuitDag::from_circuit(&c);
-        let ml = MultilevelPartitioner::default()
-            .partition(&dag, 9, 5)
-            .unwrap();
+        let ml = MultilevelPartitioner.partition(&dag, 9, 5).unwrap();
         assert_eq!(ml.num_first_level_parts(), ml.second.len());
         assert!(ml.total_second_level_parts() >= ml.num_first_level_parts());
     }

@@ -2,7 +2,7 @@
 //! evaluates (`Nat`, `DFS`, `dagP`), used by the engines and the benchmark
 //! harness to sweep strategies generically.
 
-use crate::dagp::{DagPConfig, DagPPartitioner};
+use crate::dagp::DagPPartitioner;
 use crate::dfs::DfsPartitioner;
 use crate::error::PartitionBuildError;
 use crate::nat::NatPartitioner;
@@ -48,19 +48,6 @@ impl Strategy {
             Strategy::Nat => NatPartitioner.partition(dag, limit),
             Strategy::Dfs => DfsPartitioner::default().partition(dag, limit),
             Strategy::DagP => DagPPartitioner::default().partition(dag, limit),
-        }
-    }
-
-    /// Partition with a custom dagP configuration (ignored by Nat/DFS).
-    pub fn partition_with_config(
-        &self,
-        dag: &CircuitDag,
-        limit: usize,
-        dagp_config: DagPConfig,
-    ) -> Result<Partition, PartitionBuildError> {
-        match self {
-            Strategy::DagP => DagPPartitioner::new(dagp_config).partition(dag, limit),
-            other => other.partition(dag, limit),
         }
     }
 }

@@ -56,7 +56,7 @@ fn with_config(
 
 fn two_level(name: &str, circuit: &Circuit, first: usize, second: usize) -> String {
     let dag = CircuitDag::from_circuit(circuit);
-    let ml = MultilevelPartitioner::default()
+    let ml = MultilevelPartitioner
         .partition(&dag, first, second)
         .unwrap_or_else(|e| panic!("multilevel {name} at {first}/{second}: {e}"));
     let inner: Vec<String> = ml.second.iter().map(|(_, p)| digest(p)).collect();

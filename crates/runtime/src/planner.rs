@@ -97,7 +97,7 @@ impl Planner {
         first_limit: usize,
         second_limit: usize,
     ) -> Result<MultilevelPartition, PartitionBuildError> {
-        MultilevelPartitioner::default().partition(dag, first_limit, second_limit)
+        MultilevelPartitioner.partition(dag, first_limit, second_limit)
     }
 }
 

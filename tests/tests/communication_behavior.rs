@@ -176,9 +176,7 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         live.expect("the token is never fired")
     });
 
-    let ml = MultilevelPartitioner::default()
-        .partition(&dag, local, 4)
-        .unwrap();
+    let ml = MultilevelPartitioner.partition(&dag, local, 4).unwrap();
     let plan = &FusedTwoLevelPlan::new(circuit, &dag, ml);
     let multilevel = MultilevelSimulator::new(MultilevelConfig::new(ranks, 4));
     let inert = multilevel.run_with_fused_plan(circuit, plan);
