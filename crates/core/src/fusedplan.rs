@@ -23,7 +23,7 @@
 use crate::dist::local_layout;
 use crate::hier::{part_mode, PartMode, PartPasses, GATHER_PASSES};
 use hisvsim_circuit::{Circuit, Qubit};
-use hisvsim_dag::{CircuitDag, Partition};
+use hisvsim_dag::{CircuitDag, Partition, QubitSet};
 use hisvsim_partition::MultilevelPartition;
 use hisvsim_statevec::{FusedCircuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
 use std::ops::Range;
@@ -74,34 +74,34 @@ impl FusedSinglePlan {
     ) -> Self {
         let order = partition.execution_order(dag);
         let gates_by_part = partition.gates_by_part();
+        let working_sets = partition.working_sets(dag);
         let parts = order
             .iter()
             .filter(|&&part| !gates_by_part[part].is_empty())
-            .map(|&part| fuse_part(circuit, dag, part, &gates_by_part[part], fusion_width))
+            .map(|&part| {
+                let (gates, working_set) = (&gates_by_part[part], &working_sets[part]);
+                fuse_part(circuit, dag, part, gates, working_set, fusion_width)
+            })
             .collect();
         Self { partition, parts }
     }
 }
 
-/// Fuse one part's gates in working-set-relative space.
+/// Fuse one part's gates (ascending) in working-set-relative space, in
+/// place on the circuit's DAG: a part of an acyclic partition is convex, so
+/// its gates group exactly as they would as a circuit of their own.
 fn fuse_part(
     circuit: &Circuit,
     dag: &CircuitDag,
     part: usize,
     part_gates: &[usize],
+    working_set: &QubitSet,
     fusion_width: usize,
 ) -> FusedPart {
-    let working_set: Vec<Qubit> = dag.working_set_of_gates(part_gates).into_iter().collect();
-    let mut map = vec![None; circuit.num_qubits()];
-    for (inner, &outer) in working_set.iter().enumerate() {
-        map[outer] = Some(inner);
-    }
-    let inner_circuit = circuit
-        .subcircuit(part_gates)
-        .remap_qubits(&map, working_set.len());
+    let working_set: Vec<Qubit> = working_set.iter().collect();
     FusedPart {
         part,
-        inner: FusedCircuit::new(&inner_circuit, fusion_width),
+        inner: FusedCircuit::from_part(circuit, dag, part_gates, &working_set, fusion_width),
         working_set,
     }
 }
@@ -149,24 +149,27 @@ impl FusedTwoLevelPlan {
     ) -> Self {
         let first_order = ml.first.execution_order(dag);
         let first_parts = ml.first.gates_by_part();
+        let working_sets = ml.first.working_sets(dag);
         let parts = first_order
             .iter()
             .filter(|&&part| !first_parts[part].is_empty())
             .map(|&part| {
-                let working_set: Vec<Qubit> = dag
-                    .working_set_of_gates(&first_parts[part])
-                    .into_iter()
-                    .collect();
                 let second = ml
                     .second_level_gate_lists(dag, part)
                     .into_iter()
                     .filter(|gates| !gates.is_empty())
                     .enumerate()
-                    .map(|(second, gates)| fuse_part(circuit, dag, second, &gates, fusion_width))
+                    .map(|(second, gates)| {
+                        let mut working_set = QubitSet::new(circuit.num_qubits());
+                        for &gate in &gates {
+                            working_set.extend(&circuit.gates()[gate].qubits);
+                        }
+                        fuse_part(circuit, dag, second, &gates, &working_set, fusion_width)
+                    })
                     .collect();
                 FusedMlPart {
                     part,
-                    working_set,
+                    working_set: working_sets[part].iter().collect(),
                     second,
                 }
             })

@@ -51,20 +51,23 @@ pub struct Edge {
 
 /// The DAG of a circuit: gate vertices plus per-qubit entry/exit vertices,
 /// with qubit-labelled dependency edges.
+///
+/// Vertices are laid out entries `[0, n)`, gates `[n, n + g)` (gate `i` at
+/// `n + i`), exits `[n + g, 2n + g)`. Each vertex's qubits, successor and
+/// predecessor edges are one range of a flat array, `start[v]..start[v + 1]`
+/// of the matching offsets, so the whole graph is a handful of allocations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CircuitDag {
     num_qubits: usize,
+    num_gates: usize,
     kinds: Vec<NodeKind>,
-    /// For each node, the qubits it touches (entry/exit touch exactly one).
-    node_qubits: Vec<Vec<Qubit>>,
-    succs: Vec<Vec<(NodeId, Qubit)>>,
-    preds: Vec<Vec<(NodeId, Qubit)>>,
-    /// Node id of each gate, indexed by gate index.
-    gate_node: Vec<NodeId>,
-    /// Node id of each qubit's entry vertex.
-    entry_node: Vec<NodeId>,
-    /// Node id of each qubit's exit vertex.
-    exit_node: Vec<NodeId>,
+    /// The qubits each vertex touches (entry/exit touch exactly one).
+    node_qubits: Vec<Qubit>,
+    qubit_start: Vec<usize>,
+    succs: Vec<(NodeId, Qubit)>,
+    succ_start: Vec<usize>,
+    preds: Vec<(NodeId, Qubit)>,
+    pred_start: Vec<usize>,
 }
 
 impl CircuitDag {
@@ -72,54 +75,65 @@ impl CircuitDag {
     pub fn from_circuit(circuit: &Circuit) -> Self {
         let n = circuit.num_qubits();
         let g = circuit.num_gates();
-        // Node layout: entries [0, n), gate nodes [n, n + g), exits [n + g, n + g + n).
-        let mut kinds = Vec::with_capacity(n + g + n);
-        let mut node_qubits = Vec::with_capacity(n + g + n);
-        for q in 0..n {
-            kinds.push(NodeKind::Entry(q));
-            node_qubits.push(vec![q]);
+        let total = n + g + n;
+        let mut kinds = Vec::with_capacity(total);
+        kinds.extend((0..n).map(NodeKind::Entry));
+        kinds.extend((0..g).map(NodeKind::Gate));
+        kinds.extend((0..n).map(NodeKind::Exit));
+        let mut qubit_start = Vec::with_capacity(total + 1);
+        qubit_start.push(0);
+        for node in 0..total {
+            let arity = match node.checked_sub(n).filter(|&gate| gate < g) {
+                Some(gate) => circuit.gates()[gate].arity(),
+                None => 1,
+            };
+            qubit_start.push(qubit_start[node] + arity);
         }
-        for (i, gate) in circuit.gates().iter().enumerate() {
-            kinds.push(NodeKind::Gate(i));
-            node_qubits.push(gate.qubits.clone());
+        // Every vertex has one edge out per qubit but an exit (the last
+        // vertices), and one edge in per qubit but an entry (the first).
+        let succ_start: Vec<usize> = (0..=total).map(|v| qubit_start[v.min(n + g)]).collect();
+        let pred_start: Vec<usize> = (0..=total).map(|v| qubit_start[v.max(n)] - n).collect();
+        let mut node_qubits = Vec::with_capacity(qubit_start[total]);
+        node_qubits.extend(0..n);
+        for gate in circuit.gates() {
+            node_qubits.extend(&gate.qubits);
         }
-        for q in 0..n {
-            kinds.push(NodeKind::Exit(q));
-            node_qubits.push(vec![q]);
-        }
-        let total = kinds.len();
-        let mut succs = vec![Vec::new(); total];
-        let mut preds = vec![Vec::new(); total];
+        node_qubits.extend(0..n);
 
-        let entry_node: Vec<NodeId> = (0..n).collect();
-        let gate_node: Vec<NodeId> = (n..n + g).collect();
-        let exit_node: Vec<NodeId> = (n + g..n + g + n).collect();
-
-        // Trace each qubit through the gates: last_producer[q] is the vertex
-        // that most recently emitted qubit q.
-        let mut last: Vec<NodeId> = entry_node.clone();
+        // Trace each qubit through the gates: last[q] is the vertex that
+        // most recently emitted qubit q. Edges fill each vertex's range in
+        // the order they are found.
+        let mut succs = vec![(0, 0); succ_start[total]];
+        let mut preds = vec![(0, 0); pred_start[total]];
+        let mut succ_fill = succ_start[..total].to_vec();
+        let mut pred_fill = pred_start[..total].to_vec();
+        let mut edge = |from: NodeId, to: NodeId, q: Qubit| {
+            succs[succ_fill[from]] = (to, q);
+            succ_fill[from] += 1;
+            preds[pred_fill[to]] = (from, q);
+            pred_fill[to] += 1;
+        };
+        let mut last: Vec<NodeId> = (0..n).collect();
         for (i, gate) in circuit.gates().iter().enumerate() {
-            let node = gate_node[i];
             for &q in &gate.qubits {
-                succs[last[q]].push((node, q));
-                preds[node].push((last[q], q));
-                last[q] = node;
+                edge(last[q], n + i, q);
+                last[q] = n + i;
             }
         }
-        for q in 0..n {
-            succs[last[q]].push((exit_node[q], q));
-            preds[exit_node[q]].push((last[q], q));
+        for (q, &from) in last.iter().enumerate() {
+            edge(from, n + g + q, q);
         }
 
         Self {
             num_qubits: n,
+            num_gates: g,
             kinds,
             node_qubits,
+            qubit_start,
             succs,
+            succ_start,
             preds,
-            gate_node,
-            entry_node,
-            exit_node,
+            pred_start,
         }
     }
 
@@ -138,12 +152,12 @@ impl CircuitDag {
     /// Number of computational gate vertices.
     #[inline]
     pub fn num_gate_nodes(&self) -> usize {
-        self.gate_node.len()
+        self.num_gates
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.succs.iter().map(|s| s.len()).sum()
+        self.succs.len()
     }
 
     /// The kind of a vertex.
@@ -155,37 +169,40 @@ impl CircuitDag {
     /// The qubits a vertex touches.
     #[inline]
     pub fn qubits_of(&self, node: NodeId) -> &[Qubit] {
-        &self.node_qubits[node]
+        &self.node_qubits[self.qubit_start[node]..self.qubit_start[node + 1]]
     }
 
     /// Successor edges of a vertex, as `(successor, qubit)` pairs.
     #[inline]
     pub fn successors(&self, node: NodeId) -> &[(NodeId, Qubit)] {
-        &self.succs[node]
+        &self.succs[self.succ_start[node]..self.succ_start[node + 1]]
     }
 
     /// Predecessor edges of a vertex, as `(predecessor, qubit)` pairs.
     #[inline]
     pub fn predecessors(&self, node: NodeId) -> &[(NodeId, Qubit)] {
-        &self.preds[node]
+        &self.preds[self.pred_start[node]..self.pred_start[node + 1]]
     }
 
     /// Node id of gate `gate_index`.
     #[inline]
     pub fn gate_node(&self, gate_index: usize) -> NodeId {
-        self.gate_node[gate_index]
+        debug_assert!(gate_index < self.num_gates);
+        self.num_qubits + gate_index
     }
 
     /// Node id of qubit `q`'s entry vertex.
     #[inline]
     pub fn entry_node(&self, q: Qubit) -> NodeId {
-        self.entry_node[q]
+        debug_assert!(q < self.num_qubits);
+        q
     }
 
     /// Node id of qubit `q`'s exit vertex.
     #[inline]
     pub fn exit_node(&self, q: Qubit) -> NodeId {
-        self.exit_node[q]
+        debug_assert!(q < self.num_qubits);
+        self.num_qubits + self.num_gates + q
     }
 
     /// The gate index of a gate vertex, or `None` for entry/exit vertices.
@@ -200,8 +217,8 @@ impl CircuitDag {
     /// All edges of the DAG.
     pub fn edges(&self) -> Vec<Edge> {
         let mut out = Vec::with_capacity(self.num_edges());
-        for (from, succ) in self.succs.iter().enumerate() {
-            for &(to, qubit) in succ {
+        for from in 0..self.num_nodes() {
+            for &(to, qubit) in self.successors(from) {
                 out.push(Edge { from, to, qubit });
             }
         }
@@ -213,22 +230,20 @@ impl CircuitDag {
     pub fn working_set(&self, nodes: &[NodeId]) -> BTreeSet<Qubit> {
         let mut set = BTreeSet::new();
         for &node in nodes {
-            for &q in &self.node_qubits[node] {
-                set.insert(q);
-            }
+            set.extend(self.qubits_of(node));
         }
         set
     }
 
     /// The working set of a set of *gate indices* (circuit positions).
     pub fn working_set_of_gates(&self, gate_indices: &[usize]) -> BTreeSet<Qubit> {
-        let nodes: Vec<NodeId> = gate_indices.iter().map(|&g| self.gate_node[g]).collect();
+        let nodes: Vec<NodeId> = gate_indices.iter().map(|&g| self.gate_node(g)).collect();
         self.working_set(&nodes)
     }
 
     /// The gate vertices in natural (circuit) order.
     pub fn natural_gate_order(&self) -> Vec<NodeId> {
-        self.gate_node.clone()
+        (0..self.num_gates).map(|g| self.gate_node(g)).collect()
     }
 
     /// A random DFS-based topological order of the *gate* vertices.
@@ -240,7 +255,8 @@ impl CircuitDag {
     pub fn random_dfs_gate_order(&self, seed: u64) -> Vec<NodeId> {
         let mut rng = StdRng::seed_from_u64(seed);
         let total = self.num_nodes();
-        let mut remaining_preds: Vec<usize> = (0..total).map(|v| self.preds[v].len()).collect();
+        let mut remaining_preds: Vec<usize> =
+            (0..total).map(|v| self.predecessors(v).len()).collect();
         // Ready stack seeded with the entry vertices, shuffled.
         let mut ready: Vec<NodeId> = (0..total).filter(|&v| remaining_preds[v] == 0).collect();
         ready.shuffle(&mut rng);
@@ -254,7 +270,7 @@ impl CircuitDag {
             // Collect newly-ready successors, then push them in random order
             // (DFS flavour: pushed on top of the stack).
             let mut newly_ready: Vec<NodeId> = Vec::new();
-            for &(succ, _) in &self.succs[node] {
+            for &(succ, _) in self.successors(node) {
                 remaining_preds[succ] -= 1;
                 if remaining_preds[succ] == 0 {
                     newly_ready.push(succ);
@@ -282,7 +298,7 @@ impl CircuitDag {
             position[node] = pos;
         }
         for &node in order {
-            for &(pred, _) in &self.preds[node] {
+            for &(pred, _) in self.predecessors(node) {
                 if let NodeKind::Gate(_) = self.kinds[pred] {
                     if position[pred] == usize::MAX || position[pred] > position[node] {
                         return false;
@@ -299,8 +315,9 @@ impl CircuitDag {
         let mut longest = vec![0usize; self.num_nodes()];
         // Process in node-id order is not topological in general; do a
         // Kahn-style pass instead.
-        let mut remaining: Vec<usize> =
-            (0..self.num_nodes()).map(|v| self.preds[v].len()).collect();
+        let mut remaining: Vec<usize> = (0..self.num_nodes())
+            .map(|v| self.predecessors(v).len())
+            .collect();
         let mut queue: std::collections::VecDeque<NodeId> = (0..self.num_nodes())
             .filter(|&v| remaining[v] == 0)
             .collect();
@@ -309,7 +326,7 @@ impl CircuitDag {
             let weight = usize::from(!self.kinds[node].is_artificial());
             let here = longest[node] + weight;
             best = best.max(here);
-            for &(succ, _) in &self.succs[node] {
+            for &(succ, _) in self.successors(node) {
                 longest[succ] = longest[succ].max(here);
                 remaining[succ] -= 1;
                 if remaining[succ] == 0 {
@@ -318,6 +335,96 @@ impl CircuitDag {
             }
         }
         best
+    }
+}
+
+/// A set of qubits as a bitset, with its size kept: the working set of a
+/// part, a cluster or a subset, whose size and overlaps are popcounts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QubitSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl QubitSet {
+    /// The empty set over qubits `0..num_qubits`.
+    pub fn new(num_qubits: usize) -> Self {
+        Self {
+            words: vec![0; num_qubits.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    /// The working set of `nodes`.
+    pub fn of(dag: &CircuitDag, nodes: &[NodeId]) -> Self {
+        let mut set = Self::new(dag.num_qubits());
+        for &n in nodes {
+            set.extend(dag.qubits_of(n));
+        }
+        set
+    }
+
+    /// Number of qubits in the set.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no qubit.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empty the set.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Whether qubit `q` is in the set.
+    #[inline]
+    pub fn contains(&self, q: Qubit) -> bool {
+        self.words[q / 64] >> (q % 64) & 1 == 1
+    }
+
+    /// Add `qubits` to the set.
+    pub fn extend(&mut self, qubits: &[Qubit]) {
+        for &q in qubits {
+            let bit = 1u64 << (q % 64);
+            let word = &mut self.words[q / 64];
+            if *word & bit == 0 {
+                *word |= bit;
+                self.len += 1;
+            }
+        }
+    }
+
+    /// `|self ∪ other|` and `|self ∩ other|`.
+    pub fn union_and_overlap(&self, other: &Self) -> (usize, usize) {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .fold((0, 0), |(u, i), (a, b)| {
+                (
+                    u + (a | b).count_ones() as usize,
+                    i + (a & b).count_ones() as usize,
+                )
+            })
+    }
+
+    /// The qubits, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Qubit> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -453,6 +560,20 @@ mod tests {
         assert_eq!(ws.len(), 3);
         let all = dag.working_set_of_gates(&[0, 1, 2]);
         assert_eq!(all.len(), 4);
+    }
+
+    #[test]
+    fn qubit_sets_count_iterate_and_overlap_across_words() {
+        let mut a = QubitSet::new(130);
+        a.extend(&[129, 3, 64, 3, 0]);
+        assert_eq!(a.len(), 4);
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![0, 3, 64, 129]);
+        assert!(a.contains(64) && !a.contains(63));
+        let mut b = QubitSet::new(130);
+        b.extend(&[64, 65]);
+        assert_eq!(a.union_and_overlap(&b), (5, 1));
+        a.clear();
+        assert!(a.is_empty() && a.iter().next().is_none());
     }
 
     #[test]

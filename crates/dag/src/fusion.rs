@@ -25,7 +25,7 @@
 
 use crate::dag::{CircuitDag, NodeId};
 use hisvsim_circuit::Qubit;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// What the grouping needs to know about one gate: whether it is diagonal
 /// (diagonal runs have no width limit and never mix amplitudes) and the
@@ -70,139 +70,143 @@ impl FusionGroup {
     }
 }
 
-/// Grow fusion groups along the DAG's ready frontier (antichains of the
-/// dependency relation).
+/// Grow fusion groups along the ready frontier (antichains of the
+/// dependency relation) of the gates `gates` of the DAG's circuit, and hand
+/// each to `visit` in order.
 ///
-/// `classes[i]` describes gate `i` of the circuit the DAG was built from;
-/// `max_width` caps the qubit union of dense groups (diagonal runs are
-/// width-free). A non-diagonal gate wider than `max_width` is emitted as a
-/// group of its own.
+/// `gates` lists circuit gate indices in ascending order: every gate, or one
+/// part of a validated (acyclic) partition. Such a part is convex — no
+/// dependency path leaves it and comes back — so its gates' edges within the
+/// part are exactly the DAG of the part materialized as a circuit of its
+/// own, and grouping it here groups it as that circuit would be grouped,
+/// without building the circuit or its DAG. `classes[i]` describes
+/// `gates[i]`; `max_width` caps the qubit union of dense groups (diagonal
+/// runs are width-free). A non-diagonal gate wider than `max_width` is
+/// emitted as a group of its own.
 ///
-/// Guarantees, for any input:
+/// Guarantees, for any convex `gates`:
 ///
-/// * every gate appears in exactly one group;
+/// * every gate of `gates` appears in exactly one group;
 /// * concatenating the groups yields a valid topological order of the
-///   gate-dependency DAG ([`CircuitDag::is_valid_gate_order`]);
+///   gates' dependencies ([`CircuitDag::is_valid_gate_order`] for all gates);
 /// * every non-diagonal group's qubit union is at most
 ///   `max_width.max(arity of its single oversized gate)`;
 /// * the result is deterministic (ties broken by ascending gate index).
 pub fn antichain_fusion_groups(
     dag: &CircuitDag,
+    gates: &[usize],
     classes: &[GateClass],
     max_width: usize,
-) -> Vec<FusionGroup> {
+    mut visit: impl FnMut(&FusionGroup),
+) {
     assert!(max_width >= 1, "fusion width must be at least 1");
     assert_eq!(
         classes.len(),
-        dag.num_gate_nodes(),
+        gates.len(),
         "one GateClass per gate required"
     );
-    let total = dag.num_nodes();
-    let mut indegree: Vec<usize> = (0..total).map(|v| dag.predecessors(v).len()).collect();
-    // Gates whose dependency predecessors are all grouped already (or are
-    // artificial entry vertices), ordered by gate index for determinism.
-    let mut ready: BTreeSet<usize> = BTreeSet::new();
-
-    // Completing a vertex releases its successors; artificial vertices
-    // (entries, exits) complete transparently.
-    fn complete(
-        dag: &CircuitDag,
-        node: NodeId,
-        indegree: &mut [usize],
-        ready: &mut BTreeSet<usize>,
-    ) {
-        for &(succ, _) in dag.successors(node) {
-            indegree[succ] -= 1;
-            if indegree[succ] == 0 {
-                match dag.gate_index(succ) {
-                    Some(gate) => {
-                        ready.insert(gate);
-                    }
-                    // An exit vertex has no successors; nothing to release.
-                    None => complete(dag, succ, indegree, ready),
-                }
+    assert!(gates.windows(2).all(|w| w[0] < w[1]), "gates must ascend");
+    // Position in `gates` of the gate at `node`, if it is one of them and
+    // its position is in `range` (a dependency of the gate at `at` lies
+    // before `at`, a dependent after it).
+    let every_gate = gates.len() == dag.num_gate_nodes();
+    let position = |node: NodeId, range: Range<usize>| {
+        let gate = dag.gate_index(node)?;
+        match every_gate {
+            true => Some(gate),
+            false => (gates[range.clone()].binary_search(&gate).ok()).map(|at| range.start + at),
+        }
+    };
+    // Dependency edges from other gates of `gates` not yet grouped, and the
+    // positions (so, gate indices) whose count is zero, ascending.
+    let mut indegree = vec![0usize; gates.len()];
+    for (at, &gate) in gates.iter().enumerate() {
+        let preds = dag.predecessors(dag.gate_node(gate));
+        indegree[at] = preds
+            .iter()
+            .filter(|&&(pred, _)| position(pred, 0..at).is_some())
+            .count();
+    }
+    let mut ready: Vec<usize> = (0..gates.len()).filter(|&at| indegree[at] == 0).collect();
+    // Grouping the gate at `at` releases its dependents among `gates`.
+    let complete = |at: usize, indegree: &mut [usize], ready: &mut Vec<usize>| {
+        for &(succ, _) in dag.successors(dag.gate_node(gates[at])) {
+            let Some(next) = position(succ, at + 1..gates.len()) else {
+                continue;
+            };
+            indegree[next] -= 1;
+            if indegree[next] == 0 {
+                let slot = ready.partition_point(|&r| r < next);
+                ready.insert(slot, next);
             }
         }
-    }
+    };
 
-    // Seed: every zero-indegree vertex (the entries; for an empty circuit
-    // also the exits, which complete transparently).
-    for node in 0..total {
-        if indegree[node] == 0 {
-            match dag.gate_index(node) {
-                Some(gate) => {
-                    ready.insert(gate);
-                }
-                None => complete(dag, node, &mut indegree, &mut ready),
-            }
-        }
-    }
-
-    let mut groups: Vec<FusionGroup> = Vec::new();
-    while let Some(&seed) = ready.iter().next() {
-        ready.remove(&seed);
-        let seed_qubits = dag.qubits_of(dag.gate_node(seed)).to_vec();
-        let diagonal = classes[seed].diagonal;
-        let mut group = FusionGroup {
-            gates: vec![seed],
-            qubits: seed_qubits,
-            diagonal,
-        };
-        complete(dag, dag.gate_node(seed), &mut indegree, &mut ready);
-
-        // An oversized non-diagonal gate travels alone.
-        if !diagonal && group.qubits.len() > max_width {
-            groups.push(group);
-            continue;
-        }
+    // One group at a time, in a buffer handed to `visit`.
+    let mut group = FusionGroup {
+        gates: Vec::new(),
+        qubits: Vec::new(),
+        diagonal: false,
+    };
+    let mut grouped = 0;
+    while !ready.is_empty() {
+        let seed = ready.remove(0);
+        group.diagonal = classes[seed].diagonal;
+        group.gates.clear();
+        group.gates.push(gates[seed]);
+        group.qubits.clear();
+        group
+            .qubits
+            .extend(dag.qubits_of(dag.gate_node(gates[seed])));
+        complete(seed, &mut indegree, &mut ready);
 
         // Grow to a (greedy) maximal group: scan the ready frontier in
         // ascending gate index for the first absorbable gate; absorbing it
         // may release successors into the frontier, so rescan until a full
         // pass absorbs nothing.
-        loop {
-            let candidate = ready
-                .iter()
-                .copied()
-                .find(|&gate| can_join(&group, dag, classes, gate, max_width));
-            let Some(gate) = candidate else { break };
-            ready.remove(&gate);
-            for &q in dag.qubits_of(dag.gate_node(gate)) {
+        while let Some(slot) =
+            (ready.iter()).position(|&at| can_join(&group, dag, &classes[at], gates[at], max_width))
+        {
+            let at = ready.remove(slot);
+            for &q in dag.qubits_of(dag.gate_node(gates[at])) {
                 if !group.qubits.contains(&q) {
                     group.qubits.push(q);
                 }
             }
-            group.gates.push(gate);
-            complete(dag, dag.gate_node(gate), &mut indegree, &mut ready);
+            group.gates.push(gates[at]);
+            complete(at, &mut indegree, &mut ready);
         }
-        groups.push(group);
+        grouped += group.len();
+        visit(&group);
     }
-
-    debug_assert_eq!(
-        groups.iter().map(FusionGroup::len).sum::<usize>(),
-        dag.num_gate_nodes(),
-        "every gate must be grouped exactly once"
+    assert_eq!(
+        grouped,
+        gates.len(),
+        "every gate must be grouped exactly once (a part must be convex)"
     );
-    groups
 }
 
 /// Whether a ready `gate` may be absorbed by `group` under the width cap
 /// and the caller's cost allowance: diagonal runs absorb any diagonal gate;
-/// a dense group absorbs a diagonal gate only when it adds no qubits (the
-/// matrix product keeps its dimension), and a non-diagonal gate only when
+/// a group wider than the cap (one oversized gate) absorbs nothing; a dense
+/// group absorbs a diagonal gate only when it adds no qubits (the matrix
+/// product keeps its dimension), and a non-diagonal gate only when
 /// the widened kernel's extra per-amplitude arithmetic
 /// (`2^union − 2^current`) stays within the gate's standalone cost.
 fn can_join(
     group: &FusionGroup,
     dag: &CircuitDag,
-    classes: &[GateClass],
+    class: &GateClass,
     gate: usize,
     max_width: usize,
 ) -> bool {
-    let class = &classes[gate];
     let gate_qubits = dag.qubits_of(dag.gate_node(gate));
     if group.diagonal {
         return class.diagonal;
+    }
+    // An oversized non-diagonal gate travels alone.
+    if group.qubits.len() > max_width {
+        return false;
     }
     if class.diagonal {
         return gate_qubits.iter().all(|q| group.qubits.contains(q));
@@ -238,6 +242,25 @@ mod tests {
             .collect()
     }
 
+    /// The groups the grouping visits, in order.
+    fn groups(
+        dag: &CircuitDag,
+        gates: &[usize],
+        classes: &[GateClass],
+        width: usize,
+    ) -> Vec<FusionGroup> {
+        let mut groups = Vec::new();
+        antichain_fusion_groups(dag, gates, classes, width, |group| {
+            groups.push(group.clone())
+        });
+        groups
+    }
+
+    /// Every gate of the circuit, the grouping's whole-circuit input.
+    fn every_gate(circuit: &Circuit) -> Vec<usize> {
+        (0..circuit.num_gates()).collect()
+    }
+
     fn flatten_to_nodes(dag: &CircuitDag, groups: &[FusionGroup]) -> Vec<NodeId> {
         groups
             .iter()
@@ -251,7 +274,7 @@ mod tests {
             let circuit = generators::by_name(name, 9);
             let dag = CircuitDag::from_circuit(&circuit);
             for width in [1usize, 2, 3, 5] {
-                let groups = antichain_fusion_groups(&dag, &classes_of(&circuit), width);
+                let groups = groups(&dag, &every_gate(&circuit), &classes_of(&circuit), width);
                 assert!(
                     dag.is_valid_gate_order(&flatten_to_nodes(&dag, &groups)),
                     "{name}@width{width}: group order violates dependencies"
@@ -261,11 +284,43 @@ mod tests {
     }
 
     #[test]
+    fn a_convex_part_groups_as_its_materialized_circuit() {
+        // Consecutive runs of a topological order are convex parts. Grouping
+        // one in place must give the groups of the part built as a circuit
+        // of its own (gate `i` of which is `part[i]`), gate for gate and
+        // qubit for qubit.
+        for seed in 0..6 {
+            let circuit = generators::random_circuit(8, 160, seed);
+            let dag = CircuitDag::from_circuit(&circuit);
+            let classes = classes_of(&circuit);
+            let order = dag.random_dfs_gate_order(seed);
+            for chunk in order.chunks(23) {
+                let mut part: Vec<usize> =
+                    chunk.iter().filter_map(|&n| dag.gate_index(n)).collect();
+                part.sort_unstable();
+                let part_classes: Vec<GateClass> = part.iter().map(|&g| classes[g]).collect();
+                let sub = circuit.subcircuit(&part);
+                let sub_dag = CircuitDag::from_circuit(&sub);
+                for width in [1usize, 2, 3, 4] {
+                    let in_place = groups(&dag, &part, &part_classes, width);
+                    let alone = groups(&sub_dag, &every_gate(&sub), &part_classes, width);
+                    assert_eq!(in_place.len(), alone.len(), "seed {seed} width {width}");
+                    for (a, b) in in_place.iter().zip(&alone) {
+                        let mapped: Vec<usize> = b.gates.iter().map(|&i| part[i]).collect();
+                        assert_eq!(a.gates, mapped, "seed {seed} width {width}");
+                        assert_eq!((&a.qubits, a.diagonal), (&b.qubits, b.diagonal));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn random_interleaved_circuits_linearize_and_cover_every_gate() {
         for seed in 0..8 {
             let circuit = generators::random_circuit(8, 90, seed);
             let dag = CircuitDag::from_circuit(&circuit);
-            let groups = antichain_fusion_groups(&dag, &classes_of(&circuit), 3);
+            let groups = groups(&dag, &every_gate(&circuit), &classes_of(&circuit), 3);
             assert!(dag.is_valid_gate_order(&flatten_to_nodes(&dag, &groups)));
             let mut seen = vec![false; circuit.num_gates()];
             for group in &groups {
@@ -283,7 +338,7 @@ mod tests {
         let circuit = generators::random_circuit(9, 120, 0xCAFE);
         let dag = CircuitDag::from_circuit(&circuit);
         for width in [2usize, 3, 4] {
-            for group in antichain_fusion_groups(&dag, &classes_of(&circuit), width) {
+            for group in groups(&dag, &every_gate(&circuit), &classes_of(&circuit), width) {
                 let union = dag
                     .working_set_of_gates(&group.gates)
                     .into_iter()
@@ -306,7 +361,7 @@ mod tests {
         let circuit = generators::random_circuit(7, 80, 7);
         let dag = CircuitDag::from_circuit(&circuit);
         let classes = classes_of(&circuit);
-        for group in antichain_fusion_groups(&dag, &classes, 3) {
+        for group in groups(&dag, &every_gate(&circuit), &classes, 3) {
             if group.diagonal {
                 assert!(group.gates.iter().all(|&g| classes[g].diagonal));
             }
@@ -317,12 +372,12 @@ mod tests {
     fn empty_and_single_gate_circuits() {
         let empty = Circuit::new(3);
         let dag = CircuitDag::from_circuit(&empty);
-        assert!(antichain_fusion_groups(&dag, &[], 3).is_empty());
+        assert!(groups(&dag, &[], &[], 3).is_empty());
 
         let mut one = Circuit::new(2);
         one.h(0);
         let dag = CircuitDag::from_circuit(&one);
-        let groups = antichain_fusion_groups(&dag, &classes_of(&one), 3);
+        let groups = groups(&dag, &every_gate(&one), &classes_of(&one), 3);
         assert_eq!(groups.len(), 1);
         assert_eq!(groups[0].gates, vec![0]);
         assert_eq!(groups[0].qubits, vec![0]);
@@ -332,7 +387,7 @@ mod tests {
     fn oversized_gates_travel_alone() {
         let circuit = generators::adder(8); // contains 3-qubit Toffolis
         let dag = CircuitDag::from_circuit(&circuit);
-        let groups = antichain_fusion_groups(&dag, &classes_of(&circuit), 2);
+        let groups = groups(&dag, &every_gate(&circuit), &classes_of(&circuit), 2);
         assert!(dag.is_valid_gate_order(&flatten_to_nodes(&dag, &groups)));
         let oversized: Vec<&FusionGroup> = groups
             .iter()
@@ -359,7 +414,7 @@ mod tests {
         circuit.cx(1, 0);
         let dag = CircuitDag::from_circuit(&circuit);
         let classes = classes_of(&circuit);
-        let groups = antichain_fusion_groups(&dag, &classes, 2);
+        let groups = groups(&dag, &every_gate(&circuit), &classes, 2);
         assert!(dag.is_valid_gate_order(&flatten_to_nodes(&dag, &groups)));
         let pair_group = groups
             .iter()
@@ -375,8 +430,8 @@ mod tests {
     fn determinism_same_input_same_groups() {
         let circuit = generators::random_circuit(8, 100, 42);
         let dag = CircuitDag::from_circuit(&circuit);
-        let a = antichain_fusion_groups(&dag, &classes_of(&circuit), 3);
-        let b = antichain_fusion_groups(&dag, &classes_of(&circuit), 3);
+        let a = groups(&dag, &every_gate(&circuit), &classes_of(&circuit), 3);
+        let b = groups(&dag, &every_gate(&circuit), &classes_of(&circuit), 3);
         let gates =
             |groups: &[FusionGroup]| groups.iter().map(|g| g.gates.clone()).collect::<Vec<_>>();
         assert_eq!(gates(&a), gates(&b));

@@ -12,7 +12,8 @@
 //!   conditions (coverage, working-set limit `Lm`, acyclicity).
 //! * [`fusion`] — [`antichain_fusion_groups`]: DAG-driven fusion grouping
 //!   along the ready frontier, the structural-commutation covering that
-//!   feeds `hisvsim-statevec`'s `FusedCircuit::from_dag`.
+//!   feeds `hisvsim-statevec`'s `FusedCircuit::from_part` (a whole
+//!   circuit, or one part of a partition in place).
 //!
 //! ## Example
 //!
@@ -36,6 +37,6 @@ pub mod dag;
 pub mod fusion;
 pub mod partition;
 
-pub use dag::{CircuitDag, Edge, NodeId, NodeKind};
+pub use dag::{CircuitDag, Edge, NodeId, NodeKind, QubitSet};
 pub use fusion::{antichain_fusion_groups, FusionGroup, GateClass};
 pub use partition::{PartGraph, Partition, PartitionError};

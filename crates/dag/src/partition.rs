@@ -3,10 +3,8 @@
 //! *part-graph*, and the validation rules of Sec. IV-A (working-set limit,
 //! acyclicity, complete coverage).
 
-use crate::dag::{CircuitDag, NodeKind};
-use hisvsim_circuit::Qubit;
+use crate::dag::{CircuitDag, NodeKind, QubitSet};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// An assignment of every gate of a circuit to a part.
 ///
@@ -126,21 +124,20 @@ impl Partition {
         parts
     }
 
-    /// Working set (distinct qubits) of each part.
-    pub fn working_sets(&self, dag: &CircuitDag) -> Vec<BTreeSet<Qubit>> {
-        self.gates_by_part()
-            .iter()
-            .map(|gates| dag.working_set_of_gates(gates))
-            .collect()
+    /// Working set (distinct qubits) of each part, from one pass over the
+    /// gates.
+    pub fn working_sets(&self, dag: &CircuitDag) -> Vec<QubitSet> {
+        let mut sets = vec![QubitSet::new(dag.num_qubits()); self.num_parts];
+        for (gate, &p) in self.part_of_gate.iter().enumerate() {
+            sets[p].extend(dag.qubits_of(dag.gate_node(gate)));
+        }
+        sets
     }
 
     /// Largest working-set size over all parts.
     pub fn max_working_set(&self, dag: &CircuitDag) -> usize {
-        self.working_sets(dag)
-            .iter()
-            .map(|ws| ws.len())
-            .max()
-            .unwrap_or(0)
+        let sets = self.working_sets(dag);
+        sets.iter().map(QubitSet::len).max().unwrap_or(0)
     }
 
     /// Validate the partition against the paper's three conditions: complete
@@ -153,12 +150,11 @@ impl Partition {
                 got: self.part_of_gate.len(),
             });
         }
-        let parts = self.gates_by_part();
-        for (p, gates) in parts.iter().enumerate() {
-            if gates.is_empty() {
+        // Every gate touches a qubit, so a part with no qubits has no gates.
+        for (p, ws) in self.working_sets(dag).iter().enumerate() {
+            if ws.is_empty() {
                 return Err(PartitionError::EmptyPart(p));
             }
-            let ws = dag.working_set_of_gates(gates);
             if ws.len() > limit {
                 return Err(PartitionError::WorkingSetExceeded {
                     part: p,
@@ -204,34 +200,33 @@ impl PartGraph {
     /// vertices are ignored (they belong to no part).
     pub fn build(dag: &CircuitDag, partition: &Partition) -> Self {
         let k = partition.num_parts();
-        let mut weights: std::collections::BTreeMap<(usize, usize), usize> = Default::default();
-        let mut edge_cut = 0usize;
-        for node in 0..dag.num_nodes() {
-            let Some(gi) = dag.gate_index(node) else {
-                continue;
-            };
-            let from_part = partition.part_of(gi);
-            for &(succ, _) in dag.successors(node) {
-                if let NodeKind::Gate(gj) = dag.kind(succ) {
-                    let to_part = partition.part_of(gj);
+        // One entry per DAG edge between two parts, sorted so each run is
+        // one quotient edge and each part's successors ascend.
+        let mut crossing: Vec<(usize, usize)> = Vec::new();
+        for gate in 0..partition.num_gates() {
+            let from_part = partition.part_of(gate);
+            for &(succ, _) in dag.successors(dag.gate_node(gate)) {
+                if let NodeKind::Gate(next) = dag.kind(succ) {
+                    let to_part = partition.part_of(next);
                     if from_part != to_part {
-                        *weights.entry((from_part, to_part)).or_insert(0) += 1;
-                        edge_cut += 1;
+                        crossing.push((from_part, to_part));
                     }
                 }
             }
         }
+        crossing.sort_unstable();
         let mut succ = vec![Vec::new(); k];
         let mut pred_count = vec![0usize; k];
-        for (&(a, b), &w) in &weights {
-            succ[a].push((b, w));
+        for run in crossing.chunk_by(|a, b| a == b) {
+            let (a, b) = run[0];
+            succ[a].push((b, run.len()));
             pred_count[b] += 1;
         }
         Self {
             num_parts: k,
             succ,
             pred_count,
-            edge_cut,
+            edge_cut: crossing.len(),
         }
     }
 

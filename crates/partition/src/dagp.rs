@@ -30,17 +30,25 @@
 //! objective exact as vertices move.
 //!
 //! Cost per phase on the `plan_cold` probe (`random_circuit(11, 3000)` at
-//! limit 8: ~330 bisections, ~110 parts), release build, one thread:
+//! limit 8: ~330 bisections, ~110 parts), release build, one thread, and
+//! beside it the rest of a cold plan:
 //!
 //! | phase | ms |
 //! |---|---|
 //! | recursive bisection: coarsening ~0.4, split scan ~0.5, refinement ~0.4, fit tests ~0.1 | 1.5–2.1 |
 //! | ready-list packing | 0.23–0.38 |
 //! | merge phase: every pair of parts scored by popcounts, sorted, tested for acyclicity | 0.17–0.26 |
-//! | `Partition::validate` | 0.28–0.43 |
+//! | `Partition::validate` (qubit bitsets, sorted quotient edges) | 0.09–0.10 |
+//! | `CircuitDag::from_circuit` (flat edge arrays) | 0.10–0.11 |
+//! | `FusedSinglePlan::new`, every part fused in place on the job's DAG | 1.3–1.4 |
+//!
+//! Fusion, not dagP, was the largest cold-planning term: 2.9–3.1 ms while
+//! each part was copied into a circuit of its own, given a DAG of its own
+//! and its group matrices built through embedded copies. Fused in place it
+//! is below the bisection again.
 
 use crate::error::PartitionBuildError;
-use hisvsim_dag::{CircuitDag, NodeId, Partition};
+use hisvsim_dag::{CircuitDag, NodeId, Partition, QubitSet};
 use std::collections::BTreeSet;
 
 /// Maximum allowed imbalance between the two sides of a bisection,
@@ -88,63 +96,6 @@ const EARLY: u8 = 1;
 /// A vertex of the subset on the late side of the split.
 const LATE: u8 = 2;
 
-/// A set of qubits as a bitset, with its size kept.
-struct QubitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl QubitSet {
-    fn new(num_qubits: usize) -> Self {
-        Self {
-            words: vec![0; num_qubits.div_ceil(64)],
-            len: 0,
-        }
-    }
-
-    /// The working set of `nodes`.
-    fn of(dag: &CircuitDag, nodes: &[NodeId]) -> Self {
-        let mut set = Self::new(dag.num_qubits());
-        for &n in nodes {
-            set.extend(dag.qubits_of(n));
-        }
-        set
-    }
-
-    fn clear(&mut self) {
-        self.words.fill(0);
-        self.len = 0;
-    }
-
-    fn contains(&self, q: usize) -> bool {
-        self.words[q / 64] >> (q % 64) & 1 == 1
-    }
-
-    fn extend(&mut self, qubits: &[usize]) {
-        for &q in qubits {
-            let bit = 1u64 << (q % 64);
-            let word = &mut self.words[q / 64];
-            if *word & bit == 0 {
-                *word |= bit;
-                self.len += 1;
-            }
-        }
-    }
-
-    /// `|self ∪ other|` and `|self ∩ other|`.
-    fn union_and_overlap(&self, other: &Self) -> (usize, usize) {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .fold((0, 0), |(u, i), (a, b)| {
-                (
-                    u + (a | b).count_ones() as usize,
-                    i + (a & b).count_ones() as usize,
-                )
-            })
-    }
-}
-
 /// The buffers the recursive bisection reuses from one call to the next.
 struct Scratch {
     /// Per vertex: [`OUT`], or the side of the subset being bisected it is on.
@@ -179,7 +130,7 @@ impl Scratch {
         self.qubits.clear();
         for &n in nodes {
             self.qubits.extend(dag.qubits_of(n));
-            if self.qubits.len > limit {
+            if self.qubits.len() > limit {
                 return false;
             }
         }

@@ -55,9 +55,10 @@ impl MultilevelPartition {
 
     /// Validate the whole two-level structure against `dag`: the first
     /// level must be a valid acyclic partition under `first_limit`, the
-    /// second-level table must cover exactly each first-level part's gates,
-    /// and every non-trivial second-level partition must itself validate
-    /// (acyclic, working sets within `second_limit`) on the part's sub-DAG.
+    /// second-level table must list exactly each first-level part's gates
+    /// in ascending order, and every non-trivial second-level partition
+    /// must itself validate (acyclic, working sets within `second_limit`) on
+    /// the part's sub-DAG.
     /// The guard for two-level plans from untrusted sources (e.g. a
     /// disk-persisted plan cache).
     pub fn validate(&self, dag: &CircuitDag, first_limit: usize) -> Result<(), String> {
@@ -73,13 +74,9 @@ impl MultilevelPartition {
             ));
         }
         for (p, (gates, partition)) in self.second.iter().enumerate() {
-            let mut expected = by_part[p].clone();
-            expected.sort_unstable();
-            let mut got = gates.clone();
-            got.sort_unstable();
-            if expected != got {
+            if *gates != by_part[p] {
                 return Err(format!(
-                    "second level of part {p} does not cover exactly the part's gates"
+                    "second level of part {p} does not list exactly the part's gates, ascending"
                 ));
             }
             if partition.num_parts() <= 1 {

@@ -686,20 +686,37 @@ impl JobRunner {
         }
         let planner = Planner;
         let two_level = decision.engine == EngineKind::Multilevel;
+        // A cold plan's phases, each a span inside the job's `job/plan`.
+        let build_dag = || {
+            let _span = hisvsim_obs::span("plan", "dag");
+            CircuitDag::from_circuit(circuit)
+        };
+        let fuse_single = |dag: &CircuitDag, partition| {
+            let _span = hisvsim_obs::span("plan", "fuse");
+            CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, dag, partition)))
+        };
+        let fuse_two = |dag: &CircuitDag, ml| {
+            let _span = hisvsim_obs::span("plan", "fuse");
+            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml)))
+        };
         let plan_fresh = |dag: &CircuitDag| {
             if two_level {
-                planner
-                    .plan_two_level(dag, decision.limit, decision.second_limit)
-                    .map(|ml| CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml))))
+                let ml = {
+                    let _span = hisvsim_obs::span("plan", "partition");
+                    planner.plan_two_level(dag, decision.limit, decision.second_limit)
+                };
+                ml.map(|ml| fuse_two(dag, ml))
             } else {
-                planner
-                    .plan_single(dag, decision.limit)
-                    .map(|p| CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, dag, p))))
+                let partition = {
+                    let _span = hisvsim_obs::span("plan", "partition");
+                    planner.plan_single(dag, decision.limit)
+                };
+                partition.map(|partition| fuse_single(dag, partition))
             }
         };
 
         if self.config.cache_capacity == 0 {
-            let dag = CircuitDag::from_circuit(circuit);
+            let dag = build_dag();
             return plan_fresh(&dag).map(|plan| (Some(plan), PlanSource::Planned));
         }
 
@@ -709,7 +726,7 @@ impl JobRunner {
             second_limit: if two_level { decision.second_limit } else { 0 },
         };
         let outcome = self.cache.get_or_plan_tracked(key, || {
-            let dag = CircuitDag::from_circuit(circuit);
+            let dag = build_dag();
             // Warm start: a persisted partition for this key skips the
             // expensive partitioning — only re-fusion (cheap, and
             // necessarily process-local) remains. Untrusted snapshots are
@@ -719,14 +736,12 @@ impl JobRunner {
                     PersistedPlan::Single(partition)
                         if !two_level && partition.validate(&dag, decision.limit).is_ok() =>
                     {
-                        let plan = FusedSinglePlan::new(circuit, &dag, partition);
-                        return Ok((CachedPlan::Single(Arc::new(plan)), PlanSource::Warm));
+                        return Ok((fuse_single(&dag, partition), PlanSource::Warm));
                     }
                     PersistedPlan::Two(ml)
                         if two_level && ml.validate(&dag, decision.limit).is_ok() =>
                     {
-                        let plan = FusedTwoLevelPlan::new(circuit, &dag, ml);
-                        return Ok((CachedPlan::Two(Arc::new(plan)), PlanSource::Warm));
+                        return Ok((fuse_two(&dag, ml), PlanSource::Warm));
                     }
                     // Shape mismatch or a stale/invalid snapshot entry:
                     // fall through to planning from scratch.

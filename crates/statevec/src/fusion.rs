@@ -13,9 +13,12 @@
 //! * [`FusedCircuit`] — the engine-facing pipeline: grouping along
 //!   antichains of the gate-dependency DAG into cost-model-gated dense
 //!   groups, width-unlimited diagonal runs executed as one blocked streaming
-//!   pass, and solo fast-path gates, with per-op kernel data (sparse rows,
-//!   block classification) derived once at build time. Every engine
-//!   executes circuits through this form, fused at [`DEFAULT_FUSION_WIDTH`].
+//!   pass, and solo fast-path gates, with per-op kernel data (a dense
+//!   matrix's zero masks, a diagonal run's block classification) derived
+//!   once at build time. Every engine executes circuits through this form,
+//!   fused at [`DEFAULT_FUSION_WIDTH`]; a plan fuses each part of a
+//!   partition in place, on the circuit's own DAG
+//!   ([`FusedCircuit::from_part`]).
 //! * [`fuse_circuit`] — the minimal adjacent-only greedy scanner, kept as a
 //!   simple reference implementation and test oracle (dense groups only, no
 //!   reordering, no specialisation).
@@ -31,6 +34,9 @@ use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
 use rayon::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The most qubits one gate acts on (Toffoli, CSWAP).
+const MAX_GATE_QUBITS: usize = 3;
 
 /// The fusion width every engine, the runtime and the workers fuse at.
 ///
@@ -85,14 +91,15 @@ pub fn fuse_circuit(circuit: &Circuit, max_fused_qubits: usize) -> Vec<FusedGate
     let mut fused: Vec<FusedGate> = Vec::new();
     let mut group: Vec<usize> = Vec::new(); // gate indices of the open group
     let mut group_qubits: Vec<Qubit> = Vec::new();
+    let mut scratch = [Complex64::ZERO; _];
 
-    let flush =
+    let mut flush =
         |group: &mut Vec<usize>, group_qubits: &mut Vec<Qubit>, fused: &mut Vec<FusedGate>| {
             if group.is_empty() {
                 return;
             }
             let qubits = std::mem::take(group_qubits);
-            let matrix = build_group_matrix(circuit, group, &qubits);
+            let matrix = build_group_matrix(circuit, group, &qubits, &mut scratch);
             fused.push(FusedGate {
                 qubits,
                 matrix,
@@ -132,39 +139,99 @@ pub fn fuse_circuit(circuit: &Circuit, max_fused_qubits: usize) -> Vec<FusedGate
 
 /// Multiply the gates of a fusion group into one dense matrix over
 /// `group_qubits` (operand `j` of the fused gate = `group_qubits[j]`).
-fn build_group_matrix(circuit: &Circuit, group: &[usize], group_qubits: &[Qubit]) -> UnitaryMatrix {
-    let k = group_qubits.len();
-    let dim = 1usize << k;
-    let position = |q: Qubit| group_qubits.iter().position(|&g| g == q).unwrap();
-    let mut total = UnitaryMatrix::identity(dim);
+///
+/// Each gate multiplies the running product from the left as its embedding
+/// in the group space would (`embedded.matmul(&total)`), with the same
+/// multiply-adds in the same order, bit for bit: a row of the new product
+/// sums, from zero, over the embedded row's nonzero entries in ascending
+/// column, entry times that row of the old product. An embedded row is
+/// nonzero only on the columns that agree with it off the gate's qubits, so
+/// only those rows are read, and the embedding is never formed. The old and
+/// the new product alternate between the result and `spare`, the caller's
+/// scratch; a group wider than it fits takes its own.
+fn build_group_matrix(
+    circuit: &Circuit,
+    group: &[usize],
+    group_qubits: &[Qubit],
+    spare: &mut GroupScratch,
+) -> UnitaryMatrix {
+    let dim = 1usize << group_qubits.len();
+    let mut total = vec![Complex64::ZERO; dim * dim];
+    for (r, row) in total.chunks_exact_mut(dim).enumerate() {
+        row[r] = Complex64::ONE;
+    }
+    let mut heap = Vec::new();
+    let spare: &mut [Complex64] = match spare.get_mut(..dim * dim) {
+        Some(spare) => spare,
+        None => {
+            heap.resize(dim * dim, Complex64::ZERO);
+            &mut heap
+        }
+    };
+    let (mut old, mut new) = (&mut total[..], spare);
     for &gate_index in group {
         let gate = &circuit.gates()[gate_index];
         let g = gate.matrix();
-        // Embed the gate into the group space.
-        let mut embedded = UnitaryMatrix::from_rows(vec![Complex64::ZERO; dim * dim]);
-        for col in 0..dim {
-            let mut sub_col = 0usize;
-            for (j, &q) in gate.qubits.iter().enumerate() {
-                sub_col |= ((col >> position(q)) & 1) << j;
-            }
-            for sub_row in 0..g.dim() {
-                let amp = g.get(sub_row, sub_col);
-                if amp == Complex64::ZERO {
-                    continue;
-                }
-                let mut row = col;
-                for (j, &q) in gate.qubits.iter().enumerate() {
-                    let bit = (sub_row >> j) & 1;
-                    let p = position(q);
-                    row = (row & !(1 << p)) | (bit << p);
-                }
-                *embedded.get_mut(row, col) = amp;
+        assert!(
+            gate.arity() <= MAX_GATE_QUBITS,
+            "gates act on at most 3 qubits"
+        );
+        // The group row of each gate sub-index, off the gate's qubits.
+        let mut bits = [0usize; MAX_GATE_QUBITS];
+        for (bit, &q) in bits.iter_mut().zip(&gate.qubits) {
+            *bit = (group_qubits.iter().position(|&g| g == q))
+                .expect("a group's qubits hold every qubit of its gates");
+        }
+        let mut offsets = [0usize; 1 << MAX_GATE_QUBITS];
+        for (sub, offset) in offsets[..g.dim()].iter_mut().enumerate() {
+            for (j, &bit) in bits[..gate.arity()].iter().enumerate() {
+                *offset |= ((sub >> j) & 1) << bit;
             }
         }
-        total = embedded.matmul(&total);
+        let offsets = &offsets[..g.dim()];
+        // Sub-columns in ascending group column, the order the product sums.
+        let mut columns = [0usize; 1 << MAX_GATE_QUBITS];
+        let columns = &mut columns[..g.dim()];
+        for (sub, slot) in columns.iter_mut().enumerate() {
+            *slot = sub;
+        }
+        columns.sort_unstable_by_key(|&sub| offsets[sub]);
+        let gate_mask = offsets[g.dim() - 1];
+        for base in (0..dim).filter(|&base| base & gate_mask == 0) {
+            for (sub_row, &row_offset) in offsets.iter().enumerate() {
+                let row = base | row_offset;
+                let out = &mut new[row * dim..(row + 1) * dim];
+                let mut first = true;
+                for &sub_col in columns.iter() {
+                    let a = g.get(sub_row, sub_col);
+                    if a == Complex64::ZERO {
+                        continue;
+                    }
+                    let from = base | offsets[sub_col];
+                    let from = &old[from * dim..(from + 1) * dim];
+                    for (slot, &b) in out.iter_mut().zip(from) {
+                        let sum = if first { Complex64::ZERO } else { *slot };
+                        *slot = sum.mul_add(a, b);
+                    }
+                    first = false;
+                }
+                if first {
+                    out.fill(Complex64::ZERO);
+                }
+            }
+        }
+        std::mem::swap(&mut old, &mut new);
     }
-    total
+    // The product is in `old`; after an odd count of gates that is `spare`.
+    if group.len() % 2 == 1 {
+        new.copy_from_slice(old);
+    }
+    UnitaryMatrix::from_rows(total)
 }
+
+/// Scratch for one running product in [`build_group_matrix`]: a group of up
+/// to [`DEFAULT_FUSION_WIDTH`] qubits.
+type GroupScratch = [Complex64; 1 << (2 * DEFAULT_FUSION_WIDTH)];
 
 /// Run a circuit from `|0…0⟩` through its fused form.
 pub fn run_fused(circuit: &Circuit, max_fused_qubits: usize, opts: &ApplyOptions) -> StateVector {
@@ -184,49 +251,22 @@ pub fn run_fused(circuit: &Circuit, max_fused_qubits: usize, opts: &ApplyOptions
 /// over a few qubits (bit `b` of the table index is `qubits[b]`).
 #[derive(Debug, Clone)]
 pub struct DiagonalFactor {
-    /// The qubits the factor depends on.
-    pub qubits: Vec<Qubit>,
+    /// The qubits the factor depends on, at most
+    /// [`MAX_STACK_KERNEL_QUBITS`].
+    qubits: Vec<Qubit>,
     /// `2^qubits.len()` diagonal entries.
-    pub diag: Vec<Complex64>,
+    diag: Vec<Complex64>,
 }
 
 impl DiagonalFactor {
-    /// The diagonal of a single diagonal gate.
-    fn from_gate(qubits: &[Qubit], matrix: &UnitaryMatrix) -> Self {
-        Self {
-            qubits: qubits.to_vec(),
-            diag: (0..matrix.dim()).map(|i| matrix.get(i, i)).collect(),
-        }
+    /// The qubits the factor depends on.
+    pub fn qubits(&self) -> &[Qubit] {
+        &self.qubits
     }
 
-    /// Fold another diagonal gate into this factor; the gate's qubits must
-    /// already be accounted for in the (possibly grown) `qubits` list.
-    fn absorb(&mut self, gate_qubits: &[Qubit], matrix: &UnitaryMatrix) {
-        let old_len = self.qubits.len();
-        let mut grown = false;
-        for &q in gate_qubits {
-            if !self.qubits.contains(&q) {
-                self.qubits.push(q);
-                grown = true;
-            }
-        }
-        if grown {
-            // Expand the table: old qubits keep the low bit positions.
-            let dim = 1usize << self.qubits.len();
-            let old_mask = (1usize << old_len) - 1;
-            let old = std::mem::replace(&mut self.diag, vec![Complex64::ONE; dim]);
-            for (i, slot) in self.diag.iter_mut().enumerate() {
-                *slot = old[i & old_mask];
-            }
-        }
-        for (i, slot) in self.diag.iter_mut().enumerate() {
-            let mut sub = 0usize;
-            for (j, &q) in gate_qubits.iter().enumerate() {
-                let p = self.qubits.iter().position(|&g| g == q).unwrap();
-                sub |= ((i >> p) & 1) << j;
-            }
-            *slot *= matrix.get(sub, sub);
-        }
+    /// The `2^qubits().len()` diagonal entries.
+    pub fn diag(&self) -> &[Complex64] {
+        &self.diag
     }
 }
 
@@ -356,53 +396,68 @@ const DIAG_BLOCK_BITS: usize = 8;
 /// each reach below the block).
 const MAX_STREAMS: usize = 8;
 
-/// Table index contributed by the high (block-constant) qubits of a factor.
-#[inline(always)]
-fn hi_sub(hi_bits: &[(Qubit, usize)], base: usize) -> usize {
-    let mut sub = 0usize;
-    for &(q, shift) in hi_bits {
-        sub |= ((base >> q) & 1) << shift;
+/// The high (block-constant) qubits of a factor, each with the table bit it
+/// sets: at most a factor's [`MAX_STACK_KERNEL_QUBITS`] of them, in a few
+/// bytes (a state index has fewer than 256 bits).
+#[derive(Debug, Clone, Copy)]
+struct HiBits {
+    bits: [(u8, u8); MAX_STACK_KERNEL_QUBITS],
+    len: u8,
+}
+
+impl HiBits {
+    /// Table index contributed by the high qubits at block base `base`.
+    #[inline(always)]
+    fn sub(&self, base: usize) -> usize {
+        let mut sub = 0usize;
+        for &(q, shift) in &self.bits[..self.len as usize] {
+            sub |= ((base >> q) & 1) << shift;
+        }
+        sub
     }
-    sub
 }
 
 /// A factor whose qubits all sit at or above the block: one value per block,
-/// `table[hi_sub(hi_bits, base)]`.
+/// `table[hi.sub(base)]`.
 #[derive(Debug, Clone)]
 struct BlockFactor {
     table: Vec<Complex64>,
-    hi_bits: Vec<(Qubit, usize)>,
+    hi: HiBits,
 }
+
+/// Steps of two amplitudes in one diagonal block.
+const BLOCK_STEPS: usize = 1 << (DIAG_BLOCK_BITS - 1);
 
 /// A factor that varies inside a block, laid out so
 /// each two-amplitude step is one contiguous load: for block base `base` and
 /// step `v` (amplitudes `2v, 2v + 1`) the two phases are
-/// `table[hi_sub(hi_bits, base) + lane0[v]]` and the entry after it. The low
+/// `table[hi.sub(base) + lane0[v]]` and the entry after it. The low
 /// qubits index the table in ascending order with qubit 0 — or a duplicated
 /// dummy bit when the factor does not depend on it — as bit 0, which is what
 /// makes the pair adjacent.
 #[derive(Debug, Clone)]
 struct Stream {
     table: Vec<Complex64>,
-    hi_bits: Vec<(Qubit, usize)>,
-    lane0: Vec<u8>,
+    hi: HiBits,
+    /// The first `block / 2` entries are the block's steps.
+    lane0: [u8; BLOCK_STEPS],
     /// Entries per sub-table (one sub-table per assignment of the high
     /// qubits).
     width: usize,
-    /// Per sub-table: every entry is exactly one, so the block skips it.
-    identity: Vec<bool>,
+    /// Bit `i` set: every entry of sub-table `i` (of at most 2^5) is
+    /// exactly one, so the block skips it.
+    identity: u32,
 }
 
 impl Stream {
-    fn new(table: Vec<Complex64>, hi_bits: Vec<(Qubit, usize)>, lane0: Vec<u8>) -> Self {
-        let width = table.len() >> hi_bits.len();
-        let identity = table
-            .chunks_exact(width)
-            .map(|sub| sub.iter().all(|&entry| entry == Complex64::ONE))
-            .collect();
+    fn new(table: Vec<Complex64>, hi: HiBits, lane0: [u8; BLOCK_STEPS]) -> Self {
+        let width = table.len() >> hi.len;
+        let identity = (table.chunks_exact(width).enumerate())
+            .filter(|(_, sub)| sub.iter().all(|&entry| entry == Complex64::ONE))
+            .fold(0, |mask, (i, _)| mask | 1 << i);
         Self {
             table,
-            hi_bits,
+            hi,
             lane0,
             width,
             identity,
@@ -447,64 +502,70 @@ fn prepare_diagonal(
     let mut streams = Vec::new();
     for factor in factors {
         // (translated qubit, factor table bit), ascending by qubit.
-        let mut bits: Vec<(Qubit, usize)> = factor
-            .qubits
-            .iter()
-            .enumerate()
-            .map(|(b, &q)| (map.map_or(q, |m| m[q]), b))
-            .collect();
+        let mut bits = [(0, 0); MAX_STACK_KERNEL_QUBITS];
+        let bits = &mut bits[..factor.qubits.len()];
+        for (b, (slot, &q)) in bits.iter_mut().zip(&factor.qubits).enumerate() {
+            *slot = (map.map_or(q, |m| m[q]), b);
+        }
         bits.sort_unstable();
         let split = bits.partition_point(|&(q, _)| q < block_bits);
         let (low, high) = bits.split_at(split);
         // Bit 0 of a stream index is qubit 0, or a dummy when the factor
         // does not touch it (a constant factor has neither).
         let dummy = low.first().is_some_and(|&(q, _)| q != 0) as usize;
-        let width_bits = low.len() + dummy;
         // Position of qubit number `n` of `low ++ high` in the new index.
         let position = |n: usize| n + dummy;
-        // The factor's entry for new-order index `e`.
-        let entry = |e: usize| {
-            let sub = bits
-                .iter()
-                .enumerate()
-                .fold(0, |sub, (n, &(_, b))| sub | ((e >> position(n)) & 1) << b);
-            factor.diag[sub]
+        // The factor's entry for every new-order index: the table bits an
+        // index sets, each index from the one with its lowest bit cleared.
+        let index_bits = dummy + bits.len();
+        let mut subs = [0usize; 2 << MAX_STACK_KERNEL_QUBITS];
+        for e in 1..1usize << index_bits {
+            let lowest = e.trailing_zeros() as usize;
+            let bit = lowest.checked_sub(dummy).map_or(0, |n| 1 << bits[n].1);
+            subs[e] = subs[e & (e - 1)] | bit;
+        }
+        let table = (subs[..1 << index_bits].iter())
+            .map(|&sub| factor.diag[sub])
+            .collect();
+        let mut hi = HiBits {
+            bits: [(0, 0); MAX_STACK_KERNEL_QUBITS],
+            len: high.len() as u8,
         };
-        let table: Vec<Complex64> = (0..1usize << (width_bits + high.len()))
-            .map(entry)
-            .collect();
-        let hi_bits: Vec<(Qubit, usize)> = high
-            .iter()
-            .enumerate()
-            .map(|(n, &(q, _))| (q, position(low.len() + n)))
-            .collect();
+        for (n, (slot, &(q, _))) in hi.bits.iter_mut().zip(high).enumerate() {
+            let q = u8::try_from(q).expect("a state index has fewer than 256 bits");
+            *slot = (q, position(low.len() + n) as u8);
+        }
         if low.is_empty() {
-            constant.push(BlockFactor { table, hi_bits });
+            constant.push(BlockFactor { table, hi });
             continue;
         }
-        // Stream index of the even amplitude of every step of a block.
-        let lane0 = (0..block / 2)
-            .map(|v| {
-                low.iter()
-                    .enumerate()
-                    .fold(0, |e, (n, &(q, _))| e | (((2 * v) >> q) & 1) << position(n))
-                    as u8
-            })
-            .collect();
-        streams.push(Stream::new(table, hi_bits, lane0));
+        // Stream index of the even amplitude of every step of a block: bit
+        // `t` of the step is bit `t + 1` of the amplitude.
+        let mut step_bit = [0u8; DIAG_BLOCK_BITS];
+        for (n, &(q, _)) in low.iter().enumerate().filter(|(_, &(q, _))| q > 0) {
+            step_bit[q - 1] = 1 << position(n);
+        }
+        let mut lane0 = [0u8; BLOCK_STEPS];
+        for v in 1..block / 2 {
+            lane0[v] = lane0[v & (v - 1)] | step_bit[v.trailing_zeros() as usize];
+        }
+        streams.push(Stream::new(table, hi, lane0));
     }
     // Narrowest first: the block phase folds into the first active stream.
+    // A plan keeps these for as long as it is cached, so they keep no slack.
     streams.sort_by_key(|stream| stream.width);
-    let mut passes: Vec<DiagPass> = Vec::new();
-    let mut streams = streams.into_iter().peekable();
-    loop {
+    streams.shrink_to_fit();
+    constant.shrink_to_fit();
+    let mut passes = vec![DiagPass { constant, streams }];
+    while let Some(last) = passes
+        .last_mut()
+        .filter(|pass| pass.streams.len() > MAX_STREAMS)
+    {
+        let streams = last.streams.split_off(MAX_STREAMS);
         passes.push(DiagPass {
-            constant: std::mem::take(&mut constant),
-            streams: streams.by_ref().take(MAX_STREAMS).collect(),
+            constant: Vec::new(),
+            streams,
         });
-        if streams.peek().is_none() {
-            break;
-        }
     }
     PreparedDiagonal { block_bits, passes }
 }
@@ -546,14 +607,14 @@ fn run_prepared_diagonal_amps(
                 let rel = index << prepared.block_bits;
                 let base = offset + rel;
                 let mut block_phase = pass.constant.iter().fold(Complex64::ONE, |phase, factor| {
-                    phase * factor.table[hi_sub(&factor.hi_bits, base)]
+                    phase * factor.table[factor.hi.sub(base)]
                 });
                 let mut active =
                     [(std::ptr::null::<Complex64>(), std::ptr::null::<u8>()); MAX_STREAMS];
                 let mut count = 0;
                 for stream in &pass.streams {
-                    let start = hi_sub(&stream.hi_bits, base);
-                    if stream.identity[start / stream.width] {
+                    let start = stream.hi.sub(base);
+                    if stream.identity >> (start / stream.width) & 1 == 1 {
                         continue;
                     }
                     let sub = &stream.table[start..start + stream.width];
@@ -667,8 +728,9 @@ impl SharedAmpsSlice {
 pub struct FusedCircuit {
     num_qubits: usize,
     ops: Vec<FusedOp>,
-    /// Per-op derived data (sparse rows, diagonal classification), index-
-    /// aligned with `ops`; built once so `apply` never re-derives it.
+    /// Per-op derived data (a dense matrix's zero masks, a diagonal run's
+    /// block classification), index-aligned with `ops`; built once so
+    /// `apply` never re-derives it.
     prepared: Vec<PreparedOp>,
     fusion_width: usize,
     source_gates: usize,
@@ -677,15 +739,19 @@ pub struct FusedCircuit {
 impl FusedCircuit {
     /// Fuse `circuit` at the given width (≥ 1) by covering its
     /// gate-dependency DAG with antichain groups (see
-    /// [`FusedCircuit::from_dag`]). Dense groups are capped at
+    /// [`FusedCircuit::from_part`]). Dense groups are capped at
     /// `max_fused_qubits`; runs of diagonal gates collapse into single
     /// streaming passes with no width limit. The fused form is a pure
     /// function of circuit and width — the property the plan cache, the SPMD
     /// engines and the process workers all rely on.
     pub fn new(circuit: &Circuit, max_fused_qubits: usize) -> Self {
-        Self::from_dag(
+        let every_gate: Vec<usize> = (0..circuit.num_gates()).collect();
+        let every_qubit: Vec<Qubit> = (0..circuit.num_qubits()).collect();
+        Self::from_part(
             circuit,
             &CircuitDag::from_circuit(circuit),
+            &every_gate,
+            &every_qubit,
             max_fused_qubits,
         )
     }
@@ -700,49 +766,62 @@ impl FusedCircuit {
         Self::new(circuit, max_fused_qubits)
     }
 
-    /// [`FusedCircuit::new`] over an already built DAG of `circuit`: the
-    /// DAG is covered with antichain groups
+    /// Fuse the gates `gates` of `circuit` (ascending: every gate, or one
+    /// part of a validated partition) over `dag`, the circuit's DAG, as the
+    /// circuit of those gates alone with outer qubit `working_set[j]` as
+    /// fused qubit `j`: `working_set` ascends and holds every qubit they
+    /// touch. The result is [`FusedCircuit::new`] of that materialized
+    /// circuit, op for op and bit for bit, built without materializing it.
+    ///
+    /// The DAG is covered with antichain groups
     /// ([`hisvsim_dag::antichain_fusion_groups`]). Gates with no dependency
     /// path between them commute structurally, so no matrix commutation
     /// check is needed, and mergeable gates arbitrarily far apart in program
     /// order still land in one group. A per-amplitude cost model and the
     /// width cap gate group growth.
-    pub fn from_dag(circuit: &Circuit, dag: &CircuitDag, max_fused_qubits: usize) -> Self {
+    pub fn from_part(
+        circuit: &Circuit,
+        dag: &CircuitDag,
+        gates: &[usize],
+        working_set: &[Qubit],
+        max_fused_qubits: usize,
+    ) -> Self {
         assert!(max_fused_qubits >= 1, "fusion width must be at least 1");
-        let classes: Vec<GateClass> = circuit
-            .gates()
-            .iter()
-            .map(|gate| GateClass {
-                diagonal: gate.kind.is_diagonal(),
-                widen_allowance: solo_cost(gate),
+        let classes: Vec<GateClass> = (gates.iter())
+            .map(|&index| {
+                let gate = &circuit.gates()[index];
+                GateClass {
+                    diagonal: gate.kind.is_diagonal(),
+                    widen_allowance: solo_cost(gate),
+                }
             })
             .collect();
-        let groups = antichain_fusion_groups(dag, &classes, max_fused_qubits);
-        let mut ops = Vec::with_capacity(groups.len());
-        for group in groups {
-            if group.diagonal {
-                let mut factors: Vec<DiagonalFactor> = Vec::new();
-                for &index in &group.gates {
-                    absorb_diagonal_gate(&mut factors, &circuit.gates()[index]);
-                }
-                ops.push(FusedOp::Diagonal {
-                    factors,
-                    fused_count: group.gates.len(),
-                });
-            } else {
-                emit_dense_group(circuit, group.gates, group.qubits, &mut ops);
-            }
-        }
-        let prepared = ops
-            .iter()
-            .map(|op| prepare_op(op, circuit.num_qubits()))
+        let mut fuse = Fuse {
+            circuit,
+            working_set,
+            scratch: [Complex64::ZERO; _],
+        };
+        let mut ops = Vec::new();
+        antichain_fusion_groups(
+            dag,
+            gates,
+            &classes,
+            max_fused_qubits,
+            |group| match group.diagonal {
+                true => ops.push(fuse.diagonal_run(&group.gates)),
+                false => fuse.emit_dense_group(&group.gates, &group.qubits, &mut ops),
+            },
+        );
+        ops.shrink_to_fit();
+        let prepared = (ops.iter())
+            .map(|op| prepare_op(op, working_set.len()))
             .collect();
         Self {
-            num_qubits: circuit.num_qubits(),
+            num_qubits: working_set.len(),
             ops,
             prepared,
             fusion_width: max_fused_qubits,
-            source_gates: circuit.num_gates(),
+            source_gates: gates.len(),
         }
     }
 
@@ -787,7 +866,7 @@ impl FusedCircuit {
 
     /// Apply with a qubit translation: fused qubit `q` acts on state qubit
     /// `map[q]`. Lets the distributed engines share one fused circuit across
-    /// every rank and layout: the fused matrices and their sparse rows are
+    /// every rank and layout: the fused matrices and their zero masks are
     /// never recomputed — only qubit references are translated (diagonal
     /// runs additionally re-classify their small tables per pass, since the
     /// block split depends on the translated positions).
@@ -1091,7 +1170,9 @@ fn solo_cost(gate: &Gate) -> f64 {
     match (&gate.kind, gate.arity()) {
         (I, _) => 0.0,
         (X, 1) => PASS,
-        (Cx, 2) | (Swap, 2) => 0.5 * PASS + 0.5,
+        // Permutations: half the amplitudes move (`apply_kind_amps` runs
+        // Toffoli and CSWAP as swaps of index patterns too).
+        (Cx, 2) | (Swap, 2) | (Ccx, 3) | (Cswap, 3) => 0.5 * PASS + 0.5,
         (Cz, 2) => PASS + 0.5,
         (kind, 1) if kind.is_diagonal() => PASS + 1.0,
         (_, 1) => PASS + 2.0,
@@ -1102,77 +1183,126 @@ fn solo_cost(gate: &Gate) -> f64 {
     }
 }
 
-/// Fold `gate` (diagonal) into a run's factor list: coalesce into the
-/// youngest factor while its qubit union stays small (bounded arithmetic
-/// per amplitude), otherwise open a new factor.
-fn absorb_diagonal_gate(factors: &mut Vec<DiagonalFactor>, gate: &Gate) {
-    let matrix = gate.matrix();
-    let cap = MAX_STACK_KERNEL_QUBITS.max(gate.arity());
-    let coalesced = match factors.last_mut() {
-        Some(last) => {
-            let extra = gate
-                .qubits
-                .iter()
-                .filter(|q| !last.qubits.contains(q))
-                .count();
-            if last.qubits.len() + extra <= cap {
-                last.absorb(&gate.qubits, &matrix);
-                true
-            } else {
-                false
-            }
-        }
-        None => false,
-    };
-    if !coalesced {
-        factors.push(DiagonalFactor::from_gate(&gate.qubits, &matrix));
-    }
+/// The gates of one circuit being fused as the circuit of some of them
+/// alone, whose qubit `j` is outer qubit `working_set[j]`.
+struct Fuse<'a> {
+    circuit: &'a Circuit,
+    working_set: &'a [Qubit],
+    scratch: GroupScratch,
 }
 
-/// Emit a dense group as a fused op: a lone gate keeps its specialised
-/// fast path ([`FusedOp::Solo`]), multi-gate groups multiply into one
-/// matrix.
-///
-/// Cost guard: a group the model says is *slower* fused than unfused (e.g.
-/// two fast-path CX gates whose dense 4×4 form costs `PASS + 4` against two
-/// half-sweeps) is demoted back to its member gates, in the same product
-/// order the group matrix would have applied them — the demotion is
-/// operator-identical, it only changes how many sweeps carry it. Demotions
-/// are counted in [`fusion_fallback_count`].
-fn emit_dense_group(
-    circuit: &Circuit,
-    indices: Vec<usize>,
-    qubits: Vec<Qubit>,
-    ops: &mut Vec<FusedOp>,
-) {
-    if indices.len() == 1 {
-        // A lone gate gains nothing from the dense-matrix form and would
-        // lose its fast path (SWAP/CX/controlled); keep it as written.
-        let gate = &circuit.gates()[indices[0]];
+impl Fuse<'_> {
+    /// The fused qubit of outer qubit `q`.
+    fn inner(&self, q: Qubit) -> Qubit {
+        (self.working_set.binary_search(&q)).expect("the working set holds every qubit of the part")
+    }
+
+    /// Gate `index` of the circuit with its qubits translated.
+    fn solo(&self, index: usize) -> FusedOp {
+        let gate = &self.circuit.gates()[index];
         let matrix = crate::kernels::uses_dense_matrix(gate).then(|| gate.matrix());
-        ops.push(FusedOp::Solo(gate.clone(), matrix));
-        return;
+        let qubits = gate.qubits.iter().map(|&q| self.inner(q)).collect();
+        FusedOp::Solo(
+            Gate {
+                kind: gate.kind,
+                qubits,
+            },
+            matrix,
+        )
     }
-    let fused_cost = PASS + (1u64 << qubits.len()) as f64;
-    let unfused_cost: f64 = indices
-        .iter()
-        .map(|&i| solo_cost(&circuit.gates()[i]))
-        .sum();
-    if fused_cost > unfused_cost {
-        FUSION_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-        for &i in &indices {
-            let gate = &circuit.gates()[i];
-            let matrix = crate::kernels::uses_dense_matrix(gate).then(|| gate.matrix());
-            ops.push(FusedOp::Solo(gate.clone(), matrix));
+
+    /// A diagonal run of the gates `indices`, in order, as factors: each
+    /// gate joins the youngest factor while the factor's qubit union stays
+    /// within [`MAX_STACK_KERNEL_QUBITS`] (bounded arithmetic per amplitude),
+    /// and opens a new one otherwise. A factor's table is the product of its
+    /// gates' diagonals in gate order (the first one copied), formed at its
+    /// final size.
+    fn diagonal_run(&self, indices: &[usize]) -> FusedOp {
+        let gates = self.circuit.gates();
+        let mut factors = Vec::new();
+        let mut rest = indices;
+        while !rest.is_empty() {
+            let mut stack = [0; MAX_STACK_KERNEL_QUBITS];
+            let mut len = 0;
+            let mut taken = 0;
+            for &index in rest {
+                let gate = &gates[index];
+                let new = |&&q: &&Qubit| !stack[..len].contains(&self.inner(q));
+                let extra = gate.qubits.iter().filter(new).count();
+                if taken > 0 && len + extra > MAX_STACK_KERNEL_QUBITS.max(gate.arity()) {
+                    break;
+                }
+                for &q in &gate.qubits {
+                    let q = self.inner(q);
+                    if !stack[..len].contains(&q) {
+                        stack[len] = q;
+                        len += 1;
+                    }
+                }
+                taken += 1;
+            }
+            let qubits = stack[..len].to_vec();
+            let mut diag = vec![Complex64::ZERO; 1 << qubits.len()];
+            for (nth, &index) in rest[..taken].iter().enumerate() {
+                let gate = &gates[index];
+                let matrix = gate.matrix();
+                let mut bits = [0usize; MAX_GATE_QUBITS];
+                for (bit, &q) in bits.iter_mut().zip(&gate.qubits) {
+                    let q = self.inner(q);
+                    *bit = (qubits.iter().position(|&f| f == q))
+                        .expect("a factor's qubits hold every qubit of its gates");
+                }
+                for (i, slot) in diag.iter_mut().enumerate() {
+                    let sub = (0..gate.arity()).fold(0, |sub, j| sub | ((i >> bits[j]) & 1) << j);
+                    let entry = matrix.get(sub, sub);
+                    match nth {
+                        0 => *slot = entry,
+                        _ => *slot *= entry,
+                    }
+                }
+            }
+            factors.push(DiagonalFactor { qubits, diag });
+            rest = &rest[taken..];
         }
-        return;
+        factors.shrink_to_fit();
+        FusedOp::Diagonal {
+            factors,
+            fused_count: indices.len(),
+        }
     }
-    let matrix = build_group_matrix(circuit, &indices, &qubits);
-    ops.push(FusedOp::Dense(FusedGate {
-        qubits,
-        matrix,
-        fused_count: indices.len(),
-    }));
+
+    /// Emit a dense group (outer `qubits`, gates in `indices`) as a fused
+    /// op: a lone gate keeps its specialised fast path ([`FusedOp::Solo`]),
+    /// multi-gate groups multiply into one matrix.
+    ///
+    /// Cost guard: a group the model says is *slower* fused than unfused
+    /// (e.g. two fast-path CX gates whose dense 4×4 form costs `PASS + 4`
+    /// against two half-sweeps) is demoted back to its member gates, in the
+    /// same product order the group matrix would have applied them — the
+    /// demotion is operator-identical, it only changes how many sweeps carry
+    /// it. Demotions are counted in [`fusion_fallback_count`].
+    fn emit_dense_group(&mut self, indices: &[usize], qubits: &[Qubit], ops: &mut Vec<FusedOp>) {
+        if indices.len() == 1 {
+            // A lone gate gains nothing from the dense-matrix form and would
+            // lose its fast path (SWAP/CX/controlled); keep it as written.
+            ops.push(self.solo(indices[0]));
+            return;
+        }
+        let fused_cost = PASS + (1u64 << qubits.len()) as f64;
+        let unfused_cost: f64 = (indices.iter())
+            .map(|&i| solo_cost(&self.circuit.gates()[i]))
+            .sum();
+        if fused_cost > unfused_cost {
+            FUSION_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+            ops.extend(indices.iter().map(|&i| self.solo(i)));
+            return;
+        }
+        ops.push(FusedOp::Dense(FusedGate {
+            qubits: qubits.iter().map(|&q| self.inner(q)).collect(),
+            matrix: build_group_matrix(self.circuit, indices, qubits, &mut self.scratch),
+            fused_count: indices.len(),
+        }));
+    }
 }
 
 #[cfg(test)]
@@ -1374,6 +1504,13 @@ mod tests {
 
     // -- DAG-driven fusion --------------------------------------------------
 
+    /// Every gate of `circuit` fused over a prebuilt DAG.
+    fn whole(circuit: &Circuit, dag: &CircuitDag, width: usize) -> FusedCircuit {
+        let gates: Vec<usize> = (0..circuit.num_gates()).collect();
+        let qubits: Vec<Qubit> = (0..circuit.num_qubits()).collect();
+        FusedCircuit::from_part(circuit, dag, &gates, &qubits, width)
+    }
+
     #[test]
     fn dag_fusion_matches_unfused_across_suite_and_widths() {
         // Every width the fused form takes, 1 to 5, on one prebuilt DAG per
@@ -1384,7 +1521,7 @@ mod tests {
             let dag = CircuitDag::from_circuit(&circuit);
             let expected = run_circuit(&circuit);
             for width in 1usize..=5 {
-                let fused = FusedCircuit::from_dag(&circuit, &dag, width);
+                let fused = whole(&circuit, &dag, width);
                 let total: usize = fused.ops().iter().map(|op| op.fused_count()).sum();
                 assert_eq!(total, circuit.num_gates(), "{name}: gates lost");
                 for opts in [ApplyOptions::sequential(), ApplyOptions::default()] {
@@ -1406,8 +1543,7 @@ mod tests {
             let dag = CircuitDag::from_circuit(&circuit);
             let expected = run_circuit(&circuit);
             for width in [2usize, 3, 4] {
-                let got =
-                    FusedCircuit::from_dag(&circuit, &dag, width).run(&ApplyOptions::sequential());
+                let got = whole(&circuit, &dag, width).run(&ApplyOptions::sequential());
                 assert!(
                     got.approx_eq(&expected, 1e-9),
                     "seed {seed} width {width}: max diff {}",
@@ -1437,7 +1573,7 @@ mod tests {
     fn from_dag_reuses_a_prebuilt_dag() {
         let circuit = generators::random_circuit(7, 60, 11);
         let dag = CircuitDag::from_circuit(&circuit);
-        let via_dag = FusedCircuit::from_dag(&circuit, &dag, 3);
+        let via_dag = whole(&circuit, &dag, 3);
         let fresh = FusedCircuit::new(&circuit, 3);
         assert_eq!(via_dag.num_ops(), fresh.num_ops());
         let expected = run_circuit(&circuit);
@@ -1655,6 +1791,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn toffolis_keep_their_permutation_form() {
+        // Priced as the permutations they run, the adder's Toffolis stay solo
+        // instead of anchoring dense 3-qubit groups of 8×8 permutations.
+        let fused = FusedCircuit::new(&generators::adder(16), 3);
+        let mut forms = std::collections::BTreeMap::<String, usize>::new();
+        for op in fused.ops() {
+            let form = match op {
+                FusedOp::Dense(g) => format!("dense{}", g.qubits.len()),
+                FusedOp::Solo(gate, _) => format!("solo:{}", gate.kind.name()),
+                FusedOp::Diagonal { .. } => "diagonal".to_string(),
+            };
+            *forms.entry(form).or_default() += 1;
+        }
+        let expected = [
+            ("dense3", 3),
+            ("solo:ccx", 14),
+            ("solo:cx", 28),
+            ("solo:x", 1),
+        ];
+        let expected = expected.map(|(form, count)| (form.to_string(), count));
+        assert_eq!(forms, expected.into_iter().collect());
     }
 
     #[test]

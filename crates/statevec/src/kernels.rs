@@ -440,10 +440,12 @@ impl DenseMasks {
             heap.resize(dim * blocks, 0);
             &mut heap
         };
-        for (i, &entry) in rows.iter().enumerate() {
-            let (r, c) = (i / dim, i % dim);
-            if entry != Complex64::ZERO {
-                masks[c * blocks + r / block] |= 1 << (r % block);
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            let (at, bit) = (r / block, 1 << (r % block));
+            for (c, &entry) in row.iter().enumerate() {
+                if entry != Complex64::ZERO {
+                    masks[c * blocks + at] |= bit;
+                }
             }
         }
         if heap.is_empty() {
