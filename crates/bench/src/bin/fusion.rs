@@ -5,9 +5,9 @@
 //! everything in `BENCH_fusion.json` — one run per width, a re-run replacing
 //! the run of its width — so the perf trajectory of the execution path has
 //! data points. The hier rows are taken at two limits (`qubits − 4`, and 16:
-//! an inner vector of one L2 tile) and say how many parts the engine
-//! gathered and how many it swept in place; the flat fused rows are the same
-//! circuit with nothing gathered, which is what the paper's claim is read
+//! a working set of one L2 tile) and say how many of their passes were
+//! strided tile walks (Algorithm 1 at tile granularity); the flat fused rows
+//! are the same circuit as one part, which is what the paper's claim is read
 //! against (README, "Reproducing the paper's artifacts").
 //!
 //! ```text
@@ -29,11 +29,12 @@
 //! never the slower form (README, "Fusion").
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{parts_executed, PartMode};
 use hisvsim_core::{FusedSinglePlan, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{kernels, ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::{
+    fusion, kernels, ApplyOptions, FusedCircuit, StateVector, DEFAULT_FUSION_WIDTH,
+};
 use serde::Serialize;
 use serde_json::Value;
 use std::time::Instant;
@@ -58,10 +59,9 @@ struct HierResult {
     qubits: usize,
     limit: usize,
     num_parts: usize,
-    /// Parts the engine gathered into inner vectors (Algorithm 1) …
-    gathered_parts: usize,
-    /// … and parts it swept in place on the outer state.
-    in_place_parts: usize,
+    /// Passes whose tiles were strided chunks, copied into a tile buffer
+    /// and back, per run.
+    strided_passes: usize,
     fusion_width: usize,
     /// The flat simulator applying the circuit gate by gate (the same
     /// measurement as the flat rows' `unfused_s`): the engine has no
@@ -192,18 +192,18 @@ fn hier_case(reference: &Reference, limit: usize, reps: usize, width: usize) -> 
     let fused_sim = HierarchicalSimulator::new(HierConfig::new(limit));
     let plan =
         FusedSinglePlan::build_with_strategy(circuit, &dag, partition, width, Default::default());
-    let gathered_before = parts_executed(PartMode::Gather);
+    let strided_before = fusion::strided_passes();
     let mut fused_state = None;
     let fused_s = time_best(reps, || {
         fused_state = Some(fused_sim.run_with_fused_plan(circuit, &plan).state);
     });
-    // Every rep runs the same parts in the same modes.
-    let gathered_parts = (parts_executed(PartMode::Gather) - gathered_before) as usize / reps;
+    // Every rep runs the same passes.
+    let strided_passes = (fusion::strided_passes() - strided_before) as usize / reps;
     let max_abs_diff = fused_state
         .expect("at least one rep")
         .max_abs_diff(&reference.state);
     println!(
-        "hier {name}@{n} (limit {limit}, {} parts, {gathered_parts} gathered): flat gate by gate \
+        "hier {name}@{n} (limit {limit}, {} parts, {strided_passes} strided passes): flat gate by gate \
          {flat_s:.3} s, fused(w={width}) {fused_s:.3} s -> {:.2}x (max diff {max_abs_diff:.2e})",
         plan.parts.len(),
         flat_s / fused_s
@@ -213,8 +213,7 @@ fn hier_case(reference: &Reference, limit: usize, reps: usize, width: usize) -> 
         qubits: n,
         limit,
         num_parts: plan.parts.len(),
-        gathered_parts,
-        in_place_parts: plan.parts.len() - gathered_parts,
+        strided_passes,
         fusion_width: width,
         flat_gate_by_gate_s: flat_s,
         fused_s,

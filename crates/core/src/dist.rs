@@ -19,7 +19,7 @@
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPlan, FusedSinglePlan, PlanSchedule};
-use crate::hier::{gather_part, open_part, PartMode, SweepControl};
+use crate::hier::open_part;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
@@ -188,8 +188,8 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         &self.local
     }
 
-    /// Mutable access to this rank's local slice (used by the multi-level
-    /// engine to run its second-level gather/execute/scatter locally).
+    /// Mutable access to this rank's local slice (the baseline sweeps it
+    /// directly).
     pub fn local_state_mut(&mut self) -> &mut StateVector {
         &mut self.local
     }
@@ -664,17 +664,15 @@ pub(crate) struct Progress<'c> {
 ///
 /// The rank starts in the schedule's first layout and walks its entries
 /// ([`FusedPlan::schedule`]): a vote ([`DistState::vote_cancelled`]), the
-/// entry's redistribution if it has one, then the part in the entry's form.
-/// An in-place part is walked one listed pass at a time: on a slice above
-/// one [`TILE`] each pass is a checkpoint, a vote before it and rank 0's
-/// progress report after it. A token fired on any rank so stops all of them
-/// at the same checkpoint, within one pass, none stranded inside a
-/// collective. The rank hands back its slice in the layout it ends in
-/// ([`DistState::finish_rank`]).
+/// entry's redistribution if it has one, then the part, walked one listed
+/// pass at a time in place: on a slice above one [`TILE`] each pass is a
+/// checkpoint, a vote before it and rank 0's progress report after it. A
+/// token fired on any rank so stops all of them at the same checkpoint,
+/// within one pass, none stranded inside a collective. The rank hands back
+/// its slice in the layout it ends in ([`DistState::finish_rank`]).
 ///
-/// A world of one (the hier engine) sweeps on the pool, and polls its token
-/// and reports between the assignments of a gathered part too. More ranks
-/// sweep sequentially, a gathered part one checkpoint.
+/// A world of one (the hier engine) sweeps on the pool; more ranks sweep
+/// sequentially.
 pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     schedule: &PlanSchedule<'_>,
@@ -703,36 +701,13 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
         }
         let _part = open_part(entry);
         let (inner, positions) = (&entry.part.inner, &entry.positions);
-        if entry.mode == PartMode::InPlace {
-            let passes = &entry.in_place;
-            state.sweep_passes(inner, positions, passes, world_of_one, &mut progress)?;
-            continue;
-        }
-        // A gathered part. Only a world of one, with no peer waiting on its
-        // votes, polls the token and reports between assignments.
-        let (before, part_gates) = (progress.done, inner.source_gates() as u64);
-        let on_assignments = |done: u64, total: u64| {
-            control.report_progress(before + part_gates * done / total.max(1), progress.total);
-        };
-        let sweep = match world_of_one {
-            true => SweepControl {
-                cancel: Some(&control.cancel),
-                on_assignments: Some(&on_assignments),
-            },
-            false => SweepControl::default(),
-        };
-        let start = Instant::now();
-        gather_part(
-            &mut state.local,
-            positions,
+        state.sweep_passes(
             inner,
+            positions,
+            &entry.in_place,
             world_of_one,
-            dispatch,
-            sweep,
+            &mut progress,
         )?;
-        state.compute_time_s += start.elapsed().as_secs_f64();
-        progress.done += part_gates;
-        state.report_progress(control, progress.done, progress.total);
     }
     Ok(state.finish_rank())
 }

@@ -8,8 +8,7 @@
 //! `Executing { gates_done / total }` events. A checkpoint is a pass over a
 //! slice above one tile (2^16 amplitudes), else a whole part, baseline
 //! segment or distributed gate, so a fired token stops a run within one
-//! pass; a world of one also polls between a gathered part's assignments.
-//! The sink never hears a count below one it has heard. The default control
+//! pass. The sink never hears a count below one it has heard. The default control
 //! is inert, and an inert run is the same run: same arithmetic, same
 //! schedule, same collectives.
 //!
@@ -72,8 +71,8 @@ impl ExecControl {
     }
 
     /// Report progress to the sink, if any, unless `gates_done` is below the
-    /// highest count already reported: the threads of a gathered part report
-    /// concurrently, and a report one of them overtook is dropped.
+    /// highest count already reported: a report another one overtook is
+    /// dropped.
     pub fn report_progress(&self, gates_done: u64, gates_total: u64) {
         if let Some((high, sink)) = self.progress.as_deref() {
             let mut high = high.lock().unwrap_or_else(|poisoned| poisoned.into_inner());

@@ -10,18 +10,17 @@
 //! The fused inner circuits live in *working-set-relative* qubit space
 //! (fused qubit `j` = `working_set[j]`), so every rank runs the same fused
 //! matrices whatever its current layout: it aims fused qubit `j` at
-//! `layout[working_set[j]]`, either gathering an inner vector over those
-//! positions or sweeping its slice in place through them.
+//! `layout[working_set[j]]` and sweeps its slice in place through them.
 //!
 //! Both plan shapes compile, for one state width and world size, into one
 //! [`PlanSchedule`] ([`FusedPlan::schedule`]): every part with the layout the
-//! rank takes before it, the positions its qubits sit at, its passes in place
-//! (the op ranges the rank sweeps one at a time) and the form it runs in. That list is what the one rank body
+//! rank takes before it, the positions its qubits sit at and its passes (the
+//! op ranges the rank sweeps one at a time, each a cache-blocked tile walk
+//! when it holds several ops). That list is what the one rank body
 //! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks, and what the
-//! runtime's route and cost verdict read.
+//! runtime's cost verdict reads.
 
 use crate::dist::local_layout;
-use crate::hier::{part_mode, PartMode, PartPasses, GATHER_PASSES};
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition, QubitSet};
 use hisvsim_partition::MultilevelPartition;
@@ -204,10 +203,8 @@ impl<'a> FusedPlan<'a> {
     /// on a world of one. Before a group the ranks swap its working set into
     /// their slices (the swaps `DistState::ensure_local` makes), the first
     /// group's layout free, since `|0…0⟩` is the same in every layout. Each
-    /// part's passes in place are listed here, once
-    /// ([`FusedCircuit::passes`]), and everything that counts passes reads
-    /// that list. A group's only part runs in place; [`part_mode`] decides
-    /// every other.
+    /// part's passes are listed here, once ([`FusedCircuit::passes`]), and
+    /// everything that counts passes reads that list.
     pub fn schedule(self, num_qubits: usize, ranks: usize) -> PlanSchedule<'a> {
         let local = (num_qubits.checked_sub(ranks.trailing_zeros() as usize))
             .filter(|_| ranks.is_power_of_two())
@@ -231,20 +228,12 @@ impl<'a> FusedPlan<'a> {
             for part in parts {
                 let positions: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
                 debug_assert!(positions.iter().all(|&pos| pos < local));
-                let in_place: Vec<Range<usize>> =
-                    part.inner.passes(local, Some(&positions)).collect();
-                let passes = PartPasses::new(local, &part.inner, &in_place);
-                let mode = match parts.len() {
-                    1 => PartMode::InPlace,
-                    _ => part_mode(local, passes),
-                };
+                let in_place = part.inner.passes(local, Some(&positions)).collect();
                 entries.push(ScheduleEntry {
                     part,
                     exchange: exchange.take(),
                     positions,
                     in_place,
-                    passes,
-                    mode,
                 });
             }
         }
@@ -295,18 +284,13 @@ impl PlanSchedule<'_> {
         self.entries.iter().filter(|e| e.exchange.is_some()).count()
     }
 
-    /// Passes over memory each rank makes, every part in its form, a
-    /// gathered part's round trip counted as [`GATHER_PASSES`].
+    /// Passes over memory each rank makes.
     pub fn passes(&self) -> usize {
-        let passes = self.entries.iter().map(|entry| match entry.mode {
-            PartMode::Gather => entry.passes.gathered.map_or(0, |g| g + GATHER_PASSES),
-            PartMode::InPlace => entry.in_place.len(),
-        });
-        passes.sum()
+        self.entries.iter().map(|entry| entry.in_place.len()).sum()
     }
 }
 
-/// One part of a [`PlanSchedule`] and how it runs.
+/// One part of a [`PlanSchedule`] and the passes it runs in.
 #[derive(Debug, Clone)]
 pub struct ScheduleEntry<'a> {
     /// The part.
@@ -317,12 +301,8 @@ pub struct ScheduleEntry<'a> {
     pub positions: Vec<usize>,
     /// The part's passes over the slice in place, in order: ranges of its
     /// fused ops, one sweep each ([`FusedCircuit::passes`] under
-    /// `positions`). What the rank body walks when the part runs in place.
+    /// `positions`). What the rank body walks.
     pub in_place: Vec<Range<usize>>,
-    /// The part's passes over the slice in both forms, `in_place` counted.
-    pub passes: PartPasses,
-    /// The form the part runs in.
-    pub mode: PartMode,
 }
 
 #[cfg(test)]
@@ -379,8 +359,8 @@ mod tests {
         for (entry, part) in one.entries.iter().zip(&single.parts) {
             assert_eq!(entry.positions, part.working_set);
         }
-        // Four ranks: one part at a time, each alone and so in place, every
-        // working set local under its layout, and the first layout free.
+        // Four ranks: one part at a time, every working set local under its
+        // layout, and the first layout free.
         let many = FusedPlan::Single(&single).schedule(9, 4);
         assert_eq!(many.local_qubits(), 7);
         assert!(many.entries[0].exchange.is_none());
@@ -393,9 +373,8 @@ mod tests {
             let at: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
             assert_eq!(entry.positions, at);
             assert!(at.iter().all(|&pos| pos < 7));
-            assert_eq!(entry.mode, PartMode::InPlace);
         }
-        let in_place = many.entries.iter().map(|entry| entry.passes.in_place);
+        let in_place = many.entries.iter().map(|entry| entry.in_place.len());
         assert_eq!(many.passes(), in_place.sum::<usize>());
 
         let ml = MultilevelPartitioner.partition(&dag, 6, 3).unwrap();

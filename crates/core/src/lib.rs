@@ -37,12 +37,12 @@
 //! Every planned engine runs one SPMD loop, [`run_plan_rank`], over the
 //! plan compiled for its width and world ([`FusedPlan::schedule`]): per
 //! part, a vote, the layout change the schedule fixed for it, and the part
-//! in the form the schedule fixed — gathered ([`hier`]), or swept in place
-//! one of the passes the schedule lists for it at a time. The engines are
-//! its shapes: `multilevel` changes layout at most once per first-level
-//! part, `dist` on R > 1 ranks once per part, each swept in place, and
-//! `hier` is a single-level plan on a world of one, which gathers the parts
-//! [`hier::part_mode`] says to. The comparison baseline keeps a body of its
+//! swept in place one of the passes the schedule lists for it at a time,
+//! each pass of several ops a cache-blocked walk over 2^16-amplitude tiles
+//! (Algorithm 1 at tile granularity, see [`hier`]). The engines are its
+//! shapes: `multilevel` changes layout at most once per first-level part,
+//! `dist` on R > 1 ranks once per part, and `hier` is a single-level plan
+//! on a world of one. The comparison baseline keeps a body of its
 //! own, [`run_baseline_rank`]. The thread world ([`run_plan`]) and
 //! `hisvsim-net`'s worker processes both call these bodies, so the two
 //! worlds agree bit for bit by construction. Cancellation is agreed by a

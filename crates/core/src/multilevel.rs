@@ -4,12 +4,12 @@
 //! The first-level partition bounds each part by the per-rank local qubit
 //! count `l`, exactly as the single-level distributed engine does; the
 //! second-level partition further splits each part's gates so that the gates
-//! executed between two touches of the rank-local slice fit a cache-sized
-//! inner state vector. Within a rank the second-level parts are executed with
-//! the same Gather–Execute–Scatter loop the single-node engine uses, just
-//! against the rank's local slice instead of the whole state: the one rank
-//! body ([`run_plan_rank`](crate::dist::run_plan_rank)) switches layout at
-//! most once per first-level part.
+//! executed between two touches of the rank-local slice stay few. Within a
+//! rank the second-level parts are executed as the single-node engine runs
+//! its parts, pass by pass in place over the rank's local slice, each pass a
+//! cache-blocked tile walk: the one rank body
+//! ([`run_plan_rank`](crate::dist::run_plan_rank)) switches layout at most
+//! once per first-level part.
 
 use crate::dist::{run_plan, RunSpec};
 use crate::exec::ExecControl;
@@ -103,8 +103,8 @@ impl MultilevelSimulator {
     }
 
     /// Run with an externally supplied two-level partition: fuse each
-    /// second-level part once — shared by every virtual rank and every
-    /// gather assignment — then [`Self::run_with_fused_plan`].
+    /// second-level part once — shared by every virtual rank — then
+    /// [`Self::run_with_fused_plan`].
     pub fn run_with_partition(
         &self,
         circuit: &Circuit,
@@ -116,8 +116,7 @@ impl MultilevelSimulator {
     }
 
     /// Run against a prefused two-level plan: the second-level inner circuits
-    /// were fused once at plan time and are shared read-only by every rank
-    /// and every gather assignment.
+    /// were fused once at plan time and are shared read-only by every rank.
     pub fn run_with_fused_plan(
         &self,
         circuit: &Circuit,

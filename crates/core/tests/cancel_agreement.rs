@@ -14,7 +14,6 @@
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{world, NetworkModel, RankComm};
-use hisvsim_core::hier::PartMode;
 use hisvsim_core::{
     run_baseline_rank, run_plan_rank, BaselineSchedule, CancelToken, Cancelled, ExecControl,
     FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RankOutcome,
@@ -101,13 +100,13 @@ impl Schedule {
 }
 
 /// The checkpoints a planned engine's rank body makes, each ending in rank
-/// 0's report: one per pass of an in-place part on a slice above one tile,
-/// one per part otherwise.
+/// 0's report: one per pass of a part on a slice above one tile, one per
+/// part otherwise.
 fn checkpoints(schedule: &PlanSchedule<'_>) -> usize {
     let above_a_tile = 1usize << schedule.local_qubits() > TILE;
-    let per_entry = schedule.entries.iter().map(|entry| match entry.mode {
-        PartMode::InPlace if above_a_tile => entry.in_place.len(),
-        _ => 1,
+    let per_entry = (schedule.entries.iter()).map(|entry| match above_a_tile {
+        true => entry.in_place.len(),
+        false => 1,
     });
     per_entry.sum()
 }

@@ -1,17 +1,17 @@
 //! What the engines allocate for their vectors once the process's buffer pool
-//! is warm. A job's state comes from the pool and goes back to it when its
-//! caller drops it, so a warm job whose caller dropped the previous result
-//! allocates no vector at all — in place or gathered on a world of one, on
-//! two thread-world ranks, after a cancelled job too — and neither does a
-//! worker's rank body over TCP, which gives its slice back once shipped. A
-//! result its caller still holds is never handed out again. A counting
+//! is warm. A job's state and its sweeps' tile buffers come from the pool
+//! and go back to it — the state when its caller drops it — so a warm job
+//! whose caller dropped the previous result allocates no vector at all — on
+//! a world of one whose passes stride tiles, on two thread-world ranks,
+//! after a cancelled job too — and neither does a worker's rank body over
+//! TCP, which gives its slice back once shipped. A result its caller still
+//! holds is never handed out again. A counting
 //! global allocator (this test binary only, after
 //! `crates/statevec/tests/allocations.rs`) counts the requests large enough
 //! to be an amplitude vector.
 
 use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::{NetworkModel, RankComm};
-use hisvsim_core::hier::PartMode;
 use hisvsim_core::{
     run_plan, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPlan, FusedSinglePlan,
     FusedTwoLevelPlan, HierConfig, HierarchicalSimulator, RunSpec,
@@ -19,6 +19,7 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::tcp_world;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
+use hisvsim_statevec::fusion::{self, TILE};
 use hisvsim_statevec::{
     buffers, simd_available, ApplyOptions, FusedCircuit, KernelDispatch, StateVector,
     DEFAULT_FUSION_WIDTH,
@@ -29,9 +30,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Width of the states; two tiles, so parts may gather.
+/// Width of the states; two tiles, so passes may stride.
 const QUBITS: usize = 17;
-/// Width of the gathered parts' inner vectors.
+/// Working-set limit of the partitioned plans.
 const LIMIT: usize = 12;
 /// Bytes of the smallest amplitude vector a run here can want.
 const VECTOR_BYTES: usize = 16 << LIMIT;
@@ -111,12 +112,12 @@ fn job(
     run_plan(circuit, &schedule, spec, control).map(|(state, _)| state)
 }
 
-/// Take every kept buffer an inner vector of `LIMIT` qubits under a
-/// `QUBITS`-qubit state could be given, until the pool makes a fresh one.
-fn drain_inner_widths() -> Vec<Vec<Complex64>> {
+/// Take every kept buffer a tile buffer could be given, until the pool
+/// makes a fresh one.
+fn drain_tile_widths() -> Vec<Vec<Complex64>> {
     let mut out = Vec::new();
     loop {
-        let (buffer, fresh) = vectors_of(|| buffers::take_scratch(1 << LIMIT, 1 << QUBITS));
+        let (buffer, fresh) = vectors_of(|| buffers::take(TILE));
         if fresh > 0 {
             return out;
         }
@@ -125,20 +126,31 @@ fn drain_inner_widths() -> Vec<Vec<Complex64>> {
 }
 
 #[test]
-fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
+fn tile_buffers_are_allocated_once_and_never_take_a_kept_state() {
     let _serial = serial();
     let _ = simd_available();
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("the pool builds");
 
-    // A single part over every qubit: the state is the only vector, and the
-    // result is the flat fused executor's, bit for bit.
+    // A single part over every qubit, on one thread: the state and at most
+    // one tile buffer, and the result is the flat fused executor's, bit for
+    // bit.
     let qft = generators::qft(QUBITS);
     let whole = plan(&qft, QUBITS);
     assert_eq!(whole.parts.len(), 1);
     let sim = HierarchicalSimulator::new(HierConfig::new(QUBITS));
-    let (run, vectors) = vectors_of(|| sim.run_with_fused_plan(&qft, &whole));
+    let strided = fusion::strided_passes();
+    let (run, vectors) =
+        vectors_of(|| one_thread.install(|| sim.run_with_fused_plan(&qft, &whole)));
     assert!(
-        vectors <= 1,
-        "limit = n must allocate the state and nothing else"
+        fusion::strided_passes() > strided,
+        "qft({QUBITS}) strides no tile"
+    );
+    assert!(
+        vectors <= 2,
+        "limit = n must allocate the state, a tile buffer and nothing else"
     );
     let mut flat = StateVector::zero_state(QUBITS);
     FusedCircuit::new(&qft, DEFAULT_FUSION_WIDTH).apply(&mut flat, &ApplyOptions::default());
@@ -168,34 +180,30 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     assert!(held.iter().all(|state| *state == flat));
     drop(held);
 
-    // A plan with a gathered part, on one thread so the count is exact: once
-    // a run has left its inner vector and its result in the pool, a run
-    // allocates nothing.
+    // A plan of several parts whose passes stride tiles, on one thread so
+    // the count is exact: once a run has left its tile buffer and its
+    // result in the pool, a run allocates nothing.
     let qaoa = generators::by_name("qaoa", QUBITS);
     let parts = plan(&qaoa, LIMIT);
     assert!(parts.parts.len() > 1);
-    let schedule = FusedPlan::Single(&parts).schedule(QUBITS, 1);
-    assert!(schedule
-        .entries
-        .iter()
-        .any(|entry| entry.mode == PartMode::Gather));
-    let one_thread = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("the pool builds");
     let control = ExecControl::default();
     let sequential = |control: &ExecControl| {
         one_thread.install(|| job(&qaoa, FusedPlan::Single(&parts), 1, control))
     };
+    let strided = fusion::strided_passes();
     let first = sequential(&control).expect("an inert control cannot cancel");
+    assert!(
+        fusion::strided_passes() > strided,
+        "the plan strides no tile"
+    );
     drop(sequential(&control));
     assert!(buffers::retained_bytes() >= VECTOR_BYTES as u64);
     let (second, warm) = vectors_of(|| sequential(&control));
-    assert_eq!(warm, 0, "a warm run allocates no state and no inner vector");
+    assert_eq!(warm, 0, "a warm run allocates no state and no tile buffer");
     assert_eq!(second.as_ref(), Ok(&first));
 
-    // A run cancelled inside a gathered part gives back its inner vector and
-    // its state: the next run finds both and allocates nothing.
+    // A run cancelled between passes gives back its tile buffer and its
+    // state: the next run finds both and allocates nothing.
     assert_eq!(sequential(&cancelling()), Err(Cancelled));
     let (next, after_cancel) = vectors_of(|| sequential(&control));
     assert_eq!(
@@ -204,14 +212,14 @@ fn inner_vectors_are_allocated_once_and_only_where_a_part_gathers() {
     );
     assert_eq!(next.as_ref(), Ok(&first));
 
-    // An inner vector never takes a kept state: with two states kept and
-    // every buffer of the inner widths out, a run takes one state and
-    // allocates a fresh inner vector, and the other state stays for the
-    // next run.
+    // A tile buffer never takes a kept state: with two states kept and
+    // every buffer of the tile width out, a run takes one state and
+    // allocates a fresh tile buffer, and the other state stays for the next
+    // run.
     drop((second, next));
-    let out = drain_inner_widths();
+    let out = drain_tile_widths();
     let (third, fresh) = vectors_of(|| sequential(&control));
-    assert_eq!(fresh, 1, "only the inner vector is new");
+    assert_eq!(fresh, 1, "only the tile buffer is new");
     assert_eq!(third.as_ref(), Ok(&first));
     let (_, warm) = vectors_of(|| sequential(&control));
     assert_eq!(warm, 0, "the spare state served the next run");

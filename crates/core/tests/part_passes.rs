@@ -1,8 +1,8 @@
 //! Predicted count == measured count: the passes `FusedCircuit::passes`
 //! lists for a part over the outer state are the `kernel` spans the recorder
 //! holds after the part ran in place — every sweep of 2^16 amplitudes or
-//! more is recorded, and a tiled run is one span.
-//! `hier::part_mode` gathers or not on this number, so it has to be exact.
+//! more is recorded, and a tiled run, contiguous or strided, is one span.
+//! The runner's cost verdict reads this number, so it has to be exact.
 //!
 //! One test only: the recorder is process-wide.
 
@@ -10,13 +10,14 @@ use hisvsim_circuit::generators;
 use hisvsim_core::FusedSinglePlan;
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
-use hisvsim_statevec::{ApplyOptions, StateVector};
+use hisvsim_statevec::{fusion, ApplyOptions, StateVector};
 
 #[test]
 fn predicted_passes_are_the_recorded_kernel_spans() {
     // 17 qubits: two tiles, so the tiled segmentation is what is counted.
     let n = 17;
     let mut tiled_runs = 0;
+    let strided = fusion::strided_passes();
     for circuit in [generators::qft(n), generators::random_circuit(n, 120, 7)] {
         let dag = CircuitDag::from_circuit(&circuit);
         for limit in [8usize, 12, 17] {
@@ -51,4 +52,8 @@ fn predicted_passes_are_the_recorded_kernel_spans() {
         }
     }
     assert!(tiled_runs > 0, "no part exercised a tiled run");
+    assert!(
+        fusion::strided_passes() > strided,
+        "no part exercised a strided run"
+    );
 }

@@ -1,25 +1,25 @@
 //! A compiled schedule is the run: for single-level and two-level plans on
 //! worlds of 1, 2 and 4 ranks, the exchanges `FusedPlan::schedule` predicts
 //! are the ones the run reports, every rank leaves one `part` span per entry
-//! in the entry's form, and each in-place part's listed passes are the
-//! sweep spans the recorder holds for it, its tiled runs the `sweep:tiled`
-//! ones (every sweep of 2^16 amplitudes or more is recorded, so every slice
-//! here is at least that wide). `hier::part_mode` gathers or not on this
-//! count, so it has to be exact; single-level plans of 17-qubit circuits on
-//! one rank, two tiles wide, check it at several limits.
+//! with the entry's pass count, and each part's listed passes are the sweep
+//! spans the recorder holds for it, its tiled runs the `sweep:tiled` ones
+//! (every sweep of 2^16 amplitudes or more is recorded, so every slice here
+//! is at least that wide). The runner's cost verdict reads this count, so it
+//! has to be exact; single-level plans of 17-qubit circuits on one rank, two
+//! tiles wide, check it at several limits, and the runs here stride tiles
+//! across qubits above them.
 //!
 //! One test only: the recorder is process-wide.
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_cluster::NetworkModel;
-use hisvsim_core::hier::PartMode;
 use hisvsim_core::{
     run_plan, ExecControl, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_statevec::run_circuit;
+use hisvsim_statevec::{fusion, run_circuit};
 use std::collections::BTreeMap;
 
 /// Qubits of every state: 16-qubit slices on four ranks.
@@ -28,9 +28,8 @@ const QUBITS: usize = 18;
 const LIMIT: usize = 16;
 
 /// Check one run of `schedule` against the spans it left; returns the
-/// entries it checked in each form, (gathered, in place), and the tiled runs
-/// the in-place ones made.
-fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize, usize, usize) {
+/// entries it checked and the tiled runs they made.
+fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize, usize) {
     let ranks = schedule.ranks;
     let spec = RunSpec::new(
         engine,
@@ -59,19 +58,19 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
         parts.entry(span.tid).or_default().push(span);
     }
     assert_eq!(parts.len(), ranks, "{context}");
-    let mut forms = (0, 0);
+    let mut checked = 0;
     let mut tiled = 0;
     for (tid, mut rank_parts) in parts {
         rank_parts.sort_by_key(|span| span.ts_us);
         assert_eq!(rank_parts.len(), schedule.entries.len(), "{context}");
         for (index, (entry, span)) in schedule.entries.iter().zip(&rank_parts).enumerate() {
-            let mode = format!("mode={} ", entry.mode.name());
-            assert!(span.detail.starts_with(&mode), "{context}: {}", span.detail);
-            if entry.mode == PartMode::Gather {
-                forms.0 += 1;
-                continue;
-            }
-            forms.1 += 1;
+            let detail = format!(
+                "ws={} passes={}",
+                entry.positions.len(),
+                entry.in_place.len()
+            );
+            assert_eq!(span.detail, detail, "{context}");
+            checked += 1;
             let until = rank_parts
                 .get(index + 1)
                 .map_or(u64::MAX, |next| next.ts_us);
@@ -82,12 +81,11 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
                 .collect();
             assert_eq!(
                 sweeps.len(),
-                entry.passes.in_place,
+                entry.in_place.len(),
                 "{context}, part {index}"
             );
-            assert_eq!(entry.in_place.len(), entry.passes.in_place, "{context}");
             assert!(
-                entry.passes.in_place <= entry.part.inner.num_ops(),
+                entry.in_place.len() <= entry.part.inner.num_ops(),
                 "{context}"
             );
             let runs = sweeps.iter().filter(|&&name| name == "sweep:tiled").count();
@@ -96,13 +94,14 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
             tiled += runs;
         }
     }
-    (forms.0, forms.1, tiled)
+    (checked, tiled)
 }
 
 #[test]
 fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
     let mut exchanges = 0;
-    let mut forms = (0, 0);
+    let mut entries = 0;
+    let strided = fusion::strided_passes();
     for circuit in [
         generators::random_circuit(QUBITS, 160, 5),
         generators::by_name("qaoa", QUBITS),
@@ -122,16 +121,16 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
                 ("multilevel", FusedPlan::Two(&two)),
             ] {
                 let schedule = plan.schedule(QUBITS, ranks);
-                let (gathered, in_place, _) = check(&circuit, &schedule, engine);
+                entries += check(&circuit, &schedule, engine).0;
                 exchanges += schedule.exchanges();
-                forms = (forms.0 + gathered, forms.1 + in_place);
             }
         }
     }
-    // Every kind of entry was checked.
+    // Exchanges, parts and strided tile walks were all checked.
+    let strided = fusion::strided_passes() - strided;
     assert!(
-        exchanges > 0 && forms.0 > 0 && forms.1 > 0,
-        "{exchanges} {forms:?}"
+        exchanges > 0 && entries > 0 && strided > 0,
+        "{exchanges} {entries} {strided}"
     );
 
     // One rank, two tiles: the tiled segmentation is what is counted.
@@ -145,8 +144,8 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
                 .expect("admits every gate");
             let plan = FusedSinglePlan::new(&circuit, &dag, partition);
             let schedule = FusedPlan::Single(&plan).schedule(n, 1);
-            let (_, in_place, runs) = check(&circuit, &schedule, "hier");
-            assert!(in_place > 0, "{} at limit {limit}", circuit.name);
+            let (checked, runs) = check(&circuit, &schedule, "hier");
+            assert!(checked > 0, "{} at limit {limit}", circuit.name);
             tiled += runs;
         }
     }

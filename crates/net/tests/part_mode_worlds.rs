@@ -1,9 +1,9 @@
-//! The part executor decides gather-or-in-place from the plan alone, so the
-//! thread world and a worker-process world of one multilevel job decide every
-//! second-level part alike: with the recorder on, each rank leaves one `part`
-//! span per part (`mode=… ws=… passes=…`), the workers ship theirs back, and
-//! the two worlds' spans read the same. Alone in its test binary because the
-//! span recorder is process-global.
+//! A part's passes are fixed by the plan alone, so the thread world and a
+//! worker-process world of one multilevel job run every second-level part
+//! alike: with the recorder on, each rank leaves one `part` span per part
+//! (`ws=… passes=…`), the workers ship theirs back, and the two worlds' spans
+//! read the same. Alone in its test binary because the span recorder and the
+//! strided-pass tally are process-global.
 
 use hisvsim_circuit::generators;
 use hisvsim_cluster::NetworkModel;
@@ -12,6 +12,7 @@ use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_partition::MultilevelPartitioner;
 use hisvsim_runtime::PersistedPlan;
+use hisvsim_statevec::fusion;
 use std::path::PathBuf;
 
 /// The `part` spans recorded since the last drain, as sorted details.
@@ -28,7 +29,7 @@ fn drained_parts() -> Vec<String> {
 #[test]
 fn thread_and_process_worlds_decide_every_part_alike() {
     let workers = 2;
-    // 18 local qubits: above one tile, so parts of both modes occur.
+    // 18 local qubits: above one tile, so passes stride tiles.
     let circuit = generators::by_name("qaoa", 19);
     let dag = CircuitDag::from_circuit(&circuit);
     let ml = MultilevelPartitioner
@@ -45,7 +46,9 @@ fn thread_and_process_worlds_decide_every_part_alike() {
 
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
+    let strided = fusion::strided_passes();
     let (threads_state, _) = execute_local_reference(&job, workers, NetworkModel::ideal());
+    let strided = fusion::strided_passes() - strided;
     let on_threads = drained_parts();
     let (processes_state, _) = pool
         .execute(&job, None, &CancelToken::new())
@@ -53,12 +56,8 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     let on_processes = drained_parts();
     hisvsim_obs::set_enabled(false);
 
-    assert!(on_threads
-        .iter()
-        .any(|part| part.starts_with("mode=gather ")));
-    assert!(on_threads
-        .iter()
-        .any(|part| part.starts_with("mode=in_place ")));
+    assert!(strided > 0, "no pass strides a tile");
+    assert!(on_threads.iter().any(|part| !part.ends_with(" passes=1")));
     assert_eq!(on_threads, on_processes);
     assert_eq!(
         threads_state, processes_state,

@@ -24,14 +24,12 @@ use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::{Circuit, Qubit};
-use hisvsim_core::hier::{PartPasses, GATHER_PASSES};
 use hisvsim_core::{
     run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
     PlanSchedule, RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
-use hisvsim_statevec::fusion::TILE;
 use hisvsim_statevec::{measure, CancelToken, KernelDispatch, StateVector};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -343,11 +341,9 @@ impl JobRunner {
     ///
     /// A hier job — every default-routed circuit one node holds — executes
     /// on the calling thread, which is also where its progress callbacks
-    /// fire: within the cache budget the plan is one part swept in place, so
-    /// a warm small job neither fuses nor spawns. Past the budget the
-    /// selector's limit is a proposal the plan's own pass counts can turn
-    /// down (`reroutes`). Worlds of two ranks and up run their ranks on
-    /// threads of their own.
+    /// fire: the default plan is one part swept in place, so a warm small
+    /// job neither fuses nor spawns. Worlds of two ranks and up run their
+    /// ranks on threads of their own.
     pub fn execute_job(
         &self,
         job_index: usize,
@@ -456,32 +452,19 @@ impl JobRunner {
         let plan_ts = hisvsim_obs::now_us();
         let plan_start = Instant::now();
         // The plan's schedule on the job's world, compiled once, is what the
-        // route, the verdict and the run read; a route that turns the
-        // proposal down (`reroutes`) takes the plan at limit `n` instead.
+        // verdict and the run read.
         let plan_span =
             hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
-        let failed = |decision: &EngineDecision, error| JobError::PlanFailed {
-            circuit: circuit.name.clone(),
-            engine: decision.engine,
-            limit: decision.limit,
-            error,
-        };
-        let (n, ranks) = (circuit.num_qubits(), decision.ranks);
-        let (proposal, proposed_source) =
-            (self.obtain_plan(&circuit, &decision)).map_err(|error| failed(&decision, error))?;
-        let proposed = schedule_of(&proposal, n, ranks);
-        let own_limit = job.limit.is_none();
-        let rerouted;
-        let (plan, schedule, source) =
-            match self.reroutes(&circuit, &mut decision, own_limit, proposed.as_ref()) {
-                false => (&proposal, proposed, proposed_source),
-                true => {
-                    rerouted = (self.obtain_plan(&circuit, &decision))
-                        .map_err(|error| failed(&decision, error))?;
-                    let source = colder(proposed_source, rerouted.1);
-                    (&rerouted.0, schedule_of(&rerouted.0, n, ranks), source)
-                }
-            };
+        let (plan, source) =
+            self.obtain_plan(&circuit, &decision)
+                .map_err(|error| JobError::PlanFailed {
+                    circuit: circuit.name.clone(),
+                    engine: decision.engine,
+                    limit: decision.limit,
+                    error,
+                })?;
+        let schedule =
+            (plan.as_ref()).map(|plan| plan.fused().schedule(circuit.num_qubits(), decision.ranks));
         drop(plan_span);
         let plan_time_s = plan_start.elapsed().as_secs_f64();
         phase("plan", plan_ts, &plan_start, format!("{source:?}"));
@@ -616,60 +599,6 @@ impl JobRunner {
         })
     }
 
-    /// Whether a job turns down the selector's proposal, with `decision`
-    /// brought in line. A hier job on a world of one at the selector's own
-    /// limit, over a state above one [`TILE`], keeps that limit's plan only
-    /// if gathering shortens one of its parts, by the exact [`PartPasses`]
-    /// of the proposal's schedule. Otherwise the job is planned, cached and
-    /// keyed at limit `n` — one part, swept in place — and `decision` says
-    /// so, with the counts that decided. Both plans stay cached (and
-    /// snapshotted), so a repeat plans nothing.
-    fn reroutes(
-        &self,
-        circuit: &Circuit,
-        decision: &mut EngineDecision,
-        own_limit: bool,
-        proposed: Option<&PlanSchedule<'_>>,
-    ) -> bool {
-        let n = circuit.num_qubits();
-        let ruled = own_limit
-            && decision.engine == EngineKind::Hier
-            && decision.ranks == 1
-            && decision.limit < n
-            && 1usize << n > TILE;
-        let Some(schedule) = proposed.filter(|_| ruled) else {
-            return false;
-        };
-        // The part gathering helps most (or hurts least) decides.
-        let gain = |passes: &PartPasses| {
-            (passes.gathered).map_or(0, |g| (g + GATHER_PASSES) as i64 - passes.in_place as i64)
-        };
-        let Some((index, passes)) = (schedule.entries.iter())
-            .map(|entry| entry.passes)
-            .enumerate()
-            .min_by_key(|(_, passes)| gain(passes))
-        else {
-            return false;
-        };
-        let (limit, parts) = (decision.limit, schedule.entries.len());
-        if passes.gather_shortens() {
-            decision.reason += &format!(
-                "; gathering shortens part {} of {parts}: {passes}",
-                index + 1
-            );
-            return false;
-        }
-        decision.limit = n;
-        decision.reason = format!(
-            "2^{n} amplitudes exceed the {}-qubit LLC budget, but gathering shortens no part \
-             of the limit-{limit} plan (closest, part {} of {parts}: {passes}); one part at \
-             limit {n}, swept in place",
-            self.config.selector.cache_qubits,
-            index + 1
-        );
-        true
-    }
-
     /// Obtain the fused partition plan for a decision: from the in-memory
     /// cache when enabled, by re-fusing a disk-persisted partition on a warm
     /// start, or planned from scratch. Every auto-selected engine takes one
@@ -784,22 +713,6 @@ impl JobRunner {
     }
 }
 
-/// The schedule of `plan` on `n` qubits and `ranks` ranks; none for the
-/// unplanned baseline.
-fn schedule_of(plan: &Option<CachedPlan>, n: usize, ranks: usize) -> Option<PlanSchedule<'_>> {
-    plan.as_ref().map(|plan| plan.fused().schedule(n, ranks))
-}
-
-/// The provenance of a job whose plan took two lookups: planned if either
-/// was, else rebuilt from disk if either was, else a memory hit.
-fn colder(a: PlanSource, b: PlanSource) -> PlanSource {
-    match (a, b) {
-        (PlanSource::Planned, _) | (_, PlanSource::Planned) => PlanSource::Planned,
-        (PlanSource::Warm, _) | (_, PlanSource::Warm) => PlanSource::Warm,
-        _ => PlanSource::Memory,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,9 +818,9 @@ mod tests {
         let partition = Planner.plan_single(&dag, decision.limit).unwrap();
         let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
         let schedule = hisvsim_core::FusedPlan::Single(&plan).schedule(21, 2);
-        assert_eq!((schedule.passes(), schedule.exchanges()), (11, 2));
+        assert_eq!((schedule.passes(), schedule.exchanges()), (4, 2));
         assert_eq!(result.report.num_exchanges, 2);
-        let sweeps = 11.0 * (32u64 << 20) as f64 / (NOMINAL_SWEEP_GBPS * 1e9);
+        let sweeps = 4.0 * (32u64 << 20) as f64 / (NOMINAL_SWEEP_GBPS * 1e9);
         let exchanges = decision.est_exchange_s * 2.0;
         assert_eq!(result.verdict.predicted_execute_s, sweeps + exchanges);
     }

@@ -300,21 +300,29 @@ mod tests {
     fn every_engine_choice_matches_the_flat_reference() {
         let scheduler = Scheduler::new(scaled_config());
         // Widths walking the selector ladder: hier over the whole circuit
-        // (one part), hier at the cache limit, multilevel.
-        let jobs: Vec<SimJob> = [4usize, 6, 9]
+        // (one part) within the cache budget and past it, multilevel past
+        // the node; and hier forced, at the cache limit.
+        let mut jobs: Vec<SimJob> = [4usize, 6, 9]
             .iter()
             .map(|&n| SimJob::new(generators::qft(n)))
             .collect();
+        jobs.push(SimJob::new(generators::qft(6)).with_engine(EngineKind::Hier));
         let expected: Vec<_> = jobs.iter().map(|j| run_circuit(&j.circuit)).collect();
         let batch = scheduler.run_batch(jobs);
         let engines: Vec<EngineKind> = batch.results.iter().map(|r| r.engine).collect();
         assert_eq!(
             engines,
-            vec![EngineKind::Hier, EngineKind::Hier, EngineKind::Multilevel]
+            vec![
+                EngineKind::Hier,
+                EngineKind::Hier,
+                EngineKind::Multilevel,
+                EngineKind::Hier
+            ]
         );
         let parts: Vec<usize> = batch.results.iter().map(|r| r.report.num_parts).collect();
         assert_eq!(parts[0], 1, "a circuit within the cache budget is one part");
-        assert!(parts[1] > 1, "past the budget the circuit is partitioned");
+        assert_eq!(parts[1], 1, "so is one within the node budget");
+        assert!(parts[3] > 1, "a forced hier job is partitioned");
         for (result, expected) in batch.results.iter().zip(&expected) {
             assert!(
                 result.state.as_ref().unwrap().approx_eq(expected, 1e-9),

@@ -7,14 +7,14 @@
 //!
 //! The decision mirrors the paper's own sizing argument:
 //!
-//! * a state vector that fits the last-level cache needs no hierarchy at all
-//!   → `hier` at limit `n`: the plan is one part over the whole circuit,
-//!   fused once, cached, and swept in place on the caller's thread;
-//! * a state vector that fits one node but not the LLC may benefit from the
-//!   Gather–Execute–Scatter hierarchy → `hier` with the cache-derived limit,
-//!   a proposal: the runner keeps it only if gathering shortens one of the
-//!   plan's parts, counted exactly, and otherwise runs the job at limit `n`
-//!   (`JobRunner::execute_job`);
+//! * a state vector that fits one node → `hier` at limit `n`: the plan is
+//!   one part over the whole circuit, fused once, cached, and swept in place
+//!   on the caller's thread. Past the last-level cache the Gather–Execute–
+//!   Scatter hierarchy still applies, at tile granularity: every pass of
+//!   several ops gathers each 2^16-amplitude tile it mixes into an L2-sized
+//!   buffer (`FusedCircuit::passes`), so no part needs an inner vector of
+//!   its own. A job that forces the engine gets the cache-derived limit, and
+//!   one that forces a limit keeps it; either plan runs in place;
 //! * anything larger must be distributed; if the per-rank slice itself
 //!   still dwarfs the LLC, the two-level engine additionally reorganises the
 //!   rank-local computation → `multilevel`, otherwise `dist`.
@@ -158,6 +158,7 @@ impl EngineSelector {
 
         let (limit, second_limit) = match engine {
             EngineKind::Baseline => (n.max(1), 0),
+            EngineKind::Hier if forced.is_none() => (n.max(1), 0),
             EngineKind::Hier => (cache_limit, 0),
             EngineKind::Dist => (local.clamp(arity_floor, n.max(1)), 0),
             EngineKind::Multilevel => {
@@ -175,9 +176,9 @@ impl EngineSelector {
                 "2^{n} amplitudes fit the {}-qubit LLC budget; one part, swept in place",
                 self.cache_qubits
             ),
-            EngineKind::Hier if engine == auto => format!(
+            EngineKind::Hier if forced.is_none() => format!(
                 "2^{n} amplitudes exceed the {}-qubit LLC budget but fit one node \
-                 ({} qubits); gather/execute/scatter at limit {limit}",
+                 ({} qubits); one part, swept in place tile by tile",
                 self.cache_qubits, self.node_qubits
             ),
             EngineKind::Dist if engine == auto => format!(
@@ -198,7 +199,7 @@ impl EngineSelector {
             _ => {
                 let parameters = match engine {
                     EngineKind::Baseline => "one rank, no partitioning".to_string(),
-                    EngineKind::Hier => format!("gather/execute/scatter at limit {limit}"),
+                    EngineKind::Hier => format!("parts at limit {limit}, swept in place"),
                     EngineKind::Dist | EngineKind::Multilevel => format!(
                         "{ranks} ranks, {local}-qubit local slices, limits {limit}/{second_limit} \
                          (~{est_exchange_s:.1e} s/exchange)"
@@ -222,9 +223,8 @@ impl EngineSelector {
         }
     }
 
-    /// The ladder: one node holds the state ⇒ `hier` (one in-place part
-    /// when the state also fits the LLC budget, since the limit is then
-    /// `n`), else the distributed engines.
+    /// The ladder: one node holds the state ⇒ `hier` (one in-place part),
+    /// else the distributed engines.
     fn auto_engine(&self, n: usize) -> EngineKind {
         if n <= self.node_qubits {
             EngineKind::Hier
@@ -285,12 +285,15 @@ mod tests {
             (small.engine, small.limit, small.ranks),
             (EngineKind::Hier, 4, 1)
         );
-        // Past the cache budget, within the node: hier at the cache limit.
+        // Past the cache budget, within the node: still one hier part.
         let wide = s.decide(&generators::qft(6), None);
         assert_eq!(
             (wide.engine, wide.limit, wide.ranks),
-            (EngineKind::Hier, 4, 1)
+            (EngineKind::Hier, 6, 1)
         );
+        // Forcing the engine partitions at the cache limit instead.
+        let forced = s.decide(&generators::qft(6), Some(EngineKind::Hier));
+        assert_eq!((forced.engine, forced.limit), (EngineKind::Hier, 4));
         // 9 qubits: 2 ranks → 8 local qubits > cache+1 → multilevel.
         assert_eq!(
             s.decide(&generators::qft(9), None).engine,
@@ -336,8 +339,11 @@ mod tests {
         );
         // Past the budget the same engine states the other rationale.
         let wide = s.decide(&generators::qft(22), None);
-        assert_eq!((wide.engine, wide.limit), (EngineKind::Hier, 21));
+        assert_eq!((wide.engine, wide.limit), (EngineKind::Hier, 22));
         assert!(wide.reason.contains("exceed the 21-qubit LLC budget"));
+        assert!(wide
+            .reason
+            .contains("one part, swept in place tile by tile"));
 
         // Each forced decision names the override and its own parameters.
         for engine in [EngineKind::Baseline, EngineKind::Dist] {

@@ -408,7 +408,7 @@ impl JobHandle {
     /// Request cooperative cancellation. A job still queued ends here, in
     /// its terminal transition: counted, its artifact stored and its
     /// stream closed before this returns. A running job stops at its next
-    /// checkpoint (between fused parts / gather assignments) and ends on
+    /// checkpoint (between fused parts / passes of a part) and ends on
     /// its worker, releasing its residency slot. Cancelling a finished job
     /// is a no-op. When the job's deadline has fired, the cancellation
     /// surfaces as `Failed { DeadlineExceeded }`.

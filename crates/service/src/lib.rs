@@ -15,8 +15,8 @@
 //!   [`JobEvent`]s, including `Executing { gates_done, gates_total }`
 //!   updates emitted by the engines between fused parts.
 //! * **Cooperative cancellation** — [`JobHandle::cancel`] stops a running
-//!   job at its next checkpoint (between fused groups / gather
-//!   assignments / part switches), releasing its resident-state-vector
+//!   job at its next checkpoint (between the passes of a part / part
+//!   switches), releasing its resident-state-vector
 //!   slot; cancelling a queued job removes it without running, and
 //!   cancelling a finished job is a no-op.
 //! * **Retained job artifacts** — every terminal job folds its decision

@@ -3,7 +3,6 @@
 
 use crate::artifacts::{JobArtifacts, JobStatusReport, DEFAULT_ARTIFACT_CAPACITY};
 use crate::handle::{JobBook, JobEvent, JobFailure, JobHandle, JobPriority, JobShared, JobStatus};
-use hisvsim_core::hier::PartMode;
 use hisvsim_obs::log;
 use hisvsim_obs::{Counter, Histogram, Registry};
 use hisvsim_runtime::pool::{JobControl, JobError, JobRunner, Semaphore};
@@ -506,16 +505,12 @@ impl SimService {
              were emitted in their cheaper solo form instead (process-wide).",
             hisvsim_statevec::fusion::fusion_fallback_count(),
         );
-        for mode in [PartMode::Gather, PartMode::InPlace] {
-            reg.labeled_counter(
-                "hisvsim_hier_parts_total",
-                "Parts run by the part executor, which runs every part of every planned \
-                 engine (hier, dist and multilevel), by whether they were gathered into an \
-                 inner vector or swept in place (process-wide).",
-                &[("mode", mode.name())],
-            )
-            .set(hisvsim_core::hier::parts_executed(mode) as f64);
-        }
+        counter(
+            "hisvsim_hier_parts_total",
+            "Parts run by the rank body, which runs every part of every planned engine \
+             (hier, dist and multilevel) in place (process-wide).",
+            hisvsim_core::hier::parts_executed(),
+        );
         counter(
             "hisvsim_obs_spans_dropped_total",
             "Trace spans discarded because a thread's ring buffer was full (process-wide; \

@@ -1,5 +1,5 @@
 //! The process's one pool of amplitude buffers: every state vector, rank
-//! slice, exchange message and inner vector is taken from it and given back
+//! slice, exchange message and tile buffer is taken from it and given back
 //! to it, so a warm service, worker or launcher faults its buffers in once,
 //! not once per job (a fresh page is the least steady cost on a shared
 //! host). A [`StateVector`](crate::StateVector) gives its buffer back when it
@@ -63,14 +63,6 @@ pub fn take(len: usize) -> Vec<Complex64> {
     POOL.take(len, 2 * len)
 }
 
-/// [`take`] for a buffer given back before its taker returns (an inner
-/// vector): any wider kept buffer narrower than `below` serves too. An inner
-/// vector passes its outer state's length, so it never takes a kept state of
-/// that width — the next job's — when its own width's buffers are out.
-pub fn take_scratch(len: usize, below: usize) -> Vec<Complex64> {
-    POOL.take(len, below)
-}
-
 /// Keep `buffer` for the next taker it fits.
 pub fn give(buffer: Vec<Complex64>) {
     POOL.give(buffer)
@@ -108,7 +100,7 @@ mod tests {
         assert!(fresh.capacity() >= PAGE && fresh.is_empty());
         assert_ne!(fresh.as_ptr(), wide);
         assert_eq!(pool.retained_bytes(), 3 * MIN_KEPT_BYTES as u64);
-        // Scratch is served by any wider buffer below its bound.
+        // A wider bound is served by any wider buffer below it.
         let bounded = pool.take(PAGE, 3 * PAGE);
         assert_ne!(bounded.as_ptr(), wide);
         assert_eq!(pool.retained_bytes(), 3 * MIN_KEPT_BYTES as u64);

@@ -5,8 +5,12 @@
 //! complementary* to gate fusion and the other kernel-level optimisations of
 //! existing simulators (Sec. II-C). This module provides exactly that
 //! complementary optimisation so the combination can be exercised: fusing
-//! reduces the number of passes over the (inner or outer) state vector, the
-//! partitioner reduces the size of the vector each pass touches.
+//! reduces the number of ops, and the cache-blocked pass order
+//! ([`FusedCircuit::passes`]) runs each stretch of ops whose mixing qubits
+//! fit one 2^16-amplitude tile as one pass over the state — the paper's
+//! Algorithm 1 at tile granularity: each tile, strided chunks when the ops
+//! reach above them, is gathered into an L2-sized buffer, swept by every op
+//! of the pass and scattered back.
 //!
 //! Two fusion forms live here:
 //!
@@ -31,9 +35,8 @@ use crate::simd::{lanes_dispatch, Lanes};
 use crate::state::StateVector;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
 use hisvsim_dag::{antichain_fusion_groups, CircuitDag, GateClass};
-use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// The most qubits one gate acts on (Toffoli, CSWAP).
 const MAX_GATE_QUBITS: usize = 3;
@@ -293,8 +296,8 @@ pub enum FusedOp {
 }
 
 /// Per-op data derived from the fused form once at build time (zero masks of
-/// dense matrices, block classification of diagonal runs), so the
-/// per-assignment hot loops of the hierarchical engines never re-derive it.
+/// dense matrices, block classification of diagonal runs), so a plan's
+/// repeated sweeps never re-derive it.
 #[derive(Debug, Clone)]
 enum PreparedOp {
     Dense(DenseMasks),
@@ -316,15 +319,20 @@ fn prepare_op(op: &FusedOp, state_qubits: usize) -> PreparedOp {
 
 /// An op's operand qubits after the optional translation — on the stack for
 /// every width the kernels run without heap scratch, so translating costs no
-/// allocation per op, per tile or per gather assignment.
+/// allocation per op or per tile.
 enum Operands {
     Stack([Qubit; MAX_STACK_KERNEL_QUBITS], usize),
     Heap(Vec<Qubit>),
 }
 
 impl Operands {
-    fn translate(qubits: &[Qubit], map: Option<&[Qubit]>) -> Self {
-        let target = |&q: &Qubit| map.map_or(q, |m| m[q]);
+    /// `qubits` aimed through `map`, then at their positions in a tile of
+    /// `shape` when there is one.
+    fn translate(qubits: &[Qubit], map: Option<&[Qubit]>, shape: Option<TileShape>) -> Self {
+        let target = |&q: &Qubit| {
+            let q = map.map_or(q, |m| m[q]);
+            shape.map_or(q, |shape| shape.position(q))
+        };
         if qubits.len() <= MAX_STACK_KERNEL_QUBITS {
             let mut stack = [0; MAX_STACK_KERNEL_QUBITS];
             for (slot, q) in stack.iter_mut().zip(qubits) {
@@ -381,7 +389,7 @@ impl FusedOp {
         opts: &ApplyOptions,
     ) {
         let state_qubits = state.num_qubits();
-        let item = tile_op(self, prep, map, state_qubits);
+        let item = tile_op(self, prep, map, None, state_qubits);
         item.apply(state.amplitudes_mut(), 0, opts);
     }
 }
@@ -479,8 +487,8 @@ struct DiagPass {
 }
 
 /// A diagonal run classified for the block sweep. Built once per
-/// [`FusedCircuit`] (so the per-assignment hot loops of the hierarchical
-/// engines never re-derive it), or per rank translation in the mapped path.
+/// [`FusedCircuit`] (so a plan's repeated sweeps never re-derive it), or
+/// per rank translation in the mapped path.
 #[derive(Debug, Clone)]
 struct PreparedDiagonal {
     block_bits: usize,
@@ -887,15 +895,17 @@ impl FusedCircuit {
     /// [`ops`](Self::ops): the one segmentation every application walks.
     ///
     /// A state of at most one [`TILE`] is swept op by op, one op per pass.
-    /// A larger one is swept in cache-blocked order: each maximal run of ≥ 2
-    /// consecutive tileable ops (dense ops whose translated qubits all sit
-    /// below the tile's 16 bits, plus diagonal runs at *any* qubits) is one
-    /// pass, in which each 1 MiB tile streams through the whole run while
-    /// L2-resident, instead of the run streaming the whole state from memory
-    /// once per op. Every other op (one touching a higher qubit, or a lone
-    /// tileable op, which gains nothing) is a whole-state sweep of its own.
-    /// With the recorder on, a state above one tile leaves exactly one
-    /// `kernel` span per pass.
+    /// A larger one is swept in cache-blocked order: a run of ops is one
+    /// pass while the union of their *mixing* qubits (the translated
+    /// operands of dense and solo ops; a diagonal run mixes none) fits one
+    /// tile shape ([`TileShape::of`]), so each 2^16-amplitude tile streams
+    /// through the whole run while L2-resident instead of the run streaming
+    /// the whole state from memory once per op. The run is extended until
+    /// the next op would leave no shape: a seventh mixing qubit at or above
+    /// the smallest chunk, or one that narrows the chunk below the qubits
+    /// already taken. A run of one op gains nothing and is a whole-state
+    /// sweep of its own. With the recorder on, a state above one tile
+    /// leaves exactly one `kernel` span per pass.
     pub fn passes<'a>(
         &'a self,
         state_qubits: usize,
@@ -905,8 +915,14 @@ impl FusedCircuit {
         let mut start = 0usize;
         std::iter::from_fn(move || {
             let rest = self.ops.get(start..).filter(|rest| !rest.is_empty())?;
+            let mut mixing = 0u64;
             let run = match tiles {
-                true => (rest.iter()).take_while(|op| op_tileable(op, map)).count(),
+                true => (rest.iter())
+                    .take_while(|op| {
+                        mixing |= op_mixing(op, map);
+                        TileShape::of(mixing).is_some()
+                    })
+                    .count(),
                 false => 0,
             };
             let pass = start..start + run.max(1);
@@ -917,17 +933,12 @@ impl FusedCircuit {
 
     /// Apply one pass of [`passes`](Self::passes) for this state's width
     /// and the same translation: a single op is one whole-state sweep, a
-    /// longer range one tiled run. Tile bases are [`TILE`]-aligned, so
-    /// relative bit indexing inside a tile coincides with absolute indexing
-    /// for every qubit below the tile's bits, and diagonal runs receive the
-    /// tile's absolute base so high-qubit factors classify exactly as in the
-    /// untiled order — the per-amplitude arithmetic is bit-identical either
-    /// way.
+    /// longer range one cache-blocked run ([`Self::apply_tiled_run`]). The
+    /// per-amplitude arithmetic is bit-identical either way.
     ///
     /// With the recorder enabled the pass leaves a sampled `kernel` span:
     /// full-size sweeps (≥ 2^16 amplitudes) are always recorded, and small
-    /// inner-state sweeps (the hierarchical engines run millions of them)
-    /// 1-in-64, to keep the tracing overhead off the hot path.
+    /// sweeps 1-in-64, to keep the tracing overhead off the hot path.
     pub fn apply_pass(
         &self,
         state: &mut StateVector,
@@ -956,30 +967,53 @@ impl FusedCircuit {
             state.len() > TILE,
             "a tiled pass needs a state above one tile"
         );
-        debug_assert!(self.ops[pass.clone()].iter().all(|op| op_tileable(op, map)));
-        self.apply_tiled_run(state, pass, map, opts, tracing);
+        let ops = &self.ops[pass.clone()];
+        let mixing = ops.iter().fold(0, |mixing, op| mixing | op_mixing(op, map));
+        let shape = TileShape::of(mixing).expect("the ops of a pass fit one tile");
+        self.apply_tiled_run(state, pass, shape, map, opts, tracing);
     }
 
-    /// Execute the ops of `run` (all tileable) tile-by-tile. Per-run
-    /// translation and specialisation happen once up front; the per-tile loop
-    /// allocates nothing.
+    /// Execute the ops of `run` tile by tile in `shape`. A tile is the
+    /// 2^|high| chunks of 2^chunk_bits contiguous amplitudes that one
+    /// assignment of the remaining bits selects. Dense and solo ops run on
+    /// tile positions (a chunk's bits keep their place, the high qubits
+    /// follow in order); a diagonal run is applied chunk by chunk at each
+    /// chunk's absolute base, so its blocks classify exactly as in the
+    /// whole-state sweep. A one-chunk tile is a contiguous range of the
+    /// state and is swept where it lies; a strided one is copied into a
+    /// worker's pooled tile buffer and back. Per-run translation and
+    /// specialisation happen once up front; the per-tile loop allocates
+    /// nothing.
     fn apply_tiled_run(
         &self,
         state: &mut StateVector,
         run: Range<usize>,
+        shape: TileShape,
         map: Option<&[Qubit]>,
         opts: &ApplyOptions,
         tracing: bool,
     ) {
-        let items: Vec<TileOp<'_>> = run
-            .clone()
-            .map(|idx| tile_op(&self.ops[idx], &self.prepared[idx], map, state.num_qubits()))
+        let items: Vec<TileOp<'_>> = (run.clone())
+            .map(|idx| {
+                let (op, prep) = (&self.ops[idx], &self.prepared[idx]);
+                tile_op(op, prep, map, Some(shape), state.num_qubits())
+            })
             .collect();
         let len = state.len();
+        let (chunk, chunks) = (1usize << shape.chunk_bits, shape.chunks());
+        if chunks > 1 {
+            STRIDED_PASSES.fetch_add(1, Ordering::Relaxed);
+        }
         let _g = (tracing && sample_sweep(len)).then(|| {
             let gates: usize = self.ops[run.clone()].iter().map(FusedOp::fused_count).sum();
             hisvsim_obs::span("kernel", "sweep:tiled")
-                .detail(format!("{} ops, {} gates, {} amps", run.len(), gates, len))
+                .detail(format!(
+                    "{} ops, {} gates, {} amps, {chunks} chunks of 2^{}",
+                    run.len(),
+                    gates,
+                    len,
+                    shape.chunk_bits
+                ))
                 // One streaming pass over the state carries the whole run.
                 .bytes(len as u64 * 32)
         });
@@ -990,22 +1024,63 @@ impl FusedCircuit {
             parallel_threshold: usize::MAX,
             dispatch: opts.dispatch,
         };
-        let amps = state.amplitudes_mut();
-        let tiles = amps.len() / TILE;
-        let amps_ptr = SharedAmpsSlice::new(amps);
-        let work = |t: usize| {
-            let base = t * TILE;
-            // SAFETY: tiles are disjoint contiguous ranges.
-            let tile = unsafe { amps_ptr.slice_mut(base, TILE) };
+        // Each chunk's base inside a tile, and the bits that pick the tile.
+        let mut offsets = [0usize; 1 << (TILE_BITS - MIN_CHUNK_BITS)];
+        for (h, offset) in offsets[..chunks].iter_mut().enumerate() {
+            *offset = deposit(h, shape.high);
+        }
+        let offsets = &offsets[..chunks];
+        let picks = (len as u64 - 1) & !(chunk as u64 - 1) & !shape.high;
+        let sweep = |tile: &mut [Complex64], base: usize| {
             for item in &items {
-                item.apply(tile, base, &tile_opts);
+                match item {
+                    TileOp::Diag(_) => {
+                        for (amps, &offset) in tile.chunks_exact_mut(chunk).zip(offsets) {
+                            item.apply(amps, base + offset, &tile_opts);
+                        }
+                    }
+                    _ => item.apply(tile, base, &tile_opts),
+                }
             }
         };
-        if opts.parallel && len >= opts.parallel_threshold {
-            (0..tiles).into_par_iter().for_each(work);
-        } else {
-            (0..tiles).for_each(work);
-        }
+        let amps_ptr = SharedAmpsSlice::new(state.amplitudes_mut());
+        let work = |buffer: &mut TileBuffer, t: usize| {
+            let base = deposit(t, picks);
+            if chunks == 1 {
+                // SAFETY: one-chunk tiles are disjoint contiguous ranges.
+                return sweep(unsafe { amps_ptr.slice_mut(base, TILE) }, base);
+            }
+            // SAFETY: the chunks of distinct tiles are disjoint ranges of
+            // the state, and only the worker that claimed tile `t` reads or
+            // writes its chunks.
+            let chunk_at = |offset: usize| unsafe { amps_ptr.slice_mut(base + offset, chunk) };
+            let tile = buffer.amps();
+            for (amps, &offset) in tile.chunks_exact_mut(chunk).zip(offsets) {
+                amps.copy_from_slice(chunk_at(offset));
+            }
+            sweep(tile, base);
+            for (amps, &offset) in tile.chunks_exact(chunk).zip(offsets) {
+                chunk_at(offset).copy_from_slice(amps);
+            }
+        };
+        // Each worker claims the next tile until none is left, so a worker
+        // the host slows down takes fewer tiles, and holds one buffer.
+        let tiles = len / TILE;
+        let workers = match opts.go_parallel(len) {
+            true => rayon::current_num_threads().clamp(1, tiles),
+            false => 1,
+        };
+        let next = AtomicUsize::new(0);
+        for_each_range(workers, workers > 1, |_| {
+            let mut buffer = TileBuffer::default();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= tiles {
+                    break;
+                }
+                work(&mut buffer, t);
+            }
+        });
     }
 
     /// Run from `|0…0⟩` and return the resulting state.
@@ -1018,9 +1093,9 @@ impl FusedCircuit {
 
 /// Sweep-span sampling decision: record every sweep over a full-size state
 /// (the interesting ones for kernel optimisation), and of the small
-/// inner-state sweeps the first on each thread plus 1-in-64 after, so
-/// hierarchical runs always leave a kernel footprint in the trace without
-/// flooding the ring buffers.
+/// sweeps the first on each thread plus 1-in-64 after, so runs over small
+/// states still leave a kernel footprint in the trace without flooding the
+/// ring buffers.
 fn sample_sweep(amps: usize) -> bool {
     if amps >= (1 << 16) {
         return true;
@@ -1037,28 +1112,114 @@ fn sample_sweep(amps: usize) -> bool {
 
 /// Tile size of the cache-blocked sweep order: 2^16 amplitudes = 1 MiB of
 /// `Complex64`, sized so a run's working set stays L2-resident (2 MiB L2 on
-/// the reference Xeon) while keeping two more qubits below the tile
-/// boundary than a 256 KiB tile would — every extra tileable qubit lets
-/// more dense ops join tiled runs instead of forcing whole-state sweeps.
+/// the reference Xeon) while keeping two more qubits inside a tile than a
+/// 256 KiB tile would.
 const TILE_BITS: usize = 16;
 /// One tile of the cache-blocked sweep, in amplitudes: a state no larger
 /// than this is swept op by op and stays L2-resident between the sweeps.
 pub const TILE: usize = 1 << TILE_BITS;
+/// Fewest index bits of one chunk of a strided tile: 2^10 amplitudes
+/// (16 KiB), so a tile holds at most `TILE_BITS - MIN_CHUNK_BITS` = 6
+/// mixing qubits at or above its chunks.
+const MIN_CHUNK_BITS: usize = 10;
 
-/// Whether an op can execute inside one tile. Dense ops qualify when every
-/// (translated) qubit sits below [`TILE_BITS`], so they never pair amplitudes
-/// across a tile boundary. Diagonal runs qualify at *any* qubit positions:
-/// each amplitude is only scaled in place, and the block kernel classifies
-/// factors from the block's absolute base index — factors on qubits at or
-/// above [`TILE_BITS`] are constant within a tile and fold into the per-block
-/// phase exactly as in the whole-state sweep.
-fn op_tileable(op: &FusedOp, map: Option<&[Qubit]>) -> bool {
-    let fits = |&q: &Qubit| map.map_or(q, |m| m[q]) < TILE_BITS;
-    match op {
-        FusedOp::Dense(g) => g.qubits.iter().all(fits),
-        FusedOp::Solo(gate, _) => gate.qubits.iter().all(fits),
-        FusedOp::Diagonal { .. } => true,
+/// Where a cache-blocked pass's tiles lie: each is `2^|high|` chunks of
+/// `2^chunk_bits` contiguous amplitudes, and its position bit
+/// `chunk_bits + j` is the `j`-th qubit of `high`, ascending
+/// (Häner & Steiger's cache blocking, without swapping the qubits in).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TileShape {
+    /// Index bits of one chunk.
+    chunk_bits: usize,
+    /// The mixing qubits at or above the chunk, as a mask.
+    high: u64,
+}
+
+impl TileShape {
+    /// The widest chunk whose tile holds every qubit of the mask `mixing`:
+    /// `2^b` contiguous amplitudes, `MIN_CHUNK_BITS ≤ b ≤ TILE_BITS`, such
+    /// that `b` plus the mixing qubits at or above `b` is at most
+    /// `TILE_BITS`. None when no chunk is that wide.
+    fn of(mixing: u64) -> Option<Self> {
+        (MIN_CHUNK_BITS..=TILE_BITS).rev().find_map(|chunk_bits| {
+            let high = mixing >> chunk_bits << chunk_bits;
+            let fits = chunk_bits + high.count_ones() as usize <= TILE_BITS;
+            fits.then_some(Self { chunk_bits, high })
+        })
     }
+
+    /// Chunks per tile.
+    fn chunks(self) -> usize {
+        1 << self.high.count_ones()
+    }
+
+    /// The tile position of state qubit `q`, one below the chunk bits or
+    /// in `high`.
+    fn position(self, q: Qubit) -> Qubit {
+        match q < self.chunk_bits {
+            true => q,
+            false => self.chunk_bits + (self.high & ((1u64 << q) - 1)).count_ones() as usize,
+        }
+    }
+}
+
+/// The mixing qubits of an op (its translated operands; a diagonal run
+/// only scales amplitudes where they lie) as a mask.
+fn op_mixing(op: &FusedOp, map: Option<&[Qubit]>) -> u64 {
+    let qubits: &[Qubit] = match op {
+        FusedOp::Dense(g) => &g.qubits,
+        FusedOp::Solo(gate, _) => &gate.qubits,
+        FusedOp::Diagonal { .. } => &[],
+    };
+    (qubits.iter()).fold(0, |mask, &q| mask | 1u64 << map.map_or(q, |m| m[q]))
+}
+
+/// Bits of `value`, lowest first, placed at the set bits of `mask`, lowest
+/// first.
+fn deposit(mut value: usize, mut mask: u64) -> usize {
+    let mut out = 0;
+    while mask != 0 && value != 0 {
+        if value & 1 == 1 {
+            out |= 1usize << mask.trailing_zeros();
+        }
+        value >>= 1;
+        mask &= mask - 1;
+    }
+    out
+}
+
+/// One worker's tile buffer: taken from the process's buffer pool when a
+/// strided tile first needs it, given back on drop.
+#[derive(Default)]
+struct TileBuffer(Vec<Complex64>);
+
+impl TileBuffer {
+    fn amps(&mut self) -> &mut [Complex64] {
+        if self.0.is_empty() {
+            // Every chunk is copied in before it is read.
+            self.0 = crate::buffers::take(TILE);
+            self.0.resize(TILE, Complex64::ZERO);
+        }
+        &mut self.0[..TILE]
+    }
+}
+
+impl Drop for TileBuffer {
+    fn drop(&mut self) {
+        if self.0.capacity() > 0 {
+            crate::buffers::give(std::mem::take(&mut self.0));
+        }
+    }
+}
+
+/// Process-wide count of strided passes: cache-blocked runs whose tiles
+/// gather chunks from above [`TILE`]'s bits.
+static STRIDED_PASSES: AtomicU64 = AtomicU64::new(0);
+
+/// How many strided passes this process has applied: runs whose tiles are
+/// several chunks apart, copied into a tile buffer and back. Monotonic.
+pub fn strided_passes() -> u64 {
+    STRIDED_PASSES.load(Ordering::Relaxed)
 }
 
 /// One op aimed at a concrete state layout: operands translated, prepared
@@ -1079,23 +1240,25 @@ enum TileOp<'a> {
 }
 
 /// Resolve one fused op for execution on a state of `state_qubits` qubits
-/// under the optional translation. Whole-state and tiled sweeps both go
-/// through this, which is why they agree bitwise.
+/// under the optional translation, on the whole state or on the tiles of
+/// `shape`. Whole-state and tiled sweeps both go through this, which is why
+/// they agree bitwise.
 fn tile_op<'a>(
     op: &'a FusedOp,
     prep: &'a PreparedOp,
     map: Option<&[Qubit]>,
+    shape: Option<TileShape>,
     state_qubits: usize,
 ) -> TileOp<'a> {
     match (op, prep) {
         (FusedOp::Dense(g), PreparedOp::Dense(masks)) => TileOp::Dense {
-            qubits: Operands::translate(&g.qubits, map),
+            qubits: Operands::translate(&g.qubits, map, shape),
             matrix: &g.matrix,
             masks,
         },
         (FusedOp::Solo(gate, matrix), _) => TileOp::Solo {
             kind: &gate.kind,
-            qubits: Operands::translate(&gate.qubits, map),
+            qubits: Operands::translate(&gate.qubits, map, shape),
             matrix: matrix.as_ref(),
         },
         (FusedOp::Diagonal { factors, .. }, prep) => match (map, prep) {
@@ -1103,8 +1266,8 @@ fn tile_op<'a>(
                 TileOp::Diag(std::borrow::Cow::Borrowed(prepared))
             }
             // The block classification depends on translated positions;
-            // re-derived once per application (once per rank per part —
-            // outside the per-assignment hot loops), shared by every tile.
+            // re-derived once per application (once per rank per part),
+            // shared by every tile.
             _ => TileOp::Diag(std::borrow::Cow::Owned(prepare_diagonal(
                 factors,
                 map,
@@ -1118,13 +1281,11 @@ fn tile_op<'a>(
 }
 
 impl TileOp<'_> {
-    /// Apply this op to a slice starting at absolute amplitude index `base`:
-    /// the whole state (`base` 0) or one tile. A tile base is
-    /// [`TILE`]-aligned and every dense qubit of a tiled op is below
-    /// [`TILE_BITS`], so tile-relative indexing matches absolute indexing
-    /// bit-for-bit; diagonal runs additionally receive `base` so factors on
-    /// high qubits classify against the same absolute block bases as the
-    /// whole-state sweep.
+    /// Apply this op to `amps`: the whole state (`base` 0), a tile, or —
+    /// for a diagonal run — one contiguous chunk starting at absolute
+    /// amplitude index `base`. Dense and solo operands are already aimed at
+    /// `amps`' positions; a diagonal run classifies its factors against the
+    /// same absolute block bases as the whole-state sweep.
     fn apply(&self, amps: &mut [Complex64], base: usize, opts: &ApplyOptions) {
         match self {
             TileOp::Dense {
@@ -1668,6 +1829,141 @@ mod tests {
                 assert_bitwise(&tiled, &scalar, &format!("{what}: auto vs scalar"));
             }
         }
+    }
+
+    /// The union of the mixing qubits of `ops` under `map`.
+    fn mixing_of(ops: &[FusedOp], map: Option<&[Qubit]>) -> u64 {
+        ops.iter().fold(0, |mixing, op| mixing | op_mixing(op, map))
+    }
+
+    #[test]
+    fn strided_runs_match_op_by_op_sweeps_bitwise() {
+        use crate::simd::KernelDispatch;
+        // One case per count of high qubits, 1 to 6 (the smallest chunk,
+        // 2^MIN_CHUNK_BITS), on 17- to 20-qubit states. Every qubit an op
+        // mixes is one of `high` or below the chunk, so the whole circuit
+        // is one strided pass; the diagonal gates sit on high qubits, on
+        // in-chunk ones and on the other bits, which pick the tile.
+        let cases: [(usize, &[Qubit]); 6] = [
+            (17, &[16]),
+            (18, &[15, 17]),
+            (19, &[14, 16, 18]),
+            (20, &[13, 15, 17, 19]),
+            (19, &[12, 14, 16, 17, 18]),
+            (20, &[11, 13, 15, 17, 18, 19]),
+        ];
+        for (n, high) in cases {
+            let chunk_bits = TILE_BITS - high.len();
+            let other: Vec<Qubit> = (chunk_bits..n).filter(|q| !high.contains(q)).collect();
+            let (first, top) = (high[0], high[high.len() - 1]);
+            let mut circuit = Circuit::new(n);
+            circuit.h(0).ry(0.3, 1).cx(0, 2).h(chunk_bits - 1);
+            for (i, &q) in high.iter().enumerate() {
+                circuit.h(q).cx(q, i).ry(0.2 + 0.1 * i as f64, q);
+            }
+            circuit
+                .cp(0.4, top, 3)
+                .cp(0.7, other[0], first)
+                .rz(0.9, other[other.len() - 1])
+                .rzz(0.3, 5, other[0])
+                .t(chunk_bits - 1)
+                .swap(1, top)
+                .ccx(first, 2, 3)
+                .cz(0, first)
+                .rx(0.6, top)
+                .cp(0.5, 7, 8);
+            let fused = FusedCircuit::new(&circuit, 3);
+            let what = format!("{n} qubits, high {high:?}");
+            let shape = TileShape::of(mixing_of(fused.ops(), None)).expect("one tile");
+            assert_eq!(
+                (shape.chunk_bits, shape.chunks()),
+                (chunk_bits, 1 << high.len())
+            );
+            let passes: Vec<Range<usize>> = fused.passes(n, None).collect();
+            assert_eq!(passes.len(), 1, "{what}: {passes:?}");
+            assert_eq!(passes[0], 0..fused.num_ops(), "{what}");
+            // The low qubits reversed below the chunk: the same shape, every
+            // low operand at another position.
+            let map: Vec<Qubit> = (0..n)
+                .map(|q| {
+                    if q < chunk_bits {
+                        chunk_bits - 1 - q
+                    } else {
+                        q
+                    }
+                })
+                .collect();
+            let mapped = TileShape::of(mixing_of(fused.ops(), Some(&map)));
+            assert_eq!(mapped, Some(shape), "{what}");
+            let init = random_state(n, 0x5171 + n as u64);
+            for map in [None, Some(&map[..])] {
+                let mut reference: Option<StateVector> = None;
+                for opts in [ApplyOptions::default(), ApplyOptions::sequential()] {
+                    for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                        let opts = opts.with_dispatch(dispatch);
+                        let mut swept = init.clone();
+                        for (op, prep) in fused.ops().iter().zip(&fused.prepared) {
+                            op.apply_inner(&mut swept, prep, map, &opts);
+                        }
+                        let mut strided = init.clone();
+                        match map {
+                            None => fused.apply(&mut strided, &opts),
+                            Some(map) => fused.apply_mapped(&mut strided, map, &opts),
+                        }
+                        let what = format!("{what}, mapped={}, {dispatch}", map.is_some());
+                        assert_bitwise(&strided, &swept, &what);
+                        match &reference {
+                            None => reference = Some(strided),
+                            Some(first) => assert_bitwise(first, &strided, &what),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn passes_cut_exactly_where_the_tile_shape_stops_fitting() {
+        // Width 1 keeps every H on its own qubit a solo op of its own.
+        let n = 20;
+        let hs = |qubits: &[Qubit]| {
+            let mut circuit = Circuit::new(n);
+            for &q in qubits {
+                circuit.h(q);
+            }
+            FusedCircuit::new(&circuit, 1)
+        };
+        // Six high qubits fill a tile of 2^10-amplitude chunks; a seventh
+        // does not fit.
+        let seventh = hs(&[14, 15, 16, 17, 18, 19, 13]);
+        assert_eq!(seventh.num_ops(), 7);
+        let passes: Vec<Range<usize>> = seventh.passes(n, None).collect();
+        assert_eq!(passes, [0..6, 6..7]);
+        let full = TileShape::of(mixing_of(&seventh.ops()[..6], None)).expect("fits");
+        assert_eq!((full.chunk_bits, full.chunks()), (MIN_CHUNK_BITS, 64));
+        // Three high qubits leave 2^13-amplitude chunks, so qubits 10–12
+        // ride inside them; an op on qubit 14, in [13, 16), would narrow the
+        // chunk until they are high too, and starts the next pass.
+        let narrowing = hs(&[17, 18, 19, 10, 11, 12, 14]);
+        let passes: Vec<Range<usize>> = narrowing.passes(n, None).collect();
+        assert_eq!(passes, [0..6, 6..7]);
+        let shape = TileShape::of(mixing_of(&narrowing.ops()[..6], None)).expect("fits");
+        assert_eq!((shape.chunk_bits, shape.chunks()), (13, 8));
+        assert_eq!(shape.position(12), 12);
+        assert_eq!(shape.position(18), 14);
+        // Narrowed by a qubit that leaves room, the run goes on.
+        let room = hs(&[17, 18, 19, 14, 10]);
+        let passes: Vec<Range<usize>> = room.passes(n, None).collect();
+        assert_eq!((passes.len(), passes[0].clone()), (1, 0..5));
+        let shape = TileShape::of(mixing_of(room.ops(), None)).expect("fits");
+        assert_eq!((shape.chunk_bits, shape.chunks()), (12, 16));
+        // Diagonal runs mix nothing: they never cut a pass, at any qubit.
+        let mut diagonal = Circuit::new(n);
+        diagonal.h(19).cp(0.3, 13, 12).h(18).rz(0.2, 11).h(17);
+        let fused = FusedCircuit::new(&diagonal, 1);
+        assert_eq!(fused.passes(n, None).count(), 1);
+        // At most one tile, every op is a pass of its own.
+        assert!(room.passes(TILE_BITS, None).all(|pass| pass.len() == 1));
     }
 
     #[test]

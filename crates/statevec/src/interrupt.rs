@@ -4,7 +4,7 @@
 //! execution loop is underway nothing above it can reclaim the worker
 //! without help from below. [`CancelToken`] is that help: a clonable,
 //! thread-safe flag the service layer sets and the engines poll at their
-//! natural checkpoints (between fused groups, gather assignments and part
+//! natural checkpoints (between the passes of a part and at part
 //! switches), so an abandoned job stops within one checkpoint instead of
 //! running to completion.
 //!

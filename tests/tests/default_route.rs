@@ -1,11 +1,11 @@
 //! What a small job costs once the service is warm: the selector routes a
 //! circuit within the cache budget to a one-part plan, so from its second
-//! submission on the job is a cache hit and one in-place sweep on the thread
-//! that called the runner — no fusion, no rank thread, no gather. One test
-//! function, because it reads the process-wide part tallies.
+//! submission on the job is a cache hit and one in-place part on the thread
+//! that called the runner — no fusion, no rank thread. One test function,
+//! because it reads the process-wide part tally.
 
 use hisvsim_circuit::generators;
-use hisvsim_core::hier::{parts_executed, PartMode};
+use hisvsim_core::hier::parts_executed;
 use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
@@ -26,12 +26,6 @@ fn a_warm_small_job_is_a_cache_hit_and_one_in_place_part_on_the_callers_thread()
         })),
         ..JobControl::new()
     };
-    let tallies = || {
-        (
-            parts_executed(PartMode::Gather),
-            parts_executed(PartMode::InPlace),
-        )
-    };
 
     let run = |control: &JobControl| {
         runner
@@ -40,9 +34,9 @@ fn a_warm_small_job_is_a_cache_hit_and_one_in_place_part_on_the_callers_thread()
     };
     let cold = run(&JobControl::new());
     let second = run(&JobControl::new());
-    let before = tallies();
+    let before = parts_executed();
     let warm = run(&watched);
-    let after = tallies();
+    let after = parts_executed();
 
     for result in [&cold, &second, &warm] {
         assert_eq!(result.engine, EngineKind::Hier);
@@ -63,11 +57,7 @@ fn a_warm_small_job_is_a_cache_hit_and_one_in_place_part_on_the_callers_thread()
     assert_eq!((cache.misses, cache.entries), (1, 1));
     assert_eq!(cold.state, warm.state);
 
-    assert_eq!(
-        (after.0 - before.0, after.1 - before.1),
-        (0, 1),
-        "the warm run is one in-place part and no gather"
-    );
+    assert_eq!(after - before, 1, "the warm run is one part");
     let seen = progress_threads.lock().expect("no panic under the lock");
     assert!(seen.len() >= 2, "execution start and the completed part");
     assert!(

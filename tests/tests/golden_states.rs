@@ -13,30 +13,29 @@
 //! `Scheduler::run_batch`: hier at limit n, one part swept in place), the
 //! distributed engine forced at 1, 2 and 4 ranks, the multilevel engine at 2
 //! ranks, and the flat `IqsBaseline` comparator at 2 ranks. At 14 qubits
-//! and below the state is one tile and every part runs in place, so the
-//! rows that pin gathered parts are wider: `hier12` (every family at 17
-//! qubits, limit 12), `dist1` at the same width and limit (bit-identical to
-//! `hier12`), and `multilevel2` on three circuits at 19 qubits with second
-//! limit 12.
+//! and below the state is one tile and every pass is one op, so the rows
+//! that pin strided tile walks (passes whose tiles gather chunks from above
+//! the tile's bits) are wider: `hier12` (every family at 17 qubits, limit
+//! 12), `dist1` at the same width and limit (bit-identical to `hier12`), and
+//! `multilevel2` on three circuits at 19 qubits with second limit 12.
 //!
 //! An intended change to the amplitudes re-blesses the file with
 //! `cargo test -p hisvsim-integration-tests --test golden_states -- --ignored bless`;
 //! the diff then shows exactly the rows it moved.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{parts_executed, PartMode};
 use hisvsim_core::{
     BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
     IqsBaseline, MultilevelConfig, MultilevelSimulator,
 };
 use hisvsim_runtime::{Scheduler, SchedulerConfig, SimJob};
-use hisvsim_statevec::{run_circuit, StateVector};
+use hisvsim_statevec::{fusion, run_circuit, StateVector};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_states.txt");
 
 const WIDTHS: [usize; 3] = [8, 11, 14];
 
-/// Two tiles: the narrowest state whose parts may gather.
+/// Two tiles: the narrowest state whose passes may be strided.
 const WIDE: usize = 17;
 /// Working-set limit of the wide rows (and second limit of the widest).
 const WIDE_LIMIT: usize = 12;
@@ -111,11 +110,12 @@ fn widest_circuits() -> Vec<Circuit> {
     out
 }
 
-/// Parts gathered process-wide while `rows` runs, with what it returns.
-fn gathering<T>(rows: impl FnOnce() -> T) -> (T, u64) {
-    let before = parts_executed(PartMode::Gather);
+/// Strided passes run process-wide while `rows` runs, with what it
+/// returns.
+fn striding<T>(rows: impl FnOnce() -> T) -> (T, u64) {
+    let before = fusion::strided_passes();
     let out = rows();
-    (out, parts_executed(PartMode::Gather) - before)
+    (out, fusion::strided_passes() - before)
 }
 
 /// Every case of the corpus, in file order.
@@ -153,14 +153,14 @@ fn corpus() -> Vec<String> {
 
     let wide = families(&[WIDE]);
     let wide_expected: Vec<StateVector> = wide.iter().map(run_circuit).collect();
-    let (hier, gathered) = gathering(|| {
+    let (hier, strided) = striding(|| {
         let sim = HierarchicalSimulator::new(HierConfig::new(WIDE_LIMIT));
         let runs = wide
             .iter()
             .map(|circuit| sim.run(circuit).expect("hier12 plans"));
         runs.map(|run| run.state).collect::<Vec<_>>()
     });
-    assert!(gathered > 0, "the hier12 rows gather no part");
+    assert!(strided > 0, "the hier12 rows run no strided pass");
     for ((circuit, state), expected) in wide.iter().zip(&hier).zip(&wide_expected) {
         lines.push(line_against("hier12", circuit, state, expected));
     }
@@ -179,14 +179,14 @@ fn corpus() -> Vec<String> {
         lines.push(line_against("dist1", circuit, &run.state, expected));
     }
     let widest = widest_circuits();
-    let (states, gathered) = gathering(|| {
+    let (states, strided) = striding(|| {
         let sim = MultilevelSimulator::new(MultilevelConfig::new(2, WIDE_LIMIT));
         let runs = widest
             .iter()
             .map(|circuit| sim.run(circuit).expect("multilevel2 plans"));
         runs.map(|run| run.state).collect::<Vec<_>>()
     });
-    assert!(gathered > 0, "the wide multilevel2 rows gather no part");
+    assert!(strided > 0, "the wide multilevel2 rows run no strided pass");
     for (circuit, state) in widest.iter().zip(&states) {
         lines.push(line("multilevel2", circuit, state));
     }

@@ -63,10 +63,9 @@ fn metrics_text_is_valid_prometheus_exposition() {
         "hisvsim_selector_misprediction_ratio_bucket",
         "hisvsim_selector_misprediction_ratio_count 3",
         "hisvsim_obs_spans_dropped_total",
-        // The part executor's decision (one series per mode) and the bytes
-        // the buffer pool keeps between uses.
-        "hisvsim_hier_parts_total{mode=\"gather\"}",
-        "hisvsim_hier_parts_total{mode=\"in_place\"}",
+        // The parts the rank bodies ran and the bytes the buffer pool keeps
+        // between uses.
+        "hisvsim_hier_parts_total",
         "hisvsim_buffer_pool_bytes",
     ] {
         assert!(

@@ -2,20 +2,20 @@
 //! |x⟩ in closed form, amplitude k = e^{2πi·x·k/2ⁿ}/√2ⁿ, computed by a plain
 //! `f64` loop, against `generators::qft(n)` after X gates prepare |x⟩,
 //! submitted through `JobRunner`. On the default route it is one part swept
-//! in place at 20 qubits, and at 22 too (`large_qft`'s): the selector's
-//! limit-21 plan has no part that gathering shortens, so the job runs at
-//! limit 22 with the permutation the relabeled SWAPs leave. A job forcing
-//! limit 21 at 22 qubits keeps that plan and its gathered part.
+//! in place at 20 qubits, and at 22 too (`large_qft`'s), with the
+//! permutation the relabeled SWAPs leave; at 22 its first pass strides tiles
+//! across qubits 16–21. A job forcing limit 21 at 22 qubits keeps that plan,
+//! three parts, each swept in place.
 //!
 //! Tolerance: 1e-14 per real and imaginary part. Each amplitude has
 //! magnitude 2^-n/2 (about 1e-3 at 20 qubits, 5e-4 at 22), so a slipped
 //! phase or a misplaced qubit is off by ~1e-4 somewhere; the largest error
 //! measured is 2.6e-18 at 20 qubits and under 1e-17 at 22.
 //!
-//! One test function: it reads the process-wide gathered-part tally.
+//! One test function: it reads the process-wide part tally.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_core::hier::{parts_executed, PartMode};
+use hisvsim_core::hier::parts_executed;
 use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
 
 const TOLERANCE: f64 = 1e-14;
@@ -51,12 +51,12 @@ fn the_default_route_computes_the_closed_form_qft() {
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
     let rows = [
-        (20, 0x9_3C5Au64, None, 20, false),
-        (22, 0x2D_B1E7, None, 22, false),
-        (22, 0x1E_83C5, Some(21), 21, true),
+        (20, 0x9_3C5Au64, None, 20, 1),
+        (22, 0x2D_B1E7, None, 22, 1),
+        (22, 0x1E_83C5, Some(21), 21, 3),
     ];
-    for (n, x, forced, limit, gathers) in rows {
-        let before = parts_executed(PartMode::Gather);
+    for (n, x, forced, limit, parts) in rows {
+        let before = parts_executed();
         let mut job = SimJob::new(qft_of_basis(n, x));
         if let Some(forced) = forced {
             job = job.with_limit(forced);
@@ -69,11 +69,7 @@ fn the_default_route_computes_the_closed_form_qft() {
             (EngineKind::Hier, limit),
             "qft({n})"
         );
-        assert_eq!(
-            parts_executed(PartMode::Gather) > before,
-            gathers,
-            "qft({n})"
-        );
+        assert_eq!(parts_executed() - before, parts, "qft({n})");
         let state = result.state.expect("states are retained");
         let amps = state.amplitudes().iter().map(|a| (a.re, a.im));
         let error = max_error(n, x, amps);

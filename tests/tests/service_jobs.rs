@@ -792,13 +792,11 @@ fn a_relabeled_job_reports_the_submitted_gates_to_the_end() {
     service.shutdown().unwrap();
 }
 
-/// A world-of-one job whose gathered parts run on the pool reports from
-/// whichever thread finishes a chunk of assignments. Reports that cross are
-/// dropped, never delivered late: the job's `Executing` events, and so its
-/// status, never go backwards.
+/// A world-of-one job above one tile reports after every pass of its parts,
+/// not once a part: the job's `Executing` events outnumber its parts, and
+/// they, and so its status, never go backwards.
 #[test]
-fn a_gathered_job_reports_progress_that_never_decreases() {
-    use hisvsim_core::hier::PartMode;
+fn a_partitioned_job_reports_progress_once_a_pass_and_never_backwards() {
     use hisvsim_core::{FusedPlan, FusedSinglePlan};
     use hisvsim_dag::CircuitDag;
     use hisvsim_partition::Strategy;
@@ -806,7 +804,8 @@ fn a_gathered_job_reports_progress_that_never_decreases() {
     let (n, limit) = (18, 14);
     let circuit = generators::random_circuit(n, 400, 3);
     let total = circuit.num_gates() as u64;
-    // The plan the runner makes for the forced limit gathers some part.
+    // The plan the runner makes for the forced limit walks some part in
+    // several passes.
     let (relabeled, _) = circuit.relabel_swaps();
     let dag = CircuitDag::from_circuit(&relabeled);
     let partition = Strategy::DagP
@@ -815,8 +814,8 @@ fn a_gathered_job_reports_progress_that_never_decreases() {
     let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
     let schedule = FusedPlan::Single(&plan).schedule(n, 1);
     assert!(
-        (schedule.entries.iter()).any(|entry| entry.mode == PartMode::Gather),
-        "no part gathers"
+        (schedule.entries.iter()).any(|entry| entry.in_place.len() > 1),
+        "no part takes two passes"
     );
 
     let service = SimService::start(ServiceConfig::new());
