@@ -62,11 +62,6 @@ impl Circuit {
         &self.gates
     }
 
-    /// Consume the circuit and return its gates.
-    pub fn into_gates(self) -> Vec<Gate> {
-        self.gates
-    }
-
     /// Append an already-constructed gate, validating its qubit indices.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
         for &q in &gate.qubits {

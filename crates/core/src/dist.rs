@@ -183,11 +183,6 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         &self.layout
     }
 
-    /// This rank's local slice.
-    pub fn local_state(&self) -> &StateVector {
-        &self.local
-    }
-
     /// Mutable access to this rank's local slice (the baseline sweeps it
     /// directly).
     pub fn local_state_mut(&mut self) -> &mut StateVector {

@@ -133,13 +133,6 @@ impl HierarchyStats {
             .map(|(a, b)| a * b)
             .sum()
     }
-
-    /// Fraction of accesses that had to leave the core-private caches
-    /// (L3 + DRAM) — the dominant term in DRAM-stall time.
-    pub fn beyond_l2_fraction(&self) -> f64 {
-        let f = self.service_fractions();
-        f[2] + f[3]
-    }
 }
 
 /// The three-level inclusive hierarchy.

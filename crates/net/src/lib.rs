@@ -20,7 +20,8 @@
 //!   matrices never travel, workers re-fuse locally),
 //! * [`worker`] — the `hisvsim-net worker` process body: a resident
 //!   command loop running the one rank body the in-process world runs
-//!   (`run_plan_rank`), with a warm plan cache and a warm buffer pool; and
+//!   (`run_plan_rank`) over the partition it validates and fuses per job,
+//!   with a warm buffer pool; and
 //!   [`execute_local_reference`], the same body on threads,
 //! * [`pool`] — [`WorkerPool`]: spawn N workers **once**, then ship `Run`
 //!   frames and gather slices and stats per job through one entry point,

@@ -10,8 +10,9 @@
 //!
 //! Residency is what the paper's batch workloads want: after the first
 //! job warms the world up, a batch of repeats pays zero spawn/rendezvous
-//! cost, each worker's plan cache answers repeated fingerprints without
-//! re-fusing, and amplitude buffers come warm from each process's pool.
+//! cost and amplitude buffers come warm from each process's pool. Each
+//! worker checks and re-fuses the shipped partition on every job: that is
+//! O(gates) beside sweeps over a whole slice, so no worker keeps plans.
 //! Failure policy is crash-only: any failure of a job drops the whole world
 //! (the next job respawns it); a cooperative cancel keeps it warm, because
 //! the cancel *vote* guarantees no rank was mid-collective.
@@ -133,10 +134,9 @@ struct PoolMetrics {
 /// **once**, then serves jobs over the resident control channels:
 /// [`WorkerPool::execute`] ships a `Run { epoch, job }` frame to every
 /// rank and gathers the per-rank results, leaving the world warm for the
-/// next job. Plan reuse across jobs is layered: the pool ships whatever
-/// partition it is handed (a warm plan cache upstream means zero
-/// replans), and each worker keeps its own fused-plan cache (a repeated
-/// fingerprint re-fuses nothing).
+/// next job. The pool ships whatever partition it is handed, so plan reuse
+/// across jobs is the runtime's plan cache upstream (a warm one means zero
+/// replans); each worker validates and fuses the partition per job.
 ///
 /// Jobs are serialized — the world runs one job at a time, which is
 /// exactly the SPMD model (every rank participates in every job).
@@ -294,8 +294,8 @@ impl WorkerPool {
         }
         let world = world.as_mut().expect("world ensured above");
 
-        // Ship the job (plan partitions + circuit; workers re-fuse
-        // locally, or answer from their warm plan cache).
+        // Ship the job (plan partitions + circuit; workers validate and
+        // re-fuse locally).
         let ship_start = Instant::now();
         {
             let _ship = hisvsim_obs::span("cluster", "ship");

@@ -2,12 +2,14 @@
 //!
 //! A worker is one rank of the process cluster: it checks in with the
 //! pool, joins the TCP mesh **once**, then serves jobs from a persistent
-//! command loop — checking and re-fusing each shipped partition locally
-//! (with a warm plan cache, so a repeated fingerprint re-fuses nothing),
+//! command loop — on every job checking the shipped partition against the
+//! circuit at the world's local width and fusing it (the rule the runtime
+//! applies to a warm snapshot entry,
+//! [`PersistedPlan::validate_and_fuse`](hisvsim_runtime::PersistedPlan::validate_and_fuse)),
 //! running the *same* rank body the in-process world runs, and streaming
-//! its slice back per job in the layout the body ended in, then giving it
-//! to the process's [`buffers`] pool beside the exchange's: a warm worker's
-//! next job allocates no amplitude buffer at all. A reader thread drains
+//! its slice back in the layout the body ended in, then giving it to the
+//! process's [`buffers`] pool beside the exchange's: a warm worker's next
+//! job allocates no amplitude buffer at all. A reader thread drains
 //! [`WorkerCommand`] frames concurrently, so a `Cancel { epoch }` reaches
 //! the running job's [`CancelToken`] mid-sweep; the rank body observes it
 //! at its collective cancel-vote checkpoints. The module also holds the
@@ -22,15 +24,13 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_core::{
-    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedSinglePlan,
-    FusedTwoLevelPlan, RankOutcome, RunReport,
+    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, RankOutcome, RunReport,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
-use hisvsim_runtime::{CachedPlan, PersistedPlan};
-use hisvsim_statevec::{buffers, StateVector, DEFAULT_FUSION_WIDTH};
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use hisvsim_runtime::CachedPlan;
+use hisvsim_statevec::{buffers, StateVector};
+use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -39,99 +39,20 @@ use std::time::Instant;
 
 const LOG_TARGET: &str = "hisvsim-net::worker";
 
-/// A resident worker's warm plan cache: fused plans keyed by everything
-/// that determines them (circuit fingerprint and the shipped partition
-/// itself), so a repeated fingerprint re-fuses nothing. Fusion is
-/// deterministic, which makes a cache hit bit-identical to a rebuild — reuse
-/// changes *when* work happens, never what it produces. Bounded FIFO, sized
-/// for parameter-sweep batches.
-pub(crate) struct WorkerPlanCache {
-    plans: HashMap<u64, CachedPlan>,
-    order: VecDeque<u64>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl WorkerPlanCache {
-    /// A cache holding at most `capacity` fused plans.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            plans: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// `(hits, misses)` so far — a repeated fingerprint must hit.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    fn get_or_build(
-        &mut self,
-        key: u64,
-        build: impl FnOnce() -> Result<CachedPlan, String>,
-    ) -> Result<CachedPlan, String> {
-        if let Some(plan) = self.plans.get(&key) {
-            self.hits += 1;
-            return Ok(plan.clone());
-        }
-        self.misses += 1;
-        let plan = build()?;
-        if self.plans.len() >= self.capacity {
-            if let Some(evicted) = self.order.pop_front() {
-                self.plans.remove(&evicted);
-            }
-        }
-        self.plans.insert(key, plan.clone());
-        self.order.push_back(key);
-        Ok(plan)
-    }
-}
-
-/// Everything that determines the fused schedule, folded into one key.
-fn plan_key(job: &ShippedJob) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    job.circuit.fingerprint().hash(&mut hasher);
-    // The shipped partition travels in its (deterministic) wire shape;
-    // hashing it covers plans that differ only in their working-set limit.
-    serde_json::to_string(&job.plan)
-        .unwrap_or_default()
-        .hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The fused plan of a shipped job for a world of `ranks` ranks, from
-/// `plans` (a warm [`WorkerPlanCache`] re-fuses a repeated fingerprint not
-/// at all). A miss first checks the shipped partition against the circuit
-/// at the world's local width, with the `validate` the runtime applies to a
-/// warm snapshot: a shipped plan is no more trusted than a persisted one.
-fn shipped_plan(
-    job: &ShippedJob,
-    ranks: usize,
-    plans: &mut WorkerPlanCache,
-) -> Result<CachedPlan, String> {
-    plans.get_or_build(plan_key(job), || {
-        let qubits = job.circuit.num_qubits();
-        let local = qubits
-            .checked_sub(ranks.trailing_zeros() as usize)
-            .ok_or_else(|| format!("{qubits} qubits cannot spread over {ranks} ranks"))?;
-        let dag = CircuitDag::from_circuit(&job.circuit);
-        let valid = match &job.plan {
-            PersistedPlan::Single(partition) => partition
-                .validate(&dag, local)
-                .map(drop)
-                .map_err(|e| e.to_string()),
-            PersistedPlan::Two(ml) => ml.validate(&dag, local),
-        };
-        valid.map_err(|e| {
-            format!("the shipped plan does not validate at {local} local qubits: {e}")
-        })?;
-        Ok(fuse_shipped(job, &dag))
-    })
+/// The fused plan of a shipped job for a world of `ranks` ranks. A shipped
+/// partition is no more trusted than a persisted one: it is checked at the
+/// world's local width and fused by
+/// [`PersistedPlan::validate_and_fuse`](hisvsim_runtime::PersistedPlan::validate_and_fuse),
+/// afresh on every job.
+fn shipped_plan(job: &ShippedJob, ranks: usize) -> Result<CachedPlan, String> {
+    let qubits = job.circuit.num_qubits();
+    let local = qubits
+        .checked_sub(ranks.trailing_zeros() as usize)
+        .ok_or_else(|| format!("{qubits} qubits cannot spread over {ranks} ranks"))?;
+    let dag = CircuitDag::from_circuit(&job.circuit);
+    (job.plan.clone())
+        .validate_and_fuse(&job.circuit, &dag, local)
+        .map_err(|e| format!("the shipped plan does not validate at {local} local qubits: {e}"))
 }
 
 /// Execute one rank of a shipped job on any [`RankComm`] world: the one
@@ -166,8 +87,7 @@ pub fn execute_local_reference(
     network: NetworkModel,
 ) -> (StateVector, RunReport) {
     let start = Instant::now();
-    let plan = shipped_plan(job, ranks, &mut WorkerPlanCache::new(1))
-        .unwrap_or_else(|message| panic!("{message}"));
+    let plan = shipped_plan(job, ranks).unwrap_or_else(|message| panic!("{message}"));
     let outcomes = run_spmd::<Complex64, RankOutcome, _>(ranks, network, |mut comm| {
         execute_shipped_rank(job, &plan, &mut comm, &CancelToken::new())
             .expect("an inert token never cancels")
@@ -182,24 +102,6 @@ pub fn execute_local_reference(
         wall,
         None,
     )
-}
-
-/// Re-fuse a shipped partition (a plan-cache miss) over the circuit's
-/// `dag`, under a `fuse` span.
-fn fuse_shipped(job: &ShippedJob, dag: &CircuitDag) -> CachedPlan {
-    let gates = job.circuit.num_gates();
-    let _fuse = hisvsim_obs::span("job", "fuse")
-        .detail(format!("{gates} gates, width {DEFAULT_FUSION_WIDTH}"));
-    let circuit = &job.circuit;
-    match &job.plan {
-        PersistedPlan::Single(partition) => {
-            let plan = FusedSinglePlan::new(circuit, dag, partition.clone());
-            CachedPlan::Single(Arc::new(plan))
-        }
-        PersistedPlan::Two(ml) => {
-            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml.clone())))
-        }
-    }
 }
 
 /// Render a caught rank-body panic as a failure message: a typed
@@ -284,7 +186,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         }
     });
 
-    let mut plans = WorkerPlanCache::new(16);
     while let Ok(Some((epoch, job, token))) = command_rx.recv() {
         // Per-job recorder hygiene on a resident worker: drop any stale
         // spans a previous job left in the ring, and track this job's
@@ -298,12 +199,11 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         // panics: every rank checks the same job alike, so all of them
         // refuse it before any collective.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            shipped_plan(&job, spec.size, &mut plans)
+            shipped_plan(&job, spec.size)
                 .map(|plan| execute_shipped_rank(&job, &plan, &mut comm, &token))
         }))
         .unwrap_or_else(|payload| Err(describe_panic(payload)));
         cancels.lock().expect("cancel map poisoned").remove(&epoch);
-        let (cache_hits, cache_misses) = plans.stats();
         match result {
             Ok(Ok(outcome)) => {
                 log::debug(
@@ -314,8 +214,6 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         ("epoch", &epoch.to_string()),
                         ("compute_s", &format!("{:.3}", outcome.compute_time_s)),
                         ("exchanges", &outcome.exchanges.to_string()),
-                        ("plan_cache_hits", &cache_hits.to_string()),
-                        ("plan_cache_misses", &cache_misses.to_string()),
                     ],
                 );
                 let spans = if job.trace {

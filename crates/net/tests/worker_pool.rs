@@ -176,12 +176,12 @@ fn uncancelled_jobs_never_observe_the_cancel_machinery() {
     assert_eq!(metrics.jobs_failed, 0);
 }
 
-/// Resident-worker hygiene: a repeated fingerprint is answered from the
-/// worker's warm plan cache (no second `fuse` span ships back), and a
-/// worker's span recorder resets between jobs — an untraced job after a
-/// traced one ships nothing.
+/// Resident-worker hygiene: every job re-fuses its shipped partition on
+/// every rank (one `plan/fuse` span per rank ships back each time) and a
+/// repeat stays bit-identical, and a worker's span recorder resets between
+/// jobs — an untraced job after a traced one ships nothing.
 #[test]
-fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
+fn every_job_fuses_afresh_on_each_rank_and_trace_state_resets_between_jobs() {
     let workers = 2;
     let pool = pool(workers);
     let mut job = dist_job("qft", 12, workers);
@@ -189,28 +189,25 @@ fn warm_plan_cache_skips_refusing_and_trace_state_resets_between_jobs() {
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
 
-    let first = run(&pool, &job).unwrap();
-    let spans = hisvsim_obs::drain();
     let worker_fuses = |spans: &[hisvsim_obs::SpanRecord]| {
         spans
             .iter()
-            .filter(|s| s.pid >= 1 && s.cat == "job" && s.name == "fuse")
+            .filter(|s| s.pid >= 1 && s.cat == "plan" && s.name == "fuse")
             .count()
     };
+    let first = run(&pool, &job).unwrap();
     assert_eq!(
-        worker_fuses(&spans),
+        worker_fuses(&hisvsim_obs::drain()),
         workers,
-        "a cold worker must re-fuse the shipped partition once per rank"
+        "every worker must fuse the shipped partition once"
     );
-
     let second = run(&pool, &job).unwrap();
-    let spans = hisvsim_obs::drain();
     assert_eq!(
-        worker_fuses(&spans),
-        0,
-        "a repeated fingerprint must be served from the warm plan cache"
+        worker_fuses(&hisvsim_obs::drain()),
+        workers,
+        "a repeated job must be fused afresh on every rank"
     );
-    assert_eq!(first, second, "cache reuse must not change the result");
+    assert_eq!(first, second, "re-fusing must not change the result");
 
     // Satellite 1 regression: after a traced job, an untraced job on the
     // same resident worker must ship no spans at all (recorder disabled

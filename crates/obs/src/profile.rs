@@ -65,18 +65,6 @@ pub struct CollectiveCost {
     pub bytes: u64,
 }
 
-impl CollectiveCost {
-    /// Effective bandwidth of this collective in bytes per second
-    /// (latency amortised in).
-    pub fn bytes_per_second(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.bytes as f64 / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Aggregated wall time of one (engine, phase) pair from job timelines.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseCost {

@@ -8,8 +8,10 @@
 //! cache key is the structural
 //! [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) plus the
 //! plan's shape parameters (limit and second-level limit; every plan is
-//! fused at [`DEFAULT_FUSION_WIDTH`]); the cached value is the immutable
-//! fused plan behind an `Arc`, shared by every concurrent execution.
+//! fused at
+//! [`DEFAULT_FUSION_WIDTH`](hisvsim_statevec::DEFAULT_FUSION_WIDTH)); the
+//! cached value is the immutable fused plan behind an `Arc`, shared by
+//! every concurrent execution.
 //!
 //! Two properties matter under a concurrent scheduler:
 //!
@@ -17,19 +19,26 @@
 //!   exactly one worker computes the plan while the other seven block on the
 //!   per-key entry lock and then count as hits. Without this, a cold cache
 //!   would plan the same circuit once per worker.
-//! * **Bounded size** — entries are evicted least-recently-used once
-//!   `capacity` is exceeded; pending (in-flight) entries are never evicted.
+//! * **Bounded size** — entries are evicted least-recently-used beyond
+//!   [`CAPACITY`]; pending (in-flight) entries are never evicted.
+//!
+//! A partition that comes from outside the process — a snapshot entry or a
+//! plan shipped to a worker — becomes a plan one way,
+//! [`PersistedPlan::validate_and_fuse`].
 
+use hisvsim_circuit::Circuit;
 use hisvsim_core::{FusedPlan, FusedSinglePlan, FusedTwoLevelPlan};
-use hisvsim_dag::Partition;
+use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{MultilevelPartition, PartitionBuildError};
-use hisvsim_statevec::DEFAULT_FUSION_WIDTH;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Plans a [`PlanCache`] holds before it evicts the least recently used.
+pub const CAPACITY: usize = 256;
 
 /// Cache key: structural fingerprint plus plan shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -41,37 +50,6 @@ pub struct PlanKey {
     pub limit: usize,
     /// Second-level limit; 0 for single-level plans.
     pub second_limit: usize,
-}
-
-/// A snapshot entry's key as read from disk: `None` for a plan today's
-/// runtime does not make. Older keys carry fields the key has since lost,
-/// and the derived [`PlanKey`] reader ignores them; this filter keeps only
-/// the entries a cold run would plan:
-/// * `effort` (a planner level that no longer exists): only `Fast`, or no
-///   field, loads;
-/// * `fusion` (a per-job width): only [`DEFAULT_FUSION_WIDTH`], or no
-///   field, loads;
-/// * `strategy` (a per-job fusion form): ignored — the partition does not
-///   depend on it, so the entries a snapshot holds per strategy are one
-///   plan under one key (see [`PlanCache::load_snapshot`]).
-struct LoadedKey(Option<PlanKey>);
-
-impl Deserialize for LoadedKey {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let fast = matches!(
-            value.get_field("effort").map(serde::Value::as_str),
-            None | Some(Some("Fast"))
-        );
-        let default_width = match value.get_field("fusion") {
-            Some(fusion) => usize::from_value(fusion)? == DEFAULT_FUSION_WIDTH,
-            None => true,
-        };
-        if fast && default_width {
-            PlanKey::from_value(value).map(|key| LoadedKey(Some(key)))
-        } else {
-            Ok(LoadedKey(None))
-        }
-    }
 }
 
 /// A memoized plan, stored prefused so warm hits skip partitioning and
@@ -119,6 +97,40 @@ pub enum PersistedPlan {
     Single(Partition),
     /// A two-level partition (multilevel engine).
     Two(MultilevelPartition),
+}
+
+impl PersistedPlan {
+    /// The one way an untrusted partition — a snapshot entry or a plan
+    /// shipped to a worker — becomes a plan: checked against the circuit's
+    /// `dag` at `limit` qubits (the error says why it does not fit), then
+    /// fused.
+    pub fn validate_and_fuse(
+        self,
+        circuit: &Circuit,
+        dag: &CircuitDag,
+        limit: usize,
+    ) -> Result<CachedPlan, String> {
+        match &self {
+            PersistedPlan::Single(partition) => {
+                partition.validate(dag, limit).map_err(|e| e.to_string())?;
+            }
+            PersistedPlan::Two(ml) => ml.validate(dag, limit)?,
+        }
+        Ok(self.fuse(circuit, dag))
+    }
+
+    /// Fuse every part over the circuit's `dag`, under a `plan/fuse` span.
+    pub(crate) fn fuse(self, circuit: &Circuit, dag: &CircuitDag) -> CachedPlan {
+        let _span = hisvsim_obs::span("plan", "fuse");
+        match self {
+            PersistedPlan::Single(partition) => {
+                CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, dag, partition)))
+            }
+            PersistedPlan::Two(ml) => {
+                CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml)))
+            }
+        }
+    }
 }
 
 /// Where a served plan came from.
@@ -207,41 +219,24 @@ pub struct PlanCache {
     evictions: AtomicU64,
     inflight_dedups: AtomicU64,
     tick: AtomicU64,
-    capacity: usize,
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans (LRU-evicted beyond that).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            ..Default::default()
-        }
+    /// An empty cache holding at most [`CAPACITY`] plans.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Look up the plan for `key`, computing (and inserting) it with
-    /// `compute` on a miss. Concurrent callers with the same key block until
-    /// the first finishes and then observe a hit. Failed computations are
-    /// not cached; the error is returned and the slot removed so a later
-    /// submission can retry.
+    /// `compute` on a miss. `compute` reports whether it planned from
+    /// scratch ([`PlanSource::Planned`]) or rebuilt a disk-persisted
+    /// partition ([`PlanSource::Warm`], see [`PlanCache::take_warm`]), and
+    /// the counters attribute the lookup accordingly. Concurrent callers
+    /// with the same key block until the first finishes and then observe a
+    /// hit ([`PlanSource::Memory`]). Failed computations are not cached; the
+    /// error is returned and the slot removed so a later submission can
+    /// retry.
     pub fn get_or_plan<F>(
-        &self,
-        key: PlanKey,
-        compute: F,
-    ) -> Result<(CachedPlan, bool), PartitionBuildError>
-    where
-        F: FnOnce() -> Result<CachedPlan, PartitionBuildError>,
-    {
-        self.get_or_plan_tracked(key, || compute().map(|plan| (plan, PlanSource::Planned)))
-            .map(|(plan, source)| (plan, source.is_hit()))
-    }
-
-    /// [`PlanCache::get_or_plan`] with provenance: `compute` reports whether
-    /// it planned from scratch ([`PlanSource::Planned`]) or rebuilt a
-    /// disk-persisted partition ([`PlanSource::Warm`], see
-    /// [`PlanCache::take_warm`]), and the counters attribute the lookup
-    /// accordingly.
-    pub fn get_or_plan_tracked<F>(
         &self,
         key: PlanKey,
         compute: F,
@@ -311,21 +306,21 @@ impl PlanCache {
 
     /// Load a snapshot written by [`PlanCache::save_snapshot`] into the warm
     /// store (merging over whatever is already there). Returns the number of
-    /// keys loaded; entries a cold run would not plan are skipped (see
-    /// `LoadedKey`), and of several entries that read as one key (an older
-    /// snapshot's per-strategy copies of one plan) the first is kept.
+    /// entries read. An entry is trusted no further than its key: it serves
+    /// a plan only once its partition validates against the job's circuit
+    /// ([`PersistedPlan::validate_and_fuse`]), so an entry an older build
+    /// wrote, read under its three key fields, is replanned when it does not
+    /// fit.
     pub fn load_snapshot(&self, path: impl AsRef<Path>) -> std::io::Result<usize> {
         let text = std::fs::read_to_string(path)?;
-        let entries: Vec<(LoadedKey, PersistedPlan)> = serde_json::from_str(&text)
+        let entries: Vec<(PlanKey, PersistedPlan)> = serde_json::from_str(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut warm = self.warm.lock().expect("warm store poisoned");
-        let mut loaded = HashSet::new();
-        for (LoadedKey(key), plan) in entries {
-            if let Some(key) = key.filter(|key| loaded.insert(*key)) {
-                warm.insert(key, plan);
-            }
-        }
-        Ok(loaded.len())
+        let loaded = entries.len();
+        self.warm
+            .lock()
+            .expect("warm store poisoned")
+            .extend(entries);
+        Ok(loaded)
     }
 
     /// Persist every completed entry's partition (plus any still-unpromoted
@@ -374,11 +369,11 @@ impl PlanCache {
         saved.map(|()| entries.len())
     }
 
-    /// Evict least-recently-used completed entries beyond `capacity`,
+    /// Evict least-recently-used completed entries beyond [`CAPACITY`],
     /// keeping `just_inserted` and all pending entries.
     fn enforce_capacity(&self, just_inserted: &PlanKey) {
         let mut map = self.map.lock().expect("plan cache poisoned");
-        while map.len() > self.capacity {
+        while map.len() > CAPACITY {
             let victim = map
                 .iter()
                 .filter(|(k, slot)| {
@@ -408,22 +403,11 @@ impl PlanCache {
             entries: self.map.lock().expect("plan cache poisoned").len(),
         }
     }
-
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        self.map.lock().expect("plan cache poisoned").clear();
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
-            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
@@ -471,20 +455,30 @@ mod tests {
         CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, &dag, partition)))
     }
 
+    /// A cold lookup's `compute`: plan `circuit` at `limit` from scratch.
+    fn planned(
+        circuit: &hisvsim_circuit::Circuit,
+        limit: usize,
+    ) -> Result<(CachedPlan, PlanSource), PartitionBuildError> {
+        Ok((plan_for(circuit, limit), PlanSource::Planned))
+    }
+
     #[test]
     fn second_identical_submit_is_a_hit_with_the_same_plan() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new();
         let circuit = generators::qft(10);
         let key = key_of(&circuit, 5);
 
-        let (first, hit1) = cache
-            .get_or_plan(key, || Ok(plan_for(&circuit, 5)))
-            .unwrap();
-        assert!(!hit1, "cold cache must miss");
-        let (second, hit2) = cache
+        let (first, source1) = cache.get_or_plan(key, || planned(&circuit, 5)).unwrap();
+        assert_eq!(source1, PlanSource::Planned, "cold cache must miss");
+        let (second, source2) = cache
             .get_or_plan(key, || panic!("second submit must not recompute"))
             .unwrap();
-        assert!(hit2, "identical resubmission must hit");
+        assert_eq!(
+            source2,
+            PlanSource::Memory,
+            "identical resubmission must hit"
+        );
         // The very same Arc is shared, so the executed plan is identical.
         assert!(Arc::ptr_eq(single(&first), single(&second)));
 
@@ -495,51 +489,55 @@ mod tests {
 
     #[test]
     fn different_limits_are_different_entries() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new();
         let circuit = generators::qft(10);
         for limit in [4usize, 5, 6] {
-            let (_, hit) = cache
-                .get_or_plan(key_of(&circuit, limit), || Ok(plan_for(&circuit, limit)))
+            let (_, source) = cache
+                .get_or_plan(key_of(&circuit, limit), || planned(&circuit, limit))
                 .unwrap();
-            assert!(!hit);
+            assert_eq!(source, PlanSource::Planned);
         }
         assert_eq!(cache.stats().entries, 3);
     }
 
     #[test]
     fn lru_eviction_respects_capacity_and_recency() {
-        let cache = PlanCache::new(2);
-        let a = generators::qft(8);
-        let b = generators::cat_state(8);
-        let c = generators::by_name("bv", 8);
-        cache
-            .get_or_plan(key_of(&a, 4), || Ok(plan_for(&a, 4)))
-            .unwrap();
-        cache
-            .get_or_plan(key_of(&b, 4), || Ok(plan_for(&b, 4)))
-            .unwrap();
-        // Touch `a` so `b` is the LRU victim.
-        cache.get_or_plan(key_of(&a, 4), || unreachable!()).unwrap();
-        cache
-            .get_or_plan(key_of(&c, 4), || Ok(plan_for(&c, 4)))
-            .unwrap();
+        // The cache never looks inside a plan, so one shared plan stands in
+        // for CAPACITY + 1 distinct keys.
+        let cache = PlanCache::new();
+        let circuit = generators::qft(8);
+        let plan = plan_for(&circuit, 4);
+        let key = |fingerprint: u64| PlanKey {
+            fingerprint,
+            limit: 4,
+            second_limit: 0,
+        };
+        let fill = |fingerprint: u64| {
+            let (_, source) = cache
+                .get_or_plan(key(fingerprint), || Ok((plan.clone(), PlanSource::Planned)))
+                .unwrap();
+            source
+        };
+        for fingerprint in 0..CAPACITY as u64 {
+            assert_eq!(fill(fingerprint), PlanSource::Planned);
+        }
+        assert_eq!(cache.stats().evictions, 0);
+        // Touch key 0 so key 1 is the LRU victim.
+        assert_eq!(fill(0), PlanSource::Memory);
+        assert_eq!(fill(CAPACITY as u64), PlanSource::Planned);
 
         let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.entries, CAPACITY);
         assert_eq!(stats.evictions, 1);
-        // `a` survived; `b` was evicted and must recompute.
-        let (_, hit_a) = cache.get_or_plan(key_of(&a, 4), || unreachable!()).unwrap();
-        assert!(hit_a);
-        let (_, hit_b) = cache
-            .get_or_plan(key_of(&b, 4), || Ok(plan_for(&b, 4)))
-            .unwrap();
-        assert!(!hit_b);
+        // Key 0 survived; key 1 was evicted and must recompute.
+        assert_eq!(fill(0), PlanSource::Memory);
+        assert_eq!(fill(1), PlanSource::Planned);
     }
 
     #[test]
     fn concurrent_identical_submissions_compute_once() {
         use std::sync::atomic::AtomicUsize;
-        let cache = Arc::new(PlanCache::new(8));
+        let cache = Arc::new(PlanCache::new());
         let circuit = Arc::new(generators::qft(10));
         let computations = Arc::new(AtomicUsize::new(0));
         let key = key_of(&circuit, 5);
@@ -553,7 +551,7 @@ mod tests {
                     cache
                         .get_or_plan(key, || {
                             computations.fetch_add(1, Ordering::SeqCst);
-                            Ok(plan_for(&circuit, 5))
+                            planned(&circuit, 5)
                         })
                         .unwrap();
                 });
@@ -572,22 +570,24 @@ mod tests {
 
     #[test]
     fn failed_plans_are_not_cached() {
-        let cache = PlanCache::new(8);
+        let cache = PlanCache::new();
         let circuit = generators::adder(8); // Toffolis: arity 3
         let dag = CircuitDag::from_circuit(&circuit);
         let key = key_of(&circuit, 2);
         let attempt = cache.get_or_plan(key, || {
-            Planner
-                .plan_single(&dag, 2)
-                .map(|p| CachedPlan::Single(Arc::new(FusedSinglePlan::new(&circuit, &dag, p))))
+            let partition = Planner.plan_single(&dag, 2)?;
+            Ok((
+                PersistedPlan::Single(partition).fuse(&circuit, &dag),
+                PlanSource::Planned,
+            ))
         });
         assert!(attempt.is_err());
         assert_eq!(cache.stats().entries, 0);
         // A later submission retries (and may succeed at a higher limit).
-        let (_, hit) = cache
-            .get_or_plan(key_of(&circuit, 4), || Ok(plan_for(&circuit, 4)))
+        let (_, source) = cache
+            .get_or_plan(key_of(&circuit, 4), || planned(&circuit, 4))
             .unwrap();
-        assert!(!hit);
+        assert_eq!(source, PlanSource::Planned);
     }
 
     #[test]
@@ -599,28 +599,25 @@ mod tests {
         // First process: plan once, persist.
         let circuit = generators::qft(10);
         let key = key_of(&circuit, 5);
-        let first_cache = PlanCache::new(8);
+        let first_cache = PlanCache::new();
         let (original, _) = first_cache
-            .get_or_plan(key, || Ok(plan_for(&circuit, 5)))
+            .get_or_plan(key, || planned(&circuit, 5))
             .unwrap();
         assert_eq!(first_cache.save_snapshot(&path).unwrap(), 1);
 
         // "Restarted" process: load, then serve the same key by re-fusing
         // the persisted partition — zero partitioning calls.
-        let second_cache = PlanCache::new(8);
+        let second_cache = PlanCache::new();
         assert_eq!(second_cache.load_snapshot(&path).unwrap(), 1);
         assert_eq!(second_cache.warm_len(), 1);
         let (rebuilt, source) = second_cache
-            .get_or_plan_tracked(key, || {
+            .get_or_plan(key, || {
                 let persisted = second_cache
                     .take_warm(&key)
                     .expect("warm entry must be present");
-                let PersistedPlan::Single(partition) = persisted else {
-                    panic!("expected a single-level persisted plan");
-                };
                 let dag = CircuitDag::from_circuit(&circuit);
-                let plan = FusedSinglePlan::new(&circuit, &dag, partition);
-                Ok((CachedPlan::Single(Arc::new(plan)), PlanSource::Warm))
+                let plan = persisted.validate_and_fuse(&circuit, &dag, 5).unwrap();
+                Ok((plan, PlanSource::Warm))
             })
             .unwrap();
         assert_eq!(source, PlanSource::Warm);
@@ -635,7 +632,7 @@ mod tests {
         );
         // The promoted entry now serves from memory.
         let (_, source) = second_cache
-            .get_or_plan_tracked(key, || panic!("promoted entry must hit"))
+            .get_or_plan(key, || panic!("promoted entry must hit"))
             .unwrap();
         assert_eq!(source, PlanSource::Memory);
         assert!(second_cache.stats().hit_rate() > 0.9);
@@ -650,7 +647,7 @@ mod tests {
         let circuit = generators::by_name("qaoa", 9);
         let dag = CircuitDag::from_circuit(&circuit);
         let ml = Planner.plan_two_level(&dag, 6, 3).unwrap();
-        let cache = PlanCache::new(4);
+        let cache = PlanCache::new();
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
             limit: 6,
@@ -659,11 +656,11 @@ mod tests {
         cache
             .get_or_plan(key, || {
                 let plan = FusedTwoLevelPlan::new(&circuit, &dag, ml.clone());
-                Ok(CachedPlan::Two(Arc::new(plan)))
+                Ok((CachedPlan::Two(Arc::new(plan)), PlanSource::Planned))
             })
             .unwrap();
         assert_eq!(cache.save_snapshot(&path).unwrap(), 1);
-        let reloaded = PlanCache::new(4);
+        let reloaded = PlanCache::new();
         reloaded.load_snapshot(&path).unwrap();
         match reloaded.take_warm(&key) {
             Some(PersistedPlan::Two(back)) => {
@@ -679,100 +676,54 @@ mod tests {
     }
 
     #[test]
-    fn older_snapshots_collapse_every_fusion_strategy_to_one_warm_entry() {
-        // Snapshots written while jobs chose a fusion strategy and width key
-        // one circuit once per (width, strategy) they ran with. The strategy
-        // never changed the partition, so those entries are one plan today:
-        // they load as one warm entry, and the warm run neither plans nor
-        // changes a bit. A width other than the default is not what a cold
-        // run fuses at, so its entry is skipped even when it comes first
-        // and holds another partition.
+    fn snapshot_entries_serve_a_plan_only_once_their_partition_validates() {
+        // An entry an older build wrote carries key fields the key has since
+        // lost (a fusion width, a strategy, a planner level); it loads under
+        // the three it still has. Like any warm entry it then serves a job
+        // only if its partition validates at the key's limit: the entry at
+        // limit 5 does, so the warm run plans nothing and matches a cold
+        // run bit for bit; the one at limit 3 holds a partition with parts
+        // wider than 3 qubits, so its job plans afresh.
         use crate::scheduler::{Scheduler, SchedulerConfig};
         use crate::selector::EngineKind;
         use crate::SimJob;
         let submitted = generators::qft(9);
-        let job = || {
+        let job = |limit: usize| {
             SimJob::new(submitted.clone())
                 .with_engine(EngineKind::Hier)
-                .with_limit(5)
+                .with_limit(limit)
         };
-        let cold = Scheduler::new(SchedulerConfig::default()).run_batch(vec![job()]);
-        assert_eq!(cold.stats.cache.misses, 1);
+        let cold = Scheduler::new(SchedulerConfig::default()).run_batch(vec![job(5), job(3)]);
+        assert_eq!(cold.stats.cache.misses, 2);
 
         // The runner plans, and keys, the circuit with its SWAPs relabeled.
         let (circuit, _) = submitted.relabel_swaps();
         let dag = CircuitDag::from_circuit(&circuit);
         let planned = Planner.plan_single(&dag, 5).unwrap();
-        let tighter = Planner.plan_single(&dag, 3).unwrap();
-        assert_ne!(planned, tighter);
-        let entry = |fusion: usize, strategy: &str, partition: &Partition| {
+        assert!(planned.validate(&dag, 3).is_err());
+        let entry = |limit: usize| {
             format!(
-                r#"[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":{fusion},"strategy":"{strategy}"}},{{"Single":{}}}]"#,
+                r#"[{{"fingerprint":{},"limit":{limit},"second_limit":0,"fusion":3,"strategy":"Dag","effort":"Fast"}},{{"Single":{}}}]"#,
                 circuit.fingerprint(),
-                serde_json::to_string(partition).unwrap()
+                serde_json::to_string(&planned).unwrap()
             )
         };
-        let json = format!(
-            "[{},{},{},{}]",
-            entry(2, "Auto", &tighter),
-            entry(3, "Auto", &planned),
-            entry(3, "Dag", &planned),
-            entry(3, "Window", &planned)
-        );
-        let dir = std::env::temp_dir().join(format!("hisvsim-strategies-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("hisvsim-old-keys-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("per-strategy.json");
-        std::fs::write(&path, json).unwrap();
+        let path = dir.join("older.json");
+        std::fs::write(&path, format!("[{},{}]", entry(5), entry(3))).unwrap();
 
         let warm = Scheduler::new(SchedulerConfig::default());
-        assert_eq!(warm.cache().load_snapshot(&path).unwrap(), 1);
-        assert_eq!(warm.cache().warm_len(), 1);
-        let batch = warm.run_batch(vec![job()]);
+        assert_eq!(warm.cache().load_snapshot(&path).unwrap(), 2);
+        let batch = warm.run_batch(vec![job(5), job(3)]);
         assert_eq!(
-            (batch.stats.cache.misses, batch.stats.cache.warm_hits),
-            (0, 1),
-            "the collapsed entry must serve the job without planning"
+            (batch.stats.cache.warm_hits, batch.stats.cache.misses),
+            (1, 1),
+            "the valid entry serves its job, the invalid one is replanned"
         );
-        assert_eq!(
-            batch.results[0].state, cold.results[0].state,
-            "a warm run must be bit-identical to a cold run"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_snapshots_load_only_the_plans_a_cold_run_would_make() {
-        // A snapshot written while the planner had two effort levels keys
-        // the same circuit twice, once per level, the retired level sorting
-        // last. Only the `Fast` plan may load: the other would overwrite it
-        // under the now-identical key and warm-start a plan no cold run
-        // makes. (The retired level's wire name is spelt in two pieces: the
-        // check that no code names the deleted variant greps for the word.)
-        let retired = ["Thor", "ough"].concat();
-        let circuit = generators::qft(9);
-        let dag = CircuitDag::from_circuit(&circuit);
-        let fast = Planner.plan_single(&dag, 5).unwrap();
-        let tighter = Planner.plan_single(&dag, 3).unwrap();
-        assert_ne!(fast, tighter);
-        let entry = |effort: &str, partition: &Partition| {
-            format!(
-                r#"[{{"fingerprint":{},"limit":5,"second_limit":0,"fusion":3,"strategy":"Auto","effort":"{effort}"}},{{"Single":{}}}]"#,
-                circuit.fingerprint(),
-                serde_json::to_string(partition).unwrap()
-            )
-        };
-        let json = format!("[{},{}]", entry("Fast", &fast), entry(&retired, &tighter));
-        let dir = std::env::temp_dir().join(format!("hisvsim-effort-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("two-levels.json");
-        std::fs::write(&path, json).unwrap();
-
-        let cache = PlanCache::new(4);
-        assert_eq!(cache.load_snapshot(&path).unwrap(), 1);
-        assert_eq!(cache.warm_len(), 1);
-        match cache.take_warm(&key_of(&circuit, 5)) {
-            Some(PersistedPlan::Single(back)) => assert_eq!(back, fast),
-            other => panic!("the Fast entry must be the one loaded, got {other:?}"),
+        assert_eq!(warm.cache().warm_len(), 0);
+        for (warm, cold) in batch.results.iter().zip(&cold.results) {
+            assert_eq!(warm.state, cold.state, "a warm run must match a cold run");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -207,12 +207,6 @@ impl JobResult {
         &self.report.comm
     }
 
-    /// Modelled communication time in seconds, averaged over ranks (zero
-    /// for single-node engines).
-    pub fn modeled_comm_time_s(&self) -> f64 {
-        self.report.avg_comm_time_s
-    }
-
     /// Fraction of the modelled end-to-end time spent communicating
     /// (see [`RunReport::comm_ratio`]).
     pub fn comm_ratio(&self) -> f64 {

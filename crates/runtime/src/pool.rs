@@ -25,8 +25,7 @@ use crate::scheduler::SchedulerConfig;
 use crate::selector::{EngineDecision, EngineKind};
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_core::{
-    run_plan, BaselineConfig, ExecControl, FusedSinglePlan, FusedTwoLevelPlan, IqsBaseline,
-    PlanSchedule, RunReport, RunSpec,
+    run_plan, BaselineConfig, ExecControl, IqsBaseline, PlanSchedule, RunReport, RunSpec,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -316,10 +315,12 @@ pub struct JobRunner {
 }
 
 impl JobRunner {
-    /// A runner with a fresh plan cache sized by the configuration.
+    /// A runner with a fresh plan cache.
     pub fn new(config: SchedulerConfig) -> Self {
-        let cache = PlanCache::new(config.cache_capacity.max(1));
-        Self { config, cache }
+        Self {
+            config,
+            cache: PlanCache::new(),
+        }
     }
 
     /// The configuration.
@@ -332,7 +333,7 @@ impl JobRunner {
         &self.cache
     }
 
-    /// Plan (through the cache when enabled) and execute one job under
+    /// Plan (through the cache) and execute one job under
     /// `control`. The residency permit is acquired only for the simulation +
     /// post-processing phase — planning holds no simulation state, so
     /// cache-miss planning of one job overlaps the (memory-bounded)
@@ -599,8 +600,8 @@ impl JobRunner {
         })
     }
 
-    /// Obtain the fused partition plan for a decision: from the in-memory
-    /// cache when enabled, by re-fusing a disk-persisted partition on a warm
+    /// Obtain the fused partition plan for a decision from the plan cache:
+    /// served from memory, rebuilt from a disk-persisted partition on a warm
     /// start, or planned from scratch. Every auto-selected engine takes one
     /// — a circuit within the cache budget gets a one-part plan, so its
     /// fusion is cached like any partition. Only the forced baseline, the
@@ -613,73 +614,43 @@ impl JobRunner {
         if decision.engine == EngineKind::Baseline {
             return Ok((None, PlanSource::Planned));
         }
-        let planner = Planner;
         let two_level = decision.engine == EngineKind::Multilevel;
-        // A cold plan's phases, each a span inside the job's `job/plan`.
-        let build_dag = || {
-            let _span = hisvsim_obs::span("plan", "dag");
-            CircuitDag::from_circuit(circuit)
-        };
-        let fuse_single = |dag: &CircuitDag, partition| {
-            let _span = hisvsim_obs::span("plan", "fuse");
-            CachedPlan::Single(Arc::new(FusedSinglePlan::new(circuit, dag, partition)))
-        };
-        let fuse_two = |dag: &CircuitDag, ml| {
-            let _span = hisvsim_obs::span("plan", "fuse");
-            CachedPlan::Two(Arc::new(FusedTwoLevelPlan::new(circuit, dag, ml)))
-        };
-        let plan_fresh = |dag: &CircuitDag| {
-            if two_level {
-                let ml = {
-                    let _span = hisvsim_obs::span("plan", "partition");
-                    planner.plan_two_level(dag, decision.limit, decision.second_limit)
-                };
-                ml.map(|ml| fuse_two(dag, ml))
-            } else {
-                let partition = {
-                    let _span = hisvsim_obs::span("plan", "partition");
-                    planner.plan_single(dag, decision.limit)
-                };
-                partition.map(|partition| fuse_single(dag, partition))
-            }
-        };
-
-        if self.config.cache_capacity == 0 {
-            let dag = build_dag();
-            return plan_fresh(&dag).map(|plan| (Some(plan), PlanSource::Planned));
-        }
-
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
             limit: decision.limit,
             second_limit: if two_level { decision.second_limit } else { 0 },
         };
-        let outcome = self.cache.get_or_plan_tracked(key, || {
-            let dag = build_dag();
-            // Warm start: a persisted partition for this key skips the
-            // expensive partitioning — only re-fusion (cheap, and
-            // necessarily process-local) remains. Untrusted snapshots are
-            // validated against the circuit's DAG before use.
-            if let Some(persisted) = self.cache.take_warm(&key) {
-                match persisted {
-                    PersistedPlan::Single(partition)
-                        if !two_level && partition.validate(&dag, decision.limit).is_ok() =>
-                    {
-                        return Ok((fuse_single(&dag, partition), PlanSource::Warm));
-                    }
-                    PersistedPlan::Two(ml)
-                        if two_level && ml.validate(&dag, decision.limit).is_ok() =>
-                    {
-                        return Ok((fuse_two(&dag, ml), PlanSource::Warm));
-                    }
-                    // Shape mismatch or a stale/invalid snapshot entry:
-                    // fall through to planning from scratch.
-                    _ => {}
-                }
+        // A cold plan's phases, each a span inside the job's `job/plan`.
+        let (plan, source) = self.cache.get_or_plan(key, || {
+            let dag = {
+                let _span = hisvsim_obs::span("plan", "dag");
+                CircuitDag::from_circuit(circuit)
+            };
+            // Warm start: a persisted partition of the key's shape skips the
+            // expensive partitioning, once it validates against the
+            // circuit's DAG; a stale or invalid entry is planned afresh.
+            let warm = (self.cache.take_warm(&key))
+                .filter(|persisted| matches!(persisted, PersistedPlan::Two(_)) == two_level)
+                .and_then(|persisted| {
+                    persisted
+                        .validate_and_fuse(circuit, &dag, decision.limit)
+                        .ok()
+                });
+            if let Some(plan) = warm {
+                return Ok((plan, PlanSource::Warm));
             }
-            plan_fresh(&dag).map(|plan| (plan, PlanSource::Planned))
-        });
-        outcome.map(|(plan, source)| (Some(plan), source))
+            let partition = {
+                let _span = hisvsim_obs::span("plan", "partition");
+                if two_level {
+                    let (first, second) = (decision.limit, decision.second_limit);
+                    PersistedPlan::Two(Planner.plan_two_level(&dag, first, second)?)
+                } else {
+                    PersistedPlan::Single(Planner.plan_single(&dag, decision.limit)?)
+                }
+            };
+            Ok((partition.fuse(circuit, &dag), PlanSource::Planned))
+        })?;
+        Ok((Some(plan), source))
     }
 
     /// Run the chosen engine over the job's compiled schedule, under the
@@ -816,7 +787,7 @@ mod tests {
         let (relabeled, _) = circuit.relabel_swaps();
         let dag = CircuitDag::from_circuit(&relabeled);
         let partition = Planner.plan_single(&dag, decision.limit).unwrap();
-        let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
+        let plan = hisvsim_core::FusedSinglePlan::new(&relabeled, &dag, partition);
         let schedule = hisvsim_core::FusedPlan::Single(&plan).schedule(21, 2);
         assert_eq!((schedule.passes(), schedule.exchanges()), (4, 2));
         assert_eq!(result.report.num_exchanges, 2);

@@ -10,8 +10,9 @@
 //!   jobs holding live simulation state at `max_resident`, bounding peak
 //!   memory at roughly `max_resident × 2^{n_max} × 16` bytes regardless of
 //!   batch size or worker count.
-//! * **Plans** — partitioning goes through the shared [`PlanCache`], so
-//!   structurally identical jobs plan once (with in-flight deduplication).
+//! * **Plans** — every planned job goes through the shared [`PlanCache`]
+//!   (at most [`CAPACITY`](crate::cache::CAPACITY) plans), so structurally
+//!   identical jobs plan once (with in-flight deduplication).
 //!
 //! The plan–execute pipeline itself lives in [`crate::pool::JobRunner`] —
 //! the scheduler drives it with inert [`JobControl`]s, and the long-lived
@@ -28,7 +29,9 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Scheduler configuration.
+/// Scheduler configuration. Planning is not configured: every job with a
+/// plan looks it up in the runner's one [`PlanCache`], which holds
+/// [`CAPACITY`](crate::cache::CAPACITY) plans.
 #[derive(Clone)]
 pub struct SchedulerConfig {
     /// Worker threads executing jobs concurrently.
@@ -36,10 +39,6 @@ pub struct SchedulerConfig {
     /// Maximum jobs holding live simulation state at once (the memory
     /// bound `K`).
     pub max_resident: usize,
-    /// Plan-cache capacity in entries; `0` disables caching entirely
-    /// (every job plans from scratch — the ablation the batch example
-    /// measures).
-    pub cache_capacity: usize,
     /// The engine selector (thresholds + network model).
     pub selector: EngineSelector,
     /// Keep each job's final state in its [`JobResult`]. Disable for
@@ -61,7 +60,6 @@ impl Default for SchedulerConfig {
         Self {
             workers,
             max_resident: workers,
-            cache_capacity: 256,
             selector: EngineSelector::default(),
             retain_states: true,
             process_backend: None,
@@ -74,7 +72,6 @@ impl std::fmt::Debug for SchedulerConfig {
         f.debug_struct("SchedulerConfig")
             .field("workers", &self.workers)
             .field("max_resident", &self.max_resident)
-            .field("cache_capacity", &self.cache_capacity)
             .field("selector", &self.selector)
             .field("retain_states", &self.retain_states)
             .field(
@@ -101,12 +98,6 @@ impl SchedulerConfig {
     /// Builder: set the engine selector.
     pub fn with_selector(mut self, selector: EngineSelector) -> Self {
         self.selector = selector;
-        self
-    }
-
-    /// Builder: disable the plan cache (ablation mode).
-    pub fn without_cache(mut self) -> Self {
-        self.cache_capacity = 0;
         self
     }
 
@@ -472,14 +463,5 @@ mod tests {
         assert!((batch.stats.cache_hit_rate() - 5.0 / 6.0).abs() < 1e-12);
         let rendered = format!("{}", batch.stats);
         assert!(rendered.contains("hit rate"));
-        // Disabled cache: same batch, all misses, zero hits.
-        let no_cache = Scheduler::new(scaled_config().without_cache());
-        let jobs: Vec<SimJob> = (0..4).map(|_| SimJob::new(generators::qft(7))).collect();
-        let batch = no_cache.run_batch(jobs);
-        assert_eq!(batch.stats.cache.hits, 0);
-        assert_eq!(
-            batch.stats.cache.misses, 0,
-            "disabled cache records no lookups"
-        );
     }
 }

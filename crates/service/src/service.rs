@@ -31,7 +31,7 @@ pub(crate) fn deadline_message(deadline: Duration) -> String {
 /// runs with, plus the service-level persistence and retention knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker count, residency bound, plan-cache capacity, engine selector —
+    /// Worker count, residency bound, engine selector, process backend —
     /// identical semantics to batch mode.
     pub scheduler: SchedulerConfig,
     /// Plan-cache snapshot location. When set, the snapshot is loaded at

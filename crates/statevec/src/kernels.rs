@@ -899,16 +899,6 @@ pub(crate) fn apply_cz_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &A
 /// Apply a diagonal two-qubit gate `diag(d00, d01, d10, d11)` where the digit
 /// order is (qubit `b`, qubit `a`) — i.e. `d01` multiplies states with a=1,
 /// b=0, matching the operand-0-is-LSB matrix convention.
-pub fn apply_diagonal_two(
-    state: &mut StateVector,
-    a: Qubit,
-    b: Qubit,
-    diag: &[Complex64; 4],
-    opts: &ApplyOptions,
-) {
-    apply_diagonal_two_amps(state.amplitudes_mut(), a, b, diag, opts);
-}
-
 pub(crate) fn apply_diagonal_two_amps(
     amps: &mut [Complex64],
     a: Qubit,

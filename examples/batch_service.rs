@@ -5,13 +5,14 @@
 //! 1. **Mixed batch.** QFT, GHZ and random circuits at several widths, some
 //!    repeated, through the concurrent scheduler: per-job engine choice,
 //!    wall time and plan-cache outcome, plus the batch summary.
-//! 2. **Plan-cache ablation.** A templated workload (8 identical 20-qubit
-//!    QFT jobs) run with the cache enabled vs disabled, reporting the
-//!    speedup; every runtime result is cross-checked against the flat
-//!    reference simulator.
+//! 2. **Cold batch, then warm.** 8 distinct random 20-qubit circuits run
+//!    twice on one scheduler: the first batch plans every job (8 misses),
+//!    the repeat is served from the plan cache (8 hits), and the speedup
+//!    is what planning costs; every runtime result is cross-checked against
+//!    the flat reference simulator.
 //!
 //! Run with `cargo run --release --example batch_service`.
-//! `HISVSIM_BATCH_QUBITS` overrides the ablation width (default 20).
+//! `HISVSIM_BATCH_QUBITS` overrides the second part's width (default 20).
 
 use hisvsim_circuit::generators;
 use hisvsim_runtime::prelude::*;
@@ -27,7 +28,7 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn main() {
     mixed_batch();
-    cache_ablation();
+    cold_then_warm();
 }
 
 /// Part 1: a heterogeneous batch with per-job reporting.
@@ -69,43 +70,39 @@ fn mixed_batch() {
     println!("{}", batch.stats);
 }
 
-/// Part 2: the cache ablation on a templated 20-qubit QFT workload.
-fn cache_ablation() {
+/// Part 2: a cold batch of distinct circuits, then the same batch again.
+fn cold_then_warm() {
     let qubits = env_usize("HISVSIM_BATCH_QUBITS", 20);
-    let copies = 8usize;
-    println!("== plan-cache ablation: {copies} identical {qubits}-qubit QFT jobs ==");
+    let copies = 8u64;
+    println!("== plan cache: {copies} distinct random {qubits}-qubit jobs, cold then warm ==");
 
-    let circuit = generators::qft(qubits);
-    let make_jobs =
-        || -> Vec<SimJob> { (0..copies).map(|_| SimJob::new(circuit.clone())).collect() };
-    let config = |cached: bool| {
-        // Cache budget 12 qubits, node budget ≥ the circuit: the selector
-        // routes these jobs to the hierarchical engine at limit 12, so each
-        // uncached job pays a DAG build, a dagP call and the fusion of every
-        // part that the cached batch pays once.
-        let base =
-            SchedulerConfig::default().with_selector(EngineSelector::scaled(12, qubits.max(12)));
-        if cached {
-            base
-        } else {
-            base.without_cache()
-        }
+    let circuits: Vec<_> = (0..copies)
+        .map(|seed| generators::random_circuit(qubits, 10 * qubits, seed))
+        .collect();
+    // Forced hier with a cache budget of 12 qubits: each job is planned at
+    // limit 12, so each cold job pays a DAG build, a dagP call and the
+    // fusion of every part that its warm repeat finds in the cache.
+    let make_jobs = || -> Vec<SimJob> {
+        (circuits.iter().cloned())
+            .map(|circuit| SimJob::new(circuit).with_engine(EngineKind::Hier))
+            .collect()
     };
+    let scheduler = Scheduler::new(
+        SchedulerConfig::default().with_selector(EngineSelector::scaled(12, qubits.max(12))),
+    );
 
     let start = Instant::now();
-    let warm = Scheduler::new(config(true));
-    let cached_batch = warm.run_batch(make_jobs());
-    let cached_s = start.elapsed().as_secs_f64();
+    let cold_batch = scheduler.run_batch(make_jobs());
+    let cold_s = start.elapsed().as_secs_f64();
 
     let start = Instant::now();
-    let cold = Scheduler::new(config(false));
-    let uncached_batch = cold.run_batch(make_jobs());
-    let uncached_s = start.elapsed().as_secs_f64();
+    let warm_batch = scheduler.run_batch(make_jobs());
+    let warm_s = start.elapsed().as_secs_f64();
 
     // Correctness first: every runtime result must match the flat reference.
-    let reference = run_circuit(&circuit);
-    for batch in [&cached_batch, &uncached_batch] {
-        for r in &batch.results {
+    for batch in [&cold_batch, &warm_batch] {
+        for (r, circuit) in batch.results.iter().zip(&circuits) {
+            let reference = run_circuit(circuit);
             let state = r.state.as_ref().expect("states retained");
             assert!(
                 state.approx_eq(&reference, 1e-9),
@@ -121,20 +118,15 @@ fn cache_ablation() {
         2 * copies
     );
 
+    for (name, seconds, batch) in [("cold", cold_s, &cold_batch), ("warm", warm_s, &warm_batch)] {
+        println!(
+            "{name}: {seconds:.3} s  ({} plan misses, {} hits, {:.3} s planning)",
+            batch.stats.cache.misses, batch.stats.cache.hits, batch.stats.plan_time_s
+        );
+    }
     println!(
-        "with cache:    {:.3} s  ({} plan misses, {} hits, {:.3} s planning)",
-        cached_s,
-        cached_batch.stats.cache.misses,
-        cached_batch.stats.cache.hits,
-        cached_batch.stats.plan_time_s
-    );
-    println!(
-        "without cache: {:.3} s  ({:.3} s planning)",
-        uncached_s, uncached_batch.stats.plan_time_s
-    );
-    println!(
-        "cache hit rate: {:.0}%  |  batch speedup from plan caching: {:.2}x",
-        100.0 * cached_batch.stats.cache_hit_rate(),
-        uncached_s / cached_s
+        "warm hit rate: {:.0}%  |  batch speedup from plan caching: {:.2}x",
+        100.0 * warm_batch.stats.cache_hit_rate(),
+        cold_s / warm_s
     );
 }

@@ -9,4 +9,5 @@
 //! * `distributed_scaling` — strong scaling against the IQS-style baseline,
 //! * `qasm_runner` — run an OpenQASM 2.0 file end to end,
 //! * `batch_service` — a mixed workload through the concurrent runtime
-//!   (engine auto-selection, plan-cache hit rates, cache ablation).
+//!   (engine auto-selection, plan-cache hit rates, a cold batch then a
+//!   warm one).

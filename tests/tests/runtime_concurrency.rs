@@ -106,25 +106,6 @@ fn second_identical_submission_hits_the_cache_with_identical_amplitudes() {
 }
 
 #[test]
-fn cache_disabled_runs_remain_correct_but_never_hit() {
-    let scheduler = Scheduler::new(
-        SchedulerConfig::default()
-            .with_workers(4)
-            .with_selector(EngineSelector::scaled(4, 8))
-            .without_cache(),
-    );
-    let circuit = generators::qft(8);
-    let jobs: Vec<SimJob> = (0..4).map(|_| SimJob::new(circuit.clone())).collect();
-    let expected = reference_state(&circuit);
-    let batch = scheduler.run_batch(jobs);
-    assert_eq!(batch.stats.cache.hits + batch.stats.cache.misses, 0);
-    for result in &batch.results {
-        assert!(!result.plan_cache_hit);
-        assert!(result.state.as_ref().unwrap().approx_eq(&expected, TOL));
-    }
-}
-
-#[test]
 fn sampling_and_observables_survive_concurrency() {
     // Shots and expectations are computed per job on worker threads; verify
     // they match a direct measurement of the reference state.

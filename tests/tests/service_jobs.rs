@@ -337,7 +337,7 @@ fn an_unreadable_snapshot_starts_the_service_cold() {
             .collect();
         assert_eq!(files, [name], "a save must leave only the snapshot");
         assert_eq!(
-            PlanCache::new(4).load_snapshot(&path).unwrap(),
+            PlanCache::new().load_snapshot(&path).unwrap(),
             1,
             "{name}: the save must replace the unreadable file"
         );

@@ -16,8 +16,8 @@
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_runtime::{
-    EngineKind, EngineSelector, JobControl, JobResult, JobRunner, PlanKey, SchedulerConfig,
-    Semaphore, SimJob,
+    EngineKind, EngineSelector, JobControl, JobResult, JobRunner, PlanKey, PlanSource,
+    SchedulerConfig, Semaphore, SimJob,
 };
 use hisvsim_statevec::fusion;
 
@@ -98,11 +98,11 @@ fn the_default_route_plans_one_part_past_the_cache_budget() {
     assert_eq!((warm.decision.limit, warm.report.num_parts), (18, 1));
     assert_eq!(warm.decision.reason, cold.decision.reason);
     assert_eq!(warm.state, cold.state);
-    let (served, hit) = runner
+    let (served, source) = runner
         .cache()
         .get_or_plan(key(&qft, 18), || panic!("the plan that ran is cached"))
         .expect("a cached plan");
-    assert!(hit);
+    assert_eq!(source, PlanSource::Memory);
     assert_eq!(served.num_parts(), 1);
 
     // So does a restart from the snapshot: one lookup, a disk rebuild.
