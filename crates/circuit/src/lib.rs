@@ -6,11 +6,11 @@
 //!
 //! This crate is the bottom of the workspace dependency graph and provides:
 //!
-//! * [`math`] — the [`Complex64`](math::Complex64) amplitude type and small
+//! * [`math`] — the [`Complex64`] amplitude type and small
 //!   unitary matrices,
-//! * [`gate`] — the gate vocabulary ([`GateKind`](gate::GateKind)) with
+//! * [`gate`] — the gate vocabulary ([`GateKind`]) with
 //!   unitaries, inverses and metadata,
-//! * [`circuit`] — the [`Circuit`](circuit::Circuit) IR and builder,
+//! * [`circuit`] — the [`Circuit`] IR and builder,
 //! * [`qasm`] — an OpenQASM 2.0 reader/writer for the QASMBench subset,
 //! * [`generators`] — re-implementations of the paper's 13 benchmark circuit
 //!   configurations (Table I), parameterised by width.

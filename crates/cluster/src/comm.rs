@@ -7,7 +7,7 @@
 //! A transport implements a handful of primitives: post a tagged frame to a
 //! rank, take the first frame from a rank whose tag matches, and swap
 //! payloads with one peer. Every collective, and every charge to the
-//! [`NetworkModel`](crate::netmodel::NetworkModel), is a provided method of
+//! [`NetworkModel`], is a provided method of
 //! the trait, written once here, so the transports account identically by
 //! construction. [`LocalComm`] is the virtual-MPI communicator this
 //! reproduction started with: ranks are threads and frames move through

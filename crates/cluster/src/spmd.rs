@@ -4,7 +4,7 @@
 //!
 //! This is the reproduction's stand-in for `mpirun`: the distributed engines
 //! in `hisvsim-core` pass a closure that owns one rank's slice of the state
-//! vector and communicates through the [`LocalComm`](crate::comm::LocalComm)
+//! vector and communicates through the [`LocalComm`]
 //! handed to it. The multi-process equivalent is `hisvsim-net`'s
 //! `WorkerPool`, which drives the same engine bodies over `TcpComm`.
 

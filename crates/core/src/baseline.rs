@@ -10,19 +10,19 @@
 //! exactly what HiSVSIM adds — so the number of communication events scales
 //! with the gate count rather than the part count.
 //!
-//! The baseline reuses [`DistState`](crate::dist::DistState), so its
-//! communication is accounted by the same network model as HiSVSIM's and the
-//! comparison isolates the effect of the execution schedule.
+//! The baseline reuses [`DistState`], so its communication is accounted by
+//! the same network model as HiSVSIM's and the comparison isolates the
+//! effect of the execution schedule.
 
 use crate::dist::{run_thread_world, DistState, PreparedGate, Progress, RankOutcome, RunSpec};
 use crate::exec::ExecControl;
+use crate::fusedplan::Pass;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind, Qubit};
 use hisvsim_cluster::{NetworkModel, RankComm};
 use hisvsim_statevec::{
     Cancelled, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
-use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration of the IQS-style baseline.
@@ -64,10 +64,10 @@ impl BaselineConfig {
 enum BaselineStep {
     /// A maximal run of gates that are purely local under the static
     /// (identity) layout, fused into one pipeline, with its passes over a
-    /// rank's slice ([`FusedCircuit::passes`]). Fusion only reorganises
-    /// rank-local computation; the communication schedule — the quantity
-    /// the baseline exists to model — is untouched.
-    LocalFused(FusedCircuit, Vec<Range<usize>>),
+    /// rank's slice ([`FusedCircuit::passes`]), each over the whole slice.
+    /// Fusion only reorganises rank-local computation; the communication
+    /// schedule — the quantity the baseline exists to model — is untouched.
+    LocalFused(FusedCircuit, Vec<Pass>),
     /// A gate needing the distributed special cases (remote diagonal, remote
     /// control, or a paid exchange), with its matrix prepared once.
     Distributed(PreparedGate),
@@ -112,7 +112,12 @@ impl BaselineSchedule {
             if !segment.is_empty() {
                 let gates = std::mem::replace(segment, Circuit::new(circuit.num_qubits()));
                 let fused = FusedCircuit::new(&gates, DEFAULT_FUSION_WIDTH);
-                let passes = fused.passes(local_qubits, Some(&layout)).collect();
+                let passes = (fused.passes(local_qubits, Some(&layout)))
+                    .map(|ops| Pass {
+                        live: u64::MAX,
+                        ops,
+                    })
+                    .collect();
                 steps.push(BaselineStep::LocalFused(fused, passes));
             }
         };

@@ -18,7 +18,7 @@
 
 use crate::exchange::ExchangePlan;
 use crate::exec::ExecControl;
-use crate::fusedplan::{FusedPlan, FusedSinglePlan, PlanSchedule};
+use crate::fusedplan::{FusedPlan, FusedSinglePlan, Pass, PlanSchedule};
 use crate::hier::open_part;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
@@ -31,7 +31,6 @@ use hisvsim_statevec::{
     buffers, ApplyOptions, CancelToken, Cancelled, FusedCircuit, FusedOp, KernelDispatch,
     StateVector,
 };
-use std::ops::Range;
 use std::time::Instant;
 
 /// A gate bundled with its precomputed dense matrix (when its kernel path
@@ -71,9 +70,8 @@ const TAG_EXCHANGE: u64 = 0x5100;
 /// plus the qubit layout shared (by construction) by all ranks.
 ///
 /// Generic over the [`RankComm`] implementation, so the same engine bodies
-/// run on the in-process channel world
-/// ([`LocalComm`](hisvsim_cluster::LocalComm)) and on `hisvsim-net`'s
-/// multi-process `TcpComm` without any change.
+/// run on the in-process channel world ([`LocalComm`]) and on
+/// `hisvsim-net`'s multi-process `TcpComm` without any change.
 pub struct DistState<'a, C: RankComm<Complex64>> {
     comm: &'a mut C,
     /// Local slice of `2^l` amplitudes.
@@ -225,7 +223,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     ///
     /// The change is a permutation of index bits, so what leaves for one peer
     /// is a sub-cube of the old slice and what arrives from one is a sub-cube
-    /// of the new (see [`crate::exchange`]): each peer's buffer is packed in
+    /// of the new (see the `exchange` module): each peer's buffer is packed in
     /// ascending old-offset order with run copies, the buffers cross in one
     /// all-to-all-v, and the old slice is overwritten with what came back.
     /// A sub-cube that stays on this rank at the same offsets (the rest of
@@ -356,15 +354,17 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
 
     /// Sweep `fused` over the slice through `map`, one of `passes` (its
     /// [`FusedCircuit::passes`] for this slice and `map`) at a time, on the
-    /// pool if `parallel`. Above one [`TILE`] every pass is a checkpoint:
-    /// rank 0 reports `progress` after it and the ranks vote before the
-    /// next. A slice of at most one tile is one checkpoint. The vote before
-    /// the first pass is the caller's.
+    /// pool if `parallel`, each over what [`Pass::support`] says this rank
+    /// can hold nonzero. Above one [`TILE`] every pass is a checkpoint: rank
+    /// 0 reports `progress` after it and the ranks vote before the next,
+    /// whether this rank's slice is still zero or not. A slice of at most
+    /// one tile is one checkpoint. The vote before the first pass is the
+    /// caller's.
     pub(crate) fn sweep_passes(
         &mut self,
         fused: &FusedCircuit,
         map: &[usize],
-        passes: &[Range<usize>],
+        passes: &[Pass],
         parallel: bool,
         progress: &mut Progress<'_>,
     ) -> Result<(), Cancelled> {
@@ -377,14 +377,16 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             true => 1,
             false => passes.len().max(1),
         };
+        let rank = self.comm.rank();
         for (index, checkpoint) in passes.chunks(per_checkpoint).enumerate() {
             if index > 0 {
                 self.vote_cancelled(&progress.control.cancel)?;
             }
             let start = Instant::now();
             for pass in checkpoint {
-                fused.apply_pass(&mut self.local, pass.clone(), Some(map), &opts);
-                let gates = fused.ops()[pass.clone()].iter().map(FusedOp::fused_count);
+                let (ops, support) = (pass.ops.clone(), pass.support(rank, self.l));
+                fused.apply_pass(&mut self.local, ops.clone(), Some(map), support, &opts);
+                let gates = fused.ops()[ops].iter().map(FusedOp::fused_count);
                 progress.done += gates.sum::<usize>() as u64;
             }
             self.compute_time_s += start.elapsed().as_secs_f64();
@@ -663,8 +665,13 @@ pub(crate) struct Progress<'c> {
 /// pass at a time in place: on a slice above one [`TILE`] each pass is a
 /// checkpoint, a vote before it and rank 0's progress report after it. A
 /// token fired on any rank so stops all of them at the same checkpoint,
-/// within one pass, none stranded inside a collective. The rank hands back
-/// its slice in the layout it ends in ([`DistState::finish_rank`]).
+/// within one pass, none stranded inside a collective. Above one tile a
+/// pass sweeps only the tiles that can be nonzero ([`Pass::live`]), and a
+/// rank whose slice is still all zero sweeps none but votes, reports and
+/// records its spans all the same
+/// ([`PlanSchedule::swept_amplitudes`] predicts what each rank sweeps). The
+/// rank hands back its slice in the layout it ends in
+/// ([`DistState::finish_rank`]).
 ///
 /// A world of one (the hier engine) sweeps on the pool; more ranks sweep
 /// sequentially.

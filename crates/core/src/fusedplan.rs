@@ -16,7 +16,8 @@
 //! [`PlanSchedule`] ([`FusedPlan::schedule`]): every part with the layout the
 //! rank takes before it, the positions its qubits sit at and its passes (the
 //! op ranges the rank sweeps one at a time, each a cache-blocked tile walk
-//! when it holds several ops). That list is what the one rank body
+//! when it holds several ops, with the index positions an amplitude can set
+//! by then). That list is what the one rank body
 //! ([`run_plan_rank`](crate::dist::run_plan_rank)) walks, and what the
 //! runtime's cost verdict reads.
 
@@ -24,7 +25,8 @@ use crate::dist::local_layout;
 use hisvsim_circuit::{Circuit, Qubit};
 use hisvsim_dag::{CircuitDag, Partition, QubitSet};
 use hisvsim_partition::MultilevelPartition;
-use hisvsim_statevec::{FusedCircuit, FusionStrategy, DEFAULT_FUSION_WIDTH};
+use hisvsim_statevec::fusion::TILE;
+use hisvsim_statevec::{FusedCircuit, FusionStrategy, Support, DEFAULT_FUSION_WIDTH};
 use std::ops::Range;
 
 /// One fused part: its working set and prefused gates. The parts of a
@@ -204,7 +206,10 @@ impl<'a> FusedPlan<'a> {
     /// their slices (the swaps `DistState::ensure_local` makes), the first
     /// group's layout free, since `|0…0⟩` is the same in every layout. Each
     /// part's passes are listed here, once ([`FusedCircuit::passes`]), and
-    /// everything that counts passes reads that list.
+    /// everything that counts passes reads that list. So is each pass's
+    /// [`Pass::live`]: the positions no earlier pass mixed are still clear in
+    /// every nonzero amplitude, and an exchange moves the mask with the
+    /// qubits.
     pub fn schedule(self, num_qubits: usize, ranks: usize) -> PlanSchedule<'a> {
         let local = (num_qubits.checked_sub(ranks.trailing_zeros() as usize))
             .filter(|_| ranks.is_power_of_two())
@@ -220,15 +225,26 @@ impl<'a> FusedPlan<'a> {
         };
         let mut layout: Vec<usize> = (0..num_qubits).collect();
         let mut entries: Vec<ScheduleEntry<'a>> = Vec::new();
+        // Positions some nonzero amplitude can set: none in `|0…0⟩`.
+        let mut live = 0u64;
         for (needed, parts) in groups {
             let mut exchange = local_layout(&layout, local, needed);
             if let Some(next) = &exchange {
+                live = (0..num_qubits)
+                    .filter(|&q| live >> layout[q] & 1 == 1)
+                    .fold(0, |moved, q| moved | 1 << next[q]);
                 layout.clone_from(next);
             }
             for part in parts {
                 let positions: Vec<usize> = part.working_set.iter().map(|&q| layout[q]).collect();
                 debug_assert!(positions.iter().all(|&pos| pos < local));
-                let in_place = part.inner.passes(local, Some(&positions)).collect();
+                let in_place = (part.inner.passes(local, Some(&positions)))
+                    .map(|ops| {
+                        let pass = Pass { live, ops };
+                        live |= part.inner.mixing(pass.ops.clone(), Some(&positions));
+                        pass
+                    })
+                    .collect();
                 entries.push(ScheduleEntry {
                     part,
                     exchange: exchange.take(),
@@ -288,6 +304,24 @@ impl PlanSchedule<'_> {
     pub fn passes(&self) -> usize {
         self.entries.iter().map(|entry| entry.in_place.len()).sum()
     }
+
+    /// The amplitudes rank `rank` sweeps in each pass, entry by entry and
+    /// pass by pass ([`FusedCircuit::swept_amplitudes`] under the pass's
+    /// [`Pass::support`]): a cache-blocked run's live tiles, a whole-slice
+    /// sweep in full, and nothing while the rank's slice is zero. The bytes
+    /// a pass streams are 32 per amplitude, read and written.
+    pub fn swept_amplitudes(&self, rank: usize) -> Vec<usize> {
+        let local = self.local_qubits();
+        (self.entries.iter())
+            .flat_map(|entry| {
+                let (inner, map) = (&entry.part.inner, Some(&entry.positions[..]));
+                (entry.in_place.iter()).map(move |pass| {
+                    let support = pass.support(rank, local);
+                    inner.swept_amplitudes(local, pass.ops.clone(), map, support)
+                })
+            })
+            .collect()
+    }
 }
 
 /// One part of a [`PlanSchedule`] and the passes it runs in.
@@ -302,7 +336,37 @@ pub struct ScheduleEntry<'a> {
     /// The part's passes over the slice in place, in order: ranges of its
     /// fused ops, one sweep each ([`FusedCircuit::passes`] under
     /// `positions`). What the rank body walks.
-    pub in_place: Vec<Range<usize>>,
+    pub in_place: Vec<Pass>,
+}
+
+/// One pass of a part over a rank's slice: the fused ops it sweeps
+/// together, and which index positions can be 1 in a nonzero amplitude
+/// when it starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pass {
+    /// The index positions (of the whole state, the rank bits included, in
+    /// the layout the pass runs in) that some nonzero amplitude can set: the
+    /// positions every earlier pass of the job mixed. All ones when the
+    /// state a pass starts from is not known.
+    pub live: u64,
+    /// The range of the part's fused ops the pass sweeps.
+    pub ops: Range<usize>,
+}
+
+impl Pass {
+    /// What rank `rank`'s `local_qubits`-qubit slice can hold nonzero when
+    /// the pass starts: nothing if the rank's own index bits set a position
+    /// outside [`live`](Self::live), else the amplitudes whose slice index
+    /// sets no bit outside it. A slice of at most one [`TILE`] is swept in
+    /// full either way.
+    pub fn support(&self, rank: usize, local_qubits: usize) -> Support {
+        let rank_bits = (rank as u64) << local_qubits;
+        match 1usize << local_qubits > TILE {
+            false => Support::ANY,
+            true if rank_bits & !self.live == 0 => Support::Within(self.live),
+            true => Support::Zero,
+        }
+    }
 }
 
 #[cfg(test)]

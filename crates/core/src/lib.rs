@@ -12,7 +12,7 @@
 //! | [`multilevel`] | IV, V-D | two-level engine (node-level parts + cache-level parts) |
 //! | [`baseline`] | V (comparison) | IQS-style static-mapping distributed baseline |
 //! | [`gpu`] | VI | GPU-kernel throughput model and hybrid estimates (Tables III/IV) |
-//! | [`metrics`] | V | the [`RunReport`](metrics::RunReport) every engine returns |
+//! | [`metrics`] | V | the [`RunReport`] every engine returns |
 //!
 //! Every engine is validated against the flat reference simulator
 //! (`hisvsim_statevec::run_circuit`) — the correctness anchor described in
@@ -82,7 +82,7 @@ pub use dist::{
 };
 pub use exec::ExecControl;
 pub use fusedplan::{
-    FusedMlPart, FusedPart, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule,
+    FusedMlPart, FusedPart, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, Pass, PlanSchedule,
     ScheduleEntry,
 };
 pub use gpu::{estimate_hybrid, GpuModel, HybridEstimate};

@@ -23,7 +23,7 @@ fn plan(circuit: &Circuit, limit: usize) -> FusedSinglePlan {
 fn shape(schedule: &PlanSchedule<'_>) -> Vec<(usize, Vec<usize>)> {
     (schedule.entries.iter())
         .map(|entry| {
-            let passes = entry.in_place.iter().map(|pass| pass.len()).collect();
+            let passes = entry.in_place.iter().map(|pass| pass.ops.len()).collect();
             (entry.positions.len(), passes)
         })
         .collect()

@@ -4,9 +4,12 @@
 //! with the entry's pass count, and each part's listed passes are the sweep
 //! spans the recorder holds for it, its tiled runs the `sweep:tiled` ones
 //! (every sweep of 2^16 amplitudes or more is recorded, so every slice here
-//! is at least that wide). The runner's cost verdict reads this count, so it
-//! has to be exact; single-level plans of 17-qubit circuits on one rank, two
-//! tiles wide, check it at several limits, and the runs here stride tiles
+//! is at least that wide). What each rank's spans say it swept — bytes, and
+//! a tiled run's live tiles — is what `PlanSchedule::swept_amplitudes`
+//! predicts for that rank, a rank whose slice is still zero sweeping
+//! nothing. The runner's cost verdict reads these counts, so they have to be
+//! exact; single-level plans of 17-qubit circuits on one rank, two tiles
+//! wide, check them at several limits, and the runs here stride tiles
 //! across qubits above them.
 //!
 //! One test only: the recorder is process-wide.
@@ -19,17 +22,33 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_statevec::{fusion, run_circuit};
+use hisvsim_statevec::fusion::{self, TILE};
+use hisvsim_statevec::run_circuit;
 use std::collections::BTreeMap;
 
-/// Qubits of every state: 16-qubit slices on four ranks.
-const QUBITS: usize = 18;
+/// Qubits of every state: 17-qubit slices, two tiles, on four ranks.
+const QUBITS: usize = 19;
 /// The (first-level) working-set limit, the widest slice four ranks have.
-const LIMIT: usize = 16;
+const LIMIT: usize = 17;
 
-/// Check one run of `schedule` against the spans it left; returns the
-/// entries it checked and the tiled runs they made.
-fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize, usize) {
+/// What one run of a schedule showed: the entries checked, the tiled runs
+/// they made, and how many of those swept no tile.
+#[derive(Default)]
+struct Checked {
+    entries: usize,
+    tiled: usize,
+    empty: usize,
+}
+
+/// The live tiles a `sweep:tiled` span's detail reports (`… N of M tiles …`).
+fn tiles_reported(detail: &str) -> usize {
+    let head = detail.split(" of ").next().expect("a tile count");
+    let live = head.rsplit(", ").next().expect("a tile count");
+    live.parse().expect("a tile count")
+}
+
+/// Check one run of `schedule` against the spans it left.
+fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> Checked {
     let ranks = schedule.ranks;
     let spec = RunSpec::new(
         engine,
@@ -58,9 +77,11 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
         parts.entry(span.tid).or_default().push(span);
     }
     assert_eq!(parts.len(), ranks, "{context}");
-    let mut checked = 0;
-    let mut tiled = 0;
+    let mut checked = Checked::default();
+    // What each rank's thread swept, pass by pass, in amplitudes.
+    let mut swept: Vec<Vec<usize>> = Vec::new();
     for (tid, mut rank_parts) in parts {
+        let mut rank_swept = Vec::new();
         rank_parts.sort_by_key(|span| span.ts_us);
         assert_eq!(rank_parts.len(), schedule.entries.len(), "{context}");
         for (index, (entry, span)) in schedule.entries.iter().zip(&rank_parts).enumerate() {
@@ -70,15 +91,15 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
                 entry.in_place.len()
             );
             assert_eq!(span.detail, detail, "{context}");
-            checked += 1;
+            checked.entries += 1;
             let until = rank_parts
                 .get(index + 1)
                 .map_or(u64::MAX, |next| next.ts_us);
-            let sweeps: Vec<&str> = (spans.iter())
+            let sweeps: Vec<&SpanRecord> = (spans.iter())
                 .filter(|s| s.tid == tid && s.cat == "kernel" && s.name.starts_with("sweep"))
                 .filter(|s| (span.ts_us..until).contains(&s.ts_us))
-                .map(|s| s.name.as_str())
                 .collect();
+            let names: Vec<&str> = sweeps.iter().map(|s| s.name.as_str()).collect();
             assert_eq!(
                 sweeps.len(),
                 entry.in_place.len(),
@@ -88,13 +109,32 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> (usize
                 entry.in_place.len() <= entry.part.inner.num_ops(),
                 "{context}"
             );
-            let runs = sweeps.iter().filter(|&&name| name == "sweep:tiled").count();
-            let listed = entry.in_place.iter().filter(|pass| pass.len() > 1).count();
-            assert_eq!(runs, listed, "{context}, part {index}: {sweeps:?}");
-            tiled += runs;
+            let runs: Vec<&SpanRecord> = (sweeps.iter().copied())
+                .filter(|s| s.name == "sweep:tiled")
+                .collect();
+            let listed = entry
+                .in_place
+                .iter()
+                .filter(|pass| pass.ops.len() > 1)
+                .count();
+            assert_eq!(runs.len(), listed, "{context}, part {index}: {names:?}");
+            for run in &runs {
+                let tiles = tiles_reported(&run.detail);
+                assert_eq!(run.bytes, (tiles * TILE * 32) as u64, "{context}");
+                checked.empty += usize::from(tiles == 0);
+            }
+            checked.tiled += runs.len();
+            rank_swept.extend(sweeps.iter().map(|s| s.bytes as usize / 32));
         }
+        swept.push(rank_swept);
     }
-    (checked, tiled)
+    // Thread lanes do not name ranks: the ranks' sweeps, as a set, are the
+    // predicted ones.
+    let mut predicted: Vec<Vec<usize>> = (0..ranks).map(|r| schedule.swept_amplitudes(r)).collect();
+    predicted.sort();
+    swept.sort();
+    assert_eq!(swept, predicted, "{context}");
+    checked
 }
 
 #[test]
@@ -121,8 +161,12 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
                 ("multilevel", FusedPlan::Two(&two)),
             ] {
                 let schedule = plan.schedule(QUBITS, ranks);
-                entries += check(&circuit, &schedule, engine).0;
+                let checked = check(&circuit, &schedule, engine);
+                entries += checked.entries;
                 exchanges += schedule.exchanges();
+                // One rank runs alone; more split the state, and some rank's
+                // slice is zero until a pass mixes its rank bits.
+                assert_eq!(checked.empty > 0, ranks > 1, "{engine} on {ranks}");
             }
         }
     }
@@ -144,9 +188,9 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
                 .expect("admits every gate");
             let plan = FusedSinglePlan::new(&circuit, &dag, partition);
             let schedule = FusedPlan::Single(&plan).schedule(n, 1);
-            let (checked, runs) = check(&circuit, &schedule, "hier");
-            assert!(checked > 0, "{} at limit {limit}", circuit.name);
-            tiled += runs;
+            let checked = check(&circuit, &schedule, "hier");
+            assert!(checked.entries > 0, "{} at limit {limit}", circuit.name);
+            tiled += checked.tiled;
         }
     }
     assert!(tiled > 0, "no part exercised a tiled run");

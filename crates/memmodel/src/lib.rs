@@ -10,7 +10,7 @@
 //! * [`hierarchy`] — the inclusive L1/L2/L3 + DRAM stack with per-level
 //!   service statistics and a latency-weighted memory-boundedness proxy,
 //! * [`replay`] — address-stream replay helpers and the Table II-shaped
-//!   [`MemoryBreakdown`](replay::MemoryBreakdown) report row.
+//!   [`MemoryBreakdown`] report row.
 //!
 //! The simulation engines in `hisvsim-core` produce the (sampled) amplitude
 //! address streams; this crate only ranks their locality. The README's

@@ -2,7 +2,7 @@
 //!
 //! The engines in `hisvsim-core` generate (sampled) amplitude address streams
 //! for a given execution order; this module replays such a stream through a
-//! [`MemoryHierarchy`](crate::hierarchy::MemoryHierarchy) and packages the
+//! [`MemoryHierarchy`] and packages the
 //! result in the same shape as the paper's Table II rows.
 
 use crate::hierarchy::{HierarchyConfig, HierarchyStats, MemoryHierarchy};

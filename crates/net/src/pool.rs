@@ -442,7 +442,7 @@ impl WorkerPool {
     }
 
     /// Tear the resident world down cleanly: ship every rank a `Shutdown`
-    /// frame, give them [`SHUTDOWN_GRACE`] to exit, then kill any
+    /// frame, give them `SHUTDOWN_GRACE` to exit, then kill any
     /// stragglers. Idempotent; the next job after a shutdown simply
     /// respawns the world.
     pub fn shutdown(&self) {

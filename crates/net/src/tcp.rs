@@ -251,7 +251,7 @@ impl<T: WireItem> RankComm<T> for TcpComm<T> {
 
     /// Symmetric bounded-buffer swap with one peer: both sides send a small
     /// item-count header, then strictly alternate sending and receiving
-    /// chunks of at most [`CHUNK_BYTES`]. Because the two endpoints follow
+    /// chunks of at most `CHUNK_BYTES`. Because the two endpoints follow
     /// the identical schedule, no more than one chunk per direction is ever
     /// in flight between a matched send/receive step — the kernel's socket
     /// buffers always absorb it, so the swap never deadlocks regardless of

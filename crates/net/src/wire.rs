@@ -15,8 +15,8 @@
 //!
 //! On a little-endian target the items of this module already sit in memory
 //! as their wire encoding, so a payload is sent straight from the item slice
-//! and received straight into one ([`items_as_wire_bytes`],
-//! [`read_items_frame_into`]); a big-endian target, and any [`WireItem`]
+//! and received straight into one (`items_as_wire_bytes`,
+//! `read_items_frame_into`); a big-endian target, and any [`WireItem`]
 //! implemented elsewhere, goes item by item. The bytes on the wire are the
 //! same either way.
 

@@ -134,7 +134,8 @@ impl SimJob {
 /// visible on `/metrics`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecisionVerdict {
-    /// Modelled execute-phase seconds: swept amplitude bytes over the
+    /// Modelled execute-phase seconds: the amplitude bytes the schedule's
+    /// busiest rank sweeps (`PlanSchedule::swept_amplitudes`) over the
     /// nominal sweep bandwidth, plus the decision's per-exchange estimate
     /// times the exchanges the run performed.
     /// Deliberately coarse — its job is trend visibility, not accuracy.

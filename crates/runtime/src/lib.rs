@@ -7,12 +7,12 @@
 //!
 //! | Module | What it provides |
 //! |---|---|
-//! | [`job`] | the [`SimJob`](job::SimJob) / [`JobResult`](job::JobResult) batch model (circuit + shots + observables + engine preference) |
-//! | [`selector`] | [`EngineSelector`](selector::EngineSelector): picks hier/dist/multilevel per job (the baseline only when forced) from the qubit count against two budgets (21 LLC qubits, 30 node qubits by default) and the `netmodel` exchange cost |
-//! | [`planner`] | [`Planner`](planner::Planner): one default `dagP` call per plan, fused into the form the cache stores |
-//! | [`cache`] | [`PlanCache`](cache::PlanCache): memoizes plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint), with in-flight deduplication, hit/miss accounting and disk snapshots for warm restarts; [`PersistedPlan::validate_and_fuse`] is how a partition from outside the process (a snapshot entry, a shipped plan) becomes a plan |
-//! | [`pool`] | [`JobRunner`](pool::JobRunner): the reusable plan–execute worker-pool core (residency [`Semaphore`](pool::Semaphore), per-job [`JobControl`](pool::JobControl) cancellation + phase callbacks) |
-//! | [`scheduler`] | [`Scheduler`](scheduler::Scheduler): a worker pool executing a batch on OS threads with a bounded number of resident state vectors |
+//! | [`job`] | the [`SimJob`] / [`JobResult`] batch model (circuit + shots + observables + engine preference) |
+//! | [`selector`] | [`EngineSelector`]: picks hier/dist/multilevel per job (the baseline only when forced) from the qubit count against two budgets (21 LLC qubits, 30 node qubits by default) and the `netmodel` exchange cost |
+//! | [`planner`] | [`Planner`]: one default `dagP` call per plan, fused into the form the cache stores |
+//! | [`cache`] | [`PlanCache`]: memoizes plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint), with in-flight deduplication, hit/miss accounting and disk snapshots for warm restarts; [`PersistedPlan::validate_and_fuse`] is how a partition from outside the process (a snapshot entry, a shipped plan) becomes a plan |
+//! | [`pool`] | [`JobRunner`]: the reusable plan–execute worker-pool core (residency [`Semaphore`], per-job [`JobControl`] cancellation + phase callbacks) |
+//! | [`scheduler`] | [`Scheduler`]: a worker pool executing a batch on OS threads with a bounded number of resident state vectors |
 //!
 //! The expensive pure-function part of every HiSVSIM run — DAG construction
 //! plus acyclic partitioning — depends only on circuit *structure*, so

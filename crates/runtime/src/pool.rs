@@ -1,4 +1,5 @@
-//! The reusable worker-pool core shared by [`Scheduler::run_batch`] and the
+//! The reusable worker-pool core shared by
+//! [`Scheduler::run_batch`](crate::Scheduler::run_batch) and the
 //! `hisvsim-service` job service.
 //!
 //! [`Scheduler`](crate::scheduler::Scheduler) used to own the whole
@@ -536,19 +537,23 @@ impl JobRunner {
             format!("{} ranks, {}", decision.ranks, decision.engine.name()),
         );
 
-        // Predicted-vs-measured audit: each rank's passes over its slice in
-        // the schedule over the nominal sweep bandwidth, plus the decision's
+        // Predicted-vs-measured audit: the amplitudes the busiest rank sweeps
+        // in the schedule (a cache-blocked run's live tiles, a whole-slice
+        // sweep in full, none while its slice is zero), read and written at
+        // 32 bytes each over the nominal sweep bandwidth, plus the decision's
         // exchange estimate per redistribution the run actually performed.
-        let (sweeps, swept_qubits) = match &schedule {
-            Some(schedule) => (schedule.passes(), schedule.local_qubits()),
+        let swept = match &schedule {
+            Some(schedule) => (0..schedule.ranks)
+                .map(|rank| schedule.swept_amplitudes(rank).iter().sum::<usize>())
+                .max()
+                .unwrap_or(0) as f64,
             // Only a forced baseline job has no plan: the comparison engine
             // fuses inside its own run, so the raw gate count over the whole
             // state stands in (pessimistically) for its sweeps.
-            None => (circuit.num_gates(), circuit.num_qubits()),
+            None => circuit.num_gates() as f64 * (1u128 << circuit.num_qubits()) as f64,
         };
-        let slice_bytes = (32u128 << swept_qubits) as f64;
         let verdict = crate::job::DecisionVerdict {
-            predicted_execute_s: sweeps as f64 * slice_bytes / (NOMINAL_SWEEP_GBPS * 1e9)
+            predicted_execute_s: swept * 32.0 / (NOMINAL_SWEEP_GBPS * 1e9)
                 + decision.est_exchange_s * report.num_exchanges as f64,
             measured_execute_s,
         };
@@ -773,8 +778,10 @@ mod tests {
     #[test]
     fn the_verdict_predicts_the_schedule_the_ranks_run() {
         // A forced-dist qft(21) runs on two ranks, each sweeping a 20-qubit
-        // slice: the prediction is that schedule's passes over one slice, not
-        // a world of one's over the whole state.
+        // slice: the prediction is what that schedule's busiest rank sweeps,
+        // not a world of one's passes over the whole state, and less than
+        // its four passes over a whole slice, since the first pass starts
+        // from one live tile.
         let runner = JobRunner::new(SchedulerConfig::default());
         let residency = Semaphore::new(1);
         let circuit = generators::qft(21);
@@ -791,7 +798,12 @@ mod tests {
         let schedule = hisvsim_core::FusedPlan::Single(&plan).schedule(21, 2);
         assert_eq!((schedule.passes(), schedule.exchanges()), (4, 2));
         assert_eq!(result.report.num_exchanges, 2);
-        let sweeps = 4.0 * (32u64 << 20) as f64 / (NOMINAL_SWEEP_GBPS * 1e9);
+        let swept = (0..2)
+            .map(|rank| schedule.swept_amplitudes(rank).iter().sum::<usize>())
+            .max()
+            .unwrap();
+        assert!(swept < 4 << 20, "{swept}");
+        let sweeps = swept as f64 * 32.0 / (NOMINAL_SWEEP_GBPS * 1e9);
         let exchanges = decision.est_exchange_s * 2.0;
         assert_eq!(result.verdict.predicted_execute_s, sweeps + exchanges);
     }

@@ -4,7 +4,7 @@
 //! spans) used to evaporate the moment its [`JobResult`] was handed to the
 //! caller — nothing survived for an operator asking "what did job 17 do?"
 //! five minutes later. The service now folds every terminal job into a
-//! [`JobArtifacts`] record held in a bounded LRU ([`ArtifactStore`]), so
+//! [`JobArtifacts`] record held in a bounded LRU (`ArtifactStore`), so
 //! the HTTP front door can serve per-job status, a Chrome trace, and the
 //! job's measured [`CostProfile`] delta *after* completion without pinning
 //! result state vectors in memory.

@@ -868,7 +868,7 @@ impl FusedCircuit {
             state.num_qubits()
         );
         for pass in self.passes(state.num_qubits(), None) {
-            self.apply_pass(state, pass, None, opts);
+            self.apply_pass(state, pass, None, Support::ANY, opts);
         }
     }
 
@@ -886,7 +886,7 @@ impl FusedCircuit {
             self.num_qubits
         );
         for pass in self.passes(state.num_qubits(), Some(map)) {
-            self.apply_pass(state, pass, Some(map), opts);
+            self.apply_pass(state, pass, Some(map), Support::ANY, opts);
         }
     }
 
@@ -898,14 +898,16 @@ impl FusedCircuit {
     /// A larger one is swept in cache-blocked order: a run of ops is one
     /// pass while the union of their *mixing* qubits (the translated
     /// operands of dense and solo ops; a diagonal run mixes none) fits one
-    /// tile shape ([`TileShape::of`]), so each 2^16-amplitude tile streams
+    /// tile shape (`TileShape::of`), so each 2^16-amplitude tile streams
     /// through the whole run while L2-resident instead of the run streaming
     /// the whole state from memory once per op. The run is extended until
     /// the next op would leave no shape: a seventh mixing qubit at or above
     /// the smallest chunk, or one that narrows the chunk below the qubits
     /// already taken. A run of one op gains nothing and is a whole-state
-    /// sweep of its own. With the recorder on, a state above one tile
-    /// leaves exactly one `kernel` span per pass.
+    /// sweep of its own. A run sweeps only the tiles its [`Support`] leaves
+    /// live ([`apply_pass`](Self::apply_pass)); the segmentation does not
+    /// depend on it. With the recorder on, a state above one tile leaves
+    /// exactly one `kernel` span per pass.
     pub fn passes<'a>(
         &'a self,
         state_qubits: usize,
@@ -931,34 +933,48 @@ impl FusedCircuit {
         })
     }
 
+    /// The state positions the ops of `pass` mix under the optional
+    /// translation, as a mask: the only index bits the pass can set in a
+    /// nonzero amplitude where every nonzero amplitude before it had them
+    /// clear (a diagonal run mixes none). What a schedule folds into each
+    /// later pass's [`Support`].
+    pub fn mixing(&self, pass: Range<usize>, map: Option<&[Qubit]>) -> u64 {
+        (self.ops[pass].iter()).fold(0, |mixing, op| mixing | op_mixing(op, map))
+    }
+
     /// Apply one pass of [`passes`](Self::passes) for this state's width
-    /// and the same translation: a single op is one whole-state sweep, a
-    /// longer range one cache-blocked run ([`Self::apply_tiled_run`]). The
-    /// per-amplitude arithmetic is bit-identical either way.
+    /// and the same translation to a state whose nonzero amplitudes lie in
+    /// `support` ([`Support::ANY`] when nothing is known): a single op is
+    /// one whole-state sweep, a longer range one cache-blocked run over the
+    /// tiles that can hold a nonzero amplitude, and a state that is all
+    /// zero is not swept at all. A tile or state left out is exactly zero
+    /// and a pass keeps it so; the per-amplitude arithmetic of everything
+    /// swept is bit-identical either way.
+    /// [`swept_amplitudes`](Self::swept_amplitudes) counts what it sweeps.
     ///
-    /// With the recorder enabled the pass leaves a sampled `kernel` span:
-    /// full-size sweeps (≥ 2^16 amplitudes) are always recorded, and small
-    /// sweeps 1-in-64, to keep the tracing overhead off the hot path.
+    /// With the recorder enabled the pass leaves a sampled `kernel` span,
+    /// skipped or not, whose bytes are the amplitudes it swept, read and
+    /// written (32 bytes each): full-size sweeps (≥ 2^16 amplitudes) are
+    /// always recorded, and small sweeps 1-in-64, to keep the tracing
+    /// overhead off the hot path.
     pub fn apply_pass(
         &self,
         state: &mut StateVector,
         pass: Range<usize>,
         map: Option<&[Qubit]>,
+        support: Support,
         opts: &ApplyOptions,
     ) {
-        let tracing = hisvsim_obs::enabled();
         if pass.len() == 1 {
             let idx = pass.start;
             let (op, prep) = (&self.ops[idx], &self.prepared[idx]);
-            if tracing && sample_sweep(state.len()) {
-                // Amplitudes read + written once per sweep (2 × 16 bytes
-                // each): the byte count the cost profiler turns into
-                // effective GB/s.
-                let _g = hisvsim_obs::span("kernel", op.span_name())
+            let swept = self.swept_amplitudes(state.num_qubits(), pass, map, support);
+            let _g = (hisvsim_obs::enabled() && sample_sweep(state.len())).then(|| {
+                hisvsim_obs::span("kernel", op.span_name())
                     .detail(format!("{} gates, {} amps", op.fused_count(), state.len()))
-                    .bytes(state.len() as u64 * 32);
-                op.apply_inner(state, prep, map, opts);
-            } else {
+                    .bytes(swept as u64 * 32)
+            });
+            if swept > 0 {
                 op.apply_inner(state, prep, map, opts);
             }
             return;
@@ -967,13 +983,36 @@ impl FusedCircuit {
             state.len() > TILE,
             "a tiled pass needs a state above one tile"
         );
-        let ops = &self.ops[pass.clone()];
-        let mixing = ops.iter().fold(0, |mixing, op| mixing | op_mixing(op, map));
-        let shape = TileShape::of(mixing).expect("the ops of a pass fit one tile");
-        self.apply_tiled_run(state, pass, shape, map, opts, tracing);
+        let shape = TileShape::of(self.mixing(pass.clone(), map));
+        let shape = shape.expect("the ops of a pass fit one tile");
+        self.apply_tiled_run(state, pass, shape, map, support, opts);
     }
 
-    /// Execute the ops of `run` tile by tile in `shape`. A tile is the
+    /// The amplitudes [`apply_pass`](Self::apply_pass) sweeps for `pass` on
+    /// a state of `state_qubits` qubits under `map` and `support`: none for
+    /// a state that is all zero, the whole state for a single op (every op
+    /// of a state of at most one tile), and one [`TILE`] per live tile of a
+    /// cache-blocked run. What a schedule predicts a rank sweeps.
+    pub fn swept_amplitudes(
+        &self,
+        state_qubits: usize,
+        pass: Range<usize>,
+        map: Option<&[Qubit]>,
+        support: Support,
+    ) -> usize {
+        match (support, pass.len()) {
+            (Support::Zero, _) => 0,
+            (_, 1) => 1 << state_qubits,
+            _ => {
+                let shape = TileShape::of(self.mixing(pass, map));
+                let shape = shape.expect("the ops of a pass fit one tile");
+                shape.live_tiles(1 << state_qubits, support).1 * TILE
+            }
+        }
+    }
+
+    /// Execute the ops of `run` tile by tile in `shape`, on the tiles
+    /// `support` leaves live ([`TileShape::live_tiles`]). A tile is the
     /// 2^|high| chunks of 2^chunk_bits contiguous amplitudes that one
     /// assignment of the remaining bits selects. Dense and solo ops run on
     /// tile positions (a chunk's bits keep their place, the high qubits
@@ -990,33 +1029,38 @@ impl FusedCircuit {
         run: Range<usize>,
         shape: TileShape,
         map: Option<&[Qubit]>,
+        support: Support,
         opts: &ApplyOptions,
-        tracing: bool,
     ) {
+        let len = state.len();
+        let (chunk, chunks) = (1usize << shape.chunk_bits, shape.chunks());
+        if chunks > 1 {
+            STRIDED_PASSES.fetch_add(1, Ordering::Relaxed);
+        }
+        // Each live tile starts at `deposit(t, picks)`, `t < tiles`.
+        let (picks, tiles) = shape.live_tiles(len, support);
+        let _g = (hisvsim_obs::enabled() && sample_sweep(len)).then(|| {
+            let gates: usize = self.ops[run.clone()].iter().map(FusedOp::fused_count).sum();
+            hisvsim_obs::span("kernel", "sweep:tiled")
+                .detail(format!(
+                    "{} ops, {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}",
+                    run.len(),
+                    gates,
+                    len / TILE,
+                    shape.chunk_bits
+                ))
+                // One streaming pass over the live tiles carries the run.
+                .bytes((tiles * TILE) as u64 * 32)
+        });
+        if tiles == 0 {
+            return;
+        }
         let items: Vec<TileOp<'_>> = (run.clone())
             .map(|idx| {
                 let (op, prep) = (&self.ops[idx], &self.prepared[idx]);
                 tile_op(op, prep, map, Some(shape), state.num_qubits())
             })
             .collect();
-        let len = state.len();
-        let (chunk, chunks) = (1usize << shape.chunk_bits, shape.chunks());
-        if chunks > 1 {
-            STRIDED_PASSES.fetch_add(1, Ordering::Relaxed);
-        }
-        let _g = (tracing && sample_sweep(len)).then(|| {
-            let gates: usize = self.ops[run.clone()].iter().map(FusedOp::fused_count).sum();
-            hisvsim_obs::span("kernel", "sweep:tiled")
-                .detail(format!(
-                    "{} ops, {} gates, {} amps, {chunks} chunks of 2^{}",
-                    run.len(),
-                    gates,
-                    len,
-                    shape.chunk_bits
-                ))
-                // One streaming pass over the state carries the whole run.
-                .bytes(len as u64 * 32)
-        });
         // Within a tile the run is sequential; parallelism comes from the
         // disjoint tiles (nesting both would oversubscribe the pool).
         let tile_opts = ApplyOptions {
@@ -1024,13 +1068,12 @@ impl FusedCircuit {
             parallel_threshold: usize::MAX,
             dispatch: opts.dispatch,
         };
-        // Each chunk's base inside a tile, and the bits that pick the tile.
+        // Each chunk's base inside a tile.
         let mut offsets = [0usize; 1 << (TILE_BITS - MIN_CHUNK_BITS)];
         for (h, offset) in offsets[..chunks].iter_mut().enumerate() {
             *offset = deposit(h, shape.high);
         }
         let offsets = &offsets[..chunks];
-        let picks = (len as u64 - 1) & !(chunk as u64 - 1) & !shape.high;
         let sweep = |tile: &mut [Complex64], base: usize| {
             for item in &items {
                 match item {
@@ -1065,7 +1108,6 @@ impl FusedCircuit {
         };
         // Each worker claims the next tile until none is left, so a worker
         // the host slows down takes fewer tiles, and holds one buffer.
-        let tiles = len / TILE;
         let workers = match opts.go_parallel(len) {
             true => rayon::current_num_threads().clamp(1, tiles),
             false => 1,
@@ -1153,6 +1195,19 @@ impl TileShape {
         1 << self.high.count_ones()
     }
 
+    /// The index bits that pick one of this shape's tiles in a state of
+    /// `len` amplitudes and can be set in a nonzero amplitude under
+    /// `support`, and how many tiles they pick: every tile when nothing is
+    /// known, none when the state is zero. Live tile `t` starts at
+    /// `deposit(t, picks)`, `t < tiles`; every other tile is exactly zero.
+    fn live_tiles(self, len: usize, support: Support) -> (u64, usize) {
+        let picks = (len as u64 - 1) & !((1u64 << self.chunk_bits) - 1) & !self.high;
+        match support {
+            Support::Zero => (0, 0),
+            Support::Within(live) => (picks & live, 1 << (picks & live).count_ones()),
+        }
+    }
+
     /// The tile position of state qubit `q`, one below the chunk bits or
     /// in `high`.
     fn position(self, q: Qubit) -> Qubit {
@@ -1161,6 +1216,25 @@ impl TileShape {
             false => self.chunk_bits + (self.high & ((1u64 << q) - 1)).count_ones() as usize,
         }
     }
+}
+
+/// Which amplitudes of a state can be nonzero, as far as the caller knows:
+/// what lets [`FusedCircuit::apply_pass`] skip the tiles of a cache-blocked
+/// run that are exactly zero. A schedule that starts from `|0…0⟩` knows it
+/// exactly: a bit no earlier pass mixed is clear in every nonzero
+/// amplitude.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Support {
+    /// Every amplitude is zero: a pass sweeps nothing.
+    Zero,
+    /// Only amplitudes whose index sets no bit outside the mask (of state
+    /// positions) can be nonzero.
+    Within(u64),
+}
+
+impl Support {
+    /// Any amplitude can be nonzero: a pass sweeps the whole state.
+    pub const ANY: Self = Self::Within(u64::MAX);
 }
 
 /// The mixing qubits of an op (its translated operands; a diagonal run
@@ -1920,6 +1994,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 19-qubit random circuits and a QFT cut into tiled runs of every
+        // shape; each run is applied to a random state zeroed outside a
+        // random live mask, once over the live tiles only and once over
+        // every tile.
+        let n = TILE_BITS + 3;
+        let mut rng = StdRng::seed_from_u64(0x11FE);
+        let reversed: Vec<Qubit> = (0..n).rev().collect();
+        // Runs checked by (mapped, strided), and how many skipped a tile.
+        let mut seen = [[0usize; 2]; 2];
+        let mut skipped = 0;
+        let bits = |a: &Complex64| (a.re.to_bits(), a.im.to_bits());
+        let circuits = (0..3).map(|seed| generators::random_circuit(n, 90, seed));
+        for (seed, circuit) in (0..).zip(circuits.chain([generators::qft(n)])) {
+            let fused = FusedCircuit::new(&circuit, 3);
+            for map in [None, Some(&reversed[..])] {
+                let init = random_state(n, 0x5EED + seed);
+                for pass in fused.passes(n, map).filter(|pass| pass.len() > 1) {
+                    let shape = TileShape::of(fused.mixing(pass.clone(), map)).expect("fits");
+                    let live = rng.gen::<u64>() & ((1 << n) - 1);
+                    let mut zeroed = init.clone();
+                    for (index, amp) in zeroed.amplitudes_mut().iter_mut().enumerate() {
+                        if index as u64 & !live != 0 {
+                            *amp = Complex64::ZERO;
+                        }
+                    }
+                    let mut masked = zeroed.clone();
+                    let within = Support::Within(live);
+                    fused.apply_pass(&mut masked, pass.clone(), map, within, &Default::default());
+                    let mut every = zeroed.clone();
+                    let any = Support::ANY;
+                    fused.apply_pass(&mut every, pass.clone(), map, any, &Default::default());
+                    // A live tile is swept alike, bit for bit. A skipped one
+                    // keeps the +0.0 it held; the full sweep's arithmetic may
+                    // turn such a zero into -0.0, equal but not the same bits.
+                    let what = format!("seed {seed}, mapped={}, {pass:?}", map.is_some());
+                    let (picks, _) = shape.live_tiles(1 << n, Support::ANY);
+                    let pairs = masked.amplitudes().iter().zip(every.amplitudes());
+                    for (index, (m, e)) in pairs.enumerate() {
+                        match index as u64 & picks & !live {
+                            0 => assert_eq!(bits(m), bits(e), "{what}: amplitude {index}"),
+                            _ => assert!(bits(m) == (0, 0) && *e == Complex64::ZERO, "{what}"),
+                        }
+                    }
+                    let swept = fused.swept_amplitudes(n, pass.clone(), map, within);
+                    seen[map.is_some() as usize][(shape.chunks() > 1) as usize] += 1;
+                    skipped += usize::from(swept < 1 << n);
+                    // A zero state is left as it is.
+                    let mut zero = StateVector::zero_state(n);
+                    zero.amplitudes_mut()[0] = Complex64::ZERO;
+                    fused.apply_pass(&mut zero, pass, map, Support::Zero, &Default::default());
+                    assert!(zero.amplitudes().iter().all(|amp| bits(amp) == (0, 0)));
+                }
+            }
+        }
+        assert!(seen.iter().flatten().all(|&runs| runs > 0), "{seen:?}");
+        assert!(skipped > 0);
     }
 
     #[test]

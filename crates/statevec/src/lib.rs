@@ -50,7 +50,7 @@ mod permute;
 pub mod simd;
 pub mod state;
 
-pub use fusion::{FusedCircuit, FusedOp, FusionStrategy, DEFAULT_FUSION_WIDTH};
+pub use fusion::{FusedCircuit, FusedOp, FusionStrategy, Support, DEFAULT_FUSION_WIDTH};
 pub use gather::GatherMap;
 pub use interrupt::{CancelToken, Cancelled};
 pub use kernels::{apply_circuit, apply_gate, run_circuit, ApplyOptions};
@@ -59,7 +59,7 @@ pub use state::{amplitudes_from_le_bytes, amplitudes_to_le_bytes, StateVector};
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::fusion::{FusedCircuit, FusedOp, FusionStrategy, DEFAULT_FUSION_WIDTH};
+    pub use crate::fusion::{FusedCircuit, FusedOp, FusionStrategy, Support, DEFAULT_FUSION_WIDTH};
     pub use crate::gather::GatherMap;
     pub use crate::kernels::{
         apply_circuit, apply_circuit_with, apply_gate, apply_gate_with, apply_gate_with_matrix,
