@@ -338,9 +338,11 @@ fn kernels_for(n: usize) -> Vec<Kernel> {
         .num_threads(1)
         .build()
         .expect("a one-thread pool");
-    rows.push(kernel("permute", any(4.0), move |s, o| match o.parallel {
-        true => s.permute_qubits(&reversal),
-        false => one_thread.install(|| s.permute_qubits(&reversal)),
+    rows.push(kernel("permute", any(4.0), move |s, o| {
+        match o.parallel_threshold == usize::MAX {
+            true => one_thread.install(|| s.permute_qubits(&reversal)),
+            false => s.permute_qubits(&reversal),
+        }
     }));
 
     // Phase gates: T leaves half the state alone, Rz none of it.

@@ -327,7 +327,10 @@ pub fn qpe(n: usize) -> Circuit {
     assert!(n >= 3, "qpe needs at least 3 qubits");
     let counting = n - 1;
     let target = n - 1;
-    let theta = 2.0 * PI * 0.34375; // an exactly representable 5-bit phase
+    // The phase 0.34375 = 11/32 is an exact 5-bit fraction, but θ = 2π·0.34375
+    // is rounded once, and counting qubit q's angle θ·2^q carries 2^q times
+    // that rounding (`tests/tests/ghz_bv_oracle.rs` models it exactly).
+    let theta = 2.0 * PI * 0.34375;
     let mut c = Circuit::named(format!("qpe{n}"), n);
     c.x(target); // eigenstate |1> of P(θ)
     for q in 0..counting {

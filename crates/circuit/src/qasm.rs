@@ -220,14 +220,23 @@ fn parse_operand(
 }
 
 /// Parse an angle expression: a float literal, optionally involving `pi`
-/// (e.g. `pi/2`, `-pi/4`, `2*pi`, `0.5`, `3pi/2`).
+/// (e.g. `pi/2`, `-pi/4`, `2*pi`, `0.5`, `3pi/2`). An angle that is not
+/// finite (`nan`, `inf`, `1e999`, `pi/0`) is refused: it would turn the
+/// whole state into NaN.
 fn parse_angle(expr: &str, lineno: usize) -> Result<f64, QasmError> {
     let expr = expr.trim();
     if expr.is_empty() {
         return Err(QasmError::Parse(lineno, "empty angle".into()));
     }
+    let finite = |angle: f64| match angle.is_finite() {
+        true => Ok(angle),
+        false => Err(QasmError::Parse(
+            lineno,
+            format!("angle '{expr}' is not finite"),
+        )),
+    };
     if let Ok(v) = expr.parse::<f64>() {
-        return Ok(v);
+        return finite(v);
     }
     let compact: String = expr.chars().filter(|c| !c.is_whitespace()).collect();
 
@@ -266,7 +275,7 @@ fn parse_angle(expr: &str, lineno: usize) -> Result<f64, QasmError> {
             .parse::<f64>()
             .map_err(|_| QasmError::Parse(lineno, format!("bad angle '{expr}'")))?
     };
-    Ok(sign * num / den)
+    finite(sign * num / den)
 }
 
 fn gate_kind_from_name(name: &str, params: &[f64]) -> Option<GateKind> {
@@ -354,6 +363,31 @@ mod tests {
         assert!((parse_angle("2pi", 1).unwrap() - 2.0 * PI).abs() < 1e-12);
         assert!((parse_angle("0.25", 1).unwrap() - 0.25).abs() < 1e-12);
         assert!(parse_angle("garbage", 1).is_err());
+    }
+
+    #[test]
+    fn non_finite_angles_are_refused() {
+        use std::f64::consts::PI;
+        for angle in ["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1e999"] {
+            assert!(
+                matches!(parse_angle(angle, 7), Err(QasmError::Parse(7, _))),
+                "{angle}"
+            );
+        }
+        for angle in [
+            "pi/0", "-pi/0", "0/0", "2*pi/0", "1e308*pi", "nan*pi", "inf/2",
+        ] {
+            assert!(
+                matches!(parse_angle(angle, 7), Err(QasmError::Parse(7, _))),
+                "{angle}"
+            );
+        }
+        let src = "qreg q[1];\nrz(nan) q[0];";
+        assert!(matches!(parse_qasm(src), Err(QasmError::Parse(2, _))));
+        // Finite spellings still parse.
+        assert!((parse_angle("pi/2", 1).unwrap() - PI / 2.0).abs() < 1e-12);
+        assert!((parse_angle("-3pi/4", 1).unwrap() + 3.0 * PI / 4.0).abs() < 1e-12);
+        assert_eq!(parse_angle("1e-3", 1).unwrap(), 1e-3);
     }
 
     #[test]

@@ -39,10 +39,9 @@ use std::ops::Range;
 /// Controls how kernels execute.
 #[derive(Debug, Clone, Copy)]
 pub struct ApplyOptions {
-    /// Use rayon data parallelism when the state is large enough.
-    pub parallel: bool,
-    /// Minimum number of amplitudes before the parallel path is taken;
-    /// below this the sequential loop is faster than the fork/join overhead.
+    /// Minimum number of amplitudes before the rayon-parallel path is taken;
+    /// below this the sequential loop is faster than the fork/join overhead,
+    /// and `usize::MAX` is fully sequential.
     /// The default is the crossover `BENCH_kernels.json` records
     /// (`thresholds`: the pool spawns and joins a thread per segment, 100–200 µs
     /// a sweep, so on two cores it takes 3.7–15× one thread's time at 2^14 and
@@ -59,7 +58,6 @@ pub struct ApplyOptions {
 impl Default for ApplyOptions {
     fn default() -> Self {
         Self {
-            parallel: true,
             parallel_threshold: 1 << 19,
             dispatch: KernelDispatch::Auto,
         }
@@ -71,7 +69,6 @@ impl ApplyOptions {
     /// already parallelise across ranks).
     pub fn sequential() -> Self {
         Self {
-            parallel: false,
             parallel_threshold: usize::MAX,
             dispatch: KernelDispatch::Auto,
         }
@@ -85,7 +82,7 @@ impl ApplyOptions {
 
     #[inline]
     pub(crate) fn go_parallel(&self, len: usize) -> bool {
-        self.parallel && len >= self.parallel_threshold
+        len >= self.parallel_threshold
     }
 
     /// Whether this application runs the AVX2 kernels.
@@ -1084,27 +1081,62 @@ fn run_bases(
     .take(count)
 }
 
-/// A `Sync` wrapper around the amplitude buffer for kernels whose write sets
-/// are disjoint per work item but not expressible as slice chunks.
+/// A `Sync` wrapper around the amplitude buffer for sweeps whose write sets
+/// are disjoint per work item but not expressible as slice chunks: the
+/// kernels, the tile walker and the qubit permutation.
 #[derive(Clone, Copy)]
-pub(crate) struct SharedAmps(*mut Complex64);
+pub(crate) struct SharedAmps {
+    ptr: *mut Complex64,
+    len: usize,
+}
 
-// SAFETY: the wrapper only carries the pointer across threads; every kernel
-// that dereferences it documents why its work items are disjoint.
+// SAFETY: the wrapper only carries the pointer, and the length that bounds
+// it, across threads; every sweep that dereferences it documents why its
+// work items are disjoint.
 unsafe impl Sync for SharedAmps {}
 unsafe impl Send for SharedAmps {}
 
 impl SharedAmps {
     pub(crate) fn new(slice: &mut [Complex64]) -> Self {
-        Self(slice.as_mut_ptr())
+        Self {
+            ptr: slice.as_mut_ptr(),
+            len: slice.len(),
+        }
     }
 
     /// Raw base pointer. Going through a method (rather than the field) keeps
     /// closures capturing the whole `Sync` wrapper, not the bare pointer.
     #[inline(always)]
     pub(crate) fn as_ptr(&self) -> *mut Complex64 {
-        self.0
+        self.ptr
     }
+
+    /// The `len` amplitudes from `start`.
+    ///
+    /// # Safety
+    /// The range must be in bounds, and ranges in use at the same time must
+    /// be disjoint.
+    #[allow(clippy::mut_from_ref)]
+    #[inline(always)]
+    pub(crate) unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [Complex64] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
+    }
+}
+
+/// The bits of `value`, lowest first, placed at the set bits of `mask`,
+/// lowest first; bits of `value` beyond the mask's count are dropped. How
+/// the tile walker and the qubit permutation number the tiles they visit.
+pub(crate) fn deposit(mut value: usize, mut mask: u64) -> usize {
+    let mut out = 0;
+    while mask != 0 && value != 0 {
+        if value & 1 == 1 {
+            out |= 1usize << mask.trailing_zeros();
+        }
+        value >>= 1;
+        mask &= mask - 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1113,12 +1145,10 @@ pub(crate) mod tests {
     use hisvsim_circuit::{generators, Circuit};
 
     const SEQ: ApplyOptions = ApplyOptions {
-        parallel: false,
         parallel_threshold: usize::MAX,
         dispatch: KernelDispatch::Auto,
     };
     const PAR: ApplyOptions = ApplyOptions {
-        parallel: true,
         parallel_threshold: 1,
         dispatch: KernelDispatch::Auto,
     };
@@ -1181,10 +1211,10 @@ pub(crate) mod tests {
             apply_gate_with(&mut got, &gate, &opts);
             assert!(
                 got.approx_eq(&expected, 1e-10),
-                "kernel mismatch for {} on {:?} (parallel={})",
+                "kernel mismatch for {} on {:?} (threshold={})",
                 gate.kind.name(),
                 gate.qubits,
-                opts.parallel
+                opts.parallel_threshold
             );
             // Forced-scalar dispatch must agree with Auto bit-for-bit: the
             // SIMD kernels replay the scalar IEEE op sequence exactly.
@@ -1399,7 +1429,7 @@ pub(crate) mod tests {
                     Some(first) => assert_bitwise(
                         first,
                         &got,
-                        &format!("{what} (parallel={}, {dispatch})", opts.parallel),
+                        &format!("{what} (threshold={}, {dispatch})", opts.parallel_threshold),
                     ),
                 }
             }
@@ -1612,6 +1642,52 @@ pub(crate) mod tests {
             assert_eq!(base & (1 << 1), 0);
             assert_eq!(base & (1 << 3), 0);
             assert!(seen.insert(base), "duplicate base {base}");
+        }
+    }
+
+    #[test]
+    fn deposit_places_each_value_bit_at_the_next_mask_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Bit j of `value` lands on the j-th lowest set bit of `mask`; bits
+        // of `value` past the mask's count are dropped.
+        let reference = |value: usize, mask: u64| {
+            let positions = (0..u64::BITS).filter(|&p| mask >> p & 1 == 1);
+            (positions.enumerate()).fold(0usize, |out, (j, p)| out | (value >> j & 1) << p)
+        };
+        // The tile walker's masks (chunk offsets, live tile picks of a
+        // 20-qubit state) and the permutation's (outer positions of a
+        // 22-qubit state, one inner bit), masks up to bit 63, then random
+        // ones and their complements.
+        let mut masks = vec![
+            0,
+            1,
+            1 << 63,
+            u64::MAX,
+            0b1011 << 13,
+            ((1 << 20) - 1) & !((1 << 10) - 1) & !(0b101 << 14),
+            ((1 << 22) - 1) & !0xFFF,
+            1 << 7,
+            0x8000_0000_0000_0001,
+            0xF0F0_0000_0000_F0F0,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xDE9051);
+        for _ in 0..64 {
+            let mask = rng.gen::<u64>() >> rng.gen_range(0u32..64);
+            masks.extend([mask, !mask]);
+        }
+        for mask in masks {
+            let count = mask.count_ones();
+            let mut values = vec![0, 1, usize::MAX, (1 << count.min(63)) - 1];
+            values.extend((0..16).map(|_| rng.gen::<u64>() as usize));
+            values.extend((0..16).map(|_| (rng.gen::<u64>() >> (64 - count.max(1))) as usize));
+            for value in values {
+                assert_eq!(
+                    deposit(value, mask),
+                    reference(value, mask),
+                    "value {value:#x}, mask {mask:#x}"
+                );
+            }
         }
     }
 

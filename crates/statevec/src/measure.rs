@@ -7,14 +7,10 @@
 //! semantics end to end.
 
 use crate::state::StateVector;
+use crate::ApplyOptions;
 use hisvsim_circuit::Qubit;
 use rand::Rng;
 use rayon::prelude::*;
-
-/// Below this many amplitudes the sequential loops win: the same measured
-/// crossover as `kernels::ApplyOptions::parallel_threshold` (the
-/// `thresholds` rows of `BENCH_kernels.json`).
-const PARALLEL_THRESHOLD: usize = 1 << 19;
 
 /// Probability that measuring `qubit` yields 1.
 pub fn probability_of_one(state: &StateVector, qubit: Qubit) -> f64 {
@@ -37,12 +33,12 @@ pub fn expectation_z(state: &StateVector, qubit: Qubit) -> f64 {
 /// Full probability distribution over computational basis states.
 ///
 /// Only sensible for small registers (the vector has `2^n` entries). The
-/// squaring pass is embarrassingly parallel and memory-bound, so large
-/// states are processed with rayon.
+/// squaring pass is embarrassingly parallel and memory-bound, so states of
+/// at least the default `parallel_threshold` are processed with rayon.
 pub fn probabilities(state: &StateVector) -> Vec<f64> {
     let amps = state.amplitudes();
     let mut probs = vec![0.0f64; amps.len()];
-    if amps.len() >= PARALLEL_THRESHOLD {
+    if ApplyOptions::default().go_parallel(amps.len()) {
         probs
             .par_iter_mut()
             .enumerate()
@@ -230,14 +226,15 @@ mod tests {
 
     #[test]
     fn probabilities_parallel_path_matches_sequential() {
-        // Exactly PARALLEL_THRESHOLD amplitudes: the smallest state that
-        // takes the parallel path.
-        let amps = (0..PARALLEL_THRESHOLD)
+        // Exactly the default threshold's amplitudes: the smallest state
+        // that takes the parallel path.
+        let threshold = ApplyOptions::default().parallel_threshold;
+        let amps = (0..threshold)
             .map(|i| Complex64::new(i as f64 * 1e-6, 1.0 - i as f64 * 2e-6))
             .collect();
         let sv = StateVector::from_amplitudes(amps);
         let probs = probabilities(&sv);
-        assert_eq!(probs.len(), PARALLEL_THRESHOLD);
+        assert_eq!(probs.len(), threshold);
         for (i, &p) in probs.iter().enumerate() {
             assert_eq!(p, sv.amp(i).norm_sqr());
         }

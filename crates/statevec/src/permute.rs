@@ -13,7 +13,7 @@
 //! disjoint, so they run on the pool. Any other permutation is the product
 //! of two involutions (a cycle is two reflections), so two passes.
 
-use crate::kernels::SharedAmps;
+use crate::kernels::{deposit, SharedAmps};
 use crate::{buffers, ApplyOptions, StateVector};
 use hisvsim_circuit::{Complex64, Qubit};
 use rayon::prelude::*;
@@ -101,20 +101,6 @@ fn reflections(perm: &[Qubit]) -> ([Qubit; MAX_QUBITS], [Qubit; MAX_QUBITS]) {
     (beta, alpha)
 }
 
-/// The bits of `value`, lowest first, placed at the set positions of `mask`.
-fn deposit(mut value: usize, mut mask: usize) -> usize {
-    let mut out = 0;
-    while mask != 0 {
-        let bit = mask & mask.wrapping_neg();
-        if value & 1 == 1 {
-            out |= bit;
-        }
-        value >>= 1;
-        mask &= mask - 1;
-    }
-    out
-}
-
 /// The bits of `value` at the set positions of `mask`, packed lowest first.
 fn extract(value: usize, mut mask: usize) -> usize {
     let (mut out, mut k) = (0, 0);
@@ -162,7 +148,7 @@ fn exchange(amps: &mut [Complex64], sigma: &[Qubit], parallel: bool) {
     // each entry the previous one with one bit's image added.
     let mut image = [0u32; TILE_BITS];
     for (bit, image) in image.iter_mut().enumerate().take(inner_bits) {
-        *image = extract(move_bits(deposit(1 << bit, inner)), inner) as u32;
+        *image = extract(move_bits(deposit(1 << bit, inner as u64)), inner) as u32;
     }
     let fill = |table: &mut [u32], first_bit: usize| {
         for x in 1..table.len() {
@@ -190,15 +176,13 @@ fn exchange(amps: &mut [Complex64], sigma: &[Qubit], parallel: bool) {
         for offset in offsets() {
             // SAFETY: an offset plus `run` stays inside the tile at `base`,
             // so inside `amps`, and no other worker touches that tile.
-            let from = unsafe { std::slice::from_raw_parts(ptr.as_ptr().add(base + offset), run) };
-            buffer.extend_from_slice(from);
+            buffer.extend_from_slice(unsafe { ptr.slice_mut(base + offset, run) });
         }
     };
     let store = |base: usize, partner: &[Complex64]| {
         for (r, offset) in offsets().enumerate() {
             // SAFETY: as in `load`; `partner` is a buffer, not `amps`.
-            let out =
-                unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr().add(base + offset), run) };
+            let out = unsafe { ptr.slice_mut(base + offset, run) };
             let across = across[r];
             for (amp, &within) in out.iter_mut().zip(&within[..run]) {
                 *amp = partner[(within | across) as usize];
@@ -213,7 +197,7 @@ fn exchange(amps: &mut [Complex64], sigma: &[Qubit], parallel: bool) {
                 break;
             }
             for v in first..(first + CLAIM).min(tiles) {
-                let base = deposit(v, outer);
+                let base = deposit(v, outer as u64);
                 let partner = move_bits(base);
                 // A pair is the smaller tile's: each tile is one pair's, and
                 // each claimed index is one worker's.

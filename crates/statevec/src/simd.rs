@@ -2,7 +2,7 @@
 //! is written over (x86_64 AVX2+FMA, or plain `Complex64` pairs), under a
 //! bit-identical scalar contract.
 //!
-//! The sweep kernels in `kernels.rs` / `fusion.rs` are generic over
+//! The sweep kernels in `kernels.rs` / `fusion/diagonal.rs` are generic over
 //! `Lanes`; this module supplies its two instantiations. The AVX2 one
 //! replays the *exact* IEEE-754 operation sequence of the scalar one — one
 //! multiply, one add/sub per component, in the same order — so
@@ -99,11 +99,11 @@ pub fn simd_available() -> bool {
 
 // -- the lane abstraction ------------------------------------------------------
 //
-// Every sweep kernel in `kernels.rs` / `fusion.rs` is written once, generic
-// over [`Lanes`]: a value holding *two* complex amplitudes that supports the
-// handful of operations the kernels need. [`Pair`] instantiates it with plain
-// `Complex64` arithmetic (the forced-scalar path and every non-x86_64
-// target); [`Avx2`] instantiates it with one 256-bit register
+// Every sweep kernel in `kernels.rs` / `fusion/diagonal.rs` is written once,
+// generic over [`Lanes`]: a value holding *two* complex amplitudes that
+// supports the handful of operations the kernels need. [`Pair`] instantiates
+// it with plain `Complex64` arithmetic (the forced-scalar path and every
+// non-x86_64 target); [`Avx2`] instantiates it with one 256-bit register
 // `[z0.re, z0.im, z1.re, z1.im]`. The scalar reference operations are
 //
 //   macc:  acc + m·z  =  ((acc.re + m.re·z.re) - m.im·z.im,

@@ -34,8 +34,8 @@ proptest! {
             let got = fused.run(&opts);
             prop_assert!(
                 got.approx_eq(&expected, 1e-9),
-                "width {width} parallel={} diverges: max diff {}",
-                opts.parallel,
+                "width {width} threshold={} diverges: max diff {}",
+                opts.parallel_threshold,
                 got.max_abs_diff(&expected)
             );
         }

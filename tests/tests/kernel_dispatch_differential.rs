@@ -184,8 +184,8 @@ fn assert_sweep_conforms(
             }
             Some(first) => assert_eq!(
                 first, &got,
-                "{what}: parallel={} dispatch={} is not bit-identical",
-                opts.parallel, opts.dispatch
+                "{what}: threshold={} dispatch={} is not bit-identical",
+                opts.parallel_threshold, opts.dispatch
             ),
         }
     }
