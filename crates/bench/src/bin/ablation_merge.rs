@@ -8,7 +8,6 @@
 
 use hisvsim_bench::tables::render_table;
 use hisvsim_circuit::generators;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{DistConfig, DistributedSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{DagPConfig, DagPPartitioner, Strategy};
@@ -39,11 +38,8 @@ fn main() {
         .expect("partitioning failed");
 
         // Communication impact: run the distributed engine with each partition.
-        let engine = DistributedSimulator::new(
-            DistConfig::new(ranks)
-                .with_strategy(Strategy::DagP)
-                .with_network(NetworkModel::hdr100()),
-        );
+        let engine =
+            DistributedSimulator::new(DistConfig::new(ranks).with_strategy(Strategy::DagP));
         let run_with = engine.run_with_partition(&circuit, &dag, with_merge.clone());
         let run_without = engine.run_with_partition(&circuit, &dag, without_merge.clone());
         rows.push(vec![

@@ -89,7 +89,11 @@ pub struct ExperimentRecord {
 }
 
 impl ExperimentRecord {
+    /// The record of one run, its communication counts priced on
+    /// [`experiment_network`] after the run.
     fn from_report(algorithm: Algorithm, ranks: usize, report: &RunReport) -> Self {
+        let comm_time_s = report.modeled_comm_s(&experiment_network());
+        let total_time_s = report.compute_time_s + comm_time_s;
         Self {
             circuit: report.circuit.clone(),
             qubits: report.num_qubits,
@@ -97,17 +101,22 @@ impl ExperimentRecord {
             ranks,
             algorithm,
             parts: report.num_parts,
-            total_time_s: report.modeled_total_time_s(),
+            total_time_s,
             compute_time_s: report.compute_time_s,
-            comm_time_s: report.avg_comm_time_s,
-            comm_ratio: report.comm_ratio(),
+            comm_time_s,
+            comm_ratio: if total_time_s > 0.0 {
+                comm_time_s / total_time_s
+            } else {
+                0.0
+            },
             bytes_moved: report.comm.bytes_sent,
             exchanges: report.num_exchanges,
         }
     }
 }
 
-/// Network model used by all distributed experiments.
+/// Network model that prices the communication of every distributed
+/// experiment, after the run: the engines only count messages and bytes.
 ///
 /// The base constants are InfiniBand HDR-100 (as on Frontera), divided by a
 /// *calibration factor* (`HISVSIM_NET_SCALE`, default 64): one virtual rank
@@ -134,10 +143,9 @@ pub fn experiment_network() -> NetworkModel {
 
 /// Run one algorithm on one circuit at one rank count.
 pub fn run_algorithm(circuit: &Circuit, ranks: usize, algorithm: Algorithm) -> ExperimentRecord {
-    let net = experiment_network();
     match algorithm {
         Algorithm::Intel => {
-            let run = IqsBaseline::new(BaselineConfig::new(ranks).with_network(net)).run(circuit);
+            let run = IqsBaseline::new(BaselineConfig::new(ranks)).run(circuit);
             ExperimentRecord::from_report(algorithm, ranks, &run.report)
         }
         Algorithm::MultiLevel => {
@@ -146,21 +154,16 @@ pub fn run_algorithm(circuit: &Circuit, ranks: usize, algorithm: Algorithm) -> E
             // Second level sized to half the local width (a stand-in for the
             // LLC-sized limit of the paper).
             let second = (l / 2).max(2);
-            let run =
-                MultilevelSimulator::new(MultilevelConfig::new(ranks, second).with_network(net))
-                    .run(circuit)
-                    .expect("multilevel partitioning failed");
+            let run = MultilevelSimulator::new(MultilevelConfig::new(ranks, second))
+                .run(circuit)
+                .expect("multilevel partitioning failed");
             ExperimentRecord::from_report(algorithm, ranks, &run.report)
         }
         _ => {
             let strategy = algorithm.strategy().unwrap();
-            let run = DistributedSimulator::new(
-                DistConfig::new(ranks)
-                    .with_strategy(strategy)
-                    .with_network(net),
-            )
-            .run(circuit)
-            .expect("partitioning failed");
+            let run = DistributedSimulator::new(DistConfig::new(ranks).with_strategy(strategy))
+                .run(circuit)
+                .expect("partitioning failed");
             ExperimentRecord::from_report(algorithm, ranks, &run.report)
         }
     }
@@ -223,6 +226,38 @@ mod tests {
             assert!(record.comm_ratio >= 0.0 && record.comm_ratio <= 1.0);
             assert!(
                 (record.total_time_s - (record.compute_time_s + record.comm_time_s)).abs() < 1e-9
+            );
+        }
+    }
+
+    /// `(ranks, algorithm, bytes_moved, exchanges, comm_time_s)` of qft(10)
+    /// at the default `HISVSIM_NET_SCALE`, as the engines charged them when
+    /// every world carried its own network model.
+    const PINNED: [(usize, Algorithm, u64, usize, f64); 10] = [
+        (2, Algorithm::Nat, 32768, 4, 4.6788608e-4),
+        (2, Algorithm::Dfs, 16384, 2, 2.3394304e-4),
+        (2, Algorithm::DagP, 16384, 2, 2.3394304e-4),
+        (2, Algorithm::Intel, 32768, 4, 4.6788608e-4),
+        (2, Algorithm::MultiLevel, 16384, 2, 2.3394304e-4),
+        (4, Algorithm::Nat, 57344, 5, 1.3214003200000002e-3),
+        (4, Algorithm::Dfs, 36864, 3, 9.111859200000001e-4),
+        (4, Algorithm::DagP, 24576, 2, 6.0745728e-4),
+        (4, Algorithm::Intel, 65536, 8, 8.518860800000001e-4),
+        (4, Algorithm::MultiLevel, 24576, 2, 6.0745728e-4),
+    ];
+
+    #[test]
+    fn priced_records_match_the_pinned_modelled_seconds() {
+        let circuit = generators::by_name("qft", 10);
+        for (ranks, algorithm, bytes, exchanges, comm_time_s) in PINNED {
+            let record = run_algorithm(&circuit, ranks, algorithm);
+            let at = format!("{algorithm:?} on {ranks} ranks");
+            assert_eq!(record.bytes_moved, bytes, "{at}");
+            assert_eq!(record.exchanges, exchanges, "{at}");
+            assert!(
+                (record.comm_time_s - comm_time_s).abs() <= 1e-12 * comm_time_s,
+                "{at}: priced {} s, pinned {comm_time_s} s",
+                record.comm_time_s
             );
         }
     }

@@ -6,16 +6,16 @@
 //!
 //! A transport implements a handful of primitives: post a tagged frame to a
 //! rank, take the first frame from a rank whose tag matches, and swap
-//! payloads with one peer. Every collective, and every charge to the
-//! [`NetworkModel`], is a provided method of
-//! the trait, written once here, so the transports account identically by
-//! construction. [`LocalComm`] is the virtual-MPI communicator this
+//! payloads with one peer. Every collective, and every count in
+//! [`CommStats`], is a provided method of the trait, written once here, so
+//! the transports account identically by construction. A world only
+//! counts: [`NetworkModel::time`](crate::NetworkModel::time) prices the
+//! counts after the run. [`LocalComm`] is the virtual-MPI communicator this
 //! reproduction started with: ranks are threads and frames move through
 //! channels. The `hisvsim-net` crate provides the second transport,
 //! `TcpComm`, which moves the same frames between OS processes over TCP
 //! sockets; engines written against the trait run unchanged on either world.
 
-use crate::netmodel::NetworkModel;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
@@ -29,8 +29,9 @@ pub struct CommStats {
     pub messages_sent: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Modelled wire time in seconds charged by the network model.
-    pub modeled_time_s: f64,
+    /// Messages sent whose payload is non-empty: the messages that pay a
+    /// network model's latency (see [`NetworkModel::time`](crate::NetworkModel::time)).
+    pub payload_messages: u64,
     /// Wall-clock seconds this rank spent inside blocking communication
     /// calls (receive waits, barriers, and the full span of collectives)
     /// on the host machine.
@@ -43,7 +44,7 @@ impl CommStats {
         CommStats {
             messages_sent: self.messages_sent + other.messages_sent,
             bytes_sent: self.bytes_sent + other.bytes_sent,
-            modeled_time_s: self.modeled_time_s + other.modeled_time_s,
+            payload_messages: self.payload_messages + other.payload_messages,
             wall_time_s: self.wall_time_s + other.wall_time_s,
         }
     }
@@ -73,7 +74,7 @@ pub struct Endpoint {
 
 /// The rank-communication trait every distributed engine is written against.
 ///
-/// A transport implements the primitives — `rank`, `size`, `network`, its
+/// A transport implements the primitives — `rank`, `size`, its
 /// [`Endpoint`], an uncharged [`post`](RankComm::post), a stash-aware
 /// [`take`](RankComm::take) and, where posting can block, a pairwise
 /// [`swap`](RankComm::swap) — and inherits everything else.
@@ -86,14 +87,16 @@ pub struct Endpoint {
 ///
 /// * `send`/`recv` match on `(from, tag)`; out-of-order messages from the
 ///   same peer wait in the transport's stash until a matching `recv`.
-/// * A message to another rank charges one message, its payload bytes and
-///   the model's `message_time`; a message to self is delivered through a
-///   local queue and charged nothing.
+/// * A message to another rank counts one message and its payload bytes,
+///   and one payload message if it carries any; a message to self is
+///   delivered through a local queue and counted nothing. No transport
+///   prices a message: [`NetworkModel::time`](crate::NetworkModel::time)
+///   prices the counts.
 /// * Collectives (`barrier`, `alltoallv`, `allgather`, `vote_any`) are
 ///   called by every rank with matching arguments; their entire blocking
 ///   span is charged to [`CommStats::wall_time_s`] — not just the inner
-///   receive waits — so `comm_ratio()` stays honest for collective-heavy
-///   schedules.
+///   receive waits — so a rank's measured communication time stays honest
+///   for collective-heavy schedules.
 /// * Votes and barriers are control traffic: their frames are posted
 ///   uncharged, so the bytes and messages a run reports are its schedule's
 ///   payload alone.
@@ -103,9 +106,6 @@ pub trait RankComm<T: Send + 'static> {
 
     /// Number of ranks in the world.
     fn size(&self) -> usize;
-
-    /// The network model used for accounting.
-    fn network(&self) -> NetworkModel;
 
     /// This endpoint's statistics and vote round counter.
     fn endpoint(&self) -> &Endpoint;
@@ -220,18 +220,17 @@ fn bytes_of<T>(items: usize) -> u64 {
     (items * std::mem::size_of::<T>()) as u64
 }
 
-/// Charge one message of `items` items to rank `to`: nothing if `to` is
-/// this rank, else one message, its bytes and the model's wire time.
+/// Count one message of `items` items to rank `to`: nothing if `to` is
+/// this rank, else one message, its bytes and, if it carries any, one
+/// payload message.
 fn charge<T: Send + 'static, C: RankComm<T> + ?Sized>(comm: &mut C, to: usize, items: usize) {
     if to == comm.rank() {
         return;
     }
-    let bytes = bytes_of::<T>(items);
-    let wire_time = comm.network().message_time(bytes as usize);
     let stats = &mut comm.endpoint_mut().stats;
     stats.messages_sent += 1;
-    stats.bytes_sent += bytes;
-    stats.modeled_time_s += wire_time;
+    stats.bytes_sent += bytes_of::<T>(items);
+    stats.payload_messages += u64::from(items > 0);
 }
 
 /// One gather–release OR through rank 0, charged as the wall time of a
@@ -294,7 +293,6 @@ struct Envelope<T> {
 pub struct LocalComm<T: Send + 'static> {
     rank: usize,
     size: usize,
-    net: NetworkModel,
     senders: Vec<Sender<Envelope<T>>>,
     receiver: Receiver<Envelope<T>>,
     /// Out-of-order frames waiting for a matching take.
@@ -302,12 +300,12 @@ pub struct LocalComm<T: Send + 'static> {
     endpoint: Endpoint,
 }
 
-/// Build a communicator world of `size` ranks over the given network model.
+/// Build a communicator world of `size` ranks.
 ///
 /// `size` must be a power of two. Returns one [`LocalComm`] per rank; hand
 /// each to its own thread (see [`crate::spmd::run_spmd`] for the
 /// scoped-thread harness).
-pub fn world<T: Send + 'static>(size: usize, net: NetworkModel) -> Vec<LocalComm<T>> {
+pub fn world<T: Send + 'static>(size: usize) -> Vec<LocalComm<T>> {
     assert!(size > 0, "a communicator needs at least one rank");
     assert!(
         size.is_power_of_two(),
@@ -320,7 +318,6 @@ pub fn world<T: Send + 'static>(size: usize, net: NetworkModel) -> Vec<LocalComm
         .map(|(rank, receiver)| LocalComm {
             rank,
             size,
-            net,
             senders: senders.clone(),
             receiver,
             stash: Vec::new(),
@@ -338,11 +335,6 @@ impl<T: Send + 'static> RankComm<T> for LocalComm<T> {
     #[inline]
     fn size(&self) -> usize {
         self.size
-    }
-
-    #[inline]
-    fn network(&self) -> NetworkModel {
-        self.net
     }
 
     #[inline]
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn point_to_point_roundtrip() {
-        let mut ranks = world::<u32>(2, NetworkModel::ideal());
+        let mut ranks = world::<u32>(2);
         let mut r1 = ranks.pop().unwrap();
         let mut r0 = ranks.pop().unwrap();
         let handle = thread::spawn(move || {
@@ -412,7 +404,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_stashed() {
-        let mut ranks = world::<u8>(2, NetworkModel::ideal());
+        let mut ranks = world::<u8>(2);
         let mut r1 = ranks.pop().unwrap();
         let mut r0 = ranks.pop().unwrap();
         let handle = thread::spawn(move || {
@@ -429,7 +421,7 @@ mod tests {
     #[test]
     fn alltoallv_exchanges_every_pair() {
         let size = 4;
-        let ranks = world::<usize>(size, NetworkModel::hdr100());
+        let ranks = world::<usize>(size);
         let handles: Vec<_> = ranks
             .into_iter()
             .map(|mut comm| {
@@ -448,14 +440,14 @@ mod tests {
         for h in handles {
             let stats = h.join().unwrap();
             assert_eq!(stats.messages_sent, (size - 1) as u64);
-            assert!(stats.modeled_time_s > 0.0);
+            assert_eq!(stats.payload_messages, (size - 1) as u64);
         }
     }
 
     #[test]
     fn allreduce_sums_across_ranks() {
         let size = 4;
-        let ranks = world::<f64>(size, NetworkModel::ideal());
+        let ranks = world::<f64>(size);
         let handles: Vec<_> = ranks
             .into_iter()
             .map(|mut comm| thread::spawn(move || comm.allreduce_sum((comm.rank() + 1) as f64, 5)))
@@ -468,7 +460,7 @@ mod tests {
     #[test]
     fn barrier_synchronises() {
         let size = 4;
-        let ranks = world::<u8>(size, NetworkModel::ideal());
+        let ranks = world::<u8>(size);
         let counter = Arc::new(AtomicU64::new(0));
         let handles: Vec<_> = ranks
             .into_iter()
@@ -489,13 +481,13 @@ mod tests {
 
     #[test]
     fn self_sends_are_free() {
-        let mut ranks = world::<u64>(1, NetworkModel::hdr100());
+        let mut ranks = world::<u64>(1);
         let mut r0 = ranks.pop().unwrap();
         r0.send(0, 3, vec![42; 1024]);
         assert_eq!(r0.recv(0, 3), vec![42; 1024]);
         assert_eq!(r0.stats().messages_sent, 0);
         assert_eq!(r0.stats().bytes_sent, 0);
-        assert_eq!(r0.stats().modeled_time_s, 0.0);
+        assert_eq!(r0.stats().payload_messages, 0);
     }
 
     #[test]
@@ -503,7 +495,7 @@ mod tests {
         // Rank 1 sleeps before entering the collective; rank 0's alltoallv
         // must charge the time it spent blocked waiting for rank 1's buffer
         // (the pre-fix accounting missed everything but inner recv waits).
-        let mut ranks = world::<u8>(2, NetworkModel::ideal());
+        let mut ranks = world::<u8>(2);
         let mut r1 = ranks.pop().unwrap();
         let mut r0 = ranks.pop().unwrap();
         let handle = thread::spawn(move || {
@@ -525,24 +517,24 @@ mod tests {
         let a = CommStats {
             messages_sent: 2,
             bytes_sent: 100,
-            modeled_time_s: 0.5,
+            payload_messages: 1,
             wall_time_s: 0.1,
         };
         let b = CommStats {
             messages_sent: 3,
             bytes_sent: 50,
-            modeled_time_s: 0.25,
+            payload_messages: 3,
             wall_time_s: 0.2,
         };
         let m = a.merged(b);
         assert_eq!(m.messages_sent, 5);
         assert_eq!(m.bytes_sent, 150);
-        assert!((m.modeled_time_s - 0.75).abs() < 1e-15);
+        assert_eq!(m.payload_messages, 4);
     }
 
     #[test]
     #[should_panic(expected = "at least one rank")]
     fn empty_world_is_rejected() {
-        let _ = world::<u8>(0, NetworkModel::ideal());
+        let _ = world::<u8>(0);
     }
 }

@@ -6,15 +6,17 @@
 //! HDR-100 with MPI. This reproduction has one machine, so the distributed
 //! engines run on a *virtual cluster*: every MPI rank becomes a thread that
 //! owns its slice of the state vector, communication moves real data through
-//! lock-free channels (so the exchange pattern and volume are exact), and a
-//! latency–bandwidth [`NetworkModel`] charges every transfer the wire time it
-//! would have cost on the real fabric — charged once, by the [`RankComm`]
-//! trait, whichever transport moved the bytes. The README section "Reproducing the
+//! lock-free channels (so the exchange pattern and volume are exact), and
+//! the [`RankComm`] trait counts every transfer once, whichever transport
+//! moved the bytes. A latency–bandwidth [`NetworkModel`] prices those counts
+//! after the run ([`NetworkModel::time`]): the wire time they would have
+//! cost on the real fabric. The README section "Reproducing the
 //! paper's artifacts" gives the substitution argument (the modelled network
 //! is slowed so a one-thread rank keeps the paper's communication-to-
 //! computation balance).
 //!
-//! * [`netmodel`] — the α–β interconnect model (HDR-100 constants included),
+//! * [`netmodel`] — the α–β interconnect model (HDR-100 constants
+//!   included), one pure function of a rank's [`CommStats`],
 //! * [`comm`] — the [`RankComm`] trait: a transport supplies tagged
 //!   post/take primitives, and the trait writes the collectives (send/recv,
 //!   barrier, vote, alltoallv, allgather, allreduce) and their per-rank

@@ -3,11 +3,13 @@
 //! The virtual-MPI substrate moves real data between rank threads through
 //! memory, so the *pattern* and *volume* of communication are exact; what a
 //! single machine cannot reproduce is the wall-clock cost of pushing those
-//! bytes through an actual interconnect. This model charges each message the
-//! classic latency–bandwidth (α–β) cost so the engines can report a
+//! bytes through an actual interconnect. This model prices each message the
+//! classic latency–bandwidth (α–β) cost so a run's counts become a
 //! communication time comparable across strategies and rank counts — the
-//! quantity behind the paper's Figs. 7 and 8.
+//! quantity behind the paper's Figs. 7 and 8. A world only counts; the
+//! price is [`NetworkModel::time`] of its [`CommStats`], taken after the run.
 
+use crate::comm::CommStats;
 use serde::{Deserialize, Serialize};
 
 /// A latency–bandwidth (α–β) interconnect model.
@@ -50,6 +52,15 @@ impl NetworkModel {
         }
         self.latency_s + bytes as f64 / (self.bandwidth_bytes_per_s * self.injection_share)
     }
+
+    /// Modelled time of every message `stats` counts: the sum of
+    /// [`message_time`](Self::message_time) over them. The price is linear,
+    /// and an empty message costs nothing, so it is the latency of each
+    /// payload message plus every byte at the rank's bandwidth.
+    pub fn time(&self, stats: &CommStats) -> f64 {
+        self.latency_s * stats.payload_messages as f64
+            + stats.bytes_sent as f64 / (self.bandwidth_bytes_per_s * self.injection_share)
+    }
 }
 
 #[cfg(test)]
@@ -85,6 +96,48 @@ mod tests {
     fn ideal_network_is_free() {
         let net = NetworkModel::ideal();
         assert_eq!(net.message_time(1 << 30), 0.0);
+    }
+
+    #[test]
+    fn pricing_the_counts_is_pricing_every_message() {
+        use crate::comm::{world, RankComm};
+        // splitmix64: random scripts without a dependency.
+        let mut seed = 0x5EED_u64;
+        let mut next = move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let quarter = NetworkModel {
+            injection_share: 0.25,
+            ..NetworkModel::hdr100()
+        };
+        for script in 0..32 {
+            let mut ranks = world::<u64>(2);
+            let _peer = ranks.pop().unwrap();
+            let mut sender = ranks.pop().unwrap();
+            let sizes: Vec<usize> = (0..next() % 40)
+                .map(|_| match next() % 4 {
+                    0 => 0,
+                    1 => (next() % 8) as usize,
+                    _ => (next() % 100_000) as usize,
+                })
+                .collect();
+            for (tag, &items) in sizes.iter().enumerate() {
+                sender.send(1, tag as u64, vec![0; items]);
+            }
+            let stats = sender.stats();
+            for net in [NetworkModel::hdr100(), quarter, NetworkModel::ideal()] {
+                let priced: f64 = sizes.iter().map(|&items| net.message_time(items * 8)).sum();
+                let time = net.time(&stats);
+                assert!(
+                    (time - priced).abs() <= 1e-12 * priced,
+                    "script {script}: {time} s priced from the counts, {priced} s per message"
+                );
+            }
+        }
     }
 
     #[test]

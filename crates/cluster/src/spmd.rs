@@ -18,7 +18,12 @@ use std::thread;
 ///
 /// `num_ranks` must be a power of two — the same constraint the paper's
 /// distributed design imposes on the MPI world size (Sec. III-D).
-pub fn run_spmd<T, R, F>(num_ranks: usize, net: NetworkModel, body: F) -> Vec<R>
+///
+/// `_network` is not read: a world only counts its messages, and
+/// [`NetworkModel::time`] prices them after the run. The parameter stays
+/// because the benchmark adapter calls this function with it; it goes when
+/// the adapter next changes (ROADMAP item 12a).
+pub fn run_spmd<T, R, F>(num_ranks: usize, _network: NetworkModel, body: F) -> Vec<R>
 where
     T: Send + 'static,
     R: Send,
@@ -29,7 +34,7 @@ where
         num_ranks.is_power_of_two(),
         "the distributed layout requires a power-of-two rank count, got {num_ranks}"
     );
-    let mut comms = world::<T>(num_ranks, net);
+    let mut comms = world::<T>(num_ranks);
     if num_ranks == 1 {
         let comm = comms.pop().expect("a world of one has one comm");
         return vec![body(comm)];

@@ -518,13 +518,9 @@ pub fn aggregate_outcomes(
     let num_ranks = outcomes.len();
     let mut compute_max = 0.0f64;
     let mut comm_sum = CommStats::default();
-    let mut comm_max = 0.0f64;
-    let mut comm_time_sum = 0.0f64;
     let mut exchanges = 0usize;
     for outcome in &outcomes {
         compute_max = compute_max.max(outcome.compute_time_s);
-        comm_max = comm_max.max(outcome.comm.modeled_time_s);
-        comm_time_sum += outcome.comm.modeled_time_s;
         comm_sum = comm_sum.merged(outcome.comm);
         exchanges = exchanges.max(outcome.exchanges);
     }
@@ -554,8 +550,6 @@ pub fn aggregate_outcomes(
     report.num_ranks = num_ranks;
     report.total_time_s = wall_time_s;
     report.compute_time_s = compute_max;
-    report.avg_comm_time_s = comm_time_sum / num_ranks as f64;
-    report.max_comm_time_s = comm_max;
     report.comm = comm_sum;
     report.num_exchanges = exchanges;
     (state, report)
@@ -571,8 +565,6 @@ pub struct RunSpec<'a> {
     pub strategy: &'a str,
     /// Ranks of the thread world (a power of two); one is the hier shape.
     pub ranks: usize,
-    /// Interconnect model for communication-time accounting.
-    pub network: NetworkModel,
     /// Kernel dispatch of every sweep.
     pub dispatch: KernelDispatch,
     /// Where the caller wants the qubits of the state handed back (see
@@ -583,18 +575,11 @@ pub struct RunSpec<'a> {
 impl<'a> RunSpec<'a> {
     /// A spec handing back the state in the standard order, every other
     /// field given in declaration order.
-    pub fn new(
-        engine: &'a str,
-        strategy: &'a str,
-        ranks: usize,
-        network: NetworkModel,
-        dispatch: KernelDispatch,
-    ) -> Self {
+    pub fn new(engine: &'a str, strategy: &'a str, ranks: usize, dispatch: KernelDispatch) -> Self {
         Self {
             engine,
             strategy,
             ranks,
-            network,
             dispatch,
             perm: None,
         }
@@ -623,7 +608,9 @@ where
     F: Fn(&mut LocalComm<Complex64>) -> Result<RankOutcome, Cancelled> + Sync,
 {
     let start = Instant::now();
-    let outcomes = run_spmd(spec.ranks, spec.network, |mut comm| body(&mut comm));
+    let outcomes = run_spmd(spec.ranks, NetworkModel::ideal(), |mut comm| {
+        body(&mut comm)
+    });
     let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
     let wall = start.elapsed().as_secs_f64();
     let (engine, strategy) = (spec.engine, spec.strategy);
@@ -724,21 +711,18 @@ pub struct DistConfig {
     /// Working-set limit for the first-level partition. Defaults to the
     /// local qubit count when `None` (the paper's choice).
     pub limit: Option<usize>,
-    /// Interconnect model for communication-time accounting.
-    pub network: NetworkModel,
     /// Kernel dispatch for every rank-local sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl DistConfig {
-    /// A configuration with dagP partitioning and the HDR-100 network model.
+    /// A configuration with dagP partitioning.
     pub fn new(num_ranks: usize) -> Self {
         Self {
             num_ranks,
             strategy: Strategy::DagP,
             limit: None,
-            network: NetworkModel::hdr100(),
             kernel_dispatch: KernelDispatch::default(),
         }
     }
@@ -752,12 +736,6 @@ impl DistConfig {
     /// Use an explicit working-set limit instead of the local qubit count.
     pub fn with_limit(mut self, limit: usize) -> Self {
         self.limit = Some(limit);
-        self
-    }
-
-    /// Use a different network model.
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
         self
     }
 
@@ -831,7 +809,7 @@ impl DistributedSimulator {
     pub fn run_with_fused_plan(&self, circuit: &Circuit, plan: &FusedSinglePlan) -> DistRun {
         let c = self.config;
         let (strategy, dispatch) = (c.strategy.name(), c.kernel_dispatch);
-        let spec = RunSpec::new("dist", strategy, c.num_ranks, c.network, dispatch);
+        let spec = RunSpec::new("dist", strategy, c.num_ranks, dispatch);
         let inert = ExecControl::default();
         let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), c.num_ranks);
         let (state, report) =
@@ -854,13 +832,9 @@ mod tests {
 
     fn check(circuit: &Circuit, ranks: usize, strategy: Strategy) -> DistRun {
         let expected = run_circuit(circuit);
-        let run = DistributedSimulator::new(
-            DistConfig::new(ranks)
-                .with_strategy(strategy)
-                .with_network(NetworkModel::hdr100()),
-        )
-        .run(circuit)
-        .unwrap();
+        let run = DistributedSimulator::new(DistConfig::new(ranks).with_strategy(strategy))
+            .run(circuit)
+            .unwrap();
         assert!(
             run.state.approx_eq(&expected, 1e-9),
             "{} on {ranks} ranks with {}: distributed result diverges (max diff {})",
@@ -921,7 +895,9 @@ mod tests {
         assert_eq!(run.report.num_ranks, 8);
         assert_eq!(run.report.num_parts, run.partition.num_parts());
         assert!(run.report.num_exchanges >= run.report.num_parts.saturating_sub(1));
-        assert!(run.report.avg_comm_time_s >= 0.0);
+        let net = NetworkModel::hdr100();
+        let per_rank = net.time(&run.report.comm) / 8.0;
+        assert_eq!(run.report.modeled_comm_s(&net), per_rank);
         assert!(run.report.compute_time_s > 0.0);
     }
 
@@ -1021,7 +997,7 @@ mod tests {
         assert_ne!(layouts[0], identity, "the ranks end away from the identity");
         assert!(layouts.iter().all(|layout| *layout == layouts[0]));
 
-        let spec = RunSpec::new("dist", "dagP", 4, NetworkModel::ideal(), Default::default());
+        let spec = RunSpec::new("dist", "dagP", 4, Default::default());
         let run = |spec| run_plan(&relabeled, &schedule, spec, &inert).expect("nothing cancels");
         let (mut two_passes, _) = run(spec);
         two_passes.permute_qubits(&perm);
@@ -1043,9 +1019,6 @@ mod tests {
         }
         fn size(&self) -> usize {
             self.inner.size()
-        }
-        fn network(&self) -> NetworkModel {
-            self.inner.network()
         }
         fn endpoint(&self) -> &Endpoint {
             self.inner.endpoint()
@@ -1161,12 +1134,7 @@ mod tests {
             .cloned()
             .collect();
         let run = |reference: bool| match tcp {
-            false => exchange_chain(
-                hisvsim_cluster::world(ranks, NetworkModel::ideal()),
-                n,
-                &chain,
-                reference,
-            ),
+            false => exchange_chain(hisvsim_cluster::world(ranks), n, &chain, reference),
             true => exchange_chain(
                 hisvsim_net::tcp_world(ranks, NetworkModel::ideal()).expect("loopback mesh"),
                 n,

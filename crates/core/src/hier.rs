@@ -24,7 +24,6 @@ use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPlan, FusedSinglePlan, ScheduleEntry};
 use crate::metrics::RunReport;
 use hisvsim_circuit::Circuit;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_obs::SpanGuard;
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -125,8 +124,7 @@ impl HierarchicalSimulator {
     /// only the sweeps remain, run by the one rank body on a world of one.
     pub fn run_with_fused_plan(&self, circuit: &Circuit, plan: &FusedSinglePlan) -> HierRun {
         let c = self.config;
-        let network = NetworkModel::ideal();
-        let spec = RunSpec::new("hier", c.strategy.name(), 1, network, c.kernel_dispatch);
+        let spec = RunSpec::new("hier", c.strategy.name(), 1, c.kernel_dispatch);
         let inert = ExecControl::default();
         let schedule = FusedPlan::Single(plan).schedule(circuit.num_qubits(), 1);
         let (state, report) =

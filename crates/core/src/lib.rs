@@ -42,10 +42,11 @@
 //! (Algorithm 1 at tile granularity, see [`hier`]). The engines are its
 //! shapes: `multilevel` changes layout at most once per first-level part,
 //! `dist` on R > 1 ranks once per part, and `hier` is a single-level plan
-//! on a world of one. The comparison baseline keeps a body of its
-//! own, [`run_baseline_rank`]. The thread world ([`run_plan`]) and
-//! `hisvsim-net`'s worker processes both call these bodies, so the two
-//! worlds agree bit for bit by construction. Cancellation is agreed by a
+//! on a world of one. The thread world ([`run_plan`]) and `hisvsim-net`'s
+//! worker processes both call it, so the two worlds agree bit for bit by
+//! construction. The comparison baseline keeps a body of its own,
+//! [`run_baseline_rank`], which only the thread world runs: a shipped job
+//! is always a plan. Cancellation is agreed by a
 //! collective vote at every checkpoint (see [`exec`]): one per pass over a
 //! slice above one tile, in both bodies, so a fired token stops every rank
 //! within one pass.

@@ -1,8 +1,10 @@
 //! Run reports: the timing and communication metrics every engine returns,
 //! in the shape the paper's figures consume (total runtime, computation
-//! time, average communication time, communication ratio, part counts).
+//! time, communication counts, part counts). A report holds what the run
+//! measured; [`RunReport::modeled_comm_s`] prices its counts on a network
+//! model after the run.
 
-use hisvsim_cluster::CommStats;
+use hisvsim_cluster::{CommStats, NetworkModel};
 use serde::{Deserialize, Serialize};
 
 /// Metrics of one simulation run.
@@ -27,12 +29,6 @@ pub struct RunReport {
     pub total_time_s: f64,
     /// Wall-clock computation time in seconds (maximum over ranks).
     pub compute_time_s: f64,
-    /// Modelled communication time in seconds, averaged over ranks (the
-    /// paper reports the average across ranks since computation and
-    /// communication overlap).
-    pub avg_comm_time_s: f64,
-    /// Modelled communication time of the slowest rank.
-    pub max_comm_time_s: f64,
     /// Aggregated communication statistics summed over all ranks.
     pub comm: CommStats,
     /// Number of state-vector redistribution (part-switch) events.
@@ -58,36 +54,18 @@ impl RunReport {
             num_ranks: 1,
             total_time_s: 0.0,
             compute_time_s: 0.0,
-            avg_comm_time_s: 0.0,
-            max_comm_time_s: 0.0,
             comm: CommStats::default(),
             num_exchanges: 0,
         }
     }
 
-    /// End-to-end time including modelled communication: computation plus the
-    /// average modelled wire time (computation and communication overlap
-    /// across ranks, so the average — not the sum of maxima — is the paper's
-    /// accounting; see Sec. V-C).
-    pub fn modeled_total_time_s(&self) -> f64 {
-        self.compute_time_s + self.avg_comm_time_s
-    }
-
-    /// Fraction of the modelled end-to-end time spent communicating.
-    pub fn comm_ratio(&self) -> f64 {
-        let total = self.modeled_total_time_s();
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.avg_comm_time_s / total
-        }
-    }
-
-    /// Improvement factor of this run over a baseline run of the same
-    /// circuit: `baseline_total / self_total` (values > 1 mean this run is
-    /// faster), using the modelled end-to-end times.
-    pub fn improvement_over(&self, baseline: &RunReport) -> f64 {
-        baseline.modeled_total_time_s() / self.modeled_total_time_s()
+    /// Modelled communication time in seconds on `network`, averaged over
+    /// ranks: the priced sum over ranks divided by [`Self::num_ranks`]. The
+    /// paper reports the average across ranks since computation and
+    /// communication overlap (Sec. V-C); the price is linear, so pricing
+    /// the summed counts is summing every rank's price.
+    pub fn modeled_comm_s(&self, network: &NetworkModel) -> f64 {
+        network.time(&self.comm) / self.num_ranks as f64
     }
 }
 
@@ -95,38 +73,34 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    fn report(compute: f64, comm: f64) -> RunReport {
+    fn report(compute: f64) -> RunReport {
         let mut r = RunReport::single_node("hier", "dagP", "bv", 10, 100);
         r.compute_time_s = compute;
-        r.avg_comm_time_s = comm;
-        r.total_time_s = compute + comm;
+        r.total_time_s = compute;
         r
     }
 
     #[test]
-    fn comm_ratio_is_fraction_of_total() {
-        let r = report(3.0, 1.0);
-        assert!((r.comm_ratio() - 0.25).abs() < 1e-12);
-        assert!((r.modeled_total_time_s() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_time_run_has_zero_ratio() {
-        let r = report(0.0, 0.0);
-        assert_eq!(r.comm_ratio(), 0.0);
-    }
-
-    #[test]
-    fn improvement_factor_is_relative_to_baseline() {
-        let fast = report(1.0, 0.5);
-        let slow = report(2.0, 1.0);
-        assert!((fast.improvement_over(&slow) - 2.0).abs() < 1e-12);
-        assert!((slow.improvement_over(&fast) - 0.5).abs() < 1e-12);
+    fn modeled_comm_is_the_priced_counts_averaged_over_ranks() {
+        let mut r = report(3.0);
+        r.num_ranks = 4;
+        r.comm = CommStats {
+            messages_sent: 12,
+            bytes_sent: 4_000_000,
+            payload_messages: 10,
+            wall_time_s: 0.5,
+        };
+        let net = NetworkModel::hdr100();
+        // 10 latencies of 1.5 µs plus 4 MB at 12.5 GB/s, over 4 ranks.
+        let expected = (10.0 * 1.5e-6 + 4e6 / 12.5e9) / 4.0;
+        assert!((r.modeled_comm_s(&net) - expected).abs() <= 1e-15);
+        assert_eq!(r.modeled_comm_s(&NetworkModel::ideal()), 0.0);
+        assert_eq!(report(1.0).modeled_comm_s(&net), 0.0, "nothing sent");
     }
 
     #[test]
     fn serializes_to_json() {
-        let r = report(1.0, 0.2);
+        let r = report(1.0);
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"dagP\""));
         let back: RunReport = serde_json::from_str(&json).unwrap();

@@ -16,7 +16,6 @@ use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPlan, FusedTwoLevelPlan};
 use crate::metrics::RunReport;
 use hisvsim_circuit::Circuit;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartition, MultilevelPartitioner, PartitionBuildError};
 use hisvsim_statevec::{KernelDispatch, StateVector};
@@ -31,28 +30,19 @@ pub struct MultilevelConfig {
     /// × 16 B = 32 MB, so 21 qubits on the evaluation machine — scaled down
     /// here along with everything else.
     pub second_limit: usize,
-    /// Interconnect model for communication-time accounting.
-    pub network: NetworkModel,
     /// Kernel dispatch for every rank-local sweep (auto-detected SIMD by
     /// default; forced scalar for differential validation).
     pub kernel_dispatch: KernelDispatch,
 }
 
 impl MultilevelConfig {
-    /// A configuration with the HDR-100 network model.
+    /// A configuration over `num_ranks` ranks at `second_limit`.
     pub fn new(num_ranks: usize, second_limit: usize) -> Self {
         Self {
             num_ranks,
             second_limit,
-            network: NetworkModel::hdr100(),
             kernel_dispatch: KernelDispatch::default(),
         }
-    }
-
-    /// Use a different network model.
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
     }
 
     /// Use a different kernel dispatch (see [`KernelDispatch`]).
@@ -124,7 +114,7 @@ impl MultilevelSimulator {
     ) -> MultilevelRun {
         let c = self.config;
         let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
-        let spec = RunSpec::new("multilevel", "dagP", ranks, c.network, dispatch);
+        let spec = RunSpec::new("multilevel", "dagP", ranks, dispatch);
         let inert = ExecControl::default();
         let schedule = FusedPlan::Two(plan).schedule(circuit.num_qubits(), ranks);
         let (state, report) =

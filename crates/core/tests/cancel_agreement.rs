@@ -174,11 +174,10 @@ impl World {
         controls: &[ExecControl],
         meanwhile: impl FnOnce() + Send,
     ) -> Vec<Result<RankOutcome, Cancelled>> {
-        let net = NetworkModel::ideal();
         match self {
-            World::Local(ranks) => run_world(world(ranks, net), schedule, controls, meanwhile),
+            World::Local(ranks) => run_world(world(ranks), schedule, controls, meanwhile),
             World::Tcp(_) => {
-                let mesh = tcp_world(self.ranks(), net).expect("loopback mesh");
+                let mesh = tcp_world(self.ranks(), NetworkModel::ideal()).expect("loopback mesh");
                 run_world(mesh, schedule, controls, meanwhile)
             }
         }

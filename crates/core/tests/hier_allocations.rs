@@ -107,7 +107,7 @@ fn job(
     control: &ExecControl,
 ) -> Result<StateVector, Cancelled> {
     let dispatch = KernelDispatch::default();
-    let spec = RunSpec::new("test", "dagP", ranks, NetworkModel::ideal(), dispatch);
+    let spec = RunSpec::new("test", "dagP", ranks, dispatch);
     let schedule = plan.schedule(circuit.num_qubits(), ranks);
     run_plan(circuit, &schedule, spec, control).map(|(state, _)| state)
 }

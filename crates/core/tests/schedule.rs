@@ -15,7 +15,6 @@
 //! One test only: the recorder is process-wide.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{
     run_plan, ExecControl, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RunSpec,
 };
@@ -50,13 +49,7 @@ fn tiles_reported(detail: &str) -> usize {
 /// Check one run of `schedule` against the spans it left.
 fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> Checked {
     let ranks = schedule.ranks;
-    let spec = RunSpec::new(
-        engine,
-        "dagP",
-        ranks,
-        NetworkModel::ideal(),
-        Default::default(),
-    );
+    let spec = RunSpec::new(engine, "dagP", ranks, Default::default());
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
     let (state, report) =

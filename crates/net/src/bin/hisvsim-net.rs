@@ -20,7 +20,6 @@
 //! `rank gathered` lines). Success output stays on stdout.
 
 use hisvsim_circuit::generators;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
@@ -150,7 +149,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     // The trace is the process run's: the in-process reference, which runs
     // its ranks and its permutation on this process too, stays out of it.
     hisvsim_obs::set_enabled(false);
-    let (reference, _) = execute_local_reference(&job, workers, NetworkModel::hdr100());
+    let (reference, _) = execute_local_reference(&job, workers);
     if state != reference {
         log::error(
             LOG_TARGET,

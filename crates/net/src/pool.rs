@@ -22,7 +22,6 @@ use crate::proto::{
 };
 use crate::wire::{read_items_frame_into, recv_json, send_json};
 use hisvsim_circuit::{Complex64, Qubit};
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
@@ -106,7 +105,7 @@ pub fn find_worker_binary() -> Option<PathBuf> {
 
 /// A resident worker world: the child processes plus one control stream
 /// per rank. The TCP mesh between the workers stays up for the world's
-/// whole lifetime, on the network model the pool spawned it with.
+/// whole lifetime.
 struct World {
     guard: ChildGuard,
     controls: Vec<TcpStream>,
@@ -142,7 +141,6 @@ struct PoolMetrics {
 /// exactly the SPMD model (every rank participates in every job).
 pub struct WorkerPool {
     workers: usize,
-    network: NetworkModel,
     worker_bin: PathBuf,
     handshake_timeout: Duration,
     inner: Mutex<PoolInner>,
@@ -171,7 +169,6 @@ impl WorkerPool {
         );
         Self {
             workers,
-            network: NetworkModel::hdr100(),
             worker_bin,
             handshake_timeout: Duration::from_secs(60),
             inner: Mutex::new(PoolInner {
@@ -180,13 +177,6 @@ impl WorkerPool {
             }),
             metrics: PoolMetrics::default(),
         }
-    }
-
-    /// The network model of the workers' transport accounting (default
-    /// [`NetworkModel::hdr100`]), baked into the mesh when the world spawns.
-    pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.network = network;
-        self
     }
 
     /// The worker-process world size.
@@ -415,7 +405,6 @@ impl WorkerPool {
                     rank,
                     size: self.workers,
                     peers: peers.clone(),
-                    network: self.network,
                     epoch,
                 },
             )?;

@@ -16,7 +16,7 @@
 //! wrong job, and every [`RankReport`] echoes its epoch back.
 
 use hisvsim_circuit::Circuit;
-use hisvsim_cluster::{CommStats, NetworkModel};
+use hisvsim_cluster::CommStats;
 use hisvsim_obs::SpanRecord;
 use hisvsim_runtime::{KernelDispatch, PersistedPlan};
 use serde::{Deserialize, Serialize};
@@ -86,8 +86,6 @@ pub struct LaunchSpec {
     pub size: usize,
     /// Every rank's data-plane address, indexed by rank.
     pub peers: Vec<String>,
-    /// Interconnect model for per-transfer accounting.
-    pub network: NetworkModel,
     /// The job epoch the first `Run` on this world will carry. Epochs are
     /// pool-global and monotonically increasing, so a world respawned
     /// after a failure never reuses an epoch a stale frame could match.

@@ -424,7 +424,7 @@ mod tests {
         let stats = CommStats {
             messages_sent: 3,
             bytes_sent: 128,
-            modeled_time_s: 0.5,
+            payload_messages: 2,
             wall_time_s: 0.25,
         };
         let mut buf = Vec::new();

@@ -81,17 +81,14 @@ fn execute_shipped_rank<C: RankComm<Complex64>>(
 /// two runs are bit-identical whenever the transport moves bytes faithfully.
 /// The state comes back in the standard qubit order. Panics if the shipped
 /// plan does not validate, where a worker would fail the job.
-pub fn execute_local_reference(
-    job: &ShippedJob,
-    ranks: usize,
-    network: NetworkModel,
-) -> (StateVector, RunReport) {
+pub fn execute_local_reference(job: &ShippedJob, ranks: usize) -> (StateVector, RunReport) {
     let start = Instant::now();
     let plan = shipped_plan(job, ranks).unwrap_or_else(|message| panic!("{message}"));
-    let outcomes = run_spmd::<Complex64, RankOutcome, _>(ranks, network, |mut comm| {
-        execute_shipped_rank(job, &plan, &mut comm, &CancelToken::new())
-            .expect("an inert token never cancels")
-    });
+    let outcomes =
+        run_spmd::<Complex64, RankOutcome, _>(ranks, NetworkModel::ideal(), |mut comm| {
+            execute_shipped_rank(job, &plan, &mut comm, &CancelToken::new())
+                .expect("an inert token never cancels")
+        });
     let wall = start.elapsed().as_secs_f64();
     aggregate_outcomes(
         job.engine_name(),
@@ -147,8 +144,7 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
             ("base_epoch", &spec.epoch.to_string()),
         ],
     );
-    let mut comm =
-        TcpComm::<Complex64>::connect_mesh(rank, spec.size, spec.network, listener, &spec.peers)?;
+    let mut comm = TcpComm::<Complex64>::connect_mesh(rank, spec.size, listener, &spec.peers)?;
 
     // Command reader: Run/Shutdown are queued for the job loop; Cancel
     // fires the matching in-flight token directly (stale epochs miss the

@@ -2,9 +2,10 @@
 //! *both* implementations — the in-process channel world (`LocalComm`) and
 //! the TCP transport (`TcpComm`) — so the two worlds cannot drift apart on
 //! the corners the engines rely on: empty payloads in collectives,
-//! single-rank worlds, and deep out-of-order tag stashing.
+//! single-rank worlds, deep out-of-order tag stashing, and what each call
+//! adds to [`CommStats`].
 
-use hisvsim_cluster::{world, NetworkModel, RankComm};
+use hisvsim_cluster::{world, CommStats, NetworkModel, RankComm};
 use hisvsim_net::{tcp_world, TcpComm};
 use std::thread;
 
@@ -31,13 +32,21 @@ where
 
 fn empty_payload_collectives_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) {
     drive(worlds, |comm| {
-        // All-empty alltoallv: shapes must survive, nothing is charged.
+        // All-empty alltoallv: shapes must survive; each slot to a peer is
+        // a message, but none carries a payload, so none pays latency.
+        let peers = comm.size() as u64 - 1;
         let send: Vec<Vec<u64>> = (0..comm.size()).map(|_| Vec::new()).collect();
         let recv = comm.alltoallv(send, 1);
         assert_eq!(recv.len(), comm.size());
         assert!(recv.iter().all(Vec::is_empty));
-        assert_eq!(comm.stats().bytes_sent, 0, "empty payloads move no bytes");
-        assert_eq!(comm.stats().modeled_time_s, 0.0);
+        let stats = comm.stats();
+        assert_eq!(stats.bytes_sent, 0, "empty payloads move no bytes");
+        assert_eq!(stats.messages_sent, peers, "an empty slot is a message");
+        assert_eq!(
+            stats.payload_messages, 0,
+            "an empty slot carries no payload"
+        );
+        assert_eq!(NetworkModel::hdr100().time(&stats), 0.0);
 
         // Mixed: only even-ranked peers get data.
         let send: Vec<Vec<u64>> = (0..comm.size())
@@ -57,17 +66,39 @@ fn empty_payload_collectives_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C
                 assert!(buf.is_empty());
             }
         }
+        let me = comm.rank();
+        let full = (0..comm.size())
+            .filter(|&to| to != me && to % 2 == 0)
+            .count() as u64;
+        let stats = comm.stats();
+        assert_eq!(stats.messages_sent, 2 * peers);
+        assert_eq!(stats.payload_messages, full, "only the full slots");
+        assert_eq!(stats.bytes_sent, 8 * full);
 
         // Empty allgather.
         let all = comm.allgather(Vec::new(), 3);
         assert_eq!(all.len(), comm.size());
         assert!(all.iter().all(Vec::is_empty));
+        let stats = comm.stats();
+        assert_eq!(stats.messages_sent, 3 * peers);
+        assert_eq!(stats.payload_messages, full);
+
+        // Control traffic adds to neither count.
+        comm.barrier();
+        assert!(!comm.vote_any(false));
+        assert_eq!(
+            comm.stats(),
+            CommStats {
+                wall_time_s: comm.stats().wall_time_s,
+                ..stats
+            }
+        );
     });
 }
 
 #[test]
 fn empty_payload_collectives_local() {
-    empty_payload_collectives_on(world::<u64>(4, NetworkModel::hdr100()));
+    empty_payload_collectives_on(world::<u64>(4));
 }
 
 #[test]
@@ -94,7 +125,7 @@ fn single_rank_world_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) {
 
 #[test]
 fn single_rank_world_local() {
-    single_rank_world_on(world::<u64>(1, NetworkModel::hdr100()));
+    single_rank_world_on(world::<u64>(1));
 }
 
 #[test]
@@ -127,7 +158,7 @@ fn out_of_order_stash_exhaustion_on<C: RankComm<u64> + Send + 'static>(worlds: V
 
 #[test]
 fn out_of_order_stash_exhaustion_local() {
-    out_of_order_stash_exhaustion_on(world::<u64>(4, NetworkModel::ideal()));
+    out_of_order_stash_exhaustion_on(world::<u64>(4));
 }
 
 #[test]
@@ -144,14 +175,30 @@ fn barrier_charges_no_payload_traffic_on<C: RankComm<u64> + Send + 'static>(worl
         comm.barrier();
         let stats = comm.stats();
         assert_eq!(stats.messages_sent, 0, "barriers are not payload traffic");
+        assert_eq!(stats.payload_messages, 0);
         assert_eq!(stats.bytes_sent, 0);
-        assert_eq!(stats.modeled_time_s, 0.0);
+        // Nor around payload traffic: a barrier after a send adds nothing.
+        let next = (comm.rank() + 1) % comm.size();
+        let prev = (comm.rank() + comm.size() - 1) % comm.size();
+        comm.send(next, 5, vec![1, 2]);
+        assert_eq!(comm.recv(prev, 5), vec![1, 2]);
+        let sent = comm.stats();
+        assert_eq!((sent.messages_sent, sent.payload_messages), (1, 1));
+        comm.barrier();
+        let after = comm.stats();
+        assert_eq!(
+            after,
+            CommStats {
+                wall_time_s: after.wall_time_s,
+                ..sent
+            }
+        );
     });
 }
 
 #[test]
 fn barrier_charges_no_payload_traffic_local() {
-    barrier_charges_no_payload_traffic_on(world::<u64>(4, NetworkModel::hdr100()));
+    barrier_charges_no_payload_traffic_on(world::<u64>(4));
 }
 
 #[test]
@@ -181,7 +228,7 @@ fn collective_wall_time_is_charged_on<C: RankComm<u64> + Send + 'static>(mut wor
 
 #[test]
 fn collective_wall_time_is_charged_local() {
-    collective_wall_time_is_charged_on(world::<u64>(2, NetworkModel::ideal()));
+    collective_wall_time_is_charged_on(world::<u64>(2));
 }
 
 #[test]
@@ -205,14 +252,14 @@ fn vote_any_agrees_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) {
         // messages they report must stay the schedule's own.
         let stats = comm.stats();
         assert_eq!(stats.messages_sent, 0, "votes are not payload traffic");
+        assert_eq!(stats.payload_messages, 0);
         assert_eq!(stats.bytes_sent, 0);
-        assert_eq!(stats.modeled_time_s, 0.0);
     });
 }
 
 #[test]
 fn vote_any_agrees_local() {
-    vote_any_agrees_on(world::<u64>(4, NetworkModel::hdr100()));
+    vote_any_agrees_on(world::<u64>(4));
 }
 
 #[test]
@@ -222,7 +269,7 @@ fn vote_any_agrees_tcp() {
 
 #[test]
 fn vote_any_single_rank_is_its_own_majority() {
-    drive(world::<u64>(1, NetworkModel::hdr100()), |comm| {
+    drive(world::<u64>(1), |comm| {
         assert!(comm.vote_any(true));
         assert!(!comm.vote_any(false));
         assert_eq!(comm.stats().messages_sent, 0);
@@ -269,30 +316,32 @@ fn charge_script<C: RankComm<u64>>(comm: &mut C) {
     );
     assert_eq!(after.bytes_sent, payload.bytes_sent, "control traffic");
     assert_eq!(
-        after.modeled_time_s, payload.modeled_time_s,
+        after.payload_messages, payload.payload_messages,
         "control traffic"
     );
 }
 
-/// Every rank's `(messages_sent, bytes_sent, modeled_time_s)` after
-/// [`charge_script`].
-fn charges_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) -> Vec<(u64, u64, f64)> {
+/// Every rank's stats after [`charge_script`], the blocked seconds zeroed.
+fn charges_on<C: RankComm<u64> + Send + 'static>(worlds: Vec<C>) -> Vec<CommStats> {
     let handles: Vec<_> = worlds
         .into_iter()
         .map(|mut comm| {
             thread::spawn(move || {
                 charge_script(&mut comm);
-                let stats = comm.stats();
-                (stats.messages_sent, stats.bytes_sent, stats.modeled_time_s)
+                CommStats {
+                    wall_time_s: 0.0,
+                    ..comm.stats()
+                }
             })
         })
         .collect();
     handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
-/// [`charge_script`]'s charges per rank on 2 and 4 ranks over
+/// [`charge_script`]'s charges per rank on 2 and 4 ranks, the seconds over
 /// `NetworkModel::hdr100()`, as each transport charged them when it kept
-/// its own accounting.
+/// its own accounting and priced every message as it sent it. The counts,
+/// priced after the run, must reproduce them.
 const PINNED_2: [(u64, u64, f64); 2] = [(5, 160_072, 2.030576e-5), (5, 80_088, 1.390704e-5)];
 const PINNED_4: [(u64, u64, f64); 4] = [
     (9, 240_088, 3.120704e-5),
@@ -305,10 +354,12 @@ const PINNED_4: [(u64, u64, f64); 4] = [
 fn both_transports_charge_the_same_for_the_same_script() {
     let net = NetworkModel::hdr100();
     for (size, pinned) in [(2usize, &PINNED_2[..]), (4, &PINNED_4[..])] {
-        let local = charges_on(world::<u64>(size, net));
+        let local = charges_on(world::<u64>(size));
         let tcp = charges_on(tcp_world::<u64>(size, net).unwrap());
         assert_eq!(local, tcp, "{size} ranks");
-        for (rank, &(messages, bytes, modeled)) in local.iter().enumerate() {
+        for (rank, stats) in local.iter().enumerate() {
+            let (messages, bytes, modeled) =
+                (stats.messages_sent, stats.bytes_sent, net.time(stats));
             let (pinned_messages, pinned_bytes, pinned_modeled) = pinned[rank];
             assert_eq!(
                 (messages, bytes),
@@ -326,7 +377,7 @@ fn both_transports_charge_the_same_for_the_same_script() {
 #[test]
 #[should_panic(expected = "power-of-two")]
 fn a_thread_world_of_three_is_refused() {
-    let _ = world::<u64>(3, NetworkModel::ideal());
+    let _ = world::<u64>(3);
 }
 
 #[test]
@@ -334,7 +385,7 @@ fn a_tcp_world_of_three_is_refused() {
     assert!(tcp_world::<u64>(3, NetworkModel::ideal()).is_err());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let peers = vec![listener.local_addr().unwrap().to_string(); 3];
-    let refused = TcpComm::<u64>::connect_mesh(0, 3, NetworkModel::ideal(), listener, &peers);
+    let refused = TcpComm::<u64>::connect_mesh(0, 3, listener, &peers);
     assert_eq!(
         refused.err().map(|e| e.kind()),
         Some(std::io::ErrorKind::InvalidData)

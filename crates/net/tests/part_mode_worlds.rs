@@ -6,7 +6,6 @@
 //! strided-pass tally are process-global.
 
 use hisvsim_circuit::generators;
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
@@ -47,7 +46,7 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
     let strided = fusion::strided_passes();
-    let (threads_state, _) = execute_local_reference(&job, workers, NetworkModel::ideal());
+    let (threads_state, _) = execute_local_reference(&job, workers);
     let strided = fusion::strided_passes() - strided;
     let on_threads = drained_parts();
     let (processes_state, _) = pool

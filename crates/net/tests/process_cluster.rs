@@ -3,7 +3,6 @@
 //! in-process channel world and the flat reference simulator.
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{CancelToken, RunReport};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
@@ -46,7 +45,7 @@ fn run_on_processes(job: &ShippedJob, workers: usize) -> (StateVector, RunReport
 
 /// The same job on the in-process channel world.
 fn reference(job: &ShippedJob, workers: usize) -> StateVector {
-    execute_local_reference(job, workers, NetworkModel::hdr100()).0
+    execute_local_reference(job, workers).0
 }
 
 #[test]
@@ -244,8 +243,7 @@ fn forced_baseline_process_job_is_rejected_before_any_worker_launches() {
 fn crashed_worker_fails_the_launch_instead_of_hanging() {
     // A "worker binary" that exits immediately: the launcher must surface
     // a Worker error promptly (liveness polling), not block in accept.
-    let bad = WorkerPool::with_worker_binary(2, PathBuf::from("/bin/false"))
-        .with_network(NetworkModel::ideal());
+    let bad = WorkerPool::with_worker_binary(2, PathBuf::from("/bin/false"));
     let job = single_level_job(8, 2);
     let start = std::time::Instant::now();
     let err = bad.execute(&job, None, &CancelToken::new()).unwrap_err();

@@ -5,7 +5,6 @@
 //! rank fails its job but leaves the pool usable).
 
 use hisvsim_circuit::{generators, Circuit};
-use hisvsim_cluster::NetworkModel;
 use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
@@ -59,7 +58,7 @@ fn run(pool: &WorkerPool, job: &ShippedJob) -> Result<StateVector, NetError> {
 
 /// The same job on the in-process channel world.
 fn reference(job: &ShippedJob, workers: usize) -> StateVector {
-    execute_local_reference(job, workers, NetworkModel::hdr100()).0
+    execute_local_reference(job, workers).0
 }
 
 /// The headline reuse guarantee: a batch of jobs runs on ONE worker world

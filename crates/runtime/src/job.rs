@@ -201,17 +201,13 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// The engine's aggregated communication statistics (bytes, messages,
-    /// modelled wire time over all virtual ranks) — so service clients see
-    /// the modelled communication behaviour per job, not just wall time.
+    /// The engine's communication statistics summed over all ranks: what
+    /// the run measured — bytes, messages (and the payload-carrying ones)
+    /// and seconds blocked in communication. A served job prices nothing;
+    /// a caller who wants a modelled time hands these counts to
+    /// `NetworkModel::time`.
     pub fn comm_stats(&self) -> &CommStats {
         &self.report.comm
-    }
-
-    /// Fraction of the modelled end-to-end time spent communicating
-    /// (see [`RunReport::comm_ratio`]).
-    pub fn comm_ratio(&self) -> f64 {
-        self.report.comm_ratio()
     }
 
     /// The job's per-phase execution timeline: one span per runner phase

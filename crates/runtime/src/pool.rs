@@ -62,20 +62,11 @@ impl Semaphore {
         }
     }
 
-    /// Block until a slot is free and claim it.
-    pub fn acquire(&self) -> Permit<'_> {
-        let mut permits = self.permits.lock().expect("semaphore poisoned");
-        while *permits == 0 {
-            permits = self.available.wait(permits).expect("semaphore poisoned");
-        }
-        *permits -= 1;
-        Permit { semaphore: self }
-    }
-
-    /// [`Semaphore::acquire`] that also gives up when `cancel` fires, so a
-    /// job cancelled while queued for a slot unblocks its worker promptly
-    /// instead of waiting out whoever holds the permit. The token has no
-    /// waker of its own, so the parked wait polls it on a short timeout.
+    /// Block until a slot is free and claim it, or give up when `cancel`
+    /// fires, so a job cancelled while queued for a slot unblocks its
+    /// worker promptly instead of waiting out whoever holds the permit. The
+    /// token has no waker of its own, so the parked wait polls it on a
+    /// short timeout.
     pub fn acquire_cancellable(
         &self,
         cancel: &hisvsim_statevec::CancelToken,
@@ -212,8 +203,8 @@ impl std::error::Error for JobError {}
 /// What decides the result of one job on a worker cluster: the circuit,
 /// the kernel dispatch and the *partition* of the plan in its wire shape
 /// ([`PersistedPlan`]). Fused matrices stay process-local by design, so
-/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]; the
-/// network model is the backend's, and the runner names the engine.
+/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`], and
+/// the runner names the engine.
 pub struct ProcessRequest<'a> {
     /// The circuit to simulate.
     pub circuit: &'a Circuit,
@@ -669,20 +660,16 @@ impl JobRunner {
         perm: &[Qubit],
         exec: &ExecControl,
     ) -> Result<(StateVector, RunReport), hisvsim_statevec::Cancelled> {
-        let network = self.config.selector.network;
         match decision.engine {
-            EngineKind::Baseline => IqsBaseline::new(
-                BaselineConfig::new(decision.ranks)
-                    .with_network(network)
-                    .with_kernel_dispatch(dispatch),
-            )
-            .run_controlled(circuit, Some(perm), exec)
-            .map(|run| (run.state, run.report)),
+            EngineKind::Baseline => {
+                IqsBaseline::new(BaselineConfig::new(decision.ranks).with_kernel_dispatch(dispatch))
+                    .run_controlled(circuit, Some(perm), exec)
+                    .map(|run| (run.state, run.report))
+            }
             engine => {
                 let schedule = schedule.as_ref().expect("a planned engine needs a plan");
                 let (name, strategy) = (engine.name(), Strategy::DagP.name());
-                let spec =
-                    RunSpec::new(name, strategy, decision.ranks, network, dispatch).with_perm(perm);
+                let spec = RunSpec::new(name, strategy, decision.ranks, dispatch).with_perm(perm);
                 run_plan(circuit, schedule, spec, exec)
             }
         }
@@ -733,7 +720,8 @@ mod tests {
         // of waiting for the holder.
         let runner = runner();
         let residency = Semaphore::new(1);
-        let _held = residency.acquire();
+        let never = CancelToken::new();
+        let _held = residency.acquire_cancellable(&never).expect("a free slot");
         let control = JobControl::new();
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {

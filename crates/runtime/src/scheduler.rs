@@ -39,7 +39,7 @@ pub struct SchedulerConfig {
     /// Maximum jobs holding live simulation state at once (the memory
     /// bound `K`).
     pub max_resident: usize,
-    /// The engine selector (thresholds + network model).
+    /// The engine selector (its qubit budgets and rank cap).
     pub selector: EngineSelector,
     /// Keep each job's final state in its [`JobResult`]. Disable for
     /// fire-and-forget sampling workloads where only counts/expectations

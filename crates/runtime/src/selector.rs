@@ -2,8 +2,8 @@
 //! (hierarchical / distributed / multi-level) and its structural parameters
 //! (working-set limit, rank count, second-level limit) from the qubit count
 //! and two budgets, stated in qubits: the last-level cache and one node's
-//! memory (by default the paper machine's, 21 and 30). The network model
-//! only prices an exchange for the decision's report.
+//! memory (by default the paper machine's, 21 and 30). The HDR-100 network
+//! model only prices an exchange for the decision's report.
 //!
 //! The decision mirrors the paper's own sizing argument:
 //!
@@ -91,8 +91,9 @@ pub struct EngineDecision {
     pub ranks: usize,
     /// Second-level limit (only meaningful for [`EngineKind::Multilevel`]).
     pub second_limit: usize,
-    /// Modelled seconds for one full-state redistribution at this size —
-    /// the `netmodel` signal backing the dist/multilevel choice.
+    /// Modelled seconds for one full-state redistribution at this size on
+    /// [`NetworkModel::hdr100`]. It prices the verdict's report only: no
+    /// choice reads it (the dist/multilevel choice reads the qubit budgets).
     pub est_exchange_s: f64,
     /// Human-readable justification, surfaced by the batch report.
     pub reason: String,
@@ -113,8 +114,6 @@ pub struct EngineSelector {
     pub node_qubits: usize,
     /// Cap on the virtual rank count (power of two).
     pub max_ranks: usize,
-    /// Interconnect model used for the communication-cost signal.
-    pub network: NetworkModel,
 }
 
 impl EngineSelector {
@@ -126,7 +125,6 @@ impl EngineSelector {
             cache_qubits,
             node_qubits,
             max_ranks: 16,
-            network: NetworkModel::hdr100(),
         }
     }
 
@@ -167,9 +165,8 @@ impl EngineSelector {
             }
         };
 
-        let est_exchange_s = self
-            .network
-            .message_time(((16u128 << n) / ranks.max(1) as u128) as usize);
+        let est_exchange_s =
+            NetworkModel::hdr100().message_time(((16u128 << n) / ranks.max(1) as u128) as usize);
 
         let reason = match engine {
             EngineKind::Hier if engine == auto && n <= self.cache_qubits => format!(
@@ -245,14 +242,12 @@ impl EngineSelector {
 
 impl Default for EngineSelector {
     /// Budgets of the paper's evaluation machine: a 32 MB Cascade Lake LLC
-    /// holds 2^21 amplitudes of 16 bytes, a 16 GB node 2^30; up to 64 ranks
-    /// on an HDR100 interconnect.
+    /// holds 2^21 amplitudes of 16 bytes, a 16 GB node 2^30; up to 64 ranks.
     fn default() -> Self {
         Self {
             cache_qubits: 21,
             node_qubits: 30,
             max_ranks: 64,
-            network: NetworkModel::hdr100(),
         }
     }
 }

@@ -223,7 +223,6 @@ struct ServiceMetrics {
     comm_bytes_total: Arc<Counter>,
     comm_messages_total: Arc<Counter>,
     comm_wall_seconds_total: Arc<Counter>,
-    comm_modeled_seconds_total: Arc<Counter>,
 }
 
 impl ServiceMetrics {
@@ -254,10 +253,6 @@ impl ServiceMetrics {
                 "hisvsim_comm_wall_seconds_total",
                 "Wall seconds ranks of completed jobs spent inside collectives.",
             ),
-            comm_modeled_seconds_total: registry.counter(
-                "hisvsim_comm_modeled_seconds_total",
-                "Modelled interconnect seconds across all ranks of completed jobs.",
-            ),
             registry,
         }
     }
@@ -274,7 +269,6 @@ impl ServiceMetrics {
         self.comm_bytes_total.add(comm.bytes_sent as f64);
         self.comm_messages_total.add(comm.messages_sent as f64);
         self.comm_wall_seconds_total.add(comm.wall_time_s);
-        self.comm_modeled_seconds_total.add(comm.modeled_time_s);
     }
 }
 

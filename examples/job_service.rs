@@ -65,19 +65,19 @@ fn submit_poll_progress() {
 
     println!(
         "{:>4} {:>8} {:<12} {:>11} {:>9} {:>6} {:>10}",
-        "job", "priority", "circuit", "engine", "wall", "plan", "comm"
+        "job", "priority", "circuit", "engine", "wall", "plan", "comm bytes"
     );
     for (priority, handle) in &handles {
         let result = handle.wait().expect("job succeeded");
         println!(
-            "{:>4} {:>8} {:<12} {:>11} {:>7.1} ms {:>6} {:>9.1}%",
+            "{:>4} {:>8} {:<12} {:>11} {:>7.1} ms {:>6} {:>10}",
             handle.id(),
             format!("{priority:?}"),
             result.circuit_name,
             result.engine.name(),
             result.wall_time_s * 1e3,
             if result.plan_cache_hit { "hit" } else { "miss" },
-            100.0 * result.comm_ratio(),
+            result.comm_stats().bytes_sent,
         );
     }
     // One job's full event history.

@@ -11,6 +11,7 @@
 //! quantum state.
 
 use hisvsim_circuit::generators;
+use hisvsim_cluster::NetworkModel;
 use hisvsim_core::{DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator};
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::Strategy;
@@ -59,7 +60,8 @@ fn main() {
         assert!(ok, "hierarchical result diverged from the reference");
     }
 
-    // 3. Distributed simulation on 4 virtual ranks.
+    // 3. Distributed simulation on 4 virtual ranks: the ranks count their
+    // messages and bytes, and the HDR-100 model prices them after the run.
     let run = DistributedSimulator::new(DistConfig::new(4).with_strategy(Strategy::DagP))
         .run(&circuit)
         .expect("distributed run failed");
@@ -70,7 +72,7 @@ fn main() {
         run.report.num_ranks,
         run.report.num_parts,
         run.report.num_exchanges,
-        run.report.avg_comm_time_s,
+        run.report.modeled_comm_s(&NetworkModel::hdr100()),
         ok
     );
     assert!(ok, "distributed result diverged from the reference");

@@ -36,8 +36,9 @@ fn hisvsim_moves_fewer_bytes_than_the_baseline_on_comm_heavy_circuits() {
             hisvsim.report.comm.bytes_sent,
             baseline.report.comm.bytes_sent
         );
+        let net = NetworkModel::hdr100();
         assert!(
-            hisvsim.report.avg_comm_time_s <= baseline.report.avg_comm_time_s + 1e-12,
+            hisvsim.report.modeled_comm_s(&net) <= baseline.report.modeled_comm_s(&net) + 1e-12,
             "{family}: HiSVSIM modelled comm exceeds baseline"
         );
     }
@@ -105,7 +106,9 @@ fn improvement_factor_over_baseline_is_positive_for_comm_bound_runs() {
     let hisvsim = DistributedSimulator::new(DistConfig::new(4).with_strategy(Strategy::DagP))
         .run(&circuit)
         .unwrap();
-    let factor = baseline.report.avg_comm_time_s / hisvsim.report.avg_comm_time_s.max(1e-12);
+    let net = NetworkModel::hdr100();
+    let factor =
+        baseline.report.modeled_comm_s(&net) / hisvsim.report.modeled_comm_s(&net).max(1e-12);
     assert!(
         factor >= 1.0,
         "expected a communication-side improvement, got factor {factor}"
@@ -161,7 +164,6 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         engine,
         strategy: "dagP",
         ranks,
-        network: NetworkModel::hdr100(),
         dispatch: Default::default(),
         perm: None,
     };
