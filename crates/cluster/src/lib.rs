@@ -24,7 +24,8 @@
 //!   [`LocalComm`], and the `hisvsim-net` crate adds `TcpComm`, the
 //!   multi-process transport over sockets,
 //! * [`spmd`] — [`run_spmd`]: the `mpirun` stand-in running one closure per
-//!   rank on scoped threads.
+//!   rank on scoped threads, each under the caller's thread count, and
+//!   [`on_threads`], the scope a rank splits that budget with.
 //!
 //! ## Example
 //!
@@ -46,4 +47,4 @@ pub mod spmd;
 
 pub use comm::{world, CommStats, Endpoint, LocalComm, RankComm, ScalarComm};
 pub use netmodel::NetworkModel;
-pub use spmd::run_spmd;
+pub use spmd::{on_threads, run_spmd};

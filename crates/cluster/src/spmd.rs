@@ -16,6 +16,12 @@ use std::thread;
 /// results in rank order. A world of one has nobody to run beside, so its
 /// body runs on the calling thread: no spawn, no join.
 ///
+/// The world's core budget is the caller's: every rank thread runs under
+/// the thread count the calling thread would use
+/// ([`rayon::current_num_threads`], read once before the spawn), so a rank
+/// that splits it among the ranks still sweeping splits the caller's
+/// budget, not the host's.
+///
 /// `num_ranks` must be a power of two — the same constraint the paper's
 /// distributed design imposes on the MPI world size (Sec. III-D).
 ///
@@ -39,17 +45,25 @@ where
         let comm = comms.pop().expect("a world of one has one comm");
         return vec![body(comm)];
     }
+    let cores = rayon::current_num_threads();
     let body = &body;
     thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
-            .map(|comm| scope.spawn(move || body(comm)))
+            .map(|comm| scope.spawn(move || on_threads(cores, || body(comm))))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("a rank thread panicked"))
             .collect()
     })
+}
+
+/// Run `f` with `threads` installed as the thread count of every parallel
+/// call it makes (see [`rayon::ThreadPool::install`]).
+pub fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+    pool.expect("a thread-count scope always builds").install(f)
 }
 
 #[cfg(test)]
@@ -96,6 +110,20 @@ mod tests {
             assert!(!ids.contains(&caller), "{ranks} ranks");
             let distinct: std::collections::HashSet<_> = ids.iter().collect();
             assert_eq!(distinct.len(), ranks, "one thread per rank");
+        }
+    }
+
+    #[test]
+    fn rank_threads_inherit_the_callers_thread_count() {
+        for installed in [1usize, 3, 6] {
+            for ranks in [1usize, 2, 4] {
+                let counts = on_threads(installed, || {
+                    run_spmd::<u8, _, _>(ranks, NetworkModel::ideal(), |_| {
+                        rayon::current_num_threads()
+                    })
+                });
+                assert_eq!(counts, vec![installed; ranks], "{ranks} ranks");
+            }
         }
     }
 

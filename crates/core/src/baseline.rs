@@ -220,7 +220,7 @@ pub fn run_baseline_rank<C: RankComm<Complex64>>(
         match step {
             BaselineStep::LocalFused(fused, passes) => {
                 debug_assert_eq!(state.layout(), schedule.layout);
-                state.sweep_passes(fused, &schedule.layout, passes, false, &mut progress)?;
+                state.sweep_passes(fused, &schedule.layout, passes, &mut progress)?;
             }
             BaselineStep::Distributed(gate) => {
                 apply_prepared_gate_distributed(&mut state, gate);

@@ -22,7 +22,7 @@ use crate::fusedplan::{FusedPlan, FusedSinglePlan, Pass, PlanSchedule};
 use crate::hier::open_part;
 use crate::metrics::RunReport;
 use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
-use hisvsim_cluster::{run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
+use hisvsim_cluster::{on_threads, run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::fusion::TILE;
@@ -89,6 +89,17 @@ pub struct DistState<'a, C: RankComm<Complex64>> {
     /// Kernel dispatch for every local sweep ([`KernelDispatch::Auto`] by
     /// default; forced scalar for differential validation).
     dispatch: KernelDispatch,
+    /// The world's core budget, which the ranks still sweeping split (see
+    /// [`share`]).
+    cores: usize,
+}
+
+/// The threads each of `live_ranks` ranks sweeps on out of a world's
+/// `cores`: an even split, at least one. Every rank of a world computes the
+/// same share for the same pass, so the ranks together never ask for more
+/// than the budget (or one thread each, when they outnumber it).
+pub(crate) fn share(cores: usize, live_ranks: usize) -> usize {
+    (cores / live_ranks).max(1)
 }
 
 impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
@@ -96,6 +107,13 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// ranks. The rank count must be a power of two not exceeding `2^n`.
     /// The slice comes from the [`buffers`] pool and goes back to it when
     /// the state is dropped unfinished (a cancelled job's).
+    ///
+    /// The world's core budget is the thread count the calling thread would
+    /// use ([`rayon::current_num_threads`]): in a thread world the caller's
+    /// (`run_spmd` installs it in every rank thread), in a worker process
+    /// the host's, which assumes the ranks share one host, as the worker
+    /// pool's localhost processes do. Every rank is live at `|0…0⟩`'s fill,
+    /// so each zero-fills its slice on its share of all ranks.
     pub fn new(comm: &'a mut C, num_qubits: usize) -> Self {
         let ranks = comm.size();
         assert!(ranks.is_power_of_two());
@@ -108,8 +126,9 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         // Zeroed once, kept or fresh; a fresh slice faults its pages in here,
         // at small widths a noticeable share of a rank's wall, so it gets a
         // span of its own.
+        let cores = rayon::current_num_threads();
         let init = hisvsim_obs::span("kernel", "init").bytes(16 << l);
-        let mut local = StateVector::uninitialized(l);
+        let mut local = on_threads(share(cores, ranks), || StateVector::uninitialized(l));
         if comm.rank() == 0 {
             local.amplitudes_mut()[0] = Complex64::ONE;
         }
@@ -124,6 +143,7 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             exchanges: 0,
             exchange_tag: TAG_EXCHANGE,
             dispatch: KernelDispatch::default(),
+            cores,
         }
     }
 
@@ -153,12 +173,6 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
         if self.comm.rank() == 0 {
             control.report_progress(gates_done, gates_total);
         }
-    }
-
-    /// Apply options for rank-local sweeps (sequential: parallelism lives at
-    /// the rank level, not inside a slice).
-    fn opts(&self) -> ApplyOptions {
-        ApplyOptions::sequential().with_dispatch(self.dispatch)
     }
 
     /// Number of local (per-rank) qubits.
@@ -332,52 +346,53 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     }
 
     /// Apply a prepared gate list (see [`prepare_gates`]) whose qubits are
-    /// all local. The precomputed matrices are shared by every rank.
+    /// all local. The precomputed matrices are shared by every rank. With no
+    /// pass to say which ranks are live, each sweeps on its share of all
+    /// ranks.
     pub fn apply_prepared_local(&mut self, gates: &[PreparedGate]) {
         let _span = hisvsim_obs::span("kernel", "local");
         let start = Instant::now();
-        let opts = self.opts();
-        for prepared in gates {
-            let gate = &prepared.gate;
-            debug_assert!(
-                self.all_local(&gate.qubits),
-                "gate touches a non-local qubit"
-            );
-            let remapped = Gate {
-                kind: gate.kind,
-                qubits: gate.qubits.iter().map(|&q| self.layout[q]).collect(),
-            };
-            apply_gate_with_matrix(&mut self.local, &remapped, prepared.matrix(), &opts);
-        }
+        let opts = ApplyOptions::default().with_dispatch(self.dispatch);
+        on_threads(share(self.cores, self.comm.size()), || {
+            for prepared in gates {
+                let gate = &prepared.gate;
+                debug_assert!(
+                    self.all_local(&gate.qubits),
+                    "gate touches a non-local qubit"
+                );
+                let remapped = Gate {
+                    kind: gate.kind,
+                    qubits: gate.qubits.iter().map(|&q| self.layout[q]).collect(),
+                };
+                apply_gate_with_matrix(&mut self.local, &remapped, prepared.matrix(), &opts);
+            }
+        });
         self.compute_time_s += start.elapsed().as_secs_f64();
     }
 
     /// Sweep `fused` over the slice through `map`, one of `passes` (its
-    /// [`FusedCircuit::passes`] for this slice and `map`) at a time, on the
-    /// pool if `parallel`, each over what [`Pass::support`] says this rank
-    /// can hold nonzero. Above one [`TILE`] every pass is a checkpoint: rank
-    /// 0 reports `progress` after it and the ranks vote before the next,
-    /// whether this rank's slice is still zero or not. A slice of at most
-    /// one tile is one checkpoint. The vote before the first pass is the
-    /// caller's.
+    /// [`FusedCircuit::passes`] for this slice and `map`) at a time, each
+    /// over what [`Pass::support`] says this rank can hold nonzero, on this
+    /// rank's [`share`] of the world's cores among the pass's
+    /// [`Pass::live_ranks`]: a world of one sweeps on every core, and a rank
+    /// whose peers' slices are all still zero on the whole budget. Above one
+    /// [`TILE`] every pass is a checkpoint: rank 0 reports `progress` after
+    /// it and the ranks vote before the next, whether this rank's slice is
+    /// still zero or not. A slice of at most one tile is one checkpoint. The
+    /// vote before the first pass is the caller's.
     pub(crate) fn sweep_passes(
         &mut self,
         fused: &FusedCircuit,
         map: &[usize],
         passes: &[Pass],
-        parallel: bool,
         progress: &mut Progress<'_>,
     ) -> Result<(), Cancelled> {
-        let opts = match parallel {
-            true => ApplyOptions::default(),
-            false => ApplyOptions::sequential(),
-        };
-        let opts = opts.with_dispatch(self.dispatch);
+        let opts = ApplyOptions::default().with_dispatch(self.dispatch);
         let per_checkpoint = match self.local.len() > TILE {
             true => 1,
             false => passes.len().max(1),
         };
-        let rank = self.comm.rank();
+        let (rank, ranks) = (self.comm.rank(), self.comm.size());
         for (index, checkpoint) in passes.chunks(per_checkpoint).enumerate() {
             if index > 0 {
                 self.vote_cancelled(&progress.control.cancel)?;
@@ -385,7 +400,10 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
             let start = Instant::now();
             for pass in checkpoint {
                 let (ops, support) = (pass.ops.clone(), pass.support(rank, self.l));
-                fused.apply_pass(&mut self.local, ops.clone(), Some(map), support, &opts);
+                let threads = share(self.cores, pass.live_ranks(ranks, self.l));
+                on_threads(threads, || {
+                    fused.apply_pass(&mut self.local, ops.clone(), Some(map), support, &opts)
+                });
                 let gates = fused.ops()[ops].iter().map(FusedOp::fused_count);
                 progress.done += gates.sum::<usize>() as u64;
             }
@@ -413,11 +431,13 @@ impl<'a, C: RankComm<Complex64>> DistState<'a, C> {
     /// exchange per job.
     pub fn finish_rank(self) -> RankOutcome {
         RankOutcome {
-            rank: self.comm.rank(),
-            compute_time_s: self.compute_time_s,
-            comm: self.comm.stats(),
-            exchanges: self.exchanges,
-            layout: self.layout,
+            figures: RankFigures {
+                rank: self.comm.rank(),
+                compute_time_s: self.compute_time_s,
+                comm: self.comm.stats(),
+                exchanges: self.exchanges,
+                layout: self.layout,
+            },
             local: self.local.into_amplitudes(),
         }
     }
@@ -466,28 +486,71 @@ pub(crate) fn local_layout(layout: &[usize], l: usize, qubits: &[usize]) -> Opti
     Some(new_layout)
 }
 
-/// Per-rank outcome of a distributed run, returned by the SPMD body.
+/// What a rank reports of its run besides its slice.
 #[derive(Debug, Clone)]
-pub struct RankOutcome {
+pub struct RankFigures {
     /// The rank id.
     pub rank: usize,
     /// Wall-clock computation seconds on this rank.
     pub compute_time_s: f64,
-    /// Communication statistics (modelled wire time, bytes, messages).
+    /// Communication statistics (messages and bytes).
     pub comm: CommStats,
     /// Number of redistributions this rank participated in.
     pub exchanges: usize,
     /// The layout the rank ended in (`layout[q]` = bit position of qubit
     /// `q`), the same on every rank.
     pub layout: Vec<usize>,
-    /// This rank's final local slice under `layout`, used to assemble the
-    /// full state.
+}
+
+/// Per-rank outcome of a distributed run, returned by the SPMD body.
+#[derive(Debug, Clone)]
+pub struct RankOutcome {
+    /// The rank's figures.
+    pub figures: RankFigures,
+    /// This rank's final local slice under `figures.layout`, used to
+    /// assemble the full state.
     pub local: Vec<Complex64>,
 }
 
-/// Aggregate per-rank outcomes into a [`RunReport`] and the full state. A
-/// lone rank's slice becomes the state; more ranks' slices are copied in
-/// rank order into a state from the buffer pool and given back to it. One
+/// A finished run as its ranks leave it, what [`aggregate_outcomes`] takes:
+/// every rank's figures in rank order, and their slices in rank order in one
+/// buffer, rank `r`'s `2^l` amplitudes at `[r << l, (r + 1) << l)`. The
+/// process world's launcher reads each slice straight into place; a thread
+/// world builds it with [`Gathered::from_outcomes`].
+#[derive(Debug)]
+pub struct Gathered {
+    /// Each rank's figures, in rank order.
+    pub ranks: Vec<RankFigures>,
+    /// The ranks' slices, concatenated in rank order.
+    pub amplitudes: Vec<Complex64>,
+}
+
+impl Gathered {
+    /// Gather a thread world's outcomes (in rank order): a lone rank's
+    /// slice is moved, more ranks' slices are copied into one buffer from
+    /// the pool and given back to it.
+    pub fn from_outcomes(outcomes: Vec<RankOutcome>) -> Self {
+        let (ranks, mut slices): (Vec<RankFigures>, Vec<Vec<Complex64>>) = (outcomes.into_iter())
+            .map(|outcome| (outcome.figures, outcome.local))
+            .unzip();
+        let amplitudes = match slices.len() {
+            1 => slices.pop().expect("one slice"),
+            _ => {
+                let mut amps = buffers::take(slices.iter().map(Vec::len).sum());
+                amps.clear();
+                for slice in slices {
+                    amps.extend_from_slice(&slice);
+                    buffers::give(slice);
+                }
+                amps
+            }
+        };
+        Self { ranks, amplitudes }
+    }
+}
+
+/// Aggregate a finished run into a [`RunReport`] and the full state: the
+/// ranks' slices, [`Gathered`] in one buffer, become the state. One
 /// [`StateVector::permute_qubits`] then moves qubit `q` from where the ranks
 /// left it to where `perm` wants it: position `perm[q]` as
 /// `StateVector::permute_qubits(perm)` reads it (the `perm` of
@@ -495,49 +558,38 @@ pub struct RankOutcome {
 /// ranks' final layout composed with `perm`, and none when that is the
 /// identity.
 ///
-/// Panics unless every outcome carries the same layout, a permutation of
-/// the circuit's qubits.
+/// Panics unless every rank reports the same layout, a permutation of the
+/// circuit's qubits, and the slices make a state of the circuit's width.
 pub fn aggregate_outcomes(
     engine: &str,
     strategy: &str,
     circuit: &Circuit,
     num_parts: usize,
-    outcomes: Vec<RankOutcome>,
+    gathered: Gathered,
     wall_time_s: f64,
     perm: Option<&[Qubit]>,
 ) -> (StateVector, RunReport) {
-    let layout = outcomes.first().expect("at least one rank").layout.clone();
+    let Gathered { ranks, amplitudes } = gathered;
+    let layout = ranks.first().expect("at least one rank").layout.clone();
     assert!(
-        outcomes.iter().all(|outcome| outcome.layout == layout),
+        ranks.iter().all(|figures| figures.layout == layout),
         "the ranks ended in different layouts"
     );
+    assert_eq!(amplitudes.len(), 1 << circuit.num_qubits());
     let order: Vec<Qubit> = match perm {
         Some(perm) => perm.iter().map(|&q| layout[q]).collect(),
         None => layout,
     };
-    let num_ranks = outcomes.len();
+    let num_ranks = ranks.len();
     let mut compute_max = 0.0f64;
     let mut comm_sum = CommStats::default();
     let mut exchanges = 0usize;
-    for outcome in &outcomes {
-        compute_max = compute_max.max(outcome.compute_time_s);
-        comm_sum = comm_sum.merged(outcome.comm);
-        exchanges = exchanges.max(outcome.exchanges);
+    for figures in &ranks {
+        compute_max = compute_max.max(figures.compute_time_s);
+        comm_sum = comm_sum.merged(figures.comm);
+        exchanges = exchanges.max(figures.exchanges);
     }
-    let mut slices = outcomes.into_iter().map(|outcome| outcome.local);
-    let amps = if num_ranks == 1 {
-        // The one rank's slice is the state: moved, not copied.
-        slices.next().expect("one outcome")
-    } else {
-        let mut amps = buffers::take(1 << circuit.num_qubits());
-        amps.clear();
-        for slice in slices {
-            amps.extend_from_slice(&slice);
-            buffers::give(slice);
-        }
-        amps
-    };
-    let mut state = StateVector::from_amplitudes(amps);
+    let mut state = StateVector::from_amplitudes(amplitudes);
     state.permute_qubits(&order);
     let mut report = RunReport::single_node(
         engine,
@@ -612,10 +664,11 @@ where
         body(&mut comm)
     });
     let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let gathered = Gathered::from_outcomes(outcomes);
     let wall = start.elapsed().as_secs_f64();
     let (engine, strategy) = (spec.engine, spec.strategy);
     Ok(aggregate_outcomes(
-        engine, strategy, circuit, num_parts, outcomes, wall, spec.perm,
+        engine, strategy, circuit, num_parts, gathered, wall, spec.perm,
     ))
 }
 
@@ -660,8 +713,11 @@ pub(crate) struct Progress<'c> {
 /// rank hands back its slice in the layout it ends in
 /// ([`DistState::finish_rank`]).
 ///
-/// A world of one (the hier engine) sweeps on the pool; more ranks sweep
-/// sequentially.
+/// Each pass sweeps on the rank's share of the world's cores among the
+/// ranks the pass finds live, `max(1, cores / live_ranks)` threads
+/// ([`Pass::live_ranks`]); see [`DistState::new`] for where the budget
+/// comes from. A world of one (the hier engine) so sweeps on every core,
+/// and a rank whose peers are all still zero on the whole budget.
 pub fn run_plan_rank<C: RankComm<Complex64>>(
     comm: &mut C,
     schedule: &PlanSchedule<'_>,
@@ -673,7 +729,6 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
         schedule.ranks,
         "the schedule was compiled for another world size"
     );
-    let world_of_one = comm.size() == 1;
     let mut state = DistState::new(comm, schedule.num_qubits);
     state.set_kernel_dispatch(dispatch);
     // Nothing has touched the `|0…0⟩` state yet: any layout is free.
@@ -690,13 +745,7 @@ pub fn run_plan_rank<C: RankComm<Complex64>>(
         }
         let _part = open_part(entry);
         let (inner, positions) = (&entry.part.inner, &entry.positions);
-        state.sweep_passes(
-            inner,
-            positions,
-            &entry.in_place,
-            world_of_one,
-            &mut progress,
-        )?;
+        state.sweep_passes(inner, positions, &entry.in_place, &mut progress)?;
     }
     Ok(state.finish_rank())
 }
@@ -941,16 +990,15 @@ mod tests {
         let circuit = generators::by_name("bv", 6);
         let local = vec![Complex64::ONE; 64];
         let kept = local.as_ptr();
-        let outcome = RankOutcome {
+        let figures = RankFigures {
             rank: 0,
             compute_time_s: 0.0,
             comm: CommStats::default(),
             exchanges: 0,
             layout: (0..6).collect(),
-            local,
         };
-        let outcomes = vec![outcome];
-        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0, None);
+        let gathered = Gathered::from_outcomes(vec![RankOutcome { figures, local }]);
+        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0, None);
         assert_eq!(state.amplitudes().as_ptr(), kept);
         assert_eq!(report.num_ranks, 1);
     }
@@ -973,7 +1021,8 @@ mod tests {
             assert!(state.exchanges > 0, "the schedule crosses the boundary");
             state.finish_rank()
         });
-        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, outcomes, 0.0, None);
+        let gathered = Gathered::from_outcomes(outcomes);
+        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0, None);
         assert!(got.approx_eq(&expected, 1e-9));
     }
 
@@ -991,7 +1040,10 @@ mod tests {
         let layouts = run_spmd(4, NetworkModel::ideal(), |mut comm| {
             let dispatch = KernelDispatch::default();
             let outcome = run_plan_rank(&mut comm, &schedule, dispatch, &inert);
-            outcome.expect("an inert control cannot cancel").layout
+            outcome
+                .expect("an inert control cannot cancel")
+                .figures
+                .layout
         });
         let identity: Vec<usize> = (0..9).collect();
         assert_ne!(layouts[0], identity, "the ranks end away from the identity");
@@ -1087,8 +1139,8 @@ mod tests {
                             true => drop(state),
                             false => {
                                 let outcome = state.finish_rank();
-                                assert_eq!(outcome.exchanges, exchanges);
-                                assert_eq!(Some(&outcome.layout), layouts.last());
+                                assert_eq!(outcome.figures.exchanges, exchanges);
+                                assert_eq!(Some(&outcome.figures.layout), layouts.last());
                                 assert_eq!(Some(&outcome.local), slices.last());
                             }
                         }

@@ -367,6 +367,20 @@ impl Pass {
             true => Support::Zero,
         }
     }
+
+    /// How many of a world of `ranks` ranks with `local_qubits`-qubit
+    /// slices hold a nonzero amplitude when the pass starts: the ranks
+    /// whose index bits set only [`live`](Self::live) positions,
+    /// `2^popcount(live ∩ rank positions)`, or every rank when a slice is
+    /// at most one [`TILE`] (swept in full, see [`support`](Self::support)).
+    /// The ranks a pass splits the world's cores among.
+    pub fn live_ranks(&self, ranks: usize, local_qubits: usize) -> usize {
+        if 1usize << local_qubits <= TILE {
+            return ranks;
+        }
+        let rank_positions = (ranks as u64 - 1) << local_qubits;
+        1 << (self.live & rank_positions).count_ones()
+    }
 }
 
 #[cfg(test)]
@@ -406,6 +420,41 @@ mod tests {
                     .all(|q| part.working_set.contains(q)));
             }
         }
+    }
+
+    #[test]
+    fn live_ranks_count_the_ranks_whose_bits_are_live() {
+        let l = 17;
+        let pass = |live: u64| Pass { live, ops: 0..2 };
+        // A world of one: its one rank, whatever is live.
+        for live in [0, 1 << 3, u64::MAX] {
+            assert_eq!(pass(live).live_ranks(1, l), 1);
+        }
+        // Two ranks, one rank bit (position 17).
+        assert_eq!(pass(0).live_ranks(2, l), 1);
+        assert_eq!(pass((1 << l) - 1).live_ranks(2, l), 1);
+        assert_eq!(pass(1 << l).live_ranks(2, l), 2);
+        // Four ranks, rank bits 17 and 18: each live one doubles the count,
+        // and positions above the world's do not count.
+        assert_eq!(pass(1 << 5).live_ranks(4, l), 1);
+        assert_eq!(pass(1 << (l + 1)).live_ranks(4, l), 2);
+        assert_eq!(pass(1 << l | 1 << (l + 2)).live_ranks(4, l), 2);
+        assert_eq!(pass(u64::MAX).live_ranks(4, l), 4);
+        // The count is the ranks `support` leaves sweeping.
+        for ranks in [1usize, 2, 4] {
+            for live in [0, 1 << l, 1 << (l + 1), 3 << l, u64::MAX] {
+                let sweeping = (0..ranks)
+                    .filter(|&rank| pass(live).support(rank, l) != Support::Zero)
+                    .count();
+                assert_eq!(
+                    pass(live).live_ranks(ranks, l),
+                    sweeping,
+                    "{ranks} {live:#x}"
+                );
+            }
+        }
+        // A slice of one tile is swept in full on every rank.
+        assert_eq!(pass(0).live_ranks(4, TILE.trailing_zeros() as usize), 4);
     }
 
     #[test]

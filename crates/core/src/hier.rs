@@ -170,10 +170,11 @@ mod tests {
     use hisvsim_circuit::generators;
     use hisvsim_statevec::run_circuit;
 
-    fn check_against_flat(circuit: &Circuit, limit: usize, strategy: Strategy, parallel: bool) {
+    /// Run `circuit` hierarchically under a pool of `threads` (0: the
+    /// host's) and hold it to the flat run.
+    fn check_against_flat(circuit: &Circuit, limit: usize, strategy: Strategy, threads: usize) {
         let expected = run_circuit(circuit);
         let sim = HierarchicalSimulator::new(HierConfig::new(limit).with_strategy(strategy));
-        let threads = if parallel { 0 } else { 1 };
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -181,7 +182,7 @@ mod tests {
         let run = pool.install(|| sim.run(circuit)).unwrap();
         assert!(
             run.state.approx_eq(&expected, 1e-9),
-            "{} limit={limit} strategy={} parallel={parallel}: hierarchical result diverges (max diff {})",
+            "{} limit={limit} strategy={} threads={threads}: hierarchical result diverges (max diff {})",
             circuit.name,
             strategy.name(),
             run.state.max_abs_diff(&expected)
@@ -195,7 +196,7 @@ mod tests {
         for name in generators::FAMILY_NAMES {
             let circuit = generators::by_name(name, 9);
             for limit in [4usize, 6, 9] {
-                check_against_flat(&circuit, limit, Strategy::DagP, false);
+                check_against_flat(&circuit, limit, Strategy::DagP, 1);
             }
         }
     }
@@ -205,7 +206,7 @@ mod tests {
         for name in ["qft", "grover", "qaoa"] {
             let circuit = generators::by_name(name, 8);
             for strategy in Strategy::ALL {
-                check_against_flat(&circuit, 5, strategy, false);
+                check_against_flat(&circuit, 5, strategy, 1);
             }
         }
     }
@@ -214,7 +215,7 @@ mod tests {
     fn parallel_assignment_loop_matches_sequential() {
         for name in ["qft", "adder", "ising"] {
             let circuit = generators::by_name(name, 10);
-            check_against_flat(&circuit, 5, Strategy::DagP, true);
+            check_against_flat(&circuit, 5, Strategy::DagP, 0);
         }
     }
 
@@ -231,7 +232,7 @@ mod tests {
     fn random_circuits_match_flat() {
         for seed in 0..5 {
             let circuit = generators::random_circuit(8, 80, seed);
-            check_against_flat(&circuit, 4, Strategy::DagP, seed % 2 == 0);
+            check_against_flat(&circuit, 4, Strategy::DagP, (seed % 2) as usize);
         }
     }
 

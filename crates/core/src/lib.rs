@@ -79,7 +79,7 @@ pub mod multilevel;
 pub use baseline::{run_baseline_rank, BaselineConfig, BaselineRun, BaselineSchedule, IqsBaseline};
 pub use dist::{
     aggregate_outcomes, prepare_gates, run_plan, run_plan_rank, DistConfig, DistRun, DistState,
-    DistributedSimulator, PreparedGate, RankOutcome, RunSpec,
+    DistributedSimulator, Gathered, PreparedGate, RankFigures, RankOutcome, RunSpec,
 };
 pub use exec::ExecControl;
 pub use fusedplan::{

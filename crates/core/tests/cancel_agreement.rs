@@ -189,7 +189,7 @@ impl World {
 fn assemble(outcomes: Vec<Result<RankOutcome, Cancelled>>) -> Option<StateVector> {
     let slices: Result<Vec<RankOutcome>, Cancelled> = outcomes.into_iter().collect();
     let slices = slices.ok()?;
-    let layout = slices[0].layout.clone();
+    let layout = slices[0].figures.layout.clone();
     let amps = slices.into_iter().flat_map(|outcome| outcome.local);
     let mut state = StateVector::from_amplitudes(amps.collect());
     state.permute_qubits(&layout);

@@ -12,9 +12,19 @@
 //! wide, check them at several limits, and the runs here stride tiles
 //! across qubits above them.
 //!
+//! Each tiled run also names the threads it ran on: the rank's share of the
+//! world's cores among the ranks the pass finds live, `max(1, cores /
+//! live_ranks)`, wherever the slice is wide enough to sweep on the pool at
+//! all, and no more threads than live tiles. Every run here splits a budget
+//! of `CORES` installed by the test, so the counts do not depend on the
+//! host; a 20-qubit plan on two ranks, whose slices reach the parallel
+//! threshold, shows one live rank sweeping on the whole budget and two
+//! splitting it.
+//!
 //! One test only: the recorder is process-wide.
 
 use hisvsim_circuit::{generators, Circuit};
+use hisvsim_cluster::on_threads;
 use hisvsim_core::{
     run_plan, ExecControl, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RunSpec,
 };
@@ -22,21 +32,25 @@ use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
 use hisvsim_statevec::fusion::{self, TILE};
-use hisvsim_statevec::run_circuit;
+use hisvsim_statevec::{run_circuit, ApplyOptions};
 use std::collections::BTreeMap;
 
 /// Qubits of every state: 17-qubit slices, two tiles, on four ranks.
 const QUBITS: usize = 19;
 /// The (first-level) working-set limit, the widest slice four ranks have.
 const LIMIT: usize = 17;
+/// The core budget every run splits among its live ranks.
+const CORES: usize = 4;
 
 /// What one run of a schedule showed: the entries checked, the tiled runs
-/// they made, and how many of those swept no tile.
+/// they made, how many of those swept no tile, and the most threads one
+/// of them ran on.
 #[derive(Default)]
 struct Checked {
     entries: usize,
     tiled: usize,
     empty: usize,
+    widest: usize,
 }
 
 /// The live tiles a `sweep:tiled` span's detail reports (`… N of M tiles …`).
@@ -46,17 +60,29 @@ fn tiles_reported(detail: &str) -> usize {
     live.parse().expect("a tile count")
 }
 
+/// The threads a `sweep:tiled` span's detail says it ran on (`…, on N
+/// threads`).
+fn threads_reported(detail: &str) -> usize {
+    let tail = detail.rsplit(", on ").next().expect("a thread count");
+    let count = tail.strip_suffix(" threads").expect("a thread count");
+    count.parse().expect("a thread count")
+}
+
 /// Check one run of `schedule` against the spans it left.
 fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> Checked {
     let ranks = schedule.ranks;
     let spec = RunSpec::new(engine, "dagP", ranks, Default::default());
     hisvsim_obs::set_enabled(true);
     let _ = hisvsim_obs::drain();
-    let (state, report) =
-        run_plan(circuit, schedule, spec, &ExecControl::default()).expect("nothing cancels");
+    let (state, report) = on_threads(CORES, || {
+        run_plan(circuit, schedule, spec, &ExecControl::default())
+    })
+    .expect("nothing cancels");
     hisvsim_obs::set_enabled(false);
     let spans = hisvsim_obs::drain();
     let context = format!("{} as {engine} on {ranks} ranks", circuit.name);
+    let l = schedule.local_qubits();
+    let on_pool = ApplyOptions::default().parallel_threshold <= 1 << l;
     assert!(state.approx_eq(&run_circuit(circuit), 1e-9), "{context}");
     assert_eq!(report.num_exchanges, schedule.exchanges(), "{context}");
 
@@ -105,16 +131,26 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> Checke
             let runs: Vec<&SpanRecord> = (sweeps.iter().copied())
                 .filter(|s| s.name == "sweep:tiled")
                 .collect();
-            let listed = entry
-                .in_place
-                .iter()
+            let listed: Vec<_> = (entry.in_place.iter())
                 .filter(|pass| pass.ops.len() > 1)
-                .count();
-            assert_eq!(runs.len(), listed, "{context}, part {index}: {names:?}");
-            for run in &runs {
+                .collect();
+            assert_eq!(
+                runs.len(),
+                listed.len(),
+                "{context}, part {index}: {names:?}"
+            );
+            for (run, pass) in runs.iter().zip(listed) {
                 let tiles = tiles_reported(&run.detail);
                 assert_eq!(run.bytes, (tiles * TILE * 32) as u64, "{context}");
                 checked.empty += usize::from(tiles == 0);
+                let share = (CORES / pass.live_ranks(ranks, l)).max(1);
+                let threads = match on_pool {
+                    true => share.min(tiles).max(1),
+                    false => 1,
+                };
+                let reported = threads_reported(&run.detail);
+                assert_eq!(reported, threads, "{context}, part {index}: {}", run.detail);
+                checked.widest = checked.widest.max(reported);
             }
             checked.tiled += runs.len();
             rank_swept.extend(sweeps.iter().map(|s| s.bytes as usize / 32));
@@ -187,4 +223,29 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
         }
     }
     assert!(tiled > 0, "no part exercised a tiled run");
+
+    // Two ranks, slices at the parallel threshold: while rank 1's slice is
+    // zero, rank 0 sweeps on every core; once both are live, on half.
+    let n = 20;
+    let circuit = generators::qft(n);
+    let dag = CircuitDag::from_circuit(&circuit);
+    let partition = Strategy::DagP
+        .partition(&dag, n - 1)
+        .expect("admits every gate");
+    let plan = FusedSinglePlan::new(&circuit, &dag, partition);
+    let schedule = FusedPlan::Single(&plan).schedule(n, 2);
+    let shares: Vec<usize> = (schedule.entries.iter())
+        .flat_map(|entry| &entry.in_place)
+        .filter(|pass| pass.ops.len() > 1)
+        .map(|pass| CORES / pass.live_ranks(2, n - 1))
+        .collect();
+    assert!(
+        shares.contains(&CORES) && shares.contains(&(CORES / 2)),
+        "{shares:?}"
+    );
+    let checked = check(&circuit, &schedule, "dist");
+    assert_eq!(
+        checked.widest, CORES,
+        "a lone live rank sweeps on the whole budget"
+    );
 }

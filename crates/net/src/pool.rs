@@ -22,7 +22,7 @@ use crate::proto::{
 };
 use crate::wire::{read_items_frame_into, recv_json, send_json};
 use hisvsim_circuit::{Complex64, Qubit};
-use hisvsim_core::{aggregate_outcomes, CancelToken, RankOutcome, RunReport};
+use hisvsim_core::{aggregate_outcomes, CancelToken, Gathered, RankFigures, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
 use hisvsim_statevec::{buffers, StateVector};
@@ -304,7 +304,7 @@ impl WorkerPool {
             streams.push(stream.try_clone()?);
         }
         let done = AtomicBool::new(false);
-        let outcomes = std::thread::scope(|scope| {
+        let gathered = std::thread::scope(|scope| {
             scope.spawn(|| {
                 while !done.load(Ordering::Acquire) {
                     if cancel.is_cancelled() {
@@ -337,7 +337,7 @@ impl WorkerPool {
             "process",
             &job.circuit,
             job.num_parts(),
-            outcomes,
+            gathered,
             wall,
             perm,
         ))
@@ -460,17 +460,21 @@ impl WorkerPool {
 }
 
 impl World {
-    /// Gather per-rank reports (and, on success, the slices of an `n`-qubit
-    /// state under the one layout every rank reports, read into buffers from
-    /// the pool); a unanimous cancel is [`NetError::Cancelled`]. Before each blocking read, wait for
-    /// readability while polling worker liveness — a crashed worker fails
-    /// the gather promptly instead of wedging the pool on a stream that will
-    /// never produce bytes.
-    fn gather(&mut self, epoch: u64, n: usize) -> Result<Vec<RankOutcome>, NetError> {
+    /// Gather per-rank reports and, on success, the slices of an `n`-qubit
+    /// state under the one layout every rank reports: rank `r`'s slice of
+    /// `2^l` amplitudes is read straight into `[r << l, (r + 1) << l)` of
+    /// one state-sized buffer from the pool, so the launcher stages no
+    /// slice and copies none. A unanimous cancel is [`NetError::Cancelled`].
+    /// Before each blocking read, wait for readability while polling worker
+    /// liveness — a crashed worker fails the gather promptly instead of
+    /// wedging the pool on a stream that will never produce bytes.
+    fn gather(&mut self, epoch: u64, n: usize) -> Result<Gathered, NetError> {
         let _gather = hisvsim_obs::span("cluster", "gather");
         let ranks = self.controls.len();
         let amp_count = 1 << n.saturating_sub(ranks.trailing_zeros() as usize);
-        let mut outcomes: Vec<RankOutcome> = Vec::with_capacity(ranks);
+        let mut figures: Vec<RankFigures> = Vec::with_capacity(ranks);
+        // Taken at the first slice, so a cancelled job takes none.
+        let mut amplitudes: Option<Vec<Complex64>> = None;
         let mut cancelled_ranks = 0usize;
         for (rank, stream) in self.controls.iter_mut().enumerate() {
             await_readable(stream, &mut self.guard)?;
@@ -511,7 +515,7 @@ impl World {
                     report.layout
                 )));
             }
-            if let Some(first) = outcomes
+            if let Some(first) = figures
                 .first()
                 .filter(|first| first.layout != report.layout)
             {
@@ -520,9 +524,12 @@ impl World {
                     report.layout, first.rank, first.layout
                 )));
             }
-            let mut local = buffers::take(amp_count);
-            local.resize(amp_count, Complex64::ZERO);
-            let tag = read_items_frame_into(stream, &mut local)?;
+            let amps = amplitudes.get_or_insert_with(|| {
+                let mut amps = buffers::take(amp_count * ranks);
+                amps.resize(amp_count * ranks, Complex64::ZERO);
+                amps
+            });
+            let tag = read_items_frame_into(stream, &mut amps[rank * amp_count..][..amp_count])?;
             if tag != AMPS_TAG {
                 return Err(NetError::Protocol(format!(
                     "expected the amplitude frame, got tag {tag:#x}"
@@ -548,17 +555,19 @@ impl World {
                     ("messages_sent", &report.comm.messages_sent.to_string()),
                 ],
             );
-            outcomes.push(RankOutcome {
+            figures.push(RankFigures {
                 rank,
                 compute_time_s: report.compute_time_s,
                 comm: report.comm,
                 exchanges: report.exchanges,
                 layout: report.layout,
-                local,
             });
         }
         match cancelled_ranks {
-            0 => Ok(outcomes),
+            0 => Ok(Gathered {
+                ranks: figures,
+                amplitudes: amplitudes.expect("every rank sent its slice"),
+            }),
             all if all == ranks => Err(NetError::Cancelled),
             // The cancel vote guarantees unanimity; a split means the
             // protocol was violated somewhere.
@@ -773,7 +782,7 @@ mod tests {
 
     /// Gather the answer of a world of `writes.len()` ranks for a job of
     /// `qubits` qubits, each rank having written its part and hung up.
-    fn gather_from(writes: Vec<Write<'_>>, qubits: usize) -> Result<Vec<RankOutcome>, NetError> {
+    fn gather_from(writes: Vec<Write<'_>>, qubits: usize) -> Result<Gathered, NetError> {
         let listener = TcpListener::bind("127.0.0.1:0").expect("a loopback port");
         let mut controls = Vec::new();
         for write in writes {
@@ -806,10 +815,10 @@ mod tests {
     fn a_report_announcing_another_slice_length_is_refused_before_allocating() {
         let amps = numbered(1024);
         let honest = gather_from(vec![answers(report(0, 1024, (0..10).collect()), &amps)], 10);
-        let Ok(outcomes) = honest else {
+        let Ok(gathered) = honest else {
             panic!("an honest report is gathered");
         };
-        assert_eq!(outcomes[0].local, amps);
+        assert_eq!(gathered.amplitudes, amps);
 
         // 2^40 amplitudes would be a 16 TiB buffer: refused from the report
         // alone, with no frame read and nothing allocated.
@@ -858,7 +867,35 @@ mod tests {
             answers(report(0, 512, swapped.clone()), &amps),
             answers(report(1, 512, swapped.clone()), &amps),
         ];
-        let outcomes = gather_from(both, 10).expect("one layout on every rank");
-        assert!(outcomes.iter().all(|outcome| outcome.layout == swapped));
+        let gathered = gather_from(both, 10).expect("one layout on every rank");
+        assert!(gathered.ranks.iter().all(|rank| rank.layout == swapped));
+    }
+
+    #[test]
+    fn each_ranks_frame_lands_at_its_slice_of_the_state() {
+        // Two ranks of a 10-qubit state, 2^9 amplitudes each: rank r's
+        // frame is read into [r << 9, (r + 1) << 9) of one buffer.
+        let l = 9;
+        let slices: Vec<Vec<Complex64>> = (0..2)
+            .map(|r| {
+                (0..1 << l)
+                    .map(|i| Complex64::new(r as f64, i as f64))
+                    .collect()
+            })
+            .collect();
+        let writes = (0..2)
+            .map(|r| answers(report(r, 1 << l, (0..10).collect()), &slices[r]))
+            .collect();
+        let gathered = gather_from(writes, 10).expect("two honest ranks");
+        assert_eq!(gathered.amplitudes.len(), 1 << 10);
+        for (r, slice) in slices.iter().enumerate() {
+            assert_eq!(
+                &gathered.amplitudes[r << l..(r + 1) << l],
+                &slice[..],
+                "rank {r}"
+            );
+        }
+        let ranks: Vec<usize> = gathered.ranks.iter().map(|rank| rank.rank).collect();
+        assert_eq!(ranks, [0, 1]);
     }
 }

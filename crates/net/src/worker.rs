@@ -24,7 +24,8 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_core::{
-    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, RankOutcome, RunReport,
+    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, Gathered, RankOutcome,
+    RunReport,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
@@ -89,13 +90,14 @@ pub fn execute_local_reference(job: &ShippedJob, ranks: usize) -> (StateVector, 
             execute_shipped_rank(job, &plan, &mut comm, &CancelToken::new())
                 .expect("an inert token never cancels")
         });
+    let gathered = Gathered::from_outcomes(outcomes);
     let wall = start.elapsed().as_secs_f64();
     aggregate_outcomes(
         job.engine_name(),
         "process",
         &job.circuit,
         job.num_parts(),
-        outcomes,
+        gathered,
         wall,
         None,
     )
@@ -201,15 +203,15 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
         .unwrap_or_else(|payload| Err(describe_panic(payload)));
         cancels.lock().expect("cancel map poisoned").remove(&epoch);
         match result {
-            Ok(Ok(outcome)) => {
+            Ok(Ok(RankOutcome { figures, local })) => {
                 log::debug(
                     LOG_TARGET,
                     "rank body complete",
                     &[
                         ("rank", &rank.to_string()),
                         ("epoch", &epoch.to_string()),
-                        ("compute_s", &format!("{:.3}", outcome.compute_time_s)),
-                        ("exchanges", &outcome.exchanges.to_string()),
+                        ("compute_s", &format!("{:.3}", figures.compute_time_s)),
+                        ("exchanges", &figures.exchanges.to_string()),
                     ],
                 );
                 let spans = if job.trace {
@@ -223,16 +225,16 @@ pub fn run_worker(control_addr: &str, rank: usize) -> Result<(), NetError> {
                         rank,
                         epoch,
                         status: RankStatus::Ok,
-                        compute_time_s: outcome.compute_time_s,
-                        comm: outcome.comm,
-                        exchanges: outcome.exchanges,
-                        layout: outcome.layout,
-                        amp_count: outcome.local.len(),
+                        compute_time_s: figures.compute_time_s,
+                        comm: figures.comm,
+                        exchanges: figures.exchanges,
+                        layout: figures.layout,
+                        amp_count: local.len(),
                         spans,
                     },
                 )?;
-                write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&outcome.local))?;
-                buffers::give(outcome.local);
+                write_frame(&mut control, AMPS_TAG, &items_as_wire_bytes(&local))?;
+                buffers::give(local);
             }
             Ok(Err(Cancelled)) => {
                 log::debug(

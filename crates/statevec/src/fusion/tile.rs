@@ -175,6 +175,12 @@ impl FusedCircuit {
         }
         // Each live tile starts at `deposit(t, picks)`, `t < tiles`.
         let (picks, tiles) = shape.live_tiles(len, support);
+        // Each worker claims the next tile until none is left, so a worker
+        // the host slows down takes fewer tiles, and holds one buffer.
+        let workers = match opts.go_parallel(len) {
+            true => rayon::current_num_threads().min(tiles).max(1),
+            false => 1,
+        };
         let _g = (hisvsim_obs::enabled() && sample_sweep(len)).then(|| {
             let gates: usize = self.ops()[run.clone()]
                 .iter()
@@ -182,7 +188,7 @@ impl FusedCircuit {
                 .sum();
             hisvsim_obs::span("kernel", "sweep:tiled")
                 .detail(format!(
-                    "{} ops, {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}",
+                    "{} ops, {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}, on {workers} threads",
                     run.len(),
                     gates,
                     len / TILE,
@@ -237,12 +243,6 @@ impl FusedCircuit {
             for (amps, &offset) in tile.chunks_exact(chunk).zip(offsets) {
                 chunk_at(offset).copy_from_slice(amps);
             }
-        };
-        // Each worker claims the next tile until none is left, so a worker
-        // the host slows down takes fewer tiles, and holds one buffer.
-        let workers = match opts.go_parallel(len) {
-            true => rayon::current_num_threads().clamp(1, tiles),
-            false => 1,
         };
         let next = AtomicUsize::new(0);
         for_each_range(workers, workers > 1, |_| {

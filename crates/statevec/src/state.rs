@@ -2,7 +2,9 @@
 //! quantum states.
 
 use crate::buffers;
+use crate::kernels::ApplyOptions;
 use hisvsim_circuit::Complex64;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A dense `n`-qubit quantum state: `2^n` complex amplitudes, little-endian
@@ -50,7 +52,9 @@ impl StateVector {
 
     /// An unnormalised state of all-zero amplitudes, used as a scratch target
     /// for gather/scatter and distributed exchanges. A kept buffer is zeroed
-    /// in place; a fresh one faults its pages in here.
+    /// in place; a fresh one faults its pages in here. From the default
+    /// options' parallel threshold up, the fill runs on the rayon pool the
+    /// caller is in, as a sweep of the same width would.
     pub fn uninitialized(num_qubits: usize) -> Self {
         assert!(
             num_qubits < usize::BITS as usize - 4,
@@ -59,7 +63,16 @@ impl StateVector {
         let len = 1usize << num_qubits;
         let mut amps = buffers::take(len);
         amps.clear();
-        amps.resize(len, Complex64::ZERO);
+        if ApplyOptions::default().go_parallel(len) {
+            let zeros = &mut amps.spare_capacity_mut()[..len];
+            zeros.par_iter_mut().for_each(|amp| {
+                amp.write(Complex64::ZERO);
+            });
+            // SAFETY: the first `len` slots of the capacity were just written.
+            unsafe { amps.set_len(len) };
+        } else {
+            amps.resize(len, Complex64::ZERO);
+        }
         Self { num_qubits, amps }
     }
 

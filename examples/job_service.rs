@@ -122,9 +122,10 @@ fn cancel_in_flight() {
     );
     let events = handle.progress();
 
-    // Follow the stream; cancel as soon as real execution progress shows.
+    // Follow the stream; cancel once, as soon as real execution progress
+    // shows, and remember the fraction and time it was requested at.
     let mut exec_started_at = None;
-    let mut last_fraction = 0.0f64;
+    let mut requested: Option<(f64, f64)> = None;
     while let Ok(event) = events.recv() {
         match event {
             JobEvent::Planning | JobEvent::Queued => {}
@@ -141,18 +142,17 @@ fn cancel_in_flight() {
             } => {
                 let now = Instant::now();
                 let started = *exec_started_at.get_or_insert(now);
-                last_fraction = gates_done as f64 / gates_total.max(1) as f64;
+                let fraction = gates_done as f64 / gates_total.max(1) as f64;
                 println!(
                     "  [{:7.2} s] executing: {gates_done}/{gates_total} gates ({:.0}%)",
                     submit_time.elapsed().as_secs_f64(),
-                    100.0 * last_fraction
+                    100.0 * fraction
                 );
-                if gates_done > 0 {
-                    println!(
-                        "  cancelling after {:.2} s of execution…",
-                        now.duration_since(started).as_secs_f64()
-                    );
+                if gates_done > 0 && requested.is_none() {
+                    let exec_s = now.duration_since(started).as_secs_f64();
+                    println!("  cancelling after {exec_s:.2} s of execution…");
                     handle.cancel();
+                    requested = Some((fraction, exec_s));
                 }
             }
             JobEvent::Cancelled => {
@@ -170,19 +170,15 @@ fn cancel_in_flight() {
         "the demo job must end cancelled"
     );
     let wall = submit_time.elapsed().as_secs_f64();
-    if let Some(started) = exec_started_at {
-        let exec_s = started.elapsed().as_secs_f64();
-        if last_fraction > 0.0 {
-            println!(
-                "cancelled at {:.0}% through execution: {wall:.2} s wall vs \
-                 ~{:.2} s projected uncancelled ({:.1}x saved)\n",
-                100.0 * last_fraction,
-                exec_s / last_fraction,
-                1.0 / last_fraction
-            );
-        } else {
-            println!("cancelled before the first part completed ({wall:.2} s wall)\n");
-        }
+    match requested {
+        Some((fraction, exec_s)) => println!(
+            "cancel requested {:.0}% through execution: {wall:.2} s wall vs \
+             ~{:.2} s projected uncancelled ({:.1}x saved)\n",
+            100.0 * fraction,
+            exec_s / fraction,
+            1.0 / fraction
+        ),
+        None => println!("cancelled before the first part completed ({wall:.2} s wall)\n"),
     }
 }
 
