@@ -139,7 +139,11 @@ pub struct BaselineRun {
     pub report: RunReport,
 }
 
-/// The IQS-style baseline simulator.
+/// The IQS-style baseline simulator: the paper's flat comparison target
+/// (Figs. 5–9). The runtime does not serve it (it refuses a job that forces
+/// it); it stays for the figures, the differential suites, and because the
+/// benchmark adapter (`crates/bench/src/bin/hisvsim-bench/`) names it for
+/// its `core.flat_s` row.
 #[derive(Debug, Clone, Copy)]
 pub struct IqsBaseline {
     config: BaselineConfig,
@@ -187,8 +191,7 @@ impl IqsBaseline {
 /// Execute one rank of the IQS-style baseline against `comm`: the one rank
 /// body of the baseline, run only by the thread world
 /// ([`IqsBaseline::run_controlled`]). No worker process runs it: a shipped
-/// job is always a plan, and the runtime refuses a baseline job on the
-/// process backend.
+/// job is always a plan, and the runtime serves no baseline job.
 ///
 /// The ranks vote ([`DistState::vote_cancelled`]) before every schedule step
 /// (fused local segment or distributed gate — the latter's exchanges are the

@@ -118,7 +118,10 @@ pub struct FusedMlPart {
     pub second: Vec<FusedPart>,
 }
 
-/// A two-level partition plan with prefused second-level parts.
+/// A two-level partition plan with prefused second-level parts: the
+/// multilevel comparator's (Fig. 10). The runtime neither caches, ships nor
+/// runs one; it stays for the figure, the differential suites, and because
+/// the benchmark adapter (`crates/bench/src/bin/hisvsim-bench/`) names it.
 #[derive(Debug, Clone)]
 pub struct FusedTwoLevelPlan {
     /// The two-level partition the plan executes.
@@ -184,7 +187,9 @@ impl FusedTwoLevelPlan {
 pub enum FusedPlan<'a> {
     /// A single-level plan (the hier and dist engines').
     Single(&'a FusedSinglePlan),
-    /// A two-level plan (the multilevel engine's).
+    /// A two-level plan (the multilevel comparator's). The runtime compiles
+    /// only [`FusedPlan::Single`]; this variant stays for the figure, the
+    /// differential suites and the benchmark adapter's two-level row.
     Two(&'a FusedTwoLevelPlan),
 }
 

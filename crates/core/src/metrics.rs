@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 /// Metrics of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
-    /// Engine name (`"hier"`, `"dist"`, `"multilevel"`, `"iqs-baseline"`, `"flat"`).
+    /// Engine name: `"hier"` or `"dist"` (the engines the runtime serves),
+    /// or a comparator's, `"multilevel"` or `"iqs-baseline"`.
     pub engine: String,
     /// Partitioning strategy name (`"Nat"`, `"DFS"`, `"dagP"`, or `"-"`).
     pub strategy: String,
@@ -20,7 +21,8 @@ pub struct RunReport {
     pub num_qubits: usize,
     /// Number of gates executed.
     pub num_gates: usize,
-    /// Number of parts the circuit was split into (1 for flat/baseline).
+    /// Number of parts the circuit was split into (first-level parts for
+    /// `"multilevel"`, 1 for the baseline).
     pub num_parts: usize,
     /// Number of virtual ranks (1 for single-node engines).
     pub num_ranks: usize,

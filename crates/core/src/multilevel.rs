@@ -63,7 +63,12 @@ pub struct MultilevelRun {
     pub partition: MultilevelPartition,
 }
 
-/// The multi-level distributed HiSVSIM engine (dagP at both levels).
+/// The multi-level distributed HiSVSIM engine (dagP at both levels): the
+/// paper's multi-level partitioning (Fig. 10), a comparator to `dist`. The
+/// runtime does not serve it (it refuses a job that forces it); it stays
+/// for the figure, the differential suites, and because the benchmark
+/// adapter (`crates/bench/src/bin/hisvsim-bench/`) names it for its
+/// `core.multilevel2_s` row.
 #[derive(Debug, Clone, Copy)]
 pub struct MultilevelSimulator {
     config: MultilevelConfig,

@@ -25,7 +25,6 @@ use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
 use hisvsim_obs::log;
 use hisvsim_partition::Strategy;
-use hisvsim_runtime::PersistedPlan;
 use std::process::ExitCode;
 
 const LOG_TARGET: &str = "hisvsim-net";
@@ -132,7 +131,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
     let job = ShippedJob {
         circuit,
         dispatch: Default::default(),
-        plan: PersistedPlan::Single(partition),
+        plan: partition,
         trace: tracing,
     };
     let (state, report) = match pool.execute(&job, None, &CancelToken::new()) {

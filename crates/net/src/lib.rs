@@ -15,9 +15,9 @@
 //! * [`proto`] — the pool↔worker control protocol: an epoch-tagged
 //!   [`WorkerCommand`] stream over a persistent channel; [`ShippedJob`]
 //!   carries only what decides the result — the circuit, the kernel
-//!   dispatch and the partition in its
-//!   [`PersistedPlan`](hisvsim_runtime::PersistedPlan) wire shape (fused
-//!   matrices never travel, workers re-fuse locally),
+//!   dispatch and the plan's single-level
+//!   [`Partition`](hisvsim_dag::Partition), the one plan shape the runtime
+//!   serves (fused matrices never travel, workers re-fuse locally),
 //! * [`worker`] — the `hisvsim-net worker` process body: a resident
 //!   command loop running the one rank body the in-process world runs
 //!   (`run_plan_rank`) over the partition it validates and fuses per job,

@@ -332,11 +332,13 @@ impl WorkerPool {
                 ("wall_s", &format!("{wall:.3}")),
             ],
         );
+        // A single-level plan on a world of ranks is dist; the runner
+        // renames a hier job's report.
         Ok(aggregate_outcomes(
-            job.engine_name(),
+            "dist",
             "process",
             &job.circuit,
-            job.num_parts(),
+            job.plan.num_parts(),
             gathered,
             wall,
             perm,

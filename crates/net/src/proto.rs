@@ -3,9 +3,10 @@
 //! Everything on the control channel is a JSON frame (see
 //! [`crate::wire`]), except each job's amplitude slice, which follows the
 //! worker's [`RankReport`] as one raw little-endian frame tagged
-//! [`AMPS_TAG`]. The shipped plan is exactly the plan-cache snapshot shape
-//! ([`PersistedPlan`]): partitions travel, fused matrices never do —
-//! workers re-fuse locally, keeping the fused form process-local by design.
+//! [`AMPS_TAG`]. The shipped plan is what a plan-cache snapshot holds, the
+//! plan's single-level [`Partition`]: partitions travel, fused matrices
+//! never do — workers re-fuse locally, keeping the fused form process-local
+//! by design.
 //!
 //! The channel is *persistent*: after the one-time rendezvous
 //! ([`WorkerHello`] up, [`LaunchSpec`] down), the pool streams
@@ -17,19 +18,20 @@
 
 use hisvsim_circuit::Circuit;
 use hisvsim_cluster::CommStats;
+use hisvsim_dag::Partition;
 use hisvsim_obs::SpanRecord;
-use hisvsim_runtime::{KernelDispatch, PersistedPlan};
+use hisvsim_runtime::KernelDispatch;
 use serde::{Deserialize, Serialize};
 
 /// Tag of the raw amplitude-slice frame a worker sends after its report.
 pub const AMPS_TAG: u64 = 0x414D_5053_0000_0001;
 
-/// The job the pool ships to every worker: the circuit and the partition
-/// plan in its wire shape — exactly what decides the result. Every worker
+/// The job the pool ships to every worker: the circuit and the plan's
+/// partition — exactly what decides the result. Every worker
 /// re-fuses the partition at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`]:
 /// fusion is deterministic, so every rank derives the identical fused
-/// schedule independently, and the fused matrices never travel. The plan's
-/// shape and the world size alone decide the schedule the one rank body
+/// schedule independently, and the fused matrices never travel. The
+/// partition and the world size alone decide the schedule the one rank body
 /// walks (`FusedPlan::schedule`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShippedJob {
@@ -37,32 +39,12 @@ pub struct ShippedJob {
     pub circuit: Circuit,
     /// Kernel dispatch every rank applies to its local sweeps.
     pub dispatch: KernelDispatch,
-    /// The partition to execute ([`PersistedPlan::Single`] for hier/dist,
-    /// [`PersistedPlan::Two`] for multilevel).
-    pub plan: PersistedPlan,
+    /// The single-level partition to execute.
+    pub plan: Partition,
     /// When true, workers enable their span recorder and ship the buffered
     /// spans back in [`RankReport::spans`], so the pool can merge every
     /// rank into one timeline.
     pub trace: bool,
-}
-
-impl ShippedJob {
-    /// Number of (first-level) parts the shipped plan executes.
-    pub fn num_parts(&self) -> usize {
-        match &self.plan {
-            PersistedPlan::Single(partition) => partition.num_parts(),
-            PersistedPlan::Two(ml) => ml.num_first_level_parts(),
-        }
-    }
-
-    /// The engine name a report of this job carries, read off the plan's
-    /// shape: a single-level plan on a multi-rank world is `dist`.
-    pub(crate) fn engine_name(&self) -> &'static str {
-        match &self.plan {
-            PersistedPlan::Single(_) => "dist",
-            PersistedPlan::Two(_) => "multilevel",
-        }
-    }
 }
 
 /// First message on a worker's control connection: which rank it is and

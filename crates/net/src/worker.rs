@@ -4,8 +4,7 @@
 //! pool, joins the TCP mesh **once**, then serves jobs from a persistent
 //! command loop — on every job checking the shipped partition against the
 //! circuit at the world's local width and fusing it (the rule the runtime
-//! applies to a warm snapshot entry,
-//! [`PersistedPlan::validate_and_fuse`](hisvsim_runtime::PersistedPlan::validate_and_fuse)),
+//! applies to a warm snapshot entry, [`validate_and_fuse`]),
 //! running the *same* rank body the in-process world runs, and streaming
 //! its slice back in the layout the body ended in, then giving it to the
 //! process's [`buffers`] pool beside the exchange's: a warm worker's next
@@ -24,12 +23,12 @@ use crate::wire::{items_as_wire_bytes, recv_json, send_json, write_frame};
 use hisvsim_circuit::Complex64;
 use hisvsim_cluster::{run_spmd, NetworkModel, RankComm};
 use hisvsim_core::{
-    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, Gathered, RankOutcome,
-    RunReport,
+    aggregate_outcomes, run_plan_rank, CancelToken, Cancelled, ExecControl, FusedPlan,
+    FusedSinglePlan, Gathered, RankOutcome, RunReport,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::log;
-use hisvsim_runtime::CachedPlan;
+use hisvsim_runtime::validate_and_fuse;
 use hisvsim_statevec::{buffers, StateVector};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -42,17 +41,15 @@ const LOG_TARGET: &str = "hisvsim-net::worker";
 
 /// The fused plan of a shipped job for a world of `ranks` ranks. A shipped
 /// partition is no more trusted than a persisted one: it is checked at the
-/// world's local width and fused by
-/// [`PersistedPlan::validate_and_fuse`](hisvsim_runtime::PersistedPlan::validate_and_fuse),
-/// afresh on every job.
-fn shipped_plan(job: &ShippedJob, ranks: usize) -> Result<CachedPlan, String> {
+/// world's local width and fused by [`validate_and_fuse`], afresh on every
+/// job.
+fn shipped_plan(job: &ShippedJob, ranks: usize) -> Result<Arc<FusedSinglePlan>, String> {
     let qubits = job.circuit.num_qubits();
     let local = qubits
         .checked_sub(ranks.trailing_zeros() as usize)
         .ok_or_else(|| format!("{qubits} qubits cannot spread over {ranks} ranks"))?;
     let dag = CircuitDag::from_circuit(&job.circuit);
-    (job.plan.clone())
-        .validate_and_fuse(&job.circuit, &dag, local)
+    validate_and_fuse(job.plan.clone(), &job.circuit, &dag, local)
         .map_err(|e| format!("the shipped plan does not validate at {local} local qubits: {e}"))
 }
 
@@ -66,12 +63,12 @@ fn shipped_plan(job: &ShippedJob, ranks: usize) -> Result<CachedPlan, String> {
 /// runs bit-identical by construction.
 fn execute_shipped_rank<C: RankComm<Complex64>>(
     job: &ShippedJob,
-    plan: &CachedPlan,
+    plan: &FusedSinglePlan,
     comm: &mut C,
     cancel: &CancelToken,
 ) -> Result<RankOutcome, Cancelled> {
     let control = ExecControl::new().with_cancel(cancel.clone());
-    let schedule = plan.fused().schedule(job.circuit.num_qubits(), comm.size());
+    let schedule = FusedPlan::Single(plan).schedule(job.circuit.num_qubits(), comm.size());
     run_plan_rank(comm, &schedule, job.dispatch, &control)
 }
 
@@ -93,10 +90,10 @@ pub fn execute_local_reference(job: &ShippedJob, ranks: usize) -> (StateVector, 
     let gathered = Gathered::from_outcomes(outcomes);
     let wall = start.elapsed().as_secs_f64();
     aggregate_outcomes(
-        job.engine_name(),
+        "dist",
         "process",
         &job.circuit,
-        job.num_parts(),
+        job.plan.num_parts(),
         gathered,
         wall,
         None,

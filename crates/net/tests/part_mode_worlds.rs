@@ -1,6 +1,5 @@
 //! A part's passes are fixed by the plan alone, so the thread world and a
-//! worker-process world of one multilevel job run every second-level part
-//! alike: with the recorder on, each rank leaves one `part` span per part
+//! worker-process world of one dist job run every part alike: with the recorder on, each rank leaves one `part` span per part
 //! (`ws=… passes=…`), the workers ship theirs back, and the two worlds' spans
 //! read the same. Alone in its test binary because the span recorder and the
 //! strided-pass tally are process-global.
@@ -9,8 +8,7 @@ use hisvsim_circuit::generators;
 use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, ShippedJob, WorkerPool};
-use hisvsim_partition::MultilevelPartitioner;
-use hisvsim_runtime::PersistedPlan;
+use hisvsim_partition::Strategy;
 use hisvsim_statevec::fusion;
 use std::path::PathBuf;
 
@@ -31,13 +29,13 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     // 18 local qubits: above one tile, so passes stride tiles.
     let circuit = generators::by_name("qaoa", 19);
     let dag = CircuitDag::from_circuit(&circuit);
-    let ml = MultilevelPartitioner
-        .partition(&dag, 18, 12)
-        .expect("qaoa partitions at these limits");
+    let partition = Strategy::DagP
+        .partition(&dag, 18)
+        .expect("qaoa partitions at the local width");
     let job = ShippedJob {
         circuit,
         dispatch: Default::default(),
-        plan: PersistedPlan::Two(ml),
+        plan: partition,
         trace: true,
     };
     let pool =

@@ -6,9 +6,9 @@ use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{CancelToken, RunReport};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
-use hisvsim_partition::{MultilevelPartitioner, Strategy};
+use hisvsim_partition::Strategy;
 use hisvsim_runtime::{
-    Backend, EngineKind, EngineSelector, JobControl, JobError, JobRunner, PersistedPlan, Scheduler,
+    Backend, CacheStats, EngineKind, EngineSelector, JobControl, JobError, JobRunner, Scheduler,
     SchedulerConfig, Semaphore, SimJob,
 };
 use hisvsim_service::{JobEvent, ServiceConfig, SimService};
@@ -31,7 +31,7 @@ fn single_level_job_of(circuit: Circuit, workers: usize) -> ShippedJob {
     ShippedJob {
         circuit,
         dispatch: Default::default(),
-        plan: PersistedPlan::Single(partition),
+        plan: partition,
         trace: false,
     }
 }
@@ -73,24 +73,6 @@ fn four_process_dist_run_is_bit_identical_to_in_process() {
 fn four_process_hier_plan_is_bit_identical_to_in_process() {
     let workers = 4;
     let job = single_level_job(11, workers);
-    let (state, _) = run_on_processes(&job, workers);
-    assert_eq!(state, reference(&job, workers));
-    assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
-}
-
-#[test]
-fn process_multilevel_matches_the_flat_simulator() {
-    let workers = 2;
-    // Multilevel ships a two-level partition.
-    let circuit = generators::by_name("qaoa", 9);
-    let dag = CircuitDag::from_circuit(&circuit);
-    let ml = MultilevelPartitioner.partition(&dag, 8, 3).unwrap();
-    let job = ShippedJob {
-        circuit,
-        dispatch: Default::default(),
-        plan: PersistedPlan::Two(ml),
-        trace: false,
-    };
     let (state, _) = run_on_processes(&job, workers);
     assert_eq!(state, reference(&job, workers));
     assert!(state.approx_eq(&run_circuit(&job.circuit), 1e-9));
@@ -218,22 +200,36 @@ fn too_small_circuit_is_rejected_before_any_worker_launches() {
 }
 
 #[test]
-fn forced_baseline_process_job_is_rejected_before_any_worker_launches() {
-    // The workers run the one rank body over a shipped plan; the flat
-    // baseline takes none, so the runner refuses it before the pool spawns.
+fn a_forced_comparator_job_is_refused_before_planning_on_either_backend() {
+    // The runtime serves a single-level plan on a world of one rank or of
+    // several; the paper's two comparators run through their core entry
+    // points. A job forcing either is refused with the one typed error
+    // before planning (the plan cache sees no lookup), before a residency
+    // slot and before the pool spawns a world, whichever backend it asks
+    // for.
     let pool = Arc::new(launcher(2));
     let runner = JobRunner::new(
         SchedulerConfig::default()
             .with_selector(EngineSelector::scaled(4, 8))
             .with_process_backend(Arc::clone(&pool) as _),
     );
-    let job = SimJob::new(generators::by_name("ising", 9))
-        .with_engine(EngineKind::Baseline)
-        .with_backend(Backend::Process);
-    let err = runner
-        .execute_job(0, job, &Semaphore::new(1), &JobControl::new())
-        .unwrap_err();
-    assert!(matches!(err, JobError::Backend { .. }), "got: {err}");
+    let residency = Semaphore::new(1);
+    for engine in [EngineKind::Baseline, EngineKind::Multilevel] {
+        for backend in [Backend::Local, Backend::Process] {
+            let job = SimJob::new(generators::by_name("ising", 9))
+                .with_engine(engine)
+                .with_backend(backend);
+            let err = runner
+                .execute_job(0, job, &residency, &JobControl::new())
+                .unwrap_err();
+            assert!(
+                matches!(err, JobError::EngineNotServed { engine: refused, .. } if refused == engine),
+                "{engine} on {backend:?}: got {err}"
+            );
+            assert_eq!(runner.cache().stats(), CacheStats::default());
+            assert_eq!(residency.available(), 1);
+        }
+    }
     assert_eq!(pool.metrics().worlds_spawned, 0);
     assert_eq!(pool.metrics().jobs_run, 0);
 }
@@ -312,7 +308,7 @@ fn a_shipped_plan_that_does_not_validate_fails_the_job_on_the_workers() {
     let cyclic = ShippedJob {
         circuit,
         dispatch: Default::default(),
-        plan: PersistedPlan::Single(Partition::from_gate_assignment(vec![0, 1, 0])),
+        plan: Partition::from_gate_assignment(vec![0, 1, 0]),
         trace: false,
     };
     let pool = launcher(2);
@@ -326,7 +322,7 @@ fn a_shipped_plan_that_does_not_validate_fails_the_job_on_the_workers() {
     );
     // A part wider than a worker's slice is refused the same way.
     let mut too_wide = single_level_job(8, 1);
-    too_wide.plan = PersistedPlan::Single(Partition::single_part(too_wide.circuit.num_gates()));
+    too_wide.plan = Partition::single_part(too_wide.circuit.num_gates());
     let err = pool
         .execute(&too_wide, None, &CancelToken::new())
         .unwrap_err();

@@ -9,9 +9,7 @@ use hisvsim_core::CancelToken;
 use hisvsim_dag::CircuitDag;
 use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
 use hisvsim_partition::Strategy;
-use hisvsim_runtime::{
-    Backend, EngineKind, EngineSelector, PersistedPlan, SchedulerConfig, SimJob,
-};
+use hisvsim_runtime::{Backend, EngineKind, EngineSelector, SchedulerConfig, SimJob};
 use hisvsim_service::{ServiceConfig, SimService, DEADLINE_EXCEEDED};
 use hisvsim_statevec::{run_circuit, StateVector};
 use std::path::PathBuf;
@@ -29,7 +27,7 @@ fn plan_job(circuit: Circuit, limit: usize) -> ShippedJob {
     ShippedJob {
         circuit,
         dispatch: Default::default(),
-        plan: PersistedPlan::Single(partition),
+        plan: partition,
         trace: false,
     }
 }

@@ -8,17 +8,18 @@
 //! | Module | What it provides |
 //! |---|---|
 //! | [`job`] | the [`SimJob`] / [`JobResult`] batch model (circuit + shots + observables + engine preference) |
-//! | [`selector`] | [`EngineSelector`]: picks hier/dist/multilevel per job (the baseline only when forced) from the qubit count against two budgets (21 LLC qubits, 30 node qubits by default) and the `netmodel` exchange cost |
+//! | [`selector`] | [`EngineSelector`]: picks hier or dist per job from the qubit count against two budgets (21 LLC qubits, 30 node qubits by default); [`EngineKind::is_served`] says which engines the runtime serves (hier and dist: the paper's two comparators run through `hisvsim-core` only) |
 //! | [`planner`] | [`Planner`]: one default `dagP` call per plan, fused into the form the cache stores |
-//! | [`cache`] | [`PlanCache`]: memoizes plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint), with in-flight deduplication, hit/miss accounting and disk snapshots for warm restarts; [`PersistedPlan::validate_and_fuse`] is how a partition from outside the process (a snapshot entry, a shipped plan) becomes a plan |
-//! | [`pool`] | [`JobRunner`]: the reusable plan–execute worker-pool core (residency [`Semaphore`], per-job [`JobControl`] cancellation + phase callbacks) |
+//! | [`cache`] | [`PlanCache`]: memoizes single-level fused plans by [`Circuit::fingerprint`](hisvsim_circuit::Circuit::fingerprint) and limit, with in-flight deduplication, hit/miss accounting and disk snapshots of their partitions for warm restarts; [`validate_and_fuse`] is how a partition from outside the process (a snapshot entry, a shipped plan) becomes a plan |
+//! | [`pool`] | [`JobRunner`]: the reusable plan–execute worker-pool core (intake checks, residency [`Semaphore`], per-job [`JobControl`] cancellation + phase callbacks) |
 //! | [`scheduler`] | [`Scheduler`]: a worker pool executing a batch on OS threads with a bounded number of resident state vectors |
 //!
 //! The expensive pure-function part of every HiSVSIM run — DAG construction
 //! plus acyclic partitioning — depends only on circuit *structure*, so
 //! repeated or templated circuits skip it entirely once the cache is warm.
-//! Every engine result is bit-compatible with running that engine directly;
-//! the runtime only orchestrates.
+//! The runtime serves one plan shape, a single-level plan on a world of one
+//! rank (`hier`) or of several (`dist`); every result is bit-compatible with
+//! running that engine directly, and the runtime only orchestrates.
 //!
 //! ## Example
 //!
@@ -54,7 +55,7 @@ pub mod pool;
 pub mod scheduler;
 pub mod selector;
 
-pub use cache::{CacheStats, CachedPlan, PersistedPlan, PlanCache, PlanKey, PlanSource};
+pub use cache::{validate_and_fuse, CacheStats, PlanCache, PlanKey, PlanSource};
 pub use job::{Backend, DecisionVerdict, JobResult, SimJob};
 pub use planner::{PlanEffort, Planner};
 pub use pool::{
@@ -88,7 +89,6 @@ mod send_sync_assertions {
     #[test]
     fn plan_and_job_types_cross_threads() {
         assert_send_sync::<hisvsim_dag::Partition>();
-        assert_send_sync::<hisvsim_partition::MultilevelPartition>();
         assert_send_sync::<SimJob>();
         assert_send_sync::<JobResult>();
         assert_send_sync::<PlanCache>();

@@ -69,7 +69,11 @@ impl Planner {
     }
 
     /// Plan a two-level partition and fuse every second-level part at
-    /// `fusion_width` (see [`Planner::plan_single_fused`]).
+    /// `fusion_width` (see [`Planner::plan_single_fused`]). The runtime
+    /// serves no two-level plan: this stays only because the benchmark
+    /// adapter (`crates/bench/src/bin/hisvsim-bench/layers.rs`) calls it to
+    /// time the multilevel comparator's plan; it can go with the next change
+    /// that may edit the adapter.
     pub fn plan_two_level_fused(
         &self,
         circuit: &Circuit,
@@ -90,7 +94,8 @@ impl Planner {
     }
 
     /// Plan a two-level partition (first-level `first_limit`, second-level
-    /// `second_limit`) for the multi-level engine.
+    /// `second_limit`) for the multi-level comparator, which the runtime
+    /// does not serve; [`Planner::plan_two_level_fused`] calls it.
     pub fn plan_two_level(
         &self,
         dag: &CircuitDag,

@@ -12,23 +12,23 @@
 //!   vectors (the memory bound `K`);
 //! * [`JobControl`] — per-job cancellation token plus phase/progress
 //!   callbacks (planning → plan ready → executing);
-//! * [`JobRunner`] — the plan-through-postprocess executor: engine
-//!   decision, plan-cache lookup (with disk-warm rebuild), controlled
-//!   engine execution, shot sampling and observables.
+//! * [`JobRunner`] — the plan-through-postprocess executor: intake checks,
+//!   engine decision, plan-cache lookup (with disk-warm rebuild), controlled
+//!   execution of the one plan shape the runtime serves (a single-level
+//!   plan on a world of one rank or of several), shot sampling and
+//!   observables.
 //!
 //! `run_batch` drives a [`JobRunner`] with inert controls — its results
 //! are bit-identical to the pre-refactor scheduler.
 
-use crate::cache::{CachedPlan, PersistedPlan, PlanCache, PlanKey, PlanSource};
+use crate::cache::{fuse, validate_and_fuse, PlanCache, PlanKey, PlanSource};
 use crate::job::{Backend, JobResult, SimJob};
 use crate::planner::Planner;
 use crate::scheduler::SchedulerConfig;
-use crate::selector::{EngineDecision, EngineKind};
+use crate::selector::EngineKind;
 use hisvsim_circuit::{Circuit, Qubit};
-use hisvsim_core::{
-    run_plan, BaselineConfig, ExecControl, IqsBaseline, PlanSchedule, RunReport, RunSpec,
-};
-use hisvsim_dag::CircuitDag;
+use hisvsim_core::{run_plan, ExecControl, FusedPlan, FusedSinglePlan, RunReport, RunSpec};
+use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
 use hisvsim_statevec::{measure, CancelToken, KernelDispatch, StateVector};
 use std::sync::{Arc, Condvar, Mutex};
@@ -159,6 +159,26 @@ pub enum JobError {
     /// The job's cancel token fired at a cooperative checkpoint; the
     /// partial state was discarded and the residency slot released.
     Cancelled,
+    /// The job forces an engine the runtime does not serve
+    /// ([`EngineKind::is_served`]): one of the paper's comparators, which
+    /// run through their `hisvsim-core` entry points. Refused before
+    /// planning, on either backend.
+    EngineNotServed {
+        /// Name of the job's circuit.
+        circuit: String,
+        /// The engine the job forced.
+        engine: EngineKind,
+    },
+    /// The job asks for `⟨Z⟩` on a qubit its circuit does not have. Refused
+    /// before planning.
+    ObservableOutOfRange {
+        /// Name of the job's circuit.
+        circuit: String,
+        /// The first out-of-range observable qubit.
+        qubit: Qubit,
+        /// Qubits in the circuit.
+        num_qubits: usize,
+    },
     /// Partition planning failed (e.g. an explicit limit below the
     /// circuit's gate arity).
     PlanFailed {
@@ -171,9 +191,9 @@ pub enum JobError {
         /// The underlying planning error.
         error: PartitionBuildError,
     },
-    /// [`Backend::Process`] cannot serve the job (no backend registered,
-    /// the unplanned baseline, a circuit too small for the world), or the
-    /// launcher/worker pipeline failed.
+    /// [`Backend::Process`] cannot serve the job (no backend registered, a
+    /// circuit too small for the world), or the launcher/worker pipeline
+    /// failed.
     Backend {
         /// Human-readable failure description.
         message: String,
@@ -184,6 +204,20 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Cancelled => f.write_str("job cancelled"),
+            JobError::EngineNotServed { circuit, engine } => write!(
+                f,
+                "job '{circuit}' forces {engine}, which the runtime does not serve \
+                 (it serves hier and dist)"
+            ),
+            JobError::ObservableOutOfRange {
+                circuit,
+                qubit,
+                num_qubits,
+            } => write!(
+                f,
+                "job '{circuit}' asks for <Z> on qubit {qubit}, but the circuit has \
+                 {num_qubits} qubits"
+            ),
             JobError::PlanFailed {
                 circuit,
                 engine,
@@ -201,18 +235,18 @@ impl std::fmt::Display for JobError {
 impl std::error::Error for JobError {}
 
 /// What decides the result of one job on a worker cluster: the circuit,
-/// the kernel dispatch and the *partition* of the plan in its wire shape
-/// ([`PersistedPlan`]). Fused matrices stay process-local by design, so
-/// receivers re-fuse at [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`], and
-/// the runner names the engine.
+/// the kernel dispatch and the plan's [`Partition`]. Fused matrices stay
+/// process-local by design, so receivers re-fuse at
+/// [`hisvsim_statevec::DEFAULT_FUSION_WIDTH`], and the runner names the
+/// engine.
 pub struct ProcessRequest<'a> {
     /// The circuit to simulate.
     pub circuit: &'a Circuit,
     /// Kernel dispatch every worker rank applies to its local sweeps —
     /// shipped so a forced-scalar job stays forced-scalar across processes.
     pub dispatch: KernelDispatch,
-    /// The partition to ship (exactly the plan-cache snapshot wire shape).
-    pub plan: PersistedPlan,
+    /// The partition to ship (exactly what a plan-cache snapshot holds).
+    pub plan: Partition,
     /// Where the launcher puts the qubits of the state it hands back
     /// (`StateVector::permute_qubits(perm)`, composed with the ranks' final
     /// layout into one pass). Launcher-side only: it is never shipped.
@@ -332,6 +366,10 @@ impl JobRunner {
     /// simulation of others. A cancelled job releases its permit on the way
     /// out (RAII), so the slot is immediately reusable.
     ///
+    /// A job that forces an engine the runtime does not serve, or asks for
+    /// an observable on a qubit its circuit lacks, is refused first: before
+    /// planning, before a residency slot and before any worker world.
+    ///
     /// A hier job — every default-routed circuit one node holds — executes
     /// on the calling thread, which is also where its progress callbacks
     /// fire: the default plan is one part swept in place, so a warm small
@@ -348,6 +386,18 @@ impl JobRunner {
         if control.cancel.is_cancelled() {
             return Err(JobError::Cancelled);
         }
+        if let Some(engine) = job.engine.filter(|engine| !engine.is_served()) {
+            let circuit = job.circuit.name.clone();
+            return Err(JobError::EngineNotServed { circuit, engine });
+        }
+        let num_qubits = job.circuit.num_qubits();
+        if let Some(&qubit) = job.observables.iter().find(|&&q| q >= num_qubits) {
+            return Err(JobError::ObservableOutOfRange {
+                circuit: job.circuit.name.clone(),
+                qubit,
+                num_qubits,
+            });
+        }
         // A SWAP is a relabeling: from here on everything (the selector, the
         // plan key, the planner, a shipped request) sees the circuit without
         // its SWAPs, and the engine hands the state back permuted by `perm`,
@@ -359,18 +409,10 @@ impl JobRunner {
         let mut decision = self.config.selector.decide(&circuit, job.engine);
         if let Some(limit) = job.limit {
             decision.limit = limit;
-            if decision.engine == EngineKind::Multilevel {
-                decision.second_limit = decision.second_limit.min(limit);
-            }
         }
         // A process-backed job runs on the launcher's worker world, not the
-        // selector's virtual rank count, and ships its plan: the flat
-        // baseline, which takes none, runs in-process only.
+        // selector's virtual rank count, and ships its plan.
         let process = if job.backend == Backend::Process {
-            if decision.engine == EngineKind::Baseline {
-                let message = format!("job '{}' forces the unplanned baseline", circuit.name);
-                return Err(JobError::Backend { message });
-            }
             let backend = self
                 .config
                 .process_backend
@@ -413,11 +455,9 @@ impl JobRunner {
         // distributed rank body on the workers. This mirrors the clamp
         // `DistributedSimulator::run` applies, so an explicit per-job limit
         // override cannot push a working set past the local width.
-        let distributed = matches!(decision.engine, EngineKind::Dist | EngineKind::Multilevel);
-        if process.is_some() || distributed {
+        if process.is_some() || decision.engine == EngineKind::Dist {
             let local = circuit.num_qubits() - decision.ranks.trailing_zeros() as usize;
             decision.limit = decision.limit.min(local.max(1));
-            decision.second_limit = decision.second_limit.min(decision.limit);
         }
         let dispatch = job.kernel_dispatch;
 
@@ -448,16 +488,15 @@ impl JobRunner {
         // verdict and the run read.
         let plan_span =
             hisvsim_obs::span("job", "plan").detail(format!("#{job_index} {}", circuit.name));
-        let (plan, source) =
-            self.obtain_plan(&circuit, &decision)
-                .map_err(|error| JobError::PlanFailed {
-                    circuit: circuit.name.clone(),
-                    engine: decision.engine,
-                    limit: decision.limit,
-                    error,
-                })?;
-        let schedule =
-            (plan.as_ref()).map(|plan| plan.fused().schedule(circuit.num_qubits(), decision.ranks));
+        let (plan, source) = self
+            .obtain_plan(&circuit, decision.limit)
+            .map_err(|error| JobError::PlanFailed {
+                circuit: circuit.name.clone(),
+                engine: decision.engine,
+                limit: decision.limit,
+                error,
+            })?;
+        let schedule = FusedPlan::Single(&plan).schedule(circuit.num_qubits(), decision.ranks);
         drop(plan_span);
         let plan_time_s = plan_start.elapsed().as_secs_f64();
         phase("plan", plan_ts, &plan_start, format!("{source:?}"));
@@ -490,10 +529,7 @@ impl JobRunner {
                 let request = ProcessRequest {
                     circuit: &circuit,
                     dispatch,
-                    plan: plan
-                        .as_ref()
-                        .expect("a process job is never the unplanned baseline")
-                        .to_persisted(),
+                    plan: plan.partition.clone(),
                     perm: &perm,
                 };
                 let (state, mut report) =
@@ -510,9 +546,11 @@ impl JobRunner {
                 control.cancel.check().map_err(|_| JobError::Cancelled)?;
                 (state, report)
             }
-            None => self
-                .simulate(&circuit, &decision, dispatch, &schedule, &perm, &exec)
-                .map_err(|_| JobError::Cancelled)?,
+            None => {
+                let (name, strategy) = (decision.engine.name(), Strategy::DagP.name());
+                let spec = RunSpec::new(name, strategy, decision.ranks, dispatch).with_perm(&perm);
+                run_plan(&circuit, &schedule, spec, &exec).map_err(|_| JobError::Cancelled)?
+            }
         };
         // The engines report the relabeled circuit's gates; a process run
         // reports none.
@@ -533,16 +571,10 @@ impl JobRunner {
         // sweep in full, none while its slice is zero), read and written at
         // 32 bytes each over the nominal sweep bandwidth, plus the decision's
         // exchange estimate per redistribution the run actually performed.
-        let swept = match &schedule {
-            Some(schedule) => (0..schedule.ranks)
-                .map(|rank| schedule.swept_amplitudes(rank).iter().sum::<usize>())
-                .max()
-                .unwrap_or(0) as f64,
-            // Only a forced baseline job has no plan: the comparison engine
-            // fuses inside its own run, so the raw gate count over the whole
-            // state stands in (pessimistically) for its sweeps.
-            None => circuit.num_gates() as f64 * (1u128 << circuit.num_qubits()) as f64,
-        };
+        let swept = (0..schedule.ranks)
+            .map(|rank| schedule.swept_amplitudes(rank).iter().sum::<usize>())
+            .max()
+            .unwrap_or(0) as f64;
         let verdict = crate::job::DecisionVerdict {
             predicted_execute_s: swept * 32.0 / (NOMINAL_SWEEP_GBPS * 1e9)
                 + decision.est_exchange_s * report.num_exchanges as f64,
@@ -596,89 +628,47 @@ impl JobRunner {
         })
     }
 
-    /// Obtain the fused partition plan for a decision from the plan cache:
+    /// Obtain the fused partition plan at `limit` from the plan cache:
     /// served from memory, rebuilt from a disk-persisted partition on a warm
-    /// start, or planned from scratch. Every auto-selected engine takes one
-    /// — a circuit within the cache budget gets a one-part plan, so its
-    /// fusion is cached like any partition. Only the forced baseline, the
-    /// paper's comparison engine, runs unplanned and fuses per job.
+    /// start, or planned from scratch. Every served job takes one — a
+    /// circuit within the cache budget gets a one-part plan, so its fusion
+    /// is cached like any partition.
     fn obtain_plan(
         &self,
         circuit: &Circuit,
-        decision: &EngineDecision,
-    ) -> Result<(Option<CachedPlan>, PlanSource), PartitionBuildError> {
-        if decision.engine == EngineKind::Baseline {
-            return Ok((None, PlanSource::Planned));
-        }
-        let two_level = decision.engine == EngineKind::Multilevel;
+        limit: usize,
+    ) -> Result<(Arc<FusedSinglePlan>, PlanSource), PartitionBuildError> {
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
-            limit: decision.limit,
-            second_limit: if two_level { decision.second_limit } else { 0 },
+            limit,
         };
         // A cold plan's phases, each a span inside the job's `job/plan`.
-        let (plan, source) = self.cache.get_or_plan(key, || {
+        self.cache.get_or_plan(key, || {
             let dag = {
                 let _span = hisvsim_obs::span("plan", "dag");
                 CircuitDag::from_circuit(circuit)
             };
-            // Warm start: a persisted partition of the key's shape skips the
-            // expensive partitioning, once it validates against the
-            // circuit's DAG; a stale or invalid entry is planned afresh.
+            // Warm start: a persisted partition skips the expensive
+            // partitioning, once it validates against the circuit's DAG; a
+            // stale or invalid entry is planned afresh.
             let warm = (self.cache.take_warm(&key))
-                .filter(|persisted| matches!(persisted, PersistedPlan::Two(_)) == two_level)
-                .and_then(|persisted| {
-                    persisted
-                        .validate_and_fuse(circuit, &dag, decision.limit)
-                        .ok()
-                });
+                .and_then(|partition| validate_and_fuse(partition, circuit, &dag, limit).ok());
             if let Some(plan) = warm {
                 return Ok((plan, PlanSource::Warm));
             }
             let partition = {
                 let _span = hisvsim_obs::span("plan", "partition");
-                if two_level {
-                    let (first, second) = (decision.limit, decision.second_limit);
-                    PersistedPlan::Two(Planner.plan_two_level(&dag, first, second)?)
-                } else {
-                    PersistedPlan::Single(Planner.plan_single(&dag, decision.limit)?)
-                }
+                Planner.plan_single(&dag, limit)?
             };
-            Ok((partition.fuse(circuit, &dag), PlanSource::Planned))
-        })?;
-        Ok((Some(plan), source))
-    }
-
-    /// Run the chosen engine over the job's compiled schedule, under the
-    /// given execution control, handing the state back permuted by `perm`.
-    fn simulate(
-        &self,
-        circuit: &Circuit,
-        decision: &EngineDecision,
-        dispatch: KernelDispatch,
-        schedule: &Option<PlanSchedule<'_>>,
-        perm: &[Qubit],
-        exec: &ExecControl,
-    ) -> Result<(StateVector, RunReport), hisvsim_statevec::Cancelled> {
-        match decision.engine {
-            EngineKind::Baseline => {
-                IqsBaseline::new(BaselineConfig::new(decision.ranks).with_kernel_dispatch(dispatch))
-                    .run_controlled(circuit, Some(perm), exec)
-                    .map(|run| (run.state, run.report))
-            }
-            engine => {
-                let schedule = schedule.as_ref().expect("a planned engine needs a plan");
-                let (name, strategy) = (engine.name(), Strategy::DagP.name());
-                let spec = RunSpec::new(name, strategy, decision.ranks, dispatch).with_perm(perm);
-                run_plan(circuit, schedule, spec, exec)
-            }
-        }
+            Ok((fuse(partition, circuit, &dag), PlanSource::Planned))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::selector::EngineSelector;
     use hisvsim_circuit::generators;
     use hisvsim_statevec::run_circuit;
@@ -794,6 +784,30 @@ mod tests {
         let sweeps = swept as f64 * 32.0 / (NOMINAL_SWEEP_GBPS * 1e9);
         let exchanges = decision.est_exchange_s * 2.0;
         assert_eq!(result.verdict.predicted_execute_s, sweeps + exchanges);
+    }
+
+    #[test]
+    fn an_out_of_range_observable_is_refused_before_planning() {
+        let runner = runner();
+        let residency = Semaphore::new(1);
+        let job = SimJob::new(generators::qft(7)).with_observables(vec![0, 7]);
+        let err = runner
+            .execute_job(0, job, &residency, &JobControl::new())
+            .unwrap_err();
+        match err {
+            JobError::ObservableOutOfRange {
+                qubit, num_qubits, ..
+            } => assert_eq!((qubit, num_qubits), (7, 7)),
+            other => panic!("expected ObservableOutOfRange, got {other}"),
+        }
+        assert_eq!(runner.cache().stats(), CacheStats::default(), "no lookup");
+        assert_eq!(residency.available(), 1, "no slot taken");
+        // The last qubit is in range.
+        let job = SimJob::new(generators::qft(7)).with_observables(vec![6]);
+        let result = runner
+            .execute_job(0, job, &residency, &JobControl::new())
+            .unwrap();
+        assert_eq!(result.z_expectations.len(), 1);
     }
 
     #[test]

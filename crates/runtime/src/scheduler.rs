@@ -207,7 +207,9 @@ impl Scheduler {
     ///
     /// Panics if a job's *explicit* limit override is below its circuit's
     /// largest gate arity (automatic limits always respect the arity
-    /// floor), if a worker thread panics, or if a
+    /// floor), if a job is refused at intake (it forces an engine the
+    /// runtime does not serve, or asks for an observable on a qubit its
+    /// circuit lacks), if a worker thread panics, or if a
     /// [`Backend::Process`](crate::job::Backend::Process) job fails in the
     /// launcher/worker pipeline — batch mode has no per-job error surface;
     /// use `hisvsim-service` for workloads that must survive individual
@@ -234,12 +236,10 @@ impl Scheduler {
                     };
                     let result = match self.runner.execute_job(index, job, &residency, &control) {
                         Ok(result) => result,
-                        Err(e @ (JobError::PlanFailed { .. } | JobError::Backend { .. })) => {
-                            panic!("{e}")
-                        }
                         Err(JobError::Cancelled) => {
                             unreachable!("run_batch uses an inert control")
                         }
+                        Err(e) => panic!("{e}"),
                     };
                     results.lock().expect("result board poisoned")[index] = Some(result);
                 });
@@ -291,8 +291,8 @@ mod tests {
     fn every_engine_choice_matches_the_flat_reference() {
         let scheduler = Scheduler::new(scaled_config());
         // Widths walking the selector ladder: hier over the whole circuit
-        // (one part) within the cache budget and past it, multilevel past
-        // the node; and hier forced, at the cache limit.
+        // (one part) within the cache budget and past it, dist past the
+        // node; and hier forced, at the cache limit.
         let mut jobs: Vec<SimJob> = [4usize, 6, 9]
             .iter()
             .map(|&n| SimJob::new(generators::qft(n)))
@@ -306,7 +306,7 @@ mod tests {
             vec![
                 EngineKind::Hier,
                 EngineKind::Hier,
-                EngineKind::Multilevel,
+                EngineKind::Dist,
                 EngineKind::Hier
             ]
         );
@@ -326,20 +326,32 @@ mod tests {
 
     #[test]
     fn forced_engines_are_used_and_still_correct() {
+        use hisvsim_core::{BaselineConfig, IqsBaseline, MultilevelConfig, MultilevelSimulator};
         let scheduler = Scheduler::new(scaled_config());
         let circuit = generators::by_name("ising", 8);
         let expected = run_circuit(&circuit);
-        let jobs: Vec<SimJob> = EngineKind::ALL
+        let served = [EngineKind::Hier, EngineKind::Dist];
+        let jobs: Vec<SimJob> = served
             .iter()
             .map(|&engine| SimJob::new(circuit.clone()).with_engine(engine))
             .collect();
         let batch = scheduler.run_batch(jobs);
-        for (result, &wanted) in batch.results.iter().zip(EngineKind::ALL.iter()) {
+        for (result, &wanted) in batch.results.iter().zip(served.iter()) {
             assert_eq!(result.engine, wanted);
             assert!(result.state.as_ref().unwrap().approx_eq(&expected, 1e-9));
         }
-        // Engine histogram: one job each.
-        assert_eq!(batch.stats.engine_counts, [1, 1, 1, 1]);
+        // Engine histogram: one job each of the served engines.
+        assert_eq!(batch.stats.engine_counts, [0, 1, 1, 0]);
+        // The comparators run through their core entry points, at the
+        // parameters the selector derives for them.
+        let selector = EngineSelector::scaled(4, 8);
+        let baseline = selector.decide(&circuit, Some(EngineKind::Baseline));
+        let run = IqsBaseline::new(BaselineConfig::new(baseline.ranks)).run(&circuit);
+        assert!(run.state.approx_eq(&expected, 1e-9));
+        let multilevel = selector.decide(&circuit, Some(EngineKind::Multilevel));
+        let config = MultilevelConfig::new(multilevel.ranks, multilevel.second_limit);
+        let run = MultilevelSimulator::new(config).run(&circuit).unwrap();
+        assert!(run.state.approx_eq(&expected, 1e-9));
     }
 
     #[test]
@@ -431,23 +443,18 @@ mod tests {
 
     #[test]
     fn explicit_limit_above_local_width_is_clamped_not_fatal() {
-        // Regression: a Dist/Multilevel job whose explicit limit exceeds the
-        // per-rank local qubit count must be clamped (as the engine's own
-        // `run` clamps), not panic inside a worker thread.
+        // Regression: a Dist job whose explicit limit exceeds the per-rank
+        // local qubit count must be clamped (as the engine's own `run`
+        // clamps), not panic inside a worker thread.
         let scheduler = Scheduler::new(scaled_config());
         let circuit = generators::qft(9);
         let expected = run_circuit(&circuit);
-        let batch = scheduler.run_batch(vec![
-            SimJob::new(circuit.clone())
-                .with_engine(EngineKind::Dist)
-                .with_limit(9),
-            SimJob::new(circuit.clone())
-                .with_engine(EngineKind::Multilevel)
-                .with_limit(9),
-        ]);
-        for result in &batch.results {
-            assert!(result.state.as_ref().unwrap().approx_eq(&expected, 1e-9));
-        }
+        let batch = scheduler.run_batch(vec![SimJob::new(circuit.clone())
+            .with_engine(EngineKind::Dist)
+            .with_limit(9)]);
+        let result = &batch.results[0];
+        assert_eq!(result.decision.limit, 8, "clamped to the local width");
+        assert!(result.state.as_ref().unwrap().approx_eq(&expected, 1e-9));
     }
 
     #[test]

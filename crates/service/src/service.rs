@@ -501,8 +501,8 @@ impl SimService {
         );
         counter(
             "hisvsim_hier_parts_total",
-            "Parts run by the rank body, which runs every part of every planned engine \
-             (hier, dist and multilevel) in place (process-wide).",
+            "Parts run by the rank body, which runs every part of every served job \
+             (hier and dist) in place (process-wide).",
             hisvsim_core::hier::parts_executed(),
         );
         counter(

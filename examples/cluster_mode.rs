@@ -8,8 +8,8 @@
 //!    `hisvsim-net`'s `WorkerPool`) — and the amplitudes are compared
 //!    **bit for bit**.
 //! 2. **Remote plan shipping.** The process run reuses the exact partition
-//!    the plan cache holds: partitions travel over the control channel in
-//!    their `PersistedPlan` wire shape, workers re-fuse locally.
+//!    the plan cache holds: its single-level `Partition` travels over the
+//!    control channel, and workers re-fuse locally.
 //! 3. **Service hardening.** The same launcher behind a `SimService` with a
 //!    per-job deadline, plus the operator's `metrics_text()` scrape.
 //!

@@ -14,7 +14,9 @@ use hisvsim_core::{
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
+use hisvsim_runtime::{
+    EngineKind, EngineSelector, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob,
+};
 use hisvsim_statevec::StateVector;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -208,23 +210,35 @@ fn a_job_on_two_ranks_exchanges_only_what_changes_rank() {
     // layout is free (|0…0⟩ is the same in every layout), each part switch
     // sends half of each rank's slice to the other rank and keeps the rest
     // in place, and the ranks hand back their slices without returning to
-    // the identity layout. The same holds for both planned engines.
+    // the identity layout. The same holds for the two-level comparator, run
+    // through its core entry point on the circuit the runner plans (its
+    // SWAPs relabeled) at the parameters the selector derives for it.
     const MIB: u64 = 1 << 20;
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
+    let selector = EngineSelector::default();
     let cases = [
         (generators::qft(21), 2, 32 * MIB, 4),
         (generators::random_circuit(21, 300, 3), 2, 32 * MIB, 4),
         (generators::by_name("qaoa", 18), 2, 4 * MIB, 4),
     ];
     for (circuit, exchanges, bytes, messages) in cases {
-        for engine in [EngineKind::Dist, EngineKind::Multilevel] {
-            let job = SimJob::new(circuit.clone()).with_engine(engine);
-            let result = runner
-                .execute_job(0, job, &residency, &JobControl::new())
-                .expect("the job runs");
-            assert_eq!(result.decision.ranks, 2, "{} on {engine}", circuit.name);
-            let report = &result.report;
+        let job = SimJob::new(circuit.clone()).with_engine(EngineKind::Dist);
+        let dist = runner
+            .execute_job(0, job, &residency, &JobControl::new())
+            .expect("the job runs");
+        let (relabeled, _) = circuit.relabel_swaps();
+        let decision = selector.decide(&relabeled, Some(EngineKind::Multilevel));
+        let config = MultilevelConfig::new(decision.ranks, decision.second_limit);
+        let multilevel = MultilevelSimulator::new(config)
+            .run(&relabeled)
+            .expect("the circuit partitions");
+        let runs = [
+            (EngineKind::Dist, dist.decision.ranks, dist.report),
+            (EngineKind::Multilevel, decision.ranks, multilevel.report),
+        ];
+        for (engine, ranks, report) in runs {
+            assert_eq!(ranks, 2, "{} on {engine}", circuit.name);
             assert_eq!(
                 (
                     report.num_exchanges,

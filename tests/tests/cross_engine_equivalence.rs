@@ -7,8 +7,8 @@
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{
-    BaselineConfig, DistConfig, DistributedSimulator, HierConfig, HierarchicalSimulator,
-    IqsBaseline, MultilevelConfig, MultilevelSimulator,
+    BaselineConfig, DistConfig, DistributedSimulator, ExecControl, HierConfig,
+    HierarchicalSimulator, IqsBaseline, MultilevelConfig, MultilevelSimulator,
 };
 use hisvsim_dag::CircuitDag;
 use hisvsim_integration_tests::{assert_states_match, reference_state, small_suite};
@@ -156,8 +156,14 @@ fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch)
                 routed, flat,
                 "{label}: the default route left the flat result"
             );
-            let (engine, forced) = run(SimJob::new(circuit).with_engine(EngineKind::Baseline));
-            assert_eq!(engine, EngineKind::Baseline, "{label}");
+            // The comparison engine through its core entry point, as the
+            // runner ran it when it served it: the relabeled circuit on one
+            // rank, handed back permuted by `perm`.
+            let config = BaselineConfig::new(1).with_kernel_dispatch(dispatch);
+            let forced = IqsBaseline::new(config)
+                .run_controlled(&relabeled, Some(&perm), &ExecControl::default())
+                .expect("an inert control cannot cancel")
+                .state;
             assert_eq!(
                 forced, flat,
                 "{label}: the comparison engine left the flat result"

@@ -106,6 +106,77 @@ fn cancelled_job_releases_its_resident_state_slot() {
     assert_eq!(result.circuit_name, "qft7");
 }
 
+/// A forced dist job runs its two ranks on threads of their own; a cancel
+/// reaches them mid-run at a cancel-vote checkpoint, the job ends
+/// `Cancelled` short of its last gate, and its residency slot is free for
+/// the next job.
+#[test]
+fn a_forced_dist_job_cancelled_mid_run_frees_its_slot() {
+    let mut config = SchedulerConfig::default().with_workers(2);
+    config.max_resident = 1;
+    let service = SimService::start(ServiceConfig::new().with_scheduler(config.clone()));
+    // Two ranks of 21-qubit slices, at a limit that makes many parts, each
+    // a checkpoint.
+    let victim = SimJob::new(generators::qft(22))
+        .with_engine(EngineKind::Dist)
+        .with_limit(6);
+    let decision = config.selector.decide(&victim.circuit, victim.engine);
+    assert_eq!((decision.engine, decision.ranks), (EngineKind::Dist, 2));
+    let victim = service.submit(victim);
+    let events = victim.progress();
+    loop {
+        match events.recv().expect("stream must not end before Executing") {
+            JobEvent::Executing { .. } => break,
+            _ => continue,
+        }
+    }
+    victim.cancel();
+    assert!(matches!(victim.wait(), Err(JobFailure::Cancelled)));
+    assert_eq!(victim.poll(), JobStatus::Cancelled);
+    let status = service.job_status(victim.id()).expect("a retained status");
+    assert!(
+        status.gates_done < status.gates_total,
+        "cancelled after its last gate ({} of {})",
+        status.gates_done,
+        status.gates_total
+    );
+
+    let successor = service.submit(SimJob::new(generators::qft(7)));
+    let result = successor
+        .wait()
+        .expect("slot must be free after a cancellation");
+    assert_eq!(result.circuit_name, "qft7");
+    service.shutdown().unwrap();
+}
+
+/// An observable on a qubit the circuit lacks fails the job at intake with
+/// a message that says so: the plan cache sees no lookup, and the service
+/// goes on serving.
+#[test]
+fn an_out_of_range_observable_fails_the_job_before_planning() {
+    let service = service(1);
+    let before = service.cache_stats();
+    let handle = service.submit(SimJob::new(generators::qft(7)).with_observables(vec![0, 7]));
+    match handle.wait() {
+        Err(JobFailure::Failed(message)) => assert!(
+            message.contains("qubit 7") && message.contains("7 qubits"),
+            "{message}"
+        ),
+        other => panic!(
+            "expected a failed job, got {:?}",
+            other.map(|r| r.job_index)
+        ),
+    }
+    assert_eq!(handle.poll(), JobStatus::Failed);
+    assert_eq!(service.cache_stats(), before, "the plan cache saw a lookup");
+    let result = service
+        .submit(SimJob::new(generators::qft(7)).with_observables(vec![6]))
+        .wait()
+        .expect("the service goes on serving");
+    assert_eq!(result.z_expectations.len(), 1);
+    service.shutdown().unwrap();
+}
+
 #[test]
 fn cancelling_a_queued_job_never_runs_it() {
     let service = service(1);
@@ -294,9 +365,10 @@ fn persisted_then_reloaded_plan_cache_is_bit_identical_and_replans_nothing() {
     std::fs::remove_file(&path).ok();
 }
 
-/// A snapshot that does not parse — cut off mid-write, or not JSON at all —
-/// costs a warning and a cold start, never the service, and the next save
-/// replaces it whole without leaving its staging file behind.
+/// A snapshot that does not parse — cut off mid-write, not JSON at all, or
+/// written in an older format — costs a warning and a cold start, never the
+/// service, and the next save replaces it whole without leaving its staging
+/// file behind.
 #[test]
 fn an_unreadable_snapshot_starts_the_service_cold() {
     let dir = std::env::temp_dir().join(format!("hisvsim-bad-snapshot-{}", std::process::id()));
@@ -314,9 +386,24 @@ fn an_unreadable_snapshot_starts_the_service_cold() {
     let snapshot = std::fs::read(&valid).unwrap();
     std::fs::remove_file(&valid).unwrap();
 
-    let inputs: [(&str, &[u8]); 2] = [
+    // The format before the cache held one plan shape: three key fields and
+    // a tagged plan, one `Single` and one `Two`. Its `Single` entry is the
+    // very partition, under the very key, the job plans: were it read, the
+    // first job would hit.
+    let (relabeled, _) = circuit.relabel_swaps();
+    let dag = hisvsim_dag::CircuitDag::from_circuit(&relabeled);
+    let single = hisvsim_runtime::Planner.plan_single(&dag, 10).unwrap();
+    let two = hisvsim_runtime::Planner.plan_two_level(&dag, 9, 4).unwrap();
+    let fingerprint = relabeled.fingerprint();
+    let parent_format = format!(
+        r#"[[{{"fingerprint":{fingerprint},"limit":10,"second_limit":0}},{{"Single":{}}}],[{{"fingerprint":{fingerprint},"limit":9,"second_limit":4}},{{"Two":{}}}]]"#,
+        serde_json::to_string(&single).unwrap(),
+        serde_json::to_string(&two).unwrap(),
+    );
+    let inputs: [(&str, &[u8]); 3] = [
         ("truncated.json", &snapshot[..snapshot.len() / 2]),
         ("not-json.json", b"plans: none\n"),
+        ("parent-format.json", parent_format.as_bytes()),
     ];
     for (name, bytes) in inputs {
         let path = dir.join(name);
@@ -350,9 +437,9 @@ fn an_unreadable_snapshot_starts_the_service_cold() {
 /// per-job trace artifacts kept (what `hisvsim-http serve --trace` runs), a
 /// repeated job keeps hitting the plan it planned first, whatever the
 /// process measured in between. 16 qubits, so every sweep is a recorded
-/// span; the QAOA in the middle (forced onto the comparison engine, which
-/// plans nothing) adds diagonal-run measurements to the QFT's dense ones, and
-/// the same QFT with no engine forced meets the same decision and plan.
+/// span; the same QFT forced onto two ranks in the middle plans under a key
+/// of its own (its limit is a rank's slice), and the same QFT with no engine
+/// forced meets the same decision and plan as the hier jobs.
 #[test]
 fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
     hisvsim_obs::set_enabled(true);
@@ -365,9 +452,9 @@ fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
     let run = |job: SimJob| service.submit(job).wait().expect("job must complete");
     let first = run(qft());
     let second = run(qft());
-    // The comparison engine in between: forced, it fuses inside its own run
-    // and neither consults nor fills the plan cache.
-    let other = run(SimJob::new(generators::by_name("qaoa", 16)).with_engine(EngineKind::Baseline));
+    // A forced dist job in between: two ranks of 15-qubit slices, planned
+    // at limit 15, so it misses once and never meets the hier plan.
+    let other = run(SimJob::new(generators::qft(16)).with_engine(EngineKind::Dist));
     let last = run(qft());
     // No engine forced: 16 qubits fit the default LLC budget, so the
     // selector gives the same circuit the decision the forced jobs got, and
@@ -389,7 +476,8 @@ fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
         format!("{:?}", last.decision),
         "the same job got a different decision later in the process"
     );
-    assert_eq!(other.engine, EngineKind::Baseline);
+    assert_eq!(other.engine, EngineKind::Dist);
+    assert_eq!((other.decision.ranks, other.decision.limit), (2, 15));
     assert!(!other.plan_cache_hit);
     assert_eq!(
         format!("{:?}", unforced.decision),
@@ -403,9 +491,9 @@ fn traced_repeat_jobs_keep_their_plan_key_and_decision() {
     );
     let cache = service.cache_stats();
     assert_eq!(
-        (cache.misses, cache.entries),
-        (1, 1),
-        "one planned circuit, one miss, one entry"
+        (cache.misses, cache.hits, cache.entries),
+        (2, 3, 2),
+        "one miss and one entry for each of the two plans; every hit is the hier plan's"
     );
     service.shutdown().unwrap();
 }

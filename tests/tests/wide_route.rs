@@ -47,7 +47,6 @@ fn key(circuit: &Circuit, limit: usize) -> PlanKey {
     PlanKey {
         fingerprint: circuit.relabel_swaps().0.fingerprint(),
         limit,
-        second_limit: 0,
     }
 }
 
@@ -103,7 +102,7 @@ fn the_default_route_plans_one_part_past_the_cache_budget() {
         .get_or_plan(key(&qft, 18), || panic!("the plan that ran is cached"))
         .expect("a cached plan");
     assert_eq!(source, PlanSource::Memory);
-    assert_eq!(served.num_parts(), 1);
+    assert_eq!(served.partition.num_parts(), 1);
 
     // So does a restart from the snapshot: one lookup, a disk rebuild.
     let path = std::env::temp_dir().join(format!("wide-route-{}.json", std::process::id()));
