@@ -21,9 +21,16 @@
 //! threshold, shows one live rank sweeping on the whole budget and two
 //! splitting it.
 //!
-//! One test only: the recorder is process-wide.
+//! The masks the schedule hands each pass are the truth, op by op: run
+//! step by step on one whole state, every nonzero amplitude before op `k`
+//! of a pass sets only positions of `pass.live | mixing(pass.start..k)` —
+//! the fold a tiled pass takes inside its tiles to leave out zero groups
+//! and diagonal runs that multiply only ones. A narrowed mask is caught.
+//!
+//! The tests run one at a time ([`RECORDER`]): the recorder is
+//! process-wide.
 
-use hisvsim_circuit::{generators, Circuit};
+use hisvsim_circuit::{generators, Circuit, Complex64};
 use hisvsim_cluster::on_threads;
 use hisvsim_core::{
     run_plan, ExecControl, FusedPlan, FusedSinglePlan, FusedTwoLevelPlan, PlanSchedule, RunSpec,
@@ -31,9 +38,14 @@ use hisvsim_core::{
 use hisvsim_dag::CircuitDag;
 use hisvsim_obs::SpanRecord;
 use hisvsim_partition::{MultilevelPartitioner, Strategy};
-use hisvsim_statevec::fusion::{self, TILE};
-use hisvsim_statevec::{run_circuit, ApplyOptions};
+use hisvsim_statevec::fusion::{self, Support, TILE};
+use hisvsim_statevec::{run_circuit, ApplyOptions, StateVector};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
+
+/// Held by every test: a sweep records spans while another test has the
+/// process-wide recorder on.
+static RECORDER: Mutex<()> = Mutex::new(());
 
 /// Qubits of every state: 17-qubit slices, two tiles, on four ranks.
 const QUBITS: usize = 19;
@@ -168,6 +180,9 @@ fn check(circuit: &Circuit, schedule: &PlanSchedule<'_>, engine: &str) -> Checke
 
 #[test]
 fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
+    let _serial = RECORDER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut exchanges = 0;
     let mut entries = 0;
     let strided = fusion::strided_passes();
@@ -248,4 +263,101 @@ fn the_schedule_predicts_the_exchanges_and_passes_of_the_run() {
         checked.widest, CORES,
         "a lone live rank sweeps on the whole budget"
     );
+}
+
+/// Walk `schedule` op by op on one whole state of `circuit`, its index bits
+/// the schedule's positions (rank bits included): each exchange moves every
+/// qubit to its new position, each op sweeps the whole state. Before op `k`
+/// of every pass, the positions some nonzero amplitude sets must lie in
+/// `pass.live | mixing(pass.start..k)`; the first op where they do not is
+/// returned, with the positions set outside. At the end the state, put back
+/// in qubit order, is the flat reference's.
+fn first_op_outside_its_mask(circuit: &Circuit, schedule: &PlanSchedule<'_>) -> Option<String> {
+    let n = schedule.num_qubits;
+    let opts = ApplyOptions::default();
+    let mut state = StateVector::zero_state(n);
+    let mut layout = schedule.start.clone();
+    for (index, entry) in schedule.entries.iter().enumerate() {
+        if let Some(next) = &entry.exchange {
+            // Position `next[q]` takes what position `layout[q]` held.
+            let mut perm = vec![0; n];
+            for q in 0..n {
+                perm[next[q]] = layout[q];
+            }
+            state.permute_qubits(&perm);
+            layout.clone_from(next);
+        }
+        let (inner, map) = (&entry.part.inner, Some(&entry.positions[..]));
+        for pass in &entry.in_place {
+            for k in pass.ops.clone() {
+                let set = (state.amplitudes().iter().enumerate())
+                    .filter(|(_, amp)| **amp != Complex64::ZERO)
+                    .fold(0u64, |set, (i, _)| set | i as u64);
+                let allowed = pass.live | inner.mixing(pass.ops.start..k, map);
+                if set & !allowed != 0 {
+                    let outside = set & !allowed;
+                    return Some(format!("part {index}, op {k} of {pass:?}: {outside:#b}"));
+                }
+                inner.apply_pass(&mut state, k..k + 1, map, Support::ANY, &opts);
+            }
+        }
+    }
+    state.permute_qubits(&layout);
+    let reference = run_circuit(circuit);
+    assert!(
+        state.approx_eq(&reference, 1e-9),
+        "{} walked op by op",
+        circuit.name
+    );
+    None
+}
+
+#[test]
+fn every_op_finds_nonzero_amplitudes_only_where_the_schedule_says() {
+    let _serial = RECORDER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let circuits = [
+        generators::qft(19),
+        generators::qpe(18),
+        generators::adder(17),
+        generators::random_circuit(18, 120, 0x11FE),
+    ];
+    for circuit in circuits {
+        let n = circuit.num_qubits();
+        let dag = CircuitDag::from_circuit(&circuit);
+        let partition = Strategy::DagP
+            .partition(&dag, n - 2)
+            .expect("admits every gate");
+        let plan = FusedSinglePlan::new(&circuit, &dag, partition);
+        for ranks in [1, 2, 4] {
+            let schedule = FusedPlan::Single(&plan).schedule(n, ranks);
+            let wrong = first_op_outside_its_mask(&circuit, &schedule);
+            assert_eq!(wrong, None, "{} on {ranks} ranks", circuit.name);
+        }
+    }
+}
+
+#[test]
+fn a_narrowed_mask_is_caught() {
+    let _serial = RECORDER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let circuit = generators::qft(17);
+    let dag = CircuitDag::from_circuit(&circuit);
+    let partition = Strategy::DagP
+        .partition(&dag, 17)
+        .expect("admits every gate");
+    let plan = FusedSinglePlan::new(&circuit, &dag, partition);
+    let schedule = FusedPlan::Single(&plan).schedule(17, 1);
+    assert_eq!(first_op_outside_its_mask(&circuit, &schedule), None);
+    // The last pass starts after the H on every qubit but the last: clear
+    // one position its mask holds, and the walk finds it set.
+    let mut narrowed = schedule.clone();
+    let entry = narrowed.entries.last_mut().expect("a part");
+    let pass = entry.in_place.last_mut().expect("a pass");
+    assert_ne!(pass.live, 0, "the last pass starts from a mixed state");
+    pass.live &= pass.live - 1;
+    let caught = first_op_outside_its_mask(&circuit, &narrowed);
+    assert!(caught.is_some(), "a narrowed mask went unnoticed");
 }

@@ -57,7 +57,7 @@ impl FusedGate {
     /// Apply this fused gate to a state vector.
     pub fn apply(&self, state: &mut StateVector, opts: &ApplyOptions) {
         let amps = state.amplitudes_mut();
-        apply_dense_amps(amps, &self.qubits, &self.matrix, &self.masks, opts);
+        apply_dense_amps(amps, &self.qubits, &self.matrix, &self.masks, 0, opts);
     }
 }
 

@@ -102,6 +102,20 @@ impl PreparedDiagonal {
     }
 }
 
+/// Whether every factor of a diagonal run is exactly one on each of its
+/// entries whose factor qubits, translated through `map`, all lie in the
+/// mask `live`: then the run changes no nonzero amplitude of a state whose
+/// nonzero amplitudes set no position outside `live`.
+pub(super) fn is_one_within(factors: &[DiagonalFactor], map: Option<&[Qubit]>, live: u64) -> bool {
+    factors.iter().all(|factor| {
+        let live_bits = (factor.qubits.iter().enumerate())
+            .filter(|&(_, &q)| live >> map.map_or(q, |m| m[q]) & 1 == 1)
+            .fold(0usize, |bits, (b, _)| bits | 1 << b);
+        (factor.diag.iter().enumerate())
+            .all(|(sub, &entry)| sub & !live_bits != 0 || entry == Complex64::ONE)
+    })
+}
+
 /// Classify a diagonal run's factors for the block sweep over states of
 /// `state_qubits` qubits, translating qubits through `map` first when there
 /// is one (the per-rank path). Factors entirely above the block become

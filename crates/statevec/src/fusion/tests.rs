@@ -521,18 +521,20 @@ fn strided_runs_match_op_by_op_sweeps_bitwise() {
 
 #[test]
 fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
+    use crate::simd::KernelDispatch;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     // 19-qubit random circuits and a QFT cut into tiled runs of every
     // shape; each run is applied to a random state zeroed outside a
-    // random live mask, once over the live tiles only and once over
-    // every tile.
+    // random live mask, once under that mask and once under none, on
+    // both kernel dispatches.
     let n = TILE_BITS + 3;
     let mut rng = StdRng::seed_from_u64(0x11FE);
     let reversed: Vec<Qubit> = (0..n).rev().collect();
-    // Runs checked by (mapped, strided), and how many skipped a tile.
+    // Runs checked by (mapped, strided); how many skipped a tile, left an
+    // op out, and were held to +0.0 wherever no op can reach.
     let mut seen = [[0usize; 2]; 2];
-    let mut skipped = 0;
+    let (mut skipped, mut left_out, mut untouched) = (0, 0, 0);
     let bits = |a: &Complex64| (a.re.to_bits(), a.im.to_bits());
     let circuits = (0..3).map(|seed| generators::random_circuit(n, 90, seed));
     for (seed, circuit) in (0..).zip(circuits.chain([generators::qft(n)])) {
@@ -548,27 +550,46 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
                         *amp = Complex64::ZERO;
                     }
                 }
-                let mut masked = zeroed.clone();
-                let within = Support::Within(live);
-                fused.apply_pass(&mut masked, pass.clone(), map, within, &Default::default());
-                let mut every = zeroed.clone();
-                let any = Support::ANY;
-                fused.apply_pass(&mut every, pass.clone(), map, any, &Default::default());
-                // A live tile is swept alike, bit for bit. A skipped one
-                // keeps the +0.0 it held; the full sweep's arithmetic may
-                // turn such a zero into -0.0, equal but not the same bits.
-                let what = format!("seed {seed}, mapped={}, {pass:?}", map.is_some());
-                let (picks, _) = shape.live_tiles(1 << n, Support::ANY);
-                let pairs = masked.amplitudes().iter().zip(every.amplitudes());
-                for (index, (m, e)) in pairs.enumerate() {
-                    match index as u64 & picks & !live {
-                        0 => assert_eq!(bits(m), bits(e), "{what}: amplitude {index}"),
-                        _ => assert!(bits(m) == (0, 0) && *e == Complex64::ZERO, "{what}"),
+                // Where neither the mask nor the pass's mixing reaches, the
+                // masked run leaves every +0.0 as it was: dense ops skip
+                // those groups and permutations move zeros onto zeros. A
+                // diagonal run it keeps multiplies its whole tile, and
+                // there can leave -0.0.
+                let reach = live | fused.mixing(pass.clone(), map);
+                let applied: Vec<&FusedOp> = (fused.applied(pass.clone(), map, live))
+                    .map(|(op, _)| op)
+                    .collect();
+                let diagonal = (applied.iter()).any(|op| matches!(op, FusedOp::Diagonal { .. }));
+                for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                    let opts = ApplyOptions::default().with_dispatch(dispatch);
+                    let mut masked = zeroed.clone();
+                    let within = Support::Within(live);
+                    fused.apply_pass(&mut masked, pass.clone(), map, within, &opts);
+                    let mut every = zeroed.clone();
+                    fused.apply_pass(&mut every, pass.clone(), map, Support::ANY, &opts);
+                    // An amplitude nonzero in either run is the same bits in
+                    // both. A zero is one by value only: the full sweep's
+                    // arithmetic on a zero group may leave -0.0 where the
+                    // masked run leaves the group alone, and the reverse.
+                    let what = format!(
+                        "seed {seed}, mapped={}, {pass:?}, {dispatch}",
+                        map.is_some()
+                    );
+                    let pairs = masked.amplitudes().iter().zip(every.amplitudes());
+                    for (index, (m, e)) in pairs.enumerate() {
+                        if *m != Complex64::ZERO || *e != Complex64::ZERO {
+                            assert_eq!(bits(m), bits(e), "{what}: amplitude {index}");
+                        }
+                        if index as u64 & !reach != 0 && !diagonal {
+                            assert_eq!(bits(m), (0, 0), "{what}: amplitude {index}");
+                        }
                     }
                 }
-                let swept = fused.swept_amplitudes(n, pass.clone(), map, within);
+                let swept = fused.swept_amplitudes(n, pass.clone(), map, Support::Within(live));
                 seen[map.is_some() as usize][(shape.chunks() > 1) as usize] += 1;
                 skipped += usize::from(swept < 1 << n);
+                left_out += usize::from(applied.len() < pass.len());
+                untouched += usize::from(!diagonal);
                 // A zero state is left as it is.
                 let mut zero = StateVector::zero_state(n);
                 zero.amplitudes_mut()[0] = Complex64::ZERO;
@@ -578,7 +599,10 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
         }
     }
     assert!(seen.iter().flatten().all(|&runs| runs > 0), "{seen:?}");
-    assert!(skipped > 0);
+    assert!(
+        skipped > 0 && left_out > 0 && untouched > 0,
+        "{skipped} {left_out} {untouched}"
+    );
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! that sweeps each pass tile by tile.
 
 use super::circuit::{FusedCircuit, FusedOp};
-use super::diagonal::{prepare_diagonal, run_prepared_diagonal_amps, PreparedDiagonal};
+use super::diagonal::{
+    is_one_within, prepare_diagonal, run_prepared_diagonal_amps, PreparedDiagonal,
+};
 use crate::kernels::{
     apply_dense_amps, apply_kind_amps, deposit, for_each_range, ApplyOptions, DenseMasks,
     SharedAmps, MAX_STACK_KERNEL_QUBITS,
@@ -84,10 +86,15 @@ impl FusedCircuit {
     /// `support` ([`Support::ANY`] when nothing is known): a single op is
     /// one whole-state sweep, a longer range one cache-blocked run over the
     /// tiles that can hold a nonzero amplitude, and a state that is all
-    /// zero is not swept at all. A tile or state left out is exactly zero
-    /// and a pass keeps it so; the per-amplitude arithmetic of everything
-    /// swept is bit-identical either way.
-    /// [`swept_amplitudes`](Self::swept_amplitudes) counts what it sweeps.
+    /// zero is not swept at all. Inside a live tile the run narrows the
+    /// support op by op: a dense op visits only the groups that can be
+    /// nonzero, and a diagonal run that multiplies only ones there is left
+    /// out. A tile, group or state left out is exactly zero and a pass
+    /// keeps it so; every nonzero amplitude comes out bit-identical either
+    /// way, and a zero equal (a full sweep's arithmetic can turn a +0.0
+    /// into -0.0).
+    /// [`swept_amplitudes`](Self::swept_amplitudes) counts what it sweeps:
+    /// a live tile is streamed once however few of its groups an op visits.
     ///
     /// With the recorder enabled the pass leaves a sampled `kernel` span,
     /// skipped or not, whose bytes are the amplitudes it swept, read and
@@ -147,6 +154,29 @@ impl FusedCircuit {
         }
     }
 
+    /// The ops of `run` a tiled pass applies to a state whose nonzero
+    /// amplitudes set no position outside `live`, each with the positions
+    /// it can find set in one: `live` and what every earlier op of the run
+    /// mixed (the schedule's fold between passes, taken op by op). A
+    /// diagonal run that is exactly one on every index those positions
+    /// allow ([`is_one_within`]) changes no amplitude there, and is left
+    /// out.
+    pub(super) fn applied<'a>(
+        &'a self,
+        run: Range<usize>,
+        map: Option<&'a [Qubit]>,
+        mut live: u64,
+    ) -> impl Iterator<Item = (&'a FusedOp, u64)> + 'a {
+        self.ops()[run].iter().filter_map(move |op| {
+            let seen = live;
+            live |= op_mixing(op, map);
+            match op {
+                FusedOp::Diagonal { factors, .. } if is_one_within(factors, map, seen) => None,
+                _ => Some((op, seen)),
+            }
+        })
+    }
+
     /// Execute the ops of `run` tile by tile in `shape`, on the tiles
     /// `support` leaves live ([`TileShape::live_tiles`]). A tile is the
     /// 2^|high| chunks of 2^chunk_bits contiguous amplitudes that one
@@ -156,9 +186,18 @@ impl FusedCircuit {
     /// chunk's absolute base, so its blocks classify exactly as in the
     /// whole-state sweep. A one-chunk tile is a contiguous range of the
     /// state and is swept where it lies; a strided one is copied into a
-    /// worker's pooled tile buffer and back. Per-run translation and
-    /// classification happen once up front; the per-tile loop allocates
-    /// nothing.
+    /// worker's pooled tile buffer and back.
+    ///
+    /// The support folds op by op ([`applied`](Self::applied)): each op
+    /// meets nonzero amplitudes only at the positions `support` allows and
+    /// the earlier ops of the run mixed. What is decided from that, once
+    /// per run and never per tile: a diagonal run that is exactly one on
+    /// every such index is dropped, and every other op's tile positions
+    /// outside them are dead, which the dense kernels fix to zero
+    /// (`kernels::dense_sweep`) to visit only live groups. Permutation and
+    /// phase kernels, the heap fallback and the diagonal runs kept sweep
+    /// the whole tile. Per-run translation and classification happen once
+    /// up front; the per-tile loop allocates nothing.
     fn apply_tiled_run(
         &self,
         state: &mut StateVector,
@@ -175,6 +214,10 @@ impl FusedCircuit {
         }
         // Each live tile starts at `deposit(t, picks)`, `t < tiles`.
         let (picks, tiles) = shape.live_tiles(len, support);
+        let live = match support {
+            Support::Within(live) => live,
+            Support::Zero => 0,
+        };
         // Each worker claims the next tile until none is left, so a worker
         // the host slows down takes fewer tiles, and holds one buffer.
         let workers = match opts.go_parallel(len) {
@@ -186,9 +229,10 @@ impl FusedCircuit {
                 .iter()
                 .map(FusedOp::fused_count)
                 .sum();
+            let applied = self.applied(run.clone(), map, live).count();
             hisvsim_obs::span("kernel", "sweep:tiled")
                 .detail(format!(
-                    "{} ops, {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}, on {workers} threads",
+                    "{} ops ({applied} applied), {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}, on {workers} threads",
                     run.len(),
                     gates,
                     len / TILE,
@@ -200,8 +244,13 @@ impl FusedCircuit {
         if tiles == 0 {
             return;
         }
-        let items: Vec<TileOp<'_>> = (self.ops()[run].iter())
-            .map(|op| tile_op(op, map, Some(shape), state.num_qubits()))
+        // Each op with the tile positions that are zero in every nonzero
+        // amplitude it meets.
+        let items: Vec<(TileOp<'_>, usize)> = (self.applied(run, map, live))
+            .map(|(op, seen)| {
+                let dead = !shape.within_tile(seen) & (TILE - 1);
+                (tile_op(op, map, Some(shape), state.num_qubits()), dead)
+            })
             .collect();
         // Within a tile the run is sequential; parallelism comes from the
         // disjoint tiles (nesting both would oversubscribe the pool).
@@ -213,14 +262,14 @@ impl FusedCircuit {
         }
         let offsets = &offsets[..chunks];
         let sweep = |tile: &mut [Complex64], base: usize| {
-            for item in &items {
+            for (item, dead) in &items {
                 match item {
                     TileOp::Diag(_) => {
                         for (amps, &offset) in tile.chunks_exact_mut(chunk).zip(offsets) {
-                            item.apply(amps, base + offset, &tile_opts);
+                            item.apply(amps, base + offset, 0, &tile_opts);
                         }
                     }
-                    _ => item.apply(tile, base, &tile_opts),
+                    _ => item.apply(tile, base, *dead, &tile_opts),
                 }
             }
         };
@@ -320,6 +369,16 @@ impl TileShape {
         }
     }
 
+    /// The tile positions of the state positions in `mask`: those below the
+    /// chunk stay where they are, those in `high` follow in order, and the
+    /// ones that pick a tile have no tile position.
+    pub(super) fn within_tile(self, mask: u64) -> usize {
+        let inside = mask & (self.high | ((1 << self.chunk_bits) - 1));
+        (0..u64::BITS as usize)
+            .filter(|&q| inside >> q & 1 == 1)
+            .fold(0, |tile, q| tile | 1 << self.position(q))
+    }
+
     /// The tile position of state qubit `q`, one below the chunk bits or
     /// in `high`.
     pub(super) fn position(self, q: Qubit) -> Qubit {
@@ -332,9 +391,12 @@ impl TileShape {
 
 /// Which amplitudes of a state can be nonzero, as far as the caller knows:
 /// what lets [`FusedCircuit::apply_pass`] skip the tiles of a cache-blocked
-/// run that are exactly zero. A schedule that starts from `|0…0⟩` knows it
-/// exactly: a bit no earlier pass mixed is clear in every nonzero
-/// amplitude.
+/// run that are exactly zero, and, inside a live tile, the groups of each
+/// dense op and the diagonal runs that only multiply ones (the mask widens
+/// op by op with what the run mixes). A schedule that starts from `|0…0⟩`
+/// knows it exactly: a bit no earlier pass mixed is clear in every nonzero
+/// amplitude. A pass of one op, every pass of a state of at most one
+/// [`TILE`], ignores it but for [`Support::Zero`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Support {
     /// Every amplitude is zero: a pass sweeps nothing.
@@ -441,7 +503,7 @@ impl FusedOp {
         opts: &ApplyOptions,
     ) {
         let item = tile_op(self, map, None, state.num_qubits());
-        item.apply(state.amplitudes_mut(), 0, opts);
+        item.apply(state.amplitudes_mut(), 0, 0, opts);
     }
 }
 
@@ -497,18 +559,18 @@ impl TileOp<'_> {
     /// amplitude index `base`. Dense and solo operands are already aimed at
     /// `amps`' positions; a diagonal run classifies its factors against the
     /// same absolute block bases as the whole-state sweep.
-    fn apply(&self, amps: &mut [Complex64], base: usize, opts: &ApplyOptions) {
+    fn apply(&self, amps: &mut [Complex64], base: usize, dead: usize, opts: &ApplyOptions) {
         match self {
             TileOp::Dense {
                 qubits,
                 matrix,
                 masks,
-            } => apply_dense_amps(amps, qubits.as_slice(), matrix, masks, opts),
+            } => apply_dense_amps(amps, qubits.as_slice(), matrix, masks, dead, opts),
             TileOp::Solo {
                 kind,
                 qubits,
                 matrix,
-            } => apply_kind_amps(amps, kind, qubits.as_slice(), *matrix, opts),
+            } => apply_kind_amps(amps, kind, qubits.as_slice(), *matrix, dead, opts),
             TileOp::Diag(prepared) => run_prepared_diagonal_amps(amps, base, prepared, opts),
         }
     }

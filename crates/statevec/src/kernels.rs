@@ -2,9 +2,13 @@
 //!
 //! The paper's Sec. III-A analysis: applying a gate is a sweep of "scoped"
 //! small matrix–vector products over the state vector, with an operational
-//! intensity of 7/16 FLOP/byte — firmly memory bound. The kernels here are
-//! therefore organised around access pattern, and there is one algorithm per
-//! op class:
+//! intensity of 7/16 FLOP/byte — memory bound when each op streams the whole
+//! state from memory. Inside a cache-blocked tile (`fusion`) the amplitudes
+//! stay L2-resident across a run of ops and the arithmetic is the cost, so
+//! the dense kernels also take the positions the caller knows are zero in
+//! every nonzero amplitude and visit only the groups that can hold one. The
+//! kernels here are organised around access pattern, and there is one
+//! algorithm per op class:
 //!
 //! * **dense** gates on `k ≤ 5` qubits (optionally controlled) run the
 //!   register-blocked kernel family `dense_range`: two index groups per
@@ -140,6 +144,7 @@ pub fn apply_gate_with_matrix(
         &gate.kind,
         &gate.qubits,
         matrix,
+        0,
         opts,
     );
 }
@@ -149,11 +154,14 @@ pub fn apply_gate_with_matrix(
 /// relative to the slice (and passed separately from the kind, so a
 /// translated application needs no `Gate` of its own). The fused executor's
 /// cache-blocked sweep relies on this to run whole op-runs tile-by-tile.
+/// `dead` is passed to the dense kernels ([`dense_sweep`]); the permutation
+/// and phase kernels sweep the whole slice whatever it says.
 pub(crate) fn apply_kind_amps(
     amps: &mut [Complex64],
     kind: &GateKind,
     qubits: &[Qubit],
     matrix: Option<&UnitaryMatrix>,
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     debug_assert!(qubits.iter().all(|&q| 1usize << (q + 1) <= amps.len()));
@@ -195,7 +203,7 @@ pub(crate) fn apply_kind_amps(
         }
         [q] => {
             let mat = [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)];
-            apply_single_amps(amps, q, &mat, opts);
+            apply_single_amps(amps, q, &mat, dead, opts);
         }
         [a, b] if kind.is_diagonal() => {
             let diag = [m.get(0, 0), m.get(1, 1), m.get(2, 2), m.get(3, 3)];
@@ -205,10 +213,10 @@ pub(crate) fn apply_kind_amps(
             // Controlled single-qubit gate: the 2x2 block on the target,
             // restricted to the control=1 half.
             let mat = [m.get(1, 1), m.get(1, 3), m.get(3, 1), m.get(3, 3)];
-            apply_controlled_single_amps(amps, c, t, &mat, opts);
+            apply_controlled_single_amps(amps, c, t, &mat, dead, opts);
         }
-        [a, b] => apply_two_qubit_dense_amps(amps, a, b, m, opts),
-        _ => apply_dense_amps(amps, qubits, m, &DenseMasks::of(m), opts),
+        [a, b] => apply_two_qubit_dense_amps(amps, a, b, m, dead, opts),
+        _ => apply_dense_amps(amps, qubits, m, &DenseMasks::of(m), dead, opts),
     }
 }
 
@@ -255,23 +263,18 @@ pub fn run_circuit_with(circuit: &hisvsim_circuit::Circuit, opts: &ApplyOptions)
 
 /// Apply a dense 2×2 matrix `[m00, m01, m10, m11]` on qubit `q`.
 pub fn apply_single(state: &mut StateVector, q: Qubit, m: &[Complex64; 4], opts: &ApplyOptions) {
-    apply_single_amps(state.amplitudes_mut(), q, m, opts);
+    apply_single_amps(state.amplitudes_mut(), q, m, 0, opts);
 }
 
 pub(crate) fn apply_single_amps(
     amps: &mut [Complex64],
     q: Qubit,
     m: &[Complex64; 4],
+    dead: usize,
     opts: &ApplyOptions,
 ) {
-    dense_sweep(
-        amps,
-        &[q],
-        None,
-        m,
-        DenseMasks::of_rows(m, 2).as_slice(),
-        opts,
-    );
+    let masks = DenseMasks::of_rows(m, 2);
+    dense_sweep(amps, &[q], None, m, masks.as_slice(), dead, opts);
 }
 
 /// Apply a 2×2 matrix on `target`, conditioned on `control` being 1.
@@ -282,7 +285,7 @@ pub fn apply_controlled_single(
     m: &[Complex64; 4],
     opts: &ApplyOptions,
 ) {
-    apply_controlled_single_amps(state.amplitudes_mut(), control, target, m, opts);
+    apply_controlled_single_amps(state.amplitudes_mut(), control, target, m, 0, opts);
 }
 
 pub(crate) fn apply_controlled_single_amps(
@@ -290,11 +293,13 @@ pub(crate) fn apply_controlled_single_amps(
     control: Qubit,
     target: Qubit,
     m: &[Complex64; 4],
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     assert_ne!(control, target, "control and target must be distinct");
     let masks = DenseMasks::of_rows(m, 2);
-    dense_sweep(amps, &[target], Some(control), m, masks.as_slice(), opts);
+    let masks = masks.as_slice();
+    dense_sweep(amps, &[target], Some(control), m, masks, dead, opts);
 }
 
 /// Apply a dense 4×4 unitary on qubits `(a, b)` where operand `a` is matrix
@@ -307,7 +312,7 @@ pub fn apply_two_qubit_dense(
     matrix: &UnitaryMatrix,
     opts: &ApplyOptions,
 ) {
-    apply_two_qubit_dense_amps(state.amplitudes_mut(), a, b, matrix, opts);
+    apply_two_qubit_dense_amps(state.amplitudes_mut(), a, b, matrix, 0, opts);
 }
 
 pub(crate) fn apply_two_qubit_dense_amps(
@@ -315,19 +320,14 @@ pub(crate) fn apply_two_qubit_dense_amps(
     a: Qubit,
     b: Qubit,
     matrix: &UnitaryMatrix,
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     assert_eq!(matrix.dim(), 4, "two-qubit kernel needs a 4x4 matrix");
     assert_ne!(a, b, "two-qubit gate operands must be distinct");
     let masks = DenseMasks::of(matrix);
-    dense_sweep(
-        amps,
-        &[a, b],
-        None,
-        matrix.as_slice(),
-        masks.as_slice(),
-        opts,
-    );
+    let rows = matrix.as_slice();
+    dense_sweep(amps, &[a, b], None, rows, masks.as_slice(), dead, opts);
 }
 
 /// Apply an arbitrary `k`-qubit unitary to the given (distinct) qubits.
@@ -342,37 +342,28 @@ pub fn apply_k_qubit(
     matrix: &UnitaryMatrix,
     opts: &ApplyOptions,
 ) {
-    apply_dense_amps(
-        state.amplitudes_mut(),
-        qubits,
-        matrix,
-        &DenseMasks::of(matrix),
-        opts,
-    );
+    let masks = DenseMasks::of(matrix);
+    apply_dense_amps(state.amplitudes_mut(), qubits, matrix, &masks, 0, opts);
 }
 
 /// Apply a dense matrix with its prepared zero masks to `qubits` of an
-/// amplitude slice: the register-blocked family for `k ≤ 5`, the heap
-/// fallback above that.
+/// amplitude slice: the register-blocked family for `k ≤ 5`, restricted to
+/// the groups `dead` leaves live ([`dense_sweep`]), the heap fallback over
+/// every group above that.
 pub(crate) fn apply_dense_amps(
     amps: &mut [Complex64],
     qubits: &[Qubit],
     matrix: &UnitaryMatrix,
     masks: &DenseMasks,
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     let k = qubits.len();
     assert_eq!(matrix.dim(), 1 << k, "matrix dimension mismatch");
     assert!(amps.len() >= 1 << k, "state too small for a {k}-qubit gate");
     if k <= MAX_STACK_KERNEL_QUBITS {
-        dense_sweep(
-            amps,
-            qubits,
-            None,
-            matrix.as_slice(),
-            masks.as_slice(),
-            opts,
-        );
+        let (rows, masks) = (matrix.as_slice(), masks.as_slice());
+        dense_sweep(amps, qubits, None, rows, masks, dead, opts);
     } else {
         apply_k_qubit_heap(amps, qubits, matrix.as_slice(), opts);
     }
@@ -456,8 +447,10 @@ impl DenseMasks {
 /// Per-application index data of a dense sweep, derived once from the
 /// operand placement.
 struct Placement {
-    /// Targets and control, ascending: the bits a group index skips.
-    fixed: [Qubit; MAX_STACK_KERNEL_QUBITS + 1],
+    /// Targets, control and dead positions, ascending: the bits a group
+    /// index skips (a dead one is zero in every group swept, as a control
+    /// is one).
+    fixed: [Qubit; usize::BITS as usize],
     nfixed: usize,
     /// How many of the lowest state bits are fixed (`fixed[i] == i`): bit
     /// `packed` is the lowest free one, so consecutive groups sit
@@ -473,12 +466,22 @@ struct Placement {
 
 /// Sweep a prepared `k ≤ 5` dense matrix over `targets` (operand `j` =
 /// matrix bit `j`), restricted to `control = 1` when a control is given.
+///
+/// `dead` names the positions of `amps` the caller knows are clear in every
+/// nonzero amplitude (0 when nothing is known). A group whose index sets one
+/// of them that is not an operand holds only zeros, which the matrix keeps
+/// zero, so the sweep visits only the other groups: each such position is
+/// fixed to zero the way the control is fixed to one, and a dead control
+/// leaves nothing to visit. A group swept gets the same arithmetic, bit
+/// for bit, either way; one left out keeps the zeros it held, where a full
+/// sweep can turn a +0.0 into -0.0.
 fn dense_sweep(
     amps: &mut [Complex64],
     targets: &[Qubit],
     control: Option<Qubit>,
     rows: &[Complex64],
     masks: &[u8],
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     let k = targets.len();
@@ -488,19 +491,31 @@ fn dense_sweep(
     assert_eq!(rows.len(), dim * dim);
     assert_eq!(masks.len(), dim * dim.div_ceil(ROW_BLOCK));
 
+    let len = amps.len();
+    let ctrl_mask = control.map_or(0, |c| 1usize << c);
+    if dead & ctrl_mask != 0 {
+        return;
+    }
+    let operands = targets.iter().fold(ctrl_mask, |mask, &q| mask | 1 << q);
+    let dead = dead & (len - 1) & !operands;
     let mut pl = Placement {
-        fixed: [0; MAX_STACK_KERNEL_QUBITS + 1],
-        nfixed: k + control.is_some() as usize,
+        fixed: [0; usize::BITS as usize],
+        nfixed: 0,
         packed: 0,
         offsets: [0; STACK_DIM],
-        ctrl_mask: control.map_or(0, |c| 1usize << c),
+        ctrl_mask,
         single_group: false,
     };
-    pl.fixed[..k].copy_from_slice(targets);
-    if let Some(c) = control {
-        pl.fixed[k] = c;
+    for q in targets.iter().copied().chain(control) {
+        pl.fixed[pl.nfixed] = q;
+        pl.nfixed += 1;
     }
-    let len = amps.len();
+    let mut zeros = dead;
+    while zeros != 0 {
+        pl.fixed[pl.nfixed] = zeros.trailing_zeros() as usize;
+        pl.nfixed += 1;
+        zeros &= zeros - 1;
+    }
     let fixed = &mut pl.fixed[..pl.nfixed];
     sort_operands(fixed, len);
     pl.packed = fixed
@@ -515,9 +530,10 @@ fn dense_sweep(
     // A work item is a pair of index groups processed in the two lanes. When
     // bit 0 of the state index is free (no operand on qubit 0) the groups
     // `2p, 2p+1` are adjacent in memory and every sub-index is one
-    // contiguous two-amplitude access. Otherwise — qubit 0 is an operand, or
-    // the state holds a single group — the two lanes are loaded and stored
-    // one amplitude each, which costs load and store slots but no shuffles.
+    // contiguous two-amplitude access. Otherwise — qubit 0 is an operand or
+    // dead, or the state holds a single group — the two lanes are loaded and
+    // stored one amplitude each, which costs load and store slots but no
+    // shuffles.
     let contiguous = pl.packed == 0;
     let full = ((1u16 << dim.min(ROW_BLOCK)) - 1) as u8;
     let skip = masks.iter().any(|&mask| mask != full);
@@ -1451,6 +1467,73 @@ pub(crate) mod tests {
                         });
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_kernels_visit_only_the_groups_dead_positions_leave_live() {
+        // On a state zero wherever a dead position is set, restricting a
+        // dense sweep to the live groups changes no nonzero amplitude's
+        // bits and leaves every dead non-operand index at +0.0, for every
+        // width, placement and dispatch, dead positions below, between and
+        // above the operands, qubit 0 and the control among them.
+        let n = 9;
+        let bits = |a: &Complex64| (a.re.to_bits(), a.im.to_bits());
+        let check = |what: &str,
+                     dead: usize,
+                     operands: usize,
+                     apply: &dyn Fn(&mut [Complex64], usize, &ApplyOptions)| {
+            let mut init = random_state(n, 0xDEAD ^ dead as u64);
+            for (index, amp) in init.amplitudes_mut().iter_mut().enumerate() {
+                if index & dead != 0 {
+                    *amp = Complex64::ZERO;
+                }
+            }
+            for opts in [SEQ, PAR] {
+                for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                    let opts = opts.with_dispatch(dispatch);
+                    let (mut full, mut live) = (init.clone(), init.clone());
+                    apply(full.amplitudes_mut(), 0, &opts);
+                    apply(live.amplitudes_mut(), dead, &opts);
+                    let pairs = live.amplitudes().iter().zip(full.amplitudes());
+                    for (index, (l, f)) in pairs.enumerate() {
+                        let at =
+                            || format!("{what}, dead {dead:#b}, {dispatch}: amplitude {index}");
+                        if *l != Complex64::ZERO || *f != Complex64::ZERO {
+                            assert_eq!(bits(l), bits(f), "{}", at());
+                        }
+                        if index & dead & !operands != 0 {
+                            assert_eq!(bits(l), (0, 0), "{}", at());
+                        }
+                    }
+                }
+            }
+        };
+        for k in 1..=MAX_STACK_KERNEL_QUBITS {
+            for (kind, matrix) in test_matrices(1 << k, 0xD0 + k as u64) {
+                let masks = DenseMasks::of(&matrix);
+                for qubits in placements(k, n) {
+                    let operands = qubits.iter().fold(0, |mask, &q| mask | 1 << q);
+                    let free: Vec<usize> = (0..n).filter(|&q| operands >> q & 1 == 0).collect();
+                    let all = free.iter().fold(0, |mask, &q| mask | 1 << q);
+                    for dead in [1, 0b1_0110_0000, all & !(1 << free[0]), all, 0b1_1111_1111] {
+                        let what = format!("{kind} k={k} on {qubits:?}");
+                        check(&what, dead, operands, &|amps, dead, opts| {
+                            apply_dense_amps(amps, &qubits, &matrix, &masks, dead, opts)
+                        });
+                    }
+                }
+            }
+        }
+        let m = [0.6, 0.8, 0.8, -0.6].map(|re| Complex64::new(re, 0.1));
+        for (c, t) in [(0, 4), (4, 0), (8, 3)] {
+            let operands = 1 << c | 1 << t;
+            for dead in [1, 1 << c, 0b1_0110_0001, 0b1_1111_1111 & !(1 << c)] {
+                let what = format!("controlled c={c} t={t}");
+                check(&what, dead, operands, &|amps, dead, opts| {
+                    apply_controlled_single_amps(amps, c, t, &m, dead, opts)
+                });
             }
         }
     }

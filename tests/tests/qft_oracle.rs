@@ -5,7 +5,11 @@
 //! in place at 20 qubits, and at 22 too (`large_qft`'s), with the
 //! permutation the relabeled SWAPs leave; at 22 its first pass strides tiles
 //! across qubits 16–21. A job forcing limit 21 at 22 qubits keeps that plan,
-//! three parts, each swept in place.
+//! three parts, each swept in place. |0⟩ at 22 qubits is `large_qft`'s own
+//! circuit: each tiled pass there leaves out every diagonal run, since each
+//! controlled phase waits on a qubit no H has reached yet. A job forcing
+//! `Dist` runs qft(21) on two ranks, three parts each, whose slices start
+//! zero but for rank 0's.
 //!
 //! Tolerance: 1e-14 per real and imaginary part. Each amplitude has
 //! magnitude 2^-n/2 (about 1e-3 at 20 qubits, 5e-4 at 22), so a slipped
@@ -50,23 +54,38 @@ fn qft_of_basis(n: usize, x: u64) -> Circuit {
 fn the_default_route_computes_the_closed_form_qft() {
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
+    // (n, x, forced limit, forced engine, (engine, limit, ranks) run, parts
+    // executed: every rank counts each of its schedule's parts)
     let rows = [
-        (20, 0x9_3C5Au64, None, 20, 1),
-        (22, 0x2D_B1E7, None, 22, 1),
-        (22, 0x1E_83C5, Some(21), 21, 3),
+        (20, 0x9_3C5Au64, None, None, (EngineKind::Hier, 20, 1), 1),
+        (22, 0x2D_B1E7, None, None, (EngineKind::Hier, 22, 1), 1),
+        (22, 0x1E_83C5, Some(21), None, (EngineKind::Hier, 21, 1), 3),
+        (22, 0, None, None, (EngineKind::Hier, 22, 1), 1),
+        (
+            21,
+            0x0B_7D29,
+            None,
+            Some(EngineKind::Dist),
+            (EngineKind::Dist, 20, 2),
+            6,
+        ),
     ];
-    for (n, x, forced, limit, parts) in rows {
+    for (n, x, forced, engine, route, parts) in rows {
         let before = parts_executed();
         let mut job = SimJob::new(qft_of_basis(n, x));
         if let Some(forced) = forced {
             job = job.with_limit(forced);
         }
+        if let Some(engine) = engine {
+            job = job.with_engine(engine);
+        }
         let result = runner
             .execute_job(0, job, &residency, &JobControl::new())
             .expect("the job runs");
+        let decision = &result.decision;
         assert_eq!(
-            (result.engine, result.decision.limit),
-            (EngineKind::Hier, limit),
+            (result.engine, decision.limit, decision.ranks),
+            route,
             "qft({n})"
         );
         assert_eq!(parts_executed() - before, parts, "qft({n})");

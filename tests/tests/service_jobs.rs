@@ -22,9 +22,10 @@ fn service(workers: usize) -> SimService {
 /// land mid-execution in every profile tier-1 runs under: a wide QFT forced
 /// onto the hierarchical engine with a tight limit, so the run spans many
 /// parts (each a cancellation checkpoint). The kernels are optimised in the
-/// debug profile too, so tier-1 runs it at close to release speed: 0.55–0.8 s
-/// at 22 qubits on a two-vCPU guest, where 20 qubits took only 0.13–0.15 s.
-/// No test lets it run to the end.
+/// debug profile too, so tier-1 runs it at close to release speed: 0.38–0.45 s
+/// at 22 qubits on a two-vCPU guest (0.53–0.59 s before a tiled pass left out
+/// the groups still zero), where 20 qubits took only 0.13–0.15 s. No test
+/// lets it run to the end.
 fn long_job() -> SimJob {
     SimJob::new(generators::qft(22))
         .with_engine(EngineKind::Hier)
