@@ -3,7 +3,9 @@
 //! per at most [`MAX_STREAMS`] per-amplitude tables.
 
 use super::circuit::DiagonalFactor;
-use crate::kernels::{for_each_range, ApplyOptions, SharedAmps, MAX_STACK_KERNEL_QUBITS};
+use crate::kernels::{
+    for_each_range, live_pairs, ApplyOptions, SharedAmps, MAX_STACK_KERNEL_QUBITS,
+};
 use crate::simd::{lanes_dispatch, Lanes};
 use hisvsim_circuit::{Complex64, Qubit};
 
@@ -215,10 +217,17 @@ pub(super) fn prepare_diagonal(
 /// [`TILE`](super::TILE)-aligned base, whole-state callers pass 0) must be
 /// block-aligned, so every block's classification sees the same absolute
 /// base as the untiled sweep and results stay bit-identical.
+///
+/// `dead` names the positions of `amps` the caller knows are clear in every
+/// nonzero amplitude (0 when nothing is known): an amplitude that sets one
+/// is zero and is left as it is, so a block whose base sets one is skipped
+/// and a block's steps visit only the live pairs — a dead position 0 keeps
+/// each pair's odd amplitude as it was.
 pub(super) fn run_prepared_diagonal_amps(
     amps: &mut [Complex64],
     offset: usize,
     prepared: &PreparedDiagonal,
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     let len = amps.len();
@@ -228,6 +237,8 @@ pub(super) fn run_prepared_diagonal_amps(
         "diagonal run prepared for a larger state"
     );
     let blocks = len >> prepared.block_bits;
+    // The dead positions inside a block.
+    let inside = dead & (block - 1);
     let simd = opts.use_simd();
     let tables = &prepared.tables;
     let amps_ptr = SharedAmps::new(amps);
@@ -237,6 +248,9 @@ pub(super) fn run_prepared_diagonal_amps(
             let mut folded = [Complex64::ZERO; MAX_FOLD_WIDTH];
             for index in range {
                 let rel = index << prepared.block_bits;
+                if rel & dead != 0 {
+                    continue;
+                }
                 let base = offset + rel;
                 let mut block_phase = constant.iter().fold(Complex64::ONE, |phase, factor| {
                     phase * tables[factor.at + factor.hi.sub(base)]
@@ -267,10 +281,15 @@ pub(super) fn run_prepared_diagonal_amps(
                 // SAFETY: blocks are disjoint contiguous ranges; every
                 // stream's `lane0` holds `block / 2` even indices whose pair
                 // lies inside the sub-table beside it (or its same-size
-                // folded copy); `simd` comes from the dispatch resolution.
+                // folded copy); `inside` lies below the block; `simd` comes
+                // from the dispatch resolution.
                 unsafe {
                     let amps = amps_ptr.slice_mut(rel, block);
-                    diag_block_on(simd, amps, block_phase, &active[..count]);
+                    let streams = &active[..count];
+                    match inside {
+                        0 => diag_block_on::<false>(simd, amps, block_phase, streams, 0),
+                        _ => diag_block_on::<true>(simd, amps, block_phase, streams, inside),
+                    }
                 }
             }
         });
@@ -282,44 +301,75 @@ type ActiveStream = (*const Complex64, *const u8);
 
 lanes_dispatch! {
     /// Pick the lane instantiation of [`diag_block`].
-    unsafe fn diag_block_on(
+    unsafe fn diag_block_on<const MASKED: bool>(
         amps: &mut [Complex64],
         block_phase: Option<Complex64>,
         streams: &[ActiveStream],
+        dead: usize,
     ) => diag_block
 }
 
 /// One block of a diagonal pass, two amplitudes per step: the step's phase
 /// is the block phase (when there is one) times each stream's entry pair, in
 /// stream order, and multiplies the amplitudes last — the same
-/// multiplication order under either instantiation.
+/// multiplication order under either instantiation. When `MASKED`, an
+/// amplitude whose index sets a bit of `dead` is left as it is
+/// ([`live_pairs`]).
 ///
 /// # Safety
 /// Each stream's `lane0` must hold `amps.len() / 2` indices `e` with `e` and
-/// `e + 1` inside its sub-table, and there must be a block phase or a
-/// stream; AVX2 must be available for that instantiation.
+/// `e + 1` inside its sub-table, `dead` must lie below `amps.len()`, and
+/// there must be a block phase or a stream; AVX2 must be available for that
+/// instantiation.
 #[inline(always)]
-unsafe fn diag_block<L: Lanes>(
+unsafe fn diag_block<L: Lanes, const MASKED: bool>(
     amps: &mut [Complex64],
     block_phase: Option<Complex64>,
     streams: &[ActiveStream],
+    dead: usize,
 ) {
-    let entry =
-        |&(table, lane0): &ActiveStream, v: usize| L::load(table.add(*lane0.add(v) as usize));
     let (first, rest) = match block_phase {
         Some(_) => (None, streams),
         None => (streams.first(), &streams[1..]),
     };
     let ptr = amps.as_mut_ptr();
-    for v in 0..amps.len() / 2 {
-        let mut phase = match (block_phase, first) {
-            (Some(phase), _) => L::splat(phase),
-            (None, Some(stream)) => entry(stream, v),
-            (None, None) => unreachable!("caller passes a block phase or a stream"),
-        };
-        for stream in rest {
-            phase = phase.cmul(entry(stream, v));
+    let pairs = amps.len() / 2;
+    if !MASKED {
+        for v in 0..pairs {
+            diag_pair::<L>(ptr, v, block_phase, first, rest);
         }
-        L::load(ptr.add(2 * v)).cmul(phase).store(ptr.add(2 * v));
+        return;
     }
+    for v in live_pairs(pairs, dead) {
+        let odd = *ptr.add(2 * v + 1);
+        diag_pair::<L>(ptr, v, block_phase, first, rest);
+        if dead & 1 == 1 {
+            *ptr.add(2 * v + 1) = odd;
+        }
+    }
+}
+
+/// Step `v` of [`diag_block`]: amplitudes `2v` and `2v + 1` times the
+/// block phase, or `first`'s entry pair, then each stream of `rest`'s.
+///
+/// # Safety
+/// As [`diag_block`]'s, for step `v`.
+#[inline(always)]
+unsafe fn diag_pair<L: Lanes>(
+    ptr: *mut Complex64,
+    v: usize,
+    block_phase: Option<Complex64>,
+    first: Option<&ActiveStream>,
+    rest: &[ActiveStream],
+) {
+    let entry = |&(table, lane0): &ActiveStream| L::load(table.add(*lane0.add(v) as usize));
+    let mut phase = match (block_phase, first) {
+        (Some(phase), _) => L::splat(phase),
+        (None, Some(stream)) => entry(stream),
+        (None, None) => unreachable!("caller passes a block phase or a stream"),
+    };
+    for stream in rest {
+        phase = phase.cmul(entry(stream));
+    }
+    L::load(ptr.add(2 * v)).cmul(phase).store(ptr.add(2 * v));
 }

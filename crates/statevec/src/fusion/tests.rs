@@ -532,9 +532,9 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
     let mut rng = StdRng::seed_from_u64(0x11FE);
     let reversed: Vec<Qubit> = (0..n).rev().collect();
     // Runs checked by (mapped, strided); how many skipped a tile, left an
-    // op out, and were held to +0.0 wherever no op can reach.
+    // op out, kept a diagonal run, and held a lone phase gate.
     let mut seen = [[0usize; 2]; 2];
-    let (mut skipped, mut left_out, mut untouched) = (0, 0, 0);
+    let (mut skipped, mut left_out, mut diagonal_kept, mut phase_gates) = (0, 0, 0, 0);
     let bits = |a: &Complex64| (a.re.to_bits(), a.im.to_bits());
     let circuits = (0..3).map(|seed| generators::random_circuit(n, 90, seed));
     for (seed, circuit) in (0..).zip(circuits.chain([generators::qft(n)])) {
@@ -550,16 +550,12 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
                         *amp = Complex64::ZERO;
                     }
                 }
+                let (picks, _) = shape.live_tiles(1 << n, Support::ANY);
                 // Where neither the mask nor the pass's mixing reaches, the
-                // masked run leaves every +0.0 as it was: dense ops skip
-                // those groups and permutations move zeros onto zeros. A
-                // diagonal run it keeps multiplies its whole tile, and
-                // there can leave -0.0.
+                // masked run leaves every +0.0 as it was: dense and phase
+                // kernels and diagonal runs skip those amplitudes, and
+                // permutations move zeros onto zeros.
                 let reach = live | fused.mixing(pass.clone(), map);
-                let applied: Vec<&FusedOp> = (fused.applied(pass.clone(), map, live))
-                    .map(|(op, _)| op)
-                    .collect();
-                let diagonal = (applied.iter()).any(|op| matches!(op, FusedOp::Diagonal { .. }));
                 for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
                     let opts = ApplyOptions::default().with_dispatch(dispatch);
                     let mut masked = zeroed.clone();
@@ -570,7 +566,8 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
                     // An amplitude nonzero in either run is the same bits in
                     // both. A zero is one by value only: the full sweep's
                     // arithmetic on a zero group may leave -0.0 where the
-                    // masked run leaves the group alone, and the reverse.
+                    // masked run leaves the group alone, and the reverse. A
+                    // skipped tile keeps the +0.0 it held.
                     let what = format!(
                         "seed {seed}, mapped={}, {pass:?}, {dispatch}",
                         map.is_some()
@@ -580,16 +577,33 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
                         if *m != Complex64::ZERO || *e != Complex64::ZERO {
                             assert_eq!(bits(m), bits(e), "{what}: amplitude {index}");
                         }
-                        if index as u64 & !reach != 0 && !diagonal {
-                            assert_eq!(bits(m), (0, 0), "{what}: amplitude {index}");
+                        if index as u64 & picks & !live != 0 {
+                            let skipped_tile = bits(m) == (0, 0) && *e == Complex64::ZERO;
+                            assert!(skipped_tile, "{what}: amplitude {index}");
+                        }
+                        if index as u64 & !reach != 0 {
+                            let untouched = bits(m) == (0, 0) && *e == Complex64::ZERO;
+                            assert!(untouched, "{what}: amplitude {index}");
                         }
                     }
                 }
+                let applied: Vec<&FusedOp> = (fused.applied(pass.clone(), map, live))
+                    .map(|(op, _)| op)
+                    .collect();
                 let swept = fused.swept_amplitudes(n, pass.clone(), map, Support::Within(live));
                 seen[map.is_some() as usize][(shape.chunks() > 1) as usize] += 1;
                 skipped += usize::from(swept < 1 << n);
                 left_out += usize::from(applied.len() < pass.len());
-                untouched += usize::from(!diagonal);
+                diagonal_kept += usize::from(
+                    applied
+                        .iter()
+                        .any(|op| matches!(op, FusedOp::Diagonal { .. })),
+                );
+                phase_gates += usize::from(
+                    applied
+                        .iter()
+                        .any(|op| matches!(op, FusedOp::Solo(gate, _) if gate.kind.is_diagonal())),
+                );
                 // A zero state is left as it is.
                 let mut zero = StateVector::zero_state(n);
                 zero.amplitudes_mut()[0] = Complex64::ZERO;
@@ -599,10 +613,8 @@ fn masked_runs_match_unmasked_runs_on_states_zero_outside_the_mask() {
         }
     }
     assert!(seen.iter().flatten().all(|&runs| runs > 0), "{seen:?}");
-    assert!(
-        skipped > 0 && left_out > 0 && untouched > 0,
-        "{skipped} {left_out} {untouched}"
-    );
+    let counts = [skipped, left_out, diagonal_kept, phase_gates];
+    assert!(counts.iter().all(|&runs| runs > 0), "{counts:?}");
 }
 
 #[test]

@@ -87,12 +87,12 @@ impl FusedCircuit {
     /// one whole-state sweep, a longer range one cache-blocked run over the
     /// tiles that can hold a nonzero amplitude, and a state that is all
     /// zero is not swept at all. Inside a live tile the run narrows the
-    /// support op by op: a dense op visits only the groups that can be
-    /// nonzero, and a diagonal run that multiplies only ones there is left
-    /// out. A tile, group or state left out is exactly zero and a pass
-    /// keeps it so; every nonzero amplitude comes out bit-identical either
-    /// way, and a zero equal (a full sweep's arithmetic can turn a +0.0
-    /// into -0.0).
+    /// support op by op: a dense op, a phase gate or a diagonal run visits
+    /// only the amplitudes that can be nonzero, and a diagonal run that multiplies
+    /// only ones there is left out. A tile, group or state left out is
+    /// exactly zero and a pass keeps it so; every nonzero amplitude comes
+    /// out bit-identical either way, and a zero equal (a full sweep's
+    /// arithmetic can turn a +0.0 into -0.0).
     /// [`swept_amplitudes`](Self::swept_amplitudes) counts what it sweeps:
     /// a live tile is streamed once however few of its groups an op visits.
     ///
@@ -194,10 +194,12 @@ impl FusedCircuit {
     /// per run and never per tile: a diagonal run that is exactly one on
     /// every such index is dropped, and every other op's tile positions
     /// outside them are dead, which the dense kernels fix to zero
-    /// (`kernels::dense_sweep`) to visit only live groups. Permutation and
-    /// phase kernels, the heap fallback and the diagonal runs kept sweep
-    /// the whole tile. Per-run translation and classification happen once
-    /// up front; the per-tile loop allocates nothing.
+    /// (`kernels::dense_sweep`) to visit only live groups, and a diagonal
+    /// run kept and the phase kernels (`kernels::scale_by_table`) skip
+    /// every amplitude that sets one. Permutation kernels (which move zeros
+    /// onto zeros there) and the heap fallback sweep the whole tile.
+    /// Per-run translation and classification happen once up front; the
+    /// per-tile loop allocates nothing.
     fn apply_tiled_run(
         &self,
         state: &mut StateVector,
@@ -224,16 +226,27 @@ impl FusedCircuit {
             true => rayon::current_num_threads().min(tiles).max(1),
             false => 1,
         };
+        // Each op with the tile positions that are zero in every nonzero
+        // amplitude it meets; none when no tile is live.
+        let items: Vec<(TileOp<'_>, usize)> = match tiles {
+            0 => Vec::new(),
+            _ => (self.applied(run.clone(), map, live))
+                .map(|(op, seen)| {
+                    let dead = !shape.within_tile(seen) & (TILE - 1);
+                    (tile_op(op, map, Some(shape), state.num_qubits()), dead)
+                })
+                .collect(),
+        };
         let _g = (hisvsim_obs::enabled() && sample_sweep(len)).then(|| {
             let gates: usize = self.ops()[run.clone()]
                 .iter()
                 .map(FusedOp::fused_count)
                 .sum();
-            let applied = self.applied(run.clone(), map, live).count();
             hisvsim_obs::span("kernel", "sweep:tiled")
                 .detail(format!(
-                    "{} ops ({applied} applied), {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}, on {workers} threads",
+                    "{} ops ({} applied), {} gates, {tiles} of {} tiles, {chunks} chunks of 2^{}, on {workers} threads",
                     run.len(),
+                    items.len(),
                     gates,
                     len / TILE,
                     shape.chunk_bits
@@ -244,14 +257,6 @@ impl FusedCircuit {
         if tiles == 0 {
             return;
         }
-        // Each op with the tile positions that are zero in every nonzero
-        // amplitude it meets.
-        let items: Vec<(TileOp<'_>, usize)> = (self.applied(run, map, live))
-            .map(|(op, seen)| {
-                let dead = !shape.within_tile(seen) & (TILE - 1);
-                (tile_op(op, map, Some(shape), state.num_qubits()), dead)
-            })
-            .collect();
         // Within a tile the run is sequential; parallelism comes from the
         // disjoint tiles (nesting both would oversubscribe the pool).
         let tile_opts = ApplyOptions::sequential().with_dispatch(opts.dispatch);
@@ -264,9 +269,14 @@ impl FusedCircuit {
         let sweep = |tile: &mut [Complex64], base: usize| {
             for (item, dead) in &items {
                 match item {
+                    // Chunk `h` sets the tile positions of `h << chunk_bits`;
+                    // a chunk that sets a dead one is all zero.
                     TileOp::Diag(_) => {
-                        for (amps, &offset) in tile.chunks_exact_mut(chunk).zip(offsets) {
-                            item.apply(amps, base + offset, 0, &tile_opts);
+                        let chunks = tile.chunks_exact_mut(chunk).zip(offsets).enumerate();
+                        for (h, (amps, &offset)) in chunks {
+                            if (h << shape.chunk_bits) & dead == 0 {
+                                item.apply(amps, base + offset, dead & (chunk - 1), &tile_opts);
+                            }
                         }
                     }
                     _ => item.apply(tile, base, *dead, &tile_opts),
@@ -392,9 +402,9 @@ impl TileShape {
 /// Which amplitudes of a state can be nonzero, as far as the caller knows:
 /// what lets [`FusedCircuit::apply_pass`] skip the tiles of a cache-blocked
 /// run that are exactly zero, and, inside a live tile, the groups of each
-/// dense op and the diagonal runs that only multiply ones (the mask widens
-/// op by op with what the run mixes). A schedule that starts from `|0…0⟩`
-/// knows it exactly: a bit no earlier pass mixed is clear in every nonzero
+/// dense op, the zeros of each phase gate and diagonal run, and the diagonal
+/// runs that only multiply ones (the mask widens op by op with what the run
+/// mixes). A schedule that starts from `|0…0⟩` knows it exactly: a bit no earlier pass mixed is clear in every nonzero
 /// amplitude. A pass of one op, every pass of a state of at most one
 /// [`TILE`], ignores it but for [`Support::Zero`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -558,7 +568,10 @@ impl TileOp<'_> {
     /// for a diagonal run — one contiguous chunk starting at absolute
     /// amplitude index `base`. Dense and solo operands are already aimed at
     /// `amps`' positions; a diagonal run classifies its factors against the
-    /// same absolute block bases as the whole-state sweep.
+    /// same absolute block bases as the whole-state sweep. `dead` names
+    /// positions of `amps` clear in every nonzero amplitude (0 when none
+    /// are known), which the dense and phase kernels and a diagonal run
+    /// skip.
     fn apply(&self, amps: &mut [Complex64], base: usize, dead: usize, opts: &ApplyOptions) {
         match self {
             TileOp::Dense {
@@ -571,7 +584,7 @@ impl TileOp<'_> {
                 qubits,
                 matrix,
             } => apply_kind_amps(amps, kind, qubits.as_slice(), *matrix, dead, opts),
-            TileOp::Diag(prepared) => run_prepared_diagonal_amps(amps, base, prepared, opts),
+            TileOp::Diag(prepared) => run_prepared_diagonal_amps(amps, base, prepared, dead, opts),
         }
     }
 }

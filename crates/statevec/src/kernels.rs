@@ -5,10 +5,10 @@
 //! intensity of 7/16 FLOP/byte — memory bound when each op streams the whole
 //! state from memory. Inside a cache-blocked tile (`fusion`) the amplitudes
 //! stay L2-resident across a run of ops and the arithmetic is the cost, so
-//! the dense kernels also take the positions the caller knows are zero in
-//! every nonzero amplitude and visit only the groups that can hold one. The
-//! kernels here are organised around access pattern, and there is one
-//! algorithm per op class:
+//! the dense and phase kernels also take the positions the caller knows are
+//! zero in every nonzero amplitude and visit only the amplitudes that can be
+//! nonzero (the fused diagonal runs do the same). The kernels here are
+//! organised around access pattern, and there is one algorithm per op class:
 //!
 //! * **dense** gates on `k ≤ 5` qubits (optionally controlled) run the
 //!   register-blocked kernel family `dense_range`: two index groups per
@@ -154,8 +154,9 @@ pub fn apply_gate_with_matrix(
 /// relative to the slice (and passed separately from the kind, so a
 /// translated application needs no `Gate` of its own). The fused executor's
 /// cache-blocked sweep relies on this to run whole op-runs tile-by-tile.
-/// `dead` is passed to the dense kernels ([`dense_sweep`]); the permutation
-/// and phase kernels sweep the whole slice whatever it says.
+/// `dead` is passed to the dense kernels ([`dense_sweep`]) and the phase
+/// kernels (`scale_by_table`); the permutation kernels sweep the whole slice
+/// whatever it says, moving zeros onto zeros there.
 pub(crate) fn apply_kind_amps(
     amps: &mut [Complex64],
     kind: &GateKind,
@@ -185,7 +186,7 @@ pub(crate) fn apply_kind_amps(
                 opts,
             );
         }
-        (GateKind::Cz, &[a, b]) => return apply_cz_amps(amps, a, b, opts),
+        (GateKind::Cz, &[a, b]) => return apply_cz_amps(amps, a, b, dead, opts),
         _ => {}
     }
     // Every remaining arm consumes the dense matrix.
@@ -199,7 +200,7 @@ pub(crate) fn apply_kind_amps(
     };
     match *qubits {
         [q] if kind.is_diagonal() => {
-            apply_diagonal_single_amps(amps, q, m.get(0, 0), m.get(1, 1), opts)
+            apply_diagonal_single_amps(amps, q, m.get(0, 0), m.get(1, 1), dead, opts)
         }
         [q] => {
             let mat = [m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1)];
@@ -207,7 +208,7 @@ pub(crate) fn apply_kind_amps(
         }
         [a, b] if kind.is_diagonal() => {
             let diag = [m.get(0, 0), m.get(1, 1), m.get(2, 2), m.get(3, 3)];
-            apply_diagonal_two_amps(amps, a, b, &diag, opts);
+            apply_diagonal_two_amps(amps, a, b, &diag, dead, opts);
         }
         [c, t] if kind.num_controls() == 1 => {
             // Controlled single-qubit gate: the 2x2 block on the target,
@@ -886,7 +887,7 @@ pub fn apply_diagonal_single(
     d1: Complex64,
     opts: &ApplyOptions,
 ) {
-    apply_diagonal_single_amps(state.amplitudes_mut(), q, d0, d1, opts);
+    apply_diagonal_single_amps(state.amplitudes_mut(), q, d0, d1, 0, opts);
 }
 
 pub(crate) fn apply_diagonal_single_amps(
@@ -894,19 +895,26 @@ pub(crate) fn apply_diagonal_single_amps(
     q: Qubit,
     d0: Complex64,
     d1: Complex64,
+    dead: usize,
     opts: &ApplyOptions,
 ) {
-    scale_by_table(amps, &[q], &[d0, d1], opts);
+    scale_by_table(amps, &[q], &[d0, d1], dead, opts);
 }
 
 /// Apply a CZ (symmetric): flip the sign of amplitudes where both bits are 1.
 pub fn apply_cz(state: &mut StateVector, a: Qubit, b: Qubit, opts: &ApplyOptions) {
-    apply_cz_amps(state.amplitudes_mut(), a, b, opts);
+    apply_cz_amps(state.amplitudes_mut(), a, b, 0, opts);
 }
 
-pub(crate) fn apply_cz_amps(amps: &mut [Complex64], a: Qubit, b: Qubit, opts: &ApplyOptions) {
+pub(crate) fn apply_cz_amps(
+    amps: &mut [Complex64],
+    a: Qubit,
+    b: Qubit,
+    dead: usize,
+    opts: &ApplyOptions,
+) {
     let one = Complex64::ONE;
-    scale_by_table(amps, &[a, b], &[one, one, one, -one], opts);
+    scale_by_table(amps, &[a, b], &[one, one, one, -one], dead, opts);
 }
 
 /// Apply a diagonal two-qubit gate `diag(d00, d01, d10, d11)` where the digit
@@ -917,19 +925,25 @@ pub(crate) fn apply_diagonal_two_amps(
     a: Qubit,
     b: Qubit,
     diag: &[Complex64; 4],
+    dead: usize,
     opts: &ApplyOptions,
 ) {
-    scale_by_table(amps, &[a, b], diag, opts);
+    scale_by_table(amps, &[a, b], diag, dead, opts);
 }
 
 /// The phase kernel: multiply every amplitude by `table[sub]`, `sub` being
 /// its bits at `qubits` (operand `j` = bit `j`). Entries that are exactly one
 /// are skipped, so S/T/P touch half the state and CZ/CP a quarter; the rest
 /// is scaled in contiguous runs, two amplitudes per step.
+///
+/// `dead` names the positions of `amps` the caller knows are clear in every
+/// nonzero amplitude (0 when nothing is known): an amplitude that sets one
+/// is zero and is left as it is, as [`dense_sweep`] leaves its groups.
 fn scale_by_table(
     amps: &mut [Complex64],
     qubits: &[Qubit],
     table: &[Complex64],
+    dead: usize,
     opts: &ApplyOptions,
 ) {
     let k = qubits.len();
@@ -968,43 +982,65 @@ fn scale_by_table(
         // SAFETY: every `base | offset` starts `run` in-bounds amplitudes no
         // other (run, sub-index) touches; `run` is even; `simd` comes from
         // the dispatch resolution.
-        unsafe { scale_runs_on(simd, ptr.as_ptr(), runs, run, skip, scaled) }
+        unsafe {
+            match dead {
+                0 => scale_runs_on::<false>(simd, ptr.as_ptr(), runs, run, skip, scaled, 0),
+                _ => scale_runs_on::<true>(simd, ptr.as_ptr(), runs, run, skip, scaled, dead),
+            }
+        }
     });
 }
 
 lanes_dispatch! {
     /// Pick the lane instantiation of [`scale_runs`].
-    unsafe fn scale_runs_on(
+    unsafe fn scale_runs_on<const MASKED: bool>(
         ptr: *mut Complex64,
         runs: Range<usize>,
         run: usize,
         skip: &[Qubit],
         scaled: &[(usize, [Complex64; 2])],
+        dead: usize,
     ) => scale_runs
 }
 
 /// For each run of `runs` (see [`for_each_run`]) and each `(offset, phases)`
 /// of `scaled`, multiply the `run` (even) contiguous amplitudes at
 /// `base | offset` by `phases` — lane 0's on the even ones, lane 1's on the
-/// odd ones.
+/// odd ones — but, when `MASKED`, those whose index sets a bit of `dead`.
 ///
 /// # Safety
 /// Those ranges must be in bounds and exclusively owned; AVX2 must be
 /// available for that instantiation.
 #[inline(always)]
-unsafe fn scale_runs<L: Lanes>(
+unsafe fn scale_runs<L: Lanes, const MASKED: bool>(
     ptr: *mut Complex64,
     runs: Range<usize>,
     run: usize,
     skip: &[Qubit],
     scaled: &[(usize, [Complex64; 2])],
+    dead: usize,
 ) {
+    // A run's bases and offsets set no bit below it.
+    let inside = dead & (run - 1);
     for base in run_bases(runs.start * run, runs.len(), run, skip) {
         for (offset, phases) in scaled {
+            if MASKED && (base | offset) & dead != 0 {
+                continue;
+            }
             let phase = L::load(phases.as_ptr());
             let p = ptr.add(base | offset);
-            for i in (0..run).step_by(2) {
-                L::load(p.add(i)).cmul(phase).store(p.add(i));
+            if !MASKED || inside == 0 {
+                for i in (0..run).step_by(2) {
+                    L::load(p.add(i)).cmul(phase).store(p.add(i));
+                }
+                continue;
+            }
+            for v in live_pairs(run / 2, inside) {
+                let odd = *p.add(2 * v + 1);
+                L::load(p.add(2 * v)).cmul(phase).store(p.add(2 * v));
+                if inside & 1 == 1 {
+                    *p.add(2 * v + 1) = odd;
+                }
             }
         }
     }
@@ -1095,6 +1131,22 @@ fn run_bases(
         Some(((base | fixed_mask).wrapping_add(step)) & !fixed_mask)
     })
     .take(count)
+}
+
+/// The pairs `v < pairs` (amplitudes `2v` and `2v + 1`) whose indices set
+/// no bit of `dead` above bit 0, in ascending order: each is the next
+/// number past the last with the bits of `dead >> 1` skipped over. A
+/// caller whose `dead` sets bit 0 puts each pair's odd amplitude back.
+/// Kernels walk it only in a `MASKED` instantiation, so a sweep that knows
+/// of no dead position keeps its plain loop (the masked one cost a
+/// whole-state sweep ~9 % at 11 qubits), and keep their step inline rather
+/// than in a closure: a closure's body is not compiled with the AVX2
+/// instantiation's target features, and its lane ops stop being inlined.
+#[inline(always)]
+pub(crate) fn live_pairs(pairs: usize, dead: usize) -> impl Iterator<Item = usize> {
+    let skip = dead >> 1;
+    std::iter::successors(Some(0), move |&v| Some(((v | skip) + 1) & !skip))
+        .take_while(move |&v| v < pairs)
 }
 
 /// A `Sync` wrapper around the amplitude buffer for sweeps whose write sets
@@ -1471,45 +1523,51 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn dense_kernels_visit_only_the_groups_dead_positions_leave_live() {
-        // On a state zero wherever a dead position is set, restricting a
-        // dense sweep to the live groups changes no nonzero amplitude's
-        // bits and leaves every dead non-operand index at +0.0, for every
-        // width, placement and dispatch, dead positions below, between and
-        // above the operands, qubit 0 and the control among them.
-        let n = 9;
+    /// Qubits of the states the dead-position tests sweep.
+    const DEAD_QUBITS: usize = 9;
+
+    /// On a state zero wherever a bit of `dead` is set, `apply` restricted
+    /// by `dead` changes no nonzero amplitude's bits against the full sweep
+    /// and leaves every index that sets a dead non-`operands` bit at +0.0,
+    /// sequential and parallel, on both dispatches.
+    fn assert_dead_positions_left(
+        what: &str,
+        dead: usize,
+        operands: usize,
+        apply: &dyn Fn(&mut [Complex64], usize, &ApplyOptions),
+    ) {
         let bits = |a: &Complex64| (a.re.to_bits(), a.im.to_bits());
-        let check = |what: &str,
-                     dead: usize,
-                     operands: usize,
-                     apply: &dyn Fn(&mut [Complex64], usize, &ApplyOptions)| {
-            let mut init = random_state(n, 0xDEAD ^ dead as u64);
-            for (index, amp) in init.amplitudes_mut().iter_mut().enumerate() {
-                if index & dead != 0 {
-                    *amp = Complex64::ZERO;
-                }
+        let mut init = random_state(DEAD_QUBITS, 0xDEAD ^ dead as u64);
+        for (index, amp) in init.amplitudes_mut().iter_mut().enumerate() {
+            if index & dead != 0 {
+                *amp = Complex64::ZERO;
             }
-            for opts in [SEQ, PAR] {
-                for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
-                    let opts = opts.with_dispatch(dispatch);
-                    let (mut full, mut live) = (init.clone(), init.clone());
-                    apply(full.amplitudes_mut(), 0, &opts);
-                    apply(live.amplitudes_mut(), dead, &opts);
-                    let pairs = live.amplitudes().iter().zip(full.amplitudes());
-                    for (index, (l, f)) in pairs.enumerate() {
-                        let at =
-                            || format!("{what}, dead {dead:#b}, {dispatch}: amplitude {index}");
-                        if *l != Complex64::ZERO || *f != Complex64::ZERO {
-                            assert_eq!(bits(l), bits(f), "{}", at());
-                        }
-                        if index & dead & !operands != 0 {
-                            assert_eq!(bits(l), (0, 0), "{}", at());
-                        }
+        }
+        for opts in [SEQ, PAR] {
+            for dispatch in [KernelDispatch::Auto, KernelDispatch::Scalar] {
+                let opts = opts.with_dispatch(dispatch);
+                let (mut full, mut live) = (init.clone(), init.clone());
+                apply(full.amplitudes_mut(), 0, &opts);
+                apply(live.amplitudes_mut(), dead, &opts);
+                let pairs = live.amplitudes().iter().zip(full.amplitudes());
+                for (index, (l, f)) in pairs.enumerate() {
+                    let at = || format!("{what}, dead {dead:#b}, {dispatch}: amplitude {index}");
+                    if *l != Complex64::ZERO || *f != Complex64::ZERO {
+                        assert_eq!(bits(l), bits(f), "{}", at());
+                    }
+                    if index & dead & !operands != 0 {
+                        assert_eq!(bits(l), (0, 0), "{}", at());
                     }
                 }
             }
-        };
+        }
+    }
+
+    #[test]
+    fn dense_kernels_visit_only_the_groups_dead_positions_leave_live() {
+        // Dead positions below, between and above the operands, qubit 0
+        // and the control among them.
+        let n = DEAD_QUBITS;
         for k in 1..=MAX_STACK_KERNEL_QUBITS {
             for (kind, matrix) in test_matrices(1 << k, 0xD0 + k as u64) {
                 let masks = DenseMasks::of(&matrix);
@@ -1519,7 +1577,7 @@ pub(crate) mod tests {
                     let all = free.iter().fold(0, |mask, &q| mask | 1 << q);
                     for dead in [1, 0b1_0110_0000, all & !(1 << free[0]), all, 0b1_1111_1111] {
                         let what = format!("{kind} k={k} on {qubits:?}");
-                        check(&what, dead, operands, &|amps, dead, opts| {
+                        assert_dead_positions_left(&what, dead, operands, &|amps, dead, opts| {
                             apply_dense_amps(amps, &qubits, &matrix, &masks, dead, opts)
                         });
                     }
@@ -1531,8 +1589,47 @@ pub(crate) mod tests {
             let operands = 1 << c | 1 << t;
             for dead in [1, 1 << c, 0b1_0110_0001, 0b1_1111_1111 & !(1 << c)] {
                 let what = format!("controlled c={c} t={t}");
-                check(&what, dead, operands, &|amps, dead, opts| {
+                assert_dead_positions_left(&what, dead, operands, &|amps, dead, opts| {
                     apply_controlled_single_amps(amps, c, t, &m, dead, opts)
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn phase_kernels_scale_only_the_amplitudes_dead_positions_leave_live() {
+        // A phase kernel leaves every amplitude that sets a dead position
+        // as it was, operand or not: runs, pairs and odd lanes alike, with
+        // qubit 0 an operand (two phases per pair) and not.
+        let phase = |re: f64| Complex64::new(re, -0.3);
+        let deads = [
+            1,
+            0b10,
+            0b1_0110_0001,
+            0b0_1000_0110,
+            0b1_1111_1110,
+            0b1_1111_1111,
+        ];
+        for q in [0, 4, 8] {
+            for dead in deads {
+                let what = format!("diagonal single on {q}");
+                assert_dead_positions_left(&what, dead, 0, &|amps, dead, opts| {
+                    apply_diagonal_single_amps(amps, q, phase(-0.9), phase(0.5), dead, opts)
+                });
+            }
+        }
+        for (a, b) in [(0, 4), (4, 8), (3, 0), (7, 2)] {
+            for dead in deads {
+                assert_dead_positions_left(
+                    &format!("cz on {a}, {b}"),
+                    dead,
+                    0,
+                    &|amps, dead, opts| apply_cz_amps(amps, a, b, dead, opts),
+                );
+                let diag = [phase(1.0), phase(-0.8), phase(0.6), phase(-0.1)];
+                let what = format!("diagonal two on {a}, {b}");
+                assert_dead_positions_left(&what, dead, 0, &|amps, dead, opts| {
+                    apply_diagonal_two_amps(amps, a, b, &diag, dead, opts)
                 });
             }
         }
