@@ -330,7 +330,7 @@ fn kernels_for(n: usize) -> Vec<Kernel> {
     rows.push(kernel("swap", any(1.5), move |s, o| {
         kernels::apply_swap(s, 1, mid, o)
     }));
-    // The qubit reversal a relabeled QFT ends with: one pass through two
+    // A qubit reversal (the QFT's SWAPs make one): one pass through two
     // tile buffers, the buffers transposed. It takes no options: it sweeps on
     // the pool it is called in, so a one-thread row installs one thread.
     let reversal: Vec<Qubit> = (0..n).rev().collect();

@@ -239,33 +239,40 @@ impl Circuit {
         out
     }
 
-    /// The circuit with every SWAP dropped, and where it leaves each qubit.
+    /// The circuit with every SWAP dropped and every other gate moved onto
+    /// the qubits its operands' contents end up on: from |0…0⟩ it prepares
+    /// this circuit's state, with no permutation left to apply.
     ///
     /// A SWAP moves no information, only labels: C₁ · SWAP(a, b) · C₂ equals
     /// C₁ · C₂′ · SWAP(a, b), where C₂′ is C₂ with `a` and `b` exchanged. So
-    /// each SWAP is dropped and its two qubits exchanged in every later gate.
-    /// The returned `perm[q]` is the position the relabeled circuit leaves
-    /// qubit `q` at, which is what
-    /// `StateVector::permute_qubits(&perm)` takes to put the qubits back: the
-    /// relabeled state so permuted is this circuit's state. CSWAP stays a
-    /// gate, and the name is kept. A circuit with no SWAP comes back borrowed,
-    /// with the identity.
-    pub fn relabel_swaps(&self) -> (Cow<'_, Circuit>, Vec<Qubit>) {
-        let mut perm: Vec<Qubit> = (0..self.num_qubits).collect();
-        if !self.gates.iter().any(|g| g.kind == GateKind::Swap) {
-            return (Cow::Borrowed(self), perm);
+    /// dropping each SWAP and exchanging its two qubits in every later gate
+    /// leaves a circuit C′ with C = P · C′ for the qubit permutation P of
+    /// all the SWAPs. This returns P · C′ · P⁻¹: C′ with every operand
+    /// mapped through P, where the state ends up with no permutation pass.
+    ///
+    /// The result equals this circuit only from a start state that every
+    /// qubit permutation fixes, such as |0…0⟩ (P⁻¹ leaves it as it is): from
+    /// another state it is this circuit conjugated by P. CSWAP stays a gate,
+    /// and the name is kept. A circuit with no SWAP comes back borrowed.
+    pub fn without_swaps(&self) -> Cow<'_, Circuit> {
+        let swaps = self.gates.iter().filter(|g| g.kind == GateKind::Swap);
+        if swaps.clone().next().is_none() {
+            return Cow::Borrowed(self);
+        }
+        // `ends[q]`: the position where whatever lies on qubit `q` ends up,
+        // at the start (the SWAPs walked backwards) and then before each gate.
+        let mut ends: Vec<Option<Qubit>> = (0..self.num_qubits).map(Some).collect();
+        for g in swaps.rev() {
+            ends.swap(g.qubits[0], g.qubits[1]);
         }
         let mut relabeled = Circuit::named(self.name.clone(), self.num_qubits);
         for g in &self.gates {
             match g.kind {
-                GateKind::Swap => perm.swap(g.qubits[0], g.qubits[1]),
-                kind => relabeled.gates.push(Gate {
-                    kind,
-                    qubits: g.qubits.iter().map(|&q| perm[q]).collect(),
-                }),
+                GateKind::Swap => ends.swap(g.qubits[0], g.qubits[1]),
+                _ => relabeled.gates.push(g.remap(&ends)),
             }
         }
-        (Cow::Owned(relabeled), perm)
+        Cow::Owned(relabeled)
     }
 
     /// A 64-bit *structural* fingerprint of the circuit: two circuits get the
@@ -459,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn relabel_swaps_drops_swaps_and_renames_later_operands() {
+    fn without_swaps_runs_every_gate_where_its_operands_end_up() {
         let mut c = Circuit::named("chain", 4);
         c.h(0)
             .swap(0, 1)
@@ -468,13 +475,12 @@ mod tests {
             .swap(2, 3)
             .add(GateKind::Cswap, &[3, 0, 2]);
         c.rz(0.5, 3);
-        let (relabeled, perm) = c.relabel_swaps();
+        let relabeled = c.without_swaps();
         assert!(matches!(relabeled, Cow::Owned(_)));
         assert_eq!(relabeled.name, "chain");
         assert_eq!(relabeled.num_qubits(), 4);
-        // What starts on qubit 0 moves to 1, 2, then 3; relabeled, it stays
-        // put, so qubit 3 is left at position 0.
-        assert_eq!(perm, vec![1, 2, 3, 0]);
+        // What starts on qubit 0 moves to 1, 2, then 3, so every gate on it
+        // runs on 3; qubits 1, 2 and 3 each end one position lower.
         let gates: Vec<(GateKind, Vec<Qubit>)> = relabeled
             .gates()
             .iter()
@@ -483,31 +489,34 @@ mod tests {
         assert_eq!(
             gates,
             vec![
-                (GateKind::H, vec![0]),
-                (GateKind::Cx, vec![0, 2]),
-                (GateKind::Cswap, vec![0, 1, 3]),
-                (GateKind::Rz(0.5), vec![0]),
+                (GateKind::H, vec![3]),
+                (GateKind::Cx, vec![3, 1]),
+                (GateKind::Cswap, vec![3, 0, 2]),
+                (GateKind::Rz(0.5), vec![3]),
             ],
             "a CSWAP stays a gate; only its operands are renamed"
         );
     }
 
     #[test]
-    fn relabel_swaps_borrows_a_circuit_without_swaps() {
+    fn without_swaps_borrows_a_circuit_without_swaps() {
         let mut c = Circuit::new(3);
         c.h(0).add(GateKind::Cswap, &[0, 1, 2]);
-        let (relabeled, perm) = c.relabel_swaps();
+        let relabeled = c.without_swaps();
         assert!(matches!(relabeled, Cow::Borrowed(r) if std::ptr::eq(r, &c)));
-        assert_eq!(perm, vec![0, 1, 2]);
     }
 
     #[test]
     fn relabeling_the_qft_leaves_the_qubits_reversed() {
         let qft = crate::generators::qft(7);
-        let (relabeled, perm) = qft.relabel_swaps();
-        assert_eq!(relabeled.num_gates(), qft.num_gates() - 3);
-        assert_eq!(perm, vec![6, 5, 4, 3, 2, 1, 0]);
-        assert_eq!(relabeled.gates(), &qft.gates()[..qft.num_gates() - 3]);
+        let relabeled = qft.without_swaps();
+        let kept = &qft.gates()[..qft.num_gates() - 3];
+        assert_eq!(relabeled.num_gates(), kept.len());
+        for (got, gate) in relabeled.gates().iter().zip(kept) {
+            assert_eq!(got.kind, gate.kind);
+            let reversed: Vec<Qubit> = gate.qubits.iter().map(|&q| 6 - q).collect();
+            assert_eq!(got.qubits, reversed);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::dist::{run_thread_world, DistState, PreparedGate, Progress, RankOutco
 use crate::exec::ExecControl;
 use crate::fusedplan::Pass;
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind, Qubit};
+use hisvsim_circuit::{Circuit, Complex64, Gate, GateKind};
 use hisvsim_cluster::RankComm;
 use hisvsim_statevec::{
     Cancelled, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
@@ -160,27 +160,21 @@ impl IqsBaseline {
     /// cases everywhere else. The schedule (with its fused matrices) is
     /// computed once and shared by every rank.
     pub fn run(&self, circuit: &Circuit) -> BaselineRun {
-        self.run_controlled(circuit, None, &ExecControl::default())
+        self.run_controlled(circuit, &ExecControl::default())
             .expect("an inert control cannot cancel")
     }
 
-    /// [`IqsBaseline::run`] under an [`ExecControl`], handing the state back
-    /// with its qubits where `perm` wants them (see [`RunSpec::perm`]): the
-    /// schedule is built once, then [`run_baseline_rank`] runs on every rank
-    /// of a thread world.
+    /// [`IqsBaseline::run`] under an [`ExecControl`]: the schedule is built
+    /// once, then [`run_baseline_rank`] runs on every rank of a thread world.
     pub fn run_controlled(
         &self,
         circuit: &Circuit,
-        perm: Option<&[Qubit]>,
         control: &ExecControl,
     ) -> Result<BaselineRun, Cancelled> {
         let schedule = BaselineSchedule::build(circuit, self.config.num_ranks);
         let c = self.config;
         let (ranks, dispatch) = (c.num_ranks, c.kernel_dispatch);
-        let spec = RunSpec {
-            perm,
-            ..RunSpec::new("iqs-baseline", "-", ranks, dispatch)
-        };
+        let spec = RunSpec::new("iqs-baseline", "-", ranks, dispatch);
         let (state, report) = run_thread_world(spec, circuit, 1, |comm| {
             run_baseline_rank(comm, &schedule, dispatch, control)
         })?;

@@ -21,7 +21,7 @@ use crate::exec::ExecControl;
 use crate::fusedplan::{FusedPlan, FusedSinglePlan, Pass, PlanSchedule};
 use crate::hier::open_part;
 use crate::metrics::RunReport;
-use hisvsim_circuit::{Circuit, Complex64, Gate, Qubit, UnitaryMatrix};
+use hisvsim_circuit::{Circuit, Complex64, Gate, UnitaryMatrix};
 use hisvsim_cluster::{on_threads, run_spmd, CommStats, LocalComm, NetworkModel, RankComm};
 use hisvsim_dag::{CircuitDag, Partition};
 use hisvsim_partition::{PartitionBuildError, Strategy};
@@ -551,12 +551,9 @@ impl Gathered {
 
 /// Aggregate a finished run into a [`RunReport`] and the full state: the
 /// ranks' slices, [`Gathered`] in one buffer, become the state. One
-/// [`StateVector::permute_qubits`] then moves qubit `q` from where the ranks
-/// left it to where `perm` wants it: position `perm[q]` as
-/// `StateVector::permute_qubits(perm)` reads it (the `perm` of
-/// `Circuit::relabel_swaps`), or position `q` for `None`. The pass is the
-/// ranks' final layout composed with `perm`, and none when that is the
-/// identity.
+/// [`StateVector::permute_qubits`] then moves every qubit back from where
+/// the ranks' final layout left it: none on a world of one, which keeps
+/// every qubit in place.
 ///
 /// Panics unless every rank reports the same layout, a permutation of the
 /// circuit's qubits, and the slices make a state of the circuit's width.
@@ -567,7 +564,6 @@ pub fn aggregate_outcomes(
     num_parts: usize,
     gathered: Gathered,
     wall_time_s: f64,
-    perm: Option<&[Qubit]>,
 ) -> (StateVector, RunReport) {
     let Gathered { ranks, amplitudes } = gathered;
     let layout = ranks.first().expect("at least one rank").layout.clone();
@@ -576,10 +572,6 @@ pub fn aggregate_outcomes(
         "the ranks ended in different layouts"
     );
     assert_eq!(amplitudes.len(), 1 << circuit.num_qubits());
-    let order: Vec<Qubit> = match perm {
-        Some(perm) => perm.iter().map(|&q| layout[q]).collect(),
-        None => layout,
-    };
     let num_ranks = ranks.len();
     let mut compute_max = 0.0f64;
     let mut comm_sum = CommStats::default();
@@ -590,7 +582,7 @@ pub fn aggregate_outcomes(
         exchanges = exchanges.max(figures.exchanges);
     }
     let mut state = StateVector::from_amplitudes(amplitudes);
-    state.permute_qubits(&order);
+    state.permute_qubits(&layout);
     let mut report = RunReport::single_node(
         engine,
         strategy,
@@ -619,29 +611,17 @@ pub struct RunSpec<'a> {
     pub ranks: usize,
     /// Kernel dispatch of every sweep.
     pub dispatch: KernelDispatch,
-    /// Where the caller wants the qubits of the state handed back (see
-    /// [`aggregate_outcomes`]); `None` is the standard order.
-    pub perm: Option<&'a [Qubit]>,
 }
 
 impl<'a> RunSpec<'a> {
-    /// A spec handing back the state in the standard order, every other
-    /// field given in declaration order.
+    /// A spec of the fields in declaration order.
     pub fn new(engine: &'a str, strategy: &'a str, ranks: usize, dispatch: KernelDispatch) -> Self {
         Self {
             engine,
             strategy,
             ranks,
             dispatch,
-            perm: None,
         }
-    }
-
-    /// Hand the state back with qubit `q` at position `perm[q]` as
-    /// `StateVector::permute_qubits(perm)` reads it.
-    pub fn with_perm(mut self, perm: &'a [Qubit]) -> Self {
-        self.perm = Some(perm);
-        self
     }
 }
 
@@ -668,7 +648,7 @@ where
     let wall = start.elapsed().as_secs_f64();
     let (engine, strategy) = (spec.engine, spec.strategy);
     Ok(aggregate_outcomes(
-        engine, strategy, circuit, num_parts, gathered, wall, spec.perm,
+        engine, strategy, circuit, num_parts, gathered, wall,
     ))
 }
 
@@ -998,7 +978,7 @@ mod tests {
             layout: (0..6).collect(),
         };
         let gathered = Gathered::from_outcomes(vec![RankOutcome { figures, local }]);
-        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0, None);
+        let (state, report) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0);
         assert_eq!(state.amplitudes().as_ptr(), kept);
         assert_eq!(report.num_ranks, 1);
     }
@@ -1022,16 +1002,16 @@ mod tests {
             state.finish_rank()
         });
         let gathered = Gathered::from_outcomes(outcomes);
-        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0, None);
+        let (got, _) = aggregate_outcomes("dist", "dagP", &circuit, 1, gathered, 0.0);
         assert!(got.approx_eq(&expected, 1e-9));
     }
 
     #[test]
-    fn the_ranks_layout_and_the_callers_permutation_are_one_pass() {
-        // qft(9) ends in SWAPs; relabeled, its state wants their permutation
-        // on top of wherever the ranks leave the qubits.
+    fn a_state_the_ranks_leave_off_the_identity_comes_back_in_the_standard_order() {
+        // qft(9) as the runner plans it: its SWAPs dropped, every other gate
+        // on the qubits its operands end up on.
         let circuit = generators::qft(9);
-        let (relabeled, perm) = circuit.relabel_swaps();
+        let relabeled = circuit.without_swaps();
         let dag = CircuitDag::from_circuit(&relabeled);
         let partition = Strategy::DagP.partition(&dag, 7).unwrap();
         let plan = FusedSinglePlan::new(&relabeled, &dag, partition);
@@ -1050,12 +1030,8 @@ mod tests {
         assert!(layouts.iter().all(|layout| *layout == layouts[0]));
 
         let spec = RunSpec::new("dist", "dagP", 4, Default::default());
-        let run = |spec| run_plan(&relabeled, &schedule, spec, &inert).expect("nothing cancels");
-        let (mut two_passes, _) = run(spec);
-        two_passes.permute_qubits(&perm);
-        let (one_pass, _) = run(spec.with_perm(&perm));
-        assert_eq!(one_pass, two_passes);
-        assert!(one_pass.approx_eq(&run_circuit(&circuit), 1e-10));
+        let (state, _) = run_plan(&relabeled, &schedule, spec, &inert).expect("nothing cancels");
+        assert!(state.approx_eq(&run_circuit(&circuit), 1e-10));
     }
 
     /// A communicator that keeps a copy of every `alltoallv` send list

@@ -41,18 +41,19 @@ fn tallies() -> (u64, u64) {
 
 #[test]
 fn decision_table() {
-    // large_qft: SWAPs relabeled as the runner does, one part at limit 22,
-    // two passes: the first twelve ops reach qubits 16–21 (a strided tile
-    // walk), the other 31 fit contiguous tiles.
+    // large_qft without its SWAPs, as the runner plans it: its gates run
+    // on the reversed qubits, from the H on qubit 0 up. One part at limit
+    // 22, two passes: the first 32 ops mix qubits 0–15 (contiguous tiles),
+    // the other 11 reach qubits 16–21 (a strided tile walk).
     let qft = generators::qft(22);
-    let (qft, _) = qft.relabel_swaps();
+    let qft = qft.without_swaps();
     let qft_plan = plan(&qft, 22);
-    assert_eq!(hier_shape(&qft, &qft_plan), [(22, vec![12, 31])]);
+    assert_eq!(hier_shape(&qft, &qft_plan), [(22, vec![32, 11])]);
     // The selector's old limit 21, which a job now has to force.
     let forced = plan(&qft, 21);
     assert_eq!(
         hier_shape(&qft, &forced),
-        [(21, vec![12, 29]), (21, vec![1]), (2, vec![2])]
+        [(21, vec![32, 9]), (21, vec![1]), (2, vec![2])]
     );
     // plan_cold: an 11-qubit state is one tile, so every op is a pass.
     let random = generators::random_circuit(11, 3000, 7);
@@ -70,7 +71,7 @@ fn decision_table() {
     // large_random: one part of 20 passes, where its limit-21 plan made
     // four parts of 3, 7, 7 and 3.
     let random = generators::random_circuit(22, 528, 1);
-    let (random, _) = random.relabel_swaps();
+    let random = random.without_swaps();
     let random_plan = plan(&random, 22);
     let schedule = FusedPlan::Single(&random_plan).schedule(22, 1);
     let passes = [
@@ -86,12 +87,12 @@ fn decision_table() {
     // cluster_qft's dist plan on two ranks: the first layout free, and each
     // rank's first part two passes over its 20-qubit slice.
     let qft = generators::qft(21);
-    let (qft, _) = qft.relabel_swaps();
+    let qft = qft.without_swaps();
     let qft_plan = plan(&qft, 20);
     let schedule = FusedPlan::Single(&qft_plan).schedule(21, 2);
     assert_eq!(
         shape(&schedule),
-        [(20, vec![14, 25]), (20, vec![1]), (2, vec![2])]
+        [(20, vec![32, 7]), (20, vec![1]), (2, vec![2])]
     );
     assert_eq!((schedule.passes(), schedule.exchanges()), (4, 2));
 

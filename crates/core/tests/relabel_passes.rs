@@ -1,8 +1,9 @@
 //! Passes a relabeled QFT saves, counted exactly: the plan at the
 //! selector's old limit 21 (three dagP parts, what a job forcing that limit
 //! runs) and `large_qft`'s one-part plan at limit `n`, with the final SWAPs
-//! swept as amplitude moves and with them relabeled away
-//! (`Circuit::relabel_swaps`), which leaves one permutation pass at the end.
+//! swept as amplitude moves and with them dropped and every other gate run
+//! on the reversed qubits (`Circuit::without_swaps`), which leaves no
+//! permutation pass.
 //! The count per part is the length of the pass list the schedule holds for
 //! it on the hier engine's world of one (`FusedPlan::schedule`), exact by
 //! `schedule.rs`. Over the two plans together, 9 passes become 6.
@@ -29,7 +30,7 @@ fn passes(circuit: &Circuit, limit: usize) -> Vec<usize> {
 #[test]
 fn relabeling_the_qft_swaps_saves_a_third_of_its_passes() {
     let qft = generators::qft(22);
-    let (relabeled, _) = qft.relabel_swaps();
+    let relabeled = qft.without_swaps();
     // Three parts: [2] [2] [1] becomes [2] [1] [1].
     assert_eq!(passes(&qft, 21), [2, 2, 1]);
     assert_eq!(passes(&relabeled, 21), [2, 1, 1]);

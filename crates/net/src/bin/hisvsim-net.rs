@@ -134,7 +134,7 @@ fn smoke(qubits: usize, workers: usize, trace_path: Option<&str>) -> ExitCode {
         plan: partition,
         trace: tracing,
     };
-    let (state, report) = match pool.execute(&job, None, &CancelToken::new()) {
+    let (state, report) = match pool.execute(&job, &CancelToken::new()) {
         Ok(result) => result,
         Err(e) => {
             log::error(

@@ -21,7 +21,7 @@ use crate::proto::{
     LaunchSpec, RankReport, RankStatus, ShippedJob, WorkerCommand, WorkerHello, AMPS_TAG,
 };
 use crate::wire::{read_items_frame_into, recv_json, send_json};
-use hisvsim_circuit::{Complex64, Qubit};
+use hisvsim_circuit::Complex64;
 use hisvsim_core::{aggregate_outcomes, CancelToken, Gathered, RankFigures, RunReport};
 use hisvsim_obs::log;
 use hisvsim_runtime::{ProcessBackend, ProcessError, ProcessPoolStats, ProcessRequest};
@@ -214,10 +214,9 @@ impl WorkerPool {
     /// Execute `job` on the resident worker world (spawning it on the
     /// first call, or after a failure dropped it), and assemble the full
     /// state plus the aggregated run report (per-rank comm stats merged
-    /// exactly like the in-process engines'). The state comes back with its
-    /// qubits where `perm` wants them, in the standard order for `None` (see
-    /// [`aggregate_outcomes`]): one pass on the launcher that also undoes the
-    /// ranks' final layout. `perm` stays on the launcher.
+    /// exactly like the in-process engines'). The state comes back in the
+    /// standard qubit order (see [`aggregate_outcomes`]): one pass on the
+    /// launcher undoes the ranks' final layout.
     ///
     /// While the job runs, a canceller thread polls `cancel` and, once it
     /// fires, ships `Cancel { epoch }` to every rank: the workers stop
@@ -229,7 +228,6 @@ impl WorkerPool {
     pub fn execute(
         &self,
         job: &ShippedJob,
-        perm: Option<&[Qubit]>,
         cancel: &CancelToken,
     ) -> Result<(StateVector, RunReport), NetError> {
         // One job at a time: the lock *is* the job queue (SPMD — every
@@ -238,7 +236,7 @@ impl WorkerPool {
         self.metrics.jobs_run.fetch_add(1, Ordering::Relaxed);
         let epoch = inner.next_epoch;
         inner.next_epoch += 1;
-        match self.run_job(&mut inner.world, epoch, job, perm, cancel) {
+        match self.run_job(&mut inner.world, epoch, job, cancel) {
             Err(NetError::Cancelled) => {
                 self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
                 log::info(
@@ -272,7 +270,6 @@ impl WorkerPool {
         world: &mut Option<World>,
         epoch: u64,
         job: &ShippedJob,
-        perm: Option<&[Qubit]>,
         cancel: &CancelToken,
     ) -> Result<(StateVector, RunReport), NetError> {
         if world.is_some() {
@@ -341,7 +338,6 @@ impl WorkerPool {
             job.plan.num_parts(),
             gathered,
             wall,
-            perm,
         ))
     }
 
@@ -611,7 +607,7 @@ impl ProcessBackend for WorkerPool {
             plan: request.plan,
             trace: hisvsim_obs::enabled(),
         };
-        WorkerPool::execute(self, &job, Some(request.perm), cancel).map_err(|e| match e {
+        WorkerPool::execute(self, &job, cancel).map_err(|e| match e {
             NetError::Cancelled => ProcessError::Cancelled,
             e => ProcessError::Failed(e.to_string()),
         })

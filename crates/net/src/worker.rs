@@ -96,7 +96,6 @@ pub fn execute_local_reference(job: &ShippedJob, ranks: usize) -> (StateVector, 
         job.plan.num_parts(),
         gathered,
         wall,
-        None,
     )
 }
 

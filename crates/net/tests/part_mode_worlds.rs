@@ -48,7 +48,7 @@ fn thread_and_process_worlds_decide_every_part_alike() {
     let strided = fusion::strided_passes() - strided;
     let on_threads = drained_parts();
     let (processes_state, _) = pool
-        .execute(&job, None, &CancelToken::new())
+        .execute(&job, &CancelToken::new())
         .expect("process world runs");
     let on_processes = drained_parts();
     hisvsim_obs::set_enabled(false);

@@ -5,6 +5,7 @@
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{CancelToken, RunReport};
 use hisvsim_dag::{CircuitDag, Partition};
+use hisvsim_integration_tests::swap_cases;
 use hisvsim_net::{execute_local_reference, NetError, ShippedJob, WorkerPool};
 use hisvsim_partition::Strategy;
 use hisvsim_runtime::{
@@ -38,9 +39,7 @@ fn single_level_job_of(circuit: Circuit, workers: usize) -> ShippedJob {
 
 /// Run `job` on a fresh `workers`-process pool under an inert token.
 fn run_on_processes(job: &ShippedJob, workers: usize) -> (StateVector, RunReport) {
-    launcher(workers)
-        .execute(job, None, &CancelToken::new())
-        .unwrap()
+    launcher(workers).execute(job, &CancelToken::new()).unwrap()
 }
 
 /// The same job on the in-process channel world.
@@ -121,10 +120,10 @@ fn scheduler_routes_process_backend_jobs_through_the_launcher() {
     assert!(process.comm_stats().bytes_sent > 0);
 }
 
-/// A process job ships the circuit without its SWAPs and the launcher
-/// permutes the gathered state back: the result is the submitted circuit's,
-/// and progress reads the submitted gate count from the first event to the
-/// last, as on the thread world.
+/// A process job ships the circuit without its SWAPs, every other gate on
+/// the qubits its operands end up on: the result is the submitted circuit's
+/// (|0…0⟩ for the circuit of SWAPs alone), and progress reads the submitted
+/// gate count from the first event to the last, as on the thread world.
 #[test]
 fn a_relabeled_process_job_returns_the_submitted_state_and_gate_count() {
     let service = SimService::start(
@@ -134,26 +133,28 @@ fn a_relabeled_process_job_returns_the_submitted_state_and_gate_count() {
                 .with_process_backend(Arc::new(launcher(2))),
         ),
     );
-    let circuit = generators::qft(12);
-    let total = circuit.num_gates() as u64;
-    let expected = run_circuit(&circuit);
-    let handle = service.submit(SimJob::new(circuit).with_backend(Backend::Process));
-    let result = handle.wait().expect("the process job completes");
-    assert!(result.state.unwrap().approx_eq(&expected, 1e-10));
-    let progress: Vec<(u64, u64)> = handle
-        .progress()
-        .iter()
-        .filter_map(|event| match event {
-            JobEvent::Executing {
-                gates_done,
-                gates_total,
-            } => Some((gates_done, gates_total)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(progress, vec![(0, total), (total, total)]);
-    let status = service.job_status(handle.id()).expect("a retained status");
-    assert_eq!((status.gates_done, status.gates_total), (total, total));
+    for circuit in swap_cases(12) {
+        let total = circuit.num_gates() as u64;
+        let expected = run_circuit(&circuit);
+        let name = circuit.name.clone();
+        let handle = service.submit(SimJob::new(circuit).with_backend(Backend::Process));
+        let result = handle.wait().expect("the process job completes");
+        assert!(result.state.unwrap().approx_eq(&expected, 1e-10), "{name}");
+        let progress: Vec<(u64, u64)> = handle
+            .progress()
+            .iter()
+            .filter_map(|event| match event {
+                JobEvent::Executing {
+                    gates_done,
+                    gates_total,
+                } => Some((gates_done, gates_total)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(progress, vec![(0, total), (total, total)], "{name}");
+        let status = service.job_status(handle.id()).expect("a retained status");
+        assert_eq!((status.gates_done, status.gates_total), (total, total));
+    }
     service.shutdown().unwrap();
 }
 
@@ -242,7 +243,7 @@ fn crashed_worker_fails_the_launch_instead_of_hanging() {
     let bad = WorkerPool::with_worker_binary(2, PathBuf::from("/bin/false"));
     let job = single_level_job(8, 2);
     let start = std::time::Instant::now();
-    let err = bad.execute(&job, None, &CancelToken::new()).unwrap_err();
+    let err = bad.execute(&job, &CancelToken::new()).unwrap_err();
     assert!(
         start.elapsed() < std::time::Duration::from_secs(30),
         "launch failure took too long"
@@ -312,9 +313,7 @@ fn a_shipped_plan_that_does_not_validate_fails_the_job_on_the_workers() {
         trace: false,
     };
     let pool = launcher(2);
-    let err = pool
-        .execute(&cyclic, None, &CancelToken::new())
-        .unwrap_err();
+    let err = pool.execute(&cyclic, &CancelToken::new()).unwrap_err();
     let message = err.to_string();
     assert!(
         matches!(err, NetError::Worker(_)) && message.contains("does not validate"),
@@ -323,13 +322,11 @@ fn a_shipped_plan_that_does_not_validate_fails_the_job_on_the_workers() {
     // A part wider than a worker's slice is refused the same way.
     let mut too_wide = single_level_job(8, 1);
     too_wide.plan = Partition::single_part(too_wide.circuit.num_gates());
-    let err = pool
-        .execute(&too_wide, None, &CancelToken::new())
-        .unwrap_err();
+    let err = pool.execute(&too_wide, &CancelToken::new()).unwrap_err();
     assert!(err.to_string().contains("at 7 local qubits"), "got: {err}");
     // The world is respawned for the next job.
     let job = single_level_job(8, 2);
-    let (state, _) = pool.execute(&job, None, &CancelToken::new()).unwrap();
+    let (state, _) = pool.execute(&job, &CancelToken::new()).unwrap();
     assert_eq!(state, reference(&job, 2));
     assert_eq!(pool.metrics().jobs_failed, 2);
 }

@@ -1,10 +1,13 @@
 //! A process-backed job moves only what changes rank: no worker exchanges
 //! after its last part (the ranks hand back their slices in the layout they
 //! end in), and the launcher puts the qubits in order with one permutation,
-//! the ranks' final layout composed with what the relabeled SWAPs left.
+//! the inverse of the ranks' final layout. A circuit's SWAPs leave none:
+//! the runner ships the circuit without them, every other gate on the
+//! qubits its operands end up on.
 //! Alone in its test binary because the span recorder is process-global.
 
 use hisvsim_circuit::{generators, Circuit};
+use hisvsim_integration_tests::swap_cases;
 use hisvsim_net::WorkerPool;
 use hisvsim_obs::SpanRecord;
 use hisvsim_runtime::{
@@ -49,13 +52,19 @@ fn workers_exchange_nothing_after_their_last_part_and_the_launcher_permutes_once
         WorkerPool::with_worker_binary(WORKERS, PathBuf::from(env!("CARGO_BIN_EXE_hisvsim-net")));
     let processes = JobRunner::new(SchedulerConfig::default().with_process_backend(Arc::new(pool)));
     let threads = JobRunner::new(SchedulerConfig::default());
-    // The QFT's permutation comes from its SWAPs and the layout together; a
-    // random circuit has no SWAP, so its permutation is the layout alone.
-    let circuits = [
+    // The QFT's, QPE's and `swapped17`'s SWAPs are dropped at intake; the
+    // launcher's permutation is the layout alone, with SWAPs or without.
+    let mut circuits = vec![
         generators::qft(12),
         generators::random_circuit(12, 120, 5),
         generators::qft(21),
     ];
+    // Every SWAP case but the one of SWAPs alone, which runs no part.
+    circuits.extend(
+        swap_cases(17)
+            .into_iter()
+            .filter(|circuit| circuit.without_swaps().num_gates() > 0),
+    );
     for circuit in &circuits {
         hisvsim_obs::set_enabled(true);
         let _ = hisvsim_obs::drain();

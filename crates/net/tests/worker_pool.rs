@@ -50,7 +50,7 @@ fn heavy_job() -> ShippedJob {
 
 /// Run `job` on the pool under an inert token.
 fn run(pool: &WorkerPool, job: &ShippedJob) -> Result<StateVector, NetError> {
-    pool.execute(job, None, &CancelToken::new())
+    pool.execute(job, &CancelToken::new())
         .map(|(state, _)| state)
 }
 
@@ -79,7 +79,7 @@ fn eight_job_batch_reuses_one_world_and_stays_bit_identical() {
         dist_job("qft", 12, workers), // repeat fingerprint
     ];
     for (index, job) in jobs.iter().enumerate() {
-        let (state, report) = pool.execute(job, None, &CancelToken::new()).unwrap();
+        let (state, report) = pool.execute(job, &CancelToken::new()).unwrap();
         assert_eq!(
             state,
             reference(job, workers),
@@ -129,7 +129,7 @@ fn cancel_mid_sweep_is_bounded_and_keeps_the_world_warm() {
         })
     };
     let cancelled_start = Instant::now();
-    let err = pool.execute(&heavy, None, &cancel).unwrap_err();
+    let err = pool.execute(&heavy, &cancel).unwrap_err();
     let elapsed = cancelled_start.elapsed();
     firer.join().unwrap();
     assert!(matches!(err, NetError::Cancelled), "got: {err}");

@@ -590,8 +590,8 @@ mod tests {
         let cold = Scheduler::new(SchedulerConfig::default()).run_batch(vec![job(5), job(3)]);
         assert_eq!(cold.stats.cache.misses, 2);
 
-        // The runner plans, and keys, the circuit with its SWAPs relabeled.
-        let (circuit, _) = submitted.relabel_swaps();
+        // The runner plans, and keys, the circuit without its SWAPs.
+        let circuit = submitted.without_swaps();
         let dag = CircuitDag::from_circuit(&circuit);
         let planned = Planner.plan_single(&dag, 5).unwrap();
         assert!(planned.validate(&dag, 3).is_err());

@@ -116,7 +116,7 @@ pub struct JobControl {
     pub on_plan_ready: Option<Arc<dyn Fn(bool) + Send + Sync>>,
     /// Fired when execution starts and after each completed part, with
     /// `(gates_done, gates_total)` counted in the submitted circuit's gates
-    /// (its relabeled SWAPs are done when the final permutation is).
+    /// (its SWAPs, dropped at intake, are done when the run is).
     pub on_executing: Option<Arc<dyn Fn(u64, u64) + Send + Sync>>,
 }
 
@@ -247,10 +247,6 @@ pub struct ProcessRequest<'a> {
     pub dispatch: KernelDispatch,
     /// The partition to ship (exactly what a plan-cache snapshot holds).
     pub plan: Partition,
-    /// Where the launcher puts the qubits of the state it hands back
-    /// (`StateVector::permute_qubits(perm)`, composed with the ranks' final
-    /// layout into one pass). Launcher-side only: it is never shipped.
-    pub perm: &'a [Qubit],
 }
 
 /// How a process backend's execution of one request ended without a
@@ -310,7 +306,7 @@ pub trait ProcessBackend: Send + Sync {
     fn ranks(&self) -> usize;
 
     /// Execute the request on the worker cluster and hand the state back
-    /// permuted by the request's `perm`. The backend is expected
+    /// in the standard qubit order. The backend is expected
     /// to poll `cancel` and propagate it to the remote ranks, stopping
     /// them at a cooperative checkpoint *mid-job* — not merely at the next
     /// job boundary.
@@ -400,11 +396,12 @@ impl JobRunner {
         }
         // A SWAP is a relabeling: from here on everything (the selector, the
         // plan key, the planner, a shipped request) sees the circuit without
-        // its SWAPs, and the engine hands the state back permuted by `perm`,
-        // in the one pass that also undoes its ranks' final layout. Progress
-        // still counts the submitted gates; the dropped SWAPs are done when
-        // the permutation is.
-        let (circuit, perm) = job.circuit.relabel_swaps();
+        // its SWAPs, every other gate on the qubits its operands end up on.
+        // From |0…0⟩, the only start state a job has, that circuit prepares
+        // the submitted one's state, so no permutation is left to apply.
+        // Progress still counts the submitted gates; the dropped SWAPs are
+        // reported done with the rest.
+        let circuit = job.circuit.without_swaps();
         let gates_total = job.circuit.num_gates() as u64;
         let mut decision = self.config.selector.decide(&circuit, job.engine);
         if let Some(limit) = job.limit {
@@ -530,7 +527,6 @@ impl JobRunner {
                     circuit: &circuit,
                     dispatch,
                     plan: plan.partition.clone(),
-                    perm: &perm,
                 };
                 let (state, mut report) =
                     backend
@@ -548,12 +544,12 @@ impl JobRunner {
             }
             None => {
                 let (name, strategy) = (decision.engine.name(), Strategy::DagP.name());
-                let spec = RunSpec::new(name, strategy, decision.ranks, dispatch).with_perm(&perm);
+                let spec = RunSpec::new(name, strategy, decision.ranks, dispatch);
                 run_plan(&circuit, &schedule, spec, &exec).map_err(|_| JobError::Cancelled)?
             }
         };
-        // The engines report the relabeled circuit's gates; a process run
-        // reports none.
+        // The engines report the gates of the circuit without its SWAPs; a
+        // process run reports none.
         if process.is_some() || circuit.num_gates() as u64 != gates_total {
             control.notify_executing(gates_total, gates_total);
         }
@@ -769,7 +765,7 @@ mod tests {
             .unwrap();
         let decision = &result.decision;
         assert_eq!((decision.ranks, decision.limit), (2, 20));
-        let (relabeled, _) = circuit.relabel_swaps();
+        let relabeled = circuit.without_swaps();
         let dag = CircuitDag::from_circuit(&relabeled);
         let partition = Planner.plan_single(&dag, decision.limit).unwrap();
         let plan = hisvsim_core::FusedSinglePlan::new(&relabeled, &dag, partition);

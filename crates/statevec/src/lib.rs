@@ -6,7 +6,7 @@
 //!
 //! * [`state`] — the [`StateVector`] container (2^n complex amplitudes),
 //!   with [`StateVector::permute_qubits`], the in-place qubit permutation a
-//!   circuit's relabeled SWAPs leave to do,
+//!   distributed run's final layout leaves to do,
 //! * [`buffers`] — the one pool every amplitude buffer, states included,
 //!   comes from and returns to,
 //! * [`kernels`] — gate application (one kernel per op class: dense k ≤ 5,

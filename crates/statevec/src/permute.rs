@@ -1,8 +1,10 @@
-//! Qubit permutation of a state in place: what a circuit's SWAPs leave to
-//! do once they are relabeled away (`Circuit::relabel_swaps`).
+//! Qubit permutation of a state in place: what a distributed run leaves to
+//! do once its ranks hand back their slices in the layout they end in. A
+//! circuit's SWAPs leave nothing to do: the runner drops them and runs every
+//! other gate on the qubits its operands end up on
+//! (`Circuit::without_swaps`).
 //!
-//! An involution (every SWAP network is one, the QFT's final reversal
-//! included) is one pass. The positions split into *inner* ones, the lowest
+//! An involution (a reversal of the qubits, for one) is one pass. The positions split into *inner* ones, the lowest
 //! positions together with their partners, at most [`TILE_BITS`] of them,
 //! and *outer* ones. The involution maps inner to inner and outer to outer,
 //! so it maps each tile (the amplitudes of one outer assignment: runs of
@@ -33,8 +35,9 @@ const MAX_QUBITS: usize = usize::BITS as usize;
 impl StateVector {
     /// Move the qubit at position `perm[q]` to position `q`, for every `q`:
     /// afterwards amplitude `i` is the one whose index has bit `perm[q]`
-    /// equal to bit `q` of `i`. `Circuit::relabel_swaps` returns the `perm`
-    /// that puts a relabeled circuit's qubits back.
+    /// equal to bit `q` of `i`. The layout a distributed run's ranks end in
+    /// is the `perm` that puts their concatenated slices in the standard
+    /// order.
     ///
     /// In place, through two tile buffers per worker taken from
     /// [`buffers`]: one pass over the state for an involution, two for any

@@ -37,6 +37,33 @@ pub fn small_suite(width: usize) -> Vec<Circuit> {
         .collect()
 }
 
+/// Circuits with SWAPs, which the runner drops and relabels the other
+/// gates around: the QFT (SWAPs at the end), QPE (SWAPs mid-circuit, from
+/// its inverse QFT), a random circuit with SWAPs mid-circuit and at the
+/// end, a chain of three among them, and a circuit of SWAPs alone, whose
+/// state is |0…0⟩.
+pub fn swap_cases(n: usize) -> Vec<Circuit> {
+    assert!(n >= 6, "the SWAP cases need ≥ 6 qubits, got {n}");
+    let mut swapped = Circuit::named(format!("swapped{n}"), n);
+    let base = generators::random_circuit(n, 10 * n, 0x5A);
+    for (i, gate) in base.gates().iter().enumerate() {
+        swapped.push(gate.clone());
+        if i == 3 * n {
+            swapped.swap(0, n - 1);
+        }
+        if i == 6 * n {
+            swapped.swap(1, 4).swap(4, n - 2).swap(n - 2, 2);
+        }
+    }
+    swapped.swap(3, n - 1).swap(0, 5);
+    let mut swaps_only = Circuit::named(format!("swaps{n}"), n);
+    for q in 0..n - 1 {
+        swaps_only.swap(q, q + 1);
+    }
+    swaps_only.swap(0, n / 2);
+    vec![generators::qft(n), generators::qpe(n), swapped, swaps_only]
+}
+
 /// The cross-engine differential harness.
 ///
 /// Run the circuit through **all four engines** (baseline, hier, dist,

@@ -167,7 +167,6 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
         strategy: "dagP",
         ranks,
         dispatch: Default::default(),
-        perm: None,
     };
 
     let partition = Strategy::DagP.partition(&dag, local).unwrap();
@@ -198,7 +197,7 @@ fn a_live_control_runs_the_same_schedule_as_an_inert_one() {
     let baseline = IqsBaseline::new(BaselineConfig::new(ranks));
     let inert = baseline.run(circuit);
     assert_same_run("baseline", gates, (inert.state, inert.report), |control| {
-        let live = baseline.run_controlled(circuit, None, control);
+        let live = baseline.run_controlled(circuit, control);
         let live = live.expect("the token is never fired");
         (live.state, live.report)
     });
@@ -212,7 +211,7 @@ fn a_job_on_two_ranks_exchanges_only_what_changes_rank() {
     // in place, and the ranks hand back their slices without returning to
     // the identity layout. The same holds for the two-level comparator, run
     // through its core entry point on the circuit the runner plans (its
-    // SWAPs relabeled) at the parameters the selector derives for it.
+    // SWAPs dropped) at the parameters the selector derives for it.
     const MIB: u64 = 1 << 20;
     let runner = JobRunner::new(SchedulerConfig::default());
     let residency = Semaphore::new(1);
@@ -227,7 +226,7 @@ fn a_job_on_two_ranks_exchanges_only_what_changes_rank() {
         let dist = runner
             .execute_job(0, job, &residency, &JobControl::new())
             .expect("the job runs");
-        let (relabeled, _) = circuit.relabel_swaps();
+        let relabeled = circuit.without_swaps();
         let decision = selector.decide(&relabeled, Some(EngineKind::Multilevel));
         let config = MultilevelConfig::new(decision.ranks, decision.second_limit);
         let multilevel = MultilevelSimulator::new(config)

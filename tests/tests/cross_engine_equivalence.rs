@@ -11,11 +11,13 @@ use hisvsim_core::{
     HierarchicalSimulator, IqsBaseline, MultilevelConfig, MultilevelSimulator,
 };
 use hisvsim_dag::CircuitDag;
-use hisvsim_integration_tests::{assert_states_match, reference_state, small_suite};
+use hisvsim_integration_tests::{assert_states_match, reference_state, small_suite, swap_cases};
 use hisvsim_partition::Strategy;
-use hisvsim_runtime::{EngineKind, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob};
+use hisvsim_runtime::{
+    EngineKind, EngineSelector, JobControl, JobRunner, SchedulerConfig, Semaphore, SimJob,
+};
 use hisvsim_statevec::{
-    ApplyOptions, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
+    run_circuit, ApplyOptions, FusedCircuit, KernelDispatch, StateVector, DEFAULT_FUSION_WIDTH,
 };
 
 #[test]
@@ -114,9 +116,10 @@ fn engines_agree_with_each_other_on_a_deep_circuit() {
 /// The guard on the runtime's first rung: a circuit within the cache budget is
 /// routed to a cached one-part plan swept in place, which has to be the flat
 /// fused executor to the bit — as the forced comparison engine on one rank
-/// is. The runner relabels a circuit's SWAPs away at intake and permutes the
-/// qubits back at the end, so the flat result is that of the relabeled
-/// circuit, permuted; it stays within 1e-10 of the unrelabeled circuit's.
+/// is. The runner drops a circuit's SWAPs at intake and runs every other
+/// gate on the qubits its operands end up on, so the flat result is that of
+/// the circuit without its SWAPs; it stays within 1e-10 of the submitted
+/// circuit's.
 /// Every family plus a random circuit, 4..=16 qubits.
 fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch) {
     let runner = JobRunner::new(SchedulerConfig::default());
@@ -143,12 +146,11 @@ fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch)
                 FusedCircuit::new(circuit, DEFAULT_FUSION_WIDTH).apply(&mut flat, &opts);
                 flat
             };
-            let (relabeled, perm) = circuit.relabel_swaps();
-            let mut flat = flat_of(&relabeled);
-            flat.permute_qubits(&perm);
+            let relabeled = circuit.without_swaps();
+            let flat = flat_of(&relabeled);
             assert!(
                 flat.approx_eq(&flat_of(&circuit), 1e-10),
-                "{label}: relabeling the SWAPs moved the flat result"
+                "{label}: dropping the SWAPs moved the flat result"
             );
             let (engine, routed) = run(SimJob::new(circuit.clone()));
             assert_eq!(engine, EngineKind::Hier, "{label}");
@@ -157,11 +159,11 @@ fn default_route_forced_baseline_and_flat_fusion_agree(dispatch: KernelDispatch)
                 "{label}: the default route left the flat result"
             );
             // The comparison engine through its core entry point, as the
-            // runner ran it when it served it: the relabeled circuit on one
-            // rank, handed back permuted by `perm`.
+            // runner ran it when it served it: the circuit without its SWAPs
+            // on one rank.
             let config = BaselineConfig::new(1).with_kernel_dispatch(dispatch);
             let forced = IqsBaseline::new(config)
-                .run_controlled(&relabeled, Some(&perm), &ExecControl::default())
+                .run_controlled(&relabeled, &ExecControl::default())
                 .expect("an inert control cannot cancel")
                 .state;
             assert_eq!(
@@ -180,4 +182,51 @@ fn default_route_is_flat_fusion_bit_for_bit_under_auto_dispatch() {
 #[test]
 fn default_route_is_flat_fusion_bit_for_bit_under_scalar_dispatch() {
     default_route_forced_baseline_and_flat_fusion_agree(KernelDispatch::Scalar);
+}
+
+/// A SWAP is a relabeling on every route the runner serves: each SWAP case
+/// at 17 qubits (two tiles) on the default route and forced `Dist` on 1, 2
+/// and 4 ranks comes back within 1e-10 of the unfused `run_circuit`, and
+/// the circuit of SWAPs alone as exactly |0…0⟩.
+#[test]
+fn swap_cases_match_the_reference_on_the_default_route_and_dist_at_1_2_and_4_ranks() {
+    let n = 17;
+    let dist = |ranks: usize| {
+        let selector = EngineSelector {
+            max_ranks: ranks,
+            ..EngineSelector::scaled(n - 2, n - 2)
+        };
+        JobRunner::new(SchedulerConfig::default().with_selector(selector))
+    };
+    let routes = [
+        (None, 1, JobRunner::new(SchedulerConfig::default())),
+        (Some(EngineKind::Dist), 1, dist(1)),
+        (Some(EngineKind::Dist), 2, dist(2)),
+        (Some(EngineKind::Dist), 4, dist(4)),
+    ];
+    let residency = Semaphore::new(1);
+    for circuit in swap_cases(n) {
+        let expected = run_circuit(&circuit);
+        let only_swaps = circuit.without_swaps().num_gates() == 0;
+        for (engine, ranks, runner) in &routes {
+            let mut job = SimJob::new(circuit.clone());
+            if let Some(engine) = *engine {
+                job = job.with_engine(engine);
+            }
+            let result = runner
+                .execute_job(0, job, &residency, &JobControl::new())
+                .expect("the job runs");
+            let label = format!("{} on {engine:?} at {ranks} ranks", circuit.name);
+            assert_eq!(result.decision.ranks, *ranks, "{label}");
+            let state = result.state.expect("states are retained");
+            assert!(
+                state.approx_eq(&expected, 1e-10),
+                "{label}: max |Δ| {:.3e}",
+                state.max_abs_diff(&expected)
+            );
+            if only_swaps {
+                assert_eq!(state, StateVector::zero_state(n), "{label}");
+            }
+        }
+    }
 }

@@ -21,7 +21,14 @@
 //!
 //! An intended change to the amplitudes re-blesses the file with
 //! `cargo test -p hisvsim-integration-tests --test golden_states -- --ignored bless`;
-//! the diff then shows exactly the rows it moved.
+//! the diff then shows exactly the rows it moved. A second bless must be
+//! byte-identical. A change may move a row only under three conditions:
+//! - the moved row stays within 1e-10 of `run_circuit` (checked here);
+//! - it passes the closed-form oracle where one exists (`qft_oracle.rs`,
+//!   and `ghz_bv_oracle.rs` for GHZ, BV, the adder and QPE);
+//! - the change lists each moved row and why it moved, for instance that
+//!   fused ops now round in another order because the plan groups the
+//!   gates differently.
 
 use hisvsim_circuit::{generators, Circuit};
 use hisvsim_core::{

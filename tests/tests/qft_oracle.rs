@@ -2,9 +2,9 @@
 //! |x⟩ in closed form, amplitude k = e^{2πi·x·k/2ⁿ}/√2ⁿ, computed by a plain
 //! `f64` loop, against `generators::qft(n)` after X gates prepare |x⟩,
 //! submitted through `JobRunner`. On the default route it is one part swept
-//! in place at 20 qubits, and at 22 too (`large_qft`'s), with the
-//! permutation the relabeled SWAPs leave; at 22 its first pass strides tiles
-//! across qubits 16–21. A job forcing limit 21 at 22 qubits keeps that plan,
+//! in place at 20 qubits, and at 22 too (`large_qft`'s), its SWAPs dropped
+//! and every other gate on the reversed qubits; at 22 its second pass
+//! strides tiles across qubits 16–21. A job forcing limit 21 at 22 qubits keeps that plan,
 //! three parts, each swept in place. |0⟩ at 22 qubits is `large_qft`'s own
 //! circuit: each tiled pass there leaves out every diagonal run, since each
 //! controlled phase waits on a qubit no H has reached yet. A job forcing

@@ -19,15 +19,17 @@ fn service(workers: usize) -> SimService {
 }
 
 /// A job big enough that cancellation and the 150–200 ms deadlines below
-/// land mid-execution in every profile tier-1 runs under: a wide QFT forced
-/// onto the hierarchical engine with a tight limit, so the run spans many
-/// parts (each a cancellation checkpoint). The kernels are optimised in the
-/// debug profile too, so tier-1 runs it at close to release speed: 0.38–0.45 s
-/// at 22 qubits on a two-vCPU guest (0.53–0.59 s before a tiled pass left out
-/// the groups still zero), where 20 qubits took only 0.13–0.15 s. No test
-/// lets it run to the end.
+/// land mid-execution in every profile tier-1 runs under: a wide random
+/// circuit forced onto the hierarchical engine with a tight limit, so the
+/// run spans many parts (each a cancellation checkpoint). The kernels are
+/// optimised in the debug profile too, so tier-1 runs it at close to release
+/// speed: 1.1 s (57 parts) on a two-vCPU guest, under both kernel dispatches.
+/// A QFT of the same width no longer serves: from |0…0⟩ a tiled pass leaves
+/// out the groups still zero, and `qft(22)` at this limit took 0.18–0.25 s,
+/// close enough to the deadlines that one ran to the end first. No test lets
+/// it run to the end.
 fn long_job() -> SimJob {
-    SimJob::new(generators::qft(22))
+    SimJob::new(generators::random_circuit(22, 528, 1))
         .with_engine(EngineKind::Hier)
         .with_limit(5)
 }
@@ -391,7 +393,7 @@ fn an_unreadable_snapshot_starts_the_service_cold() {
     // a tagged plan, one `Single` and one `Two`. Its `Single` entry is the
     // very partition, under the very key, the job plans: were it read, the
     // first job would hit.
-    let (relabeled, _) = circuit.relabel_swaps();
+    let relabeled = circuit.without_swaps();
     let dag = hisvsim_dag::CircuitDag::from_circuit(&relabeled);
     let single = hisvsim_runtime::Planner.plan_single(&dag, 10).unwrap();
     let two = hisvsim_runtime::Planner.plan_two_level(&dag, 9, 4).unwrap();
@@ -846,14 +848,14 @@ fn counters_conserve_every_job_under_racing_deadlines_and_cancels() {
 
 /// Every `Executing` event of a job carries the submitted circuit's gate
 /// count, though the runner drops the QFT's SWAPs at intake: they count as
-/// done when the final permutation runs, so the last event, the status and
-/// the artifact all read `gates_done == gates_total`.
+/// done when the run ends, so the last event, the status and the artifact
+/// all read `gates_done == gates_total`.
 #[test]
 fn a_relabeled_job_reports_the_submitted_gates_to_the_end() {
     let service = SimService::start(ServiceConfig::new());
     let circuit = generators::qft(12);
     let total = circuit.num_gates() as u64;
-    assert!(circuit.relabel_swaps().0.num_gates() < circuit.num_gates());
+    assert!(circuit.without_swaps().num_gates() < circuit.num_gates());
     let handle = service.submit(SimJob::new(circuit));
     handle.wait().expect("the job completes");
     let progress: Vec<(u64, u64)> = handle
@@ -895,7 +897,7 @@ fn a_partitioned_job_reports_progress_once_a_pass_and_never_backwards() {
     let total = circuit.num_gates() as u64;
     // The plan the runner makes for the forced limit walks some part in
     // several passes.
-    let (relabeled, _) = circuit.relabel_swaps();
+    let relabeled = circuit.without_swaps();
     let dag = CircuitDag::from_circuit(&relabeled);
     let partition = Strategy::DagP
         .partition(&dag, limit)

@@ -45,7 +45,7 @@ fn run(runner: &JobRunner, job: SimJob) -> (JobResult, u64, Vec<String>) {
 /// The key the plan that ran is cached under.
 fn key(circuit: &Circuit, limit: usize) -> PlanKey {
     PlanKey {
-        fingerprint: circuit.relabel_swaps().0.fingerprint(),
+        fingerprint: circuit.without_swaps().fingerprint(),
         limit,
     }
 }
